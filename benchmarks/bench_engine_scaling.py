@@ -85,9 +85,11 @@ def run_engine_scaling() -> tuple[str, dict]:
         model = MultiLayerModel(config)
         results[engine], elapsed[engine] = timed(model.fit, observations)
 
-    # Streamed-reduce leg: the chunked per-iteration reduce must produce
-    # the whole-array scan's exact bytes (determinism-ladder entry 7)
-    # at a bounded working set; its wall clock is reported, never gated.
+    # Streamed-reduce leg: the reduce (engine_numpy.reduce_statistics)
+    # in REDUCE_CHUNK-element windows must produce the one-window scan's
+    # exact bytes (determinism-ladder entry 7) at a bounded working set;
+    # its wall clock is reported, never gated. Both legs run the same
+    # loop (exec.driver.fit_sharded) on one serial shard.
     numpy_config = dataclasses.replace(ENGINE_CONFIG, engine="numpy")
     streamed_result, streamed_s = timed(
         MultiLayerModel(
@@ -99,8 +101,9 @@ def run_engine_scaling() -> tuple[str, dict]:
     )
     streamed_identical = _bit_identical(results["numpy"], streamed_result)
 
-    # Float32 leg: opt-in fused single-precision kernels; the deviation
-    # from the float64 reference is gated under the documented envelope.
+    # Float32 leg: the opt-in fused single-precision shard kernel
+    # (exec.worker._Float32Workspace); the deviation from the float64
+    # reference is gated under the documented envelope.
     float32_result, float32_s = timed(
         MultiLayerModel(
             dataclasses.replace(numpy_config, precision="float32")

@@ -467,9 +467,9 @@ def _add_model_options(parser: argparse.ArgumentParser) -> None:
             "arithmetic precision of the numpy engine's E steps: float64 "
             "(default, the reference arithmetic every bit-identity "
             "guarantee is stated against) or float32 (fused "
-            "single-precision kernels, faster and half the working set; "
-            "scores stay within the documented precision envelope of "
-            "float64 — see docs/architecture.md)"
+            "single-precision kernels on any --backend, faster and half "
+            "the working set; scores stay within the documented "
+            "precision envelope of float64 — see docs/architecture.md)"
         ),
     )
     _add_exec_options(parser)
@@ -482,7 +482,7 @@ def _add_exec_options(parser: argparse.ArgumentParser) -> None:
         help=(
             "sharded execution backend (map per data-item shard, one "
             "reduce per EM iteration; results are bit-identical across "
-            "backends and shard counts); default: unsharded"
+            "backends and shard counts); default: one serial shard"
         ),
     )
     parser.add_argument(

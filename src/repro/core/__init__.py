@@ -7,10 +7,11 @@ by ``MultiLayerConfig.engine``: the reference pure-Python implementation
 ``repro.core.engine_numpy``) that compiles the observation matrix into
 integer-indexed arrays (``repro.core.indexing``) and runs Algorithm 1 as
 segment operations — numerically matching to <= 1e-9 and several times
-faster on large corpora. ``MultiLayerConfig.backend`` additionally routes
-the numpy engine through the sharded execution API (``repro.exec``:
-serial / threads / processes, bit-identical to unsharded runs); engines
-and backends both register in ``repro.core.registry``."""
+faster on large corpora. The numpy engine's EM loop is the sharded
+execution driver (``repro.exec``); ``MultiLayerConfig.backend`` selects
+where its map rounds run (serial / threads / processes / remote,
+bit-identical to the default single serial shard); engines and backends
+both register in ``repro.core.registry``."""
 
 from repro.core import registry
 from repro.core.config import (

@@ -161,11 +161,10 @@ class MultiLayerConfig:
         backend: sharded execution backend, one of the names in
             :func:`repro.core.registry.backend_names` (``"serial"``,
             ``"threads"``, ``"processes"``), or None (the default) for
-            unsharded single-process execution. When set, each EM
-            iteration runs as map (per-shard sufficient statistics for
-            the ExtCorr / TriplePr / SrcAccu / ExtQuality jobs) + reduce
-            (merged statistics, one parameter update); results are
-            bit-identical to the unsharded numpy engine regardless of
+            one in-process serial shard. Each EM iteration of the numpy
+            engine runs as map (the per-shard ExtCorr / TriplePr E
+            steps) + reduce (SrcAccu / ExtQuality: one global parameter
+            update); float64 results are bit-identical regardless of
             shard count or backend. Requires the numpy engine.
         num_shards: number of data-item shards for sharded execution
             (None: one shard per available CPU, capped at the item
@@ -218,29 +217,32 @@ class MultiLayerConfig:
             waits for before dispatching round 1 (default 1); workers
             joining later are still used for re-dispatch and
             speculation. Requires ``backend="remote"``.
-        reduce_chunk: when set, the sharded driver's per-iteration
-            *reduce* (the theta_1 / theta_2 parameter update) streams
-            over the compiled global arrays in contiguous chunks of this
-            many elements instead of scanning them whole, releasing each
-            window's file-backed pages as it goes under ``spill_dir``
-            (:func:`repro.exec.spill.advise_dontneed_window`). Chunked
-            accumulation seeds every scatter-add with the running totals
-            so the summation order is *exactly* the whole-scan order:
-            float64 results are **bit-identical** for every backend,
-            shard count, and chunk size (determinism-ladder entry 7).
-            Requires ``backend``.
+        reduce_chunk: window size of the driver's per-iteration *reduce*
+            (the theta_1 / theta_2 parameter update,
+            :func:`repro.core.engine_numpy.reduce_statistics`): it scans
+            the compiled global arrays in contiguous windows of this
+            many elements — None (the default) is one window per array
+            family — releasing each window's file-backed pages as it
+            goes under ``spill_dir``
+            (:func:`repro.exec.spill.advise_dontneed_window`). Every
+            window after the first seeds its scatter-adds with the
+            running totals, so the summation order is *exactly* the
+            one-window order: float64 results are **bit-identical** for
+            every backend, shard count, and window size
+            (determinism-ladder entry 7). Requires ``backend``.
         precision: floating-point mode of the numpy engine. The default
             ``"float64"`` is the reference arithmetic every determinism
             guarantee is stated in. ``"float32"`` opts into the fused
             single-precision E-step kernels
-            (:mod:`repro.core.engine_numpy`): elementwise C/V-step
+            (:mod:`repro.exec.worker`): elementwise C/V-step
             passes run in float32 through preallocated scratch buffers
             while scatter-adds and the parameter update stay float64.
             Faster and half the E-step memory traffic, but **not**
             bit-compatible with float64 — see the precision contract in
             ``docs/architecture.md`` for the documented deviation bound.
-            Requires ``engine="numpy"`` and no execution backend (the
-            sharded / distributed paths are float64-only).
+            Requires ``engine="numpy"``; runs on every execution backend
+            (the kernel is selected per shard), always outside the
+            bit-identity guarantees, which are stated in float64.
     """
 
     n: int = 10
@@ -286,12 +288,12 @@ class MultiLayerConfig:
     #: (default 1). Late joiners are still accepted mid-fit as
     #: speculation and re-dispatch targets. Requires ``backend="remote"``.
     num_workers: int | None = None
-    #: Elements per contiguous window of the streamed per-iteration
-    #: reduce (None: whole-array scan). Bit-identical for any value;
-    #: requires ``backend``.
+    #: Elements per contiguous window of the per-iteration reduce
+    #: (None: one window per array family). Bit-identical for any
+    #: value; requires ``backend``.
     reduce_chunk: int | None = None
     #: ``"float64"`` (reference) or ``"float32"`` (fused single-precision
-    #: E-step kernels, numpy engine only, no backend; see the precision
+    #: E-step kernels, numpy engine only, any backend; see the precision
     #: contract in docs/architecture.md).
     precision: str = "float64"
 
@@ -385,13 +387,6 @@ class MultiLayerConfig:
                     'precision="float32" runs the numpy engine\'s fused '
                     f'kernels: use engine="numpy", got '
                     f"engine={self.engine!r}"
-                )
-            if self.backend is not None:
-                raise ValueError(
-                    'precision="float32" is single-process only: the '
-                    "sharded/distributed execution paths are float64 "
-                    "(their bit-identity contract is stated in float64); "
-                    "drop the backend setting or use precision='float64'"
                 )
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must be in (0, 1)")

@@ -22,11 +22,13 @@ returned :class:`~repro.core.results.MultiLayerResult` is built from the
 same dict-of-keys views, so downstream consumers cannot tell the engines
 apart.
 
-The building blocks — :func:`init_params`, :func:`iteration_inputs`,
-:func:`update_parameters`, :func:`assemble_result` — are shared with the
-sharded execution driver (:mod:`repro.exec.driver`), which runs the same
-E steps per shard (map) and the same parameter update globally (reduce),
-so sharded runs are bit-identical to this engine.
+This module holds the driver-side building blocks — :func:`init_params`,
+:func:`iteration_inputs`, :func:`update_parameters` (the reduce),
+:func:`assemble_result` — and the scalar kernels the map side shares.
+The EM loop itself lives once, in :func:`repro.exec.driver.fit_sharded`:
+steps 1, 2 and 5 run per shard (:mod:`repro.exec.worker`), steps 3 and 4
+are the global reduce here, and :func:`fit_numpy` is that driver at one
+serial shard.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.config import AbsenceScope, MultiLayerConfig
-from repro.core.indexing import CompiledProblem, compile_problem
+from repro.core.indexing import CompiledProblem
 from repro.core.observation import ObservationMatrix
 from repro.core.quality import ExtractorQuality
 from repro.core.results import IterationSnapshot, MultiLayerResult
@@ -234,10 +236,9 @@ class ReduceStats:
 
     Everything :func:`_apply_parameter_updates` needs: per-source V-step
     vote sums (Eq. 27/28) and, unless extractor quality is frozen, the
-    per-column precision/recall sums (Eq. 29-33). The whole-array and
-    streamed reducers both produce this — with bit-identical float64
-    contents, which is what makes ``reduce_chunk`` a pure execution
-    knob.
+    per-column precision/recall sums (Eq. 29-33). :func:`reduce_statistics`
+    produces bit-identical float64 contents for every window size, which
+    is what makes ``reduce_chunk`` a pure execution knob.
     """
 
     acc_numer: np.ndarray
@@ -247,103 +248,68 @@ class ReduceStats:
     recall_denom: np.ndarray | None
 
 
-def _claim_weights(
-    cfg: MultiLayerConfig, claim_p: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """theta_1 vote weights per claim: ``(masked_weight, weighted_numer)``
-    inputs before the posterior factor (Eq. 27 vs Eq. 28)."""
-    keep = claim_p >= 0.5
+def _claim_weights(cfg: MultiLayerConfig, claim_p: np.ndarray) -> np.ndarray:
+    """theta_1 vote weight per claim, before the posterior factor: the
+    MAP-masked ``p(C|X)`` (Eq. 28) or the plain MAP indicator (Eq. 27)."""
     base_weight = claim_p if cfg.use_weighted_vcv else np.ones_like(claim_p)
-    return np.where(keep, base_weight, 0.0), keep
+    return np.where(claim_p >= 0.5, base_weight, 0.0)
 
 
-def _reduce_statistics(
-    cfg: MultiLayerConfig,
-    prob: CompiledProblem,
-    p_correct: np.ndarray,
-    posterior: np.ndarray,
-) -> ReduceStats:
-    """One whole-array scan of the global arrays the reduce consumes."""
-    n_sources = len(prob.sources)
-    n_cols = prob.num_cols
-    claim_source = prob.coord_source[prob.claim_coord]
+def iter_chunks(total: int, chunk: int):
+    """Yield ``(lo, hi)`` half-open windows covering ``range(total)``.
 
-    claim_p = p_correct[prob.claim_coord]
-    masked_weight, _ = _claim_weights(cfg, claim_p)
-    acc_numer = np.bincount(
-        claim_source,
-        weights=masked_weight * posterior[prob.claim_triple],
-        minlength=n_sources,
-    )
-    acc_denom = np.bincount(
-        claim_source, weights=masked_weight, minlength=n_sources
-    )
-
-    if cfg.freeze_extractor_quality:
-        return ReduceStats(acc_numer, acc_denom, None, None, None)
-
-    ext_numer = np.bincount(
-        prob.entry_col,
-        weights=prob.entry_conf * p_correct[prob.entry_coord],
-        minlength=n_cols,
-    )
-    conf_total = np.bincount(
-        prob.entry_col, weights=prob.entry_conf, minlength=n_cols
-    )
-    if cfg.absence_scope is AbsenceScope.ACTIVE:
-        p_by_source = np.bincount(
-            prob.coord_source, weights=p_correct, minlength=n_sources
-        )
-        recall_denom = np.bincount(
-            prob.active_col,
-            weights=p_by_source[prob.active_src],
-            minlength=n_cols,
-        )
-    else:
-        recall_denom = np.full(n_cols, float(p_correct.sum()))
-    return ReduceStats(
-        acc_numer, acc_denom, ext_numer, conf_total, recall_denom
-    )
-
-
-def _seeded_accumulate(
-    acc: np.ndarray, coords: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
-    """Continue a running ``bincount`` accumulation over one chunk.
-
-    ``np.bincount`` adds its weights sequentially in array order, so
-    seeding every bin with its running total and then appending the
-    chunk's entries reproduces *exactly* the association order of a
-    single whole-array ``bincount`` — the same trick as
-    :func:`_seeded_vcc`, which is what keeps the streamed reduce
-    bit-identical to the whole scan. (The seed pass itself is exact:
-    ``0.0 + x == x`` for every finite weight the reduce produces.)
+    The windowed reduce walks every array family through these windows
+    in ascending order, so the last window is the only one shorter than
+    ``chunk``. ``total == 0`` yields nothing.
     """
-    num_bins = acc.shape[0]
+    if chunk < 1:
+        raise ValueError(f"chunk size must be >= 1, got {chunk}")
+    for lo in range(0, total, chunk):
+        yield lo, min(lo + chunk, total)
+
+
+def _scatter_add(
+    acc: np.ndarray | None,
+    bins: np.ndarray,
+    weights: np.ndarray,
+    num_bins: int,
+) -> np.ndarray:
+    """One window of a running ``bincount`` accumulation.
+
+    The first window of a family (``acc is None``) is a plain
+    ``np.bincount``. ``bincount`` adds its weights sequentially in array
+    order, so every later window seeds each bin with its running total
+    and appends the window's entries — the same trick as
+    :func:`_seeded_vcc` — which reproduces *exactly* the association
+    order of a single whole-array ``bincount`` and keeps the reduce
+    bit-identical for every window size.
+    """
+    if acc is None:
+        return np.bincount(bins, weights=weights, minlength=num_bins)
     return np.bincount(
-        np.concatenate((np.arange(num_bins), coords)),
+        np.concatenate((np.arange(num_bins), bins)),
         weights=np.concatenate((acc, weights)),
         minlength=num_bins,
     )
 
 
-def _reduce_statistics_streamed(
+def reduce_statistics(
     cfg: MultiLayerConfig,
     prob: CompiledProblem,
     p_correct: np.ndarray,
     posterior: np.ndarray,
-    chunk: int,
+    chunk: int | None = None,
     release=None,
 ) -> ReduceStats:
-    """The same statistics as :func:`_reduce_statistics`, streamed.
+    """Scatter-add the theta_1 / theta_2 sufficient statistics.
 
     Scans each global array family (claims, extraction entries, scored
     coordinates, active pairs) in contiguous windows of ``chunk``
-    elements, accumulating every scatter-add with
-    :func:`_seeded_accumulate` so the float64 result is **bit-identical**
-    to the whole-array scan. After each window, ``release(array, lo,
-    hi)`` is invoked for every global array the window touched (the
-    out-of-core driver passes
+    elements; ``chunk=None`` is one window per family, i.e. one plain
+    ``np.bincount`` per statistic. The float64 result is **bit-identical**
+    for every ``chunk`` (see :func:`_scatter_add`). After each window,
+    ``release(array, lo, hi)`` is invoked for every global array the
+    window touched (the out-of-core driver passes
     :func:`repro.exec.spill.advise_dontneed_window`), so the resident
     set of file-backed pages stays bounded by one window per array
     instead of the whole corpus. Coordinate-indexed gathers
@@ -351,70 +317,71 @@ def _reduce_statistics_streamed(
     driver-resident parameter vectors — and are windowed along with the
     claim/entry scans.
     """
-    from repro.exec.spill import iter_chunks
-
     n_sources = len(prob.sources)
     n_cols = prob.num_cols
-    need_ext = not cfg.freeze_extractor_quality
-    active_scope = cfg.absence_scope is AbsenceScope.ACTIVE
 
-    def released(lo: int, hi: int, *arrays: np.ndarray) -> None:
-        if release is not None:
-            for array in arrays:
-                release(array, lo, hi)
+    def windows(*arrays: np.ndarray):
+        """The windows of one family; each is released once consumed.
+        An empty family is one empty window, so its statistics come out
+        as the zeros ``bincount`` gives for no input."""
+        total = arrays[0].shape[0]
+        whole = chunk is None or total == 0
+        for lo, hi in [(0, total)] if whole else iter_chunks(total, chunk):
+            yield lo, hi
+            if release is not None:
+                for array in arrays:
+                    release(array, lo, hi)
 
     # --- claims: theta_1 vote sums ------------------------------------
-    acc_numer = np.zeros(n_sources)
-    acc_denom = np.zeros(n_sources)
-    for lo, hi in iter_chunks(prob.claim_coord.shape[0], chunk):
+    acc_numer = acc_denom = None
+    for lo, hi in windows(prob.claim_coord, prob.claim_triple):
         claim_coord = prob.claim_coord[lo:hi]
-        claim_p = p_correct[claim_coord]
         claim_source = prob.coord_source[claim_coord]
-        masked_weight, _ = _claim_weights(cfg, claim_p)
-        acc_numer = _seeded_accumulate(
+        masked_weight = _claim_weights(cfg, p_correct[claim_coord])
+        acc_numer = _scatter_add(
             acc_numer,
             claim_source,
             masked_weight * posterior[prob.claim_triple[lo:hi]],
+            n_sources,
         )
-        acc_denom = _seeded_accumulate(
-            acc_denom, claim_source, masked_weight
+        acc_denom = _scatter_add(
+            acc_denom, claim_source, masked_weight, n_sources
         )
-        released(lo, hi, prob.claim_coord, prob.claim_triple)
 
-    if not need_ext:
+    if cfg.freeze_extractor_quality:
         return ReduceStats(acc_numer, acc_denom, None, None, None)
 
     # --- extraction entries: theta_2 numerators -----------------------
-    ext_numer = np.zeros(n_cols)
-    conf_total = np.zeros(n_cols)
-    for lo, hi in iter_chunks(prob.entry_coord.shape[0], chunk):
+    ext_numer = conf_total = None
+    for lo, hi in windows(prob.entry_coord, prob.entry_col, prob.entry_conf):
         entry_col = prob.entry_col[lo:hi]
         entry_conf = prob.entry_conf[lo:hi]
-        ext_numer = _seeded_accumulate(
+        ext_numer = _scatter_add(
             ext_numer,
             entry_col,
             entry_conf * p_correct[prob.entry_coord[lo:hi]],
+            n_cols,
         )
-        conf_total = _seeded_accumulate(conf_total, entry_col, entry_conf)
-        released(lo, hi, prob.entry_coord, prob.entry_col, prob.entry_conf)
+        conf_total = _scatter_add(conf_total, entry_col, entry_conf, n_cols)
 
     # --- recall denominator (Eq. 33) ----------------------------------
-    if active_scope:
-        p_by_source = np.zeros(n_sources)
-        for lo, hi in iter_chunks(prob.coord_source.shape[0], chunk):
-            p_by_source = _seeded_accumulate(
-                p_by_source, prob.coord_source[lo:hi], p_correct[lo:hi]
+    if cfg.absence_scope is AbsenceScope.ACTIVE:
+        p_by_source = None
+        for lo, hi in windows(prob.coord_source):
+            p_by_source = _scatter_add(
+                p_by_source,
+                prob.coord_source[lo:hi],
+                p_correct[lo:hi],
+                n_sources,
             )
-            released(lo, hi, prob.coord_source)
-        recall_denom = np.zeros(n_cols)
-        for lo, hi in iter_chunks(prob.active_src.shape[0], chunk):
-            active_src = prob.active_src[lo:hi]
-            recall_denom = _seeded_accumulate(
+        recall_denom = None
+        for lo, hi in windows(prob.active_src, prob.active_col):
+            recall_denom = _scatter_add(
                 recall_denom,
                 prob.active_col[lo:hi],
-                p_by_source[active_src],
+                p_by_source[prob.active_src[lo:hi]],
+                n_cols,
             )
-            released(lo, hi, prob.active_src, prob.active_col)
     else:
         # p_correct is a driver-resident anonymous array; its pairwise
         # whole-array sum is kept as-is (chunked partial sums would
@@ -522,45 +489,30 @@ def update_parameters(
     params: ParamState,
     p_correct: np.ndarray,
     posterior: np.ndarray,
+    chunk: int | None = None,
+    release=None,
 ) -> tuple[float, float]:
     """The reduce step: theta_1 (Eq. 27/28) + theta_2 (Eq. 29-33, Eq. 7).
 
     Consumes the globally assembled ``p_correct`` / ``posterior`` of one
     EM iteration, updates ``params`` in place, and returns
     ``(accuracy_delta, extractor_delta)`` for the convergence check.
+    ``chunk`` / ``release`` window the global-array scans
+    (:func:`reduce_statistics`; the engine-facing half of
+    ``MultiLayerConfig.reduce_chunk``) without changing a bit of the
+    result.
     """
-    return _apply_parameter_updates(
-        cfg, params, _reduce_statistics(cfg, prob, p_correct, posterior)
-    )
-
-
-def update_parameters_streamed(
-    cfg: MultiLayerConfig,
-    prob: CompiledProblem,
-    params: ParamState,
-    p_correct: np.ndarray,
-    posterior: np.ndarray,
-    chunk: int,
-    release=None,
-) -> tuple[float, float]:
-    """:func:`update_parameters`, streaming the global-array scans.
-
-    Bit-identical to the whole-array reduce for every ``chunk`` >= 1
-    (seeded scatter-add accumulation preserves the float64 summation
-    order exactly); ``release`` is called per scanned window so the
-    out-of-core driver keeps at most one window of each spilled global
-    array resident per scan. The engine-facing half of
-    ``MultiLayerConfig.reduce_chunk``.
-    """
-    if chunk < 1:
-        raise ValueError(f"reduce chunk must be >= 1, got {chunk}")
     return _apply_parameter_updates(
         cfg,
         params,
-        _reduce_statistics_streamed(
-            cfg, prob, p_correct, posterior, chunk, release
-        ),
+        reduce_statistics(cfg, prob, p_correct, posterior, chunk, release),
     )
+
+
+#: The pre-consolidation name of the windowed call shape
+#: ``update_parameters(..., chunk, release)``; kept for callers outside
+#: ``src/`` (``benchmarks/e2e``).
+update_parameters_streamed = update_parameters
 
 
 def fit_numpy(
@@ -574,380 +526,21 @@ def fit_numpy(
 ) -> MultiLayerResult:
     """Run Algorithm 1 with the array backend; same contract as ``fit``.
 
-    With ``cfg.precision == "float32"`` the E steps run through the
-    fused single-precision kernels (:func:`_fit_numpy_float32`); the
-    default float64 path below is the reference arithmetic.
+    The registry's ``engine="numpy"`` entry: a thin name for the one EM
+    loop, :func:`repro.exec.driver.fit_sharded`, which runs
+    ``cfg.backend`` over ``cfg.num_shards`` shards — one serial shard
+    when no backend is set.
     """
-    prob = compile_problem(observations, cfg)
-    if cfg.precision == "float32":
-        params = init_params(
-            cfg,
-            prob,
-            initial_source_accuracy,
-            initial_extractor_quality,
-            frozen_extractors,
-            frozen_sources,
-        )
-        return _fit_numpy_float32(cfg, prob, observations, params)
-    n_sources = len(prob.sources)
-    n_coords = prob.num_coords
-    n_triples = prob.num_triples
-    active_scope = cfg.absence_scope is AbsenceScope.ACTIVE
+    # Local import: the driver is built from this module's blocks.
+    from repro.exec.driver import fit_sharded
 
-    params = init_params(
+    return fit_sharded(
         cfg,
-        prob,
+        observations,
         initial_source_accuracy,
         initial_extractor_quality,
         frozen_extractors,
         frozen_sources,
-    )
-
-    priors = np.full(n_coords, cfg.alpha)
-    priors_updated = False
-    log_pop = (
-        _safe_log(prob.triple_popularity)
-        if prob.triple_popularity is not None
-        else None
-    )
-    num_unobserved = np.maximum(cfg.n + 1 - prob.item_num_values, 0).astype(
-        np.float64
-    )
-    claim_source = prob.coord_source[prob.claim_coord]
-    claim_log_pop = (
-        log_pop[prob.claim_triple] if log_pop is not None else None
-    )
-
-    p_correct = np.zeros(n_coords)
-    posterior = np.zeros(n_triples)
-    residual = np.zeros(prob.num_items)
-
-    history: list[IterationSnapshot] = []
-    for iteration in range(1, cfg.convergence.max_iterations + 1):
-        # --- C step (Section 3.3.1): VCC' + prior log-odds -> sigmoid -----
-        pre_vote, abs_vote, base_absence, source_vote = iteration_inputs(
-            cfg, prob, params
-        )
-        if active_scope:
-            base = base_absence[prob.coord_source]
-        else:
-            base = base_absence
-        vcc = _seeded_vcc(
-            base,
-            prob.entry_coord,
-            prob.entry_conf * (pre_vote - abs_vote)[prob.entry_col],
-            n_coords,
-        )
-        p_correct = _sigmoid(vcc + _log_odds(priors))
-
-        # --- V step (Sections 3.3.2-3.3.3): segmented softmax per item ----
-        claim_p = p_correct[prob.claim_coord]
-        if cfg.use_weighted_vcv:
-            claim_weight = claim_p
-        else:
-            claim_weight = np.where(claim_p >= 0.5, 1.0, 0.0)
-        if claim_log_pop is None:
-            contrib = claim_weight * source_vote[claim_source]
-        else:
-            contrib = claim_weight * (
-                source_vote[claim_source] - claim_log_pop
-            )
-        votes = np.bincount(
-            prob.claim_triple, weights=contrib, minlength=n_triples
-        )
-        if prob.num_items:
-            starts = prob.item_ptr[:-1]
-            shift = np.maximum(np.maximum.reduceat(votes, starts), 0.0)
-            exp_votes = np.exp(votes - shift[prob.triple_item])
-            z = np.add.reduceat(exp_votes, starts) + num_unobserved * np.exp(
-                -shift
-            )
-            posterior = exp_votes / z[prob.triple_item]
-            posterior_mass = np.add.reduceat(posterior, starts)
-            residual = np.where(
-                num_unobserved > 0.0,
-                np.maximum(1.0 - posterior_mass, 0.0)
-                / np.maximum(num_unobserved, 1.0),
-                0.0,
-            )
-        else:
-            posterior = np.zeros(0)
-            residual = np.zeros(0)
-
-        # --- M steps (the reduce): theta_1 + theta_2 ----------------------
-        accuracy_delta, extractor_delta = update_parameters(
-            cfg, prob, params, p_correct, posterior
-        )
-
-        # --- prior re-estimation (Eq. 26) ---------------------------------
-        if cfg.update_prior and (
-            iteration + 1 >= cfg.prior_update_start_iteration
-        ):
-            p_true = np.zeros(n_coords)
-            has_triple = prob.coord_triple >= 0
-            if posterior.size:
-                p_true[has_triple] = posterior[prob.coord_triple[has_triple]]
-            has_item = ~has_triple & (prob.coord_item >= 0)
-            if residual.size:
-                p_true[has_item] = residual[prob.coord_item[has_item]]
-            source_accuracy = params.accuracy[prob.coord_source]
-            priors = np.clip(
-                p_true * source_accuracy
-                + (1.0 - p_true) * (1.0 - source_accuracy),
-                cfg.prior_floor,
-                cfg.prior_ceiling,
-            )
-            priors_updated = True
-
-        history.append(
-            IterationSnapshot(iteration, accuracy_delta, extractor_delta)
-        )
-        if max(accuracy_delta, extractor_delta) < cfg.convergence.tolerance:
-            break
-
-    return assemble_result(
-        prob,
-        observations,
-        p_correct,
-        posterior,
-        params,
-        priors if priors_updated else None,
-        history,
-    )
-
-
-class _Float32Workspace:
-    """Preallocated scratch for the fused float32 E-step kernels.
-
-    One allocation per fit: every elementwise pass of the C and V steps
-    writes into these buffers with ``out=``, so an iteration allocates
-    only the (unavoidable) float64 ``bincount`` outputs and a few
-    boolean masks — no per-iteration float32 temporaries. Constant
-    gathers (entry confidences, claim sources, popularity) are cast to
-    float32 once up front.
-    """
-
-    def __init__(self, cfg: MultiLayerConfig, prob: CompiledProblem) -> None:
-        f32 = np.float32
-        n_coords = prob.num_coords
-        n_triples = prob.num_triples
-        n_items = prob.num_items
-        n_entries = prob.entry_coord.shape[0]
-        n_claims = prob.claim_coord.shape[0]
-
-        # Constants, cast once.
-        self.entry_conf = prob.entry_conf.astype(f32)
-        self.claim_source = np.ascontiguousarray(
-            prob.coord_source[prob.claim_coord]
-        )
-        self.claim_log_pop = (
-            np.log(np.maximum(prob.triple_popularity, PROB_FLOOR))[
-                prob.claim_triple
-            ].astype(f32)
-            if prob.triple_popularity is not None
-            else None
-        )
-        num_unobserved = np.maximum(
-            cfg.n + 1 - prob.item_num_values, 0
-        ).astype(np.float64)
-        self.num_unobserved = num_unobserved.astype(f32)
-        self.unobserved_denom = np.maximum(num_unobserved, 1.0).astype(f32)
-        self.has_unobserved = num_unobserved > 0.0
-        # Eq. 26 scatter targets (coordinates with a covered triple /
-        # covered item), as index arrays so the prior pass stays fused.
-        has_triple = prob.coord_triple >= 0
-        self.triple_coord_idx = np.nonzero(has_triple)[0]
-        self.triple_gather = prob.coord_triple[has_triple]
-        has_item = ~has_triple & (prob.coord_item >= 0)
-        self.item_coord_idx = np.nonzero(has_item)[0]
-        self.item_gather = prob.coord_item[has_item]
-
-        # Per-coordinate / per-claim / per-triple / per-item scratch.
-        self.vcc = np.empty(n_coords, f32)
-        self.p_correct = np.empty(n_coords, f32)
-        self.coord_a = np.empty(n_coords, f32)
-        self.coord_b = np.empty(n_coords, f32)
-        self.priors = np.full(n_coords, cfg.alpha, f32)
-        self.entry_w = np.empty(n_entries, f32)
-        self.claim_w = np.empty(n_claims, f32)
-        self.contrib = np.empty(n_claims, f32)
-        self.votes = np.empty(n_triples, f32)
-        self.exp_votes = np.empty(n_triples, f32)
-        self.posterior = np.empty(n_triples, f32)
-        self.shift = np.empty(n_items, f32)
-        self.z = np.empty(n_items, f32)
-        self.item_tmp = np.empty(n_items, f32)
-        self.residual = np.zeros(n_items, f32)
-        self.col_vote = np.empty(prob.num_cols, f32)
-        self.source_vote = np.empty(len(prob.sources), f32)
-
-        # Float64 views the shared (float64) reduce consumes.
-        self.p_correct64 = np.zeros(n_coords)
-        self.posterior64 = np.zeros(n_triples)
-
-
-def _sigmoid32(
-    x: np.ndarray, scratch: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """Fused float32 stable logistic: ``out = sigmoid(x)``.
-
-    Same saturation contract as :func:`_sigmoid` (exact 0.0 / 1.0 beyond
-    the cutoff — the M-step zero-total guards depend on exact zeros),
-    expressed as in-place ufunc passes over preallocated buffers.
-    """
-    np.clip(x, -_SIGMOID_CUTOFF, _SIGMOID_CUTOFF, out=scratch)
-    np.absolute(scratch, out=scratch)
-    np.negative(scratch, out=scratch)
-    np.exp(scratch, out=scratch)  # scratch = exp(-|x|)
-    np.add(scratch, np.float32(1.0), out=out)
-    np.divide(scratch, out, out=out)  # out = e / (1 + e): the x < 0 branch
-    np.subtract(np.float32(1.0), out, out=scratch)  # the x >= 0 branch
-    np.copyto(out, scratch, where=x >= 0.0)
-    np.copyto(out, np.float32(1.0), where=x >= _SIGMOID_CUTOFF)
-    np.copyto(out, np.float32(0.0), where=x <= -_SIGMOID_CUTOFF)
-    return out
-
-
-def _log_odds32(
-    p: np.ndarray, scratch: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """Fused float32 clamped log-odds into ``out``."""
-    np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR, out=out)
-    np.subtract(np.float32(1.0), out, out=scratch)
-    np.log(scratch, out=scratch)  # log(1 - p)
-    np.log(out, out=out)  # log(p)
-    np.subtract(out, scratch, out=out)
-    return out
-
-
-def _fit_numpy_float32(
-    cfg: MultiLayerConfig,
-    prob: CompiledProblem,
-    observations: ObservationMatrix,
-    params: ParamState,
-) -> MultiLayerResult:
-    """Algorithm 1 with fused single-precision E steps.
-
-    The precision contract (``docs/architecture.md``): the elementwise
-    C/V-step passes — vote weighting, sigmoid, segmented softmax,
-    residuals, Eq. 26 — run in float32 through the preallocated
-    :class:`_Float32Workspace`; scatter-adds (``bincount``) accumulate
-    in float64 (numpy's own accumulator dtype), and the parameter
-    update (theta_1 / theta_2) is the *shared float64*
-    :func:`update_parameters` over cast-up posteriors, so model
-    parameters, convergence deltas, and the EM control flow live in
-    float64 throughout. Results deviate from the float64 engine by at
-    most the documented envelope; they are **not** bit-compatible, which
-    is why this mode is opt-in and excluded from every bit-identity
-    guarantee.
-    """
-    f32 = np.float32
-    n_coords = prob.num_coords
-    n_triples = prob.num_triples
-    active_scope = cfg.absence_scope is AbsenceScope.ACTIVE
-    ws = _Float32Workspace(cfg, prob)
-    starts = prob.item_ptr[:-1]
-    priors_updated = False
-
-    history: list[IterationSnapshot] = []
-    for iteration in range(1, cfg.convergence.max_iterations + 1):
-        # --- C step: fused VCC' + prior log-odds -> sigmoid ---------------
-        pre_vote, abs_vote, base_absence, source_vote = iteration_inputs(
-            cfg, prob, params
-        )
-        ws.col_vote[...] = pre_vote - abs_vote
-        ws.source_vote[...] = source_vote
-        np.take(ws.col_vote, prob.entry_col, out=ws.entry_w)
-        np.multiply(ws.entry_w, ws.entry_conf, out=ws.entry_w)
-        ws.vcc[...] = np.bincount(
-            prob.entry_coord, weights=ws.entry_w, minlength=n_coords
-        )
-        if active_scope:
-            base32 = base_absence.astype(f32)
-            np.take(base32, prob.coord_source, out=ws.coord_a)
-            np.add(ws.vcc, ws.coord_a, out=ws.vcc)
-        else:
-            np.add(ws.vcc, f32(base_absence), out=ws.vcc)
-        _log_odds32(ws.priors, ws.coord_b, ws.coord_a)
-        np.add(ws.vcc, ws.coord_a, out=ws.vcc)
-        _sigmoid32(ws.vcc, ws.coord_a, ws.p_correct)
-
-        # --- V step: fused segmented softmax-with-floor-mass --------------
-        np.take(ws.p_correct, prob.claim_coord, out=ws.claim_w)
-        if not cfg.use_weighted_vcv:
-            keep = ws.claim_w >= 0.5
-            ws.claim_w.fill(0.0)
-            ws.claim_w[keep] = 1.0
-        np.take(ws.source_vote, ws.claim_source, out=ws.contrib)
-        if ws.claim_log_pop is not None:
-            np.subtract(ws.contrib, ws.claim_log_pop, out=ws.contrib)
-        np.multiply(ws.contrib, ws.claim_w, out=ws.contrib)
-        ws.votes[...] = np.bincount(
-            prob.claim_triple, weights=ws.contrib, minlength=n_triples
-        )
-        if prob.num_items:
-            np.maximum.reduceat(ws.votes, starts, out=ws.shift)
-            np.maximum(ws.shift, f32(0.0), out=ws.shift)
-            np.take(ws.shift, prob.triple_item, out=ws.exp_votes)
-            np.subtract(ws.votes, ws.exp_votes, out=ws.exp_votes)
-            np.exp(ws.exp_votes, out=ws.exp_votes)
-            np.add.reduceat(ws.exp_votes, starts, out=ws.z)
-            np.negative(ws.shift, out=ws.item_tmp)
-            np.exp(ws.item_tmp, out=ws.item_tmp)
-            np.multiply(ws.item_tmp, ws.num_unobserved, out=ws.item_tmp)
-            np.add(ws.z, ws.item_tmp, out=ws.z)
-            np.take(ws.z, prob.triple_item, out=ws.posterior)
-            np.divide(ws.exp_votes, ws.posterior, out=ws.posterior)
-            np.add.reduceat(ws.posterior, starts, out=ws.item_tmp)
-            np.subtract(f32(1.0), ws.item_tmp, out=ws.residual)
-            np.maximum(ws.residual, f32(0.0), out=ws.residual)
-            np.divide(ws.residual, ws.unobserved_denom, out=ws.residual)
-            ws.residual[~ws.has_unobserved] = 0.0
-
-        # --- M steps: the shared float64 reduce over cast-up arrays -------
-        ws.p_correct64[...] = ws.p_correct
-        ws.posterior64[...] = ws.posterior
-        accuracy_delta, extractor_delta = update_parameters(
-            cfg, prob, params, ws.p_correct64, ws.posterior64
-        )
-
-        # --- prior re-estimation (Eq. 26), fused ---------------------------
-        if cfg.update_prior and (
-            iteration + 1 >= cfg.prior_update_start_iteration
-        ):
-            ws.coord_a.fill(0.0)  # p_true
-            if ws.triple_coord_idx.size:
-                ws.coord_a[ws.triple_coord_idx] = ws.posterior[
-                    ws.triple_gather
-                ]
-            if ws.item_coord_idx.size:
-                ws.coord_a[ws.item_coord_idx] = ws.residual[ws.item_gather]
-            acc32 = params.accuracy.astype(f32)
-            np.take(acc32, prob.coord_source, out=ws.coord_b)
-            # p*A + (1-p)*(1-A) == 1 - p - A + 2*p*A, in four fused passes.
-            np.multiply(ws.coord_a, ws.coord_b, out=ws.priors)
-            np.multiply(ws.priors, f32(2.0), out=ws.priors)
-            np.subtract(ws.priors, ws.coord_a, out=ws.priors)
-            np.subtract(ws.priors, ws.coord_b, out=ws.priors)
-            np.add(ws.priors, f32(1.0), out=ws.priors)
-            np.clip(ws.priors, cfg.prior_floor, cfg.prior_ceiling,
-                    out=ws.priors)
-            priors_updated = True
-
-        history.append(
-            IterationSnapshot(iteration, accuracy_delta, extractor_delta)
-        )
-        if max(accuracy_delta, extractor_delta) < cfg.convergence.tolerance:
-            break
-
-    return assemble_result(
-        prob,
-        observations,
-        ws.p_correct64,
-        ws.posterior64,
-        params,
-        ws.priors.astype(np.float64) if priors_updated else None,
-        history,
     )
 
 

@@ -248,7 +248,7 @@ class FittedKBT:
         :class:`~repro.core.config.MultiLayerConfig`); by default the
         update runs with the fit's own configuration. Results are
         backend- and residency-invariant either way (``reduce_chunk``
-        included — the streamed reduce is bit-identical); only
+        included — the windowed reduce is bit-identical); only
         ``precision="float32"`` changes the arithmetic, within the
         documented envelope.
 
@@ -512,16 +512,16 @@ class KBTEstimator:
             many workers the remote coordinator waits for before the
             fit starts.
         reduce_chunk: when given, overrides ``config.reduce_chunk`` —
-            the per-iteration reduce streams the global arrays in
+            the per-iteration reduce scans the global arrays in
             windows of this many elements (bit-identical to the
-            whole-array scan; determinism-ladder entry 7). A
+            one-window scan; determinism-ladder entry 7). A
             backend-less config is upgraded to ``backend="serial"``.
         precision: when given, overrides ``config.precision`` —
             ``"float32"`` runs the numpy engine's fused single-precision
-            E-step kernels (see the precision contract in
-            ``docs/architecture.md``); a (default) python-engine config
-            is upgraded to ``engine="numpy"``. Float64 stays the
-            default and the reference arithmetic.
+            E-step kernels, on whichever backend the fit uses (see the
+            precision contract in ``docs/architecture.md``); a (default)
+            python-engine config is upgraded to ``engine="numpy"``.
+            Float64 stays the default and the reference arithmetic.
     """
 
     def __init__(
@@ -710,9 +710,10 @@ def _execution_overrides(
     spill directory (out-of-core streaming), a checkpoint directory, or a
     streamed reduce chunk on a backend-less config upgrades the backend
     to ``serial``, and a coordinator endpoint upgrades it to ``remote``
-    — all of these run through the sharded driver. Requesting
-    ``precision="float32"`` on a (default) python-engine config upgrades
-    the engine to ``numpy``, which hosts the fused kernels. An explicit
+    — these are driver options the config only accepts with a backend.
+    Requesting ``precision="float32"`` on a (default) python-engine
+    config upgrades the engine to ``numpy``, whose shard kernels host
+    the fused passes on every backend. An explicit
     ``engine="python"`` together with a backend is rejected by
     ``MultiLayerConfig`` validation.
     """

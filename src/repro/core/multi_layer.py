@@ -98,24 +98,6 @@ class MultiLayerModel:
                 are estimated normally.
         """
         cfg = self._config
-        if cfg.backend is not None:
-            # Sharded execution: the numpy E steps run per shard (map),
-            # one global parameter update per iteration (reduce).
-            try:
-                fit_sharded = registry.resolve_backend_driver()
-            except ImportError as exc:
-                raise RuntimeError(
-                    f"backend={cfg.backend!r} requires the numpy package; "
-                    "install numpy or drop the backend setting"
-                ) from exc
-            return fit_sharded(
-                cfg,
-                observations,
-                initial_source_accuracy,
-                initial_extractor_quality,
-                frozen_extractors,
-                frozen_sources,
-            )
         # Import on dispatch so the reference engine stays usable in
         # environments without numpy.
         try:

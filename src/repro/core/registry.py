@@ -90,17 +90,6 @@ def resolve_backend(name: str) -> Any:
     return _BACKENDS[name].load()
 
 
-def resolve_backend_driver() -> Any:
-    """The sharded execution entry point (``repro.exec.driver.fit_sharded``).
-
-    Imported lazily like the engines: backends run over numpy arrays, so
-    this raises ImportError in numpy-less environments.
-    """
-    from repro.exec.driver import fit_sharded
-
-    return fit_sharded
-
-
 def engine_descriptions() -> dict[str, str]:
     return {entry.name: entry.description for entry in _ENGINES.values()}
 

@@ -11,10 +11,11 @@ API instead of a simulation:
 * :class:`~repro.exec.backends.ExecutionBackend` implementations
   (``serial`` / ``threads`` / ``processes``) decide where the map rounds
   execute;
-* :func:`~repro.exec.driver.fit_sharded` is the EM driver behind
-  ``MultiLayerConfig.backend``: map via the backend, reduce (SrcAccu /
-  ExtQuality — the shared parameter update of the numpy engine) in the
-  driver, bit-identical to unsharded execution for any shard count;
+* :func:`~repro.exec.driver.fit_sharded` is the numpy engine's one EM
+  loop (``fit_numpy`` is the same function at one serial shard): map via
+  the backend ``MultiLayerConfig.backend`` selects, reduce (SrcAccu /
+  ExtQuality — the engine's parameter update) in the driver,
+  bit-identical in float64 for any backend and shard count;
 * :mod:`repro.exec.spill` makes the plan **out-of-core**: shard packets
   spill to disk (``ShardPlan.persist``) and stream back as memory-mapped
   views (:class:`~repro.exec.spill.OutOfCoreShardSource`), bounding peak

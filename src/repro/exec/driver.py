@@ -1,18 +1,19 @@
-"""The sharded EM driver: map rounds via a backend, reduce in-process.
+"""The EM driver: the one numpy loop of Algorithm 1.
 
-``fit_sharded`` is the execution path behind ``MultiLayerConfig.backend``.
-It mirrors :func:`repro.core.engine_numpy.fit_numpy` exactly, but the E
-steps of each iteration run as one *map* round over a packet source (a
-resident :class:`~repro.exec.plan.ShardPlan` or, with
+``fit_sharded`` is the only numpy EM loop in the package —
+:func:`repro.core.engine_numpy.fit_numpy` is this function under the
+engine registry's name. The E steps of each iteration run as one *map*
+round over a packet source (a resident
+:class:`~repro.exec.plan.ShardPlan` or, with
 ``MultiLayerConfig.spill_dir`` set, an out-of-core
 :class:`~repro.exec.spill.OutOfCoreShardSource` serving memory-mapped
 packets), dispatched through the selected
-:class:`~repro.exec.backends.ExecutionBackend`; the parameter update
-(theta_1 / theta_2) runs as the *reduce* over the globally re-assembled
-``p_correct`` / ``posterior`` arrays — the same
-:func:`~repro.core.engine_numpy.update_parameters` code, in the same
-array order, so the fitted model is bit-identical to the unsharded numpy
-engine for every shard count, backend, and residency mode.
+:class:`~repro.exec.backends.ExecutionBackend` (``cfg.backend``; one
+``serial`` shard when unset); the parameter update (theta_1 / theta_2)
+runs as the *reduce* over the globally re-assembled ``p_correct`` /
+``posterior`` arrays (:func:`~repro.core.engine_numpy.update_parameters`)
+in compiled array order, so the fitted float64 model is bit-identical
+for every shard count, backend, residency mode and reduce window.
 
 Out-of-core mode additionally spills the compiled *global* arrays the
 reduce scans (:func:`~repro.exec.spill.spill_problem_arrays`) and
@@ -26,15 +27,17 @@ Fault tolerance hooks into the loop in two places:
   full EM state every ``checkpoint_every`` iterations (and always at
   convergence / budget exhaustion) via :mod:`repro.exec.checkpoint`;
   ``resume=True`` restarts a crashed fit from the last checkpoint and
-  continues to bit-identical final results.
+  continues to bit-identical final results. A checkpoint that does not
+  match the problem or model config is refused before anything is
+  spilled and before the backend is opened.
 * Whenever checkpointing is on or the session supervises workers
   (``set_restore_state``), the driver maintains a global **restore
   snapshot** — the priors/posterior any shard state can be rebuilt from
   mid-fit. The priors half replays the workers' deferred Eq. 26 pass
-  globally (:func:`_global_prior_update`), with the same elementwise /
-  gather / contiguous-``reduceat`` expressions the shards use, so the
-  replayed vector is bit-identical to the concatenation of the per-shard
-  updates.
+  globally, through the very functions the shards call
+  (:func:`~repro.exec.worker.residual_mass`,
+  :func:`~repro.exec.worker.prior_update`), so the replayed float64
+  vector is bit-identical to the concatenation of the per-shard updates.
 """
 
 from __future__ import annotations
@@ -48,15 +51,19 @@ from repro.core.engine_numpy import (
     init_params,
     iteration_inputs,
     update_parameters,
-    update_parameters_streamed,
 )
 from repro.core.indexing import CompiledProblem, compile_problem
 from repro.core.observation import ObservationMatrix
 from repro.core.quality import ExtractorQuality
 from repro.core.results import IterationSnapshot, MultiLayerResult
 from repro.core.types import ExtractorKey, SourceKey
-from repro.exec.plan import ShardPlan, resolve_num_shards
-from repro.exec.worker import FinalizeParams, IterationParams
+from repro.exec.plan import ShardPlan, num_unobserved, resolve_num_shards
+from repro.exec.worker import (
+    FinalizeParams,
+    IterationParams,
+    prior_update,
+    residual_mass,
+)
 
 
 def fit_sharded(
@@ -72,6 +79,9 @@ def fit_sharded(
 ) -> MultiLayerResult:
     """Run Algorithm 1 over a shard plan; same contract as ``fit``.
 
+    ``cfg.backend`` selects where the map rounds run; unset, the fit is
+    one ``serial`` shard (the ``engine="numpy"`` default).
+
     ``problem`` / ``plan`` let callers that already compiled the problem
     (e.g. the MapReduce cost-model runner) reuse their arrays instead of
     re-compiling. ``observations`` may be an
@@ -79,11 +89,33 @@ def fit_sharded(
     :class:`~repro.core.indexing.StreamingCorpus` (only its
     ``num_triples`` is read once the problem is compiled).
     """
-    if cfg.backend is None:
-        raise ValueError("fit_sharded needs cfg.backend to be set")
     prob = problem if problem is not None else compile_problem(
         observations, cfg
     )
+
+    checkpointing = cfg.checkpoint_dir is not None
+    expected_problem = expected_config = None
+    ckpt = None
+    if checkpointing:
+        from repro.exec.checkpoint import (
+            apply_checkpoint,
+            config_digest,
+            load_checkpoint,
+            problem_digest,
+            save_checkpoint,
+        )
+
+        expected_problem = problem_digest(prob)
+        expected_config = config_digest(cfg)
+        if cfg.resume:
+            ckpt = load_checkpoint(cfg.checkpoint_dir)
+        if ckpt is not None:
+            # Refuse a foreign checkpoint now: before the corpus is
+            # spilled, workers are forked or a port is bound.
+            ckpt.validate(
+                expected_problem, expected_config, cfg.checkpoint_dir
+            )
+
     if plan is None:
         plan = ShardPlan.from_problem(
             prob, cfg, resolve_num_shards(cfg, prob)
@@ -105,7 +137,7 @@ def fit_sharded(
         )
         prob = spill_problem_arrays(prob, cfg.spill_dir)
         # Drop the resident packets and arrays: from here on the corpus
-        # is served from evictable file-backed pages only. A streamed
+        # is served from evictable file-backed pages only. A windowed
         # reduce additionally releases each scanned window as it goes.
         plan = None
         release_window = advise_dontneed_window
@@ -121,28 +153,11 @@ def fit_sharded(
         frozen_sources,
     )
 
-    backend_cls = registry.resolve_backend(cfg.backend)
+    backend_cls = registry.resolve_backend(cfg.backend or "serial")
     history: list[IterationSnapshot] = []
     p_correct = np.zeros(source.num_coords)
     posterior = np.zeros(source.num_triples)
     priors: np.ndarray | None = None
-
-    checkpointing = cfg.checkpoint_dir is not None
-    expected_problem = expected_config = None
-    ckpt = None
-    if checkpointing:
-        from repro.exec.checkpoint import (
-            apply_checkpoint,
-            config_digest,
-            load_checkpoint,
-            problem_digest,
-            save_checkpoint,
-        )
-
-        expected_problem = problem_digest(prob)
-        expected_config = config_digest(cfg)
-        if cfg.resume:
-            ckpt = load_checkpoint(cfg.checkpoint_dir)
 
     start_iteration = 1
     with backend_cls().open(source, cfg) as session:
@@ -151,15 +166,13 @@ def fit_sharded(
         # to be rebuilt mid-fit: for checkpoints, and for sessions that
         # supervise workers (replacement workers restore from it).
         track_state = checkpointing or set_restore is not None
-        restore_priors = restore_posterior = None
+        restore_priors = restore_posterior = unobserved = None
         if track_state:
             restore_priors = np.full(source.num_coords, cfg.alpha)
             restore_posterior = np.zeros(source.num_triples)
+            unobserved = num_unobserved(cfg, prob.item_num_values)
 
         if ckpt is not None:
-            ckpt.validate(
-                expected_problem, expected_config, cfg.checkpoint_dir
-            )
             history = apply_checkpoint(ckpt, params, p_correct, posterior)
             start_iteration = ckpt.iteration + 1
             restore_priors = np.array(ckpt.priors, dtype=np.float64)
@@ -193,13 +206,10 @@ def fit_sharded(
             # reduce of round t produced, plus each shard's retained
             # posterior/residual), so one round trip per iteration
             # suffices.
+            do_prior = _prior_update_due(cfg, iteration - 1)
             it_params = IterationParams(
-                do_prior_update=_prior_update_due(cfg, iteration - 1),
-                prior_accuracy=(
-                    params.accuracy
-                    if _prior_update_due(cfg, iteration - 1)
-                    else None
-                ),
+                do_prior_update=do_prior,
+                prior_accuracy=params.accuracy if do_prior else None,
                 pre_vote=pre_vote,
                 abs_vote=abs_vote,
                 base_absence=base_absence,
@@ -212,34 +222,33 @@ def fit_sharded(
                 set_restore(restore_priors, restore_posterior)
             session.run_iteration(it_params, p_correct, posterior)
             if track_state:
-                if it_params.do_prior_update:
+                if do_prior:
                     # Replay the deferred pass the workers just ran, with
                     # the pre-reduce accuracy and the previous round's
-                    # posterior — bit-identical to the per-shard updates.
-                    restore_priors = _global_prior_update(
-                        cfg, prob, restore_posterior, params.accuracy
+                    # posterior — bit-identical to the per-shard float64
+                    # updates.
+                    restore_priors = prior_update(
+                        cfg,
+                        prob,
+                        restore_posterior,
+                        residual_mass(prob, restore_posterior, unobserved),
+                        params.accuracy,
                     )
                 restore_posterior = posterior.copy()
 
-            if cfg.reduce_chunk is not None:
-                # Streamed reduce: windowed scans of the global arrays,
-                # bit-identical to the whole-array scan (seeded
-                # scatter-add accumulation); out-of-core fits release
-                # each window's file-backed pages as soon as it is
-                # consumed.
-                accuracy_delta, extractor_delta = update_parameters_streamed(
-                    cfg,
-                    prob,
-                    params,
-                    p_correct,
-                    posterior,
-                    cfg.reduce_chunk,
-                    release=release_window,
-                )
-            else:
-                accuracy_delta, extractor_delta = update_parameters(
-                    cfg, prob, params, p_correct, posterior
-                )
+            # The reduce: one window per array family, or windows of
+            # cfg.reduce_chunk elements (bit-identical); out-of-core
+            # fits release each window's file-backed pages as soon as
+            # it is consumed.
+            accuracy_delta, extractor_delta = update_parameters(
+                cfg,
+                prob,
+                params,
+                p_correct,
+                posterior,
+                cfg.reduce_chunk,
+                release_window,
+            )
             history.append(
                 IterationSnapshot(iteration, accuracy_delta, extractor_delta)
             )
@@ -271,6 +280,8 @@ def fit_sharded(
             if hit_tolerance:
                 break
 
+        # The last iteration's Eq. 26 pass; due iff the fit re-estimated
+        # priors at all (the due-condition is monotone in the iteration).
         do_final = _prior_update_due(cfg, last_iteration)
         if set_restore is not None:
             set_restore(restore_priors, restore_posterior)
@@ -280,56 +291,11 @@ def fit_sharded(
                 accuracy=params.accuracy if do_final else None,
             )
         )
-        if _any_prior_update_ran(cfg, last_iteration):
+        if do_final:
             priors = final
 
     return assemble_result(
         prob, observations, p_correct, posterior, params, priors, history
-    )
-
-
-def _global_prior_update(
-    cfg: MultiLayerConfig,
-    prob: CompiledProblem,
-    posterior: np.ndarray,
-    accuracy: np.ndarray,
-) -> np.ndarray:
-    """The deferred Eq. 26 pass over *all* coordinates at once.
-
-    Mirrors :func:`repro.exec.worker._update_shard_priors` (and the
-    residual recomputation of :func:`repro.exec.worker.rebuild_state`)
-    expression by expression. Every operation is elementwise, a gather,
-    or a ``reduceat`` over the same contiguous segments the shards own,
-    so the result is bit-identical to concatenating the per-shard
-    updates — the property that lets the driver keep a restore snapshot
-    (and write checkpoints) without ever reading worker state back.
-    """
-    num_unobserved = np.maximum(
-        cfg.n + 1 - prob.item_num_values, 0
-    ).astype(np.float64)
-    if prob.num_items:
-        starts = prob.item_ptr[:-1]
-        posterior_mass = np.add.reduceat(posterior, starts)
-        residual = np.where(
-            num_unobserved > 0.0,
-            np.maximum(1.0 - posterior_mass, 0.0)
-            / np.maximum(num_unobserved, 1.0),
-            0.0,
-        )
-    else:
-        residual = np.zeros(0)
-    p_true = np.zeros(prob.num_coords)
-    has_triple = prob.coord_triple >= 0
-    if posterior.size:
-        p_true[has_triple] = posterior[prob.coord_triple[has_triple]]
-    has_item = ~has_triple & (prob.coord_item >= 0)
-    if residual.size:
-        p_true[has_item] = residual[prob.coord_item[has_item]]
-    source_accuracy = accuracy[prob.coord_source]
-    return np.clip(
-        p_true * source_accuracy + (1.0 - p_true) * (1.0 - source_accuracy),
-        cfg.prior_floor,
-        cfg.prior_ceiling,
     )
 
 
@@ -341,10 +307,3 @@ def _prior_update_due(cfg: MultiLayerConfig, iteration: int) -> bool:
         and iteration >= 1
         and iteration + 1 >= cfg.prior_update_start_iteration
     )
-
-
-def _any_prior_update_ran(cfg: MultiLayerConfig, last_iteration: int) -> bool:
-    """Whether the fit re-estimated priors at least once (the engine's
-    ``priors_updated`` flag): true iff the last iteration's pass was due,
-    since the due-condition is monotone in the iteration number."""
-    return _prior_update_due(cfg, last_iteration)

@@ -10,8 +10,8 @@ MapReduce jobs use (Table 7: TriplePr reduces by data item) and the one
 Tabibian et al. exploit for per-item/per-source updates.
 
 Determinism guarantee: every per-coordinate and per-item quantity is
-computed from exactly the same elements in exactly the same order as the
-unsharded numpy engine —
+computed from exactly the same elements in exactly the same order as in
+a single shard —
 
 * a coordinate's extraction entries are contiguous in the compiled entry
   arrays, and a shard selects entries by coordinate membership in original
@@ -19,8 +19,8 @@ unsharded numpy engine —
 * a triple's claims are contiguous and a shard holds whole items, so the
   per-triple vote sums and the per-item softmax see identical segments;
 * all cross-shard statistics (per-source, per-extractor-column sums) are
-  computed by the *driver* over the globally re-assembled arrays, in the
-  engine's original order.
+  computed by the *driver* over the globally re-assembled arrays, in
+  compiled array order.
 
 Results are therefore **bit-identical** for any shard count and any
 backend — not merely close.
@@ -253,10 +253,9 @@ class ShardPlan:
                     - item_lo,
                     item_ptr=prob.item_ptr[item_lo : item_hi + 1]
                     - triple_lo,
-                    num_unobserved=np.maximum(
-                        cfg.n + 1 - prob.item_num_values[item_lo:item_hi],
-                        0,
-                    ).astype(np.float64),
+                    num_unobserved=num_unobserved(
+                        cfg, prob.item_num_values[item_lo:item_hi]
+                    ),
                 )
             )
 
@@ -270,6 +269,13 @@ class ShardPlan:
             num_cols=prob.num_cols,
             stage_stats=_stage_stats(prob, claims_per_item),
         )
+
+
+def num_unobserved(
+    cfg: MultiLayerConfig, item_num_values: np.ndarray
+) -> np.ndarray:
+    """``max(n + 1 - |observed values|, 0)`` per item, as float64."""
+    return np.maximum(cfg.n + 1 - item_num_values, 0).astype(np.float64)
 
 
 def _contiguous_cuts(weight: np.ndarray, num_shards: int) -> np.ndarray:
@@ -340,9 +346,12 @@ def _stage_stats(
 def resolve_num_shards(
     cfg: MultiLayerConfig, prob: CompiledProblem
 ) -> int:
-    """``cfg.num_shards``, or one shard per CPU capped at the item count."""
+    """``cfg.num_shards``; unset, one shard per CPU capped at the item
+    count — or a single shard when no backend is selected either."""
     if cfg.num_shards is not None:
         return cfg.num_shards
+    if cfg.backend is None:
+        return 1
     import os
 
     return max(1, min(os.cpu_count() or 1, max(prob.num_items, 1)))

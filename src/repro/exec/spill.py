@@ -54,6 +54,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.engine_numpy import iter_chunks  # re-exported: its old home
 from repro.core.indexing import CompiledProblem
 from repro.exec.plan import Shard, ShardPlan, StageStats
 from repro.io.atomic import atomic_write
@@ -258,19 +259,6 @@ def advise_dontneed(*arrays: np.ndarray | None) -> None:
             mapping.madvise(_mmap.MADV_DONTNEED)
         except (ValueError, OSError) as err:
             _warn_madvise_failure(array, err)
-
-
-def iter_chunks(total: int, chunk: int):
-    """Yield ``(lo, hi)`` half-open windows covering ``range(total)``.
-
-    The streamed per-iteration reduce walks every chunked array family
-    through these windows in ascending order, so the last window is the
-    only one shorter than ``chunk``. ``total == 0`` yields nothing.
-    """
-    if chunk < 1:
-        raise ValueError(f"chunk size must be >= 1, got {chunk}")
-    for lo in range(0, total, chunk):
-        yield lo, min(lo + chunk, total)
 
 
 def advise_dontneed_window(array: np.ndarray, lo: int, hi: int) -> None:

@@ -50,6 +50,7 @@ from repro.core.observation import ObservationMatrix
 from repro.exec.faults import FaultPlan
 from repro.io.jsonl import read_records
 
+from test_exec_backends import CONFIG_AXES
 from test_fault_tolerance import FAST_SUPERVISION, set_faults
 from test_remote import free_endpoint, worker_fleet
 
@@ -130,6 +131,26 @@ def fit_ladder(observations, **overrides):
     return MultiLayerModel(cfg).fit(observations)
 
 
+#: The model-configuration axes pinned one digest each (``fit_float64_axes``
+#: in the goldens file): the backend-parity axes plus the no-prior ablation.
+#: The digests were generated by the inline ``fit_numpy`` loop that PR 12
+#: deleted, so they — not a pairwise comparison of the driver with itself —
+#: are what proves the surviving loop computes the same bits on every axis.
+AXIS_CONFIGS = {
+    **CONFIG_AXES,
+    "no-prior-update": MultiLayerConfig(engine="numpy", update_prior=False),
+}
+
+
+def fit_axis(observations, axis: str, **placement):
+    cfg = dataclasses.replace(
+        AXIS_CONFIGS[axis],
+        convergence=ladder_config().convergence,
+        **placement,
+    )
+    return MultiLayerModel(cfg).fit(observations)
+
+
 @pytest.fixture(scope="module")
 def corpus():
     return ObservationMatrix.from_records(read_records(CORPUS))
@@ -181,6 +202,25 @@ def test_entry2_backend_shard_invariance(corpus, goldens, backend, shards):
     result = fit_ladder(corpus, backend=backend, num_shards=shards)
     assert result_digest(result) == goldens["fit_float64"], _regen_hint(
         2, f"backend/shard invariance: {backend} x {shards} shards"
+    )
+
+
+@pytest.mark.parametrize(
+    "placement",
+    [
+        {},
+        {"backend": "serial", "num_shards": 1},
+        {"backend": "processes", "num_shards": 3},
+    ],
+    ids=["unsharded", "serial-1", "processes-3"],
+)
+@pytest.mark.parametrize("axis", sorted(AXIS_CONFIGS))
+def test_entry2_config_axes_pinned(corpus, goldens, axis, placement):
+    result = fit_axis(corpus, axis, **placement)
+    assert result_digest(result) == goldens["fit_float64_axes"][axis], (
+        _regen_hint(
+            2, f"backend/shard invariance: config axis {axis!r}, {placement}"
+        )
     )
 
 
@@ -294,7 +334,8 @@ def test_entry7_chunked_reduce_outofcore(corpus, goldens, tmp_path):
 def regenerate() -> dict:
     """Recompute every golden digest and rewrite ``ladder_digests.json``.
 
-    Only the *reference* fits are rerun (unsharded float64 fit, the
+    Only the *reference* fits are rerun (unsharded float64 fit — once
+    under the ladder config and once per ``AXIS_CONFIGS`` entry — the
     warm-start update chain, the artifact bytes): every other rung
     asserts bit-identity *to* these, so they share the same goldens.
     """
@@ -312,6 +353,10 @@ def regenerate() -> dict:
         artifact_sha = hashlib.sha256(artifact.read_bytes()).hexdigest()
     goldens = {
         "fit_float64": result_digest(reference),
+        "fit_float64_axes": {
+            axis: result_digest(fit_axis(corpus, axis))
+            for axis in sorted(AXIS_CONFIGS)
+        },
         "update_float64": result_digest(updated.result),
         "artifact_sha256": artifact_sha,
     }

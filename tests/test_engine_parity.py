@@ -334,14 +334,11 @@ def test_streamed_reduce_bit_identical(axis, records, chunk):
 @given(records=records_strategy(max_records=40))
 def test_streamed_reduce_statistics_property(records):
     """The reduce statistics themselves (not just the fitted model) are
-    bit-equal between the whole and streamed scans, for a sweep of chunk
-    sizes against one compiled problem."""
+    bit-equal between one window and k windows of the single reducer,
+    for a sweep of window sizes against one compiled problem."""
     import numpy as np
 
-    from repro.core.engine_numpy import (
-        _reduce_statistics,
-        _reduce_statistics_streamed,
-    )
+    from repro.core.engine_numpy import reduce_statistics
     from repro.core.indexing import compile_problem
 
     cfg = dataclasses.replace(
@@ -352,11 +349,9 @@ def test_streamed_reduce_statistics_property(records):
     rng = np.random.default_rng(7)
     p_correct = rng.random(prob.num_coords)
     posterior = rng.random(prob.num_triples)
-    whole = _reduce_statistics(cfg, prob, p_correct, posterior)
+    whole = reduce_statistics(cfg, prob, p_correct, posterior)
     for chunk in (1, 2, 3, 17, 10**9):
-        streamed = _reduce_statistics_streamed(
-            cfg, prob, p_correct, posterior, chunk
-        )
+        streamed = reduce_statistics(cfg, prob, p_correct, posterior, chunk)
         for field in dataclasses.fields(whole):
             a = getattr(whole, field.name)
             b = getattr(streamed, field.name)
@@ -383,13 +378,18 @@ def test_reduce_chunk_validation():
 FLOAT32_ENVELOPE = 1e-3
 
 
-def max_float32_deviation(config, observations) -> float:
-    """Largest |float32 - float64| over every reported quantity."""
+def max_float32_deviation(config, observations, **placement) -> float:
+    """Largest |float32 - float64| over every reported quantity.
+
+    The float64 reference is the unsharded fit; ``placement`` (backend,
+    num_shards, ...) applies to the float32 fit only."""
     reference = MultiLayerModel(
         dataclasses.replace(config, engine="numpy")
     ).fit(observations)
     low = MultiLayerModel(
-        dataclasses.replace(config, engine="numpy", precision="float32")
+        dataclasses.replace(
+            config, engine="numpy", precision="float32", **placement
+        )
     ).fit(observations)
     assert set(low.source_accuracy) == set(reference.source_accuracy)
     assert set(low.value_posteriors) == set(reference.value_posteriors)
@@ -432,6 +432,47 @@ def test_float32_envelope_on_config_axes(config, synthetic_matrix):
     )
 
 
+@pytest.mark.parametrize("shards", [1, 3])
+@pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+@pytest.mark.parametrize("config", CONFIG_AXES.values(), ids=CONFIG_AXES)
+def test_float32_envelope_on_backend_cells(
+    config, backend, shards, synthetic_matrix
+):
+    """The same envelope on every backend x shard cell: the float32
+    kernel is selected per shard, so it runs wherever float64 does."""
+    config = dataclasses.replace(
+        config,
+        convergence=ConvergenceConfig(max_iterations=5, tolerance=0.0),
+    )
+    deviation = max_float32_deviation(
+        config, synthetic_matrix, backend=backend, num_shards=shards
+    )
+    assert deviation < FLOAT32_ENVELOPE, (
+        f"float32 on {backend} x {shards} deviates {deviation:.3e} from "
+        f"float64, over the documented {FLOAT32_ENVELOPE:g} envelope"
+    )
+
+
+def test_float32_recovers_from_worker_kill_inside_envelope(
+    synthetic_matrix, monkeypatch
+):
+    """A float32 ``processes`` fit that loses a worker mid-fit rebuilds
+    the shard from the driver's (float64) restore snapshot: not
+    bit-exact, but still inside the envelope of the float64 fit."""
+    from repro.exec.faults import FaultPlan
+
+    from test_fault_tolerance import set_faults
+
+    set_faults(monkeypatch, FaultPlan(kill_worker=((1, 3),)))
+    config = MultiLayerConfig(
+        convergence=ConvergenceConfig(max_iterations=5, tolerance=0.0)
+    )
+    deviation = max_float32_deviation(
+        config, synthetic_matrix, backend="processes", num_shards=2
+    )
+    assert deviation < FLOAT32_ENVELOPE
+
+
 # derandomize: near the theta_1 MAP cutoff (claim_p >= 0.5) a one-ULP
 # float32/float64 disagreement legitimately flips a claim's vote, which
 # the M steps amplify past any fixed envelope. The corpora the fixed
@@ -456,10 +497,32 @@ def test_float32_validation():
         MultiLayerConfig(precision="float16")
     with pytest.raises(ValueError, match="float32"):
         MultiLayerConfig(precision="float32", engine="python")
-    with pytest.raises(ValueError, match="single-process"):
-        MultiLayerConfig(
-            precision="float32", engine="numpy", backend="serial"
+    # Every backend hosts the float32 kernel (it is selected per shard).
+    for backend in ("serial", "threads", "processes"):
+        config = MultiLayerConfig(
+            precision="float32", engine="numpy", backend=backend
         )
+        assert config.precision == "float32"
+
+
+def test_float32_checkpoint_rejects_cross_precision_resume(
+    synthetic_matrix, tmp_path
+):
+    """precision is model semantics, not placement: a float64 checkpoint
+    cannot seed a float32 fit (or the reverse)."""
+    from repro.exec.checkpoint import CheckpointError
+
+    config = MultiLayerConfig(
+        engine="numpy",
+        backend="serial",
+        checkpoint_dir=str(tmp_path / "ck"),
+        convergence=ConvergenceConfig(max_iterations=2, tolerance=0.0),
+    )
+    MultiLayerModel(config).fit(synthetic_matrix)
+    with pytest.raises(CheckpointError, match="model[ \n]+configuration"):
+        MultiLayerModel(
+            dataclasses.replace(config, precision="float32", resume=True)
+        ).fit(synthetic_matrix)
 
 
 def test_kbt_estimator_precision_override():

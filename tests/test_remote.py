@@ -501,6 +501,45 @@ def test_resume_from_serial_checkpoint_under_remote(
     assert_identical(reference, resumed)
 
 
+def test_mismatched_resume_is_refused_before_the_coordinator_listens(
+    synthetic_matrix, tmp_path, monkeypatch
+):
+    """A checkpoint written under another model config is refused right
+    after it is loaded: no port is bound and nobody waits for worker
+    registrations (with no worker connected that wait would otherwise
+    run to the connect timeout before the mismatch surfaced)."""
+    import time
+
+    from repro.exec.checkpoint import CheckpointError
+    from repro.exec.remote import RemoteBackend
+
+    ckdir = tmp_path / "ck"
+    fit_with(
+        base_config(max_iterations=2), synthetic_matrix,
+        backend="serial", checkpoint_dir=str(ckdir),
+    )
+
+    def never_opened(self, source, cfg):
+        raise AssertionError("backend opened before checkpoint validation")
+
+    monkeypatch.setattr(RemoteBackend, "open", never_opened)
+    monkeypatch.setenv(CONNECT_TIMEOUT_ENV, "30")
+    endpoint = free_endpoint()
+    start = time.monotonic()
+    with pytest.raises(CheckpointError, match="model[ \n]+configuration"):
+        fit_with(
+            base_config(max_iterations=4, alpha=0.4),
+            synthetic_matrix,
+            checkpoint_dir=str(ckdir),
+            resume=True,
+            **remote_overrides(endpoint, workers=1),
+        )
+    assert time.monotonic() - start < 1.0
+    host, port = endpoint.rsplit(":", 1)
+    with pytest.raises(OSError):  # nothing ever listened there
+        socket.create_connection((host, int(port)), timeout=0.5).close()
+
+
 # ----------------------------------------------------------------------
 # CLI error surfacing (satellite)
 # ----------------------------------------------------------------------

@@ -17,6 +17,7 @@ this invalidates the digests too, so they are recomputed after).
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -65,8 +66,7 @@ def main() -> int:
 
     goldens = test_determinism_ladder.regenerate()
     print(f"wrote {test_determinism_ladder.DIGESTS_PATH}:")
-    for name, digest in sorted(goldens.items()):
-        print(f"  {name}: {digest}")
+    print(json.dumps(goldens, indent=1, sort_keys=True))
     return 0
 
 
