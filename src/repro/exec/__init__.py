@@ -22,9 +22,10 @@ API instead of a simulation:
   memory by one packet plus the parameter vectors — the single-machine
   analogue of the paper's "no worker holds the corpus" MapReduce
   property;
-* the subsystem is **fault tolerant**: the ``processes`` backend
-  supervises its workers (crash detection, retry with backoff,
-  replacement spawning, straggler speculation — terminal failures raise
+* the subsystem is **fault tolerant**: the ``processes`` and ``remote``
+  sessions are two transports under one supervision state machine
+  (:mod:`repro.exec.supervisor`: crash detection, retry with backoff,
+  re-homing, straggler speculation — terminal failures raise
   :class:`~repro.exec.backends.ExecError`), ``checkpoint_dir`` persists
   the EM state atomically every ``checkpoint_every`` iterations
   (:mod:`repro.exec.checkpoint`) so a killed fit resumes with

@@ -33,73 +33,42 @@ fit's working set by one packet plus the parameter vectors.
 Every backend produces bit-identical results (the reduce runs in the
 driver over globally re-assembled arrays; see :mod:`repro.exec.plan`).
 
-The ``processes`` backend additionally **supervises** its workers, the
-way the paper's MapReduce platform supervises its map tasks: shards are
-dispatched one task message per shard per round, dead workers are
-detected via ``Process.is_alive``/``exitcode`` (never by hanging on the
-done-queue), failed map steps are re-dispatched with capped exponential
-backoff under a per-shard retry budget, crashed workers are replaced
-(replacements receive fresh indices and rebuild lost shard state from
-the driver's restore snapshot via
-:func:`~repro.exec.worker.rebuild_state`), and once half of a round has
-reported, stragglers past a median-derived deadline are speculatively
-re-dispatched to an idle worker — first result wins, which is safe
-because map steps are pure and bit-deterministic, so every attempt
-writes identical bytes. At each round boundary any worker still running
-a superseded attempt is killed and replaced (a *fence*), so a stale
-write can never land in a later round. Terminal failures raise
-:class:`ExecError`; injected failures for tests come from
-:mod:`repro.exec.faults`. Supervision knobs read from the environment:
-``KBT_MAX_SHARD_ATTEMPTS``, ``KBT_RETRY_BACKOFF_S``,
-``KBT_RETRY_BACKOFF_CAP_S``, ``KBT_STRAGGLER_FACTOR`` (0 disables
-speculation), ``KBT_STRAGGLER_MIN_S``, ``KBT_WORKER_GRACE_S``.
+The ``processes`` session is supervised — crash detection, retry with
+backoff, replacement workers, straggler speculation — by the round
+engine in :mod:`repro.exec.supervisor`; this module contributes only its
+transport: pickled task messages down one queue per worker, one atomic
+ack frame per task up a shared pipe, outputs scattered straight into
+shared memory, liveness from ``Process.is_alive``. Because workers write
+the shared output vectors themselves, the round boundary is a *fence*:
+any worker still holding an unacked attempt is killed and replaced, so a
+stale write can never land in a later round. Injected failures for
+tests come from :mod:`repro.exec.faults`.
 """
 
 from __future__ import annotations
 
 import os
-import statistics
+import pickle
 import time
-import traceback
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.core.config import AbsenceScope, MultiLayerConfig
+from repro.core.config import MultiLayerConfig
 from repro.exec.plan import Shard
-from repro.exec.spill import SpillError
+from repro.exec.supervisor import ExecError, _Round, _SupervisedSession
 from repro.exec.worker import (
     FinalizeParams,
     IterationParams,
     ShardState,
+    _describe_error,
+    execute_task,
     finalize_shard,
     rebuild_state,
     run_shard_iteration,
+    task_params,
 )
-
-
-class ExecError(RuntimeError):
-    """A shard map step failed terminally (its retry budget ran out).
-
-    Raised by the supervising ``processes`` session, naming the shard,
-    the attempt count, and the underlying cause (a worker crash, or the
-    error the worker reported — e.g. a
-    :class:`~repro.exec.spill.SpillError` whose message carries the
-    regenerate remedy). The CLI reports it as a one-line error.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        shard_index: int | None = None,
-        attempts: int | None = None,
-    ) -> None:
-        super().__init__(message)
-        self.shard_index = shard_index
-        self.attempts = attempts
 
 
 @runtime_checkable
@@ -315,17 +284,12 @@ class ThreadBackend:
 
 
 # ----------------------------------------------------------------------
-# Process backend: persistent workers over shared-memory numpy buffers,
-# supervised like the paper's MapReduce map tasks (retry / replace /
-# speculate; see the module docstring).
+# Process backend: persistent workers over shared-memory numpy buffers —
+# the pipe / shared-memory transport under repro.exec.supervisor.
 # ----------------------------------------------------------------------
 _STOP = "stop"
 _ITER = "iter"
 _FINAL = "final"
-
-#: Scheduler poll interval: bounds how fast acks are collected, dead
-#: workers are noticed, and due retries / speculation fire.
-_POLL_S = 0.05
 
 #: Ack payload cap. An ack frame (4-byte length header + pickled tuple)
 #: must stay within POSIX ``PIPE_BUF`` (4096 bytes) so each ack is one
@@ -347,8 +311,6 @@ def _send_ack(conn, ack: tuple) -> None:
     no lock a dead worker can poison. Oversized error descriptions are
     truncated to keep the frame within the atomicity bound.
     """
-    import pickle
-
     payload = pickle.dumps(ack, protocol=pickle.HIGHEST_PROTOCOL)
     if len(payload) > _MAX_ACK_BYTES:
         worker_index, round_id, shard_index, attempt, error = ack
@@ -358,41 +320,6 @@ def _send_ack(conn, ack: tuple) -> None:
             protocol=pickle.HIGHEST_PROTOCOL,
         )
     conn.send_bytes(payload)
-
-
-@dataclass(frozen=True)
-class _Supervision:
-    """Worker-supervision knobs (environment-overridable, see module
-    docstring); one snapshot is taken per session."""
-
-    max_attempts: int = 3
-    backoff_base_s: float = 0.05
-    backoff_cap_s: float = 2.0
-    straggler_factor: float = 4.0
-    straggler_min_s: float = 0.5
-    grace_s: float = 5.0
-
-    @classmethod
-    def from_env(cls) -> "_Supervision":
-        env = os.environ
-        return cls(
-            max_attempts=max(
-                1, int(env.get("KBT_MAX_SHARD_ATTEMPTS", cls.max_attempts))
-            ),
-            backoff_base_s=float(
-                env.get("KBT_RETRY_BACKOFF_S", cls.backoff_base_s)
-            ),
-            backoff_cap_s=float(
-                env.get("KBT_RETRY_BACKOFF_CAP_S", cls.backoff_cap_s)
-            ),
-            straggler_factor=float(
-                env.get("KBT_STRAGGLER_FACTOR", cls.straggler_factor)
-            ),
-            straggler_min_s=float(
-                env.get("KBT_STRAGGLER_MIN_S", cls.straggler_min_s)
-            ),
-            grace_s=float(env.get("KBT_WORKER_GRACE_S", cls.grace_s)),
-        )
 
 
 def _param_layout(source: ShardSource) -> tuple[dict[str, slice], int]:
@@ -411,36 +338,25 @@ def _param_layout(source: ShardSource) -> tuple[dict[str, slice], int]:
     return layout, offset
 
 
+def _shm_view(segment, length: int) -> np.ndarray:
+    return np.ndarray((length,), dtype=np.float64, buffer=segment.buf)
+
+
 def _open_worker_shards(payload: tuple):
-    """Turn a ``worker_payload`` recipe into ``(shard_ids, fetch)``.
+    """Turn a ``worker_payload`` recipe into a ``fetch(index)`` callable.
 
     ``("resident", shards)`` carries the packets themselves (shared
     copy-on-write under ``fork``); ``("spill", dir, indices, cap)``
     re-opens the spill directory in the worker, which then maps the
     packet files directly — no packet bytes cross the process boundary.
     """
-    kind = payload[0]
-    if kind == "resident":
-        resident = {shard.index: shard for shard in payload[1]}
-        return list(resident), resident.__getitem__
+    if payload[0] == "resident":
+        return {shard.index: shard for shard in payload[1]}.__getitem__
     from repro.exec.spill import OutOfCoreShardSource
 
-    source = OutOfCoreShardSource(
+    return OutOfCoreShardSource(
         payload[1], max_resident_shards=payload[3]
-    )
-    return list(payload[2]), source.get_shard
-
-
-def _describe_error(exc: BaseException) -> str:
-    """What a worker acks on failure: user-facing errors (notably
-    :class:`SpillError`, whose message carries the regenerate remedy)
-    travel as their one-line message; everything else keeps the full
-    traceback for debugging."""
-    if isinstance(exc, SpillError):
-        return str(exc)
-    return "".join(
-        traceback.format_exception(type(exc), exc, exc.__traceback__)
-    ).strip()
+    ).get_shard
 
 
 def _shard_worker(
@@ -448,7 +364,7 @@ def _shard_worker(
     payload: tuple,
     cfg: MultiLayerConfig,
     shm_names: dict[str, str],
-    dims: tuple[int, int, int],
+    sizes: dict[str, int],
     layout: dict[str, slice],
     task_queue,
     ack_conn,
@@ -460,45 +376,34 @@ def _shard_worker(
     sends one task message per shard — ``(kind, round, shard, attempt,
     do_prior, base_scalar, restore, shipped_packet)`` — and the worker
     acks ``(worker, round, shard, attempt, error)`` on the shared ack
-    pipe (one atomic frame per ack, see :func:`_send_ack`). Mutable :class:`ShardState` objects stay resident here; a
-    task carrying a ``restore`` payload (this worker took over a shard,
-    or the fit resumed from a checkpoint) rebuilds the state from the
-    driver's snapshot first. Tasks may arrive for shards outside the
-    startup payload (speculation / re-homing): out-of-core workers map
-    any packet from the spill directory, resident workers receive the
-    packet inside the message. Map steps are idempotent (the deferred
-    prior update is a pure function of the previous round's state), so
-    re-running an attempt after a mid-step failure is always safe.
+    pipe (one atomic frame per ack, see :func:`_send_ack`). The task's
+    inputs come from the shared parameter block, its outputs are
+    scattered into the shared output vectors, and the step itself is
+    :func:`~repro.exec.worker.execute_task` (resident
+    :class:`ShardState` objects, restore payloads, fault hooks). Tasks
+    may arrive for shards outside the startup payload (speculation /
+    re-homing): out-of-core workers map any packet from the spill
+    directory, resident workers receive the packet inside the message.
     """
     from multiprocessing import shared_memory
 
     from repro.exec.faults import FaultPlan
 
     faults = FaultPlan.from_env()
-    num_coords, num_triples, param_len = dims
     segments = {}
     try:
         for key, name in shm_names.items():
             segments[key] = shared_memory.SharedMemory(name=name)
-        p_correct = np.ndarray(
-            (num_coords,), dtype=np.float64, buffer=segments["p"].buf
+        p_correct, posterior, priors_out, param_block = (
+            _shm_view(segments[key], sizes[key])
+            for key in ("p", "post", "priors", "params")
         )
-        posterior = np.ndarray(
-            (num_triples,), dtype=np.float64, buffer=segments["post"].buf
-        )
-        priors_out = np.ndarray(
-            (num_coords,), dtype=np.float64, buffer=segments["priors"].buf
-        )
-        param_block = np.ndarray(
-            (param_len,), dtype=np.float64, buffer=segments["params"].buf
-        )
-        shard_ids, fetch = _open_worker_shards(payload)
+        fetch = _open_worker_shards(payload)
         shipped_shards: dict[int, Shard] = {}
-        states = {
-            index: ShardState.initial(fetch(index), cfg)
-            for index in shard_ids
-        }
-        active = cfg.absence_scope is AbsenceScope.ACTIVE
+        states: dict[int, ShardState] = {}
+
+        def lookup(name: str) -> np.ndarray:
+            return param_block[layout[name]]
 
         while True:
             message = task_queue.get()
@@ -524,78 +429,32 @@ def _shard_worker(
             ) = message
             if faults.should_kill(worker_index, round_id):
                 os._exit(1)
+            error = None
             try:
-                delay = faults.delay_seconds(shard_index, round_id, attempt)
-                if delay > 0.0:
-                    time.sleep(delay)
                 shard = shipped_shards.get(shard_index)
                 if shard is None:
                     if shipped is not None:
                         shard = shipped_shards[shard_index] = shipped
                     else:
                         shard = fetch(shard_index)
-                if faults.should_corrupt(shard_index, round_id, attempt):
-                    raise SpillError(
-                        f"injected corrupt packet read for shard "
-                        f"{shard_index} (fault plan, round {round_id}, "
-                        f"attempt {attempt}); the spill directory is "
-                        "incomplete or corrupt — re-run the fit with "
-                        "--spill-dir to regenerate it"
-                    )
-                if restore is not None:
-                    states[shard_index] = rebuild_state(
-                        shard, cfg, restore[0], restore[1]
-                    )
-                state = states[shard_index]
+                params = task_params(
+                    kind == _ITER, do_prior, base_scalar, lookup
+                )
+                result = execute_task(
+                    cfg, shard, states, params, restore, faults,
+                    round_id, attempt,
+                )
                 if kind == _ITER:
-                    params = IterationParams(
-                        do_prior_update=do_prior,
-                        prior_accuracy=(
-                            param_block[layout["accuracy"]]
-                            if do_prior
-                            else None
-                        ),
-                        pre_vote=param_block[layout["pre_vote"]],
-                        abs_vote=param_block[layout["abs_vote"]],
-                        base_absence=(
-                            param_block[layout["base_absence"]]
-                            if active
-                            else base_scalar
-                        ),
-                        source_vote=param_block[layout["source_vote"]],
-                    )
-                    p_s, post_s = run_shard_iteration(
-                        shard, cfg, state, params
-                    )
-                    p_correct[shard.coord_idx] = p_s
-                    posterior[shard.triple_lo : shard.triple_hi] = post_s
+                    p_correct[shard.coord_idx] = result[0]
+                    posterior[shard.triple_lo : shard.triple_hi] = result[1]
                 else:
-                    final = FinalizeParams(
-                        do_prior_update=do_prior,
-                        accuracy=(
-                            param_block[layout["accuracy"]]
-                            if do_prior
-                            else None
-                        ),
-                    )
-                    priors_out[shard.coord_idx] = finalize_shard(
-                        shard, cfg, state, final
-                    )
-                _send_ack(
-                    ack_conn,
-                    (worker_index, round_id, shard_index, attempt, None),
-                )
+                    priors_out[shard.coord_idx] = result
             except Exception as exc:
-                _send_ack(
-                    ack_conn,
-                    (
-                        worker_index,
-                        round_id,
-                        shard_index,
-                        attempt,
-                        _describe_error(exc),
-                    ),
-                )
+                error = _describe_error(exc)
+            _send_ack(
+                ack_conn,
+                (worker_index, round_id, shard_index, attempt, error),
+            )
     finally:
         for segment in segments.values():
             segment.close()
@@ -607,20 +466,24 @@ def _worker_cap() -> int:
     return max(1, min(2 * (os.cpu_count() or 1), 32))
 
 
-def _stop_worker(process, grace_s: float) -> None:
-    """Teardown escalation ladder: join -> terminate -> kill.
-
-    Each rung gets ``grace_s`` seconds; a wedged worker (stuck kernel
-    call, ignored SIGTERM) can therefore never hang interpreter
-    shutdown — SIGKILL is not maskable.
-    """
+def _kill_worker(process, grace_s: float) -> None:
+    """terminate -> kill, ``grace_s`` seconds per rung; SIGKILL is not
+    maskable, so a wedged worker (stuck kernel call, ignored SIGTERM)
+    cannot outlive this."""
+    process.terminate()
     process.join(timeout=grace_s)
-    if process.is_alive():
-        process.terminate()
-        process.join(timeout=grace_s)
     if process.is_alive():
         process.kill()
         process.join(timeout=grace_s)
+
+
+def _stop_worker(process, grace_s: float) -> None:
+    """Teardown escalation ladder: join -> terminate -> kill, so a
+    worker that ignores the stop message can never hang interpreter
+    shutdown."""
+    process.join(timeout=grace_s)
+    if process.is_alive():
+        _kill_worker(process, grace_s)
 
 
 class _WorkerHandle:
@@ -644,72 +507,29 @@ class _WorkerHandle:
         return self.fetches_any or shard_index in self.group
 
 
-class _ShardTask:
-    """Per-round scheduling state of one shard's map step."""
+class _ProcessSession(_SupervisedSession):
+    """Worker processes + shared-memory buffers: the local transport of
+    the supervised round engine.
 
-    __slots__ = (
-        "shard",
-        "failures",
-        "next_attempt",
-        "running",
-        "retry_at",
-        "speculated",
-        "first_dispatch",
-        "last_error",
-        "done",
-    )
-
-    def __init__(self, shard: int) -> None:
-        self.shard = shard
-        self.failures = 0
-        self.next_attempt = 0
-        #: attempt number -> worker index, for attempts still in flight.
-        self.running: dict[int, int] = {}
-        self.retry_at: float | None = None
-        self.speculated = False
-        self.first_dispatch = 0.0
-        self.last_error: str | None = None
-        self.done = False
-
-
-class _ProcessSession:
-    """Supervised worker processes + shared-memory buffers.
-
-    The driver dispatches one task per shard per round and the session
-    plays the role of the paper's MapReduce master: acks are matched by
-    ``(round, shard, attempt)``, dead workers are replaced (fresh
-    indices, lost states rebuilt from the restore snapshot), failures
-    retry with capped exponential backoff under a per-shard budget, and
-    stragglers are speculatively re-dispatched once a median-derived
-    deadline passes. Determinism survives every recovery path because
-    map steps are pure: any attempt of a shard's round-``t`` step
-    writes bit-identical bytes to its disjoint output slices, and the
-    round-boundary fence (kill workers still running superseded
-    attempts) guarantees no attempt of round ``t`` can write during
-    round ``t+1``.
+    A lost worker is replaced by a fresh process over the same shard
+    group. Workers write their disjoint output slices themselves, which
+    is safe within a round (any attempt of a shard's round-``t`` step
+    writes bit-identical bytes) and is why the round ends with a fence
+    (:meth:`_fence`).
     """
 
     def __init__(self, source: ShardSource, cfg: MultiLayerConfig) -> None:
-        self._source = source
-        self._cfg = cfg
+        super().__init__(source, cfg)
         self._layout, self._param_len = _param_layout(source)
-        self._sup = _Supervision.from_env()
         self._segments: dict = {}
         self._views: dict[str, np.ndarray] = {}
         self._workers: dict[int, _WorkerHandle] = {}
         self._next_worker = 0
-        self._home: dict[int, int] = {}
-        self._dirty: set[int] = set()
-        #: worker index -> set of (round, shard, attempt) not yet acked.
-        self._inflight: dict[int, set] = {}
-        self._round = 0
         self._ctx = None
         self._ack_recv = None
         self._ack_send = None
         self._shm_names: dict[str, str] = {}
-        self._dims: tuple[int, int, int] | None = None
-        self._restore_priors: np.ndarray | None = None
-        self._restore_posterior: np.ndarray | None = None
+        self._sizes: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -727,42 +547,28 @@ class _ProcessSession:
         )
         self._ctx = mp.get_context(method)
         source = self._source
-        sizes = {
+        self._sizes = {
             "p": source.num_coords,
             "post": source.num_triples,
             "priors": source.num_coords,
             "params": self._param_len,
         }
         try:
-            for key, length in sizes.items():
+            for key, length in self._sizes.items():
                 self._segments[key] = shared_memory.SharedMemory(
                     create=True, size=max(1, length * 8)
                 )
-                self._views[key] = np.ndarray(
-                    (length,),
-                    dtype=np.float64,
-                    buffer=self._segments[key].buf,
-                )
+                self._views[key] = _shm_view(self._segments[key], length)
             self._shm_names = {
                 key: segment.name
                 for key, segment in self._segments.items()
             }
-            self._dims = (
-                source.num_coords, source.num_triples, self._param_len
-            )
             # Acks travel over a raw pipe, one atomic frame per ack
             # (see _send_ack) — unlike a multiprocessing.Queue there is
             # no cross-process write lock a SIGKILLed worker could die
             # holding, which would silently deadlock every other
             # worker's acks.
             self._ack_recv, self._ack_send = self._ctx.Pipe(duplex=False)
-            # The restore snapshot defaults to the pre-round-1 state
-            # (initial priors, zero posterior); the driver refreshes it
-            # each round via set_restore_state.
-            self._restore_priors = np.full(
-                source.num_coords, self._cfg.alpha
-            )
-            self._restore_posterior = np.zeros(source.num_triples)
             num_workers = min(source.num_shards, _worker_cap())
             groups: list[list[int]] = [[] for _ in range(num_workers)]
             for index in range(source.num_shards):
@@ -789,8 +595,6 @@ class _ProcessSession:
         for handle in self._workers.values():
             _stop_worker(handle.process, self._sup.grace_s)
         self._workers.clear()
-        self._inflight.clear()
-        self._home.clear()
         for segment in self._segments.values():
             segment.close()
             segment.unlink()
@@ -805,12 +609,7 @@ class _ProcessSession:
         self._ack_recv = self._ack_send = None
 
     def _spawn_worker(self, group: tuple[int, ...]) -> _WorkerHandle:
-        """Start a worker (original or replacement) over ``group``.
-
-        Worker indices grow monotonically and are never reused, so a
-        fault keyed to a crashed worker's index cannot re-fire on its
-        replacement, and stale acks never alias a new worker.
-        """
+        """Start a worker (original or replacement) over ``group``."""
         index = self._next_worker
         self._next_worker += 1
         payload = self._source.worker_payload(group)
@@ -822,7 +621,7 @@ class _ProcessSession:
                 payload,
                 self._cfg,
                 self._shm_names,
-                self._dims,
+                self._sizes,
                 self._layout,
                 queue,
                 self._ack_send,
@@ -837,33 +636,84 @@ class _ProcessSession:
         return handle
 
     # ------------------------------------------------------------------
-    # Restore state (checkpoint resume + mid-fit state reconstruction)
+    # The transport (see _SupervisedSession)
     # ------------------------------------------------------------------
-    def set_restore_state(
-        self, priors: np.ndarray, posterior: np.ndarray
-    ) -> None:
-        """Install the driver's end-of-previous-round global snapshot.
-
-        Any shard re-dispatched to a worker that does not hold its
-        current state (a replacement, a speculation target, or after
-        :meth:`restore`) ships its slices of this snapshot so the worker
-        can rebuild the state bit-identically. The driver refreshes the
-        snapshot before every round; the arrays are driver-owned copies
-        that no worker mutates mid-round.
-        """
-        self._restore_priors = priors
-        self._restore_posterior = posterior
-
-    def restore(self, priors: np.ndarray, posterior: np.ndarray) -> None:
-        """Resume from a checkpoint: every shard state must be rebuilt."""
-        self.set_restore_state(
-            np.array(priors, dtype=np.float64),
-            np.array(posterior, dtype=np.float64),
+    def _send(self, worker, rnd: _Round, shard_index, attempt, restore) -> None:
+        handle = self._workers[worker]
+        shipped = (
+            None
+            if handle.can_fetch(shard_index)
+            else self._source.get_shard(shard_index)
         )
-        self._dirty.update(range(self._source.num_shards))
+        try:
+            handle.queue.put(
+                (
+                    rnd.kind,
+                    rnd.id,
+                    shard_index,
+                    attempt,
+                    rnd.do_prior,
+                    rnd.payload,  # the ALL-scope base-absence scalar
+                    restore,
+                    shipped,
+                )
+            )
+        except (OSError, ValueError):
+            # The worker died under us; the liveness sweep will fail
+            # this attempt and re-dispatch to its replacement.
+            pass
+
+    def _next_event(self, timeout: float) -> tuple | None:
+        """A crashed worker if the liveness sweep finds one (never by
+        hanging on the ack pipe), else the next ack frame."""
+        for handle in self._workers.values():
+            if handle.alive and not handle.process.is_alive():
+                return (
+                    "dead",
+                    handle.index,
+                    f"died with exitcode {handle.process.exitcode}",
+                )
+        if not self._ack_recv.poll(timeout):
+            return None
+        return ("ack", *pickle.loads(self._ack_recv.recv_bytes()), None)
+
+    def _live_workers(self) -> list[int]:
+        return [h.index for h in self._workers.values() if h.alive]
+
+    def _replace_worker(self, worker: int) -> int:
+        handle = self._workers[worker]
+        handle.alive = False
+        return self._spawn_worker(handle.group).index
+
+    def _label(self, worker: int) -> str:
+        return f"pid {self._workers[worker].process.pid}"
+
+    def _fence(self) -> None:
+        """Round boundary: no attempt of this round may write later.
+
+        Drains raced-in acks first, then kills (and replaces) any worker
+        still holding an unacked task — a superseded straggler whose
+        eventual write, landing in a later round, would no longer be
+        bit-identical to the winner's. Within the round the overlap was
+        safe (all attempts of a shard's round-``t`` step write identical
+        bytes); across the boundary it would not be, so the loser dies
+        first.
+        """
+        while self._ack_recv.poll(0):
+            try:
+                ack = pickle.loads(self._ack_recv.recv_bytes())
+            except EOFError:
+                break
+            self._inflight.get(ack[0], set()).discard(
+                (ack[1], ack[2], ack[3])
+            )
+        for handle in list(self._workers.values()):
+            if handle.alive and self._inflight.get(handle.index):
+                _kill_worker(handle.process, self._sup.grace_s)
+                self._retire(handle.index)
 
     # ------------------------------------------------------------------
-    # Round engine
+    # The ExecutionSession contract
     # ------------------------------------------------------------------
     def _broadcast_params(self, params: IterationParams) -> float | None:
         """Write the parameter block; return the ALL-scope scalar."""
@@ -879,273 +729,6 @@ class _ProcessSession:
             return None
         return float(params.base_absence)
 
-    def _dispatch(
-        self,
-        task: _ShardTask,
-        round_id: int,
-        kind: str,
-        do_prior: bool,
-        base_scalar: float | None,
-        target: int | None = None,
-    ) -> None:
-        shard_index = task.shard
-        if target is None:
-            target = self._home[shard_index]
-        handle = self._workers[target]
-        attempt = task.next_attempt
-        task.next_attempt += 1
-        needs_restore = (
-            shard_index in self._dirty or target != self._home[shard_index]
-        )
-        restore = None
-        shipped = None
-        if needs_restore or not handle.can_fetch(shard_index):
-            shard = self._source.get_shard(shard_index)
-            if needs_restore:
-                restore = (
-                    np.array(self._restore_priors[shard.coord_idx]),
-                    np.array(
-                        self._restore_posterior[
-                            shard.triple_lo : shard.triple_hi
-                        ]
-                    ),
-                )
-            if not handle.can_fetch(shard_index):
-                shipped = shard
-        message = (
-            kind,
-            round_id,
-            shard_index,
-            attempt,
-            do_prior,
-            base_scalar,
-            restore,
-            shipped,
-        )
-        try:
-            handle.queue.put(message)
-        except (OSError, ValueError):
-            # The worker died under us; the liveness sweep will fail
-            # this attempt and re-dispatch to its replacement.
-            pass
-        task.running[attempt] = target
-        self._inflight.setdefault(target, set()).add(
-            (round_id, shard_index, attempt)
-        )
-        if attempt == 0:
-            task.first_dispatch = time.monotonic()
-
-    def _record_failure(
-        self, task: _ShardTask, round_id: int, cause: str
-    ) -> None:
-        task.failures += 1
-        task.last_error = cause
-        if task.failures >= self._sup.max_attempts:
-            raise ExecError(
-                f"shard {task.shard} map step failed after "
-                f"{task.failures} attempt(s) in round {round_id}; "
-                f"last error: {cause}",
-                shard_index=task.shard,
-                attempts=task.failures,
-            )
-        delay = min(
-            self._sup.backoff_base_s * (2.0 ** (task.failures - 1)),
-            self._sup.backoff_cap_s,
-        )
-        task.retry_at = time.monotonic() + delay
-
-    def _retire(self, handle: _WorkerHandle) -> _WorkerHandle:
-        """Replace a dead/killed worker; re-home its shards (dirty: their
-        next dispatch ships a restore payload)."""
-        handle.alive = False
-        self._inflight.pop(handle.index, None)
-        replacement = self._spawn_worker(handle.group)
-        for shard_index, owner in self._home.items():
-            if owner == handle.index:
-                self._home[shard_index] = replacement.index
-                self._dirty.add(shard_index)
-        return replacement
-
-    def _reap_dead(self, tasks: dict[int, _ShardTask], round_id: int) -> None:
-        """Detect crashed workers; fail their in-flight attempts."""
-        for handle in [h for h in self._workers.values() if h.alive]:
-            if handle.process.is_alive():
-                continue
-            died = set(self._inflight.get(handle.index, ()))
-            cause = (
-                f"worker {handle.index} (pid {handle.process.pid}) died "
-                f"with exitcode {handle.process.exitcode}"
-            )
-            self._retire(handle)
-            for rnd, shard_index, attempt in died:
-                if rnd != round_id:
-                    continue
-                task = tasks.get(shard_index)
-                if task is None or task.done:
-                    continue
-                task.running.pop(attempt, None)
-                # With another attempt still live (speculation), let it
-                # race on; only a shard with no live attempt and no
-                # scheduled retry consumes budget and re-dispatches.
-                if not task.running and task.retry_at is None:
-                    self._record_failure(task, round_id, cause)
-
-    def _launch_due(
-        self,
-        tasks: dict[int, _ShardTask],
-        round_id: int,
-        kind: str,
-        do_prior: bool,
-        base_scalar: float | None,
-    ) -> None:
-        now = time.monotonic()
-        for task in tasks.values():
-            if task.done or task.retry_at is None or now < task.retry_at:
-                continue
-            task.retry_at = None
-            self._dispatch(task, round_id, kind, do_prior, base_scalar)
-
-    def _speculation_target(self, busy: set[int]) -> int | None:
-        candidates = [
-            handle
-            for handle in self._workers.values()
-            if handle.alive and handle.index not in busy
-        ]
-        if not candidates:
-            return None
-        return min(
-            candidates,
-            key=lambda handle: len(self._inflight.get(handle.index, ())),
-        ).index
-
-    def _maybe_speculate(
-        self,
-        tasks: dict[int, _ShardTask],
-        round_id: int,
-        kind: str,
-        do_prior: bool,
-        base_scalar: float | None,
-        durations: list[float],
-        total: int,
-    ) -> None:
-        """Speculative re-dispatch of stragglers, first result wins.
-
-        The per-round deadline derives from the median completed-shard
-        wall time once at least half the round has reported (scaled by
-        ``straggler_factor``, floored at ``straggler_min_s``); each
-        shard gets at most one speculative copy, placed on the least
-        loaded worker not already running an attempt of it.
-        """
-        if self._sup.straggler_factor <= 0.0:
-            return
-        if 2 * len(durations) < total:
-            return
-        pending = [task for task in tasks.values() if not task.done]
-        if not pending:
-            return
-        deadline = max(
-            statistics.median(durations) * self._sup.straggler_factor,
-            self._sup.straggler_min_s,
-        )
-        now = time.monotonic()
-        for task in pending:
-            if (
-                task.speculated
-                or task.retry_at is not None
-                or not task.running
-            ):
-                continue
-            if now - task.first_dispatch < deadline:
-                continue
-            target = self._speculation_target(set(task.running.values()))
-            if target is None:
-                continue
-            task.speculated = True
-            self._dispatch(
-                task, round_id, kind, do_prior, base_scalar, target=target
-            )
-
-    def _fence(self) -> None:
-        """Round boundary: no attempt of this round may write later.
-
-        Drains raced-in acks first, then kills (and replaces) any worker
-        still holding an unacked task — a superseded straggler whose
-        eventual write, landing in a later round, would no longer be
-        bit-identical to the winner's. Within the round the overlap was
-        safe (all attempts of a shard's round-``t`` step write identical
-        bytes); across the boundary it would not be, so the loser dies
-        first.
-        """
-        import pickle
-
-        while self._ack_recv.poll(0):
-            try:
-                ack = pickle.loads(self._ack_recv.recv_bytes())
-            except EOFError:
-                break
-            self._inflight.get(ack[0], set()).discard(
-                (ack[1], ack[2], ack[3])
-            )
-        for handle in list(self._workers.values()):
-            if not handle.alive or not self._inflight.get(handle.index):
-                continue
-            handle.process.terminate()
-            handle.process.join(timeout=self._sup.grace_s)
-            if handle.process.is_alive():
-                handle.process.kill()
-                handle.process.join(timeout=self._sup.grace_s)
-            self._retire(handle)
-
-    def _run_round(
-        self, kind: str, do_prior: bool, base_scalar: float | None
-    ) -> None:
-        import pickle
-
-        self._round += 1
-        round_id = self._round
-        total = self._source.num_shards
-        tasks = {index: _ShardTask(index) for index in range(total)}
-        for task in tasks.values():
-            self._dispatch(task, round_id, kind, do_prior, base_scalar)
-        durations: list[float] = []
-        remaining = total
-        while remaining:
-            self._reap_dead(tasks, round_id)
-            self._launch_due(tasks, round_id, kind, do_prior, base_scalar)
-            self._maybe_speculate(
-                tasks, round_id, kind, do_prior, base_scalar, durations,
-                total,
-            )
-            if not self._ack_recv.poll(_POLL_S):
-                continue
-            worker_index, ack_round, shard_index, attempt, error = (
-                pickle.loads(self._ack_recv.recv_bytes())
-            )
-            self._inflight.get(worker_index, set()).discard(
-                (ack_round, shard_index, attempt)
-            )
-            if ack_round != round_id:
-                continue  # stale ack from an already-fenced round
-            task = tasks.get(shard_index)
-            if task is None or task.done:
-                continue  # duplicate completion: speculation lost the race
-            if error is not None:
-                task.running.pop(attempt, None)
-                if not task.running and task.retry_at is None:
-                    self._record_failure(task, round_id, error)
-                continue
-            task.done = True
-            remaining -= 1
-            # First result wins: the acker holds the shard's current
-            # state and becomes its home for subsequent rounds.
-            self._home[shard_index] = worker_index
-            self._dirty.discard(shard_index)
-            durations.append(time.monotonic() - task.first_dispatch)
-        self._fence()
-
-    # ------------------------------------------------------------------
-    # The ExecutionSession contract
-    # ------------------------------------------------------------------
     def run_iteration(
         self,
         params: IterationParams,

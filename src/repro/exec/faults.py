@@ -1,8 +1,8 @@
 """Deterministic fault injection for the execution layer.
 
-The fault-tolerance machinery of the ``processes`` backend (worker
-supervision, retry/backoff, straggler speculation — see
-:mod:`repro.exec.backends`) is only trustworthy if its failure paths can
+The fault-tolerance machinery of the supervised backends (retry/backoff,
+re-homing, straggler speculation — see :mod:`repro.exec.supervisor`) is
+only trustworthy if its failure paths can
 be exercised *reproducibly*. A :class:`FaultPlan` makes failures part of
 the test input: every fault is keyed by coordinates the scheduler
 assigns deterministically — the worker index, the dispatch round (a

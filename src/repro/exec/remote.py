@@ -22,24 +22,23 @@ the driver, so a remote fit is **bit-identical** to the serial backend
 for any worker count, any placement, and any recovery history — the
 same ladder entry every other backend satisfies.
 
-Fault tolerance reuses the PR 6 supervision machinery
-(:class:`~repro.exec.backends._Supervision`,
-:class:`~repro.exec.backends._ShardTask`, the same environment knobs):
+The coordinator is supervised by the round engine in
+:mod:`repro.exec.supervisor` (retry budget and backoff, re-homing,
+straggler speculation, the same environment knobs as ``processes``);
+this module contributes only its transport:
 
-* A dead connection fails that worker's in-flight attempts; its shards
-  re-home to a surviving worker, whose next dispatch ships a restore
-  snapshot slice (:func:`~repro.exec.worker.rebuild_state` makes the
-  rebuilt state bit-identical). Failures retry with capped exponential
-  backoff under the per-shard attempt budget; exhaustion raises
-  :class:`~repro.exec.backends.ExecError` naming the worker address.
-* A frame whose blob digest mismatches
+* Liveness is the connection. A reader thread per worker turns result
+  frames into ``ack`` events and any break into a ``dead`` event; a
+  frame whose blob digest mismatches
   (:class:`~repro.exec.protocol.ProtocolError`) condemns the whole
   connection — after one torn frame the stream offsets are
   untrustworthy — and recovers exactly like a death.
-* Stragglers are speculatively re-dispatched (median-derived deadline,
-  first result wins). Stale results need no fence kill here: the
-  coordinator owns the output arrays and simply discards acks from
-  superseded rounds/attempts, so a slow loser can never write.
+* A lost worker's shards re-home to the least-loaded *survivor* (new
+  capacity only arrives when a worker connects); with no survivor the
+  coordinator waits up to ``KBT_REMOTE_CONNECT_TIMEOUT_S`` for a join.
+* Results carry the output slices and the coordinator scatters them, so
+  the round fence is a no-op: a slow loser's stale result is dropped by
+  round/attempt matching and can never write.
 * Workers that lose their connection re-enter a reconnect loop (fresh
   index on re-registration), which is also what lets a *coordinator*
   restart with ``resume=True`` pick up its worker fleet again: the fit
@@ -58,24 +57,13 @@ from __future__ import annotations
 import os
 import queue
 import socket
-import statistics
 import threading
 import time
 
 import numpy as np
 
-from repro.core.config import (
-    AbsenceScope,
-    MultiLayerConfig,
-    parse_remote_endpoint,
-)
-from repro.exec.backends import (
-    ExecError,
-    ShardSource,
-    _POLL_S,
-    _ShardTask,
-    _Supervision,
-)
+from repro.core.config import MultiLayerConfig, parse_remote_endpoint
+from repro.exec.backends import _FINAL, _ITER, ShardSource
 from repro.exec.faults import FaultPlan
 from repro.exec.plan import Shard
 from repro.exec.protocol import (
@@ -86,13 +74,20 @@ from repro.exec.protocol import (
     send_message,
 )
 from repro.exec.spill import SpillError, _SHARD_ARRAY_FIELDS
+from repro.exec.supervisor import (
+    ExecError,
+    _POLL_S,
+    _Round,
+    _SupervisedSession,
+    env_number,
+)
 from repro.exec.worker import (
     FinalizeParams,
     IterationParams,
     ShardState,
-    finalize_shard,
-    rebuild_state,
-    run_shard_iteration,
+    _describe_error,
+    execute_task,
+    task_params,
 )
 
 #: How long the coordinator waits for the initial ``num_workers``
@@ -101,14 +96,9 @@ from repro.exec.worker import (
 CONNECT_TIMEOUT_ENV = "KBT_REMOTE_CONNECT_TIMEOUT_S"
 _DEFAULT_CONNECT_TIMEOUT_S = 60.0
 
-_ITER = "iter"
-_FINAL = "final"
-
 
 def _connect_timeout_s() -> float:
-    return float(
-        os.environ.get(CONNECT_TIMEOUT_ENV, _DEFAULT_CONNECT_TIMEOUT_S)
-    )
+    return env_number(CONNECT_TIMEOUT_ENV, _DEFAULT_CONNECT_TIMEOUT_S)
 
 
 # ----------------------------------------------------------------------
@@ -191,7 +181,7 @@ def _serve_connection(sock: socket.socket, faults: FaultPlan) -> bool:
                 # so the fault fires exactly once.
                 sock.close()
                 return False
-            reply_meta, reply_arrays = _execute_task(
+            reply_meta, reply_arrays = _task_reply(
                 cfg, meta, arrays, packets, states, faults
             )
             payload = encode_message("result", reply_meta, reply_arrays)
@@ -205,7 +195,7 @@ def _serve_connection(sock: socket.socket, faults: FaultPlan) -> bool:
         return False
 
 
-def _execute_task(
+def _task_reply(
     cfg: MultiLayerConfig,
     meta: dict,
     arrays: dict[str, np.ndarray],
@@ -213,7 +203,8 @@ def _execute_task(
     states: dict[int, ShardState],
     faults: FaultPlan,
 ) -> tuple[dict, dict[str, np.ndarray]]:
-    """Run one map step; returns the result message's (meta, arrays)."""
+    """Task frame in, result frame out: inputs and outputs travel as
+    frame arrays around :func:`~repro.exec.worker.execute_task`."""
     round_id = int(meta["round"])
     shard_index = int(meta["shard"])
     attempt = int(meta["attempt"])
@@ -225,9 +216,6 @@ def _execute_task(
         "error": None,
     }
     try:
-        delay = faults.delay_seconds(shard_index, round_id, attempt)
-        if delay > 0.0:
-            time.sleep(delay)
         shard = packets.get(shard_index)
         if shard is None:
             shard = _unpack_shard(meta, arrays)
@@ -237,58 +225,24 @@ def _execute_task(
                     "packet and none is cached on this worker"
                 )
             packets[shard_index] = shard
-        if faults.should_corrupt(shard_index, round_id, attempt):
-            raise SpillError(
-                f"injected corrupt packet read for shard {shard_index} "
-                f"(fault plan, round {round_id}, attempt {attempt}); "
-                "the spill directory is incomplete or corrupt — re-run "
-                "the fit with --spill-dir to regenerate it"
-            )
-        if "restore.priors" in arrays:
-            states[shard_index] = rebuild_state(
-                shard,
-                cfg,
-                arrays["restore.priors"],
-                arrays["restore.posterior"],
-            )
-        state = states.get(shard_index)
-        if state is None:
-            state = states[shard_index] = ShardState.initial(shard, cfg)
-        if meta["task_kind"] == _ITER:
-            do_prior = bool(meta["do_prior"])
-            base_scalar = meta["base_scalar"]
-            params = IterationParams(
-                do_prior_update=do_prior,
-                prior_accuracy=(
-                    arrays["param.accuracy"] if do_prior else None
-                ),
-                pre_vote=arrays["param.pre_vote"],
-                abs_vote=arrays["param.abs_vote"],
-                base_absence=(
-                    arrays["param.base_absence"]
-                    if cfg.absence_scope is AbsenceScope.ACTIVE
-                    else float(base_scalar)
-                ),
-                source_vote=arrays["param.source_vote"],
-            )
-            p_correct, posterior = run_shard_iteration(
-                shard, cfg, state, params
-            )
-            return reply, {"p_correct": p_correct, "posterior": posterior}
-        do_prior = bool(meta["do_prior"])
-        priors = finalize_shard(
-            shard,
-            cfg,
-            state,
-            FinalizeParams(
-                do_prior_update=do_prior,
-                accuracy=arrays["param.accuracy"] if do_prior else None,
-            ),
+        params = task_params(
+            meta["task_kind"] == _ITER,
+            bool(meta["do_prior"]),
+            meta["base_scalar"],
+            lambda name: arrays["param." + name],
         )
-        return reply, {"priors": priors}
+        restore = None
+        if "restore.priors" in arrays:
+            restore = (arrays["restore.priors"], arrays["restore.posterior"])
+        result = execute_task(
+            cfg, shard, states, params, restore, faults, round_id, attempt
+        )
     except Exception as exc:  # reported to the coordinator, never fatal
-        reply["error"] = f"{type(exc).__name__}: {exc}"
+        reply["error"] = _describe_error(exc)
         return reply, {}
+    if meta["task_kind"] == _ITER:
+        return reply, {"p_correct": result[0], "posterior": result[1]}
+    return reply, {"priors": result}
 
 
 def _unpack_shard(
@@ -351,25 +305,14 @@ class _RemoteWorker:
             pass
 
 
-class _RemoteSession:
-    """The coordinator: accept registrations, supervise rounds.
-
-    Mirrors :class:`~repro.exec.backends._ProcessSession` — same
-    :class:`_ShardTask` round engine, same :class:`_Supervision` knobs,
-    same restore-snapshot contract toward the driver — with three
-    differences forced by distribution: results carry the actual output
-    slices (there is no shared memory, so the coordinator scatters
-    them), a lost/corrupt connection re-homes its shards to *survivors*
-    instead of spawning a replacement (new capacity only arrives when a
-    worker reconnects), and the round fence is pure bookkeeping (stale
-    results are discarded by round/attempt matching; a straggler's late
-    write cannot land anywhere because only the coordinator writes).
-    """
+class _RemoteSession(_SupervisedSession):
+    """The coordinator: accept registrations, carry tasks and results
+    over TCP — the distributed transport of the supervised round engine
+    (what that forces to differ from ``processes`` is listed in the
+    module docstring)."""
 
     def __init__(self, source: ShardSource, cfg: MultiLayerConfig) -> None:
-        self._source = source
-        self._cfg = cfg
-        self._sup = _Supervision.from_env()
+        super().__init__(source, cfg)
         self._endpoint = cfg.remote_endpoint
         self._num_workers = cfg.num_workers or 1
         self._listener: socket.socket | None = None
@@ -380,13 +323,6 @@ class _RemoteSession:
         self._next_worker = 0
         self._events: queue.Queue = queue.Queue()
         self._closing = False
-        self._home: dict[int, int] = {}
-        self._dirty: set[int] = set()
-        #: worker index -> set of (round, shard, attempt) not yet acked.
-        self._inflight: dict[int, set] = {}
-        self._round = 0
-        self._restore_priors: np.ndarray | None = None
-        self._restore_posterior: np.ndarray | None = None
         self._config_payload: dict | None = None
 
     # ------------------------------------------------------------------
@@ -411,10 +347,6 @@ class _RemoteSession:
                 name="kbt-remote-accept",
             )
             self._accept_thread.start()
-            self._restore_priors = np.full(
-                self._source.num_coords, self._cfg.alpha
-            )
-            self._restore_posterior = np.zeros(self._source.num_triples)
             self._await_workers(self._num_workers)
             self._assign_homes()
         except BaseException:
@@ -445,8 +377,6 @@ class _RemoteSession:
         for thread in self._readers.values():
             thread.join(timeout=self._sup.grace_s)
         self._readers.clear()
-        self._inflight.clear()
-        self._home.clear()
 
     def _accept_loop(self) -> None:
         """Register connecting workers; one reader thread per worker."""
@@ -495,39 +425,44 @@ class _RemoteSession:
             self._events.put(("join", worker.index))
 
     def _reader_loop(self, worker: _RemoteWorker) -> None:
-        """Push one event per received result; 'dead' on any break.
+        """Push one ``ack`` event per received result; ``dead`` on any
+        break.
 
-        A digest mismatch (:class:`ProtocolError`) lands here too: one
-        torn frame makes every later read on this stream untrustworthy,
-        so the connection is condemned, not just the frame.
+        A digest mismatch (:class:`ProtocolError`) or a result whose
+        manifest does not name its task lands here too: one torn frame
+        makes every later read on this stream untrustworthy, so the
+        connection is condemned, not just the frame.
         """
         while True:
             try:
                 kind, meta, arrays = recv_message(worker.sock)
+                if kind != "result":
+                    reason = f"unexpected {kind!r} message from worker"
+                    break
+                key = (
+                    int(meta["round"]),
+                    int(meta["shard"]),
+                    int(meta["attempt"]),
+                )
             except (EOFError, OSError) as err:
-                self._events.put(
-                    ("dead", worker.index, f"connection lost ({err})")
-                )
-                return
+                reason = f"connection lost ({err})"
+                break
             except ProtocolError as err:
-                self._events.put(("dead", worker.index, str(err)))
-                return
-            if kind != "result":
-                self._events.put(
-                    ("dead", worker.index,
-                     f"unexpected {kind!r} message from worker")
-                )
-                return
-            self._events.put(("ack", worker.index, meta, arrays))
+                reason = str(err)
+                break
+            except (KeyError, TypeError, ValueError) as err:
+                reason = f"malformed result manifest ({err!r})"
+                break
+            self._events.put(
+                ("ack", worker.index, *key, meta.get("error"), arrays)
+            )
+        self._events.put(("dead", worker.index, f"lost: {reason}"))
 
     def _await_workers(self, count: int) -> None:
         """Block until ``count`` workers are registered and alive."""
         deadline = time.monotonic() + _connect_timeout_s()
         while True:
-            with self._workers_lock:
-                alive = sum(
-                    1 for w in self._workers.values() if w.alive
-                )
+            alive = len(self._live_workers())
             if alive >= count:
                 return
             if time.monotonic() >= deadline:
@@ -540,61 +475,28 @@ class _RemoteSession:
                 )
             time.sleep(_POLL_S)
 
-    def _alive_workers(self) -> list[_RemoteWorker]:
-        with self._workers_lock:
-            return [w for w in self._workers.values() if w.alive]
-
     def _assign_homes(self) -> None:
-        alive = sorted(self._alive_workers(), key=lambda w: w.index)
+        alive = sorted(self._live_workers())
         for shard_index in range(self._source.num_shards):
-            self._home[shard_index] = alive[shard_index % len(alive)].index
+            self._home[shard_index] = alive[shard_index % len(alive)]
 
     # ------------------------------------------------------------------
-    # Restore state (same contract as the processes session)
+    # The transport (see _SupervisedSession)
     # ------------------------------------------------------------------
-    def set_restore_state(
-        self, priors: np.ndarray, posterior: np.ndarray
-    ) -> None:
-        self._restore_priors = priors
-        self._restore_posterior = posterior
-
-    def restore(self, priors: np.ndarray, posterior: np.ndarray) -> None:
-        """Resume from a checkpoint: every shard state must be rebuilt."""
-        self.set_restore_state(
-            np.array(priors, dtype=np.float64),
-            np.array(posterior, dtype=np.float64),
-        )
-        self._dirty.update(range(self._source.num_shards))
-
-    # ------------------------------------------------------------------
-    # Round engine (the _ProcessSession scheduler over TCP)
-    # ------------------------------------------------------------------
-    def _dispatch(
-        self,
-        task: _ShardTask,
-        round_id: int,
-        kind: str,
-        do_prior: bool,
-        params: IterationParams | FinalizeParams,
-        target: int | None = None,
-    ) -> None:
-        shard_index = task.shard
-        if target is None:
-            target = self._home[shard_index]
+    def _send(self, worker, rnd: _Round, shard_index, attempt, restore) -> None:
         with self._workers_lock:
-            worker = self._workers[target]
-        attempt = task.next_attempt
-        task.next_attempt += 1
+            remote = self._workers[worker]
+        params = rnd.payload
         meta: dict = {
-            "task_kind": kind,
-            "round": round_id,
+            "task_kind": rnd.kind,
+            "round": rnd.id,
             "shard": shard_index,
             "attempt": attempt,
-            "do_prior": do_prior,
+            "do_prior": rnd.do_prior,
             "base_scalar": None,
         }
         arrays: dict[str, np.ndarray] = {}
-        if kind == _ITER:
+        if rnd.kind == _ITER:
             arrays["param.pre_vote"] = params.pre_vote
             arrays["param.abs_vote"] = params.abs_vote
             arrays["param.source_vote"] = params.source_vote
@@ -602,226 +504,53 @@ class _RemoteSession:
                 arrays["param.base_absence"] = params.base_absence
             else:
                 meta["base_scalar"] = float(params.base_absence)
-            if do_prior:
+            if rnd.do_prior:
                 arrays["param.accuracy"] = params.prior_accuracy
-        elif do_prior:
+        elif rnd.do_prior:
             arrays["param.accuracy"] = params.accuracy
-        shard = None
-        if shard_index not in worker.shipped:
-            shard = self._source.get_shard(shard_index)
-            packet_meta, packet_arrays = _pack_shard(shard)
+        if shard_index not in remote.shipped:
+            packet_meta, packet_arrays = _pack_shard(
+                self._source.get_shard(shard_index)
+            )
             meta["packet"] = packet_meta
             arrays.update(packet_arrays)
-        if shard_index in self._dirty or target != self._home[shard_index]:
-            if shard is None:
-                shard = self._source.get_shard(shard_index)
-            arrays["restore.priors"] = self._restore_priors[shard.coord_idx]
-            arrays["restore.posterior"] = self._restore_posterior[
-                shard.triple_lo : shard.triple_hi
-            ]
+        if restore is not None:
+            arrays["restore.priors"], arrays["restore.posterior"] = restore
         try:
-            worker.send("task", meta, arrays)
-            worker.shipped.add(shard_index)
+            remote.send("task", meta, arrays)
+            remote.shipped.add(shard_index)
         except (OSError, ProtocolError):
             # The connection died under us; the reader thread's 'dead'
             # event will fail this attempt and trigger re-dispatch.
             pass
-        task.running[attempt] = target
-        self._inflight.setdefault(target, set()).add(
-            (round_id, shard_index, attempt)
-        )
-        if attempt == 0:
-            task.first_dispatch = time.monotonic()
 
-    def _record_failure(
-        self, task: _ShardTask, round_id: int, cause: str
-    ) -> None:
-        task.failures += 1
-        task.last_error = cause
-        if task.failures >= self._sup.max_attempts:
-            raise ExecError(
-                f"shard {task.shard} map step failed after "
-                f"{task.failures} attempt(s) in round {round_id}; "
-                f"last error: {cause}",
-                shard_index=task.shard,
-                attempts=task.failures,
-            )
-        delay = min(
-            self._sup.backoff_base_s * (2.0 ** (task.failures - 1)),
-            self._sup.backoff_cap_s,
-        )
-        task.retry_at = time.monotonic() + delay
+    def _next_event(self, timeout: float) -> tuple | None:
+        try:
+            return self._events.get(timeout=timeout)
+        except queue.Empty:
+            return None
 
-    def _on_worker_dead(
-        self,
-        index: int,
-        reason: str,
-        tasks: dict[int, _ShardTask],
-        round_id: int,
-    ) -> None:
-        """Condemn a connection: fail its attempts, re-home its shards."""
+    def _live_workers(self) -> list[int]:
         with self._workers_lock:
-            worker = self._workers.get(index)
-        if worker is None or not worker.alive:
-            return
-        worker.close()
-        cause = (
-            f"worker {index} ({worker.address}) lost: {reason}"
-        )
-        died = self._inflight.pop(index, set())
-        survivors = self._alive_workers()
-        if not survivors:
+            return [w.index for w in self._workers.values() if w.alive]
+
+    def _replace_worker(self, worker: int) -> int:
+        """Condemn the connection; its heir is the least-loaded
+        survivor."""
+        with self._workers_lock:
+            self._workers[worker].close()
+        if not self._live_workers():
             # No capacity left: wait for any worker (a reconnecting one
-            # or a fresh join); give up with the address in the message.
+            # or a fresh join); give up with the endpoint in the message.
             self._await_workers(1)
-            survivors = self._alive_workers()
-        for shard_index, owner in self._home.items():
-            if owner == index:
-                replacement = min(
-                    survivors,
-                    key=lambda w: len(self._inflight.get(w.index, ())),
-                )
-                self._home[shard_index] = replacement.index
-                self._dirty.add(shard_index)
-        for rnd, shard_index, attempt in died:
-            if rnd != round_id:
-                continue
-            task = tasks.get(shard_index)
-            if task is None or task.done:
-                continue
-            task.running.pop(attempt, None)
-            if not task.running and task.retry_at is None:
-                self._record_failure(task, round_id, cause)
-
-    def _launch_due(
-        self,
-        tasks: dict[int, _ShardTask],
-        round_id: int,
-        kind: str,
-        do_prior: bool,
-        params,
-    ) -> None:
-        now = time.monotonic()
-        for task in tasks.values():
-            if task.done or task.retry_at is None or now < task.retry_at:
-                continue
-            task.retry_at = None
-            self._dispatch(task, round_id, kind, do_prior, params)
-
-    def _maybe_speculate(
-        self,
-        tasks: dict[int, _ShardTask],
-        round_id: int,
-        kind: str,
-        do_prior: bool,
-        params,
-        durations: list[float],
-        total: int,
-    ) -> None:
-        if self._sup.straggler_factor <= 0.0:
-            return
-        if 2 * len(durations) < total:
-            return
-        pending = [task for task in tasks.values() if not task.done]
-        if not pending:
-            return
-        deadline = max(
-            statistics.median(durations) * self._sup.straggler_factor,
-            self._sup.straggler_min_s,
+        return min(
+            self._live_workers(),
+            key=lambda w: len(self._inflight.get(w, ())),
         )
-        now = time.monotonic()
-        for task in pending:
-            if (
-                task.speculated
-                or task.retry_at is not None
-                or not task.running
-            ):
-                continue
-            if now - task.first_dispatch < deadline:
-                continue
-            busy = set(task.running.values())
-            candidates = [
-                w for w in self._alive_workers() if w.index not in busy
-            ]
-            if not candidates:
-                continue
-            target = min(
-                candidates,
-                key=lambda w: len(self._inflight.get(w.index, ())),
-            ).index
-            task.speculated = True
-            self._dispatch(
-                task, round_id, kind, do_prior, params, target=target
-            )
 
-    def _run_round(
-        self,
-        kind: str,
-        do_prior: bool,
-        params,
-        scatter,
-    ) -> None:
-        self._round += 1
-        round_id = self._round
-        total = self._source.num_shards
-        tasks = {index: _ShardTask(index) for index in range(total)}
-        for task in tasks.values():
-            self._dispatch(task, round_id, kind, do_prior, params)
-        durations: list[float] = []
-        remaining = total
-        while remaining:
-            self._launch_due(tasks, round_id, kind, do_prior, params)
-            self._maybe_speculate(
-                tasks, round_id, kind, do_prior, params, durations, total
-            )
-            try:
-                event = self._events.get(timeout=_POLL_S)
-            except queue.Empty:
-                continue
-            if event[0] == "join":
-                continue  # new capacity; next dispatch can use it
-            if event[0] == "dead":
-                self._on_worker_dead(event[1], event[2], tasks, round_id)
-                continue
-            _, worker_index, meta, arrays = event
-            ack_round = int(meta["round"])
-            shard_index = int(meta["shard"])
-            attempt = int(meta["attempt"])
-            self._inflight.get(worker_index, set()).discard(
-                (ack_round, shard_index, attempt)
-            )
-            if ack_round != round_id:
-                continue  # stale result from a superseded round
-            task = tasks.get(shard_index)
-            if task is None or task.done:
-                continue  # duplicate: speculation lost the race
-            if meta.get("error") is not None:
-                with self._workers_lock:
-                    worker = self._workers.get(worker_index)
-                address = worker.address if worker else "?"
-                task.running.pop(attempt, None)
-                if not task.running and task.retry_at is None:
-                    self._record_failure(
-                        task,
-                        round_id,
-                        f"worker {worker_index} ({address}): "
-                        f"{meta['error']}",
-                    )
-                continue
-            # First result wins: scatter in the coordinator (engine
-            # array order — the determinism ladder's reduce invariant),
-            # and the acker keeps the shard's state for later rounds.
-            scatter(shard_index, arrays)
-            task.done = True
-            remaining -= 1
-            self._home[shard_index] = worker_index
-            self._dirty.discard(shard_index)
-            durations.append(time.monotonic() - task.first_dispatch)
-        # Round fence: pure bookkeeping here. Superseded attempts still
-        # in flight will ack with this round's id later and be discarded
-        # by the stale-round/duplicate checks above; only the
-        # coordinator writes to the output arrays, so no fence kill is
-        # needed to keep later rounds bit-identical.
+    def _label(self, worker: int) -> str:
+        with self._workers_lock:
+            return self._workers[worker].address
 
     # ------------------------------------------------------------------
     # The ExecutionSession contract

@@ -26,17 +26,24 @@ bit-identity guarantee). :func:`residual_mass` and :func:`prior_update`
 are the float64 residual / Eq. 26 expressions, written once: the map
 step, :func:`rebuild_state` and the driver's restore snapshot all call
 them, over a shard or over the whole compiled problem.
+:func:`execute_task` is the body of one supervised task (fault hooks,
+state rebuild, then the map or finalize step), shared by the process
+worker loop and the ``kbt worker`` loop.
 """
 
 from __future__ import annotations
 
+import time
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.config import AbsenceScope, MultiLayerConfig
 from repro.core.engine_numpy import _log_odds, _seeded_vcc, _sigmoid
+from repro.exec.faults import FaultPlan
 from repro.exec.plan import Shard
+from repro.exec.spill import SpillError
 from repro.util.logmath import PROB_FLOOR, _SIGMOID_CUTOFF
 
 
@@ -256,6 +263,88 @@ def finalize_shard(
         assert params.accuracy is not None
         _update_shard_priors(shard, cfg, state, params.accuracy)
     return state.priors
+
+
+def task_params(
+    is_iteration: bool,
+    do_prior: bool,
+    base_scalar: float | None,
+    lookup,
+) -> IterationParams | FinalizeParams:
+    """A task's parameters from wherever the transport put them:
+    ``lookup(name)`` returns the named parameter vector (a slice of the
+    shared parameter block, or a frame array). ``base_scalar`` is the
+    ALL-scope base absence; None means the per-source vector shipped."""
+    accuracy = lookup("accuracy") if do_prior else None
+    if not is_iteration:
+        return FinalizeParams(do_prior, accuracy)
+    return IterationParams(
+        do_prior_update=do_prior,
+        prior_accuracy=accuracy,
+        pre_vote=lookup("pre_vote"),
+        abs_vote=lookup("abs_vote"),
+        base_absence=(
+            lookup("base_absence")
+            if base_scalar is None
+            else float(base_scalar)
+        ),
+        source_vote=lookup("source_vote"),
+    )
+
+
+def execute_task(
+    cfg: MultiLayerConfig,
+    shard: Shard,
+    states: dict[int, ShardState],
+    params: IterationParams | FinalizeParams,
+    restore: tuple[np.ndarray, np.ndarray] | None,
+    faults: FaultPlan,
+    round_id: int,
+    attempt: int,
+):
+    """One supervised task: the body both worker loops (process and
+    ``kbt worker``) run between decoding a task and placing its result.
+
+    ``states`` is the worker's resident ``shard index -> ShardState``
+    map. A ``restore`` payload (this worker took over the shard, or the
+    fit resumed from a checkpoint) rebuilds the state from the driver's
+    snapshot slices first; a shard seen for the first time starts from
+    the initial state. Returns what :func:`run_shard_iteration` /
+    :func:`finalize_shard` return, selected by the type of ``params``.
+    Map steps are idempotent (the deferred prior update is a pure
+    function of the previous round's state), so re-running an attempt
+    after a mid-step failure is always safe.
+    """
+    delay = faults.delay_seconds(shard.index, round_id, attempt)
+    if delay > 0.0:
+        time.sleep(delay)
+    if faults.should_corrupt(shard.index, round_id, attempt):
+        raise SpillError(
+            f"injected corrupt packet read for shard {shard.index} "
+            f"(fault plan, round {round_id}, attempt {attempt}); the "
+            "spill directory is incomplete or corrupt — re-run the fit "
+            "with --spill-dir to regenerate it"
+        )
+    if restore is not None:
+        states[shard.index] = rebuild_state(shard, cfg, *restore)
+    state = states.get(shard.index)
+    if state is None:
+        state = states[shard.index] = ShardState.initial(shard, cfg)
+    if isinstance(params, IterationParams):
+        return run_shard_iteration(shard, cfg, state, params)
+    return finalize_shard(shard, cfg, state, params)
+
+
+def _describe_error(exc: BaseException) -> str:
+    """What a worker reports on failure: user-facing errors (notably
+    :class:`SpillError`, whose message carries the regenerate remedy)
+    travel as their one-line message; everything else keeps the full
+    traceback for debugging."""
+    if isinstance(exc, SpillError):
+        return str(exc)
+    return "".join(
+        traceback.format_exception(type(exc), exc, exc.__traceback__)
+    ).strip()
 
 
 def _update_shard_priors(
