@@ -1,35 +1,51 @@
-"""Serving-tier benchmark: legacy endpoint vs asyncio gateway, plus
-hot-swap-under-load correctness.
+"""Serving benchmark: artifact IO, lookup latency, warm-start onboarding,
+the gateway under concurrent clients, and hot swap under load.
 
-The serving gateway (:mod:`repro.serving.gateway`) exists to carry
-production traffic: many concurrent keep-alive clients, bounded
-resources, zero-downtime artifact swaps. This bench measures exactly
-that and writes ``benchmarks/results/BENCH_serving_v2.json``:
+The fit -> persist -> serve lifecycle exists so scores can be served and
+maintained without refitting, by a gateway (:mod:`repro.serving.gateway`)
+built for many concurrent keep-alive clients, bounded resources and
+zero-downtime artifact swaps. This bench tracks that path on one
+KV-scale corpus and writes ``benchmarks/results/BENCH_serving_v2.json``:
 
-* **latency** — p50/p99 per-request wall time under concurrent
+* **artifact** — save/load wall time and on-disk size;
+* **query** — in-memory ``TrustStore`` lookup latency: p50/p99
+  single-key, and 100-key batches;
+* **incremental** — three held-out mainstream websites are folded in
+  with ``FittedKBT.update`` and compared against a cold refit of the
+  combined corpus: the update must match each new site's score within
+  0.02 absolute and cost at least 5x less wall time;
+* **gateway** — p50/p99 per-request wall time under concurrent
   keep-alive clients (32 at full scale, 8 at smoke) hammering a mixed
-  route set, measured against both frontends over the *same* artifact:
-  the legacy ``ThreadingHTTPServer`` + in-memory ``TrustStore`` and the
-  asyncio gateway + zero-copy ``MmapTrustStore``;
-* **conditional traffic** — the same clients replay ``If-None-Match``
-  revalidations against the gateway (304s with no body);
+  route set against the gateway + zero-copy ``MmapTrustStore``, then
+  the same clients replaying ``If-None-Match`` revalidations (304s with
+  no body);
 * **hot swap under load** — clients keep hammering while the artifact
   behind the gateway is swapped back and forth between two fits;
   **every** response must be 2xx/304 with a body byte-identical to one
   of the two generations, and **zero** connections may drop.
 
-The swap-leg assertions are correctness gates and run at every scale —
-smoke included. Timing numbers are reported, never gated (wall clocks on
-shared runners gate nothing). ``SERVING_BENCH_SCALE=smoke`` selects the
-reduced corpus, matching the ``bench_serving_latency`` convention.
+The accuracy and swap-leg assertions are correctness gates and run at
+every scale. ``SERVING_BENCH_SCALE=smoke`` selects the reduced corpus
+(CI) and skips the one timing gate, the onboarding speedup: single-round
+timings on small corpora and shared runners are too noisy to gate on.
 """
 
 import http.client
 import json
+import os
+import statistics
 import threading
 import time
+from collections import Counter
 
-from _harness import is_smoke, percentile, save_result, save_stats
+from _harness import (
+    gate_timings,
+    is_smoke,
+    percentile,
+    save_result,
+    save_stats,
+    timed,
+)
 
 from repro.core.config import (
     AbsenceScope,
@@ -39,7 +55,6 @@ from repro.core.config import (
 from repro.core.kbt import KBTEstimator
 from repro.datasets.kv import KVConfig, generate_kv
 from repro.serving.gateway import GatewayThread
-from repro.serving.http import TrustServer
 from repro.serving.manager import StoreManager
 from repro.serving.mmap_store import MmapTrustStore
 from repro.serving.routes import handle_route
@@ -48,14 +63,23 @@ from repro.util.tables import format_table
 
 SMOKE = is_smoke("serving")
 
+#: High-redundancy KV corpus: stable truth layer, realistic heavy tail.
 KV_CONFIG = KVConfig(
-    num_websites=300 if SMOKE else 1200,
-    items_per_predicate=40 if SMOKE else 80,
-    num_systems=12,
+    num_websites=600 if SMOKE else 1600,
+    items_per_predicate=60 if SMOKE else 80,
+    num_systems=16,
     broad_pattern_fraction=0.8,
     bad_system_fraction=0.0625,
-    seed=23,
+    seed=13,
 )
+
+#: Acceptance gates for the incremental path.
+MAX_NEW_SITE_DIFF = 0.02
+MIN_UPDATE_SPEEDUP = 5.0
+
+SINGLE_LOOKUPS = 20_000
+BATCH_SIZE = 100
+BATCH_ROUNDS = 200
 
 CLIENTS = 8 if SMOKE else 32
 REQUESTS_PER_CLIENT = 40 if SMOKE else 150
@@ -69,9 +93,20 @@ def _model_config(max_iterations: int) -> MultiLayerConfig:
         engine="numpy",
         quality_damping=0.5,
         convergence=ConvergenceConfig(
-            max_iterations=max_iterations, tolerance=1e-6
+            max_iterations=max_iterations, tolerance=1e-4
         ),
     )
+
+
+def _held_sites(counts: Counter) -> set[str]:
+    """Three well-supported mainstream sites (~1% of the records)."""
+    num_sites = KV_CONFIG.num_websites
+    lo, hi = (100, 300) if SMOKE else (300, 600)
+    mainstream = [
+        site for site in counts
+        if int(site[4:8]) >= num_sites // 6 and lo <= counts[site] <= hi
+    ]
+    return set(sorted(mainstream, key=lambda site: counts[site])[-3:])
 
 
 def _routes(sites: list[str]) -> list[str]:
@@ -227,36 +262,69 @@ def _swap_leg(artifact_a, artifact_b, probes):
     }
 
 
-def run_serving_v2_bench(tmp_dir: str) -> tuple[str, dict]:
+def run_serving_bench(tmp_dir: str) -> tuple[str, dict]:
     corpus = generate_kv(KV_CONFIG)
     records = list(corpus.campaign.records)
+    counts = Counter(record.source.website for record in records)
+    held = _held_sites(counts)
+    base = [r for r in records if r.source.website not in held]
+    new = [r for r in records if r.source.website in held]
 
-    # Two fits of the same corpus with different convergence budgets:
-    # same universe of sites, measurably different scores -> different
-    # ETags, so the swap legs flip between real generations.
-    artifact_a = f"{tmp_dir}/serving_v2_a.kbt"
-    artifact_b = f"{tmp_dir}/serving_v2_b.kbt"
-    KBTEstimator(config=_model_config(8), min_triples=5.0).fit(
-        records
-    ).save(artifact_a)
-    KBTEstimator(config=_model_config(2), min_triples=5.0).fit(
-        records
-    ).save(artifact_b)
+    estimator = KBTEstimator(config=_model_config(8), min_triples=5.0)
+    fitted = estimator.fit(base)
 
-    store = TrustStore.open(artifact_a)
+    # --- persist + load ------------------------------------------------
+    artifact_a = os.path.join(tmp_dir, "serving_a.kbt")
+    _, save_s = timed(fitted.save, artifact_a)
+    artifact_bytes = os.path.getsize(artifact_a)
+    store, load_s = timed(TrustStore.open, artifact_a)
+
+    # --- in-memory query latency ---------------------------------------
     sites = list(store.websites())
-    routes = _routes(sites)
+    single_us = []
+    for i in range(SINGLE_LOOKUPS):
+        site = sites[i % len(sites)]
+        t0 = time.perf_counter_ns()
+        store.score(site)
+        single_us.append((time.perf_counter_ns() - t0) / 1_000.0)
+    batch_ms = []
+    for round_index in range(BATCH_ROUNDS):
+        keys = [
+            sites[(round_index * 7 + j) % len(sites)]
+            for j in range(BATCH_SIZE)
+        ]
+        t0 = time.perf_counter_ns()
+        store.batch(keys)
+        batch_ms.append((time.perf_counter_ns() - t0) / 1_000_000.0)
 
-    # --- leg 1: legacy frontend ---------------------------------------
-    legacy = TrustServer(store, port=0).start()
-    try:
-        legacy_lat, legacy_errors, legacy_wall = _measure(
-            legacy.address, routes
-        )
-    finally:
-        legacy.shutdown()
+    # --- incremental update vs cold refit -------------------------------
+    updated, update_s = timed(fitted.update, new, sweeps=2)
+    cold, cold_s = timed(estimator.fit, records)
 
-    # --- leg 2: gateway, cold then conditional ------------------------
+    warm_scores = updated.website_scores()
+    cold_scores = cold.website_scores()
+    new_site_diffs = {}
+    for site in sorted(held):
+        if site in cold_scores and site in warm_scores:
+            new_site_diffs[site] = abs(
+                warm_scores[site].score - cold_scores[site].score
+            )
+    speedup = cold_s / update_s
+    max_diff = max(new_site_diffs.values(), default=float("nan"))
+
+    # --- gateway, cold then conditional --------------------------------
+    # A second fit of the same records with a smaller convergence
+    # budget: measurably different scores -> a different ETag, so the
+    # swap leg flips between real generations. The route mix asks only
+    # for sites both generations score (support near the reporting
+    # threshold moves with the posteriors).
+    artifact_b = os.path.join(tmp_dir, "serving_b.kbt")
+    KBTEstimator(config=_model_config(2), min_triples=5.0).fit(
+        base
+    ).save(artifact_b)
+    generation_b = MmapTrustStore.open(artifact_b)
+    routes = _routes([site for site in sites if site in generation_b])
+    generation_b.close()
     manager = StoreManager(MmapTrustStore.open(artifact_a))
     gateway = GatewayThread(manager, workers=GATEWAY_WORKERS).start()
     try:
@@ -269,7 +337,7 @@ def run_serving_v2_bench(tmp_dir: str) -> tuple[str, dict]:
     finally:
         gateway.stop()
 
-    # --- leg 3: hot swap under load (correctness-gated everywhere) ----
+    # --- hot swap under load (correctness-gated everywhere) ------------
     swap_stats = _swap_leg(artifact_a, artifact_b, routes)
 
     total = CLIENTS * REQUESTS_PER_CLIENT
@@ -277,19 +345,37 @@ def run_serving_v2_bench(tmp_dir: str) -> tuple[str, dict]:
         "scale": "smoke" if SMOKE else "full",
         "corpus": {
             "records": len(records),
+            "websites": KV_CONFIG.num_websites,
             "scored_websites": len(store),
+            "held_out_sites": sorted(held),
+            "held_out_records": len(new),
+        },
+        "artifact": {
+            "save_s": save_s,
+            "load_s": load_s,
+            "size_bytes": artifact_bytes,
+        },
+        "query": {
+            "single_p50_us": percentile(single_us, 0.50),
+            "single_p99_us": percentile(single_us, 0.99),
+            "batch100_p50_ms": percentile(batch_ms, 0.50),
+            "batch100_p99_ms": percentile(batch_ms, 0.99),
+            "single_lookups": SINGLE_LOOKUPS,
+            "batch_rounds": BATCH_ROUNDS,
+        },
+        "incremental": {
+            "update_s": update_s,
+            "cold_refit_s": cold_s,
+            "speedup": speedup,
+            "new_site_diffs": new_site_diffs,
+            "max_new_site_diff": max_diff,
+            "sweeps": 2,
         },
         "load": {
             "clients": CLIENTS,
             "requests_per_client": REQUESTS_PER_CLIENT,
             "total_requests_per_leg": total,
             "routes": routes,
-        },
-        "legacy": {
-            "p50_ms": percentile(legacy_lat, 0.50),
-            "p99_ms": percentile(legacy_lat, 0.99),
-            "throughput_rps": len(legacy_lat) / legacy_wall,
-            "errors": legacy_errors[:5],
         },
         "gateway": {
             "p50_ms": percentile(gateway_lat, 0.50),
@@ -306,11 +392,24 @@ def run_serving_v2_bench(tmp_dir: str) -> tuple[str, dict]:
     }
 
     rows = [
+        ["records", float(len(records))],
+        ["scored websites", float(len(store))],
+        ["artifact size (KB)", artifact_bytes / 1024.0],
+        ["artifact save (s)", save_s],
+        ["artifact load (s)", load_s],
+        ["single lookup p50 (us)", stats["query"]["single_p50_us"]],
+        ["single lookup p99 (us)", stats["query"]["single_p99_us"]],
+        ["batch-100 p50 (ms)", stats["query"]["batch100_p50_ms"]],
+        ["batch-100 p99 (ms)", stats["query"]["batch100_p99_ms"]],
+        ["incremental update (s)", update_s],
+        ["cold refit (s)", cold_s],
+        ["update speedup (x)", speedup],
+        ["max new-site |KBT diff|", max_diff],
+        ["mean new-site |KBT diff|",
+         statistics.mean(new_site_diffs.values())
+         if new_site_diffs else float("nan")],
         ["concurrent clients", float(CLIENTS)],
         ["requests per leg", float(total)],
-        ["legacy p50 (ms)", stats["legacy"]["p50_ms"]],
-        ["legacy p99 (ms)", stats["legacy"]["p99_ms"]],
-        ["legacy throughput (req/s)", stats["legacy"]["throughput_rps"]],
         ["gateway p50 (ms)", stats["gateway"]["p50_ms"]],
         ["gateway p99 (ms)", stats["gateway"]["p99_ms"]],
         ["gateway throughput (req/s)", stats["gateway"]["throughput_rps"]],
@@ -329,8 +428,8 @@ def run_serving_v2_bench(tmp_dir: str) -> tuple[str, dict]:
         ["Metric", "Value"],
         rows,
         title=(
-            "Serving tier v2: legacy vs gateway under "
-            f"{CLIENTS} keep-alive clients "
+            "Serving: artifact IO, lookup latency, warm-start update, "
+            f"gateway under {CLIENTS} keep-alive clients, hot swap "
             f"({'smoke' if SMOKE else 'full'} corpus)"
         ),
         float_format="{:.4g}",
@@ -340,14 +439,22 @@ def run_serving_v2_bench(tmp_dir: str) -> tuple[str, dict]:
 
 def test_bench_serving_v2(benchmark, tmp_path):
     text, stats = benchmark.pedantic(
-        run_serving_v2_bench, args=(str(tmp_path),), rounds=1, iterations=1
+        run_serving_bench, args=(str(tmp_path),), rounds=1, iterations=1
     )
     save_result("serving_v2", text)
     save_stats("serving_v2", stats, scale=stats["scale"])
 
+    # Warm-start onboarding must track the cold refit for every new site.
+    assert stats["incremental"]["new_site_diffs"], "no held site was scored"
+    assert stats["incremental"]["max_new_site_diff"] <= MAX_NEW_SITE_DIFF
+    # The one timing gate, only at full scale: small corpora cannot
+    # amortise the fixed per-fit overhead and shared CI runners are too
+    # noisy.
+    if gate_timings("serving"):
+        assert stats["incremental"]["speedup"] >= MIN_UPDATE_SPEEDUP
+
     # Correctness gates — these hold at EVERY scale, smoke included.
     # The latency legs must complete without a single failed request...
-    assert not stats["legacy"]["errors"]
     assert not stats["gateway"]["errors"]
     assert not stats["gateway_conditional"]["errors"]
     # ...and the swap leg is the tentpole guarantee: under concurrent

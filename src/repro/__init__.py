@@ -24,8 +24,8 @@ Subpackages:
 * :mod:`repro.signals` — the unified trust-signal API: pluggable
   providers (KBT, ACCU/POPACCU, PageRank, copy-adjusted), aligned
   multi-signal frames, calibrated weighted fusion.
-* :mod:`repro.io` / :mod:`repro.serving` — versioned trust artifacts and
-  the TrustStore/HTTP serving surface over them.
+* :mod:`repro.io` / :mod:`repro.serving` — versioned trust artifacts,
+  their mmap serving layout, and the stores + asyncio gateway over them.
 * :mod:`repro.datasets` — the paper's experimental datasets (motivating
   example, Section 5.2 synthetic, Knowledge-Vault-scale synthetic).
 * :mod:`repro.eval` — SqV/SqC/SqA, WDev, AUC-PR, Cov, calibration.

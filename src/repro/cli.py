@@ -29,19 +29,17 @@ The subcommands mirror the fit -> persist -> query lifecycle:
 
       kbt compare model.kbt --a kbt --b pagerank --k 10
 
-* ``serve`` — expose the artifact over HTTP (JSON). ``--gateway``
-  swaps in the production asyncio frontend: zero-copy mmap store,
-  connection limits, per-request timeouts, ETag caching, POST /batch,
-  and hot artifact swap (byte-identical responses on every route)::
+* ``serve`` — expose the artifact over HTTP (JSON) through the asyncio
+  gateway: zero-copy mmap store, connection limits, per-request
+  timeouts, ETag caching, POST /batch, and hot artifact swap::
 
       kbt serve model.kbt --port 8080
-      kbt serve model.kbt --gateway --max-connections 256 \\
-          --request-timeout 30
+      kbt serve model.kbt --max-connections 256 --request-timeout 30
 
 * ``swap`` — point a running gateway at a freshly fitted artifact,
   without dropping a single in-flight request. The gateway's admin
   endpoint accepts loopback clients by default; a shared secret
-  (``kbt serve --gateway --admin-token`` / ``kbt swap --token``, or
+  (``kbt serve --admin-token`` / ``kbt swap --token``, or
   ``KBT_ADMIN_TOKEN`` for both) is required to swap from anywhere
   else::
 
@@ -208,42 +206,38 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("artifact", help="trust artifact written by 'fit'")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080)
+    # Accepted and ignored: the gateway is the only frontend, but
+    # benchmarks/e2e, CI and existing scripts still pass the old selector.
     serve.add_argument(
-        "--gateway", action="store_true",
-        help=(
-            "serve through the production asyncio gateway: zero-copy "
-            "mmap store, connection limits, request timeouts, ETag "
-            "caching, POST /batch, and hot swap via 'kbt swap'"
-        ),
+        "--gateway", action="store_true", help=argparse.SUPPRESS
     )
     serve.add_argument(
         "--max-connections", type=int, default=256, metavar="N",
         help=(
-            "gateway only: concurrent-connection ceiling; arrivals "
-            "beyond it get an immediate JSON 503 (default 256)"
+            "concurrent-connection ceiling; arrivals beyond it get an "
+            "immediate JSON 503 (default 256)"
         ),
     )
     serve.add_argument(
         "--request-timeout", type=float, default=30.0, metavar="S",
         help=(
-            "gateway only: per-request deadline in seconds; a handler "
-            "exceeding it answers 504 (default 30)"
+            "per-request deadline in seconds; a handler exceeding it "
+            "answers 504 (default 30)"
         ),
     )
     serve.add_argument(
         "--workers", type=int, default=8, metavar="N",
         help=(
-            "gateway only: handler thread-pool size — the "
-            "backpressure bound on concurrently executing lookups "
-            "(default 8)"
+            "handler thread-pool size — the backpressure bound on "
+            "concurrently executing lookups (default 8)"
         ),
     )
     serve.add_argument(
         "--admin-token", default=None, metavar="SECRET",
         help=(
-            "gateway only: shared secret required (as X-Admin-Token) "
-            "on POST /admin/swap; defaults to $KBT_ADMIN_TOKEN. "
-            "Without one, only loopback clients may swap"
+            "shared secret required (as X-Admin-Token) on POST "
+            "/admin/swap; defaults to $KBT_ADMIN_TOKEN. Without one, "
+            "only loopback clients may swap"
         ),
     )
 
@@ -260,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     swap.add_argument(
         "--server", default="127.0.0.1:8080", metavar="HOST:PORT",
-        help="the running 'kbt serve --gateway' to update",
+        help="the running 'kbt serve' to update",
     )
     swap.add_argument(
         "--token", default=None, metavar="SECRET",
@@ -356,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--gateway", default=None, metavar="URL",
         help=(
             "hot-swap each generation into the running "
-            "'kbt serve --gateway' at URL (e.g. http://127.0.0.1:8080); "
+            "'kbt serve' at URL (e.g. http://127.0.0.1:8080); "
             "the gateway must see the same filesystem. Default: write "
             "generations without publishing"
         ),
@@ -861,12 +855,12 @@ def run_compare(args: argparse.Namespace) -> int:
 
 
 def run_serve(args: argparse.Namespace) -> int:
-    if args.gateway:
-        import os
+    import os
 
-        from repro.serving.gateway import serve_gateway
-        from repro.serving.mmap_store import MmapTrustStore
+    from repro.serving.gateway import ListenError, serve_gateway
+    from repro.serving.mmap_store import MmapTrustStore
 
+    try:
         serve_gateway(
             MmapTrustStore.open(args.artifact),
             host=args.host,
@@ -878,11 +872,9 @@ def run_serve(args: argparse.Namespace) -> int:
                 args.admin_token or os.environ.get("KBT_ADMIN_TOKEN")
             ),
         )
-        return 0
-    from repro.serving.http import serve
-    from repro.serving.store import TrustStore
-
-    serve(TrustStore.open(args.artifact), host=args.host, port=args.port)
+    except ListenError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     return 0
 
 

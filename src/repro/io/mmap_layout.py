@@ -2,12 +2,13 @@
 
 A trust artifact (:mod:`repro.io.artifact`) is a compressed zip — great
 for shipping, useless for serving: nothing inside it can be memory-
-mapped, so the legacy :class:`~repro.serving.store.TrustStore` pays a
-full deserialisation (every posterior, prior, and observation cell) just
-to answer score lookups. The *serving layout* is the same idiom the
-out-of-core execution spill uses (:mod:`repro.exec.spill`): a directory
-of raw ``.npy`` files plus a JSON manifest written last (and atomically,
-via :func:`repro.io.atomic.atomic_write`), laid out for the read side —
+mapped, and loading it whole (as the in-memory
+:class:`~repro.serving.store.TrustStore` does) deserialises every
+posterior, prior, and observation cell just to answer score lookups.
+The *serving layout* is the same idiom the out-of-core execution spill
+uses (:mod:`repro.exec.spill`): a directory of raw ``.npy`` files plus a
+JSON manifest written last (and atomically, via
+:func:`repro.io.atomic.atomic_write`), laid out for the read side —
 
 * aligned per-website ``site_score`` / ``site_support`` /
   ``site_percentile`` float64 columns and the ``ranked_idx`` rank
@@ -25,8 +26,8 @@ via :func:`repro.io.atomic.atomic_write`), laid out for the read side —
 The manifest carries the layout format/version, the source artifact's
 sha256 (the serving **ETag** — the gateway's cache validator and the
 ``/readyz`` version handle), and every scalar the serving surface needs.
-Exporting goes through the legacy ``TrustStore``'s own aggregation, so a
-layout reproduces its JSON views to the byte by construction.
+Exporting goes through ``TrustStore``'s own aggregation, so a layout
+reproduces its JSON views to the byte by construction.
 
 A missing, foreign, or torn layout raises :class:`LayoutError` (a
 ``ValueError``) naming the remedy; because the manifest is written last
@@ -144,6 +145,15 @@ def _reusable_manifest(directory: Path, etag: str) -> Path | None:
     return directory / _MANIFEST
 
 
+def _unwritable(directory: Path, err: OSError) -> LayoutError:
+    return LayoutError(
+        f"cannot create the serving layout {directory.name} under "
+        f"{directory.parent}: {err}; make that directory writable, or "
+        "export the layout elsewhere (export_layout(artifact, DIR)) "
+        "and run 'kbt serve DIR'"
+    )
+
+
 def export_layout(
     artifact_path: str | Path,
     directory: str | Path,
@@ -152,9 +162,8 @@ def export_layout(
     """Unpack ``artifact_path`` into a serving layout; returns the manifest.
 
     The heavy lifting — score aggregation, ranking, percentiles,
-    provenance — runs through the legacy ``TrustStore`` over the loaded
-    artifact, so the exported columns reproduce its serving views
-    exactly.
+    provenance — runs through ``TrustStore`` over the loaded artifact,
+    so the exported columns reproduce its serving views exactly.
 
     The layout is built in a hidden temp sibling and renamed into place
     atomically, so ``directory`` either does not exist or is complete.
@@ -164,7 +173,8 @@ def export_layout(
     (same ETag) it is reused as-is — which also makes concurrent
     exports of the same artifact converge instead of clobbering each
     other; anything else raises :class:`LayoutError` naming the remedy
-    (export to a fresh directory, or delete the stale one first).
+    (export to a fresh directory, or delete the stale one first) — as
+    does a parent directory the export cannot write to.
     """
     artifact_path = Path(artifact_path)
     directory = Path(directory)
@@ -182,12 +192,15 @@ def export_layout(
             "export to a fresh directory, or delete this one first"
         )
 
-    directory.parent.mkdir(parents=True, exist_ok=True)
-    staging = Path(
-        tempfile.mkdtemp(
-            prefix=f".{directory.name}.tmp-", dir=directory.parent
+    try:
+        directory.parent.mkdir(parents=True, exist_ok=True)
+        staging = Path(
+            tempfile.mkdtemp(
+                prefix=f".{directory.name}.tmp-", dir=directory.parent
+            )
         )
-    )
+    except OSError as err:
+        raise _unwritable(directory, err) from err
     try:
         _export_into(artifact_path, staging, etag)
         try:
@@ -198,6 +211,8 @@ def export_layout(
             existing = _reusable_manifest(directory, etag)
             if existing is not None:
                 return existing
+            if not directory.exists():
+                raise _unwritable(directory, err) from err
             raise LayoutError(
                 f"cannot move exported layout into place at {directory}: "
                 f"{err}; the target appeared mid-export and does not "

@@ -4,26 +4,24 @@ The paper's deployment story (Section 5) is offline estimation followed by
 online lookup of KBT scores for hundreds of millions of pages. This package
 is that split:
 
-* :mod:`repro.serving.store` — :class:`TrustStore`, an in-memory read view
-  over a persisted trust artifact with O(1) score lookups, ranked ``top``,
-  percentiles, and per-site provenance breakdowns;
-* :mod:`repro.serving.mmap_store` — :class:`MmapTrustStore`, the zero-copy
-  production twin: the same query surface answered from memory-mapped
+* :mod:`repro.serving.store` — the JSON views every store serves, and
+  :class:`TrustStore`, the in-memory aggregation of a persisted trust
+  artifact (O(1) score lookups, ranked ``top``, percentiles, per-site
+  provenance breakdowns): the layout exporter's source, the ``kbt
+  query`` backend, and the parity tests' reference;
+* :mod:`repro.serving.mmap_store` — :class:`MmapTrustStore`, the store
+  ``kbt serve`` runs: the same query surface answered from memory-mapped
   columns of a serving layout (:mod:`repro.io.mmap_layout`), with
   byte-identical JSON views;
-* :mod:`repro.serving.routes` — the one route table both HTTP frontends
-  dispatch through, so their responses can never drift;
-* :mod:`repro.serving.http` — a stdlib ``http.server`` JSON endpoint over
-  a ``TrustStore`` (``kbt serve``);
-* :mod:`repro.serving.gateway` — the asyncio production gateway
-  (``kbt serve --gateway``): connection limits, request timeouts, ETag
-  caching, ``POST /batch``, draining shutdown;
+* :mod:`repro.serving.routes` — the one route table;
+* :mod:`repro.serving.gateway` — the asyncio gateway (``kbt serve``):
+  connection limits, request timeouts, ETag caching, ``POST /batch``,
+  draining shutdown;
 * :mod:`repro.serving.manager` — the refcounted :class:`StoreManager`
   behind the gateway's zero-downtime hot artifact swap (``kbt swap``).
 """
 
 from repro.serving.gateway import Gateway, GatewayThread, serve_gateway
-from repro.serving.http import TrustServer, serve
 from repro.serving.manager import StoreLease, StoreManager
 from repro.serving.mmap_store import MmapTrustStore
 from repro.serving.routes import CACHEABLE_ROUTES, handle_route
@@ -36,9 +34,7 @@ __all__ = [
     "MmapTrustStore",
     "StoreLease",
     "StoreManager",
-    "TrustServer",
     "TrustStore",
     "handle_route",
-    "serve",
     "serve_gateway",
 ]

@@ -1,12 +1,8 @@
-"""The asyncio serving gateway: ``kbt serve --gateway``.
+"""The asyncio serving gateway: ``kbt serve``.
 
-The legacy endpoint (:mod:`repro.serving.http`) is a thread-per-request
-``ThreadingHTTPServer`` — fine for a laptop, wrong for production: no
-connection ceiling, no per-request deadline, no cache validators, and a
-restart is the only way to pick up a refitted artifact. The gateway
-keeps the exact same routes (one shared table,
-:mod:`repro.serving.routes`, so responses stay **byte-identical**) and
-adds the serving-tier machinery around them:
+The only HTTP frontend. GET routes are answered by the route table
+(:mod:`repro.serving.routes`); the gateway is the serving-tier machinery
+around it:
 
 * **asyncio transport** (stdlib ``asyncio.start_server``): one event
   loop owns every socket; route handlers run on a bounded thread pool so
@@ -39,9 +35,9 @@ adds the serving-tier machinery around them:
   compare); without a token only loopback clients are accepted — so
   binding ``0.0.0.0`` never exposes an open swap endpoint that could
   repoint the gateway at arbitrary server-side paths.
-* **/healthz vs /readyz** — ``/healthz`` is the legacy liveness body
-  (byte-identical stats); ``/readyz`` is gateway-only readiness: 200
-  with the current ETag and swap generation, 503 once draining.
+* **/healthz vs /readyz** — ``/healthz`` is liveness (the store's
+  stats, never cached); ``/readyz`` is readiness: 200 with the current
+  ETag and swap generation, 503 once draining.
 * **Draining shutdown** — :meth:`Gateway.stop` stops accepting, flips
   ``/readyz``, lets every in-flight request complete, then closes idle
   keep-alive sockets and the store.
@@ -73,6 +69,10 @@ MAX_BODY_BYTES = 8 << 20
 MAX_HEAD_BYTES = 64 << 10
 
 _JSON_TYPE = "application/json; charset=utf-8"
+
+
+class ListenError(OSError):
+    """``serve_gateway`` could not bind its host and port."""
 
 
 def _consume(future) -> None:
@@ -632,14 +632,15 @@ def serve_gateway(
     workers: int = 8,
     admin_token: str | None = None,
 ) -> None:
-    """Blocking convenience wrapper used by ``kbt serve --gateway``.
+    """Blocking convenience wrapper used by ``kbt serve``.
 
-    ``store`` is any TrustStore-surface object (normally an
-    ``MmapTrustStore``) or a ready-made :class:`StoreManager`. Ctrl-C
+    ``store`` is any ``StoreViews`` (normally an ``MmapTrustStore``) or
+    a ready-made :class:`StoreManager`. Ctrl-C
     and SIGTERM (what systemd, Kubernetes, and CI send) both trigger
     the draining shutdown before the process exits. ``admin_token``
     gates ``POST /admin/swap``; without one the endpoint only accepts
-    loopback clients.
+    loopback clients. A host or port that cannot be bound raises
+    :class:`ListenError`, with the store already closed.
     """
     manager = store if isinstance(store, StoreManager) else StoreManager(store)
 
@@ -653,14 +654,13 @@ def serve_gateway(
             workers=workers,
             admin_token=admin_token,
         )
-        await gateway.start()
-        bound_host, bound_port = gateway.address
-        with manager.acquire() as current:
-            print(
-                f"gateway serving {len(current)} website scores on "
-                f"http://{bound_host}:{bound_port} "
-                f"(etag {manager.etag or 'n/a'})"
-            )
+        try:
+            await gateway.start()
+        except OSError as err:
+            await gateway.stop()
+            raise ListenError(
+                f"cannot listen on {host}:{port}: {err.strerror or err}"
+            ) from err
         stop = asyncio.Event()
         loop = asyncio.get_running_loop()
         # SIGINT arrives as KeyboardInterrupt via asyncio.run's
@@ -672,6 +672,15 @@ def serve_gateway(
         except (NotImplementedError, RuntimeError, ValueError):
             pass
         try:
+            # Printed only now that SIGTERM drains: whoever waits for
+            # this line may send the signal straight after reading it.
+            bound_host, bound_port = gateway.address
+            with manager.acquire() as current:
+                print(
+                    f"gateway serving {len(current)} website scores on "
+                    f"http://{bound_host}:{bound_port} "
+                    f"(etag {manager.etag or 'n/a'})"
+                )
             await stop.wait()
         except asyncio.CancelledError:
             pass
@@ -751,4 +760,4 @@ class GatewayThread:
         self.stop()
 
 
-__all__ = ["Gateway", "GatewayThread", "serve_gateway"]
+__all__ = ["Gateway", "GatewayThread", "ListenError", "serve_gateway"]

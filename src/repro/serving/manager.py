@@ -95,7 +95,7 @@ class StoreManager:
 
     @property
     def etag(self) -> str | None:
-        """The current store's artifact ETag (None for legacy stores)."""
+        """The current store's artifact ETag (None for a ``TrustStore``)."""
         with self._lock:
             return getattr(self._current.store, "etag", None)
 

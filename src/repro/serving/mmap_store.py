@@ -1,9 +1,9 @@
 """``MmapTrustStore``: the zero-copy serving view over a layout directory.
 
-The legacy :class:`~repro.serving.store.TrustStore` deserialises the
+The in-memory :class:`~repro.serving.store.TrustStore` deserialises the
 *entire* artifact — every extraction posterior, prior, and observation
-cell — to serve lookups that only ever touch the aggregated score
-columns. This store opens a *serving layout*
+cell — while lookups only ever touch the aggregated score columns. This
+store, the one ``kbt serve`` runs, opens a *serving layout*
 (:mod:`repro.io.mmap_layout`) instead: the score / support / percentile
 / rank columns are read-only ``np.memmap`` views the kernel pages in on
 access, string keys decode lazily from mmapped blob columns, and the
@@ -11,13 +11,14 @@ posterior mass never enters the process at all. What stays resident is
 one ``key -> row`` index dict (built in a single pass at open) — the
 price of O(1) lookups over string keys.
 
-Every JSON view is **byte-identical** to the legacy store over the same
-artifact: the exporter derives the columns from the legacy store's own
+Every JSON view is **byte-identical** to ``TrustStore``'s over the same
+artifact: the exporter derives the columns from that store's own
 aggregation, float64 values survive the ``.npy`` round trip bit-for-bit
-(and ``json.dumps`` renders floats by ``repr``), and the signal routes
-run through the same :class:`~repro.serving.store.SignalSurface` code —
-reconstructed lazily from the layout's signal columns on the first
-signal query, so KBT-only traffic never pays for it.
+(and ``json.dumps`` renders floats by ``repr``), both stores inherit the
+views from :class:`~repro.serving.store.StoreViews`, and the signal
+routes run through the same :class:`~repro.serving.store.SignalSurface`
+code — reconstructed lazily from the layout's signal columns on the
+first signal query, so KBT-only traffic never pays for it.
 
 Opening an *artifact path* transparently maintains a layout cache next
 to it, **keyed by the artifact's sha256** (the serving ETag):
@@ -41,7 +42,7 @@ from __future__ import annotations
 import json
 import shutil
 import threading
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from pathlib import Path
 
 from repro.core.kbt import KBTScore
@@ -51,10 +52,10 @@ from repro.io.mmap_layout import (
     artifact_etag,
     export_layout,
 )
-from repro.serving.store import SignalSurface, _score_json
+from repro.serving.store import SignalSurface, StoreViews
 
 
-class MmapTrustStore:
+class MmapTrustStore(StoreViews):
     """Zero-copy serving view over one exported artifact layout."""
 
     def __init__(self, layout: ServingLayout) -> None:
@@ -235,9 +236,6 @@ class MmapTrustStore:
             float(self._page_support[index]),
         )
 
-    def batch(self, keys: Iterable[str]) -> dict[str, KBTScore | None]:
-        return {key: self.score(key) for key in keys}
-
     def top(self, k: int = 10) -> list[KBTScore]:
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
@@ -286,28 +284,8 @@ class MmapTrustStore:
     # ------------------------------------------------------------------
     # Trust signals (lazily reconstructed, then the shared surface)
     # ------------------------------------------------------------------
-    @property
-    def has_signals(self) -> bool:
-        return bool(self._signal_entries)
-
     def signal_names(self) -> list[str]:
         return [entry["name"] for entry in self._signal_entries]
-
-    @property
-    def fusion_weights(self) -> dict[str, float]:
-        return self._signal_surface().weights
-
-    def fused_score(self, website: str) -> float | None:
-        return self._signal_surface().fused_score(website)
-
-    def signal_breakdown(self, website: str) -> dict | None:
-        return self._signal_surface().signal_breakdown(website)
-
-    def compare(self, a: str, b: str, k: int = 10) -> dict:
-        return self._signal_surface().compare(a, b, k=k)
-
-    def signals_json(self) -> dict:
-        return self._signal_surface().signals_json()
 
     def _signal_surface(self) -> SignalSurface:
         surface = self._surface
@@ -341,35 +319,6 @@ class MmapTrustStore:
                 metadata=entry.get("metadata", {}),
             )
         return SignalSurface(signals, self._fusion_weights)
-
-    # ------------------------------------------------------------------
-    # JSON views (identical bytes to TrustStore's, route for route)
-    # ------------------------------------------------------------------
-    def score_json(self, website: str) -> dict | None:
-        score = self.score(website)
-        return None if score is None else _score_json(score)
-
-    def page_json(self, website: str, page: str) -> dict | None:
-        score = self.score_page(website, page)
-        return None if score is None else _score_json(score)
-
-    def batch_json(self, keys: Iterable[str]) -> dict:
-        return {
-            key: (None if score is None else _score_json(score))
-            for key, score in self.batch(keys).items()
-        }
-
-    def top_json(self, k: int = 10) -> list[dict]:
-        return [_score_json(score) for score in self.top(k)]
-
-    def stats_json(self) -> dict:
-        return {
-            "status": "ok",
-            "websites": len(self),
-            "pages": self.num_pages,
-            "min_triples": self.min_triples,
-            "signals": self.signal_names(),
-        }
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -1,18 +1,13 @@
-"""The one route table both HTTP frontends dispatch through.
+"""The one route table: ``(store, path, params) -> (status, payload)``.
 
-The legacy ``ThreadingHTTPServer`` endpoint (:mod:`repro.serving.http`)
-and the asyncio gateway (:mod:`repro.serving.gateway`) must serve
-**byte-identical** JSON bodies for the same artifact — that guarantee is
-what lets an operator move traffic between them (and what the parity
-tests assert). The only way to keep two frontends from drifting is to
-give them one routing function: :func:`handle_route` maps
-``(store, path, params)`` to ``(status, payload)`` with all parameter
-parsing, 400/404 semantics, and error strings in one place. Frontends
-own only transport concerns (sockets, headers, timeouts, caching).
+:func:`handle_route` holds all parameter parsing, 400/404 semantics and
+error strings in one place; the gateway (:mod:`repro.serving.gateway`)
+owns only transport concerns (sockets, headers, timeouts, caching). It
+is a plain function of the store, so the parity tests call it directly
+over a :class:`~repro.serving.store.TrustStore` and compare against the
+bytes the gateway serves from the mmap store.
 
-Any object exposing the :class:`~repro.serving.store.TrustStore` query
-surface works as the ``store`` — the in-memory ``TrustStore`` and the
-zero-copy :class:`~repro.serving.mmap_store.MmapTrustStore` both do.
+Any :class:`~repro.serving.store.StoreViews` works as the ``store``.
 """
 
 from __future__ import annotations
@@ -150,8 +145,7 @@ def handle_route(store, path: str, params: dict) -> tuple[int, object]:
     ``params`` is the ``urllib.parse.parse_qs`` form of the query
     string. Returns ``(status, payload)`` where ``payload`` is the
     JSON-serialisable body — unknown routes 404, malformed parameters
-    (including unknown signal names) 400, unexpected store failures 500,
-    exactly as the legacy endpoint always behaved.
+    (including unknown signal names) 400, unexpected store failures 500.
     """
     handler = _ROUTES.get(path)
     if handler is None:

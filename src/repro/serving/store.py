@@ -1,11 +1,21 @@
-"""The ``TrustStore`` facade: O(1) KBT lookups over a fitted artifact.
+"""The store query surface, and ``TrustStore``: its in-memory form.
 
-A store is built once from a :class:`~repro.io.artifact.TrustArtifact`
-(or straight from a file via :meth:`TrustStore.open`) and then serves
-read-only queries: per-website and per-webpage scores, batched lookups,
-the top-k ranking, score percentiles, and a provenance ``breakdown`` that
-explains which model sources contribute to a website's score with what
-accuracy and extraction support.
+:class:`StoreViews` is the part of that surface every store kind shares:
+the JSON views the route table (:mod:`repro.serving.routes`) and
+``kbt query`` render, written once over a store's own lookups. Two
+stores inherit it — :class:`TrustStore` here and the mmap-backed
+:class:`~repro.serving.mmap_store.MmapTrustStore` the gateway serves
+from.
+
+A :class:`TrustStore` is built once from a
+:class:`~repro.io.artifact.TrustArtifact` (or straight from a file via
+:meth:`TrustStore.open`) and aggregates everything in memory: per-website
+and per-webpage scores, the top-k ranking, score percentiles, and a
+provenance ``breakdown`` that explains which model sources contribute to
+a website's score with what accuracy and extraction support. It is the
+aggregation the serving-layout exporter (:mod:`repro.io.mmap_layout`)
+derives every column from, the backend of ``kbt query`` / ``signals`` /
+``compare``, and the reference the parity tests hold the mmap store to.
 
 Artifacts fitted with trust signals (format version 2,
 :mod:`repro.signals`) additionally serve the multi-signal surface: the
@@ -28,7 +38,7 @@ from pathlib import Path
 from repro.core.kbt import KBTReport, KBTScore
 from repro.io.artifact import TrustArtifact, load_artifact
 from repro.io.reports import score_sort_key
-from repro.signals.base import SignalError, SignalScores
+from repro.signals.base import SignalScores
 from repro.signals.frame import SignalFrame
 from repro.signals.fusion import fuse
 
@@ -120,8 +130,83 @@ class SignalSurface:
         }
 
 
-class TrustStore:
-    """In-memory serving view over one fitted KBT artifact."""
+class StoreViews:
+    """The views every store kind serves, over the store's own lookups.
+
+    A store supplies ``score``, ``score_page``, ``top``, ``__len__``,
+    ``num_pages``, ``min_triples``, ``signal_names`` and
+    ``_signal_surface``; what the routes and ``kbt query`` render from
+    those is defined here and nowhere else, so two stores over the same
+    artifact cannot answer a route with different bytes.
+    """
+
+    def batch(self, keys: Iterable[str]) -> dict[str, KBTScore | None]:
+        """Look up many websites at once (None for unscored keys)."""
+        return {key: self.score(key) for key in keys}
+
+    # ------------------------------------------------------------------
+    # Trust signals (format-2 artifacts; empty set for v1)
+    # ------------------------------------------------------------------
+    @property
+    def has_signals(self) -> bool:
+        return bool(self.signal_names())
+
+    @property
+    def fusion_weights(self) -> dict[str, float]:
+        """Per-signal fusion weights (empty without signals)."""
+        return self._signal_surface().weights
+
+    def fused_score(self, website: str) -> float | None:
+        """The weighted-fusion trust score, or None when unscored."""
+        return self._signal_surface().fused_score(website)
+
+    def signal_breakdown(self, website: str) -> dict | None:
+        """Every signal's take on one website, or None when no signal
+        scores it. Reports score, support, dense rank, and percentile per
+        signal (null where a signal does not cover the site), plus the
+        fused score and the fusion weights."""
+        return self._signal_surface().signal_breakdown(website)
+
+    def compare(self, a: str, b: str, k: int = 10) -> dict:
+        """Two-signal disagreement view (see ``SignalFrame.compare``)."""
+        return self._signal_surface().compare(a, b, k=k)
+
+    def signals_json(self) -> dict:
+        """The signal listing: names, coverage, weights, metadata."""
+        return self._signal_surface().signals_json()
+
+    # ------------------------------------------------------------------
+    # JSON views (the routes and ``kbt query``)
+    # ------------------------------------------------------------------
+    def score_json(self, website: str) -> dict | None:
+        score = self.score(website)
+        return None if score is None else _score_json(score)
+
+    def page_json(self, website: str, page: str) -> dict | None:
+        score = self.score_page(website, page)
+        return None if score is None else _score_json(score)
+
+    def batch_json(self, keys: Iterable[str]) -> dict:
+        return {
+            key: (None if score is None else _score_json(score))
+            for key, score in self.batch(keys).items()
+        }
+
+    def top_json(self, k: int = 10) -> list[dict]:
+        return [_score_json(score) for score in self.top(k)]
+
+    def stats_json(self) -> dict:
+        return {
+            "status": "ok",
+            "websites": len(self),
+            "pages": self.num_pages,
+            "min_triples": self.min_triples,
+            "signals": self.signal_names(),
+        }
+
+
+class TrustStore(StoreViews):
+    """One fitted KBT artifact, aggregated in memory."""
 
     def __init__(self, artifact: TrustArtifact) -> None:
         self._artifact = artifact
@@ -147,7 +232,7 @@ class TrustStore:
                 (source, accuracy, source_support)
             )
         #: multi-signal view (empty frame for v1 / signal-less artifacts).
-        self._signal_surface = SignalSurface(
+        self._signals = SignalSurface(
             artifact.signals, artifact.fusion_weights
         )
 
@@ -200,11 +285,6 @@ class TrustStore:
         """The (website, webpage) KBT score, or None when unscored."""
         return self._page_scores.get((website, page))
 
-    def batch(self, keys: Iterable[str]) -> dict[str, KBTScore | None]:
-        """Look up many websites at once (None for unscored keys)."""
-        scores = self._site_scores
-        return {key: scores.get(key) for key in keys}
-
     def top(self, k: int = 10) -> list[KBTScore]:
         """The ``k`` most trustworthy websites, best first."""
         if k < 0:
@@ -251,78 +331,12 @@ class TrustStore:
             "sources": contributors,
         }
 
-    # ------------------------------------------------------------------
-    # Trust signals (format-2 artifacts; empty set for v1)
-    # ------------------------------------------------------------------
-    @property
-    def has_signals(self) -> bool:
-        return bool(self._signal_surface.names)
-
     def signal_names(self) -> list[str]:
         """Names of the signals embedded in the artifact (may be empty)."""
-        return self._signal_surface.names
+        return self._signals.names
 
-    @property
-    def frame(self) -> SignalFrame:
-        """The aligned multi-signal view (empty for v1 artifacts)."""
-        return self._signal_surface.frame
-
-    @property
-    def fusion_weights(self) -> dict[str, float]:
-        """Per-signal fusion weights (empty without signals)."""
-        return self._signal_surface.weights
-
-    def signal_scores(self, name: str) -> SignalScores:
-        """One embedded signal's full payload; SignalError when unknown."""
-        return self._signal_surface.frame.signal(name)
-
-    def fused_score(self, website: str) -> float | None:
-        """The weighted-fusion trust score, or None when unscored."""
-        return self._signal_surface.fused_score(website)
-
-    def signal_breakdown(self, website: str) -> dict | None:
-        """Every signal's take on one website, or None when no signal
-        scores it. Reports score, support, dense rank, and percentile per
-        signal (null where a signal does not cover the site), plus the
-        fused score and the fusion weights."""
-        return self._signal_surface.signal_breakdown(website)
-
-    def compare(self, a: str, b: str, k: int = 10) -> dict:
-        """Two-signal disagreement view (see ``SignalFrame.compare``)."""
-        return self._signal_surface.compare(a, b, k=k)
-
-    # ------------------------------------------------------------------
-    # JSON views (shared by the HTTP endpoint and ``kbt query``)
-    # ------------------------------------------------------------------
-    def score_json(self, website: str) -> dict | None:
-        score = self.score(website)
-        return None if score is None else _score_json(score)
-
-    def page_json(self, website: str, page: str) -> dict | None:
-        score = self.score_page(website, page)
-        return None if score is None else _score_json(score)
-
-    def batch_json(self, keys: Iterable[str]) -> dict:
-        return {
-            key: (None if score is None else _score_json(score))
-            for key, score in self.batch(keys).items()
-        }
-
-    def top_json(self, k: int = 10) -> list[dict]:
-        return [_score_json(score) for score in self.top(k)]
-
-    def signals_json(self) -> dict:
-        """The signal listing: names, coverage, weights, metadata."""
-        return self._signal_surface.signals_json()
-
-    def stats_json(self) -> dict:
-        return {
-            "status": "ok",
-            "websites": len(self),
-            "pages": self.num_pages,
-            "min_triples": self.min_triples,
-            "signals": self.signal_names(),
-        }
+    def _signal_surface(self) -> SignalSurface:
+        return self._signals
 
     def close(self) -> None:
         """Release the store (a no-op for the in-memory view).

@@ -3,10 +3,20 @@ gateway, and zero-downtime hot artifact swap."""
 
 import http.client
 import json
+import os
+import re
+import select
+import shutil
+import signal
+import socket
+import struct
+import subprocess
+import sys
+import tempfile
 import threading
 import time
 import zipfile
-from types import SimpleNamespace
+from urllib.parse import parse_qs, urlsplit
 
 import pytest
 
@@ -26,7 +36,6 @@ from repro.io.mmap_layout import (
     export_layout,
 )
 from repro.serving.gateway import Gateway, GatewayThread
-from repro.serving.http import TrustRequestHandler, TrustServer, serve
 from repro.serving.manager import StoreManager
 from repro.serving.mmap_store import MmapTrustStore
 from repro.serving.routes import handle_route
@@ -366,17 +375,20 @@ class TestGatewayHttp:
     ]
 
     def test_byte_parity_with_legacy_server(self, signal_artifact):
+        """The reference is the route table over the in-memory
+        ``TrustStore``; the gateway over the mmap store must serve the
+        same status and bytes for every path."""
+        reference = TrustStore.open(signal_artifact)
         manager = StoreManager(MmapTrustStore.open(signal_artifact))
-        legacy = TrustServer(TrustStore.open(signal_artifact), port=0).start()
         gateway = GatewayThread(manager).start()
         try:
             for path in self.GET_PATHS:
-                s1, b1, _ = http_get(legacy.address, path)
-                s2, b2, _ = http_get(gateway.address, path)
-                assert (s1, b1) == (s2, b2), path
+                url = urlsplit(path)
+                expected = render(reference, url.path, parse_qs(url.query))
+                status, body, _ = http_get(gateway.address, path)
+                assert (status, body) == expected, path
         finally:
             gateway.stop()
-            legacy.shutdown()
 
     def test_etag_roundtrip_and_304(self, signal_artifact):
         manager = StoreManager(MmapTrustStore.open(signal_artifact))
@@ -864,67 +876,173 @@ class TestAdminAuth:
 
 
 # ----------------------------------------------------------------------
-# Legacy endpoint regressions
+# ``kbt serve``: the process, its start-up line, its failure modes
 # ----------------------------------------------------------------------
-class TestLegacyServerFixes:
-    def test_serve_closes_socket_on_keyboard_interrupt(
+def spawn_serve(*args):
+    """``kbt serve ARGS`` as a subprocess, once it has printed its
+    start-up line; returns ``(popen, line, (host, port))``."""
+    src_dir = os.path.dirname(
+        os.path.dirname(os.path.abspath(__import__("repro").__file__))
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src_dir, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-u", "-m", "repro", "serve", *map(str, args)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        # A test runner started with SIGINT ignored would hand that
+        # down, and Python then never installs its Ctrl-C handler.
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+    )
+    ready, _, _ = select.select([proc.stdout], [], [], 60)
+    line = proc.stdout.readline() if ready else ""
+    match = re.search(r" on http://([\d.]+):(\d+) ", line)
+    if match is None:
+        proc.kill()
+        raise AssertionError(f"no start-up line: {proc.communicate()}")
+    return proc, line, (match.group(1), int(match.group(2)))
+
+
+def finish(proc, signum=signal.SIGTERM):
+    """Signal a ``spawn_serve`` process; returns (exit code, stderr)."""
+    proc.send_signal(signum)
+    try:
+        _, err = proc.communicate(timeout=30)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        raise
+    return proc.returncode, err
+
+
+class TestKbtServe:
+    def test_gateway_flag_selects_nothing(self, artifact):
+        """``--gateway`` is accepted and ignored: same start-up line,
+        same frontend."""
+        procs = [
+            spawn_serve(artifact, "--port", 0),
+            spawn_serve(artifact, "--gateway", "--port", 0),
+        ]
+        try:
+            lines = set()
+            for _proc, line, address in procs:
+                lines.add(line.replace(f":{address[1]} ", ":PORT "))
+                status, body, _ = http_get(address, "/readyz")
+                assert status == 200
+                assert json.loads(body)["etag"] == artifact_etag(artifact)
+            assert len(lines) == 1 and lines.pop().startswith(
+                "gateway serving "
+            )
+        finally:
+            for proc, _line, _address in procs:
+                assert finish(proc) == (0, "")
+
+    def test_gateway_flag_hidden_from_help(self, capsys):
+        with pytest.raises(SystemExit):
+            cli_main(["serve", "--help"])
+        out = capsys.readouterr().out
+        assert "--gateway" not in out and "gateway only" not in out
+        assert "--max-connections" in out
+
+    def test_port_in_use_is_one_error_line(
         self, artifact, monkeypatch, capsys
     ):
-        created = []
-        original = TrustServer.__init__
+        closed = []
+        real_close = MmapTrustStore.close
 
-        def recording_init(self, *args, **kwargs):
-            original(self, *args, **kwargs)
-            created.append(self)
+        def recording_close(store):
+            closed.append(store)
+            real_close(store)
 
-        def interrupted(self):
-            raise KeyboardInterrupt
+        monkeypatch.setattr(MmapTrustStore, "close", recording_close)
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            code = cli_main(["serve", str(artifact), "--port", str(port)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: cannot listen on 127.0.0.1:{port}: ")
+        assert "in use" in line
+        assert len(closed) == 1
 
-        monkeypatch.setattr(TrustServer, "__init__", recording_init)
-        monkeypatch.setattr(TrustServer, "serve_forever", interrupted)
-        serve(TrustStore.open(artifact), port=0, log_requests=False)
-        assert len(created) == 1
-        # The listening socket must be closed, not leaked until exit.
-        assert created[0]._httpd.socket.fileno() == -1
-
-    def test_shutdown_before_thread_runs_does_not_hang(
-        self, artifact, monkeypatch
+    def test_unwritable_artifact_directory_is_one_error_line(
+        self, artifact, tmp_path, monkeypatch, capsys
     ):
-        """start() marks the serve loop as entered BEFORE launching the
-        thread: a shutdown() racing an unscheduled daemon thread must
-        still issue the stop request, or join() would block forever on
-        a thread that later enters serve_forever."""
-        store = TrustStore.open(artifact)
-        parked = []
-        real_start = threading.Thread.start
-        monkeypatch.setattr(
-            threading.Thread, "start",
-            lambda self: parked.append(self),  # thread not yet scheduled
-        )
-        server = TrustServer(store, port=0)
-        server.start()
-        assert server._entered_loop  # up before the thread ever ran
+        """No layout cache can be written next to the artifact: a
+        ``LayoutError`` naming the directory and the way out, not a
+        traceback out of ``tempfile``."""
+        copy = tmp_path / "model.kbt"
+        shutil.copy(artifact, copy)
+
+        def denied(*args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(tmp_path))
+
+        monkeypatch.setattr(tempfile, "mkdtemp", denied)
+        with pytest.raises(LayoutError, match="make that directory writable"):
+            export_layout(copy, tmp_path / "layout")
+        assert cli_main(["serve", str(copy), "--port", "0"]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: cannot create the serving layout")
+        assert str(tmp_path) in line and "kbt serve DIR" in line
         monkeypatch.undo()
-        # Now let the thread run and stop it; with the flag already set
-        # shutdown() always issues the (blocking) stop request.
-        real_start(parked[0])
-        server.shutdown()
-        assert server._httpd.socket.fileno() == -1
+        # The remedy the message names works: a layout exported
+        # elsewhere opens as a store by its directory.
+        export_layout(copy, tmp_path / "elsewhere")
+        store = MmapTrustStore.open(tmp_path / "elsewhere")
+        assert store.etag == artifact_etag(copy)
+        store.close()
 
-    def test_send_swallows_broken_pipe(self):
-        class BrokenPipe:
-            def write(self, data):
-                raise BrokenPipeError
 
-            def flush(self):
-                pass
+# ----------------------------------------------------------------------
+# Regressions first fixed in the deleted http.server frontend, held
+# against the gateway since it became the only one
+# ----------------------------------------------------------------------
+class TestLegacyServerFixes:
+    def test_serve_closes_socket_on_keyboard_interrupt(self, artifact):
+        """Ctrl-C (and SIGTERM) end ``kbt serve`` with exit 0, nothing
+        on stderr, and the port free for an immediate restart."""
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            proc, _line, address = spawn_serve(artifact, "--port", 0)
+            assert finish(proc, signum) == (0, ""), signum
+            with socket.socket() as again:
+                # What a restarted gateway sets (asyncio's default).
+                again.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+                again.bind(address)
 
-        handler = TrustRequestHandler.__new__(TrustRequestHandler)
-        handler.request_version = "HTTP/1.1"
-        handler.requestline = "GET /score HTTP/1.1"
-        handler.client_address = ("127.0.0.1", 0)
-        handler.server = SimpleNamespace(log_requests=False)
-        handler.wfile = BrokenPipe()
-        handler.close_connection = False
-        handler._send(200, {"key": "good.com"})
-        assert handler.close_connection is True
+    def test_shutdown_before_thread_runs_does_not_hang(self, artifact):
+        """start() then stop() with no request in between returns, and
+        the listening socket is closed."""
+        gateway = GatewayThread(
+            StoreManager(MmapTrustStore.open(artifact))
+        ).start()
+        address = gateway.address
+        stopper = threading.Thread(target=gateway.stop, daemon=True)
+        stopper.start()
+        stopper.join(timeout=30)
+        assert not stopper.is_alive()
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(address, timeout=5).close()
+
+    def test_send_swallows_broken_pipe(self, artifact, caplog, capfd):
+        """A client that resets the connection with responses still
+        owed is that client's business: no log line, no traceback, and
+        the next client is served."""
+        manager = StoreManager(MmapTrustStore.open(artifact))
+        gateway = GatewayThread(manager).start()
+        try:
+            rude = socket.create_connection(gateway.address, timeout=10)
+            rude.sendall(b"GET /top?k=5 HTTP/1.1\r\nHost: x\r\n\r\n" * 200)
+            # SO_LINGER with a zero timeout: close() sends RST, not FIN.
+            rude.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+            rude.close()
+            status, body, _ = http_get(gateway.address, "/score?site=good.com")
+            assert status == 200 and json.loads(body)["key"] == "good.com"
+        finally:
+            gateway.stop()
+        assert [record.getMessage() for record in caplog.records] == []
+        assert capfd.readouterr().err == ""

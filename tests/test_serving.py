@@ -1,4 +1,4 @@
-"""Unit tests for the TrustStore facade and its HTTP endpoint."""
+"""Unit tests for the TrustStore facade and the routes served over it."""
 
 import json
 import urllib.error
@@ -13,7 +13,8 @@ from repro.core.types import (
     ExtractorKey,
     page_source,
 )
-from repro.serving.http import TrustServer
+from repro.serving.gateway import GatewayThread
+from repro.serving.manager import StoreManager
 from repro.serving.store import TrustStore
 from repro.signals import CorpusContext, SignalSuite, fuse
 
@@ -257,11 +258,17 @@ class TestStoreSignals:
             signal_store.compare("kbt", "nosuch")
 
 
+def serving(store):
+    """A gateway on its own thread over ``store``; has ``.url``."""
+    return GatewayThread(StoreManager(store))
+
+
 class TestHttpEndpoint:
     @pytest.fixture(scope="class")
     def server(self, store):
-        with TrustServer(store, port=0) as running:
-            yield running
+        running = serving(store).start()
+        yield running
+        running.stop()
 
     def get(self, server, path):
         with urllib.request.urlopen(server.url + path, timeout=5) as resp:
@@ -367,8 +374,11 @@ class TestHttpEndpoint:
         broken.score_json = lambda site: (_ for _ in ()).throw(
             RuntimeError("boom")
         )
-        with TrustServer(broken, port=0) as server:
+        server = serving(broken).start()
+        try:
             code, payload = self.get_error(server, "/score?site=good.com")
+        finally:
+            server.stop()
         assert code == 500
         assert "internal error" in payload["error"]
         assert "boom" in payload["error"]
@@ -377,8 +387,9 @@ class TestHttpEndpoint:
 class TestHttpSignalEndpoints:
     @pytest.fixture(scope="class")
     def server(self, signal_store):
-        with TrustServer(signal_store, port=0) as running:
-            yield running
+        running = serving(signal_store).start()
+        yield running
+        running.stop()
 
     get = TestHttpEndpoint.get
     get_error = TestHttpEndpoint.get_error
