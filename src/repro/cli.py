@@ -75,6 +75,7 @@ import sys
 
 from repro.core import registry
 from repro.core.config import (
+    EXECUTION_FIELDS,
     AbsenceScope,
     GranularityConfig,
     MultiLayerConfig,
@@ -280,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--sweeps", type=int, default=2,
         help="EM sweeps over the delta sub-problem (default 2)",
     )
-    _add_exec_options(update)
+    _add_placement_options(update)
+    _add_checkpoint_options(update)
     _add_summary_options(update)
 
     ingest = sub.add_parser(
@@ -381,7 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="stop after N batches (smoke tests; default: run until "
         "signalled)",
     )
-    _add_exec_options(ingest)
+    # No checkpoint flags: every micro-batch is a different problem, so
+    # batch 2 would refuse batch 1's checkpoint.
+    _add_placement_options(ingest)
 
     worker = sub.add_parser(
         "worker",
@@ -466,11 +470,13 @@ def _add_model_options(parser: argparse.ArgumentParser) -> None:
             "precision envelope of float64 — see docs/architecture.md)"
         ),
     )
-    _add_exec_options(parser)
+    _add_placement_options(parser)
+    _add_checkpoint_options(parser)
 
 
-def _add_exec_options(parser: argparse.ArgumentParser) -> None:
-    """Sharded-execution knobs (``fit`` / ``estimate`` / ``update``)."""
+def _add_placement_options(parser: argparse.ArgumentParser) -> None:
+    """Where the EM rounds run (``fit`` / ``estimate`` / ``update`` /
+    ``ingest``); every ``dest`` is a name in ``EXECUTION_FIELDS``."""
     parser.add_argument(
         "--backend", choices=list(registry.backend_names()), default=None,
         help=(
@@ -480,10 +486,10 @@ def _add_exec_options(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--shards", type=int, default=None, metavar="N",
+        "--shards", dest="num_shards", type=int, default=None, metavar="N",
         help=(
-            "number of data-item shards for --backend "
-            "(default: one per CPU)"
+            "number of data-item shards (default: one per CPU with "
+            "--backend or --spill-dir, else one)"
         ),
     )
     parser.add_argument(
@@ -493,8 +499,7 @@ def _add_exec_options(parser: argparse.ArgumentParser) -> None:
             "corpus, spill shard packets to DIR and map them back, so "
             "resident memory holds one packet plus the per-coordinate "
             "parameter vectors instead of the full extraction corpus "
-            "(results stay bit-identical; implies --backend serial "
-            "unless one is given)"
+            "(results stay bit-identical)"
         ),
     )
     parser.add_argument(
@@ -502,29 +507,6 @@ def _add_exec_options(parser: argparse.ArgumentParser) -> None:
         help=(
             "with --spill-dir: keep at most N shard packets "
             "materialized at once (LRU; default: all mapped)"
-        ),
-    )
-    parser.add_argument(
-        "--checkpoint-dir", default=None, metavar="DIR",
-        help=(
-            "atomically checkpoint the EM state to DIR/checkpoint.npz "
-            "during the fit, so a killed run can continue with --resume "
-            "(implies --backend serial unless one is given)"
-        ),
-    )
-    parser.add_argument(
-        "--checkpoint-every", type=int, default=None, metavar="K",
-        help=(
-            "with --checkpoint-dir: write a checkpoint every K "
-            "iterations (default: 1, after every iteration)"
-        ),
-    )
-    parser.add_argument(
-        "--resume", action="store_true", default=False,
-        help=(
-            "continue from the checkpoint under --checkpoint-dir if one "
-            "exists; a resumed fit is bit-identical to an uninterrupted "
-            "one"
         ),
     )
     parser.add_argument(
@@ -552,9 +534,40 @@ def _add_exec_options(parser: argparse.ArgumentParser) -> None:
             "windows of N elements instead of whole-array scans "
             "(bit-identical results for any N; with --spill-dir the "
             "file-backed resident set stays bounded by one window per "
-            "array; implies --backend serial unless one is given)"
+            "array)"
         ),
     )
+
+
+def _add_checkpoint_options(parser: argparse.ArgumentParser) -> None:
+    """Checkpointed fits (``fit`` / ``estimate`` / ``update``)."""
+    parser.add_argument(
+        "--checkpoint-dir", default=None, metavar="DIR",
+        help=(
+            "atomically checkpoint the EM state to DIR/checkpoint.npz "
+            "during the fit, so a killed run can continue with --resume"
+        ),
+    )
+    parser.add_argument(
+        "--checkpoint-every", type=int, default=None, metavar="K",
+        help=(
+            "with --checkpoint-dir: write a checkpoint every K "
+            "iterations (default: 1, after every iteration)"
+        ),
+    )
+    parser.add_argument(
+        "--resume", action="store_true", default=False,
+        help=(
+            "continue from the checkpoint under --checkpoint-dir if one "
+            "exists; a resumed fit is bit-identical to an uninterrupted "
+            "one"
+        ),
+    )
+
+
+def _execution_from_args(args: argparse.Namespace) -> dict:
+    """The execution settings a command line gave (absent flags: None)."""
+    return {name: getattr(args, name, None) for name in EXECUTION_FIELDS}
 
 
 def _add_summary_options(parser: argparse.ArgumentParser) -> None:
@@ -590,17 +603,8 @@ def _build_estimator(args: argparse.Namespace) -> KBTEstimator:
         config=config,
         granularity=granularity,
         min_triples=args.min_triples,
-        backend=args.backend,
-        num_shards=args.shards,
-        spill_dir=args.spill_dir,
-        max_resident_shards=args.max_resident_shards,
-        checkpoint_dir=args.checkpoint_dir,
-        checkpoint_every=args.checkpoint_every,
-        resume=True if args.resume else None,
-        remote_endpoint=args.remote_endpoint,
-        num_workers=args.num_workers,
-        reduce_chunk=args.reduce_chunk,
         precision=args.precision,
+        **_execution_from_args(args),
     )
 
 
@@ -937,16 +941,7 @@ def run_update(args: argparse.Namespace) -> int:
     updated = fitted.update(
         read_records(args.records),
         sweeps=args.sweeps,
-        backend=args.backend,
-        num_shards=args.shards,
-        spill_dir=args.spill_dir,
-        max_resident_shards=args.max_resident_shards,
-        checkpoint_dir=args.checkpoint_dir,
-        checkpoint_every=args.checkpoint_every,
-        resume=True if args.resume else None,
-        remote_endpoint=args.remote_endpoint,
-        num_workers=args.num_workers,
-        reduce_chunk=args.reduce_chunk,
+        **_execution_from_args(args),
     )
     out_path = args.artifact_out or args.artifact
     updated.save(out_path)
@@ -1016,19 +1011,6 @@ def run_ingest(args: argparse.Namespace) -> int:
     publisher = (
         HttpPublisher(args.gateway, token=token) if args.gateway else None
     )
-    update_options = {
-        key: value
-        for key, value in {
-            "backend": args.backend,
-            "num_shards": args.shards,
-            "spill_dir": args.spill_dir,
-            "max_resident_shards": args.max_resident_shards,
-            "remote_endpoint": args.remote_endpoint,
-            "num_workers": args.num_workers,
-            "reduce_chunk": args.reduce_chunk,
-        }.items()
-        if value is not None
-    }
     pipeline = IngestPipeline(
         fitted,
         args.generations_dir or f"{args.artifact}.generations",
@@ -1040,7 +1022,7 @@ def run_ingest(args: argparse.Namespace) -> int:
         ),
         sweeps=args.sweeps,
         keep_generations=args.keep_generations,
-        update_options=update_options,
+        update_options=_execution_from_args(args),
     )
     print(
         f"ingesting into {pipeline.generations_dir} "

@@ -9,7 +9,7 @@ iterations, and prior re-estimation starting from the third iteration.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.core import registry
 
@@ -110,6 +110,25 @@ class SingleLayerConfig:
             raise ValueError("min_source_support must be >= 1")
 
 
+#: The :class:`MultiLayerConfig` fields that only say *where and how* a
+#: fit runs. They are arguments of ``fit`` / ``update``, never state of a
+#: fitted model: artifacts, serving etags and checkpoint digests cover
+#: the other fields only. ``precision`` is deliberately not here —
+#: float32 changes the numbers.
+EXECUTION_FIELDS = (
+    "backend",
+    "num_shards",
+    "spill_dir",
+    "max_resident_shards",
+    "checkpoint_dir",
+    "checkpoint_every",
+    "resume",
+    "remote_endpoint",
+    "num_workers",
+    "reduce_chunk",
+)
+
+
 @dataclass(frozen=True, slots=True)
 class MultiLayerConfig:
     """Configuration of the multi-layer model (Section 3).
@@ -158,20 +177,20 @@ class MultiLayerConfig:
             the reference dict-based implementation; ``"numpy"`` runs the
             vectorized array engine (numerically matching to <= 1e-9,
             several times faster on large corpora).
-        backend: sharded execution backend, one of the names in
-            :func:`repro.core.registry.backend_names` (``"serial"``,
-            ``"threads"``, ``"processes"``), or None (the default) for
-            one in-process serial shard. Each EM iteration of the numpy
-            engine runs as map (the per-shard ExtCorr / TriplePr E
-            steps) + reduce (SrcAccu / ExtQuality: one global parameter
-            update); float64 results are bit-identical regardless of
-            shard count or backend. Requires the numpy engine.
-        num_shards: number of data-item shards for sharded execution
-            (None: one shard per available CPU, capped at the item
-            count). Only meaningful together with ``backend``.
-        spill_dir: when set, sharded execution runs **out-of-core**: the
-            shard packets and the compiled global arrays are spilled to
-            this directory (:mod:`repro.exec.spill`) and served back as
+        backend: execution backend of the numpy engine's EM driver, one
+            of the names in :func:`repro.core.registry.backend_names`
+            (``"serial"``, ``"threads"``, ``"processes"``, ``"remote"``),
+            or None (the default), which the driver runs as ``serial``.
+            Each EM iteration runs as map (the per-shard ExtCorr /
+            TriplePr E steps) + reduce (SrcAccu / ExtQuality: one global
+            parameter update); float64 results are bit-identical
+            regardless of shard count or backend.
+        num_shards: number of data-item shards (None: a single shard
+            when neither ``backend`` nor ``spill_dir`` is set, otherwise
+            one per available CPU, capped at the item count).
+        spill_dir: when set, the fit runs **out-of-core**: the shard
+            packets and the compiled global arrays are spilled to this
+            directory (:mod:`repro.exec.spill`) and served back as
             memory-mapped views, so the fit's anonymous working set
             drops to one packet plus the per-coordinate parameter and
             posterior vectors — the extraction/claim array mass (the
@@ -179,9 +198,8 @@ class MultiLayerConfig:
             evictable file-backed pages instead. The single-machine
             analogue of the paper's MapReduce property that no worker
             materializes the full 2.8B-triple corpus (Table 7). Results
-            stay bit-identical to resident execution. Requires
-            ``backend``; the directory is (re)created and overwritten
-            per fit.
+            stay bit-identical to resident execution. The directory is
+            (re)created and overwritten per fit.
         max_resident_shards: cap on how many spilled shard packets stay
             materialized at once (LRU, per process for the ``processes``
             backend); None keeps all mapped. ``1`` gives the tightest
@@ -197,7 +215,6 @@ class MultiLayerConfig:
             ``checkpoint_dir/checkpoint.npz`` every ``checkpoint_every``
             iterations and at convergence (:mod:`repro.exec.checkpoint`),
             so a fit killed mid-run can continue instead of restarting.
-            Requires ``backend``.
         checkpoint_every: write a checkpoint every this many iterations
             (default 1: after every reduce). Larger values trade
             recomputation after a crash for less checkpoint I/O during
@@ -229,7 +246,7 @@ class MultiLayerConfig:
             running totals, so the summation order is *exactly* the
             one-window order: float64 results are **bit-identical** for
             every backend, shard count, and window size
-            (determinism-ladder entry 7). Requires ``backend``.
+            (determinism-ladder entry 7).
         precision: floating-point mode of the numpy engine. The default
             ``"float64"`` is the reference arithmetic every determinism
             guarantee is stated in. ``"float32"`` opts into the fused
@@ -243,6 +260,12 @@ class MultiLayerConfig:
             Requires ``engine="numpy"``; runs on every execution backend
             (the kernel is selected per shard), always outside the
             bit-identity guarantees, which are stated in float64.
+
+    The ten fields named in :data:`EXECUTION_FIELDS` say only *where and
+    how* a fit runs; float64 results are bit-identical for every
+    combination of them, and they need ``engine="numpy"`` (the driver
+    runs over the compiled arrays). :meth:`without_execution` is the
+    model alone; :meth:`with_execution` applies caller overrides.
     """
 
     n: int = 10
@@ -280,21 +303,9 @@ class MultiLayerConfig:
     checkpoint_dir: str | None = None
     checkpoint_every: int = 1
     resume: bool = False
-    #: ``"HOST:PORT"`` the ``remote`` backend's coordinator listens on
-    #: (workers connect with ``kbt worker --connect HOST:PORT``).
-    #: Required by — and only meaningful with — ``backend="remote"``.
     remote_endpoint: str | None = None
-    #: Workers the remote coordinator waits for before the fit starts
-    #: (default 1). Late joiners are still accepted mid-fit as
-    #: speculation and re-dispatch targets. Requires ``backend="remote"``.
     num_workers: int | None = None
-    #: Elements per contiguous window of the per-iteration reduce
-    #: (None: one window per array family). Bit-identical for any
-    #: value; requires ``backend``.
     reduce_chunk: int | None = None
-    #: ``"float64"`` (reference) or ``"float32"`` (fused single-precision
-    #: E-step kernels, numpy engine only, any backend; see the precision
-    #: contract in docs/architecture.md).
     precision: str = "float64"
 
     def __post_init__(self) -> None:
@@ -303,26 +314,19 @@ class MultiLayerConfig:
         registry.validate_engine(self.engine)
         if self.backend is not None:
             registry.validate_backend(self.backend)
-            if self.engine != "numpy":
-                raise ValueError(
-                    f"execution backend {self.backend!r} requires "
-                    f'engine="numpy" (sharded execution runs over the '
-                    f"compiled arrays), got engine={self.engine!r}"
-                )
-        if self.num_shards is not None:
-            if self.backend is None:
-                raise ValueError(
-                    "num_shards only applies to sharded execution: set "
-                    f"backend to one of {', '.join(registry.backend_names())}"
-                )
-            if self.num_shards < 1:
-                raise ValueError("num_shards must be >= 1")
-        if self.spill_dir is not None and self.backend is None:
+        placed = [
+            name
+            for name, default in _EXECUTION_DEFAULTS.items()
+            if getattr(self, name) != default
+        ]
+        if placed and self.engine != "numpy":
             raise ValueError(
-                "spill_dir (out-of-core shard streaming) only applies to "
-                "sharded execution: set backend to one of "
-                f"{', '.join(registry.backend_names())}"
+                f"execution settings ({', '.join(placed)}) run on the "
+                "sharded driver over the compiled arrays: use "
+                f'engine="numpy", got engine={self.engine!r}'
             )
+        if self.num_shards is not None and self.num_shards < 1:
+            raise ValueError("num_shards must be >= 1")
         if self.max_resident_shards is not None:
             if self.spill_dir is None:
                 raise ValueError(
@@ -331,12 +335,6 @@ class MultiLayerConfig:
                 )
             if self.max_resident_shards < 1:
                 raise ValueError("max_resident_shards must be >= 1")
-        if self.checkpoint_dir is not None and self.backend is None:
-            raise ValueError(
-                "checkpoint_dir (checkpointed fits) only applies to "
-                "sharded execution: set backend to one of "
-                f"{', '.join(registry.backend_names())}"
-            )
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
         if self.resume and self.checkpoint_dir is None:
@@ -365,17 +363,10 @@ class MultiLayerConfig:
                 )
             if self.num_workers < 1:
                 raise ValueError("num_workers must be >= 1")
-        if self.reduce_chunk is not None:
-            if self.backend is None:
-                raise ValueError(
-                    "reduce_chunk (streamed per-iteration reduce) only "
-                    "applies to sharded execution: set backend to one of "
-                    f"{', '.join(registry.backend_names())}"
-                )
-            if self.reduce_chunk < 1:
-                raise ValueError(
-                    f"reduce_chunk must be >= 1, got {self.reduce_chunk}"
-                )
+        if self.reduce_chunk is not None and self.reduce_chunk < 1:
+            raise ValueError(
+                f"reduce_chunk must be >= 1, got {self.reduce_chunk}"
+            )
         if self.precision not in ("float64", "float32"):
             raise ValueError(
                 f"precision must be 'float64' or 'float32', got "
@@ -410,6 +401,57 @@ class MultiLayerConfig:
             raise ValueError("need 0 < quality_floor < quality_ceiling < 1")
         if not 0.0 < self.quality_damping <= 1.0:
             raise ValueError("quality_damping must be in (0, 1]")
+
+    def without_execution(self) -> "MultiLayerConfig":
+        """The model alone: every execution field back at its default."""
+        return replace(self, **_EXECUTION_DEFAULTS)
+
+    def with_execution(
+        self,
+        engine: str | None = None,
+        precision: str | None = None,
+        **execution,
+    ) -> "MultiLayerConfig":
+        """This config with a caller's execution overrides applied.
+
+        ``execution`` takes the names in :data:`EXECUTION_FIELDS` (any
+        other is a ``TypeError``); ``None`` means "not given". A
+        ``remote_endpoint`` without a backend selects
+        ``backend="remote"``. ``engine`` pins the engine; left unpinned,
+        a python-engine config is moved to ``engine="numpy"`` when the
+        overrides set an execution field or ``precision="float32"``,
+        both of which run on the numpy engine only.
+        """
+        unknown = sorted(set(execution) - set(EXECUTION_FIELDS))
+        if unknown:
+            raise TypeError(
+                f"unknown execution setting(s) {', '.join(unknown)}; "
+                f"valid names are {', '.join(EXECUTION_FIELDS)}"
+            )
+        changes = {k: v for k, v in execution.items() if v is not None}
+        if (
+            "remote_endpoint" in changes
+            and "backend" not in changes
+            and self.backend is None
+        ):
+            changes["backend"] = "remote"
+        needs_numpy = precision == "float32" or any(
+            value != _EXECUTION_DEFAULTS[name]
+            for name, value in changes.items()
+        )
+        if precision is not None:
+            changes["precision"] = precision
+        if engine is not None:
+            changes["engine"] = engine
+        elif needs_numpy and self.engine == "python":
+            changes["engine"] = "numpy"
+        return replace(self, **changes)
+
+
+_EXECUTION_DEFAULTS = {
+    name: MultiLayerConfig.__dataclass_fields__[name].default
+    for name in EXECUTION_FIELDS
+}
 
 
 @dataclass(frozen=True, slots=True)

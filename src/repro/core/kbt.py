@@ -126,6 +126,12 @@ class FittedKBT:
     :class:`MultiLayerResult` together with the (post-granularity)
     observation matrix, the configuration, and the reporting threshold.
     Instances are immutable — :meth:`update` returns a new handle.
+
+    ``config`` is the model alone
+    (:meth:`~repro.core.config.MultiLayerConfig.without_execution`):
+    where a fit ran is an argument of ``fit`` / :meth:`update`, never
+    state of the fitted model, so saved artifacts are identical
+    wherever they were fitted.
     """
 
     def __init__(
@@ -141,7 +147,7 @@ class FittedKBT:
             raise ValueError(f"min_triples must be >= 0, got {min_triples}")
         self.result = result
         self.observations = observations
-        self.config = config
+        self.config = config.without_execution()
         self.min_triples = min_triples
         self.granularity = granularity
         self.seed = seed
@@ -226,31 +232,19 @@ class FittedKBT:
         self,
         new_records: Iterable[ExtractionRecord],
         sweeps: int = 2,
-        backend: str | None = None,
-        num_shards: int | None = None,
-        spill_dir: str | None = None,
-        max_resident_shards: int | None = None,
-        checkpoint_dir: str | None = None,
-        checkpoint_every: int | None = None,
-        resume: bool | None = None,
-        remote_endpoint: str | None = None,
-        num_workers: int | None = None,
-        reduce_chunk: int | None = None,
         precision: str | None = None,
+        **execution,
     ) -> "FittedKBT":
         """Fold new extraction records in without a full refit.
 
-        ``backend`` / ``num_shards`` / ``spill_dir`` /
-        ``max_resident_shards`` / ``checkpoint_dir`` /
-        ``checkpoint_every`` / ``resume`` / ``remote_endpoint`` /
-        ``num_workers`` / ``reduce_chunk`` / ``precision`` override the
-        sharded execution settings for this update only (see
-        :class:`~repro.core.config.MultiLayerConfig`); by default the
-        update runs with the fit's own configuration. Results are
-        backend- and residency-invariant either way (``reduce_chunk``
-        included — the windowed reduce is bit-identical); only
-        ``precision="float32"`` changes the arithmetic, within the
-        documented envelope.
+        ``execution`` takes the names in
+        :data:`~repro.core.config.EXECUTION_FIELDS` and says where this
+        update runs (see :class:`~repro.core.config.MultiLayerConfig`);
+        nothing is inherited from the fit that produced this model, and
+        the default is in-process on one serial shard — the delta
+        sub-problem is small by construction. Results are placement-
+        invariant; only ``precision="float32"`` changes the arithmetic
+        of this update, within the documented envelope.
 
         Converged extractor qualities are frozen at their fitted values
         and the source/value layers re-run for ``sweeps`` EM iterations on
@@ -268,6 +262,7 @@ class FittedKBT:
         """
         if sweeps < 1:
             raise ValueError(f"sweeps must be >= 1, got {sweeps}")
+        placed = self.config.with_execution(precision=precision, **execution)
         if self.observations is None:
             raise ValueError(
                 "this fit carries no observation matrix (saved with "
@@ -290,40 +285,9 @@ class FittedKBT:
             new_obs
         )
         delta_config = replace(
-            self.config,
-            convergence=replace(
-                self.config.convergence, max_iterations=sweeps
-            ),
+            placed,
+            convergence=replace(placed.convergence, max_iterations=sweeps),
         )
-        if (
-            backend is not None
-            or num_shards is not None
-            or spill_dir is not None
-            or max_resident_shards is not None
-            or checkpoint_dir is not None
-            or checkpoint_every is not None
-            or resume is not None
-            or remote_endpoint is not None
-            or num_workers is not None
-            or reduce_chunk is not None
-            or precision is not None
-        ):
-            delta_config = replace(
-                delta_config, **_execution_overrides(
-                    delta_config,
-                    backend,
-                    num_shards,
-                    spill_dir,
-                    max_resident_shards,
-                    checkpoint_dir,
-                    checkpoint_every,
-                    resume,
-                    remote_endpoint,
-                    num_workers,
-                    reduce_chunk,
-                    precision,
-                )
-            )
         delta_result = MultiLayerModel(delta_config).fit(
             delta_obs,
             initial_source_accuracy=self.result.source_accuracy,
@@ -474,54 +438,15 @@ class KBTEstimator:
         engine: when given, overrides ``config.engine`` (a name from
             :func:`repro.core.registry.engine_names`) without the caller
             having to rebuild the config.
-        backend: when given, overrides ``config.backend`` — sharded
-            execution through one of
-            :func:`repro.core.registry.backend_names` (``serial`` /
-            ``threads`` / ``processes``). Sharded execution runs on the
-            numpy engine, so a default (python-engine) config is upgraded
-            to ``engine="numpy"`` automatically; results are bit-identical
-            across backends and shard counts.
-        num_shards: when given, overrides ``config.num_shards`` (requires
-            a backend).
-        spill_dir: when given, overrides ``config.spill_dir`` — sharded
-            execution runs out-of-core, streaming memory-mapped shard
-            packets from this directory
-            (:class:`~repro.exec.spill.OutOfCoreShardSource`) so peak
-            memory is bounded by one packet plus the parameter vectors.
-            A backend-less config is upgraded to ``backend="serial"``;
-            results stay bit-identical to resident execution.
-        max_resident_shards: when given, overrides
-            ``config.max_resident_shards`` (requires a spill dir): the
-            LRU cap on concurrently materialized packets.
-        checkpoint_dir: when given, overrides ``config.checkpoint_dir``
-            — the fit atomically checkpoints its EM state there
-            (:mod:`repro.exec.checkpoint`) so a killed run can resume.
-            A backend-less config is upgraded to ``backend="serial"``.
-        checkpoint_every: when given, overrides
-            ``config.checkpoint_every``: iterations between checkpoint
-            writes.
-        resume: when given, overrides ``config.resume``: continue from
-            the checkpoint under ``checkpoint_dir`` (bit-identical to an
-            uninterrupted fit).
-        remote_endpoint: when given, overrides
-            ``config.remote_endpoint`` — the ``HOST:PORT`` the
-            distributed coordinator listens on (workers join with
-            ``kbt worker --connect HOST:PORT``). A backend-less config
-            is upgraded to ``backend="remote"``.
-        num_workers: when given, overrides ``config.num_workers``: how
-            many workers the remote coordinator waits for before the
-            fit starts.
-        reduce_chunk: when given, overrides ``config.reduce_chunk`` —
-            the per-iteration reduce scans the global arrays in
-            windows of this many elements (bit-identical to the
-            one-window scan; determinism-ladder entry 7). A
-            backend-less config is upgraded to ``backend="serial"``.
-        precision: when given, overrides ``config.precision`` —
-            ``"float32"`` runs the numpy engine's fused single-precision
-            E-step kernels, on whichever backend the fit uses (see the
-            precision contract in ``docs/architecture.md``); a (default)
-            python-engine config is upgraded to ``engine="numpy"``.
-            Float64 stays the default and the reference arithmetic.
+        precision: when given, overrides ``config.precision``.
+        **execution: where and how the fit runs — the names in
+            :data:`~repro.core.config.EXECUTION_FIELDS`, each overriding
+            the config field of the same name (described once, in
+            :class:`~repro.core.config.MultiLayerConfig`). They run on
+            the numpy engine, as does ``precision="float32"``, so a
+            (default) python-engine config is moved to
+            ``engine="numpy"`` unless ``engine`` pins it; results are
+            bit-identical across all of them.
     """
 
     def __init__(
@@ -531,55 +456,14 @@ class KBTEstimator:
         min_triples: float = 5.0,
         seed: int = 0,
         engine: str | None = None,
-        backend: str | None = None,
-        num_shards: int | None = None,
-        spill_dir: str | None = None,
-        max_resident_shards: int | None = None,
-        checkpoint_dir: str | None = None,
-        checkpoint_every: int | None = None,
-        resume: bool | None = None,
-        remote_endpoint: str | None = None,
-        num_workers: int | None = None,
-        reduce_chunk: int | None = None,
         precision: str | None = None,
+        **execution,
     ) -> None:
         if min_triples < 0:
             raise ValueError(f"min_triples must be >= 0, got {min_triples}")
-        self._config = config or MultiLayerConfig()
-        if engine is not None and engine != self._config.engine:
-            self._config = replace(self._config, engine=engine)
-        if (
-            backend is not None
-            or num_shards is not None
-            or spill_dir is not None
-            or max_resident_shards is not None
-            or checkpoint_dir is not None
-            or checkpoint_every is not None
-            or resume is not None
-            or remote_endpoint is not None
-            or num_workers is not None
-            or reduce_chunk is not None
-            or precision is not None
-        ):
-            overrides = _execution_overrides(
-                self._config,
-                backend,
-                num_shards,
-                spill_dir,
-                max_resident_shards,
-                checkpoint_dir,
-                checkpoint_every,
-                resume,
-                remote_endpoint,
-                num_workers,
-                reduce_chunk,
-                precision,
-            )
-            if engine is not None:
-                # The caller pinned the engine explicitly: no silent
-                # upgrade — an incompatible pair fails config validation.
-                overrides.pop("engine", None)
-            self._config = replace(self._config, **overrides)
+        self._config = (config or MultiLayerConfig()).with_execution(
+            engine=engine, precision=precision, **execution
+        )
         self._granularity = granularity
         self._min_triples = min_triples
         self._seed = seed
@@ -685,74 +569,6 @@ class KBTEstimator:
             initial_source_accuracy=initial_source_accuracy,
             initial_extractor_quality=initial_extractor_quality,
         ).report
-
-
-def _execution_overrides(
-    config: MultiLayerConfig,
-    backend: str | None,
-    num_shards: int | None,
-    spill_dir: str | None = None,
-    max_resident_shards: int | None = None,
-    checkpoint_dir: str | None = None,
-    checkpoint_every: int | None = None,
-    resume: bool | None = None,
-    remote_endpoint: str | None = None,
-    num_workers: int | None = None,
-    reduce_chunk: int | None = None,
-    precision: str | None = None,
-) -> dict:
-    """Config overrides for an execution backend / shard-count request.
-
-    Sharded execution runs over the numpy engine's compiled arrays, so
-    requesting a backend on a (default) python-engine config upgrades the
-    engine too — the results are bit-identical to the numpy engine and
-    within 1e-9 of the python engine either way. Likewise, requesting a
-    spill directory (out-of-core streaming), a checkpoint directory, or a
-    streamed reduce chunk on a backend-less config upgrades the backend
-    to ``serial``, and a coordinator endpoint upgrades it to ``remote``
-    — these are driver options the config only accepts with a backend.
-    Requesting ``precision="float32"`` on a (default) python-engine
-    config upgrades the engine to ``numpy``, whose shard kernels host
-    the fused passes on every backend. An explicit
-    ``engine="python"`` together with a backend is rejected by
-    ``MultiLayerConfig`` validation.
-    """
-    overrides: dict = {}
-    if backend is not None:
-        overrides["backend"] = backend
-    elif remote_endpoint is not None and config.backend is None:
-        overrides["backend"] = "remote"
-    elif (
-        spill_dir is not None
-        or checkpoint_dir is not None
-        or reduce_chunk is not None
-    ) and config.backend is None:
-        overrides["backend"] = "serial"
-    if "backend" in overrides and config.engine == "python":
-        overrides["engine"] = "numpy"
-    if precision is not None:
-        overrides["precision"] = precision
-        if precision == "float32" and config.engine == "python":
-            overrides["engine"] = "numpy"
-    if num_shards is not None:
-        overrides["num_shards"] = num_shards
-    if spill_dir is not None:
-        overrides["spill_dir"] = spill_dir
-    if max_resident_shards is not None:
-        overrides["max_resident_shards"] = max_resident_shards
-    if checkpoint_dir is not None:
-        overrides["checkpoint_dir"] = checkpoint_dir
-    if checkpoint_every is not None:
-        overrides["checkpoint_every"] = checkpoint_every
-    if resume is not None:
-        overrides["resume"] = resume
-    if remote_endpoint is not None:
-        overrides["remote_endpoint"] = remote_endpoint
-    if num_workers is not None:
-        overrides["num_workers"] = num_workers
-    if reduce_chunk is not None:
-        overrides["reduce_chunk"] = reduce_chunk
-    return overrides
 
 
 def _transfer_initialisation(initial: dict, final_keys: Iterable) -> dict:

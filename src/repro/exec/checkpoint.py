@@ -47,6 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.config import EXECUTION_FIELDS
 from repro.core.results import IterationSnapshot
 from repro.io.atomic import atomic_write
 
@@ -58,28 +59,11 @@ CHECKPOINT_VERSION = 1
 CHECKPOINT_FILE = "checkpoint.npz"
 
 #: Config fields excluded from the compatibility digest: execution
-#: placement and stopping control may legitimately differ between a
-#: crashed fit and its resume without changing the model being fitted.
-_EXECUTION_FIELDS = frozenset(
-    {
-        "engine",
-        "backend",
-        "num_shards",
-        "spill_dir",
-        "max_resident_shards",
-        "checkpoint_dir",
-        "checkpoint_every",
-        "resume",
-        "remote_endpoint",
-        "num_workers",
-        "convergence",
-        # The streamed reduce is bit-identical to the whole-array scan,
-        # so resuming across different chunk sizes is legal. precision
-        # is deliberately NOT here: float32 changes the numbers, so a
-        # resume across precision modes must be rejected.
-        "reduce_chunk",
-    }
-)
+#: placement, engine and stopping control may legitimately differ
+#: between a crashed fit and its resume without changing the model being
+#: fitted. ``precision`` is deliberately covered: float32 changes the
+#: numbers, so a resume across precision modes must be rejected.
+_DIGEST_EXCLUDED = frozenset(EXECUTION_FIELDS) | {"engine", "convergence"}
 
 #: CompiledProblem array fields hashed into the problem digest (the
 #: index structure the EM actually runs over).
@@ -110,7 +94,7 @@ def config_digest(cfg) -> str:
     payload = {
         key: value
         for key, value in config_to_dict(cfg).items()
-        if key not in _EXECUTION_FIELDS
+        if key not in _DIGEST_EXCLUDED
     }
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode("utf-8")

@@ -347,10 +347,11 @@ def resolve_num_shards(
     cfg: MultiLayerConfig, prob: CompiledProblem
 ) -> int:
     """``cfg.num_shards``; unset, one shard per CPU capped at the item
-    count — or a single shard when no backend is selected either."""
+    count — or a single shard when neither a backend nor a spill
+    directory (whose packets bound resident memory) is selected."""
     if cfg.num_shards is not None:
         return cfg.num_shards
-    if cfg.backend is None:
+    if cfg.backend is None and cfg.spill_dir is None:
         return 1
     import os
 

@@ -3,7 +3,8 @@
 Per batch the :class:`IngestPipeline`:
 
 1. folds the records in with :meth:`~repro.core.kbt.FittedKBT.update`
-   (warm start on the configured execution backend);
+   (warm start; ``update_options`` say where it runs, and the cold
+   refit of step 2 runs there too);
 2. feeds the new website scores to the :class:`~repro.ingest.policy.
    StalenessPolicy` — when drift or the batch count says the model has
    gone stale, a **cold refit** over the combined observation matrix
@@ -261,6 +262,7 @@ class IngestPipeline:
             granularity=None,
             min_triples=updated.min_triples,
             seed=updated.seed,
+            **self.update_options,
         )
         return estimator.fit(updated.observations)
 

@@ -44,7 +44,7 @@ import pytest
 pytest.importorskip("numpy")
 
 from repro.core.config import ConvergenceConfig, MultiLayerConfig
-from repro.core.kbt import FittedKBT
+from repro.core.kbt import FittedKBT, KBTEstimator
 from repro.core.multi_layer import MultiLayerModel
 from repro.core.observation import ObservationMatrix
 from repro.exec.faults import FaultPlan
@@ -221,6 +221,43 @@ def test_entry2_config_axes_pinned(corpus, goldens, axis, placement):
         _regen_hint(
             2, f"backend/shard invariance: config axis {axis!r}, {placement}"
         )
+    )
+
+
+def saved_bytes(corpus, path, **placement) -> bytes:
+    fitted = KBTEstimator(ladder_config(), **placement).fit(corpus)
+    return fitted.save(path).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "placement",
+    [
+        {"backend": "serial", "num_shards": 1},
+        {"backend": "threads", "num_shards": 3},
+        {"backend": "processes", "num_shards": 2},
+        {
+            "backend": "serial",
+            "num_shards": 4,
+            "spill_dir": "spill",
+            "max_resident_shards": 1,
+        },
+        {"reduce_chunk": 257},
+        {"checkpoint_dir": "ck"},
+    ],
+    ids=["serial-1", "threads-3", "processes-2", "spill", "chunk", "ckpt"],
+)
+def test_entry2_artifact_bytes_placement_invariance(
+    corpus, placement, tmp_path
+):
+    """Rung 2 extended from results to bytes: where a fit ran is not in
+    the artifact, so neither is it in the serving etag."""
+    placement = {
+        key: str(tmp_path / value) if key.endswith("_dir") else value
+        for key, value in placement.items()
+    }
+    placed = saved_bytes(corpus, tmp_path / "placed.kbt", **placement)
+    assert placed == saved_bytes(corpus, tmp_path / "plain.kbt"), (
+        f"artifact bytes depend on placement {placement}"
     )
 
 

@@ -364,7 +364,10 @@ def test_streamed_reduce_statistics_property(records):
 def test_reduce_chunk_validation():
     with pytest.raises(ValueError, match="reduce_chunk"):
         MultiLayerConfig(reduce_chunk=0, backend="serial", engine="numpy")
-    with pytest.raises(ValueError, match="sharded execution"):
+    # Valid without a backend; needs the numpy engine like every
+    # execution field.
+    assert MultiLayerConfig(reduce_chunk=64, engine="numpy").backend is None
+    with pytest.raises(ValueError, match='reduce_chunk.*engine="numpy"'):
         MultiLayerConfig(reduce_chunk=64)
 
 
@@ -534,5 +537,9 @@ def test_kbt_estimator_precision_override():
     assert estimator._config.engine == "numpy"
     assert estimator._config.precision == "float32"
     estimator = KBTEstimator(reduce_chunk=4096)
-    assert estimator._config.backend == "serial"
+    assert estimator._config.backend is None
+    assert estimator._config.engine == "numpy"
     assert estimator._config.reduce_chunk == 4096
+    # A pinned engine is never moved: the pair fails validation instead.
+    with pytest.raises(ValueError, match='engine="numpy"'):
+        KBTEstimator(engine="python", precision="float32")

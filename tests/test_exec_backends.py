@@ -323,7 +323,8 @@ def test_estimator_explicit_python_engine_with_backend_rejected():
         KBTEstimator(engine="python", backend="threads")
 
 
-def test_corpus_context_backend_reaches_shared_fit(kv_small):
+def test_corpus_context_backend_reaches_shared_fit(kv_small, monkeypatch):
+    from repro.core import registry
     from repro.signals import CorpusContext
 
     context = CorpusContext(
@@ -332,9 +333,17 @@ def test_corpus_context_backend_reaches_shared_fit(kv_small):
         num_shards=2,
         min_triples=0.0,
     )
+    seen = []
+    real = registry.resolve_backend
+    monkeypatch.setattr(
+        registry, "resolve_backend", lambda n: seen.append(n) or real(n)
+    )
     fitted = context.fitted_kbt()
-    assert fitted.config.backend == "serial"
-    assert fitted.config.num_shards == 2
+    # The shared fit ran where the context said; the fitted model does
+    # not remember it.
+    assert seen == ["serial"]
+    assert fitted.config.backend is None
+    assert fitted.config.num_shards is None
     assert fitted.website_scores()
 
 
@@ -465,9 +474,20 @@ class TestRegistry:
         with pytest.raises(ValueError, match='engine="numpy"'):
             MultiLayerConfig(engine="python", backend="serial")
 
-    def test_num_shards_requires_backend(self):
-        with pytest.raises(ValueError, match="num_shards"):
-            MultiLayerConfig(engine="numpy", num_shards=4)
+    def test_num_shards_requires_backend(self, synthetic_matrix):
+        """It no longer does: the driver runs ``backend=None`` as
+        ``serial``, bit-identically to one shard."""
+        assert_parity(
+            MultiLayerModel(MultiLayerConfig(engine="numpy")).fit(
+                synthetic_matrix
+            ),
+            MultiLayerModel(
+                MultiLayerConfig(engine="numpy", num_shards=4)
+            ).fit(synthetic_matrix),
+            exact=True,
+        )
+        with pytest.raises(ValueError, match='num_shards.*engine="numpy"'):
+            MultiLayerConfig(num_shards=4)
         with pytest.raises(ValueError, match="num_shards"):
             MultiLayerConfig(
                 engine="numpy", backend="serial", num_shards=0

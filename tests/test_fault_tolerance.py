@@ -478,8 +478,11 @@ def test_fault_plan_rejects_malformed_env(raw, match):
 # Config plumbing
 # ----------------------------------------------------------------------
 def test_checkpoint_config_validation():
-    with pytest.raises(ValueError, match="checkpoint_dir"):
-        MultiLayerConfig(engine="numpy", checkpoint_dir="/tmp/ck")
+    # Valid without a backend (the driver runs None as serial) ...
+    assert MultiLayerConfig(engine="numpy", checkpoint_dir="/tmp/ck")
+    # ... but, like every execution field, only on the numpy engine.
+    with pytest.raises(ValueError, match='checkpoint_dir.*engine="numpy"'):
+        MultiLayerConfig(checkpoint_dir="/tmp/ck")
     with pytest.raises(ValueError, match="checkpoint_every"):
         MultiLayerConfig(
             engine="numpy", backend="serial", checkpoint_dir="/tmp/ck",
@@ -489,8 +492,16 @@ def test_checkpoint_config_validation():
         MultiLayerConfig(engine="numpy", backend="serial", resume=True)
 
 
-def test_estimator_checkpoint_dir_upgrades_backend(tmp_path):
+def test_estimator_checkpoint_dir_upgrades_backend(
+    tmp_path, synthetic_matrix
+):
+    """Only the engine is upgraded; a backend-less checkpointed fit runs
+    (as one serial shard), checkpoints, and matches the plain fit."""
     estimator = KBTEstimator(checkpoint_dir=str(tmp_path / "ck"))
-    assert estimator._config.backend == "serial"
+    assert estimator._config.backend is None
     assert estimator._config.engine == "numpy"
     assert estimator._config.checkpoint_dir == str(tmp_path / "ck")
+    fitted = estimator.fit(synthetic_matrix)
+    assert (tmp_path / "ck" / "checkpoint.npz").exists()
+    plain = KBTEstimator(engine="numpy").fit(synthetic_matrix)
+    assert fitted.result.source_accuracy == plain.result.source_accuracy

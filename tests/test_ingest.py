@@ -553,6 +553,67 @@ class TestReplayIdentity:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestIngestPlacement:
+    @pytest.fixture
+    def fits(self, monkeypatch):
+        """(backend, shards, iterations) of every fit, as it opens."""
+        from repro.core import registry
+
+        seen = []
+        real = registry.resolve_backend
+
+        def recording(backend):
+            class Recording(real(backend)):
+                def open(self, source, cfg):
+                    seen.append(
+                        (
+                            backend,
+                            cfg.num_shards,
+                            cfg.convergence.max_iterations,
+                        )
+                    )
+                    return super().open(source, cfg)
+
+            return Recording
+
+        monkeypatch.setattr(registry, "resolve_backend", recording)
+        # Keep the suite's own SIGINT/SIGTERM handlers.
+        monkeypatch.setattr("signal.signal", lambda *_: None)
+        return seen
+
+    def ingest(self, workdir, *flags) -> bytes:
+        """One CLI ingest run: one batch, then a forced cold refit."""
+        from repro.cli import main
+
+        workdir.mkdir()
+        model = workdir / "model.kbt"
+        KBTEstimator(engine="numpy").fit(corpus()).save(model)
+        batch = batch_for("fresh.example", "t0")
+        (workdir / "spool").mkdir()
+        write_records(batch, workdir / "spool" / "a.jsonl")
+        assert main([
+            "ingest", str(model), "--watch", str(workdir / "spool"),
+            "--batch-records", str(len(batch)), "--max-batches", "1",
+            "--refit-after", "1", *flags,
+        ]) == 0
+        return (
+            workdir / "model.kbt.generations" / "gen-000001.kbt"
+        ).read_bytes()
+
+    def test_cold_refit_runs_where_the_updates_run(self, tmp_path, fits):
+        placed = self.ingest(
+            tmp_path / "placed", "--backend", "threads", "--shards", "2"
+        )
+        # The starting fit; then, where the flags say, the warm update
+        # (2 sweeps) and the cold refit (the model's 5 iterations).
+        start = ("serial", None, 5)
+        assert fits == [start, ("threads", 2, 2), ("threads", 2, 5)]
+        del fits[:]
+        plain = self.ingest(tmp_path / "plain")
+        assert fits == [start, ("serial", None, 2), ("serial", None, 5)]
+        assert placed == plain
+
+
 # ---------------------------------------------------------------------------
 # Status board + remote status publishing
 # ---------------------------------------------------------------------------

@@ -431,9 +431,23 @@ class TestOutOfCoreParity:
 # Config validation + artifact round-trip + estimator plumbing
 # ----------------------------------------------------------------------
 class TestSpillConfig:
-    def test_spill_dir_requires_backend(self):
-        with pytest.raises(ValueError, match="spill_dir"):
-            MultiLayerConfig(engine="numpy", spill_dir="/tmp/x")
+    def test_spill_dir_requires_backend(self, synthetic_matrix, tmp_path):
+        """It no longer does: a backend-less spill config is valid (the
+        driver runs it as ``serial``, one packet per CPU) and fits
+        bit-identically to resident execution. What it does require is
+        the numpy engine."""
+        cfg = MultiLayerConfig(engine="numpy", spill_dir=str(tmp_path))
+        assert cfg.backend is None
+        assert_parity(
+            MultiLayerModel(MultiLayerConfig(engine="numpy")).fit(
+                synthetic_matrix
+            ),
+            MultiLayerModel(cfg).fit(synthetic_matrix),
+            exact=True,
+        )
+        assert (tmp_path / "manifest.json").exists()
+        with pytest.raises(ValueError, match='spill_dir.*engine="numpy"'):
+            MultiLayerConfig(spill_dir="/tmp/x")
 
     def test_max_resident_requires_spill_dir(self):
         with pytest.raises(ValueError, match="max_resident_shards"):
@@ -480,9 +494,11 @@ class TestSpillConfig:
         ).fit(synthetic_matrix)
         path = fitted.save(tmp_path / "model.kbt")
         loaded = FittedKBT.load(path)
-        assert loaded.config.spill_dir == str(spill)
-        assert loaded.config.max_resident_shards == 1
-        assert loaded.config.backend == "serial"
+        # Where the fit ran is not model state: nothing of it is saved.
+        assert loaded.config == loaded.config.without_execution()
+        assert loaded.config.spill_dir is None
+        assert loaded.config.backend is None
+        assert loaded.config.engine == "numpy"
         assert (
             loaded.result.source_accuracy == fitted.result.source_accuracy
         )
@@ -493,7 +509,9 @@ class TestSpillConfig:
         estimator = KBTEstimator(
             spill_dir="/tmp/x", max_resident_shards=3
         )
-        assert estimator._config.backend == "serial"
+        # The engine moves to numpy (spilling runs over the compiled
+        # arrays); no backend is implied — the driver runs None as serial.
+        assert estimator._config.backend is None
         assert estimator._config.engine == "numpy"
         assert estimator._config.spill_dir == "/tmp/x"
         assert estimator._config.max_resident_shards == 3
