@@ -920,7 +920,8 @@ def run_swap(args: argparse.Namespace) -> int:
         return 1
     print(
         f"swapped: generation {payload['generation']}, "
-        f"{payload['websites']} websites, etag {payload['etag']}"
+        f"{payload['websites']} websites, etag {payload['etag']}, "
+        f"layout {payload.get('layout')}"
     )
     return 0
 

@@ -86,37 +86,65 @@ class KBTReport:
         return scores
 
     def _aggregate(self, group_of) -> dict[object, KBTScore]:
-        """Support-weighted average of source accuracies per group."""
-        numer: dict[object, float] = {}
-        denom: dict[object, float] = {}
-        for source, accuracy in self.result.source_accuracy.items():
-            group = group_of(source)
-            if group is None:
-                continue
-            support = self._support.get(source, 0.0)
-            if support <= 0.0:
-                continue
-            numer[group] = numer.get(group, 0.0) + support * accuracy
-            denom[group] = denom.get(group, 0.0) + support
-        scores = {}
-        for group, weight in denom.items():
-            if weight < self.min_triples:
-                continue
-            scores[group] = KBTScore(group, numer[group] / weight, weight)
-        return scores
+        return aggregate_scores(
+            self.result.source_accuracy,
+            self._support,
+            self.min_triples,
+            group_of,
+        )
 
     def webpage_scores(self) -> dict[tuple[str, str], KBTScore]:
         """KBT per (website, webpage), from sources carrying a webpage."""
-        def group_of(source: SourceKey):
-            if source.level >= 3:
-                return (source.features[0], source.features[2])
-            return None
-
-        return self._aggregate(group_of)
+        return self._aggregate(webpage_of)
 
     def website_scores(self) -> dict[str, KBTScore]:
         """KBT per website (the Figure 7 / Figure 10 unit)."""
-        return self._aggregate(lambda source: source.website)
+        return self._aggregate(website_of)
+
+
+def website_of(source: SourceKey) -> str:
+    """The website a model source aggregates into."""
+    return source.website
+
+
+def webpage_of(source: SourceKey) -> tuple[str, str] | None:
+    """The (website, webpage) of a source that carries one, else None."""
+    if source.level >= 3:
+        return (source.features[0], source.features[2])
+    return None
+
+
+def aggregate_scores(
+    source_accuracy: dict[SourceKey, float],
+    source_support: dict[SourceKey, float],
+    min_triples: float,
+    group_of,
+) -> dict[object, KBTScore]:
+    """Support-weighted average of source accuracies per group.
+
+    The one aggregation behind :class:`KBTReport` and the serving
+    columns (:func:`repro.io.mmap_layout.serving_columns`): sources
+    ``group_of`` maps to None, or with no support, contribute nothing,
+    and a group is reported only when its support reaches
+    ``min_triples`` (Section 5.4). Groups keep first-seen order.
+    """
+    numer: dict[object, float] = {}
+    denom: dict[object, float] = {}
+    for source, accuracy in source_accuracy.items():
+        group = group_of(source)
+        if group is None:
+            continue
+        support = source_support.get(source, 0.0)
+        if support <= 0.0:
+            continue
+        numer[group] = numer.get(group, 0.0) + support * accuracy
+        denom[group] = denom.get(group, 0.0) + support
+    scores = {}
+    for group, weight in denom.items():
+        if weight < min_triples:
+            continue
+        scores[group] = KBTScore(group, numer[group] / weight, weight)
+    return scores
 
 
 class FittedKBT:

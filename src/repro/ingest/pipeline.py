@@ -14,12 +14,17 @@ Per batch the :class:`IngestPipeline`:
    :func:`~repro.io.atomic.atomic_write` — never in place, so a
    crashed write can never corrupt a generation that serving might
    still map);
-4. publishes it — in-process through a
-   :class:`~repro.serving.manager.StoreManager` swap, or remotely via
-   the gateway's authenticated ``POST /admin/swap``;
+4. publishes it — first writing the generation's serving layout from
+   the model it still holds
+   (:func:`~repro.io.mmap_layout.export_columns`, into the cache
+   directory the serving store looks in), then swapping: in-process
+   through a ``StoreManager``, or remotely via the gateway's
+   authenticated ``POST /admin/swap``. Either way the swap only has to
+   hash the artifact, match the layout's ETag and map the columns — it
+   never loads back what this process just saved;
 5. garbage-collects old generations beyond the retention cap
-   (artifact plus its exported ``.layout-*`` directories), never
-   touching the generation currently serving.
+   (artifact plus every layout directory cached for it, finished or
+   not), never touching the generation currently serving.
 
 Determinism: the artifact bytes of each generation are a pure function
 of the starting artifact and the record stream (deterministic zip
@@ -43,6 +48,13 @@ from repro.core.kbt import FittedKBT, KBTEstimator
 from repro.core.types import ExtractionRecord
 from repro.ingest.policy import StalenessPolicy
 from repro.ingest.status import StatusBoard
+from repro.io.mmap_layout import (
+    artifact_etag,
+    cached_layout_dirs,
+    export_columns,
+    layout_cache_dir,
+    serving_columns,
+)
 
 
 class PublishError(RuntimeError):
@@ -62,6 +74,7 @@ class InProcessPublisher:
             "etag": status["etag"],
             "generation": status["generation"],
             "websites": len(store),
+            "layout": getattr(store, "layout_state", None),
         }
 
     def push_status(self, snapshot: dict) -> None:
@@ -175,6 +188,7 @@ class IngestPipeline:
             last_refit_reason=None,
             served_etag=None,
             served_generation=None,
+            served_layout=None,
         )
 
     # ------------------------------------------------------------------
@@ -210,6 +224,7 @@ class IngestPipeline:
 
         published = None
         if self.publisher is not None:
+            self._export_layout(path)
             published = self.publisher.publish(path)
 
         for alert in alerts:
@@ -224,6 +239,7 @@ class IngestPipeline:
             last_refit_reason=reason,
             served_etag=(published or {}).get("etag"),
             served_generation=(published or {}).get("generation"),
+            served_layout=(published or {}).get("layout"),
             artifact=str(path),
         )
         if self.publisher is not None:
@@ -266,20 +282,38 @@ class IngestPipeline:
         )
         return estimator.fit(updated.observations)
 
+    def _export_layout(self, path: Path) -> None:
+        """Write the serving layout of the generation just saved at
+        ``path``, from the fitted model (and its cached report) rather
+        than from the file, where the serving store will look for it."""
+        fitted = self.fitted
+        etag = artifact_etag(path)
+        export_columns(
+            serving_columns(
+                fitted.result.source_accuracy,
+                fitted.report.source_support,
+                fitted.min_triples,
+                {},
+                {},
+            ),
+            path,
+            layout_cache_dir(path, etag),
+            etag,
+        )
+
     def _collect_garbage(self) -> None:
         """Drop generations beyond the retention cap.
 
         The newest ``keep_generations`` artifacts survive; everything
-        older is unlinked along with its exported ``.layout-*``
-        directories. The currently-served generation is always the
-        newest (a publish failure raises out of :meth:`process_batch`
-        before GC runs), so serving never loses its artifact.
+        older is unlinked along with every layout directory cached for
+        it — exported, or left half-written by a killed export. The
+        currently-served generation is always the newest (a publish
+        failure raises out of :meth:`process_batch` before GC runs), so
+        serving never loses its artifact.
         """
         generations = sorted(self.generations_dir.glob("gen-*.kbt"))
         for stale in generations[: -self.keep_generations]:
-            for layout in self.generations_dir.glob(
-                f"{stale.name}.layout-*"
-            ):
+            for layout in cached_layout_dirs(stale):
                 shutil.rmtree(layout, ignore_errors=True)
             stale.unlink(missing_ok=True)
 

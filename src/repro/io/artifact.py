@@ -436,14 +436,31 @@ def _deterministic_npz(arrays: dict[str, list]) -> bytes:
 
 
 # ----------------------------------------------------------------------
-# Load
+# Load: read the members once, decode a section only when it is asked for
 # ----------------------------------------------------------------------
-def load_artifact(path: str | Path) -> TrustArtifact:
-    """Read an artifact written by :func:`save_artifact`.
+class _NpzArrays:
+    """``payload.npz`` by array name; a member is decoded on access.
+
+    Stands in for the dict a json payload parses into, so the section
+    decoders below read either kind, and a caller that wants two
+    sections never pays for the other ten.
+    """
+
+    def __init__(self, npz) -> None:
+        self._npz = npz
+
+    def __getitem__(self, name: str) -> list:
+        return self._npz[name].tolist()
+
+    def get(self, name: str, default: list) -> list:
+        return self[name] if name in self._npz.files else default
+
+
+def _read_members(path: str | Path) -> tuple[dict, Any]:
+    """The validated header and the payload arrays (name -> list).
 
     Raises :class:`ArtifactError` for non-artifact files and for any
-    ``format_version`` this build cannot read. Version-1 artifacts (no
-    embedded trust signals) load with ``signals == {}``.
+    ``format_version`` this build cannot read.
     """
     path = Path(path)
     try:
@@ -477,26 +494,48 @@ def load_artifact(path: str | Path) -> TrustArtifact:
                     "artifact has an npz payload but numpy is not "
                     "installed; re-save with payload_kind='json'"
                 )
-            with np.load(io.BytesIO(archive.read(_NPZ_MEMBER))) as npz:
-                arrays = {name: npz[name].tolist() for name in npz.files}
+            # In memory, so the lazy member reads outlive the archive.
+            arrays = _NpzArrays(
+                np.load(io.BytesIO(archive.read(_NPZ_MEMBER)))
+            )
         elif payload_kind == "json":
             arrays = json.loads(archive.read(_JSON_MEMBER))
         else:
             raise ArtifactError(
                 f"unknown payload kind in artifact: {payload_kind!r}"
             )
+    return header, arrays
 
-    sources = [_decode_source(entry) for entry in header["sources"]]
-    extractors = [_decode_extractor(entry) for entry in header["extractors"]]
-    items = [DataItem(subject, predicate)
-             for subject, predicate in header["items"]]
-    values = header["values"]
 
-    source_accuracy = {
+def _decode_sources(header: dict) -> list[SourceKey]:
+    return [_decode_source(entry) for entry in header["sources"]]
+
+
+def _decode_source_accuracy(
+    sources: list[SourceKey], arrays
+) -> dict[SourceKey, float]:
+    return {
         sources[s]: acc
         for s, acc in zip(arrays["acc_source"], arrays["acc_value"])
     }
-    extractor_quality = {
+
+
+def _decode_source_support(
+    sources: list[SourceKey], arrays
+) -> dict[SourceKey, float]:
+    """``MultiLayerResult.expected_triples_by_source`` straight from the
+    C-layer columns: the same additions in the same order, without
+    building a coordinate key per cell."""
+    totals: dict[int, float] = {}
+    for s, p in zip(arrays["coord_source"], arrays["coord_p"]):
+        totals[s] = totals.get(s, 0.0) + p
+    return {sources[s]: total for s, total in totals.items()}
+
+
+def _decode_extractor_quality(
+    extractors: list[ExtractorKey], arrays
+) -> dict[ExtractorKey, ExtractorQuality]:
+    return {
         extractors[e]: ExtractorQuality(
             precision=precision, recall=recall, q=q
         )
@@ -507,71 +546,58 @@ def load_artifact(path: str | Path) -> TrustArtifact:
             arrays["eq_q"],
         )
     }
-    extraction_posteriors = {
+
+
+def _decode_coordinates(
+    prefix: str, sources: list, items: list, values: list, arrays
+) -> dict[tuple, float]:
+    """One (source, item, value) -> probability section: ``coord`` is the
+    C layer, ``prior`` the re-estimated priors."""
+    return {
         (sources[s], items[i], values[v]): p
         for s, i, v, p in zip(
-            arrays["coord_source"],
-            arrays["coord_item"],
-            arrays["coord_value"],
-            arrays["coord_p"],
+            arrays[f"{prefix}_source"],
+            arrays[f"{prefix}_item"],
+            arrays[f"{prefix}_value"],
+            arrays[f"{prefix}_p"],
         )
     }
-    priors = {
-        (sources[s], items[i], values[v]): p
-        for s, i, v, p in zip(
-            arrays["prior_source"],
-            arrays["prior_item"],
-            arrays["prior_value"],
-            arrays["prior_p"],
-        )
-    }
+
+
+def _decode_value_posteriors(
+    items: list, values: list, arrays
+) -> dict[DataItem, dict]:
     value_posteriors: dict[DataItem, dict] = {}
     for i, v, p in zip(arrays["vp_item"], arrays["vp_value"], arrays["vp_p"]):
         value_posteriors.setdefault(items[i], {})[values[v]] = p
     for i in arrays.get("vp_empty_item", []):
         value_posteriors.setdefault(items[i], {})
+    return value_posteriors
 
-    result = MultiLayerResult(
-        value_posteriors=value_posteriors,
-        extraction_posteriors=extraction_posteriors,
-        source_accuracy=source_accuracy,
-        extractor_quality=extractor_quality,
-        estimable_sources={sources[s] for s in arrays["est_sources"]},
-        estimable_extractors={
-            extractors[e] for e in arrays["est_extractors"]
-        },
-        num_triples_total=header["num_triples_total"],
-        history=[
-            IterationSnapshot(iteration, acc_delta, ext_delta)
-            for iteration, acc_delta, ext_delta in header["history"]
-        ],
-        priors=priors,
+
+def _decode_observations(
+    sources: list, extractors: list, items: list, values: list, arrays
+) -> ObservationMatrix:
+    return ObservationMatrix.from_records(
+        ExtractionRecord(
+            extractor=extractors[e],
+            source=sources[s],
+            item=items[i],
+            value=values[v],
+            confidence=conf,
+        )
+        for s, i, v, e, conf in zip(
+            arrays["obs_source"],
+            arrays["obs_item"],
+            arrays["obs_value"],
+            arrays["obs_extractor"],
+            arrays["obs_conf"],
+        )
     )
 
-    observations = None
-    if header.get("has_observations"):
-        observations = ObservationMatrix.from_records(
-            ExtractionRecord(
-                extractor=extractors[e],
-                source=sources[s],
-                item=items[i],
-                value=values[v],
-                confidence=conf,
-            )
-            for s, i, v, e, conf in zip(
-                arrays["obs_source"],
-                arrays["obs_item"],
-                arrays["obs_value"],
-                arrays["obs_extractor"],
-                arrays["obs_conf"],
-            )
-        )
 
-    granularity = None
-    if header.get("granularity") is not None:
-        granularity = GranularityConfig(**header["granularity"])
-
-    # Trust-signal payloads (absent from version-1 artifacts).
+def _decode_signals(header: dict, arrays) -> dict[str, SignalScores]:
+    """Trust-signal payloads (absent from version-1 artifacts)."""
     website_table = header.get("websites", [])
     signals: dict[str, SignalScores] = {}
     for index, entry in enumerate(header.get("signals", [])):
@@ -594,6 +620,72 @@ def load_artifact(path: str | Path) -> TrustArtifact:
             },
             metadata=entry.get("metadata", {}),
         )
+    return signals
+
+
+def load_serving_inputs(path: str | Path) -> tuple:
+    """What serving reads of an artifact, and nothing else.
+
+    Returns ``(source_accuracy, source_support, min_triples, signals,
+    fusion_weights)`` — the arguments of
+    :func:`repro.io.mmap_layout.serving_columns`, in its order. Only
+    those sections are decoded: the observation matrix, the priors, the
+    value posteriors and the extractor qualities (most of an artifact,
+    and most of :func:`load_artifact`'s time) are never touched.
+    """
+    header, arrays = _read_members(path)
+    sources = _decode_sources(header)
+    return (
+        _decode_source_accuracy(sources, arrays),
+        _decode_source_support(sources, arrays),
+        header["min_triples"],
+        _decode_signals(header, arrays),
+        header.get("fusion_weights") or {},
+    )
+
+
+def load_artifact(path: str | Path) -> TrustArtifact:
+    """Read an artifact written by :func:`save_artifact`.
+
+    Raises :class:`ArtifactError` for non-artifact files and for any
+    ``format_version`` this build cannot read. Version-1 artifacts (no
+    embedded trust signals) load with ``signals == {}``.
+    """
+    header, arrays = _read_members(path)
+    sources = _decode_sources(header)
+    extractors = [_decode_extractor(entry) for entry in header["extractors"]]
+    items = [DataItem(subject, predicate)
+             for subject, predicate in header["items"]]
+    values = header["values"]
+
+    result = MultiLayerResult(
+        value_posteriors=_decode_value_posteriors(items, values, arrays),
+        extraction_posteriors=_decode_coordinates(
+            "coord", sources, items, values, arrays
+        ),
+        source_accuracy=_decode_source_accuracy(sources, arrays),
+        extractor_quality=_decode_extractor_quality(extractors, arrays),
+        estimable_sources={sources[s] for s in arrays["est_sources"]},
+        estimable_extractors={
+            extractors[e] for e in arrays["est_extractors"]
+        },
+        num_triples_total=header["num_triples_total"],
+        history=[
+            IterationSnapshot(iteration, acc_delta, ext_delta)
+            for iteration, acc_delta, ext_delta in header["history"]
+        ],
+        priors=_decode_coordinates("prior", sources, items, values, arrays),
+    )
+
+    observations = None
+    if header.get("has_observations"):
+        observations = _decode_observations(
+            sources, extractors, items, values, arrays
+        )
+
+    granularity = None
+    if header.get("granularity") is not None:
+        granularity = GranularityConfig(**header["granularity"])
 
     return TrustArtifact(
         result=result,
@@ -603,7 +695,7 @@ def load_artifact(path: str | Path) -> TrustArtifact:
         seed=header.get("seed", 0),
         observations=observations,
         metadata=header.get("metadata", {}),
-        signals=signals,
+        signals=_decode_signals(header, arrays),
         fusion_weights=header.get("fusion_weights") or {},
     )
 

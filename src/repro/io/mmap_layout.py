@@ -2,9 +2,8 @@
 
 A trust artifact (:mod:`repro.io.artifact`) is a compressed zip — great
 for shipping, useless for serving: nothing inside it can be memory-
-mapped, and loading it whole (as the in-memory
-:class:`~repro.serving.store.TrustStore` does) deserialises every
-posterior, prior, and observation cell just to answer score lookups.
+mapped, and most of it (every posterior, prior, and observation cell)
+is never read to answer a score lookup.
 The *serving layout* is the same idiom the out-of-core execution spill
 uses (:mod:`repro.exec.spill`): a directory of raw ``.npy`` files plus a
 JSON manifest written last (and atomically, via
@@ -26,8 +25,17 @@ JSON manifest written last (and atomically, via
 The manifest carries the layout format/version, the source artifact's
 sha256 (the serving **ETag** — the gateway's cache validator and the
 ``/readyz`` version handle), and every scalar the serving surface needs.
-Exporting goes through ``TrustStore``'s own aggregation, so a layout
-reproduces its JSON views to the byte by construction.
+
+What the columns hold is decided once, by :func:`serving_columns` — a
+pure function of the fitted source accuracies and their support. It has
+two feeders: :func:`export_layout` reads just those sections out of a
+saved artifact (:func:`repro.io.artifact.load_serving_inputs`), and
+:func:`export_columns` takes them from a process that still holds the
+fitted model (the ingest pipeline), so publishing a generation never
+loads back what was just saved. The in-memory
+:class:`~repro.serving.store.TrustStore` is built from the same
+columns, so a layout reproduces its JSON views to the byte by
+construction.
 
 A missing, foreign, or torn layout raises :class:`LayoutError` (a
 ``ValueError``) naming the remedy; because the manifest is written last
@@ -54,11 +62,18 @@ import json
 import os
 import shutil
 import tempfile
+from bisect import bisect_right
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from repro.core.kbt import aggregate_scores, webpage_of, website_of
+from repro.core.types import SourceKey
+from repro.io.artifact import load_serving_inputs
 from repro.io.atomic import atomic_write
+from repro.io.reports import score_sort_key
+from repro.signals.base import SignalScores
 
 #: Format identifier + version written to (and required from) manifests.
 LAYOUT_FORMAT = "kbt-serving-layout"
@@ -132,8 +147,141 @@ class StringColumn:
 
 
 # ----------------------------------------------------------------------
-# Export: artifact -> layout directory
+# The aggregation: fitted state -> what serving reads
 # ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class ServingColumns:
+    """Everything a store serves, as aligned per-row lists.
+
+    Site rows are in aggregation (first-seen) order; ``ranked_idx`` is
+    the best-first permutation of them; ``contrib_ptr`` is the CSR row
+    pointer of the ``/breakdown`` contributors over the site rows.
+    """
+
+    min_triples: float
+    site_key: list[str]
+    site_score: list[float]
+    site_support: list[float]
+    site_percentile: list[float]
+    ranked_idx: list[int]
+    page_site: list[str]
+    page_url: list[str]
+    page_score: list[float]
+    page_support: list[float]
+    contrib_ptr: list[int]
+    contrib_source: list[SourceKey]
+    contrib_accuracy: list[float]
+    contrib_support: list[float]
+    signals: dict[str, SignalScores]
+    fusion_weights: dict[str, float]
+
+
+def serving_columns(
+    source_accuracy: dict[SourceKey, float],
+    source_support: dict[SourceKey, float],
+    min_triples: float,
+    signals: dict[str, SignalScores],
+    fusion_weights: dict[str, float],
+) -> ServingColumns:
+    """Aggregate fitted source accuracies into the serving columns.
+
+    Per-website and per-webpage scores (the support-weighted averages of
+    :func:`repro.core.kbt.aggregate_scores`, so they equal
+    ``KBTReport``'s to the bit), the ranking (descending score, ties on
+    the key), score percentiles, and for every website the model sources
+    behind its score, largest support first. Signals pass through.
+    """
+    sites = aggregate_scores(
+        source_accuracy, source_support, min_triples, website_of
+    )
+    pages = aggregate_scores(
+        source_accuracy, source_support, min_triples, webpage_of
+    )
+    site_key = list(sites)
+    site_row = {site: row for row, site in enumerate(site_key)}
+    site_score = [score.score for score in sites.values()]
+    ascending = sorted(site_score)
+    ranked = sorted(sites.values(), key=score_sort_key)
+
+    contributors: dict[str, list[tuple]] = {}
+    for source, accuracy in source_accuracy.items():
+        support = source_support.get(source, 0.0)
+        if support > 0.0:
+            contributors.setdefault(source.website, []).append(
+                (source, accuracy, support)
+            )
+    contrib_ptr = [0]
+    contrib: list[tuple] = []
+    for site in site_key:
+        contrib.extend(
+            sorted(contributors.get(site, ()), key=lambda entry: -entry[2])
+        )
+        contrib_ptr.append(len(contrib))
+
+    return ServingColumns(
+        min_triples=min_triples,
+        site_key=site_key,
+        site_score=site_score,
+        site_support=[score.support for score in sites.values()],
+        site_percentile=[
+            100.0 * bisect_right(ascending, score) / len(ascending)
+            for score in site_score
+        ],
+        ranked_idx=[site_row[score.key] for score in ranked],
+        page_site=[site for site, _ in pages],
+        page_url=[url for _, url in pages],
+        page_score=[score.score for score in pages.values()],
+        page_support=[score.support for score in pages.values()],
+        contrib_ptr=contrib_ptr,
+        contrib_source=[source for source, _, _ in contrib],
+        contrib_accuracy=[accuracy for _, accuracy, _ in contrib],
+        contrib_support=[support for _, _, support in contrib],
+        signals=signals,
+        fusion_weights=fusion_weights,
+    )
+
+
+# ----------------------------------------------------------------------
+# Export: columns -> layout directory
+# ----------------------------------------------------------------------
+_CACHE_SUFFIX = ".layout"
+
+
+def layout_cache_dir(artifact_path: str | Path, etag: str) -> Path:
+    """Where the layout of ``artifact_path``'s bytes ``etag`` is cached.
+
+    ``MmapTrustStore.open(artifact)`` looks here, so whoever exports to
+    this name first — the store itself, or the ingest pipeline right
+    after saving a generation — saves every later open the export.
+    """
+    return Path(f"{artifact_path}{_CACHE_SUFFIX}-{etag[:16]}")
+
+
+def _staging_prefix(directory: Path) -> str:
+    return f".{directory.name}.tmp-"
+
+
+def cached_layout_dirs(
+    artifact_path: str | Path, keep: Path | None = None
+) -> list[Path]:
+    """Every directory the layout cache of ``artifact_path`` has left:
+    exports under any ETag (or the un-keyed legacy name) and the staging
+    directories of exports killed mid-way — what garbage collection
+    sweeps. ``keep`` and the staging of exports into it (one may be
+    running in another process) are left out."""
+    exported = Path(f"{artifact_path}{_CACHE_SUFFIX}*")
+    found = []
+    for pattern in (exported.name, _staging_prefix(exported) + "*"):
+        for candidate in exported.parent.glob(pattern):
+            kept = keep is not None and (
+                candidate == keep
+                or candidate.name.startswith(_staging_prefix(keep))
+            )
+            if candidate.is_dir() and not kept:
+                found.append(candidate)
+    return found
+
+
 def _reusable_manifest(directory: Path, etag: str) -> Path | None:
     """The manifest path if ``directory`` already holds this exact export."""
     try:
@@ -161,9 +309,9 @@ def export_layout(
 ) -> Path:
     """Unpack ``artifact_path`` into a serving layout; returns the manifest.
 
-    The heavy lifting — score aggregation, ranking, percentiles,
-    provenance — runs through ``TrustStore`` over the loaded artifact,
-    so the exported columns reproduce its serving views exactly.
+    Reads only what :func:`serving_columns` takes
+    (:func:`repro.io.artifact.load_serving_inputs`), and only when there
+    is something to write.
 
     The layout is built in a hidden temp sibling and renamed into place
     atomically, so ``directory`` either does not exist or is complete.
@@ -176,8 +324,27 @@ def export_layout(
     (export to a fresh directory, or delete the stale one first) — as
     does a parent directory the export cannot write to.
     """
-    artifact_path = Path(artifact_path)
-    directory = Path(directory)
+    return _export(Path(artifact_path), Path(directory), etag)
+
+
+def export_columns(
+    columns: ServingColumns,
+    artifact_path: str | Path,
+    directory: str | Path,
+    etag: str | None = None,
+) -> Path:
+    """:func:`export_layout` for a caller that already holds the columns
+    of the model it saved at ``artifact_path``: same writer, same
+    guarantees, no artifact load."""
+    return _export(Path(artifact_path), Path(directory), etag, columns)
+
+
+def _export(
+    artifact_path: Path,
+    directory: Path,
+    etag: str | None,
+    columns: ServingColumns | None = None,
+) -> Path:
     if etag is None:
         etag = artifact_etag(artifact_path)
 
@@ -196,13 +363,15 @@ def export_layout(
         directory.parent.mkdir(parents=True, exist_ok=True)
         staging = Path(
             tempfile.mkdtemp(
-                prefix=f".{directory.name}.tmp-", dir=directory.parent
+                prefix=_staging_prefix(directory), dir=directory.parent
             )
         )
     except OSError as err:
         raise _unwritable(directory, err) from err
     try:
-        _export_into(artifact_path, staging, etag)
+        if columns is None:
+            columns = serving_columns(*load_serving_inputs(artifact_path))
+        _write_columns(columns, staging, artifact_path, etag)
         try:
             os.rename(staging, directory)
         except OSError as err:
@@ -224,142 +393,80 @@ def export_layout(
     return directory / _MANIFEST
 
 
-def _export_into(
-    artifact_path: Path, directory: Path, etag: str
+def _write_columns(
+    columns: ServingColumns, directory: Path, artifact_path: Path, etag: str
 ) -> None:
     """Write every column + the manifest (last, atomically) into
     ``directory`` — a private staging dir nothing can have mmapped."""
-    # Lazy import: repro.serving imports repro.io, not the reverse.
-    from repro.serving.store import TrustStore
 
-    manifest_path = directory / _MANIFEST
-    store = TrustStore.open(artifact_path)
-    artifact = store.artifact
+    def save(name: str, values: list, dtype) -> None:
+        np.save(directory / f"{name}.npy", np.asarray(values, dtype=dtype))
 
-    # --- per-website columns (store insertion order) -------------------
-    site_keys: list[str] = []
-    site_score: list[float] = []
-    site_support: list[float] = []
-    site_percentile: list[float] = []
-    site_index: dict[str, int] = {}
-    for site in store.websites():
-        score = store.score(site)
-        site_index[site] = len(site_keys)
-        site_keys.append(site)
-        site_score.append(score.score)
-        site_support.append(score.support)
-        site_percentile.append(store.percentile(site))
-    ranked_idx = [site_index[score.key] for score in store.top(len(store))]
+    _write_string_column(directory, "site_key", columns.site_key)
+    save("site_score", columns.site_score, np.float64)
+    save("site_support", columns.site_support, np.float64)
+    save("site_percentile", columns.site_percentile, np.float64)
+    save("ranked_idx", columns.ranked_idx, np.int64)
 
-    _write_string_column(directory, "site_key", site_keys)
-    np.save(directory / "site_score.npy",
-            np.asarray(site_score, dtype=np.float64))
-    np.save(directory / "site_support.npy",
-            np.asarray(site_support, dtype=np.float64))
-    np.save(directory / "site_percentile.npy",
-            np.asarray(site_percentile, dtype=np.float64))
-    np.save(directory / "ranked_idx.npy",
-            np.asarray(ranked_idx, dtype=np.int64))
+    _write_string_column(directory, "page_site", columns.page_site)
+    _write_string_column(directory, "page_url", columns.page_url)
+    save("page_score", columns.page_score, np.float64)
+    save("page_support", columns.page_support, np.float64)
 
-    # --- per-webpage columns ------------------------------------------
-    page_scores = store.page_scores()
-    page_sites = [site for site, _ in page_scores]
-    page_urls = [url for _, url in page_scores]
-    _write_string_column(directory, "page_site", page_sites)
-    _write_string_column(directory, "page_url", page_urls)
-    np.save(
-        directory / "page_score.npy",
-        np.asarray(
-            [score.score for score in page_scores.values()],
-            dtype=np.float64,
-        ),
-    )
-    np.save(
-        directory / "page_support.npy",
-        np.asarray(
-            [score.support for score in page_scores.values()],
-            dtype=np.float64,
-        ),
-    )
-
-    # --- /breakdown provenance, CSR over the site rows ----------------
-    contrib_ptr = [0]
-    contrib_accuracy: list[float] = []
-    contrib_support: list[float] = []
-    contrib_meta: list[str] = []
-    for site in site_keys:
-        for entry in store.breakdown(site)["sources"]:
-            contrib_accuracy.append(entry["accuracy"])
-            contrib_support.append(entry["support"])
-            contrib_meta.append(
-                json.dumps(
-                    [entry["source"], entry["features"], entry["level"]],
-                    ensure_ascii=False,
-                    separators=(",", ":"),
-                )
+    # /breakdown provenance, CSR over the site rows.
+    save("contrib_ptr", columns.contrib_ptr, np.int64)
+    save("contrib_accuracy", columns.contrib_accuracy, np.float64)
+    save("contrib_support", columns.contrib_support, np.float64)
+    _write_string_column(
+        directory,
+        "contrib_meta",
+        [
+            json.dumps(
+                [str(source), list(source.features), source.level],
+                ensure_ascii=False,
+                separators=(",", ":"),
             )
-        contrib_ptr.append(len(contrib_accuracy))
-    np.save(directory / "contrib_ptr.npy",
-            np.asarray(contrib_ptr, dtype=np.int64))
-    np.save(directory / "contrib_accuracy.npy",
-            np.asarray(contrib_accuracy, dtype=np.float64))
-    np.save(directory / "contrib_support.npy",
-            np.asarray(contrib_support, dtype=np.float64))
-    _write_string_column(directory, "contrib_meta", contrib_meta)
+            for source in columns.contrib_source
+        ],
+    )
 
-    # --- trust signals (artifact order, website-interned) -------------
+    # Trust signals: artifact order, website-interned.
     website_index: dict[str, int] = {}
-    website_table: list[str] = []
 
     def intern(site: str) -> int:
-        position = website_index.get(site)
-        if position is None:
-            position = len(website_table)
-            website_index[site] = position
-            website_table.append(site)
-        return position
+        return website_index.setdefault(site, len(website_index))
 
     signal_entries = []
-    for index, (name, scores) in enumerate(artifact.signals.items()):
-        np.save(
-            directory / f"sig{index}_site.npy",
-            np.asarray(
-                [intern(site) for site in scores.scores], dtype=np.int64
-            ),
+    for index, (name, scores) in enumerate(columns.signals.items()):
+        save(f"sig{index}_site", [intern(s) for s in scores.scores], np.int64)
+        save(f"sig{index}_score", list(scores.scores.values()), np.float64)
+        save(
+            f"sig{index}_sup_site",
+            [intern(s) for s in scores.support],
+            np.int64,
         )
-        np.save(
-            directory / f"sig{index}_score.npy",
-            np.asarray(list(scores.scores.values()), dtype=np.float64),
-        )
-        np.save(
-            directory / f"sig{index}_sup_site.npy",
-            np.asarray(
-                [intern(site) for site in scores.support], dtype=np.int64
-            ),
-        )
-        np.save(
-            directory / f"sig{index}_sup_val.npy",
-            np.asarray(list(scores.support.values()), dtype=np.float64),
+        save(
+            f"sig{index}_sup_val", list(scores.support.values()), np.float64
         )
         signal_entries.append({"name": name, "metadata": scores.metadata})
-    _write_string_column(directory, "signal_site", website_table)
+    _write_string_column(directory, "signal_site", list(website_index))
 
     manifest = {
         "format": LAYOUT_FORMAT,
         "version": LAYOUT_VERSION,
         "etag": etag,
         "artifact": str(artifact_path),
-        "min_triples": store.min_triples,
-        "num_sites": len(site_keys),
-        "num_pages": len(page_scores),
-        "num_contributors": len(contrib_accuracy),
+        "min_triples": columns.min_triples,
+        "num_sites": len(columns.site_key),
+        "num_pages": len(columns.page_score),
+        "num_contributors": len(columns.contrib_source),
         "signals": signal_entries,
         "fusion_weights": {
             name: float(weight)
-            for name, weight in artifact.fusion_weights.items()
+            for name, weight in columns.fusion_weights.items()
         },
     }
-    with atomic_write(manifest_path, "w", encoding="utf-8") as handle:
+    with atomic_write(directory / _MANIFEST, "w", encoding="utf-8") as handle:
         handle.write(json.dumps(manifest, indent=1) + "\n")
 
 
@@ -433,8 +540,13 @@ __all__ = [
     "LAYOUT_FORMAT",
     "LAYOUT_VERSION",
     "LayoutError",
+    "ServingColumns",
     "ServingLayout",
     "StringColumn",
     "artifact_etag",
+    "cached_layout_dirs",
+    "export_columns",
     "export_layout",
+    "layout_cache_dir",
+    "serving_columns",
 ]

@@ -30,7 +30,10 @@ around it:
   400 while the old store keeps serving) and flips atomically via the
   refcounted :class:`~repro.serving.manager.StoreManager`: in-flight
   requests finish on the store they started with, zero dropped, zero
-  torn. The endpoint is **authenticated**: with ``admin_token`` set,
+  torn. The response's ``"layout"`` says whether the serving layout was
+  found ready (``"reused"`` — an ingest pipeline exports it before it
+  publishes) or built by this swap (``"exported"``). The endpoint is
+  **authenticated**: with ``admin_token`` set,
   the request must carry it in ``X-Admin-Token`` (constant-time
   compare); without a token only loopback clients are accepted — so
   binding ``0.0.0.0`` never exposes an open swap endpoint that could
@@ -581,6 +584,9 @@ class Gateway:
             "etag": getattr(new_store, "etag", None),
             "generation": self.manager.generation,
             "websites": len(new_store),
+            # "reused": the publisher shipped the layout ready-made;
+            # "exported": this swap had to build it from the artifact.
+            "layout": getattr(new_store, "layout_state", None),
         }
 
     # ------------------------------------------------------------------

@@ -1,10 +1,8 @@
 """``MmapTrustStore``: the zero-copy serving view over a layout directory.
 
-The in-memory :class:`~repro.serving.store.TrustStore` deserialises the
-*entire* artifact — every extraction posterior, prior, and observation
-cell — while lookups only ever touch the aggregated score columns. This
-store, the one ``kbt serve`` runs, opens a *serving layout*
-(:mod:`repro.io.mmap_layout`) instead: the score / support / percentile
+Lookups only ever touch the aggregated score columns, so this store,
+the one ``kbt serve`` runs, keeps nothing else: it opens a *serving
+layout* (:mod:`repro.io.mmap_layout`) — the score / support / percentile
 / rank columns are read-only ``np.memmap`` views the kernel pages in on
 access, string keys decode lazily from mmapped blob columns, and the
 posterior mass never enters the process at all. What stays resident is
@@ -12,13 +10,14 @@ one ``key -> row`` index dict (built in a single pass at open) — the
 price of O(1) lookups over string keys.
 
 Every JSON view is **byte-identical** to ``TrustStore``'s over the same
-artifact: the exporter derives the columns from that store's own
-aggregation, float64 values survive the ``.npy`` round trip bit-for-bit
-(and ``json.dumps`` renders floats by ``repr``), both stores inherit the
-views from :class:`~repro.serving.store.StoreViews`, and the signal
-routes run through the same :class:`~repro.serving.store.SignalSurface`
-code — reconstructed lazily from the layout's signal columns on the
-first signal query, so KBT-only traffic never pays for it.
+artifact: both are built from one aggregation
+(:func:`repro.io.mmap_layout.serving_columns`), float64 values survive
+the ``.npy`` round trip bit-for-bit (and ``json.dumps`` renders floats
+by ``repr``), both stores inherit the views from
+:class:`~repro.serving.store.StoreViews`, and the signal routes run
+through the same :class:`~repro.serving.store.SignalSurface` code —
+reconstructed lazily from the layout's signal columns on the first
+signal query, so KBT-only traffic never pays for it.
 
 Opening an *artifact path* transparently maintains a layout cache next
 to it, **keyed by the artifact's sha256** (the serving ETag):
@@ -26,8 +25,11 @@ to it, **keyed by the artifact's sha256** (the serving ETag):
 path, new bytes — therefore exports into a *fresh* directory and never
 touches the columns a live store has mmapped (rewriting them would
 tear or SIGBUS concurrent readers; see :mod:`repro.io.mmap_layout`).
-Repeated opens of unchanged bytes reuse the cached columns, and stale
-cache generations are garbage-collected best-effort after a successful
+Repeated opens of unchanged bytes reuse the cached columns — and so
+does the first open of a generation the ingest pipeline published,
+which exports to that name from its in-memory model right after saving
+(:attr:`MmapTrustStore.layout_state` says which happened). Stale cache
+generations are garbage-collected best-effort after a successful
 export — safe on POSIX, where unlinked files survive until the last
 mapping drops.
 
@@ -50,13 +52,19 @@ from repro.io.mmap_layout import (
     LayoutError,
     ServingLayout,
     artifact_etag,
+    cached_layout_dirs,
     export_layout,
+    layout_cache_dir,
 )
 from repro.serving.store import SignalSurface, StoreViews
 
 
 class MmapTrustStore(StoreViews):
     """Zero-copy serving view over one exported artifact layout."""
+
+    #: ``"reused"`` when the columns were already on disk at open,
+    #: ``"exported"`` when this open had to build them from the artifact.
+    layout_state = "reused"
 
     def __init__(self, layout: ServingLayout) -> None:
         self._layout = layout
@@ -129,7 +137,7 @@ class MmapTrustStore(StoreViews):
             store = cls._from_cache(Path(str(path) + ".layout"), etag)
             if store is not None:
                 return store
-            layout_dir = Path(f"{path}.layout-{etag[:16]}")
+            layout_dir = layout_cache_dir(path, etag)
         else:
             layout_dir = Path(layout_dir)
         store = cls._from_cache(layout_dir, etag)
@@ -146,6 +154,7 @@ class MmapTrustStore(StoreViews):
         export_layout(path, layout_dir, etag=etag)
         try:
             store = cls(ServingLayout(layout_dir))
+            store.layout_state = "exported"
         except BaseException:
             if managed:
                 # The directory was exported moments ago exclusively
@@ -178,12 +187,12 @@ class MmapTrustStore(StoreViews):
     @staticmethod
     def _gc_stale_layouts(path: Path, keep: Path) -> None:
         """Drop cache generations for artifact bytes that no longer
-        exist. Best-effort: on POSIX, unlinking files a live store still
-        has mmapped is safe (the inodes outlive the directory entries);
-        where unlink fails (e.g. Windows), the stale dir just stays."""
-        for candidate in path.parent.glob(path.name + ".layout*"):
-            if candidate != keep and candidate.is_dir():
-                shutil.rmtree(candidate, ignore_errors=True)
+        exist, and what exports of them left unfinished. Best-effort:
+        on POSIX, unlinking files a live store still has mmapped is
+        safe (the inodes outlive the directory entries); where unlink
+        fails (e.g. Windows), the stale dir just stays."""
+        for stale in cached_layout_dirs(path, keep=keep):
+            shutil.rmtree(stale, ignore_errors=True)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -9,13 +9,15 @@ from.
 
 A :class:`TrustStore` is built once from a
 :class:`~repro.io.artifact.TrustArtifact` (or straight from a file via
-:meth:`TrustStore.open`) and aggregates everything in memory: per-website
-and per-webpage scores, the top-k ranking, score percentiles, and a
-provenance ``breakdown`` that explains which model sources contribute to
-a website's score with what accuracy and extraction support. It is the
-aggregation the serving-layout exporter (:mod:`repro.io.mmap_layout`)
-derives every column from, the backend of ``kbt query`` / ``signals`` /
-``compare``, and the reference the parity tests hold the mmap store to.
+:meth:`TrustStore.open`, which decodes only the sections serving reads)
+and holds the serving columns in memory: per-website and per-webpage
+scores, the top-k ranking, score percentiles, and a provenance
+``breakdown`` that explains which model sources contribute to a
+website's score with what accuracy and extraction support. The
+aggregation itself is :func:`repro.io.mmap_layout.serving_columns` —
+the function the serving-layout exporters write from — so this store
+is the backend of ``kbt query`` / ``signals`` / ``compare`` and the
+reference the parity tests hold the mmap store to.
 
 Artifacts fitted with trust signals (format version 2,
 :mod:`repro.signals`) additionally serve the multi-signal surface: the
@@ -25,19 +27,18 @@ and the two-signal ``compare`` view (the Figure 10 quadrants). A
 version-1 artifact reports an empty signal set and keeps every KBT-only
 query working.
 
-All aggregation happens at construction; every query after that is a dict
-lookup (or a bisect for percentiles).
+All aggregation happens at construction; every query after that is a
+dict lookup and a column read.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
-from repro.core.kbt import KBTReport, KBTScore
-from repro.io.artifact import TrustArtifact, load_artifact
-from repro.io.reports import score_sort_key
+from repro.core.kbt import KBTScore
+from repro.io.artifact import TrustArtifact, load_serving_inputs
+from repro.io.mmap_layout import ServingColumns, serving_columns
 from repro.signals.base import SignalScores
 from repro.signals.frame import SignalFrame
 from repro.signals.fusion import fuse
@@ -208,49 +209,56 @@ class StoreViews:
 class TrustStore(StoreViews):
     """One fitted KBT artifact, aggregated in memory."""
 
-    def __init__(self, artifact: TrustArtifact) -> None:
-        self._artifact = artifact
-        report = KBTReport(artifact.result, artifact.min_triples)
-        self._site_scores = report.website_scores()
-        self._page_scores = report.webpage_scores()
-        #: descending score, ties broken by key for a stable ranking.
-        self._ranked = sorted(
-            self._site_scores.values(), key=score_sort_key
-        )
-        #: ascending score values, for percentile bisection.
-        self._sorted_scores = sorted(
-            score.score for score in self._site_scores.values()
-        )
-        #: website -> contributing model sources (provenance breakdown).
-        support = report.source_support
-        self._contributors: dict[str, list[tuple]] = {}
-        for source, accuracy in artifact.result.source_accuracy.items():
-            source_support = support.get(source, 0.0)
-            if source_support <= 0.0:
-                continue
-            self._contributors.setdefault(source.website, []).append(
-                (source, accuracy, source_support)
+    def __init__(self, artifact: TrustArtifact | ServingColumns) -> None:
+        if isinstance(artifact, ServingColumns):
+            columns = artifact
+        else:
+            columns = serving_columns(
+                artifact.result.source_accuracy,
+                artifact.result.expected_triples_by_source(),
+                artifact.min_triples,
+                artifact.signals,
+                artifact.fusion_weights,
             )
+        self._columns = columns
+        self._site_scores = {
+            site: KBTScore(site, score, support)
+            for site, score, support in zip(
+                columns.site_key, columns.site_score, columns.site_support
+            )
+        }
+        self._site_row = {
+            site: row for row, site in enumerate(columns.site_key)
+        }
+        self._page_scores = {
+            (site, url): KBTScore((site, url), score, support)
+            for site, url, score, support in zip(
+                columns.page_site,
+                columns.page_url,
+                columns.page_score,
+                columns.page_support,
+            )
+        }
+        #: descending score, ties broken by key for a stable ranking.
+        ranked = list(self._site_scores.values())
+        self._ranked = [ranked[row] for row in columns.ranked_idx]
         #: multi-signal view (empty frame for v1 / signal-less artifacts).
         self._signals = SignalSurface(
-            artifact.signals, artifact.fusion_weights
+            columns.signals, columns.fusion_weights
         )
 
     @classmethod
     def open(cls, path: str | Path) -> "TrustStore":
-        """Load an artifact from disk and build the store."""
-        return cls(load_artifact(path))
+        """Build the store from an artifact on disk, decoding only the
+        sections serving reads (never the observation matrix)."""
+        return cls(serving_columns(*load_serving_inputs(path)))
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def artifact(self) -> TrustArtifact:
-        return self._artifact
-
-    @property
     def min_triples(self) -> float:
-        return self._artifact.min_triples
+        return self._columns.min_triples
 
     def __len__(self) -> int:
         return len(self._site_scores)
@@ -265,14 +273,6 @@ class TrustStore(StoreViews):
     @property
     def num_pages(self) -> int:
         return len(self._page_scores)
-
-    def page_scores(self) -> dict[tuple[str, str], KBTScore]:
-        """Every (website, webpage) score — the ``/page`` universe.
-
-        Insertion order is the aggregation order, which the serving
-        layout exporter (:mod:`repro.io.mmap_layout`) relies on.
-        """
-        return dict(self._page_scores)
 
     # ------------------------------------------------------------------
     # Queries
@@ -293,11 +293,10 @@ class TrustStore(StoreViews):
 
     def percentile(self, website: str) -> float | None:
         """Share of scored websites at or below this site's score (0-100)."""
-        score = self._site_scores.get(website)
-        if score is None:
+        row = self._site_row.get(website)
+        if row is None:
             return None
-        rank = bisect_right(self._sorted_scores, score.score)
-        return 100.0 * rank / len(self._sorted_scores)
+        return self._columns.site_percentile[row]
 
     def breakdown(self, website: str) -> dict | None:
         """Why a website scores what it scores, or None when unscored.
@@ -306,9 +305,11 @@ class TrustStore(StoreViews):
         source contributing to the support-weighted average: its key,
         granularity level, accuracy, and extraction support.
         """
-        score = self._site_scores.get(website)
-        if score is None:
+        row = self._site_row.get(website)
+        if row is None:
             return None
+        columns = self._columns
+        lo, hi = columns.contrib_ptr[row], columns.contrib_ptr[row + 1]
         contributors = [
             {
                 "source": str(source),
@@ -317,16 +318,17 @@ class TrustStore(StoreViews):
                 "accuracy": accuracy,
                 "support": source_support,
             }
-            for source, accuracy, source_support in sorted(
-                self._contributors.get(website, ()),
-                key=lambda entry: -entry[2],
+            for source, accuracy, source_support in zip(
+                columns.contrib_source[lo:hi],
+                columns.contrib_accuracy[lo:hi],
+                columns.contrib_support[lo:hi],
             )
         ]
         return {
             "key": website,
-            "score": score.score,
-            "support": score.support,
-            "percentile": self.percentile(website),
+            "score": columns.site_score[row],
+            "support": columns.site_support[row],
+            "percentile": columns.site_percentile[row],
             "num_sources": len(contributors),
             "sources": contributors,
         }
