@@ -222,15 +222,18 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--request-timeout", type=float, default=30.0, metavar="S",
         help=(
-            "per-request deadline in seconds; a handler exceeding it "
-            "answers 504 (default 30)"
+            "deadline in seconds for requests run on the worker pool "
+            "(signal routes, large batches / rankings / breakdowns); "
+            "one exceeding it answers 504. Bounded lookups are "
+            "answered on the event loop and need none (default 30)"
         ),
     )
     serve.add_argument(
         "--workers", type=int, default=8, metavar="N",
         help=(
-            "handler thread-pool size — the backpressure bound on "
-            "concurrently executing lookups (default 8)"
+            "worker-pool size — the backpressure bound on concurrently "
+            "executing unbounded requests and hot swaps; bounded "
+            "lookups never enter the pool (default 8)"
         ),
     )
     serve.add_argument(

@@ -476,8 +476,8 @@ def _write_columns(
 class ServingLayout:
     """An opened layout directory: the manifest plus mmapped columns.
 
-    ``array(name)`` returns a read-only ``np.memmap`` view of one
-    column, ``strings(name)`` a lazily-decoding :class:`StringColumn`;
+    ``array(name)`` returns a read-only array over the ``np.memmap`` of
+    one column, ``strings(name)`` a lazily-decoding :class:`StringColumn`;
     both raise :class:`LayoutError` with the regenerate remedy when a
     file is missing or torn.
     """
@@ -522,7 +522,10 @@ class ServingLayout:
     def array(self, name: str) -> np.ndarray:
         path = self.directory / f"{name}.npy"
         try:
-            return np.load(path, mmap_mode="r")
+            # A plain view of the map: ``np.memmap``'s Python-level
+            # ``__getitem__`` / ``__array_finalize__`` cost more than
+            # the reads they wrap. The view's base keeps the map alive.
+            return np.load(path, mmap_mode="r").view(np.ndarray)
         except (OSError, ValueError) as err:
             raise LayoutError(
                 f"cannot map serving-layout column {path}: {err}; the "

@@ -5,26 +5,48 @@ The only HTTP frontend. GET routes are answered by the route table
 around it:
 
 * **asyncio transport** (stdlib ``asyncio.start_server``): one event
-  loop owns every socket; route handlers run on a bounded thread pool so
-  a slow lookup never stalls the loop, and the pool doubles as the
-  backpressure valve — excess requests queue instead of spawning
-  threads. Keep-alive and pipelined requests on one connection are
-  answered strictly in order.
+  loop owns every socket. Keep-alive and pipelined requests on one
+  connection are answered strictly in order.
+* **Bounded lookups on the loop, the rest on a pool** — what a request
+  costs is known before any work starts
+  (:func:`repro.serving.routes.route_cost`: the store rows it will
+  touch). At most :data:`INLINE_ROWS` rows of a store that declares its
+  lookups memory-resident — every point route, small ``/batch`` /
+  ``/top`` / ``/breakdown`` requests, every 400 and 404 — is answered
+  right on the loop thread: a dict lookup and a few mapped reads cost
+  less than handing them to another thread. Such an answer is bounded
+  by construction, so it needs no deadline; the connection yields to
+  the loop after each one, so a client that pipelines thousands cannot
+  starve the others. Everything else — ``/signals`` and ``/compare``
+  (a lazy surface build, O(n) scans), larger batches, rankings and
+  breakdowns, every route of a store that does not make the residency
+  promise, and hot swaps — runs on a bounded thread pool (``workers``),
+  which is also the backpressure valve: excess work queues instead of
+  spawning threads. The one caveat: a page fault on a cold column page
+  now stalls the loop instead of a worker. Acceptable, because the
+  ``key -> row`` index is resident and the columns are ~9 bytes per
+  record — the working set of a serving process is its whole layout.
 * **Connection limit** — beyond ``max_connections`` concurrent sockets,
   new arrivals get an immediate JSON 503 and a close, instead of
   unbounded accept backlog.
-* **Per-request timeout** — a handler that exceeds ``request_timeout``
-  answers 504 while the stray worker finishes harmlessly in the pool
-  (its store lease releases only when it actually ends, so a hot swap
-  can never unmap memory under it).
+* **Per-request timeout** — a pooled handler that exceeds
+  ``request_timeout`` answers 504 while the stray worker finishes
+  harmlessly in the pool (its store lease releases only when it
+  actually ends, so a hot swap can never unmap memory under it).
+* **Request framing** — bodies are framed by ``Content-Length`` only:
+  a ``Transfer-Encoding`` request is refused with one 501 and a close
+  (never parsed as two requests); ``Expect: 100-continue`` gets its
+  interim response before the body is read; an HTTP/1.0 request closes
+  after the response unless it asks for keep-alive.
 * **ETag caching** — every cacheable response carries the artifact's
   sha256 as a strong ETag; ``If-None-Match`` answers 304 with no store
   work, and a bounded LRU keyed ``(etag, request target)`` serves
   repeat hits without re-rendering. A swap changes the ETag, so stale
   entries can never be served.
-* **POST /batch** — ``{"sites": [...]}`` bodies of arbitrary size,
-  fanned out over the pool in bounded chunks and merged in order;
-  byte-compatible with ``GET /batch`` over the same keys.
+* **POST /batch** — ``{"sites": [...]}`` bodies of arbitrary size:
+  up to :data:`INLINE_ROWS` keys answered on the loop, more fanned out
+  over the pool in bounded chunks and merged in order; byte-compatible
+  with ``GET /batch`` over the same keys.
 * **Hot swap** — ``POST /admin/swap {"artifact": PATH}`` builds the new
   store first (rejecting corrupt or version-mismatched artifacts with a
   400 while the old store keeps serving) and flips atomically via the
@@ -64,18 +86,37 @@ from repro.ingest.status import StatusBoard
 from repro.io.artifact import ArtifactError
 from repro.io.mmap_layout import LayoutError
 from repro.serving.manager import StoreManager
-from repro.serving.routes import CACHEABLE_ROUTES, handle_route
+from repro.serving.routes import (
+    CACHEABLE_ROUTES,
+    handle_route,
+    lookup_cost,
+    route_cost,
+)
 
 #: Largest accepted request body (a /batch over ~100k sites fits).
 MAX_BODY_BYTES = 8 << 20
 #: Largest accepted request head (request line + headers).
 MAX_HEAD_BYTES = 64 << 10
+#: A request whose cost (:func:`repro.serving.routes.route_cost`: store
+#: rows it will touch) is at most this is answered on the event loop;
+#: anything dearer, or of unknown cost, goes to the worker pool under
+#: ``request_timeout``. Chosen by measurement, not tunable: the worst
+#: 64-row answers (a 64-key batch, ``/top?k=64``, a 58-row breakdown)
+#: hold the loop ~0.45 ms — about what one pool hop costs *every*
+#: request — so no inline answer delays the loop's other connections by
+#: more than the hop it saves them.
+INLINE_ROWS = 64
 
 _JSON_TYPE = "application/json; charset=utf-8"
 
 
 class ListenError(OSError):
     """``serve_gateway`` could not bind its host and port."""
+
+
+def _inline(cost: int | None) -> bool:
+    """The one inline-or-pool decision: is ``cost`` known and small?"""
+    return cost is not None and cost <= INLINE_ROWS
 
 
 def _consume(future) -> None:
@@ -140,9 +181,10 @@ class Gateway:
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="kbt-gateway"
         )
+        # Read and written by the loop thread only — pooled handlers
+        # return payloads and the coroutine caches them — so no lock.
         self._cache: OrderedDict[tuple, bytes] = OrderedDict()
         self._cache_size = cache_size
-        self._cache_lock = threading.Lock()
         self._server: asyncio.base_events.Server | None = None
         self._connections: set[_Connection] = set()
         self._draining = False
@@ -265,14 +307,34 @@ class Gateway:
         """Parse, dispatch, respond. Returns whether to keep the socket."""
         try:
             request_line, headers = self._parse_head(head)
-            method, target, _version = request_line.split(" ", 2)
+            method, target, version = request_line.split(" ", 2)
         except ValueError:
             await self._respond(
                 writer, 400, {"error": "malformed request"}, close=True
             )
             return False
 
-        keep_alive = headers.get("connection", "").lower() != "close"
+        # HTTP/1.0 closes unless asked to keep alive; 1.1 the reverse.
+        connection = headers.get("connection", "").lower()
+        if version == "HTTP/1.0":
+            keep_alive = connection == "keep-alive"
+        else:
+            keep_alive = connection != "close"
+
+        if "transfer-encoding" in headers:
+            # No transfer coding is implemented, so where this body ends
+            # is unknown: answer once and drop the unread bytes with the
+            # socket rather than parse them as the next request.
+            await self._respond(
+                writer,
+                501,
+                {
+                    "error": "transfer-encoding is not supported; "
+                    "send the body with a Content-Length"
+                },
+                close=True,
+            )
+            return False
 
         body = b""
         raw_length = headers.get("content-length", "0")
@@ -297,6 +359,10 @@ class Gateway:
             )
             return False
         if content_length:
+            if headers.get("expect", "").lower() == "100-continue":
+                # The client (curl, for a large body) holds the body
+                # back until told to send it, or for a second if not.
+                writer.write(b"HTTP/1.1 100 Continue\r\n\r\n")
             try:
                 body = await reader.readexactly(content_length)
             except (asyncio.IncompleteReadError, ConnectionResetError):
@@ -395,42 +461,57 @@ class Gateway:
                 # finishes, keeping the swap-close safe.
                 lease.release()
 
-        loop = asyncio.get_running_loop()
-        future = loop.run_in_executor(self._pool, work)
-        done, _pending = await asyncio.wait(
-            {future}, timeout=self.request_timeout
-        )
-        if not done:
-            future.add_done_callback(_consume)
-            await self._respond(
-                writer, 504, {"error": "request timed out"}
+        inline = _inline(route_cost(lease.store, path, params))
+        if inline:
+            status, payload = work()
+        else:
+            loop = asyncio.get_running_loop()
+            future = loop.run_in_executor(self._pool, work)
+            done, _pending = await asyncio.wait(
+                {future}, timeout=self.request_timeout
             )
-            return keep_alive
-        status, payload = future.result()
+            if not done:
+                future.add_done_callback(_consume)
+                await self._respond(
+                    writer, 504, {"error": "request timed out"}
+                )
+                return keep_alive
+            status, payload = future.result()
         body = json.dumps(payload, ensure_ascii=False).encode("utf-8")
         if cacheable and status == 200:
             self._cache_put((etag, target), body)
         await self._respond(
             writer, status, body=body, etag=etag if cacheable else None
         )
+        if inline:
+            await self._yield_to_loop()
         return keep_alive
 
+    @staticmethod
+    async def _yield_to_loop() -> None:
+        """Let every other connection run between two inline answers.
+
+        Neither an inline answer nor a buffered read or write ever
+        suspends this connection's task, so without this one client
+        pipelining thousands of requests would hold the loop until its
+        last response — the pool hop used to be the yield.
+        """
+        await asyncio.sleep(0)
+
     def _cache_get(self, key: tuple) -> bytes | None:
-        with self._cache_lock:
-            body = self._cache.get(key)
-            if body is not None:
-                self._cache.move_to_end(key)
-            return body
+        body = self._cache.get(key)
+        if body is not None:
+            self._cache.move_to_end(key)
+        return body
 
     def _cache_put(self, key: tuple, body: bytes) -> None:
-        with self._cache_lock:
-            self._cache[key] = body
-            self._cache.move_to_end(key)
-            while len(self._cache) > self._cache_size:
-                self._cache.popitem(last=False)
+        self._cache[key] = body
+        self._cache.move_to_end(key)
+        while len(self._cache) > self._cache_size:
+            self._cache.popitem(last=False)
 
     # ------------------------------------------------------------------
-    # POST /batch: bounded fan-out over the worker pool
+    # POST /batch: inline when small, else bounded fan-out over the pool
     # ------------------------------------------------------------------
     async def _batch_post(
         self,
@@ -457,6 +538,41 @@ class Gateway:
         # conditional GET/HEAD, and a POST is executed unconditionally.
         lease = self.manager.acquire()
         etag = getattr(lease.store, "etag", None)
+        inline = _inline(lookup_cost(lease.store, len(sites)))
+        try:
+            if inline:
+                with lease as store:
+                    merged = store.batch_json(sites)
+            else:
+                merged = await self._batch_on_pool(lease, sites)
+        except Exception as err:  # noqa: BLE001 - mirror handle_route's 500
+            await self._respond(
+                writer,
+                500,
+                {
+                    "error": "internal error: "
+                    f"{type(err).__name__}: {err}"
+                },
+            )
+            return keep_alive
+        if merged is None:
+            await self._respond(
+                writer, 504, {"error": "request timed out"}
+            )
+            return keep_alive
+        await self._respond(writer, 200, merged, etag=etag)
+        if inline:
+            await self._yield_to_loop()
+        return keep_alive
+
+    async def _batch_on_pool(self, lease, sites: list[str]) -> dict | None:
+        """``batch_json`` over ``sites`` in ``batch_chunk`` pieces, at
+        most ``batch_fanout`` of them on the pool at once, merged in
+        order; ``None`` when that takes longer than ``request_timeout``.
+
+        Takes over ``lease``: it is released when the last chunk ends —
+        after a timeout that is when the stray workers actually finish.
+        """
         chunks = [
             sites[i : i + self.batch_chunk]
             for i in range(0, len(sites), self.batch_chunk)
@@ -473,36 +589,18 @@ class Gateway:
         gathered = asyncio.ensure_future(
             asyncio.gather(*(one_chunk(chunk) for chunk in chunks))
         )
+        gathered.add_done_callback(
+            lambda task: (_consume(task), lease.release())
+        )
         done, _pending = await asyncio.wait(
             {gathered}, timeout=self.request_timeout
         )
         if not done:
-            gathered.add_done_callback(
-                lambda task: (_consume(task), lease.release())
-            )
-            await self._respond(
-                writer, 504, {"error": "request timed out"}
-            )
-            return keep_alive
-        try:
-            partials = gathered.result()
-        except Exception as err:  # noqa: BLE001 - mirror handle_route's 500
-            lease.release()
-            await self._respond(
-                writer,
-                500,
-                {
-                    "error": "internal error: "
-                    f"{type(err).__name__}: {err}"
-                },
-            )
-            return keep_alive
-        lease.release()
+            return None
         merged: dict = {}
-        for partial in partials:
+        for partial in gathered.result():
             merged.update(partial)
-        await self._respond(writer, 200, merged, etag=etag)
-        return keep_alive
+        return merged
 
     # ------------------------------------------------------------------
     # Readiness + hot swap

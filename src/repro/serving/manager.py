@@ -18,7 +18,8 @@ a hope:
   so mmap-backed stores never unmap under a reader.
 
 The manager is thread-safe (one mutex around the refcount bookkeeping —
-all O(1) operations) because gateway handlers run on executor threads.
+all O(1) operations) because leases are taken on the gateway's event
+loop and released there or on its worker threads, and swaps run on one.
 """
 
 from __future__ import annotations

@@ -66,6 +66,10 @@ class MmapTrustStore(StoreViews):
     #: ``"exported"`` when this open had to build them from the artifact.
     layout_state = "reused"
 
+    #: The key -> row index is resident and the columns are mapped, so a
+    #: lookup's worst case is a page fault on a ~9 bytes/record layout.
+    resident_lookups = True
+
     def __init__(self, layout: ServingLayout) -> None:
         self._layout = layout
         manifest = layout.manifest
@@ -289,6 +293,13 @@ class MmapTrustStore(StoreViews):
             "num_sources": len(contributors),
             "sources": contributors,
         }
+
+    def contributor_rows(self, website: str) -> int:
+        index = self._site_index.get(website)
+        if index is None:
+            return 0
+        ptr = self._contrib_ptr
+        return int(ptr[index + 1]) - int(ptr[index])
 
     # ------------------------------------------------------------------
     # Trust signals (lazily reconstructed, then the shared surface)

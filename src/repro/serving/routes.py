@@ -1,8 +1,10 @@
 """The one route table: ``(store, path, params) -> (status, payload)``.
 
 :func:`handle_route` holds all parameter parsing, 400/404 semantics and
-error strings in one place; the gateway (:mod:`repro.serving.gateway`)
-owns only transport concerns (sockets, headers, timeouts, caching). It
+error strings in one place, and :func:`route_cost` beside it says what
+a request will cost before it runs; the gateway
+(:mod:`repro.serving.gateway`) owns only transport concerns (sockets,
+headers, timeouts, caching, and which thread answers). ``handle_route``
 is a plain function of the store, so the parity tests call it directly
 over a :class:`~repro.serving.store.TrustStore` and compare against the
 bytes the gateway serves from the mmap store.
@@ -85,9 +87,12 @@ def _page(store, params) -> tuple[int, object]:
     return 200, payload
 
 
+def _batch_sites(params: dict) -> list[str]:
+    return [site for site in _require(params, "sites").split(",") if site]
+
+
 def _batch(store, params) -> tuple[int, object]:
-    sites = [site for site in _require(params, "sites").split(",") if site]
-    return 200, store.batch_json(sites)
+    return 200, store.batch_json(_batch_sites(params))
 
 
 def _top(store, params) -> tuple[int, object]:
@@ -139,6 +144,45 @@ _ROUTES = {
 }
 
 
+def lookup_cost(store, rows: int) -> int | None:
+    """The cost of touching ``rows`` rows of ``store``: that count (at
+    least 1) when the store declares its lookups memory-resident,
+    ``None`` — unbounded — when nothing says how long they can block."""
+    if not getattr(store, "resident_lookups", False):
+        return None
+    return max(1, rows)
+
+
+def route_cost(store, path: str, params: dict) -> int | None:
+    """Store rows answering this GET will touch, known *before* the work.
+
+    With :func:`lookup_cost` (which ``POST /batch`` calls with its key
+    count) the only place that says what a request costs: the gateway
+    answers on its event loop exactly the requests whose cost is small
+    (``repro.serving.gateway.INLINE_ROWS``) and sends the rest to its
+    worker pool. ``None`` means unbounded: the signal routes (a lazy
+    surface build, then O(n) scans), and every route of a store without
+    ``resident_lookups``. Otherwise a point lookup, an unknown route
+    and anything :func:`handle_route` will reject with a 400 cost 1;
+    ``/batch`` costs its key count, ``/top`` its ``k``, ``/breakdown``
+    the site's contributor rows (millions of pages at the paper's
+    scale, so not a point lookup).
+    """
+    rows = 1
+    if path in ("/signals", "/compare") or lookup_cost(store, rows) is None:
+        return None
+    try:
+        if path == "/batch":
+            rows = len(_batch_sites(params))
+        elif path == "/top":
+            rows = _parse_k(params)
+        elif path == "/breakdown":
+            rows = store.contributor_rows(_require(params, "site"))
+    except _BadRequest:
+        pass
+    return lookup_cost(store, rows)
+
+
 def handle_route(store, path: str, params: dict) -> tuple[int, object]:
     """Answer one GET request against ``store``; never raises.
 
@@ -160,4 +204,4 @@ def handle_route(store, path: str, params: dict) -> tuple[int, object]:
         return 500, {"error": f"internal error: {type(err).__name__}: {err}"}
 
 
-__all__ = ["CACHEABLE_ROUTES", "handle_route"]
+__all__ = ["CACHEABLE_ROUTES", "handle_route", "lookup_cost", "route_cost"]

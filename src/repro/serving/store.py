@@ -134,12 +134,22 @@ class SignalSurface:
 class StoreViews:
     """The views every store kind serves, over the store's own lookups.
 
-    A store supplies ``score``, ``score_page``, ``top``, ``__len__``,
-    ``num_pages``, ``min_triples``, ``signal_names`` and
-    ``_signal_surface``; what the routes and ``kbt query`` render from
-    those is defined here and nowhere else, so two stores over the same
-    artifact cannot answer a route with different bytes.
+    A store supplies ``score``, ``score_page``, ``top``, ``percentile``,
+    ``breakdown``, ``contributor_rows``, ``__len__``, ``num_pages``,
+    ``min_triples``, ``signal_names`` and ``_signal_surface``; what the
+    routes and ``kbt query`` render from those is defined here and
+    nowhere else, so two stores over the same artifact cannot answer a
+    route with different bytes.
     """
+
+    #: Does every KBT lookup (``score``, ``score_page``, ``top``,
+    #: ``percentile``, ``breakdown``, ``contributor_rows``) read only
+    #: this process's memory — a resident index, then in-memory or
+    #: mmapped columns? A store that says so may be queried on the
+    #: gateway's event loop (:func:`repro.serving.routes.route_cost`);
+    #: one whose lookups can block (a remote or disk-seeking backend)
+    #: must leave it false and is only ever called on the worker pool.
+    resident_lookups = False
 
     def batch(self, keys: Iterable[str]) -> dict[str, KBTScore | None]:
         """Look up many websites at once (None for unscored keys)."""
@@ -208,6 +218,8 @@ class StoreViews:
 
 class TrustStore(StoreViews):
     """One fitted KBT artifact, aggregated in memory."""
+
+    resident_lookups = True
 
     def __init__(self, artifact: TrustArtifact | ServingColumns) -> None:
         if isinstance(artifact, ServingColumns):
@@ -332,6 +344,14 @@ class TrustStore(StoreViews):
             "num_sources": len(contributors),
             "sources": contributors,
         }
+
+    def contributor_rows(self, website: str) -> int:
+        """How many contributor rows ``breakdown(website)`` reads; O(1)."""
+        row = self._site_row.get(website)
+        if row is None:
+            return 0
+        ptr = self._columns.contrib_ptr
+        return ptr[row + 1] - ptr[row]
 
     def signal_names(self) -> list[str]:
         """Names of the signals embedded in the artifact (may be empty)."""

@@ -1,6 +1,7 @@
 """Serving-tier tests: layout export, MmapTrustStore parity, the asyncio
 gateway, and zero-downtime hot artifact swap."""
 
+import contextlib
 import http.client
 import json
 import os
@@ -35,10 +36,10 @@ from repro.io.mmap_layout import (
     artifact_etag,
     export_layout,
 )
-from repro.serving.gateway import Gateway, GatewayThread
+from repro.serving.gateway import INLINE_ROWS, Gateway, GatewayThread
 from repro.serving.manager import StoreManager
 from repro.serving.mmap_store import MmapTrustStore
-from repro.serving.routes import handle_route
+from repro.serving.routes import handle_route, lookup_cost, route_cost
 from repro.serving.store import TrustStore
 from repro.signals import CorpusContext, SignalSuite, fuse
 
@@ -103,6 +104,24 @@ def signal_artifact(tmp_path_factory):
         signals={name: frame.signal(name) for name in frame.names},
         fusion_weights=fusion.weights,
     )
+    return path
+
+
+#: A website with more contributor rows than the gateway answers inline.
+WIDE_SITE = "wide.example"
+WIDE_PAGES = INLINE_ROWS + 6
+
+
+@pytest.fixture(scope="module")
+def wide_artifact(tmp_path_factory):
+    records = corpus()
+    for page in range(WIDE_PAGES):
+        records.extend(
+            page_records(WIDE_SITE, f"{WIDE_SITE}/p{page}", "e0",
+                         ["s0", "s1"], lambda s: f"true-{s}")
+        )
+    path = tmp_path_factory.mktemp("artifacts") / "wide.kbt"
+    KBTEstimator().fit(records).save(path)
     return path
 
 
@@ -547,6 +566,370 @@ class TestGatewayHttp:
 
 
 # ----------------------------------------------------------------------
+# What a request costs, and where it is therefore answered
+# ----------------------------------------------------------------------
+MANY_SITES = ",".join(f"site{i}.example" for i in range(INLINE_ROWS + 1))
+
+#: (path, params, rows) over a store whose lookups are resident.
+COSTS = [
+    ("/healthz", {}, 1),
+    ("/score", {"site": ["good.com"]}, 1),
+    ("/score", {"site": ["nosuch.example"]}, 1),
+    ("/score", {}, 1),
+    ("/page", {"site": ["good.com"], "page": ["good.com/p"]}, 1),
+    ("/page", {"site": ["good.com"]}, 1),
+    ("/percentile", {"site": ["bad.com"]}, 1),
+    ("/percentile", {}, 1),
+    ("/nosuchroute", {}, 1),
+    ("/batch", {"sites": ["good.com,bad.com,nosuch.example"]}, 3),
+    ("/batch", {"sites": [MANY_SITES]}, INLINE_ROWS + 1),
+    ("/batch", {"sites": [",,"]}, 1),
+    ("/batch", {"sites": [""]}, 1),
+    ("/batch", {}, 1),
+    ("/top", {}, 10),
+    ("/top", {"k": ["3"]}, 3),
+    ("/top", {"k": ["0"]}, 1),
+    ("/top", {"k": ["bogus"]}, 1),
+    ("/top", {"k": ["-1"]}, 1),
+    ("/top", {"k": ["1" + "0" * 30]}, 10**30),
+    ("/breakdown", {"site": ["good.com"]}, 1),
+    ("/breakdown", {"site": [WIDE_SITE]}, WIDE_PAGES),
+    ("/breakdown", {"site": ["nosuch.example"]}, 1),
+    ("/breakdown", {}, 1),
+    ("/signals", {}, None),
+    ("/signals", {"site": ["good.com"]}, None),
+    ("/compare", {"a": ["kbt"], "b": ["pagerank"], "k": ["5"]}, None),
+    ("/compare", {}, None),
+]
+
+
+class TestRouteCost:
+    @pytest.mark.parametrize("path,params,rows", COSTS)
+    def test_cost_of_every_route(self, wide_artifact, path, params, rows):
+        for store in (
+            MmapTrustStore.open(wide_artifact),
+            TrustStore.open(wide_artifact),
+        ):
+            assert route_cost(store, path, params) == rows
+
+    @pytest.mark.parametrize("path,params,_rows", COSTS)
+    def test_unmarked_store_is_unbounded(self, path, params, _rows):
+        """A duck-typed store says nothing about how long its lookups
+        block, so nothing about it is bounded — and nothing is called."""
+        assert route_cost(object(), path, params) is None
+
+    def test_marker_is_declared_by_the_stores(self, wide_artifact):
+        store = MmapTrustStore.open(wide_artifact)
+        assert store.resident_lookups and TrustStore.resident_lookups
+        assert lookup_cost(store, 0) == 1
+        assert lookup_cost(store, 300) == 300
+        store.resident_lookups = False
+        assert lookup_cost(store, 1) is None
+        assert route_cost(store, "/score", {"site": ["good.com"]}) is None
+
+    def test_contributor_rows_is_the_breakdown_length(self, wide_artifact):
+        stores = (
+            MmapTrustStore.open(wide_artifact),
+            TrustStore.open(wide_artifact),
+        )
+        for store in stores:
+            for site in store.websites():
+                rows = store.contributor_rows(site)
+                assert type(rows) is int
+                assert rows == store.breakdown(site)["num_sources"]
+            assert store.contributor_rows(WIDE_SITE) == WIDE_PAGES
+            assert store.contributor_rows("nosuch.example") == 0
+
+
+@contextlib.contextmanager
+def spied_gateway(store, **kwargs):
+    """A running gateway over ``store`` (or a ready ``StoreManager``)
+    plus the list of everything its pool was handed:
+    ``(GatewayThread, submitted)``."""
+    manager = store if isinstance(store, StoreManager) else StoreManager(store)
+    gateway = GatewayThread(manager, **kwargs).start()
+    pool = gateway.gateway._pool
+    submitted = []
+    real_submit = pool.submit
+
+    def submit(fn, *args, **kw):
+        submitted.append(fn)
+        return real_submit(fn, *args, **kw)
+
+    pool.submit = submit
+    try:
+        yield gateway, submitted
+    finally:
+        gateway.stop()
+
+
+class TestInlineOrPool:
+    INLINE = [
+        "/healthz",
+        "/score?site=good.com",
+        "/score?site=nosuch.example",
+        "/score",
+        "/page?site=good.com&page=good.com%2Fp",
+        "/percentile?site=bad.com",
+        "/nosuchroute",
+        "/batch?sites=good.com,bad.com",
+        "/batch?sites=" + MANY_SITES.rsplit(",", 1)[0],
+        "/top?k=10",
+        "/top?k=bogus",
+        f"/top?k={INLINE_ROWS}",
+        "/breakdown?site=good.com",
+    ]
+    POOLED = [
+        "/signals",
+        "/signals?site=good.com",
+        "/compare?a=kbt&b=pagerank&k=5",
+        "/batch?sites=" + MANY_SITES,
+        f"/top?k={INLINE_ROWS + 1}",
+        "/top?k=1" + "0" * 30,
+        f"/breakdown?site={WIDE_SITE}",
+    ]
+
+    def test_bounded_requests_never_reach_the_pool(self, wide_artifact):
+        with spied_gateway(MmapTrustStore.open(wide_artifact)) as (
+            gateway, submitted,
+        ):
+            for path in self.INLINE:
+                status, _, _ = http_get(gateway.address, path)
+                assert status in (200, 400, 404), path
+                assert submitted == [], path
+
+    def test_unbounded_requests_run_on_the_pool(self, wide_artifact):
+        with spied_gateway(MmapTrustStore.open(wide_artifact)) as (
+            gateway, submitted,
+        ):
+            for path in self.POOLED:
+                del submitted[:]
+                status, _, _ = http_get(gateway.address, path)
+                assert status in (200, 400, 404), path
+                assert len(submitted) >= 1, path
+
+    def test_post_batch_on_either_side_of_the_bound(self, wide_artifact):
+        sites = MANY_SITES.split(",")
+        with spied_gateway(MmapTrustStore.open(wide_artifact)) as (
+            gateway, submitted,
+        ):
+            for keys in (["good.com"], sites[:INLINE_ROWS], []):
+                status, _ = http_post(
+                    gateway.address, "/batch", {"sites": keys}
+                )
+                assert status == 200 and submitted == []
+            status, _ = http_post(gateway.address, "/batch", {"sites": sites})
+            assert status == 200 and len(submitted) == 1
+
+    def test_unmarked_store_always_runs_on_the_pool(self, wide_artifact):
+        store = MmapTrustStore.open(wide_artifact)
+        store.resident_lookups = False
+        with spied_gateway(store) as (gateway, submitted):
+            for count, path in enumerate(self.INLINE, start=1):
+                http_get(gateway.address, path)
+                assert len(submitted) == count, path
+            http_post(gateway.address, "/batch", {"sites": ["good.com"]})
+            assert len(submitted) == len(self.INLINE) + 1
+
+    def test_inline_and_pooled_answers_are_byte_identical(
+        self, signal_artifact
+    ):
+        """Same store, marker on and off: status, ETag and body agree
+        with each other and with ``handle_route`` over ``TrustStore``."""
+        reference = TrustStore.open(signal_artifact)
+        pooled_store = MmapTrustStore.open(signal_artifact)
+        pooled_store.resident_lookups = False
+        sites = ["good.com", "bad.com", "a.com", "zz", "b.com"]
+        with spied_gateway(MmapTrustStore.open(signal_artifact)) as (
+            inline, inline_submitted,
+        ), spied_gateway(pooled_store) as (pooled, pooled_submitted):
+            for path in TestGatewayHttp.GET_PATHS:
+                url = urlsplit(path)
+                expected = render(reference, url.path, parse_qs(url.query))
+                answers = [
+                    http_get(gateway.address, path)
+                    for gateway in (inline, pooled)
+                ]
+                for status, body, headers in answers:
+                    assert (status, body) == expected, path
+                assert answers[0][2].get("ETag") == answers[1][2].get(
+                    "ETag"
+                ), path
+            assert len(pooled_submitted) == len(TestGatewayHttp.GET_PATHS)
+            # Only the signal routes left the inline gateway's loop.
+            assert len(inline_submitted) == sum(
+                path.startswith(("/signals", "/compare"))
+                for path in TestGatewayHttp.GET_PATHS
+            )
+            posts = [
+                http_post(gateway.address, "/batch", {"sites": sites})
+                for gateway in (inline, pooled)
+            ]
+            assert posts[0] == posts[1] == render(
+                reference, "/batch", {"sites": [",".join(sites)]}
+            )
+
+    def test_slow_unbounded_route_of_a_resident_store_504(
+        self, signal_artifact
+    ):
+        """The deadline still covers what the loop does not answer: a
+        resident store's ``/compare`` is pooled, so a slow one is a 504
+        — and the point lookups beside it are untouched."""
+        store = MmapTrustStore.open(signal_artifact)
+
+        def slow_compare(a, b, k=10):
+            time.sleep(1.0)
+            return {}
+
+        store.compare = slow_compare
+        gateway = GatewayThread(
+            StoreManager(store), request_timeout=0.2
+        ).start()
+        try:
+            status, body, _ = http_get(
+                gateway.address, "/compare?a=kbt&b=pagerank"
+            )
+            assert status == 504
+            assert json.loads(body) == {"error": "request timed out"}
+            status, _, _ = http_get(gateway.address, "/score?site=good.com")
+            assert status == 200
+        finally:
+            gateway.stop()
+
+
+# ----------------------------------------------------------------------
+# Request framing: the boundary that takes outside bytes
+# ----------------------------------------------------------------------
+def parse_responses(data: bytes):
+    """Split ``Content-Length``-framed responses off the front of
+    ``data``: the ``(status, head, body)`` list and the bytes left."""
+    responses = []
+    at = 0
+    while True:
+        end = data.find(b"\r\n\r\n", at)
+        if end < 0:
+            break
+        head = data[at:end].decode("latin-1")
+        match = re.search(r"content-length: (\d+)", head, re.I)
+        stop = end + 4 + (int(match.group(1)) if match else 0)
+        if len(data) < stop:
+            break
+        responses.append((int(head[9:12]), head, data[end + 4 : stop]))
+        at = stop
+    return responses, data[at:]
+
+
+def read_responses(sock, limit=None):
+    """Read ``sock`` until ``limit`` responses arrived or the peer
+    closed; returns them and whatever bytes followed the last one."""
+    responses, data = [], b""
+    while limit is None or len(responses) < limit:
+        chunk = sock.recv(1 << 16)
+        if not chunk:
+            break
+        more, data = parse_responses(data + chunk)
+        responses += more
+    return responses, data
+
+
+class TestRequestFraming:
+    def test_chunked_body_is_one_501_and_a_close(self, artifact):
+        """A body the gateway cannot frame is refused once; its bytes
+        are never parsed as a second request."""
+        gateway = GatewayThread(
+            StoreManager(MmapTrustStore.open(artifact))
+        ).start()
+        try:
+            chunk = b'{"sites": ["good.com"]}'
+            with socket.create_connection(gateway.address, timeout=10) as sock:
+                sock.sendall(
+                    b"POST /batch HTTP/1.1\r\nHost: x\r\n"
+                    b"Transfer-Encoding: chunked\r\n\r\n"
+                    + f"{len(chunk):x}\r\n".encode() + chunk
+                    + b"\r\n0\r\n\r\n"
+                )
+                responses, rest = read_responses(sock)
+            assert rest == b""
+            ((status, head, body),) = responses
+            assert status == 501
+            assert "Connection: close" in head
+            assert "transfer-encoding" in json.loads(body)["error"]
+            status, _, _ = http_get(gateway.address, "/healthz")
+            assert status == 200
+        finally:
+            gateway.stop()
+
+    def test_expect_100_continue_gets_the_interim_response(self, artifact):
+        """curl sends ``Expect: 100-continue`` with a large body and
+        waits a second for the go-ahead before sending it anyway."""
+        gateway = GatewayThread(
+            StoreManager(MmapTrustStore.open(artifact))
+        ).start()
+        try:
+            sites = ["good.com", "bad.com", "nosuch.example"]
+            body = json.dumps({"sites": sites}).encode("utf-8")
+            with socket.create_connection(gateway.address, timeout=5) as sock:
+                sock.sendall(
+                    b"POST /batch HTTP/1.1\r\nHost: x\r\n"
+                    b"Expect: 100-continue\r\n"
+                    + f"Content-Length: {len(body)}\r\n\r\n".encode()
+                )
+                # Nothing of the body is on the wire yet.
+                interim = b""
+                while not interim.endswith(b"\r\n\r\n"):
+                    interim += sock.recv(1)
+                assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+                sock.sendall(body)
+                ((status, _head, answer),), _ = read_responses(sock, 1)
+            assert status == 200
+            _, expected, _ = http_get(
+                gateway.address, "/batch?sites=" + ",".join(sites)
+            )
+            assert answer == expected
+        finally:
+            gateway.stop()
+
+    def test_oversized_expect_is_refused_without_a_go_ahead(self, artifact):
+        gateway = GatewayThread(
+            StoreManager(MmapTrustStore.open(artifact))
+        ).start()
+        try:
+            with socket.create_connection(gateway.address, timeout=5) as sock:
+                sock.sendall(
+                    b"POST /batch HTTP/1.1\r\nHost: x\r\n"
+                    b"Expect: 100-continue\r\n"
+                    b"Content-Length: 99999999999\r\n\r\n"
+                )
+                ((status, _head, _body),), rest = read_responses(sock)
+            assert (status, rest) == (413, b"")
+        finally:
+            gateway.stop()
+
+    def test_http_1_0_closes_after_the_response(self, artifact):
+        """An HTTP/1.0 client reads to EOF; keeping its socket open
+        would hang it until its own timeout."""
+        gateway = GatewayThread(
+            StoreManager(MmapTrustStore.open(artifact))
+        ).start()
+        try:
+            with socket.create_connection(gateway.address, timeout=5) as sock:
+                sock.sendall(b"GET /healthz HTTP/1.0\r\n\r\n")
+                responses, rest = read_responses(sock)  # until EOF
+            assert [r[0] for r in responses] == [200] and rest == b""
+            # ...unless it asks for keep-alive, as 1.0 clients may.
+            with socket.create_connection(gateway.address, timeout=5) as sock:
+                request = (
+                    b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"
+                )
+                for _ in range(2):
+                    sock.sendall(request)
+                    ((status, _head, _body),), _ = read_responses(sock, 1)
+                    assert status == 200
+        finally:
+            gateway.stop()
+
+
+# ----------------------------------------------------------------------
 # Hot swap
 # ----------------------------------------------------------------------
 class TestHotSwap:
@@ -792,6 +1175,159 @@ class TestHotSwap:
         )
         assert exit_code == 1
         assert "cannot reach gateway" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# Inline answers share the loop: fairness, draining, swaps
+# ----------------------------------------------------------------------
+class TestInlineFairness:
+    BURST = 20_000
+
+    def burst(self):
+        """Pipelined inline requests, every one distinguishable: each
+        odd request is a never-cached 404 that names its position."""
+        return b"".join(
+            b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+            if i % 2 == 0
+            else f"GET /score?site=burst-{i} HTTP/1.1\r\nHost: x\r\n\r\n"
+            .encode()
+            for i in range(self.BURST)
+        )
+
+    def test_a_pipelined_burst_does_not_starve_other_connections(
+        self, artifact
+    ):
+        """An inline answer never suspends its connection's task, so
+        the gateway yields between them: while 20 000 pipelined
+        requests are outstanding on one connection, a second one keeps
+        being served — and the burst still arrives whole and in order."""
+        with spied_gateway(MmapTrustStore.open(artifact)) as (
+            gateway, submitted,
+        ):
+            _, healthz, _ = http_get(gateway.address, "/healthz")
+            burst = socket.create_connection(gateway.address, timeout=60)
+            other = http.client.HTTPConnection(*gateway.address, timeout=60)
+            other.request("GET", "/healthz")
+            other.getresponse().read()  # connected before the burst
+            sender = threading.Thread(
+                target=burst.sendall, args=(self.burst(),)
+            )
+            answered: list = []
+            finished = threading.Event()
+
+            def collect():
+                try:
+                    answered.extend(read_responses(burst, self.BURST))
+                finally:
+                    finished.set()
+
+            collector = threading.Thread(target=collect)
+            exchanges = 0
+            try:
+                collector.start()
+                sender.start()
+                while not finished.is_set():
+                    other.request("GET", "/healthz")
+                    response = other.getresponse()
+                    assert (response.status, response.read()) == (
+                        200, healthz,
+                    )
+                    if not finished.is_set():
+                        exchanges += 1
+                sender.join(timeout=60)
+                collector.join(timeout=60)
+                assert not sender.is_alive() and not collector.is_alive()
+            finally:
+                burst.close()
+                other.close()
+            responses, _rest = answered
+            assert len(responses) == self.BURST
+            for i, (status, _head, body) in enumerate(responses):
+                if i % 2 == 0:
+                    assert (status, body) == (200, healthz), i
+                else:
+                    assert status == 404 and json.loads(body) == {
+                        "error": f"no score for website: burst-{i}"
+                    }, i
+            assert submitted == []  # the whole burst was inline
+            assert exchanges >= 20, exchanges
+
+    def test_swaps_under_inline_only_readers(self, artifact, artifact_b):
+        """Readers whose every request is answered on the loop (no
+        response cache, no pool) across three swaps: only whole bodies
+        of one generation, and every retired store closed exactly once,
+        after its last reader."""
+        probes = ["/score?site=good.com", "/top?k=5", "/healthz",
+                  "/breakdown?site=bad.com", "/batch?sites=good.com,new.com"]
+        allowed: dict[str, set[bytes]] = {}
+        for art in (artifact, artifact_b):
+            store = MmapTrustStore.open(art)
+            for probe in probes:
+                url = urlsplit(probe)
+                _, body = render(store, url.path, parse_qs(url.query))
+                allowed.setdefault(probe, set()).add(body)
+
+        opened: list = []
+        closes: dict[int, int] = {}
+
+        def opener(path):
+            store = MmapTrustStore.open(path)
+            real_close = store.close
+
+            def close():
+                closes[id(store)] = closes.get(id(store), 0) + 1
+                real_close()
+
+            store.close = close
+            opened.append(store)
+            return store
+
+        manager = StoreManager(opener(artifact), opener=opener)
+        failures: list[str] = []
+        stop = threading.Event()
+
+        def client(worker: int) -> None:
+            connection = http.client.HTTPConnection(
+                *gateway.address, timeout=10
+            )
+            try:
+                n = 0
+                while not stop.is_set() or n < 20:
+                    probe = probes[n % len(probes)]
+                    n += 1
+                    connection.request("GET", probe)
+                    response = connection.getresponse()
+                    body = response.read()
+                    if response.status != 200:
+                        failures.append(f"{probe}: status {response.status}")
+                    elif body not in allowed[probe]:
+                        failures.append(f"{probe}: torn body {body!r}")
+            except Exception as err:  # noqa: BLE001 - recorded as failure
+                failures.append(f"client {worker}: {type(err).__name__}: {err}")
+            finally:
+                connection.close()
+
+        threads = [
+            threading.Thread(target=client, args=(i,)) for i in range(4)
+        ]
+        with spied_gateway(manager, cache_size=0) as (gateway, submitted):
+            try:
+                for thread in threads:
+                    thread.start()
+                for target in (artifact_b, artifact, artifact_b):
+                    time.sleep(0.05)
+                    manager.swap(target)
+            finally:
+                stop.set()
+                for thread in threads:
+                    thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            # The three retired generations are closed, the live one not.
+            assert [closes.get(id(s), 0) for s in opened] == [1, 1, 1, 0]
+        assert not failures, failures[:5]
+        assert submitted == []
+        assert manager.generation == 3
+        assert [closes.get(id(s), 0) for s in opened] == [1, 1, 1, 1]
 
 
 # ----------------------------------------------------------------------
