@@ -974,7 +974,7 @@ def run_ingest(args: argparse.Namespace) -> int:
         SpoolDirectorySource,
         StalenessPolicy,
     )
-    from repro.io.jsonl import record_from_dict
+    from repro.io.jsonl import RecordParser
 
     fitted = FittedKBT.load(args.artifact)
 
@@ -985,13 +985,15 @@ def run_ingest(args: argparse.Namespace) -> int:
         source = QueueRecordSource()
 
         def _read_stdin() -> None:
+            # One parser for the stream: its key memo is bounded by the
+            # keys of the model this process keeps fitted anyway.
+            parser = RecordParser()
             try:
-                for line in sys.stdin:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    source.push(record_from_dict(json.loads(line)))
-            except (ValueError, json.JSONDecodeError) as err:
+                for line_number, line in enumerate(sys.stdin, start=1):
+                    record = parser.parse(line, "<stdin>", line_number)
+                    if record is not None:
+                        source.push(record)
+            except ValueError as err:
                 stdin_error.append(f"bad record on stdin: {err}")
             finally:
                 source.close()

@@ -58,25 +58,25 @@ class ObservationMatrix:
         return cls(records)
 
     def _add(self, record: ExtractionRecord) -> None:
-        coord: Coord = (record.source, record.item, record.value)
+        source = record.source
+        item = record.item
+        value = record.value
+        extractor = record.extractor
+        confidence = record.confidence
+        coord: Coord = (source, item, value)
         cell = self._cells.get(coord)
         if cell is None:
-            cell = {}
-            self._cells[coord] = cell
-            values = self._item_index.setdefault(record.item, {})
-            values.setdefault(record.value, set()).add(record.source)
-            self._source_index.setdefault(record.source, []).append(
-                (record.item, record.value)
+            cell = self._cells[coord] = {}
+            self._item_index.setdefault(item, {}).setdefault(
+                value, set()
+            ).add(source)
+            self._source_index.setdefault(source, []).append((item, value))
+        if confidence > cell.get(extractor, 0.0):
+            cell[extractor] = confidence
+            self._extractor_index.setdefault(extractor, {})[coord] = (
+                confidence
             )
-        previous = cell.get(record.extractor, 0.0)
-        if record.confidence > previous:
-            cell[record.extractor] = record.confidence
-            self._extractor_index.setdefault(record.extractor, {})[coord] = (
-                record.confidence
-            )
-        self._active_extractors.setdefault(record.source, set()).add(
-            record.extractor
-        )
+        self._active_extractors.setdefault(source, set()).add(extractor)
         self._num_records += 1
 
     # ------------------------------------------------------------------

@@ -15,20 +15,58 @@ extractor has been partitioned by SPLITANDMERGE.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import ClassVar, Hashable
 
 #: Values extracted for a data item. Entity ids, strings, numbers and dates
 #: all appear as values; anything hashable is accepted.
 Value = Hashable
 
+#: How the frozen key classes below assign their slots in ``__init__``.
+_set = object.__setattr__
 
-@dataclass(frozen=True, slots=True)
-class DataItem:
+
+class _HashOnce:
+    """Base of the three key types: the hash is computed once, in ``__init__``.
+
+    Keys are dict and set members in every layer between the JSONL reader
+    and the artifact writer, so ``__hash__`` is by far their hottest
+    method. Each key class stores ``hash((field, ...))`` — the value the
+    dataclass-generated ``__hash__`` would return, so every set and dict
+    iterates as it always did — in the ``_hash`` slot and returns it.
+
+    ``_hash`` is not a dataclass field: it takes no part in ``__eq__``,
+    ``__repr__``, :func:`dataclasses.fields` or :func:`dataclasses.replace`.
+    It must also never leave the process — ``str`` hashes are salted per
+    interpreter (``PYTHONHASHSEED``), and keys do travel: ``spawn``-started
+    workers, user pickles. So pickling and copying rebuild a key through
+    its constructor from the public fields, which recomputes the hash
+    where the key lands.
+    """
+
+    __slots__ = ("_hash",)
+
+    def __reduce__(self):
+        return (
+            self.__class__,
+            tuple(getattr(self, field.name) for field in fields(self)),
+        )
+
+
+@dataclass(frozen=True, slots=True, init=False)
+class DataItem(_HashOnce):
     """A (subject, predicate) pair describing one aspect of an entity."""
 
     subject: str
     predicate: str
+
+    def __init__(self, subject: str, predicate: str) -> None:
+        _set(self, "subject", subject)
+        _set(self, "predicate", predicate)
+        _set(self, "_hash", hash((subject, predicate)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return f"({self.subject}, {self.predicate})"
@@ -51,8 +89,8 @@ class Triple:
         return f"({self.subject}, {self.predicate}, {self.value})"
 
 
-@dataclass(frozen=True, slots=True)
-class SourceKey:
+@dataclass(frozen=True, slots=True, init=False)
+class SourceKey(_HashOnce):
     """Identity of a web source at some granularity.
 
     ``features`` is a prefix of ``<website, predicate, webpage>``; ``bucket``
@@ -65,11 +103,19 @@ class SourceKey:
     #: Feature names, most general first (Section 4).
     HIERARCHY: ClassVar[tuple[str, ...]] = ("website", "predicate", "webpage")
 
-    def __post_init__(self) -> None:
-        if not 1 <= len(self.features) <= 3:
+    def __init__(
+        self, features: tuple[str, ...], bucket: int | None = None
+    ) -> None:
+        if not 1 <= len(features) <= 3:
             raise ValueError(
-                f"source key needs 1-3 features, got {self.features!r}"
+                f"source key needs 1-3 features, got {features!r}"
             )
+        _set(self, "features", features)
+        _set(self, "bucket", bucket)
+        _set(self, "_hash", hash((features, bucket)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def website(self) -> str:
@@ -104,8 +150,8 @@ class SourceKey:
         return f"<{body}>"
 
 
-@dataclass(frozen=True, slots=True)
-class ExtractorKey:
+@dataclass(frozen=True, slots=True, init=False)
+class ExtractorKey(_HashOnce):
     """Identity of an extractor at some granularity.
 
     ``features`` is a prefix of ``<extractor, pattern, predicate, website>``.
@@ -121,11 +167,19 @@ class ExtractorKey:
         "website",
     )
 
-    def __post_init__(self) -> None:
-        if not 1 <= len(self.features) <= 4:
+    def __init__(
+        self, features: tuple[str, ...], bucket: int | None = None
+    ) -> None:
+        if not 1 <= len(features) <= 4:
             raise ValueError(
-                f"extractor key needs 1-4 features, got {self.features!r}"
+                f"extractor key needs 1-4 features, got {features!r}"
             )
+        _set(self, "features", features)
+        _set(self, "bucket", bucket)
+        _set(self, "_hash", hash((features, bucket)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def system(self) -> str:

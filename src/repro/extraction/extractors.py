@@ -72,10 +72,6 @@ class ExtractorSystem:
         for claim in page.claims:
             claims_by_predicate.setdefault(claim.predicate, []).append(claim)
 
-        provided_set = {
-            (claim.item, claim.value) for claim in page.claims
-        }
-
         for pattern in self.patterns:
             if not pattern.applies_to(page.website):
                 continue
@@ -86,14 +82,12 @@ class ExtractorSystem:
                 outcomes.append(
                     self._emit(
                         page, pattern, claim.item, claim.value,
-                        provided_set, world, schema, rng,
+                        world, schema, rng,
                     )
                 )
             if claims and rng.random() < pattern.spurious_rate:
                 outcomes.append(
-                    self._emit_spurious(
-                        page, pattern, provided_set, world, rng
-                    )
+                    self._emit_spurious(page, pattern, world, rng)
                 )
         return outcomes
 
@@ -104,7 +98,6 @@ class ExtractorSystem:
         pattern: PatternProfile,
         item: DataItem,
         value: Value,
-        provided_set: set[tuple[DataItem, Value]],
         world: TrueWorld,
         schema: Schema,
         rng,
@@ -120,7 +113,7 @@ class ExtractorSystem:
             out_value, type_error = _corrupt_object(
                 pattern, out_item, item, value, world, schema, rng
             )
-        provided = (out_item, out_value) in provided_set
+        provided = (out_item, out_value) in page.provided
         record = self._record(page, pattern, out_item, out_value,
                               provided, rng)
         return ExtractionOutcome(record, provided, type_error)
@@ -129,7 +122,6 @@ class ExtractorSystem:
         self,
         page: WebPage,
         pattern: PatternProfile,
-        provided_set: set[tuple[DataItem, Value]],
         world: TrueWorld,
         rng,
     ) -> ExtractionOutcome:
@@ -137,7 +129,7 @@ class ExtractorSystem:
         items = world.items_for_predicate(pattern.predicate)
         item = rng.choice(items)
         value = rng.choice(world.domain(item))
-        provided = (item, value) in provided_set
+        provided = (item, value) in page.provided
         record = self._record(page, pattern, item, value, provided, rng)
         return ExtractionOutcome(record, provided, type_error=False)
 

@@ -24,6 +24,19 @@ class WebPage:
     website: str
     url: str
     claims: tuple[Triple, ...]
+    #: The ``(item, value)`` pairs of ``claims``: what every extraction
+    #: system that visits the page checks its output against. Built once
+    #: here instead of once per system per page.
+    provided: frozenset[tuple[DataItem, Value]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self,
+            "provided",
+            frozenset((claim.item, claim.value) for claim in self.claims),
+        )
 
     def items(self) -> list[DataItem]:
         return [claim.item for claim in self.claims]

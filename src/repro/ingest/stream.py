@@ -20,7 +20,6 @@ than the latency bound.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from collections import deque
@@ -29,7 +28,7 @@ from pathlib import Path
 from typing import Callable, Protocol, runtime_checkable
 
 from repro.core.types import ExtractionRecord
-from repro.io.jsonl import record_from_dict
+from repro.io.jsonl import RecordParser
 
 
 @runtime_checkable
@@ -126,8 +125,11 @@ class SpoolDirectorySource:
             out.append(self._carry.popleft())
         if len(out) >= max_records:
             return out
+        # One parser per poll: equal keys are one object across every
+        # file the poll reads, and the memo is gone when it returns.
+        parser = RecordParser()
         for path in sorted(self._directory.glob(self._pattern)):
-            for record in self._tail_file(path):
+            for record in self._tail_file(path, parser):
                 if len(out) < max_records:
                     out.append(record)
                 else:
@@ -136,7 +138,9 @@ class SpoolDirectorySource:
                     self._carry.append(record)
         return out
 
-    def _tail_file(self, path: Path) -> list[ExtractionRecord]:
+    def _tail_file(
+        self, path: Path, parser: RecordParser
+    ) -> list[ExtractionRecord]:
         offset = self._offsets.get(path, 0)
         try:
             size = path.stat().st_size
@@ -155,18 +159,10 @@ class SpoolDirectorySource:
             if not raw_line.endswith(b"\n"):
                 # Partially written tail: leave it for the next poll.
                 break
+            record = parser.parse(raw_line, path, offset + consumed, "byte ")
             consumed += len(raw_line)
-            line = raw_line.strip()
-            if not line:
-                continue
-            try:
-                parsed = json.loads(line.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as error:
-                raise ValueError(
-                    f"{path}: invalid JSON at byte offset "
-                    f"{offset + consumed - len(raw_line)}"
-                ) from error
-            records.append(record_from_dict(parsed))
+            if record is not None:
+                records.append(record)
         self._offsets[path] = offset + consumed
         return records
 

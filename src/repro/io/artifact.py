@@ -42,6 +42,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.io.atomic import atomic_write
+from repro.io.jsonl import SCALAR_TYPES
 
 from repro.core.config import (
     AbsenceScope,
@@ -75,9 +76,6 @@ SUPPORTED_VERSIONS = frozenset({1, FORMAT_VERSION})
 _HEADER_MEMBER = "header.json"
 _NPZ_MEMBER = "payload.npz"
 _JSON_MEMBER = "payload.json"
-
-#: The value types the artifact (like the JSONL interchange) can carry.
-_SCALAR_TYPES = (str, int, float, bool, type(None))
 
 
 class ArtifactError(ValueError):
@@ -157,16 +155,14 @@ class _Interner:
 
     def __init__(self) -> None:
         self.index: dict[Any, int] = {}
-        self.table: list[Any] = []
 
     def add(self, key: Any) -> int:
-        existing = self.index.get(key)
-        if existing is not None:
-            return existing
-        position = len(self.table)
-        self.index[key] = position
-        self.table.append(key)
-        return position
+        return self.index.setdefault(key, len(self.index))
+
+    @property
+    def table(self) -> list[Any]:
+        """The keys by index (dicts keep first-seen order)."""
+        return list(self.index)
 
 
 def _encode_key(key: SourceKey | ExtractorKey) -> list:
@@ -184,7 +180,7 @@ def _decode_extractor(entry: list) -> ExtractorKey:
 
 
 def _check_value(value: Any) -> Any:
-    if not isinstance(value, _SCALAR_TYPES):
+    if not isinstance(value, SCALAR_TYPES):
         raise ArtifactError(
             "artifact values must be JSON scalars (str/int/float/bool/"
             f"None); got {type(value).__name__}: {value!r}"
@@ -251,8 +247,17 @@ def save_artifact(
     ]
 
     # --- extraction posteriors (C layer) ------------------------------
+    # ``coord_row`` remembers each scored coordinate's row, so the
+    # priors and the observation cells below take its three table
+    # indices from the columns built here: one lookup per coordinate
+    # instead of three per section. A coordinate found in it has all
+    # three keys in the tables already, so first-seen table order —
+    # hence the artifact bytes — is what interning key by key gives.
+    coord_row: dict[tuple, int] = {}
     coord_source, coord_item, coord_value, coord_p = [], [], [], []
-    for (source, item, value), p in result.extraction_posteriors.items():
+    for coord, p in result.extraction_posteriors.items():
+        source, item, value = coord
+        coord_row[coord] = len(coord_p)
         coord_source.append(sources.add(source))
         coord_item.append(items.add(item))
         coord_value.append(values.add(_check_value(value)))
@@ -262,25 +267,38 @@ def save_artifact(
     arrays["coord_value"] = coord_value
     arrays["coord_p"] = coord_p
 
+    def coordinate(coord: tuple) -> tuple[int, int, int]:
+        row = coord_row.get(coord)
+        if row is not None:
+            return coord_source[row], coord_item[row], coord_value[row]
+        source, item, value = coord
+        return (
+            sources.add(source),
+            items.add(item),
+            values.add(_check_value(value)),
+        )
+
     # --- re-estimated priors ------------------------------------------
-    prior_source, prior_item, prior_value, prior_p = [], [], [], []
-    for (source, item, value), p in result.priors.items():
-        prior_source.append(sources.add(source))
-        prior_item.append(items.add(item))
-        prior_value.append(values.add(_check_value(value)))
-        prior_p.append(p)
+    prior_source, prior_item, prior_value = [], [], []
+    for coord in result.priors:
+        s, i, v = coordinate(coord)
+        prior_source.append(s)
+        prior_item.append(i)
+        prior_value.append(v)
     arrays["prior_source"] = prior_source
     arrays["prior_item"] = prior_item
     arrays["prior_value"] = prior_value
-    arrays["prior_p"] = prior_p
+    arrays["prior_p"] = list(result.priors.values())
 
     # --- value posteriors (V layer) -----------------------------------
     vp_item, vp_value, vp_p = [], [], []
     for item, posterior in result.value_posteriors.items():
-        for value, p in posterior.items():
-            vp_item.append(items.add(item))
+        if not posterior:
+            continue
+        vp_item.extend([items.add(item)] * len(posterior))
+        for value in posterior:
             vp_value.append(values.add(_check_value(value)))
-            vp_p.append(p)
+        vp_p.extend(posterior.values())
     arrays["vp_item"] = vp_item
     arrays["vp_value"] = vp_value
     arrays["vp_p"] = vp_p
@@ -293,21 +311,28 @@ def save_artifact(
     ]
 
     # --- raw observation cells (optional, enables warm-start) ---------
+    # One row per (coordinate, extractor) cell entry, cell by cell.
     has_observations = artifact.observations is not None
     if has_observations:
         obs_source, obs_item, obs_value = [], [], []
         obs_extractor, obs_conf = [], []
-        for record in artifact.observations.iter_records():
-            obs_source.append(sources.add(record.source))
-            obs_item.append(items.add(record.item))
-            obs_value.append(values.add(_check_value(record.value)))
-            obs_extractor.append(extractors.add(record.extractor))
-            obs_conf.append(record.confidence)
+        for coord, cell in artifact.observations.cells():
+            s, i, v = coordinate(coord)
+            entries = len(cell)
+            obs_source.extend([s] * entries)
+            obs_item.extend([i] * entries)
+            obs_value.extend([v] * entries)
+            for extractor in cell:
+                obs_extractor.append(extractors.add(extractor))
+            obs_conf.extend(cell.values())
         arrays["obs_source"] = obs_source
         arrays["obs_item"] = obs_item
         arrays["obs_value"] = obs_value
         arrays["obs_extractor"] = obs_extractor
         arrays["obs_conf"] = obs_conf
+    # The memo is the save's largest transient; it must not be alive
+    # while the header and the payload are serialised below.
+    coord_row.clear()
 
     # --- trust-signal payloads (format >= 2) --------------------------
     signal_entries = []

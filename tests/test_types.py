@@ -1,7 +1,15 @@
 """Unit tests for the core type system (keys, hierarchy, records)."""
 
+import copy
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 
+from repro.core.observation import ObservationMatrix
 from repro.core.types import (
     DataItem,
     ExtractionRecord,
@@ -118,3 +126,190 @@ class TestExtractionRecord:
                 value="v",
                 confidence=1.5,
             )
+
+
+# ----------------------------------------------------------------------
+# The cached hash: same value as before, and it never leaves the process
+# ----------------------------------------------------------------------
+KEYS = [
+    SourceKey(("wiki.com", "dob", "wiki.com/p1")),
+    SourceKey(("wiki.com",), bucket=2),
+    ExtractorKey(("sys", "pat", "dob", "wiki.com")),
+    ExtractorKey(("sys",), bucket=0),
+    DataItem("obama", "nationality"),
+]
+
+
+def rebuilt(key):
+    """An equal key constructed from scratch, sharing nothing."""
+    if isinstance(key, DataItem):
+        return DataItem(str(key.subject), str(key.predicate))
+    return type(key)(tuple(key.features), bucket=key.bucket)
+
+
+class TestCachedHash:
+    @pytest.mark.parametrize("key", KEYS, ids=str)
+    def test_hash_is_the_dataclass_hash(self, key):
+        fields = tuple(
+            getattr(key, field.name) for field in dataclasses.fields(key)
+        )
+        assert hash(key) == hash(fields)
+
+    @pytest.mark.parametrize("key", KEYS, ids=str)
+    def test_equal_across_distinct_objects(self, key):
+        other = rebuilt(key)
+        assert other is not key
+        assert other == key and hash(other) == hash(key)
+        assert {key: 1}[other] == 1
+        assert key != KEYS[(KEYS.index(key) + 1) % len(KEYS)]
+
+    def test_public_surface_unchanged(self):
+        names = lambda cls: [f.name for f in dataclasses.fields(cls)]
+        assert names(SourceKey) == ["features", "bucket"]
+        assert names(ExtractorKey) == ["features", "bucket"]
+        assert names(DataItem) == ["subject", "predicate"]
+        assert repr(KEYS[1]) == "SourceKey(features=('wiki.com',), bucket=2)"
+        assert repr(KEYS[3]) == "ExtractorKey(features=('sys',), bucket=0)"
+        assert repr(KEYS[4]) == (
+            "DataItem(subject='obama', predicate='nationality')"
+        )
+        assert SourceKey(features=("a",), bucket=None) == SourceKey(("a",))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            KEYS[0].features = ("x",)
+        with pytest.raises(TypeError):
+            DataItem("s")
+
+    def test_str_ordering_unchanged(self):
+        keys = [
+            SourceKey(("b",)),
+            SourceKey(("a", "z")),
+            SourceKey(("a",), bucket=1),
+            SourceKey(("a",)),
+        ]
+        assert [str(key) for key in sorted(keys, key=str)] == [
+            "<a, z>", "<a>", "<a>#1", "<b>",
+        ]
+
+    @pytest.mark.parametrize("key", KEYS, ids=str)
+    def test_copies_hash_like_fresh_keys(self, key):
+        for copied in (
+            copy.copy(key),
+            copy.deepcopy(key),
+            pickle.loads(pickle.dumps(key)),
+            dataclasses.replace(key),
+        ):
+            assert copied == key and hash(copied) == hash(rebuilt(key))
+
+    def test_derived_keys_hash_like_fresh_keys(self):
+        source = SourceKey(("wiki.com", "dob"))
+        for derived, fresh in [
+            (dataclasses.replace(source, bucket=1),
+             SourceKey(("wiki.com", "dob"), bucket=1)),
+            (source.child_bucket(3), SourceKey(("wiki.com", "dob"), bucket=3)),
+            (source.child_bucket(3).parent(), source),
+            (source.parent(), SourceKey(("wiki.com",))),
+            (ExtractorKey(("sys", "pat")).parent(), ExtractorKey(("sys",))),
+            (ExtractorKey(("sys",)).child_bucket(0),
+             ExtractorKey(("sys",), bucket=0)),
+        ]:
+            assert derived == fresh and hash(derived) == hash(fresh)
+            assert derived in {fresh}
+
+    def test_hash_does_not_travel_to_another_interpreter(self, tmp_path):
+        """A child with another PYTHONHASHSEED unpickles keys, a record
+        and a matrix pickled here and must find every key in containers
+        it builds itself — and its own keys in the ones it was sent."""
+        source = SourceKey(("wiki.com", "dob", "wiki.com/p1"))
+        extractor = ExtractorKey(("sys", "pat", "dob", "wiki.com"))
+        record = ExtractionRecord(
+            extractor=extractor,
+            source=source,
+            item=DataItem("obama", "nationality"),
+            value="USA",
+            confidence=0.75,
+        )
+        other = ExtractionRecord(
+            extractor=ExtractorKey(("sys2",), bucket=1),
+            source=source,
+            item=DataItem("obama", "spouse"),
+            value="michelle",
+        )
+        matrix = ObservationMatrix.from_records([record, other])
+        payload = tmp_path / "keys.pickle"
+        payload.write_bytes(pickle.dumps((source, record, matrix)))
+
+        seed = os.environ.get("PYTHONHASHSEED", "")
+        child_seed = "1" if seed != "1" else "2"
+        env = dict(os.environ, PYTHONHASHSEED=child_seed)
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        done = subprocess.run(
+            [sys.executable, "-c", _CHILD, str(payload), str(hash("wiki.com"))],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "ok"
+
+
+_CHILD = """
+import pickle, sys
+from repro.core.types import DataItem, ExtractorKey, SourceKey
+
+assert hash("wiki.com") != int(sys.argv[2]), "child shares the parent's salt"
+with open(sys.argv[1], "rb") as handle:
+    source, record, matrix = pickle.load(handle)
+
+fresh_source = SourceKey(("wiki.com", "dob", "wiki.com/p1"))
+fresh_extractor = ExtractorKey(("sys", "pat", "dob", "wiki.com"))
+fresh_item = DataItem("obama", "nationality")
+for sent, fresh in [
+    (source, fresh_source),
+    (record.source, fresh_source),
+    (record.extractor, fresh_extractor),
+    (record.item, fresh_item),
+]:
+    assert hash(sent) == hash(fresh)
+    assert sent in {fresh} and fresh in {sent}
+    assert {fresh: 1}[sent] == 1
+
+# Their keys in my containers, my keys in theirs.
+assert matrix.source_claims(fresh_source) == [
+    (fresh_item, "USA"), (DataItem("obama", "spouse"), "michelle")
+]
+assert matrix.cell((fresh_source, fresh_item, "USA")) == {fresh_extractor: 0.75}
+assert matrix.active_extractors(fresh_source) == {
+    fresh_extractor, ExtractorKey(("sys2",), bucket=1)
+}
+assert set(matrix.sources()) == {fresh_source}
+assert set(matrix.items()) <= {fresh_item, DataItem("obama", "spouse")}
+print("ok")
+"""
+
+
+def test_spawned_workers_fit_bit_identically(monkeypatch):
+    """``processes`` x 2 forced onto ``spawn`` — the start method that
+    pickles what it ships — equals ``serial`` x 1 to the bit."""
+    pytest.importorskip("numpy")
+    import multiprocessing
+
+    from test_determinism_ladder import CORPUS, fit_ladder, result_digest
+
+    from repro.io.jsonl import read_records
+
+    observations = ObservationMatrix.from_records(read_records(CORPUS))
+    serial = fit_ladder(observations, backend="serial", num_shards=1)
+    monkeypatch.setattr(
+        multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+    )
+    methods = []
+    get_context = multiprocessing.get_context
+    monkeypatch.setattr(
+        multiprocessing,
+        "get_context",
+        lambda method=None: methods.append(method) or get_context(method),
+    )
+    spawned = fit_ladder(observations, backend="processes", num_shards=2)
+    assert methods == ["spawn"]
+    assert result_digest(spawned) == result_digest(serial)
