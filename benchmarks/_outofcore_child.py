@@ -9,14 +9,14 @@ entry point::
     python benchmarks/_outofcore_child.py <resident|outofcore> \
         <websites> <seed> [spill_dir]
 
-The child runs one full pipeline over the chunked KV record stream —
+The child folds the chunked KV record stream into an
+``ObservationMatrix`` and runs one full pipeline over it —
 
-* ``resident``  — fold the chunks into an ``ObservationMatrix`` and fit
-  the unsharded numpy engine (the PR 1 baseline pipeline);
-* ``outofcore`` — fold the chunks into a ``StreamingCorpus``, compile,
-  release the cell index, and fit via the sharded driver with
-  ``spill_dir`` + ``max_resident_shards=1`` (the tightest memory
-  ceiling);
+* ``resident``  — fit the unsharded numpy engine (the PR 1 baseline
+  pipeline);
+* ``outofcore`` — compile, release the matrix's cells, and fit via the
+  sharded driver with ``spill_dir`` + ``max_resident_shards=1`` (the
+  tightest memory ceiling);
 
 — and prints one JSON line with its peak RSS, fit wall time, and a
 bit-exact digest of the fitted model (``float.hex`` over accuracies and
@@ -32,12 +32,14 @@ import json
 import resource
 import sys
 import time
+from itertools import chain
 
 from repro.core.config import (
     AbsenceScope,
     ConvergenceConfig,
     MultiLayerConfig,
 )
+from repro.core.observation import ObservationMatrix
 from repro.datasets.kv import KVConfig, iter_kv_record_chunks
 
 #: Shards of the out-of-core fit; with ``max_resident_shards=1`` the
@@ -89,15 +91,16 @@ def result_digest(result) -> str:
     return digest.hexdigest()
 
 
+def build_matrix(corpus_cfg: KVConfig) -> ObservationMatrix:
+    return ObservationMatrix.from_records(
+        chain.from_iterable(iter_kv_record_chunks(corpus_cfg))
+    )
+
+
 def run_resident(corpus_cfg: KVConfig) -> dict:
     from repro.core.multi_layer import MultiLayerModel
-    from repro.core.observation import ObservationMatrix
 
-    observations = ObservationMatrix.from_records(
-        record
-        for chunk in iter_kv_record_chunks(corpus_cfg)
-        for record in chunk
-    )
+    observations = build_matrix(corpus_cfg)
     start = time.perf_counter()
     result = MultiLayerModel(model_config()).fit(observations)
     fit_s = time.perf_counter() - start
@@ -109,7 +112,7 @@ def run_resident(corpus_cfg: KVConfig) -> dict:
 
 
 def run_outofcore(corpus_cfg: KVConfig, spill_dir: str) -> dict:
-    from repro.core.indexing import compile_problem_stream
+    from repro.core.indexing import compile_problem
     from repro.exec.driver import fit_sharded
 
     cfg = dataclasses.replace(
@@ -120,9 +123,9 @@ def run_outofcore(corpus_cfg: KVConfig, spill_dir: str) -> dict:
         max_resident_shards=1,
     )
     start = time.perf_counter()
-    problem, corpus = compile_problem_stream(
-        iter_kv_record_chunks(corpus_cfg), cfg
-    )
+    corpus = build_matrix(corpus_cfg)
+    problem = compile_problem(corpus, cfg)
+    corpus.release()
     compile_s = time.perf_counter() - start
     start = time.perf_counter()
     result = fit_sharded(cfg, corpus, problem=problem)

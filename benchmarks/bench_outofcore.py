@@ -6,9 +6,9 @@ single-machine analogue — shard packets and the compiled global arrays
 live in memory-mapped spill files, and only one packet
 (``max_resident_shards=1``) plus the parameter vectors stay materialized.
 This bench measures what that buys: it runs the **resident** pipeline
-(ObservationMatrix -> unsharded numpy fit) and the **out-of-core**
-pipeline (chunked reader -> StreamingCorpus -> spill fit) over the same
-chunked KV record stream, each in its own subprocess (``ru_maxrss`` is a
+(matrix -> unsharded numpy fit) and the **out-of-core** pipeline
+(matrix -> compile -> release -> spill fit) over the same chunked KV
+record stream, each in its own subprocess (``ru_maxrss`` is a
 process-lifetime high-water mark), and records
 
 * peak RSS of each pipeline and their ratio — the acceptance criterion

@@ -60,9 +60,6 @@ The subcommands mirror the fit -> persist -> query lifecycle:
           --refit-after 50 --drift-refit-threshold 0.1 \\
           --gateway http://127.0.0.1:8080 --token SECRET
 
-* ``estimate`` — deprecated alias: fit and print scores without
-  persisting anything (the pre-lifecycle behaviour).
-
 * ``demo`` — generate a synthetic Knowledge-Vault-like corpus as JSONL
   (``--gold`` also emits website gold labels for calibrated fusion).
 """
@@ -134,14 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_model_options(fit)
     _add_summary_options(fit)
-
-    estimate = sub.add_parser(
-        "estimate",
-        help="[deprecated: use 'fit'] run the pipeline without persisting",
-    )
-    estimate.add_argument("records", help="input JSONL file")
-    _add_model_options(estimate)
-    _add_summary_options(estimate)
 
     query = sub.add_parser(
         "query", help="answer score lookups from a trust artifact"
@@ -434,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_model_options(parser: argparse.ArgumentParser) -> None:
-    """The shared model/granularity knobs of ``fit`` and ``estimate``."""
+    """The model/granularity knobs of ``fit``."""
     parser.add_argument(
         "--min-triples", type=float, default=5.0,
         help="report sources with at least this much extraction support",
@@ -478,8 +467,8 @@ def _add_model_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_placement_options(parser: argparse.ArgumentParser) -> None:
-    """Where the EM rounds run (``fit`` / ``estimate`` / ``update`` /
-    ``ingest``); every ``dest`` is a name in ``EXECUTION_FIELDS``."""
+    """Where the EM rounds run (``fit`` / ``update`` / ``ingest``);
+    every ``dest`` is a name in ``EXECUTION_FIELDS``."""
     parser.add_argument(
         "--backend", choices=list(registry.backend_names()), default=None,
         help=(
@@ -543,7 +532,7 @@ def _add_placement_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_checkpoint_options(parser: argparse.ArgumentParser) -> None:
-    """Checkpointed fits (``fit`` / ``estimate`` / ``update``)."""
+    """Checkpointed fits (``fit`` / ``update``)."""
     parser.add_argument(
         "--checkpoint-dir", default=None, metavar="DIR",
         help=(
@@ -697,40 +686,13 @@ def _fit_signals(
     return signals, fusion.weights
 
 
-def run_fit(args: argparse.Namespace, deprecated_alias: bool = False) -> int:
-    if deprecated_alias:
-        print(
-            "warning: 'kbt estimate' is deprecated and will be removed; "
-            f"run 'kbt fit {args.records}' instead (same options and "
-            "output; add --artifact model.kbt to persist the fitted "
-            "model for query/serve/update)",
-            file=sys.stderr,
-        )
-    # Out-of-core fits stream the records into the cell-index-only
-    # StreamingCorpus (never materializing the matrix's inverted
-    # indexes) unless a feature that needs the full matrix is requested:
-    # granularity re-plans the key universe and signals fit a shared
-    # CorpusContext.
-    if (
-        getattr(args, "spill_dir", None)
-        and not getattr(args, "signals", None)
-        and not args.split_merge
-    ):
-        from repro.core.indexing import StreamingCorpus
-        from repro.io.jsonl import read_record_chunks
-
-        observations = StreamingCorpus.from_chunks(
-            read_record_chunks(args.records)
-        )
-    else:
-        # Stream straight into the matrix: no intermediate record list.
-        observations = ObservationMatrix.from_records(
-            read_records(args.records)
-        )
+def run_fit(args: argparse.Namespace) -> int:
+    # Stream straight into the matrix: no intermediate record list.
+    observations = ObservationMatrix.from_records(read_records(args.records))
     if observations.num_records == 0:
         print("no records found", file=sys.stderr)
         return 1
-    if getattr(args, "gold", None) and not getattr(args, "signals", None):
+    if args.gold and not args.signals:
         print(
             "error: --gold calibrates signal-fusion weights and needs "
             "--signals (e.g. --signals all)",
@@ -740,26 +702,25 @@ def run_fit(args: argparse.Namespace, deprecated_alias: bool = False) -> int:
     fitted = _build_estimator(args).fit(observations)
     signals: dict = {}
     fusion_weights: dict[str, float] = {}
-    if getattr(args, "signals", None):
+    if args.signals:
         signals, fusion_weights = _fit_signals(fitted, observations, args)
-        if not getattr(args, "artifact", None):
+        if not args.artifact:
             print(
                 "note: --signals without --artifact: the fitted signals "
                 "are reported above but not persisted",
                 file=sys.stderr,
             )
-    artifact_path = getattr(args, "artifact", None)
-    if artifact_path:
+    if args.artifact:
         fitted.save(
-            artifact_path,
-            include_observations=not getattr(args, "no_observations", False),
+            args.artifact,
+            include_observations=not args.no_observations,
             metadata={"records_file": args.records},
             signals=signals,
             fusion_weights=fusion_weights,
         )
-        print(f"saved trust artifact to {artifact_path}")
+        print(f"saved trust artifact to {args.artifact}")
     scored = _print_summary(fitted, observations.num_records, args)
-    if not scored and not artifact_path:
+    if not scored and not args.artifact:
         return 1
     return 0
 
@@ -1103,8 +1064,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "fit":
             return run_fit(args)
-        if args.command == "estimate":
-            return run_fit(args, deprecated_alias=True)
         if args.command == "query":
             return run_query(args)
         if args.command == "signals":

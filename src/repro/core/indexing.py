@@ -21,20 +21,15 @@ The compilation applies exactly the same eligibility rules as the Python
 engine's ``_FitState``: support thresholds, confidence thresholding, and
 restriction of V-step claims to estimable sources.
 
-For corpora that exceed RAM, :class:`StreamingCorpus` is the *streaming
-builder* of the compiled problem: fed record chunks, it accumulates only
-the cell index and the scalar aggregates :func:`compile_problem` reads
-(first-seen key orders, support sizes, active-extractor incidence) —
-none of the secondary inverted indexes a full
-:class:`~repro.core.observation.ObservationMatrix` maintains — and it is
-cell-identical to one by construction, so compiling from it yields
-**bit-identical** arrays. :func:`compile_problem_stream` is the one-call
-convenience (chunks in, compiled problem out).
+The matrix maintains exactly what this module reads — the cells, the
+first-seen key orders with their support sizes, the active-extractor
+incidence — so a corpus that exceeds RAM compiles from a chunked record
+iterator, and ``observations.release()`` afterwards leaves only the
+compiled arrays resident (see ``MultiLayerConfig.spill_dir``).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,13 +37,7 @@ import numpy as np
 from repro.core.config import FalseValueModel, MultiLayerConfig
 from repro.core.observation import ObservationMatrix
 from repro.core.results import Coord
-from repro.core.types import (
-    DataItem,
-    ExtractionRecord,
-    ExtractorKey,
-    SourceKey,
-    Value,
-)
+from repro.core.types import DataItem, ExtractorKey, SourceKey, Value
 
 
 @dataclass(slots=True)
@@ -124,8 +113,7 @@ class CompiledProblem:
 
 
 def compile_problem(
-    observations: "ObservationMatrix | StreamingCorpus",
-    cfg: MultiLayerConfig,
+    observations: ObservationMatrix, cfg: MultiLayerConfig
 ) -> CompiledProblem:
     """Translate the sparse observation matrix into dense integer arrays.
 
@@ -133,13 +121,6 @@ def compile_problem(
     select the estimable sources/extractors, confidences are restricted to
     estimable extractors and optionally binarised at the configured
     threshold, and V-step claims keep only estimable-source coordinates.
-
-    ``observations`` may be a full
-    :class:`~repro.core.observation.ObservationMatrix` or a
-    :class:`StreamingCorpus` built from record chunks — both expose the
-    same cell/first-seen-order/support accessors, and a streamed corpus
-    is cell-identical to the matrix built from the same records, so the
-    compiled arrays are bit-identical either way.
     """
     extractor_sizes = observations.extractor_sizes()
     source_sizes = observations.source_sizes()
@@ -279,188 +260,3 @@ def compile_problem(
         triple_popularity=triple_popularity,
     )
 
-
-# ----------------------------------------------------------------------
-# Streaming compilation (out-of-core corpora)
-# ----------------------------------------------------------------------
-class StreamingCorpus:
-    """The streaming builder behind :class:`CompiledProblem`.
-
-    Accumulates record chunks into exactly the state
-    :func:`compile_problem` reads — the cell index (coordinate ->
-    ``{extractor: confidence}``, max-confidence deduplicated), the
-    first-seen key orders, the support sizes, and the active-extractor
-    incidence — and nothing else. A full
-    :class:`~repro.core.observation.ObservationMatrix` additionally
-    maintains per-item, per-source, and per-extractor inverted indexes
-    (several corpus-sized Python structures); skipping them is what lets
-    compilation of a RAM-exceeding corpus run from a chunked record
-    iterator without ever holding the stream's worth of bookkeeping.
-
-    The builder replicates the matrix's cell semantics bit for bit
-    (asserted by ``tests/test_outofcore.py``): duplicate records keep
-    the maximum confidence, a record whose confidence does not beat the
-    cell's current entry still creates the coordinate and counts toward
-    support, and every record marks its extractor active for its source.
-    Compiling from a streamed corpus therefore yields arrays
-    bit-identical to compiling from ``ObservationMatrix.from_records``
-    over the same stream.
-
-    After compilation, :meth:`release` drops the cell index (keeping the
-    scalar statistics the fit result needs, e.g. ``num_triples``), so a
-    fit driver can hold the corpus handle without holding the corpus.
-    """
-
-    def __init__(self) -> None:
-        self._cells: dict[Coord, dict[ExtractorKey, float]] | None = {}
-        self._triples: set[tuple[DataItem, Value]] | None = set()
-        #: first-seen orders with support sizes (dicts keep insertion order).
-        self._source_sizes: dict[SourceKey, int] = {}
-        self._extractor_sizes: dict[ExtractorKey, int] = {}
-        self._active: dict[SourceKey, set[ExtractorKey]] = {}
-        self._num_records = 0
-        self._num_triples = 0
-        self._num_cells = 0
-
-    # ------------------------------------------------------------------
-    # Building
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_chunks(
-        cls, chunks: Iterable[Iterable[ExtractionRecord]]
-    ) -> "StreamingCorpus":
-        """Fold every chunk of the (single-pass) iterator into a corpus."""
-        corpus = cls()
-        for chunk in chunks:
-            corpus.add_chunk(chunk)
-        return corpus
-
-    def add_chunk(self, records: Iterable[ExtractionRecord]) -> int:
-        """Fold one chunk of records in; returns records seen so far."""
-        cells = self._cells
-        if cells is None:
-            raise RuntimeError(
-                "this StreamingCorpus was released (release()); build a "
-                "new one to add records"
-            )
-        triples = self._triples
-        for record in records:
-            coord: Coord = (record.source, record.item, record.value)
-            cell = cells.get(coord)
-            if cell is None:
-                cell = {}
-                cells[coord] = cell
-                triples.add((record.item, record.value))
-                self._source_sizes[record.source] = (
-                    self._source_sizes.get(record.source, 0) + 1
-                )
-            previous = cell.get(record.extractor, 0.0)
-            if record.confidence > previous:
-                if record.extractor not in cell:
-                    self._extractor_sizes[record.extractor] = (
-                        self._extractor_sizes.get(record.extractor, 0) + 1
-                    )
-                cell[record.extractor] = record.confidence
-            self._active.setdefault(record.source, set()).add(
-                record.extractor
-            )
-            self._num_records += 1
-        self._num_triples = len(triples)
-        self._num_cells = len(cells)
-        return self._num_records
-
-    def release(self) -> None:
-        """Drop the cell index, keeping only the scalar statistics.
-
-        Call after :func:`compile_problem`: the compiled arrays carry
-        everything inference needs, and the fit result only reads the
-        retained ``num_triples`` / ``num_records`` counters. Further
-        cell access (or another compile) raises a clear ``RuntimeError``.
-        """
-        self._cells = None
-        self._triples = None
-
-    # ------------------------------------------------------------------
-    # The accessor surface compile_problem reads (matrix-compatible)
-    # ------------------------------------------------------------------
-    def cells(
-        self,
-    ) -> Iterator[tuple[Coord, dict[ExtractorKey, float]]]:
-        if self._cells is None:
-            raise RuntimeError(
-                "this StreamingCorpus was released (release()); the cell "
-                "index is gone — rebuild it from the record chunks to "
-                "compile again"
-            )
-        return iter(self._cells.items())
-
-    def sources(self) -> Iterator[SourceKey]:
-        return iter(self._source_sizes)
-
-    def extractors(self) -> Iterator[ExtractorKey]:
-        return iter(self._extractor_sizes)
-
-    def source_sizes(self) -> dict[SourceKey, int]:
-        return dict(self._source_sizes)
-
-    def extractor_sizes(self) -> dict[ExtractorKey, int]:
-        return dict(self._extractor_sizes)
-
-    def active_extractors(self, source: SourceKey) -> set[ExtractorKey]:
-        return self._active.get(source, set())
-
-    # ------------------------------------------------------------------
-    # Scalar statistics (survive release)
-    # ------------------------------------------------------------------
-    @property
-    def num_records(self) -> int:
-        return self._num_records
-
-    @property
-    def num_cells(self) -> int:
-        return self._num_cells
-
-    @property
-    def num_triples(self) -> int:
-        return self._num_triples
-
-    @property
-    def num_sources(self) -> int:
-        return len(self._source_sizes)
-
-    @property
-    def num_extractors(self) -> int:
-        return len(self._extractor_sizes)
-
-    def iter_records(self) -> Iterator[ExtractionRecord]:
-        """One record per surviving (coordinate, extractor) cell entry."""
-        for (source, item, value), cell in self.cells():
-            for extractor, confidence in cell.items():
-                yield ExtractionRecord(
-                    extractor=extractor,
-                    source=source,
-                    item=item,
-                    value=value,
-                    confidence=confidence,
-                )
-
-
-def compile_problem_stream(
-    chunks: Iterable[Iterable[ExtractionRecord]],
-    cfg: MultiLayerConfig,
-    release: bool = True,
-) -> tuple[CompiledProblem, StreamingCorpus]:
-    """Compile straight from record chunks; never holds the full matrix.
-
-    Returns ``(problem, corpus)``; with ``release=True`` (default) the
-    corpus handle comes back released — its cell index freed, its scalar
-    statistics (``num_triples``, ``num_records``) intact for result
-    assembly. Combine with ``MultiLayerConfig.spill_dir`` for an
-    end-to-end out-of-core fit: ``fit_sharded(cfg, corpus,
-    problem=problem)``.
-    """
-    corpus = StreamingCorpus.from_chunks(chunks)
-    problem = compile_problem(corpus, cfg)
-    if release:
-        corpus.release()
-    return problem, corpus

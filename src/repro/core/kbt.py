@@ -20,9 +20,6 @@ The public API follows a fit -> persist -> query lifecycle:
   source/value layers re-run, restricted to the data items the new records
   touch, so a new website gets a score in a couple of EM sweeps instead of
   a full refit.
-
-``KBTEstimator.estimate`` remains as a thin alias for
-``fit(...).report`` for callers that only want the scores.
 """
 
 from __future__ import annotations
@@ -297,13 +294,6 @@ class FittedKBT:
                 "include_observations=False?); a warm-start update needs "
                 "the original extraction cells"
             )
-        if not isinstance(self.observations, ObservationMatrix):
-            raise ValueError(
-                "this fit was built from a streamed corpus "
-                f"({type(self.observations).__name__}), which does not "
-                "keep the per-item indexes a warm-start update needs; "
-                "re-fit from an ObservationMatrix to update incrementally"
-            )
         new_obs = ObservationMatrix.from_records(new_records)
         if new_obs.num_records == 0:
             return self
@@ -357,6 +347,7 @@ class FittedKBT:
             return known
 
         cfg = self.config
+        sizes = self.observations.extractor_sizes()
         warm = dict(known)
         # Longest prefix first, one pass over the fitted keys per level;
         # in practice everything resolves at the first useful level (the
@@ -378,9 +369,7 @@ class FittedKBT:
                 prefix = extractor.features[:level]
                 if prefix not in needed:
                     continue
-                weight = float(
-                    len(self.observations.extractor_cells(extractor)) or 1
-                )
+                weight = float(sizes.get(extractor) or 1)
                 sums = prefix_sums.setdefault(prefix, [0.0, 0.0, 0.0])
                 sums[0] += weight * quality.precision
                 sums[1] += weight * quality.recall
@@ -508,32 +497,11 @@ class KBTEstimator:
         When granularity selection is enabled and smart initialisation is
         provided, initial accuracies transfer to relabelled keys by applying
         the same plan to the initialisation mapping (unsplit keys only).
-
-        ``data`` may also be a :class:`~repro.core.indexing.
-        StreamingCorpus` (the out-of-core streaming builder); such fits
-        run on the numpy engine's compiled arrays and do not support
-        granularity selection or later warm-start updates (both need the
-        full matrix indexes).
         """
-        from repro.core.indexing import StreamingCorpus
-
-        if isinstance(data, (ObservationMatrix, StreamingCorpus)):
+        if isinstance(data, ObservationMatrix):
             observations = data
         else:
             observations = ObservationMatrix.from_records(data)
-        if isinstance(observations, StreamingCorpus):
-            if self._granularity is not None:
-                raise ValueError(
-                    "SPLITANDMERGE granularity selection needs the full "
-                    "observation matrix; fit a StreamingCorpus without "
-                    "granularity, or build an ObservationMatrix"
-                )
-            if self._config.engine == "python":
-                raise ValueError(
-                    "a StreamingCorpus fits on the numpy engine's "
-                    'compiled arrays; use engine="numpy" (optionally '
-                    "with a backend/spill_dir)"
-                )
 
         if self._granularity is not None:
             splitter = SplitAndMerge(self._granularity, seed=self._seed)
@@ -565,38 +533,6 @@ class KBTEstimator:
             granularity=self._granularity,
             seed=self._seed,
         )
-
-    def estimate(
-        self,
-        data: ObservationMatrix | Iterable[ExtractionRecord],
-        initial_source_accuracy: dict[SourceKey, float] | None = None,
-        initial_extractor_quality: dict[ExtractorKey, ExtractorQuality]
-        | None = None,
-    ) -> KBTReport:
-        """Fit and return only the score report (alias for ``fit().report``).
-
-        .. deprecated:: 0.3
-            Use :meth:`fit` (``fit(...).report`` for the one-shot report);
-            a fitted handle can additionally be persisted, served, and
-            updated incrementally. This alias emits a
-            :class:`DeprecationWarning` and will be removed in a future
-            release.
-        """
-        import warnings
-
-        warnings.warn(
-            "KBTEstimator.estimate is deprecated and will be removed; "
-            "replace 'estimator.estimate(data)' with "
-            "'estimator.fit(data).report' (same KBTReport; the FittedKBT "
-            "handle additionally supports save/update/serving)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.fit(
-            data,
-            initial_source_accuracy=initial_source_accuracy,
-            initial_extractor_quality=initial_extractor_quality,
-        ).report
 
 
 def _transfer_initialisation(initial: dict, final_keys: Iterable) -> dict:

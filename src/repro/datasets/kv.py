@@ -158,8 +158,8 @@ def generate_kv(config: KVConfig | None = None) -> KVDataset:
 def iter_kv_record_chunks(config: KVConfig | None = None):
     """Stream the KV corpus as one record chunk per website.
 
-    The chunked-reader shape the out-of-core pipeline consumes
-    (:class:`~repro.core.indexing.StreamingCorpus` /
+    The chunked shape an out-of-core fit folds into the matrix
+    (``ObservationMatrix.from_records(chain.from_iterable(chunks))`` /
     ``MultiLayerConfig.spill_dir``): each yielded chunk holds every
     extraction record of one website across all systems, and only one
     website's pages exist in memory at a time — the generator never

@@ -174,12 +174,12 @@ def _draw_web_layer(
 def iter_synthetic_record_chunks(config: SyntheticConfig | None = None):
     """Stream the Section 5.2 corpus as one record chunk per extractor.
 
-    The chunked-reader shape the out-of-core pipeline consumes
-    (:class:`~repro.core.indexing.StreamingCorpus`). Per-extractor RNG
-    derivation matches :func:`generate` exactly, so concatenating the
-    chunks reproduces ``generate(config).records`` record for record —
-    only the (small) web layer of true claims is held in memory, never
-    the extraction corpus.
+    The chunked shape an out-of-core fit folds into the matrix
+    (``ObservationMatrix.from_records(chain.from_iterable(chunks))``).
+    Per-extractor RNG derivation matches :func:`generate` exactly, so
+    concatenating the chunks reproduces ``generate(config).records``
+    record for record — only the (small) web layer of true claims is
+    held in memory, never the extraction corpus.
     """
     cfg = config or SyntheticConfig()
     sources, _true_values, _provided, claims, _ = _draw_web_layer(cfg)

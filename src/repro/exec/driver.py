@@ -84,10 +84,8 @@ def fit_sharded(
 
     ``problem`` / ``plan`` let callers that already compiled the problem
     (e.g. the MapReduce cost-model runner) reuse their arrays instead of
-    re-compiling. ``observations`` may be an
-    :class:`~repro.core.observation.ObservationMatrix` or a released
-    :class:`~repro.core.indexing.StreamingCorpus` (only its
-    ``num_triples`` is read once the problem is compiled).
+    re-compiling; ``observations`` may then already be released (only
+    its ``num_triples`` is read once the problem is compiled).
     """
     prob = problem if problem is not None else compile_problem(
         observations, cfg

@@ -220,18 +220,17 @@ def read_record_chunks(
 ) -> Iterator[list[ExtractionRecord]]:
     """Stream a JSONL file as bounded record chunks.
 
-    The chunked-reader shape the out-of-core pipeline consumes
-    (:class:`~repro.core.indexing.StreamingCorpus`): concatenating the
-    chunks reproduces :func:`read_records` exactly — key identity
-    included, one parser serves every chunk — but no more than
-    ``chunk_size`` parsed records exist at once.
+    The reader for tailers of a file that is still being appended to:
+    concatenating the chunks reproduces :func:`read_records` exactly —
+    key identity included, one parser serves every chunk — but no more
+    than ``chunk_size`` parsed records exist at once.
 
-    Unlike :func:`read_records`, a *partially written trailing line* —
+    Unlike :func:`read_records` (the strict reader every batch ``kbt
+    fit`` goes through), a *partially written trailing line* —
     truncated JSON at EOF with no terminating newline, as produced by a
-    writer appending to the file concurrently (a live spool, or a
-    ``fit --spill-dir`` run pointed at a growing extraction log) — is
-    not an error: the chunks up to the last complete record are
-    returned cleanly and a tailer can resume from there. A malformed
+    writer appending to the file concurrently (a live spool) — is not
+    an error: the chunks up to the last complete record are returned
+    cleanly and a tailer can resume from there. A malformed
     line *inside* the file (newline-terminated garbage) still raises,
     since no further append can ever complete it.
     """

@@ -180,12 +180,9 @@ _MAX_COCLAIM_SITES = 30
 def co_claim_graph(observations: ObservationMatrix) -> WebGraph:
     """Derive the co-claim proxy graph over websites (see ``web_graph``)."""
     claim_counts: dict[str, int] = {}
-    for source, claims in (
-        (source, observations.source_claims(source))
-        for source in observations.sources()
-    ):
+    for source, size in observations.source_sizes().items():
         site = source.website
-        claim_counts[site] = claim_counts.get(site, 0) + len(claims)
+        claim_counts[site] = claim_counts.get(site, 0) + size
     graph = WebGraph(sorted(claim_counts))
     seen_pairs: set[tuple[str, str]] = set()
     for item in observations.items():

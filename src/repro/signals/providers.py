@@ -79,13 +79,7 @@ class SingleLayerSignal:
         result = SingleLayerModel(self._config).fit(context.observations)
         numer: dict[str, float] = {}
         denom: dict[str, float] = {}
-        claim_sizes = {
-            source: len(claims)
-            for source, claims in (
-                (s, context.observations.source_claims(s))
-                for s in context.observations.sources()
-            )
-        }
+        claim_sizes = context.observations.source_sizes()
         for prov in result.participating:
             accuracy = result.provenance_accuracy[prov]
             _extractor, source = prov

@@ -163,3 +163,34 @@ class TestMatrixIntegration:
         plan = SplitAndMerge(GranularityConfig(2, 10)).plan({})
         ghost = SourceKey(("ghost",))
         assert plan(ghost, DataItem("s", "p"), "v") == ghost
+
+    def test_split_is_a_function_of_the_matrix(self, kv_small, tmp_path):
+        """The same cells split alike however the matrix came to be.
+
+        ``extractor_cells`` lists coordinates in cell order, so a matrix
+        rebuilt from its own records — which is what an artifact reload
+        does — hands the seeded shuffle the same list. (Bucket *sizes*
+        are round-robin and equal either way: compare the cells.)
+        """
+        from repro.core.kbt import FittedKBT, KBTEstimator
+
+        matrix = ObservationMatrix.from_records(kv_small.campaign.records)
+        for extractor in matrix.extractors():
+            assert list(matrix.extractor_cells(extractor)) == [
+                coord for coord, cell in matrix.cells() if extractor in cell
+            ]
+        cfg = GranularityConfig(min_size=5, max_size=20)
+        assert max(matrix.extractor_sizes().values()) > cfg.max_size
+
+        def relabelled(observations):
+            out = SplitAndMerge(cfg, seed=0).apply(observations)
+            return {(coord, frozenset(cell)) for coord, cell in out.cells()}
+
+        path = KBTEstimator(engine="numpy").fit(matrix).save(
+            tmp_path / "model.kbt"
+        )
+        expected = relabelled(matrix)
+        assert expected == relabelled(
+            ObservationMatrix.from_records(matrix.iter_records())
+        )
+        assert expected == relabelled(FittedKBT.load(path).observations)

@@ -201,7 +201,7 @@ class TestCli:
         ]) == 0
         assert demo_path.exists()
         assert main([
-            "estimate", str(demo_path), "-o", str(scores_path),
+            "fit", str(demo_path), "-o", str(scores_path),
             "--top", "3",
         ]) == 0
         out = capsys.readouterr().out
@@ -215,34 +215,41 @@ class TestCli:
         main(["demo", str(demo_path), "--websites", "30", "--systems", "4",
               "--items-per-predicate", "15", "--seed", "5"])
         assert main([
-            "estimate", str(demo_path), "--split-merge",
+            "fit", str(demo_path), "--split-merge",
             "--min-size", "3", "--max-size", "500",
         ]) == 0
 
     def test_estimate_empty_file_fails(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("", encoding="utf-8")
-        assert main(["estimate", str(empty)]) == 1
+        assert main(["fit", str(empty)]) == 1
         assert "no records" in capsys.readouterr().err
 
     def test_estimate_threshold_too_high_fails(self, tmp_path, capsys):
         path = tmp_path / "one.jsonl"
         write_records(sample_records()[:1], path)
         assert main(
-            ["estimate", str(path), "--min-triples", "100"]
+            ["fit", str(path), "--min-triples", "100"]
         ) == 1
         assert "support threshold" in capsys.readouterr().err
 
-    def test_estimate_prints_deprecation(self, tmp_path, capsys):
-        path = tmp_path / "records.jsonl"
+    @pytest.mark.parametrize("spill", [False, True], ids=["plain", "spill"])
+    def test_fit_refuses_a_torn_last_line(self, spill, tmp_path, capsys):
+        """Every batch fit reads strictly: a file whose last line was cut
+        mid-record is a located error, never a silent fit of the prefix
+        (``--spill-dir`` used to read through the tailers' tolerant
+        chunk reader)."""
+        path = tmp_path / "torn.jsonl"
         write_records(sample_records(), path)
-        main(["estimate", str(path), "--min-triples", "0"])
-        err = capsys.readouterr().err
-        assert "'kbt estimate' is deprecated" in err
-        # The warning names the exact replacement invocation for the
-        # records file that was just passed.
-        assert f"run 'kbt fit {path}' instead" in err
-        assert "--artifact" in err
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"extractor": ["e"], "sou')
+        argv = ["fit", str(path), "--min-triples", "0"]
+        if spill:
+            argv += ["--spill-dir", str(tmp_path / "spill")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert f"error: {path}:3: invalid JSON" in captured.err
+        assert "KBT for" not in captured.out
 
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):

@@ -5,8 +5,8 @@ that spills its shard packets and global arrays to disk and streams them
 back as memory-mapped views (``MultiLayerConfig.spill_dir``) is
 **bit-identical** to the resident numpy engine for every backend, shard
 count, and ``max_resident_shards`` cap — spilling changes where arrays
-live, never a single bit of the result. Alongside parity: the streaming
-corpus builder compiles to bit-identical arrays, spill failure modes
+live, never a single bit of the result. Alongside parity: a matrix fed
+from record chunks compiles to bit-identical arrays, spill failure modes
 raise clear ``SpillError``s (not tracebacks from deep inside numpy), the
 new config fields validate and round-trip through artifacts, and the
 chunked dataset readers reproduce their resident generators.
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from itertools import chain
 
 import pytest
 
@@ -24,11 +25,7 @@ pytest.importorskip("numpy")
 import numpy as np
 
 from repro.core.config import AbsenceScope, MultiLayerConfig
-from repro.core.indexing import (
-    StreamingCorpus,
-    compile_problem,
-    compile_problem_stream,
-)
+from repro.core.indexing import compile_problem
 from repro.core.multi_layer import MultiLayerModel
 from repro.core.observation import ObservationMatrix
 from repro.core.types import (
@@ -74,12 +71,19 @@ def chunked(records, size):
 
 
 # ----------------------------------------------------------------------
-# StreamingCorpus: bit-identical compilation from record chunks
+# A matrix fed from record chunks: what the out-of-core pipeline builds
 # ----------------------------------------------------------------------
-class TestStreamingCorpus:
+def chunk_fed(records, chunk_size):
+    """The matrix of a chunked reader (a single-pass iterator)."""
+    return ObservationMatrix.from_records(
+        chain.from_iterable(iter(chunked(records, chunk_size)))
+    )
+
+
+class TestChunkFedMatrix:
     def assert_compile_identical(self, records, cfg, chunk_size=7):
         matrix = ObservationMatrix.from_records(records)
-        corpus = StreamingCorpus.from_chunks(chunked(records, chunk_size))
+        corpus = chunk_fed(records, chunk_size)
         prob_a = compile_problem(matrix, cfg)
         prob_b = compile_problem(corpus, cfg)
         for name in PROBLEM_ARRAYS:
@@ -125,11 +129,12 @@ class TestStreamingCorpus:
         self.assert_compile_identical(records, cfg, chunk_size=11)
 
     def test_replicates_cell_quirks(self):
-        """Duplicate records follow matrix semantics exactly.
+        """What a duplicate record does to the maintained counters.
 
         Duplicates keep the max confidence, a weaker later record
         changes nothing, and a stronger one overwrites the confidence
-        without re-counting the (coord, extractor) pair toward support.
+        without re-counting the (coord, extractor) pair toward support —
+        yet every record counts and marks its extractor active.
         """
         records = [
             ExtractionRecord(
@@ -152,54 +157,76 @@ class TestStreamingCorpus:
         corpus = self.assert_compile_identical(
             records, MultiLayerConfig(engine="numpy"), chunk_size=1
         )
-        matrix = ObservationMatrix.from_records(records)
-        assert corpus.source_sizes() == matrix.source_sizes()
-        assert corpus.extractor_sizes() == matrix.extractor_sizes()
-        assert list(corpus.sources()) == list(matrix.sources())
-        assert list(corpus.extractors()) == list(matrix.extractors())
-        for source in matrix.sources():
-            assert corpus.active_extractors(
-                source
-            ) == matrix.active_extractors(source)
+        assert corpus.num_records == 4
+        assert corpus.cell((SOURCES[1], ITEMS[0], "a")) == {
+            EXTRACTORS[1]: 0.9
+        }
+        assert corpus.source_sizes() == {SOURCES[0]: 1, SOURCES[1]: 1}
+        assert corpus.extractor_sizes() == {
+            EXTRACTORS[0]: 1,
+            EXTRACTORS[1]: 1,
+        }
+        assert list(corpus.sources()) == SOURCES[:2]
+        assert list(corpus.extractors()) == EXTRACTORS[:2]
+        assert corpus.active_extractors(SOURCES[1]) == {EXTRACTORS[1]}
 
     def test_release_frees_cells_keeps_stats(self, synthetic_matrix):
         records = list(synthetic_matrix.iter_records())
         cfg = MultiLayerConfig(engine="numpy")
-        problem, corpus = compile_problem_stream(chunked(records, 13), cfg)
+        corpus = chunk_fed(records, 13)
+        problem = compile_problem(corpus, cfg)
+        corpus.release()
         assert problem.num_coords > 0
         assert corpus.num_triples == synthetic_matrix.num_triples
         assert corpus.num_records == synthetic_matrix.num_records
+        assert list(corpus.sources()) == list(synthetic_matrix.sources())
         with pytest.raises(RuntimeError, match="released"):
             list(corpus.cells())
         with pytest.raises(RuntimeError, match="released"):
-            corpus.add_chunk(records[:1])
+            list(corpus.items())
+        with pytest.raises(RuntimeError, match="released"):
+            corpus.extended(synthetic_matrix)
 
-    def test_estimator_accepts_streaming_corpus(self, synthetic_matrix):
+    def test_chunk_fed_fit_updates_like_a_list_fed_one(
+        self, kv_small, tmp_path
+    ):
+        """The removed restriction's opposite: a fit fed from chunks
+        warm-updates, to the same artifact bytes as a list-fed one."""
+        from repro.core.kbt import KBTEstimator
+
+        records = list(kv_small.campaign.records)
+        held_site = records[-1].source.website
+        base = [r for r in records if r.source.website != held_site]
+        new = [r for r in records if r.source.website == held_site]
+        estimator = KBTEstimator(engine="numpy", min_triples=0.0)
+        streamed = estimator.fit(chunk_fed(base, 17)).update(new)
+        listed = estimator.fit(base).update(new)
+        assert (
+            streamed.save(tmp_path / "streamed.kbt").read_bytes()
+            == listed.save(tmp_path / "listed.kbt").read_bytes()
+        )
+
+    def test_chunk_fed_fit_runs_python_engine_and_granularity(
+        self, synthetic_matrix
+    ):
+        """Also no longer refused: the python engine and SPLITANDMERGE
+        read the same matrix whichever way it was fed."""
+        from repro.core.config import GranularityConfig
         from repro.core.kbt import KBTEstimator
 
         records = list(synthetic_matrix.iter_records())
-        corpus = StreamingCorpus.from_chunks(chunked(records, 17))
-        fitted = KBTEstimator(engine="numpy", min_triples=0.0).fit(corpus)
-        reference = KBTEstimator(engine="numpy", min_triples=0.0).fit(
-            ObservationMatrix.from_records(records)
-        )
-        assert (
-            fitted.result.source_accuracy
-            == reference.result.source_accuracy
-        )
-        with pytest.raises(ValueError, match="streamed corpus"):
-            fitted.update(records[:1])
-
-    def test_estimator_rejects_streaming_python_engine(
-        self, synthetic_matrix
-    ):
-        from repro.core.kbt import KBTEstimator
-
-        corpus = StreamingCorpus.from_chunks(
-            chunked(list(synthetic_matrix.iter_records()), 17)
-        )
-        with pytest.raises(ValueError, match="numpy"):
-            KBTEstimator(engine="python").fit(corpus)
+        for options in (
+            {"engine": "python"},
+            {
+                "engine": "numpy",
+                "granularity": GranularityConfig(min_size=2, max_size=20),
+            },
+        ):
+            estimator = KBTEstimator(min_triples=0.0, **options)
+            assert (
+                estimator.fit(chunk_fed(records, 17)).result.source_accuracy
+                == estimator.fit(records).result.source_accuracy
+            )
 
 
 # ----------------------------------------------------------------------
@@ -379,7 +406,7 @@ class TestOutOfCoreParity:
         assert_parity(reference, spilled, exact=True)
 
     def test_fully_streamed_fit_parity(self, synthetic_matrix, tmp_path):
-        """Chunks -> StreamingCorpus -> spill fit == resident fit.
+        """Chunks -> matrix -> compile -> release -> spill fit == resident.
 
         Both pipelines consume the *same* record stream (first-seen key
         order defines the compiled array order, so the comparison must
@@ -393,7 +420,9 @@ class TestOutOfCoreParity:
             spill_dir=str(tmp_path),
             max_resident_shards=1,
         )
-        problem, corpus = compile_problem_stream(chunked(records, 19), cfg)
+        corpus = chunk_fed(records, 19)
+        problem = compile_problem(corpus, cfg)
+        corpus.release()
         streamed = fit_sharded(cfg, corpus, problem=problem)
         reference = MultiLayerModel(MultiLayerConfig(engine="numpy")).fit(
             ObservationMatrix.from_records(records)

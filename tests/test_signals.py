@@ -502,20 +502,3 @@ class TestArtifactV2:
                     )
                 },
             )
-
-
-class TestDeprecatedEstimateAlias:
-    def test_estimate_warns_and_still_reports(self):
-        estimator = KBTEstimator()
-        with pytest.warns(DeprecationWarning, match="estimate is deprecated"):
-            report = estimator.estimate(corpus())
-        assert report.website_scores()
-
-    def test_warning_names_exact_replacement(self):
-        """The deprecation points at the literal replacement invocation."""
-        estimator = KBTEstimator()
-        with pytest.warns(DeprecationWarning) as captured:
-            estimator.estimate(corpus())
-        message = str(captured[0].message)
-        assert "replace 'estimator.estimate(data)' with" in message
-        assert "'estimator.fit(data).report'" in message
