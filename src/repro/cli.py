@@ -70,8 +70,9 @@ import argparse
 import json
 import sys
 
-from repro.core import registry
 from repro.core.config import (
+    BACKENDS,
+    ENGINES,
     EXECUTION_FIELDS,
     AbsenceScope,
     GranularityConfig,
@@ -246,8 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     swap.add_argument(
-        "--server", default="127.0.0.1:8080", metavar="HOST:PORT",
-        help="the running 'kbt serve' to update",
+        "--server", default="127.0.0.1:8080", metavar="HOST:PORT|URL",
+        help="the running 'kbt serve' to update (HOST:PORT, or its URL)",
     )
     swap.add_argument(
         "--token", default=None, metavar="SECRET",
@@ -448,8 +449,8 @@ def _add_model_options(parser: argparse.ArgumentParser) -> None:
         "--iterations", type=int, default=5, help="EM iterations",
     )
     parser.add_argument(
-        "--engine", choices=list(registry.engine_names()), default="numpy",
-        help="inference engine (numpy: vectorized, several times faster)",
+        "--engine", choices=list(ENGINES), default=MultiLayerConfig().engine,
+        help="inference engine (python: the reference oracle, far slower)",
     )
     parser.add_argument(
         "--precision", choices=["float64", "float32"], default=None,
@@ -470,7 +471,7 @@ def _add_placement_options(parser: argparse.ArgumentParser) -> None:
     """Where the EM rounds run (``fit`` / ``update`` / ``ingest``);
     every ``dest`` is a name in ``EXECUTION_FIELDS``."""
     parser.add_argument(
-        "--backend", choices=list(registry.backend_names()), default=None,
+        "--backend", choices=list(BACKENDS), default=None,
         help=(
             "sharded execution backend (map per data-item shard, one "
             "reduce per EM iteration; results are bit-identical across "
@@ -627,8 +628,9 @@ def _print_summary(
 def _read_gold_labels(path: str) -> dict[str, bool]:
     """Website gold labels from JSONL: {"website": ..., "accurate": ...}.
 
-    An ``accuracy`` float is accepted in place of ``accurate`` and
-    thresholded at 0.5 (the label "is this site accurate").
+    ``accurate`` must be a JSON boolean (``"false"`` is not one). An
+    ``accuracy`` number is accepted in its place and thresholded at 0.5
+    (the label "is this site accurate").
     """
     labels: dict[str, bool] = {}
     with open(path, encoding="utf-8") as handle:
@@ -640,9 +642,14 @@ def _read_gold_labels(path: str) -> dict[str, bool]:
                 data = json.loads(line)
                 website = data["website"]
                 if "accurate" in data:
-                    label = bool(data["accurate"])
+                    label = data["accurate"]
+                    if not isinstance(label, bool):
+                        raise TypeError
                 else:
-                    label = float(data["accuracy"]) >= 0.5
+                    accuracy = data["accuracy"]
+                    if type(accuracy) not in (int, float):  # not bool
+                        raise TypeError
+                    label = accuracy >= 0.5
             except (json.JSONDecodeError, KeyError, TypeError, ValueError):
                 raise ValueError(
                     f"{path}:{line_number}: malformed gold label (need "
@@ -848,39 +855,29 @@ def run_serve(args: argparse.Namespace) -> int:
 
 def run_swap(args: argparse.Namespace) -> int:
     import os
-    import urllib.error
-    import urllib.request
-    from pathlib import Path
 
-    body = json.dumps(
-        {"artifact": str(Path(args.artifact).resolve())}
-    ).encode("utf-8")
-    headers = {"Content-Type": "application/json"}
-    token = args.token or os.environ.get("KBT_ADMIN_TOKEN")
-    if token:
-        headers["X-Admin-Token"] = token
-    request = urllib.request.Request(
-        f"http://{args.server}/admin/swap",
-        data=body,
-        headers=headers,
-        method="POST",
+    from repro.ingest.pipeline import HttpPublisher, PublishError
+
+    # HOST:PORT, or the URL the gateway's start-up line prints.
+    server = args.server if "://" in args.server else f"http://{args.server}"
+    publisher = HttpPublisher(
+        server,
+        token=args.token or os.environ.get("KBT_ADMIN_TOKEN"),
+        timeout=None,
     )
     try:
-        with urllib.request.urlopen(request) as response:
-            payload = json.loads(response.read().decode("utf-8"))
-    except urllib.error.HTTPError as err:
-        detail = err.read().decode("utf-8", "replace")
-        try:
-            detail = json.loads(detail).get("error", detail)
-        except json.JSONDecodeError:
-            pass
-        print(f"error: swap failed ({err.code}): {detail}", file=sys.stderr)
-        return 1
-    except urllib.error.URLError as err:
-        print(
-            f"error: cannot reach gateway at {args.server}: {err.reason}",
-            file=sys.stderr,
-        )
+        payload = publisher.publish(args.artifact)
+    except PublishError as err:
+        detail = err.detail
+        if err.code is None:
+            problem = f"cannot reach gateway at {args.server}"
+        else:
+            problem = f"swap failed ({err.code})"
+            try:
+                detail = json.loads(detail).get("error", detail)
+            except json.JSONDecodeError:
+                pass
+        print(f"error: {problem}: {detail}", file=sys.stderr)
         return 1
     print(
         f"swapped: generation {payload['generation']}, "

@@ -1,19 +1,17 @@
 """The paper's contribution: single- and multi-layer fusion models, vote
 algebra, granularity selection, and the Knowledge-Based Trust estimator.
 
-The multi-layer model ships two interchangeable inference engines selected
-by ``MultiLayerConfig.engine``: the reference pure-Python implementation
-(``"python"``) and a vectorized NumPy engine (``"numpy"``, see
-``repro.core.engine_numpy``) that compiles the observation matrix into
+``MultiLayerConfig.engine`` selects one of two inference engines: the
+vectorized NumPy engine (``"numpy"``, the default, see
+``repro.core.engine_numpy``) compiles the observation matrix into
 integer-indexed arrays (``repro.core.indexing``) and runs Algorithm 1 as
-segment operations — numerically matching to <= 1e-9 and several times
-faster on large corpora. The numpy engine's EM loop is the sharded
-execution driver (``repro.exec``); ``MultiLayerConfig.backend`` selects
-where its map rounds run (serial / threads / processes / remote,
-bit-identical to the default single serial shard); engines and backends
-both register in ``repro.core.registry``."""
+segment operations; the reference pure-Python implementation
+(``"python"``) is its oracle — matching to <= 1e-9, several times slower.
+The numpy engine's EM loop is the sharded execution driver
+(``repro.exec``); ``MultiLayerConfig.backend`` selects where its map
+rounds run (serial / threads / processes / remote, bit-identical to the
+default single serial shard)."""
 
-from repro.core import registry
 from repro.core.config import (
     AbsenceScope,
     ConvergenceConfig,
@@ -86,7 +84,6 @@ __all__ = [
     "extraction_posterior",
     "page_source",
     "pattern_extractor",
-    "registry",
     "value_posteriors",
     "website_source",
 ]

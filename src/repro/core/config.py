@@ -11,8 +11,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 
-from repro.core import registry
-
 
 def parse_remote_endpoint(endpoint: str) -> tuple[str, int]:
     """Validate and split a ``"HOST:PORT"`` remote-execution endpoint.
@@ -110,6 +108,13 @@ class SingleLayerConfig:
             raise ValueError("min_source_support must be >= 1")
 
 
+#: Inference engines: the array engine (the default) and its Eq.-by-Eq.
+#: dict oracle; ``MultiLayerModel.fit`` dispatches on the name.
+ENGINES = ("python", "numpy")
+#: Execution backends (``repro.exec.driver.BACKENDS`` has the classes).
+BACKENDS = ("serial", "threads", "processes", "remote")
+
+
 #: The :class:`MultiLayerConfig` fields that only say *where and how* a
 #: fit runs. They are arguments of ``fit`` / ``update``, never state of a
 #: fitted model: artifacts, serving etags and checkpoint digests cover
@@ -172,15 +177,14 @@ class MultiLayerConfig:
         quality_floor / quality_ceiling: clamp for estimated P/R/Q/A values,
             keeping the log-odds votes finite.
         convergence: EM loop control.
-        engine: inference engine, one of the names in
-            :func:`repro.core.registry.engine_names`. ``"python"`` runs
-            the reference dict-based implementation; ``"numpy"`` runs the
-            vectorized array engine (numerically matching to <= 1e-9,
-            several times faster on large corpora).
+        engine: inference engine, one of :data:`ENGINES`. ``"numpy"``
+            (the default) runs the vectorized array engine; ``"python"``
+            runs the reference dict-based implementation, the oracle the
+            array engine is tested against (numerically matching to
+            <= 1e-9, several times slower on large corpora).
         backend: execution backend of the numpy engine's EM driver, one
-            of the names in :func:`repro.core.registry.backend_names`
-            (``"serial"``, ``"threads"``, ``"processes"``, ``"remote"``),
-            or None (the default), which the driver runs as ``serial``.
+            of :data:`BACKENDS`, or None (the default), which the driver
+            runs as ``serial``.
             Each EM iteration runs as map (the per-shard ExtCorr /
             TriplePr E steps) + reduce (SrcAccu / ExtQuality: one global
             parameter update); float64 results are bit-identical
@@ -294,7 +298,7 @@ class MultiLayerConfig:
     #: ratcheting on its own transient.
     quality_damping: float = 1.0
     convergence: ConvergenceConfig = ConvergenceConfig()
-    engine: str = "python"
+    engine: str = "numpy"
     backend: str | None = None
     num_shards: int | None = None
     spill_dir: str | None = None
@@ -311,9 +315,16 @@ class MultiLayerConfig:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        registry.validate_engine(self.engine)
-        if self.backend is not None:
-            registry.validate_backend(self.backend)
+        if self.engine not in ENGINES:
+            raise ValueError(
+                f"unknown engine {self.engine!r}: valid engines are "
+                f"{', '.join(ENGINES)}"
+            )
+        if self.backend is not None and self.backend not in BACKENDS:
+            raise ValueError(
+                f"unknown execution backend {self.backend!r}: valid "
+                f"backends are {', '.join(BACKENDS)}"
+            )
         placed = [
             name
             for name, default in _EXECUTION_DEFAULTS.items()
@@ -417,10 +428,9 @@ class MultiLayerConfig:
         ``execution`` takes the names in :data:`EXECUTION_FIELDS` (any
         other is a ``TypeError``); ``None`` means "not given". A
         ``remote_endpoint`` without a backend selects
-        ``backend="remote"``. ``engine`` pins the engine; left unpinned,
-        a python-engine config is moved to ``engine="numpy"`` when the
-        overrides set an execution field or ``precision="float32"``,
-        both of which run on the numpy engine only.
+        ``backend="remote"``. The engine changes only when ``engine`` is
+        given: an execution field or ``precision="float32"`` on a
+        python-engine config is the constructor's validation error.
         """
         unknown = sorted(set(execution) - set(EXECUTION_FIELDS))
         if unknown:
@@ -435,16 +445,10 @@ class MultiLayerConfig:
             and self.backend is None
         ):
             changes["backend"] = "remote"
-        needs_numpy = precision == "float32" or any(
-            value != _EXECUTION_DEFAULTS[name]
-            for name, value in changes.items()
-        )
         if precision is not None:
             changes["precision"] = precision
         if engine is not None:
             changes["engine"] = engine
-        elif needs_numpy and self.engine == "python":
-            changes["engine"] = "numpy"
         return replace(self, **changes)
 
 

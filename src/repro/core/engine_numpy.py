@@ -526,7 +526,7 @@ def fit_numpy(
 ) -> MultiLayerResult:
     """Run Algorithm 1 with the array backend; same contract as ``fit``.
 
-    The registry's ``engine="numpy"`` entry: a thin name for the one EM
+    What ``engine="numpy"`` dispatches to: a thin name for the one EM
     loop, :func:`repro.exec.driver.fit_sharded`, which runs
     ``cfg.backend`` over ``cfg.num_shards`` shards — one serial shard
     when no backend is set.

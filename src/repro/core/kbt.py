@@ -453,17 +453,16 @@ class KBTEstimator:
             sources with at least 5 correctly-extracted triples.
         seed: seed for the (random) uniform splitting of oversized keys.
         engine: when given, overrides ``config.engine`` (a name from
-            :func:`repro.core.registry.engine_names`) without the caller
+            :data:`repro.core.config.ENGINES`) without the caller
             having to rebuild the config.
         precision: when given, overrides ``config.precision``.
         **execution: where and how the fit runs — the names in
             :data:`~repro.core.config.EXECUTION_FIELDS`, each overriding
             the config field of the same name (described once, in
             :class:`~repro.core.config.MultiLayerConfig`). They run on
-            the numpy engine, as does ``precision="float32"``, so a
-            (default) python-engine config is moved to
-            ``engine="numpy"`` unless ``engine`` pins it; results are
-            bit-identical across all of them.
+            the numpy engine (the default), as does
+            ``precision="float32"``; results are bit-identical across
+            all of them.
     """
 
     def __init__(

@@ -27,8 +27,8 @@ Section 5.1.1).
 
 from __future__ import annotations
 
-from repro.core import registry
 from repro.core.config import AbsenceScope, FalseValueModel, MultiLayerConfig
+from repro.core.engine_numpy import fit_numpy
 from repro.core.observation import ObservationMatrix
 from repro.core.quality import ExtractorQuality, derive_q
 from repro.core.results import Coord, IterationSnapshot, MultiLayerResult
@@ -98,16 +98,7 @@ class MultiLayerModel:
                 are estimated normally.
         """
         cfg = self._config
-        # Import on dispatch so the reference engine stays usable in
-        # environments without numpy.
-        try:
-            fit_fn = registry.resolve_engine(cfg.engine)
-        except ImportError as exc:
-            raise RuntimeError(
-                f"engine={cfg.engine!r} requires the numpy package; "
-                'install numpy or select engine="python"'
-            ) from exc
-        return fit_fn(
+        return ENGINE_FITS[cfg.engine](
             cfg,
             observations,
             initial_source_accuracy,
@@ -162,6 +153,10 @@ def fit_python(
         history=history,
         priors=state._priors,
     )
+
+
+#: ``MultiLayerConfig.engine`` -> fit function (``config.ENGINES`` names).
+ENGINE_FITS = {"python": fit_python, "numpy": fit_numpy}
 
 
 class _FitState:

@@ -33,13 +33,13 @@ API instead of a simulation:
   :class:`~repro.exec.faults.FaultPlan` injects deterministic failures
   for tests and benchmarks.
 
-Select it high-level via ``MultiLayerConfig(engine="numpy",
-backend="processes", num_shards=8)`` (plus ``spill_dir`` /
+Select it high-level via ``MultiLayerConfig(backend="processes",
+num_shards=8)`` (plus ``spill_dir`` /
 ``max_resident_shards`` for out-of-core and ``checkpoint_dir`` /
 ``checkpoint_every`` / ``resume`` for crash recovery),
 ``KBTEstimator(backend=...)`` or the CLI
-``--backend/--shards/--spill-dir/--checkpoint-dir`` flags; new backends
-register through :func:`repro.core.registry.register_backend`.
+``--backend/--shards/--spill-dir/--checkpoint-dir`` flags;
+:data:`repro.exec.driver.BACKENDS` maps a backend name to its class.
 """
 
 from repro.exec.backends import (

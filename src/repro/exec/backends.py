@@ -6,7 +6,7 @@ source** — either a resident :class:`~repro.exec.plan.ShardPlan` or an
 out-of-core :class:`~repro.exec.spill.OutOfCoreShardSource` serving
 memory-mapped packets — and the driver feeds it one
 :class:`~repro.exec.worker.IterationParams` per EM iteration. Built-ins
-(registered in :mod:`repro.core.registry`):
+(named in :data:`repro.exec.driver.BACKENDS`):
 
 * ``serial`` — shards run one after another in the driver process. The
   correctness baseline and the right choice for small problems, where
@@ -122,7 +122,7 @@ class ExecutionSession(Protocol):
 
 @runtime_checkable
 class ExecutionBackend(Protocol):
-    """A factory of execution sessions; ``name`` matches the registry."""
+    """A factory of execution sessions; ``name`` is its ``cfg.backend`` key."""
 
     name: str
 

@@ -2,7 +2,7 @@
 
 ``fit_sharded`` is the only numpy EM loop in the package —
 :func:`repro.core.engine_numpy.fit_numpy` is this function under the
-engine registry's name. The E steps of each iteration run as one *map*
+engine's name. The E steps of each iteration run as one *map*
 round over a packet source (a resident
 :class:`~repro.exec.plan.ShardPlan` or, with
 ``MultiLayerConfig.spill_dir`` set, an out-of-core
@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import registry
 from repro.core.config import MultiLayerConfig
 from repro.core.engine_numpy import (
     assemble_result,
@@ -57,13 +56,21 @@ from repro.core.observation import ObservationMatrix
 from repro.core.quality import ExtractorQuality
 from repro.core.results import IterationSnapshot, MultiLayerResult
 from repro.core.types import ExtractorKey, SourceKey
+from repro.exec.backends import ProcessBackend, SerialBackend, ThreadBackend
 from repro.exec.plan import ShardPlan, num_unobserved, resolve_num_shards
+from repro.exec.remote import RemoteBackend
 from repro.exec.worker import (
     FinalizeParams,
     IterationParams,
     prior_update,
     residual_mass,
 )
+
+#: ``cfg.backend`` -> backend class (``repro.core.config.BACKENDS`` names).
+BACKENDS = {
+    cls.name: cls
+    for cls in (SerialBackend, ThreadBackend, ProcessBackend, RemoteBackend)
+}
 
 
 def fit_sharded(
@@ -151,7 +158,7 @@ def fit_sharded(
         frozen_sources,
     )
 
-    backend_cls = registry.resolve_backend(cfg.backend or "serial")
+    backend_cls = BACKENDS[cfg.backend or "serial"]
     history: list[IterationSnapshot] = []
     p_correct = np.zeros(source.num_coords)
     posterior = np.zeros(source.num_triples)

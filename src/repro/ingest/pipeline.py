@@ -58,7 +58,14 @@ from repro.io.mmap_layout import (
 
 
 class PublishError(RuntimeError):
-    """A generation was written but could not be swapped into serving."""
+    """A generation was written but could not be swapped into serving:
+    the gateway answered ``code`` with body ``detail``, or (``code`` is
+    None) was not reached, for the reason in ``detail``."""
+
+    def __init__(self, message: str, code: int | None, detail) -> None:
+        super().__init__(message)
+        self.code = code
+        self.detail = detail
 
 
 class InProcessPublisher:
@@ -93,7 +100,10 @@ class HttpPublisher:
     """
 
     def __init__(
-        self, base_url: str, token: str | None = None, timeout: float = 30.0
+        self,
+        base_url: str,
+        token: str | None = None,
+        timeout: float | None = 30.0,
     ) -> None:
         self._base_url = base_url.rstrip("/")
         self._token = token
@@ -116,11 +126,15 @@ class HttpPublisher:
         except urllib.error.HTTPError as error:
             detail = error.read().decode("utf-8", "replace")
             raise PublishError(
-                f"gateway rejected {route}: {error.code} {detail}"
+                f"gateway rejected {route}: {error.code} {detail}",
+                error.code,
+                detail,
             ) from error
         except (urllib.error.URLError, OSError) as error:
             raise PublishError(
-                f"gateway unreachable at {self._base_url}{route}: {error}"
+                f"gateway unreachable at {self._base_url}{route}: {error}",
+                None,
+                getattr(error, "reason", error),
             ) from error
 
     def publish(self, artifact_path: Path) -> dict:

@@ -12,14 +12,13 @@ needs to be served or warm-started later:
 * one payload member with the numeric state of the fitted
   :class:`~repro.core.results.MultiLayerResult` — and the per-website
   score/support arrays of every embedded trust signal
-  (:mod:`repro.signals`) — as flat arrays: ``payload.npz`` (NumPy
-  ``savez``) when numpy is importable, else ``payload.json`` (plain
-  lists). Loading accepts either kind.
+  (:mod:`repro.signals`) — as flat arrays, ``payload.npz``. Loading
+  also accepts a ``payload.json`` member (the same arrays as plain
+  lists), which builds before this one could write.
 
-Floats survive both payloads bit-for-bit (``json`` uses ``repr``, which
-round-trips float64 exactly), and every dict is rebuilt in its original
-insertion order, so re-aggregating scores from a loaded artifact
-reproduces the original ``website_scores()`` to the last bit.
+Floats survive the payload bit-for-bit and every dict is rebuilt in its
+original insertion order, so re-aggregating scores from a loaded
+artifact reproduces the original ``website_scores()`` to the last bit.
 
 Artifacts written by a newer ``FORMAT_VERSION`` are rejected with a clear
 :class:`ArtifactError` instead of being misread. Older supported versions
@@ -40,6 +39,8 @@ import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
+
+import numpy as np
 
 from repro.io.atomic import atomic_write
 from repro.io.jsonl import SCALAR_TYPES
@@ -191,23 +192,8 @@ def _check_value(value: Any) -> Any:
 # ----------------------------------------------------------------------
 # Save
 # ----------------------------------------------------------------------
-def save_artifact(
-    artifact: TrustArtifact,
-    path: str | Path,
-    payload_kind: str | None = None,
-) -> Path:
-    """Write ``artifact`` to ``path``; returns the path written.
-
-    ``payload_kind`` forces ``"npz"`` or ``"json"`` payload encoding;
-    by default npz is used when numpy is importable.
-    """
-    if payload_kind is None:
-        payload_kind = "npz" if _numpy() is not None else "json"
-    if payload_kind not in ("npz", "json"):
-        raise ArtifactError(f"unknown payload kind: {payload_kind!r}")
-    if payload_kind == "npz" and _numpy() is None:
-        raise ArtifactError('payload_kind="npz" requires numpy')
-
+def save_artifact(artifact: TrustArtifact, path: str | Path) -> Path:
+    """Write ``artifact`` to ``path``; returns the path written."""
     result = artifact.result
     sources = _Interner()
     extractors = _Interner()
@@ -362,7 +348,7 @@ def save_artifact(
     header = {
         "format": FORMAT_NAME,
         "format_version": FORMAT_VERSION,
-        "payload_kind": payload_kind,
+        "payload_kind": "npz",
         "config": config_to_dict(artifact.config),
         "granularity": (
             {
@@ -403,14 +389,9 @@ def save_artifact(
                 _zip_member(_HEADER_MEMBER),
                 json.dumps(header, ensure_ascii=False),
             )
-            if payload_kind == "npz":
-                archive.writestr(
-                    _zip_member(_NPZ_MEMBER), _deterministic_npz(arrays)
-                )
-            else:
-                archive.writestr(
-                    _zip_member(_JSON_MEMBER), json.dumps(arrays)
-                )
+            archive.writestr(
+                _zip_member(_NPZ_MEMBER), _deterministic_npz(arrays)
+            )
     return path
 
 
@@ -438,7 +419,6 @@ def _deterministic_npz(arrays: dict[str, list]) -> bytes:
     uncompressed npz container — ``np.load`` reads it like any other —
     with the member timestamps pinned to the zip epoch.
     """
-    np = _numpy()
     buffer = io.BytesIO()
     with zipfile.ZipFile(buffer, "w", zipfile.ZIP_STORED) as inner:
         for name, data in arrays.items():
@@ -511,24 +491,14 @@ def _read_members(path: str | Path) -> tuple[dict, Any]:
                 f"build reads versions {sorted(SUPPORTED_VERSIONS)}. Re-fit "
                 "and re-save the artifact with a matching build."
             )
-        payload_kind = header.get("payload_kind")
-        if payload_kind == "npz":
-            np = _numpy()
-            if np is None:
-                raise ArtifactError(
-                    "artifact has an npz payload but numpy is not "
-                    "installed; re-save with payload_kind='json'"
-                )
+        kind = header.get("payload_kind")
+        if kind == "npz":
             # In memory, so the lazy member reads outlive the archive.
-            arrays = _NpzArrays(
-                np.load(io.BytesIO(archive.read(_NPZ_MEMBER)))
-            )
-        elif payload_kind == "json":
+            arrays = _NpzArrays(np.load(io.BytesIO(archive.read(_NPZ_MEMBER))))
+        elif kind == "json":
             arrays = json.loads(archive.read(_JSON_MEMBER))
         else:
-            raise ArtifactError(
-                f"unknown payload kind in artifact: {payload_kind!r}"
-            )
+            raise ArtifactError(f"unknown payload kind in artifact: {kind!r}")
     return header, arrays
 
 
@@ -723,12 +693,3 @@ def load_artifact(path: str | Path) -> TrustArtifact:
         signals=_decode_signals(header, arrays),
         fusion_weights=header.get("fusion_weights") or {},
     )
-
-
-def _numpy():
-    """numpy, or None when the array stack is unavailable."""
-    try:
-        import numpy
-    except ImportError:
-        return None
-    return numpy

@@ -1,13 +1,10 @@
-"""FlumeJava-like pipeline substrate and the Table 7 efficiency experiment.
+"""The Table 7 efficiency experiment: MR stages under a cluster cost model.
 
 The paper's implementation runs on FlumeJava/MapReduce (Section 5.3.4); its
 efficiency results are about *stragglers*: reduce tasks for huge sources or
 extractors dominate a stage's wall clock until SPLITANDMERGE breaks them up.
 We reproduce this with
 
-* :mod:`repro.mapreduce.flume` — a local pipeline (parallel-do /
-  group-by-key / combine) that records per-stage record counts and reduce
-  group sizes, kept as a reference substrate for dataflow experiments;
 * :mod:`repro.mapreduce.cluster` — a cluster cost model computing each
   stage's makespan over ``num_workers`` with an LPT schedule;
 * :mod:`repro.mapreduce.mr_multilayer` — the multi-layer EM iteration as
@@ -17,7 +14,6 @@ We reproduce this with
 """
 
 from repro.mapreduce.cluster import ClusterCostModel, lpt_makespan
-from repro.mapreduce.flume import LocalPipeline, PCollection, StageStats
 from repro.mapreduce.mr_multilayer import (
     IterationTiming,
     MRMultiLayerRunner,
@@ -27,10 +23,7 @@ from repro.mapreduce.mr_multilayer import (
 __all__ = [
     "ClusterCostModel",
     "IterationTiming",
-    "LocalPipeline",
     "MRMultiLayerRunner",
     "MRRunReport",
-    "PCollection",
-    "StageStats",
     "lpt_makespan",
 ]

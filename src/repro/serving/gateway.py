@@ -43,9 +43,9 @@ around it:
   work, and a bounded LRU keyed ``(etag, request target)`` serves
   repeat hits without re-rendering. A swap changes the ETag, so stale
   entries can never be served.
-* **POST /batch** — ``{"sites": [...]}`` bodies of arbitrary size:
-  up to :data:`INLINE_ROWS` keys answered on the loop, more fanned out
-  over the pool in bounded chunks and merged in order; byte-compatible
+* **POST /batch** — ``{"sites": [...]}`` bodies of arbitrary size, run
+  the way a GET is: up to :data:`INLINE_ROWS` keys answered on the
+  loop, more as one pool job under ``request_timeout``; byte-compatible
   with ``GET /batch`` over the same keys.
 * **Hot swap** — ``POST /admin/swap {"artifact": PATH}`` builds the new
   store first (rejecting corrupt or version-mismatched artifacts with a
@@ -161,8 +161,6 @@ class Gateway:
         max_connections: int = 256,
         request_timeout: float = 30.0,
         workers: int = 8,
-        batch_chunk: int = 512,
-        batch_fanout: int = 4,
         cache_size: int = 1024,
         admin_token: str | None = None,
         ingest_board: StatusBoard | None = None,
@@ -172,8 +170,6 @@ class Gateway:
         self.port = port
         self.max_connections = max_connections
         self.request_timeout = request_timeout
-        self.batch_chunk = batch_chunk
-        self.batch_fanout = batch_fanout
         self.admin_token = admin_token
         # Shared with an in-process IngestPipeline, or fed remotely via
         # POST /ingest/status; either way GET /ingest/status reads it.
@@ -451,41 +447,55 @@ class Gateway:
                 await self._respond(writer, 200, body=cached, etag=etag)
                 return keep_alive
 
-        def work():
-            try:
-                return handle_route(lease.store, path, params)
-            finally:
-                # Payloads are plain detached dicts, so the store is
-                # done with the moment the handler returns — and on the
-                # 504 path this runs when the stray worker *actually*
-                # finishes, keeping the swap-close safe.
-                lease.release()
-
-        inline = _inline(route_cost(lease.store, path, params))
-        if inline:
-            status, payload = work()
-        else:
-            loop = asyncio.get_running_loop()
-            future = loop.run_in_executor(self._pool, work)
-            done, _pending = await asyncio.wait(
-                {future}, timeout=self.request_timeout
-            )
-            if not done:
-                future.add_done_callback(_consume)
-                await self._respond(
-                    writer, 504, {"error": "request timed out"}
-                )
-                return keep_alive
-            status, payload = future.result()
+        cost = route_cost(lease.store, path, params)
+        answer = await self._run(
+            writer, lease, cost,
+            lambda store: handle_route(store, path, params),
+        )
+        if answer is None:
+            return keep_alive
+        status, payload = answer
         body = json.dumps(payload, ensure_ascii=False).encode("utf-8")
         if cacheable and status == 200:
             self._cache_put((etag, target), body)
         await self._respond(
             writer, status, body=body, etag=etag if cacheable else None
         )
-        if inline:
+        if _inline(cost):
             await self._yield_to_loop()
         return keep_alive
+
+    async def _run(self, writer, lease, cost: int | None, job):
+        """The one way a store request runs: ``job(lease.store)`` on the
+        loop when ``cost`` is bounded (:func:`_inline`), else on the pool
+        under ``request_timeout``.
+
+        Returns the job's result, or ``None`` after answering 504 for a
+        pooled job that missed the deadline. Takes over ``lease``: it is
+        released when the job ends (results are detached dicts) — after
+        a 504, when the stray worker *actually* finishes, so a swap
+        never closes a store under it.
+        """
+
+        def work():
+            try:
+                return job(lease.store)
+            finally:
+                lease.release()
+
+        if _inline(cost):
+            return work()
+        future = asyncio.get_running_loop().run_in_executor(
+            self._pool, work
+        )
+        done, _pending = await asyncio.wait(
+            {future}, timeout=self.request_timeout
+        )
+        if not done:
+            future.add_done_callback(_consume)
+            await self._respond(writer, 504, {"error": "request timed out"})
+            return None
+        return future.result()
 
     @staticmethod
     async def _yield_to_loop() -> None:
@@ -511,7 +521,7 @@ class Gateway:
             self._cache.popitem(last=False)
 
     # ------------------------------------------------------------------
-    # POST /batch: inline when small, else bounded fan-out over the pool
+    # POST /batch: one ``batch_json`` job, run the way a GET is
     # ------------------------------------------------------------------
     async def _batch_post(
         self,
@@ -538,69 +548,25 @@ class Gateway:
         # conditional GET/HEAD, and a POST is executed unconditionally.
         lease = self.manager.acquire()
         etag = getattr(lease.store, "etag", None)
-        inline = _inline(lookup_cost(lease.store, len(sites)))
-        try:
-            if inline:
-                with lease as store:
-                    merged = store.batch_json(sites)
-            else:
-                merged = await self._batch_on_pool(lease, sites)
-        except Exception as err:  # noqa: BLE001 - mirror handle_route's 500
-            await self._respond(
-                writer,
-                500,
-                {
-                    "error": "internal error: "
-                    f"{type(err).__name__}: {err}"
-                },
-            )
+        cost = lookup_cost(lease.store, len(sites))
+
+        def job(store):
+            try:
+                return 200, store.batch_json(sites)
+            except Exception as err:  # noqa: BLE001 - handle_route's 500
+                error = f"internal error: {type(err).__name__}: {err}"
+                return 500, {"error": error}
+
+        answer = await self._run(writer, lease, cost, job)
+        if answer is None:
             return keep_alive
-        if merged is None:
-            await self._respond(
-                writer, 504, {"error": "request timed out"}
-            )
-            return keep_alive
-        await self._respond(writer, 200, merged, etag=etag)
-        if inline:
+        status, payload = answer
+        await self._respond(
+            writer, status, payload, etag=etag if status == 200 else None
+        )
+        if _inline(cost):
             await self._yield_to_loop()
         return keep_alive
-
-    async def _batch_on_pool(self, lease, sites: list[str]) -> dict | None:
-        """``batch_json`` over ``sites`` in ``batch_chunk`` pieces, at
-        most ``batch_fanout`` of them on the pool at once, merged in
-        order; ``None`` when that takes longer than ``request_timeout``.
-
-        Takes over ``lease``: it is released when the last chunk ends —
-        after a timeout that is when the stray workers actually finish.
-        """
-        chunks = [
-            sites[i : i + self.batch_chunk]
-            for i in range(0, len(sites), self.batch_chunk)
-        ] or [[]]
-        loop = asyncio.get_running_loop()
-        semaphore = asyncio.Semaphore(self.batch_fanout)
-
-        async def one_chunk(chunk):
-            async with semaphore:
-                return await loop.run_in_executor(
-                    self._pool, lease.store.batch_json, chunk
-                )
-
-        gathered = asyncio.ensure_future(
-            asyncio.gather(*(one_chunk(chunk) for chunk in chunks))
-        )
-        gathered.add_done_callback(
-            lambda task: (_consume(task), lease.release())
-        )
-        done, _pending = await asyncio.wait(
-            {gathered}, timeout=self.request_timeout
-        )
-        if not done:
-            return None
-        merged: dict = {}
-        for partial in gathered.result():
-            merged.update(partial)
-        return merged
 
     # ------------------------------------------------------------------
     # Readiness + hot swap

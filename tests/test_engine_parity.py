@@ -368,7 +368,7 @@ def test_reduce_chunk_validation():
     # execution field.
     assert MultiLayerConfig(reduce_chunk=64, engine="numpy").backend is None
     with pytest.raises(ValueError, match='reduce_chunk.*engine="numpy"'):
-        MultiLayerConfig(reduce_chunk=64)
+        MultiLayerConfig(reduce_chunk=64, engine="python")
 
 
 # ----------------------------------------------------------------------
@@ -529,8 +529,8 @@ def test_float32_checkpoint_rejects_cross_precision_resume(
 
 
 def test_kbt_estimator_precision_override():
-    """precision="float32" upgrades a default (python-engine) config to
-    the numpy engine, which hosts the fused kernels."""
+    """precision="float32" runs on the default (numpy) engine, which
+    hosts the fused kernels."""
     from repro.core.kbt import KBTEstimator
 
     estimator = KBTEstimator(precision="float32")
@@ -540,6 +540,6 @@ def test_kbt_estimator_precision_override():
     assert estimator._config.backend is None
     assert estimator._config.engine == "numpy"
     assert estimator._config.reduce_chunk == 4096
-    # A pinned engine is never moved: the pair fails validation instead.
+    # The engine is never moved: python + float32 fails validation.
     with pytest.raises(ValueError, match='engine="numpy"'):
         KBTEstimator(engine="python", precision="float32")

@@ -311,8 +311,7 @@ def test_estimator_backend_propagates_to_config():
     estimator = KBTEstimator(backend="threads", num_shards=3)
     assert estimator._config.backend == "threads"
     assert estimator._config.num_shards == 3
-    # Sharded execution runs on the numpy engine; a default config is
-    # upgraded rather than rejected.
+    # Sharded execution runs on the numpy engine, which is the default.
     assert estimator._config.engine == "numpy"
 
 
@@ -324,7 +323,7 @@ def test_estimator_explicit_python_engine_with_backend_rejected():
 
 
 def test_corpus_context_backend_reaches_shared_fit(kv_small, monkeypatch):
-    from repro.core import registry
+    from repro.exec import driver
     from repro.signals import CorpusContext
 
     context = CorpusContext(
@@ -334,10 +333,13 @@ def test_corpus_context_backend_reaches_shared_fit(kv_small, monkeypatch):
         min_triples=0.0,
     )
     seen = []
-    real = registry.resolve_backend
-    monkeypatch.setattr(
-        registry, "resolve_backend", lambda n: seen.append(n) or real(n)
-    )
+
+    class Recording(driver.BACKENDS["serial"]):
+        def open(self, source, cfg):
+            seen.append(cfg.backend)
+            return super().open(source, cfg)
+
+    monkeypatch.setitem(driver.BACKENDS, "serial", Recording)
     fitted = context.fitted_kbt()
     # The shared fit ran where the context said; the fitted model does
     # not remember it.
@@ -429,19 +431,23 @@ def test_plan_rejects_bad_shard_count(synthetic_matrix):
 
 
 # ----------------------------------------------------------------------
-# Registry + config validation (the single source of truth)
+# Engine / backend names + config validation
 # ----------------------------------------------------------------------
 class TestRegistry:
     def test_builtin_names(self):
-        from repro.core import registry
+        """The names the config validates are the names dispatch knows."""
+        from repro.core import config, multi_layer
+        from repro.exec import driver
 
-        assert registry.engine_names() == ("python", "numpy")
-        assert registry.backend_names() == (
+        assert config.ENGINES == ("python", "numpy")
+        assert config.BACKENDS == (
             "serial",
             "threads",
             "processes",
             "remote",
         )
+        assert tuple(multi_layer.ENGINE_FITS) == config.ENGINES
+        assert tuple(driver.BACKENDS) == config.BACKENDS
 
     def test_unknown_engine_message_lists_choices(self):
         with pytest.raises(
@@ -455,20 +461,6 @@ class TestRegistry:
             match=r"valid backends are serial, threads, processes, remote",
         ):
             MultiLayerConfig(engine="numpy", backend="gpu")
-
-    def test_registered_backend_extends_validation(self):
-        from repro.core import registry
-
-        registry.register_backend(
-            "testonly", "registered by the test suite", "builtins:object"
-        )
-        try:
-            cfg = MultiLayerConfig(engine="numpy", backend="testonly")
-            assert cfg.backend == "testonly"
-            with pytest.raises(ValueError, match="testonly"):
-                MultiLayerConfig(engine="numpy", backend="nope")
-        finally:
-            registry._BACKENDS.pop("testonly")
 
     def test_python_engine_with_backend_rejected(self):
         with pytest.raises(ValueError, match='engine="numpy"'):
@@ -487,17 +479,17 @@ class TestRegistry:
             exact=True,
         )
         with pytest.raises(ValueError, match='num_shards.*engine="numpy"'):
-            MultiLayerConfig(num_shards=4)
+            MultiLayerConfig(engine="python", num_shards=4)
         with pytest.raises(ValueError, match="num_shards"):
             MultiLayerConfig(
                 engine="numpy", backend="serial", num_shards=0
             )
 
     def test_resolve_backend_returns_factory(self):
-        from repro.core import registry
+        from repro.exec import driver
         from repro.exec.backends import SerialBackend
 
-        assert registry.resolve_backend("serial") is SerialBackend
+        assert driver.BACKENDS["serial"] is SerialBackend
 
 
 def test_config_with_backend_roundtrips_through_artifact(tmp_path):

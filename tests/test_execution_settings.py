@@ -15,8 +15,8 @@ import pytest
 pytest.importorskip("numpy")
 
 import repro.core.kbt as kbt_module
+import repro.exec.driver as driver
 from repro.cli import build_parser, main
-from repro.core import registry
 from repro.core.config import EXECUTION_FIELDS, MultiLayerConfig
 from repro.core.kbt import FittedKBT, KBTEstimator
 from repro.core.multi_layer import MultiLayerModel
@@ -68,7 +68,8 @@ def fit_configs(monkeypatch):
             super().__init__(config)
 
     monkeypatch.setattr(kbt_module, "MultiLayerModel", Recording)
-    monkeypatch.setattr(registry, "resolve_backend", lambda _: SerialBackend)
+    for name in driver.BACKENDS:
+        monkeypatch.setitem(driver.BACKENDS, name, SerialBackend)
     return seen
 
 
@@ -109,6 +110,33 @@ def test_unknown_execution_name_is_a_type_error():
     fitted = KBTEstimator(engine="numpy").fit(corpus())
     with pytest.raises(TypeError, match="bogus.*valid names.*reduce_chunk"):
         fitted.update(NEW, bogus=1)
+
+
+def test_default_engine_is_the_array_engine(tmp_path):
+    """One engine policy: the library default is what ``kbt fit`` runs."""
+    assert MultiLayerConfig().engine == "numpy"
+    assert build_parser().parse_args(["fit", "r.jsonl"]).engine == "numpy"
+    default = KBTEstimator().fit(corpus()).save(tmp_path / "default.kbt")
+    named = KBTEstimator(engine="numpy").fit(corpus()).save(
+        tmp_path / "named.kbt"
+    )
+    assert default.read_bytes() == named.read_bytes()
+
+
+def test_python_engine_is_never_moved_off():
+    """An execution override on an explicit python engine is the
+    constructor's error, on every override path."""
+    python = MultiLayerConfig(engine="python")
+    for call in (
+        lambda: python.with_execution(num_shards=2),
+        lambda: python.with_execution(precision="float32"),
+        lambda: KBTEstimator(config=python, backend="threads"),
+        lambda: KBTEstimator(engine="python", reduce_chunk=8),
+    ):
+        with pytest.raises(ValueError, match='engine="numpy"'):
+            call()
+    assert python.with_execution(engine="numpy", num_shards=2).num_shards == 2
+    assert python.with_execution() == python
 
 
 def test_ingest_parser_has_placement_but_no_checkpoint_flags(capsys):

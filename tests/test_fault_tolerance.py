@@ -482,7 +482,7 @@ def test_checkpoint_config_validation():
     assert MultiLayerConfig(engine="numpy", checkpoint_dir="/tmp/ck")
     # ... but, like every execution field, only on the numpy engine.
     with pytest.raises(ValueError, match='checkpoint_dir.*engine="numpy"'):
-        MultiLayerConfig(checkpoint_dir="/tmp/ck")
+        MultiLayerConfig(engine="python", checkpoint_dir="/tmp/ck")
     with pytest.raises(ValueError, match="checkpoint_every"):
         MultiLayerConfig(
             engine="numpy", backend="serial", checkpoint_dir="/tmp/ck",
@@ -495,8 +495,9 @@ def test_checkpoint_config_validation():
 def test_estimator_checkpoint_dir_upgrades_backend(
     tmp_path, synthetic_matrix
 ):
-    """Only the engine is upgraded; a backend-less checkpointed fit runs
-    (as one serial shard), checkpoints, and matches the plain fit."""
+    """Nothing is upgraded: a backend-less checkpointed fit runs on the
+    default engine (as one serial shard), checkpoints, and matches the
+    plain fit."""
     estimator = KBTEstimator(checkpoint_dir=str(tmp_path / "ck"))
     assert estimator._config.backend is None
     assert estimator._config.engine == "numpy"

@@ -457,7 +457,7 @@ class TestGatewayHttp:
 
     def test_post_batch_matches_get_batch(self, signal_artifact):
         manager = StoreManager(MmapTrustStore.open(signal_artifact))
-        gateway = GatewayThread(manager, batch_chunk=2).start()
+        gateway = GatewayThread(manager).start()
         try:
             sites = ["good.com", "bad.com", "a.com", "zz", "b.com"]
             _, get_body, _ = http_get(
@@ -768,6 +768,51 @@ class TestInlineOrPool:
             assert posts[0] == posts[1] == render(
                 reference, "/batch", {"sites": [",".join(sites)]}
             )
+
+    def test_pooled_post_batch_runs_like_a_get(self, signal_artifact):
+        """Past the bound a POST is one pool job: the GET's bytes in the
+        posted order, its 500 for a store that raises, its 504 for one
+        that is slow — and the lease comes back every time."""
+        sites = ["good.com", "zz", "bad.com"] * INLINE_ROWS
+        store = MmapTrustStore.open(signal_artifact)
+        manager = StoreManager(store)
+        real_batch = store.batch_json
+        with spied_gateway(manager, request_timeout=0.5) as (
+            gateway, submitted,
+        ):
+            def post():
+                return http_post(gateway.address, "/batch", {"sites": sites})
+
+            expected = http_get(
+                gateway.address, "/batch?sites=" + ",".join(sites)
+            )
+            assert post() == expected[:2]
+            assert len(submitted) == 2
+
+            def broken(keys):
+                raise RuntimeError("boom")
+
+            store.batch_json = broken
+            status, body = post()
+            assert status == 500
+            assert json.loads(body) == {
+                "error": "internal error: RuntimeError: boom"
+            }
+
+            def slow(keys):
+                time.sleep(1.0)
+                return real_batch(keys)
+
+            store.batch_json = slow
+            status, body = post()
+            assert status == 504
+            assert json.loads(body) == {"error": "request timed out"}
+            store.batch_json = real_batch
+            assert post() == expected[:2]
+            deadline = time.monotonic() + 5.0
+            while manager._current.leases and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert manager._current.leases == 0
 
     def test_slow_unbounded_route_of_a_resident_store_504(
         self, signal_artifact
@@ -1168,6 +1213,41 @@ class TestHotSwap:
             assert "swap failed" in capsys.readouterr().err
         finally:
             gateway.stop()
+
+    def test_kbt_swap_accepts_the_url_the_gateway_prints(
+        self, artifact, artifact_b, capsys
+    ):
+        """``--server`` takes ``gateway.url`` (what ``kbt serve`` prints
+        and ``kbt ingest --gateway`` takes) as well as ``HOST:PORT``; the
+        three outcome lines are the same for both forms."""
+        manager = StoreManager(MmapTrustStore.open(artifact))
+        gateway = GatewayThread(manager).start()
+        try:
+            assert gateway.url.startswith("http://")
+            assert cli_main(
+                ["swap", str(artifact_b), "--server", gateway.url]
+            ) == 0
+            with manager.acquire() as store:
+                websites = len(store)
+            assert capsys.readouterr().out in [
+                f"swapped: generation 1, {websites} websites, "
+                f"etag {artifact_etag(artifact_b)}, layout {layout}\n"
+                for layout in ("exported", "reused")
+            ]
+            assert cli_main(
+                ["swap", "/nonexistent.kbt", "--server", gateway.url + "/"]
+            ) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: swap failed (400): ")
+            assert "{" not in err  # the decoded "error" field, not JSON
+        finally:
+            gateway.stop()
+        assert cli_main(
+            ["swap", str(artifact), "--server", "http://127.0.0.1:9"]
+        ) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: cannot reach gateway at http://127.0.0.1:9: [Errno "
+        )
 
     def test_kbt_swap_unreachable_server(self, artifact, capsys):
         exit_code = cli_main(

@@ -557,13 +557,12 @@ class TestIngestPlacement:
     @pytest.fixture
     def fits(self, monkeypatch):
         """(backend, shards, iterations) of every fit, as it opens."""
-        from repro.core import registry
+        from repro.exec import driver
 
         seen = []
-        real = registry.resolve_backend
 
-        def recording(backend):
-            class Recording(real(backend)):
+        def recording(backend, real):
+            class Recording(real):
                 def open(self, source, cfg):
                     seen.append(
                         (
@@ -576,7 +575,10 @@ class TestIngestPlacement:
 
             return Recording
 
-        monkeypatch.setattr(registry, "resolve_backend", recording)
+        for backend, real in driver.BACKENDS.items():
+            monkeypatch.setitem(
+                driver.BACKENDS, backend, recording(backend, real)
+            )
         # Keep the suite's own SIGINT/SIGTERM handlers.
         monkeypatch.setattr("signal.signal", lambda *_: None)
         return seen

@@ -525,3 +525,31 @@ class TestSignalsCli:
             "--signals", "kbt", "--gold", str(bad_gold),
         ]) == 1
         assert "malformed gold label" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "label",
+        ['"accurate": "false"', '"accurate": 0', '"accuracy": "0.2"',
+         '"accuracy": true', '"accurate": null'],
+    )
+    def test_gold_label_must_be_a_json_boolean_or_number(
+        self, label, tmp_path
+    ):
+        """``"accurate": "false"`` used to label the site accurate."""
+        from repro.cli import _read_gold_labels
+
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text(
+            '{"website": "a", "accurate": false}\n'
+            '{"website": "b", "accuracy": 0.5}\n'
+            '{"website": "c", "accuracy": 0}\n',
+            encoding="utf-8",
+        )
+        assert _read_gold_labels(str(gold)) == {
+            "a": False, "b": True, "c": False,
+        }
+        with gold.open("a", encoding="utf-8") as handle:
+            handle.write('{"website": "d", %s}\n' % label)
+        with pytest.raises(
+            ValueError, match=rf"{gold}:4: malformed gold label"
+        ):
+            _read_gold_labels(str(gold))

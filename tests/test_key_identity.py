@@ -28,7 +28,6 @@ from repro.core.kbt import FittedKBT, KBTEstimator
 from repro.core.observation import ObservationMatrix
 from repro.ingest.stream import SpoolDirectorySource
 from repro.io import artifact as artifact_module
-from repro.io.artifact import TrustArtifact, save_artifact
 from repro.io.jsonl import (
     read_record_chunks,
     read_records,
@@ -150,25 +149,11 @@ def save_without_observations(fitted, path):
     fitted.save(path, include_observations=False)
 
 
-def save_json_payload(fitted, path):
-    save_artifact(
-        TrustArtifact(
-            result=fitted.result,
-            config=fitted.config,
-            min_triples=fitted.min_triples,
-            observations=fitted.observations,
-        ),
-        path,
-        payload_kind="json",
-    )
-
-
 SCENARIOS = {
     "cold-fit-unscored-cells": ({}, None, save_cold),
     "empty-priors": ({"update_prior": False}, None, save_cold),
     "no-observations": ({}, None, save_without_observations),
     "three-updates": ({}, UPDATES, save_cold),
-    "json-payload": ({}, None, save_json_payload),
 }
 
 

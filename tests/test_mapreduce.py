@@ -1,62 +1,8 @@
-"""Unit tests for the FlumeJava-like pipeline and the cluster cost model."""
+"""Unit tests for the cluster cost model."""
 
 import pytest
 
 from repro.mapreduce.cluster import ClusterCostModel, lpt_makespan
-from repro.mapreduce.flume import LocalPipeline
-
-
-class TestLocalPipeline:
-    def test_parallel_do_flat_maps(self):
-        pipeline = LocalPipeline()
-        out = (
-            pipeline.read([1, 2, 3])
-            .parallel_do(lambda x: [x, x * 10])
-            .materialize()
-        )
-        assert out == [1, 10, 2, 20, 3, 30]
-
-    def test_parallel_do_can_filter(self):
-        pipeline = LocalPipeline()
-        out = (
-            pipeline.read([1, 2, 3, 4])
-            .parallel_do(lambda x: [x] if x % 2 == 0 else [])
-            .materialize()
-        )
-        assert out == [2, 4]
-
-    def test_group_by_key_preserves_order(self):
-        pipeline = LocalPipeline()
-        out = (
-            pipeline.read([("a", 1), ("b", 2), ("a", 3)])
-            .group_by_key()
-            .materialize()
-        )
-        assert out == [("a", [1, 3]), ("b", [2])]
-
-    def test_combine_values(self):
-        pipeline = LocalPipeline()
-        out = (
-            pipeline.read([("a", 1), ("a", 2), ("b", 5)])
-            .group_by_key()
-            .combine_values(lambda key, values: sum(values))
-            .as_dict()
-        )
-        assert out == {"a": 3, "b": 5}
-
-    def test_stage_stats_recorded(self):
-        pipeline = LocalPipeline()
-        (
-            pipeline.read([("a", 1), ("a", 2), ("b", 5)], name="in")
-            .group_by_key(name="g")
-            .combine_values(lambda k, v: len(v), name="c")
-        )
-        group_stats = pipeline.stats_for("g")[0]
-        assert group_stats.input_records == 3
-        assert group_stats.output_records == 2
-        assert sorted(group_stats.group_sizes) == [1, 2]
-        combine_stats = pipeline.stats_for("c")[0]
-        assert combine_stats.group_sizes == (2, 1)
 
 
 class TestLptMakespan:

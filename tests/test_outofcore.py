@@ -476,7 +476,7 @@ class TestSpillConfig:
         )
         assert (tmp_path / "manifest.json").exists()
         with pytest.raises(ValueError, match='spill_dir.*engine="numpy"'):
-            MultiLayerConfig(spill_dir="/tmp/x")
+            MultiLayerConfig(engine="python", spill_dir="/tmp/x")
 
     def test_max_resident_requires_spill_dir(self):
         with pytest.raises(ValueError, match="max_resident_shards"):
@@ -538,8 +538,8 @@ class TestSpillConfig:
         estimator = KBTEstimator(
             spill_dir="/tmp/x", max_resident_shards=3
         )
-        # The engine moves to numpy (spilling runs over the compiled
-        # arrays); no backend is implied — the driver runs None as serial.
+        # Spilling runs over the default engine's compiled arrays; no
+        # backend is implied — the driver runs None as serial.
         assert estimator._config.backend is None
         assert estimator._config.engine == "numpy"
         assert estimator._config.spill_dir == "/tmp/x"

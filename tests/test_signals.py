@@ -402,17 +402,19 @@ class TestArtifactV2:
         fitted.save(path, signals=signals, fusion_weights=fusion.weights)
         return path, signals, fusion.weights
 
-    @pytest.mark.parametrize("payload_kind", ["npz", "json"])
-    def test_round_trip_bit_for_bit(
-        self, saved, tmp_path, payload_kind
-    ):
+    @pytest.mark.parametrize("payload", ["npz", "json"])
+    def test_round_trip_bit_for_bit(self, saved, tmp_path, payload):
         path, signals, weights = saved
         from repro.io.artifact import save_artifact
+        from test_artifact import with_json_payload
 
-        rewritten = tmp_path / "rewritten.kbt"
-        save_artifact(
-            load_artifact(path), rewritten, payload_kind=payload_kind
+        rewritten = save_artifact(
+            load_artifact(path), tmp_path / "rewritten.kbt"
         )
+        if payload == "json":
+            rewritten = with_json_payload(
+                rewritten, tmp_path / "json.kbt"
+            )
         loaded = load_artifact(rewritten)
         assert list(loaded.signals) == list(signals)
         for name, scores in signals.items():

@@ -26,7 +26,6 @@ from repro.cli import main as cli_main
 from repro.core.kbt import FittedKBT, KBTEstimator
 from repro.core.observation import ObservationMatrix
 from repro.ingest import HttpPublisher, IngestPipeline, InProcessPublisher
-from repro.io.artifact import TrustArtifact, save_artifact
 from repro.io.jsonl import read_records
 from repro.io.mmap_layout import (
     artifact_etag,
@@ -42,6 +41,7 @@ from repro.serving.routes import handle_route
 from repro.serving.store import TrustStore
 from repro.signals import CorpusContext, SignalSuite, fuse
 
+from test_artifact import with_json_payload
 from test_determinism_ladder import CORPUS, UPDATES, ladder_config
 from test_ingest import batch_for, corpus as small_corpus
 
@@ -119,32 +119,23 @@ def requests_for(fitted, store):
 # The layout written from memory is the layout written from the file
 # ----------------------------------------------------------------------
 CASES = {
-    "cold-fit-min0": lambda: (fit_golden(0), {}, {}, None),
-    "cold-fit-min5": lambda: (fit_golden(5.0), {}, {}, None),
-    "three-updates": lambda: (
-        after_three_updates(fit_golden(5.0)), {}, {}, None
-    ),
-    "two-signals": lambda: (*with_two_signals(), None),
-    "json-payload": lambda: (fit_golden(5.0), {}, {}, "json"),
+    "cold-fit-min0": lambda: (fit_golden(0), {}, {}),
+    "cold-fit-min5": lambda: (fit_golden(5.0), {}, {}),
+    "three-updates": lambda: (after_three_updates(fit_golden(5.0)), {}, {}),
+    "two-signals": with_two_signals,
+    # The serving-side reader over a hand-built ``payload.json`` member.
+    "json-payload": lambda: (fit_golden(5.0), {}, {}),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_in_memory_export_equals_from_file_export(case, tmp_path):
-    fitted, signals, weights, payload_kind = CASES[case]()
-    path = tmp_path / "model.kbt"
-    save_artifact(
-        TrustArtifact(
-            result=fitted.result,
-            config=fitted.config,
-            min_triples=fitted.min_triples,
-            observations=fitted.observations,
-            signals=signals,
-            fusion_weights=weights,
-        ),
-        path,
-        payload_kind=payload_kind,
+    fitted, signals, weights = CASES[case]()
+    path = fitted.save(
+        tmp_path / "model.kbt", signals=signals, fusion_weights=weights
     )
+    if case == "json-payload":
+        path = with_json_payload(path, tmp_path / "json.kbt")
     from_file = export_layout(path, tmp_path / "from-file").parent
     from_memory = export_columns(
         columns_of(fitted, signals, weights), path, tmp_path / "from-memory"
