@@ -14,7 +14,7 @@ coordinators and records
   round);
 * a fit in which one worker is hard-killed mid-run (fault plan
   ``kill_worker``, exercised over a real dead TCP connection): its
-  shards re-home to the survivor with restore snapshots;
+  shards re-home to the survivor, which re-runs their (pure) tasks;
 * a coordinator crash emulated by a checkpointed fit that stops after
   two iterations, followed by a second coordinator with ``resume=True``
   and a fresh worker fleet.
@@ -56,7 +56,7 @@ SMOKE = is_smoke("remote")
 WEBSITES = 40 if SMOKE else 250
 SEED = 31
 #: Four shards over two workers: each worker is home to two shards, so a
-#: worker loss exercises both re-homing and the restore-snapshot path.
+#: worker loss re-homes two shards at once onto the survivor.
 NUM_SHARDS = 4
 NUM_WORKERS = 2
 MAX_ITERATIONS = 4

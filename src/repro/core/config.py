@@ -214,11 +214,13 @@ class MultiLayerConfig:
             extractor qualities are injected as initial values and held
             fixed while only the source/value layers re-run on the delta.
         checkpoint_dir: when set, the sharded driver atomically persists
-            the full EM state (theta vectors, posteriors, priors,
-            iteration counter and compatibility digests) to
-            ``checkpoint_dir/checkpoint.npz`` every ``checkpoint_every``
-            iterations and at convergence (:mod:`repro.exec.checkpoint`),
-            so a fit killed mid-run can continue instead of restarting.
+            the full EM state (theta vectors, posteriors, the priors
+            the next iteration reads, iteration counter and
+            compatibility digests) to ``checkpoint_dir/checkpoint.npz``
+            every ``checkpoint_every`` iterations and at convergence
+            (:mod:`repro.exec.checkpoint`), so a fit killed mid-run can
+            continue instead of restarting. That state is all the
+            driver's: workers hold none.
         checkpoint_every: write a checkpoint every this many iterations
             (default 1: after every reduce). Larger values trade
             recomputation after a crash for less checkpoint I/O during
@@ -227,8 +229,11 @@ class MultiLayerConfig:
             one exists (a missing checkpoint starts a fresh fit). The
             checkpoint's problem and model-config digests must match;
             execution placement (backend, shard count) and the iteration
-            budget may differ. A resumed fit produces bit-identical
-            results to an uninterrupted one. Requires ``checkpoint_dir``.
+            budget may differ — resuming is reloading the driver's state
+            and dispatching the next round, so every backend resumes. A
+            resumed fit produces bit-identical results to an
+            uninterrupted one (float32 fits included). Requires
+            ``checkpoint_dir``.
         remote_endpoint: the ``"HOST:PORT"`` the ``remote`` backend's
             coordinator listens on; workers join with ``kbt worker
             --connect HOST:PORT`` (:mod:`repro.exec.remote`). Results

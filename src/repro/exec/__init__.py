@@ -66,14 +66,7 @@ from repro.exec.spill import (
     persist_plan,
     spill_problem_arrays,
 )
-from repro.exec.worker import (
-    FinalizeParams,
-    IterationParams,
-    ShardState,
-    finalize_shard,
-    rebuild_state,
-    run_shard_iteration,
-)
+from repro.exec.worker import IterationParams, run_shard_iteration
 
 __all__ = [
     "CheckpointError",
@@ -81,7 +74,6 @@ __all__ = [
     "ExecutionBackend",
     "ExecutionSession",
     "FaultPlan",
-    "FinalizeParams",
     "FitCheckpoint",
     "IterationParams",
     "OutOfCoreShardSource",
@@ -90,15 +82,12 @@ __all__ = [
     "Shard",
     "ShardPlan",
     "ShardSource",
-    "ShardState",
     "SpillError",
     "StageStats",
     "ThreadBackend",
-    "finalize_shard",
     "fit_sharded",
     "load_checkpoint",
     "persist_plan",
-    "rebuild_state",
     "run_shard_iteration",
     "save_checkpoint",
     "spill_problem_arrays",

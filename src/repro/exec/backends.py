@@ -14,10 +14,11 @@ memory-mapped packets — and the driver feeds it one
 * ``threads`` — shards run on a thread pool. NumPy's ufuncs release the
   GIL for large arrays, so this wins on big shards without any IPC.
 * ``processes`` — one persistent worker process per shard, with the
-  global ``p_correct`` / ``posterior`` / ``priors`` vectors and the
-  per-iteration parameter block living in POSIX shared memory
-  (:mod:`multiprocessing.shared_memory`); workers scatter their slices
-  into disjoint regions, so no result pickling happens on the hot path.
+  global ``p_correct`` / ``posterior`` output vectors, the ``priors``
+  input vector and the per-iteration parameter block living in POSIX
+  shared memory (:mod:`multiprocessing.shared_memory`); workers scatter
+  their slices into disjoint regions, so no result pickling happens on
+  the hot path.
   With an out-of-core source, workers receive only the spill directory
   path and map the packet files directly — packet bytes never cross the
   process boundary, neither pickled nor copied into shared memory.
@@ -25,10 +26,10 @@ memory-mapped packets — and the driver feeds it one
   multi-core machines.
 
 Sessions fetch packets through ``source.get_shard(index)`` each round
-and never assume packets stay resident between rounds; per-shard
-mutable state (:class:`~repro.exec.worker.ShardState`) is created
-lazily and kept for the whole fit, which is what bounds an out-of-core
-fit's working set by one packet plus the parameter vectors.
+and never assume packets stay resident between rounds, and a map task
+(:func:`~repro.exec.worker.run_shard_iteration`) keeps nothing between
+rounds either — which is what bounds an out-of-core fit's working set
+by one packet plus the driver's global vectors.
 
 Every backend produces bit-identical results (the reduce runs in the
 driver over globally re-assembled arrays; see :mod:`repro.exec.plan`).
@@ -38,11 +39,12 @@ backoff, replacement workers, straggler speculation — by the round
 engine in :mod:`repro.exec.supervisor`; this module contributes only its
 transport: pickled task messages down one queue per worker, one atomic
 ack frame per task up a shared pipe, outputs scattered straight into
-shared memory, liveness from ``Process.is_alive``. Because workers write
-the shared output vectors themselves, the round boundary is a *fence*:
-any worker still holding an unacked attempt is killed and replaced, so a
-stale write can never land in a later round. Injected failures for
-tests come from :mod:`repro.exec.faults`.
+shared memory, liveness from ``Process.is_alive``. Map tasks are pure,
+but workers still write the shared output vectors (and read the shared
+inputs) themselves, so the round boundary is a *fence*: any worker still
+holding an unacked attempt is killed and replaced, so a stale write can
+never land in a later round. Injected failures for tests come from
+:mod:`repro.exec.faults`.
 """
 
 from __future__ import annotations
@@ -59,13 +61,9 @@ from repro.core.config import MultiLayerConfig
 from repro.exec.plan import Shard
 from repro.exec.supervisor import ExecError, _Round, _SupervisedSession
 from repro.exec.worker import (
-    FinalizeParams,
     IterationParams,
-    ShardState,
     _describe_error,
     execute_task,
-    finalize_shard,
-    rebuild_state,
     run_shard_iteration,
     task_params,
 )
@@ -111,10 +109,6 @@ class ExecutionSession(Protocol):
         """Run one map round; scatter every shard's slices into the outs."""
         ...
 
-    def finalize(self, params: FinalizeParams) -> np.ndarray:
-        """Run the final prior pass; return the global priors vector."""
-        ...
-
     def __enter__(self) -> "ExecutionSession": ...
 
     def __exit__(self, *exc: object) -> None: ...
@@ -137,49 +131,19 @@ class ExecutionBackend(Protocol):
 # In-process backends (serial / threads)
 # ----------------------------------------------------------------------
 class _InProcessSession:
-    """Shared machinery: shard states live in the driver process.
-
-    Packets are fetched from the source each round (a tuple lookup for a
-    resident plan, a memory-map for an out-of-core source); the mutable
-    per-shard :class:`ShardState` is created on first touch and kept for
-    the whole fit.
-    """
+    """Shared machinery: map tasks run in the driver process, on packets
+    fetched from the source each round (a tuple lookup for a resident
+    plan, a memory-map for an out-of-core source)."""
 
     def __init__(self, source: ShardSource, cfg: MultiLayerConfig) -> None:
         self._source = source
         self._cfg = cfg
-        self._states: dict[int, ShardState] = {}
 
     def __enter__(self) -> "_InProcessSession":
         return self
 
     def __exit__(self, *exc: object) -> None:
         pass
-
-    def _state_for(self, shard: Shard) -> ShardState:
-        state = self._states.get(shard.index)
-        if state is None:
-            state = ShardState.initial(shard, self._cfg)
-            self._states[shard.index] = state
-        return state
-
-    def restore(self, priors: np.ndarray, posterior: np.ndarray) -> None:
-        """Rebuild every shard state from checkpointed global vectors.
-
-        Called by the driver when resuming a fit from a checkpoint
-        (:mod:`repro.exec.checkpoint`); the rebuilt states are
-        bit-identical to the ones the checkpointed fit held, so the
-        resumed fit continues to the exact bytes of an uninterrupted
-        run.
-        """
-        for index in range(self._source.num_shards):
-            shard = self._source.get_shard(index)
-            self._states[index] = rebuild_state(
-                shard,
-                self._cfg,
-                priors[shard.coord_idx],
-                posterior[shard.triple_lo : shard.triple_hi],
-            )
 
     def _run_one(
         self,
@@ -190,19 +154,10 @@ class _InProcessSession:
     ) -> None:
         shard = self._source.get_shard(index)
         p_correct, posterior = run_shard_iteration(
-            shard, self._cfg, self._state_for(shard), params
+            shard, self._cfg, params, params.priors_for(shard)
         )
         out_p_correct[shard.coord_idx] = p_correct
         out_posterior[shard.triple_lo : shard.triple_hi] = posterior
-
-    def finalize(self, params: FinalizeParams) -> np.ndarray:
-        priors = np.empty(self._source.num_coords)
-        for index in range(self._source.num_shards):
-            shard = self._source.get_shard(index)
-            priors[shard.coord_idx] = finalize_shard(
-                shard, self._cfg, self._state_for(shard), params
-            )
-        return priors
 
 
 class _SerialSession(_InProcessSession):
@@ -288,8 +243,7 @@ class ThreadBackend:
 # the pipe / shared-memory transport under repro.exec.supervisor.
 # ----------------------------------------------------------------------
 _STOP = "stop"
-_ITER = "iter"
-_FINAL = "final"
+_TASK = "task"
 
 #: Ack payload cap. An ack frame (4-byte length header + pickled tuple)
 #: must stay within POSIX ``PIPE_BUF`` (4096 bytes) so each ack is one
@@ -327,7 +281,6 @@ def _param_layout(source: ShardSource) -> tuple[dict[str, slice], int]:
     layout: dict[str, slice] = {}
     offset = 0
     for name, size in (
-        ("accuracy", source.num_sources),
         ("base_absence", source.num_sources),
         ("source_vote", source.num_sources),
         ("pre_vote", source.num_cols),
@@ -374,16 +327,17 @@ def _shard_worker(
     One worker is *home* to one or more shards (shards are multiplexed
     over at most :func:`_worker_cap` processes); each round the driver
     sends one task message per shard — ``(kind, round, shard, attempt,
-    do_prior, base_scalar, restore, shipped_packet)`` — and the worker
-    acks ``(worker, round, shard, attempt, error)`` on the shared ack
-    pipe (one atomic frame per ack, see :func:`_send_ack`). The task's
-    inputs come from the shared parameter block, its outputs are
+    base_scalar, has_priors, shipped_packet)`` — and the worker acks
+    ``(worker, round, shard, attempt, error)`` on the shared ack pipe
+    (one atomic frame per ack, see :func:`_send_ack`). The task's inputs
+    come from the shared parameter block and the shared priors vector
+    (``has_priors`` unset: ``cfg.alpha`` everywhere), its outputs are
     scattered into the shared output vectors, and the step itself is
-    :func:`~repro.exec.worker.execute_task` (resident
-    :class:`ShardState` objects, restore payloads, fault hooks). Tasks
-    may arrive for shards outside the startup payload (speculation /
-    re-homing): out-of-core workers map any packet from the spill
-    directory, resident workers receive the packet inside the message.
+    :func:`~repro.exec.worker.execute_task` (fault hooks, then the pure
+    map step). Tasks may arrive for shards outside the startup payload
+    (speculation / re-homing): out-of-core workers map any packet from
+    the spill directory, resident workers receive the packet inside the
+    message.
     """
     from multiprocessing import shared_memory
 
@@ -394,13 +348,12 @@ def _shard_worker(
     try:
         for key, name in shm_names.items():
             segments[key] = shared_memory.SharedMemory(name=name)
-        p_correct, posterior, priors_out, param_block = (
+        p_correct, posterior, priors, param_block = (
             _shm_view(segments[key], sizes[key])
             for key in ("p", "post", "priors", "params")
         )
         fetch = _open_worker_shards(payload)
         shipped_shards: dict[int, Shard] = {}
-        states: dict[int, ShardState] = {}
 
         def lookup(name: str) -> np.ndarray:
             return param_block[layout[name]]
@@ -422,9 +375,8 @@ def _shard_worker(
                 round_id,
                 shard_index,
                 attempt,
-                do_prior,
                 base_scalar,
-                restore,
+                has_priors,
                 shipped,
             ) = message
             if faults.should_kill(worker_index, round_id):
@@ -437,18 +389,17 @@ def _shard_worker(
                         shard = shipped_shards[shard_index] = shipped
                     else:
                         shard = fetch(shard_index)
-                params = task_params(
-                    kind == _ITER, do_prior, base_scalar, lookup
-                )
                 result = execute_task(
-                    cfg, shard, states, params, restore, faults,
-                    round_id, attempt,
+                    cfg,
+                    shard,
+                    task_params(base_scalar, lookup),
+                    priors[shard.coord_idx] if has_priors else None,
+                    faults,
+                    round_id,
+                    attempt,
                 )
-                if kind == _ITER:
-                    p_correct[shard.coord_idx] = result[0]
-                    posterior[shard.triple_lo : shard.triple_hi] = result[1]
-                else:
-                    priors_out[shard.coord_idx] = result
+                p_correct[shard.coord_idx] = result[0]
+                posterior[shard.triple_lo : shard.triple_hi] = result[1]
             except Exception as exc:
                 error = _describe_error(exc)
             _send_ack(
@@ -638,7 +589,7 @@ class _ProcessSession(_SupervisedSession):
     # ------------------------------------------------------------------
     # The transport (see _SupervisedSession)
     # ------------------------------------------------------------------
-    def _send(self, worker, rnd: _Round, shard_index, attempt, restore) -> None:
+    def _send(self, worker, rnd: _Round, shard_index, attempt) -> None:
         handle = self._workers[worker]
         shipped = (
             None
@@ -647,16 +598,8 @@ class _ProcessSession(_SupervisedSession):
         )
         try:
             handle.queue.put(
-                (
-                    rnd.kind,
-                    rnd.id,
-                    shard_index,
-                    attempt,
-                    rnd.do_prior,
-                    rnd.payload,  # the ALL-scope base-absence scalar
-                    restore,
-                    shipped,
-                )
+                # payload: (ALL-scope base-absence scalar, has_priors)
+                (_TASK, rnd.id, shard_index, attempt, *rnd.payload, shipped)
             )
         except (OSError, ValueError):
             # The worker died under us; the liveness sweep will fail
@@ -715,36 +658,29 @@ class _ProcessSession(_SupervisedSession):
     # ------------------------------------------------------------------
     # The ExecutionSession contract
     # ------------------------------------------------------------------
-    def _broadcast_params(self, params: IterationParams) -> float | None:
-        """Write the parameter block; return the ALL-scope scalar."""
-        block = self._views["params"]
-        layout = self._layout
-        if params.prior_accuracy is not None:
-            block[layout["accuracy"]] = params.prior_accuracy
-        block[layout["source_vote"]] = params.source_vote
-        block[layout["pre_vote"]] = params.pre_vote
-        block[layout["abs_vote"]] = params.abs_vote
-        if isinstance(params.base_absence, np.ndarray):
-            block[layout["base_absence"]] = params.base_absence
-            return None
-        return float(params.base_absence)
-
     def run_iteration(
         self,
         params: IterationParams,
         out_p_correct: np.ndarray,
         out_posterior: np.ndarray,
     ) -> None:
-        base_scalar = self._broadcast_params(params)
-        self._run_round(_ITER, params.do_prior_update, base_scalar)
+        # The round's inputs go into shared memory before any task is
+        # sent; the previous round's fence left no one reading them.
+        block = self._views["params"]
+        layout = self._layout
+        block[layout["source_vote"]] = params.source_vote
+        block[layout["pre_vote"]] = params.pre_vote
+        block[layout["abs_vote"]] = params.abs_vote
+        base_scalar = None  # the per-source vector ships in the block
+        if isinstance(params.base_absence, np.ndarray):
+            block[layout["base_absence"]] = params.base_absence
+        else:
+            base_scalar = float(params.base_absence)
+        if params.priors is not None:
+            self._views["priors"][:] = params.priors
+        self._run_round((base_scalar, params.priors is not None))
         out_p_correct[:] = self._views["p"]
         out_posterior[:] = self._views["post"]
-
-    def finalize(self, params: FinalizeParams) -> np.ndarray:
-        if params.accuracy is not None:
-            self._views["params"][self._layout["accuracy"]] = params.accuracy
-        self._run_round(_FINAL, params.do_prior_update, None)
-        return self._views["priors"].copy()
 
 
 class ProcessBackend:

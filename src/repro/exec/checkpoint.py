@@ -7,16 +7,17 @@ global model is fully described by
 
 * the theta vectors (source accuracy; extractor precision/recall/Q),
 * the assembled ``p_correct`` / ``posterior`` arrays of round ``t``,
-* the coordinate priors in effect after round ``t`` (the driver-side
-  replay of the workers' deferred Eq. 26 pass — see
-  :func:`repro.exec.driver.fit_sharded`),
+* the coordinate priors round ``t + 1`` reads (iteration ``t``'s Eq. 26
+  output, or ``cfg.alpha`` everywhere before the first re-estimation —
+  see :func:`repro.exec.driver.fit_sharded`),
 * the iteration counter and per-iteration convergence deltas.
 
-Per-shard residual mass is deliberately *not* stored: it is a pure
-function of the posterior and the static shard arrays, recomputed
-bit-identically on restore (:func:`repro.exec.worker.rebuild_state`).
-A resumed fit therefore continues to the exact bytes an uninterrupted
-fit produces — asserted by ``tests/test_fault_tolerance.py``.
+That is the whole of the driver's loop state, and map tasks hold none,
+so resuming is loading these arrays and running round ``t + 1`` on
+whatever backend and shard count the resumed fit names: it continues to
+the exact bytes an uninterrupted fit produces — asserted by
+``tests/test_fault_tolerance.py``. (Version 1 files stored the priors
+round ``t`` had read, one update behind, and are refused.)
 
 Everything lands in one ``checkpoint.npz`` written with
 :func:`repro.io.atomic.atomic_write` (temp-file-then-rename, the same
@@ -53,7 +54,7 @@ from repro.io.atomic import atomic_write
 
 #: Format identifier + version written to (and required from) checkpoints.
 CHECKPOINT_FORMAT = "kbt-fit-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 #: Single-file checkpoint name under ``checkpoint_dir``.
 CHECKPOINT_FILE = "checkpoint.npz"
@@ -238,8 +239,17 @@ def load_checkpoint(directory: str | Path) -> FitCheckpoint | None:
                     f"{meta.get('version')!r} in {path}; this build reads "
                     f"version {CHECKPOINT_VERSION}"
                 )
+            iteration = int(meta["iteration"])
             acc_deltas = data["acc_deltas"]
             ext_deltas = data["ext_deltas"]
+            if not len(acc_deltas) == len(ext_deltas) == iteration:
+                raise CheckpointError(
+                    f"fit checkpoint {path} records iteration {iteration} "
+                    f"but carries {len(acc_deltas)} accuracy and "
+                    f"{len(ext_deltas)} extractor deltas; the file is "
+                    "truncated or inconsistent — delete it (a fresh fit "
+                    "rewrites it) or drop --resume"
+                )
             history = tuple(
                 IterationSnapshot(index + 1, float(acc), float(ext))
                 for index, (acc, ext) in enumerate(
@@ -247,7 +257,7 @@ def load_checkpoint(directory: str | Path) -> FitCheckpoint | None:
                 )
             )
             return FitCheckpoint(
-                iteration=int(meta["iteration"]),
+                iteration=iteration,
                 accuracy=np.array(data["accuracy"]),
                 precision=np.array(data["precision"]),
                 recall=np.array(data["recall"]),
@@ -273,6 +283,7 @@ def apply_checkpoint(
     params,
     p_correct: np.ndarray,
     posterior: np.ndarray,
+    priors: np.ndarray,
 ) -> list[IterationSnapshot]:
     """Overwrite the freshly initialised state with checkpointed arrays.
 
@@ -287,6 +298,7 @@ def apply_checkpoint(
         ("q_vec", params.q_vec, ckpt.q_vec),
         ("p_correct", p_correct, ckpt.p_correct),
         ("posterior", posterior, ckpt.posterior),
+        ("priors", priors, ckpt.priors),
     )
     for name, target, stored in pairs:
         if target.shape != stored.shape:

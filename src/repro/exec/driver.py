@@ -21,23 +21,21 @@ releases their pages after every iteration, so the driver's anonymous
 working set stays bounded by the parameter/posterior vectors while the
 corpus itself lives in evictable file-backed pages.
 
-Fault tolerance hooks into the loop in two places:
-
-* With ``MultiLayerConfig.checkpoint_dir`` set, the driver persists the
-  full EM state every ``checkpoint_every`` iterations (and always at
-  convergence / budget exhaustion) via :mod:`repro.exec.checkpoint`;
-  ``resume=True`` restarts a crashed fit from the last checkpoint and
-  continues to bit-identical final results. A checkpoint that does not
-  match the problem or model config is refused before anything is
-  spilled and before the backend is opened.
-* Whenever checkpointing is on or the session supervises workers
-  (``set_restore_state``), the driver maintains a global **restore
-  snapshot** — the priors/posterior any shard state can be rebuilt from
-  mid-fit. The priors half replays the workers' deferred Eq. 26 pass
-  globally, through the very functions the shards call
-  (:func:`~repro.exec.worker.residual_mass`,
-  :func:`~repro.exec.worker.prior_update`), so the replayed float64
-  vector is bit-identical to the concatenation of the per-shard updates.
+The driver owns everything that carries over from one iteration to the
+next — the theta vectors and the coordinate priors — so a map task is a
+pure function of what the driver hands it. Each iteration runs in
+Algorithm 1's own order: E step (the map round), M step (the reduce),
+then the prior re-estimation (Section 3.3.4, Eq. 26: :func:`prior_update`
+over the whole problem, float64 in every precision mode), whose vector
+the next round reads. That is also all fault tolerance needs from this
+loop: a supervised session recovers by running a task again, and with
+``MultiLayerConfig.checkpoint_dir`` set the driver persists its own
+state every ``checkpoint_every`` iterations (and always at convergence /
+budget exhaustion) via :mod:`repro.exec.checkpoint`; ``resume=True``
+reloads it and continues to bit-identical final results on any backend
+and shard count. A checkpoint that does not match the problem or model
+config is refused before anything is spilled and before the backend is
+opened.
 """
 
 from __future__ import annotations
@@ -59,12 +57,7 @@ from repro.core.types import ExtractorKey, SourceKey
 from repro.exec.backends import ProcessBackend, SerialBackend, ThreadBackend
 from repro.exec.plan import ShardPlan, num_unobserved, resolve_num_shards
 from repro.exec.remote import RemoteBackend
-from repro.exec.worker import (
-    FinalizeParams,
-    IterationParams,
-    prior_update,
-    residual_mass,
-)
+from repro.exec.worker import IterationParams
 
 #: ``cfg.backend`` -> backend class (``repro.core.config.BACKENDS`` names).
 BACKENDS = {
@@ -158,88 +151,40 @@ def fit_sharded(
         frozen_sources,
     )
 
-    backend_cls = BACKENDS[cfg.backend or "serial"]
     history: list[IterationSnapshot] = []
     p_correct = np.zeros(source.num_coords)
     posterior = np.zeros(source.num_triples)
-    priors: np.ndarray | None = None
+    # What the next round's C step reads: cfg.alpha until Eq. 26 first
+    # runs, then each iteration's re-estimate.
+    priors = np.full(source.num_coords, cfg.alpha)
+    unobserved = num_unobserved(cfg, prob.item_num_values)
 
     start_iteration = 1
-    with backend_cls().open(source, cfg) as session:
-        set_restore = getattr(session, "set_restore_state", None)
-        # The restore snapshot is needed whenever a shard state may have
-        # to be rebuilt mid-fit: for checkpoints, and for sessions that
-        # supervise workers (replacement workers restore from it).
-        track_state = checkpointing or set_restore is not None
-        restore_priors = restore_posterior = unobserved = None
-        if track_state:
-            restore_priors = np.full(source.num_coords, cfg.alpha)
-            restore_posterior = np.zeros(source.num_triples)
-            unobserved = num_unobserved(cfg, prob.item_num_values)
-
-        if ckpt is not None:
-            history = apply_checkpoint(ckpt, params, p_correct, posterior)
-            start_iteration = ckpt.iteration + 1
-            restore_priors = np.array(ckpt.priors, dtype=np.float64)
-            restore_posterior = posterior.copy()
-            session_restore = getattr(session, "restore", None)
-            if session_restore is None:
-                raise ValueError(
-                    f"backend {cfg.backend!r} does not support resuming "
-                    "from a checkpoint"
-                )
-            session_restore(restore_priors, restore_posterior)
-
-        last_iteration = start_iteration - 1
-        # A checkpoint written at convergence resumes as a no-op loop:
-        # the restored history already satisfies the stopping rule.
-        already_converged = bool(history) and (
-            history[-1].max_delta < cfg.convergence.tolerance
-        )
-        iterations = (
-            ()
-            if already_converged
-            else range(start_iteration, cfg.convergence.max_iterations + 1)
-        )
+    if ckpt is not None:
+        history = apply_checkpoint(ckpt, params, p_correct, posterior, priors)
+        start_iteration = ckpt.iteration + 1
+    last_iteration = start_iteration - 1
+    # A checkpoint written at convergence resumes as a no-op loop: the
+    # restored history already satisfies the stopping rule.
+    already_converged = bool(history) and (
+        history[-1].max_delta < cfg.convergence.tolerance
+    )
+    iterations = (
+        ()
+        if already_converged
+        else range(start_iteration, cfg.convergence.max_iterations + 1)
+    )
+    with BACKENDS[cfg.backend or "serial"]().open(source, cfg) as session:
         for iteration in iterations:
             last_iteration = iteration
-            pre_vote, abs_vote, base_absence, source_vote = iteration_inputs(
-                cfg, prob, params
-            )
-            # The Eq. 26 prior update of iteration t runs lazily at the
-            # start of map round t+1 (same inputs: the accuracy the
-            # reduce of round t produced, plus each shard's retained
-            # posterior/residual), so one round trip per iteration
-            # suffices.
-            do_prior = _prior_update_due(cfg, iteration - 1)
             it_params = IterationParams(
-                do_prior_update=do_prior,
-                prior_accuracy=params.accuracy if do_prior else None,
-                pre_vote=pre_vote,
-                abs_vote=abs_vote,
-                base_absence=base_absence,
-                source_vote=source_vote,
+                False,
+                # None is "cfg.alpha everywhere": until the first
+                # re-estimation no constant vector is copied or shipped.
+                priors if _prior_update_due(cfg, iteration - 1) else None,
+                *iteration_inputs(cfg, prob, params),
             )
-            if set_restore is not None:
-                # End-of-previous-round snapshot: a task re-dispatched
-                # during this round rebuilds its state from these and
-                # re-runs the (pure, idempotent) map step.
-                set_restore(restore_priors, restore_posterior)
             session.run_iteration(it_params, p_correct, posterior)
-            if track_state:
-                if do_prior:
-                    # Replay the deferred pass the workers just ran, with
-                    # the pre-reduce accuracy and the previous round's
-                    # posterior — bit-identical to the per-shard float64
-                    # updates.
-                    restore_priors = prior_update(
-                        cfg,
-                        prob,
-                        restore_posterior,
-                        residual_mass(prob, restore_posterior, unobserved),
-                        params.accuracy,
-                    )
-                restore_posterior = posterior.copy()
 
             # The reduce: one window per array family, or windows of
             # cfg.reduce_chunk elements (bit-identical); out-of-core
@@ -257,10 +202,21 @@ def fit_sharded(
             history.append(
                 IterationSnapshot(iteration, accuracy_delta, extractor_delta)
             )
+            if _prior_update_due(cfg, iteration):
+                # Eq. 26 closes the iteration, from its posteriors and
+                # the accuracies its M step just produced.
+                priors = prior_update(
+                    cfg,
+                    prob,
+                    posterior,
+                    residual_mass(prob, posterior, unobserved),
+                    params.accuracy,
+                )
             if out_of_core:
-                # The reduce just scanned the memory-mapped global
-                # arrays; release their pages so the resident set stays
-                # bounded instead of accumulating the whole corpus.
+                # The reduce and Eq. 26 just scanned the memory-mapped
+                # global arrays; release their pages so the resident
+                # set stays bounded instead of accumulating the whole
+                # corpus.
                 release_problem_pages(prob)
             hit_tolerance = (
                 max(accuracy_delta, extractor_delta)
@@ -277,7 +233,7 @@ def fit_sharded(
                     params=params,
                     p_correct=p_correct,
                     posterior=posterior,
-                    priors=restore_priors,
+                    priors=priors,
                     history=history,
                     problem_digest=expected_problem,
                     config_digest=expected_config,
@@ -285,22 +241,57 @@ def fit_sharded(
             if hit_tolerance:
                 break
 
-        # The last iteration's Eq. 26 pass; due iff the fit re-estimated
-        # priors at all (the due-condition is monotone in the iteration).
-        do_final = _prior_update_due(cfg, last_iteration)
-        if set_restore is not None:
-            set_restore(restore_priors, restore_posterior)
-        final = session.finalize(
-            FinalizeParams(
-                do_prior_update=do_final,
-                accuracy=params.accuracy if do_final else None,
-            )
-        )
-        if do_final:
-            priors = final
-
     return assemble_result(
-        prob, observations, p_correct, posterior, params, priors, history
+        prob,
+        observations,
+        p_correct,
+        posterior,
+        params,
+        # Reported iff the fit re-estimated priors at all (the
+        # due-condition is monotone in the iteration).
+        priors if _prior_update_due(cfg, last_iteration) else None,
+        history,
+    )
+
+
+def residual_mass(
+    prob, posterior: np.ndarray, num_unobserved: np.ndarray
+) -> np.ndarray:
+    """Per-item posterior mass left for each unobserved value."""
+    if not prob.num_items:
+        return np.zeros(0)
+    posterior_mass = np.add.reduceat(posterior, prob.item_ptr[:-1])
+    return np.where(
+        num_unobserved > 0.0,
+        np.maximum(1.0 - posterior_mass, 0.0)
+        / np.maximum(num_unobserved, 1.0),
+        0.0,
+    )
+
+
+def prior_update(
+    cfg: MultiLayerConfig,
+    prob,
+    posterior: np.ndarray,
+    residual: np.ndarray,
+    accuracy: np.ndarray,
+) -> np.ndarray:
+    """Eq. 26 over every coordinate of the compiled problem: the prior
+    that an extraction is correct, from the iteration's value posteriors
+    (``residual`` for a coordinate whose value is no covered triple) and
+    the source accuracies its M step produced."""
+    p_true = np.zeros(len(prob.coord_source))
+    has_triple = prob.coord_triple >= 0
+    if posterior.size:
+        p_true[has_triple] = posterior[prob.coord_triple[has_triple]]
+    has_item = ~has_triple & (prob.coord_item >= 0)
+    if residual.size:
+        p_true[has_item] = residual[prob.coord_item[has_item]]
+    source_accuracy = accuracy[prob.coord_source]
+    return np.clip(
+        p_true * source_accuracy + (1.0 - p_true) * (1.0 - source_accuracy),
+        cfg.prior_floor,
+        cfg.prior_ceiling,
     )
 
 

@@ -6,7 +6,8 @@ only trustworthy if its failure paths can
 be exercised *reproducibly*. A :class:`FaultPlan` makes failures part of
 the test input: every fault is keyed by coordinates the scheduler
 assigns deterministically — the worker index, the dispatch round (a
-per-session counter incremented once per map/finalize round), and the
+per-session counter incremented once per map round: round ``t`` is
+iteration ``t``'s map, and a fit dispatches nothing else), and the
 per-shard attempt number — so an injected crash happens at exactly the
 same point of the computation on every run.
 

@@ -14,7 +14,9 @@ Wire format: :mod:`repro.exec.protocol` — length-prefixed frames whose
 arrays travel as raw ``.npy`` byte strings (the PR 5 spill idiom as a
 wire payload) under a JSON manifest with a SHA-256 blob digest. Shard
 packets ship to a worker at most once per connection and are cached
-there; per-iteration parameter vectors ship every round.
+there; per-iteration parameter vectors ship every round, and once the
+driver re-estimates priors (Eq. 26) each task also carries its shard's
+slice of them — everything a pure map task reads travels in its frame.
 
 Determinism: the coordinator scatters each winning result into the
 global output arrays in engine array order and the reduce never leaves
@@ -41,9 +43,9 @@ this module contributes only its transport:
   round/attempt matching and can never write.
 * Workers that lose their connection re-enter a reconnect loop (fresh
   index on re-registration), which is also what lets a *coordinator*
-  restart with ``resume=True`` pick up its worker fleet again: the fit
-  resumes from the checkpoint, the workers rejoin, and every shard
-  state is rebuilt from the restored snapshot.
+  restart with ``resume=True`` pick up its worker fleet again: the
+  driver reloads its checkpoint, the workers rejoin, and the next round
+  is dispatched like any other.
 
 Deterministic fault injection (:mod:`repro.exec.faults`) extends to the
 connection level: ``drop_connection`` makes a worker abruptly close its
@@ -63,7 +65,7 @@ import time
 import numpy as np
 
 from repro.core.config import MultiLayerConfig, parse_remote_endpoint
-from repro.exec.backends import _FINAL, _ITER, ShardSource
+from repro.exec.backends import ShardSource
 from repro.exec.faults import FaultPlan
 from repro.exec.plan import Shard
 from repro.exec.protocol import (
@@ -82,9 +84,7 @@ from repro.exec.supervisor import (
     env_number,
 )
 from repro.exec.worker import (
-    FinalizeParams,
     IterationParams,
-    ShardState,
     _describe_error,
     execute_task,
     task_params,
@@ -118,8 +118,8 @@ def run_worker(
     connection — the coordinator crashed, restarted, or the network
     hiccuped — is not fatal: the worker sleeps ``retry_interval``
     seconds and reconnects, re-registering under a fresh index with
-    empty caches (the coordinator re-ships packets and restore state on
-    demand). ``max_retries`` bounds *consecutive* failed connection
+    an empty packet cache (the coordinator re-ships packets on demand).
+    ``max_retries`` bounds *consecutive* failed connection
     attempts (None: retry forever); any successful registration resets
     the count.
     """
@@ -165,7 +165,6 @@ def _serve_connection(sock: socket.socket, faults: FaultPlan) -> bool:
 
         cfg = config_from_dict(meta["config"])
         packets: dict[int, Shard] = {}
-        states: dict[int, ShardState] = {}
         while True:
             kind, meta, arrays = recv_message(sock)
             if kind == "stop":
@@ -182,7 +181,7 @@ def _serve_connection(sock: socket.socket, faults: FaultPlan) -> bool:
                 sock.close()
                 return False
             reply_meta, reply_arrays = _task_reply(
-                cfg, meta, arrays, packets, states, faults
+                cfg, meta, arrays, packets, faults
             )
             payload = encode_message("result", reply_meta, reply_arrays)
             if faults.corrupts_frame(worker_index, round_id):
@@ -200,7 +199,6 @@ def _task_reply(
     meta: dict,
     arrays: dict[str, np.ndarray],
     packets: dict[int, Shard],
-    states: dict[int, ShardState],
     faults: FaultPlan,
 ) -> tuple[dict, dict[str, np.ndarray]]:
     """Task frame in, result frame out: inputs and outputs travel as
@@ -212,7 +210,6 @@ def _task_reply(
         "round": round_id,
         "shard": shard_index,
         "attempt": attempt,
-        "task_kind": meta["task_kind"],
         "error": None,
     }
     try:
@@ -226,23 +223,21 @@ def _task_reply(
                 )
             packets[shard_index] = shard
         params = task_params(
-            meta["task_kind"] == _ITER,
-            bool(meta["do_prior"]),
-            meta["base_scalar"],
-            lambda name: arrays["param." + name],
+            meta["base_scalar"], lambda name: arrays["param." + name]
         )
-        restore = None
-        if "restore.priors" in arrays:
-            restore = (arrays["restore.priors"], arrays["restore.posterior"])
-        result = execute_task(
-            cfg, shard, states, params, restore, faults, round_id, attempt
+        p_correct, posterior = execute_task(
+            cfg,
+            shard,
+            params,
+            arrays.get("param.priors"),  # absent: cfg.alpha everywhere
+            faults,
+            round_id,
+            attempt,
         )
     except Exception as exc:  # reported to the coordinator, never fatal
         reply["error"] = _describe_error(exc)
         return reply, {}
-    if meta["task_kind"] == _ITER:
-        return reply, {"p_correct": result[0], "posterior": result[1]}
-    return reply, {"priors": result}
+    return reply, {"p_correct": p_correct, "posterior": posterior}
 
 
 def _unpack_shard(
@@ -483,39 +478,32 @@ class _RemoteSession(_SupervisedSession):
     # ------------------------------------------------------------------
     # The transport (see _SupervisedSession)
     # ------------------------------------------------------------------
-    def _send(self, worker, rnd: _Round, shard_index, attempt, restore) -> None:
+    def _send(self, worker, rnd: _Round, shard_index, attempt) -> None:
         with self._workers_lock:
             remote = self._workers[worker]
-        params = rnd.payload
+        params: IterationParams = rnd.payload
+        shard = self._source.get_shard(shard_index)
         meta: dict = {
-            "task_kind": rnd.kind,
             "round": rnd.id,
             "shard": shard_index,
             "attempt": attempt,
-            "do_prior": rnd.do_prior,
             "base_scalar": None,
         }
-        arrays: dict[str, np.ndarray] = {}
-        if rnd.kind == _ITER:
-            arrays["param.pre_vote"] = params.pre_vote
-            arrays["param.abs_vote"] = params.abs_vote
-            arrays["param.source_vote"] = params.source_vote
-            if isinstance(params.base_absence, np.ndarray):
-                arrays["param.base_absence"] = params.base_absence
-            else:
-                meta["base_scalar"] = float(params.base_absence)
-            if rnd.do_prior:
-                arrays["param.accuracy"] = params.prior_accuracy
-        elif rnd.do_prior:
-            arrays["param.accuracy"] = params.accuracy
+        arrays: dict[str, np.ndarray] = {
+            "param.pre_vote": params.pre_vote,
+            "param.abs_vote": params.abs_vote,
+            "param.source_vote": params.source_vote,
+        }
+        if isinstance(params.base_absence, np.ndarray):
+            arrays["param.base_absence"] = params.base_absence
+        else:
+            meta["base_scalar"] = float(params.base_absence)
+        priors = params.priors_for(shard)
+        if priors is not None:
+            arrays["param.priors"] = priors
         if shard_index not in remote.shipped:
-            packet_meta, packet_arrays = _pack_shard(
-                self._source.get_shard(shard_index)
-            )
-            meta["packet"] = packet_meta
+            meta["packet"], packet_arrays = _pack_shard(shard)
             arrays.update(packet_arrays)
-        if restore is not None:
-            arrays["restore.priors"], arrays["restore.posterior"] = restore
         try:
             remote.send("task", meta, arrays)
             remote.shipped.add(shard_index)
@@ -568,17 +556,7 @@ class _RemoteSession(_SupervisedSession):
                 "posterior"
             ]
 
-        self._run_round(_ITER, params.do_prior_update, params, scatter)
-
-    def finalize(self, params: FinalizeParams) -> np.ndarray:
-        priors = np.empty(self._source.num_coords)
-
-        def scatter(shard_index: int, arrays: dict) -> None:
-            shard = self._source.get_shard(shard_index)
-            priors[shard.coord_idx] = arrays["priors"]
-
-        self._run_round(_FINAL, params.do_prior_update, params, scatter)
-        return priors
+        self._run_round(params, scatter)
 
 
 class RemoteBackend:

@@ -28,13 +28,13 @@ packet + the global parameter and posterior vectors): what stays
 resident scales with the number of coordinates and triples, while the
 much larger extraction/claim array mass — everything that scales with
 records per coordinate — lives in evictable file-backed pages. (For
-corpora whose per-coordinate vectors alone exceed RAM, spilling
-``ShardState`` too is a ROADMAP follow-up.) Determinism is untouched: a memory-mapped view holds
-bit-identical float64/int64 values, every segment operation runs over
-the same elements in the same order, so out-of-core fits are
-**bit-identical** to the resident numpy engine for every backend and
-shard count (the PR 4 parity guarantee, re-asserted by
-``tests/test_outofcore.py``).
+corpora whose per-coordinate vectors alone exceed RAM, spilling the
+driver's global vectors too is a ROADMAP follow-up.) Determinism is
+untouched: a memory-mapped view holds bit-identical float64/int64
+values, every segment operation runs over the same elements in the same
+order, so out-of-core fits are **bit-identical** to the resident numpy
+engine for every backend and shard count (the PR 4 parity guarantee,
+re-asserted by ``tests/test_outofcore.py``).
 
 Failure handling: a missing, foreign, or corrupt spill directory raises
 :class:`SpillError` (a ``ValueError``, so the CLI reports it as a clear
@@ -54,7 +54,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.engine_numpy import iter_chunks  # re-exported: its old home
 from repro.core.indexing import CompiledProblem
 from repro.exec.plan import Shard, ShardPlan, StageStats
 from repro.io.atomic import atomic_write
@@ -490,7 +489,6 @@ __all__ = [
     "SpillError",
     "advise_dontneed",
     "advise_dontneed_window",
-    "iter_chunks",
     "persist_plan",
     "release_problem_pages",
     "spill_problem_arrays",

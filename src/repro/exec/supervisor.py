@@ -5,13 +5,14 @@ retry, re-execution and straggler speculation exist once, in the master
 (Section 5.3.4, Table 7). :class:`_SupervisedSession` is that master:
 it dispatches one task per shard per round, matches acks by ``(round,
 shard, attempt)``, retries failures with capped exponential backoff
-under a per-shard budget, re-homes the shards of a lost worker (their
-next dispatch ships a slice of the driver's restore snapshot, from which
-:func:`~repro.exec.worker.rebuild_state` rebuilds the state bit for
-bit), and once half of a round has reported speculatively re-dispatches
-stragglers past a median-derived deadline — first result wins, which is
-safe because map steps are pure and bit-deterministic, so every attempt
-of a shard's round-``t`` step yields identical bytes.
+under a per-shard budget, re-homes the shards of a lost worker, and
+once half of a round has reported speculatively re-dispatches stragglers
+past a median-derived deadline — first result wins. Every one of those
+recoveries is "run the task again, anywhere": a map task
+(:func:`~repro.exec.worker.run_shard_iteration`) is a pure function of
+what the task itself carries, so every attempt of a shard's round-``t``
+step yields identical bytes and no worker holds anything a fit could
+lose.
 
 How tasks and results travel is the **transport**, a handful of hook
 methods a subclass provides (``_send``, ``_next_event``,
@@ -35,8 +36,6 @@ import statistics
 import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
-
-import numpy as np
 
 #: Scheduler poll interval: how long the round loop blocks for the next
 #: transport event before it re-checks due retries and speculation.
@@ -121,8 +120,6 @@ class _Round(NamedTuple):
     """What every task of one round shares."""
 
     id: int
-    kind: str
-    do_prior: bool
     #: Transport-specific round inputs, passed through to ``_send``.
     payload: object
 
@@ -157,16 +154,15 @@ class _ShardTask:
 
 class _SupervisedSession:
     """The round engine; subclasses add a transport and the
-    ``ExecutionSession`` methods (``run_iteration`` / ``finalize`` call
+    ``ExecutionSession`` method (``run_iteration`` calls
     :meth:`_run_round`).
 
-    Bookkeeping kept here: each shard's *home* worker (the one holding
-    its current :class:`~repro.exec.worker.ShardState`), the *dirty*
-    shards whose home does not hold that state, the unacked attempts per
-    worker, and the driver's restore snapshot. Worker indices are
-    assigned by the transport, grow monotonically and are never reused,
-    so a fault keyed to a lost worker cannot re-fire on its successor
-    and a stale ack never aliases a new worker.
+    Bookkeeping kept here: each shard's *home* worker — packet affinity
+    only: the worker that last ran the shard already has its packet (and
+    warm caches), nothing more — and the unacked attempts per worker.
+    Worker indices are assigned by the transport, grow monotonically and
+    are never reused, so a fault keyed to a lost worker cannot re-fire
+    on its successor and a stale ack never aliases a new worker.
     """
 
     def __init__(
@@ -181,29 +177,19 @@ class _SupervisedSession:
         self._sup = _Supervision.from_env() if sup is None else sup
         self._clock = clock
         self._home: dict[int, int] = {}
-        self._dirty: set[int] = set()
         #: worker index -> set of (round, shard, attempt) not yet acked.
         self._inflight: dict[int, set] = {}
         self._round = 0
-        # The restore snapshot defaults to the pre-round-1 state (initial
-        # priors, zero posterior); the driver refreshes it each round.
-        self._restore_priors = np.full(source.num_coords, cfg.alpha)
-        self._restore_posterior = np.zeros(source.num_triples)
 
     # ------------------------------------------------------------------
     # The transport seam
     # ------------------------------------------------------------------
     def _send(
-        self,
-        worker: int,
-        rnd: _Round,
-        shard_index: int,
-        attempt: int,
-        restore: tuple[np.ndarray, np.ndarray] | None,
+        self, worker: int, rnd: _Round, shard_index: int, attempt: int
     ) -> None:
-        """Ship one task (plus the packet, if ``worker`` lacks it, and
-        the ``restore`` slices, if given). Must not raise when the
-        worker is already gone: its death arrives as an event."""
+        """Ship one task (plus the packet, if ``worker`` lacks it). Must
+        not raise when the worker is already gone: its death arrives as
+        an event."""
         raise NotImplementedError
 
     def _next_event(self, timeout: float) -> tuple | None:
@@ -230,51 +216,17 @@ class _SupervisedSession:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
-    # Restore state (checkpoint resume + mid-fit state reconstruction)
-    # ------------------------------------------------------------------
-    def set_restore_state(
-        self, priors: np.ndarray, posterior: np.ndarray
-    ) -> None:
-        """Install the driver's end-of-previous-round global snapshot.
-
-        Any shard dispatched to a worker that does not hold its current
-        state (an heir, a speculation target, or after :meth:`restore`)
-        ships its slices of this snapshot so the worker can rebuild the
-        state bit-identically. The driver refreshes the snapshot before
-        every round; the arrays are driver-owned copies that no worker
-        mutates mid-round.
-        """
-        self._restore_priors = priors
-        self._restore_posterior = posterior
-
-    def restore(self, priors: np.ndarray, posterior: np.ndarray) -> None:
-        """Resume from a checkpoint: every shard state must be rebuilt."""
-        self.set_restore_state(
-            np.array(priors, dtype=np.float64),
-            np.array(posterior, dtype=np.float64),
-        )
-        self._dirty.update(range(self._source.num_shards))
-
-    # ------------------------------------------------------------------
     # Round engine
     # ------------------------------------------------------------------
     def _dispatch(
         self, task: _ShardTask, rnd: _Round, target: int | None = None
     ) -> None:
         shard_index = task.shard
-        home = self._home[shard_index]
         if target is None:
-            target = home
+            target = self._home[shard_index]
         attempt = task.next_attempt
         task.next_attempt += 1
-        restore = None
-        if shard_index in self._dirty or target != home:
-            shard = self._source.get_shard(shard_index)
-            restore = (
-                self._restore_priors[shard.coord_idx],
-                self._restore_posterior[shard.triple_lo : shard.triple_hi],
-            )
-        self._send(target, rnd, shard_index, attempt, restore)
+        self._send(target, rnd, shard_index, attempt)
         task.running[attempt] = target
         self._inflight.setdefault(target, set()).add(
             (rnd.id, shard_index, attempt)
@@ -318,8 +270,8 @@ class _SupervisedSession:
         tasks: dict[int, _ShardTask],
         round_id: int,
     ) -> None:
-        """Retire a lost worker: re-home its shards (dirty: their next
-        dispatch ships a restore payload), fail its unacked attempts."""
+        """Retire a lost worker: re-home its shards, fail its unacked
+        attempts."""
         if worker not in self._live_workers():
             return  # already retired; a condemned transport may repeat itself
         cause = f"worker {worker} ({self._label(worker)}) {reason}"
@@ -339,7 +291,6 @@ class _SupervisedSession:
         for shard_index, owner in self._home.items():
             if owner == worker:
                 self._home[shard_index] = heir
-                self._dirty.add(shard_index)
         return owed
 
     def _launch_due(self, tasks: dict[int, _ShardTask], rnd: _Round) -> None:
@@ -400,16 +351,14 @@ class _SupervisedSession:
 
     def _run_round(
         self,
-        kind: str,
-        do_prior: bool,
         payload: object,
         deliver: Callable[[int, object], None] | None = None,
     ) -> None:
-        """Run every shard's ``kind`` step once; ``deliver(shard,
-        result)`` receives each winning ack's result where results
-        travel in the ack."""
+        """Run every shard's map step once; ``deliver(shard, result)``
+        receives each winning ack's result where results travel in the
+        ack."""
         self._round += 1
-        rnd = _Round(self._round, kind, do_prior, payload)
+        rnd = _Round(self._round, payload)
         tasks = {
             index: _ShardTask(index)
             for index in range(self._source.num_shards)
@@ -451,15 +400,10 @@ class _SupervisedSession:
             remaining -= 1
             durations.append(self._clock() - task.first_dispatch)
             if worker in self._live_workers():
-                # The acker holds the shard's current state and becomes
-                # its home for subsequent rounds.
+                # The acker has the packet: next round goes there. (A
+                # late ack from a worker retired since it wrote stands
+                # too — its bytes are in place — but moves no home.)
                 self._home[shard_index] = worker
-                self._dirty.discard(shard_index)
-            else:
-                # A late ack from a worker retired since it wrote: the
-                # result stands, but the state died with the acker, so
-                # whoever is home must rebuild it.
-                self._dirty.add(shard_index)
         self._fence()
 
 

@@ -456,24 +456,54 @@ def test_float32_envelope_on_backend_cells(
     )
 
 
+def _float32_fit(observations, max_iterations=5, **overrides):
+    return MultiLayerModel(
+        MultiLayerConfig(
+            precision="float32",
+            convergence=ConvergenceConfig(
+                max_iterations=max_iterations, tolerance=0.0
+            ),
+            **overrides,
+        )
+    ).fit(observations)
+
+
 def test_float32_recovers_from_worker_kill_inside_envelope(
     synthetic_matrix, monkeypatch
 ):
-    """A float32 ``processes`` fit that loses a worker mid-fit rebuilds
-    the shard from the driver's (float64) restore snapshot: not
-    bit-exact, but still inside the envelope of the float64 fit."""
+    """A float32 ``processes`` fit that loses a worker mid-fit re-runs
+    the lost (pure) map task: inside the envelope of the float64 fit,
+    and — no float32 state exists to lose, Eq. 26 being a float64
+    driver pass — bit-identical to the uninterrupted float32 fit on the
+    same placement."""
     from repro.exec.faults import FaultPlan
 
-    from test_fault_tolerance import set_faults
+    from test_fault_tolerance import assert_identical, set_faults
 
+    placement = {"backend": "processes", "num_shards": 2}
+    uninterrupted = _float32_fit(synthetic_matrix, **placement)
     set_faults(monkeypatch, FaultPlan(kill_worker=((1, 3),)))
+    assert_identical(uninterrupted, _float32_fit(synthetic_matrix, **placement))
     config = MultiLayerConfig(
         convergence=ConvergenceConfig(max_iterations=5, tolerance=0.0)
     )
-    deviation = max_float32_deviation(
-        config, synthetic_matrix, backend="processes", num_shards=2
-    )
+    deviation = max_float32_deviation(config, synthetic_matrix, **placement)
     assert deviation < FLOAT32_ENVELOPE
+
+
+def test_float32_checkpoint_resume_is_bit_identical(
+    synthetic_matrix, tmp_path
+):
+    """The resume twin: a float32 fit stopped after iteration 2 and
+    resumed reproduces the uninterrupted float32 fit exactly."""
+    from test_fault_tolerance import assert_identical
+
+    placement = {"backend": "serial", "num_shards": 3}
+    uninterrupted = _float32_fit(synthetic_matrix, **placement)
+    placement["checkpoint_dir"] = str(tmp_path)
+    _float32_fit(synthetic_matrix, max_iterations=2, **placement)
+    resumed = _float32_fit(synthetic_matrix, resume=True, **placement)
+    assert_identical(uninterrupted, resumed)
 
 
 # derandomize: near the theta_1 MAP cutoff (claim_p >= 0.5) a one-ULP

@@ -431,6 +431,103 @@ def test_plan_rejects_bad_shard_count(synthetic_matrix):
 
 
 # ----------------------------------------------------------------------
+# The map task is a pure function
+# ----------------------------------------------------------------------
+def _run(shard, cfg, params):
+    """One map task; the outputs are copied because a float32 task
+    returns workspace buffers the packet's next call overwrites."""
+    from repro.exec.worker import run_shard_iteration
+
+    p_correct, posterior = run_shard_iteration(
+        shard, cfg, params, params.priors_for(shard)
+    )
+    return p_correct.copy(), posterior.copy()
+
+
+def _run_round(plan, cfg, params, schedule):
+    """The global vectors after running ``schedule``'s tasks in order."""
+    p_correct = np.zeros(plan.num_coords)
+    posterior = np.zeros(plan.num_triples)
+    for index in schedule:
+        shard = plan.get_shard(index)
+        p_correct[shard.coord_idx], posterior[
+            shard.triple_lo : shard.triple_hi
+        ] = _run(shard, cfg, params)
+    return p_correct.tobytes(), posterior.tobytes()
+
+
+def _input_bytes(params):
+    return [
+        np.asarray(value).tobytes()
+        for value in dataclasses.astuple(params)
+        if value is not None
+    ]
+
+
+@pytest.mark.parametrize("precision", ["float64", "float32"])
+@settings(max_examples=15, deadline=None)
+@given(
+    records=records_strategy(),
+    num_shards=st.sampled_from([3, 4]),
+    data=st.data(),
+)
+def test_map_task_is_pure(precision, records, num_shards, data):
+    from repro.core.engine_numpy import (
+        init_params,
+        iteration_inputs,
+        update_parameters,
+    )
+    from repro.exec.driver import prior_update, residual_mass
+    from repro.exec.plan import num_unobserved
+    from repro.exec.worker import IterationParams
+
+    cfg = MultiLayerConfig(
+        precision=precision, absence_scope=AbsenceScope.ACTIVE
+    )
+    prob, veteran = plan_for(
+        ObservationMatrix.from_records(records), cfg, num_shards
+    )
+    in_order = range(num_shards)
+
+    # Round 1 (initial priors), then a real M step and Eq. 26 make round
+    # 2's inputs, so both the None and the vector prior path are driven.
+    theta = init_params(cfg, prob)
+    first = IterationParams(False, None, *iteration_inputs(cfg, prob, theta))
+    p_correct, posterior = (
+        np.frombuffer(raw) for raw in _run_round(veteran, cfg, first, in_order)
+    )
+    update_parameters(cfg, prob, theta, p_correct, posterior)
+    residual = residual_mass(
+        prob, posterior, num_unobserved(cfg, prob.item_num_values)
+    )
+    second = IterationParams(
+        False,
+        prior_update(cfg, prob, posterior, residual, theta.accuracy),
+        *iteration_inputs(cfg, prob, theta),
+    )
+
+    for params in (first, second):
+        before = _input_bytes(params)
+        expected = _run_round(veteran, cfg, params, in_order)
+        # The same task twice: equal bytes, inputs untouched.
+        shard = veteran.get_shard(data.draw(st.sampled_from(in_order)))
+        once, again = _run(shard, cfg, params), _run(shard, cfg, params)
+        assert once[0].tobytes() == again[0].tobytes()
+        assert once[1].tobytes() == again[1].tobytes()
+        assert _input_bytes(params) == before
+        # Any order, interleaved (A, B, A), with repeated attempts.
+        order = data.draw(st.permutations(in_order))
+        repeats = data.draw(st.lists(st.sampled_from(in_order), max_size=4))
+        schedule = [order[0], order[1], order[0], *order[2:], *repeats]
+        assert _run_round(veteran, cfg, params, schedule) == expected
+
+    # A worker that has never seen a shard (fresh packets, no scratch)
+    # produces the bytes of the one that ran every earlier round.
+    novice = ShardPlan.from_problem(prob, cfg, num_shards)
+    assert _run_round(novice, cfg, second, in_order) == expected
+
+
+# ----------------------------------------------------------------------
 # Engine / backend names + config validation
 # ----------------------------------------------------------------------
 class TestRegistry:

@@ -13,8 +13,8 @@ Worker-index determinism across machines: every processes-backend test
 uses ``num_shards=2``, which pins the session to exactly two initial
 workers (indices 0 and 1, one shard each) regardless of the host's CPU
 count; replacement workers then take indices 2, 3, ... in spawn order.
-Round numbering: round ``t`` is iteration ``t``'s map; the finalize pass
-is one more round after the last iteration.
+Round numbering: round ``t`` is iteration ``t``'s map, and a fit
+dispatches no other round.
 """
 
 from __future__ import annotations
@@ -91,9 +91,9 @@ def set_faults(monkeypatch, plan: FaultPlan) -> None:
 # Worker supervision: kills, retries, stragglers (the tentpole's part 2)
 # ----------------------------------------------------------------------
 def test_worker_kill_recovers_bit_identically(synthetic_matrix, monkeypatch):
-    """A worker hard-killed mid-fit is replaced; the replacement rebuilds
-    the lost shard state from the restore snapshot and the fit finishes
-    bit-identical to the fault-free serial fit."""
+    """A worker hard-killed mid-fit is replaced; the replacement re-runs
+    the lost (pure) map task and the fit finishes bit-identical to the
+    fault-free serial fit."""
     config = base_config()
     reference = fit_with(config, synthetic_matrix, backend="serial",
                          num_shards=2)
@@ -346,6 +346,60 @@ def test_unreadable_checkpoint_names_the_remedy(
     with pytest.raises(CheckpointError, match="delete the file"):
         fit_with(base_config(), synthetic_matrix, backend="serial",
                  checkpoint_dir=str(ckdir), resume=True)
+
+
+def _rewrite_checkpoint(ckdir, **changes):
+    """Re-save the checkpoint under ``ckdir`` with some entries replaced;
+    ``version=`` edits the JSON manifest."""
+    import json
+
+    path = ckdir / CHECKPOINT_FILE
+    with np.load(path) as data:
+        entries = {name: data[name] for name in data.files}
+    if "version" in changes:
+        meta = json.loads(str(entries["meta"][()]))
+        meta["version"] = changes.pop("version")
+        entries["meta"] = np.array(json.dumps(meta))
+    entries.update(changes)
+    np.savez(path, **entries)
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        # Version-1 priors are one Eq. 26 update behind what the loop
+        # now resumes from: refused, never resumed to different bytes.
+        ({"version": 1}, "unsupported fit checkpoint version 1"),
+        ({"priors": np.full(3, 0.5)}, "checkpointed array 'priors' has shape"),
+        ({"acc_deltas": np.zeros(1)}, "carries 1 accuracy and 2 extractor"),
+    ],
+    ids=["version-1", "short-priors", "truncated-history"],
+)
+def test_inconsistent_checkpoint_is_refused_with_one_line(
+    changes, message, synthetic, synthetic_matrix, tmp_path, capsys
+):
+    from repro.cli import main
+    from repro.io.jsonl import write_records
+
+    ckdir = tmp_path / "library"
+    fit_with(base_config(2), synthetic_matrix, checkpoint_dir=str(ckdir))
+    _rewrite_checkpoint(ckdir, **changes)
+    with pytest.raises(CheckpointError, match=message):
+        fit_with(base_config(2), synthetic_matrix,
+                 checkpoint_dir=str(ckdir), resume=True)
+
+    records = tmp_path / "records.jsonl"
+    write_records(synthetic.records, records)
+    ckdir = tmp_path / "cli"
+    fit = ["fit", str(records), "--iterations", "2", "--output",
+           str(tmp_path / "scores.csv"), "--checkpoint-dir", str(ckdir)]
+    assert main(fit) == 0
+    _rewrite_checkpoint(ckdir, **changes)
+    capsys.readouterr()
+    assert main([*fit, "--resume"]) == 1
+    error = capsys.readouterr().err
+    assert error.startswith("error:") and error.count("\n") == 1
+    assert message in error
 
 
 # ----------------------------------------------------------------------

@@ -784,7 +784,7 @@ class TestMadviseWarningCap:
 
 class TestChunkWindows:
     def test_iter_chunks_covers_range(self):
-        from repro.exec.spill import iter_chunks
+        from repro.core.engine_numpy import iter_chunks
 
         for total in (0, 1, 5, 16, 17):
             for chunk in (1, 3, 16, 100):
@@ -797,7 +797,7 @@ class TestChunkWindows:
                 assert windows == sorted(windows)
 
     def test_iter_chunks_rejects_nonpositive(self):
-        from repro.exec.spill import iter_chunks
+        from repro.core.engine_numpy import iter_chunks
 
         with pytest.raises(ValueError, match="chunk"):
             list(iter_chunks(10, 0))
@@ -807,10 +807,10 @@ class TestChunkWindows:
         warning, and the data reads back intact afterwards."""
         import warnings
 
+        from repro.core.engine_numpy import iter_chunks
         from repro.exec.spill import (
             _reset_madvise_warning_cache,
             advise_dontneed_window,
-            iter_chunks,
         )
 
         _reset_madvise_warning_cache()

@@ -15,8 +15,8 @@ Worker-index determinism: the coordinator assigns indices 0, 1, ... in
 registration order and never reuses them, so connection faults keyed to
 ``(worker_index, round)`` are deterministic once the initial fleet size
 is pinned by ``num_workers``. Round numbering matches the other
-backends: round ``t`` is iteration ``t``'s map; finalize is one more
-round after the last iteration.
+backends: round ``t`` is iteration ``t``'s map, and a fit dispatches no
+other round.
 """
 
 from __future__ import annotations
@@ -305,7 +305,7 @@ def test_dropped_connection_recovers_bit_identically(
     synthetic_matrix, monkeypatch
 ):
     """Worker 0 abruptly drops its connection on round 2; its shards
-    re-home to the survivor (restore snapshot shipped) and the fit
+    re-home to the survivor (which re-runs the lost tasks) and the fit
     matches the fault-free serial run bit for bit."""
     config = base_config()
     reference = fit_with(config, synthetic_matrix, backend="serial",
@@ -444,9 +444,9 @@ def test_coordinator_restart_resumes_bit_identically(
     synthetic_matrix, tmp_path
 ):
     """A coordinator that dies between iterations restarts with
-    ``resume=True``: the fresh worker fleet rejoins, every shard state
-    is rebuilt from the checkpoint snapshot, and the finished fit is
-    bit-identical to an uninterrupted serial run."""
+    ``resume=True``: the fresh worker fleet rejoins, the driver reloads
+    its checkpoint and dispatches the next round, and the finished fit
+    is bit-identical to an uninterrupted serial run."""
     config = base_config(max_iterations=5)
     reference = fit_with(config, synthetic_matrix, backend="serial")
     ckdir = tmp_path / "ck"
@@ -464,7 +464,7 @@ def test_coordinator_restart_resumes_bit_identically(
 
     # "Coordinator restart": a new session on a fresh port, new workers
     # (the old fleet got stop; a crashed coordinator's workers would
-    # reconnect on their own — same rebuild path either way).
+    # reconnect on their own — the same next round either way).
     endpoint2 = free_endpoint()
     with worker_fleet(endpoint2, count=2):
         resumed = fit_with(

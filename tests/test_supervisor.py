@@ -9,12 +9,16 @@ workers are asserted exactly here.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
+from collections import deque
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
+from repro.core.config import ConvergenceConfig, MultiLayerConfig
+from repro.core.multi_layer import MultiLayerModel
+from repro.exec import driver
 from repro.exec.remote import CONNECT_TIMEOUT_ENV, _connect_timeout_s
 from repro.exec.supervisor import (
     ExecError,
@@ -22,23 +26,9 @@ from repro.exec.supervisor import (
     _SupervisedSession,
     _Supervision,
 )
+from repro.exec.worker import run_shard_iteration
 
 LATENCY = 0.01  # the fake workers' default time from task to ack
-
-
-class FakeSource:
-    """Shard ``i`` owns coordinate ``i`` and triple ``i``."""
-
-    def __init__(self, num_shards: int) -> None:
-        self.num_shards = self.num_coords = self.num_triples = num_shards
-
-    def get_shard(self, index: int):
-        return SimpleNamespace(
-            index=index,
-            coord_idx=np.array([index]),
-            triple_lo=index,
-            triple_hi=index + 1,
-        )
 
 
 class FakeSession(_SupervisedSession):
@@ -47,15 +37,15 @@ class FakeSession(_SupervisedSession):
     ``respond(send)`` is called for every task sent to a live worker and
     returns ``[(delay, event), ...]`` to deliver later; the default acks
     success after ``LATENCY``. ``send`` has ``time``, ``worker``,
-    ``round``, ``shard``, ``attempt`` and ``restore`` (was a restore
-    payload shipped?). Time only moves inside ``_next_event``.
+    ``round``, ``shard`` and ``attempt``. Time only moves inside
+    ``_next_event``.
     """
 
     def __init__(self, num_shards, workers, sup=None, respond=None):
         self.now = 0.0
         super().__init__(
-            FakeSource(num_shards),
-            SimpleNamespace(alpha=0.5),
+            SimpleNamespace(num_shards=num_shards),  # all the engine reads
+            None,
             sup=sup or _Supervision(),
             clock=lambda: self.now,
         )
@@ -75,14 +65,13 @@ class FakeSession(_SupervisedSession):
         heapq.heappush(self._queue, (self.now + delay, self._seq, event))
 
     # -- the transport seam -------------------------------------------
-    def _send(self, worker, rnd, shard_index, attempt, restore):
+    def _send(self, worker, rnd, shard_index, attempt):
         send = SimpleNamespace(
             time=self.now,
             worker=worker,
             round=rnd.id,
             shard=shard_index,
             attempt=attempt,
-            restore=restore is not None,
         )
         self.sent.append(send)
         if worker in self.live:  # a dead worker swallows the task
@@ -115,9 +104,7 @@ class FakeSession(_SupervisedSession):
 
     # -- helpers ------------------------------------------------------
     def round(self):
-        self._run_round(
-            "iter", False, None, lambda s, r: self.delivered.append((s, r))
-        )
+        self._run_round(None, lambda s, r: self.delivered.append((s, r)))
 
     def sends(self, shard, round_id=None):
         return [
@@ -223,17 +210,16 @@ def test_speculation_waits_for_half_the_round_and_the_median_deadline():
     session = FakeSession(3, [0, 1, 2], sup, respond)
     session.round()
     first, copy = session.sends(2)  # exactly one speculative copy
-    assert (first.worker, first.restore) == (2, False)
+    assert first.worker == 2
     # Two of three shards report at t=1.0 (median 1.0): the deadline is
     # 4 x 1.0 after the straggler's first dispatch, not the 0.5 floor,
     # and nothing fires before half the round has reported.
     assert 4.0 <= copy.time < 4.0 + _POLL_S + 1e-9
-    # Placed on an idle worker (least loaded, never the one running it),
-    # which does not hold the shard's state: the restore payload ships.
-    assert copy.worker == 0 and copy.restore
+    # Placed on an idle worker (least loaded, never the one running it).
+    assert copy.worker == 0
     assert session.delivered[-1] == (2, "ok")
     # First result wins: the original acked first and stays home.
-    assert session._home[2] == 2 and 2 not in session._dirty
+    assert session._home[2] == 2
 
 
 def test_speculation_floor_and_no_idle_worker():
@@ -303,7 +289,7 @@ def test_first_result_wins_and_stale_or_duplicate_acks_are_dropped():
 # ----------------------------------------------------------------------
 # Lost workers
 # ----------------------------------------------------------------------
-def test_worker_death_rehomes_marks_dirty_and_ships_restore():
+def test_worker_death_rehomes_and_retries_on_the_replacement():
     sup = _Supervision(
         max_attempts=3, backoff_base_s=0.1, straggler_factor=0.0
     )
@@ -317,24 +303,19 @@ def test_worker_death_rehomes_marks_dirty_and_ships_restore():
     session = FakeSession(4, [0, 1], sup, respond)
     session.round()
     # Shard 3's attempt died with its worker: one failure, backoff, then
-    # a retry on the replacement (worker 2), which must rebuild state.
+    # a retry on the replacement (worker 2) — the same task, again.
     first, retry = session.sends(3)
-    assert (first.worker, first.restore) == (1, False)
-    assert (retry.worker, retry.restore) == (2, True)
+    assert (first.worker, retry.worker) == (1, 2)
     assert retry.time >= 0.02 + 0.1
     assert session.live == [0, 2]
-    # Shard 1 completed on worker 1 before it died: the result stands,
-    # but its state is gone, so it is re-homed and dirty; shard 3's
-    # state now lives on its acker.
+    # Shard 1 completed on worker 1 before it died: the result stands
+    # and the shard is re-homed with the rest of the dead worker's.
     assert session._home == {0: 0, 1: 2, 2: 0, 3: 2}
-    assert session._dirty == {1}
 
     session.round()
-    (again,) = session.sends(1, round_id=2)
-    assert (again.worker, again.restore) == (2, True)
-    (again,) = session.sends(3, round_id=2)
-    assert (again.worker, again.restore) == (2, False)
-    assert session._dirty == set()
+    for shard in (1, 3):
+        (again,) = session.sends(shard, round_id=2)
+        assert again.worker == 2
 
 
 def test_repeated_dead_events_for_one_worker_are_ignored():
@@ -375,24 +356,104 @@ def test_late_ack_from_a_retired_worker_completes_but_does_not_rehome():
     assert len(session.sends(0, round_id=2)) == 1
     assert session.delivered.count((0, "ok")) == 2
     assert session.live == [1, 2]
-    assert session._home[0] == 2 and 0 in session._dirty
+    assert session._home[0] == 2
 
     session.round()  # terminates: dispatched to the live replacement
     (send,) = session.sends(0, round_id=3)
-    assert (send.worker, send.restore) == (2, True)
-    assert session._dirty == set()
+    assert send.worker == 2
 
 
-def test_restore_marks_every_shard_dirty_and_keeps_float64_copies():
-    session = FakeSession(3, [0, 1], _Supervision(straggler_factor=0.0))
-    priors = np.array([0.1, 0.2, 0.3], dtype=np.float32)
-    session.restore(priors, np.zeros(3))
-    assert session._restore_priors.dtype == np.float64
-    assert session._restore_priors is not priors
-    session.round()
-    assert all(send.restore for send in session.sent)
-    session.round()
-    assert not any(send.restore for send in session.sent[3:])
+# ----------------------------------------------------------------------
+# A whole fit over an in-memory transport
+# ----------------------------------------------------------------------
+class LoopbackSession(_SupervisedSession):
+    """The round engine as a working ``ExecutionSession`` with no
+    process and no socket: ``_send`` runs the pure map task inline and
+    queues its ack, results travel in the ack like ``remote``'s."""
+
+    opened: list["LoopbackSession"] = []
+
+    def __init__(self, source, cfg):
+        super().__init__(source, cfg, sup=_Supervision(straggler_factor=0.0))
+        self._home = dict.fromkeys(range(source.num_shards), 0)
+        self._events: deque = deque()
+
+    def __enter__(self):
+        self.opened.append(self)
+        return self
+
+    def __exit__(self, *exc):
+        pass
+
+    def _send(self, worker, rnd, shard_index, attempt):
+        shard = self._source.get_shard(shard_index)
+        params = rnd.payload
+        result = run_shard_iteration(
+            shard, self._cfg, params, params.priors_for(shard)
+        )
+        self._events.append(
+            ("ack", worker, rnd.id, shard_index, attempt, None, result)
+        )
+
+    def _next_event(self, timeout):
+        return self._events.popleft() if self._events else None
+
+    def _live_workers(self):
+        return [0]
+
+    def _label(self, worker):
+        return "loopback"
+
+    def run_iteration(self, params, out_p_correct, out_posterior):
+        def scatter(shard_index, result):
+            shard = self._source.get_shard(shard_index)
+            out_p_correct[shard.coord_idx] = result[0]
+            out_posterior[shard.triple_lo : shard.triple_hi] = result[1]
+
+        self._run_round(params, scatter)
+
+
+class LoopbackBackend:
+    name = "serial"  # patched over the real one in driver.BACKENDS
+
+    def open(self, source, cfg):
+        return LoopbackSession(source, cfg)
+
+
+def test_fit_dispatches_one_round_per_iteration_and_resumes_on_any_session(
+    synthetic_matrix, tmp_path, monkeypatch
+):
+    """A fit is ``iterations_run`` map rounds and nothing else (no
+    finalize round, no restore call), so a session that only implements
+    ``run_iteration`` runs it, and resumes it from a checkpoint."""
+    config = MultiLayerConfig(
+        backend="serial",
+        num_shards=3,
+        convergence=ConvergenceConfig(max_iterations=5, tolerance=0.0),
+    )
+    reference = MultiLayerModel(config).fit(synthetic_matrix)
+    assert reference.iterations_run == 5 and reference.priors
+
+    monkeypatch.setitem(driver.BACKENDS, "serial", LoopbackBackend)
+    monkeypatch.setattr(LoopbackSession, "opened", [])
+    whole = MultiLayerModel(config).fit(synthetic_matrix)
+    killed_at_2 = dataclasses.replace(
+        config,
+        checkpoint_dir=str(tmp_path),
+        convergence=ConvergenceConfig(max_iterations=2, tolerance=0.0),
+    )
+    MultiLayerModel(killed_at_2).fit(synthetic_matrix)
+    resumed = MultiLayerModel(
+        dataclasses.replace(config, checkpoint_dir=str(tmp_path), resume=True)
+    ).fit(synthetic_matrix)
+
+    assert [s._round for s in LoopbackSession.opened] == [5, 2, 3]
+    for result in (whole, resumed):
+        assert result.iterations_run == 5
+        assert result.source_accuracy == reference.source_accuracy
+        assert result.value_posteriors == reference.value_posteriors
+        assert result.extraction_posteriors == reference.extraction_posteriors
+        assert result.priors == reference.priors
 
 
 # ----------------------------------------------------------------------
