@@ -4,45 +4,68 @@ The only HTTP frontend. GET routes are answered by the route table
 (:mod:`repro.serving.routes`); the gateway is the serving-tier machinery
 around it:
 
-* **asyncio transport** (stdlib ``asyncio.start_server``): one event
-  loop owns every socket. Keep-alive and pipelined requests on one
-  connection are answered strictly in order.
+* **One** :class:`asyncio.Protocol` **per socket** (``loop.create_server``):
+  one event loop owns every socket, and each connection parses request
+  heads and ``Content-Length`` bodies straight out of its own receive
+  buffer inside ``data_received``. Keep-alive and pipelined requests on
+  one connection are answered strictly in order, and every answer one
+  callback produces goes out in a single ``transport.write``.
+* **Answers from bytes** — the response cache is an LRU keyed
+  ``(etag, request target)`` holding *complete* responses, head and
+  body. A GET (unless its ``If-None-Match`` matches: that is a 304) is
+  looked up by its raw target against the manager's current ETag as
+  soon as it is framed: no URL parsing, no store lease, no head
+  building. Status lines come from a
+  table built at import, and the ``ETag`` line and the whole 304 once
+  per ETag.
 * **Bounded lookups on the loop, the rest on a pool** — what a request
   costs is known before any work starts
   (:func:`repro.serving.routes.route_cost`: the store rows it will
   touch). At most :data:`INLINE_ROWS` rows of a store that declares its
   lookups memory-resident — every point route, small ``/batch`` /
   ``/top`` / ``/breakdown`` requests, every 400 and 404 — is answered
-  right on the loop thread: a dict lookup and a few mapped reads cost
-  less than handing them to another thread. Such an answer is bounded
-  by construction, so it needs no deadline; the connection yields to
-  the loop after each one, so a client that pipelines thousands cannot
-  starve the others. Everything else — ``/signals`` and ``/compare``
-  (a lazy surface build, O(n) scans), larger batches, rankings and
-  breakdowns, every route of a store that does not make the residency
-  promise, and hot swaps — runs on a bounded thread pool (``workers``),
-  which is also the backpressure valve: excess work queues instead of
-  spawning threads. The one caveat: a page fault on a cold column page
-  now stalls the loop instead of a worker. Acceptable, because the
-  ``key -> row`` index is resident and the columns are ~9 bytes per
-  record — the working set of a serving process is its whole layout.
+  inside the callback: a dict lookup and a few mapped reads cost less
+  than handing them to another thread. Such an answer is bounded by
+  construction, so it needs no deadline. Everything else —
+  ``/signals`` and ``/compare`` (a lazy surface build, O(n) scans),
+  larger batches, rankings and breakdowns, every route of a store that
+  does not make the residency promise, ``/ingest/status`` and hot
+  swaps — runs on a bounded thread pool (``workers``), which is also
+  the backpressure valve: excess work queues instead of spawning
+  threads. While its job runs the connection stops reading; the job's
+  completion writes the answer and parsing resumes where it stopped.
+  The one caveat: a page fault on a cold column page stalls the loop
+  instead of a worker. Acceptable, because the ``key -> row`` index is
+  resident and the columns are ~9 bytes per record — the working set
+  of a serving process is its whole layout.
+* **Fairness and backpressure** — one callback answers at most
+  :data:`ANSWER_BUDGET` requests; then the connection pauses reading
+  and continues on the loop's next turn, so a client pipelining
+  thousands of requests (cache hits included) cannot starve the
+  others. While the transport's write buffer is over its high-water
+  mark (``pause_writing``) the connection parses nothing and reads
+  nothing, so a client that does not read its answers cannot make the
+  gateway buffer them.
 * **Connection limit** — beyond ``max_connections`` concurrent sockets,
   new arrivals get an immediate JSON 503 and a close, instead of
   unbounded accept backlog.
-* **Per-request timeout** — a pooled handler that exceeds
-  ``request_timeout`` answers 504 while the stray worker finishes
-  harmlessly in the pool (its store lease releases only when it
-  actually ends, so a hot swap can never unmap memory under it).
+* **Per-request timeout** — a pooled request that exceeds
+  ``request_timeout`` answers 504 (a ``call_later`` deadline) while the
+  stray job finishes harmlessly in the pool (its store lease releases
+  only when it actually ends, so a hot swap can never unmap memory
+  under it).
 * **Request framing** — bodies are framed by ``Content-Length`` only:
   a ``Transfer-Encoding`` request is refused with one 501 and a close
-  (never parsed as two requests); ``Expect: 100-continue`` gets its
-  interim response before the body is read; an HTTP/1.0 request closes
-  after the response unless it asks for keep-alive.
+  (never parsed as two requests), and so are conflicting duplicate
+  ``Content-Length`` headers (one 400 and a close); ``Expect:
+  100-continue`` gets its interim response before the body is read; a
+  head over :data:`MAX_HEAD_BYTES` is a 431 and a body over
+  :data:`MAX_BODY_BYTES` a 413; an HTTP/1.0 request closes after the
+  response unless it asks for keep-alive.
 * **ETag caching** — every cacheable response carries the artifact's
   sha256 as a strong ETag; ``If-None-Match`` answers 304 with no store
-  work, and a bounded LRU keyed ``(etag, request target)`` serves
-  repeat hits without re-rendering. A swap changes the ETag, so stale
-  entries can never be served.
+  work. A swap changes the ETag, so stale cache entries can never be
+  served.
 * **POST /batch** — ``{"sites": [...]}`` bodies of arbitrary size, run
   the way a GET is: up to :data:`INLINE_ROWS` keys answered on the
   loop, more as one pool job under ``request_timeout``; byte-compatible
@@ -54,8 +77,8 @@ around it:
   requests finish on the store they started with, zero dropped, zero
   torn. The response's ``"layout"`` says whether the serving layout was
   found ready (``"reused"`` — an ingest pipeline exports it before it
-  publishes) or built by this swap (``"exported"``). The endpoint is
-  **authenticated**: with ``admin_token`` set,
+  publishes) or built by this swap (``"exported"``). A swap has no
+  deadline. The endpoint is **authenticated**: with ``admin_token`` set,
   the request must carry it in ``X-Admin-Token`` (constant-time
   compare); without a token only loopback clients are accepted — so
   binding ``0.0.0.0`` never exposes an open swap endpoint that could
@@ -64,7 +87,7 @@ around it:
   stats, never cached); ``/readyz`` is readiness: 200 with the current
   ETag and swap generation, 503 once draining.
 * **Draining shutdown** — :meth:`Gateway.stop` stops accepting, flips
-  ``/readyz``, lets every in-flight request complete, then closes idle
+  ``/readyz``, lets every pooled request complete, then closes idle
   keep-alive sockets and the store.
 """
 
@@ -106,12 +129,34 @@ MAX_HEAD_BYTES = 64 << 10
 #: request — so no inline answer delays the loop's other connections by
 #: more than the hop it saves them.
 INLINE_ROWS = 64
+#: Requests one connection answers in one loop callback before it lets
+#: the other connections run. A yield costs a loop turn, so it is paid
+#: per budget, not per answer; 16 cache hits hold the loop ~0.1 ms, 16
+#: of the dearest inline answers (~0.45 ms each) about 7 ms.
+ANSWER_BUDGET = 16
 
-_JSON_TYPE = "application/json; charset=utf-8"
+_SERVER_LINE = b"Server: kbt-gateway/1\r\n"
+_BODY_HEADERS = (
+    b"Content-Type: application/json; charset=utf-8\r\nContent-Length: "
+)
+#: Every status line, with the header all responses share.
+_STATUS_HEADS = {
+    status.value: f"HTTP/1.1 {status.value} {status.phrase}\r\n".encode(
+        "latin-1"
+    )
+    + _SERVER_LINE
+    for status in HTTPStatus
+}
+_CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
 
 
 class ListenError(OSError):
     """``serve_gateway`` could not bind its host and port."""
+
+
+class _BadRequest(ValueError):
+    """A request head that cannot be framed; its message is the 400's
+    ``"error"``, and the connection closes after it."""
 
 
 def _inline(cost: int | None) -> bool:
@@ -119,10 +164,34 @@ def _inline(cost: int | None) -> bool:
     return cost is not None and cost <= INLINE_ROWS
 
 
-def _consume(future) -> None:
-    """Retrieve a late worker's outcome so it never logs as unretrieved."""
-    if not future.cancelled():
-        future.exception()
+def _encoded(status: int, payload) -> tuple[int, bytes]:
+    return status, json.dumps(payload, ensure_ascii=False).encode("utf-8")
+
+
+def _response(
+    status: int, body: bytes, etag_line: bytes = b"", close: bool = False
+) -> bytes:
+    """One complete response: head and ``Content-Length`` body."""
+    return b"".join(
+        (
+            _STATUS_HEADS[status],
+            etag_line,
+            _BODY_HEADERS,
+            b"%d\r\n" % len(body),
+            b"Connection: close\r\n\r\n" if close else b"\r\n",
+            body,
+        )
+    )
+
+
+def _json(status: int, payload, close: bool = False) -> bytes:
+    return _response(*_encoded(status, payload), close=close)
+
+
+_TIMED_OUT = _json(504, {"error": "request timed out"})
+_HEAD_TOO_LARGE = _json(
+    431, {"error": "request header section too large"}, close=True
+)
 
 
 def _match_etag(header: str | None, etag: str | None) -> bool:
@@ -140,14 +209,301 @@ def _match_etag(header: str | None, etag: str | None) -> bool:
     return False
 
 
-class _Connection:
-    """One live socket: its writer plus whether a request is in flight."""
+def _parse_head(head) -> tuple[str, str, str, dict[str, str]]:
+    """``(method, target, version, headers)`` of one request head (the
+    bytes before its blank line); header names lower-cased."""
+    lines = head.decode("latin-1").split("\r\n")
+    try:
+        method, target, version = lines[0].split(" ", 2)
+    except ValueError:
+        raise _BadRequest("malformed request") from None
+    headers: dict[str, str] = {}
+    for line in lines[1:]:
+        if not line:
+            continue
+        name, colon, value = line.partition(":")
+        if not colon:
+            raise _BadRequest("malformed request")
+        name = name.strip().lower()
+        value = value.strip()
+        if name == "content-length" and headers.get(name, value) != value:
+            # Which one frames the body is exactly what a proxy in
+            # front of us and we could disagree on: refuse both.
+            raise _BadRequest("conflicting content-length headers")
+        headers[name] = value
+    return method, target, version, headers
 
-    __slots__ = ("writer", "busy")
 
-    def __init__(self, writer: asyncio.StreamWriter) -> None:
-        self.writer = writer
-        self.busy = False
+class _Connection(asyncio.Protocol):
+    """One socket: its receive buffer, parsed in place, and what holds
+    parsing back (:meth:`_held`) — a pooled job in flight, a full write
+    buffer, or a spent answer budget waiting for the loop."""
+
+    def __init__(self, gateway: "Gateway") -> None:
+        self.gateway = gateway
+        self.transport: asyncio.Transport | None = None
+        self._buffer = bytearray()
+        # Buffered bytes the request at the front needs (head + body)
+        # before it can be answered; 0 when nothing is known yet.
+        self._need = 0
+        # The front request's "100 Continue" has been sent.
+        self._continued = False
+        self._keep_alive = True
+        # The pooled job this connection waits for, if any.
+        self._job = None
+        self._deadline: asyncio.TimerHandle | None = None
+        self._write_paused = False
+        self._yielding = False
+        self._eof = False
+        self._closing = False
+
+    # ------------------------------------------------------------------
+    # Transport callbacks
+    # ------------------------------------------------------------------
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        gateway = self.gateway
+        if gateway._draining or (
+            len(gateway._connections) >= gateway.max_connections
+        ):
+            error = (
+                "server is draining"
+                if gateway._draining
+                else "connection limit reached"
+            )
+            transport.write(_json(503, {"error": error}, close=True))
+            self._close()
+            return
+        gateway._connections.add(self)
+
+    def connection_lost(self, exc) -> None:
+        self._closing = True
+        self.gateway._connections.discard(self)
+        if self._deadline is not None:
+            self._deadline.cancel()
+            self._deadline = None
+
+    def data_received(self, data: bytes) -> None:
+        if self._closing:
+            return
+        self._buffer += data
+        if not self._held():
+            self._serve()
+
+    def eof_received(self) -> bool:
+        # Answer whatever complete requests are buffered, then close.
+        self._eof = True
+        if not self._held():
+            self._serve()
+        return True
+
+    def pause_writing(self) -> None:
+        self._write_paused = True
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        self._later()
+
+    # ------------------------------------------------------------------
+    # Parsing and answering
+    # ------------------------------------------------------------------
+    def _serve(self) -> None:
+        """Answer complete requests off the front of the buffer until it
+        runs dry, a request goes to the pool, the connection must close,
+        or the answer budget is spent."""
+        buffer = self._buffer
+        if len(buffer) < self._need:
+            if self._eof:
+                self._close()
+            return
+        gateway = self.gateway
+        out: list[bytes] = []
+        at = 0
+        budget = ANSWER_BUDGET
+        close = parked = False
+        while budget:
+            end = buffer.find(b"\r\n\r\n", at, at + MAX_HEAD_BYTES)
+            if end < 0:
+                if len(buffer) - at >= MAX_HEAD_BYTES:
+                    out.append(_HEAD_TOO_LARGE)
+                    close = True
+                break
+            try:
+                method, target, version, headers = _parse_head(
+                    buffer[at:end]
+                )
+                length = self._framing(headers, out)
+            except _BadRequest as err:
+                out.append(_json(400, {"error": str(err)}, close=True))
+                close = True
+                break
+            if length is None:  # answered 501 / 400 / 413 already
+                close = True
+                break
+            start = end + 4
+            if len(buffer) < start + length:
+                self._need = start + length - at
+                break
+            body = bytes(buffer[start : start + length]) if length else b""
+            at = start + length
+            self._need = 0
+            self._continued = False
+            # HTTP/1.0 closes unless asked to keep alive; 1.1 the reverse.
+            connection = headers.get("connection", "").lower()
+            if version == "HTTP/1.0":
+                self._keep_alive = connection == "keep-alive"
+            else:
+                self._keep_alive = connection != "close"
+            response = gateway._answer(self, method, target, headers, body)
+            if response is None:
+                parked = True
+                break
+            out.append(response)
+            if not self._keep_alive or gateway._draining:
+                close = True
+                break
+            budget -= 1
+        if out:
+            self.transport.write(out[0] if len(out) == 1 else b"".join(out))
+        if close:
+            self._close()
+            return
+        del buffer[:at]
+        if parked:
+            return
+        if not budget:
+            self.transport.pause_reading()
+            self._later()
+        elif self._eof:
+            self._close()
+
+    def _framing(self, headers: dict[str, str], out: list) -> int | None:
+        """The body length a head declares, or ``None`` after appending
+        the answer that refuses it. Sends ``100 Continue`` when asked."""
+        if "transfer-encoding" in headers:
+            # No transfer coding is implemented, so where this body ends
+            # is unknown: answer once and drop the unread bytes with the
+            # socket rather than parse them as the next request.
+            out.append(
+                _json(
+                    501,
+                    {
+                        "error": "transfer-encoding is not supported; "
+                        "send the body with a Content-Length"
+                    },
+                    close=True,
+                )
+            )
+            return None
+        raw = headers.get("content-length")
+        if raw is None:
+            return 0
+        try:
+            length = int(raw)
+            if length < 0:
+                raise ValueError
+        except ValueError:
+            out.append(
+                _json(
+                    400,
+                    {"error": f"invalid content-length: {raw!r}"},
+                    close=True,
+                )
+            )
+            return None
+        if length > MAX_BODY_BYTES:
+            out.append(
+                _json(413, {"error": "request body too large"}, close=True)
+            )
+            return None
+        if (
+            length
+            and not self._continued
+            and headers.get("expect", "").lower() == "100-continue"
+        ):
+            # The client (curl, for a large body) holds the body back
+            # until told to send it, or for a second if not.
+            out.append(_CONTINUE)
+            self._continued = True
+        return length
+
+    def _later(self) -> None:
+        """Continue parsing on the loop's next turn (once)."""
+        if not self._yielding:
+            self._yielding = True
+            self.gateway._loop.call_soon(self._continue)
+
+    def _held(self) -> bool:
+        return (
+            self._job is not None
+            or self._write_paused
+            or self._yielding
+            or self._closing
+        )
+
+    def _continue(self) -> None:
+        self._yielding = False
+        if self._held():
+            return
+        self.transport.resume_reading()
+        self._serve()
+
+    def _close(self) -> None:
+        if not self._closing:
+            self._closing = True
+            self.transport.close()
+
+    # ------------------------------------------------------------------
+    # Pooled work
+    # ------------------------------------------------------------------
+    def park(self, work, finish, timeout: float | None) -> None:
+        """Run ``work()`` on the pool while this connection waits.
+
+        ``finish(*work())`` renders the answer when the job ends; a
+        ``timeout`` answers 504 first. Reading stops until then, so the
+        requests behind this one stay unparsed and are answered in order.
+        """
+        loop = self.gateway._loop
+        self.transport.pause_reading()
+        job = self._job = self.gateway._pool.submit(work)
+        if timeout is not None:
+            self._deadline = loop.call_later(
+                timeout, self._answer_job, job, None
+            )
+        job.add_done_callback(
+            lambda done: loop.call_soon_threadsafe(
+                self._answer_job, done, finish
+            )
+        )
+
+    def _answer_job(self, job, finish) -> None:
+        """The parked request's answer: ``finish`` of the job's result,
+        or the 504 when ``finish`` is ``None`` (the deadline's call) —
+        whichever comes first; the other is ignored."""
+        if job is not self._job:
+            return
+        self._job = None
+        if self._deadline is not None:
+            self._deadline.cancel()
+            self._deadline = None
+        if self._closing:
+            return
+        if finish is None:
+            response = _TIMED_OUT
+        else:
+            try:
+                response = finish(*job.result())
+            except Exception as err:  # noqa: BLE001 - the request's 500
+                response = _json(
+                    500,
+                    {"error": f"internal error: {type(err).__name__}: {err}"},
+                )
+        self.transport.write(response)
+        if not self._keep_alive or self.gateway._draining:
+            self._close()
+        else:
+            self._continue()
 
 
 class Gateway:
@@ -177,11 +533,15 @@ class Gateway:
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="kbt-gateway"
         )
-        # Read and written by the loop thread only — pooled handlers
-        # return payloads and the coroutine caches them — so no lock.
+        # Complete responses by (etag, target). Read and written by the
+        # loop thread only — pooled jobs return bytes and the loop
+        # caches them — so no lock.
         self._cache: OrderedDict[tuple, bytes] = OrderedDict()
         self._cache_size = cache_size
+        # (etag, its ETag header line, its whole 304 response).
+        self._validator_memo: tuple = (None, b"", b"")
         self._server: asyncio.base_events.Server | None = None
+        self._loop: asyncio.AbstractEventLoop | None = None
         self._connections: set[_Connection] = set()
         self._draining = False
 
@@ -189,11 +549,9 @@ class Gateway:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> "Gateway":
-        self._server = await asyncio.start_server(
-            self._serve_connection,
-            self.host,
-            self.port,
-            limit=MAX_HEAD_BYTES,
+        self._loop = asyncio.get_running_loop()
+        self._server = await self._loop.create_server(
+            lambda: _Connection(self), self.host, self.port
         )
         return self
 
@@ -210,176 +568,75 @@ class Gateway:
         """Drain and shut down: finish in-flight work, drop nothing.
 
         Ordering matters: flip ``/readyz`` to 503 first (load balancers
-        stop routing), stop accepting, wake idle keep-alive readers by
-        closing their sockets, then wait for busy connections to finish
-        the request they are serving before closing the pool and store.
+        stop routing), stop accepting, close every connection that has
+        no pooled request in flight (its answered responses flush
+        first), then wait for the busy ones to answer and close before
+        closing the pool and store.
         """
         self._draining = True
         if self._server is not None:
             self._server.close()
         for connection in list(self._connections):
-            if not connection.busy:
-                connection.writer.close()
-        deadline = (
-            asyncio.get_running_loop().time() + self.request_timeout + 5.0
-        )
+            if connection._job is None:
+                connection._close()
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + self.request_timeout + 5.0
         while self._connections:
-            if asyncio.get_running_loop().time() > deadline:
+            if loop.time() > deadline:
                 for connection in list(self._connections):
-                    connection.writer.close()
+                    connection.transport.abort()
                 break
             await asyncio.sleep(0.01)
         if self._server is not None:
             await self._server.wait_closed()
-        self._pool.shutdown(wait=True)
+        # A stray job past its 504 may still be running: wait for it
+        # off the loop.
+        await asyncio.to_thread(self._pool.shutdown, wait=True)
         self.manager.close()
 
     # ------------------------------------------------------------------
-    # Connection loop
+    # One framed request
     # ------------------------------------------------------------------
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        connection = _Connection(writer)
-        if self._draining or len(self._connections) >= self.max_connections:
-            error = (
-                {"error": "server is draining"}
-                if self._draining
-                else {"error": "connection limit reached"}
-            )
-            await self._respond(writer, 503, error, close=True)
-            await self._close_writer(writer)
-            return
-        self._connections.add(connection)
-        try:
-            while True:
-                try:
-                    head = await reader.readuntil(b"\r\n\r\n")
-                except (
-                    asyncio.IncompleteReadError,
-                    ConnectionResetError,
-                    BrokenPipeError,
-                ):
-                    break
-                except asyncio.LimitOverrunError:
-                    await self._respond(
-                        writer,
-                        431,
-                        {"error": "request header section too large"},
-                        close=True,
-                    )
-                    break
-                connection.busy = True
-                try:
-                    keep_alive = await self._handle_request(
-                        head, reader, writer
-                    )
-                finally:
-                    connection.busy = False
-                if not keep_alive or self._draining:
-                    break
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            self._connections.discard(connection)
-            await self._close_writer(writer)
-
-    async def _close_writer(self, writer: asyncio.StreamWriter) -> None:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            pass
-
-    # ------------------------------------------------------------------
-    # One request
-    # ------------------------------------------------------------------
-    async def _handle_request(
+    def _answer(
         self,
-        head: bytes,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> bool:
-        """Parse, dispatch, respond. Returns whether to keep the socket."""
-        try:
-            request_line, headers = self._parse_head(head)
-            method, target, version = request_line.split(" ", 2)
-        except ValueError:
-            await self._respond(
-                writer, 400, {"error": "malformed request"}, close=True
-            )
-            return False
-
-        # HTTP/1.0 closes unless asked to keep alive; 1.1 the reverse.
-        connection = headers.get("connection", "").lower()
-        if version == "HTTP/1.0":
-            keep_alive = connection == "keep-alive"
-        else:
-            keep_alive = connection != "close"
-
-        if "transfer-encoding" in headers:
-            # No transfer coding is implemented, so where this body ends
-            # is unknown: answer once and drop the unread bytes with the
-            # socket rather than parse them as the next request.
-            await self._respond(
-                writer,
-                501,
-                {
-                    "error": "transfer-encoding is not supported; "
-                    "send the body with a Content-Length"
-                },
-                close=True,
-            )
-            return False
-
-        body = b""
-        raw_length = headers.get("content-length", "0")
-        try:
-            content_length = int(raw_length)
-            if content_length < 0:
-                raise ValueError
-        except ValueError:
-            await self._respond(
-                writer,
-                400,
-                {"error": f"invalid content-length: {raw_length!r}"},
-                close=True,
-            )
-            return False
-        if content_length > MAX_BODY_BYTES:
-            await self._respond(
-                writer,
-                413,
-                {"error": "request body too large"},
-                close=True,
-            )
-            return False
-        if content_length:
-            if headers.get("expect", "").lower() == "100-continue":
-                # The client (curl, for a large body) holds the body
-                # back until told to send it, or for a second if not.
-                writer.write(b"HTTP/1.1 100 Continue\r\n\r\n")
-            try:
-                body = await reader.readexactly(content_length)
-            except (asyncio.IncompleteReadError, ConnectionResetError):
-                return False
+        connection: _Connection,
+        method: str,
+        target: str,
+        headers: dict[str, str],
+        body: bytes,
+    ) -> bytes | None:
+        """The complete response to one request, or ``None`` when it was
+        handed to the pool (``connection`` answers it when it ends)."""
+        if method == "GET":
+            # Only cacheable targets are cached, so a hit is the answer
+            # unless the request's validator matches (a 304, below).
+            etag = self.manager.etag
+            validator = headers.get("if-none-match")
+            if etag is not None and (
+                validator is None or not _match_etag(validator, etag)
+            ):
+                key = (etag, target)
+                cached = self._cache.get(key)
+                if cached is not None:
+                    self._cache.move_to_end(key)
+                    return cached
 
         url = urlsplit(target)
         path = url.path
-        params = parse_qs(url.query)
-
         if method == "GET" and path == "/readyz":
-            await self._respond(writer, *self._readyz())
-            return keep_alive
+            return _json(*self._readyz())
         if method == "GET" and path == "/ingest/status":
-            await self._respond(writer, *self._ingest_status())
-            return keep_alive
+            connection.park(
+                lambda: _encoded(*self._ingest_status()),
+                _response,
+                self.request_timeout,
+            )
+            return None
         if method == "POST" and path in ("/admin/swap", "/ingest/status"):
             if not self._admin_allowed(
-                headers, writer.get_extra_info("peername")
+                headers, connection.transport.get_extra_info("peername")
             ):
-                await self._respond(
-                    writer,
+                return _json(
                     403,
                     {
                         "error": "admin endpoint requires a matching "
@@ -387,94 +644,83 @@ class Gateway:
                         "configured, a loopback client)"
                     },
                 )
-                return keep_alive
             if path == "/admin/swap":
-                status, payload = await self._swap(body)
+                # No deadline: a 504 would not stop the flip.
+                connection.park(
+                    lambda: _encoded(*self._swap(body)), _response, None
+                )
             else:
-                status, payload = self._ingest_publish(body)
-            await self._respond(writer, status, payload)
-            return keep_alive
+                connection.park(
+                    lambda: _encoded(*self._ingest_publish(body)),
+                    _response,
+                    self.request_timeout,
+                )
+            return None
         if method == "POST" and path == "/batch":
-            return await self._batch_post(writer, body, keep_alive)
+            return self._batch_post(connection, body)
         if method != "GET":
-            await self._respond(
-                writer,
-                405,
-                {"error": f"method not allowed: {method}"},
-            )
-            return keep_alive
-        return await self._get(writer, headers, path, params, target,
-                               keep_alive)
+            return _json(405, {"error": f"method not allowed: {method}"})
+        return self._get(connection, headers, path, url.query, target)
 
-    @staticmethod
-    def _parse_head(head: bytes) -> tuple[str, dict[str, str]]:
-        lines = head.decode("latin-1").split("\r\n")
-        headers: dict[str, str] = {}
-        for line in lines[1:]:
-            if not line:
-                continue
-            name, _, value = line.partition(":")
-            if not _:
-                raise ValueError(f"malformed header line: {line!r}")
-            headers[name.strip().lower()] = value.strip()
-        return lines[0], headers
+    def _validator(self, etag: str) -> tuple:
+        """``(etag, ETag header line, 304 response)``, built once per
+        ETag (the last one seen)."""
+        memo = self._validator_memo
+        if memo[0] != etag:
+            line = f'ETag: "{etag}"\r\n'.encode("latin-1")
+            memo = self._validator_memo = (
+                etag,
+                line,
+                _STATUS_HEADS[304] + line + b"\r\n",
+            )
+        return memo
 
     # ------------------------------------------------------------------
     # GET: the shared route table + ETag caching
     # ------------------------------------------------------------------
-    async def _get(
+    def _get(
         self,
-        writer: asyncio.StreamWriter,
+        connection: _Connection,
         headers: dict[str, str],
         path: str,
-        params: dict,
+        query: str,
         target: str,
-        keep_alive: bool,
-    ) -> bool:
+    ) -> bytes | None:
         lease = self.manager.acquire()
         etag = getattr(lease.store, "etag", None)
+        etag_line = b""
         cacheable = path in CACHEABLE_ROUTES and etag is not None
-
-        if cacheable and _match_etag(headers.get("if-none-match"), etag):
-            lease.release()
-            await self._respond(writer, 304, body=b"", etag=etag)
-            return keep_alive
-
         if cacheable:
-            cached = self._cache_get((etag, target))
-            if cached is not None:
+            etag_line, not_modified = self._validator(etag)[1:]
+            if _match_etag(headers.get("if-none-match"), etag):
                 lease.release()
-                await self._respond(writer, 200, body=cached, etag=etag)
-                return keep_alive
+                return not_modified
 
-        cost = route_cost(lease.store, path, params)
-        answer = await self._run(
-            writer, lease, cost,
-            lambda store: handle_route(store, path, params),
-        )
-        if answer is None:
-            return keep_alive
-        status, payload = answer
-        body = json.dumps(payload, ensure_ascii=False).encode("utf-8")
-        if cacheable and status == 200:
-            self._cache_put((etag, target), body)
-        await self._respond(
-            writer, status, body=body, etag=etag if cacheable else None
-        )
-        if _inline(cost):
-            await self._yield_to_loop()
-        return keep_alive
+        params = parse_qs(query)
 
-    async def _run(self, writer, lease, cost: int | None, job):
+        def finish(status: int, body: bytes) -> bytes:
+            response = _response(status, body, etag_line)
+            if cacheable and status == 200:
+                self._cache_put((etag, target), response)
+            return response
+
+        return self._run(
+            connection,
+            lease,
+            route_cost(lease.store, path, params),
+            lambda store: _encoded(*handle_route(store, path, params)),
+            finish,
+        )
+
+    def _run(self, connection, lease, cost: int | None, job, finish):
         """The one way a store request runs: ``job(lease.store)`` on the
-        loop when ``cost`` is bounded (:func:`_inline`), else on the pool
-        under ``request_timeout``.
+        loop when ``cost`` is bounded (:func:`_inline`), returning
+        ``finish(*result)``; else on the pool under ``request_timeout``
+        (``connection`` parks and answers it, or 504; returns ``None``).
 
-        Returns the job's result, or ``None`` after answering 504 for a
-        pooled job that missed the deadline. Takes over ``lease``: it is
-        released when the job ends (results are detached dicts) — after
-        a 504, when the stray worker *actually* finishes, so a swap
-        never closes a store under it.
+        Takes over ``lease``: it is released when the job ends (results
+        are encoded bytes) — after a 504, when the stray job *actually*
+        finishes, so a swap never closes a store under it.
         """
 
         def work():
@@ -484,38 +730,12 @@ class Gateway:
                 lease.release()
 
         if _inline(cost):
-            return work()
-        future = asyncio.get_running_loop().run_in_executor(
-            self._pool, work
-        )
-        done, _pending = await asyncio.wait(
-            {future}, timeout=self.request_timeout
-        )
-        if not done:
-            future.add_done_callback(_consume)
-            await self._respond(writer, 504, {"error": "request timed out"})
-            return None
-        return future.result()
+            return finish(*work())
+        connection.park(work, finish, self.request_timeout)
+        return None
 
-    @staticmethod
-    async def _yield_to_loop() -> None:
-        """Let every other connection run between two inline answers.
-
-        Neither an inline answer nor a buffered read or write ever
-        suspends this connection's task, so without this one client
-        pipelining thousands of requests would hold the loop until its
-        last response — the pool hop used to be the yield.
-        """
-        await asyncio.sleep(0)
-
-    def _cache_get(self, key: tuple) -> bytes | None:
-        body = self._cache.get(key)
-        if body is not None:
-            self._cache.move_to_end(key)
-        return body
-
-    def _cache_put(self, key: tuple, body: bytes) -> None:
-        self._cache[key] = body
+    def _cache_put(self, key: tuple, response: bytes) -> None:
+        self._cache[key] = response
         self._cache.move_to_end(key)
         while len(self._cache) > self._cache_size:
             self._cache.popitem(last=False)
@@ -523,12 +743,9 @@ class Gateway:
     # ------------------------------------------------------------------
     # POST /batch: one ``batch_json`` job, run the way a GET is
     # ------------------------------------------------------------------
-    async def _batch_post(
-        self,
-        writer: asyncio.StreamWriter,
-        body: bytes,
-        keep_alive: bool,
-    ) -> bool:
+    def _batch_post(
+        self, connection: _Connection, body: bytes
+    ) -> bytes | None:
         try:
             payload = json.loads(body)
             sites = payload["sites"]
@@ -537,36 +754,30 @@ class Gateway:
             ):
                 raise ValueError
         except (ValueError, KeyError, TypeError):
-            await self._respond(
-                writer,
-                400,
-                {"error": 'batch body must be {"sites": ["a.com", ...]}'},
+            return _json(
+                400, {"error": 'batch body must be {"sites": ["a.com", ...]}'}
             )
-            return keep_alive
 
         # No If-None-Match short-circuit here: 304 is defined only for
         # conditional GET/HEAD, and a POST is executed unconditionally.
         lease = self.manager.acquire()
         etag = getattr(lease.store, "etag", None)
-        cost = lookup_cost(lease.store, len(sites))
+        etag_line = b"" if etag is None else self._validator(etag)[1]
 
         def job(store):
             try:
-                return 200, store.batch_json(sites)
+                return _encoded(200, store.batch_json(sites))
             except Exception as err:  # noqa: BLE001 - handle_route's 500
                 error = f"internal error: {type(err).__name__}: {err}"
-                return 500, {"error": error}
+                return _encoded(500, {"error": error})
 
-        answer = await self._run(writer, lease, cost, job)
-        if answer is None:
-            return keep_alive
-        status, payload = answer
-        await self._respond(
-            writer, status, payload, etag=etag if status == 200 else None
+        def finish(status: int, body: bytes) -> bytes:
+            return _response(status, body, etag_line if status == 200 else b"")
+
+        return self._run(
+            connection, lease, lookup_cost(lease.store, len(sites)), job,
+            finish,
         )
-        if _inline(cost):
-            await self._yield_to_loop()
-        return keep_alive
 
     # ------------------------------------------------------------------
     # Readiness + hot swap
@@ -623,7 +834,8 @@ class Gateway:
         except ValueError:
             return False
 
-    async def _swap(self, body: bytes) -> tuple[int, dict]:
+    def _swap(self, body: bytes) -> tuple[int, dict]:
+        """``POST /admin/swap``, run on the pool: parse, build, flip."""
         try:
             payload = json.loads(body)
             artifact = payload["artifact"]
@@ -633,11 +845,8 @@ class Gateway:
             return 400, {
                 "error": 'swap body must be {"artifact": "/path/to.kbt"}'
             }
-        loop = asyncio.get_running_loop()
         try:
-            new_store = await loop.run_in_executor(
-                self._pool, self.manager.swap, Path(artifact)
-            )
+            new_store = self.manager.swap(Path(artifact))
         except (ArtifactError, LayoutError, OSError, ValueError) as err:
             # The swap never flipped: the old store is still serving.
             return 400, {
@@ -652,42 +861,6 @@ class Gateway:
             # "exported": this swap had to build it from the artifact.
             "layout": getattr(new_store, "layout_state", None),
         }
-
-    # ------------------------------------------------------------------
-    # Response writing
-    # ------------------------------------------------------------------
-    async def _respond(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        payload=None,
-        *,
-        body: bytes | None = None,
-        etag: str | None = None,
-        close: bool = False,
-    ) -> None:
-        if body is None:
-            body = json.dumps(payload, ensure_ascii=False).encode("utf-8")
-        phrase = HTTPStatus(status).phrase
-        lines = [
-            f"HTTP/1.1 {status} {phrase}",
-            "Server: kbt-gateway/1",
-        ]
-        if etag is not None:
-            lines.append(f'ETag: "{etag}"')
-        if status == 304:
-            body = b""
-        else:
-            lines.append(f"Content-Type: {_JSON_TYPE}")
-            lines.append(f"Content-Length: {len(body)}")
-        if close:
-            lines.append("Connection: close")
-        head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
-        try:
-            writer.write(head + body)
-            await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
 
 
 # ----------------------------------------------------------------------

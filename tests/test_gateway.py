@@ -1,6 +1,7 @@
 """Serving-tier tests: layout export, MmapTrustStore parity, the asyncio
 gateway, and zero-downtime hot artifact swap."""
 
+import asyncio
 import contextlib
 import http.client
 import json
@@ -20,6 +21,8 @@ import zipfile
 from urllib.parse import parse_qs, urlsplit
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main as cli_main
 from repro.core.kbt import KBTEstimator
@@ -36,7 +39,13 @@ from repro.io.mmap_layout import (
     artifact_etag,
     export_layout,
 )
-from repro.serving.gateway import INLINE_ROWS, Gateway, GatewayThread
+from repro.serving.gateway import (
+    ANSWER_BUDGET,
+    INLINE_ROWS,
+    Gateway,
+    GatewayThread,
+    _Connection,
+)
 from repro.serving.manager import StoreManager
 from repro.serving.mmap_store import MmapTrustStore
 from repro.serving.routes import handle_route, lookup_cost, route_cost
@@ -904,6 +913,48 @@ class TestRequestFraming:
         finally:
             gateway.stop()
 
+    def test_conflicting_content_lengths_are_one_400_and_a_close(
+        self, artifact
+    ):
+        """Two ``Content-Length`` headers that disagree on where a body
+        ends are how a request is smuggled past a proxy: refuse once and
+        never parse the body's bytes as a second request. Identical
+        duplicates frame the body like one header."""
+        gateway = GatewayThread(
+            StoreManager(MmapTrustStore.open(artifact))
+        ).start()
+        try:
+            smuggled = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+            with socket.create_connection(gateway.address, timeout=10) as sock:
+                sock.sendall(
+                    b"POST /batch HTTP/1.1\r\nHost: x\r\n"
+                    + f"Content-Length: {len(smuggled)}\r\n".encode()
+                    + b"Content-Length: 0\r\n\r\n" + smuggled
+                )
+                responses, rest = read_responses(sock)
+            assert rest == b""
+            ((status, head, body),) = responses
+            assert status == 400
+            assert "Connection: close" in head
+            assert json.loads(body) == {
+                "error": "conflicting content-length headers"
+            }
+            sites = ["good.com", "bad.com"]
+            batch = json.dumps({"sites": sites}).encode("utf-8")
+            length = f"Content-Length: {len(batch)}\r\n".encode()
+            with socket.create_connection(gateway.address, timeout=10) as sock:
+                sock.sendall(
+                    b"POST /batch HTTP/1.1\r\nHost: x\r\n" + length + length
+                    + b"\r\n" + batch
+                )
+                ((status, _head, answer),), _ = read_responses(sock, 1)
+            _, expected, _ = http_get(
+                gateway.address, "/batch?sites=" + ",".join(sites)
+            )
+            assert (status, answer) == (200, expected)
+        finally:
+            gateway.stop()
+
     def test_expect_100_continue_gets_the_interim_response(self, artifact):
         """curl sends ``Expect: 100-continue`` with a large body and
         waits a second for the go-ahead before sending it anyway."""
@@ -972,6 +1023,336 @@ class TestRequestFraming:
                     assert status == 200
         finally:
             gateway.stop()
+
+
+# ----------------------------------------------------------------------
+# Byte boundaries: any split of the input, the same answers
+# ----------------------------------------------------------------------
+def _request(line: str, *headers: str, body: bytes = b"") -> bytes:
+    head = [line + " HTTP/1.1", "Host: x", *headers]
+    if body:
+        head.append(f"Content-Length: {len(body)}")
+    return ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body
+
+
+PARITY_SITES = ["good.com", "zz", "bad.com"]
+PARITY_BATCH = json.dumps({"sites": PARITY_SITES}).encode("utf-8")
+#: One pipelined script: (request bytes, what answers it — a GET target
+#: for the route table, or a name the test knows the answer to).
+PARITY_SCRIPT = [
+    (_request("GET /score?site=good.com"), "/score?site=good.com"),
+    (_request("GET /score?site=good.com"), "/score?site=good.com"),
+    (_request("GET /score?site=good.com", "If-None-Match: *"), "304"),
+    (_request("GET /score?site=nosuch.example"), "/score?site=nosuch.example"),
+    (_request("GET /top?k=bogus"), "/top?k=bogus"),
+    (_request("GET /readyz"), "readyz"),
+    (_request("POST /batch", body=PARITY_BATCH), "batch"),
+    (
+        _request("POST /batch", "Expect: 100-continue", body=PARITY_BATCH),
+        "continue",
+    ),
+    (
+        _request("GET /batch?sites=good.com,bad.com"),
+        "/batch?sites=good.com,bad.com",
+    ),
+    (_request("GET /nosuchroute"), "/nosuchroute"),
+    (_request("POST /score", body=b"abc"), "405"),
+    (_request("GET /top?k=3"), "/top?k=3"),
+    (_request("GET /top?k=3"), "/top?k=3"),
+    (_request("GET /healthz"), "/healthz"),
+]
+PARITY_BYTES = b"".join(raw for raw, _answer in PARITY_SCRIPT)
+#: Responses the script gets: one per request, plus "100 Continue".
+PARITY_RESPONSES = len(PARITY_SCRIPT) + 1
+
+
+def parity_expected(reference, etag):
+    """``(status, body)`` of every response the script must get, from
+    ``handle_route`` over the in-memory store."""
+    expected = []
+    for _raw, answer in PARITY_SCRIPT:
+        if answer == "304":
+            expected.append((304, b""))
+        elif answer == "readyz":
+            ready = {"status": "ready", "etag": etag, "generation": 0}
+            expected.append((200, json.dumps(ready).encode("utf-8")))
+        elif answer in ("batch", "continue"):
+            if answer == "continue":
+                expected.append((100, b""))
+            expected.append(
+                render(
+                    reference, "/batch", {"sites": [",".join(PARITY_SITES)]}
+                )
+            )
+        elif answer == "405":
+            error = {"error": "method not allowed: POST"}
+            expected.append((405, json.dumps(error).encode("utf-8")))
+        else:
+            url = urlsplit(answer)
+            expected.append(render(reference, url.path, parse_qs(url.query)))
+    return expected
+
+
+class _RecordingTransport(asyncio.Transport):
+    """Collects what a connection writes, and pauses / resumes reading
+    the way a socket transport does."""
+
+    def __init__(self):
+        super().__init__()
+        self.written = bytearray()
+        self.reading = True
+        self.closed = False
+
+    def write(self, data):
+        assert not self.closed, "write after close"
+        self.written += data
+
+    def pause_reading(self):
+        self.reading = False
+
+    def resume_reading(self):
+        self.reading = True
+
+    def close(self):
+        self.closed = True
+
+    def is_closing(self):
+        return self.closed
+
+    def get_extra_info(self, name, default=None):
+        return ("127.0.0.1", 40000) if name == "peername" else default
+
+
+def answer_chunks(manager, chunks, responses: int) -> bytes:
+    """Feed ``chunks`` to one fresh in-process connection, one
+    ``data_received`` each and never while it is not reading; returns
+    everything it wrote once ``responses`` answers are out."""
+
+    async def main():
+        loop = asyncio.get_running_loop()
+        gateway = Gateway(manager)
+        gateway._loop = loop
+        transport = _RecordingTransport()
+        connection = _Connection(gateway)
+        connection.connection_made(transport)
+        try:
+            for chunk in chunks:
+                while not transport.reading:
+                    await asyncio.sleep(0)
+                connection.data_received(chunk)
+            deadline = loop.time() + 10.0
+            while loop.time() < deadline and len(
+                parse_responses(bytes(transport.written))[0]
+            ) < responses:
+                await asyncio.sleep(0.001)
+        finally:
+            connection.connection_lost(None)
+            gateway._pool.shutdown(wait=True)
+        return bytes(transport.written)
+
+    return asyncio.run(main())
+
+
+def split_at(data: bytes, offsets) -> list[bytes]:
+    cuts = sorted({0, len(data), *offsets})
+    return [data[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+#: Pieces of requests, so that random input reaches the framing rules.
+GARBAGE_PIECES = [
+    b"GET ", b"POST ", b"/score?site=a", b"/batch", b" HTTP/1.1",
+    b" HTTP/1.0", b"\r\n", b"\r\n\r\n", b"Content-Length: 4",
+    b"Content-Length: -1", b"Content-Length: x", b"Transfer-Encoding: chunked",
+    b"Expect: 100-continue", b"Connection: close", b":", b" ", b"\x00\xff",
+]
+
+
+@pytest.fixture(scope="module")
+def parity_manager(artifact):
+    return StoreManager(MmapTrustStore.open(artifact))
+
+
+@pytest.fixture(scope="module")
+def live_gateway(artifact):
+    gateway = GatewayThread(StoreManager(MmapTrustStore.open(artifact)))
+    gateway.start()
+    yield gateway
+    gateway.stop()
+
+
+class TestByteBoundaries:
+    def test_one_write_matches_the_route_table_and_the_socket(
+        self, artifact, parity_manager, live_gateway
+    ):
+        """The script in one piece, in process and over a real socket:
+        the same bytes, and every answer the route table's."""
+        whole = answer_chunks(parity_manager, [PARITY_BYTES], PARITY_RESPONSES)
+        address = live_gateway.address
+        with socket.create_connection(address, timeout=10) as sock:
+            sock.sendall(PARITY_BYTES)
+            responses, rest = read_responses(sock, PARITY_RESPONSES)
+        assert rest == b""
+        over_socket = b"".join(
+            head.encode("latin-1") + b"\r\n\r\n" + body
+            for _status, head, body in responses
+        )
+        assert over_socket == whole
+        parsed, rest = parse_responses(whole)
+        assert rest == b""
+        expected = parity_expected(
+            TrustStore.open(artifact), parity_manager.etag
+        )
+        assert [(status, body) for status, _h, body in parsed] == expected
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        offsets=st.lists(st.integers(1, len(PARITY_BYTES) - 1), max_size=40)
+    )
+    @example(offsets=list(range(1, len(PARITY_BYTES))))
+    def test_any_split_answers_the_same_bytes(self, parity_manager, offsets):
+        """Heads, bodies and the ``Expect`` interim cut anywhere — down
+        to one byte per ``data_received`` — answer exactly what the
+        script in one piece does."""
+        whole = answer_chunks(parity_manager, [PARITY_BYTES], PARITY_RESPONSES)
+        chunked = answer_chunks(
+            parity_manager, split_at(PARITY_BYTES, offsets), PARITY_RESPONSES
+        )
+        assert chunked == whole
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        garbage=st.one_of(
+            st.binary(max_size=512),
+            st.lists(
+                st.one_of(
+                    st.sampled_from(GARBAGE_PIECES), st.binary(max_size=8)
+                ),
+                max_size=40,
+            ).map(b"".join),
+        )
+    )
+    # A body cut short by the client's close.
+    @example(garbage=b"POST /batch HTTP/1.1\r\nContent-Length: 40\r\n\r\nab")
+    def test_garbage_ends_in_errors_or_a_close(self, live_gateway, garbage):
+        """Whatever arrives, the connection ends promptly once the client
+        stops sending, having answered nothing but structured JSON
+        errors — and the gateway serves the next client."""
+        with socket.create_connection(live_gateway.address, timeout=5) as sock:
+            try:
+                sock.sendall(garbage)
+                sock.shutdown(socket.SHUT_WR)
+                responses, rest = read_responses(sock)
+            except ConnectionResetError:
+                # Closed with unread input: the kernel resets, which
+                # may discard the answer already sent. Still a close.
+                responses, rest = [], b""
+        assert rest == b""
+        for status, _head, body in responses:
+            if status == 100:
+                continue
+            assert 400 <= status < 600, (status, body)
+            assert set(json.loads(body)) == {"error"}
+        status, _, _ = http_get(live_gateway.address, "/healthz")
+        assert status == 200
+
+
+# ----------------------------------------------------------------------
+# Write backpressure: a client that does not read is not buffered for
+# ----------------------------------------------------------------------
+class TestWriteBackpressure:
+    BURST = 20_000
+
+    def test_a_stalled_reader_pauses_parsing(self, artifact, monkeypatch):
+        """20 000 pipelined requests from a client that reads nothing for
+        a second: while the transport is paused nothing is parsed, its
+        write buffer stays bounded, another client is served, and then
+        every response arrives whole and in order."""
+        big = "/batch?sites=" + MANY_SITES.rsplit(",", 1)[0]  # 64 keys
+        paused: set = set()
+        seen = {"pauses": 0, "parsed_while_paused": 0, "buffered": 0}
+        real_pause = _Connection.pause_writing
+        real_resume = _Connection.resume_writing
+        real_serve = _Connection._serve
+        real_answer = Gateway._answer
+
+        def pause_writing(connection):
+            seen["pauses"] += 1
+            paused.add(connection)
+            real_pause(connection)
+
+        def resume_writing(connection):
+            paused.discard(connection)
+            real_resume(connection)
+
+        def serve(connection):
+            real_serve(connection)
+            if not connection._closing:
+                seen["buffered"] = max(
+                    seen["buffered"],
+                    connection.transport.get_write_buffer_size(),
+                )
+
+        def answer(gateway, connection, *args):
+            if connection in paused:
+                seen["parsed_while_paused"] += 1
+            return real_answer(gateway, connection, *args)
+
+        monkeypatch.setattr(_Connection, "pause_writing", pause_writing)
+        monkeypatch.setattr(_Connection, "resume_writing", resume_writing)
+        monkeypatch.setattr(_Connection, "_serve", serve)
+        monkeypatch.setattr(Gateway, "_answer", answer)
+
+        gateway = GatewayThread(
+            StoreManager(MmapTrustStore.open(artifact))
+        ).start()
+        try:
+            _, big_body, _ = http_get(gateway.address, big)
+            burst = b"".join(
+                _request(f"GET {big}")
+                if i % 2 == 0
+                else _request(f"GET /score?site=stall-{i}")
+                for i in range(self.BURST)
+            )
+            sock = socket.socket()
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.settimeout(60)
+            sock.connect(gateway.address)
+            sender = threading.Thread(target=sock.sendall, args=(burst,))
+            try:
+                sender.start()
+                time.sleep(1.0)
+                assert seen["pauses"] >= 1
+                status, _, _ = http_get(gateway.address, "/healthz")
+                assert status == 200
+                responses, rest = read_responses(sock, self.BURST)
+                sender.join(timeout=60)
+                assert not sender.is_alive()
+            finally:
+                sock.close()
+        finally:
+            gateway.stop()
+        assert rest == b"" and len(responses) == self.BURST
+        for i, (status, _head, body) in enumerate(responses):
+            if i % 2 == 0:
+                assert (status, body) == (200, big_body), i
+            else:
+                assert status == 404 and json.loads(body) == {
+                    "error": f"no score for website: stall-{i}"
+                }, i
+        assert seen["parsed_while_paused"] == 0
+        # The high-water mark (64 KiB) plus at most one callback's
+        # answers, whatever the client leaves unread.
+        assert seen["buffered"] <= (64 << 10) + ANSWER_BUDGET * (
+            len(big_body) + 1024
+        ), seen
 
 
 # ----------------------------------------------------------------------
