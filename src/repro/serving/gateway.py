@@ -18,6 +18,15 @@ around it:
   building. Status lines come from a
   table built at import, and the ``ETag`` line and the whole 304 once
   per ETag.
+* **Misses answer from bytes too** — a miss is: parse the target once
+  (an origin-form target is split at its first ``?`` and its query read
+  in one pass; anything else goes through the stdlib's URL parser),
+  lease the store, then :func:`repro.serving.routes.plan_route`: the
+  request's cost and its ``render_route``. A ``/score`` or ``/batch``
+  200 is the store's memoised per-site JSON
+  (:meth:`~repro.serving.store.StoreViews.score_body`), joined, never
+  re-rendered while one ETag is served; every other answer is
+  ``json.dumps`` of the route table's payload.
 * **Bounded lookups on the loop, the rest on a pool** — what a request
   costs is known before any work starts
   (:func:`repro.serving.routes.route_cost`: the store rows it will
@@ -68,8 +77,9 @@ around it:
   served.
 * **POST /batch** — ``{"sites": [...]}`` bodies of arbitrary size, run
   the way a GET is: up to :data:`INLINE_ROWS` keys answered on the
-  loop, more as one pool job under ``request_timeout``; byte-compatible
-  with ``GET /batch`` over the same keys.
+  loop, more as one pool job under ``request_timeout``; both are
+  ``store.batch_body(sites)``, so byte-identical with ``GET /batch``
+  over the same keys.
 * **Hot swap** — ``POST /admin/swap {"artifact": PATH}`` builds the new
   store first (rejecting corrupt or version-mismatched artifacts with a
   400 while the old store keeps serving) and flips atomically via the
@@ -103,18 +113,13 @@ from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from http import HTTPStatus
 from pathlib import Path
-from urllib.parse import parse_qs, urlsplit
+from urllib.parse import parse_qs, unquote, urlsplit
 
 from repro.ingest.status import StatusBoard
 from repro.io.artifact import ArtifactError
 from repro.io.mmap_layout import LayoutError
 from repro.serving.manager import StoreManager
-from repro.serving.routes import (
-    CACHEABLE_ROUTES,
-    handle_route,
-    lookup_cost,
-    route_cost,
-)
+from repro.serving.routes import CACHEABLE_ROUTES, lookup_cost, plan_route
 
 #: Largest accepted request body (a /batch over ~100k sites fits).
 MAX_BODY_BYTES = 8 << 20
@@ -207,6 +212,40 @@ def _match_etag(header: str | None, etag: str | None) -> bool:
         if candidate.strip('"') == etag:
             return True
     return False
+
+
+def _query_params(query: str) -> dict[str, list[str]]:
+    """What ``parse_qs`` makes of ``query`` by default, in one pass:
+    ``&``-separated fields, a field without ``=`` or with an empty value
+    dropped, then ``+`` as a space and ``%xx`` decoded as UTF-8 (bad
+    bytes replaced)."""
+    params: dict[str, list[str]] = {}
+    for field in query.split("&"):
+        name, _, value = field.partition("=")
+        if value:
+            params.setdefault(unquote(name.replace("+", " ")), []).append(
+                unquote(value.replace("+", " "))
+            )
+    return params
+
+
+def _parse_target(target: str) -> tuple[str, dict[str, list[str]]]:
+    """``(path, params)`` of a request target, as ``urlsplit`` and
+    ``parse_qs`` read it. A target in origin form — one leading ``/``,
+    no ``#``, TAB, CR or LF — is one split at its first ``?``: all that
+    ``urlsplit`` would do to it. Anything else takes the stdlib path."""
+    if (
+        target[:1] == "/"
+        and target[1:2] != "/"
+        and "#" not in target
+        and "\t" not in target
+        and "\r" not in target
+        and "\n" not in target
+    ):
+        path, _, query = target.partition("?")
+        return path, _query_params(query)
+    url = urlsplit(target)
+    return url.path, parse_qs(url.query)
 
 
 def _parse_head(head) -> tuple[str, str, str, dict[str, str]]:
@@ -621,8 +660,7 @@ class Gateway:
                     self._cache.move_to_end(key)
                     return cached
 
-        url = urlsplit(target)
-        path = url.path
+        path, params = _parse_target(target)
         if method == "GET" and path == "/readyz":
             return _json(*self._readyz())
         if method == "GET" and path == "/ingest/status":
@@ -660,7 +698,7 @@ class Gateway:
             return self._batch_post(connection, body)
         if method != "GET":
             return _json(405, {"error": f"method not allowed: {method}"})
-        return self._get(connection, headers, path, url.query, target)
+        return self._get(connection, headers, path, params, target)
 
     def _validator(self, etag: str) -> tuple:
         """``(etag, ETag header line, 304 response)``, built once per
@@ -683,7 +721,7 @@ class Gateway:
         connection: _Connection,
         headers: dict[str, str],
         path: str,
-        query: str,
+        params: dict[str, list[str]],
         target: str,
     ) -> bytes | None:
         lease = self.manager.acquire()
@@ -696,21 +734,14 @@ class Gateway:
                 lease.release()
                 return not_modified
 
-        params = parse_qs(query)
-
         def finish(status: int, body: bytes) -> bytes:
             response = _response(status, body, etag_line)
             if cacheable and status == 200:
                 self._cache_put((etag, target), response)
             return response
 
-        return self._run(
-            connection,
-            lease,
-            route_cost(lease.store, path, params),
-            lambda store: _encoded(*handle_route(store, path, params)),
-            finish,
-        )
+        cost, render = plan_route(lease.store, path, params)
+        return self._run(connection, lease, cost, render, finish)
 
     def _run(self, connection, lease, cost: int | None, job, finish):
         """The one way a store request runs: ``job(lease.store)`` on the
@@ -741,7 +772,7 @@ class Gateway:
             self._cache.popitem(last=False)
 
     # ------------------------------------------------------------------
-    # POST /batch: one ``batch_json`` job, run the way a GET is
+    # POST /batch: one ``batch_body`` job, run the way a GET is
     # ------------------------------------------------------------------
     def _batch_post(
         self, connection: _Connection, body: bytes
@@ -766,7 +797,7 @@ class Gateway:
 
         def job(store):
             try:
-                return _encoded(200, store.batch_json(sites))
+                return 200, store.batch_body(sites)
             except Exception as err:  # noqa: BLE001 - handle_route's 500
                 error = f"internal error: {type(err).__name__}: {err}"
                 return _encoded(500, {"error": error})

@@ -7,7 +7,9 @@ layout* (:mod:`repro.io.mmap_layout`) — the score / support / percentile
 access, string keys decode lazily from mmapped blob columns, and the
 posterior mass never enters the process at all. What stays resident is
 one ``key -> row`` index dict (built in a single pass at open) — the
-price of O(1) lookups over string keys.
+price of O(1) lookups over string keys — and the shared body memo of
+:class:`~repro.serving.store.StoreViews`, at most one ``/score`` body
+per scored site.
 
 Every JSON view is **byte-identical** to ``TrustStore``'s over the same
 artifact: both are built from one aggregation
@@ -71,6 +73,7 @@ class MmapTrustStore(StoreViews):
     resident_lookups = True
 
     def __init__(self, layout: ServingLayout) -> None:
+        super().__init__()
         self._layout = layout
         manifest = layout.manifest
         self._etag: str = manifest["etag"]
@@ -348,8 +351,10 @@ class MmapTrustStore(StoreViews):
 
         Only call once no request holds the store — a
         :class:`~repro.serving.manager.StoreManager` enforces this by
-        refcounting leases and closing on the last release.
+        refcounting leases and closing on the last release. The body
+        memo goes with them.
         """
+        super().close()
         self._score = self._support = self._percentile = None
         self._ranked = self._page_score = self._page_support = None
         self._contrib_ptr = self._contrib_accuracy = None

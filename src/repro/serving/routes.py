@@ -9,10 +9,22 @@ is a plain function of the store, so the parity tests call it directly
 over a :class:`~repro.serving.store.TrustStore` and compare against the
 bytes the gateway serves from the mmap store.
 
+:func:`render_route` is the encoded form the gateway answers with:
+``(status, body bytes)``. A ``/score`` or ``/batch`` 200 is joined from
+the store's memoised per-site bodies
+(:meth:`~repro.serving.store.StoreViews.score_body`); every other route,
+and every 400 / 404 / 500, is ``json.dumps`` of ``handle_route``'s
+payload — so its bytes are ``handle_route``'s by construction.
+:func:`plan_route` gives the gateway the cost and the render of one
+request from one reading of its parameters.
+
 Any :class:`~repro.serving.store.StoreViews` works as the ``store``.
 """
 
 from __future__ import annotations
+
+import json
+from collections.abc import Callable
 
 from repro.signals.base import SignalError
 
@@ -168,19 +180,64 @@ def route_cost(store, path: str, params: dict) -> int | None:
     the site's contributor rows (millions of pages at the paper's
     scale, so not a point lookup).
     """
-    rows = 1
-    if path in ("/signals", "/compare") or lookup_cost(store, rows) is None:
-        return None
+    return plan_route(store, path, params)[0]
+
+
+def render_route(store, path: str, params: dict) -> tuple[int, bytes]:
+    """Answer one GET as ``(status, UTF-8 JSON body)``; never raises.
+
+    The bytes are ``json.dumps(payload, ensure_ascii=False)`` of
+    :func:`handle_route`'s answer. A ``/score`` or ``/batch`` 200 is
+    read from the store's body memo instead of rendered; anything else
+    — including a memo read that fails or finds no score — is rendered
+    from ``handle_route``.
+    """
+    return plan_route(store, path, params)[1](store)
+
+
+def plan_route(
+    store, path: str, params: dict
+) -> tuple[int | None, Callable[[object], tuple[int, bytes]]]:
+    """``(route_cost, render)`` of one GET, reading ``params`` once:
+    ``render(store)`` is :func:`render_route` with the ``site`` or the
+    split ``sites`` it needs already taken out."""
+    key = None
     try:
-        if path == "/batch":
-            rows = len(_batch_sites(params))
+        if path == "/score":
+            key = _require(params, "site")
+        elif path == "/batch":
+            key = _batch_sites(params)
+    except _BadRequest:
+        pass
+
+    def render(store) -> tuple[int, bytes]:
+        if key is not None:
+            try:
+                body = (
+                    store.score_body(key)
+                    if path == "/score"
+                    else store.batch_body(key)
+                )
+            except Exception:  # noqa: BLE001 - handle_route renders it
+                body = None
+            if body is not None:
+                return 200, body
+        status, payload = handle_route(store, path, params)
+        return status, json.dumps(payload, ensure_ascii=False).encode("utf-8")
+
+    if path in ("/signals", "/compare") or lookup_cost(store, 1) is None:
+        return None, render
+    rows = 1
+    try:
+        if path == "/batch" and key is not None:
+            rows = len(key)
         elif path == "/top":
             rows = _parse_k(params)
         elif path == "/breakdown":
             rows = store.contributor_rows(_require(params, "site"))
     except _BadRequest:
         pass
-    return lookup_cost(store, rows)
+    return lookup_cost(store, rows), render
 
 
 def handle_route(store, path: str, params: dict) -> tuple[int, object]:
@@ -204,4 +261,11 @@ def handle_route(store, path: str, params: dict) -> tuple[int, object]:
         return 500, {"error": f"internal error: {type(err).__name__}: {err}"}
 
 
-__all__ = ["CACHEABLE_ROUTES", "handle_route", "lookup_cost", "route_cost"]
+__all__ = [
+    "CACHEABLE_ROUTES",
+    "handle_route",
+    "lookup_cost",
+    "plan_route",
+    "render_route",
+    "route_cost",
+]

@@ -28,12 +28,16 @@ version-1 artifact reports an empty signal set and keeps every KBT-only
 query working.
 
 All aggregation happens at construction; every query after that is a
-dict lookup and a column read.
+dict lookup and a column read. The one thing a store fills later is its
+per-site body memo (:meth:`StoreViews.score_body`): a scored site's
+``/score`` JSON, rendered on first use and kept until ``close()``.
 """
 
 from __future__ import annotations
 
+import json
 from collections.abc import Iterable, Iterator
+from json.encoder import encode_basestring
 from pathlib import Path
 
 from repro.core.kbt import KBTScore
@@ -140,6 +144,13 @@ class StoreViews:
     routes and ``kbt query`` render from those is defined here and
     nowhere else, so two stores over the same artifact cannot answer a
     route with different bytes.
+
+    It also owns the store's body memo: scored site -> the exact bytes of
+    ``json.dumps(score_json(site), ensure_ascii=False)``, filled on first
+    use. The columns behind a store never change (one store is one
+    ETag), so an entry never goes stale. Only scored sites enter, so the
+    memo never holds more than ``len(store)`` entries, and ``close()``
+    drops it with the store.
     """
 
     #: Does every KBT lookup (``score``, ``score_page``, ``top``,
@@ -150,6 +161,16 @@ class StoreViews:
     #: one whose lookups can block (a remote or disk-seeking backend)
     #: must leave it false and is only ever called on the worker pool.
     resident_lookups = False
+
+    def __init__(self) -> None:
+        self._bodies: dict[str, bytes] = {}
+
+    def close(self) -> None:
+        """Release the store: drop the body memo (the mmap-backed store
+        also unmaps its columns). A
+        :class:`~repro.serving.manager.StoreManager` calls this once the
+        last lease on a retired store is released."""
+        self._bodies = {}
 
     def batch(self, keys: Iterable[str]) -> dict[str, KBTScore | None]:
         """Look up many websites at once (None for unscored keys)."""
@@ -203,6 +224,43 @@ class StoreViews:
             for key, score in self.batch(keys).items()
         }
 
+    # ------------------------------------------------------------------
+    # Encoded bodies (the gateway's ``/score`` and ``/batch`` 200s)
+    # ------------------------------------------------------------------
+    def score_body(self, website: str) -> bytes | None:
+        """``score_json(website)`` as UTF-8 JSON bytes, or None when
+        unscored; rendered once per store, then read from the memo."""
+        body = self._bodies.get(website)
+        if body is None:
+            payload = self.score_json(website)
+            if payload is None:
+                return None
+            body = json.dumps(payload, ensure_ascii=False).encode("utf-8")
+            # Racing threads may both render; they store equal bytes.
+            self._bodies[website] = body
+        return body
+
+    def batch_body(self, keys: Iterable[str]) -> bytes:
+        """``batch_json(keys)`` as the bytes ``json.dumps`` would give,
+        joined from the memoised per-site bodies."""
+        keys = dict.fromkeys(keys)
+        try:
+            items = [
+                encode_basestring(key).encode("utf-8")
+                + b": "
+                + (self.score_body(key) or b"null")
+                for key in keys
+            ]
+        except UnicodeEncodeError:
+            # A lone surrogate (a "\ud800" escape in a posted body) is
+            # not UTF-8: fail with the error encoding the whole
+            # document raises, position included.
+            json.dumps(self.batch_json(keys), ensure_ascii=False).encode(
+                "utf-8"
+            )
+            raise
+        return b"{" + b", ".join(items) + b"}"
+
     def top_json(self, k: int = 10) -> list[dict]:
         return [_score_json(score) for score in self.top(k)]
 
@@ -222,6 +280,7 @@ class TrustStore(StoreViews):
     resident_lookups = True
 
     def __init__(self, artifact: TrustArtifact | ServingColumns) -> None:
+        super().__init__()
         if isinstance(artifact, ServingColumns):
             columns = artifact
         else:
@@ -359,11 +418,3 @@ class TrustStore(StoreViews):
 
     def _signal_surface(self) -> SignalSurface:
         return self._signals
-
-    def close(self) -> None:
-        """Release the store (a no-op for the in-memory view).
-
-        Exists so a :class:`~repro.serving.manager.StoreManager` can hold
-        either store kind behind one lifecycle; the mmap-backed store
-        actually unmaps here.
-        """

@@ -39,16 +39,23 @@ from repro.io.mmap_layout import (
     artifact_etag,
     export_layout,
 )
+from repro.serving import gateway as gateway_module
 from repro.serving.gateway import (
     ANSWER_BUDGET,
     INLINE_ROWS,
     Gateway,
     GatewayThread,
     _Connection,
+    _parse_target,
 )
 from repro.serving.manager import StoreManager
 from repro.serving.mmap_store import MmapTrustStore
-from repro.serving.routes import handle_route, lookup_cost, route_cost
+from repro.serving.routes import (
+    handle_route,
+    lookup_cost,
+    render_route,
+    route_cost,
+)
 from repro.serving.store import TrustStore
 from repro.signals import CorpusContext, SignalSuite, fuse
 
@@ -785,7 +792,7 @@ class TestInlineOrPool:
         sites = ["good.com", "zz", "bad.com"] * INLINE_ROWS
         store = MmapTrustStore.open(signal_artifact)
         manager = StoreManager(store)
-        real_batch = store.batch_json
+        real_batch = store.batch_body
         with spied_gateway(manager, request_timeout=0.5) as (
             gateway, submitted,
         ):
@@ -801,7 +808,7 @@ class TestInlineOrPool:
             def broken(keys):
                 raise RuntimeError("boom")
 
-            store.batch_json = broken
+            store.batch_body = broken
             status, body = post()
             assert status == 500
             assert json.loads(body) == {
@@ -812,11 +819,11 @@ class TestInlineOrPool:
                 time.sleep(1.0)
                 return real_batch(keys)
 
-            store.batch_json = slow
+            store.batch_body = slow
             status, body = post()
             assert status == 504
             assert json.loads(body) == {"error": "request timed out"}
-            store.batch_json = real_batch
+            store.batch_body = real_batch
             assert post() == expected[:2]
             deadline = time.monotonic() + 5.0
             while manager._current.leases and time.monotonic() < deadline:
@@ -849,6 +856,243 @@ class TestInlineOrPool:
             assert status == 200
         finally:
             gateway.stop()
+
+
+# ----------------------------------------------------------------------
+# The miss path's bytes: per-site body memo, joined batches, one parse
+# ----------------------------------------------------------------------
+#: Batch keys that must render exactly as ``json.dumps`` renders them.
+AWKWARD_KEYS = [
+    "good.com", "bad.com", "a.com", "GOOD.COM", " good.com", "good.com ",
+    "nosuch.example", "", '"', "\\", 'q"u\\o"te', "\x00\x1f\x7f\n\t",
+    "  ", "café", "€", "\U0001f600", "퟿",
+]
+
+
+def open_stores(artifact):
+    """A fresh store of each kind, so every body memo starts cold."""
+    return TrustStore.open(artifact), MmapTrustStore.open(artifact)
+
+
+def dumped(payload) -> bytes:
+    return json.dumps(payload, ensure_ascii=False).encode("utf-8")
+
+
+class TestBodyMemo:
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        keys=st.lists(
+            st.one_of(st.sampled_from(AWKWARD_KEYS), st.text(max_size=8)),
+            max_size=12,
+        ),
+        warm=st.lists(st.sampled_from(AWKWARD_KEYS), max_size=4),
+    )
+    @example(keys=AWKWARD_KEYS * 2, warm=[])
+    @example(keys=["good.com", "good.com", "nosuch", "good.com"], warm=[])
+    def test_batch_body_is_json_dumps_of_batch_json(
+        self, artifact, keys, warm
+    ):
+        """Cold, partly warm and warm memo alike: the joined bytes are
+        ``json.dumps`` of ``batch_json``, duplicates and unknown keys
+        included, over both store kinds."""
+        for store in open_stores(artifact):
+            expected = dumped(store.batch_json(keys))
+            assert store.batch_body([]) == b"{}"
+            for site in warm:
+                store.score_body(site)
+            assert store.batch_body(keys) == expected
+            assert store.batch_body(keys) == expected
+
+    def test_score_body_is_json_dumps_of_score_json(self, signal_artifact):
+        for store in open_stores(signal_artifact):
+            sites = list(store.websites())
+            assert sites
+            for _pass in ("cold", "warm"):
+                for site in sites + AWKWARD_KEYS:
+                    payload = store.score_json(site)
+                    body = store.score_body(site)
+                    if payload is None:
+                        assert body is None, site
+                    else:
+                        assert body == dumped(payload), site
+
+    def test_a_lone_surrogate_fails_like_json_dumps(self, artifact):
+        """A ``"\\ud800"`` escape in a posted body decodes to a string
+        UTF-8 cannot encode; the joined batch raises what encoding the
+        whole document did, so the gateway's 500 body is unchanged."""
+        for store in open_stores(artifact):
+            keys = ["good.com", "x\ud800", "bad.com"]
+            with pytest.raises(UnicodeEncodeError) as whole:
+                dumped(store.batch_json(keys))
+            with pytest.raises(UnicodeEncodeError) as joined:
+                store.batch_body(keys)
+            assert str(joined.value) == str(whole.value)
+
+    def test_threads_filling_one_memo_agree(self, artifact):
+        """The loop and pool threads share a store's memo: a cold memo
+        filled by many threads at once, switching as often as the
+        interpreter allows, yields only correct bodies and one entry
+        per scored site."""
+        for store in open_stores(artifact):
+            keys = list(store.websites()) + ["nosuch", "good.com"]
+            expected = dumped(store.batch_json(keys))
+            results: list = []
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [
+                    threading.Thread(
+                        target=lambda: results.extend(
+                            store.batch_body(keys) for _ in range(20)
+                        )
+                    )
+                    for _ in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert results == [expected] * 160
+            assert set(store._bodies) == set(store.websites())
+
+    @pytest.mark.parametrize("path,params", REQUESTS)
+    def test_render_route_is_json_dumps_of_handle_route(
+        self, signal_artifact, path, params
+    ):
+        reference = TrustStore.open(signal_artifact)
+        for store in open_stores(signal_artifact):
+            for _pass in ("cold", "warm"):
+                assert render_route(store, path, params) == render(
+                    reference, path, params
+                )
+
+
+class TestBodyMemoBound:
+    REQUESTS = 10_000
+
+    def test_unknown_sites_never_enter_the_memo(self, artifact, artifact_b):
+        """10 000 ``/score`` and ``/batch`` misses for unknown sites leave
+        the memo as it was: at most one entry per scored site, keyed by
+        scored sites only. ``close()`` empties it, and a swap retires it
+        with its store."""
+        store = MmapTrustStore.open(artifact)
+        manager = StoreManager(store)
+        sites = list(store.websites())
+        with spied_gateway(manager) as (gateway, _submitted):
+            for site in sites:
+                status, _, _ = http_get(gateway.address, f"/score?site={site}")
+                assert status == 200
+            http_get(gateway.address, "/batch?sites=" + ",".join(sites))
+            assert set(store._bodies) == set(sites)
+            burst = b"".join(
+                _request(f"GET /score?site=unknown-{i}")
+                if i % 2 == 0
+                else _request(f"GET /batch?sites=unknown-{i},{sites[0]},")
+                for i in range(self.REQUESTS)
+            )
+            with socket.create_connection(gateway.address, timeout=60) as sock:
+                sender = threading.Thread(target=sock.sendall, args=(burst,))
+                sender.start()
+                responses, rest = read_responses(sock, self.REQUESTS)
+                sender.join(timeout=60)
+            assert rest == b"" and len(responses) == self.REQUESTS
+            assert [status for status, _h, _b in responses[:2]] == [404, 200]
+            assert set(store._bodies) == set(sites)
+            assert len(store._bodies) <= len(store)
+
+            manager.swap(artifact_b)
+            with manager.acquire() as fresh:
+                assert fresh is not store and fresh._bodies == {}
+            # No lease was held, so the old generation closed at the flip.
+            assert store._bodies == {}
+            status, body, _ = http_get(gateway.address, "/score?site=new.com")
+            assert status == 200
+            with manager.acquire() as fresh:
+                assert list(fresh._bodies) == ["new.com"]
+                assert fresh._bodies["new.com"] == body
+
+    def test_close_empties_the_memo(self, artifact):
+        for store in open_stores(artifact):
+            store.batch_body(list(store.websites()) + ["nosuch"])
+            assert len(store._bodies) == len(store)
+            store.close()
+            assert store._bodies == {}
+
+
+#: (target, path, params): one per branch that takes the stdlib path.
+FALLBACK_TARGETS = [
+    ("http://h/score?site=a", "/score", {"site": ["a"]}),  # absolute form
+    ("//h/score?site=a", "/score", {"site": ["a"]}),  # a netloc
+    ("/score?site=a#b", "/score", {"site": ["a"]}),  # a fragment
+    ("/score?site=a\tb", "/score", {"site": ["ab"]}),  # TAB is dropped
+    ("/sc\rore?site=a", "/score", {"site": ["a"]}),  # so is CR
+    ("/score?si\nte=a", "/score", {"site": ["a"]}),  # and LF
+    ("*", "*", {}),  # asterisk form
+    ("", "", {}),
+]
+#: Pieces of targets, so random input reaches every rule of both parsers.
+TARGET_PIECES = [
+    "/", "//", "/score", "/batch", "?", "&", "=", "#", "\t", "\r", "\n",
+    "%", "%2", "%2C", "%2f", "%zz", "%ff", "%e2%82%ac", "+", "site",
+    "sites", "a,b", " ", "http:", "http://h", ":", ";", "é", "€",
+    "\U0001f600", "[", "]", "@",
+]
+
+
+class TestTargetParser:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        target=st.one_of(
+            st.text(max_size=40),
+            st.lists(
+                st.one_of(
+                    st.sampled_from(TARGET_PIECES), st.text(max_size=3)
+                ),
+                max_size=16,
+            ).map("".join),
+        )
+    )
+    @example(target="/batch?sites=a.com,b.com&sites=&&x&=v&site=a+b%2Cc")
+    @example(target="/score?site=%ff%fe&site=%e2%82")
+    def test_parse_target_is_urlsplit_and_parse_qs(self, target):
+        try:
+            url = urlsplit(target)
+        except ValueError as err:
+            with pytest.raises(type(err)):
+                _parse_target(target)
+            return
+        assert _parse_target(target) == (url.path, parse_qs(url.query))
+
+    @pytest.mark.parametrize("target,path,params", FALLBACK_TARGETS)
+    def test_every_fallback_branch_takes_the_stdlib_path(
+        self, monkeypatch, target, path, params
+    ):
+        calls = []
+        real = gateway_module.urlsplit
+
+        def spy(url):
+            calls.append(url)
+            return real(url)
+
+        monkeypatch.setattr(gateway_module, "urlsplit", spy)
+        assert _parse_target(target) == (path, params)
+        assert calls == [target]
+
+    def test_origin_form_is_split_in_place(self, monkeypatch):
+        monkeypatch.setattr(gateway_module, "urlsplit", None)
+        assert _parse_target("/batch?sites=a,b&k=+1%2B") == (
+            "/batch",
+            {"sites": ["a,b"], "k": [" 1+"]},
+        )
+        assert _parse_target("/score") == ("/score", {})
+        assert _parse_target("/a?b?c=d") == ("/a", {"b?c": ["d"]})
 
 
 # ----------------------------------------------------------------------

@@ -371,6 +371,10 @@ class TestHttpEndpoint:
         import copy
 
         broken = copy.copy(store)
+        # Its own, empty body memo: the copy would otherwise share the
+        # bodies the class's server already rendered, and answer from
+        # them without calling the broken score_json.
+        broken._bodies = {}
         broken.score_json = lambda site: (_ for _ in ()).throw(
             RuntimeError("boom")
         )
