@@ -58,11 +58,18 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     ``logmath.sigmoid``: the engines' zero-total guards (e.g. "skip the
     recall update when no extraction has any posterior mass") distinguish
     exact zero from denormal-tiny, so near-parity is not enough here.
+    Both branches share one division, ``1 / (1 + e)`` for ``x >= 0``
+    and ``e / (1 + e)`` below, with ``e = exp(-|x|)``.
     """
-    ex = np.exp(-np.abs(np.clip(x, -_SIGMOID_CUTOFF, _SIGMOID_CUTOFF)))
-    out = np.where(x >= 0.0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
-    out = np.where(x >= _SIGMOID_CUTOFF, 1.0, out)
-    return np.where(x <= -_SIGMOID_CUTOFF, 0.0, out)
+    ex = np.clip(x, -_SIGMOID_CUTOFF, _SIGMOID_CUTOFF)
+    np.abs(ex, out=ex)
+    np.negative(ex, out=ex)
+    np.exp(ex, out=ex)
+    out = np.where(x >= 0.0, 1.0, ex)
+    np.divide(out, np.add(ex, 1.0), out=out)
+    np.copyto(out, 1.0, where=x >= _SIGMOID_CUTOFF)
+    np.copyto(out, 0.0, where=x <= -_SIGMOID_CUTOFF)
+    return out
 
 
 def _safe_log(x: np.ndarray, floor: float = PROB_FLOOR) -> np.ndarray:
@@ -90,23 +97,90 @@ def _seeded_vcc(
     and when the votes cancel to within one ULP of zero the two orders
     land on opposite sides of the theta_1 MAP cutoff (``p >= 0.5``),
     which the M steps then amplify into a macroscopic posterior
-    divergence. ``bincount`` adds its weights sequentially in array
-    order, so prepending one seed entry per coordinate reproduces the
-    reference association order exactly: seed first, then the entries in
-    cell order.
+    divergence. ``np.add.at`` adds its values one by one in array order,
+    so starting from a copy of the per-coordinate base reproduces the
+    reference association order exactly: seed first, then the entries
+    in cell order.
     """
-    return np.bincount(
-        np.concatenate((np.arange(num_coords), entry_coord)),
-        weights=np.concatenate(
-            (
-                np.broadcast_to(
-                    np.asarray(base, dtype=np.float64), num_coords
-                ),
-                entry_weights,
+    vcc = np.array(np.broadcast_to(base, num_coords), dtype=np.float64)
+    np.add.at(vcc, entry_coord, entry_weights)
+    return vcc
+
+
+def num_unobserved(
+    cfg: MultiLayerConfig, item_num_values: np.ndarray
+) -> np.ndarray:
+    """``max(n + 1 - |observed values|, 0)`` per item, as float64."""
+    return np.maximum(cfg.n + 1 - item_num_values, 0).astype(np.float64)
+
+
+@dataclass
+class RoundInvariants:
+    """What every EM round of one compiled problem reads and no round
+    changes, derived once per problem (:func:`round_invariants`).
+
+    ``conf_total`` is the precision denominator of Eq. 29 (a bincount of
+    compile-time confidences); ``claim_source`` the source of each
+    V-step claim; ``truth_index`` says where Eq. 26 reads each
+    coordinate's probability of being true, as an index into
+    ``posterior ++ residual ++ [0.0]`` (its triple's posterior, else its
+    item's residual mass, else zero); ``item_starts`` are the CSR starts
+    the residual mass sums over. :meth:`residual_terms` memoises the
+    unobserved-count terms per domain size ``n``.
+    """
+
+    conf_total: np.ndarray
+    claim_source: np.ndarray
+    truth_index: np.ndarray
+    item_starts: np.ndarray
+    item_num_values: np.ndarray
+    residual_terms_by_n: dict[int, tuple[np.ndarray, np.ndarray]]
+
+    @classmethod
+    def build(cls, prob: CompiledProblem) -> "RoundInvariants":
+        n_triples = prob.num_triples
+        truth_index = np.where(
+            prob.coord_triple >= 0,
+            prob.coord_triple,
+            np.where(
+                prob.coord_item >= 0,
+                n_triples + prob.coord_item,
+                n_triples + prob.num_items,
+            ),
+        )
+        return cls(
+            conf_total=np.bincount(
+                prob.entry_col,
+                weights=prob.entry_conf,
+                minlength=prob.num_cols,
+            ),
+            claim_source=prob.coord_source[prob.claim_coord],
+            truth_index=truth_index,
+            item_starts=prob.item_ptr[:-1],
+            item_num_values=prob.item_num_values,
+            residual_terms_by_n={},
+        )
+
+    def residual_terms(
+        self, cfg: MultiLayerConfig
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(num_unobserved > 0, max(num_unobserved, 1))`` per item."""
+        terms = self.residual_terms_by_n.get(cfg.n)
+        if terms is None:
+            unobserved = num_unobserved(cfg, self.item_num_values)
+            terms = self.residual_terms_by_n[cfg.n] = (
+                unobserved > 0.0,
+                np.maximum(unobserved, 1.0),
             )
-        ),
-        minlength=num_coords,
-    )
+        return terms
+
+
+def round_invariants(prob: CompiledProblem) -> RoundInvariants:
+    """``prob``'s :class:`RoundInvariants`, built on first use and kept
+    on the problem (a spilled or re-compiled problem builds its own)."""
+    if prob.invariants is None:
+        prob.invariants = RoundInvariants.build(prob)
+    return prob.invariants
 
 
 @dataclass
@@ -277,20 +351,17 @@ def _scatter_add(
     """One window of a running ``bincount`` accumulation.
 
     The first window of a family (``acc is None``) is a plain
-    ``np.bincount``. ``bincount`` adds its weights sequentially in array
-    order, so every later window seeds each bin with its running total
-    and appends the window's entries — the same trick as
+    ``np.bincount``. ``bincount`` and ``np.add.at`` both add their
+    values one by one in array order, so every later window adds its
+    entries onto the running totals in place — the same order as
     :func:`_seeded_vcc` — which reproduces *exactly* the association
     order of a single whole-array ``bincount`` and keeps the reduce
     bit-identical for every window size.
     """
     if acc is None:
         return np.bincount(bins, weights=weights, minlength=num_bins)
-    return np.bincount(
-        np.concatenate((np.arange(num_bins), bins)),
-        weights=np.concatenate((acc, weights)),
-        minlength=num_bins,
-    )
+    np.add.at(acc, bins, weights)
+    return acc
 
 
 def reduce_statistics(
@@ -312,13 +383,15 @@ def reduce_statistics(
     window touched (the out-of-core driver passes
     :func:`repro.exec.spill.advise_dontneed_window`), so the resident
     set of file-backed pages stays bounded by one window per array
-    instead of the whole corpus. Coordinate-indexed gathers
-    (``coord_source``) are O(n_coords) — the same order as the
-    driver-resident parameter vectors — and are windowed along with the
-    claim/entry scans.
+    instead of the whole corpus. What no round changes — the claim
+    sources and the precision denominator — comes from the problem's
+    :class:`RoundInvariants`: O(n_claims) and O(n_cols) resident
+    arrays, the same order as the driver-resident ``p_correct``, sliced
+    along with the claim scan.
     """
     n_sources = len(prob.sources)
     n_cols = prob.num_cols
+    invariants = round_invariants(prob)
 
     def windows(*arrays: np.ndarray):
         """The windows of one family; each is released once consumed.
@@ -334,9 +407,11 @@ def reduce_statistics(
 
     # --- claims: theta_1 vote sums ------------------------------------
     acc_numer = acc_denom = None
-    for lo, hi in windows(prob.claim_coord, prob.claim_triple):
+    for lo, hi in windows(
+        prob.claim_coord, prob.claim_triple, invariants.claim_source
+    ):
         claim_coord = prob.claim_coord[lo:hi]
-        claim_source = prob.coord_source[claim_coord]
+        claim_source = invariants.claim_source[lo:hi]
         masked_weight = _claim_weights(cfg, p_correct[claim_coord])
         acc_numer = _scatter_add(
             acc_numer,
@@ -352,17 +427,14 @@ def reduce_statistics(
         return ReduceStats(acc_numer, acc_denom, None, None, None)
 
     # --- extraction entries: theta_2 numerators -----------------------
-    ext_numer = conf_total = None
+    ext_numer = None
     for lo, hi in windows(prob.entry_coord, prob.entry_col, prob.entry_conf):
-        entry_col = prob.entry_col[lo:hi]
-        entry_conf = prob.entry_conf[lo:hi]
         ext_numer = _scatter_add(
             ext_numer,
-            entry_col,
-            entry_conf * p_correct[prob.entry_coord[lo:hi]],
+            prob.entry_col[lo:hi],
+            prob.entry_conf[lo:hi] * p_correct[prob.entry_coord[lo:hi]],
             n_cols,
         )
-        conf_total = _scatter_add(conf_total, entry_col, entry_conf, n_cols)
 
     # --- recall denominator (Eq. 33) ----------------------------------
     if cfg.absence_scope is AbsenceScope.ACTIVE:
@@ -388,7 +460,7 @@ def reduce_statistics(
         # change the association order and break bit-identity).
         recall_denom = np.full(n_cols, float(p_correct.sum()))
     return ReduceStats(
-        acc_numer, acc_denom, ext_numer, conf_total, recall_denom
+        acc_numer, acc_denom, ext_numer, invariants.conf_total, recall_denom
     )
 
 
@@ -397,7 +469,12 @@ def _apply_parameter_updates(
     params: ParamState,
     stats: ReduceStats,
 ) -> tuple[float, float]:
-    """Turn reduced statistics into the theta updates + convergence deltas."""
+    """Turn reduced statistics into the theta updates + convergence deltas.
+
+    Each update mask becomes its row indices once: indexing with them
+    selects the same elements in the same order as the mask, for a
+    fraction of the cost of every boolean gather and scatter.
+    """
     accuracy = params.accuracy
     precision = params.precision
     recall = params.recall
@@ -405,56 +482,57 @@ def _apply_parameter_updates(
     acc_numer, acc_denom = stats.acc_numer, stats.acc_denom
 
     # --- theta_1 (Eq. 27/28): masked segment means per source -----------
-    acc_update = (
+    acc_rows = np.flatnonzero(
         params.estimable_src_mask
         & (acc_denom > 0.0)
         & params.unfrozen_src_mask
     )
     accuracy_delta = 0.0
-    if acc_update.any():
+    if acc_rows.size:
         new_accuracy = np.clip(
-            acc_numer[acc_update] / acc_denom[acc_update],
+            acc_numer[acc_rows] / acc_denom[acc_rows],
             cfg.quality_floor,
             cfg.quality_ceiling,
         )
         accuracy_delta = float(
-            np.abs(new_accuracy - accuracy[acc_update]).max()
+            np.abs(new_accuracy - accuracy[acc_rows]).max()
         )
-        accuracy[acc_update] = new_accuracy
+        accuracy[acc_rows] = new_accuracy
 
     # --- theta_2 (Eq. 29-33 + Eq. 7): segment sums per column -----------
     precision_floor = max(cfg.quality_floor, cfg.gamma)
     extractor_delta = 0.0
     if stats.ext_numer is None:
-        ext_update = np.zeros(len(params.unfrozen_col_mask), dtype=bool)
+        ext_rows = np.zeros(0, dtype=np.intp)
     else:
         ext_numer = stats.ext_numer
         conf_total = stats.conf_total
         recall_denom = stats.recall_denom
-        ext_update = (
+        ext_rows = np.flatnonzero(
             (conf_total > 0.0)
             & (recall_denom > 0.0)
             & params.unfrozen_col_mask
         )
-    if ext_update.any():
+    if ext_rows.size:
+        numer = ext_numer[ext_rows]
         new_precision = np.clip(
-            ext_numer[ext_update] / conf_total[ext_update],
+            numer / conf_total[ext_rows],
             precision_floor,
             cfg.quality_ceiling,
         )
         new_recall = np.clip(
-            ext_numer[ext_update] / recall_denom[ext_update],
+            numer / recall_denom[ext_rows],
             cfg.quality_floor,
             cfg.quality_ceiling,
         )
+        old_precision = precision[ext_rows]
+        old_recall = recall[ext_rows]
         if cfg.quality_damping < 1.0:
             damping = cfg.quality_damping
-            new_precision = (1.0 - damping) * precision[
-                ext_update
-            ] + damping * new_precision
-            new_recall = (1.0 - damping) * recall[
-                ext_update
-            ] + damping * new_recall
+            new_precision = (
+                (1.0 - damping) * old_precision + damping * new_precision
+            )
+            new_recall = (1.0 - damping) * old_recall + damping * new_recall
         clamped_p = np.clip(
             new_precision, cfg.quality_floor, cfg.quality_ceiling
         )
@@ -472,13 +550,13 @@ def _apply_parameter_updates(
         )
         extractor_delta = float(
             np.maximum(
-                np.abs(new_precision - precision[ext_update]),
-                np.abs(new_recall - recall[ext_update]),
+                np.abs(new_precision - old_precision),
+                np.abs(new_recall - old_recall),
             ).max()
         )
-        precision[ext_update] = new_precision
-        recall[ext_update] = new_recall
-        q_vec[ext_update] = new_q
+        precision[ext_rows] = new_precision
+        recall[ext_rows] = new_recall
+        q_vec[ext_rows] = new_q
 
     return accuracy_delta, extractor_delta
 

@@ -30,7 +30,7 @@ compiled arrays resident (see ``MultiLayerConfig.spill_dir``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -94,6 +94,16 @@ class CompiledProblem:
     #: Laplace-smoothed empirical value popularity per triple (POPACCU
     #: only; None under ACCU).
     triple_popularity: np.ndarray | None
+
+    #: The EM round's problem-only inputs
+    #: (:class:`repro.core.engine_numpy.RoundInvariants`), derived from
+    #: the arrays above on first use. Not part of the problem's identity:
+    #: never digested, and a copy made with ``dataclasses.replace``
+    #: starts without them (``spill_problem_arrays`` gives its mapped
+    #: copy its own, spilled).
+    invariants: object | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def num_coords(self) -> int:

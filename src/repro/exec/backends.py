@@ -37,9 +37,11 @@ driver over globally re-assembled arrays; see :mod:`repro.exec.plan`).
 The ``processes`` session is supervised — crash detection, retry with
 backoff, replacement workers, straggler speculation — by the round
 engine in :mod:`repro.exec.supervisor`; this module contributes only its
-transport: pickled task messages down one queue per worker, one atomic
-ack frame per task up a shared pipe, outputs scattered straight into
-shared memory, liveness from ``Process.is_alive``. Map tasks are pure,
+transport: pickled task messages down one pipe per worker that only the
+driver writes, one atomic ack frame per task up a shared pipe the driver
+waits on with one ``select.poll`` object, outputs scattered straight
+into shared memory, liveness from ``Process.is_alive`` swept at most
+every poll interval. Map tasks are pure,
 but workers still write the shared output vectors (and read the shared
 inputs) themselves, so the round boundary is a *fence*: any worker still
 holding an unacked attempt is killed and replaced, so a stale write can
@@ -51,6 +53,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import select
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Protocol, runtime_checkable
@@ -59,7 +62,12 @@ import numpy as np
 
 from repro.core.config import MultiLayerConfig
 from repro.exec.plan import Shard
-from repro.exec.supervisor import ExecError, _Round, _SupervisedSession
+from repro.exec.supervisor import (
+    _POLL_S,
+    ExecError,
+    _Round,
+    _SupervisedSession,
+)
 from repro.exec.worker import (
     IterationParams,
     _describe_error,
@@ -246,9 +254,10 @@ _STOP = "stop"
 _TASK = "task"
 
 #: Ack payload cap. An ack frame (4-byte length header + pickled tuple)
-#: must stay within POSIX ``PIPE_BUF`` (4096 bytes) so each ack is one
-#: atomic pipe write — see :func:`_send_ack`.
-_MAX_ACK_BYTES = 3200
+#: must stay within POSIX ``PIPE_BUF`` so each ack is one atomic pipe
+#: write — see :func:`_send_ack`.
+_MAX_ACK_BYTES = min(3200, select.PIPE_BUF - 4)
+_TRUNCATED = " ... (truncated)"
 
 
 def _send_ack(conn, ack: tuple) -> None:
@@ -263,16 +272,28 @@ def _send_ack(conn, ack: tuple) -> None:
     atomic by POSIX: concurrent frames never interleave and a writer
     killed mid-ack leaves either a complete frame or nothing — there is
     no lock a dead worker can poison. Oversized error descriptions are
-    truncated to keep the frame within the atomicity bound.
+    truncated on their UTF-8 bytes (what pickle stores), so a
+    multi-byte message cannot push the frame past the atomicity bound.
     """
     payload = pickle.dumps(ack, protocol=pickle.HIGHEST_PROTOCOL)
     if len(payload) > _MAX_ACK_BYTES:
-        worker_index, round_id, shard_index, attempt, error = ack
-        error = str(error)[: _MAX_ACK_BYTES // 2] + " ... (truncated)"
-        payload = pickle.dumps(
-            (worker_index, round_id, shard_index, attempt, error),
-            protocol=pickle.HIGHEST_PROTOCOL,
+        *head, error = ack
+        # A str adds at most its UTF-8 bytes plus a 4-byte length
+        # header over the empty string's pickle.
+        empty = pickle.dumps((*head, ""), protocol=pickle.HIGHEST_PROTOCOL)
+        budget = (
+            _MAX_ACK_BYTES - len(empty) - 4 - len(_TRUNCATED.encode("utf-8"))
         )
+        error = (
+            str(error)
+            .encode("utf-8")[:budget]
+            .decode("utf-8", errors="ignore")
+            + _TRUNCATED
+        )
+        payload = pickle.dumps(
+            (*head, error), protocol=pickle.HIGHEST_PROTOCOL
+        )
+    assert 4 + len(payload) <= select.PIPE_BUF, len(payload)
     conn.send_bytes(payload)
 
 
@@ -319,15 +340,16 @@ def _shard_worker(
     shm_names: dict[str, str],
     sizes: dict[str, int],
     layout: dict[str, slice],
-    task_queue,
+    task_conn,
     ack_conn,
 ) -> None:
     """Worker loop: attach the shared buffers, serve shard tasks forever.
 
     One worker is *home* to one or more shards (shards are multiplexed
     over at most :func:`_worker_cap` processes); each round the driver
-    sends one task message per shard — ``(kind, round, shard, attempt,
-    base_scalar, has_priors, shipped_packet)`` — and the worker acks
+    sends one task message per shard down the worker's own task pipe —
+    ``(kind, round, shard, attempt, base_scalar, has_priors,
+    shipped_packet)`` — and the worker acks
     ``(worker, round, shard, attempt, error)`` on the shared ack pipe
     (one atomic frame per ack, see :func:`_send_ack`). The task's inputs
     come from the shared parameter block and the shared priors vector
@@ -359,7 +381,7 @@ def _shard_worker(
             return param_block[layout[name]]
 
         while True:
-            message = task_queue.get()
+            message = task_conn.recv()
             kind = message[0]
             if kind == _STOP:
                 if faults.hangs_on_stop(worker_index):
@@ -440,12 +462,14 @@ def _stop_worker(process, grace_s: float) -> None:
 class _WorkerHandle:
     """Driver-side record of one worker process."""
 
-    __slots__ = ("index", "process", "queue", "group", "fetches_any", "alive")
+    __slots__ = ("index", "process", "tasks", "group", "fetches_any", "alive")
 
-    def __init__(self, index, process, queue, group, fetches_any) -> None:
+    def __init__(self, index, process, tasks, group, fetches_any) -> None:
         self.index = index
         self.process = process
-        self.queue = queue
+        #: The write end of the worker's task pipe; only the driver
+        #: writes it, so unlike a queue it needs no cross-process lock.
+        self.tasks = tasks
         #: The shard subset this worker's startup payload covers (and a
         #: replacement's payload, should this worker die).
         self.group = group
@@ -479,6 +503,9 @@ class _ProcessSession(_SupervisedSession):
         self._ctx = None
         self._ack_recv = None
         self._ack_send = None
+        self._acks = None  # select.poll over the ack pipe
+        #: When the liveness sweep last found every worker alive.
+        self._swept = 0.0
         self._shm_names: dict[str, str] = {}
         self._sizes: dict[str, int] = {}
 
@@ -520,6 +547,8 @@ class _ProcessSession(_SupervisedSession):
             # holding, which would silently deadlock every other
             # worker's acks.
             self._ack_recv, self._ack_send = self._ctx.Pipe(duplex=False)
+            self._acks = select.poll()
+            self._acks.register(self._ack_recv.fileno(), select.POLLIN)
             num_workers = min(source.num_shards, _worker_cap())
             groups: list[list[int]] = [[] for _ in range(num_workers)]
             for index in range(source.num_shards):
@@ -540,11 +569,12 @@ class _ProcessSession(_SupervisedSession):
         for handle in self._workers.values():
             if handle.alive:
                 try:
-                    handle.queue.put((_STOP,))
+                    handle.tasks.send((_STOP,))
                 except (OSError, ValueError):  # worker already gone
                     pass
         for handle in self._workers.values():
             _stop_worker(handle.process, self._sup.grace_s)
+            handle.tasks.close()
         self._workers.clear()
         for segment in self._segments.values():
             segment.close()
@@ -557,14 +587,14 @@ class _ProcessSession(_SupervisedSession):
                     conn.close()
                 except OSError:
                     pass
-        self._ack_recv = self._ack_send = None
+        self._ack_recv = self._ack_send = self._acks = None
 
     def _spawn_worker(self, group: tuple[int, ...]) -> _WorkerHandle:
         """Start a worker (original or replacement) over ``group``."""
         index = self._next_worker
         self._next_worker += 1
         payload = self._source.worker_payload(group)
-        queue = self._ctx.SimpleQueue()
+        task_recv, task_send = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=_shard_worker,
             args=(
@@ -574,14 +604,22 @@ class _ProcessSession(_SupervisedSession):
                 self._shm_names,
                 self._sizes,
                 self._layout,
-                queue,
+                task_recv,
                 self._ack_send,
             ),
             daemon=True,
         )
-        process.start()
+        try:
+            process.start()
+        finally:
+            # The worker holds its own copy of the read end.
+            task_recv.close()
         handle = _WorkerHandle(
-            index, process, queue, group, fetches_any=payload[0] == "spill"
+            index,
+            process,
+            task_send,
+            group,
+            fetches_any=payload[0] == "spill",
         )
         self._workers[index] = handle
         return handle
@@ -597,7 +635,7 @@ class _ProcessSession(_SupervisedSession):
             else self._source.get_shard(shard_index)
         )
         try:
-            handle.queue.put(
+            handle.tasks.send(
                 # payload: (ALL-scope base-absence scalar, has_priors)
                 (_TASK, rnd.id, shard_index, attempt, *rnd.payload, shipped)
             )
@@ -608,15 +646,26 @@ class _ProcessSession(_SupervisedSession):
 
     def _next_event(self, timeout: float) -> tuple | None:
         """A crashed worker if the liveness sweep finds one (never by
-        hanging on the ack pipe), else the next ack frame."""
-        for handle in self._workers.values():
-            if handle.alive and not handle.process.is_alive():
-                return (
-                    "dead",
-                    handle.index,
-                    f"died with exitcode {handle.process.exitcode}",
-                )
-        if not self._ack_recv.poll(timeout):
+        hanging on the ack pipe), else the next ack frame.
+
+        The sweep (one ``waitpid`` per worker) runs once ``_POLL_S`` has
+        passed since it last found everyone alive, and the wait never
+        outlasts that deadline, so a death is still seen within
+        ``_POLL_S`` while acks keep arriving — without paying the sweep
+        before every wait.
+        """
+        now = self._clock()
+        if now - self._swept >= _POLL_S:
+            for handle in self._workers.values():
+                if handle.alive and not handle.process.is_alive():
+                    return (
+                        "dead",
+                        handle.index,
+                        f"died with exitcode {handle.process.exitcode}",
+                    )
+            self._swept = now
+        wait_s = min(timeout, self._swept + _POLL_S - now)
+        if not self._acks.poll(1e3 * max(wait_s, 0.0)):
             return None
         return ("ack", *pickle.loads(self._ack_recv.recv_bytes()), None)
 
@@ -626,6 +675,7 @@ class _ProcessSession(_SupervisedSession):
     def _replace_worker(self, worker: int) -> int:
         handle = self._workers[worker]
         handle.alive = False
+        handle.tasks.close()
         return self._spawn_worker(handle.group).index
 
     def _label(self, worker: int) -> str:
@@ -642,7 +692,7 @@ class _ProcessSession(_SupervisedSession):
         bytes); across the boundary it would not be, so the loser dies
         first.
         """
-        while self._ack_recv.poll(0):
+        while self._acks.poll(0):
             try:
                 ack = pickle.loads(self._ack_recv.recv_bytes())
             except EOFError:

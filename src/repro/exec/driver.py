@@ -47,6 +47,7 @@ from repro.core.engine_numpy import (
     assemble_result,
     init_params,
     iteration_inputs,
+    round_invariants,
     update_parameters,
 )
 from repro.core.indexing import CompiledProblem, compile_problem
@@ -55,7 +56,7 @@ from repro.core.quality import ExtractorQuality
 from repro.core.results import IterationSnapshot, MultiLayerResult
 from repro.core.types import ExtractorKey, SourceKey
 from repro.exec.backends import ProcessBackend, SerialBackend, ThreadBackend
-from repro.exec.plan import ShardPlan, num_unobserved, resolve_num_shards
+from repro.exec.plan import ShardPlan, resolve_num_shards
 from repro.exec.remote import RemoteBackend
 from repro.exec.worker import IterationParams
 
@@ -157,7 +158,6 @@ def fit_sharded(
     # What the next round's C step reads: cfg.alpha until Eq. 26 first
     # runs, then each iteration's re-estimate.
     priors = np.full(source.num_coords, cfg.alpha)
-    unobserved = num_unobserved(cfg, prob.item_num_values)
 
     start_iteration = 1
     if ckpt is not None:
@@ -209,7 +209,7 @@ def fit_sharded(
                     cfg,
                     prob,
                     posterior,
-                    residual_mass(prob, posterior, unobserved),
+                    residual_mass(cfg, prob, posterior),
                     params.accuracy,
                 )
             if out_of_core:
@@ -255,16 +255,17 @@ def fit_sharded(
 
 
 def residual_mass(
-    prob, posterior: np.ndarray, num_unobserved: np.ndarray
+    cfg: MultiLayerConfig, prob, posterior: np.ndarray
 ) -> np.ndarray:
     """Per-item posterior mass left for each unobserved value."""
     if not prob.num_items:
         return np.zeros(0)
-    posterior_mass = np.add.reduceat(posterior, prob.item_ptr[:-1])
+    invariants = round_invariants(prob)
+    has_unobserved, unobserved = invariants.residual_terms(cfg)
+    posterior_mass = np.add.reduceat(posterior, invariants.item_starts)
     return np.where(
-        num_unobserved > 0.0,
-        np.maximum(1.0 - posterior_mass, 0.0)
-        / np.maximum(num_unobserved, 1.0),
+        has_unobserved,
+        np.maximum(1.0 - posterior_mass, 0.0) / unobserved,
         0.0,
     )
 
@@ -280,13 +281,9 @@ def prior_update(
     that an extraction is correct, from the iteration's value posteriors
     (``residual`` for a coordinate whose value is no covered triple) and
     the source accuracies its M step produced."""
-    p_true = np.zeros(len(prob.coord_source))
-    has_triple = prob.coord_triple >= 0
-    if posterior.size:
-        p_true[has_triple] = posterior[prob.coord_triple[has_triple]]
-    has_item = ~has_triple & (prob.coord_item >= 0)
-    if residual.size:
-        p_true[has_item] = residual[prob.coord_item[has_item]]
+    p_true = np.concatenate((posterior, residual, (0.0,)))[
+        round_invariants(prob).truth_index
+    ]
     source_accuracy = accuracy[prob.coord_source]
     return np.clip(
         p_true * source_accuracy + (1.0 - p_true) * (1.0 - source_accuracy),

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.config import MultiLayerConfig
-from repro.core.engine_numpy import _safe_log
+from repro.core.engine_numpy import _safe_log, num_unobserved
 from repro.core.indexing import CompiledProblem
 
 
@@ -269,13 +269,6 @@ class ShardPlan:
             num_cols=prob.num_cols,
             stage_stats=_stage_stats(prob, claims_per_item),
         )
-
-
-def num_unobserved(
-    cfg: MultiLayerConfig, item_num_values: np.ndarray
-) -> np.ndarray:
-    """``max(n + 1 - |observed values|, 0)`` per item, as float64."""
-    return np.maximum(cfg.n + 1 - item_num_values, 0).astype(np.float64)
 
 
 def _contiguous_cuts(weight: np.ndarray, num_shards: int) -> np.ndarray:

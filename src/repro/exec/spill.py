@@ -54,6 +54,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.engine_numpy import round_invariants
 from repro.core.indexing import CompiledProblem
 from repro.exec.plan import Shard, ShardPlan, StageStats
 from repro.io.atomic import atomic_write
@@ -92,6 +93,12 @@ _PROBLEM_ARRAY_FIELDS = (
     "active_col",
     "triple_popularity",
 )
+
+#: The :class:`~repro.core.engine_numpy.RoundInvariants` fields as long
+#: as the corpus (one entry per claim / coordinate): spilled beside the
+#: problem's own arrays, so no O(n_coords) array of the reduce or of
+#: Eq. 26 stays anonymous.
+_INVARIANT_ARRAY_FIELDS = ("claim_source", "truth_index")
 
 
 class SpillError(ValueError):
@@ -167,19 +174,35 @@ def spill_problem_arrays(
     and returns a new :class:`CompiledProblem` whose array fields are
     read-only ``np.memmap`` views of those files (value-identical, so
     the reduce stays bit-identical); the resident arrays become garbage
-    once the caller drops its reference to ``prob``.
+    once the caller drops its reference to ``prob``. The view starts
+    with its own round invariants, derived from the mapped arrays, whose
+    corpus-sized arrays are spilled and mapped the same way.
     """
     globals_dir = Path(directory) / _GLOBALS_DIR
     globals_dir.mkdir(parents=True, exist_ok=True)
-    replacements = {}
-    for name in _PROBLEM_ARRAY_FIELDS:
-        value = getattr(prob, name)
-        if value is None:
-            continue
+
+    def spill(name: str, value: np.ndarray) -> np.ndarray:
         path = globals_dir / f"{name}.npy"
         np.save(path, np.ascontiguousarray(value))
-        replacements[name] = _load_mapped(path)
-    return replace(prob, **replacements)
+        return _load_mapped(path)
+
+    mapped = replace(
+        prob,
+        **{
+            name: spill(name, getattr(prob, name))
+            for name in _PROBLEM_ARRAY_FIELDS
+            if getattr(prob, name) is not None
+        },
+    )
+    invariants = round_invariants(mapped)
+    for name in _INVARIANT_ARRAY_FIELDS:
+        setattr(
+            invariants,
+            name,
+            spill(f"invariants.{name}", getattr(invariants, name)),
+        )
+    release_problem_pages(mapped)
+    return mapped
 
 
 # ----------------------------------------------------------------------
@@ -302,9 +325,12 @@ def release_problem_pages(prob: CompiledProblem) -> None:
     without an eager release those file-backed pages would accumulate in
     the resident set until memory pressure evicts them.
     """
-    advise_dontneed(
-        *(getattr(prob, name) for name in _PROBLEM_ARRAY_FIELDS)
-    )
+    arrays = [getattr(prob, name) for name in _PROBLEM_ARRAY_FIELDS]
+    if prob.invariants is not None:
+        arrays += [
+            getattr(prob.invariants, name) for name in _INVARIANT_ARRAY_FIELDS
+        ]
+    advise_dontneed(*arrays)
 
 
 class OutOfCoreShardSource:

@@ -97,12 +97,19 @@ def run_shard_iteration(
     call for the same packet object overwrites — scatter them into the
     float64 global vectors (the cast-up) or copy them before that call.
     """
-    if priors is None:
-        priors = np.full(shard.num_coords, cfg.alpha)
     if cfg.precision == "float32":
         return _run_float32(
-            _float32_workspace(shard), shard, cfg, params, priors
+            _float32_workspace(shard),
+            shard,
+            cfg,
+            params,
+            cfg.alpha if priors is None else priors,
         )
+    # cfg.alpha everywhere is one log-odds, broadcast: the same bits as
+    # the log-odds of a constant vector, without building that vector.
+    prior_log_odds = _log_odds(
+        np.array([cfg.alpha]) if priors is None else priors
+    )
 
     # --- C step (Section 3.3.1) ---------------------------------------
     if cfg.absence_scope is AbsenceScope.ACTIVE:
@@ -116,7 +123,7 @@ def run_shard_iteration(
         * (params.pre_vote - params.abs_vote)[shard.entry_col],
         shard.num_coords,
     )
-    p_correct = _sigmoid(vcc + _log_odds(priors))
+    p_correct = _sigmoid(vcc + prior_log_odds)
 
     # --- V step (Sections 3.3.2-3.3.3) --------------------------------
     claim_p = p_correct[shard.claim_coord]
@@ -186,9 +193,12 @@ def execute_task(
     if delay > 0.0:
         time.sleep(delay)
     if faults.should_corrupt(shard.index, round_id, attempt):
+        # Like a real corrupt read, name the file of a mapped packet.
+        packet_file = getattr(shard.entry_coord, "filename", None)
         raise SpillError(
             f"injected corrupt packet read for shard {shard.index} "
-            f"(fault plan, round {round_id}, attempt {attempt}); the "
+            + (f"at {packet_file} " if packet_file else "")
+            + f"(fault plan, round {round_id}, attempt {attempt}); the "
             "spill directory is incomplete or corrupt — re-run the fit "
             "with --spill-dir to regenerate it"
         )
@@ -288,10 +298,11 @@ def _run_float32(
     shard: Shard,
     cfg: MultiLayerConfig,
     params: IterationParams,
-    priors: np.ndarray,
+    priors: np.ndarray | float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The fused C and V steps. Returns ``(p_correct, posterior)``
-    as float32 buffers of ``ws`` that the next call overwrites."""
+    """The fused C and V steps (``priors`` a vector, or one prior for
+    every coordinate). Returns ``(p_correct, posterior)`` as float32
+    buffers of ``ws`` that the next call overwrites."""
     f32 = np.float32
     starts = shard.item_ptr[:-1]
     col_vote = (params.pre_vote - params.abs_vote).astype(f32)

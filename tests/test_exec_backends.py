@@ -478,7 +478,6 @@ def test_map_task_is_pure(precision, records, num_shards, data):
         update_parameters,
     )
     from repro.exec.driver import prior_update, residual_mass
-    from repro.exec.plan import num_unobserved
     from repro.exec.worker import IterationParams
 
     cfg = MultiLayerConfig(
@@ -497,9 +496,7 @@ def test_map_task_is_pure(precision, records, num_shards, data):
         np.frombuffer(raw) for raw in _run_round(veteran, cfg, first, in_order)
     )
     update_parameters(cfg, prob, theta, p_correct, posterior)
-    residual = residual_mass(
-        prob, posterior, num_unobserved(cfg, prob.item_num_values)
-    )
+    residual = residual_mass(cfg, prob, posterior)
     second = IterationParams(
         False,
         prior_update(cfg, prob, posterior, residual, theta.accuracy),

@@ -179,6 +179,142 @@ def test_teardown_ladder_kills_hung_worker(synthetic_matrix, monkeypatch):
     assert not multiprocessing.active_children()
 
 
+def test_dead_worker_is_seen_within_one_poll_while_acks_flow(
+    synthetic_matrix, monkeypatch
+):
+    """The liveness sweep runs at most once per ``_POLL_S``, not before
+    every wait — yet a worker killed mid-round is still seen within
+    ``_POLL_S`` (plus the backoff) while its sibling keeps acking more
+    often than that, and the fit stays bit-identical to serial."""
+    from repro.exec import backends
+    from repro.exec.supervisor import _POLL_S
+
+    config = base_config()
+    reference = fit_with(config, synthetic_matrix, backend="serial",
+                         num_shards=6)
+    # Two workers x three shards each: worker 0 holds 0, 2, 4 and dies
+    # on its round-2 task; worker 1 acks 1, 3, 5 at ~45 ms intervals,
+    # so its waits end in acks, not timeouts, for the first 135 ms.
+    monkeypatch.setattr(backends, "_worker_cap", lambda: 2)
+    set_faults(
+        monkeypatch,
+        FaultPlan(
+            kill_worker=((0, 2),),
+            delay_shard=tuple((shard, 2, 0.045) for shard in (1, 3, 5)),
+        ),
+    )
+    monkeypatch.setenv("KBT_STRAGGLER_FACTOR", "0")
+    backoff_s = 0.05
+    monkeypatch.setenv("KBT_RETRY_BACKOFF_S", str(backoff_s))
+
+    sent, seen = [], []
+    session = backends._ProcessSession
+    send, on_dead = session._send, session._on_worker_dead
+
+    def timed_send(self, worker, rnd, shard_index, attempt):
+        if worker == 0 and rnd.id == 2:
+            sent.append(time.monotonic())
+        send(self, worker, rnd, shard_index, attempt)
+
+    def timed_on_dead(self, worker, *args):
+        seen.append((worker, time.monotonic()))
+        on_dead(self, worker, *args)
+
+    monkeypatch.setattr(session, "_send", timed_send)
+    monkeypatch.setattr(session, "_on_worker_dead", timed_on_dead)
+    recovered = fit_with(
+        config, synthetic_matrix, backend="processes", num_shards=6
+    )
+    assert_identical(reference, recovered)
+    assert [worker for worker, _ in seen] == [0]
+    assert seen[0][1] - sent[0] < _POLL_S + backoff_s
+
+
+# ----------------------------------------------------------------------
+# Ack frames: one atomic pipe write, whatever the error text
+# ----------------------------------------------------------------------
+class _FrameSink:
+    def __init__(self) -> None:
+        self.frames: list[bytes] = []
+
+    def send_bytes(self, payload: bytes) -> None:
+        self.frames.append(payload)
+
+
+@pytest.mark.parametrize("char", ["e", "é", "信", "𝄞"])
+@pytest.mark.parametrize("length", [10, 1600, 5000])
+def test_ack_frame_fits_pipe_buf_on_utf8_bytes(char, length):
+    """Truncation counts the UTF-8 bytes pickle stores, not characters,
+    and never splits a character."""
+    import pickle
+    import select
+
+    from repro.exec.backends import _MAX_ACK_BYTES, _send_ack
+
+    error = char * length
+    sink = _FrameSink()
+    _send_ack(sink, (3, 7, 11, 2, error))
+    (frame,) = sink.frames
+    assert 4 + len(frame) <= select.PIPE_BUF
+    assert len(frame) <= _MAX_ACK_BYTES
+    *head, sent = pickle.loads(frame)
+    assert head == [3, 7, 11, 2]
+    if sent != error:
+        assert sent.endswith(" ... (truncated)")
+        assert error.startswith(sent[: -len(" ... (truncated)")])
+
+
+def test_multibyte_worker_error_travels_in_one_atomic_ack(
+    synthetic_matrix, tmp_path, monkeypatch
+):
+    """A real worker's error naming a non-ASCII spill path (an injected
+    corrupt packet read) is over the ack cap in UTF-8 bytes though not
+    in characters: it must arrive truncated to one frame within
+    ``PIPE_BUF`` — a longer frame could interleave with the sibling
+    worker's ack on the shared pipe."""
+    import pickle
+    import select
+    import types
+
+    from repro.exec import backends
+
+    # ~3.3 KB of three-byte characters: about 1 100 characters.
+    spill_dir = tmp_path
+    while len(str(spill_dir).encode("utf-8")) < 3300:
+        spill_dir = spill_dir / ("信" * 80)
+    frames: list[int] = []
+
+    def loads(data):
+        frames.append(len(data))
+        return pickle.loads(data)
+
+    monkeypatch.setattr(
+        backends,
+        "pickle",
+        types.SimpleNamespace(
+            dumps=pickle.dumps,
+            loads=loads,
+            HIGHEST_PROTOCOL=pickle.HIGHEST_PROTOCOL,
+        ),
+    )
+    set_faults(monkeypatch, FaultPlan(corrupt_packet=((1, 2, 99),)))
+    monkeypatch.setenv("KBT_MAX_SHARD_ATTEMPTS", "2")
+    with pytest.raises(ExecError, match=r"shard 1 map step failed") as exc:
+        fit_with(
+            base_config(),
+            synthetic_matrix,
+            backend="processes",
+            num_shards=2,
+            spill_dir=str(spill_dir),
+        )
+    message = str(exc.value)
+    assert "injected corrupt packet read for shard 1 at " in message
+    assert "信" * 80 in message
+    assert message.endswith(" ... (truncated)")
+    assert max(frames) <= backends._MAX_ACK_BYTES
+    assert 4 + max(frames) <= select.PIPE_BUF
+
+
 # ----------------------------------------------------------------------
 # Checkpointed fits + resume (the tentpole's part 1)
 # ----------------------------------------------------------------------
