@@ -23,6 +23,7 @@ Derived from the cells in one pass on first read, then kept:
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
 
 from repro.core.types import (
@@ -40,7 +41,8 @@ Coord = tuple[SourceKey, DataItem, Value]
 class ObservationMatrix:
     """Immutable-after-build sparse view of all extractions.
 
-    Build with :meth:`from_records`; the constructor is private API.
+    Build with :meth:`from_records` (or :meth:`from_cells`, from the
+    cells of another matrix); the constructor is private API.
     """
 
     def __init__(self, records: Iterable[ExtractionRecord]) -> None:
@@ -71,6 +73,66 @@ class ObservationMatrix:
         its fold into a cell.
         """
         return cls(records)
+
+    @classmethod
+    def from_cells(
+        cls,
+        coords: Iterable[Coord],
+        lens: Iterable[int],
+        extractors: list[ExtractorKey],
+        confidences: list[float],
+        extractor_order: Iterable[ExtractorKey] | None = None,
+    ) -> "ObservationMatrix":
+        """Build the matrix from cells as another matrix held them.
+
+        Cell ``k`` is ``coords[k]`` with the next ``lens[k]`` entries of
+        ``extractors`` / ``confidences``: distinct coordinates, distinct
+        extractors within a cell, every confidence positive — what
+        :meth:`cells` yields. The result equals :meth:`from_records`
+        over :meth:`iter_records` of that matrix (cells, sizes, active
+        sets, ``num_records``), without building a record.
+
+        ``extractor_order`` restores the source matrix's first-seen
+        extractor order, which the compiled column order follows; left
+        out, extractors rank by first entry, as :meth:`from_records`
+        over the entries ranks them.
+        """
+        out = cls(())
+        cells = out._cells
+        source_sizes = out._source_sizes
+        active = out._active_extractors
+        start = 0
+        for coord, length in zip(coords, lens):
+            stop = start + length
+            cell = cells[coord] = dict(
+                zip(extractors[start:stop], confidences[start:stop])
+            )
+            source = coord[0]
+            source_sizes[source] = source_sizes.get(source, 0) + 1
+            seen = active.get(source)
+            if seen is None:
+                active[source] = set(cell)
+            else:
+                seen.update(cell)
+            start = stop
+        if start != len(extractors) or len(confidences) != start:
+            raise ValueError(
+                f"the cells hold {start} entries, but there are "
+                f"{len(extractors)} extractors and {len(confidences)} "
+                "confidences"
+            )
+        sizes = Counter(extractors)
+        if extractor_order is not None:
+            order = list(extractor_order)
+            if len(order) != len(sizes) or sizes.keys() != set(order):
+                raise ValueError(
+                    "extractor_order must list each extractor of the "
+                    "cells exactly once"
+                )
+            sizes = {extractor: sizes[extractor] for extractor in order}
+        out._extractor_sizes = dict(sizes)
+        out._num_records = len(extractors)
+        return out
 
     def _add(self, record: ExtractionRecord) -> None:
         source = record.source
@@ -213,7 +275,7 @@ class ObservationMatrix:
         """All coordinates touched by ``extractor`` with confidences.
 
         Listed in cell order — a function of the cells, so a matrix
-        rebuilt from :meth:`iter_records` (an artifact reload) lists
+        rebuilt from them (:meth:`from_cells`, an artifact reload) lists
         them identically and a seeded SPLITANDMERGE splits it alike.
         """
         view = self._by_extractor

@@ -12,18 +12,22 @@ needs to be served or warm-started later:
 * one payload member with the numeric state of the fitted
   :class:`~repro.core.results.MultiLayerResult` — and the per-website
   score/support arrays of every embedded trust signal
-  (:mod:`repro.signals`) — as flat arrays, ``payload.npz``. Loading
-  also accepts a ``payload.json`` member (the same arrays as plain
-  lists), which builds before this one could write.
+  (:mod:`repro.signals`) — as flat arrays, ``payload.npz``: floats as
+  ``float64``, key-id and count columns at the narrowest unsigned dtype
+  that holds them. Loading also accepts a ``payload.json`` member (the
+  same arrays as plain lists), which builds before this one could write.
 
 Floats survive the payload bit-for-bit and every dict is rebuilt in its
 original insertion order, so re-aggregating scores from a loaded
 artifact reproduces the original ``website_scores()`` to the last bit.
+An embedded observation matrix reloads with its own extractor order
+too, so refitting it reproduces the original fit's bytes.
 
 Artifacts written by a newer ``FORMAT_VERSION`` are rejected with a clear
 :class:`ArtifactError` instead of being misread. Older supported versions
 load transparently: a version-1 artifact (pre trust-signal era) loads
-with an empty signal set.
+with an empty signal set, and version-1 / -2 observation matrices rank
+their extractors by first cell entry (they never stored the order).
 
 Values are restricted to the JSON scalar types (str / int / float / bool /
 None) — exactly what :mod:`repro.io.jsonl` can produce. Composite values
@@ -36,7 +40,9 @@ import dataclasses
 import io
 import json
 import zipfile
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import chain, groupby
 from pathlib import Path
 from typing import Any
 
@@ -55,12 +61,7 @@ from repro.core.config import (
 from repro.core.observation import ObservationMatrix
 from repro.core.quality import ExtractorQuality
 from repro.core.results import IterationSnapshot, MultiLayerResult
-from repro.core.types import (
-    DataItem,
-    ExtractionRecord,
-    ExtractorKey,
-    SourceKey,
-)
+from repro.core.types import DataItem, ExtractorKey, SourceKey
 from repro.signals.base import SignalScores
 
 #: Format identifier stored in (and required from) every artifact header.
@@ -68,11 +69,13 @@ FORMAT_NAME = "kbt-trust-artifact"
 
 #: Bump on any incompatible change to the header or payload layout.
 #: Version history: 1 = KBT-only artifacts; 2 = adds embedded trust
-#: signals (per-website score/support arrays + fusion weights).
-FORMAT_VERSION = 2
+#: signals (per-website score/support arrays + fusion weights); 3 =
+#: integer columns at their narrowest dtype, observations one row per
+#: cell plus the matrix's extractor order, members deflated at level 1.
+FORMAT_VERSION = 3
 
 #: Versions this build can read (older versions load compatibly).
-SUPPORTED_VERSIONS = frozenset({1, FORMAT_VERSION})
+SUPPORTED_VERSIONS = frozenset({1, 2, FORMAT_VERSION})
 
 _HEADER_MEMBER = "header.json"
 _NPZ_MEMBER = "payload.npz"
@@ -166,6 +169,58 @@ class _Interner:
         return list(self.index)
 
 
+class _CoordinateIds:
+    """The table ids of coordinates, found through the C layer's rows.
+
+    A fit's priors and observation cells share their coordinate tuples
+    with its C layer (so does a loaded artifact's, see
+    :class:`_CoordinateDecoder`), so most coordinates are found by
+    object identity, without hashing a key. Any other coordinate has
+    its three keys interned where it stands, which grows each table in
+    the first-seen order that interning key by key gives. Every
+    coordinate looked up is alive in the artifact for the whole save,
+    so an ``id`` cannot be reused meanwhile.
+    """
+
+    def __init__(
+        self,
+        scored: dict[tuple, float],
+        tables: tuple[_Interner, _Interner, _Interner],
+    ) -> None:
+        self._tables = tables
+        self.scored = np.array(
+            [
+                [table.add(key) for key in keys]
+                for table, keys in zip(
+                    tables, tuple(zip(*scored)) or ((), (), ())
+                )
+            ],
+            dtype=np.int64,
+        )
+        self._rows_by_object = {
+            id(coord): row for row, coord in enumerate(scored)
+        }
+
+    def columns(self, coords: Iterable[tuple]) -> np.ndarray:
+        """The (3, n) source, item and value ids of ``coords``."""
+        coords = list(coords)
+        by_object = self._rows_by_object
+        rows = [by_object.get(id(coord), -1) for coord in coords]
+        ids = self.scored
+        missing = [k for k, row in enumerate(rows) if row < 0]
+        if missing:
+            extra = [
+                [table.add(key) for table, key in zip(self._tables, coords[k])]
+                for k in missing
+            ]
+            for offset, k in enumerate(missing, start=ids.shape[1]):
+                rows[k] = offset
+            ids = np.concatenate(
+                [ids, np.array(extra, dtype=np.int64).T], axis=1
+            )
+        return ids[:, rows]
+
+
 def _encode_key(key: SourceKey | ExtractorKey) -> list:
     return [list(key.features), key.bucket]
 
@@ -200,7 +255,7 @@ def save_artifact(artifact: TrustArtifact, path: str | Path) -> Path:
     items = _Interner()
     values = _Interner()
     websites = _Interner()
-    arrays: dict[str, list] = {}
+    arrays: dict[str, Any] = {}  # name -> list or integer ndarray
 
     # --- source accuracies (dict order preserved) ---------------------
     arrays["acc_source"] = [
@@ -233,47 +288,18 @@ def save_artifact(artifact: TrustArtifact, path: str | Path) -> Path:
     ]
 
     # --- extraction posteriors (C layer) ------------------------------
-    # ``coord_row`` remembers each scored coordinate's row, so the
-    # priors and the observation cells below take its three table
-    # indices from the columns built here: one lookup per coordinate
-    # instead of three per section. A coordinate found in it has all
-    # three keys in the tables already, so first-seen table order —
-    # hence the artifact bytes — is what interning key by key gives.
-    coord_row: dict[tuple, int] = {}
-    coord_source, coord_item, coord_value, coord_p = [], [], [], []
-    for coord, p in result.extraction_posteriors.items():
-        source, item, value = coord
-        coord_row[coord] = len(coord_p)
-        coord_source.append(sources.add(source))
-        coord_item.append(items.add(item))
-        coord_value.append(values.add(_check_value(value)))
-        coord_p.append(p)
-    arrays["coord_source"] = coord_source
-    arrays["coord_item"] = coord_item
-    arrays["coord_value"] = coord_value
-    arrays["coord_p"] = coord_p
-
-    def coordinate(coord: tuple) -> tuple[int, int, int]:
-        row = coord_row.get(coord)
-        if row is not None:
-            return coord_source[row], coord_item[row], coord_value[row]
-        source, item, value = coord
-        return (
-            sources.add(source),
-            items.add(item),
-            values.add(_check_value(value)),
-        )
+    coordinates = _CoordinateIds(
+        result.extraction_posteriors, (sources, items, values)
+    )
+    (
+        arrays["coord_source"], arrays["coord_item"], arrays["coord_value"]
+    ) = coordinates.scored
+    arrays["coord_p"] = list(result.extraction_posteriors.values())
 
     # --- re-estimated priors ------------------------------------------
-    prior_source, prior_item, prior_value = [], [], []
-    for coord in result.priors:
-        s, i, v = coordinate(coord)
-        prior_source.append(s)
-        prior_item.append(i)
-        prior_value.append(v)
-    arrays["prior_source"] = prior_source
-    arrays["prior_item"] = prior_item
-    arrays["prior_value"] = prior_value
+    (
+        arrays["prior_source"], arrays["prior_item"], arrays["prior_value"]
+    ) = coordinates.columns(result.priors)
     arrays["prior_p"] = list(result.priors.values())
 
     # --- value posteriors (V layer) -----------------------------------
@@ -283,7 +309,7 @@ def save_artifact(artifact: TrustArtifact, path: str | Path) -> Path:
             continue
         vp_item.extend([items.add(item)] * len(posterior))
         for value in posterior:
-            vp_value.append(values.add(_check_value(value)))
+            vp_value.append(values.add(value))
         vp_p.extend(posterior.values())
     arrays["vp_item"] = vp_item
     arrays["vp_value"] = vp_value
@@ -297,28 +323,33 @@ def save_artifact(artifact: TrustArtifact, path: str | Path) -> Path:
     ]
 
     # --- raw observation cells (optional, enables warm-start) ---------
-    # One row per (coordinate, extractor) cell entry, cell by cell.
+    # One row per cell (its coordinate and entry count), then one row
+    # per (cell, extractor) entry, cell by cell; then the matrix's own
+    # first-seen extractor order, which the compiled column order of a
+    # refit follows.
     has_observations = artifact.observations is not None
     if has_observations:
-        obs_source, obs_item, obs_value = [], [], []
-        obs_extractor, obs_conf = [], []
-        for coord, cell in artifact.observations.cells():
-            s, i, v = coordinate(coord)
-            entries = len(cell)
-            obs_source.extend([s] * entries)
-            obs_item.extend([i] * entries)
-            obs_value.extend([v] * entries)
-            for extractor in cell:
-                obs_extractor.append(extractors.add(extractor))
-            obs_conf.extend(cell.values())
-        arrays["obs_source"] = obs_source
-        arrays["obs_item"] = obs_item
-        arrays["obs_value"] = obs_value
-        arrays["obs_extractor"] = obs_extractor
-        arrays["obs_conf"] = obs_conf
-    # The memo is the save's largest transient; it must not be alive
-    # while the header and the payload are serialised below.
-    coord_row.clear()
+        matrix = artifact.observations
+        cells = list(matrix.cells())
+        (
+            arrays["cell_source"], arrays["cell_item"], arrays["cell_value"]
+        ) = coordinates.columns(coord for coord, _cell in cells)
+        entries = [cell for _coord, cell in cells]
+        arrays["cell_len"] = list(map(len, entries))
+        order = [extractors.add(e) for e in matrix.extractors()]
+        arrays["obs_extractor"] = list(
+            map(extractors.index.__getitem__, chain.from_iterable(entries))
+        )
+        arrays["obs_conf"] = list(
+            chain.from_iterable(map(dict.values, entries))
+        )
+        arrays["obs_extractor_order"] = order
+    # The row map must not be alive while the header and the payload
+    # are serialised below, where the save's memory peaks.
+    del coordinates
+    # Every value entered its table through ``add``.
+    for value in values.index:
+        _check_value(value)
 
     # --- trust-signal payloads (format >= 2) --------------------------
     signal_entries = []
@@ -383,16 +414,27 @@ def save_artifact(artifact: TrustArtifact, path: str | Path) -> Path:
     # Atomic write-then-rename: `kbt update` overwrites its input
     # artifact in place by default, so a half-written zip must never
     # land on the target path (disk full, Ctrl-C, power loss ...).
+    # The level goes to each writestr: ZipFile(compresslevel=) does not
+    # reach members written from a ZipInfo.
     with atomic_write(path, "wb") as handle:
         with zipfile.ZipFile(handle, "w", zipfile.ZIP_DEFLATED) as archive:
             archive.writestr(
                 _zip_member(_HEADER_MEMBER),
                 json.dumps(header, ensure_ascii=False),
+                compresslevel=_DEFLATE_LEVEL,
             )
             archive.writestr(
-                _zip_member(_NPZ_MEMBER), _deterministic_npz(arrays)
+                _zip_member(_NPZ_MEMBER),
+                _deterministic_npz(arrays),
+                compresslevel=_DEFLATE_LEVEL,
             )
     return path
+
+
+#: zlib level of both members. With the narrow columns below, level 1
+#: deflates in about a third of level 6's time for a few percent more
+#: bytes; on ``int64`` columns it would cost far more.
+_DEFLATE_LEVEL = 1
 
 
 #: The fixed member timestamp (the zip epoch) that makes artifact bytes
@@ -410,7 +452,7 @@ def _zip_member(name: str) -> zipfile.ZipInfo:
     return info
 
 
-def _deterministic_npz(arrays: dict[str, list]) -> bytes:
+def _deterministic_npz(arrays: dict[str, Any]) -> bytes:
     """The ``payload.npz`` bytes, independent of the wall clock.
 
     ``np.savez`` stamps each member with the current time, which would
@@ -422,22 +464,40 @@ def _deterministic_npz(arrays: dict[str, list]) -> bytes:
     buffer = io.BytesIO()
     with zipfile.ZipFile(buffer, "w", zipfile.ZIP_STORED) as inner:
         for name, data in arrays.items():
-            array = np.asarray(
-                data,
-                dtype=(
-                    np.float64 if name.endswith(
-                        ("_p", "_conf", "_precision", "_recall",
-                         "_q", "_score", "_sup_val")
-                    ) or name == "acc_value"
-                    else np.int64
-                ),
-            )
+            if name.endswith(_FLOAT_SUFFIXES) or name == "acc_value":
+                array = np.asarray(data, dtype=np.float64)
+            else:
+                array = _narrow(np.asarray(data, dtype=np.int64))
             member = io.BytesIO()
             np.lib.format.write_array(member, array)
             info = zipfile.ZipInfo(f"{name}.npy", date_time=_ZIP_EPOCH)
             info.external_attr = 0o644 << 16
             inner.writestr(info, member.getvalue())
     return buffer.getvalue()
+
+
+_FLOAT_SUFFIXES = (
+    "_p", "_conf", "_precision", "_recall", "_q", "_score", "_sup_val"
+)
+
+
+def _narrow(array: np.ndarray) -> np.ndarray:
+    """An integer column at the narrowest dtype that holds it.
+
+    Unsigned 8 / 16 / 32 bits by the column's maximum, ``int64`` if any
+    value is negative: a function of the values alone, so equal fits
+    still write equal bytes. Readers see the values only through
+    ``.tolist()``, never as unsigned arithmetic.
+    """
+    if array.size == 0:
+        return array.astype(np.uint8)
+    if array.min() < 0:
+        return array
+    top = array.max()
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if top <= np.iinfo(dtype).max:
+            return array.astype(dtype)
+    return array
 
 
 # ----------------------------------------------------------------------
@@ -519,12 +579,19 @@ def _decode_source_support(
     sources: list[SourceKey], arrays
 ) -> dict[SourceKey, float]:
     """``MultiLayerResult.expected_triples_by_source`` straight from the
-    C-layer columns: the same additions in the same order, without
-    building a coordinate key per cell."""
-    totals: dict[int, float] = {}
-    for s, p in zip(arrays["coord_source"], arrays["coord_p"]):
-        totals[s] = totals.get(s, 0.0) + p
-    return {sources[s]: total for s, total in totals.items()}
+    C-layer columns: the same additions in the same order (``bincount``
+    adds its weights one by one, in input order, from 0.0), without
+    building a coordinate key per cell. Sources come in first-seen
+    order, as the dict the result builds has them."""
+    coord_source = np.asarray(arrays["coord_source"], dtype=np.intp)
+    totals = np.bincount(
+        coord_source, weights=np.asarray(arrays["coord_p"], dtype=np.float64)
+    )
+    seen, first = np.unique(coord_source, return_index=True)
+    order = seen[np.argsort(first)].tolist()
+    return dict(
+        zip(map(sources.__getitem__, order), totals[order].tolist())
+    )
 
 
 def _decode_extractor_quality(
@@ -543,20 +610,39 @@ def _decode_extractor_quality(
     }
 
 
-def _decode_coordinates(
-    prefix: str, sources: list, items: list, values: list, arrays
-) -> dict[tuple, float]:
-    """One (source, item, value) -> probability section: ``coord`` is the
-    C layer, ``prior`` the re-estimated priors."""
-    return {
-        (sources[s], items[i], values[v]): p
-        for s, i, v, p in zip(
-            arrays[f"{prefix}_source"],
-            arrays[f"{prefix}_item"],
-            arrays[f"{prefix}_value"],
-            arrays[f"{prefix}_p"],
+class _CoordinateDecoder:
+    """Coordinate tuples by their (source, item, value) ids, each built
+    once: the C layer, the priors and the cells of a loaded artifact
+    share their tuples, as a fit's do, which lets the next save find
+    them by identity (:class:`_CoordinateIds`)."""
+
+    def __init__(self, sources: list, items: list, values: list) -> None:
+        self._tables = (sources, items, values)
+        self._coords: dict[tuple[int, int, int], tuple] = {}
+
+    def decode(self, arrays, prefix: str) -> list[tuple]:
+        """The coordinates of one section's ``_source`` / ``_item`` /
+        ``_value`` columns: ``coord`` the C layer, ``prior`` the
+        re-estimated priors, ``cell`` the observation cells."""
+        return self.decode_ids(
+            zip(
+                arrays[f"{prefix}_source"],
+                arrays[f"{prefix}_item"],
+                arrays[f"{prefix}_value"],
+            )
         )
-    }
+
+    def decode_ids(self, ids) -> list[tuple]:
+        sources, items, values = self._tables
+        coords = self._coords
+        out = []
+        for key in ids:
+            coord = coords.get(key)
+            if coord is None:
+                s, i, v = key
+                coord = coords[key] = (sources[s], items[i], values[v])
+            out.append(coord)
+        return out
 
 
 def _decode_value_posteriors(
@@ -571,23 +657,39 @@ def _decode_value_posteriors(
 
 
 def _decode_observations(
-    sources: list, extractors: list, items: list, values: list, arrays
+    version: int, coordinates: _CoordinateDecoder, extractors: list, arrays
 ) -> ObservationMatrix:
-    return ObservationMatrix.from_records(
-        ExtractionRecord(
-            extractor=extractors[e],
-            source=sources[s],
-            item=items[i],
-            value=values[v],
-            confidence=conf,
-        )
-        for s, i, v, e, conf in zip(
-            arrays["obs_source"],
-            arrays["obs_item"],
-            arrays["obs_value"],
-            arrays["obs_extractor"],
-            arrays["obs_conf"],
-        )
+    """The observation matrix, cell by cell, for every format version.
+
+    Version 3 stores one row per cell and the matrix's extractor order.
+    Versions 1 and 2 store the coordinate on every entry; a cell's
+    entries are contiguous, so each run of one coordinate is a cell.
+    They carry no extractor order, so their matrices rank extractors by
+    first entry, as those versions always loaded them.
+    """
+    extractor_order = None
+    if version >= 3:
+        coords = coordinates.decode(arrays, "cell")
+        lens = arrays["cell_len"]
+        extractor_order = [
+            extractors[e] for e in arrays["obs_extractor_order"]
+        ]
+    else:
+        runs = [
+            (cell_id, sum(1 for _ in run))
+            for cell_id, run in groupby(
+                zip(arrays["obs_source"], arrays["obs_item"],
+                    arrays["obs_value"])
+            )
+        ]
+        coords = coordinates.decode_ids(cell_id for cell_id, _ in runs)
+        lens = [length for _, length in runs]
+    return ObservationMatrix.from_cells(
+        coords,
+        lens,
+        [extractors[e] for e in arrays["obs_extractor"]],
+        arrays["obs_conf"],
+        extractor_order,
     )
 
 
@@ -653,10 +755,11 @@ def load_artifact(path: str | Path) -> TrustArtifact:
              for subject, predicate in header["items"]]
     values = header["values"]
 
+    coordinates = _CoordinateDecoder(sources, items, values)
     result = MultiLayerResult(
         value_posteriors=_decode_value_posteriors(items, values, arrays),
-        extraction_posteriors=_decode_coordinates(
-            "coord", sources, items, values, arrays
+        extraction_posteriors=dict(
+            zip(coordinates.decode(arrays, "coord"), arrays["coord_p"])
         ),
         source_accuracy=_decode_source_accuracy(sources, arrays),
         extractor_quality=_decode_extractor_quality(extractors, arrays),
@@ -669,13 +772,15 @@ def load_artifact(path: str | Path) -> TrustArtifact:
             IterationSnapshot(iteration, acc_delta, ext_delta)
             for iteration, acc_delta, ext_delta in header["history"]
         ],
-        priors=_decode_coordinates("prior", sources, items, values, arrays),
+        priors=dict(
+            zip(coordinates.decode(arrays, "prior"), arrays["prior_p"])
+        ),
     )
 
     observations = None
     if header.get("has_observations"):
         observations = _decode_observations(
-            sources, extractors, items, values, arrays
+            header["format_version"], coordinates, extractors, arrays
         )
 
     granularity = None

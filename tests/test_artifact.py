@@ -1,27 +1,53 @@
 """Unit tests for the versioned trust-artifact round trip."""
 
+import hashlib
 import io
 import json
+import random
+import tempfile
 import zipfile
+from itertools import chain
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.config import GranularityConfig, MultiLayerConfig
+from repro.core.config import (
+    AbsenceScope,
+    ConvergenceConfig,
+    GranularityConfig,
+    MultiLayerConfig,
+)
 from repro.core.kbt import FittedKBT, KBTEstimator
+from repro.core.multi_layer import MultiLayerModel
+from repro.core.observation import ObservationMatrix
+from repro.core.quality import ExtractorQuality
+from repro.core.results import IterationSnapshot, MultiLayerResult
 from repro.core.types import (
     DataItem,
     ExtractionRecord,
     ExtractorKey,
+    SourceKey,
     page_source,
 )
+from repro.datasets.kv import KVConfig, iter_kv_record_chunks
 from repro.io.artifact import (
     FORMAT_VERSION,
     ArtifactError,
+    TrustArtifact,
     config_from_dict,
     config_to_dict,
     load_artifact,
+    load_serving_inputs,
+    save_artifact,
 )
+from repro.io.jsonl import read_records
+from repro.signals.base import SignalScores
+
+from test_determinism_ladder import CORPUS, GOLDENS_DIR, result_digest
+from test_observation import snapshot
 
 
 def page_records(website, url, extractor, items, value_fn):
@@ -81,6 +107,67 @@ def with_json_payload(path, out_path):
         archive.writestr("header.json", json.dumps(header))
         archive.writestr("payload.json", json.dumps(arrays))
     return out_path
+
+
+def as_v2(path, out_path):
+    """Copy a format-3 artifact in the format-2 layout: ``int64`` key
+    columns, the coordinate on every observation entry, no extractor
+    order."""
+    with zipfile.ZipFile(path) as archive:
+        header = json.loads(archive.read("header.json"))
+        npz = np.load(io.BytesIO(archive.read("payload.npz")))
+        arrays = {name: npz[name] for name in npz.files}
+    header["format_version"] = 2
+    if header["has_observations"]:
+        lens = arrays.pop("cell_len")
+        for axis in ("source", "item", "value"):
+            arrays[f"obs_{axis}"] = np.repeat(arrays.pop(f"cell_{axis}"), lens)
+        del arrays["obs_extractor_order"]
+    payload = io.BytesIO()
+    np.savez(
+        payload,
+        **{
+            name: array if array.dtype.kind == "f" else array.astype(np.int64)
+            for name, array in arrays.items()
+        },
+    )
+    with zipfile.ZipFile(out_path, "w", zipfile.ZIP_DEFLATED) as archive:
+        archive.writestr("header.json", json.dumps(header))
+        archive.writestr("payload.npz", payload.getvalue())
+    return out_path
+
+
+def payload_arrays(path) -> dict:
+    with zipfile.ZipFile(path) as archive:
+        npz = np.load(io.BytesIO(archive.read("payload.npz")))
+        return {name: npz[name] for name in npz.files}
+
+
+def narrowest(array) -> np.dtype:
+    """The dtype format 3 stores an integer column at."""
+    if array.size and array.min() < 0:
+        return np.dtype(np.int64)
+    top = array.max() if array.size else 0
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if top <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
+
+
+def entry_order(matrix) -> list:
+    """Extractors by first cell entry: the order format 1 / 2 reload."""
+    return list(
+        dict.fromkeys(e for _coord, cell in matrix.cells() for e in cell)
+    )
+
+
+def scores_digest(scores) -> str:
+    """sha256 over every website's score and support, exact."""
+    lines = [
+        f"{site} {float(s.score).hex()} {float(s.support).hex()}"
+        for site, s in sorted(scores.items())
+    ]
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 
 class TestRoundTrip:
@@ -187,6 +274,12 @@ class TestRejection:
         with pytest.raises(ArtifactError, match="format version"):
             load_artifact(future)
 
+    def test_version_4_rejected(self, fitted, tmp_path):
+        path = fitted.save(tmp_path / "model.kbt")
+        future = rewrite_header(path, tmp_path / "v4.kbt", format_version=4)
+        with pytest.raises(ArtifactError, match="format version 4"):
+            load_artifact(future)
+
     def test_foreign_format_name(self, fitted, tmp_path):
         path = fitted.save(tmp_path / "model.kbt")
         foreign = rewrite_header(
@@ -252,3 +345,271 @@ class TestConfigSerde:
         data["mystery_knob"] = 1
         with pytest.raises(ArtifactError, match="mystery_knob"):
             config_from_dict(data)
+
+
+# ----------------------------------------------------------------------
+# Format 3: narrow columns, one row per cell, the extractor order
+# ----------------------------------------------------------------------
+class TestFormat3:
+    def test_columns(self, fitted, tmp_path):
+        path = fitted.save(tmp_path / "model.kbt")
+        arrays = payload_arrays(path)
+        assert {"cell_source", "cell_item", "cell_value", "cell_len",
+                "obs_extractor", "obs_conf", "obs_extractor_order"} <= set(
+            arrays
+        )
+        assert not {"obs_source", "obs_item", "obs_value"} & set(arrays)
+        for name, array in arrays.items():
+            if array.dtype.kind != "f":
+                assert array.dtype == narrowest(array), name
+        cells = list(fitted.observations.cells())
+        assert len(arrays["cell_len"]) == len(cells)
+        assert arrays["cell_len"].tolist() == [len(c) for _k, c in cells]
+
+
+#: Digests of the fit in ``tests/goldens/artifact_v2.kbt`` (the ladder
+#: corpus under the ladder config, observations embedded), computed by
+#: the format-2 build that wrote it.
+V2_FIXTURE = GOLDENS_DIR / "artifact_v2.kbt"
+V2_RESULT_SHA256 = (
+    "5f93ccf227fbf3e01d0c6cac6ece1ec706b98607317ed1e89d4b2df9a5c41728"
+)
+V2_SCORES_SHA256 = (
+    "446a745adf7f1b10ac79a8fa20c38003e2e5b21c262597479fa85e061686ce1b"
+)
+
+
+class TestV2Fixture:
+    """A format-2 artifact written by the last format-2 build loads."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return ObservationMatrix.from_records(read_records(CORPUS))
+
+    def test_is_version_2(self):
+        with zipfile.ZipFile(V2_FIXTURE) as archive:
+            header = json.loads(archive.read("header.json"))
+        assert header["format_version"] == 2
+        assert "obs_source" in payload_arrays(V2_FIXTURE)
+
+    def test_result_and_scores(self):
+        loaded = FittedKBT.load(V2_FIXTURE)
+        assert result_digest(loaded.result) == V2_RESULT_SHA256
+        assert scores_digest(loaded.website_scores()) == V2_SCORES_SHA256
+
+    def test_cells(self, corpus):
+        observations = load_artifact(V2_FIXTURE).observations
+        assert snapshot(observations)[:2] == snapshot(corpus)[:2]
+        assert snapshot(observations)[3] == snapshot(corpus)[3]
+        assert observations.extractor_sizes() == corpus.extractor_sizes()
+        # Format 2 never stored the extractor order.
+        assert list(observations.extractors()) == entry_order(corpus)
+
+    def test_resaves_as_format_3(self, tmp_path):
+        loaded = FittedKBT.load(V2_FIXTURE)
+        again = FittedKBT.load(loaded.save(tmp_path / "v3.kbt"))
+        assert result_digest(again.result) == V2_RESULT_SHA256
+        assert scores_digest(again.website_scores()) == V2_SCORES_SHA256
+        assert snapshot(again.observations) == snapshot(loaded.observations)
+
+
+def e2e_model_config() -> MultiLayerConfig:
+    """The benchmark's model: ACTIVE scope, supports 3 / 2, 5 rounds."""
+    return MultiLayerConfig(
+        absence_scope=AbsenceScope.ACTIVE,
+        min_extractor_support=3,
+        min_source_support=2,
+        engine="numpy",
+        convergence=ConvergenceConfig(tolerance=0.0, max_iterations=5),
+    )
+
+
+def kv_matrix(**config) -> ObservationMatrix:
+    return ObservationMatrix.from_records(
+        chain.from_iterable(iter_kv_record_chunks(KVConfig(**config)))
+    )
+
+
+class TestReloadRefit:
+    """A reloaded matrix refits to the bytes its original refits to."""
+
+    @pytest.fixture(scope="class")
+    def matrices(self, tmp_path_factory):
+        matrix = kv_matrix(num_websites=10, seed=23)
+        cfg = e2e_model_config()
+        fitted = FittedKBT(
+            result=MultiLayerModel(cfg).fit(matrix),
+            observations=matrix,
+            config=cfg,
+        )
+        path = fitted.save(tmp_path_factory.mktemp("kv") / "kv.kbt")
+        return matrix, load_artifact(path).observations
+
+    @staticmethod
+    def assert_same_refit(original, reloaded):
+        cfg = e2e_model_config()
+        want = MultiLayerModel(cfg).fit(original)
+        got = MultiLayerModel(cfg).fit(reloaded)
+        assert list(got.extractor_quality) == list(want.extractor_quality)
+        assert result_digest(got) == result_digest(want)
+
+    def test_extractor_order_survives(self, matrices):
+        original, reloaded = matrices
+        # Not vacuous: this corpus's first-seen order is not entry order.
+        assert list(original.extractors()) != entry_order(original)
+        assert list(reloaded.extractors()) == list(original.extractors())
+        assert snapshot(reloaded)[:4] == snapshot(original)[:4]
+
+    def test_refit(self, matrices):
+        self.assert_same_refit(*matrices)
+
+    def test_refit_after_extended(self, matrices):
+        original, reloaded = matrices
+        batch = kv_matrix(num_websites=3, seed=5)
+        self.assert_same_refit(
+            original.extended(batch), reloaded.extended(batch)
+        )
+
+
+# ----------------------------------------------------------------------
+# Property: any fitted state round-trips, across the uint8 -> uint16 edge
+# ----------------------------------------------------------------------
+@st.composite
+def trust_artifacts(draw):
+    """A matrix and a result over it with 240-300 distinct values, so
+    the value-id columns straddle the ``uint8`` / ``uint16`` boundary."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    buckets = st.sampled_from([None, 0, 3])
+    sources = [
+        SourceKey((f"w{k}.com", "p"), bucket=draw(buckets))
+        for k in range(draw(st.integers(1, 5)))
+    ]
+    extractors = [
+        ExtractorKey((f"sys{k}", "pat"), bucket=draw(buckets))
+        for k in range(draw(st.integers(1, 4)))
+    ]
+    items = [
+        DataItem(f"s{k}", "p") for k in range(draw(st.integers(1, 30)))
+    ]
+    values = [1, True, 1.0, None, 0, -7, 2.5, ""] + [
+        f"v{k}" for k in range(draw(st.integers(232, 292)))
+    ]
+    records = []
+    for value in values:
+        item = rng.choice(items)
+        for source in rng.sample(sources, rng.randint(1, len(sources))):
+            for extractor in rng.sample(
+                extractors, rng.randint(1, len(extractors))
+            ):
+                records.append(
+                    ExtractionRecord(
+                        extractor=extractor,
+                        source=source,
+                        item=item,
+                        value=value,
+                        confidence=rng.uniform(0.01, 1.0),
+                    )
+                )
+    rng.shuffle(records)
+    matrix = ObservationMatrix.from_records(records)
+
+    coords = [coord for coord, _cell in matrix.cells()]
+    rng.shuffle(coords)
+    posteriors = {coord: rng.random() for coord in coords[1:]}
+    priors = {coord: rng.random() for coord in rng.sample(coords, 5)
+              if len(coords) >= 5}
+    priors[(sources[0], DataItem("prior-only", "p"), "prior-only")] = 0.5
+    value_posteriors = {}
+    for _source, item, value in coords:
+        value_posteriors.setdefault(item, {})[value] = rng.random()
+    # Items left without a posterior entry reload after the others.
+    value_posteriors[DataItem("empty", "p")] = {}
+    result = MultiLayerResult(
+        value_posteriors=value_posteriors,
+        extraction_posteriors=posteriors,
+        source_accuracy={s: rng.random() for s in sources},
+        extractor_quality={
+            e: ExtractorQuality(rng.random(), rng.random(), rng.random())
+            for e in extractors
+        },
+        estimable_sources=set(sources[::2]),
+        estimable_extractors=set(extractors[1:]),
+        num_triples_total=matrix.num_triples,
+        history=[IterationSnapshot(1, rng.random(), rng.random())],
+        priors=priors,
+    )
+    signals = {}
+    if draw(st.booleans()):
+        sites = [f"site{k}.com" for k in range(draw(st.integers(0, 300)))]
+        signals["kbt"] = SignalScores(
+            name="kbt",
+            scores={site: rng.random() for site in sites},
+            support={site: float(rng.randint(0, 9)) for site in sites[::3]},
+            metadata={"flag": True, "n": 3},
+        )
+    artifact = TrustArtifact(
+        result=result,
+        config=e2e_model_config(),
+        min_triples=1.0,
+        observations=matrix if draw(st.booleans()) else None,
+        signals=signals,
+        fusion_weights={"kbt": 1.0} if signals else {},
+    )
+    return artifact, draw(st.booleans())
+
+
+class TestRoundTripProperty:
+    @given(trust_artifacts())
+    @settings(max_examples=25, deadline=None)
+    def test_round_trip(self, drawn):
+        artifact, json_payload = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            path = save_artifact(artifact, Path(tmp) / "model.kbt")
+            for name, array in payload_arrays(path).items():
+                if array.dtype.kind != "f":
+                    assert array.dtype == narrowest(array), name
+            if json_payload:
+                path = with_json_payload(path, Path(tmp) / "json.kbt")
+            loaded = load_artifact(path)
+            support = load_serving_inputs(path)[1]
+
+        got, want = loaded.result, artifact.result
+        # The serving path sums the C-layer columns with bincount; the
+        # result's own loop is the reference, sum for sum and in order.
+        assert list(support.items()) == list(
+            want.expected_triples_by_source().items()
+        )
+        for name in ("extraction_posteriors", "source_accuracy",
+                     "extractor_quality", "priors", "value_posteriors"):
+            assert getattr(got, name) == getattr(want, name), name
+            assert list(getattr(got, name)) == list(getattr(want, name))
+        for item, posterior in want.value_posteriors.items():
+            assert list(got.value_posteriors[item]) == list(posterior)
+        assert got.estimable_sources == want.estimable_sources
+        assert got.estimable_extractors == want.estimable_extractors
+        assert got.history == want.history
+        assert got.num_triples_total == want.num_triples_total
+
+        matrix = artifact.observations
+        if matrix is None:
+            assert loaded.observations is None
+        else:
+            assert snapshot(loaded.observations)[:4] == snapshot(matrix)[:4]
+            assert loaded.observations.num_records == sum(
+                len(cell) for _coord, cell in matrix.cells()
+            )
+        assert loaded.signals == artifact.signals
+        for name, scores in artifact.signals.items():
+            assert list(loaded.signals[name].scores) == list(scores.scores)
+        assert loaded.fusion_weights == artifact.fusion_weights
+
+
+def test_loaded_coordinates_are_shared(fitted, tmp_path):
+    """A loaded artifact's priors and cells reuse the C layer's tuples,
+    as a fit's do, so the next save finds their rows by identity."""
+    loaded = load_artifact(fitted.save(tmp_path / "model.kbt"))
+    scored = {id(coord) for coord in loaded.result.extraction_posteriors}
+    assert scored
+    assert all(id(coord) in scored for coord in loaded.result.priors)
+    cells = [coord for coord, _cell in loaded.observations.cells()]
+    assert sum(id(coord) in scored for coord in cells) == len(scored)

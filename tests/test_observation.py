@@ -4,6 +4,7 @@ import pickle
 from collections import Counter
 from itertools import chain
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -308,6 +309,56 @@ class TestAgainstSpecification:
         assert snapshot(sub)[:3] == snapshot(
             ObservationMatrix.from_records(sub.iter_records())
         )[:3]
+
+    @given(record_lists(), record_lists(max_size=15))
+    @settings(max_examples=60, deadline=None)
+    def test_from_cells(self, base_records, delta_records):
+        # An extended matrix: its extractor order is not entry order.
+        m = ObservationMatrix.from_records(base_records).extended(
+            ObservationMatrix.from_records(delta_records)
+        )
+        cells = list(m.cells())
+        columns = (
+            [coord for coord, _cell in cells],
+            [len(cell) for _coord, cell in cells],
+            [e for _coord, cell in cells for e in cell],
+            [conf for _coord, cell in cells for conf in cell.values()],
+        )
+        by_entries = ObservationMatrix.from_cells(*columns)
+        assert snapshot(by_entries) == snapshot(
+            ObservationMatrix.from_records(m.iter_records())
+        )
+        assert_views_restate_cells(by_entries)
+        restored = ObservationMatrix.from_cells(
+            *columns, extractor_order=m.extractors()
+        )
+        assert snapshot(restored)[:4] == snapshot(m)[:4]
+        assert restored.num_records == len(columns[2])
+
+    def test_from_cells_rejects_inconsistent_columns(self):
+        m = small_matrix()
+        cells = list(m.cells())
+        columns = (
+            [coord for coord, _cell in cells],
+            [len(cell) for _coord, cell in cells],
+            [e for _coord, cell in cells for e in cell],
+            [conf for _coord, cell in cells for conf in cell.values()],
+        )
+        e1, e2 = ExtractorKey(("e1",)), ExtractorKey(("e2",))
+        for order in ([e1], [e1, e1], [e1, ExtractorKey(("e9",))]):
+            with pytest.raises(ValueError, match="extractor_order"):
+                ObservationMatrix.from_cells(*columns, extractor_order=order)
+        assert list(
+            ObservationMatrix.from_cells(*columns, extractor_order=[e2, e1])
+            .extractors()
+        ) == [e2, e1]
+        coords, lens, extractors, confidences = columns
+        for bad in (
+            (coords, [1, *lens[1:]], extractors, confidences),
+            (coords, lens, extractors, confidences[:-1]),
+        ):
+            with pytest.raises(ValueError, match="entries"):
+                ObservationMatrix.from_cells(*bad)
 
     @given(record_lists())
     @settings(max_examples=40, deadline=None)

@@ -426,17 +426,32 @@ class TestArtifactV2:
             assert reloaded.metadata == scores.metadata
         assert loaded.fusion_weights == weights
 
-    def test_header_declares_version_2(self, saved):
+    def test_header_declares_version_3(self, saved):
         path, _signals, _weights = saved
         with zipfile.ZipFile(path) as archive:
             header = json.loads(archive.read("header.json"))
-        assert header["format_version"] == FORMAT_VERSION == 2
+        assert header["format_version"] == FORMAT_VERSION == 3
         assert [s["name"] for s in header["signals"]] == [
             "kbt", "pagerank", "copydetect"
         ]
 
+    def test_v2_artifact_loads(self, saved, tmp_path):
+        path, signals, weights = saved
+        from test_artifact import as_v2
+
+        v2 = load_artifact(as_v2(path, tmp_path / "v2.kbt"))
+        v3 = load_artifact(path)
+        assert v2.signals == v3.signals == signals
+        assert v2.fusion_weights == weights
+        assert dict(v2.observations.cells()) == dict(v3.observations.cells())
+        assert v2.result.source_accuracy == v3.result.source_accuracy
+
     def test_v1_artifact_loads_with_empty_signals(self, saved, tmp_path):
         path, _signals, _weights = saved
+        from test_artifact import as_v2
+
+        # Versions 1 and 2 share the payload layout.
+        path = as_v2(path, tmp_path / "v2.kbt")
         v1_path = tmp_path / "v1.kbt"
         with zipfile.ZipFile(path) as archive:
             members = {

@@ -194,7 +194,7 @@ class TestServingNeverBuildsTheMatrix:
         )
         for decoder in (
             "_decode_observations",
-            "_decode_coordinates",  # the C layer and the priors
+            "_CoordinateDecoder",  # the C layer, the priors, the cells
             "_decode_value_posteriors",
             "_decode_extractor_quality",
             "load_artifact",
