@@ -6,13 +6,16 @@ value) coordinates to the extractors (and confidences) that extracted that
 triple from that source. Duplicate records for the same (e, w, d, v) keep
 the maximum confidence.
 
-Maintained on every record — this is all that compilation, the engines
-and the artifact writer read:
+Built with the matrix — this is all that compilation, the engines and
+the artifact writer read:
 
-* the cells,
+* the cells, folded from the records in one loop,
 * the source and extractor universes in first-seen order with their
   support sizes (the order fixes the compiled column order),
 * active extractors per source (for the ACTIVE absence-vote scope).
+
+The fold records only each new cell entry's extractor; the per-source
+counters come from the cells in one pass after it.
 
 Derived from the cells in one pass on first read, then kept:
 
@@ -32,6 +35,7 @@ from repro.core.types import (
     ExtractorKey,
     SourceKey,
     Value,
+    new_record,
 )
 
 #: A (source, item, value) coordinate of the C layer.
@@ -46,21 +50,68 @@ class ObservationMatrix:
     """
 
     def __init__(self, records: Iterable[ExtractionRecord]) -> None:
+        # One loop over the records, names bound locally. A record
+        # hashes its coordinate once and its extractor once, into its
+        # cell; a new entry's extractor is counted after the loop. A
+        # duplicate (e, w, d, v) keeps its maximum confidence and
+        # changes nothing else; a record that does not beat its cell
+        # still counts.
+        cells: dict[Coord, dict[ExtractorKey, float]] = {}
+        fresh: dict[ExtractorKey, float] = {}
+        entries: list[ExtractorKey] = []  # the extractor of each new entry
+        add_entry = entries.append
+        count = 0
+        for extractor, source, item, value, confidence in records:
+            count += 1
+            cell = cells.setdefault((source, item, value), fresh)
+            if cell is fresh:
+                fresh = {}
+                cell[extractor] = confidence
+            else:
+                size = len(cell)
+                known = cell.setdefault(extractor, confidence)
+                if len(cell) == size:
+                    if confidence > known:
+                        cell[extractor] = confidence
+                    continue
+            add_entry(extractor)
+        # Counter keeps first-insertion order: extractors rank by their
+        # first entry, as they did when each entry counted itself.
+        self._index(cells, Counter(entries), count)
+
+    def _index(
+        self,
+        cells: dict[Coord, dict[ExtractorKey, float]],
+        extractor_sizes: dict[ExtractorKey, int],
+        num_records: int,
+    ) -> None:
+        """Hold ``cells`` and derive the per-source counters from them."""
+        # source -> number of cells; insertion order is the sources'
+        # first-seen order, as a source's first record opens its first
+        # cell
+        source_sizes: dict[SourceKey, int] = {}
+        # source -> extractors with >= 1 extraction from it: every
+        # record leaves its extractor in its cell, winning or not
+        active: dict[SourceKey, set[ExtractorKey]] = {}
+        for coord, cell in cells.items():
+            source = coord[0]
+            source_sizes[source] = source_sizes.get(source, 0) + 1
+            seen = active.get(source)
+            if seen is None:
+                active[source] = set(cell)
+            else:
+                seen.update(cell)
         # coordinate -> {extractor: confidence}; None once released
-        self._cells: dict[Coord, dict[ExtractorKey, float]] | None = {}
-        # source -> number of cells, extractor -> number of cells it is
-        # in; insertion order is the first-seen order of the keys
-        self._source_sizes: dict[SourceKey, int] = {}
-        self._extractor_sizes: dict[ExtractorKey, int] = {}
-        # source -> extractors with >= 1 extraction from it
-        self._active_extractors: dict[SourceKey, set[ExtractorKey]] = {}
-        self._num_records = 0
+        self._cells: dict[Coord, dict[ExtractorKey, float]] | None = cells
+        self._source_sizes = source_sizes
+        # extractor -> number of cells it is in, in first-seen order
+        self._extractor_sizes = dict(extractor_sizes)
+        self._active_extractors = active
+        self._num_records = num_records
         # Derived views, None until read. Each is built into a local and
         # assigned once, so racing readers build equal values: no lock.
         self._by_item = self._by_source = self._by_extractor = None
         self._num_triples: int | None = None
-        for record in records:
-            self._add(record)
 
     @classmethod
     def from_records(
@@ -97,23 +148,13 @@ class ObservationMatrix:
         out, extractors rank by first entry, as :meth:`from_records`
         over the entries ranks them.
         """
-        out = cls(())
-        cells = out._cells
-        source_sizes = out._source_sizes
-        active = out._active_extractors
+        cells = {}
         start = 0
         for coord, length in zip(coords, lens):
             stop = start + length
-            cell = cells[coord] = dict(
+            cells[coord] = dict(
                 zip(extractors[start:stop], confidences[start:stop])
             )
-            source = coord[0]
-            source_sizes[source] = source_sizes.get(source, 0) + 1
-            seen = active.get(source)
-            if seen is None:
-                active[source] = set(cell)
-            else:
-                seen.update(cell)
             start = stop
         if start != len(extractors) or len(confidences) != start:
             raise ValueError(
@@ -130,28 +171,9 @@ class ObservationMatrix:
                     "cells exactly once"
                 )
             sizes = {extractor: sizes[extractor] for extractor in order}
-        out._extractor_sizes = dict(sizes)
-        out._num_records = len(extractors)
+        out = cls(())
+        out._index(cells, sizes, len(extractors))
         return out
-
-    def _add(self, record: ExtractionRecord) -> None:
-        source = record.source
-        extractor = record.extractor
-        coord: Coord = (source, record.item, record.value)
-        cell = self._cells.get(coord)
-        if cell is None:
-            cell = self._cells[coord] = {}
-            sizes = self._source_sizes
-            sizes[source] = sizes.get(source, 0) + 1
-        if record.confidence > cell.get(extractor, 0.0):
-            if extractor not in cell:
-                sizes = self._extractor_sizes
-                sizes[extractor] = sizes.get(extractor, 0) + 1
-            cell[extractor] = record.confidence
-        # A record that does not beat its cell still marks its extractor
-        # active for the source, and still counts.
-        self._active_extractors.setdefault(source, set()).add(extractor)
-        self._num_records += 1
 
     def release(self) -> None:
         """Drop the cells and the derived views, keeping the counters.
@@ -296,12 +318,9 @@ class ObservationMatrix:
         """
         for (source, item, value), cell in self.cells():
             for extractor, confidence in cell.items():
-                yield ExtractionRecord(
-                    extractor=extractor,
-                    source=source,
-                    item=item,
-                    value=value,
-                    confidence=confidence,
+                yield new_record(
+                    ExtractionRecord,
+                    (extractor, source, item, value, confidence),
                 )
 
     def restricted_to_items(
@@ -443,12 +462,9 @@ class ObservationMatrix:
                         if extractor_map
                         else extractor
                     )
-                    yield ExtractionRecord(
-                        extractor=new_extractor,
-                        source=new_source,
-                        item=item,
-                        value=value,
-                        confidence=confidence,
+                    yield new_record(
+                        ExtractionRecord,
+                        (new_extractor, new_source, item, value, confidence),
                     )
 
         return ObservationMatrix(iter_relabelled())

@@ -16,6 +16,7 @@ extractor has been partitioned by SPLITANDMERGE.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from operator import itemgetter
 from typing import ClassVar, Hashable
 
 #: Values extracted for a data item. Entity ids, strings, numbers and dates
@@ -226,25 +227,80 @@ def pattern_extractor(
     return ExtractorKey((system, pattern, predicate, website))
 
 
-@dataclass(frozen=True, slots=True)
-class ExtractionRecord:
+#: ``new_record(ExtractionRecord, (extractor, source, item, value,
+#: confidence))`` builds a record in one C call, with no constructor frame
+#: and no check: for callers that checked the confidence themselves (the
+#: JSONL parser) or copy it from a cell that was checked on the way in.
+new_record = tuple.__new__
+
+
+def _unordered(self, other):
+    # Raised, not NotImplemented: Python would then fall back to the
+    # other operand's method, and a plain tuple orders against a record.
+    raise TypeError(f"{type(self).__name__} records have no order")
+
+
+class ExtractionRecord(tuple):
     """One observed extraction: extractor ``e`` saw value ``v`` for ``d`` on ``w``.
 
     ``confidence`` is the extractor's probability that the triple is present
     on the page (Section 3.5); binary extractors report 1.0.
+
+    A record is the immutable tuple ``(extractor, source, item, value,
+    confidence)`` with a property per field: a corpus builds one per
+    extraction, and a tuple is built and unpacked in C. Otherwise it keeps
+    the surface of a frozen dataclass: keyword or positional construction,
+    the confidence check, the ``repr``, ``__match_args__``, pickling and
+    copying through the constructor, and the hash of its field tuple. It
+    equals only another record, never a plain tuple of the same fields,
+    and has no order.
     """
 
-    extractor: ExtractorKey
-    source: SourceKey
-    item: DataItem
-    value: Value
-    confidence: float = 1.0
+    __slots__ = ()
+    __match_args__ = ("extractor", "source", "item", "value", "confidence")
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.confidence <= 1.0:
-            raise ValueError(
-                f"confidence must be in (0, 1], got {self.confidence}"
-            )
+    def __new__(
+        cls,
+        extractor: ExtractorKey,
+        source: SourceKey,
+        item: DataItem,
+        value: Value,
+        confidence: float = 1.0,
+    ) -> "ExtractionRecord":
+        if not 0.0 < confidence <= 1.0:
+            raise ValueError(f"confidence must be in (0, 1], got {confidence}")
+        return new_record(cls, (extractor, source, item, value, confidence))
+
+    extractor: ExtractorKey = property(itemgetter(0))
+    source: SourceKey = property(itemgetter(1))
+    item: DataItem = property(itemgetter(2))
+    value: Value = property(itemgetter(3))
+    confidence: float = property(itemgetter(4))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return tuple.__eq__(self, other)
+        # False rather than NotImplemented for any other tuple: Python
+        # would then try the tuple's own __eq__, which compares items.
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    __hash__ = tuple.__hash__
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
+
+    def __repr__(self) -> str:
+        extractor, source, item, value, confidence = self
+        return (
+            f"{self.__class__.__qualname__}(extractor={extractor!r}, "
+            f"source={source!r}, item={item!r}, value={value!r}, "
+            f"confidence={confidence!r})"
+        )
+
+    def __reduce__(self):
+        return (self.__class__, tuple(self))
 
     @property
     def triple(self) -> Triple:

@@ -15,8 +15,8 @@ character. An optional integer ``*_bucket`` restores split keys.
 number, boolean, null); subject and predicate are stringified, the value
 is kept as it is — the same scalar rule
 :func:`repro.io.artifact.save_artifact` applies, so whatever a reader
-accepts a fitted model can be saved with. ``confidence`` is a number in
-(0, 1] and defaults to 1.0.
+accepts a fitted model can be saved with. ``confidence`` is a JSON number
+(not a string, not a boolean) in (0, 1] and defaults to 1.0.
 
 Errors. Every reader raises :class:`ValueError` with the place and the
 problem, ``<path>:<line>: invalid JSON`` or ``<path>:<line>: malformed
@@ -37,6 +37,7 @@ from repro.core.types import (
     ExtractionRecord,
     ExtractorKey,
     SourceKey,
+    new_record,
 )
 
 #: The JSON scalar types: what a feature, a subject, a predicate or a
@@ -147,10 +148,20 @@ class RecordParser:
             value = data["value"]
             if type(value) not in SCALAR_TYPES:
                 raise TypeError("value must be a JSON scalar")
-            confidence = float(data.get("confidence", 1.0))
-        except (KeyError, TypeError) as error:
+            confidence = data.get("confidence", 1.0)
+            if type(confidence) is not float:
+                # A JSON number: not a string float() would parse, and
+                # not a boolean, although bool subclasses int.
+                if type(confidence) is not int:
+                    raise TypeError("confidence must be a JSON number")
+                confidence = float(confidence)
+        except (KeyError, TypeError, OverflowError) as error:
             raise ValueError(f"malformed record: {data!r}") from error
-        return ExtractionRecord(extractor, source, item, value, confidence)
+        if not 0.0 < confidence <= 1.0:
+            raise ValueError(f"confidence must be in (0, 1], got {confidence}")
+        return new_record(
+            ExtractionRecord, (extractor, source, item, value, confidence)
+        )
 
 
 # How the memos stay sound while being asked with *raw* JSON values: they

@@ -379,3 +379,137 @@ class TestAgainstSpecification:
             copy = pickle.loads(pickle.dumps(m))
             assert snapshot(copy) == snapshot(m)
             assert_views_restate_cells(copy)
+
+
+# ----------------------------------------------------------------------
+# The one-loop fold against the per-record method it replaced
+# ----------------------------------------------------------------------
+class ReferenceFold:
+    """``ObservationMatrix._add`` as it was, one method call per record:
+    the reference the constructor's one-loop fold must equal."""
+
+    def __init__(self, records):
+        self.cells, self.source_sizes, self.extractor_sizes = {}, {}, {}
+        self.active, self.num_records = {}, 0
+        for r in records:
+            self.add(r)
+
+    def add(self, record):
+        source = record.source
+        extractor = record.extractor
+        coord = (source, record.item, record.value)
+        cell = self.cells.get(coord)
+        if cell is None:
+            cell = self.cells[coord] = {}
+            sizes = self.source_sizes
+            sizes[source] = sizes.get(source, 0) + 1
+        if record.confidence > cell.get(extractor, 0.0):
+            if extractor not in cell:
+                sizes = self.extractor_sizes
+                sizes[extractor] = sizes.get(extractor, 0) + 1
+            cell[extractor] = record.confidence
+        self.active.setdefault(source, set()).add(extractor)
+        self.num_records += 1
+
+    def snapshot(self):
+        return (
+            [(coord, list(cell.items())) for coord, cell in self.cells.items()],
+            list(self.source_sizes.items()),
+            list(self.extractor_sizes.items()),
+            dict(self.active),
+            self.num_records,
+        )
+
+
+def fold_snapshot(m):
+    """``ReferenceFold.snapshot`` of a matrix, orders included."""
+    return (
+        [(coord, list(cell.items())) for coord, cell in m.cells()],
+        list(m.source_sizes().items()),
+        list(m.extractor_sizes().items()),
+        {source: m.active_extractors(source) for source in m.sources()},
+        m.num_records,
+    )
+
+
+CONFIDENCES = st.sampled_from([0.25, 0.5, 1.0])
+
+
+@st.composite
+def fold_streams(draw):
+    """Records with repeated coordinates at equal, higher and lower
+    confidences; ``e0`` extracts from most cells."""
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["e0", "e0", "e0", "e1", "e2"]),
+                st.sampled_from(["w0", "w1", "w2"]),
+                st.sampled_from([f"s{i}" for i in range(8)]),
+                st.sampled_from(["a", "b"]),
+                CONFIDENCES,
+            ),
+            max_size=60,
+        )
+    )
+    if rows:
+        for index, confidence in draw(
+            st.lists(st.tuples(st.integers(0, len(rows) - 1), CONFIDENCES))
+        ):
+            rows.append((*rows[index][:4], confidence))
+    return [record(e, w, s, "p", v, c) for e, w, s, v, c in rows]
+
+
+class TestFoldEquivalence:
+    @given(fold_streams())
+    @settings(max_examples=150, deadline=None)
+    def test_fold_equals_the_per_record_method(self, records):
+        m = ObservationMatrix.from_records(records)
+        reference = ReferenceFold(records)
+        assert fold_snapshot(m) == reference.snapshot()
+        assert list(m.sources()) == list(reference.source_sizes)
+        assert list(m.extractors()) == list(reference.extractor_sizes)
+
+    @given(fold_streams())
+    @settings(max_examples=60, deadline=None)
+    def test_from_cells_round_trip(self, records):
+        m = ObservationMatrix.from_records(records)
+        cells = list(m.cells())
+        columns = (
+            [coord for coord, _cell in cells],
+            [len(cell) for _coord, cell in cells],
+            [e for _coord, cell in cells for e in cell],
+            [conf for _coord, cell in cells for conf in cell.values()],
+        )
+        restored = ObservationMatrix.from_cells(
+            *columns, extractor_order=m.extractors()
+        )
+        assert fold_snapshot(restored)[:4] == fold_snapshot(m)[:4]
+        assert restored.num_records == len(columns[2])
+
+    @given(fold_streams())
+    @settings(max_examples=60, deadline=None)
+    def test_relabel_parity(self, records):
+        m = ObservationMatrix.from_records(records)
+
+        def source_map(w, d, v):
+            return SourceKey(("all",)) if v == "a" else w
+
+        def extractor_map(e, d, v):
+            return e.child_bucket(int(d.subject[1:]) % 2)
+
+        reference = ReferenceFold(
+            ExtractionRecord(
+                extractor_map(e, coord[1], coord[2]),
+                source_map(*coord),
+                coord[1],
+                coord[2],
+                confidence,
+            )
+            for coord, cell in ReferenceFold(records).cells.items()
+            for e, confidence in cell.items()
+        )
+        relabelled = m.relabel(source_map=source_map, extractor_map=extractor_map)
+        assert fold_snapshot(relabelled) == reference.snapshot()
+        assert fold_snapshot(m.relabel()) == fold_snapshot(
+            ObservationMatrix.from_records(m.iter_records())
+        )

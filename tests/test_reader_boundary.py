@@ -181,6 +181,64 @@ def test_undecodable_bytes_in_the_spool_are_invalid_json(tmp_path):
         SpoolDirectorySource(tmp_path).poll(10)
 
 
+#: Confidences float() accepts but the contract ("a number in (0, 1]")
+#: does not: the parent built records from all of these.
+NON_NUMBER_CONFIDENCES = {
+    "string": "0.9",
+    "padded-string": " 1 ",
+    "true": True,
+    "false": False,
+    "null": None,
+    "array": [0.5],
+    "huge-integer": 10**400,
+}
+
+
+@pytest.mark.parametrize("case", NON_NUMBER_CONFIDENCES)
+def test_confidence_must_be_a_json_number(case):
+    with pytest.raises(ValueError, match="malformed record"):
+        record_from_dict(good(confidence=NON_NUMBER_CONFIDENCES[case]))
+
+
+@READERS
+@pytest.mark.parametrize("case", NON_NUMBER_CONFIDENCES)
+def test_non_number_confidence_is_reported_with_its_place(
+    reader, case, tmp_path
+):
+    path = file_of(tmp_path, good(), good(confidence=NON_NUMBER_CONFIDENCES[case]))
+    with pytest.raises(ValueError) as caught:
+        reader(path)
+    where = f"byte {len(json.dumps(good())) + 1}" if reader is poll_spool else 2
+    assert str(caught.value).startswith(f"{path}:{where}: malformed record")
+
+
+@READERS
+def test_numeric_confidences_are_read_as_floats(reader, tmp_path):
+    path = tmp_path / "records.jsonl"
+    lines = [json.dumps(good(confidence=c)) for c in (1, 0.25, 1.0)]
+    lines.append(json.dumps({k: v for k, v in good().items() if k != "confidence"}))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    confidences = [record.confidence for record in reader(path)]
+    assert confidences == [1.0, 0.25, 1.0, 1.0]
+    assert all(type(c) is float for c in confidences)
+
+
+@READERS
+@pytest.mark.parametrize("raw", ["0", "1.5", "-1", "NaN", "Infinity", "2"])
+def test_out_of_range_confidence_is_reported_with_its_place(
+    reader, raw, tmp_path
+):
+    path = tmp_path / "records.jsonl"
+    line = json.dumps(good()).replace('"confidence": 0.9', f'"confidence": {raw}')
+    path.write_text(line + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as caught:
+        reader(path)
+    where = "byte 0" if reader is poll_spool else 1
+    assert str(caught.value).startswith(
+        f"{path}:{where}: confidence must be in (0, 1]"
+    )
+
+
 def test_kbt_fit_on_a_composite_value_is_one_error_line(tmp_path, capsys):
     # The parent accepted the record and died in ObservationMatrix._add
     # with "TypeError: unhashable type: 'list'", which main() lets through.

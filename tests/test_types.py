@@ -128,6 +128,99 @@ class TestExtractionRecord:
             )
 
 
+class TestRecordIsATuple:
+    """The tuple record keeps the frozen dataclass's contract."""
+
+    FIELDS = ("extractor", "source", "item", "value", "confidence")
+
+    def record(self, **changes):
+        fields = dict(
+            extractor=ExtractorKey(("e", "pat"), bucket=1),
+            source=website_source("w"),
+            item=DataItem("s", "p"),
+            value="v",
+            confidence=0.5,
+        )
+        fields.update(changes)
+        return ExtractionRecord(**fields)
+
+    def test_fields_cannot_be_assigned(self):
+        record = self.record()
+        for name in self.FIELDS:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            record.other = 1
+        assert record.confidence == 0.5
+
+    def test_keyword_and_positional_construction_agree(self):
+        record = self.record()
+        positional = ExtractionRecord(*(getattr(record, f) for f in self.FIELDS))
+        assert positional == record and hash(positional) == hash(record)
+        assert ExtractionRecord(*record[:4]).confidence == 1.0
+        assert ExtractionRecord.__match_args__ == self.FIELDS
+        match record:
+            case ExtractionRecord(extractor, source, item, value, confidence):
+                assert (extractor, source, item, value, confidence) == tuple(
+                    record
+                )
+
+    @pytest.mark.parametrize("confidence", [0.0, -0.5, 1.0000001, 2, float("nan")])
+    def test_confidence_outside_the_unit_interval_rejected(self, confidence):
+        with pytest.raises(ValueError, match=r"confidence must be in \(0, 1\]"):
+            self.record(confidence=confidence)
+
+    def test_a_record_never_equals_a_plain_tuple(self):
+        record = self.record()
+        plain = tuple(record)
+        assert record != plain and plain != record
+        assert not record == plain and not plain == record
+        assert record == self.record() and not record != self.record()
+        assert record != self.record(value="other")
+        assert len({record, plain}) == 2
+        for other in (self.record(), plain):
+            with pytest.raises(TypeError):
+                record < other
+            with pytest.raises(TypeError):
+                other >= record
+
+    def test_hash_is_the_old_dataclass_hash(self):
+        record = self.record()
+        assert hash(record) == hash(
+            tuple(getattr(record, name) for name in self.FIELDS)
+        )
+
+    def test_repr_is_the_dataclass_repr(self):
+        assert repr(self.record()) == (
+            "ExtractionRecord(extractor=ExtractorKey(features=('e', 'pat'), "
+            "bucket=1), source=SourceKey(features=('w',), bucket=None), "
+            "item=DataItem(subject='s', predicate='p'), value='v', "
+            "confidence=0.5)"
+        )
+
+    def test_copies_keep_the_type(self):
+        record = self.record()
+        for copied in (
+            copy.copy(record),
+            copy.deepcopy(record),
+            pickle.loads(pickle.dumps(record)),
+            pickle.loads(pickle.dumps(record, protocol=0)),
+        ):
+            assert type(copied) is ExtractionRecord
+            assert copied == record and hash(copied) == hash(record)
+
+    def test_queue_source_takes_one_record_or_many(self):
+        from repro.ingest.stream import QueueRecordSource
+
+        records = [self.record(), self.record(value="x")]
+        source = QueueRecordSource()
+        source.push(records[0])
+        source.push(iter(records))
+        polled = source.poll(10)
+        assert polled == [records[0], *records]
+        assert all(type(record) is ExtractionRecord for record in polled)
+
+
 # ----------------------------------------------------------------------
 # The cached hash: same value as before, and it never leaves the process
 # ----------------------------------------------------------------------
