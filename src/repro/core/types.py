@@ -306,11 +306,3 @@ class ExtractionRecord(tuple):
     def triple(self) -> Triple:
         return Triple(self.item.subject, self.item.predicate, self.value)
 
-
-@dataclass(frozen=True, slots=True)
-class SourcedTriple:
-    """A (source, data item, value) coordinate — the unit the C-layer scores."""
-
-    source: SourceKey
-    item: DataItem
-    value: Value

@@ -15,8 +15,10 @@ character. An optional integer ``*_bucket`` restores split keys.
 number, boolean, null); subject and predicate are stringified, the value
 is kept as it is — the same scalar rule
 :func:`repro.io.artifact.save_artifact` applies, so whatever a reader
-accepts a fitted model can be saved with. ``confidence`` is a JSON number
-(not a string, not a boolean) in (0, 1] and defaults to 1.0.
+accepts a fitted model can be saved with; a string must be valid
+Unicode, so a lone surrogate escape (``"\\ud800"``) is refused.
+``confidence`` is a JSON number (not a string, not a boolean) in (0, 1]
+and defaults to 1.0.
 
 Errors. Every reader raises :class:`ValueError` with the place and the
 problem, ``<path>:<line>: invalid JSON`` or ``<path>:<line>: malformed
@@ -146,7 +148,10 @@ class RecordParser:
                 if item is None:
                     item = self._items[name] = DataItem(*name)
             value = data["value"]
-            if type(value) not in SCALAR_TYPES:
+            if type(value) is str:
+                if not value.isascii():
+                    value.encode("utf-8")  # a lone surrogate raises
+            elif type(value) not in SCALAR_TYPES:
                 raise TypeError("value must be a JSON scalar")
             confidence = data.get("confidence", 1.0)
             if type(confidence) is not float:
@@ -155,7 +160,9 @@ class RecordParser:
                 if type(confidence) is not int:
                     raise TypeError("confidence must be a JSON number")
                 confidence = float(confidence)
-        except (KeyError, TypeError, OverflowError) as error:
+        except (
+            KeyError, TypeError, OverflowError, UnicodeEncodeError
+        ) as error:
             raise ValueError(f"malformed record: {data!r}") from error
         if not 0.0 < confidence <= 1.0:
             raise ValueError(f"confidence must be in (0, 1], got {confidence}")
@@ -168,7 +175,8 @@ class RecordParser:
 # are keyed by the coerced form — strings only — and a raw tuple can equal
 # a tuple of strings only if it holds strings itself (a number never
 # equals a string; an array or object is unhashable, a TypeError). So a
-# hit needs no validation and no coercion, and everything else — the
+# hit needs no validation and no coercion (the UTF-8 check included: a
+# string that fails it never becomes a key), and everything else — the
 # first sight of a key, or features like ``1`` and ``true``, which are
 # equal to each other but stringify differently — takes the checked,
 # coerced path and is looked up again under its strings.
@@ -189,6 +197,10 @@ def _intern_key(memo: dict, kind, features, bucket):
 
 
 def _scalar_str(scalar) -> str:
+    if type(scalar) is str:
+        if not scalar.isascii():
+            scalar.encode("utf-8")  # a lone surrogate raises
+        return scalar
     if type(scalar) not in SCALAR_TYPES:
         raise TypeError("expected a JSON scalar")
     return str(scalar)

@@ -26,16 +26,18 @@ The manifest carries the layout format/version, the source artifact's
 sha256 (the serving **ETag** — the gateway's cache validator and the
 ``/readyz`` version handle), and every scalar the serving surface needs.
 
-What the columns hold is decided once, by :func:`serving_columns` — a
-pure function of the fitted source accuracies and their support. It has
-two feeders: :func:`export_layout` reads just those sections out of a
-saved artifact (:func:`repro.io.artifact.load_serving_inputs`), and
+What the columns hold, and how they are encoded, is decided once, by
+:func:`serving_columns` — a pure function of the fitted source
+accuracies and their support that returns the arrays a layout stores
+(:class:`ServingColumns`). It has two feeders: :func:`export_layout`
+reads just those sections out of a saved artifact
+(:func:`repro.io.artifact.load_serving_inputs`), and
 :func:`export_columns` takes them from a process that still holds the
 fitted model (the ingest pipeline), so publishing a generation never
-loads back what was just saved. The in-memory
-:class:`~repro.serving.store.TrustStore` is built from the same
-columns, so a layout reproduces its JSON views to the byte by
-construction.
+loads back what was just saved. Exporting only saves those arrays.
+:class:`~repro.serving.store.TrustStore` reads the columns the same
+way whether they are held in memory (``kbt query``, which writes no
+file) or mapped from a layout (:class:`ServingLayout`, ``kbt serve``).
 
 A missing, foreign, or torn layout raises :class:`LayoutError` (a
 ``ValueError``) naming the remedy; because the manifest is written last
@@ -57,13 +59,13 @@ until the last mapping goes away).
 
 from __future__ import annotations
 
+import glob
 import hashlib
 import json
 import os
 import shutil
 import tempfile
 from bisect import bisect_right
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -105,16 +107,13 @@ def artifact_etag(path: str | Path) -> str:
 # ----------------------------------------------------------------------
 # String columns: a UTF-8 blob + int64 offsets, both mmappable
 # ----------------------------------------------------------------------
-def _write_string_column(
-    directory: Path, name: str, strings: list[str]
-) -> None:
+def _encode_strings(strings: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """One string column's ``(blob, offsets)`` arrays."""
     encoded = [s.encode("utf-8") for s in strings]
     offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
     if encoded:
         np.cumsum([len(b) for b in encoded], out=offsets[1:])
-    blob = np.frombuffer(b"".join(encoded), dtype=np.uint8)
-    np.save(directory / f"{name}.blob.npy", blob)
-    np.save(directory / f"{name}.off.npy", offsets)
+    return np.frombuffer(b"".join(encoded), dtype=np.uint8), offsets
 
 
 class StringColumn:
@@ -149,31 +148,41 @@ class StringColumn:
 # ----------------------------------------------------------------------
 # The aggregation: fitted state -> what serving reads
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
 class ServingColumns:
-    """Everything a store serves, as aligned per-row lists.
+    """Every column a store serves, held in memory as a layout stores it.
+
+    ``arrays`` maps a column name to its float64 / int64 array (a string
+    column is two arrays, ``<name>.blob`` and ``<name>.off``), and
+    ``manifest`` holds the scalars a layout's manifest carries beside
+    them. :class:`ServingLayout` is the same columns mapped from an
+    exported directory; a store reads either through :meth:`array` and
+    :meth:`strings`.
 
     Site rows are in aggregation (first-seen) order; ``ranked_idx`` is
     the best-first permutation of them; ``contrib_ptr`` is the CSR row
     pointer of the ``/breakdown`` contributors over the site rows.
     """
 
-    min_triples: float
-    site_key: list[str]
-    site_score: list[float]
-    site_support: list[float]
-    site_percentile: list[float]
-    ranked_idx: list[int]
-    page_site: list[str]
-    page_url: list[str]
-    page_score: list[float]
-    page_support: list[float]
-    contrib_ptr: list[int]
-    contrib_source: list[SourceKey]
-    contrib_accuracy: list[float]
-    contrib_support: list[float]
-    signals: dict[str, SignalScores]
-    fusion_weights: dict[str, float]
+    #: Where the columns are mapped from; ``None`` in memory.
+    directory: Path | None = None
+
+    def __init__(self, arrays: dict[str, np.ndarray], manifest: dict) -> None:
+        self.arrays = arrays
+        self.manifest = manifest
+
+    @property
+    def etag(self) -> str | None:
+        """The source artifact's sha256; ``None`` in memory, where no
+        file names the columns."""
+        return self.manifest.get("etag")
+
+    def array(self, name: str) -> np.ndarray:
+        return self.arrays[name]
+
+    def strings(self, name: str) -> StringColumn:
+        return StringColumn(
+            self.array(f"{name}.blob"), self.array(f"{name}.off")
+        )
 
 
 def serving_columns(
@@ -189,7 +198,8 @@ def serving_columns(
     :func:`repro.core.kbt.aggregate_scores`, so they equal
     ``KBTReport``'s to the bit), the ranking (descending score, ties on
     the key), score percentiles, and for every website the model sources
-    behind its score, largest support first. Signals pass through.
+    behind its score, largest support first. Signals are stored as the
+    artifact holds them, in its order, with their websites interned.
     """
     sites = aggregate_scores(
         source_accuracy, source_support, min_triples, website_of
@@ -218,26 +228,83 @@ def serving_columns(
         )
         contrib_ptr.append(len(contrib))
 
-    return ServingColumns(
-        min_triples=min_triples,
-        site_key=site_key,
-        site_score=site_score,
-        site_support=[score.support for score in sites.values()],
-        site_percentile=[
+    arrays: dict[str, np.ndarray] = {}
+
+    def put(name: str, values: list, dtype) -> None:
+        arrays[name] = np.asarray(values, dtype=dtype)
+
+    def put_strings(name: str, strings: list[str]) -> None:
+        arrays[f"{name}.blob"], arrays[f"{name}.off"] = _encode_strings(
+            strings
+        )
+
+    put_strings("site_key", site_key)
+    put("site_score", site_score, np.float64)
+    put("site_support", [s.support for s in sites.values()], np.float64)
+    put(
+        "site_percentile",
+        [
             100.0 * bisect_right(ascending, score) / len(ascending)
             for score in site_score
         ],
-        ranked_idx=[site_row[score.key] for score in ranked],
-        page_site=[site for site, _ in pages],
-        page_url=[url for _, url in pages],
-        page_score=[score.score for score in pages.values()],
-        page_support=[score.support for score in pages.values()],
-        contrib_ptr=contrib_ptr,
-        contrib_source=[source for source, _, _ in contrib],
-        contrib_accuracy=[accuracy for _, accuracy, _ in contrib],
-        contrib_support=[support for _, _, support in contrib],
-        signals=signals,
-        fusion_weights=fusion_weights,
+        np.float64,
+    )
+    put("ranked_idx", [site_row[score.key] for score in ranked], np.int64)
+
+    put_strings("page_site", [site for site, _ in pages])
+    put_strings("page_url", [url for _, url in pages])
+    put("page_score", [s.score for s in pages.values()], np.float64)
+    put("page_support", [s.support for s in pages.values()], np.float64)
+
+    # /breakdown provenance, CSR over the site rows.
+    put("contrib_ptr", contrib_ptr, np.int64)
+    put("contrib_accuracy", [acc for _, acc, _ in contrib], np.float64)
+    put("contrib_support", [sup for _, _, sup in contrib], np.float64)
+    put_strings(
+        "contrib_meta",
+        [
+            json.dumps(
+                [str(source), list(source.features), source.level],
+                ensure_ascii=False,
+                separators=(",", ":"),
+            )
+            for source, _, _ in contrib
+        ],
+    )
+
+    # Trust signals: artifact order, website-interned.
+    website_index: dict[str, int] = {}
+
+    def intern(site: str) -> int:
+        return website_index.setdefault(site, len(website_index))
+
+    signal_entries = []
+    for index, (name, scores) in enumerate(signals.items()):
+        put(f"sig{index}_site", [intern(s) for s in scores.scores], np.int64)
+        put(f"sig{index}_score", list(scores.scores.values()), np.float64)
+        put(
+            f"sig{index}_sup_site",
+            [intern(s) for s in scores.support],
+            np.int64,
+        )
+        put(
+            f"sig{index}_sup_val", list(scores.support.values()), np.float64
+        )
+        signal_entries.append({"name": name, "metadata": scores.metadata})
+    put_strings("signal_site", list(website_index))
+
+    return ServingColumns(
+        arrays,
+        {
+            "min_triples": min_triples,
+            "num_sites": len(site_key),
+            "num_pages": len(pages),
+            "num_contributors": len(contrib),
+            "signals": signal_entries,
+            "fusion_weights": {
+                name: float(weight) for name, weight in fusion_weights.items()
+            },
+        },
     )
 
 
@@ -245,6 +312,8 @@ def serving_columns(
 # Export: columns -> layout directory
 # ----------------------------------------------------------------------
 _CACHE_SUFFIX = ".layout"
+#: How much of the ETag names a cache directory.
+_ETAG_PREFIX = 16
 
 
 def layout_cache_dir(artifact_path: str | Path, etag: str) -> Path:
@@ -254,7 +323,7 @@ def layout_cache_dir(artifact_path: str | Path, etag: str) -> Path:
     this name first — the store itself, or the ingest pipeline right
     after saving a generation — saves every later open the export.
     """
-    return Path(f"{artifact_path}{_CACHE_SUFFIX}-{etag[:16]}")
+    return Path(f"{artifact_path}{_CACHE_SUFFIX}-{etag[:_ETAG_PREFIX]}")
 
 
 def _staging_prefix(directory: Path) -> str:
@@ -269,16 +338,22 @@ def cached_layout_dirs(
     directories of exports killed mid-way — what garbage collection
     sweeps. ``keep`` and the staging of exports into it (one may be
     running in another process) are left out."""
-    exported = Path(f"{artifact_path}{_CACHE_SUFFIX}*")
+    artifact_path = Path(artifact_path)
+    # Only this artifact's cache names: its own name literally (a "[",
+    # "*" or "?" in it is no pattern), then the legacy suffix or one
+    # ETag prefix — never a longer name that merely starts with them,
+    # such as the cache of an artifact named "<artifact>.layout-x.kbt".
+    legacy = glob.escape(artifact_path.name + _CACHE_SUFFIX)
     found = []
-    for pattern in (exported.name, _staging_prefix(exported) + "*"):
-        for candidate in exported.parent.glob(pattern):
-            kept = keep is not None and (
-                candidate == keep
-                or candidate.name.startswith(_staging_prefix(keep))
-            )
-            if candidate.is_dir() and not kept:
-                found.append(candidate)
+    for exported in (legacy, f"{legacy}-{'?' * _ETAG_PREFIX}"):
+        for pattern in (exported, f".{exported}.tmp-*"):
+            for candidate in artifact_path.parent.glob(pattern):
+                kept = keep is not None and (
+                    candidate == keep
+                    or candidate.name.startswith(_staging_prefix(keep))
+                )
+                if candidate.is_dir() and not kept:
+                    found.append(candidate)
     return found
 
 
@@ -396,75 +471,16 @@ def _export(
 def _write_columns(
     columns: ServingColumns, directory: Path, artifact_path: Path, etag: str
 ) -> None:
-    """Write every column + the manifest (last, atomically) into
+    """Save every column, then the manifest (last, atomically), into
     ``directory`` — a private staging dir nothing can have mmapped."""
-
-    def save(name: str, values: list, dtype) -> None:
-        np.save(directory / f"{name}.npy", np.asarray(values, dtype=dtype))
-
-    _write_string_column(directory, "site_key", columns.site_key)
-    save("site_score", columns.site_score, np.float64)
-    save("site_support", columns.site_support, np.float64)
-    save("site_percentile", columns.site_percentile, np.float64)
-    save("ranked_idx", columns.ranked_idx, np.int64)
-
-    _write_string_column(directory, "page_site", columns.page_site)
-    _write_string_column(directory, "page_url", columns.page_url)
-    save("page_score", columns.page_score, np.float64)
-    save("page_support", columns.page_support, np.float64)
-
-    # /breakdown provenance, CSR over the site rows.
-    save("contrib_ptr", columns.contrib_ptr, np.int64)
-    save("contrib_accuracy", columns.contrib_accuracy, np.float64)
-    save("contrib_support", columns.contrib_support, np.float64)
-    _write_string_column(
-        directory,
-        "contrib_meta",
-        [
-            json.dumps(
-                [str(source), list(source.features), source.level],
-                ensure_ascii=False,
-                separators=(",", ":"),
-            )
-            for source in columns.contrib_source
-        ],
-    )
-
-    # Trust signals: artifact order, website-interned.
-    website_index: dict[str, int] = {}
-
-    def intern(site: str) -> int:
-        return website_index.setdefault(site, len(website_index))
-
-    signal_entries = []
-    for index, (name, scores) in enumerate(columns.signals.items()):
-        save(f"sig{index}_site", [intern(s) for s in scores.scores], np.int64)
-        save(f"sig{index}_score", list(scores.scores.values()), np.float64)
-        save(
-            f"sig{index}_sup_site",
-            [intern(s) for s in scores.support],
-            np.int64,
-        )
-        save(
-            f"sig{index}_sup_val", list(scores.support.values()), np.float64
-        )
-        signal_entries.append({"name": name, "metadata": scores.metadata})
-    _write_string_column(directory, "signal_site", list(website_index))
-
+    for name, values in columns.arrays.items():
+        np.save(directory / f"{name}.npy", values)
     manifest = {
         "format": LAYOUT_FORMAT,
         "version": LAYOUT_VERSION,
         "etag": etag,
         "artifact": str(artifact_path),
-        "min_triples": columns.min_triples,
-        "num_sites": len(columns.site_key),
-        "num_pages": len(columns.page_score),
-        "num_contributors": len(columns.contrib_source),
-        "signals": signal_entries,
-        "fusion_weights": {
-            name: float(weight)
-            for name, weight in columns.fusion_weights.items()
-        },
+        **columns.manifest,
     }
     with atomic_write(directory / _MANIFEST, "w", encoding="utf-8") as handle:
         handle.write(json.dumps(manifest, indent=1) + "\n")
@@ -473,13 +489,14 @@ def _write_columns(
 # ----------------------------------------------------------------------
 # Read side
 # ----------------------------------------------------------------------
-class ServingLayout:
-    """An opened layout directory: the manifest plus mmapped columns.
+class ServingLayout(ServingColumns):
+    """The serving columns mapped from an exported layout directory.
 
-    ``array(name)`` returns a read-only array over the ``np.memmap`` of
-    one column, ``strings(name)`` a lazily-decoding :class:`StringColumn`;
-    both raise :class:`LayoutError` with the regenerate remedy when a
-    file is missing or torn.
+    The manifest is read at open; ``array(name)`` returns a read-only
+    array over the ``np.memmap`` of one column, ``strings(name)`` a
+    lazily-decoding :class:`StringColumn`. Both raise
+    :class:`LayoutError` with the regenerate remedy when a file is
+    missing or torn.
     """
 
     def __init__(self, directory: str | Path) -> None:
@@ -515,10 +532,6 @@ class ServingLayout:
                 "the layout from the artifact"
             )
 
-    @property
-    def etag(self) -> str:
-        return self.manifest["etag"]
-
     def array(self, name: str) -> np.ndarray:
         path = self.directory / f"{name}.npy"
         try:
@@ -532,11 +545,6 @@ class ServingLayout:
                 "layout is incomplete or corrupt — re-export it from "
                 "the artifact"
             ) from err
-
-    def strings(self, name: str) -> StringColumn:
-        return StringColumn(
-            self.array(f"{name}.blob"), self.array(f"{name}.off")
-        )
 
 
 __all__ = [

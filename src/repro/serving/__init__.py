@@ -4,15 +4,15 @@ The paper's deployment story (Section 5) is offline estimation followed by
 online lookup of KBT scores for hundreds of millions of pages. This package
 is that split:
 
-* :mod:`repro.serving.store` — the JSON views every store serves, and
-  :class:`TrustStore`, the in-memory aggregation of a persisted trust
-  artifact (O(1) score lookups, ranked ``top``, percentiles, per-site
-  provenance breakdowns): the layout exporter's source, the ``kbt
-  query`` backend, and the parity tests' reference;
+* :mod:`repro.serving.store` — :class:`TrustStore`, the one store: every
+  lookup (O(1) scores, ranked ``top``, percentiles, per-site provenance
+  breakdowns, the signal views) and every JSON view, written once over
+  the serving columns of :mod:`repro.io.mmap_layout`. Built from an
+  artifact it holds them in memory and writes nothing (``kbt query`` /
+  ``signals`` / ``compare``);
 * :mod:`repro.serving.mmap_store` — :class:`MmapTrustStore`, the store
-  ``kbt serve`` runs: the same query surface answered from memory-mapped
-  columns of a serving layout (:mod:`repro.io.mmap_layout`), with
-  byte-identical JSON views;
+  ``kbt serve`` runs: a ``TrustStore`` over the memory-mapped columns of
+  an exported serving layout, with the ETag-keyed layout cache;
 * :mod:`repro.serving.routes` — the one route table;
 * :mod:`repro.serving.gateway` — the asyncio gateway (``kbt serve``):
   connection limits, request timeouts, ETag caching, ``POST /batch``,

@@ -24,7 +24,7 @@ around it:
   lease the store, then :func:`repro.serving.routes.plan_route`: the
   request's cost and its ``render_route``. A ``/score`` or ``/batch``
   200 is the store's memoised per-site JSON
-  (:meth:`~repro.serving.store.StoreViews.score_body`), joined, never
+  (:meth:`~repro.serving.store.TrustStore.score_body`), joined, never
   re-rendered while one ETag is served; every other answer is
   ``json.dumps`` of the route table's payload.
 * **Bounded lookups on the loop, the rest on a pool** — what a request
@@ -908,7 +908,7 @@ def serve_gateway(
 ) -> None:
     """Blocking convenience wrapper used by ``kbt serve``.
 
-    ``store`` is any ``StoreViews`` (normally an ``MmapTrustStore``) or
+    ``store`` is any ``TrustStore`` (normally an ``MmapTrustStore``) or
     a ready-made :class:`StoreManager`. Ctrl-C
     and SIGTERM (what systemd, Kubernetes, and CI send) both trigger
     the draining shutdown before the process exits. ``admin_token``

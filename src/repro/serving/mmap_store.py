@@ -1,25 +1,14 @@
-"""``MmapTrustStore``: the zero-copy serving view over a layout directory.
+"""``MmapTrustStore``: the :class:`~repro.serving.store.TrustStore` over
+a layout directory mapped from disk — the store ``kbt serve`` runs.
 
-Lookups only ever touch the aggregated score columns, so this store,
-the one ``kbt serve`` runs, keeps nothing else: it opens a *serving
-layout* (:mod:`repro.io.mmap_layout`) — the score / support / percentile
-/ rank columns are read-only ``np.memmap`` views the kernel pages in on
+Every lookup is :class:`~repro.serving.store.TrustStore`'s; this class
+only decides which columns it reads. It opens a *serving layout*
+(:mod:`repro.io.mmap_layout`): the score / support / percentile / rank
+columns are read-only ``np.memmap`` views the kernel pages in on
 access, string keys decode lazily from mmapped blob columns, and the
 posterior mass never enters the process at all. What stays resident is
-one ``key -> row`` index dict (built in a single pass at open) — the
-price of O(1) lookups over string keys — and the shared body memo of
-:class:`~repro.serving.store.StoreViews`, at most one ``/score`` body
-per scored site.
-
-Every JSON view is **byte-identical** to ``TrustStore``'s over the same
-artifact: both are built from one aggregation
-(:func:`repro.io.mmap_layout.serving_columns`), float64 values survive
-the ``.npy`` round trip bit-for-bit (and ``json.dumps`` renders floats
-by ``repr``), both stores inherit the views from
-:class:`~repro.serving.store.StoreViews`, and the signal routes run
-through the same :class:`~repro.serving.store.SignalSurface` code —
-reconstructed lazily from the layout's signal columns on the first
-signal query, so KBT-only traffic never pays for it.
+what any ``TrustStore`` keeps: the ``key -> row`` indexes and the body
+memo.
 
 Opening an *artifact path* transparently maintains a layout cache next
 to it, **keyed by the artifact's sha256** (the serving ETag):
@@ -43,13 +32,9 @@ requests never observe a half-closed store.
 
 from __future__ import annotations
 
-import json
 import shutil
-import threading
-from collections.abc import Iterator
 from pathlib import Path
 
-from repro.core.kbt import KBTScore
 from repro.io.mmap_layout import (
     LayoutError,
     ServingLayout,
@@ -58,64 +43,15 @@ from repro.io.mmap_layout import (
     export_layout,
     layout_cache_dir,
 )
-from repro.serving.store import SignalSurface, StoreViews
+from repro.serving.store import TrustStore
 
 
-class MmapTrustStore(StoreViews):
-    """Zero-copy serving view over one exported artifact layout."""
+class MmapTrustStore(TrustStore):
+    """The store over one exported artifact layout, mapped read-only."""
 
     #: ``"reused"`` when the columns were already on disk at open,
     #: ``"exported"`` when this open had to build them from the artifact.
     layout_state = "reused"
-
-    #: The key -> row index is resident and the columns are mapped, so a
-    #: lookup's worst case is a page fault on a ~9 bytes/record layout.
-    resident_lookups = True
-
-    def __init__(self, layout: ServingLayout) -> None:
-        super().__init__()
-        self._layout = layout
-        manifest = layout.manifest
-        self._etag: str = manifest["etag"]
-        self._min_triples: float = manifest["min_triples"]
-        self._signal_entries: list[dict] = manifest["signals"]
-        self._fusion_weights: dict[str, float] = manifest["fusion_weights"]
-
-        # Mmapped numeric columns (the zero-copy heart of the store).
-        self._score = layout.array("site_score")
-        self._support = layout.array("site_support")
-        self._percentile = layout.array("site_percentile")
-        self._ranked = layout.array("ranked_idx")
-        self._page_score = layout.array("page_score")
-        self._page_support = layout.array("page_support")
-        self._contrib_ptr = layout.array("contrib_ptr")
-        self._contrib_accuracy = layout.array("contrib_accuracy")
-        self._contrib_support = layout.array("contrib_support")
-        self._contrib_meta = layout.strings("contrib_meta")
-
-        # The one resident structure: key -> row indexes (one pass).
-        self._site_keys = layout.strings("site_key").decode_all()
-        self._site_index = {
-            site: index for index, site in enumerate(self._site_keys)
-        }
-        page_sites = layout.strings("page_site").decode_all()
-        page_urls = layout.strings("page_url").decode_all()
-        self._page_index = {
-            (site, url): index
-            for index, (site, url) in enumerate(zip(page_sites, page_urls))
-        }
-        if len(self._site_keys) != len(self._score) or len(
-            self._page_index
-        ) != len(self._page_score):
-            raise LayoutError(
-                f"serving layout {layout.directory} is inconsistent "
-                "(key and score columns disagree); re-export it from "
-                "the artifact"
-            )
-
-        # The signal surface reconstructs lazily on first signal query.
-        self._surface: SignalSurface | None = None
-        self._surface_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Opening
@@ -201,165 +137,9 @@ class MmapTrustStore(StoreViews):
         for stale in cached_layout_dirs(path, keep=keep):
             shutil.rmtree(stale, ignore_errors=True)
 
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def etag(self) -> str:
-        """The source artifact's sha256: the serving cache validator."""
-        return self._etag
-
     @property
     def directory(self) -> Path:
         return self._layout.directory
-
-    @property
-    def min_triples(self) -> float:
-        return self._min_triples
-
-    def __len__(self) -> int:
-        return len(self._site_keys)
-
-    def __contains__(self, website: str) -> bool:
-        return website in self._site_index
-
-    def websites(self) -> Iterator[str]:
-        """Websites that cleared the reporting threshold."""
-        return iter(self._site_keys)
-
-    @property
-    def num_pages(self) -> int:
-        return len(self._page_index)
-
-    # ------------------------------------------------------------------
-    # Queries (the TrustStore surface, answered from mmapped columns)
-    # ------------------------------------------------------------------
-    def score(self, website: str) -> KBTScore | None:
-        index = self._site_index.get(website)
-        if index is None:
-            return None
-        return KBTScore(
-            website, float(self._score[index]), float(self._support[index])
-        )
-
-    def score_page(self, website: str, page: str) -> KBTScore | None:
-        index = self._page_index.get((website, page))
-        if index is None:
-            return None
-        return KBTScore(
-            (website, page),
-            float(self._page_score[index]),
-            float(self._page_support[index]),
-        )
-
-    def top(self, k: int = 10) -> list[KBTScore]:
-        if k < 0:
-            raise ValueError(f"k must be >= 0, got {k}")
-        return [
-            KBTScore(
-                self._site_keys[index],
-                float(self._score[index]),
-                float(self._support[index]),
-            )
-            for index in self._ranked[:k].tolist()
-        ]
-
-    def percentile(self, website: str) -> float | None:
-        index = self._site_index.get(website)
-        if index is None:
-            return None
-        return float(self._percentile[index])
-
-    def breakdown(self, website: str) -> dict | None:
-        index = self._site_index.get(website)
-        if index is None:
-            return None
-        lo = int(self._contrib_ptr[index])
-        hi = int(self._contrib_ptr[index + 1])
-        contributors = []
-        for row in range(lo, hi):
-            source, features, level = json.loads(self._contrib_meta[row])
-            contributors.append(
-                {
-                    "source": source,
-                    "features": features,
-                    "level": level,
-                    "accuracy": float(self._contrib_accuracy[row]),
-                    "support": float(self._contrib_support[row]),
-                }
-            )
-        return {
-            "key": website,
-            "score": float(self._score[index]),
-            "support": float(self._support[index]),
-            "percentile": float(self._percentile[index]),
-            "num_sources": len(contributors),
-            "sources": contributors,
-        }
-
-    def contributor_rows(self, website: str) -> int:
-        index = self._site_index.get(website)
-        if index is None:
-            return 0
-        ptr = self._contrib_ptr
-        return int(ptr[index + 1]) - int(ptr[index])
-
-    # ------------------------------------------------------------------
-    # Trust signals (lazily reconstructed, then the shared surface)
-    # ------------------------------------------------------------------
-    def signal_names(self) -> list[str]:
-        return [entry["name"] for entry in self._signal_entries]
-
-    def _signal_surface(self) -> SignalSurface:
-        surface = self._surface
-        if surface is None:
-            with self._surface_lock:
-                surface = self._surface
-                if surface is None:
-                    surface = self._build_signal_surface()
-                    self._surface = surface
-        return surface
-
-    def _build_signal_surface(self) -> SignalSurface:
-        from repro.signals.base import SignalScores
-
-        table = self._layout.strings("signal_site").decode_all()
-        signals: dict[str, SignalScores] = {}
-        for index, entry in enumerate(self._signal_entries):
-            name = entry["name"]
-            site_idx = self._layout.array(f"sig{index}_site").tolist()
-            score_val = self._layout.array(f"sig{index}_score").tolist()
-            sup_idx = self._layout.array(f"sig{index}_sup_site").tolist()
-            sup_val = self._layout.array(f"sig{index}_sup_val").tolist()
-            signals[name] = SignalScores(
-                name=name,
-                scores={
-                    table[i]: value for i, value in zip(site_idx, score_val)
-                },
-                support={
-                    table[i]: value for i, value in zip(sup_idx, sup_val)
-                },
-                metadata=entry.get("metadata", {}),
-            )
-        return SignalSurface(signals, self._fusion_weights)
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Drop the mmap references; the OS unmaps with the last view.
-
-        Only call once no request holds the store — a
-        :class:`~repro.serving.manager.StoreManager` enforces this by
-        refcounting leases and closing on the last release. The body
-        memo goes with them.
-        """
-        super().close()
-        self._score = self._support = self._percentile = None
-        self._ranked = self._page_score = self._page_support = None
-        self._contrib_ptr = self._contrib_accuracy = None
-        self._contrib_support = self._contrib_meta = None
-        self._surface = None
 
 
 __all__ = ["MmapTrustStore"]

@@ -6,19 +6,20 @@ a request will cost before it runs; the gateway
 (:mod:`repro.serving.gateway`) owns only transport concerns (sockets,
 headers, timeouts, caching, and which thread answers). ``handle_route``
 is a plain function of the store, so the parity tests call it directly
-over a :class:`~repro.serving.store.TrustStore` and compare against the
-bytes the gateway serves from the mmap store.
+over a store whose columns are held in memory, or mapped from a layout,
+and compare against the bytes the gateway serves.
 
 :func:`render_route` is the encoded form the gateway answers with:
 ``(status, body bytes)``. A ``/score`` or ``/batch`` 200 is joined from
 the store's memoised per-site bodies
-(:meth:`~repro.serving.store.StoreViews.score_body`); every other route,
+(:meth:`~repro.serving.store.TrustStore.score_body`); every other route,
 and every 400 / 404 / 500, is ``json.dumps`` of ``handle_route``'s
 payload — so its bytes are ``handle_route``'s by construction.
 :func:`plan_route` gives the gateway the cost and the render of one
 request from one reading of its parameters.
 
-Any :class:`~repro.serving.store.StoreViews` works as the ``store``.
+The ``store`` is a :class:`~repro.serving.store.TrustStore`: the one
+implementation of every lookup, whichever residency its columns have.
 """
 
 from __future__ import annotations

@@ -1,48 +1,58 @@
-"""The store query surface, and ``TrustStore``: its in-memory form.
+"""``TrustStore``: the one serving store, over columns in memory or mapped.
 
-:class:`StoreViews` is the part of that surface every store kind shares:
-the JSON views the route table (:mod:`repro.serving.routes`) and
-``kbt query`` render, written once over a store's own lookups. Two
-stores inherit it — :class:`TrustStore` here and the mmap-backed
-:class:`~repro.serving.mmap_store.MmapTrustStore` the gateway serves
-from.
+Every lookup the route table (:mod:`repro.serving.routes`) and ``kbt
+query`` answer is written once, here, over the serving columns as
+:func:`repro.io.mmap_layout.serving_columns` encodes them: float64 /
+int64 arrays and UTF-8 string columns. Those columns have two
+residencies, and the store reads both through the same
+``array`` / ``strings`` calls:
 
-A :class:`TrustStore` is built once from a
-:class:`~repro.io.artifact.TrustArtifact` (or straight from a file via
-:meth:`TrustStore.open`, which decodes only the sections serving reads)
-and holds the serving columns in memory: per-website and per-webpage
-scores, the top-k ranking, score percentiles, and a provenance
-``breakdown`` that explains which model sources contribute to a
-website's score with what accuracy and extraction support. The
-aggregation itself is :func:`repro.io.mmap_layout.serving_columns` —
-the function the serving-layout exporters write from — so this store
-is the backend of ``kbt query`` / ``signals`` / ``compare`` and the
-reference the parity tests hold the mmap store to.
+* **in memory** (:class:`~repro.io.mmap_layout.ServingColumns`) —
+  ``TrustStore.open(path)`` (which decodes only the sections serving
+  reads, never the observation matrix), ``TrustStore(artifact)`` and
+  ``TrustStore(serving_columns(...))`` build them in this process and
+  write no file, so ``kbt query`` / ``signals`` / ``compare`` work on
+  an artifact in a read-only directory;
+* **mapped** (:class:`~repro.io.mmap_layout.ServingLayout`) — the
+  read-only ``np.memmap`` columns of an exported layout directory,
+  which :class:`~repro.serving.mmap_store.MmapTrustStore` (the store
+  ``kbt serve`` runs) opens, exporting and caching it first when given
+  an artifact.
 
-Artifacts fitted with trust signals (format version 2,
-:mod:`repro.signals`) additionally serve the multi-signal surface: the
-signal listing with fusion weights, per-website fused scores, a
+Float64 values survive the ``.npy`` round trip bit for bit and
+``json.dumps`` renders floats by ``repr``, so both residencies answer
+every route with the same bytes.
+
+The store serves per-website and per-webpage scores, the top-k ranking,
+score percentiles, and a provenance ``breakdown`` that explains which
+model sources contribute to a website's score with what accuracy and
+extraction support. Artifacts fitted with trust signals (format version
+2, :mod:`repro.signals`) additionally serve the multi-signal surface:
+the signal listing with fusion weights, per-website fused scores, a
 per-signal breakdown (score / support / rank / percentile per signal),
 and the two-signal ``compare`` view (the Figure 10 quadrants). A
 version-1 artifact reports an empty signal set and keeps every KBT-only
 query working.
 
-All aggregation happens at construction; every query after that is a
-dict lookup and a column read. The one thing a store fills later is its
-per-site body memo (:meth:`StoreViews.score_body`): a scored site's
-``/score`` JSON, rendered on first use and kept until ``close()``.
+What stays resident is one ``key -> row`` index per key kind, built in
+a single pass at construction, and the per-site body memo
+(:meth:`TrustStore.score_body`): a scored site's ``/score`` JSON,
+rendered on first use and kept until ``close()``. The signal surface is
+rebuilt from the signal columns on the first signal query, so KBT-only
+traffic never pays for it.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 from collections.abc import Iterable, Iterator
 from json.encoder import encode_basestring
 from pathlib import Path
 
 from repro.core.kbt import KBTScore
 from repro.io.artifact import TrustArtifact, load_serving_inputs
-from repro.io.mmap_layout import ServingColumns, serving_columns
+from repro.io.mmap_layout import LayoutError, ServingColumns, serving_columns
 from repro.signals.base import SignalScores
 from repro.signals.frame import SignalFrame
 from repro.signals.fusion import fuse
@@ -57,15 +67,13 @@ def _score_json(score: KBTScore) -> dict:
 
 
 class SignalSurface:
-    """The multi-signal serving views, shared by every store kind.
+    """The multi-signal serving views.
 
     Built from the artifact's named signal payloads and fusion weights,
     it owns the :class:`SignalFrame`, the fused scores, and the JSON
-    views behind ``/signals`` and ``/compare``. Both the in-memory
-    :class:`TrustStore` (which builds it eagerly) and the zero-copy
-    ``MmapTrustStore`` (which reconstructs the payload dicts from the
-    mmap layout lazily, on the first signal query) delegate here, so the
-    two produce byte-identical signal-route JSON by construction.
+    views behind ``/signals`` and ``/compare``. A :class:`TrustStore`
+    rebuilds the payload dicts from its signal columns on the first
+    signal query and answers every signal route from here.
     """
 
     def __init__(
@@ -135,50 +143,209 @@ class SignalSurface:
         }
 
 
-class StoreViews:
-    """The views every store kind serves, over the store's own lookups.
+class TrustStore:
+    """One fitted KBT artifact's serving columns, and every lookup on them.
 
-    A store supplies ``score``, ``score_page``, ``top``, ``percentile``,
-    ``breakdown``, ``contributor_rows``, ``__len__``, ``num_pages``,
-    ``min_triples``, ``signal_names`` and ``_signal_surface``; what the
-    routes and ``kbt query`` render from those is defined here and
-    nowhere else, so two stores over the same artifact cannot answer a
-    route with different bytes.
-
-    It also owns the store's body memo: scored site -> the exact bytes of
-    ``json.dumps(score_json(site), ensure_ascii=False)``, filled on first
-    use. The columns behind a store never change (one store is one
-    ETag), so an entry never goes stale. Only scored sites enter, so the
-    memo never holds more than ``len(store)`` entries, and ``close()``
-    drops it with the store.
+    Built from :class:`~repro.io.mmap_layout.ServingColumns` (held in
+    memory, or a mapped :class:`~repro.io.mmap_layout.ServingLayout`) or
+    from a :class:`~repro.io.artifact.TrustArtifact`, whose columns it
+    aggregates in memory.
     """
 
-    #: Does every KBT lookup (``score``, ``score_page``, ``top``,
-    #: ``percentile``, ``breakdown``, ``contributor_rows``) read only
-    #: this process's memory — a resident index, then in-memory or
-    #: mmapped columns? A store that says so may be queried on the
-    #: gateway's event loop (:func:`repro.serving.routes.route_cost`);
-    #: one whose lookups can block (a remote or disk-seeking backend)
-    #: must leave it false and is only ever called on the worker pool.
-    resident_lookups = False
+    #: Every lookup reads a resident ``key -> row`` index, then in-memory
+    #: or mapped columns (at worst a page fault on a ~9 bytes/record
+    #: layout), so the gateway may answer it on its event loop
+    #: (:func:`repro.serving.routes.route_cost`). A store whose lookups
+    #: can block would say False and only ever be called on the pool.
+    resident_lookups = True
 
-    def __init__(self) -> None:
+    def __init__(self, columns: ServingColumns | TrustArtifact) -> None:
+        if not isinstance(columns, ServingColumns):
+            columns = serving_columns(
+                columns.result.source_accuracy,
+                columns.result.expected_triples_by_source(),
+                columns.min_triples,
+                columns.signals,
+                columns.fusion_weights,
+            )
+        self._layout = columns
+        manifest = columns.manifest
+        self._etag: str | None = columns.etag
+        self._min_triples: float = manifest["min_triples"]
+        self._signal_entries: list[dict] = manifest["signals"]
+        self._fusion_weights: dict[str, float] = manifest["fusion_weights"]
+
+        # The numeric columns (mapped: read-only views of the files).
+        self._score = columns.array("site_score")
+        self._support = columns.array("site_support")
+        self._percentile = columns.array("site_percentile")
+        self._ranked = columns.array("ranked_idx")
+        self._page_score = columns.array("page_score")
+        self._page_support = columns.array("page_support")
+        self._contrib_ptr = columns.array("contrib_ptr")
+        self._contrib_accuracy = columns.array("contrib_accuracy")
+        self._contrib_support = columns.array("contrib_support")
+        self._contrib_meta = columns.strings("contrib_meta")
+
+        # The one resident structure: key -> row indexes (one pass).
+        self._site_keys = columns.strings("site_key").decode_all()
+        self._site_index = {
+            site: index for index, site in enumerate(self._site_keys)
+        }
+        page_sites = columns.strings("page_site").decode_all()
+        page_urls = columns.strings("page_url").decode_all()
+        self._page_index = {
+            (site, url): index
+            for index, (site, url) in enumerate(zip(page_sites, page_urls))
+        }
+        if len(self._site_keys) != len(self._score) or len(
+            self._page_index
+        ) != len(self._page_score):
+            raise LayoutError(
+                f"serving layout {columns.directory} is inconsistent "
+                "(key and score columns disagree); re-export it from "
+                "the artifact"
+            )
+
+        # The signal surface is rebuilt on the first signal query.
+        self._surface: SignalSurface | None = None
+        self._surface_lock = threading.Lock()
+        # Scored site -> the exact bytes of json.dumps(score_json(site),
+        # ensure_ascii=False). The columns never change (one store is
+        # one artifact), so an entry never goes stale; only scored sites
+        # enter, so it never holds more than len(store) entries.
         self._bodies: dict[str, bytes] = {}
 
-    def close(self) -> None:
-        """Release the store: drop the body memo (the mmap-backed store
-        also unmaps its columns). A
-        :class:`~repro.serving.manager.StoreManager` calls this once the
-        last lease on a retired store is released."""
-        self._bodies = {}
+    @classmethod
+    def open(cls, path: str | Path) -> "TrustStore":
+        """Build the store in memory from an artifact on disk, decoding
+        only the sections serving reads (never the observation matrix)
+        and writing nothing."""
+        return cls(serving_columns(*load_serving_inputs(path)))
+
+    # ------------------------------------------------------------------
+    # Introspection
+    # ------------------------------------------------------------------
+    @property
+    def etag(self) -> str | None:
+        """The source artifact's sha256, the serving cache validator;
+        ``None`` for columns built in memory."""
+        return self._etag
+
+    @property
+    def min_triples(self) -> float:
+        return self._min_triples
+
+    def __len__(self) -> int:
+        return len(self._site_keys)
+
+    def __contains__(self, website: str) -> bool:
+        return website in self._site_index
+
+    def websites(self) -> Iterator[str]:
+        """Websites that cleared the reporting threshold."""
+        return iter(self._site_keys)
+
+    @property
+    def num_pages(self) -> int:
+        return len(self._page_index)
+
+    # ------------------------------------------------------------------
+    # Queries
+    # ------------------------------------------------------------------
+    def score(self, website: str) -> KBTScore | None:
+        """The website's KBT score, or None when unscored."""
+        index = self._site_index.get(website)
+        if index is None:
+            return None
+        return KBTScore(
+            website, float(self._score[index]), float(self._support[index])
+        )
+
+    def score_page(self, website: str, page: str) -> KBTScore | None:
+        """The (website, webpage) KBT score, or None when unscored."""
+        index = self._page_index.get((website, page))
+        if index is None:
+            return None
+        return KBTScore(
+            (website, page),
+            float(self._page_score[index]),
+            float(self._page_support[index]),
+        )
 
     def batch(self, keys: Iterable[str]) -> dict[str, KBTScore | None]:
         """Look up many websites at once (None for unscored keys)."""
         return {key: self.score(key) for key in keys}
 
+    def top(self, k: int = 10) -> list[KBTScore]:
+        """The ``k`` most trustworthy websites, best first (descending
+        score, ties broken by key)."""
+        if k < 0:
+            raise ValueError(f"k must be >= 0, got {k}")
+        return [
+            KBTScore(
+                self._site_keys[index],
+                float(self._score[index]),
+                float(self._support[index]),
+            )
+            for index in self._ranked[:k].tolist()
+        ]
+
+    def percentile(self, website: str) -> float | None:
+        """Share of scored websites at or below this site's score (0-100)."""
+        index = self._site_index.get(website)
+        if index is None:
+            return None
+        return float(self._percentile[index])
+
+    def breakdown(self, website: str) -> dict | None:
+        """Why a website scores what it scores, or None when unscored.
+
+        Returns the aggregate score/support/percentile plus every model
+        source contributing to the support-weighted average: its key,
+        granularity level, accuracy, and extraction support.
+        """
+        index = self._site_index.get(website)
+        if index is None:
+            return None
+        lo = int(self._contrib_ptr[index])
+        hi = int(self._contrib_ptr[index + 1])
+        contributors = []
+        for row in range(lo, hi):
+            source, features, level = json.loads(self._contrib_meta[row])
+            contributors.append(
+                {
+                    "source": source,
+                    "features": features,
+                    "level": level,
+                    "accuracy": float(self._contrib_accuracy[row]),
+                    "support": float(self._contrib_support[row]),
+                }
+            )
+        return {
+            "key": website,
+            "score": float(self._score[index]),
+            "support": float(self._support[index]),
+            "percentile": float(self._percentile[index]),
+            "num_sources": len(contributors),
+            "sources": contributors,
+        }
+
+    def contributor_rows(self, website: str) -> int:
+        """How many contributor rows ``breakdown(website)`` reads; O(1)."""
+        index = self._site_index.get(website)
+        if index is None:
+            return 0
+        ptr = self._contrib_ptr
+        return int(ptr[index + 1]) - int(ptr[index])
+
     # ------------------------------------------------------------------
     # Trust signals (format-2 artifacts; empty set for v1)
     # ------------------------------------------------------------------
+    def signal_names(self) -> list[str]:
+        """Names of the signals embedded in the artifact (may be empty)."""
+        return [entry["name"] for entry in self._signal_entries]
+
     @property
     def has_signals(self) -> bool:
         return bool(self.signal_names())
@@ -207,6 +374,38 @@ class StoreViews:
         """The signal listing: names, coverage, weights, metadata."""
         return self._signal_surface().signals_json()
 
+    def _signal_surface(self) -> SignalSurface:
+        surface = self._surface
+        if surface is None:
+            with self._surface_lock:
+                surface = self._surface
+                if surface is None:
+                    surface = self._build_signal_surface()
+                    self._surface = surface
+        return surface
+
+    def _build_signal_surface(self) -> SignalSurface:
+        layout = self._layout
+        table = layout.strings("signal_site").decode_all()
+        signals: dict[str, SignalScores] = {}
+        for index, entry in enumerate(self._signal_entries):
+            name = entry["name"]
+            site_idx = layout.array(f"sig{index}_site").tolist()
+            score_val = layout.array(f"sig{index}_score").tolist()
+            sup_idx = layout.array(f"sig{index}_sup_site").tolist()
+            sup_val = layout.array(f"sig{index}_sup_val").tolist()
+            signals[name] = SignalScores(
+                name=name,
+                scores={
+                    table[i]: value for i, value in zip(site_idx, score_val)
+                },
+                support={
+                    table[i]: value for i, value in zip(sup_idx, sup_val)
+                },
+                metadata=entry.get("metadata", {}),
+            )
+        return SignalSurface(signals, self._fusion_weights)
+
     # ------------------------------------------------------------------
     # JSON views (the routes and ``kbt query``)
     # ------------------------------------------------------------------
@@ -222,6 +421,18 @@ class StoreViews:
         return {
             key: (None if score is None else _score_json(score))
             for key, score in self.batch(keys).items()
+        }
+
+    def top_json(self, k: int = 10) -> list[dict]:
+        return [_score_json(score) for score in self.top(k)]
+
+    def stats_json(self) -> dict:
+        return {
+            "status": "ok",
+            "websites": len(self),
+            "pages": self.num_pages,
+            "min_triples": self.min_triples,
+            "signals": self.signal_names(),
         }
 
     # ------------------------------------------------------------------
@@ -261,160 +472,23 @@ class StoreViews:
             raise
         return b"{" + b", ".join(items) + b"}"
 
-    def top_json(self, k: int = 10) -> list[dict]:
-        return [_score_json(score) for score in self.top(k)]
-
-    def stats_json(self) -> dict:
-        return {
-            "status": "ok",
-            "websites": len(self),
-            "pages": self.num_pages,
-            "min_triples": self.min_triples,
-            "signals": self.signal_names(),
-        }
-
-
-class TrustStore(StoreViews):
-    """One fitted KBT artifact, aggregated in memory."""
-
-    resident_lookups = True
-
-    def __init__(self, artifact: TrustArtifact | ServingColumns) -> None:
-        super().__init__()
-        if isinstance(artifact, ServingColumns):
-            columns = artifact
-        else:
-            columns = serving_columns(
-                artifact.result.source_accuracy,
-                artifact.result.expected_triples_by_source(),
-                artifact.min_triples,
-                artifact.signals,
-                artifact.fusion_weights,
-            )
-        self._columns = columns
-        self._site_scores = {
-            site: KBTScore(site, score, support)
-            for site, score, support in zip(
-                columns.site_key, columns.site_score, columns.site_support
-            )
-        }
-        self._site_row = {
-            site: row for row, site in enumerate(columns.site_key)
-        }
-        self._page_scores = {
-            (site, url): KBTScore((site, url), score, support)
-            for site, url, score, support in zip(
-                columns.page_site,
-                columns.page_url,
-                columns.page_score,
-                columns.page_support,
-            )
-        }
-        #: descending score, ties broken by key for a stable ranking.
-        ranked = list(self._site_scores.values())
-        self._ranked = [ranked[row] for row in columns.ranked_idx]
-        #: multi-signal view (empty frame for v1 / signal-less artifacts).
-        self._signals = SignalSurface(
-            columns.signals, columns.fusion_weights
-        )
-
-    @classmethod
-    def open(cls, path: str | Path) -> "TrustStore":
-        """Build the store from an artifact on disk, decoding only the
-        sections serving reads (never the observation matrix)."""
-        return cls(serving_columns(*load_serving_inputs(path)))
-
     # ------------------------------------------------------------------
-    # Introspection
+    # Lifecycle
     # ------------------------------------------------------------------
-    @property
-    def min_triples(self) -> float:
-        return self._columns.min_triples
+    def close(self) -> None:
+        """Drop the body memo, the signal surface and the columns (a
+        mapped column unmaps with its last view).
 
-    def __len__(self) -> int:
-        return len(self._site_scores)
-
-    def __contains__(self, website: str) -> bool:
-        return website in self._site_scores
-
-    def websites(self) -> Iterator[str]:
-        """Websites that cleared the reporting threshold."""
-        return iter(self._site_scores)
-
-    @property
-    def num_pages(self) -> int:
-        return len(self._page_scores)
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def score(self, website: str) -> KBTScore | None:
-        """The website's KBT score, or None when unscored."""
-        return self._site_scores.get(website)
-
-    def score_page(self, website: str, page: str) -> KBTScore | None:
-        """The (website, webpage) KBT score, or None when unscored."""
-        return self._page_scores.get((website, page))
-
-    def top(self, k: int = 10) -> list[KBTScore]:
-        """The ``k`` most trustworthy websites, best first."""
-        if k < 0:
-            raise ValueError(f"k must be >= 0, got {k}")
-        return self._ranked[:k]
-
-    def percentile(self, website: str) -> float | None:
-        """Share of scored websites at or below this site's score (0-100)."""
-        row = self._site_row.get(website)
-        if row is None:
-            return None
-        return self._columns.site_percentile[row]
-
-    def breakdown(self, website: str) -> dict | None:
-        """Why a website scores what it scores, or None when unscored.
-
-        Returns the aggregate score/support/percentile plus every model
-        source contributing to the support-weighted average: its key,
-        granularity level, accuracy, and extraction support.
+        Only call once no request holds the store — a
+        :class:`~repro.serving.manager.StoreManager` enforces this by
+        refcounting leases and closing on the last release.
         """
-        row = self._site_row.get(website)
-        if row is None:
-            return None
-        columns = self._columns
-        lo, hi = columns.contrib_ptr[row], columns.contrib_ptr[row + 1]
-        contributors = [
-            {
-                "source": str(source),
-                "features": list(source.features),
-                "level": source.level,
-                "accuracy": accuracy,
-                "support": source_support,
-            }
-            for source, accuracy, source_support in zip(
-                columns.contrib_source[lo:hi],
-                columns.contrib_accuracy[lo:hi],
-                columns.contrib_support[lo:hi],
-            )
-        ]
-        return {
-            "key": website,
-            "score": columns.site_score[row],
-            "support": columns.site_support[row],
-            "percentile": columns.site_percentile[row],
-            "num_sources": len(contributors),
-            "sources": contributors,
-        }
+        self._bodies = {}
+        self._surface = None
+        self._score = self._support = self._percentile = None
+        self._ranked = self._page_score = self._page_support = None
+        self._contrib_ptr = self._contrib_accuracy = None
+        self._contrib_support = self._contrib_meta = None
 
-    def contributor_rows(self, website: str) -> int:
-        """How many contributor rows ``breakdown(website)`` reads; O(1)."""
-        row = self._site_row.get(website)
-        if row is None:
-            return 0
-        ptr = self._columns.contrib_ptr
-        return ptr[row + 1] - ptr[row]
 
-    def signal_names(self) -> list[str]:
-        """Names of the signals embedded in the artifact (may be empty)."""
-        return self._signals.names
-
-    def _signal_surface(self) -> SignalSurface:
-        return self._signals
+__all__ = ["SignalSurface", "TrustStore"]

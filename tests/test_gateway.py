@@ -59,6 +59,8 @@ from repro.serving.routes import (
 from repro.serving.store import TrustStore
 from repro.signals import CorpusContext, SignalSuite, fuse
 
+from serving_reference import ReferenceStore
+
 
 def page_records(website, url, extractor, items, value_fn):
     return [
@@ -251,17 +253,17 @@ class TestServingLayout:
 class TestMmapParity:
     @pytest.mark.parametrize("path,params", REQUESTS)
     def test_plain_routes_byte_identical(self, artifact, path, params):
-        legacy = TrustStore.open(artifact)
-        mmapped = MmapTrustStore.open(artifact)
-        assert render(mmapped, path, params) == render(legacy, path, params)
+        legacy = ReferenceStore.open(artifact)
+        for store in open_stores(artifact):
+            assert render(store, path, params) == render(legacy, path, params)
 
     @pytest.mark.parametrize("path,params", REQUESTS)
     def test_signal_routes_byte_identical(
         self, signal_artifact, path, params
     ):
-        legacy = TrustStore.open(signal_artifact)
-        mmapped = MmapTrustStore.open(signal_artifact)
-        assert render(mmapped, path, params) == render(legacy, path, params)
+        legacy = ReferenceStore.open(signal_artifact)
+        for store in open_stores(signal_artifact):
+            assert render(store, path, params) == render(legacy, path, params)
 
     def test_open_reuses_cached_layout(self, artifact):
         store = MmapTrustStore.open(artifact)
@@ -410,10 +412,10 @@ class TestGatewayHttp:
     ]
 
     def test_byte_parity_with_legacy_server(self, signal_artifact):
-        """The reference is the route table over the in-memory
-        ``TrustStore``; the gateway over the mmap store must serve the
-        same status and bytes for every path."""
-        reference = TrustStore.open(signal_artifact)
+        """The reference is the route table over the test-held
+        ``ReferenceStore``; the gateway over the mmap store must serve
+        the same status and bytes for every path."""
+        reference = ReferenceStore.open(signal_artifact)
         manager = StoreManager(MmapTrustStore.open(signal_artifact))
         gateway = GatewayThread(manager).start()
         try:
@@ -751,8 +753,8 @@ class TestInlineOrPool:
         self, signal_artifact
     ):
         """Same store, marker on and off: status, ETag and body agree
-        with each other and with ``handle_route`` over ``TrustStore``."""
-        reference = TrustStore.open(signal_artifact)
+        with each other and with ``handle_route`` over the reference."""
+        reference = ReferenceStore.open(signal_artifact)
         pooled_store = MmapTrustStore.open(signal_artifact)
         pooled_store.resident_lookups = False
         sites = ["good.com", "bad.com", "a.com", "zz", "b.com"]
@@ -966,7 +968,7 @@ class TestBodyMemo:
     def test_render_route_is_json_dumps_of_handle_route(
         self, signal_artifact, path, params
     ):
-        reference = TrustStore.open(signal_artifact)
+        reference = ReferenceStore.open(signal_artifact)
         for store in open_stores(signal_artifact):
             for _pass in ("cold", "warm"):
                 assert render_route(store, path, params) == render(
@@ -1312,7 +1314,7 @@ PARITY_RESPONSES = len(PARITY_SCRIPT) + 1
 
 def parity_expected(reference, etag):
     """``(status, body)`` of every response the script must get, from
-    ``handle_route`` over the in-memory store."""
+    ``handle_route`` over the reference store."""
     expected = []
     for _raw, answer in PARITY_SCRIPT:
         if answer == "304":
@@ -1444,7 +1446,7 @@ class TestByteBoundaries:
         parsed, rest = parse_responses(whole)
         assert rest == b""
         expected = parity_expected(
-            TrustStore.open(artifact), parity_manager.etag
+            ReferenceStore.open(artifact), parity_manager.etag
         )
         assert [(status, body) for status, _h, body in parsed] == expected
 

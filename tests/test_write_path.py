@@ -41,6 +41,7 @@ from repro.serving.routes import handle_route
 from repro.serving.store import TrustStore
 from repro.signals import CorpusContext, SignalSuite, fuse
 
+from serving_reference import ReferenceStore
 from test_artifact import with_json_payload
 from test_determinism_ladder import CORPUS, UPDATES, ladder_config
 from test_ingest import batch_for, corpus as small_corpus
@@ -115,6 +116,19 @@ def requests_for(fitted, store):
     return requests
 
 
+#: The 400 bodies, and the signal routes' 404 / 400 on any artifact.
+BAD_REQUESTS = [
+    ("/score", {}),
+    ("/page", {"site": ["nosuch.example"]}),
+    ("/batch", {}),
+    ("/top", {"k": ["-1"]}),
+    ("/top", {"k": ["many"]}),
+    ("/compare", {"a": ["kbt"]}),
+    ("/compare", {"a": ["kbt"], "b": ["nope"]}),
+    ("/signals", {"site": ["nosuch.example"]}),
+]
+
+
 # ----------------------------------------------------------------------
 # The layout written from memory is the layout written from the file
 # ----------------------------------------------------------------------
@@ -157,14 +171,15 @@ def test_in_memory_export_equals_from_file_export(case, tmp_path):
     assert manifests[0] == manifests[1]
     assert manifests[0]["etag"] == sha256(path)
 
-    reference = TrustStore.open(path)
+    reference = ReferenceStore.open(path)
     assert len(reference) > 0
     stores = [
         MmapTrustStore.open(from_file),
         MmapTrustStore.open(from_memory),
         TrustStore(columns_of(fitted, signals, weights)),
+        TrustStore.open(path),
     ]
-    for route, params in requests_for(fitted, reference):
+    for route, params in requests_for(fitted, reference) + BAD_REQUESTS:
         expected = render(reference, route, params)
         for store in stores:
             assert render(store, route, params) == expected, (route, params)
@@ -308,7 +323,7 @@ class TestPublishShipsAReadyLayout:
                 assert status["served_layout"] == "reused"
             assert (calls.exports, calls.loads) == (0, 0)
             with manager.acquire() as store:
-                reference = TrustStore.open(path)
+                reference = ReferenceStore.open(path)
                 for route in ("/score", "/breakdown"):
                     params = {"site": ["fresh.example"]}
                     assert render(store, route, params) == render(
@@ -390,7 +405,7 @@ class TestPublishShipsAReadyLayout:
         assert store.etag == sha256(artifact)
         assert store.directory == planted
         assert store.score("new.com") is None
-        reference = TrustStore.open(artifact)
+        reference = ReferenceStore.open(artifact)
         for site in reference.websites():
             assert store.score(site) == reference.score(site)
 
@@ -446,3 +461,100 @@ class TestStagingLeak:
             assert in_flight.exists()
         finally:
             store.close()
+
+
+# ----------------------------------------------------------------------
+# Cache garbage collection matches an artifact's name literally
+# ----------------------------------------------------------------------
+class TestCacheNamesAreLiteral:
+    def test_store_gc_keeps_another_artifacts_layout(self, tmp_path):
+        plain = tmp_path / "ma.kbt"
+        pattern = tmp_path / "m[ab].kbt"  # a glob that matches "ma.kbt"
+        KBTEstimator().fit(small_corpus()).save(plain)
+        KBTEstimator().fit(
+            small_corpus() + batch_for("new.com", "t0")
+        ).save(pattern)
+        # An artifact whose name starts with the other's cache name.
+        longer = tmp_path / "m[ab].kbt.layout-x.kbt"
+        longer.write_bytes(plain.read_bytes())
+        for path in (plain, longer):
+            MmapTrustStore.open(path).close()
+        kept = layout_cache_dir(plain, sha256(plain))
+        also_kept = layout_cache_dir(longer, sha256(longer))
+        stale = layout_cache_dir(pattern, "0" * 64)
+        stale.mkdir()
+        staging = stale.with_name(f".{stale.name}.tmp-k1lled")
+        staging.mkdir()
+
+        store = MmapTrustStore.open(pattern)
+        try:
+            assert store.layout_state == "exported"
+            assert kept.is_dir()  # the parent deleted it
+            assert also_kept.is_dir()
+            assert not stale.exists() and not staging.exists()
+            assert store.directory.is_dir()
+        finally:
+            store.close()
+
+    def test_pipeline_gc_keeps_the_served_generations_layout(
+        self, tmp_path
+    ):
+        artifact = tmp_path / "model.kbt"
+        KBTEstimator().fit(small_corpus()).save(artifact)
+        manager = StoreManager(MmapTrustStore.open(artifact))
+        generations = tmp_path / "gens"
+        pipeline = IngestPipeline(
+            FittedKBT.load(artifact),
+            generations,
+            publisher=InProcessPublisher(manager),
+            keep_generations=1,
+        )
+        # An older artifact whose name, read as a glob, matches every
+        # generation's, with a layout of its own.
+        stray = generations / "gen-*.kbt"
+        stray.write_bytes(artifact.read_bytes())
+        stray_store = MmapTrustStore.open(stray)
+        stray_layout = stray_store.directory
+        stray_store.close()
+        try:
+            path = pipeline.process_batch(batch_for("a.com", "t0", n=4))
+            assert not stray.exists() and not stray_layout.exists()
+            assert layout_cache_dir(path, sha256(path)).is_dir()
+        finally:
+            manager.close()
+
+
+# ----------------------------------------------------------------------
+# kbt query builds its store in memory and writes nothing
+# ----------------------------------------------------------------------
+def test_query_in_a_read_only_directory_writes_nothing(tmp_path, capsys):
+    fitted, signals, weights = with_two_signals()
+    directory = tmp_path / "read-only"
+    directory.mkdir()
+    path = fitted.save(
+        directory / "model.kbt", signals=signals, fusion_weights=weights
+    )
+    want = fitted.website_scores()["good.com"]
+    reference = ReferenceStore.open(path)
+    before = sorted(tmp_path.rglob("*"))
+    directory.chmod(0o555)
+    try:
+        store = TrustStore.open(path)
+        assert store.etag is None
+        for route, params in requests_for(fitted, reference):
+            assert render(store, route, params) == render(
+                reference, route, params
+            ), (route, params)
+        for argv in (
+            ["query", str(path), "--site", "good.com"],
+            ["query", str(path), "--breakdown", "good.com"],
+            ["query", str(path), "--top", "3"],
+            ["signals", str(path), "--site", "good.com"],
+            ["compare", str(path), "--json"],
+        ):
+            assert cli_main(argv) == 0, argv
+        first = capsys.readouterr().out.split("\n}\n")[0] + "\n}"
+        assert json.loads(first)["score"] == want.score
+    finally:
+        directory.chmod(0o755)
+    assert sorted(tmp_path.rglob("*")) == before
