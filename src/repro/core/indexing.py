@@ -21,16 +21,19 @@ The compilation applies exactly the same eligibility rules as the Python
 engine's ``_FitState``: support thresholds, confidence thresholding, and
 restriction of V-step claims to estimable sources.
 
-The matrix maintains exactly what this module reads — the cells, the
-first-seen key orders with their support sizes, the active-extractor
-incidence — so a corpus that exceeds RAM compiles from a chunked record
-iterator, and ``observations.release()`` afterwards leaves only the
-compiled arrays resident (see ``MultiLayerConfig.spill_dir``).
+The matrix holds exactly what this module reads — its cells as key
+tables plus integer columns, in first-seen key order
+(:meth:`~repro.core.observation.ObservationMatrix.columns`), and the
+active-extractor incidence — and the compile is array work over them,
+no loop over cells. A corpus that exceeds RAM compiles from a chunked
+record iterator, and ``observations.release()`` afterwards leaves only
+the compiled arrays resident (see ``MultiLayerConfig.spill_dir``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -131,142 +134,135 @@ def compile_problem(
     select the estimable sources/extractors, confidences are restricted to
     estimable extractors and optionally binarised at the configured
     threshold, and V-step claims keep only estimable-source coordinates.
+    Every step is array work over the matrix's columns.
     """
-    extractor_sizes = observations.extractor_sizes()
-    source_sizes = observations.source_sizes()
-    estimable_extractors = {
-        e
-        for e, size in extractor_sizes.items()
-        if size >= cfg.min_extractor_support
-    }
-    estimable_sources = {
-        w for w, size in source_sizes.items() if size >= cfg.min_source_support
-    }
-
+    cells = observations.columns()
     sources = list(observations.sources())
     extractors = list(observations.extractors())
-    source_id = {source: i for i, source in enumerate(sources)}
-    cols = [e for e in extractors if e in estimable_extractors]
-    col_id = {extractor: i for i, extractor in enumerate(cols)}
+    source_ok = (
+        np.bincount(cells.cell_source, minlength=len(sources))
+        >= cfg.min_source_support
+    )
+    extractor_ok = (
+        np.bincount(cells.entry_extractor, minlength=len(extractors))
+        >= cfg.min_extractor_support
+    )
+    cols = list(compress(extractors, extractor_ok))
+    col_of = np.cumsum(extractor_ok) - 1  # read where extractor_ok
 
+    # Entries of estimable extractors (above the threshold, when one is
+    # set); a cell with none left is not scored.
+    keep = extractor_ok[cells.entry_extractor]
     threshold = cfg.confidence_threshold
-    coords: list[Coord] = []
-    coord_source: list[int] = []
-    entry_coord: list[int] = []
-    entry_col: list[int] = []
-    entry_conf: list[float] = []
-    for coord, cell in observations.cells():
-        first_entry = len(entry_coord)
-        ci = len(coords)
-        for extractor, confidence in cell.items():
-            column = col_id.get(extractor)
-            if column is None:
-                continue
-            if threshold is not None:
-                if confidence > threshold:
-                    entry_coord.append(ci)
-                    entry_col.append(column)
-                    entry_conf.append(1.0)
-            else:
-                entry_coord.append(ci)
-                entry_col.append(column)
-                entry_conf.append(confidence)
-        if len(entry_coord) == first_entry:
-            continue  # nothing survived filtering: the cell is not scored
-        coords.append(coord)
-        coord_source.append(source_id[coord[0]])
+    if threshold is not None:
+        keep &= cells.entry_conf > threshold
+    entry_cell = cells.entry_cell[keep]
+    scored = np.zeros(len(cells.coords), dtype=bool)
+    scored[entry_cell] = True
+    scored_cells = np.flatnonzero(scored)
+    coords = list(map(cells.coords.__getitem__, scored_cells.tolist()))
+    coord_source = cells.cell_source[scored_cells]
+    entry_conf = (
+        cells.entry_conf[keep]
+        if threshold is None
+        else np.ones(len(entry_cell), dtype=np.float64)
+    )
 
     # Covered triples: (item, value) pairs claimed by estimable sources,
-    # grouped by item in first-seen order like the Python item_claims index.
-    item_values: dict[DataItem, dict[Value, list[int]]] = {}
-    for ci, coord in enumerate(coords):
-        source, item, value = coord
-        if source not in estimable_sources:
-            continue
-        item_values.setdefault(item, {}).setdefault(value, []).append(ci)
+    # grouped by item in first-seen order like the Python item_claims
+    # index, each item's values in first-seen order; claims in
+    # coordinate order within their triple.
+    coord_item_id = cells.cell_item[scored_cells]
+    n_values = int(cells.cell_value.max()) + 1 if len(cells.coords) else 1
+    coord_pair = coord_item_id * n_values + cells.cell_value[scored_cells]
+    claims = np.flatnonzero(source_ok[coord_source])
+    pairs, pair_first, pair_of = np.unique(
+        coord_pair[claims], return_index=True, return_inverse=True
+    )
+    known_items, item_first = np.unique(
+        coord_item_id[claims], return_index=True
+    )
+    # Each item id's rank by first claim; -1 when no claim covers it.
+    item_rank = np.full(
+        int(cells.cell_item.max()) + 1 if len(cells.coords) else 0, -1
+    )
+    item_rank[known_items[np.argsort(item_first)]] = np.arange(
+        len(known_items)
+    )
+    triple_item = item_rank[pairs // n_values]
+    triple_order = np.lexsort((pair_first, triple_item))
+    triple_of_pair = np.empty(len(pairs), dtype=np.int64)
+    triple_of_pair[triple_order] = np.arange(len(pairs))
+    claim_triple = triple_of_pair[pair_of]
+    by_triple = np.argsort(claim_triple, kind="stable")
+    first_claim = claims[pair_first[triple_order]].tolist()
+    item_num_values = np.bincount(triple_item, minlength=len(known_items))
 
-    items = list(item_values)
-    triple_item: list[int] = []
-    triple_value: list[Value] = []
-    item_ptr = [0]
-    item_num_values: list[int] = []
-    claim_coord: list[int] = []
-    claim_triple: list[int] = []
-    triple_id: dict[tuple[DataItem, Value], int] = {}
-    for ii, (item, values) in enumerate(item_values.items()):
-        for value, claim_cis in values.items():
-            ti = len(triple_value)
-            triple_id[(item, value)] = ti
-            triple_item.append(ii)
-            triple_value.append(value)
-            claim_coord.extend(claim_cis)
-            claim_triple.extend([ti] * len(claim_cis))
-        item_ptr.append(len(triple_value))
-        item_num_values.append(len(values))
-
-    coord_triple = [
-        triple_id.get((coord[1], coord[2]), -1) for coord in coords
-    ]
-    item_id = {item: ii for ii, item in enumerate(items)}
-    coord_item = [item_id.get(coord[1], -1) for coord in coords]
-
-    # Active-extractor incidence for sources with scored coordinates.
-    # Sorted by column id: active_extractors() hands back a *set*, and
-    # set order varies between processes (id-based hashes), which would
+    # Active-extractor incidence for sources with scored coordinates,
+    # in one canonical summation order: sorted by (source, column). The
+    # matrix holds the pairs unordered and repeated, and set order
+    # varies between processes (id-based hashes), which would
     # re-associate the ACTIVE-scope absence sums and make separately
-    # launched fits differ in the last bits. Sorting pins one canonical
-    # summation order, so equal inputs give bit-equal fits across
-    # processes (the out-of-core bench compares exactly that).
-    active_src: list[int] = []
-    active_col: list[int] = []
-    for si in sorted(set(coord_source)):
-        source = sources[si]
-        for column in sorted(
-            col_id[extractor]
-            for extractor in observations.active_extractors(source)
-            if extractor in col_id
-        ):
-            active_src.append(si)
-            active_col.append(column)
+    # launched fits differ in the last bits; the ``unique`` below pins
+    # the order, so equal inputs give bit-equal fits across processes
+    # (the out-of-core bench compares exactly that).
+    active_source, active_extractor = observations.active_pairs()
+    has_coord = np.zeros(len(sources), dtype=bool)
+    has_coord[coord_source] = True
+    live = has_coord[active_source] & extractor_ok[active_extractor]
+    n_cols = max(len(cols), 1)
+    # ``return_index`` keeps ``np.unique`` off its plain path, whose
+    # first call imports ``numpy.ma``: tens of ms in a fresh process.
+    active, _first = np.unique(
+        active_source[live] * n_cols + col_of[active_extractor[live]],
+        return_index=True,
+    )
 
     triple_popularity: np.ndarray | None = None
     if cfg.false_value_model is FalseValueModel.POPACCU:
         counts = np.bincount(
-            np.asarray(claim_triple, dtype=np.int64),
-            minlength=len(triple_value),
+            claim_triple, minlength=len(triple_order)
         ).astype(np.float64)
-        ptr = np.asarray(item_ptr, dtype=np.int64)
-        if items:
-            per_item_total = np.add.reduceat(counts, ptr[:-1])
+        if len(known_items):
+            per_item_total = np.add.reduceat(
+                counts, np.cumsum(item_num_values) - item_num_values
+            )
         else:
             per_item_total = np.zeros(0)
-        denom = per_item_total + np.asarray(item_num_values, dtype=np.float64)
+        denom = per_item_total + item_num_values.astype(np.float64)
         triple_popularity = (counts + 1.0) / denom[
-            np.asarray(triple_item, dtype=np.int64)
+            triple_item[triple_order]
         ]
 
     return CompiledProblem(
         sources=sources,
         extractors=extractors,
-        estimable_sources=estimable_sources,
-        estimable_extractors=estimable_extractors,
+        estimable_sources=set(compress(sources, source_ok)),
+        estimable_extractors=set(cols),
         cols=cols,
         coords=coords,
-        coord_source=np.asarray(coord_source, dtype=np.int64),
-        coord_triple=np.asarray(coord_triple, dtype=np.int64),
-        coord_item=np.asarray(coord_item, dtype=np.int64),
-        entry_coord=np.asarray(entry_coord, dtype=np.int64),
-        entry_col=np.asarray(entry_col, dtype=np.int64),
-        entry_conf=np.asarray(entry_conf, dtype=np.float64),
-        claim_coord=np.asarray(claim_coord, dtype=np.int64),
-        claim_triple=np.asarray(claim_triple, dtype=np.int64),
-        triple_item=np.asarray(triple_item, dtype=np.int64),
-        triple_value=triple_value,
-        item_ptr=np.asarray(item_ptr, dtype=np.int64),
-        items=items,
-        item_num_values=np.asarray(item_num_values, dtype=np.int64),
-        active_src=np.asarray(active_src, dtype=np.int64),
-        active_col=np.asarray(active_col, dtype=np.int64),
+        coord_source=coord_source,
+        coord_triple=_lookup(pairs, triple_of_pair, coord_pair),
+        coord_item=item_rank[coord_item_id],
+        entry_coord=(np.cumsum(scored) - 1)[entry_cell],
+        entry_col=col_of[cells.entry_extractor[keep]],
+        entry_conf=entry_conf,
+        claim_coord=claims[by_triple],
+        claim_triple=claim_triple[by_triple],
+        triple_item=triple_item[triple_order],
+        triple_value=[coords[ci][2] for ci in first_claim],
+        item_ptr=np.concatenate([[0], np.cumsum(item_num_values)]),
+        items=[coords[ci][1] for ci in claims[np.sort(item_first)].tolist()],
+        item_num_values=item_num_values,
+        active_src=active // n_cols,
+        active_col=active % n_cols,
         triple_popularity=triple_popularity,
     )
 
+
+def _lookup(keys: np.ndarray, ids: np.ndarray, queries: np.ndarray):
+    """``ids[k]`` where ``keys[k] == query`` (``keys`` sorted), else -1."""
+    if not len(keys):
+        return np.full(len(queries), -1, dtype=np.int64)
+    at = np.minimum(np.searchsorted(keys, queries), len(keys) - 1)
+    return np.where(keys[at] == queries, ids[at], -1)

@@ -1,33 +1,31 @@
-"""Sparse observation matrix X = {X_ewdv}: the cells, and views of them.
+"""Sparse observation matrix X = {X_ewdv}: key tables and integer columns.
 
 The matrix is the "data cube" of Figure 1(b): extractor x source x
-(data item, value). It is stored sparsely as a mapping from (source, item,
-value) coordinates to the extractors (and confidences) that extracted that
-triple from that source. Duplicate records for the same (e, w, d, v) keep
-the maximum confidence.
+(data item, value), stored as cells, one per distinct (source, item,
+value) coordinate, each holding the extractors (and confidences) that
+extracted that triple from that source. Duplicate records for the same
+(e, w, d, v) keep the maximum confidence.
 
-Built with the matrix — this is all that compilation, the engines and
-the artifact writer read:
+The matrix holds, and compilation and the artifact writer read
+(:meth:`ObservationMatrix.columns`), the coordinate tuples in cell order
+with integer columns over them (:class:`CellColumns`), and the source
+and extractor tables in first-seen order (the order fixes the compiled
+column order) with their support sizes. A restriction also keeps its
+sources' corpus-level active pairs (the ACTIVE absence scope).
 
-* the cells, folded from the records in one loop,
-* the source and extractor universes in first-seen order with their
-  support sizes (the order fixes the compiled column order),
-* active extractors per source (for the ACTIVE absence-vote scope).
-
-The fold records only each new cell entry's extractor; the per-source
-counters come from the cells in one pass after it.
-
-Derived from the cells in one pass on first read, then kept:
-
-* by data item (warm-start updates, the co-claim graph),
-* by source and by extractor (granularity planning, gold labels, the
-  Gibbs sampler, figures).
+Derived from the columns on first read, then kept: the cells as dicts,
+the views by data item, by source and by extractor (the Python engine,
+granularity planning, gold labels, the Gibbs sampler, figures), and the
+active-extractor sets.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
+from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from repro.core.types import (
     DataItem,
@@ -42,6 +40,23 @@ from repro.core.types import (
 Coord = tuple[SourceKey, DataItem, Value]
 
 
+@dataclass(frozen=True, slots=True)
+class CellColumns:
+    """The cells as ``int64`` id and ``float64`` confidence columns.
+
+    Entries are cell-contiguous, in cell order. Equal items or values
+    share an id (``1``, ``True`` and ``1.0`` share a cell).
+    """
+
+    coords: list[Coord]
+    cell_source: np.ndarray  # (n_cells,) -> ObservationMatrix.sources()
+    cell_item: np.ndarray  # (n_cells,)
+    cell_value: np.ndarray  # (n_cells,)
+    entry_cell: np.ndarray  # (n_entries,) -> coords, nondecreasing
+    entry_extractor: np.ndarray  # (n_entries,) -> .extractors()
+    entry_conf: np.ndarray  # (n_entries,)
+
+
 class ObservationMatrix:
     """Immutable-after-build sparse view of all extractions.
 
@@ -50,68 +65,134 @@ class ObservationMatrix:
     """
 
     def __init__(self, records: Iterable[ExtractionRecord]) -> None:
-        # One loop over the records, names bound locally. A record
-        # hashes its coordinate once and its extractor once, into its
-        # cell; a new entry's extractor is counted after the loop. A
-        # duplicate (e, w, d, v) keeps its maximum confidence and
-        # changes nothing else; a record that does not beat its cell
-        # still counts.
-        cells: dict[Coord, dict[ExtractorKey, float]] = {}
-        fresh: dict[ExtractorKey, float] = {}
-        entries: list[ExtractorKey] = []  # the extractor of each new entry
-        add_entry = entries.append
-        count = 0
+        # One loop over the records, names bound locally: a record
+        # hashes its coordinate once, into its cell id, and a new cell
+        # interns its source, item and value. Interning the extractors,
+        # and which record wins its (cell, extractor) entry, is array
+        # work after the loop; a record that does not win still counts.
+        cells: dict[Coord, int] = {}
+        sources, items, values = {}, {}, {}
+        cell_source, cell_item, cell_value = [], [], []
+        record_cell, record_extractor, record_conf = [], [], []
+        cell_of = cells.setdefault
+        add_cell, add_extractor = record_cell.append, record_extractor.append
+        add_conf = record_conf.append
+        new = 0
         for extractor, source, item, value, confidence in records:
-            count += 1
-            cell = cells.setdefault((source, item, value), fresh)
-            if cell is fresh:
-                fresh = {}
-                cell[extractor] = confidence
-            else:
-                size = len(cell)
-                known = cell.setdefault(extractor, confidence)
-                if len(cell) == size:
-                    if confidence > known:
-                        cell[extractor] = confidence
-                    continue
-            add_entry(extractor)
-        # Counter keeps first-insertion order: extractors rank by their
-        # first entry, as they did when each entry counted itself.
-        self._index(cells, Counter(entries), count)
+            cell = cell_of((source, item, value), new)
+            if cell == new:
+                new += 1
+                cell_source.append(sources.setdefault(source, len(sources)))
+                cell_item.append(items.setdefault(item, len(items)))
+                cell_value.append(values.setdefault(value, len(values)))
+            add_cell(cell)
+            add_extractor(extractor)
+            add_conf(confidence)
+        record_extractor, extractors = _intern(record_extractor)
+        self._hold(
+            CellColumns(
+                list(cells),
+                *(
+                    np.array(ids, dtype=np.int64)
+                    for ids in (cell_source, cell_item, cell_value)
+                ),
+                *_strongest(
+                    np.array(record_cell, dtype=np.int64),
+                    record_extractor,
+                    np.array(record_conf, dtype=np.float64),
+                ),
+            ),
+            list(sources),
+            extractors,
+            len(record_conf),
+        )
 
-    def _index(
+    def _hold(
         self,
-        cells: dict[Coord, dict[ExtractorKey, float]],
-        extractor_sizes: dict[ExtractorKey, int],
+        columns: CellColumns,
+        sources: list[SourceKey],
+        extractors: list[ExtractorKey],
         num_records: int,
+        active: list[tuple[SourceKey, ExtractorKey]] | None = None,
     ) -> None:
-        """Hold ``cells`` and derive the per-source counters from them."""
-        # source -> number of cells; insertion order is the sources'
-        # first-seen order, as a source's first record opens its first
-        # cell
-        source_sizes: dict[SourceKey, int] = {}
-        # source -> extractors with >= 1 extraction from it: every
-        # record leaves its extractor in its cell, winning or not
-        active: dict[SourceKey, set[ExtractorKey]] = {}
-        for coord, cell in cells.items():
-            source = coord[0]
-            source_sizes[source] = source_sizes.get(source, 0) + 1
-            seen = active.get(source)
-            if seen is None:
-                active[source] = set(cell)
-            else:
-                seen.update(cell)
-        # coordinate -> {extractor: confidence}; None once released
-        self._cells: dict[Coord, dict[ExtractorKey, float]] | None = cells
-        self._source_sizes = source_sizes
-        # extractor -> number of cells it is in, in first-seen order
-        self._extractor_sizes = dict(extractor_sizes)
-        self._active_extractors = active
+        """Hold ``columns`` over the key tables, with the ``active``
+        (source, extractor) pairs beyond those the entries show."""
+        self._columns: CellColumns | None = columns  # None once released
+        self._sources = sources
+        self._extractors = extractors
+        self._source_size = np.bincount(
+            columns.cell_source, minlength=len(sources)
+        )
+        self._extractor_size = np.bincount(
+            columns.entry_extractor, minlength=len(extractors)
+        )
         self._num_records = num_records
+        self._active = active or []
+        self._num_triples: int | None = None
         # Derived views, None until read. Each is built into a local and
         # assigned once, so racing readers build equal values: no lock.
-        self._by_item = self._by_source = self._by_extractor = None
-        self._num_triples: int | None = None
+        self._cells = self._by_item = self._by_source = None
+        self._by_extractor = self._active_sets = self._indexes = None
+
+    def _grown(
+        self,
+        indexes: tuple[dict, dict, dict, dict, dict],
+        coords: list[Coord],
+        entry_cell: np.ndarray,
+        keys: list[ExtractorKey],
+        confidences: np.ndarray,
+        num_records: int,
+    ) -> "ObservationMatrix":
+        """This matrix plus cells: ``coords`` (equal ones are one cell)
+        with entries (row of ``coords``, extractor, confidence). New
+        keys join ``indexes`` — the cell, source, item, value and
+        extractor ids by key, this matrix's or seeds — in the order
+        ``coords`` and ``keys`` first list them; the result keeps them."""
+        mine = self._columns
+        cells, sources, items, values, extractors = indexes
+        known = len(mine.coords)
+        grown = list(mine.coords)
+        cell_source, cell_item, cell_value, cell_of = [], [], [], []
+        for coord in coords:
+            cell = cells.setdefault(coord, len(grown))
+            if cell == len(grown):
+                grown.append(coord)
+                source, item, value = coord
+                cell_source.append(sources.setdefault(source, len(sources)))
+                cell_item.append(items.setdefault(item, len(items)))
+                cell_value.append(values.setdefault(value, len(values)))
+            cell_of.append(cell)
+        cell_of = np.array(cell_of, dtype=np.int64)[entry_cell]
+        extractor_of = [
+            extractors.setdefault(key, len(extractors)) for key in keys
+        ]
+        old = (mine.entry_cell, mine.entry_extractor, mine.entry_conf)
+        new = (cell_of, np.array(extractor_of, dtype=np.int64), confidences)
+        if (cell_of < known).any():  # the entries join known cells
+            entries = _strongest(*map(np.concatenate, zip(old, new)))
+        else:
+            entries = map(np.concatenate, zip(old, _strongest(*new)))
+        out = ObservationMatrix.__new__(ObservationMatrix)
+        out._hold(
+            CellColumns(
+                grown,
+                *(
+                    np.concatenate([known_ids, np.array(ids, dtype=np.int64)])
+                    for known_ids, ids in (
+                        (mine.cell_source, cell_source),
+                        (mine.cell_item, cell_item),
+                        (mine.cell_value, cell_value),
+                    )
+                ),
+                *entries,
+            ),
+            list(sources),
+            list(extractors),
+            self._num_records + num_records,
+            self._active,
+        )
+        out._indexes = indexes
+        return out
 
     @classmethod
     def from_records(
@@ -121,7 +202,7 @@ class ObservationMatrix:
 
         A corpus that arrives in chunks is one
         ``itertools.chain.from_iterable(chunks)``: no record outlives
-        its fold into a cell.
+        its fold into the columns.
         """
         return cls(records)
 
@@ -137,42 +218,50 @@ class ObservationMatrix:
         """Build the matrix from cells as another matrix held them.
 
         Cell ``k`` is ``coords[k]`` with the next ``lens[k]`` entries of
-        ``extractors`` / ``confidences``: distinct coordinates, distinct
-        extractors within a cell, every confidence positive — what
-        :meth:`cells` yields. The result equals :meth:`from_records`
-        over :meth:`iter_records` of that matrix (cells, sizes, active
-        sets, ``num_records``), without building a record.
+        ``extractors`` / ``confidences``: distinct coordinates, at least
+        one entry per cell, distinct extractors within a cell, no NaN or
+        negative confidence — what :meth:`cells` yields; anything else
+        is a ``ValueError``. The result equals :meth:`from_records` over
+        :meth:`iter_records` of that matrix, without building a record.
 
-        ``extractor_order`` restores the source matrix's first-seen
-        extractor order, which the compiled column order follows; left
-        out, extractors rank by first entry, as :meth:`from_records`
-        over the entries ranks them.
+        ``extractor_order`` restores the source matrix's extractor
+        order, which the compiled column order follows; left out,
+        extractors rank by first entry, as :meth:`from_records` would.
         """
-        cells = {}
-        start = 0
-        for coord, length in zip(coords, lens):
-            stop = start + length
-            cells[coord] = dict(
-                zip(extractors[start:stop], confidences[start:stop])
-            )
-            start = stop
-        if start != len(extractors) or len(confidences) != start:
+        coords = list(coords)
+        lens = np.array(list(lens), dtype=np.int64)
+        count = int(lens.sum())
+        if count != len(extractors) or len(confidences) != count:
             raise ValueError(
-                f"the cells hold {start} entries, but there are "
+                f"the cells hold {count} entries, but there are "
                 f"{len(extractors)} extractors and {len(confidences)} "
                 "confidences"
             )
-        sizes = Counter(extractors)
-        if extractor_order is not None:
-            order = list(extractor_order)
-            if len(order) != len(sizes) or sizes.keys() != set(order):
-                raise ValueError(
-                    "extractor_order must list each extractor of the "
-                    "cells exactly once"
-                )
-            sizes = {extractor: sizes[extractor] for extractor in order}
-        out = cls(())
-        out._index(cells, sizes, len(extractors))
+        if len(lens) != len(coords) or (lens < 1).any():
+            raise ValueError("every cell needs a length of at least 1")
+        confidences = np.array(confidences, dtype=np.float64)
+        if not (confidences >= 0.0).all():
+            raise ValueError("a confidence is NaN or negative")
+        order = [] if extractor_order is None else list(extractor_order)
+        out = cls(())._grown(
+            ({}, {}, {}, {}, dict(zip(order, range(len(order))))),
+            coords,
+            np.repeat(np.arange(len(coords)), lens),
+            extractors,
+            confidences,
+            count,
+        )
+        if order and (
+            out._extractors != order or not out._extractor_size.all()
+        ):
+            raise ValueError(
+                "extractor_order must list each extractor of the cells "
+                "exactly once"
+            )
+        if out.num_cells != len(coords):
+            raise ValueError("a coordinate is repeated")
+        if len(out._columns.entry_cell) != count:
+            raise ValueError("a cell lists an extractor twice")
         return out
 
     def release(self) -> None:
@@ -184,17 +273,56 @@ class ObservationMatrix:
         another compile) raises a ``RuntimeError``.
         """
         self._num_triples = self.num_triples
-        self._cells = self._by_item = None
-        self._by_source = self._by_extractor = None
+        self._active_view()  # the active sets outlive the cells
+        self._columns = self._cells = self._by_item = None
+        self._by_source = self._by_extractor = self._indexes = None
 
-    def _live_cells(self) -> dict[Coord, dict[ExtractorKey, float]]:
-        if self._cells is None:
+    def columns(self) -> CellColumns:
+        """The cells as columns (what compilation and the artifact
+        writer read)."""
+        if self._columns is None:
             raise RuntimeError(
                 "this ObservationMatrix was released (release()); its "
                 "cells are gone — rebuild it from the records to read or "
                 "compile it again"
             )
-        return self._cells
+        return self._columns
+
+    def _entry_pairs(
+        self, sources: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct (source id, extractor id) pairs of the entries
+        (of the sources the ``sources`` mask holds, when given)."""
+        columns = self.columns()
+        source = columns.cell_source[columns.entry_cell]
+        extractor = columns.entry_extractor
+        if sources is not None:
+            held = sources[source]
+            source, extractor = source[held], extractor[held]
+        width = max(self.num_extractors, 1)
+        # Not plain ``np.unique``: see ``compile_problem``.
+        pairs, _first = np.unique(source * width + extractor, return_index=True)
+        return pairs // width, pairs % width
+
+    def active_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every active (source id, extractor id) pair whose extractor
+        has a cell here, repeats allowed."""
+        columns = self.columns()
+        source = columns.cell_source[columns.entry_cell]
+        extractor = columns.entry_extractor
+        if self._active:
+            _cells, source_of, _items, _values, column = self._index()
+            extra = np.array(
+                [
+                    (source_of[s], column[e])
+                    for s, e in self._active
+                    if e in column
+                ],
+                dtype=np.int64,
+            ).reshape(-1, 2)
+            source = np.concatenate([source, extra[:, 0]])
+            extractor = np.concatenate([extractor, extra[:, 1]])
+        return source, extractor
 
     # ------------------------------------------------------------------
     # Size and universe accessors
@@ -207,24 +335,24 @@ class ObservationMatrix:
     @property
     def num_cells(self) -> int:
         """Number of distinct (source, item, value) coordinates."""
-        return len(self._live_cells())
+        return len(self.columns().coords)
 
     def sources(self) -> Iterator[SourceKey]:
-        return iter(self._source_sizes)
+        return iter(self._sources)
 
     def extractors(self) -> Iterator[ExtractorKey]:
-        return iter(self._extractor_sizes)
+        return iter(self._extractors)
 
     def items(self) -> Iterator[DataItem]:
         return iter(self._item_view())
 
     @property
     def num_sources(self) -> int:
-        return len(self._source_sizes)
+        return len(self._sources)
 
     @property
     def num_extractors(self) -> int:
-        return len(self._extractor_sizes)
+        return len(self._extractors)
 
     @property
     def num_items(self) -> int:
@@ -239,38 +367,68 @@ class ObservationMatrix:
     @property
     def num_triples(self) -> int:
         if self._num_triples is None:
-            if self._by_item is not None:
-                count = sum(map(len, self._by_item.values()))
-            else:
-                count = len(
-                    {(item, value) for _s, item, value in self._live_cells()}
-                )
-            self._num_triples = count
+            columns = self.columns()
+            ids = _row_ids(columns.cell_item, columns.cell_value)
+            self._num_triples = int(ids.max()) + 1 if len(ids) else 0
         return self._num_triples
 
     # ------------------------------------------------------------------
-    # Cell access
+    # Cell access, and views derived from the cells in cell order
     # ------------------------------------------------------------------
+    def _cell_view(self) -> dict[Coord, dict[ExtractorKey, float]]:
+        view = self._cells
+        if view is None:
+            columns = self.columns()
+            keys = list(
+                map(
+                    self._extractors.__getitem__,
+                    columns.entry_extractor.tolist(),
+                )
+            )
+            confidences = columns.entry_conf.tolist()
+            starts = np.searchsorted(
+                columns.entry_cell, np.arange(len(columns.coords) + 1)
+            ).tolist()
+            view = {
+                coord: dict(zip(keys[lo:hi], confidences[lo:hi]))
+                for coord, lo, hi in zip(columns.coords, starts, starts[1:])
+            }
+            self._cells = view
+        return view
+
     def cells(self) -> Iterator[tuple[Coord, dict[ExtractorKey, float]]]:
         """Iterate (coordinate, {extractor: confidence}) pairs."""
-        return iter(self._live_cells().items())
+        return iter(self._cell_view().items())
 
     def cell(self, coord: Coord) -> dict[ExtractorKey, float]:
         """The extractions of one coordinate ({} when never extracted)."""
-        return self._live_cells().get(coord, {})
+        return self._cell_view().get(coord, {})
+
+    def _active_view(self) -> dict[SourceKey, set[ExtractorKey]]:
+        view = self._active_sets
+        if view is None:
+            view = {}
+            source, extractor = self._entry_pairs()
+            for key, extractor_key in chain(
+                zip(
+                    map(self._sources.__getitem__, source.tolist()),
+                    map(self._extractors.__getitem__, extractor.tolist()),
+                ),
+                self._active,
+            ):
+                view.setdefault(key, set()).add(extractor_key)
+            self._active_sets = view
+        return view
 
     def active_extractors(self, source: SourceKey) -> set[ExtractorKey]:
         """Extractors that extracted at least one triple from ``source``."""
-        return self._active_extractors.get(source, set())
+        return self._active_view().get(source, set())
 
-    # ------------------------------------------------------------------
-    # Views derived from the cells, in cell order
-    # ------------------------------------------------------------------
     def _item_view(self) -> dict[DataItem, dict[Value, set[SourceKey]]]:
         view = self._by_item
         if view is None:
             view = {}
-            for source, item, value in self._live_cells():
+            for source, item, value in self.columns().coords:
                 view.setdefault(item, {}).setdefault(value, set()).add(source)
             self._by_item = view
         return view
@@ -286,7 +444,7 @@ class ObservationMatrix:
         view = self._by_source
         if view is None:
             view = {}
-            for claimant, item, value in self._live_cells():
+            for claimant, item, value in self.columns().coords:
                 view.setdefault(claimant, []).append((item, value))
             self._by_source = view
         return view.get(source, [])
@@ -303,7 +461,7 @@ class ObservationMatrix:
         view = self._by_extractor
         if view is None:
             view = {}
-            for coord, cell in self._live_cells().items():
+            for coord, cell in self._cell_view().items():
                 for key, confidence in cell.items():
                     view.setdefault(key, {})[coord] = confidence
             self._by_extractor = view
@@ -326,116 +484,123 @@ class ObservationMatrix:
     def restricted_to_items(
         self, items: set[DataItem]
     ) -> "ObservationMatrix":
-        """The sub-matrix of all claims on ``items``.
+        """The sub-matrix of all claims on ``items``: a mask over the
+        cells. The retained sources keep their *corpus-level* active
+        sets: the restriction is a view of the same crawl, so "which
+        extractors processed source w" (the ACTIVE absence scope) must
+        not shrink because most of w's claims fall outside the slice.
 
-        Built from the by-item view (no intermediate records), so the
-        cost is proportional to the retained cells, and the sub-matrix's
-        own by-item view is filled on the way. The retained sources keep
-        their *corpus-level* active-extractor sets: the restriction is a
-        view of the same crawl, so the answer to "which extractors
-        processed source w" (the ACTIVE absence-vote scope) must not
-        shrink just because most of w's claims fall outside the item
-        slice.
-
-        Cell order is pinned by sorting the item and claiming-source
-        sets: set iteration order varies with string hash randomization
-        (``PYTHONHASHSEED``), and the sub-matrix's insertion order
-        becomes the compiled problem's coordinate order — which the EM
-        scatter-adds associate in. Without the sort, a warm-start
-        ``update`` would produce hash-seed-dependent float bytes,
-        breaking determinism-ladder entry 6 across processes.
+        Cell order is items by ``str``, each item's values in the order
+        this matrix first lists them, then sources by ``str``; distinct
+        keys that print alike keep this matrix's cell order. That order
+        becomes the compiled coordinate order, which the EM scatter-adds
+        associate in, so it must not follow set order (it varies with
+        ``PYTHONHASHSEED``): a warm-start ``update`` would produce
+        hash-seed-dependent float bytes, breaking determinism-ladder
+        entry 6.
         """
-        by_item = self._item_view()
-        out = ObservationMatrix(())
-        cells = out._cells
-        source_sizes = out._source_sizes
-        extractor_sizes = out._extractor_sizes
-        out._by_item = sub_by_item = {}
-        num_records = 0
-        for item in sorted(items, key=str):
-            values = by_item.get(item)
-            if not values:
-                continue
-            sub_by_item[item] = {
-                value: set(claiming) for value, claiming in values.items()
-            }
-            for value, claiming in values.items():
-                for source in sorted(claiming, key=str):
-                    coord = (source, item, value)
-                    cell = cells[coord] = dict(self._cells[coord])
-                    source_sizes[source] = source_sizes.get(source, 0) + 1
-                    for extractor in cell:
-                        extractor_sizes[extractor] = (
-                            extractor_sizes.get(extractor, 0) + 1
-                        )
-                    num_records += len(cell)
-        out._num_records = num_records
-        out._active_extractors = {
-            source: set(self._active_extractors.get(source, ()))
-            for source in source_sizes
-        }
+        columns = self.columns()
+        coords = columns.coords
+        index = self._index()[2]
+        wanted = np.zeros(len(index), dtype=bool)
+        wanted[[index[item] for item in items if item in index]] = True
+        kept = np.flatnonzero(wanted[columns.cell_item])
+        item_ids, first = np.unique(columns.cell_item[kept], return_index=True)
+        by_name = sorted(
+            range(len(item_ids)),
+            key=lambda k: (str(coords[kept[first[k]]][1]), first[k]),
+        )
+        item_rank = np.empty(len(item_ids), dtype=np.int64)
+        item_rank[by_name] = np.arange(len(item_ids))
+        # A cell's value is written as its (item, value)'s first cell
+        # has it, as the by-item view writes it.
+        pair_of, pair_first = _first_seen(
+            _row_ids(columns.cell_item[kept], columns.cell_value[kept])
+        )
+        value_from = kept[pair_first][pair_of]
+        names = [str(coords[k][0]) for k in kept.tolist()]
+        name_rank = {name: k for k, name in enumerate(sorted(set(names)))}
+        order = np.lexsort((
+            kept,
+            np.array([name_rank[name] for name in names], dtype=np.int64),
+            value_from,
+            item_rank[np.searchsorted(item_ids, columns.cell_item[kept])],
+        ))
+        kept, value_from = kept[order], value_from[order]
+        sub = []
+        for k, f in zip(kept.tolist(), value_from.tolist()):
+            coord, value = coords[k], coords[f][2]
+            sub.append(
+                coord if coord[2] is value else (coord[0], coord[1], value)
+            )
+        lens = np.bincount(columns.entry_cell, minlength=len(coords))[kept]
+        rows = _spans(np.searchsorted(columns.entry_cell, kept), lens)
+        out = ObservationMatrix.from_cells(
+            sub,
+            lens,
+            [
+                self._extractors[e]
+                for e in columns.entry_extractor[rows].tolist()
+            ],
+            columns.entry_conf[rows],
+        )
+        retained = np.zeros(self.num_sources, dtype=bool)
+        retained[columns.cell_source[kept]] = True
+        source, extractor = self._entry_pairs(retained)
+        kept_sources = set(out._sources)
+        out._active = [
+            *zip(
+                map(self._sources.__getitem__, source.tolist()),
+                map(self._extractors.__getitem__, extractor.tolist()),
+            ),
+            *(pair for pair in self._active if pair[0] in kept_sources),
+        ]
         return out
 
     def extended(self, other: "ObservationMatrix") -> "ObservationMatrix":
         """A new matrix equal to this one plus ``other``'s extractions.
 
-        Copy-on-write: the top-level dicts are (C-speed) copies and only
-        the entries ``other`` touches get fresh inner structures, so
-        folding a small delta into a large matrix costs far less than
-        rebuilding from records. A by-item view this matrix has already
-        derived is carried forward the same way, so a chain of updates
-        derives it once. Neither input is mutated.
+        New cells, sources and extractors follow this matrix's, in the
+        order ``other`` first lists them (extractors: by its entries).
+        An extraction both hold keeps the larger confidence. Neither
+        input is mutated. ``other``'s keys are looked up in copies of
+        this matrix's key indexes, which the result keeps: a chain of
+        updates builds them once.
         """
-        out = ObservationMatrix(())
-        cells = out._cells = dict(self._live_cells())
-        source_sizes = out._source_sizes = dict(self._source_sizes)
-        extractor_sizes = out._extractor_sizes = dict(self._extractor_sizes)
-        active = out._active_extractors = dict(self._active_extractors)
-        out._num_records = self._num_records + other._num_records
-        by_item = None
-        if self._by_item is not None:
-            by_item = out._by_item = dict(self._by_item)
+        theirs = other.columns()
+        return self._grown(
+            tuple(map(dict, self._index())),
+            theirs.coords,
+            theirs.entry_cell,
+            [other._extractors[e] for e in theirs.entry_extractor.tolist()],
+            theirs.entry_conf,
+            other._num_records,
+        )
 
-        copied_items: set[DataItem] = set()
-        copied_active: set[SourceKey] = set()
-
-        for coord, new_cell in other._live_cells().items():
-            source, item, value = coord
-            existing = cells.get(coord)
-            cell = cells[coord] = dict(existing or ())
-            if existing is None:
-                source_sizes[source] = source_sizes.get(source, 0) + 1
-                if by_item is not None:
-                    if item not in copied_items:
-                        copied_items.add(item)
-                        by_item[item] = {
-                            v: set(claiming)
-                            for v, claiming in by_item.get(item, {}).items()
-                        }
-                    by_item[item].setdefault(value, set()).add(source)
-            for extractor, confidence in new_cell.items():
-                if confidence > cell.get(extractor, 0.0):
-                    if extractor not in cell:
-                        extractor_sizes[extractor] = (
-                            extractor_sizes.get(extractor, 0) + 1
-                        )
-                    cell[extractor] = confidence
-            if source not in copied_active:
-                copied_active.add(source)
-                active[source] = set(active.get(source, ()))
-            active[source].update(new_cell)
-        return out
+    def _index(self) -> tuple[dict, dict, dict, dict, dict]:
+        """The cell, source, item, value and extractor ids by key."""
+        if self._indexes is None:
+            columns = self.columns()
+            coords = columns.coords
+            self._indexes = (
+                dict(zip(coords, range(len(coords)))),
+                dict(zip(self._sources, range(self.num_sources))),
+                _keys_by_id(coords, 1, columns.cell_item),
+                _keys_by_id(coords, 2, columns.cell_value),
+                dict(zip(self._extractors, range(self.num_extractors))),
+            )
+        return self._indexes
 
     # ------------------------------------------------------------------
     # Statistics used by granularity selection and Figure 5
     # ------------------------------------------------------------------
     def source_sizes(self) -> dict[SourceKey, int]:
         """Number of distinct (item, value) triples per source."""
-        return dict(self._source_sizes)
+        return dict(zip(self._sources, self._source_size.tolist()))
 
     def extractor_sizes(self) -> dict[ExtractorKey, int]:
         """Number of distinct coordinates per extractor."""
-        return dict(self._extractor_sizes)
+        return dict(zip(self._extractors, self._extractor_size.tolist()))
 
     # ------------------------------------------------------------------
     # Relabeling (granularity changes)
@@ -451,20 +616,87 @@ class ObservationMatrix:
         The maps receive the coordinate's item and value so that splitting
         can route triples of one oversized key into uniform buckets.
         """
-        def iter_relabelled() -> Iterator[ExtractionRecord]:
-            for (source, item, value), cell in self.cells():
-                new_source = (
-                    source_map(source, item, value) if source_map else source
-                )
-                for extractor, confidence in cell.items():
-                    new_extractor = (
-                        extractor_map(extractor, item, value)
-                        if extractor_map
-                        else extractor
-                    )
-                    yield new_record(
-                        ExtractionRecord,
-                        (new_extractor, new_source, item, value, confidence),
-                    )
+        columns = self.columns()
+        coords = [
+            (source_map(*coord) if source_map else coord[0], *coord[1:])
+            for coord in columns.coords
+        ]
+        keys = [self._extractors[e] for e in columns.entry_extractor.tolist()]
+        if extractor_map:
+            keys = [
+                extractor_map(key, *coords[cell][1:])
+                for key, cell in zip(keys, columns.entry_cell.tolist())
+            ]
+        return ObservationMatrix(())._grown(
+            ({}, {}, {}, {}, {}),
+            coords,
+            columns.entry_cell,
+            keys,
+            columns.entry_conf,
+            len(keys),
+        )
 
-        return ObservationMatrix(iter_relabelled())
+
+def _strongest(
+    cell: np.ndarray, extractor: np.ndarray, conf: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One entry per (cell, extractor) pair, with its largest confidence:
+    in cell order, a cell's entries in the order their pairs first come."""
+    pair = cell * (int(extractor.max()) + 1 if len(extractor) else 1)
+    pair += extractor
+    by_pair = np.argsort(pair, kind="stable")
+    starts = np.flatnonzero(np.diff(pair[by_pair], prepend=-1))
+    first = by_pair[starts]  # each pair's first row
+    best = np.maximum.reduceat(conf[by_pair], starts) if len(starts) else conf
+    order = np.argsort(cell[first] * len(cell) + first)
+    first = first[order]
+    return cell[first], extractor[first], best[order]
+
+
+def _row_ids(*columns: np.ndarray) -> np.ndarray:
+    """A dense id per row of equal-length id columns: equal rows, equal
+    ids. Each step multiplies a dense id by one column's range, so it
+    cannot overflow."""
+    ids = columns[0]
+    for column in columns[1:]:
+        width = int(column.max()) + 1 if len(column) else 1
+        _, ids = np.unique(ids * width + column, return_inverse=True)
+    return ids
+
+
+def _first_seen(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``ids`` renumbered densely in first-seen order, and the row where
+    each new id is first seen."""
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[by_first] = np.arange(len(first))
+    return rank[inverse], first[by_first]
+
+
+def _keys_by_id(coords: list[Coord], part: int, ids: np.ndarray) -> dict:
+    """Each id by its key: part ``part`` of the id's first coordinate."""
+    ids, rows = np.unique(ids, return_index=True)
+    return {
+        coords[row][part]: k for k, row in zip(ids.tolist(), rows.tolist())
+    }
+
+
+def _spans(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The rows ``starts[k] .. starts[k] + lens[k] - 1``, span by span."""
+    offsets = np.cumsum(lens) - lens
+    return np.repeat(starts - offsets, lens) + np.arange(int(lens.sum()))
+
+
+def _intern(keys: list | tuple) -> tuple[np.ndarray, list]:
+    """First-seen dense ids of ``keys`` (equal keys share one) and the
+    table they index. Keys are told apart by object first, so each
+    object is hashed once however often it repeats."""
+    objects, rows = _first_seen(
+        np.fromiter(map(id, keys), dtype=np.int64, count=len(keys))
+    )
+    distinct = list(map(keys.__getitem__, rows.tolist()))
+    table = dict.fromkeys(distinct)
+    index = dict(zip(table, range(len(table))))
+    ids = np.array(list(map(index.__getitem__, distinct)), dtype=np.int64)
+    return ids[objects], list(table)

@@ -42,7 +42,7 @@ import json
 import zipfile
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import chain, groupby
+from itertools import groupby
 from pathlib import Path
 from typing import Any
 
@@ -221,6 +221,15 @@ class _CoordinateIds:
         return ids[:, rows]
 
 
+def _sorted_ids(keys: Iterable, table: _Interner) -> list[int]:
+    """The table ids of a set of keys, by ``(str(key), table id)``."""
+    index = table.index
+    return [
+        table.add(key)
+        for key in sorted(keys, key=lambda k: (str(k), index.get(k, -1)))
+    ]
+
+
 def _encode_key(key: SourceKey | ExtractorKey) -> list:
     return [list(key.features), key.bucket]
 
@@ -274,18 +283,16 @@ def save_artifact(artifact: TrustArtifact, path: str | Path) -> Path:
     arrays["eq_q"] = [q.q for q in result.extractor_quality.values()]
 
     # --- estimable sets ------------------------------------------------
-    # Sorted: these are the only *sets* serialized, and raw set order
+    # Sorted by ``str``, then by table id (distinct keys can share a
+    # ``str``): these are the only *sets* serialized, and raw set order
     # varies with string hash randomization — which would make artifact
     # bytes differ between processes for the same fit, breaking
     # determinism-ladder entry 6 (replay produces byte-identical
     # artifacts). They decode back into sets, so order is free here.
-    arrays["est_sources"] = [
-        sources.add(s) for s in sorted(result.estimable_sources, key=str)
-    ]
-    arrays["est_extractors"] = [
-        extractors.add(e)
-        for e in sorted(result.estimable_extractors, key=str)
-    ]
+    arrays["est_sources"] = _sorted_ids(result.estimable_sources, sources)
+    arrays["est_extractors"] = _sorted_ids(
+        result.estimable_extractors, extractors
+    )
 
     # --- extraction posteriors (C layer) ------------------------------
     coordinates = _CoordinateIds(
@@ -330,19 +337,18 @@ def save_artifact(artifact: TrustArtifact, path: str | Path) -> Path:
     has_observations = artifact.observations is not None
     if has_observations:
         matrix = artifact.observations
-        cells = list(matrix.cells())
+        cells = matrix.columns()
         (
             arrays["cell_source"], arrays["cell_item"], arrays["cell_value"]
-        ) = coordinates.columns(coord for coord, _cell in cells)
-        entries = [cell for _coord, cell in cells]
-        arrays["cell_len"] = list(map(len, entries))
-        order = [extractors.add(e) for e in matrix.extractors()]
-        arrays["obs_extractor"] = list(
-            map(extractors.index.__getitem__, chain.from_iterable(entries))
+        ) = coordinates.columns(cells.coords)
+        arrays["cell_len"] = np.bincount(
+            cells.entry_cell, minlength=len(cells.coords)
         )
-        arrays["obs_conf"] = list(
-            chain.from_iterable(map(dict.values, entries))
+        order = np.array(
+            [extractors.add(e) for e in matrix.extractors()], dtype=np.int64
         )
+        arrays["obs_extractor"] = order[cells.entry_extractor]
+        arrays["obs_conf"] = cells.entry_conf
         arrays["obs_extractor_order"] = order
     # The row map must not be alive while the header and the payload
     # are serialised below, where the save's memory peaks.
@@ -779,9 +785,14 @@ def load_artifact(path: str | Path) -> TrustArtifact:
 
     observations = None
     if header.get("has_observations"):
-        observations = _decode_observations(
-            header["format_version"], coordinates, extractors, arrays
-        )
+        try:
+            observations = _decode_observations(
+                header["format_version"], coordinates, extractors, arrays
+            )
+        except ValueError as err:
+            raise ArtifactError(
+                f"corrupt observation cells in {path}: {err}"
+            ) from err
 
     granularity = None
     if header.get("granularity") is not None:

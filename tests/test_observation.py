@@ -269,7 +269,7 @@ class TestAgainstSpecification:
         before = snapshot(m), snapshot(o)
         ext = m.extended(o)
         assert (snapshot(m), snapshot(o)) == before
-        assert (ext._by_item is not None) == derive_first
+        assert ext._by_item is None  # derived on first read, not carried
         assert_views_restate_cells(ext)
         assert_views_restate_cells(m)
 
@@ -303,7 +303,7 @@ class TestAgainstSpecification:
             assert sub.active_extractors(source) == m.active_extractors(
                 source
             )
-        assert sub._by_item is not None  # filled on the way, not re-derived
+        assert sub._by_item is None  # derived on first read, not on the way
         assert_views_restate_cells(sub)
         # Sources and extractors are in the order the cells list them.
         assert snapshot(sub)[:3] == snapshot(
