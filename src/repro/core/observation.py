@@ -301,7 +301,9 @@ class ObservationMatrix:
             source, extractor = source[held], extractor[held]
         width = max(self.num_extractors, 1)
         # Not plain ``np.unique``: see ``compile_problem``.
-        pairs, _first = np.unique(source * width + extractor, return_index=True)
+        pairs, _first = np.unique(
+            source * width + extractor, return_index=True
+        )
         return pairs // width, pairs % width
 
     def active_pairs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -368,8 +370,13 @@ class ObservationMatrix:
     def num_triples(self) -> int:
         if self._num_triples is None:
             columns = self.columns()
-            ids = _row_ids(columns.cell_item, columns.cell_value)
-            self._num_triples = int(ids.max()) + 1 if len(ids) else 0
+            values = columns.cell_value
+            width = int(values.max()) + 1 if len(values) else 1
+            # Not plain ``np.unique``: see ``compile_problem``.
+            triples, _first = np.unique(
+                columns.cell_item * width + values, return_index=True
+            )
+            self._num_triples = len(triples)
         return self._num_triples
 
     # ------------------------------------------------------------------
@@ -504,35 +511,32 @@ class ObservationMatrix:
         index = self._index()[2]
         wanted = np.zeros(len(index), dtype=bool)
         wanted[[index[item] for item in items if item in index]] = True
-        kept = np.flatnonzero(wanted[columns.cell_item])
-        item_ids, first = np.unique(columns.cell_item[kept], return_index=True)
-        by_name = sorted(
-            range(len(item_ids)),
-            key=lambda k: (str(coords[kept[first[k]]][1]), first[k]),
+        kept = np.flatnonzero(wanted[columns.cell_item]).tolist()
+        # Each item's and each (item, value)'s first cell: it breaks the
+        # ties of items that print alike, orders an item's values, and
+        # writes each cell's value as that first cell has it (``1``,
+        # ``True`` and ``1.0`` are one value), as the by-item view does.
+        first: dict = {}
+        for k in kept:
+            first.setdefault(coords[k][1], k)
+            first.setdefault(coords[k][1:], k)
+        kept.sort(
+            key=lambda k: (
+                str(coords[k][1]),
+                first[coords[k][1]],
+                first[coords[k][1:]],
+                str(coords[k][0]),
+                k,
+            )
         )
-        item_rank = np.empty(len(item_ids), dtype=np.int64)
-        item_rank[by_name] = np.arange(len(item_ids))
-        # A cell's value is written as its (item, value)'s first cell
-        # has it, as the by-item view writes it.
-        pair_of, pair_first = _first_seen(
-            _row_ids(columns.cell_item[kept], columns.cell_value[kept])
-        )
-        value_from = kept[pair_first][pair_of]
-        names = [str(coords[k][0]) for k in kept.tolist()]
-        name_rank = {name: k for k, name in enumerate(sorted(set(names)))}
-        order = np.lexsort((
-            kept,
-            np.array([name_rank[name] for name in names], dtype=np.int64),
-            value_from,
-            item_rank[np.searchsorted(item_ids, columns.cell_item[kept])],
-        ))
-        kept, value_from = kept[order], value_from[order]
         sub = []
-        for k, f in zip(kept.tolist(), value_from.tolist()):
-            coord, value = coords[k], coords[f][2]
+        for k in kept:
+            coord = coords[k]
+            value = coords[first[coord[1:]]][2]
             sub.append(
                 coord if coord[2] is value else (coord[0], coord[1], value)
             )
+        kept = np.array(kept, dtype=np.int64)
         lens = np.bincount(columns.entry_cell, minlength=len(coords))[kept]
         rows = _spans(np.searchsorted(columns.entry_cell, kept), lens)
         out = ObservationMatrix.from_cells(
@@ -653,27 +657,6 @@ def _strongest(
     return cell[first], extractor[first], best[order]
 
 
-def _row_ids(*columns: np.ndarray) -> np.ndarray:
-    """A dense id per row of equal-length id columns: equal rows, equal
-    ids. Each step multiplies a dense id by one column's range, so it
-    cannot overflow."""
-    ids = columns[0]
-    for column in columns[1:]:
-        width = int(column.max()) + 1 if len(column) else 1
-        _, ids = np.unique(ids * width + column, return_inverse=True)
-    return ids
-
-
-def _first_seen(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``ids`` renumbered densely in first-seen order, and the row where
-    each new id is first seen."""
-    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    by_first = np.argsort(first)
-    rank = np.empty(len(first), dtype=np.int64)
-    rank[by_first] = np.arange(len(first))
-    return rank[inverse], first[by_first]
-
-
 def _keys_by_id(coords: list[Coord], part: int, ids: np.ndarray) -> dict:
     """Each id by its key: part ``part`` of the id's first coordinate."""
     ids, rows = np.unique(ids, return_index=True)
@@ -692,11 +675,15 @@ def _intern(keys: list | tuple) -> tuple[np.ndarray, list]:
     """First-seen dense ids of ``keys`` (equal keys share one) and the
     table they index. Keys are told apart by object first, so each
     object is hashed once however often it repeats."""
-    objects, rows = _first_seen(
-        np.fromiter(map(id, keys), dtype=np.int64, count=len(keys))
+    _, first, objects = np.unique(
+        np.fromiter(map(id, keys), dtype=np.int64, count=len(keys)),
+        return_index=True,
+        return_inverse=True,
     )
-    distinct = list(map(keys.__getitem__, rows.tolist()))
+    by_first = np.argsort(first)
+    distinct = list(map(keys.__getitem__, first[by_first].tolist()))
     table = dict.fromkeys(distinct)
     index = dict(zip(table, range(len(table))))
-    ids = np.array(list(map(index.__getitem__, distinct)), dtype=np.int64)
+    ids = np.empty(len(first), dtype=np.int64)
+    ids[by_first] = list(map(index.__getitem__, distinct))
     return ids[objects], list(table)
