@@ -67,17 +67,21 @@ class ObservationMatrix:
     def __init__(self, records: Iterable[ExtractionRecord]) -> None:
         # One loop over the records, names bound locally: a record
         # hashes its coordinate once, into its cell id, and a new cell
-        # interns its source, item and value. Interning the extractors,
-        # and which record wins its (cell, extractor) entry, is array
-        # work after the loop; a record that does not win still counts.
+        # interns its source, item and value. A record hashes its
+        # extractor only when it differs from the previous record's: a
+        # reader hands out one object per key, and consecutive records
+        # mostly share their extractor. Which record wins its (cell,
+        # extractor) entry is array work after the loop; a record that
+        # does not win still counts.
         cells: dict[Coord, int] = {}
-        sources, items, values = {}, {}, {}
+        sources, items, values, extractors = {}, {}, {}, {}
         cell_source, cell_item, cell_value = [], [], []
         record_cell, record_extractor, record_conf = [], [], []
         cell_of = cells.setdefault
         add_cell, add_extractor = record_cell.append, record_extractor.append
         add_conf = record_conf.append
         new = 0
+        last = extractor_id = None
         for extractor, source, item, value, confidence in records:
             cell = cell_of((source, item, value), new)
             if cell == new:
@@ -85,10 +89,14 @@ class ObservationMatrix:
                 cell_source.append(sources.setdefault(source, len(sources)))
                 cell_item.append(items.setdefault(item, len(items)))
                 cell_value.append(values.setdefault(value, len(values)))
+            if extractor is not last:
+                last = extractor
+                extractor_id = extractors.setdefault(
+                    extractor, len(extractors)
+                )
             add_cell(cell)
-            add_extractor(extractor)
+            add_extractor(extractor_id)
             add_conf(confidence)
-        record_extractor, extractors = _intern(record_extractor)
         self._hold(
             CellColumns(
                 list(cells),
@@ -98,12 +106,12 @@ class ObservationMatrix:
                 ),
                 *_strongest(
                     np.array(record_cell, dtype=np.int64),
-                    record_extractor,
+                    np.array(record_extractor, dtype=np.int64),
                     np.array(record_conf, dtype=np.float64),
                 ),
             ),
             list(sources),
-            extractors,
+            list(extractors),
             len(record_conf),
         )
 
@@ -669,21 +677,3 @@ def _spans(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """The rows ``starts[k] .. starts[k] + lens[k] - 1``, span by span."""
     offsets = np.cumsum(lens) - lens
     return np.repeat(starts - offsets, lens) + np.arange(int(lens.sum()))
-
-
-def _intern(keys: list | tuple) -> tuple[np.ndarray, list]:
-    """First-seen dense ids of ``keys`` (equal keys share one) and the
-    table they index. Keys are told apart by object first, so each
-    object is hashed once however often it repeats."""
-    _, first, objects = np.unique(
-        np.fromiter(map(id, keys), dtype=np.int64, count=len(keys)),
-        return_index=True,
-        return_inverse=True,
-    )
-    by_first = np.argsort(first)
-    distinct = list(map(keys.__getitem__, first[by_first].tolist()))
-    table = dict.fromkeys(distinct)
-    index = dict(zip(table, range(len(table))))
-    ids = np.empty(len(first), dtype=np.int64)
-    ids[by_first] = list(map(index.__getitem__, distinct))
-    return ids[objects], list(table)
