@@ -199,24 +199,17 @@ def compile_problem(
     item_num_values = np.bincount(triple_item, minlength=len(known_items))
 
     # Active-extractor incidence for sources with scored coordinates,
-    # in one canonical summation order: sorted by (source, column). The
-    # matrix holds the pairs unordered and repeated, and set order
-    # varies between processes (id-based hashes), which would
-    # re-associate the ACTIVE-scope absence sums and make separately
-    # launched fits differ in the last bits; the ``unique`` below pins
-    # the order, so equal inputs give bit-equal fits across processes
-    # (the out-of-core bench compares exactly that).
+    # in one canonical summation order: sorted by (source, column), as
+    # ``active_pairs`` sorts by (source, extractor) and columns keep the
+    # extractor order. Set order varies between processes (id-based
+    # hashes) and would re-associate the ACTIVE-scope absence sums, so
+    # separately launched fits would differ in the last bits; this order
+    # makes equal inputs give bit-equal fits across processes (the
+    # out-of-core bench compares exactly that).
     active_source, active_extractor = observations.active_pairs()
     has_coord = np.zeros(len(sources), dtype=bool)
     has_coord[coord_source] = True
     live = has_coord[active_source] & extractor_ok[active_extractor]
-    n_cols = max(len(cols), 1)
-    # ``return_index`` keeps ``np.unique`` off its plain path, whose
-    # first call imports ``numpy.ma``: tens of ms in a fresh process.
-    active, _first = np.unique(
-        active_source[live] * n_cols + col_of[active_extractor[live]],
-        return_index=True,
-    )
 
     triple_popularity: np.ndarray | None = None
     if cfg.false_value_model is FalseValueModel.POPACCU:
@@ -254,8 +247,8 @@ def compile_problem(
         item_ptr=np.concatenate([[0], np.cumsum(item_num_values)]),
         items=[coords[ci][1] for ci in claims[np.sort(item_first)].tolist()],
         item_num_values=item_num_values,
-        active_src=active // n_cols,
-        active_col=active % n_cols,
+        active_src=active_source[live],
+        active_col=col_of[active_extractor[live]],
         triple_popularity=triple_popularity,
     )
 

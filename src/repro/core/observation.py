@@ -158,7 +158,6 @@ class ObservationMatrix:
         ``coords`` and ``keys`` first list them; the result keeps them."""
         mine = self._columns
         cells, sources, items, values, extractors = indexes
-        known = len(mine.coords)
         grown = list(mine.coords)
         cell_source, cell_item, cell_value, cell_of = [], [], [], []
         for coord in coords:
@@ -176,10 +175,6 @@ class ObservationMatrix:
         ]
         old = (mine.entry_cell, mine.entry_extractor, mine.entry_conf)
         new = (cell_of, np.array(extractor_of, dtype=np.int64), confidences)
-        if (cell_of < known).any():  # the entries join known cells
-            entries = _strongest(*map(np.concatenate, zip(old, new)))
-        else:
-            entries = map(np.concatenate, zip(old, _strongest(*new)))
         out = ObservationMatrix.__new__(ObservationMatrix)
         out._hold(
             CellColumns(
@@ -192,7 +187,7 @@ class ObservationMatrix:
                         (mine.cell_value, cell_value),
                     )
                 ),
-                *entries,
+                *_strongest(*map(np.concatenate, zip(old, new))),
             ),
             list(sources),
             list(extractors),
@@ -296,27 +291,9 @@ class ObservationMatrix:
             )
         return self._columns
 
-    def _entry_pairs(
-        self, sources: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct (source id, extractor id) pairs of the entries
-        (of the sources the ``sources`` mask holds, when given)."""
-        columns = self.columns()
-        source = columns.cell_source[columns.entry_cell]
-        extractor = columns.entry_extractor
-        if sources is not None:
-            held = sources[source]
-            source, extractor = source[held], extractor[held]
-        width = max(self.num_extractors, 1)
-        # Not plain ``np.unique``: see ``compile_problem``.
-        pairs, _first = np.unique(
-            source * width + extractor, return_index=True
-        )
-        return pairs // width, pairs % width
-
     def active_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every active (source id, extractor id) pair whose extractor
-        has a cell here, repeats allowed."""
+        """The distinct active (source id, extractor id) pairs whose
+        extractor has a cell here, sorted by source, then extractor."""
         columns = self.columns()
         source = columns.cell_source[columns.entry_cell]
         extractor = columns.entry_extractor
@@ -332,7 +309,13 @@ class ObservationMatrix:
             ).reshape(-1, 2)
             source = np.concatenate([source, extra[:, 0]])
             extractor = np.concatenate([extractor, extra[:, 1]])
-        return source, extractor
+        width = max(self.num_extractors, 1)
+        # ``return_index`` keeps ``np.unique`` off its plain path, whose
+        # first call imports ``numpy.ma``: tens of ms in a fresh process.
+        pairs, _first = np.unique(
+            source * width + extractor, return_index=True
+        )
+        return pairs // width, pairs % width
 
     # ------------------------------------------------------------------
     # Size and universe accessors
@@ -380,7 +363,7 @@ class ObservationMatrix:
             columns = self.columns()
             values = columns.cell_value
             width = int(values.max()) + 1 if len(values) else 1
-            # Not plain ``np.unique``: see ``compile_problem``.
+            # Not plain ``np.unique``: see ``active_pairs``.
             triples, _first = np.unique(
                 columns.cell_item * width + values, return_index=True
             )
@@ -423,7 +406,8 @@ class ObservationMatrix:
         view = self._active_sets
         if view is None:
             view = {}
-            source, extractor = self._entry_pairs()
+            source, extractor = self.active_pairs()
+            # ``_active`` also names extractors with no cell here.
             for key, extractor_key in chain(
                 zip(
                     map(self._sources.__getitem__, source.tolist()),
@@ -558,12 +542,13 @@ class ObservationMatrix:
         )
         retained = np.zeros(self.num_sources, dtype=bool)
         retained[columns.cell_source[kept]] = True
-        source, extractor = self._entry_pairs(retained)
+        source, extractor = self.active_pairs()
+        held = retained[source]
         kept_sources = set(out._sources)
         out._active = [
             *zip(
-                map(self._sources.__getitem__, source.tolist()),
-                map(self._extractors.__getitem__, extractor.tolist()),
+                map(self._sources.__getitem__, source[held].tolist()),
+                map(self._extractors.__getitem__, extractor[held].tolist()),
             ),
             *(pair for pair in self._active if pair[0] in kept_sources),
         ]
@@ -577,7 +562,8 @@ class ObservationMatrix:
         An extraction both hold keeps the larger confidence. Neither
         input is mutated. ``other``'s keys are looked up in copies of
         this matrix's key indexes, which the result keeps: a chain of
-        updates builds them once.
+        updates builds them once. The copies, the concatenated columns
+        and the entry sort still cost O(cells), at C speed.
         """
         theirs = other.columns()
         return self._grown(
