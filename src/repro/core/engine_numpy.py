@@ -17,9 +17,10 @@ compiled by :mod:`repro.core.indexing`:
 5. **Prior re-estimation** — Eq. 26 vectorized over all scored coordinates.
 
 The output is bit-compatible with the Python engine up to floating-point
-summation order (parity is asserted to <= 1e-9 by the test suite), and the
-returned :class:`~repro.core.results.MultiLayerResult` is built from the
-same dict-of-keys views, so downstream consumers cannot tell the engines
+summation order (parity is asserted to <= 1e-9 by the test suite). The
+returned :class:`~repro.core.results.MultiLayerResult` holds columns,
+and its dict-of-keys views — decoded on first read — are the ones the
+Python engine builds, so downstream consumers cannot tell the engines
 apart.
 
 This module holds the driver-side building blocks — :func:`init_params`,
@@ -41,8 +42,13 @@ from repro.core.config import AbsenceScope, MultiLayerConfig
 from repro.core.indexing import CompiledProblem
 from repro.core.observation import ObservationMatrix
 from repro.core.quality import ExtractorQuality
-from repro.core.results import IterationSnapshot, MultiLayerResult
-from repro.core.types import DataItem, ExtractorKey, SourceKey, Value
+from repro.core.results import (
+    IterationSnapshot,
+    MultiLayerResult,
+    ResultColumns,
+    first_seen_keys,
+)
+from repro.core.types import ExtractorKey, SourceKey
 from repro.util.logmath import (
     PROB_FLOOR,
     _SIGMOID_CUTOFF,
@@ -189,7 +195,9 @@ class ParamState:
 
     ``accuracy`` is indexed by source id, the quality vectors by extractor
     column; the masks gate the theta_1 / theta_2 updates exactly like the
-    Python engine's estimable / frozen checks.
+    Python engine's estimable / frozen checks. ``quality_init`` is the
+    (P, R, Q) row each extractor starts from, by extractor id: the
+    result reports it for extractors without a column.
     """
 
     accuracy: np.ndarray
@@ -199,7 +207,7 @@ class ParamState:
     estimable_src_mask: np.ndarray
     unfrozen_src_mask: np.ndarray
     unfrozen_col_mask: np.ndarray
-    quality_init: dict[ExtractorKey, ExtractorQuality]
+    quality_init: np.ndarray  # (n_extractors, 3)
 
 
 def init_params(
@@ -228,23 +236,19 @@ def init_params(
                     value, cfg.quality_floor, cfg.quality_ceiling
                 )
     default_p = default_precision(cfg.default_recall, cfg.default_q, cfg.gamma)
-    base_quality = ExtractorQuality(
-        precision=default_p, recall=cfg.default_recall, q=cfg.default_q
+    quality_init = np.tile(
+        np.array([default_p, cfg.default_recall, cfg.default_q]),
+        (len(prob.extractors), 1),
     )
-    quality_init: dict[ExtractorKey, ExtractorQuality] = {
-        extractor: base_quality for extractor in prob.extractors
-    }
     if initial_extractor_quality:
+        row_of = dict(zip(prob.extractors, range(len(prob.extractors))))
         for extractor, quality in initial_extractor_quality.items():
-            if extractor in quality_init:
-                quality_init[extractor] = quality
-    precision = np.array(
-        [quality_init[e].precision for e in prob.cols], dtype=np.float64
-    )
-    recall = np.array(
-        [quality_init[e].recall for e in prob.cols], dtype=np.float64
-    )
-    q_vec = np.array([quality_init[e].q for e in prob.cols], dtype=np.float64)
+            row = row_of.get(extractor)
+            if row is not None:
+                quality_init[row] = (
+                    quality.precision, quality.recall, quality.q
+                )
+    precision, recall, q_vec = quality_init[prob.col_extractor].T.copy()
 
     estimable_src_mask = np.zeros(n_sources, dtype=bool)
     for i, source in enumerate(prob.sources):
@@ -631,47 +635,67 @@ def assemble_result(
     priors: np.ndarray | None,
     history: list[IterationSnapshot],
 ) -> MultiLayerResult:
-    """Convert the final arrays back into the dict-of-keys result views."""
-    accuracy = params.accuracy
-    precision = params.precision
-    recall = params.recall
-    q_vec = params.q_vec
-    quality_init = params.quality_init
-    posterior_list = posterior.tolist()
-    value_posteriors: dict[DataItem, dict[Value, float]] = {}
-    ptr = prob.item_ptr
-    for ii, item in enumerate(prob.items):
-        lo, hi = int(ptr[ii]), int(ptr[ii + 1])
-        value_posteriors[item] = {
-            prob.triple_value[t]: posterior_list[t] for t in range(lo, hi)
-        }
+    """The fitted arrays as a column-backed result (:class:`ResultColumns`).
 
-    extraction_posteriors = dict(zip(prob.coords, p_correct.tolist()))
-
-    source_accuracy = dict(zip(prob.sources, accuracy.tolist()))
-
-    extractor_quality = dict(quality_init)
-    for c, extractor in enumerate(prob.cols):
-        fitted = ExtractorQuality(
-            precision=float(precision[c]),
-            recall=float(recall[c]),
-            q=float(q_vec[c]),
-        )
-        if fitted != extractor_quality[extractor]:
-            extractor_quality[extractor] = fitted
-
-    priors_dict = (
-        dict(zip(prob.coords, priors.tolist())) if priors is not None else {}
+    Array work over the compiled ids, with no walk over coordinates or
+    items: the dict views are decoded from these columns when something
+    reads them. The tables list sources and extractors as the problem
+    does, items and values in the order the scored coordinates first
+    name them, each as that coordinate has it. ``observations`` is read
+    only through ``num_triples``, which a released matrix keeps.
+    """
+    coords = prob.coords
+    items, coord_item = first_seen_keys(coords, 1, prob.coord_matrix_item)
+    values, coord_value = first_seen_keys(
+        coords, 2, prob.coord_matrix_value
     )
-
-    return MultiLayerResult(
-        value_posteriors=value_posteriors,
-        extraction_posteriors=extraction_posteriors,
-        source_accuracy=source_accuracy,
-        extractor_quality=extractor_quality,
-        estimable_sources=prob.estimable_sources,
-        estimable_extractors=prob.estimable_extractors,
-        num_triples_total=observations.num_triples,
-        history=history,
-        priors=priors_dict,
+    coord_source = np.array(prob.coord_source, dtype=np.intp)
+    # Each triple's first claim: claims are grouped by triple, each
+    # triple's in coordinate order (its value is that claim's value).
+    triple_coord = prob.claim_coord[
+        np.flatnonzero(np.diff(prob.claim_triple, prepend=-1))
+    ]
+    # (P, R, Q) by extractor: the starting values, then the fitted
+    # ones of the estimable columns.
+    quality = params.quality_init.copy()
+    quality[prob.col_extractor] = np.column_stack(
+        (params.precision, params.recall, params.q_vec)
+    )
+    precision, recall, q_vec = np.ascontiguousarray(quality.T)
+    est_extractor = np.zeros(len(prob.extractors), dtype=bool)
+    est_extractor[prob.col_extractor] = True
+    # The priors, when reported, sit on the C layer's coordinates.
+    prior_rows = slice(None) if priors is not None else slice(0)
+    return MultiLayerResult.from_columns(
+        ResultColumns(
+            sources=prob.sources,
+            extractors=prob.extractors,
+            items=items,
+            values=values,
+            acc_source=np.arange(len(prob.sources)),
+            acc_value=params.accuracy.copy(),
+            eq_extractor=np.arange(len(prob.extractors)),
+            eq_precision=precision,
+            eq_recall=recall,
+            eq_q=q_vec,
+            est_source=params.estimable_src_mask.copy(),
+            est_extractor=est_extractor,
+            coord_source=coord_source,
+            coord_item=coord_item,
+            coord_value=coord_value,
+            coord_p=p_correct,
+            prior_source=coord_source[prior_rows],
+            prior_item=coord_item[prior_rows],
+            prior_value=coord_value[prior_rows],
+            prior_p=priors if priors is not None else np.zeros(0),
+            vp_item=coord_item[triple_coord],
+            vp_value=coord_value[triple_coord],
+            vp_p=posterior,
+            vp_empty_item=np.zeros(0, dtype=np.intp),
+            coords=coords,
+            prior_coords=coords if priors is not None else [],
+            vp_values=prob.triple_value,
+        ),
+        observations.num_triples,
+        history,
     )

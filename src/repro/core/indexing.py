@@ -98,6 +98,22 @@ class CompiledProblem:
     #: only; None under ACCU).
     triple_popularity: np.ndarray | None
 
+    #: Each scored coordinate's item and value id in the matrix's
+    #: tables, and each column's extractor id (an index into
+    #: ``extractors``): what result assembly keys its tables by, as the
+    #: matrix may be released by then. Set by :func:`compile_problem`
+    #: and not digested; ``replace`` does not copy them, so a copy sets
+    #: them itself (:func:`~repro.exec.spill.spill_problem_arrays`).
+    coord_matrix_item: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    coord_matrix_value: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    col_extractor: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
     #: The EM round's problem-only inputs
     #: (:class:`repro.core.engine_numpy.RoundInvariants`), derived from
     #: the arrays above on first use. Not part of the problem's identity:
@@ -227,7 +243,7 @@ def compile_problem(
             triple_item[triple_order]
         ]
 
-    return CompiledProblem(
+    prob = CompiledProblem(
         sources=sources,
         extractors=extractors,
         estimable_sources=set(compress(sources, source_ok)),
@@ -251,6 +267,10 @@ def compile_problem(
         active_col=col_of[active_extractor[live]],
         triple_popularity=triple_popularity,
     )
+    prob.coord_matrix_item = coord_item_id
+    prob.coord_matrix_value = cells.cell_value[scored_cells]
+    prob.col_extractor = np.flatnonzero(extractor_ok)
+    return prob
 
 
 def _lookup(keys: np.ndarray, ids: np.ndarray, queries: np.ndarray):

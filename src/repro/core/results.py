@@ -9,8 +9,14 @@ constitute Knowledge-Based Trust.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Hashable
+from functools import cached_property
+from itertools import chain, compress, repeat
+from operator import itemgetter
+from typing import Any, Hashable
+
+import numpy as np
 
 from repro.core.quality import ExtractorQuality
 from repro.core.types import DataItem, ExtractorKey, SourceKey, Value
@@ -40,29 +46,27 @@ class IterationSnapshot:
 class _TripleView:
     """Shared read API over per-item value posteriors."""
 
+    #: p(V_d = v | X) for every covered item and observed value.
+    value_posteriors: dict[DataItem, dict[Value, float]]
+
     def __init__(
         self,
         value_posteriors: dict[DataItem, dict[Value, float]],
         num_triples_total: int,
     ) -> None:
-        self._value_posteriors = value_posteriors
+        self.value_posteriors = value_posteriors
         self._num_triples_total = num_triples_total
-
-    @property
-    def value_posteriors(self) -> dict[DataItem, dict[Value, float]]:
-        """p(V_d = v | X) for every covered item and observed value."""
-        return self._value_posteriors
 
     def triple_probability(self, item: DataItem, value: Value) -> float | None:
         """p(V_d = v | X), or None when the triple is not covered."""
-        values = self._value_posteriors.get(item)
+        values = self.value_posteriors.get(item)
         if values is None:
             return None
         return values.get(value)
 
     def most_probable_value(self, item: DataItem) -> Value | None:
         """argmax_v p(V_d = v | X), or None when the item is not covered."""
-        values = self._value_posteriors.get(item)
+        values = self.value_posteriors.get(item)
         if not values:
             return None
         return max(values.items(), key=lambda kv: kv[1])[0]
@@ -71,7 +75,7 @@ class _TripleView:
         """The (item, value) pairs for which a probability was computed."""
         return {
             (item, value)
-            for item, values in self._value_posteriors.items()
+            for item, values in self.value_posteriors.items()
             for value in values
         }
 
@@ -85,7 +89,7 @@ class _TripleView:
         """Cov: fraction of observed triples with a computed probability."""
         if self._num_triples_total == 0:
             return 0.0
-        covered = sum(len(v) for v in self._value_posteriors.values())
+        covered = sum(len(v) for v in self.value_posteriors.values())
         return covered / self._num_triples_total
 
 
@@ -110,9 +114,177 @@ class SingleLayerResult(_TripleView):
         return len(self.history)
 
 
+@dataclass(frozen=True, slots=True)
+class ResultColumns:
+    """A multi-layer result as key tables and integer / float columns.
+
+    The ``*_source`` / ``*_extractor`` / ``*_item`` / ``*_value``
+    columns are ids into the four key tables; the float columns run
+    alongside their ids. Sections, in the artifact's order: accuracy
+    per source (``acc_*``), P / R / Q per extractor (``eq_*``), the
+    estimable masks over the source and extractor tables, the C layer
+    (``coord_*``), the re-estimated priors (``prior_*``; empty when
+    none), the V layer (``vp_*``, an item's rows together) and the
+    covered items without a posterior entry (``vp_empty_item``).
+
+    A table never lists two equal keys (``1``, ``True`` and ``1.0`` are
+    one value). ``coords`` and ``prior_coords`` are the coordinate
+    tuples of the C layer's and the priors' rows (shared, as a fit's
+    are, with the cells of its matrix), and ``vp_values`` the V layer's
+    value objects when whoever built the columns holds them (a fit:
+    each triple's value as its first claim has it); left out, the value
+    table's. The dict views of :class:`MultiLayerResult` are decoded
+    from these columns by the methods below.
+    """
+
+    sources: list[SourceKey]
+    extractors: list[ExtractorKey]
+    items: list[DataItem]
+    values: list[Value]
+    acc_source: np.ndarray
+    acc_value: np.ndarray
+    eq_extractor: np.ndarray
+    eq_precision: np.ndarray
+    eq_recall: np.ndarray
+    eq_q: np.ndarray
+    est_source: np.ndarray  # bool, by source id
+    est_extractor: np.ndarray  # bool, by extractor id
+    coord_source: np.ndarray
+    coord_item: np.ndarray
+    coord_value: np.ndarray
+    coord_p: np.ndarray
+    prior_source: np.ndarray
+    prior_item: np.ndarray
+    prior_value: np.ndarray
+    prior_p: np.ndarray
+    vp_item: np.ndarray
+    vp_value: np.ndarray
+    vp_p: np.ndarray
+    vp_empty_item: np.ndarray
+    coords: list[Coord]
+    prior_coords: list[Coord]
+    vp_values: list[Value] | None = None
+
+    def value_posteriors(self) -> dict[DataItem, dict[Value, float]]:
+        values = self.vp_values
+        if values is None:
+            values = map(self.values.__getitem__, self.vp_value.tolist())
+        out: dict[DataItem, dict[Value, float]] = {}
+        for item, value, p in zip(
+            map(self.items.__getitem__, self.vp_item.tolist()),
+            values,
+            self.vp_p.tolist(),
+        ):
+            out.setdefault(item, {})[value] = p
+        for item in map(self.items.__getitem__, self.vp_empty_item.tolist()):
+            out.setdefault(item, {})
+        return out
+
+    def extraction_posteriors(self) -> dict[Coord, float]:
+        return dict(zip(self.coords, self.coord_p.tolist()))
+
+    def priors(self) -> dict[Coord, float]:
+        return dict(zip(self.prior_coords, self.prior_p.tolist()))
+
+    def source_accuracy(self) -> dict[SourceKey, float]:
+        return dict(
+            zip(
+                map(self.sources.__getitem__, self.acc_source.tolist()),
+                self.acc_value.tolist(),
+            )
+        )
+
+    def extractor_quality(self) -> dict[ExtractorKey, ExtractorQuality]:
+        return dict(
+            zip(
+                map(self.extractors.__getitem__, self.eq_extractor.tolist()),
+                map(
+                    ExtractorQuality,
+                    self.eq_precision.tolist(),
+                    self.eq_recall.tolist(),
+                    self.eq_q.tolist(),
+                ),
+            )
+        )
+
+    def estimable_sources(self) -> set[SourceKey]:
+        return set(compress(self.sources, self.est_source.tolist()))
+
+    def estimable_extractors(self) -> set[ExtractorKey]:
+        return set(compress(self.extractors, self.est_extractor.tolist()))
+
+
+def first_seen(ids: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ids (each below ``size``) in the order ``ids`` first
+    lists them, and the row where each first occurs.
+
+    One ``np.minimum.at`` scatter and a sort of the distinct ids: no
+    sort of ``ids`` itself, which ``np.unique(…, return_index=True)``
+    needs (about 20 times slower at a few tens of thousands of ids),
+    and no plain ``np.unique``, whose first call imports ``numpy.ma``.
+    """
+    ids = np.asarray(ids, dtype=np.intp)
+    first = np.full(size, len(ids), dtype=np.intp)
+    np.minimum.at(first, ids, np.arange(len(ids)))
+    seen = np.flatnonzero(first < len(ids))
+    order = seen[np.argsort(first[seen])]
+    return order, first[order]
+
+
+def source_support(
+    sources: list[SourceKey], coord_source, coord_p
+) -> dict[SourceKey, float]:
+    """Expected number of correctly-extracted triples per source: the
+    C layer's ``p`` summed by source id.
+
+    ``bincount`` adds its weights one by one, in input order, from 0.0
+    — the sums of a loop over the C layer, bit for bit. Sources come in
+    the order the C layer first lists them.
+    """
+    coord_source = np.asarray(coord_source, dtype=np.intp)
+    totals = np.bincount(
+        coord_source, weights=np.asarray(coord_p, dtype=np.float64)
+    )
+    order = first_seen(coord_source, len(totals))[0].tolist()
+    return dict(zip(map(sources.__getitem__, order), totals[order].tolist()))
+
+
+def first_seen_keys(
+    coords: list[Coord], part: int, ids: np.ndarray
+) -> tuple[list, np.ndarray]:
+    """The keys ``ids`` name, in first-seen order, each as part ``part``
+    of its first coordinate in ``coords`` (row ``k`` holds id
+    ``ids[k]``); and ``ids`` renumbered in that order."""
+    size = int(ids.max()) + 1 if len(ids) else 0
+    order, rows = first_seen(ids, size)
+    rank = np.empty(size, dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    keys = list(map(itemgetter(part), map(coords.__getitem__, rows.tolist())))
+    return keys, rank[ids]
+
+
+def _decoded(name: str) -> cached_property:
+    """The view ``name`` of a column-built result, decoded on first read
+    by the :class:`ResultColumns` method of that name."""
+    return cached_property(lambda self: getattr(self._columns, name)())
+
+
 class MultiLayerResult(_TripleView):
     """Output of the multi-layer model: the KBT estimate lives in
-    ``source_accuracy`` (A_w per web source, Eq. 28)."""
+    ``source_accuracy`` (A_w per web source, Eq. 28).
+
+    The views: ``value_posteriors`` p(V_d = v | X),
+    ``extraction_posteriors`` p(C_wdv = 1 | X) per scored coordinate,
+    ``source_accuracy``, ``extractor_quality`` (P / R / Q, Eq. 29-33
+    and Eq. 7), the estimable sets, and ``priors``, the final
+    re-estimated p(C_wdv = 1) (Eq. 26; empty when the prior update is
+    disabled or never reached its start iteration).
+
+    Built from its views (the Python engine, Gibbs, a merged update), or
+    from columns (:meth:`from_columns`: a numpy fit, a loaded artifact),
+    whose views are decoded on first read. Either way :meth:`columns`
+    is what the artifact writer reads.
+    """
 
     def __init__(
         self,
@@ -133,9 +305,39 @@ class MultiLayerResult(_TripleView):
         self.estimable_sources = estimable_sources
         self.estimable_extractors = estimable_extractors
         self.history = history
-        #: final re-estimated priors p(C_wdv = 1) (Eq. 26); empty when the
-        #: prior update is disabled or never reached its start iteration.
         self.priors = priors or {}
+        self._columns: ResultColumns | None = None
+
+    @classmethod
+    def from_columns(
+        cls,
+        columns: ResultColumns,
+        num_triples_total: int,
+        history: list[IterationSnapshot],
+    ) -> "MultiLayerResult":
+        result = cls.__new__(cls)
+        result._num_triples_total = num_triples_total
+        result.history = history
+        result._columns = columns
+        return result
+
+    def columns(self) -> ResultColumns:
+        """This result as :class:`ResultColumns`. A result built from
+        dicts interns its keys on each call and keeps nothing: it is
+        saved once, and columns held beside its dicts would only add to
+        the memory of a long-lived process (``kbt ingest``)."""
+        return self._columns if self._columns is not None else _intern(self)
+
+    # The views of a column-built result, each decoded on first read; a
+    # dict-built result holds them as attributes, which shadow these.
+    # Racing first readers decode equal values: no lock needed.
+    value_posteriors = _decoded("value_posteriors")
+    extraction_posteriors = _decoded("extraction_posteriors")
+    source_accuracy = _decoded("source_accuracy")
+    extractor_quality = _decoded("extractor_quality")
+    estimable_sources = _decoded("estimable_sources")
+    estimable_extractors = _decoded("estimable_extractors")
+    priors = _decoded("priors")
 
     @property
     def iterations_run(self) -> int:
@@ -153,9 +355,125 @@ class MultiLayerResult(_TripleView):
         Used by the KBT facade to apply the paper's "at least 5 extracted
         triples" reporting rule (Section 5.4).
         """
-        totals: dict[SourceKey, float] = {}
-        for (source, _item, _value), p_correct in (
-            self.extraction_posteriors.items()
-        ):
-            totals[source] = totals.get(source, 0.0) + p_correct
-        return totals
+        columns = self._columns
+        if columns is not None:
+            return source_support(
+                columns.sources, columns.coord_source, columns.coord_p
+            )
+        # Built from dicts: the C layer's sources are all the sums need.
+        sources = _Interner()
+        ids = sources.ids(coord[0] for coord in self.extraction_posteriors)
+        return source_support(
+            list(sources.index),
+            ids,
+            np.fromiter(
+                self.extraction_posteriors.values(),
+                dtype=np.float64,
+                count=len(ids),
+            ),
+        )
+
+
+# ----------------------------------------------------------------------
+# Key interning: a dict-built result as columns
+# ----------------------------------------------------------------------
+class _Interner:
+    """Assigns stable indices to keys in first-seen order."""
+
+    def __init__(self) -> None:
+        self.index: dict[Any, int] = {}
+
+    def add(self, key: Any) -> int:
+        return self.index.setdefault(key, len(self.index))
+
+    def ids(self, keys: Iterable) -> np.ndarray:
+        return np.fromiter(map(self.add, keys), dtype=np.intp)
+
+
+def _intern(result: MultiLayerResult) -> ResultColumns:
+    """A dict-built result's columns: its keys interned section by
+    section in the artifact's order, so each table lists them as the
+    sections first name them (:func:`repro.io.artifact.save_artifact`).
+
+    The priors share their coordinate tuples with the C layer (as a
+    fit's and a loaded artifact's do), so they find their C-layer row by
+    object identity, without hashing a key; a prior with no such row has
+    its three keys interned where it stands. Every coordinate looked up
+    is alive in the result for the whole call, so an ``id`` cannot be
+    reused meanwhile.
+    """
+    tables = [_Interner() for _ in range(4)]
+    sources, extractors, items, values = tables
+    acc_source = sources.ids(result.source_accuracy)
+    eq_extractor = extractors.ids(result.extractor_quality)
+    qualities = list(result.extractor_quality.values())
+    # In set order: the artifact sorts the estimable sets itself.
+    est_source = sources.ids(result.estimable_sources)
+    est_extractor = extractors.ids(result.estimable_extractors)
+
+    scored = list(result.extraction_posteriors)
+    coord_ids = np.array(
+        [
+            table.ids(keys)
+            for table, keys in zip(
+                (sources, items, values), tuple(zip(*scored)) or ((), (), ())
+            )
+        ],
+        dtype=np.intp,
+    ).reshape(3, len(scored))
+    row_of = {id(coord): row for row, coord in enumerate(scored)}
+    priors = list(result.priors)
+    rows = [row_of.get(id(coord), -1) for coord in priors]
+    missing = [k for k, row in enumerate(rows) if row < 0]
+    extra = [
+        [table.add(key) for table, key in zip((sources, items, values), coord)]
+        for coord in map(priors.__getitem__, missing)
+    ]
+    for offset, k in enumerate(missing, start=len(scored)):
+        rows[k] = offset
+    prior_ids = np.concatenate(
+        [coord_ids, np.array(extra, dtype=np.intp).reshape(-1, 3).T], axis=1
+    )[:, rows]
+
+    filled = [(item, p) for item, p in result.value_posteriors.items() if p]
+    vp_item = items.ids(
+        chain.from_iterable(repeat(item, len(p)) for item, p in filled)
+    )
+    vp_value = values.ids(chain.from_iterable(p for _item, p in filled))
+    vp_empty_item = items.ids(
+        item for item, p in result.value_posteriors.items() if not p
+    )
+
+    def mask(table: _Interner, ids: np.ndarray) -> np.ndarray:
+        out = np.zeros(len(table.index), dtype=bool)
+        out[ids] = True
+        return out
+
+    def floats(column: Iterable[float]) -> np.ndarray:
+        return np.array(list(column), dtype=np.float64)
+
+    return ResultColumns(
+        *(list(table.index) for table in tables),
+        acc_source=acc_source,
+        acc_value=floats(result.source_accuracy.values()),
+        eq_extractor=eq_extractor,
+        eq_precision=floats(q.precision for q in qualities),
+        eq_recall=floats(q.recall for q in qualities),
+        eq_q=floats(q.q for q in qualities),
+        est_source=mask(sources, est_source),
+        est_extractor=mask(extractors, est_extractor),
+        coord_source=coord_ids[0],
+        coord_item=coord_ids[1],
+        coord_value=coord_ids[2],
+        coord_p=floats(result.extraction_posteriors.values()),
+        prior_source=prior_ids[0],
+        prior_item=prior_ids[1],
+        prior_value=prior_ids[2],
+        prior_p=floats(result.priors.values()),
+        vp_item=vp_item,
+        vp_value=vp_value,
+        vp_p=floats(chain.from_iterable(p.values() for _item, p in filled)),
+        vp_empty_item=vp_empty_item,
+        coords=scored,
+        prior_coords=priors,
+    )

@@ -194,6 +194,11 @@ def spill_problem_arrays(
             if getattr(prob, name) is not None
         },
     )
+    # Not init fields, so ``replace`` leaves them unset: resident,
+    # they are read once, when the result is assembled.
+    mapped.coord_matrix_item = prob.coord_matrix_item
+    mapped.coord_matrix_value = prob.coord_matrix_value
+    mapped.col_extractor = prob.col_extractor
     invariants = round_invariants(mapped)
     for name in _INVARIANT_ARRAY_FIELDS:
         setattr(

@@ -40,6 +40,7 @@ import dataclasses
 import io
 import json
 import zipfile
+import zlib
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import groupby
@@ -59,8 +60,14 @@ from repro.core.config import (
     MultiLayerConfig,
 )
 from repro.core.observation import ObservationMatrix
-from repro.core.quality import ExtractorQuality
-from repro.core.results import IterationSnapshot, MultiLayerResult
+from repro.core.results import (
+    IterationSnapshot,
+    MultiLayerResult,
+    ResultColumns,
+    first_seen,
+    first_seen_keys,
+    source_support,
+)
 from repro.core.types import DataItem, ExtractorKey, SourceKey
 from repro.signals.base import SignalScores
 
@@ -152,82 +159,88 @@ def config_from_dict(data: dict) -> MultiLayerConfig:
 
 
 # ----------------------------------------------------------------------
-# Key interning
+# The result's payload columns
 # ----------------------------------------------------------------------
-class _Interner:
-    """Assigns stable indices to keys in first-seen order."""
-
-    def __init__(self) -> None:
-        self.index: dict[Any, int] = {}
-
-    def add(self, key: Any) -> int:
-        return self.index.setdefault(key, len(self.index))
-
-    @property
-    def table(self) -> list[Any]:
-        """The keys by index (dicts keep first-seen order)."""
-        return list(self.index)
-
-
-class _CoordinateIds:
-    """The table ids of coordinates, found through the C layer's rows.
-
-    A fit's priors and observation cells share their coordinate tuples
-    with its C layer (so does a loaded artifact's, see
-    :class:`_CoordinateDecoder`), so most coordinates are found by
-    object identity, without hashing a key. Any other coordinate has
-    its three keys interned where it stands, which grows each table in
-    the first-seen order that interning key by key gives. Every
-    coordinate looked up is alive in the artifact for the whole save,
-    so an ``id`` cannot be reused meanwhile.
-    """
-
-    def __init__(
-        self,
-        scored: dict[tuple, float],
-        tables: tuple[_Interner, _Interner, _Interner],
-    ) -> None:
-        self._tables = tables
-        self.scored = np.array(
-            [
-                [table.add(key) for key in keys]
-                for table, keys in zip(
-                    tables, tuple(zip(*scored)) or ((), (), ())
-                )
-            ],
-            dtype=np.int64,
-        )
-        self._rows_by_object = {
-            id(coord): row for row, coord in enumerate(scored)
+#: Section by section, in payload order: each column of the result and
+#: the key table its ids index (None: a float column).
+_RESULT_SECTIONS = {
+    "source accuracy": {"acc_source": "sources", "acc_value": None},
+    "extractor quality": {
+        "eq_extractor": "extractors",
+        "eq_precision": None,
+        "eq_recall": None,
+        "eq_q": None,
+    },
+    "estimable sources": {"est_sources": "sources"},
+    "estimable extractors": {"est_extractors": "extractors"},
+    **{
+        section: {
+            f"{prefix}_source": "sources",
+            f"{prefix}_item": "items",
+            f"{prefix}_value": "values",
+            f"{prefix}_p": None,
         }
-
-    def columns(self, coords: Iterable[tuple]) -> np.ndarray:
-        """The (3, n) source, item and value ids of ``coords``."""
-        coords = list(coords)
-        by_object = self._rows_by_object
-        rows = [by_object.get(id(coord), -1) for coord in coords]
-        ids = self.scored
-        missing = [k for k, row in enumerate(rows) if row < 0]
-        if missing:
-            extra = [
-                [table.add(key) for table, key in zip(self._tables, coords[k])]
-                for k in missing
-            ]
-            for offset, k in enumerate(missing, start=ids.shape[1]):
-                rows[k] = offset
-            ids = np.concatenate(
-                [ids, np.array(extra, dtype=np.int64).T], axis=1
-            )
-        return ids[:, rows]
+        for section, prefix in (("C layer", "coord"), ("priors", "prior"))
+    },
+    "value posteriors": {
+        "vp_item": "items", "vp_value": "values", "vp_p": None
+    },
+    "empty items": {"vp_empty_item": "items"},
+}
 
 
-def _sorted_ids(keys: Iterable, table: _Interner) -> list[int]:
-    """The table ids of a set of keys, by ``(str(key), table id)``."""
-    index = table.index
-    return [
-        table.add(key)
-        for key in sorted(keys, key=lambda k: (str(k), index.get(k, -1)))
-    ]
+def _first_seen(size: int, *columns: np.ndarray):
+    """The ids in ``columns`` (below ``size``) by first occurrence,
+    column by column, and each id's position in that order (-1 for ids
+    that do not occur)."""
+    order = first_seen(
+        np.concatenate(
+            [np.asarray(column, dtype=np.intp) for column in columns]
+        ),
+        size,
+    )[0]
+    rank = np.full(size, -1, dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    return order, rank
+
+
+def _join(table: list, keys: Iterable) -> np.ndarray:
+    """The ids of ``keys`` in ``table``, each key looked up once; a key
+    not there joins it at its end."""
+    index = dict(zip(table, range(len(table))))
+    ids = []
+    for key in keys:
+        k = index.get(key)
+        if k is None:
+            k = index[key] = len(table)
+            table.append(key)
+        ids.append(k)
+    return np.array(ids, dtype=np.intp)
+
+
+def _joined(table: list, coords: list, part: int, ids: np.ndarray):
+    """The table ids of the matrix's item (``part`` 1) or value (2) ids:
+    each distinct key is looked up once, as its first cell has it."""
+    keys, first_seen_ids = first_seen_keys(coords, part, ids)
+    return _join(table, keys)[first_seen_ids]
+
+
+def _estimable_ids(
+    mask: np.ndarray, keys: list, named: np.ndarray
+) -> np.ndarray:
+    """The ids of an estimable set, sorted by ``str``, ties by position
+    among the keys ``named`` lists first, -1 for keys it does not list.
+
+    These are the only *sets* serialized, and raw set order varies with
+    string hash randomization — which would make artifact bytes differ
+    between processes for the same fit, breaking determinism-ladder
+    entry 6 (replay produces byte-identical artifacts). Distinct keys
+    can share a ``str``. They decode back into sets, so order is free.
+    """
+    rank = _first_seen(len(keys), named)[1].tolist()
+    ids = np.flatnonzero(mask).tolist()
+    ids.sort(key=lambda k: (str(keys[k]), rank[k]))
+    return np.array(ids, dtype=np.intp)
 
 
 def _encode_key(key: SourceKey | ExtractorKey) -> list:
@@ -257,107 +270,100 @@ def _check_value(value: Any) -> Any:
 # Save
 # ----------------------------------------------------------------------
 def save_artifact(artifact: TrustArtifact, path: str | Path) -> Path:
-    """Write ``artifact`` to ``path``; returns the path written."""
+    """Write ``artifact`` to ``path``; returns the path written.
+
+    Writes the result's columns (:meth:`MultiLayerResult.columns`),
+    each key table in the order the sections first name its keys, the
+    embedded matrix's cells last. The matrix's keys are looked up in the
+    result's tables once per key, never once per cell.
+    """
     result = artifact.result
-    sources = _Interner()
-    extractors = _Interner()
-    items = _Interner()
-    values = _Interner()
-    websites = _Interner()
-    arrays: dict[str, Any] = {}  # name -> list or integer ndarray
-
-    # --- source accuracies (dict order preserved) ---------------------
-    arrays["acc_source"] = [
-        sources.add(s) for s in result.source_accuracy
-    ]
-    arrays["acc_value"] = list(result.source_accuracy.values())
-
-    # --- extractor qualities ------------------------------------------
-    arrays["eq_extractor"] = [
-        extractors.add(e) for e in result.extractor_quality
-    ]
-    arrays["eq_precision"] = [
-        q.precision for q in result.extractor_quality.values()
-    ]
-    arrays["eq_recall"] = [q.recall for q in result.extractor_quality.values()]
-    arrays["eq_q"] = [q.q for q in result.extractor_quality.values()]
-
-    # --- estimable sets ------------------------------------------------
-    # Sorted by ``str``, then by table id (distinct keys can share a
-    # ``str``): these are the only *sets* serialized, and raw set order
-    # varies with string hash randomization — which would make artifact
-    # bytes differ between processes for the same fit, breaking
-    # determinism-ladder entry 6 (replay produces byte-identical
-    # artifacts). They decode back into sets, so order is free here.
-    arrays["est_sources"] = _sorted_ids(result.estimable_sources, sources)
-    arrays["est_extractors"] = _sorted_ids(
-        result.estimable_extractors, extractors
+    columns = result.columns()
+    tables = {
+        name: list(getattr(columns, name))
+        for name in ("sources", "extractors", "items", "values")
+    }
+    held = {
+        name: getattr(columns, name)
+        for section in _RESULT_SECTIONS.values()
+        for name in section
+        if not name.startswith("est_")
+    }
+    held["est_sources"] = _estimable_ids(
+        columns.est_source, tables["sources"], columns.acc_source
     )
-
-    # --- extraction posteriors (C layer) ------------------------------
-    coordinates = _CoordinateIds(
-        result.extraction_posteriors, (sources, items, values)
+    held["est_extractors"] = _estimable_ids(
+        columns.est_extractor, tables["extractors"], columns.eq_extractor
     )
-    (
-        arrays["coord_source"], arrays["coord_item"], arrays["coord_value"]
-    ) = coordinates.scored
-    arrays["coord_p"] = list(result.extraction_posteriors.values())
-
-    # --- re-estimated priors ------------------------------------------
-    (
-        arrays["prior_source"], arrays["prior_item"], arrays["prior_value"]
-    ) = coordinates.columns(result.priors)
-    arrays["prior_p"] = list(result.priors.values())
-
-    # --- value posteriors (V layer) -----------------------------------
-    vp_item, vp_value, vp_p = [], [], []
-    for item, posterior in result.value_posteriors.items():
-        if not posterior:
-            continue
-        vp_item.extend([items.add(item)] * len(posterior))
-        for value in posterior:
-            vp_value.append(values.add(value))
-        vp_p.extend(posterior.values())
-    arrays["vp_item"] = vp_item
-    arrays["vp_value"] = vp_value
-    arrays["vp_p"] = vp_p
-
-    # --- covered items with no surviving posterior entry --------------
-    arrays["vp_empty_item"] = [
-        items.add(item)
-        for item, posterior in result.value_posteriors.items()
-        if not posterior
-    ]
 
     # --- raw observation cells (optional, enables warm-start) ---------
     # One row per cell (its coordinate and entry count), then one row
     # per (cell, extractor) entry, cell by cell; then the matrix's own
     # first-seen extractor order, which the compiled column order of a
-    # refit follows.
+    # refit follows. ``in_cells``: each table's ids of the cells' keys
+    # (extractors: of the matrix's order).
+    in_cells = {}
     has_observations = artifact.observations is not None
     if has_observations:
         matrix = artifact.observations
         cells = matrix.columns()
-        (
-            arrays["cell_source"], arrays["cell_item"], arrays["cell_value"]
-        ) = coordinates.columns(cells.coords)
+        in_cells = {
+            "sources": _join(tables["sources"], matrix.sources())[
+                cells.cell_source
+            ],
+            "items": _joined(
+                tables["items"], cells.coords, 1, cells.cell_item
+            ),
+            "values": _joined(
+                tables["values"], cells.coords, 2, cells.cell_value
+            ),
+            "extractors": _join(tables["extractors"], matrix.extractors()),
+        }
+
+    renumbered = {}
+    for name, keys in tables.items():
+        order, renumbered[name] = _first_seen(
+            len(keys),
+            *(
+                held[column]
+                for section in _RESULT_SECTIONS.values()
+                for column, table in section.items()
+                if table == name
+            ),
+            in_cells.get(name, ()),
+        )
+        tables[name] = list(map(keys.__getitem__, order.tolist()))
+    for value in tables["values"]:
+        _check_value(value)
+
+    # A table the sections already list in first-seen order (a fit's,
+    # an interned one's) needs no renumbered copy of its columns.
+    kept = {
+        name: np.array_equal(rank, np.arange(len(rank)))
+        for name, rank in renumbered.items()
+    }
+    arrays: dict[str, Any] = {  # name -> list or ndarray
+        column: held[column]
+        if table is None or kept[table]
+        else renumbered[table][held[column]]
+        for section in _RESULT_SECTIONS.values()
+        for column, table in section.items()
+    }
+    if has_observations:
+        for axis, table in (
+            ("source", "sources"), ("item", "items"), ("value", "values")
+        ):
+            arrays[f"cell_{axis}"] = renumbered[table][in_cells[table]]
         arrays["cell_len"] = np.bincount(
             cells.entry_cell, minlength=len(cells.coords)
         )
-        order = np.array(
-            [extractors.add(e) for e in matrix.extractors()], dtype=np.int64
-        )
+        order = renumbered["extractors"][in_cells["extractors"]]
         arrays["obs_extractor"] = order[cells.entry_extractor]
         arrays["obs_conf"] = cells.entry_conf
         arrays["obs_extractor_order"] = order
-    # The row map must not be alive while the header and the payload
-    # are serialised below, where the save's memory peaks.
-    del coordinates
-    # Every value entered its table through ``add``.
-    for value in values.index:
-        _check_value(value)
 
     # --- trust-signal payloads (format >= 2) --------------------------
+    websites = {}
     signal_entries = []
     for index, (name, scores) in enumerate(artifact.signals.items()):
         if name != scores.name:
@@ -365,11 +371,12 @@ def save_artifact(artifact: TrustArtifact, path: str | Path) -> Path:
                 f"signal registered as {name!r} but named {scores.name!r}"
             )
         arrays[f"sig{index}_site"] = [
-            websites.add(site) for site in scores.scores
+            websites.setdefault(site, len(websites)) for site in scores.scores
         ]
         arrays[f"sig{index}_score"] = list(scores.scores.values())
         arrays[f"sig{index}_sup_site"] = [
-            websites.add(site) for site in scores.support
+            websites.setdefault(site, len(websites))
+            for site in scores.support
         ]
         arrays[f"sig{index}_sup_val"] = list(scores.support.values())
         signal_entries.append(
@@ -398,17 +405,17 @@ def save_artifact(artifact: TrustArtifact, path: str | Path) -> Path:
         "min_triples": artifact.min_triples,
         "seed": artifact.seed,
         "metadata": artifact.metadata,
-        "sources": [_encode_key(s) for s in sources.table],
-        "extractors": [_encode_key(e) for e in extractors.table],
-        "items": [[i.subject, i.predicate] for i in items.table],
-        "values": values.table,
+        "sources": [_encode_key(s) for s in tables["sources"]],
+        "extractors": [_encode_key(e) for e in tables["extractors"]],
+        "items": [[i.subject, i.predicate] for i in tables["items"]],
+        "values": tables["values"],
         "history": [
             [h.iteration, h.max_accuracy_delta, h.max_extractor_delta]
             for h in result.history
         ],
         "num_triples_total": result.num_triples_total,
         "has_observations": has_observations,
-        "websites": websites.table,
+        "websites": list(websites),
         "signals": signal_entries,
         "fusion_weights": {
             name: float(weight)
@@ -470,7 +477,7 @@ def _deterministic_npz(arrays: dict[str, Any]) -> bytes:
     buffer = io.BytesIO()
     with zipfile.ZipFile(buffer, "w", zipfile.ZIP_STORED) as inner:
         for name, data in arrays.items():
-            if name.endswith(_FLOAT_SUFFIXES) or name == "acc_value":
+            if _is_float(name):
                 array = np.asarray(data, dtype=np.float64)
             else:
                 array = _narrow(np.asarray(data, dtype=np.int64))
@@ -485,6 +492,11 @@ def _deterministic_npz(arrays: dict[str, Any]) -> bytes:
 _FLOAT_SUFFIXES = (
     "_p", "_conf", "_precision", "_recall", "_q", "_score", "_sup_val"
 )
+
+
+def _is_float(name: str) -> bool:
+    """Whether a payload array holds floats (else integers), by name."""
+    return name.endswith(_FLOAT_SUFFIXES) or name == "acc_value"
 
 
 def _narrow(array: np.ndarray) -> np.ndarray:
@@ -509,42 +521,100 @@ def _narrow(array: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 # Load: read the members once, decode a section only when it is asked for
 # ----------------------------------------------------------------------
-class _NpzArrays:
-    """``payload.npz`` by array name; a member is decoded on access.
+class _Payload:
+    """The payload arrays by name; an npz member is decoded on access.
 
-    Stands in for the dict a json payload parses into, so the section
-    decoders below read either kind, and a caller that wants two
-    sections never pays for the other ten.
+    Wraps ``payload.npz`` or the dict a ``payload.json`` parses into, so
+    the section readers below read either kind, and a caller that wants
+    two sections never pays for the other ten. A member that cannot be
+    read is an :class:`ArtifactError` naming the file.
     """
 
-    def __init__(self, npz) -> None:
-        self._npz = npz
+    def __init__(self, members, path: Path) -> None:
+        self._members = members
+        self._path = path
+
+    def _member(self, name: str):
+        try:
+            return self._members[name]
+        except _READ_ERRORS as err:
+            raise ArtifactError(
+                f"corrupt artifact {self._path}: payload array {name!r} "
+                f"unreadable ({err!r})"
+            ) from err
 
     def __getitem__(self, name: str) -> list:
-        return self._npz[name].tolist()
+        member = self._member(name)
+        return member.tolist() if isinstance(member, np.ndarray) else member
+
+    def __contains__(self, name: str) -> bool:
+        return name in self._members
 
     def get(self, name: str, default: list) -> list:
-        return self[name] if name in self._npz.files else default
+        return self[name] if name in self else default
+
+    def array(self, name: str) -> np.ndarray:
+        """One payload array: ``float64``, or integers at the width they
+        were stored at (narrow, so a loaded result stays small)."""
+        try:
+            array = np.asarray(self._member(name))
+            if _is_float(name):
+                return array.astype(np.float64, copy=False)
+            if array.dtype.kind not in "iu":
+                if array.size:
+                    raise ValueError(f"dtype {array.dtype}, not integer")
+                array = array.astype(np.intp)  # an empty JSON list
+            return array
+        except (TypeError, ValueError) as err:
+            raise ArtifactError(
+                f"corrupt artifact {self._path}: payload array {name!r} "
+                f"is not numeric ({err})"
+            ) from err
 
 
-def _read_members(path: str | Path) -> tuple[dict, Any]:
-    """The validated header and the payload arrays (name -> list).
+#: What reading or parsing a damaged member raises: a failed CRC or a
+#: bad zip structure, a broken deflate stream, a short read, malformed
+#: JSON / npy bytes (``ValueError`` covers JSON and Unicode errors), a
+#: missing name.
+_READ_ERRORS = (
+    zipfile.BadZipFile,
+    zlib.error,
+    EOFError,
+    OSError,
+    ValueError,
+    KeyError,
+)
 
-    Raises :class:`ArtifactError` for non-artifact files and for any
-    ``format_version`` this build cannot read.
+
+def _read_members(path: str | Path) -> tuple[dict, _Payload]:
+    """The validated header and the payload arrays.
+
+    Raises :class:`ArtifactError` for non-artifact files, for any
+    ``format_version`` this build cannot read, and for a member that
+    cannot be read or parsed.
     """
     path = Path(path)
     try:
         archive = zipfile.ZipFile(path)
     except (zipfile.BadZipFile, FileNotFoundError, IsADirectoryError) as err:
         raise ArtifactError(f"not a trust artifact: {path} ({err})") from err
-    with archive:
+
+    def parse(name: str, decode):
         try:
-            header = json.loads(archive.read(_HEADER_MEMBER))
+            return decode(archive.read(name))
         except KeyError as err:
             raise ArtifactError(
-                f"not a trust artifact: {path} (no {_HEADER_MEMBER})"
+                f"not a trust artifact: {path} (no {name})"
             ) from err
+        except _READ_ERRORS as err:
+            raise ArtifactError(
+                f"corrupt artifact {path}: {name} unreadable ({err!r})"
+            ) from err
+
+    with archive:
+        header = parse(_HEADER_MEMBER, json.loads)
+        if not isinstance(header, dict):
+            header = {"format": header}
         if header.get("format") != FORMAT_NAME:
             raise ArtifactError(
                 f"not a trust artifact: {path} "
@@ -560,110 +630,117 @@ def _read_members(path: str | Path) -> tuple[dict, Any]:
         kind = header.get("payload_kind")
         if kind == "npz":
             # In memory, so the lazy member reads outlive the archive.
-            arrays = _NpzArrays(np.load(io.BytesIO(archive.read(_NPZ_MEMBER))))
+            members = parse(_NPZ_MEMBER, lambda raw: np.load(io.BytesIO(raw)))
         elif kind == "json":
-            arrays = json.loads(archive.read(_JSON_MEMBER))
+            members = parse(_JSON_MEMBER, json.loads)
         else:
             raise ArtifactError(f"unknown payload kind in artifact: {kind!r}")
-    return header, arrays
+    return header, _Payload(members, path)
+
+
+def _section(arrays: _Payload, section: str, **sizes) -> dict:
+    """One section's columns by name, checked once: equal lengths, and
+    every id below the size of its table. ``sizes`` maps each column to
+    its table's size, or to None for a column of no table."""
+    columns = {
+        name: arrays.array(name) for name in sizes
+    }
+    lengths = {name: len(column) for name, column in columns.items()}
+    if len(set(lengths.values())) > 1:
+        raise ArtifactError(
+            f"corrupt artifact {arrays._path}: the {section} columns "
+            f"differ in length {lengths}"
+        )
+    for name, size in sizes.items():
+        ids = columns[name]
+        if size is not None and len(ids) and (
+            ids.min() < 0 or ids.max() >= size
+        ):
+            raise ArtifactError(
+                f"corrupt artifact {arrays._path}: {section} column "
+                f"{name!r} names a key outside its table of {size}"
+            )
+    return columns
 
 
 def _decode_sources(header: dict) -> list[SourceKey]:
     return [_decode_source(entry) for entry in header["sources"]]
 
 
-def _decode_source_accuracy(
-    sources: list[SourceKey], arrays
-) -> dict[SourceKey, float]:
-    return {
-        sources[s]: acc
-        for s, acc in zip(arrays["acc_source"], arrays["acc_value"])
-    }
+def _mask(ids: np.ndarray, size: int) -> np.ndarray:
+    mask = np.zeros(size, dtype=bool)
+    mask[ids] = True
+    return mask
 
 
-def _decode_source_support(
-    sources: list[SourceKey], arrays
-) -> dict[SourceKey, float]:
-    """``MultiLayerResult.expected_triples_by_source`` straight from the
-    C-layer columns: the same additions in the same order (``bincount``
-    adds its weights one by one, in input order, from 0.0), without
-    building a coordinate key per cell. Sources come in first-seen
-    order, as the dict the result builds has them."""
-    coord_source = np.asarray(arrays["coord_source"], dtype=np.intp)
-    totals = np.bincount(
-        coord_source, weights=np.asarray(arrays["coord_p"], dtype=np.float64)
-    )
-    seen, first = np.unique(coord_source, return_index=True)
-    order = seen[np.argsort(first)].tolist()
-    return dict(
-        zip(map(sources.__getitem__, order), totals[order].tolist())
-    )
-
-
-def _decode_extractor_quality(
-    extractors: list[ExtractorKey], arrays
-) -> dict[ExtractorKey, ExtractorQuality]:
-    return {
-        extractors[e]: ExtractorQuality(
-            precision=precision, recall=recall, q=q
-        )
-        for e, precision, recall, q in zip(
-            arrays["eq_extractor"],
-            arrays["eq_precision"],
-            arrays["eq_recall"],
-            arrays["eq_q"],
-        )
-    }
-
-
-class _CoordinateDecoder:
+def _decode_coords(cache: dict, tables, ids) -> list[tuple]:
     """Coordinate tuples by their (source, item, value) ids, each built
-    once: the C layer, the priors and the cells of a loaded artifact
-    share their tuples, as a fit's do, which lets the next save find
-    them by identity (:class:`_CoordinateIds`)."""
+    once per ``cache``: a loaded artifact's C layer, priors and cells
+    share their tuples, as a fit's do."""
+    sources, items, values = tables
+    out = []
+    for key in ids:
+        coord = cache.get(key)
+        if coord is None:
+            s, i, v = key
+            coord = cache[key] = (sources[s], items[i], values[v])
+        out.append(coord)
+    return out
 
-    def __init__(self, sources: list, items: list, values: list) -> None:
-        self._tables = (sources, items, values)
-        self._coords: dict[tuple[int, int, int], tuple] = {}
 
-    def decode(self, arrays, prefix: str) -> list[tuple]:
-        """The coordinates of one section's ``_source`` / ``_item`` /
-        ``_value`` columns: ``coord`` the C layer, ``prior`` the
-        re-estimated priors, ``cell`` the observation cells."""
-        return self.decode_ids(
-            zip(
-                arrays[f"{prefix}_source"],
-                arrays[f"{prefix}_item"],
-                arrays[f"{prefix}_value"],
+def _decode_columns(
+    header: dict, arrays: _Payload, cache: dict
+) -> ResultColumns:
+    """The result's columns over the header's key tables, each section
+    checked (:func:`_section`); coordinates through ``cache``
+    (:func:`_decode_coords`)."""
+    tables = {
+        "sources": _decode_sources(header),
+        "extractors": [_decode_extractor(e) for e in header["extractors"]],
+        "items": [DataItem(subject, predicate)
+                  for subject, predicate in header["items"]],
+        "values": header["values"],
+    }
+    sizes = {name: len(keys) for name, keys in tables.items()}
+    # Artifacts written before covered items could lack a posterior
+    # entry have no ``vp_empty_item``.
+    columns = {"vp_empty_item": np.zeros(0, dtype=np.intp)}
+    for section, spec in _RESULT_SECTIONS.items():
+        if section != "empty items" or "vp_empty_item" in arrays:
+            columns.update(
+                _section(
+                    arrays,
+                    section,
+                    **{name: sizes.get(table) for name, table in spec.items()},
+                )
             )
+    coords = {
+        prefix: _decode_coords(
+            cache,
+            (tables["sources"], tables["items"], tables["values"]),
+            zip(
+                *(
+                    columns[f"{prefix}_{axis}"].tolist()
+                    for axis in ("source", "item", "value")
+                )
+            ),
         )
-
-    def decode_ids(self, ids) -> list[tuple]:
-        sources, items, values = self._tables
-        coords = self._coords
-        out = []
-        for key in ids:
-            coord = coords.get(key)
-            if coord is None:
-                s, i, v = key
-                coord = coords[key] = (sources[s], items[i], values[v])
-            out.append(coord)
-        return out
-
-
-def _decode_value_posteriors(
-    items: list, values: list, arrays
-) -> dict[DataItem, dict]:
-    value_posteriors: dict[DataItem, dict] = {}
-    for i, v, p in zip(arrays["vp_item"], arrays["vp_value"], arrays["vp_p"]):
-        value_posteriors.setdefault(items[i], {})[values[v]] = p
-    for i in arrays.get("vp_empty_item", []):
-        value_posteriors.setdefault(items[i], {})
-    return value_posteriors
+        for prefix in ("coord", "prior")
+    }
+    return ResultColumns(
+        **tables,
+        est_source=_mask(columns.pop("est_sources"), sizes["sources"]),
+        est_extractor=_mask(
+            columns.pop("est_extractors"), sizes["extractors"]
+        ),
+        **columns,
+        coords=coords["coord"],
+        prior_coords=coords["prior"],
+    )
 
 
 def _decode_observations(
-    version: int, coordinates: _CoordinateDecoder, extractors: list, arrays
+    version: int, columns: ResultColumns, arrays: _Payload, cache: dict
 ) -> ObservationMatrix:
     """The observation matrix, cell by cell, for every format version.
 
@@ -671,30 +748,75 @@ def _decode_observations(
     Versions 1 and 2 store the coordinate on every entry; a cell's
     entries are contiguous, so each run of one coordinate is a cell.
     They carry no extractor order, so their matrices rank extractors by
-    first entry, as those versions always loaded them.
+    first entry, as those versions always loaded them. Coordinates come
+    through ``cache`` (:func:`_decode_coords`), so the cells share their
+    tuples with the result's C layer and priors.
     """
+    tables = (columns.sources, columns.items, columns.values)
+    n_sources, n_extractors = len(columns.sources), len(columns.extractors)
+    n_items, n_values = len(columns.items), len(columns.values)
+    extractors = columns.extractors
     extractor_order = None
     if version >= 3:
-        coords = coordinates.decode(arrays, "cell")
-        lens = arrays["cell_len"]
+        entries = _section(
+            arrays,
+            "observation entries",
+            obs_extractor=n_extractors,
+            obs_conf=None,
+        )
+        cells = _section(
+            arrays,
+            "observation cells",
+            cell_source=n_sources,
+            cell_item=n_items,
+            cell_value=n_values,
+            cell_len=None,
+        )
+        coords = _decode_coords(
+            cache,
+            tables,
+            zip(
+                cells["cell_source"].tolist(),
+                cells["cell_item"].tolist(),
+                cells["cell_value"].tolist(),
+            )
+        )
+        lens = cells["cell_len"]
         extractor_order = [
-            extractors[e] for e in arrays["obs_extractor_order"]
+            extractors[e]
+            for e in _section(
+                arrays, "extractor order", obs_extractor_order=n_extractors
+            )["obs_extractor_order"].tolist()
         ]
     else:
+        entries = _section(
+            arrays,
+            "observation entries",
+            obs_source=n_sources,
+            obs_item=n_items,
+            obs_value=n_values,
+            obs_extractor=n_extractors,
+            obs_conf=None,
+        )
         runs = [
             (cell_id, sum(1 for _ in run))
             for cell_id, run in groupby(
-                zip(arrays["obs_source"], arrays["obs_item"],
-                    arrays["obs_value"])
+                zip(
+                    entries["obs_source"].tolist(),
+                    entries["obs_item"].tolist(),
+                    entries["obs_value"].tolist(),
+                )
             )
         ]
-        coords = coordinates.decode_ids(cell_id for cell_id, _ in runs)
+        coords = _decode_coords(
+            cache, tables, (cell_id for cell_id, _ in runs)
+        )
         lens = [length for _, length in runs]
     return ObservationMatrix.from_cells(
         coords,
         lens,
-        [extractors[e] for e in arrays["obs_extractor"]],
-        arrays["obs_conf"],
+        [extractors[e] for e in entries["obs_extractor"].tolist()],
+        entries["obs_conf"],
         extractor_order,
     )
 
@@ -738,9 +860,20 @@ def load_serving_inputs(path: str | Path) -> tuple:
     """
     header, arrays = _read_members(path)
     sources = _decode_sources(header)
+    accuracy = _section(
+        arrays, "source accuracy", acc_source=len(sources), acc_value=None
+    )
+    scored = _section(
+        arrays, "C layer", coord_source=len(sources), coord_p=None
+    )
     return (
-        _decode_source_accuracy(sources, arrays),
-        _decode_source_support(sources, arrays),
+        dict(
+            zip(
+                map(sources.__getitem__, accuracy["acc_source"].tolist()),
+                accuracy["acc_value"].tolist(),
+            )
+        ),
+        source_support(sources, scored["coord_source"], scored["coord_p"]),
         header["min_triples"],
         _decode_signals(header, arrays),
         header.get("fusion_weights") or {},
@@ -750,45 +883,32 @@ def load_serving_inputs(path: str | Path) -> tuple:
 def load_artifact(path: str | Path) -> TrustArtifact:
     """Read an artifact written by :func:`save_artifact`.
 
-    Raises :class:`ArtifactError` for non-artifact files and for any
-    ``format_version`` this build cannot read. Version-1 artifacts (no
-    embedded trust signals) load with ``signals == {}``.
+    Raises :class:`ArtifactError` for non-artifact files, for any
+    ``format_version`` this build cannot read, and for damaged members
+    or inconsistent columns. Version-1 artifacts (no embedded trust
+    signals) load with ``signals == {}``. The result is column-backed:
+    its dict views are decoded when first read.
     """
     header, arrays = _read_members(path)
-    sources = _decode_sources(header)
-    extractors = [_decode_extractor(entry) for entry in header["extractors"]]
-    items = [DataItem(subject, predicate)
-             for subject, predicate in header["items"]]
-    values = header["values"]
-
-    coordinates = _CoordinateDecoder(sources, items, values)
-    result = MultiLayerResult(
-        value_posteriors=_decode_value_posteriors(items, values, arrays),
-        extraction_posteriors=dict(
-            zip(coordinates.decode(arrays, "coord"), arrays["coord_p"])
-        ),
-        source_accuracy=_decode_source_accuracy(sources, arrays),
-        extractor_quality=_decode_extractor_quality(extractors, arrays),
-        estimable_sources={sources[s] for s in arrays["est_sources"]},
-        estimable_extractors={
-            extractors[e] for e in arrays["est_extractors"]
-        },
-        num_triples_total=header["num_triples_total"],
-        history=[
+    cache: dict = {}
+    columns = _decode_columns(header, arrays, cache)
+    result = MultiLayerResult.from_columns(
+        columns,
+        header["num_triples_total"],
+        [
             IterationSnapshot(iteration, acc_delta, ext_delta)
             for iteration, acc_delta, ext_delta in header["history"]
         ],
-        priors=dict(
-            zip(coordinates.decode(arrays, "prior"), arrays["prior_p"])
-        ),
     )
 
     observations = None
     if header.get("has_observations"):
         try:
             observations = _decode_observations(
-                header["format_version"], coordinates, extractors, arrays
+                header["format_version"], columns, arrays, cache
             )
+        except ArtifactError:
+            raise
         except ValueError as err:
             raise ArtifactError(
                 f"corrupt observation cells in {path}: {err}"

@@ -613,3 +613,163 @@ def test_loaded_coordinates_are_shared(fitted, tmp_path):
     assert all(id(coord) in scored for coord in loaded.result.priors)
     cells = [coord for coord, _cell in loaded.observations.cells()]
     assert sum(id(coord) in scored for coord in cells) == len(scored)
+
+
+# ----------------------------------------------------------------------
+# Damaged artifacts fail as ArtifactError, naming the file
+# ----------------------------------------------------------------------
+def rewrite_members(
+    path, out_path, replace=None, compress=zipfile.ZIP_DEFLATED
+):
+    """Copy an artifact, replacing members' bytes (``{name: bytes}``)."""
+    with zipfile.ZipFile(path) as archive:
+        data = {name: archive.read(name) for name in archive.namelist()}
+    data.update(replace or {})
+    with zipfile.ZipFile(out_path, "w", compress) as archive:
+        for name, value in data.items():
+            archive.writestr(name, value)
+    return out_path
+
+
+def flip_member_byte(path, out_path, name: str, fill: int | None = None):
+    """Copy an artifact with member ``name``'s stored bytes damaged in
+    place: one byte flipped, or (``fill``) every byte overwritten. The
+    zip structure stays intact, so the damage shows only on reading."""
+    raw = bytearray(Path(path).read_bytes())
+    with zipfile.ZipFile(path) as archive:
+        info = archive.getinfo(name)
+    with open(path, "rb") as handle:
+        handle.seek(info.header_offset + 26)
+        name_len, extra_len = np.frombuffer(handle.read(4), dtype="<u2")
+    start = info.header_offset + 30 + int(name_len) + int(extra_len)
+    if fill is None:
+        raw[start + info.compress_size // 2] ^= 0xFF
+    else:
+        raw[start : start + info.compress_size] = bytes(
+            [fill] * info.compress_size
+        )
+    Path(out_path).write_bytes(bytes(raw))
+    return out_path
+
+
+def serving_open(path):
+    from repro.serving.mmap_store import MmapTrustStore
+
+    return MmapTrustStore.open(path)
+
+
+LOADERS = {
+    "load_artifact": load_artifact,
+    "load_serving_inputs": load_serving_inputs,
+    "MmapTrustStore.open": serving_open,
+}
+
+
+def damaged_artifacts(fitted, directory):
+    """One damaged copy per way a member can fail to read or parse."""
+    path = fitted.save(directory / "model.kbt")
+    with zipfile.ZipFile(path) as archive:
+        header = archive.read("header.json")
+        payload = archive.read("payload.npz")
+    stored = rewrite_members(
+        path, directory / "stored.kbt", compress=zipfile.ZIP_STORED
+    )
+    return {
+        # The reproduction: one byte of the deflated payload flipped.
+        "payload-byte": flip_member_byte(
+            path, directory / "byte.kbt", "payload.npz"
+        ),
+        "payload-crc": flip_member_byte(
+            stored, directory / "crc.kbt", "payload.npz"
+        ),
+        "payload-inflate": flip_member_byte(
+            path, directory / "inflate.kbt", "payload.npz", fill=0xFF
+        ),
+        "payload-not-npz": rewrite_members(
+            path, directory / "npz.kbt", {"payload.npz": payload[:1000]}
+        ),
+        "header-truncated": rewrite_members(
+            path,
+            directory / "header.kbt",
+            {"header.json": header[: len(header) // 2]},
+        ),
+    }
+
+
+DAMAGE = [
+    "payload-byte",
+    "payload-crc",
+    "payload-inflate",
+    "payload-not-npz",
+    "header-truncated",
+]
+
+
+class TestDamagedMembers:
+    @pytest.mark.parametrize("loader", sorted(LOADERS))
+    @pytest.mark.parametrize("damage", DAMAGE)
+    def test_is_an_artifact_error(self, fitted, tmp_path, damage, loader):
+        path = damaged_artifacts(fitted, tmp_path)[damage]
+        with pytest.raises(ArtifactError, match=str(path)):
+            LOADERS[loader](path)
+
+    @pytest.mark.parametrize("damage", DAMAGE)
+    def test_kbt_query_prints_an_error(self, fitted, tmp_path, capsys, damage):
+        from repro.cli import main as cli_main
+
+        path = damaged_artifacts(fitted, tmp_path)[damage]
+        assert cli_main(["query", str(path), "--site", "good.com"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+
+# ----------------------------------------------------------------------
+# Columns that disagree with each other or with their tables
+# ----------------------------------------------------------------------
+def with_arrays(path, out_path, **edits):
+    """Copy an artifact with payload arrays edited (``name=function``)."""
+    arrays = payload_arrays(path)
+    for name, edit in edits.items():
+        arrays[name] = edit(arrays[name])
+    payload = io.BytesIO()
+    np.savez(payload, **arrays)
+    return rewrite_members(
+        path, out_path, {"payload.npz": payload.getvalue()}
+    )
+
+
+class TestInconsistentColumns:
+    def test_short_coord_p(self, fitted, tmp_path):
+        path = with_arrays(
+            fitted.save(tmp_path / "model.kbt"),
+            tmp_path / "short.kbt",
+            coord_p=lambda p: p[:-3],
+        )
+        for loader in (load_artifact, load_serving_inputs):
+            with pytest.raises(ArtifactError, match="C layer") as info:
+                loader(path)
+            assert str(path) in str(info.value)
+
+    def test_short_acc_value(self, fitted, tmp_path):
+        path = with_arrays(
+            fitted.save(tmp_path / "model.kbt"),
+            tmp_path / "short.kbt",
+            acc_value=lambda acc: acc[:-3],
+        )
+        for loader in (load_artifact, load_serving_inputs):
+            with pytest.raises(ArtifactError, match="source accuracy") as info:
+                loader(path)
+            assert str(path) in str(info.value)
+
+    def test_sources_table_one_key_short(self, fitted, tmp_path):
+        path = fitted.save(tmp_path / "model.kbt")
+        with zipfile.ZipFile(path) as archive:
+            sources = json.loads(archive.read("header.json"))["sources"]
+        short = rewrite_header(
+            path, tmp_path / "short.kbt", sources=sources[:-1]
+        )
+        for loader in (load_artifact, load_serving_inputs):
+            with pytest.raises(ArtifactError, match="outside its") as err:
+                loader(short)
+            assert str(short) in str(err.value)

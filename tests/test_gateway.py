@@ -60,6 +60,7 @@ from repro.serving.store import TrustStore
 from repro.signals import CorpusContext, SignalSuite, fuse
 
 from serving_reference import ReferenceStore
+from test_artifact import flip_member_byte
 
 
 def page_records(website, url, extractor, items, value_fn):
@@ -1773,6 +1774,29 @@ class TestHotSwap:
             )
             assert status == 400
             assert b"swap rejected" in body
+            after = http_get(gateway.address, "/score?site=good.com")
+            assert after[:2] == before[:2]
+            assert manager.generation == 0
+        finally:
+            gateway.stop()
+
+    def test_damaged_payload_swap_rejected_old_store_serves(
+        self, artifact, tmp_path
+    ):
+        """One flipped byte inside the payload member is a 400, not a
+        500: the artifact reader reports it as an ArtifactError."""
+        damaged = flip_member_byte(
+            artifact, tmp_path / "damaged.kbt", "payload.npz"
+        )
+        manager = StoreManager(MmapTrustStore.open(artifact))
+        gateway = GatewayThread(manager).start()
+        try:
+            before = http_get(gateway.address, "/score?site=good.com")
+            status, body = http_post(
+                gateway.address, "/admin/swap", {"artifact": str(damaged)}
+            )
+            assert status == 400
+            assert b"swap rejected: ArtifactError" in body
             after = http_get(gateway.address, "/score?site=good.com")
             assert after[:2] == before[:2]
             assert manager.generation == 0

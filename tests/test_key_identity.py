@@ -10,7 +10,8 @@ Three properties, each pinned without a wall clock:
   bytes for a matrix built from interned records and for one built from
   hand-constructed equal-but-distinct keys;
 * the artifact encoder touches a key table once per coordinate, not
-  once per coordinate per section (counted ``_Interner.add`` calls).
+  once per coordinate per section (counted ``_Interner.add`` calls),
+  and not at all for a fit's result, which holds its key tables.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ pytest.importorskip("numpy")
 
 from repro.core.config import ConvergenceConfig, MultiLayerConfig
 from repro.core.kbt import FittedKBT, KBTEstimator
+from repro.core import results as results_module
 from repro.core.observation import ObservationMatrix
+from repro.core.results import MultiLayerResult
 from repro.ingest.stream import SpoolDirectorySource
-from repro.io import artifact as artifact_module
 from repro.io.jsonl import (
     read_record_chunks,
     read_records,
@@ -217,13 +219,28 @@ def test_encoder_interns_each_coordinate_once(tmp_path, monkeypatch):
     )
 
     calls = 0
-    add = artifact_module._Interner.add
+    add = results_module._Interner.add
 
     def counting_add(self, key):
         nonlocal calls
         calls += 1
         return add(self, key)
 
-    monkeypatch.setattr(artifact_module._Interner, "add", counting_add)
-    fitted.save(tmp_path / "counted.kbt")
+    monkeypatch.setattr(results_module._Interner, "add", counting_add)
+    fitted.save(tmp_path / "columns.kbt")
+    assert calls == 0
+    # The same result built from its dicts interns its keys.
+    views = (
+        "value_posteriors", "extraction_posteriors", "source_accuracy",
+        "extractor_quality", "estimable_sources", "estimable_extractors",
+        "priors",
+    )
+    from_dicts = MultiLayerResult(
+        **{name: getattr(result, name) for name in views},
+        num_triples_total=result.num_triples_total,
+        history=result.history,
+    )
+    FittedKBT(from_dicts, observations, fitted.config).save(
+        tmp_path / "counted.kbt"
+    )
     assert 0 < calls <= bound

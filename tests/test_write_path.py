@@ -25,6 +25,7 @@ import repro.serving.store as store_module
 from repro.cli import main as cli_main
 from repro.core.kbt import FittedKBT, KBTEstimator
 from repro.core.observation import ObservationMatrix
+from repro.core.results import ResultColumns
 from repro.ingest import HttpPublisher, IngestPipeline, InProcessPublisher
 from repro.io.jsonl import read_records
 from repro.io.mmap_layout import (
@@ -209,12 +210,13 @@ class TestServingNeverBuildsTheMatrix:
         )
         for decoder in (
             "_decode_observations",
-            "_CoordinateDecoder",  # the C layer, the priors, the cells
-            "_decode_value_posteriors",
-            "_decode_extractor_quality",
+            "_decode_coords",  # the C layer, the priors, the cells
+            "_decode_columns",
             "load_artifact",
         ):
             monkeypatch.setattr(artifact_module, decoder, refuse)
+        for view in ("value_posteriors", "extractor_quality"):
+            monkeypatch.setattr(ResultColumns, view, refuse)
 
     def test_every_serving_entry_point(
         self, saved, no_full_decode, tmp_path, capsys
