@@ -214,8 +214,8 @@ def three_saves(
     observations: ObservationMatrix | None,
     directory: Path,
     signals: dict | None = None,
-) -> bytes:
-    """The bytes of the three saves, asserted equal."""
+) -> None:
+    """Three saves, asserted byte-equal."""
     written = []
     for name, result, save in (
         ("columns", got, save_artifact),
@@ -235,7 +235,6 @@ def three_saves(
         written.append(path.read_bytes())
     assert written[0] == written[1], "columns vs MultiLayerResult(**dicts)"
     assert written[0] == written[2], "columns vs the reference writer"
-    return written[0]
 
 
 def check_load(path: Path) -> None:
