@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, compress, repeat
 from operator import itemgetter
 from typing import Any, Hashable
@@ -46,16 +45,18 @@ class IterationSnapshot:
 class _TripleView:
     """Shared read API over per-item value posteriors."""
 
-    #: p(V_d = v | X) for every covered item and observed value.
-    value_posteriors: dict[DataItem, dict[Value, float]]
-
     def __init__(
         self,
         value_posteriors: dict[DataItem, dict[Value, float]],
         num_triples_total: int,
     ) -> None:
-        self.value_posteriors = value_posteriors
+        self._value_posteriors = value_posteriors
         self._num_triples_total = num_triples_total
+
+    @property
+    def value_posteriors(self) -> dict[DataItem, dict[Value, float]]:
+        """p(V_d = v | X) for every covered item and observed value."""
+        return self._value_posteriors
 
     def triple_probability(self, item: DataItem, value: Value) -> float | None:
         """p(V_d = v | X), or None when the triple is not covered."""
@@ -214,9 +215,12 @@ class ResultColumns:
         return set(compress(self.extractors, self.est_extractor.tolist()))
 
 
-def first_seen(ids: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+def first_seen(
+    ids: np.ndarray, size: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinct ids (each below ``size``) in the order ``ids`` first
-    lists them, and the row where each first occurs.
+    lists them, the row where each first occurs, and each id's position
+    in that order (-1 for ids ``ids`` does not list).
 
     One ``np.minimum.at`` scatter and a sort of the distinct ids: no
     sort of ``ids`` itself, which ``np.unique(…, return_index=True)``
@@ -228,7 +232,9 @@ def first_seen(ids: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     np.minimum.at(first, ids, np.arange(len(ids)))
     seen = np.flatnonzero(first < len(ids))
     order = seen[np.argsort(first[seen])]
-    return order, first[order]
+    rank = np.full(size, -1, dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    return order, first[order], rank
 
 
 def source_support(
@@ -256,17 +262,24 @@ def first_seen_keys(
     of its first coordinate in ``coords`` (row ``k`` holds id
     ``ids[k]``); and ``ids`` renumbered in that order."""
     size = int(ids.max()) + 1 if len(ids) else 0
-    order, rows = first_seen(ids, size)
-    rank = np.empty(size, dtype=np.intp)
-    rank[order] = np.arange(len(order))
+    _order, rows, rank = first_seen(ids, size)
     keys = list(map(itemgetter(part), map(coords.__getitem__, rows.tolist())))
     return keys, rank[ids]
 
 
-def _decoded(name: str) -> cached_property:
-    """The view ``name`` of a column-built result, decoded on first read
-    by the :class:`ResultColumns` method of that name."""
-    return cached_property(lambda self: getattr(self._columns, name)())
+def _view(name: str) -> property:
+    """The read-only view ``name``: a dict-built result's own dict, or
+    one decoded from the columns on first read by the
+    :class:`ResultColumns` method of that name. Racing first readers
+    decode equal values: no lock needed."""
+
+    def read(self: "MultiLayerResult"):
+        views = self._views
+        if name not in views:
+            views[name] = getattr(self._columns, name)()
+        return views[name]
+
+    return property(read)
 
 
 class MultiLayerResult(_TripleView):
@@ -284,6 +297,11 @@ class MultiLayerResult(_TripleView):
     from columns (:meth:`from_columns`: a numpy fit, a loaded artifact),
     whose views are decoded on first read. Either way :meth:`columns`
     is what the artifact writer reads.
+
+    The views are read-only: assigning one raises ``AttributeError``,
+    and their contents are not to be edited. A column-built result's
+    views are snapshots decoded from its columns, so an edited view
+    would not be what a save writes.
     """
 
     def __init__(
@@ -298,15 +316,18 @@ class MultiLayerResult(_TripleView):
         history: list[IterationSnapshot],
         priors: dict[Coord, float] | None = None,
     ) -> None:
-        super().__init__(value_posteriors, num_triples_total)
-        self.extraction_posteriors = extraction_posteriors
-        self.source_accuracy = source_accuracy
-        self.extractor_quality = extractor_quality
-        self.estimable_sources = estimable_sources
-        self.estimable_extractors = estimable_extractors
+        self._num_triples_total = num_triples_total
         self.history = history
-        self.priors = priors or {}
         self._columns: ResultColumns | None = None
+        self._views = {
+            "value_posteriors": value_posteriors,
+            "extraction_posteriors": extraction_posteriors,
+            "source_accuracy": source_accuracy,
+            "extractor_quality": extractor_quality,
+            "estimable_sources": estimable_sources,
+            "estimable_extractors": estimable_extractors,
+            "priors": priors or {},
+        }
 
     @classmethod
     def from_columns(
@@ -319,6 +340,7 @@ class MultiLayerResult(_TripleView):
         result._num_triples_total = num_triples_total
         result.history = history
         result._columns = columns
+        result._views = {}
         return result
 
     def columns(self) -> ResultColumns:
@@ -328,16 +350,13 @@ class MultiLayerResult(_TripleView):
         the memory of a long-lived process (``kbt ingest``)."""
         return self._columns if self._columns is not None else _intern(self)
 
-    # The views of a column-built result, each decoded on first read; a
-    # dict-built result holds them as attributes, which shadow these.
-    # Racing first readers decode equal values: no lock needed.
-    value_posteriors = _decoded("value_posteriors")
-    extraction_posteriors = _decoded("extraction_posteriors")
-    source_accuracy = _decoded("source_accuracy")
-    extractor_quality = _decoded("extractor_quality")
-    estimable_sources = _decoded("estimable_sources")
-    estimable_extractors = _decoded("estimable_extractors")
-    priors = _decoded("priors")
+    value_posteriors = _view("value_posteriors")
+    extraction_posteriors = _view("extraction_posteriors")
+    source_accuracy = _view("source_accuracy")
+    extractor_quality = _view("extractor_quality")
+    estimable_sources = _view("estimable_sources")
+    estimable_extractors = _view("estimable_extractors")
+    priors = _view("priors")
 
     @property
     def iterations_run(self) -> int:
@@ -360,17 +379,13 @@ class MultiLayerResult(_TripleView):
             return source_support(
                 columns.sources, columns.coord_source, columns.coord_p
             )
-        # Built from dicts: the C layer's sources are all the sums need.
+        # Built from dicts: intern only the C layer's sources. Interning
+        # the whole result (``columns()``) costs about four times as much
+        # on the e2e corpus, and a ``KBTReport`` runs this on every update.
         sources = _Interner()
         ids = sources.ids(coord[0] for coord in self.extraction_posteriors)
         return source_support(
-            list(sources.index),
-            ids,
-            np.fromiter(
-                self.extraction_posteriors.values(),
-                dtype=np.float64,
-                count=len(ids),
-            ),
+            list(sources.index), ids, list(self.extraction_posteriors.values())
         )
 
 

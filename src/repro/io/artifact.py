@@ -189,21 +189,6 @@ _RESULT_SECTIONS = {
 }
 
 
-def _first_seen(size: int, *columns: np.ndarray):
-    """The ids in ``columns`` (below ``size``) by first occurrence,
-    column by column, and each id's position in that order (-1 for ids
-    that do not occur)."""
-    order = first_seen(
-        np.concatenate(
-            [np.asarray(column, dtype=np.intp) for column in columns]
-        ),
-        size,
-    )[0]
-    rank = np.full(size, -1, dtype=np.intp)
-    rank[order] = np.arange(len(order))
-    return order, rank
-
-
 def _join(table: list, keys: Iterable) -> np.ndarray:
     """The ids of ``keys`` in ``table``, each key looked up once; a key
     not there joins it at its end."""
@@ -237,7 +222,7 @@ def _estimable_ids(
     entry 6 (replay produces byte-identical artifacts). Distinct keys
     can share a ``str``. They decode back into sets, so order is free.
     """
-    rank = _first_seen(len(keys), named)[1].tolist()
+    rank = first_seen(named, len(keys))[2].tolist()
     ids = np.flatnonzero(mask).tolist()
     ids.sort(key=lambda k: (str(keys[k]), rank[k]))
     return np.array(ids, dtype=np.intp)
@@ -322,30 +307,28 @@ def save_artifact(artifact: TrustArtifact, path: str | Path) -> Path:
 
     renumbered = {}
     for name, keys in tables.items():
-        order, renumbered[name] = _first_seen(
-            len(keys),
-            *(
-                held[column]
-                for section in _RESULT_SECTIONS.values()
-                for column, table in section.items()
-                if table == name
-            ),
-            in_cells.get(name, ()),
+        named = [
+            held[column]
+            for section in _RESULT_SECTIONS.values()
+            for column, table in section.items()
+            if table == name
+        ]
+        if name in in_cells:
+            named.append(in_cells[name])
+        order, _rows, renumbered[name] = first_seen(
+            np.concatenate(named, dtype=np.intp), len(keys)
         )
         tables[name] = list(map(keys.__getitem__, order.tolist()))
     for value in tables["values"]:
         _check_value(value)
 
-    # A table the sections already list in first-seen order (a fit's,
-    # an interned one's) needs no renumbered copy of its columns.
-    kept = {
-        name: np.array_equal(rank, np.arange(len(rank)))
-        for name, rank in renumbered.items()
-    }
+    # Every id column is written renumbered, stored narrow: the copies
+    # all sit in ``arrays`` until the npz is written.
     arrays: dict[str, Any] = {  # name -> list or ndarray
-        column: held[column]
-        if table is None or kept[table]
-        else renumbered[table][held[column]]
+        column: (
+            held[column] if table is None
+            else _narrow(renumbered[table][held[column]])
+        )
         for section in _RESULT_SECTIONS.values()
         for column, table in section.items()
     }
@@ -353,7 +336,9 @@ def save_artifact(artifact: TrustArtifact, path: str | Path) -> Path:
         for axis, table in (
             ("source", "sources"), ("item", "items"), ("value", "values")
         ):
-            arrays[f"cell_{axis}"] = renumbered[table][in_cells[table]]
+            arrays[f"cell_{axis}"] = _narrow(
+                renumbered[table][in_cells[table]]
+            )
         arrays["cell_len"] = np.bincount(
             cells.entry_cell, minlength=len(cells.coords)
         )
@@ -543,15 +528,8 @@ class _Payload:
                 f"unreadable ({err!r})"
             ) from err
 
-    def __getitem__(self, name: str) -> list:
-        member = self._member(name)
-        return member.tolist() if isinstance(member, np.ndarray) else member
-
     def __contains__(self, name: str) -> bool:
         return name in self._members
-
-    def get(self, name: str, default: list) -> list:
-        return self[name] if name in self else default
 
     def array(self, name: str) -> np.ndarray:
         """One payload array: ``float64``, or integers at the width they
@@ -642,9 +620,7 @@ def _section(arrays: _Payload, section: str, **sizes) -> dict:
     """One section's columns by name, checked once: equal lengths, and
     every id below the size of its table. ``sizes`` maps each column to
     its table's size, or to None for a column of no table."""
-    columns = {
-        name: arrays.array(name) for name in sizes
-    }
+    columns = {name: arrays.array(name) for name in sizes}
     lengths = {name: len(column) for name, column in columns.items()}
     if len(set(lengths.values())) > 1:
         raise ArtifactError(
@@ -821,29 +797,33 @@ def _decode_observations(
     )
 
 
-def _decode_signals(header: dict, arrays) -> dict[str, SignalScores]:
-    """Trust-signal payloads (absent from version-1 artifacts)."""
-    website_table = header.get("websites", [])
+def _decode_signals(
+    header: dict, arrays: _Payload
+) -> dict[str, SignalScores]:
+    """Trust-signal payloads (absent from version-1 artifacts), each
+    section checked (:func:`_section`) against the website table."""
+    websites = header.get("websites", [])
     signals: dict[str, SignalScores] = {}
     for index, entry in enumerate(header.get("signals", [])):
         name = entry["name"]
+        maps = {}
+        for part, site, data in (
+            ("scores", "site", "score"), ("support", "sup_site", "sup_val")
+        ):
+            site, data = f"sig{index}_{site}", f"sig{index}_{data}"
+            columns = _section(
+                arrays,
+                f"signal {name!r} {part}",
+                **{site: len(websites), data: None},
+            )
+            maps[part] = dict(
+                zip(
+                    map(websites.__getitem__, columns[site].tolist()),
+                    columns[data].tolist(),
+                )
+            )
         signals[name] = SignalScores(
-            name=name,
-            scores={
-                website_table[site]: score
-                for site, score in zip(
-                    arrays[f"sig{index}_site"],
-                    arrays[f"sig{index}_score"],
-                )
-            },
-            support={
-                website_table[site]: value
-                for site, value in zip(
-                    arrays[f"sig{index}_sup_site"],
-                    arrays[f"sig{index}_sup_val"],
-                )
-            },
-            metadata=entry.get("metadata", {}),
+            name=name, **maps, metadata=entry.get("metadata", {})
         )
     return signals
 

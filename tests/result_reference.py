@@ -11,7 +11,9 @@ decoders), and ``reference_expected_triples_by_source`` the former
 ``MultiLayerResult.expected_triples_by_source``, taking the result as
 its argument. All are copied verbatim but for their names. The helpers
 they call that did not change (the npz writer, the zip member, the
-member reader, the key codecs) are imported from the library.
+member reader, the key codecs) are imported from the library; the
+member reader's arrays come as lists through :class:`_Lists`, as the
+former reader gave them.
 """
 
 from __future__ import annotations
@@ -380,9 +382,23 @@ def _decode_value_posteriors(
     return value_posteriors
 
 
+class _Lists:
+    """The payload arrays by name, as lists."""
+
+    def __init__(self, arrays) -> None:
+        self._arrays = arrays
+
+    def __getitem__(self, name: str) -> list:
+        return self._arrays.array(name).tolist()
+
+    def get(self, name: str, default: list) -> list:
+        return self[name] if name in self._arrays else default
+
+
 def reference_load_result(path: str | Path) -> MultiLayerResult:
     """The result half of ``load_artifact``."""
-    header, arrays = _read_members(path)
+    header, payload = _read_members(path)
+    arrays = _Lists(payload)
     sources = _decode_sources(header)
     extractors = [_decode_extractor(entry) for entry in header["extractors"]]
     items = [DataItem(subject, predicate)

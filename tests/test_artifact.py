@@ -773,3 +773,37 @@ class TestInconsistentColumns:
             with pytest.raises(ArtifactError, match="outside its") as err:
                 loader(short)
             assert str(short) in str(err.value)
+
+    @pytest.fixture(scope="class")
+    def with_signal(self, fitted, tmp_path_factory):
+        sites = [f"site{k}.com" for k in range(8)]
+        signal = SignalScores(
+            name="kbt",
+            scores={site: 0.5 for site in sites},
+            support={site: 1.0 for site in sites[::2]},
+        )
+        return fitted.save(
+            tmp_path_factory.mktemp("signal") / "model.kbt",
+            signals={"kbt": signal},
+            fusion_weights={"kbt": 1.0},
+        )
+
+    @pytest.mark.parametrize("loader", sorted(LOADERS))
+    def test_short_signal_scores(self, with_signal, tmp_path, loader):
+        path = with_arrays(
+            with_signal, tmp_path / "short.kbt", sig0_score=lambda s: s[:-3]
+        )
+        with pytest.raises(ArtifactError, match="signal 'kbt' scores") as err:
+            LOADERS[loader](path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("loader", sorted(LOADERS))
+    def test_websites_table_one_key_short(self, with_signal, tmp_path, loader):
+        with zipfile.ZipFile(with_signal) as archive:
+            websites = json.loads(archive.read("header.json"))["websites"]
+        short = rewrite_header(
+            with_signal, tmp_path / "short.kbt", websites=websites[:-1]
+        )
+        with pytest.raises(ArtifactError, match="outside its") as err:
+            LOADERS[loader](short)
+        assert str(short) in str(err.value)

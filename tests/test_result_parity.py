@@ -12,8 +12,12 @@ on the same final arrays, and checks that:
 * three saves write the same bytes: the column-backed result, the same
   result rebuilt from its dicts (``MultiLayerResult(**views)``, which
   interns its keys), and the reference writer on the reference result;
+* every key table, of a fit, of an interned result and of a loaded
+  one, starts with the keys its id columns name, in the order they
+  first name them;
 * the per-source support (a ``bincount`` over the C layer) equals the
-  reference's dict loop, bit for bit and in order.
+  reference's dict loop, bit for bit and in order;
+* the views are read-only, and a column-built result saves its columns.
 
 CI runs this file under three hash seeds.
 """
@@ -24,6 +28,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -40,7 +45,12 @@ from repro.core.indexing import compile_problem
 from repro.core.kbt import FittedKBT, KBTEstimator
 from repro.core.observation import ObservationMatrix
 from repro.core.quality import ExtractorQuality
-from repro.core.results import MultiLayerResult, source_support
+from repro.core.results import (
+    MultiLayerResult,
+    ResultColumns,
+    first_seen,
+    source_support,
+)
 from repro.core.types import (
     DataItem,
     ExtractionRecord,
@@ -96,6 +106,27 @@ def assert_same_views(got: MultiLayerResult, want: MultiLayerResult):
     assert exact(got.expected_triples_by_source()) == exact(
         reference_expected_triples_by_source(want)
     )
+
+
+#: Each key table's id columns, section by section in payload order.
+TABLE_COLUMNS = {
+    "sources": ("acc_source", "est_source", "coord_source", "prior_source"),
+    "extractors": ("eq_extractor", "est_extractor"),
+    "items": ("coord_item", "prior_item", "vp_item", "vp_empty_item"),
+    "values": ("coord_value", "prior_value", "vp_value"),
+}
+
+
+def assert_first_seen(columns: ResultColumns):
+    """Each table starts with the keys its id columns name, in the order
+    they first name them (a mask names its keys in table order); a
+    loaded table goes on with the keys only its matrix's cells name."""
+    for table, names in TABLE_COLUMNS.items():
+        ids = [getattr(columns, name) for name in names]
+        ids = [np.flatnonzero(c) if c.dtype == bool else c for c in ids]
+        size = len(getattr(columns, table))
+        order = first_seen(np.concatenate(ids, dtype=np.intp), size)[0]
+        assert order.tolist() == list(range(len(order))), table
 
 
 def rebuilt(result: MultiLayerResult) -> MultiLayerResult:
@@ -216,6 +247,8 @@ def three_saves(
     signals: dict | None = None,
 ) -> None:
     """Three saves, asserted byte-equal."""
+    assert_first_seen(got.columns())
+    assert_first_seen(rebuilt(got).columns())
     written = []
     for name, result, save in (
         ("columns", got, save_artifact),
@@ -241,6 +274,7 @@ def check_load(path: Path) -> None:
     """A loaded artifact's views equal the reference loader's, and it
     re-saves to the same bytes."""
     loaded = load_artifact(path)
+    assert_first_seen(loaded.result.columns())
     want = reference_load_result(path)
     assert_same_views(loaded.result, want)
     again = path.with_suffix(".again")
@@ -402,3 +436,38 @@ class TestSourceSupport:
                 np.array([p for _s, p in rows], dtype=np.float64),
             )
         ) == exact(want)
+
+
+def small_fit() -> FittedKBT:
+    records = [
+        ExtractionRecord(
+            ExtractorKey((e,)),
+            page_source(w, "p", f"{w}/a"),
+            DataItem(s, "p"),
+            v,
+        )
+        for e in ("e0", "e1")
+        for w in ("w0.com", "w1.com", "w2.com")
+        for s, v in (("s0", "a"), ("s1", w), ("s2", "b"))
+    ]
+    return KBTEstimator(config("accu"), min_triples=0).fit(records)
+
+
+class TestReadOnlyViews:
+    def test_assigning_a_view_is_refused(self):
+        result = small_fit().result
+        for held in (result, rebuilt(result)):
+            for name in VIEWS:
+                with pytest.raises(AttributeError):
+                    setattr(held, name, {})
+
+    def test_a_column_built_result_saves_its_columns(self, tmp_path):
+        # Its views are snapshots decoded from the columns: an edited
+        # view is not what a save writes.
+        fitted = small_fit()
+        before = fitted.save(tmp_path / "before.kbt").read_bytes()
+        source = next(iter(fitted.result.source_accuracy))
+        fitted.result.source_accuracy[source] = 0.125
+        fitted.result.priors.clear()
+        after = fitted.save(tmp_path / "after.kbt").read_bytes()
+        assert after == before
