@@ -24,8 +24,10 @@ The public API follows a fit -> persist -> query lifecycle:
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
+from numbers import Real
 from pathlib import Path
 
 from repro.core.config import GranularityConfig, MultiLayerConfig
@@ -33,7 +35,7 @@ from repro.core.granularity import SplitAndMerge
 from repro.core.multi_layer import MultiLayerModel
 from repro.core.observation import ObservationMatrix
 from repro.core.quality import ExtractorQuality
-from repro.core.results import MultiLayerResult
+from repro.core.results import MultiLayerResult, merge_columns
 from repro.core.types import ExtractionRecord, ExtractorKey, SourceKey
 
 
@@ -51,6 +53,21 @@ class KBTScore:
     support: float
 
 
+def check_min_triples(min_triples: float) -> float:
+    """``min_triples``, the reporting threshold, if it is a finite
+    number >= 0; else ``ValueError``. NaN would report every source and
+    infinity none, and neither is valid JSON in a saved header."""
+    if not (
+        isinstance(min_triples, Real)
+        and math.isfinite(min_triples)
+        and min_triples >= 0
+    ):
+        raise ValueError(
+            f"min_triples must be a finite number >= 0, got {min_triples!r}"
+        )
+    return min_triples
+
+
 class KBTReport:
     """KBT scores at several aggregation levels plus the fitted model."""
 
@@ -59,12 +76,8 @@ class KBTReport:
         result: MultiLayerResult,
         min_triples: float,
     ) -> None:
-        if min_triples < 0:
-            raise ValueError(
-                f"min_triples must be >= 0, got {min_triples}"
-            )
         self.result = result
-        self.min_triples = min_triples
+        self.min_triples = check_min_triples(min_triples)
         self._support = result.expected_triples_by_source()
 
     @property
@@ -168,12 +181,10 @@ class FittedKBT:
         granularity: GranularityConfig | None = None,
         seed: int = 0,
     ) -> None:
-        if min_triples < 0:
-            raise ValueError(f"min_triples must be >= 0, got {min_triples}")
         self.result = result
         self.observations = observations
         self.config = config.without_execution()
-        self.min_triples = min_triples
+        self.min_triples = check_min_triples(min_triples)
         self.granularity = granularity
         self.seed = seed
         self._report: KBTReport | None = None
@@ -403,42 +414,18 @@ class FittedKBT:
         delta: MultiLayerResult,
         combined_obs: ObservationMatrix,
     ) -> MultiLayerResult:
-        """Merge a delta re-fit into the converged result.
+        """Merge a delta re-fit into the converged result, as columns
+        (:func:`~repro.core.results.merge_columns`).
 
         Existing estimates win on overlap (the full fit saw strictly more
         evidence for them); the delta contributes estimates for keys and
         coordinates it introduced, plus refreshed value posteriors for the
         touched items.
         """
-        old = self.result
-        value_posteriors = dict(old.value_posteriors)
-        value_posteriors.update(delta.value_posteriors)
-        extraction_posteriors = dict(old.extraction_posteriors)
-        for coord, p in delta.extraction_posteriors.items():
-            extraction_posteriors.setdefault(coord, p)
-        source_accuracy = dict(old.source_accuracy)
-        for source, accuracy in delta.source_accuracy.items():
-            source_accuracy.setdefault(source, accuracy)
-        extractor_quality = dict(old.extractor_quality)
-        for extractor, quality in delta.extractor_quality.items():
-            extractor_quality.setdefault(extractor, quality)
-        priors = dict(old.priors)
-        for coord, prior in delta.priors.items():
-            priors.setdefault(coord, prior)
-        return MultiLayerResult(
-            value_posteriors=value_posteriors,
-            extraction_posteriors=extraction_posteriors,
-            source_accuracy=source_accuracy,
-            extractor_quality=extractor_quality,
-            estimable_sources=(
-                old.estimable_sources | delta.estimable_sources
-            ),
-            estimable_extractors=(
-                old.estimable_extractors | delta.estimable_extractors
-            ),
-            num_triples_total=combined_obs.num_triples,
-            history=old.history + delta.history,
-            priors=priors,
+        return MultiLayerResult.from_columns(
+            merge_columns(self.result.columns(), delta.columns()),
+            combined_obs.num_triples,
+            self.result.history + delta.history,
         )
 
 
@@ -475,13 +462,11 @@ class KBTEstimator:
         precision: str | None = None,
         **execution,
     ) -> None:
-        if min_triples < 0:
-            raise ValueError(f"min_triples must be >= 0, got {min_triples}")
         self._config = (config or MultiLayerConfig()).with_execution(
             engine=engine, precision=precision, **execution
         )
         self._granularity = granularity
-        self._min_triples = min_triples
+        self._min_triples = check_min_triples(min_triples)
         self._seed = seed
 
     def fit(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice, repeat
 from operator import itemgetter
 from typing import Any, Hashable
 
@@ -129,13 +129,15 @@ class ResultColumns:
     covered items without a posterior entry (``vp_empty_item``).
 
     A table never lists two equal keys (``1``, ``True`` and ``1.0`` are
-    one value). ``coords`` and ``prior_coords`` are the coordinate
-    tuples of the C layer's and the priors' rows (shared, as a fit's
-    are, with the cells of its matrix), and ``vp_values`` the V layer's
-    value objects when whoever built the columns holds them (a fit:
-    each triple's value as its first claim has it); left out, the value
-    table's. The dict views of :class:`MultiLayerResult` are decoded
-    from these columns by the methods below.
+    one value), and starts with the keys its columns name, in the order
+    the sections first name them (an estimable key the section before
+    does not name: in ``str`` order), as the artifact lists them.
+    ``coords`` and ``prior_coords`` are the coordinate tuples of the C
+    layer's and the priors' rows (shared, as a fit's are, with the cells
+    of its matrix), ``vp_values`` the V layer's value objects (a fit's:
+    each triple's value as its first claim has it). The dict views of
+    :class:`MultiLayerResult` are decoded from these by the methods
+    below.
     """
 
     sources: list[SourceKey]
@@ -164,16 +166,13 @@ class ResultColumns:
     vp_empty_item: np.ndarray
     coords: list[Coord]
     prior_coords: list[Coord]
-    vp_values: list[Value] | None = None
+    vp_values: list[Value]
 
     def value_posteriors(self) -> dict[DataItem, dict[Value, float]]:
-        values = self.vp_values
-        if values is None:
-            values = map(self.values.__getitem__, self.vp_value.tolist())
         out: dict[DataItem, dict[Value, float]] = {}
         for item, value, p in zip(
             map(self.items.__getitem__, self.vp_item.tolist()),
-            values,
+            self.vp_values,
             self.vp_p.tolist(),
         ):
             out.setdefault(item, {})[value] = p
@@ -188,25 +187,16 @@ class ResultColumns:
         return dict(zip(self.prior_coords, self.prior_p.tolist()))
 
     def source_accuracy(self) -> dict[SourceKey, float]:
-        return dict(
-            zip(
-                map(self.sources.__getitem__, self.acc_source.tolist()),
-                self.acc_value.tolist(),
-            )
-        )
+        return keyed(self.sources, self.acc_source, self.acc_value.tolist())
 
     def extractor_quality(self) -> dict[ExtractorKey, ExtractorQuality]:
-        return dict(
-            zip(
-                map(self.extractors.__getitem__, self.eq_extractor.tolist()),
-                map(
-                    ExtractorQuality,
-                    self.eq_precision.tolist(),
-                    self.eq_recall.tolist(),
-                    self.eq_q.tolist(),
-                ),
-            )
+        qualities = map(
+            ExtractorQuality,
+            self.eq_precision.tolist(),
+            self.eq_recall.tolist(),
+            self.eq_q.tolist(),
         )
+        return keyed(self.extractors, self.eq_extractor, qualities)
 
     def estimable_sources(self) -> set[SourceKey]:
         return set(compress(self.sources, self.est_source.tolist()))
@@ -237,6 +227,11 @@ def first_seen(
     return order, first[order], rank
 
 
+def keyed(keys: list, ids: np.ndarray, values: Iterable) -> dict:
+    """``values`` by the keys (of table ``keys``) that ``ids`` name."""
+    return dict(zip(map(keys.__getitem__, ids.tolist()), values))
+
+
 def source_support(
     sources: list[SourceKey], coord_source, coord_p
 ) -> dict[SourceKey, float]:
@@ -251,8 +246,8 @@ def source_support(
     totals = np.bincount(
         coord_source, weights=np.asarray(coord_p, dtype=np.float64)
     )
-    order = first_seen(coord_source, len(totals))[0].tolist()
-    return dict(zip(map(sources.__getitem__, order), totals[order].tolist()))
+    order = first_seen(coord_source, len(totals))[0]
+    return keyed(sources, order, totals[order].tolist())
 
 
 def first_seen_keys(
@@ -267,11 +262,124 @@ def first_seen_keys(
     return keys, rank[ids]
 
 
+def id_mask(size: int, *columns: np.ndarray) -> np.ndarray:
+    """A bool mask over a table of ``size`` keys: the ids ``columns`` name."""
+    out = np.zeros(size, dtype=bool)
+    for ids in columns:
+        out[ids] = True
+    return out
+
+
+def join_keys(table: list, keys: Iterable) -> np.ndarray:
+    """The ids of ``keys`` in ``table``, each looked up once; a key not
+    there joins it at its end (``1``, ``True``, ``1.0`` are one key)."""
+    index = dict(zip(table, range(len(table))))
+    ids = [index.setdefault(key, len(index)) for key in keys]
+    table.extend(islice(index, len(table), None))
+    return np.array(ids, dtype=np.intp)
+
+
+#: Each key table's id columns, section by section in payload order.
+_NAMED = {
+    "sources": ("acc_source", "est_source", "coord_source", "prior_source"),
+    "extractors": ("eq_extractor", "est_extractor"),
+    "items": ("coord_item", "prior_item", "vp_item", "vp_empty_item"),
+    "values": ("coord_value", "prior_value", "vp_value"),
+}
+_TABLE = {column: table for table, names in _NAMED.items() for column in names}
+
+#: The sections an update extends: id columns, float columns, tuples.
+_KEYED = (
+    (["acc_source"], ["acc_value"], None),
+    (["eq_extractor"], ["eq_precision", "eq_recall", "eq_q"], None),
+    *(([f"{p}_source", f"{p}_item", f"{p}_value"], [f"{p}_p"], coords)
+      for p, coords in (("coord", "coords"), ("prior", "prior_coords"))),
+)
+
+
+def merge_columns(old: ResultColumns, delta: ResultColumns) -> ResultColumns:
+    """``delta`` folded into ``old``, as array work over their columns.
+
+    Each delta key is looked up in ``old``'s table once. The accuracy,
+    quality, C-layer and prior sections keep ``old``'s rows, then take
+    the delta's rows whose key they lack; the estimable masks are ORed.
+    The V layer keeps ``old``'s items, filled then empty, but an item
+    the delta covers takes the delta's rows and value objects; new
+    items come last. Each table then holds the keys the columns name,
+    in the order :class:`ResultColumns` lists them.
+    """
+    tables = {name: list(getattr(old, name)) for name in _NAMED}
+    to = {name: join_keys(tables[name], getattr(delta, name))
+          for name in _NAMED}
+    sizes = {name: len(keys) for name, keys in tables.items()}
+
+    def stack(name: str, mine=slice(None), theirs=slice(None)):
+        """``old``'s rows of column ``name``, then ``delta``'s."""
+        a, b = getattr(old, name), getattr(delta, name)
+        if name in _TABLE:
+            a, b = np.asarray(a, dtype=np.intp), to[_TABLE[name]][b]
+        return np.concatenate([a[mine], b[theirs]])
+
+    merged: dict = {}
+    for keys, floats, coords in _KEYED:
+        packed = np.ravel_multi_index(
+            [stack(name) for name in keys],
+            [max(sizes[_TABLE[name]], 1) for name in keys],
+        )
+        n = len(getattr(old, keys[0]))
+        # A section never lists a key twice, on either side.
+        new = ~np.isin(packed[n:], packed[:n], assume_unique=True)
+        for name in keys + floats:
+            merged[name] = stack(name, theirs=new)
+        if coords:
+            merged[coords] = getattr(old, coords) + list(
+                compress(getattr(delta, coords), new.tolist())
+            )
+    for name in ("est_source", "est_extractor"):
+        merged[name] = id_mask(
+            sizes[_TABLE[name]],
+            np.flatnonzero(getattr(old, name)),
+            to[_TABLE[name]][getattr(delta, name)],
+        )
+
+    # The V layer, item by item in ``sequence`` order: old's filled
+    # items, its empty ones, then the delta's items old lacks.
+    n, m = len(old.vp_item), len(old.vp_empty_item)
+    items, empty = stack("vp_item"), stack("vp_empty_item")
+    sequence, _rows, position = first_seen(
+        np.concatenate([items[:n], empty[:m], items[n:], empty[m:]]),
+        sizes["items"],
+    )
+    kept = ~id_mask(sizes["items"], items[n:], empty[m:])[items[:n]]
+    rows = np.argsort(position[stack("vp_item", kept)], kind="stable")
+    for name in ("vp_item", "vp_value", "vp_p"):
+        merged[name] = stack(name, kept)[rows]
+    objects = list(compress(old.vp_values, kept.tolist())) + delta.vp_values
+    merged["vp_values"] = list(map(objects.__getitem__, rows.tolist()))
+    filled = id_mask(sizes["items"], merged["vp_item"])
+    merged["vp_empty_item"] = sequence[~filled[sequence]]
+
+    for table, names in _NAMED.items():
+        keys = tables[table]
+        named = [merged[name] for name in names]
+        if names[1].startswith("est_"):
+            extra = named[1] & ~id_mask(sizes[table], named[0])
+            extra = sorted(np.flatnonzero(extra), key=lambda k: str(keys[k]))
+            named[1] = np.array(extra, dtype=np.intp)
+        order, _rows, rank = first_seen(
+            np.concatenate(named, dtype=np.intp), sizes[table]
+        )
+        tables[table] = list(map(keys.__getitem__, order.tolist()))
+        for name in names:
+            held = merged[name]
+            merged[name] = held[order] if held.dtype == bool else rank[held]
+    return ResultColumns(**tables, **merged)
+
+
 def _view(name: str) -> property:
-    """The read-only view ``name``: a dict-built result's own dict, or
-    one decoded from the columns on first read by the
-    :class:`ResultColumns` method of that name. Racing first readers
-    decode equal values: no lock needed."""
+    """The read-only view ``name``, decoded from the columns on first
+    read by the :class:`ResultColumns` method of that name. Racing first
+    readers decode equal values: no lock needed."""
 
     def read(self: "MultiLayerResult"):
         views = self._views
@@ -293,15 +401,15 @@ class MultiLayerResult(_TripleView):
     re-estimated p(C_wdv = 1) (Eq. 26; empty when the prior update is
     disabled or never reached its start iteration).
 
-    Built from its views (the Python engine, Gibbs, a merged update), or
-    from columns (:meth:`from_columns`: a numpy fit, a loaded artifact),
-    whose views are decoded on first read. Either way :meth:`columns`
-    is what the artifact writer reads.
+    Its one state is its :class:`ResultColumns` (:meth:`columns`, what
+    the artifact writer reads), built by :meth:`from_columns` (a numpy
+    fit, a loaded artifact, a merged update) or interned once from the
+    views passed in (the Python engine, Gibbs), whose dicts then only
+    pre-fill the views decoded from the columns on first read.
 
     The views are read-only: assigning one raises ``AttributeError``,
-    and their contents are not to be edited. A column-built result's
-    views are snapshots decoded from its columns, so an edited view
-    would not be what a save writes.
+    and their contents are not to be edited: an edited view would not
+    be what a save writes.
     """
 
     def __init__(
@@ -318,7 +426,6 @@ class MultiLayerResult(_TripleView):
     ) -> None:
         self._num_triples_total = num_triples_total
         self.history = history
-        self._columns: ResultColumns | None = None
         self._views = {
             "value_posteriors": value_posteriors,
             "extraction_posteriors": extraction_posteriors,
@@ -328,6 +435,7 @@ class MultiLayerResult(_TripleView):
             "estimable_extractors": estimable_extractors,
             "priors": priors or {},
         }
+        self._columns = _intern(self)
 
     @classmethod
     def from_columns(
@@ -344,11 +452,8 @@ class MultiLayerResult(_TripleView):
         return result
 
     def columns(self) -> ResultColumns:
-        """This result as :class:`ResultColumns`. A result built from
-        dicts interns its keys on each call and keeps nothing: it is
-        saved once, and columns held beside its dicts would only add to
-        the memory of a long-lived process (``kbt ingest``)."""
-        return self._columns if self._columns is not None else _intern(self)
+        """This result as :class:`ResultColumns`."""
+        return self._columns
 
     value_posteriors = _view("value_posteriors")
     extraction_posteriors = _view("extraction_posteriors")
@@ -374,19 +479,8 @@ class MultiLayerResult(_TripleView):
         Used by the KBT facade to apply the paper's "at least 5 extracted
         triples" reporting rule (Section 5.4).
         """
-        columns = self._columns
-        if columns is not None:
-            return source_support(
-                columns.sources, columns.coord_source, columns.coord_p
-            )
-        # Built from dicts: intern only the C layer's sources. Interning
-        # the whole result (``columns()``) costs about four times as much
-        # on the e2e corpus, and a ``KBTReport`` runs this on every update.
-        sources = _Interner()
-        ids = sources.ids(coord[0] for coord in self.extraction_posteriors)
-        return source_support(
-            list(sources.index), ids, list(self.extraction_posteriors.values())
-        )
+        held = self._columns
+        return source_support(held.sources, held.coord_source, held.coord_p)
 
 
 # ----------------------------------------------------------------------
@@ -422,9 +516,11 @@ def _intern(result: MultiLayerResult) -> ResultColumns:
     acc_source = sources.ids(result.source_accuracy)
     eq_extractor = extractors.ids(result.extractor_quality)
     qualities = list(result.extractor_quality.values())
-    # In set order: the artifact sorts the estimable sets itself.
-    est_source = sources.ids(result.estimable_sources)
-    est_extractor = extractors.ids(result.estimable_extractors)
+    # In ``str`` order, as the artifact lists the estimable sets.
+    est_source = sources.ids(sorted(result.estimable_sources, key=str))
+    est_extractor = extractors.ids(
+        sorted(result.estimable_extractors, key=str)
+    )
 
     scored = list(result.extraction_posteriors)
     coord_ids = np.array(
@@ -454,15 +550,11 @@ def _intern(result: MultiLayerResult) -> ResultColumns:
     vp_item = items.ids(
         chain.from_iterable(repeat(item, len(p)) for item, p in filled)
     )
-    vp_value = values.ids(chain.from_iterable(p for _item, p in filled))
+    vp_values = list(chain.from_iterable(p for _item, p in filled))
+    vp_value = values.ids(vp_values)
     vp_empty_item = items.ids(
         item for item, p in result.value_posteriors.items() if not p
     )
-
-    def mask(table: _Interner, ids: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(table.index), dtype=bool)
-        out[ids] = True
-        return out
 
     def floats(column: Iterable[float]) -> np.ndarray:
         return np.array(list(column), dtype=np.float64)
@@ -475,8 +567,8 @@ def _intern(result: MultiLayerResult) -> ResultColumns:
         eq_precision=floats(q.precision for q in qualities),
         eq_recall=floats(q.recall for q in qualities),
         eq_q=floats(q.q for q in qualities),
-        est_source=mask(sources, est_source),
-        est_extractor=mask(extractors, est_extractor),
+        est_source=id_mask(len(sources.index), est_source),
+        est_extractor=id_mask(len(extractors.index), est_extractor),
         coord_source=coord_ids[0],
         coord_item=coord_ids[1],
         coord_value=coord_ids[2],
@@ -491,4 +583,5 @@ def _intern(result: MultiLayerResult) -> ResultColumns:
         vp_empty_item=vp_empty_item,
         coords=scored,
         prior_coords=priors,
+        vp_values=vp_values,
     )

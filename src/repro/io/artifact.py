@@ -43,7 +43,7 @@ import zipfile
 import zlib
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import chain, groupby
 from pathlib import Path
 from typing import Any
 
@@ -59,13 +59,16 @@ from repro.core.config import (
     GranularityConfig,
     MultiLayerConfig,
 )
+from repro.core.kbt import check_min_triples
 from repro.core.observation import ObservationMatrix
 from repro.core.results import (
     IterationSnapshot,
     MultiLayerResult,
     ResultColumns,
-    first_seen,
     first_seen_keys,
+    id_mask,
+    join_keys,
+    keyed,
     source_support,
 )
 from repro.core.types import DataItem, ExtractorKey, SourceKey
@@ -189,32 +192,9 @@ _RESULT_SECTIONS = {
 }
 
 
-def _join(table: list, keys: Iterable) -> np.ndarray:
-    """The ids of ``keys`` in ``table``, each key looked up once; a key
-    not there joins it at its end."""
-    index = dict(zip(table, range(len(table))))
-    ids = []
-    for key in keys:
-        k = index.get(key)
-        if k is None:
-            k = index[key] = len(table)
-            table.append(key)
-        ids.append(k)
-    return np.array(ids, dtype=np.intp)
-
-
-def _joined(table: list, coords: list, part: int, ids: np.ndarray):
-    """The table ids of the matrix's item (``part`` 1) or value (2) ids:
-    each distinct key is looked up once, as its first cell has it."""
-    keys, first_seen_ids = first_seen_keys(coords, part, ids)
-    return _join(table, keys)[first_seen_ids]
-
-
-def _estimable_ids(
-    mask: np.ndarray, keys: list, named: np.ndarray
-) -> np.ndarray:
-    """The ids of an estimable set, sorted by ``str``, ties by position
-    among the keys ``named`` lists first, -1 for keys it does not list.
+def _estimable_ids(mask: np.ndarray, keys: list, scored: int) -> np.ndarray:
+    """The ids of an estimable set, sorted by ``str``, ties by id among
+    the first ``scored`` keys, the others before them.
 
     These are the only *sets* serialized, and raw set order varies with
     string hash randomization — which would make artifact bytes differ
@@ -222,9 +202,8 @@ def _estimable_ids(
     entry 6 (replay produces byte-identical artifacts). Distinct keys
     can share a ``str``. They decode back into sets, so order is free.
     """
-    rank = first_seen(named, len(keys))[2].tolist()
     ids = np.flatnonzero(mask).tolist()
-    ids.sort(key=lambda k: (str(keys[k]), rank[k]))
+    ids.sort(key=lambda k: (str(keys[k]), k if k < scored else -1))
     return np.array(ids, dtype=np.intp)
 
 
@@ -257,95 +236,58 @@ def _check_value(value: Any) -> Any:
 def save_artifact(artifact: TrustArtifact, path: str | Path) -> Path:
     """Write ``artifact`` to ``path``; returns the path written.
 
-    Writes the result's columns (:meth:`MultiLayerResult.columns`),
-    each key table in the order the sections first name its keys, the
-    embedded matrix's cells last. The matrix's keys are looked up in the
-    result's tables once per key, never once per cell.
+    Writes the result's columns (:meth:`MultiLayerResult.columns`) as
+    it holds them: every producer's key tables start with the keys its
+    columns name, in the order the sections first name them, which is
+    the order the artifact lists them in. Each table is cut to those
+    keys; then the embedded matrix's keys join it, each looked up once,
+    in the order its cells first name them.
     """
     result = artifact.result
     columns = result.columns()
-    tables = {
-        name: list(getattr(columns, name))
-        for name in ("sources", "extractors", "items", "values")
-    }
-    held = {
-        name: getattr(columns, name)
-        for section in _RESULT_SECTIONS.values()
-        for name in section
-        if not name.startswith("est_")
-    }
-    held["est_sources"] = _estimable_ids(
-        columns.est_source, tables["sources"], columns.acc_source
-    )
-    held["est_extractors"] = _estimable_ids(
-        columns.est_extractor, tables["extractors"], columns.eq_extractor
-    )
+    arrays: dict[str, Any] = {}  # name -> list or ndarray
+    named = dict.fromkeys(("sources", "extractors", "items", "values"), 0)
+    for section in _RESULT_SECTIONS.values():
+        for column, table in section.items():
+            if column.startswith("est_"):
+                # The section before names the table's first keys.
+                arrays[column] = _estimable_ids(
+                    getattr(columns, column[:-1]),
+                    getattr(columns, table),
+                    named[table],
+                )
+            else:
+                arrays[column] = getattr(columns, column)
+            if table is not None and len(arrays[column]):
+                named[table] = max(named[table], int(arrays[column].max()) + 1)
+    tables = {name: getattr(columns, name)[:n] for name, n in named.items()}
 
     # --- raw observation cells (optional, enables warm-start) ---------
     # One row per cell (its coordinate and entry count), then one row
     # per (cell, extractor) entry, cell by cell; then the matrix's own
     # first-seen extractor order, which the compiled column order of a
-    # refit follows. ``in_cells``: each table's ids of the cells' keys
-    # (extractors: of the matrix's order).
-    in_cells = {}
+    # refit follows.
     has_observations = artifact.observations is not None
     if has_observations:
         matrix = artifact.observations
         cells = matrix.columns()
-        in_cells = {
-            "sources": _join(tables["sources"], matrix.sources())[
-                cells.cell_source
-            ],
-            "items": _joined(
-                tables["items"], cells.coords, 1, cells.cell_item
-            ),
-            "values": _joined(
-                tables["values"], cells.coords, 2, cells.cell_value
-            ),
-            "extractors": _join(tables["extractors"], matrix.extractors()),
-        }
-
-    renumbered = {}
-    for name, keys in tables.items():
-        named = [
-            held[column]
-            for section in _RESULT_SECTIONS.values()
-            for column, table in section.items()
-            if table == name
-        ]
-        if name in in_cells:
-            named.append(in_cells[name])
-        order, _rows, renumbered[name] = first_seen(
-            np.concatenate(named, dtype=np.intp), len(keys)
-        )
-        tables[name] = list(map(keys.__getitem__, order.tolist()))
-    for value in tables["values"]:
-        _check_value(value)
-
-    # Every id column is written renumbered, stored narrow: the copies
-    # all sit in ``arrays`` until the npz is written.
-    arrays: dict[str, Any] = {  # name -> list or ndarray
-        column: (
-            held[column] if table is None
-            else _narrow(renumbered[table][held[column]])
-        )
-        for section in _RESULT_SECTIONS.values()
-        for column, table in section.items()
-    }
-    if has_observations:
-        for axis, table in (
-            ("source", "sources"), ("item", "items"), ("value", "values")
-        ):
-            arrays[f"cell_{axis}"] = _narrow(
-                renumbered[table][in_cells[table]]
+        # Each distinct key looked up once, as its first cell has it; new
+        # keys join in the order the cells first name them.
+        for part, axis in enumerate(("source", "item", "value")):
+            keys, ids = first_seen_keys(
+                cells.coords, part, getattr(cells, f"cell_{axis}")
             )
+            table = tables[f"{axis}s"]
+            arrays[f"cell_{axis}"] = _narrow(join_keys(table, keys)[ids])
         arrays["cell_len"] = np.bincount(
             cells.entry_cell, minlength=len(cells.coords)
         )
-        order = renumbered["extractors"][in_cells["extractors"]]
+        order = join_keys(tables["extractors"], matrix.extractors())
         arrays["obs_extractor"] = order[cells.entry_extractor]
         arrays["obs_conf"] = cells.entry_conf
         arrays["obs_extractor_order"] = order
+    for value in tables["values"]:
+        _check_value(value)
 
     # --- trust-signal payloads (format >= 2) --------------------------
     websites = {}
@@ -605,6 +547,7 @@ def _read_members(path: str | Path) -> tuple[dict, _Payload]:
                 f"build reads versions {sorted(SUPPORTED_VERSIONS)}. Re-fit "
                 "and re-save the artifact with a matching build."
             )
+        _check_header(header, path)
         kind = header.get("payload_kind")
         if kind == "npz":
             # In memory, so the lazy member reads outlive the archive.
@@ -614,6 +557,116 @@ def _read_members(path: str | Path) -> tuple[dict, _Payload]:
         else:
             raise ArtifactError(f"unknown payload kind in artifact: {kind!r}")
     return header, _Payload(members, path)
+
+
+def _types(values: Iterable) -> set:
+    return set(map(type, values))
+
+
+def _rows(rows, width: int) -> bool:
+    """Whether ``rows`` is a list of lists of ``width`` entries."""
+    return (
+        type(rows) is list
+        and _types(rows) <= {list}
+        and set(map(len, rows)) <= {width}
+    )
+
+
+def _key_table(size: int):
+    """A sources / extractors table: ``[features, bucket]`` rows, 1 to
+    ``size`` string features and an integer or null bucket each."""
+
+    def check(rows) -> bool:
+        if not _rows(rows, 2):
+            return False
+        features, buckets = zip(*rows) if rows else ((), ())
+        return (
+            _types(features) <= {list}
+            and set(map(len, features)) <= set(range(1, size + 1))
+            and _types(chain.from_iterable(features)) <= {str}
+            and _types(buckets) <= {int, type(None)}
+        )
+
+    return check
+
+
+#: Each header field the loaders read (but ``min_triples``, checked by
+#: :func:`~repro.core.kbt.check_min_triples`): whether every artifact
+#: has it, and the shape they read it in. Set comparisons over the
+#: entries' types keep it a small share of a load.
+_HEADER_FIELDS = {
+    "sources": (True, _key_table(3)),
+    "extractors": (True, _key_table(4)),
+    "items": (
+        True,
+        lambda rows: _rows(rows, 2)
+        and _types(chain.from_iterable(rows)) <= {str},
+    ),
+    "values": (
+        True,
+        lambda values: type(values) is list
+        and _types(values) <= set(SCALAR_TYPES),
+    ),
+    "history": (
+        True,
+        lambda rows: _rows(rows, 3)
+        and _types(row[0] for row in rows) <= {int}
+        and _types(x for row in rows for x in row[1:]) <= {int, float},
+    ),
+    "num_triples_total": (True, lambda n: type(n) is int and n >= 0),
+    "config": (True, lambda config: type(config) is dict),
+    "granularity": (False, lambda g: g is None or type(g) is dict),
+    "seed": (False, lambda seed: type(seed) is int),
+    "metadata": (False, lambda metadata: type(metadata) is dict),
+    "websites": (
+        False,
+        lambda sites: type(sites) is list and _types(sites) <= {str},
+    ),
+    "signals": (
+        False,
+        lambda entries: type(entries) is list
+        and all(
+            type(entry) is dict
+            and type(entry.get("name")) is str
+            and type(entry.get("metadata", {})) is dict
+            for entry in entries
+        ),
+    ),
+    "fusion_weights": (
+        False,
+        lambda weights: type(weights) is dict
+        and _types(weights.values()) <= {int, float},
+    ),
+}
+
+
+def _check_header(header: dict, path: Path) -> None:
+    """Every field the loaders read, in the shape they read it in: a
+    damaged header is an :class:`ArtifactError` naming the file and the
+    field, never a ``KeyError`` / ``TypeError`` / ``ValueError`` from a
+    decoder (which ``POST /admin/swap`` would answer with a 500)."""
+    try:
+        check_min_triples(header.get("min_triples"))
+    except ValueError as err:
+        raise ArtifactError(
+            f"corrupt artifact {path}: header field 'min_triples': {err}"
+        ) from err
+    for name, (required, check) in _HEADER_FIELDS.items():
+        if name not in header:
+            if required:
+                raise ArtifactError(
+                    f"corrupt artifact {path}: header field {name!r} missing"
+                )
+        else:
+            try:
+                well_formed = check(header[name])
+            except TypeError:  # an entry with no len()
+                well_formed = False
+            if not well_formed:
+                raise ArtifactError(
+                    f"corrupt artifact {path}: header field {name!r} "
+                    "malformed"
+                )
 
 
 def _section(arrays: _Payload, section: str, **sizes) -> dict:
@@ -641,12 +694,6 @@ def _section(arrays: _Payload, section: str, **sizes) -> dict:
 
 def _decode_sources(header: dict) -> list[SourceKey]:
     return [_decode_source(entry) for entry in header["sources"]]
-
-
-def _mask(ids: np.ndarray, size: int) -> np.ndarray:
-    mask = np.zeros(size, dtype=bool)
-    mask[ids] = True
-    return mask
 
 
 def _decode_coords(cache: dict, tables, ids) -> list[tuple]:
@@ -705,13 +752,16 @@ def _decode_columns(
     }
     return ResultColumns(
         **tables,
-        est_source=_mask(columns.pop("est_sources"), sizes["sources"]),
-        est_extractor=_mask(
-            columns.pop("est_extractors"), sizes["extractors"]
+        est_source=id_mask(sizes["sources"], columns.pop("est_sources")),
+        est_extractor=id_mask(
+            sizes["extractors"], columns.pop("est_extractors")
         ),
         **columns,
         coords=coords["coord"],
         prior_coords=coords["prior"],
+        vp_values=list(
+            map(tables["values"].__getitem__, columns["vp_value"].tolist())
+        ),
     )
 
 
@@ -816,11 +866,8 @@ def _decode_signals(
                 f"signal {name!r} {part}",
                 **{site: len(websites), data: None},
             )
-            maps[part] = dict(
-                zip(
-                    map(websites.__getitem__, columns[site].tolist()),
-                    columns[data].tolist(),
-                )
+            maps[part] = keyed(
+                websites, columns[site], columns[data].tolist()
             )
         signals[name] = SignalScores(
             name=name, **maps, metadata=entry.get("metadata", {})
@@ -847,12 +894,7 @@ def load_serving_inputs(path: str | Path) -> tuple:
         arrays, "C layer", coord_source=len(sources), coord_p=None
     )
     return (
-        dict(
-            zip(
-                map(sources.__getitem__, accuracy["acc_source"].tolist()),
-                accuracy["acc_value"].tolist(),
-            )
-        ),
+        keyed(sources, accuracy["acc_source"], accuracy["acc_value"].tolist()),
         source_support(sources, scored["coord_source"], scored["coord_p"]),
         header["min_triples"],
         _decode_signals(header, arrays),
@@ -875,10 +917,7 @@ def load_artifact(path: str | Path) -> TrustArtifact:
     result = MultiLayerResult.from_columns(
         columns,
         header["num_triples_total"],
-        [
-            IterationSnapshot(iteration, acc_delta, ext_delta)
-            for iteration, acc_delta, ext_delta in header["history"]
-        ],
+        [IterationSnapshot(*row) for row in header["history"]],
     )
 
     observations = None

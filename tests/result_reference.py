@@ -7,9 +7,11 @@ were before a fitted result held columns: the parity reference of
 interning it ran: ``_Interner``, ``_CoordinateIds``, ``_sorted_ids``),
 ``reference_load_result`` the result half of the former
 ``load_artifact`` (with ``_CoordinateDecoder`` and the section
-decoders), and ``reference_expected_triples_by_source`` the former
+decoders), ``reference_expected_triples_by_source`` the former
 ``MultiLayerResult.expected_triples_by_source``, taking the result as
-its argument. All are copied verbatim but for their names. The helpers
+its argument, and ``reference_merge_delta`` the former
+``FittedKBT._merge_delta``, a dict merge, taking the fitted model as its
+first argument. All are copied verbatim but for their names. The helpers
 they call that did not change (the npz writer, the zip member, the
 member reader, the key codecs) are imported from the library; the
 member reader's arrays come as lists through :class:`_Lists`, as the
@@ -496,3 +498,47 @@ def reference_expected_triples_by_source(self) -> dict[SourceKey, float]:
     ):
         totals[source] = totals.get(source, 0.0) + p_correct
     return totals
+
+
+def reference_merge_delta(
+    self,
+    delta: MultiLayerResult,
+    combined_obs: ObservationMatrix,
+) -> MultiLayerResult:
+    """Merge a delta re-fit into the converged result.
+
+    Existing estimates win on overlap (the full fit saw strictly more
+    evidence for them); the delta contributes estimates for keys and
+    coordinates it introduced, plus refreshed value posteriors for the
+    touched items.
+    """
+    old = self.result
+    value_posteriors = dict(old.value_posteriors)
+    value_posteriors.update(delta.value_posteriors)
+    extraction_posteriors = dict(old.extraction_posteriors)
+    for coord, p in delta.extraction_posteriors.items():
+        extraction_posteriors.setdefault(coord, p)
+    source_accuracy = dict(old.source_accuracy)
+    for source, accuracy in delta.source_accuracy.items():
+        source_accuracy.setdefault(source, accuracy)
+    extractor_quality = dict(old.extractor_quality)
+    for extractor, quality in delta.extractor_quality.items():
+        extractor_quality.setdefault(extractor, quality)
+    priors = dict(old.priors)
+    for coord, prior in delta.priors.items():
+        priors.setdefault(coord, prior)
+    return MultiLayerResult(
+        value_posteriors=value_posteriors,
+        extraction_posteriors=extraction_posteriors,
+        source_accuracy=source_accuracy,
+        extractor_quality=extractor_quality,
+        estimable_sources=(
+            old.estimable_sources | delta.estimable_sources
+        ),
+        estimable_extractors=(
+            old.estimable_extractors | delta.estimable_extractors
+        ),
+        num_triples_total=combined_obs.num_triples,
+        history=old.history + delta.history,
+        priors=priors,
+    )

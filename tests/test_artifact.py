@@ -724,6 +724,55 @@ class TestDamagedMembers:
         assert "Traceback" not in err
 
 
+def edited_header(path, out_path, edit):
+    """Copy an artifact with its parsed header edited in place."""
+    with zipfile.ZipFile(path) as archive:
+        header = json.loads(archive.read("header.json"))
+    edit(header)
+    return rewrite_members(
+        path, out_path, {"header.json": json.dumps(header)}
+    )
+
+
+#: Header damage that each loader used to meet as a bare TypeError /
+#: KeyError / ValueError, or (a negative or NaN threshold) not at all.
+HEADER_DAMAGE = {
+    "min_triples-string": (
+        "min_triples", lambda h: h.update(min_triples="abc")
+    ),
+    "min_triples-missing": ("min_triples", lambda h: h.pop("min_triples")),
+    "min_triples-negative": (
+        "min_triples", lambda h: h.update(min_triples=-3)
+    ),
+    "min_triples-nan": (
+        "min_triples", lambda h: h.update(min_triples=float("nan"))
+    ),
+    "source-entry": (
+        "sources", lambda h: h["sources"].__setitem__(0, [1, 2, 3])
+    ),
+    "history-row": (
+        "history", lambda h: h["history"].__setitem__(0, [1])
+    ),
+    "fusion-weight": (
+        "fusion_weights", lambda h: h.update(fusion_weights={"kbt": "x"})
+    ),
+}
+
+
+class TestMalformedHeader:
+    @pytest.mark.parametrize("loader", sorted(LOADERS))
+    @pytest.mark.parametrize("damage", sorted(HEADER_DAMAGE))
+    def test_is_an_artifact_error(self, fitted, tmp_path, damage, loader):
+        field, edit = HEADER_DAMAGE[damage]
+        path = edited_header(
+            fitted.save(tmp_path / "model.kbt"), tmp_path / "bad.kbt", edit
+        )
+        match = f"header field '{field}'"
+        with pytest.raises(ArtifactError, match=match) as info:
+            LOADERS[loader](path)
+        assert str(path) in str(info.value)
+
+
 # ----------------------------------------------------------------------
 # Columns that disagree with each other or with their tables
 # ----------------------------------------------------------------------

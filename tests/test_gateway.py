@@ -1803,6 +1803,39 @@ class TestHotSwap:
         finally:
             gateway.stop()
 
+    def test_malformed_header_swap_rejected_old_store_serves(
+        self, artifact, tmp_path
+    ):
+        """A header whose ``min_triples`` is not a number is a 400, not a
+        500: the header check reports it as an ArtifactError."""
+        bad = tmp_path / "bad-header.kbt"
+        with zipfile.ZipFile(artifact) as source:
+            members = {
+                name: source.read(name) for name in source.namelist()
+            }
+        header = json.loads(members[_HEADER_MEMBER])
+        header["min_triples"] = "abc"
+        members[_HEADER_MEMBER] = json.dumps(header).encode("utf-8")
+        with zipfile.ZipFile(bad, "w") as out:
+            for name, data in members.items():
+                out.writestr(name, data)
+
+        manager = StoreManager(MmapTrustStore.open(artifact))
+        gateway = GatewayThread(manager).start()
+        try:
+            before = http_get(gateway.address, "/score?site=good.com")
+            status, body = http_post(
+                gateway.address, "/admin/swap", {"artifact": str(bad)}
+            )
+            assert status == 400
+            assert b"swap rejected: ArtifactError" in body
+            assert b"min_triples" in body
+            after = http_get(gateway.address, "/score?site=good.com")
+            assert after[:2] == before[:2]
+            assert manager.generation == 0
+        finally:
+            gateway.stop()
+
     def test_version_mismatch_swap_rejected(self, artifact, tmp_path):
         """An artifact stamped with a future format version is refused
         at swap time; the old store keeps serving."""

@@ -233,6 +233,15 @@ class TestCli:
         ) == 1
         assert "support threshold" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-1"])
+    def test_fit_refuses_a_bad_min_triples(self, bad, tmp_path, capsys):
+        path = tmp_path / "one.jsonl"
+        write_records(sample_records(), path)
+        assert main(["fit", str(path), f"--min-triples={bad}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: min_triples must be a finite number")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("spill", [False, True], ids=["plain", "spill"])
     def test_fit_refuses_a_torn_last_line(self, spill, tmp_path, capsys):
         """Every batch fit reads strictly: a file whose last line was cut

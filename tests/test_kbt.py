@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import GranularityConfig, MultiLayerConfig
-from repro.core.kbt import KBTEstimator, KBTReport
+from repro.core.kbt import FittedKBT, KBTEstimator, KBTReport
 from repro.core.observation import ObservationMatrix
 from repro.core.results import MultiLayerResult
 from repro.core.types import (
@@ -123,6 +123,18 @@ class TestValidation:
         result = build_result([(SourceKey(("a.com",)), 0.9, [1.0])])
         with pytest.raises(ValueError, match="min_triples"):
             KBTReport(result, min_triples=-0.5)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "5"])
+    def test_non_finite_min_triples_rejected(self, bad):
+        # NaN used to pass the ``< 0`` check and report every source.
+        result = build_result([(SourceKey(("a.com",)), 0.9, [1.0])])
+        for make in (
+            lambda: KBTEstimator(min_triples=bad),
+            lambda: KBTReport(result, min_triples=bad),
+            lambda: FittedKBT(result, None, MultiLayerConfig(), bad),
+        ):
+            with pytest.raises(ValueError, match="finite number >= 0"):
+                make()
 
     def test_zero_min_triples_accepted(self):
         result = build_result([(SourceKey(("a.com",)), 0.9, [1.0])])

@@ -329,8 +329,9 @@ class TestFit:
             assert_same_views(got, want)
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
-            # The merged result is dict-built; its reference save is the
-            # reference writer on the same dicts.
+            # The merged result's reference save is the reference writer
+            # on its views (tests/test_merge_parity.py holds the merge
+            # itself to the dict merge it replaced).
             three_saves(
                 updated.result, updated.result, updated.observations, tmp
             )
