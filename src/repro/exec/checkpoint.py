@@ -166,6 +166,17 @@ class FitCheckpoint:
             )
 
 
+def prepare_checkpoint_dir(directory: str | Path) -> None:
+    """Create ``directory``, or raise :class:`CheckpointError` naming it."""
+    try:
+        Path(directory).mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise CheckpointError(
+            f"cannot create checkpoint directory {directory}: {err}; "
+            "point --checkpoint-dir at a writable directory"
+        ) from err
+
+
 def save_checkpoint(
     directory: str | Path,
     *,
@@ -185,9 +196,8 @@ def save_checkpoint(
     deterministic functions of the problem and the fit arguments,
     rebuilt by ``init_params`` on resume).
     """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / CHECKPOINT_FILE
+    prepare_checkpoint_dir(directory)
+    path = Path(directory) / CHECKPOINT_FILE
     meta = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -320,6 +330,7 @@ __all__ = [
     "apply_checkpoint",
     "config_digest",
     "load_checkpoint",
+    "prepare_checkpoint_dir",
     "problem_digest",
     "save_checkpoint",
 ]

@@ -100,10 +100,12 @@ def fit_sharded(
             apply_checkpoint,
             config_digest,
             load_checkpoint,
+            prepare_checkpoint_dir,
             problem_digest,
             save_checkpoint,
         )
 
+        prepare_checkpoint_dir(cfg.checkpoint_dir)
         expected_problem = problem_digest(prob)
         expected_config = config_digest(cfg)
         if cfg.resume:

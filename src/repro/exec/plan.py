@@ -32,7 +32,8 @@ axis, so heavy items do not pile into one shard.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -105,6 +106,28 @@ class Shard:
     @property
     def num_triples(self) -> int:
         return self.triple_hi - self.triple_lo
+
+    def encode(self) -> tuple[dict, dict[str, np.ndarray]]:
+        """The packet as ``(meta, arrays)``: its scalars, and its arrays
+        that are not ``None`` — what the spill writes and the ``remote``
+        wire ships."""
+        meta = {name: int(getattr(self, name)) for name in _SHARD_SCALARS}
+        arrays = {name: getattr(self, name) for name in _SHARD_ARRAYS}
+        return meta, {k: v for k, v in arrays.items() if v is not None}
+
+    @classmethod
+    def decode(cls, meta: dict, arrays: Mapping[str, np.ndarray]) -> "Shard":
+        """Inverse of :meth:`encode`; an absent array is ``None``."""
+        return cls(
+            **{name: int(meta[name]) for name in _SHARD_SCALARS},
+            **{name: arrays.get(name) for name in _SHARD_ARRAYS},
+        )
+
+
+_SHARD_SCALARS = ("index", "triple_lo", "triple_hi")
+_SHARD_ARRAYS = tuple(
+    f.name for f in fields(Shard) if f.name not in _SHARD_SCALARS
+)
 
 
 @dataclass(frozen=True)

@@ -75,7 +75,7 @@ from repro.exec.protocol import (
     send_frame,
     send_message,
 )
-from repro.exec.spill import SpillError, _SHARD_ARRAY_FIELDS
+from repro.exec.spill import SpillError
 from repro.exec.supervisor import (
     ExecError,
     _POLL_S,
@@ -246,29 +246,20 @@ def _unpack_shard(
     packet = meta.get("packet")
     if packet is None:
         return None
-    kwargs: dict = {
-        "index": int(packet["index"]),
-        "triple_lo": int(packet["triple_lo"]),
-        "triple_hi": int(packet["triple_hi"]),
-    }
-    for name in _SHARD_ARRAY_FIELDS:
-        kwargs[name] = arrays.get(f"packet.{name}")
-    return Shard(**kwargs)
+    return Shard.decode(
+        packet,
+        {
+            name.removeprefix("packet."): array
+            for name, array in arrays.items()
+            if name.startswith("packet.")
+        },
+    )
 
 
 def _pack_shard(shard: Shard) -> tuple[dict, dict[str, np.ndarray]]:
     """The (meta entry, array segments) that ship a packet to a worker."""
-    meta = {
-        "index": int(shard.index),
-        "triple_lo": int(shard.triple_lo),
-        "triple_hi": int(shard.triple_hi),
-    }
-    arrays = {}
-    for name in _SHARD_ARRAY_FIELDS:
-        value = getattr(shard, name)
-        if value is not None:
-            arrays[f"packet.{name}"] = value
-    return meta, arrays
+    meta, arrays = shard.encode()
+    return meta, {f"packet.{name}": array for name, array in arrays.items()}
 
 
 # ----------------------------------------------------------------------

@@ -6,10 +6,10 @@ hold — and its MapReduce design exists precisely so that no worker ever
 materializes the full corpus. This module is the single-machine
 equivalent of that property:
 
-* :func:`persist_plan` writes every shard packet of a plan as raw
-  ``.npy`` files (one per packet array) plus a JSON manifest describing
-  the plan dimensions, the Table 7 stage statistics, and each packet's
-  layout;
+* :func:`persist_plan` writes every shard packet of a plan as a column
+  directory (:mod:`repro.io.container`: one raw ``.npy`` file per
+  packet array, then a JSON manifest describing the plan dimensions,
+  the Table 7 stage statistics, and each packet's layout);
 * :class:`OutOfCoreShardSource` reopens a spill directory and serves
   :class:`~repro.exec.plan.Shard` packets whose arrays are **memory-
   mapped views** of those files — the kernel pages packet data in on
@@ -44,11 +44,10 @@ one-line error) naming the path and the remedy — re-running ``fit`` with
 
 from __future__ import annotations
 
-import json
+import shutil
 import threading
 import warnings
 from collections import OrderedDict
-from dataclasses import fields as dataclass_fields
 from dataclasses import replace
 from pathlib import Path
 
@@ -57,21 +56,11 @@ import numpy as np
 from repro.core.engine_numpy import round_invariants
 from repro.core.indexing import CompiledProblem
 from repro.exec.plan import Shard, ShardPlan, StageStats
-from repro.io.atomic import atomic_write
+from repro.io.container import ColumnFormat
 
 #: Format identifier + version written to (and required from) manifests.
 SPILL_FORMAT = "kbt-shard-spill"
 SPILL_VERSION = 1
-
-_MANIFEST = "manifest.json"
-_GLOBALS_DIR = "globals"
-
-#: The Shard fields holding numpy arrays (spilled one file each).
-_SHARD_ARRAY_FIELDS = tuple(
-    f.name
-    for f in dataclass_fields(Shard)
-    if f.name not in ("index", "triple_lo", "triple_hi")
-)
 
 #: The CompiledProblem fields holding numpy arrays: everything the
 #: per-iteration driver reduce scans. Python-object tables (key lists,
@@ -105,64 +94,62 @@ class SpillError(ValueError):
     """An unreadable, missing, or corrupt spill directory."""
 
 
+_SPILL = ColumnFormat(
+    SPILL_FORMAT,
+    SPILL_VERSION,
+    "shard spill",
+    SpillError,
+    "re-run the fit with --spill-dir (or ShardPlan.persist) to "
+    "regenerate it",
+)
+_SHARD_DIR = "shard{:04d}"
+
+
 # ----------------------------------------------------------------------
 # Writing
 # ----------------------------------------------------------------------
 def persist_plan(plan: ShardPlan, directory: str | Path) -> Path:
     """Write ``plan``'s packets under ``directory``; returns the manifest.
 
-    Layout: ``shard0000/<array>.npy`` per packet plus ``manifest.json``.
-    The manifest is written *last*, so an interrupted spill is detected
-    as "no manifest" instead of being half-read; re-running a fit with
-    the same ``spill_dir`` overwrites the directory deterministically.
+    Layout: ``shard0000/<array>.npy`` per packet plus the manifest,
+    written *last*, so an interrupted spill is detected as "no manifest"
+    instead of being half-read; re-running a fit with the same
+    ``spill_dir`` overwrites the directory deterministically, and drops
+    the packets of an earlier spill with more shards.
     """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    manifest_path = directory / _MANIFEST
-    # A stale manifest must not survive a partial rewrite.
-    manifest_path.unlink(missing_ok=True)
-
+    columns = {}
     shard_entries = []
     for shard in plan.shards:
-        shard_dir = directory / f"shard{shard.index:04d}"
-        shard_dir.mkdir(exist_ok=True)
-        arrays = {}
-        for name in _SHARD_ARRAY_FIELDS:
-            value = getattr(shard, name)
-            if value is None:
-                continue
-            np.save(shard_dir / f"{name}.npy", np.ascontiguousarray(value))
-            arrays[name] = [str(value.dtype), int(value.shape[0])]
-        shard_entries.append(
-            {
-                "index": shard.index,
-                "triple_lo": shard.triple_lo,
-                "triple_hi": shard.triple_hi,
-                "arrays": arrays,
-            }
-        )
-
-    manifest = {
-        "format": SPILL_FORMAT,
-        "version": SPILL_VERSION,
-        "num_shards": plan.num_shards,
-        "num_coords": plan.num_coords,
-        "num_triples": plan.num_triples,
-        "num_items": plan.num_items,
-        "num_sources": plan.num_sources,
-        "num_cols": plan.num_cols,
-        "stage_stats": {
-            job: {
-                "num_mapped": stats.num_mapped,
-                "group_sizes": list(stats.group_sizes),
-            }
-            for job, stats in plan.stage_stats.items()
+        meta, arrays = shard.encode()
+        shard_dir = _SHARD_DIR.format(shard.index)
+        columns |= {f"{shard_dir}/{n}": v for n, v in arrays.items()}
+        dims = {n: [str(v.dtype), len(v)] for n, v in arrays.items()}
+        shard_entries.append(meta | {"arrays": dims})
+    manifest = _SPILL.write(
+        directory,
+        columns,
+        {
+            "num_shards": plan.num_shards,
+            "num_coords": plan.num_coords,
+            "num_triples": plan.num_triples,
+            "num_items": plan.num_items,
+            "num_sources": plan.num_sources,
+            "num_cols": plan.num_cols,
+            "stage_stats": {
+                job: {
+                    "num_mapped": stats.num_mapped,
+                    "group_sizes": list(stats.group_sizes),
+                }
+                for job, stats in plan.stage_stats.items()
+            },
+            "shards": shard_entries,
         },
-        "shards": shard_entries,
-    }
-    with atomic_write(manifest_path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(manifest, indent=1) + "\n")
-    return manifest_path
+    )
+    listed = {_SHARD_DIR.format(shard.index) for shard in plan.shards}
+    for stale in manifest.parent.glob("shard[0-9][0-9][0-9][0-9]"):
+        if stale.name not in listed:
+            shutil.rmtree(stale, ignore_errors=True)
+    return manifest
 
 
 def spill_problem_arrays(
@@ -178,13 +165,10 @@ def spill_problem_arrays(
     with its own round invariants, derived from the mapped arrays, whose
     corpus-sized arrays are spilled and mapped the same way.
     """
-    globals_dir = Path(directory) / _GLOBALS_DIR
-    globals_dir.mkdir(parents=True, exist_ok=True)
 
     def spill(name: str, value: np.ndarray) -> np.ndarray:
-        path = globals_dir / f"{name}.npy"
-        np.save(path, np.ascontiguousarray(value))
-        return _load_mapped(path)
+        _SPILL.save(directory, f"globals/{name}", value)
+        return _SPILL.map(directory, f"globals/{name}")
 
     mapped = replace(
         prob,
@@ -213,18 +197,6 @@ def spill_problem_arrays(
 # ----------------------------------------------------------------------
 # Reading
 # ----------------------------------------------------------------------
-def _load_mapped(path: Path) -> np.ndarray:
-    """``np.load(mmap_mode="r")`` with a :class:`SpillError` translation."""
-    try:
-        return np.load(path, mmap_mode="r")
-    except (OSError, ValueError) as err:
-        raise SpillError(
-            f"cannot map spilled array {path}: {err}; the spill "
-            "directory is incomplete or corrupt — re-run the fit with "
-            "--spill-dir (or ShardPlan.persist) to regenerate it"
-        ) from err
-
-
 #: Paths whose madvise failure has already been reported this process.
 #: ``advise_dontneed`` runs per-eviction / per-chunk inside tight loops,
 #: so an environment where madvise always fails (some containers,
@@ -376,7 +348,7 @@ class OutOfCoreShardSource:
         self._max_resident = max_resident_shards
         self._lock = threading.Lock()
         self._cache: OrderedDict[int, Shard] = OrderedDict()
-        manifest = self._read_manifest()
+        manifest = _SPILL.read_manifest(self._directory)
         self.num_shards: int = manifest["num_shards"]
         self.num_coords: int = manifest["num_coords"]
         self.num_triples: int = manifest["num_triples"]
@@ -402,36 +374,6 @@ class OutOfCoreShardSource:
     def max_resident_shards(self) -> int | None:
         return self._max_resident
 
-    def _read_manifest(self) -> dict:
-        manifest_path = self._directory / _MANIFEST
-        if not manifest_path.is_file():
-            raise SpillError(
-                f"no shard spill manifest at {manifest_path}: the spill "
-                "directory was deleted, never written, or a spill was "
-                "interrupted — re-run the fit with --spill-dir (or "
-                "ShardPlan.persist) to regenerate it"
-            )
-        try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as err:
-            raise SpillError(
-                f"unreadable shard spill manifest {manifest_path}: {err}; "
-                "re-run the fit with --spill-dir to regenerate it"
-            ) from err
-        if manifest.get("format") != SPILL_FORMAT:
-            raise SpillError(
-                f"{manifest_path} is not a shard spill manifest "
-                f"(format={manifest.get('format')!r})"
-            )
-        if manifest.get("version") != SPILL_VERSION:
-            raise SpillError(
-                f"unsupported shard spill version "
-                f"{manifest.get('version')!r} in {manifest_path}; this "
-                f"build reads version {SPILL_VERSION} — re-run the fit "
-                "with --spill-dir to regenerate it"
-            )
-        return manifest
-
     # ------------------------------------------------------------------
     # The packet-source contract
     # ------------------------------------------------------------------
@@ -449,12 +391,7 @@ class OutOfCoreShardSource:
             if self._max_resident is not None:
                 while len(self._cache) > self._max_resident:
                     _, evicted = self._cache.popitem(last=False)
-                    advise_dontneed(
-                        *(
-                            getattr(evicted, name)
-                            for name in _SHARD_ARRAY_FIELDS
-                        )
-                    )
+                    advise_dontneed(*evicted.encode()[1].values())
         return shard
 
     def worker_payload(self, indices: tuple[int, ...]) -> tuple:
@@ -479,25 +416,9 @@ class OutOfCoreShardSource:
                 f"{self._directory} (it lists shards "
                 f"0..{self.num_shards - 1})"
             )
-        shard_dir = self._directory / f"shard{index:04d}"
-        kwargs: dict = {
-            "index": index,
-            "triple_lo": meta["triple_lo"],
-            "triple_hi": meta["triple_hi"],
-        }
-        for name in _SHARD_ARRAY_FIELDS:
-            if name not in meta["arrays"]:
-                kwargs[name] = None
-                continue
-            path = shard_dir / f"{name}.npy"
-            if not path.is_file():
-                raise SpillError(
-                    f"spilled shard array {path} is missing; the spill "
-                    "directory is incomplete or corrupt — re-run the fit "
-                    "with --spill-dir to regenerate it"
-                )
-            kwargs[name] = _load_mapped(path)
-        return Shard(**kwargs)
+        shard_dir = self._directory / _SHARD_DIR.format(index)
+        arrays = {n: _SPILL.map(shard_dir, n) for n in meta["arrays"]}
+        return Shard.decode(meta, arrays)
 
     # ------------------------------------------------------------------
     # Pickling (the processes backend ships sources by path)

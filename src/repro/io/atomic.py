@@ -1,8 +1,9 @@
 """Crash-safe file writes: temp-file-then-rename in the target directory.
 
-Both durable on-disk formats of the execution layer use this idiom — the
-out-of-core spill manifest (:mod:`repro.exec.spill`) and the fit
-checkpoint (:mod:`repro.exec.checkpoint`): bytes go to a temporary file
+Four on-disk formats use this idiom: the manifest of a column directory
+(:mod:`repro.io.container` — the out-of-core shard spill and the
+serving layout), the fit checkpoint (:mod:`repro.exec.checkpoint`) and
+the trust artifact (:mod:`repro.io.artifact`): bytes go to a temporary file
 in the *same* directory (so the final ``rename`` stays within one
 filesystem and is atomic), the file is flushed and fsynced, and only a
 cleanly completed write is renamed over the target. A reader therefore

@@ -4,10 +4,10 @@ A trust artifact (:mod:`repro.io.artifact`) is a compressed zip — great
 for shipping, useless for serving: nothing inside it can be memory-
 mapped, and most of it (every posterior, prior, and observation cell)
 is never read to answer a score lookup.
-The *serving layout* is the same idiom the out-of-core execution spill
-uses (:mod:`repro.exec.spill`): a directory of raw ``.npy`` files plus a
-JSON manifest written last (and atomically, via
-:func:`repro.io.atomic.atomic_write`), laid out for the read side —
+The *serving layout* is the same container the out-of-core execution
+spill uses (:mod:`repro.io.container`): a directory of raw ``.npy``
+files plus a JSON manifest written last (and atomically), laid out for
+the read side —
 
 * aligned per-website ``site_score`` / ``site_support`` /
   ``site_percentile`` float64 columns and the ``ranked_idx`` rank
@@ -73,7 +73,7 @@ import numpy as np
 from repro.core.kbt import aggregate_scores, webpage_of, website_of
 from repro.core.types import SourceKey
 from repro.io.artifact import load_serving_inputs
-from repro.io.atomic import atomic_write
+from repro.io.container import MANIFEST, ColumnFormat
 from repro.io.reports import score_sort_key
 from repro.signals.base import SignalScores
 
@@ -81,11 +81,19 @@ from repro.signals.base import SignalScores
 LAYOUT_FORMAT = "kbt-serving-layout"
 LAYOUT_VERSION = 1
 
-_MANIFEST = "manifest.json"
-
 
 class LayoutError(ValueError):
     """An unreadable, missing, or corrupt serving layout."""
+
+
+_LAYOUT = ColumnFormat(
+    LAYOUT_FORMAT,
+    LAYOUT_VERSION,
+    "serving-layout",
+    LayoutError,
+    "re-export the layout from the artifact (export_layout, or serve "
+    "the artifact path and the gateway re-exports automatically)",
+)
 
 
 def artifact_etag(path: str | Path) -> str:
@@ -365,7 +373,7 @@ def _reusable_manifest(directory: Path, etag: str) -> Path | None:
         return None
     if layout.etag != etag:
         return None
-    return directory / _MANIFEST
+    return directory / MANIFEST
 
 
 def _unwritable(directory: Path, err: OSError) -> LayoutError:
@@ -446,7 +454,11 @@ def _export(
     try:
         if columns is None:
             columns = serving_columns(*load_serving_inputs(artifact_path))
-        _write_columns(columns, staging, artifact_path, etag)
+        _LAYOUT.write(
+            staging,
+            columns.arrays,
+            {"etag": etag, "artifact": str(artifact_path)} | columns.manifest,
+        )
         try:
             os.rename(staging, directory)
         except OSError as err:
@@ -465,25 +477,7 @@ def _export(
     finally:
         if staging.exists():
             shutil.rmtree(staging, ignore_errors=True)
-    return directory / _MANIFEST
-
-
-def _write_columns(
-    columns: ServingColumns, directory: Path, artifact_path: Path, etag: str
-) -> None:
-    """Save every column, then the manifest (last, atomically), into
-    ``directory`` — a private staging dir nothing can have mmapped."""
-    for name, values in columns.arrays.items():
-        np.save(directory / f"{name}.npy", values)
-    manifest = {
-        "format": LAYOUT_FORMAT,
-        "version": LAYOUT_VERSION,
-        "etag": etag,
-        "artifact": str(artifact_path),
-        **columns.manifest,
-    }
-    with atomic_write(directory / _MANIFEST, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(manifest, indent=1) + "\n")
+    return directory / MANIFEST
 
 
 # ----------------------------------------------------------------------
@@ -501,50 +495,13 @@ class ServingLayout(ServingColumns):
 
     def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
-        manifest_path = self.directory / _MANIFEST
-        if not manifest_path.is_file():
-            raise LayoutError(
-                f"no serving-layout manifest at {manifest_path}: the "
-                "layout was deleted, never exported, or an export was "
-                "interrupted — re-export it from the artifact "
-                "(export_layout, or serve the artifact path and the "
-                "gateway re-exports automatically)"
-            )
-        try:
-            self.manifest = json.loads(
-                manifest_path.read_text(encoding="utf-8")
-            )
-        except (OSError, json.JSONDecodeError) as err:
-            raise LayoutError(
-                f"unreadable serving-layout manifest {manifest_path}: "
-                f"{err}; re-export the layout from the artifact"
-            ) from err
-        if self.manifest.get("format") != LAYOUT_FORMAT:
-            raise LayoutError(
-                f"{manifest_path} is not a serving-layout manifest "
-                f"(format={self.manifest.get('format')!r})"
-            )
-        if self.manifest.get("version") != LAYOUT_VERSION:
-            raise LayoutError(
-                f"unsupported serving-layout version "
-                f"{self.manifest.get('version')!r} in {manifest_path}; "
-                f"this build reads version {LAYOUT_VERSION} — re-export "
-                "the layout from the artifact"
-            )
+        self.manifest = _LAYOUT.read_manifest(self.directory)
 
     def array(self, name: str) -> np.ndarray:
-        path = self.directory / f"{name}.npy"
-        try:
-            # A plain view of the map: ``np.memmap``'s Python-level
-            # ``__getitem__`` / ``__array_finalize__`` cost more than
-            # the reads they wrap. The view's base keeps the map alive.
-            return np.load(path, mmap_mode="r").view(np.ndarray)
-        except (OSError, ValueError) as err:
-            raise LayoutError(
-                f"cannot map serving-layout column {path}: {err}; the "
-                "layout is incomplete or corrupt — re-export it from "
-                "the artifact"
-            ) from err
+        # A plain view of the map: ``np.memmap``'s Python-level
+        # ``__getitem__`` / ``__array_finalize__`` cost more than the
+        # reads they wrap. The view's base keeps the map alive.
+        return _LAYOUT.map(self.directory, name).view(np.ndarray)
 
 
 __all__ = [

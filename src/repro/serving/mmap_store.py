@@ -57,85 +57,55 @@ class MmapTrustStore(TrustStore):
     # Opening
     # ------------------------------------------------------------------
     @classmethod
-    def open(
-        cls, path: str | Path, layout_dir: str | Path | None = None
-    ) -> "MmapTrustStore":
+    def open(cls, path: str | Path) -> "MmapTrustStore":
         """Open a layout directory, or an artifact via its layout cache.
 
         For an artifact path, the layout lives at
-        ``<artifact>.layout-<etag prefix>/`` (or ``layout_dir``) and is
-        exported exactly when no cached directory matches the
-        artifact's current bytes. Because the cache key is the ETag, an
-        in-place refit lands in a *new* directory — the columns a live
-        store of the previous generation has mmapped are never
-        rewritten. A pre-existing un-keyed ``<artifact>.layout/`` cache
-        is still reused while its ETag matches.
+        ``<artifact>.layout-<etag prefix>/`` and is exported exactly
+        when that directory does not cache the artifact's current
+        bytes. Because the cache key is the ETag, an in-place refit
+        lands in a *new* directory — the columns a live store of the
+        previous generation has mmapped are never rewritten.
         """
         path = Path(path)
         if path.is_dir():
             return cls(ServingLayout(path))
         etag = artifact_etag(path)
-        managed = layout_dir is None
-        if managed:
-            store = cls._from_cache(Path(str(path) + ".layout"), etag)
-            if store is not None:
-                return store
-            layout_dir = layout_cache_dir(path, etag)
-        else:
-            layout_dir = Path(layout_dir)
-        store = cls._from_cache(layout_dir, etag)
-        if store is not None:
-            return store
-        if managed and layout_dir.exists():
+        layout_dir = layout_cache_dir(path, etag)
+        try:
+            layout = ServingLayout(layout_dir)
+            if layout.etag == etag:
+                return cls(layout)
+        except LayoutError:
+            pass
+        if layout_dir.exists():
             # The ETag-keyed name is ours and its contents are torn
             # (a matching cache would have been returned above): no
             # live store can have opened it — the constructor maps the
             # core columns up front — so clearing it for a clean
-            # export is safe. An *explicit* layout_dir is never
-            # deleted; export_layout refuses it with the remedy.
+            # export is safe.
             shutil.rmtree(layout_dir, ignore_errors=True)
         export_layout(path, layout_dir, etag=etag)
         try:
             store = cls(ServingLayout(layout_dir))
             store.layout_state = "exported"
         except BaseException:
-            if managed:
-                # The directory was exported moments ago exclusively
-                # for this open (no matching cache existed above), so
-                # no live store can be mapping it. Opening what we just
-                # wrote failed, so the export is unusable — leaving it
-                # behind would strand a layout every later open keeps
-                # matching by ETag and failing on.
-                shutil.rmtree(layout_dir, ignore_errors=True)
+            # The directory was exported moments ago exclusively for
+            # this open (no matching cache existed above), so no live
+            # store can be mapping it. Opening what we just wrote
+            # failed, so the export is unusable — leaving it behind
+            # would strand a layout every later open keeps matching by
+            # ETag and failing on.
+            shutil.rmtree(layout_dir, ignore_errors=True)
             raise
-        if managed:
-            # Any other cache generation is now provably stale: it was
-            # checked above (legacy name) or keyed to older bytes.
-            cls._gc_stale_layouts(path, keep=layout_dir)
-        return store
-
-    @classmethod
-    def _from_cache(
-        cls, directory: Path, etag: str
-    ) -> "MmapTrustStore | None":
-        """The store over ``directory`` if it caches exactly ``etag``."""
-        try:
-            layout = ServingLayout(directory)
-            if layout.etag == etag:
-                return cls(layout)
-        except LayoutError:
-            pass
-        return None
-
-    @staticmethod
-    def _gc_stale_layouts(path: Path, keep: Path) -> None:
-        """Drop cache generations for artifact bytes that no longer
-        exist, and what exports of them left unfinished. Best-effort:
-        on POSIX, unlinking files a live store still has mmapped is
-        safe (the inodes outlive the directory entries); where unlink
-        fails (e.g. Windows), the stale dir just stays."""
-        for stale in cached_layout_dirs(path, keep=keep):
+        # Any other cache generation — the un-keyed legacy name
+        # included — and what exports of them left unfinished is now
+        # provably stale. Best-effort: on POSIX, unlinking files a live
+        # store still has mmapped is safe (the inodes outlive the
+        # directory entries); where unlink fails, the stale dir stays.
+        for stale in cached_layout_dirs(path, keep=layout_dir):
             shutil.rmtree(stale, ignore_errors=True)
+        return store
 
     @property
     def directory(self) -> Path:

@@ -38,6 +38,7 @@ from repro.io.mmap_layout import (
     ServingLayout,
     artifact_etag,
     export_layout,
+    layout_cache_dir,
 )
 from repro.serving import gateway as gateway_module
 from repro.serving.gateway import (
@@ -301,15 +302,18 @@ class TestMmapParity:
         assert render(first, "/top", {"k": ["5"]}) == before
         assert "fresh.com" in second and "fresh.com" not in first
 
-    def test_legacy_unkeyed_layout_cache_is_reused(self, tmp_path):
+    def test_legacy_unkeyed_layout_cache_is_swept(self, tmp_path):
         """A pre-existing `<artifact>.layout/` cache (the pre-ETag-keyed
-        naming) keeps being served from while its ETag matches."""
+        naming) is not served, even with a matching ETag: the open
+        exports under the keyed name and then sweeps the legacy one."""
         path = tmp_path / "model.kbt"
         KBTEstimator().fit(corpus()).save(path)
         legacy_dir = tmp_path / "model.kbt.layout"
         export_layout(path, legacy_dir)
         store = MmapTrustStore.open(path)
-        assert store.directory == legacy_dir
+        assert store.directory == layout_cache_dir(path, artifact_etag(path))
+        assert store.layout_state == "exported"
+        assert not legacy_dir.exists()
 
 
 # ----------------------------------------------------------------------

@@ -327,6 +327,29 @@ class TestSpillRoundTrip:
         with pytest.raises(SpillError, match="missing"):
             source.get_shard(1)
 
+    def test_respill_with_fewer_shards_removes_stale_packets(
+        self, synthetic_matrix, tmp_path
+    ):
+        """Re-spilling into the same directory with fewer shards drops
+        the packets the new manifest does not list, and nothing else a
+        user keeps there."""
+        _cfg, _prob, plan = small_plan(synthetic_matrix, num_shards=6)
+        plan.persist(tmp_path)
+        (tmp_path / "shard12345").mkdir()
+        (tmp_path / "shard0009").write_text("a file, not a packet")
+        (tmp_path / "notes").mkdir()
+        _cfg, _prob, plan = small_plan(synthetic_matrix, num_shards=2)
+        plan.persist(tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "manifest.json",
+            "notes",
+            "shard0000",
+            "shard0001",
+            "shard0009",
+            "shard12345",
+        ]
+        assert OutOfCoreShardSource(tmp_path).num_shards == 2
+
     def test_refit_regenerates_a_deleted_spill_dir(
         self, synthetic_matrix, tmp_path
     ):
@@ -678,6 +701,48 @@ def test_cli_fit_spill_matches_plain_fit(kv_small, tmp_path, capsys):
     ) == 0
     assert plain_csv.read_text() == spill_csv.read_text()
     assert (tmp_path / "spill" / "manifest.json").is_file()
+
+
+@pytest.mark.parametrize("flag", ["--spill-dir", "--checkpoint-dir"])
+def test_cli_directory_that_is_a_file_is_one_error_line(
+    kv_small, tmp_path, capsys, flag
+):
+    """A ``--spill-dir`` / ``--checkpoint-dir`` naming a regular file is
+    one ``error:`` line naming it and exit 1, never a traceback."""
+    from repro.cli import main
+    from repro.io.jsonl import write_records
+
+    records_path = tmp_path / "records.jsonl"
+    write_records(kv_small.campaign.records, records_path)
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory")
+    capsys.readouterr()
+    code = main(
+        ["fit", str(records_path), "--output", str(tmp_path / "out.csv"),
+         "--shards", "2", flag, str(afile)]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and str(afile) in line
+    assert "Traceback" not in err
+    assert afile.read_text() == "not a directory"
+
+
+def test_bad_checkpoint_dir_fails_before_the_spill(synthetic, tmp_path):
+    """The checkpoint directory is created before anything is spilled
+    or a backend opens: a file in its place fails the fit up front."""
+    from repro.core.kbt import KBTEstimator
+    from repro.exec.checkpoint import CheckpointError
+
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    estimator = KBTEstimator(
+        checkpoint_dir=str(afile), spill_dir=str(tmp_path / "spill")
+    )
+    with pytest.raises(CheckpointError, match="cannot create checkpoint"):
+        estimator.fit(synthetic.records)
+    assert not (tmp_path / "spill").exists()
 
 
 # ----------------------------------------------------------------------
