@@ -1,11 +1,13 @@
-"""Engine scaling: python vs numpy inference wall clock on a 10x KV corpus.
+"""Engine scaling: dict oracle vs array engine wall clock on a 10x KV corpus.
 
 The vectorized engine exists so real corpora stop being loop-bound; this
 bench quantifies that on a corpus ten times the shared bench scale (~500K
-extraction records vs ~50K). Both engines run the identical 5-iteration
-Algorithm 1 on the same observation matrix; the numpy engine must be at
-least 5x faster end-to-end (including its compile step) and agree with the
-reference output to 1e-9.
+extraction records vs ~50K). The library's array engine
+(``MultiLayerModel.fit``, the "numpy" leg) and the dict oracle it is
+tested against (``tests/multi_layer_reference.fit_python``, the "python"
+leg) run the identical 5-iteration Algorithm 1 on the same observation
+matrix; the array engine must be at least 5x faster end-to-end (including
+its compile step) and agree with the oracle's output to 1e-9.
 
 Set ``ENGINE_BENCH_SCALE=smoke`` to run a reduced corpus (CI smoke): only
 the numerical-agreement assertions run, since small corpora cannot
@@ -14,6 +16,8 @@ are too noisy to gate on.
 """
 
 import dataclasses
+import sys
+from pathlib import Path
 
 from _harness import gate_timings, is_smoke, save_result, save_stats, timed
 from conftest import BENCH_KV_CONFIG, MULTI_LAYER_CONFIG
@@ -22,6 +26,10 @@ from repro.core.config import ConvergenceConfig
 from repro.core.multi_layer import MultiLayerModel
 from repro.datasets.kv import generate_kv
 from repro.util.tables import format_table
+
+# The oracle is test code: ``tests/`` is not a package on the bench path.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from multi_layer_reference import fit_python  # noqa: E402
 
 SMOKE = is_smoke("engine")
 
@@ -80,21 +88,21 @@ def run_engine_scaling() -> tuple[str, dict]:
 
     elapsed = {}
     results = {}
-    for engine in ("python", "numpy"):
-        config = dataclasses.replace(ENGINE_CONFIG, engine=engine)
-        model = MultiLayerModel(config)
-        results[engine], elapsed[engine] = timed(model.fit, observations)
+    for engine, fit in (
+        ("python", lambda obs: fit_python(ENGINE_CONFIG, obs)),
+        ("numpy", MultiLayerModel(ENGINE_CONFIG).fit),
+    ):
+        results[engine], elapsed[engine] = timed(fit, observations)
 
     # Streamed-reduce leg: the reduce (engine_numpy.reduce_statistics)
     # in REDUCE_CHUNK-element windows must produce the one-window scan's
     # exact bytes (determinism-ladder entry 7) at a bounded working set;
     # its wall clock is reported, never gated. Both legs run the same
     # loop (exec.driver.fit_sharded) on one serial shard.
-    numpy_config = dataclasses.replace(ENGINE_CONFIG, engine="numpy")
     streamed_result, streamed_s = timed(
         MultiLayerModel(
             dataclasses.replace(
-                numpy_config, backend="serial", reduce_chunk=REDUCE_CHUNK
+                ENGINE_CONFIG, backend="serial", reduce_chunk=REDUCE_CHUNK
             )
         ).fit,
         observations,
@@ -106,7 +114,7 @@ def run_engine_scaling() -> tuple[str, dict]:
     # reference is gated under the documented envelope.
     float32_result, float32_s = timed(
         MultiLayerModel(
-            dataclasses.replace(numpy_config, precision="float32")
+            dataclasses.replace(ENGINE_CONFIG, precision="float32")
         ).fit,
         observations,
     )

@@ -1,6 +1,6 @@
 """Tables 2-4 + Examples 3.1-3.3: the worked example, replayed end to end.
 
-Regenerates the paper's walkthrough numbers from the real inference code:
+Regenerates the paper's walkthrough numbers from the library's vote algebra:
 the Table 3 vote weights, the Table 4 extraction-correctness column, the
 Example 3.2 value posteriors, and the Example 3.3 prior update.
 """
@@ -8,12 +8,7 @@ Example 3.2 value posteriors, and the Example 3.3 prior update.
 from conftest import save_result
 
 from repro.core.observation import ObservationMatrix
-from repro.core.votes import (
-    VoteTable,
-    accuracy_vote,
-    extraction_posterior,
-    value_posteriors,
-)
+from repro.core.votes import accuracy_vote, value_posteriors
 from repro.datasets.motivating import (
     EXTRACTIONS,
     KENYA,
@@ -26,9 +21,19 @@ from repro.util.logmath import log_odds, sigmoid
 from repro.util.tables import format_table
 
 
+def vote_count(qualities, cell) -> float:
+    """VCC' of one cell (Eq. 14 / 31): every extractor's absence vote,
+    an extracting one's swapped for ``conf * Pre + (1 - conf) * Abs``."""
+    vcc = sum(quality.absence_vote for quality in qualities.values())
+    for extractor, confidence in cell.items():
+        quality = qualities[extractor]
+        vcc += confidence * (quality.presence_vote - quality.absence_vote)
+    return vcc
+
+
 def run_motivating_tables() -> str:
     ex = motivating_example()
-    table = VoteTable(ex.quality_by_key())
+    qualities = ex.quality_by_key()
     obs = ObservationMatrix.from_records(ex.records)
     sections = []
 
@@ -83,8 +88,9 @@ def run_motivating_tables() -> str:
     rows = []
     for page, value in cases:
         cell = obs.cell((source_key(page), ex.item, value))
-        vcc = table.vote_count(cell)
-        rows.append([page, value, vcc, extraction_posterior(vcc, 0.5)])
+        vcc = vote_count(qualities, cell)
+        # Eq. 15: p(C = 1 | X) = sigma(VCC + log-odds(alpha)).
+        rows.append([page, value, vcc, sigmoid(vcc + log_odds(0.5))])
     sections.append(
         format_table(
             ["Page", "Value", "VCC", "p(C=1|X)"],

@@ -9,7 +9,6 @@ Run:  python examples/obama_nationality.py
 """
 
 from repro import MultiLayerConfig, MultiLayerModel, ObservationMatrix
-from repro.core.votes import VoteTable, extraction_posterior
 from repro.datasets.motivating import (
     EXTRACTIONS,
     KENYA,
@@ -17,6 +16,7 @@ from repro.datasets.motivating import (
     motivating_example,
     source_key,
 )
+from repro.util.logmath import log_odds, sigmoid
 
 
 def show_table_2(example):
@@ -35,17 +35,25 @@ def show_table_2(example):
 
 def show_votes(example):
     print("\nTable 3 — per-extractor vote weights (from P, R, Q)")
-    table = VoteTable(example.quality_by_key())
     for name, quality in example.extractor_quality.items():
         print(
             f"  {name}: presence {quality.presence_vote:+5.2f}  "
             f"absence {quality.absence_vote:+5.2f}  "
             f"(P={quality.precision} R={quality.recall} Q={quality.q})"
         )
-    return table
 
 
-def show_extraction_correctness(example, table):
+def vote_count(qualities, cell):
+    """VCC' of one cell (Eq. 14 / 31): every extractor's absence vote,
+    an extracting one's swapped for ``conf * Pre + (1 - conf) * Abs``."""
+    vcc = sum(quality.absence_vote for quality in qualities.values())
+    for extractor, confidence in cell.items():
+        quality = qualities[extractor]
+        vcc += confidence * (quality.presence_vote - quality.absence_vote)
+    return vcc
+
+
+def show_extraction_correctness(example):
     print("\nTable 4 — does the page really provide the triple? "
           "(vote count -> sigmoid)")
     obs = ObservationMatrix.from_records(example.records)
@@ -54,8 +62,8 @@ def show_extraction_correctness(example, table):
         ("W8", KENYA),
     ]:
         cell = obs.cell((source_key(page), example.item, value))
-        vcc = table.vote_count(cell)
-        p = extraction_posterior(vcc, 0.5)
+        vcc = vote_count(example.quality_by_key(), cell)
+        p = sigmoid(vcc + log_odds(0.5))  # Eq. 15, at alpha = 0.5
         really = example.true_provided(page, value)
         print(
             f"  {page} claims {value:7s}: VCC {vcc:+6.2f} -> "
@@ -92,8 +100,8 @@ def run_full_model(example):
 def main():
     example = motivating_example()
     show_table_2(example)
-    table = show_votes(example)
-    show_extraction_correctness(example, table)
+    show_votes(example)
+    show_extraction_correctness(example)
     run_full_model(example)
 
 

@@ -72,7 +72,6 @@ import sys
 
 from repro.core.config import (
     BACKENDS,
-    ENGINES,
     EXECUTION_FIELDS,
     AbsenceScope,
     GranularityConfig,
@@ -449,13 +448,9 @@ def _add_model_options(parser: argparse.ArgumentParser) -> None:
         "--iterations", type=int, default=5, help="EM iterations",
     )
     parser.add_argument(
-        "--engine", choices=list(ENGINES), default=MultiLayerConfig().engine,
-        help="inference engine (python: the reference oracle, far slower)",
-    )
-    parser.add_argument(
         "--precision", choices=["float64", "float32"], default=None,
         help=(
-            "arithmetic precision of the numpy engine's E steps: float64 "
+            "arithmetic precision of the E steps: float64 "
             "(default, the reference arithmetic every bit-identity "
             "guarantee is stated against) or float32 (fused "
             "single-precision kernels on any --backend, faster and half "
@@ -577,10 +572,7 @@ def _add_summary_options(parser: argparse.ArgumentParser) -> None:
 def _build_estimator(args: argparse.Namespace) -> KBTEstimator:
     from dataclasses import replace
 
-    config = MultiLayerConfig(
-        absence_scope=AbsenceScope(args.absence_scope),
-        engine=args.engine,
-    )
+    config = MultiLayerConfig(absence_scope=AbsenceScope(args.absence_scope))
     config = replace(
         config,
         convergence=replace(

@@ -1,16 +1,15 @@
 """The paper's contribution: single- and multi-layer fusion models, vote
 algebra, granularity selection, and the Knowledge-Based Trust estimator.
 
-``MultiLayerConfig.engine`` selects one of two inference engines: the
-vectorized NumPy engine (``"numpy"``, the default, see
-``repro.core.engine_numpy``) compiles the observation matrix into
-integer-indexed arrays (``repro.core.indexing``) and runs Algorithm 1 as
-segment operations; the reference pure-Python implementation
-(``"python"``) is its oracle — matching to <= 1e-9, several times slower.
-The numpy engine's EM loop is the sharded execution driver
-(``repro.exec``); ``MultiLayerConfig.backend`` selects where its map
-rounds run (serial / threads / processes / remote, bit-identical to the
-default single serial shard)."""
+Both fusion models run on the observation matrix's integer columns. The
+multi-layer model compiles them into integer-indexed arrays
+(``repro.core.indexing``) and runs Algorithm 1 as segment operations
+(``repro.core.engine_numpy``); its dict-walking oracle, which it matches
+to <= 1e-9, lives in ``tests/multi_layer_reference.py``. The EM loop is
+the sharded execution driver (``repro.exec``);
+``MultiLayerConfig.backend`` selects where its map rounds run (serial /
+threads / processes / remote, bit-identical to the default single
+serial shard)."""
 
 from repro.core.config import (
     AbsenceScope,
@@ -23,9 +22,9 @@ from repro.core.config import (
 from repro.core.gibbs import GibbsConfig, GibbsMultiLayer
 from repro.core.granularity import GranularityPlan, SplitAndMerge
 from repro.core.kbt import FittedKBT, KBTEstimator, KBTReport, KBTScore
-from repro.core.multi_layer import MultiLayerModel, default_precision
+from repro.core.multi_layer import MultiLayerModel
 from repro.core.observation import ObservationMatrix
-from repro.core.quality import ExtractorQuality, derive_q
+from repro.core.quality import ExtractorQuality, default_precision, derive_q
 from repro.core.results import (
     IterationSnapshot,
     MultiLayerResult,
@@ -42,12 +41,7 @@ from repro.core.types import (
     pattern_extractor,
     website_source,
 )
-from repro.core.votes import (
-    VoteTable,
-    accuracy_vote,
-    extraction_posterior,
-    value_posteriors,
-)
+from repro.core.votes import accuracy_vote, value_posteriors
 
 __all__ = [
     "AbsenceScope",
@@ -76,12 +70,10 @@ __all__ = [
     "SourceKey",
     "SplitAndMerge",
     "Triple",
-    "VoteTable",
     "accuracy_vote",
     "default_precision",
     "default_provenance",
     "derive_q",
-    "extraction_posterior",
     "page_source",
     "pattern_extractor",
     "value_posteriors",

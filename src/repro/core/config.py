@@ -108,9 +108,9 @@ class SingleLayerConfig:
             raise ValueError("min_source_support must be >= 1")
 
 
-#: Inference engines: the array engine (the default) and its Eq.-by-Eq.
-#: dict oracle; ``MultiLayerModel.fit`` dispatches on the name.
-ENGINES = ("python", "numpy")
+#: Inference engines. One: the array engine ``MultiLayerModel.fit``
+#: runs. The field stays because every artifact header names it.
+ENGINES = ("numpy",)
 #: Execution backends (``repro.exec.driver.BACKENDS`` has the classes).
 BACKENDS = ("serial", "threads", "processes", "remote")
 
@@ -177,12 +177,10 @@ class MultiLayerConfig:
         quality_floor / quality_ceiling: clamp for estimated P/R/Q/A values,
             keeping the log-odds votes finite.
         convergence: EM loop control.
-        engine: inference engine, one of :data:`ENGINES`. ``"numpy"``
-            (the default) runs the vectorized array engine; ``"python"``
-            runs the reference dict-based implementation, the oracle the
-            array engine is tested against (numerically matching to
-            <= 1e-9, several times slower on large corpora).
-        backend: execution backend of the numpy engine's EM driver, one
+        engine: inference engine, one of :data:`ENGINES`: ``"numpy"``,
+            the vectorized array engine. Fit-time only; the artifact
+            header records it.
+        backend: execution backend of the EM driver, one
             of :data:`BACKENDS`, or None (the default), which the driver
             runs as ``serial``.
             Each EM iteration runs as map (the per-shard ExtCorr /
@@ -256,7 +254,7 @@ class MultiLayerConfig:
             one-window order: float64 results are **bit-identical** for
             every backend, shard count, and window size
             (determinism-ladder entry 7).
-        precision: floating-point mode of the numpy engine. The default
+        precision: floating-point mode of the E steps. The default
             ``"float64"`` is the reference arithmetic every determinism
             guarantee is stated in. ``"float32"`` opts into the fused
             single-precision E-step kernels
@@ -266,15 +264,14 @@ class MultiLayerConfig:
             Faster and half the E-step memory traffic, but **not**
             bit-compatible with float64 — see the precision contract in
             ``docs/architecture.md`` for the documented deviation bound.
-            Requires ``engine="numpy"``; runs on every execution backend
-            (the kernel is selected per shard), always outside the
-            bit-identity guarantees, which are stated in float64.
+            Runs on every execution backend (the kernel is selected per
+            shard), always outside the bit-identity guarantees, which
+            are stated in float64.
 
     The ten fields named in :data:`EXECUTION_FIELDS` say only *where and
     how* a fit runs; float64 results are bit-identical for every
-    combination of them, and they need ``engine="numpy"`` (the driver
-    runs over the compiled arrays). :meth:`without_execution` is the
-    model alone; :meth:`with_execution` applies caller overrides.
+    combination of them. :meth:`without_execution` is the model alone;
+    :meth:`with_execution` applies caller overrides.
     """
 
     n: int = 10
@@ -330,17 +327,6 @@ class MultiLayerConfig:
                 f"unknown execution backend {self.backend!r}: valid "
                 f"backends are {', '.join(BACKENDS)}"
             )
-        placed = [
-            name
-            for name, default in _EXECUTION_DEFAULTS.items()
-            if getattr(self, name) != default
-        ]
-        if placed and self.engine != "numpy":
-            raise ValueError(
-                f"execution settings ({', '.join(placed)}) run on the "
-                "sharded driver over the compiled arrays: use "
-                f'engine="numpy", got engine={self.engine!r}'
-            )
         if self.num_shards is not None and self.num_shards < 1:
             raise ValueError("num_shards must be >= 1")
         if self.max_resident_shards is not None:
@@ -388,13 +374,6 @@ class MultiLayerConfig:
                 f"precision must be 'float64' or 'float32', got "
                 f"{self.precision!r}"
             )
-        if self.precision == "float32":
-            if self.engine != "numpy":
-                raise ValueError(
-                    'precision="float32" runs the numpy engine\'s fused '
-                    f'kernels: use engine="numpy", got '
-                    f"engine={self.engine!r}"
-                )
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must be in (0, 1)")
         if not 0.0 < self.alpha < 1.0:
@@ -423,19 +402,14 @@ class MultiLayerConfig:
         return replace(self, **_EXECUTION_DEFAULTS)
 
     def with_execution(
-        self,
-        engine: str | None = None,
-        precision: str | None = None,
-        **execution,
+        self, precision: str | None = None, **execution
     ) -> "MultiLayerConfig":
         """This config with a caller's execution overrides applied.
 
         ``execution`` takes the names in :data:`EXECUTION_FIELDS` (any
         other is a ``TypeError``); ``None`` means "not given". A
         ``remote_endpoint`` without a backend selects
-        ``backend="remote"``. The engine changes only when ``engine`` is
-        given: an execution field or ``precision="float32"`` on a
-        python-engine config is the constructor's validation error.
+        ``backend="remote"``.
         """
         unknown = sorted(set(execution) - set(EXECUTION_FIELDS))
         if unknown:
@@ -452,8 +426,6 @@ class MultiLayerConfig:
             changes["backend"] = "remote"
         if precision is not None:
             changes["precision"] = precision
-        if engine is not None:
-            changes["engine"] = engine
         return replace(self, **changes)
 
 

@@ -1,8 +1,8 @@
-"""Vectorized NumPy backend for Algorithm 1 (``engine="numpy"``).
+"""The array engine of Algorithm 1: what ``MultiLayerModel.fit`` runs.
 
-Implements exactly the estimation steps of the Python engine in
-:mod:`repro.core.multi_layer`, but as segment operations over the arrays
-compiled by :mod:`repro.core.indexing`:
+Implements exactly the estimation steps of the dict-walking oracle in
+``tests/multi_layer_reference.py``, but as segment operations over the
+arrays compiled by :mod:`repro.core.indexing`:
 
 1. **C step** — scatter-add of the confidence-weighted presence/absence vote
    counts VCC' (Eq. 14 / 31) per coordinate, plus the prior log-odds,
@@ -16,12 +16,11 @@ compiled by :mod:`repro.core.indexing`:
    (Eq. 29-33) with Q via Eq. 7, and the same damping/floor rules.
 5. **Prior re-estimation** — Eq. 26 vectorized over all scored coordinates.
 
-The output is bit-compatible with the Python engine up to floating-point
-summation order (parity is asserted to <= 1e-9 by the test suite). The
-returned :class:`~repro.core.results.MultiLayerResult` holds columns,
-and its dict-of-keys views — decoded on first read — are the ones the
-Python engine builds, so downstream consumers cannot tell the engines
-apart.
+The output matches the oracle up to floating-point summation order
+(parity is asserted to <= 1e-9 by the test suite). The returned
+:class:`~repro.core.results.MultiLayerResult` holds columns, and its
+dict-of-keys views — decoded on first read — are the ones the oracle
+builds.
 
 This module holds the driver-side building blocks — :func:`init_params`,
 :func:`iteration_inputs`, :func:`update_parameters` (the reduce),
@@ -41,7 +40,7 @@ import numpy as np
 from repro.core.config import AbsenceScope, MultiLayerConfig
 from repro.core.indexing import CompiledProblem
 from repro.core.observation import ObservationMatrix
-from repro.core.quality import ExtractorQuality
+from repro.core.quality import ExtractorQuality, default_precision
 from repro.core.results import (
     IterationSnapshot,
     MultiLayerResult,
@@ -95,9 +94,9 @@ def _seeded_vcc(
     entry_weights: np.ndarray,
     num_coords: int,
 ) -> np.ndarray:
-    """C-step vote counts accumulated in the reference engine's order.
+    """C-step vote counts accumulated in the oracle's order.
 
-    The scalar engine computes VCC' as ``((absence_total + w_1) + w_2) +
+    The scalar oracle computes VCC' as ``((absence_total + w_1) + w_2) +
     ...`` — the absence total seeds the accumulator before any entry vote
     is added. ``base + np.bincount(...)`` associates the other way round,
     and when the votes cancel to within one ULP of zero the two orders
@@ -111,6 +110,23 @@ def _seeded_vcc(
     vcc = np.array(np.broadcast_to(base, num_coords), dtype=np.float64)
     np.add.at(vcc, entry_coord, entry_weights)
     return vcc
+
+
+def segment_softmax(
+    votes: np.ndarray,
+    starts: np.ndarray,
+    triple_item: np.ndarray,
+    num_unobserved: np.ndarray,
+) -> np.ndarray:
+    """The per-item softmax with floor mass of Eq. 21 / 25 (float64):
+    item ``k`` owns ``votes[starts[k]:starts[k + 1]]`` and adds
+    ``num_unobserved[k]`` terms ``exp(0)`` to its partition function."""
+    if not len(starts):
+        return np.zeros(0)
+    shift = np.maximum(np.maximum.reduceat(votes, starts), 0.0)
+    exp_votes = np.exp(votes - shift[triple_item])
+    z = np.add.reduceat(exp_votes, starts) + num_unobserved * np.exp(-shift)
+    return exp_votes / z[triple_item]
 
 
 def num_unobserved(
@@ -195,7 +211,7 @@ class ParamState:
 
     ``accuracy`` is indexed by source id, the quality vectors by extractor
     column; the masks gate the theta_1 / theta_2 updates exactly like the
-    Python engine's estimable / frozen checks. ``quality_init`` is the
+    oracle's estimable / frozen checks. ``quality_init`` is the
     (P, R, Q) row each extractor starts from, by extractor id: the
     result reports it for extractors without a column.
     """
@@ -219,10 +235,7 @@ def init_params(
     frozen_extractors: set[ExtractorKey] | None = None,
     frozen_sources: set[SourceKey] | None = None,
 ) -> ParamState:
-    """Parameter initialisation (mirrors ``_FitState.init_qualities``)."""
-    # Local import avoids a cycle: multi_layer dispatches to this module.
-    from repro.core.multi_layer import default_precision
-
+    """Parameter initialisation (mirrors the oracle's)."""
     n_sources = len(prob.sources)
     n_cols = prob.num_cols
 

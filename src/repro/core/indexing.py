@@ -1,10 +1,11 @@
 """Compile an :class:`ObservationMatrix` into integer-indexed arrays.
 
-The pure-Python engine walks ``dict[tuple, ...]`` indexes coordinate by
-coordinate; at real corpus sizes that is the bottleneck of Algorithm 1. This
-module performs the one-time translation from hashable keys to dense integer
-ids so the NumPy engine (:mod:`repro.core.engine_numpy`) can express every
-E/M step as segment operations over flat arrays:
+The dict oracle of Algorithm 1 (``tests/multi_layer_reference.py``) walks
+``dict[tuple, ...]`` indexes coordinate by coordinate; at real corpus sizes
+that is the bottleneck. This module performs the one-time translation from
+hashable keys to dense integer ids so the array engine
+(:mod:`repro.core.engine_numpy`) can express every E/M step as segment
+operations over flat arrays:
 
 * **coordinate rows** — one row per scored (source, item, value) cell, with
   its source id and (when covered) the id of its (item, value) triple;
@@ -17,9 +18,9 @@ E/M step as segment operations over flat arrays:
 * **active-extractor pairs** — the (source, extractor) incidence used by the
   ACTIVE absence scope and the extractor recall denominator (Eq. 33).
 
-The compilation applies exactly the same eligibility rules as the Python
-engine's ``_FitState``: support thresholds, confidence thresholding, and
-restriction of V-step claims to estimable sources.
+The compilation applies exactly the same eligibility rules as the oracle:
+support thresholds, confidence thresholding, and restriction of V-step
+claims to estimable sources.
 
 The matrix holds exactly what this module reads — its cells as key
 tables plus integer columns, in first-seen key order
@@ -146,7 +147,7 @@ def compile_problem(
 ) -> CompiledProblem:
     """Translate the sparse observation matrix into dense integer arrays.
 
-    Applies the same filtering as the Python engine: support thresholds
+    Applies the same filtering as the dict oracle: support thresholds
     select the estimable sources/extractors, confidences are restricted to
     estimable extractors and optionally binarised at the configured
     threshold, and V-step claims keep only estimable-source coordinates.

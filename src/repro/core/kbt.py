@@ -439,17 +439,12 @@ class KBTEstimator:
         min_triples: reporting threshold — the paper publishes KBT only for
             sources with at least 5 correctly-extracted triples.
         seed: seed for the (random) uniform splitting of oversized keys.
-        engine: when given, overrides ``config.engine`` (a name from
-            :data:`repro.core.config.ENGINES`) without the caller
-            having to rebuild the config.
         precision: when given, overrides ``config.precision``.
         **execution: where and how the fit runs — the names in
             :data:`~repro.core.config.EXECUTION_FIELDS`, each overriding
             the config field of the same name (described once, in
-            :class:`~repro.core.config.MultiLayerConfig`). They run on
-            the numpy engine (the default), as does
-            ``precision="float32"``; results are bit-identical across
-            all of them.
+            :class:`~repro.core.config.MultiLayerConfig`); results are
+            bit-identical across all of them.
     """
 
     def __init__(
@@ -458,12 +453,11 @@ class KBTEstimator:
         granularity: GranularityConfig | None = None,
         min_triples: float = 5.0,
         seed: int = 0,
-        engine: str | None = None,
         precision: str | None = None,
         **execution,
     ) -> None:
         self._config = (config or MultiLayerConfig()).with_execution(
-            engine=engine, precision=precision, **execution
+            precision=precision, **execution
         )
         self._granularity = granularity
         self._min_triples = check_min_triples(min_triples)

@@ -14,9 +14,9 @@ column order) with their support sizes. A restriction also keeps its
 sources' corpus-level active pairs (the ACTIVE absence scope).
 
 Derived from the columns on first read, then kept: the cells as dicts,
-the views by data item, by source and by extractor (the Python engine,
-granularity planning, gold labels, the Gibbs sampler, figures), and the
-active-extractor sets.
+the views by data item, by source and by extractor (granularity
+planning, gold labels, the Gibbs sampler, figures, and the dict oracle
+of ``tests/multi_layer_reference.py``), and the active-extractor sets.
 """
 
 from __future__ import annotations

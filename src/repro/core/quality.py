@@ -37,6 +37,14 @@ def derive_q(
     return clamp(q, floor, ceiling)
 
 
+def default_precision(recall: float, q: float, gamma: float) -> float:
+    """Invert Eq. 7: the precision implied by default (R_e, Q_e, gamma)."""
+    if not 0.0 < gamma < 1.0:
+        raise ValueError("gamma must be in (0, 1)")
+    ratio = q * (1.0 - gamma) / (gamma * recall)
+    return 1.0 / (1.0 + ratio)
+
+
 @dataclass(frozen=True, slots=True)
 class ExtractorQuality:
     """Precision / recall / Q of one extractor, with its vote weights.

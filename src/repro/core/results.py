@@ -311,6 +311,19 @@ def merge_columns(old: ResultColumns, delta: ResultColumns) -> ResultColumns:
     tables = {name: list(getattr(old, name)) for name in _NAMED}
     to = {name: join_keys(tables[name], getattr(delta, name))
           for name in _NAMED}
+    # A loaded artifact's tables go on with keys only its matrix names.
+    # Such a key the delta names is the delta's object (``True`` where
+    # old's table has ``1``), as in a merge of the two results' views.
+    for name, columns in _NAMED.items():
+        named = [np.asarray(getattr(old, column)) for column in columns]
+        unnamed = ~id_mask(
+            len(getattr(old, name)),
+            *(np.flatnonzero(ids) if ids.dtype == bool else ids
+              for ids in named),
+        )
+        for key, k in zip(getattr(delta, name), to[name].tolist()):
+            if k < len(unnamed) and unnamed[k]:
+                tables[name][k], unnamed[k] = key, False
     sizes = {name: len(keys) for name, keys in tables.items()}
 
     def stack(name: str, mine=slice(None), theirs=slice(None)):
@@ -404,7 +417,8 @@ class MultiLayerResult(_TripleView):
     Its one state is its :class:`ResultColumns` (:meth:`columns`, what
     the artifact writer reads), built by :meth:`from_columns` (a numpy
     fit, a loaded artifact, a merged update) or interned once from the
-    views passed in (the Python engine, Gibbs), whose dicts then only
+    views passed in (Gibbs, or the oracle of
+    ``tests/multi_layer_reference.py``), whose dicts then only
     pre-fill the views decoded from the columns on first read.
 
     The views are read-only: assigning one raises ``AttributeError``,

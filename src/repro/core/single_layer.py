@@ -9,22 +9,33 @@ provenance with an EM-like loop (Eqs. 1-4).
 The model cannot tell extraction noise from source noise — that limitation
 (Section 2.3) is exactly what the multi-layer model fixes, and what the
 Figure 3 / Table 5 experiments quantify.
+
+The fit is array work over the matrix columns, summed in claim order
+(first seen, in cell order), so it does not depend on the hash seed;
+``tests/single_layer_reference.py`` keeps the dict version it is tested
+against.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
+from itertools import compress
+
+import numpy as np
 
 from repro.core.config import FalseValueModel, SingleLayerConfig
-from repro.core.observation import ObservationMatrix
+from repro.core.engine_numpy import _log_odds, _safe_log, segment_softmax
+from repro.core.observation import CellColumns, ObservationMatrix
 from repro.core.results import IterationSnapshot, ProvenanceKey, SingleLayerResult
-from repro.core.types import DataItem, ExtractorKey, SourceKey, Value
-from repro.core.votes import value_posteriors
-from repro.util.logmath import clamp, log_odds, safe_log
+from repro.core.types import ExtractorKey, SourceKey
+from repro.util.logmath import clamp, safe_log
 
 #: Maps (extractor, source) to a provenance identity. The default keeps the
 #: pair; Section 5.1.2 uses (extractor, website, predicate, pattern).
 ProvenanceFn = Callable[[ExtractorKey, SourceKey], ProvenanceKey]
+
+#: Clamp of an estimated (or initial) provenance accuracy.
+_FLOOR, _CEILING = 1e-4, 1.0 - 1e-4
 
 
 def default_provenance(
@@ -63,137 +74,154 @@ class SingleLayerModel:
                 variants) mapping provenance -> initial accuracy.
         """
         cfg = self._config
-        claims, claimants = self._build_provenance_view(observations)
-        participating = {
-            prov
-            for prov, triples in claims.items()
-            if len(triples) >= cfg.min_source_support
-        }
-        accuracy: dict[ProvenanceKey, float] = {
-            prov: cfg.default_accuracy for prov in claims
-        }
-        if initial_accuracy:
-            for prov, value in initial_accuracy.items():
-                if prov in accuracy:
-                    accuracy[prov] = clamp(value, 1e-4, 1.0 - 1e-4)
-
-        popularity = (
-            self._value_popularity(claimants)
-            if cfg.false_value_model is FalseValueModel.POPACCU
-            else None
+        columns = observations.columns()
+        provs, entry_prov = self._provenances(observations)
+        triple_cell, item_cell, triple_item, entry_triple = _triples(columns)
+        num_provs, num_triples = len(provs), len(triple_cell)
+        # Figure 1(a): each (provenance, triple) claim once, in the order
+        # the entries first name it.
+        _keys, first = np.unique(
+            entry_prov * num_triples + entry_triple, return_index=True
         )
+        first.sort()
+        claim_prov, claim_triple = entry_prov[first], entry_triple[first]
+        participating = (
+            np.bincount(claim_prov, minlength=num_provs)
+            >= cfg.min_source_support
+        )
+        accuracy = np.full(num_provs, cfg.default_accuracy)
+        for prov, value in (initial_accuracy or {}).items():
+            if prov in provs:
+                accuracy[provs[prov]] = clamp(value, _FLOOR, _CEILING)
+
+        # E step over the participating claims. A triple none of them
+        # claims gets no posterior: a vote of -inf adds exactly 0 to its
+        # item's partition function, and each item's other values add
+        # floor mass.
+        vote_prov = claim_prov[participating[claim_prov]]
+        vote_triple = claim_triple[participating[claim_prov]]
+        supported = np.bincount(vote_triple, minlength=num_triples) > 0
+        starts = np.flatnonzero(np.diff(triple_item, prepend=-1))
+        num_unobserved = np.maximum(
+            cfg.n + 1 - np.bincount(triple_item, weights=supported), 0.0
+        )
+        if cfg.false_value_model is FalseValueModel.POPACCU:
+            log_pop = _log_popularity(claim_triple, triple_item)[vote_triple]
+        # M step over the claims whose triple has a posterior.
+        scored = supported[claim_triple]
+        scored_prov, scored_triple = claim_prov[scored], claim_triple[scored]
+        count = np.bincount(scored_prov, minlength=num_provs)
+        updated = participating & (count > 0)
+        count = count[updated]
 
         history: list[IterationSnapshot] = []
-        posteriors: dict[DataItem, dict[Value, float]] = {}
+        posterior = np.zeros(num_triples)
         for iteration in range(1, cfg.convergence.max_iterations + 1):
-            posteriors = self._estimate_values(
-                claimants, accuracy, participating, popularity
+            # E step: p(V_d | X, A) via vote counting (Eq. 2 / Eq. 21).
+            if cfg.false_value_model is FalseValueModel.POPACCU:
+                weight = _log_odds(accuracy)[vote_prov] - log_pop
+            else:
+                weight = (safe_log(cfg.n) + _log_odds(accuracy))[vote_prov]
+            votes = np.where(
+                supported,
+                np.bincount(vote_triple, weights=weight, minlength=num_triples),
+                -np.inf,
             )
-            max_delta = self._update_accuracy(
-                claims, accuracy, participating, posteriors
+            posterior = segment_softmax(
+                votes, starts, triple_item, num_unobserved
             )
+            # M step: A_s = average posterior of claimed triples (Eq. 4).
+            total = np.bincount(
+                scored_prov,
+                weights=posterior[scored_triple],
+                minlength=num_provs,
+            )
+            new = np.clip(total[updated] / count, _FLOOR, _CEILING)
+            max_delta = float(np.abs(new - accuracy[updated]).max(initial=0))
+            accuracy[updated] = new
             history.append(IterationSnapshot(iteration, max_delta))
             if max_delta < cfg.convergence.tolerance:
                 break
 
+        coords, kept = columns.coords, np.flatnonzero(supported)
+        value_posteriors: dict = {}
+        for item_at, value_at, p in zip(
+            item_cell[kept].tolist(),
+            triple_cell[kept].tolist(),
+            posterior[kept].tolist(),
+        ):
+            value_posteriors.setdefault(coords[item_at][1], {})[
+                coords[value_at][2]
+            ] = p
         return SingleLayerResult(
-            value_posteriors=posteriors,
-            provenance_accuracy=accuracy,
-            participating=participating,
+            value_posteriors=value_posteriors,
+            provenance_accuracy=dict(zip(provs, accuracy.tolist())),
+            participating=set(compress(provs, participating.tolist())),
             num_triples_total=observations.num_triples,
             history=history,
         )
 
-    # ------------------------------------------------------------------
-    # Internal steps
-    # ------------------------------------------------------------------
-    def _build_provenance_view(
+    def _provenances(
         self, observations: ObservationMatrix
-    ) -> tuple[
-        dict[ProvenanceKey, list[tuple[DataItem, Value]]],
-        dict[DataItem, dict[Value, set[ProvenanceKey]]],
-    ]:
-        """Flatten the cube into provenance claims (Figure 1(a))."""
-        claims: dict[ProvenanceKey, list[tuple[DataItem, Value]]] = {}
-        claimants: dict[DataItem, dict[Value, set[ProvenanceKey]]] = {}
-        for (source, item, value), cell in observations.cells():
-            for extractor in cell:
-                prov = self._provenance_fn(extractor, source)
-                provs = claimants.setdefault(item, {}).setdefault(value, set())
-                if prov not in provs:
-                    provs.add(prov)
-                    claims.setdefault(prov, []).append((item, value))
-        return claims, claimants
+    ) -> tuple[dict[ProvenanceKey, int], np.ndarray]:
+        """The provenance ids by key, in the order the entries first name
+        them, and each entry's id: ``provenance_fn`` runs once per
+        distinct (source, extractor) pair."""
+        columns = observations.columns()
+        sources, extractors = list(observations.sources()), list(
+            observations.extractors()
+        )
+        width = max(len(extractors), 1)
+        pairs, first, entry_pair = np.unique(
+            columns.cell_source[columns.entry_cell] * width
+            + columns.entry_extractor,
+            return_index=True,
+            return_inverse=True,
+        )
+        provs: dict[ProvenanceKey, int] = {}
+        pair_prov = np.empty(len(pairs), dtype=np.int64)
+        for k in np.argsort(first).tolist():
+            source, extractor = divmod(int(pairs[k]), width)
+            prov = self._provenance_fn(extractors[extractor], sources[source])
+            pair_prov[k] = provs.setdefault(prov, len(provs))
+        return provs, pair_prov[entry_pair.reshape(-1)]
 
-    @staticmethod
-    def _value_popularity(
-        claimants: dict[DataItem, dict[Value, set[ProvenanceKey]]],
-    ) -> dict[DataItem, dict[Value, float]]:
-        """Empirical value distribution per item (POPACCU), Laplace-smoothed."""
-        popularity: dict[DataItem, dict[Value, float]] = {}
-        for item, values in claimants.items():
-            total = sum(len(provs) for provs in values.values())
-            denom = total + len(values)
-            popularity[item] = {
-                value: (len(provs) + 1.0) / denom
-                for value, provs in values.items()
-            }
-        return popularity
 
-    def _estimate_values(
-        self,
-        claimants: dict[DataItem, dict[Value, set[ProvenanceKey]]],
-        accuracy: dict[ProvenanceKey, float],
-        participating: set[ProvenanceKey],
-        popularity: dict[DataItem, dict[Value, float]] | None,
-    ) -> dict[DataItem, dict[Value, float]]:
-        """E step: p(V_d | X, A) via vote counting (Eq. 2 / Eq. 21)."""
-        cfg = self._config
-        log_n = safe_log(float(cfg.n))
-        posteriors: dict[DataItem, dict[Value, float]] = {}
-        for item, values in claimants.items():
-            votes: dict[Value, float] = {}
-            for value, provs in values.items():
-                vote = 0.0
-                supported = False
-                for prov in provs:
-                    if prov not in participating:
-                        continue
-                    supported = True
-                    if popularity is None:
-                        vote += log_n + log_odds(accuracy[prov])
-                    else:
-                        vote += log_odds(accuracy[prov]) - safe_log(
-                            popularity[item][value]
-                        )
-                if supported:
-                    votes[value] = vote
-            if votes:
-                posteriors[item] = value_posteriors(votes, cfg.n + 1)
-        return posteriors
+def _triples(columns: CellColumns) -> tuple[np.ndarray, ...]:
+    """The distinct (item, value) triples, an item's together: items in
+    first-seen order, then values in first-seen order. Returns each
+    triple's first cell, its item's first cell and its item number
+    (nondecreasing), and each entry's triple."""
+    cell_item, cell_value = columns.cell_item, columns.cell_value
+    num_cells = max(len(cell_item), 1)
+    width = int(cell_value.max(initial=0)) + 1
+    _items, item_first, item_of = np.unique(
+        cell_item, return_index=True, return_inverse=True
+    )
+    _pairs, pair_first, pair_of = np.unique(
+        cell_item * width + cell_value, return_index=True, return_inverse=True
+    )
+    ranks, _first, cell_triple = np.unique(
+        item_first[item_of.reshape(-1)] * num_cells
+        + pair_first[pair_of.reshape(-1)],
+        return_index=True,
+        return_inverse=True,
+    )
+    item_cell, triple_cell = np.divmod(ranks, num_cells)
+    triple_item = np.cumsum(np.diff(item_cell, prepend=-1) > 0) - 1
+    return (
+        triple_cell,
+        item_cell,
+        triple_item,
+        cell_triple.reshape(-1)[columns.entry_cell],
+    )
 
-    def _update_accuracy(
-        self,
-        claims: dict[ProvenanceKey, list[tuple[DataItem, Value]]],
-        accuracy: dict[ProvenanceKey, float],
-        participating: set[ProvenanceKey],
-        posteriors: dict[DataItem, dict[Value, float]],
-    ) -> float:
-        """M step: A_s = average posterior of claimed triples (Eq. 4)."""
-        max_delta = 0.0
-        for prov in participating:
-            triples = claims[prov]
-            total = 0.0
-            count = 0
-            for item, value in triples:
-                values = posteriors.get(item)
-                if values is None or value not in values:
-                    continue
-                total += values[value]
-                count += 1
-            if count == 0:
-                continue
-            new_accuracy = clamp(total / count, 1e-4, 1.0 - 1e-4)
-            max_delta = max(max_delta, abs(new_accuracy - accuracy[prov]))
-            accuracy[prov] = new_accuracy
-        return max_delta
+
+def _log_popularity(
+    claim_triple: np.ndarray, triple_item: np.ndarray
+) -> np.ndarray:
+    """log of each triple's Laplace-smoothed share of its item's claims
+    (POPACCU), over every provenance's claims."""
+    claims = np.bincount(claim_triple, minlength=len(triple_item))
+    denom = np.bincount(triple_item, weights=claims) + np.bincount(triple_item)
+    return _safe_log((claims + 1.0) / denom[triple_item])

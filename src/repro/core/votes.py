@@ -1,94 +1,20 @@
-"""Vote-count algebra: extraction-correctness and value vote counts.
+"""Value-vote algebra: the V layer's vote counts and their normalisation.
 
-Two families of votes drive inference:
-
-* **Extraction correctness** (the C layer, Section 3.3.1): each extractor
-  casts a presence vote for triples it extracts and an absence vote for
-  triples it does not. The vote count ``VCC`` (Eq. 14) — or its
-  confidence-weighted form ``VCC'`` (Eq. 31) — plus the prior log-odds feeds
-  a sigmoid to give ``p(C_wdv = 1 | X)`` (Eq. 15).
-
-* **Value votes** (the V layer, Section 3.3.2): each source claiming a value
-  contributes ``log(n A_w / (1 - A_w))`` (Eq. 19), optionally weighted by
-  its extraction-correctness posterior (Eq. 23, Section 3.3.3); a softmax
-  over the item's domain — including the unobserved values at ``exp(0)``
-  each — gives ``p(V_d = v)`` (Eq. 21 / 25).
-
-For efficiency, absence votes are never enumerated per extractor: with
-``total_absence`` precomputed over the relevant extractor universe,
-
-    VCC'(w, d, v) = sum_{e extracted} conf_e * (Pre_e - Abs_e) + total_absence
-
-which is exact and O(#extracting extractors) per coordinate.
+Each source claiming a value contributes ``log(n A_w / (1 - A_w))``
+(Eq. 19), optionally weighted by its extraction-correctness posterior
+(Eq. 23, Section 3.3.3); a softmax over the item's domain — including
+the unobserved values at ``exp(0)`` each — gives ``p(V_d = v)``
+(Eq. 21 / 25). The scalar forms live here for the worked examples and
+the Gibbs sampler; the fits run them as array passes
+(:func:`repro.core.engine_numpy.segment_softmax`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 
-from repro.core.quality import ExtractorQuality
-from repro.core.types import ExtractorKey, Value
-from repro.util.logmath import log_odds, safe_log, sigmoid, softmax_with_floor_mass
-
-
-class VoteTable:
-    """Per-extractor presence/absence votes with cached absence totals."""
-
-    def __init__(self, qualities: Mapping[ExtractorKey, ExtractorQuality]) -> None:
-        self._presence: dict[ExtractorKey, float] = {}
-        self._absence: dict[ExtractorKey, float] = {}
-        for extractor, quality in qualities.items():
-            self._presence[extractor] = quality.presence_vote
-            self._absence[extractor] = quality.absence_vote
-        self._total_absence = sum(self._absence.values())
-
-    def presence(self, extractor: ExtractorKey) -> float:
-        """Pre_e, the vote cast by an observed extraction (Eq. 12)."""
-        return self._presence[extractor]
-
-    def absence(self, extractor: ExtractorKey) -> float:
-        """Abs_e, the vote cast by a missing extraction (Eq. 13)."""
-        return self._absence[extractor]
-
-    @property
-    def total_absence(self) -> float:
-        """Sum of absence votes over every extractor in the table."""
-        return self._total_absence
-
-    def absence_total_for(self, extractors: set[ExtractorKey]) -> float:
-        """Sum of absence votes over a subset (the ACTIVE scope universe)."""
-        return sum(self._absence[e] for e in extractors if e in self._absence)
-
-    def vote_count(
-        self,
-        extractions: Mapping[ExtractorKey, float],
-        absence_total: float | None = None,
-    ) -> float:
-        """Confidence-weighted vote count VCC' (Eq. 31; Eq. 14 when binary).
-
-        Args:
-            extractions: {extractor: confidence in (0, 1]} for one (w, d, v).
-            absence_total: the absence-vote sum over the extractor universe
-                in scope; defaults to the full table's total.
-
-        Extractors appearing in ``extractions`` have their absence vote
-        swapped for ``conf * Pre + (1 - conf) * Abs``.
-        """
-        if absence_total is None:
-            absence_total = self._total_absence
-        vcc = absence_total
-        for extractor, confidence in extractions.items():
-            presence = self._presence.get(extractor)
-            if presence is None:
-                continue
-            absence = self._absence[extractor]
-            vcc += confidence * (presence - absence)
-        return vcc
-
-
-def extraction_posterior(vote_count: float, prior: float) -> float:
-    """p(C_wdv = 1 | X_wdv) = sigma(VCC + log(alpha / (1 - alpha))) (Eq. 15)."""
-    return sigmoid(vote_count + log_odds(prior))
+from repro.core.types import Value
+from repro.util.logmath import log_odds, safe_log, softmax_with_floor_mass
 
 
 def accuracy_vote(accuracy: float, n: int) -> float:

@@ -81,7 +81,7 @@ def fit_sharded(
     """Run Algorithm 1 over a shard plan; same contract as ``fit``.
 
     ``cfg.backend`` selects where the map rounds run; unset, the fit is
-    one ``serial`` shard (the ``engine="numpy"`` default).
+    one ``serial`` shard (the default).
 
     ``problem`` / ``plan`` let callers that already compiled the problem
     (e.g. the MapReduce cost-model runner) reuse their arrays instead of

@@ -40,7 +40,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.config import AbsenceScope, MultiLayerConfig
-from repro.core.engine_numpy import _log_odds, _seeded_vcc, _sigmoid
+from repro.core.engine_numpy import (
+    _log_odds,
+    _seeded_vcc,
+    _sigmoid,
+    segment_softmax,
+)
 from repro.exec.faults import FaultPlan
 from repro.exec.plan import Shard
 from repro.exec.spill import SpillError
@@ -140,16 +145,9 @@ def run_shard_iteration(
     votes = np.bincount(
         shard.claim_triple, weights=contrib, minlength=shard.num_triples
     )
-    if shard.num_items:
-        starts = shard.item_ptr[:-1]
-        shift = np.maximum(np.maximum.reduceat(votes, starts), 0.0)
-        exp_votes = np.exp(votes - shift[shard.triple_item])
-        z = np.add.reduceat(exp_votes, starts) + shard.num_unobserved * np.exp(
-            -shift
-        )
-        posterior = exp_votes / z[shard.triple_item]
-    else:
-        posterior = np.zeros(0)
+    posterior = segment_softmax(
+        votes, shard.item_ptr[:-1], shard.triple_item, shard.num_unobserved
+    )
     return p_correct, posterior
 
 

@@ -150,6 +150,10 @@ def config_from_dict(data: dict) -> MultiLayerConfig:
             f"unknown MultiLayerConfig fields in artifact: {sorted(unknown)}"
         )
     kwargs = dict(data)
+    if kwargs.get("engine") == "python":
+        # The dict oracle's artifacts: the engine is fit-time only, and
+        # the array engine matches the oracle to <= 1e-9.
+        kwargs["engine"] = "numpy"
     if "absence_scope" in kwargs:
         kwargs["absence_scope"] = AbsenceScope(kwargs["absence_scope"])
     if "false_value_model" in kwargs:

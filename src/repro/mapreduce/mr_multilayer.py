@@ -104,7 +104,7 @@ class MRMultiLayerRunner:
         if cfg.backend is None:
             # Sharded execution *is* the MR decomposition; default to the
             # in-process serial backend when the caller did not pick one.
-            cfg = replace(cfg, engine="numpy", backend="serial")
+            cfg = replace(cfg, backend="serial")
         prob = compile_problem(observations, cfg)
         plan = ShardPlan.from_problem(
             prob, cfg, resolve_num_shards(cfg, prob)

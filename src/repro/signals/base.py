@@ -101,7 +101,7 @@ class CorpusContext:
             co-claim proxy graph from the observations.
         gold_labels: website -> "is this site accurate" gold labels (for
             calibrated fusion weights; see :mod:`repro.signals.fusion`).
-        config / granularity / min_triples / seed / engine / backend /
+        config / granularity / min_triples / seed / backend /
             num_shards: the KBT pipeline knobs used by
             :meth:`fitted_kbt` — ``backend``/``num_shards`` select
             sharded execution for the shared fit (results are
@@ -119,7 +119,6 @@ class CorpusContext:
     granularity: GranularityConfig | None = None
     min_triples: float = 5.0
     seed: int = 0
-    engine: str | None = None
     backend: str | None = None
     num_shards: int | None = None
     fitted: "FittedKBT | None" = None
@@ -147,7 +146,6 @@ class CorpusContext:
                     granularity=self.granularity,
                     min_triples=self.min_triples,
                     seed=self.seed,
-                    engine=self.engine,
                     backend=self.backend,
                     num_shards=self.num_shards,
                 ).fit(self.observations)

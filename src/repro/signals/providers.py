@@ -80,8 +80,11 @@ class SingleLayerSignal:
         numer: dict[str, float] = {}
         denom: dict[str, float] = {}
         claim_sizes = context.observations.source_sizes()
-        for prov in result.participating:
-            accuracy = result.provenance_accuracy[prov]
+        # In provenance order, not set order: the sums and the order of
+        # ``scores`` must not depend on the hash seed.
+        for prov, accuracy in result.provenance_accuracy.items():
+            if prov not in result.participating:
+                continue
             _extractor, source = prov
             weight = float(claim_sizes.get(source, 1))
             site = source.website

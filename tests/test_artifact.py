@@ -340,6 +340,24 @@ class TestConfigSerde:
         )
         assert config_from_dict(config_to_dict(config)) == config
 
+    def test_python_engine_artifact_loads(self, fitted, tmp_path):
+        """An artifact whose header names the removed dict engine loads,
+        as the array engine: the engine is fit-time only."""
+        path = fitted.save(tmp_path / "model.kbt")
+        with zipfile.ZipFile(path) as archive:
+            config = json.loads(archive.read("header.json"))["config"]
+        assert config["engine"] == "numpy"
+        old = rewrite_header(
+            path, tmp_path / "python.kbt", config={**config, "engine": "python"}
+        )
+        loaded = FittedKBT.load(old)
+        assert loaded.config == fitted.config
+        assert loaded.website_scores() == fitted.website_scores()
+        assert (
+            loaded.save(tmp_path / "resaved.kbt").read_bytes()
+            == path.read_bytes()
+        )
+
     def test_unknown_field_rejected(self):
         data = config_to_dict(MultiLayerConfig())
         data["mystery_knob"] = 1

@@ -3,8 +3,9 @@
 The repo's execution subsystem makes seven bit-identity promises (the
 "determinism ladder" of ``docs/architecture.md``):
 
-1. **Engine parity** — numpy engine within 1e-9 of the reference python
-   engine on every config axis (and the numpy result itself is pinned).
+1. **Engine parity** — the array engine within 1e-9 of the dict oracle
+   (``tests/multi_layer_reference.py``) on every config axis (and the
+   array result itself is pinned).
 2. **Backend/shard invariance** — serial / threads / processes at any
    shard count produce the unsharded numpy engine's exact bytes.
 3. **Out-of-core identity** — spilled, memory-mapped, LRU-capped fits
@@ -50,6 +51,7 @@ from repro.core.observation import ObservationMatrix
 from repro.exec.faults import FaultPlan
 from repro.io.jsonl import read_records
 
+from multi_layer_reference import fit_python
 from test_exec_backends import CONFIG_AXES
 from test_fault_tolerance import FAST_SUPERVISION, set_faults
 from test_remote import free_endpoint, worker_fleet
@@ -59,8 +61,8 @@ CORPUS = GOLDENS_DIR / "corpus.jsonl"
 UPDATES = GOLDENS_DIR / "updates.jsonl"
 DIGESTS_PATH = GOLDENS_DIR / "ladder_digests.json"
 
-#: Engine-parity budget (ladder entry 1): the python and numpy engines
-#: may differ by floating-point summation order, nothing more.
+#: Engine-parity budget (ladder entry 1): the array engine and the dict
+#: oracle may differ by floating-point summation order, nothing more.
 PARITY_TOLERANCE = 1e-9
 
 
@@ -173,9 +175,7 @@ def test_entry1_engine_parity(corpus, goldens):
     assert result_digest(numpy_result) == goldens["fit_float64"], (
         _regen_hint(1, "engine parity: numpy fit vs pinned digest")
     )
-    python_result = MultiLayerModel(
-        dataclasses.replace(ladder_config(), engine="python")
-    ).fit(corpus)
+    python_result = fit_python(ladder_config(), corpus, None, None, None, None)
     for source, accuracy in numpy_result.source_accuracy.items():
         assert (
             abs(accuracy - python_result.source_accuracy[source])

@@ -1,7 +1,9 @@
-"""Parity between the python and numpy multi-layer engines.
+"""Parity between the library's multi-layer fit and its dict oracle.
 
-The numpy engine (``MultiLayerConfig(engine="numpy")``) must reproduce the
-reference implementation's output to floating-point summation order: value
+``MultiLayerModel.fit`` (the array engine) must reproduce the oracle's
+output (``tests/multi_layer_reference.fit_python``, called with the
+arguments ``MultiLayerModel.fit`` passes) to floating-point summation
+order: value
 posteriors, extraction posteriors, source accuracies A_w, extractor
 (P, R, Q), priors, estimable sets, coverage and iteration counts. The suite
 drives both engines over randomized corpora (hypothesis) and every
@@ -36,6 +38,8 @@ from repro.core.types import (
     SourceKey,
 )
 
+from multi_layer_reference import fit_python
+
 TOLERANCE = 1e-9
 
 SOURCES = [SourceKey((f"w{i}",)) for i in range(5)]
@@ -60,12 +64,8 @@ def records_strategy(max_records: int = 60):
 
 def fit_both(config: MultiLayerConfig, records, init_acc=None, init_q=None):
     observations = ObservationMatrix.from_records(records)
-    py = MultiLayerModel(
-        dataclasses.replace(config, engine="python")
-    ).fit(observations, init_acc, init_q)
-    np_ = MultiLayerModel(
-        dataclasses.replace(config, engine="numpy")
-    ).fit(observations, init_acc, init_q)
+    py = fit_python(config, observations, init_acc, init_q, None, None)
+    np_ = MultiLayerModel(config).fit(observations, init_acc, init_q)
     return py, np_
 
 
@@ -243,10 +243,8 @@ def test_parity_on_kv_corpus():
         min_source_support=2,
         convergence=ConvergenceConfig(max_iterations=5, tolerance=0.0),
     )
-    py = MultiLayerModel(config).fit(observations)
-    np_ = MultiLayerModel(
-        dataclasses.replace(config, engine="numpy")
-    ).fit(observations)
+    py = fit_python(config, observations, None, None, None, None)
+    np_ = MultiLayerModel(config).fit(observations)
     assert_parity(py, np_)
 
 
@@ -271,17 +269,21 @@ def test_parity_in_saturated_absence_regime():
 
 
 def test_engine_flag_validation():
-    with pytest.raises(ValueError, match="engine"):
-        MultiLayerConfig(engine="fortran")
+    """One engine: the dict oracle's old name is unknown too."""
+    for name in ("fortran", "python"):
+        with pytest.raises(ValueError, match="unknown engine"):
+            MultiLayerConfig(engine=name)
 
 
 def test_kbt_estimator_engine_override():
+    """There is no engine override: the estimator runs the config's
+    one engine, and ``engine=`` is not an estimator keyword."""
     from repro.core.kbt import KBTEstimator
 
-    estimator = KBTEstimator(engine="numpy")
-    assert estimator._config.engine == "numpy"
     estimator = KBTEstimator(config=MultiLayerConfig(engine="numpy"))
     assert estimator._config.engine == "numpy"
+    with pytest.raises(TypeError, match="engine"):
+        KBTEstimator(engine="numpy")
 
 
 # ----------------------------------------------------------------------
@@ -364,11 +366,8 @@ def test_streamed_reduce_statistics_property(records):
 def test_reduce_chunk_validation():
     with pytest.raises(ValueError, match="reduce_chunk"):
         MultiLayerConfig(reduce_chunk=0, backend="serial", engine="numpy")
-    # Valid without a backend; needs the numpy engine like every
-    # execution field.
-    assert MultiLayerConfig(reduce_chunk=64, engine="numpy").backend is None
-    with pytest.raises(ValueError, match='reduce_chunk.*engine="numpy"'):
-        MultiLayerConfig(reduce_chunk=64, engine="python")
+    # Valid without a backend.
+    assert MultiLayerConfig(reduce_chunk=64).backend is None
 
 
 # ----------------------------------------------------------------------
@@ -528,8 +527,6 @@ def test_float32_off_by_default():
 def test_float32_validation():
     with pytest.raises(ValueError, match="precision"):
         MultiLayerConfig(precision="float16")
-    with pytest.raises(ValueError, match="float32"):
-        MultiLayerConfig(precision="float32", engine="python")
     # Every backend hosts the float32 kernel (it is selected per shard).
     for backend in ("serial", "threads", "processes"):
         config = MultiLayerConfig(
@@ -559,8 +556,8 @@ def test_float32_checkpoint_rejects_cross_precision_resume(
 
 
 def test_kbt_estimator_precision_override():
-    """precision="float32" runs on the default (numpy) engine, which
-    hosts the fused kernels."""
+    """precision="float32" runs on the one engine, which hosts the
+    fused kernels."""
     from repro.core.kbt import KBTEstimator
 
     estimator = KBTEstimator(precision="float32")
@@ -570,6 +567,3 @@ def test_kbt_estimator_precision_override():
     assert estimator._config.backend is None
     assert estimator._config.engine == "numpy"
     assert estimator._config.reduce_chunk == 4096
-    # The engine is never moved: python + float32 fails validation.
-    with pytest.raises(ValueError, match='engine="numpy"'):
-        KBTEstimator(engine="python", precision="float32")

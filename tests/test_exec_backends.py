@@ -288,7 +288,7 @@ def test_fitted_update_under_parallel_backend(backend, kv_small):
     new = [r for r in records if r.source.website == held_site]
     assert new, "need a held-out website"
 
-    fitted = KBTEstimator(engine="numpy", min_triples=0.0).fit(base)
+    fitted = KBTEstimator(min_triples=0.0).fit(base)
     plain = fitted.update(new, sweeps=2)
     sharded = fitted.update(new, sweeps=2, backend=backend, num_shards=4)
 
@@ -311,15 +311,7 @@ def test_estimator_backend_propagates_to_config():
     estimator = KBTEstimator(backend="threads", num_shards=3)
     assert estimator._config.backend == "threads"
     assert estimator._config.num_shards == 3
-    # Sharded execution runs on the numpy engine, which is the default.
     assert estimator._config.engine == "numpy"
-
-
-def test_estimator_explicit_python_engine_with_backend_rejected():
-    from repro.core.kbt import KBTEstimator
-
-    with pytest.raises(ValueError, match="numpy"):
-        KBTEstimator(engine="python", backend="threads")
 
 
 def test_corpus_context_backend_reaches_shared_fit(kv_small, monkeypatch):
@@ -530,24 +522,27 @@ def test_map_task_is_pure(precision, records, num_shards, data):
 class TestRegistry:
     def test_builtin_names(self):
         """The names the config validates are the names dispatch knows."""
-        from repro.core import config, multi_layer
+        from repro.core import config
         from repro.exec import driver
 
-        assert config.ENGINES == ("python", "numpy")
+        assert config.ENGINES == ("numpy",)
         assert config.BACKENDS == (
             "serial",
             "threads",
             "processes",
             "remote",
         )
-        assert tuple(multi_layer.ENGINE_FITS) == config.ENGINES
         assert tuple(driver.BACKENDS) == config.BACKENDS
 
     def test_unknown_engine_message_lists_choices(self):
-        with pytest.raises(
-            ValueError, match=r"valid engines are python, numpy"
-        ):
-            MultiLayerConfig(engine="fortran")
+        """The dict oracle's old name is an unknown engine like any
+        other: ``tests/multi_layer_reference.py`` is not selectable."""
+        for name in ("fortran", "python"):
+            with pytest.raises(
+                ValueError,
+                match=rf"unknown engine '{name}': valid engines are numpy$",
+            ):
+                MultiLayerConfig(engine=name)
 
     def test_unknown_backend_message_lists_choices(self):
         with pytest.raises(
@@ -555,10 +550,6 @@ class TestRegistry:
             match=r"valid backends are serial, threads, processes, remote",
         ):
             MultiLayerConfig(engine="numpy", backend="gpu")
-
-    def test_python_engine_with_backend_rejected(self):
-        with pytest.raises(ValueError, match='engine="numpy"'):
-            MultiLayerConfig(engine="python", backend="serial")
 
     def test_num_shards_requires_backend(self, synthetic_matrix):
         """It no longer does: the driver runs ``backend=None`` as
@@ -572,8 +563,6 @@ class TestRegistry:
             ).fit(synthetic_matrix),
             exact=True,
         )
-        with pytest.raises(ValueError, match='num_shards.*engine="numpy"'):
-            MultiLayerConfig(engine="python", num_shards=4)
         with pytest.raises(ValueError, match="num_shards"):
             MultiLayerConfig(
                 engine="numpy", backend="serial", num_shards=0

@@ -107,36 +107,23 @@ def test_knob_is_plumbed_everywhere(name, tmp_path, fit_configs):
 def test_unknown_execution_name_is_a_type_error():
     with pytest.raises(TypeError, match="shards.*valid names.*num_shards"):
         KBTEstimator(shards=2)
-    fitted = KBTEstimator(engine="numpy").fit(corpus())
+    fitted = KBTEstimator().fit(corpus())
     with pytest.raises(TypeError, match="bogus.*valid names.*reduce_chunk"):
         fitted.update(NEW, bogus=1)
 
 
-def test_default_engine_is_the_array_engine(tmp_path):
-    """One engine policy: the library default is what ``kbt fit`` runs."""
+def test_default_engine_is_the_array_engine(tmp_path, capsys):
+    """One engine: the library default is what ``kbt fit`` runs, and
+    nothing on the command line selects another."""
     assert MultiLayerConfig().engine == "numpy"
-    assert build_parser().parse_args(["fit", "r.jsonl"]).engine == "numpy"
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["fit", "r.jsonl", "--engine", "numpy"])
+    assert "--engine" in capsys.readouterr().err
     default = KBTEstimator().fit(corpus()).save(tmp_path / "default.kbt")
-    named = KBTEstimator(engine="numpy").fit(corpus()).save(
-        tmp_path / "named.kbt"
-    )
+    named = KBTEstimator(MultiLayerConfig(engine="numpy")).fit(
+        corpus()
+    ).save(tmp_path / "named.kbt")
     assert default.read_bytes() == named.read_bytes()
-
-
-def test_python_engine_is_never_moved_off():
-    """An execution override on an explicit python engine is the
-    constructor's error, on every override path."""
-    python = MultiLayerConfig(engine="python")
-    for call in (
-        lambda: python.with_execution(num_shards=2),
-        lambda: python.with_execution(precision="float32"),
-        lambda: KBTEstimator(config=python, backend="threads"),
-        lambda: KBTEstimator(engine="python", reduce_chunk=8),
-    ):
-        with pytest.raises(ValueError, match='engine="numpy"'):
-            call()
-    assert python.with_execution(engine="numpy", num_shards=2).num_shards == 2
-    assert python.with_execution() == python
 
 
 def test_ingest_parser_has_placement_but_no_checkpoint_flags(capsys):
@@ -175,7 +162,7 @@ def finishes(call, seconds: float = 30.0):
 
 
 def plain_update(tmp_path) -> bytes:
-    fitted = KBTEstimator(engine="numpy").fit(corpus())
+    fitted = KBTEstimator().fit(corpus())
     return fitted.update(NEW).save(tmp_path / "plain.kbt").read_bytes()
 
 
@@ -193,7 +180,7 @@ def test_update_after_resumed_checkpointed_fit(tmp_path):
 
 def stale_artifact(tmp_path, **placement):
     """An artifact as written before placement was stripped on save."""
-    fitted = KBTEstimator(engine="numpy").fit(corpus())
+    fitted = KBTEstimator().fit(corpus())
     return save_artifact(
         TrustArtifact(
             result=fitted.result,

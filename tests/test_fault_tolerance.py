@@ -668,11 +668,8 @@ def test_fault_plan_rejects_malformed_env(raw, match):
 # Config plumbing
 # ----------------------------------------------------------------------
 def test_checkpoint_config_validation():
-    # Valid without a backend (the driver runs None as serial) ...
+    # Valid without a backend (the driver runs None as serial).
     assert MultiLayerConfig(engine="numpy", checkpoint_dir="/tmp/ck")
-    # ... but, like every execution field, only on the numpy engine.
-    with pytest.raises(ValueError, match='checkpoint_dir.*engine="numpy"'):
-        MultiLayerConfig(engine="python", checkpoint_dir="/tmp/ck")
     with pytest.raises(ValueError, match="checkpoint_every"):
         MultiLayerConfig(
             engine="numpy", backend="serial", checkpoint_dir="/tmp/ck",
@@ -694,5 +691,5 @@ def test_estimator_checkpoint_dir_upgrades_backend(
     assert estimator._config.checkpoint_dir == str(tmp_path / "ck")
     fitted = estimator.fit(synthetic_matrix)
     assert (tmp_path / "ck" / "checkpoint.npz").exists()
-    plain = KBTEstimator(engine="numpy").fit(synthetic_matrix)
+    plain = KBTEstimator().fit(synthetic_matrix)
     assert fitted.result.source_accuracy == plain.result.source_accuracy

@@ -186,7 +186,7 @@ class TestMatrixIntegration:
             out = SplitAndMerge(cfg, seed=0).apply(observations)
             return {(coord, frozenset(cell)) for coord, cell in out.cells()}
 
-        path = KBTEstimator(engine="numpy").fit(matrix).save(
+        path = KBTEstimator().fit(matrix).save(
             tmp_path / "model.kbt"
         )
         expected = relabelled(matrix)

@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from repro.core import multi_layer
 from repro.core.config import (
     AbsenceScope,
     ConvergenceConfig,
@@ -18,6 +19,8 @@ from repro.core.types import (
     page_source,
 )
 from repro.datasets.kv import KVConfig, generate_kv
+
+from multi_layer_reference import fit_python
 
 #: The warm-vs-cold agreement the incremental path must deliver for a
 #: well-supported new website (the acceptance tolerance).
@@ -51,14 +54,20 @@ def small_corpus():
     return records
 
 
-@pytest.fixture(scope="module", params=["python", "numpy"])
-def engine(request):
+@pytest.fixture(params=["python", "numpy"])
+def engine(request, monkeypatch):
+    """Which fit the test's models run: ``numpy`` is the library's array
+    engine; ``python`` swaps the dict oracle in where
+    ``MultiLayerModel.fit`` calls the array engine, with the same
+    arguments."""
+    if request.param == "python":
+        monkeypatch.setattr(multi_layer, "fit_numpy", fit_python)
     return request.param
 
 
 class TestUpdateBasics:
     def test_new_site_gets_scored(self, engine):
-        fitted = KBTEstimator(engine=engine).fit(small_corpus())
+        fitted = KBTEstimator().fit(small_corpus())
         new = page_records("new.com", "new.com/p", "e0",
                            [f"s{i}" for i in range(12)],
                            lambda s: f"true-{s}")
@@ -68,7 +77,7 @@ class TestUpdateBasics:
         assert scores["new.com"].score > 0.9
 
     def test_old_scores_unchanged(self, engine):
-        fitted = KBTEstimator(engine=engine).fit(small_corpus())
+        fitted = KBTEstimator().fit(small_corpus())
         before = fitted.website_scores()
         new = page_records("new.com", "new.com/p", "e0",
                            [f"s{i}" for i in range(12)],
@@ -131,23 +140,16 @@ class TestUpdateBasics:
 class TestFrozenParameters:
     def test_freeze_extractor_quality_config(self, engine):
         """The config-level freeze pins every extractor at its default."""
-        config = MultiLayerConfig(
-            engine=engine, freeze_extractor_quality=True
-        )
+        config = MultiLayerConfig(freeze_extractor_quality=True)
         result = KBTEstimator(config=config).fit(small_corpus()).result
         qualities = set(result.extractor_quality.values())
         assert len(qualities) == 1  # nothing moved off the shared default
 
     def test_frozen_engines_agree(self):
-        results = {}
-        for engine in ("python", "numpy"):
-            config = MultiLayerConfig(
-                engine=engine, freeze_extractor_quality=True
-            )
-            results[engine] = (
-                KBTEstimator(config=config).fit(small_corpus()).result
-            )
-        py, np_ = results["python"], results["numpy"]
+        config = MultiLayerConfig(freeze_extractor_quality=True)
+        observations = ObservationMatrix.from_records(small_corpus())
+        py = fit_python(config, observations, None, None, None, None)
+        np_ = multi_layer.MultiLayerModel(config).fit(observations)
         for source, accuracy in py.source_accuracy.items():
             assert np_.source_accuracy[source] == pytest.approx(
                 accuracy, abs=1e-9
@@ -159,7 +161,7 @@ class TestFrozenParameters:
 
         records = small_corpus()
         observations = ObservationMatrix.from_records(records)
-        config = MultiLayerConfig(engine=engine)
+        config = MultiLayerConfig()
         free = MultiLayerModel(config).fit(observations)
         frozen_key = ExtractorKey(("e0",))
         pinned = MultiLayerModel(config).fit(
@@ -176,7 +178,7 @@ class TestFrozenParameters:
 
         records = small_corpus()
         observations = ObservationMatrix.from_records(records)
-        config = MultiLayerConfig(engine=engine)
+        config = MultiLayerConfig()
         source = page_source("bad.com", "p", "bad.com/p")
         pinned = MultiLayerModel(config).fit(
             observations,

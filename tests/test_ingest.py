@@ -589,7 +589,7 @@ class TestIngestPlacement:
 
         workdir.mkdir()
         model = workdir / "model.kbt"
-        KBTEstimator(engine="numpy").fit(corpus()).save(model)
+        KBTEstimator().fit(corpus()).save(model)
         batch = batch_for("fresh.example", "t0")
         (workdir / "spool").mkdir()
         write_records(batch, workdir / "spool" / "a.jsonl")

@@ -301,7 +301,7 @@ class TestMalformedCells:
             for item in (ITEM, DataItem("t", "p"))
             for extractor in (E1, E2)
         ]
-        path = KBTEstimator(engine="numpy").fit(records).save(
+        path = KBTEstimator().fit(records).save(
             tmp_path / "model.kbt"
         )
         with zipfile.ZipFile(path) as archive:

@@ -200,6 +200,24 @@ class TestUpdate:
         assert updated.result.columns().values[:1] == [True]
         assert [type(v) for v in updated.result.columns().values] == [bool]
 
+    def test_loaded_table_key_only_the_delta_names(self, tmp_path):
+        # A loaded fit's value table keeps ``1`` from its matrix, though
+        # no column names it (the threshold drops the weak claim). The
+        # delta names the equal ``True``: the merge writes ``True``, as
+        # the dict merge does.
+        base = records([("e0", "w0.com", "s0", "a", 0.2),
+                        ("e0", "w0.com", "s0", 1, 0.2)])
+        delta = records([("e0", "w0.com", "s0", "a", 0.2),
+                         ("e0", "w0.com", "s1", True, 0.9)])
+        fitted = KBTEstimator(config("threshold"), min_triples=0).fit(base)
+        loaded = FittedKBT.load(fitted.save(tmp_path / "base.kbt"))
+        assert 1 in loaded.result.columns().values
+        with MergeRecorder() as rec:
+            updated = loaded.update(delta)
+        (tmp_path / "merge").mkdir()
+        check_all(rec, tmp_path / "merge")
+        assert [type(v) for v in updated.result.columns().values] == [bool]
+
 
 # ----------------------------------------------------------------------
 # Merges of results built from dicts: empty items, priors that are not

@@ -8,9 +8,9 @@ from repro.core.config import (
     FalseValueModel,
     MultiLayerConfig,
 )
-from repro.core.multi_layer import MultiLayerModel, default_precision
+from repro.core.multi_layer import MultiLayerModel
 from repro.core.observation import ObservationMatrix
-from repro.core.quality import ExtractorQuality
+from repro.core.quality import ExtractorQuality, default_precision
 from repro.core.types import DataItem, ExtractionRecord, ExtractorKey, SourceKey
 from repro.datasets.motivating import (
     KENYA,

@@ -198,7 +198,7 @@ class TestChunkFedMatrix:
         held_site = records[-1].source.website
         base = [r for r in records if r.source.website != held_site]
         new = [r for r in records if r.source.website == held_site]
-        estimator = KBTEstimator(engine="numpy", min_triples=0.0)
+        estimator = KBTEstimator(min_triples=0.0)
         streamed = estimator.fit(chunk_fed(base, 17)).update(new)
         listed = estimator.fit(base).update(new)
         assert (
@@ -209,24 +209,30 @@ class TestChunkFedMatrix:
     def test_chunk_fed_fit_runs_python_engine_and_granularity(
         self, synthetic_matrix
     ):
-        """Also no longer refused: the python engine and SPLITANDMERGE
-        read the same matrix whichever way it was fed."""
+        """Also no longer refused: the dict oracle of
+        ``tests/multi_layer_reference.py`` and SPLITANDMERGE read the same
+        matrix whichever way it was fed."""
         from repro.core.config import GranularityConfig
         from repro.core.kbt import KBTEstimator
 
+        from multi_layer_reference import fit_python
+
         records = list(synthetic_matrix.iter_records())
-        for options in (
-            {"engine": "python"},
-            {
-                "engine": "numpy",
-                "granularity": GranularityConfig(min_size=2, max_size=20),
-            },
-        ):
-            estimator = KBTEstimator(min_triples=0.0, **options)
-            assert (
-                estimator.fit(chunk_fed(records, 17)).result.source_accuracy
-                == estimator.fit(records).result.source_accuracy
-            )
+        config = MultiLayerConfig()
+        assert (
+            fit_python(config, chunk_fed(records, 17)).source_accuracy
+            == fit_python(
+                config, ObservationMatrix.from_records(records)
+            ).source_accuracy
+        )
+        estimator = KBTEstimator(
+            min_triples=0.0,
+            granularity=GranularityConfig(min_size=2, max_size=20),
+        )
+        assert (
+            estimator.fit(chunk_fed(records, 17)).result.source_accuracy
+            == estimator.fit(records).result.source_accuracy
+        )
 
 
 # ----------------------------------------------------------------------
@@ -460,7 +466,7 @@ class TestOutOfCoreParity:
         held_site = records[-1].source.website
         base = [r for r in records if r.source.website != held_site]
         new = [r for r in records if r.source.website == held_site]
-        fitted = KBTEstimator(engine="numpy", min_triples=0.0).fit(base)
+        fitted = KBTEstimator(min_triples=0.0).fit(base)
         plain = fitted.update(new, sweeps=2)
         spilled = fitted.update(
             new,
@@ -486,8 +492,7 @@ class TestSpillConfig:
     def test_spill_dir_requires_backend(self, synthetic_matrix, tmp_path):
         """It no longer does: a backend-less spill config is valid (the
         driver runs it as ``serial``, one packet per CPU) and fits
-        bit-identically to resident execution. What it does require is
-        the numpy engine."""
+        bit-identically to resident execution."""
         cfg = MultiLayerConfig(engine="numpy", spill_dir=str(tmp_path))
         assert cfg.backend is None
         assert_parity(
@@ -498,8 +503,6 @@ class TestSpillConfig:
             exact=True,
         )
         assert (tmp_path / "manifest.json").exists()
-        with pytest.raises(ValueError, match='spill_dir.*engine="numpy"'):
-            MultiLayerConfig(engine="python", spill_dir="/tmp/x")
 
     def test_max_resident_requires_spill_dir(self):
         with pytest.raises(ValueError, match="max_resident_shards"):

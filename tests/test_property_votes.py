@@ -6,12 +6,9 @@ from hypothesis import strategies as st
 
 from repro.core.quality import ExtractorQuality, derive_q
 from repro.core.types import ExtractorKey
-from repro.core.votes import (
-    VoteTable,
-    accuracy_vote,
-    extraction_posterior,
-    value_posteriors,
-)
+from repro.core.votes import accuracy_vote, value_posteriors
+
+from multi_layer_reference import VoteTable, extraction_posterior
 
 quality_floats = st.floats(min_value=0.01, max_value=0.99)
 confidences = st.floats(min_value=0.01, max_value=1.0)

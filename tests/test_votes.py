@@ -10,12 +10,7 @@ import pytest
 from repro.core.observation import ObservationMatrix
 from repro.core.quality import ExtractorQuality
 from repro.core.types import ExtractorKey
-from repro.core.votes import (
-    VoteTable,
-    accuracy_vote,
-    extraction_posterior,
-    value_posteriors,
-)
+from repro.core.votes import accuracy_vote, value_posteriors
 from repro.datasets.motivating import (
     KENYA,
     N_AMERICA,
@@ -23,6 +18,8 @@ from repro.datasets.motivating import (
     motivating_example,
     source_key,
 )
+
+from multi_layer_reference import VoteTable, extraction_posterior
 
 
 @pytest.fixture(scope="module")
