@@ -18,6 +18,8 @@ The repo's execution subsystem makes seven bit-identity promises (the
    byte-identical artifacts (fixed zip timestamps, hand-built npz).
 7. **Chunked-reduce identity** — the streamed per-iteration reduce
    (``reduce_chunk``) produces the same bytes for every chunk size.
+8. **SPLITANDMERGE identity** — a seeded SPLITANDMERGE fit, and a
+   warm-start update of it, write the same artifact bytes.
 
 Before this suite, each promise was asserted only pairwise inside its
 feature's own tests — a kernel change that shifted *all* results in
@@ -44,10 +46,15 @@ import pytest
 
 pytest.importorskip("numpy")
 
-from repro.core.config import ConvergenceConfig, MultiLayerConfig
+from repro.core.config import (
+    ConvergenceConfig,
+    GranularityConfig,
+    MultiLayerConfig,
+)
 from repro.core.kbt import FittedKBT, KBTEstimator
 from repro.core.multi_layer import MultiLayerModel
 from repro.core.observation import ObservationMatrix
+from repro.core.types import ExtractionRecord, ExtractorKey, SourceKey
 from repro.exec.faults import FaultPlan
 from repro.io.jsonl import read_records
 
@@ -366,6 +373,73 @@ def test_entry7_chunked_reduce_outofcore(corpus, goldens, tmp_path):
 
 
 # ----------------------------------------------------------------------
+# Entry 8: SPLITANDMERGE identity (artifact bytes)
+# ----------------------------------------------------------------------
+#: Bounds under which SPLITANDMERGE both splits and merges the refined
+#: corpus: two (website, predicate) sources and every extractor hold more
+#: than 25 triples, and w2's two predicate sources (7 and 6 triples) merge
+#: into w2.
+SM_GRANULARITY = GranularityConfig(min_size=8, max_size=25)
+
+
+def refined(records) -> list[ExtractionRecord]:
+    """``records`` one hierarchy level finer: each source and extractor
+    key gains the record's predicate, so a merge has a parent to go to
+    (the corpus keys are single features, tops of their hierarchies)."""
+    return [
+        ExtractionRecord(
+            ExtractorKey((*record.extractor.features, record.item.predicate)),
+            SourceKey((*record.source.features, record.item.predicate)),
+            record.item,
+            record.value,
+            record.confidence,
+        )
+        for record in records
+    ]
+
+
+def split_merge_fit() -> FittedKBT:
+    return KBTEstimator(ladder_config(), granularity=SM_GRANULARITY).fit(
+        refined(read_records(CORPUS))
+    )
+
+
+def split_merge_artifacts(directory: Path) -> dict[str, str]:
+    """The sha256 of a seeded SPLITANDMERGE fit's artifact and of the
+    artifact of its warm-start update."""
+    fitted = split_merge_fit()
+    updated = fitted.update(refined(read_records(UPDATES)), sweeps=2)
+    return {
+        name: hashlib.sha256(
+            model.save(directory / f"{name}.kbt").read_bytes()
+        ).hexdigest()
+        for name, model in (("fit", fitted), ("update", updated))
+    }
+
+
+def test_entry8_split_and_merge_identity(goldens, tmp_path):
+    digests = split_merge_artifacts(tmp_path)
+    assert digests["fit"] == goldens["split_merge_fit_sha256"], _regen_hint(
+        8, "SPLITANDMERGE identity: fitted artifact bytes"
+    )
+    assert digests["update"] == goldens["split_merge_update_sha256"], (
+        _regen_hint(8, "SPLITANDMERGE identity: updated artifact bytes")
+    )
+
+
+def test_entry8_bounds_split_and_merge():
+    """The pinned bounds exercise both halves of Algorithm 2."""
+    fitted = split_merge_fit()
+    sources = {str(source) for source in fitted.observations.sources()}
+    assert "<w2>" in sources  # merged
+    assert any(source.endswith("#1") for source in sources)  # split
+    assert all(
+        extractor.bucket is not None
+        for extractor in fitted.observations.extractors()
+    )
+
+
+# ----------------------------------------------------------------------
 # Regeneration (driven by tools/regen_goldens.py)
 # ----------------------------------------------------------------------
 def regenerate() -> dict:
@@ -373,7 +447,8 @@ def regenerate() -> dict:
 
     Only the *reference* fits are rerun (unsharded float64 fit — once
     under the ladder config and once per ``AXIS_CONFIGS`` entry — the
-    warm-start update chain, the artifact bytes): every other rung
+    warm-start update chain, the artifact bytes, the SPLITANDMERGE fit
+    and its update): every other rung
     asserts bit-identity *to* these, so they share the same goldens.
     """
     import tempfile
@@ -388,6 +463,7 @@ def regenerate() -> dict:
         artifact = Path(tmp) / "updated.kbt.zip"
         updated.save(artifact)
         artifact_sha = hashlib.sha256(artifact.read_bytes()).hexdigest()
+        split_merge = split_merge_artifacts(Path(tmp))
     goldens = {
         "fit_float64": result_digest(reference),
         "fit_float64_axes": {
@@ -396,6 +472,8 @@ def regenerate() -> dict:
         },
         "update_float64": result_digest(updated.result),
         "artifact_sha256": artifact_sha,
+        "split_merge_fit_sha256": split_merge["fit"],
+        "split_merge_update_sha256": split_merge["update"],
     }
     DIGESTS_PATH.write_text(
         json.dumps(goldens, indent=1, sort_keys=True) + "\n",
