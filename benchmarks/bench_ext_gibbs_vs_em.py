@@ -46,7 +46,7 @@ def run_comparison() -> tuple[str, dict]:
             obs = ObservationMatrix.from_records(data.records)
             labels = {
                 (item, value): data.true_values.get(item) == value
-                for item, value in obs.triples()
+                for _source, item, value in obs.columns().coords
             }
             start = time.perf_counter()
             result = engine(obs)

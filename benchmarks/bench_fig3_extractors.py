@@ -35,18 +35,20 @@ SEEDS = (31, 32, 33)
 def labels_for(data, obs):
     return {
         (item, value): data.true_values.get(item) == value
-        for item, value in obs.triples()
+        for _source, item, value in obs.columns().coords
     }
 
 
 def single_layer_source_accuracy(result, obs):
     """The paper's single-layer A_w: mean triple posterior over every triple
     extracted from the source (all extractors pooled)."""
+    claims = {}
+    for source, item, value in obs.columns().coords:
+        claims.setdefault(source, []).append((item, value))
     estimates = {}
-    for source in obs.sources():
+    for source, triples in claims.items():
         probabilities = [
-            result.triple_probability(item, value)
-            for item, value in obs.source_claims(source)
+            result.triple_probability(item, value) for item, value in triples
         ]
         probabilities = [p for p in probabilities if p is not None]
         if probabilities:

@@ -37,7 +37,7 @@ def run_one(config: SyntheticConfig):
     obs = ObservationMatrix.from_records(data.records)
     labels = {
         (item, value): data.true_values.get(item) == value
-        for item, value in obs.triples()
+        for _source, item, value in obs.columns().coords
     }
     result = MultiLayerModel(
         MultiLayerConfig(absence_scope=AbsenceScope.ACTIVE)

@@ -21,6 +21,19 @@ from repro.util.logmath import log_odds, sigmoid
 from repro.util.tables import format_table
 
 
+def extractions(obs, coord):
+    """One cell's extractions, {extractor: confidence}, from the columns."""
+    columns = obs.columns()
+    extractors = list(obs.extractors())
+    entries = columns.entry_cell == columns.coords.index(coord)
+    return dict(
+        zip(
+            [extractors[e] for e in columns.entry_extractor[entries].tolist()],
+            columns.entry_conf[entries].tolist(),
+        )
+    )
+
+
 def vote_count(qualities, cell) -> float:
     """VCC' of one cell (Eq. 14 / 31): every extractor's absence vote,
     an extracting one's swapped for ``conf * Pre + (1 - conf) * Abs``."""
@@ -87,7 +100,7 @@ def run_motivating_tables() -> str:
     ]
     rows = []
     for page, value in cases:
-        cell = obs.cell((source_key(page), ex.item, value))
+        cell = extractions(obs, (source_key(page), ex.item, value))
         vcc = vote_count(qualities, cell)
         # Eq. 15: p(C = 1 | X) = sigma(VCC + log-odds(alpha)).
         rows.append([page, value, vcc, sigmoid(vcc + log_odds(0.5))])

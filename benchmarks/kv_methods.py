@@ -62,12 +62,7 @@ def run_multi_layer(kv_corpus, labels, smart_init=None):
 
 def run_multi_layer_sm(kv_corpus, labels, smart_init=None):
     obs = kv_corpus.observation()
-    splitter = SplitAndMerge(SPLIT_MERGE_CONFIG, seed=0)
-    source_plan = splitter.plan_sources(obs)
-    extractor_plan = splitter.plan_extractors(obs)
-    regrouped = obs.relabel(
-        source_map=source_plan, extractor_map=extractor_plan
-    )
+    regrouped = SplitAndMerge(SPLIT_MERGE_CONFIG, seed=0).apply(obs)
     kwargs = {}
     if smart_init is not None:
         kwargs = {

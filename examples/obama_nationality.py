@@ -19,6 +19,19 @@ from repro.datasets.motivating import (
 from repro.util.logmath import log_odds, sigmoid
 
 
+def extractions(obs, coord):
+    """One cell's extractions, {extractor: confidence}, from the columns."""
+    columns = obs.columns()
+    extractors = list(obs.extractors())
+    entries = columns.entry_cell == columns.coords.index(coord)
+    return dict(
+        zip(
+            [extractors[e] for e in columns.entry_extractor[entries].tolist()],
+            columns.entry_conf[entries].tolist(),
+        )
+    )
+
+
 def show_table_2(example):
     print("Table 2 — what each extractor extracted from each page")
     header = f"{'page':5s} {'provides':9s} " + " ".join(
@@ -61,7 +74,7 @@ def show_extraction_correctness(example):
         ("W1", USA), ("W6", USA), ("W6", KENYA), ("W7", KENYA),
         ("W8", KENYA),
     ]:
-        cell = obs.cell((source_key(page), example.item, value))
+        cell = extractions(obs, (source_key(page), example.item, value))
         vcc = vote_count(example.quality_by_key(), cell)
         p = sigmoid(vcc + log_odds(0.5))  # Eq. 15, at alpha = 0.5
         really = example.true_provided(page, value)

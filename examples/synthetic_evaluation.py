@@ -29,12 +29,12 @@ from repro.eval.metrics import (
 
 def single_layer_site_accuracy(result, obs):
     """Single-layer A_w: mean triple posterior over the source's triples."""
+    claims = {}
+    for source, item, value in obs.columns().coords:
+        claims.setdefault(source, []).append((item, value))
     estimates = {}
-    for source in obs.sources():
-        ps = [
-            result.triple_probability(item, value)
-            for item, value in obs.source_claims(source)
-        ]
+    for source, triples in claims.items():
+        ps = [result.triple_probability(item, value) for item, value in triples]
         ps = [p for p in ps if p is not None]
         if ps:
             estimates[source] = statistics.mean(ps)
@@ -46,7 +46,7 @@ def evaluate(num_extractors: int, seed: int = 11):
     obs = ObservationMatrix.from_records(data.records)
     labels = {
         (item, value): data.true_values.get(item) == value
-        for item, value in obs.triples()
+        for _source, item, value in obs.columns().coords
     }
 
     multi = MultiLayerModel(

@@ -109,13 +109,35 @@ class _GibbsState:
         self._cfg = cfg
         self._gibbs = gibbs
         self._rng = derive_rng(gibbs.seed, "gibbs")
-        self._obs = observations
 
-        # Structures mirroring the EM fit state.
-        self.coords: list[Coord] = [c for c, _cell in observations.cells()]
+        # Structures mirroring the EM fit state, read off the columns.
+        columns = observations.columns()
+        sources = list(observations.sources())
+        extractors = list(observations.extractors())
+        self.coords: list[Coord] = list(columns.coords)
         self.cells: dict[Coord, dict[ExtractorKey, float]] = {
-            coord: dict(cell) for coord, cell in observations.cells()
+            coord: {} for coord in self.coords
         }
+        self.extractor_coords: dict[ExtractorKey, list[Coord]] = {
+            extractor: [] for extractor in extractors
+        }
+        for cell, extractor, confidence in zip(
+            columns.entry_cell.tolist(),
+            map(extractors.__getitem__, columns.entry_extractor.tolist()),
+            columns.entry_conf.tolist(),
+        ):
+            coord = self.coords[cell]
+            self.cells[coord][extractor] = confidence
+            self.extractor_coords[extractor].append(coord)
+        # Each source's active extractors: those with a cell here.
+        self.active: dict[SourceKey, set[ExtractorKey]] = {}
+        source_ids, extractor_ids = observations.active_pairs()
+        for source, extractor in zip(
+            source_ids.tolist(), extractor_ids.tolist()
+        ):
+            self.active.setdefault(sources[source], set()).add(
+                extractors[extractor]
+            )
         self.item_coords: dict[DataItem, list[Coord]] = {}
         self.source_coords: dict[SourceKey, list[Coord]] = {}
         for coord in self.coords:
@@ -153,7 +175,7 @@ class _GibbsState:
                 for source, coords in self.source_coords.items()
             }
             for source, count in per_source.items():
-                for extractor in observations.active_extractors(source):
+                for extractor in self.active[source]:
                     self._scope_size[extractor] = (
                         self._scope_size.get(extractor, 0) + count
                     )
@@ -198,7 +220,7 @@ class _GibbsState:
             source = coord[0]
             cell = self.cells[coord]
             if self._cfg.absence_scope is AbsenceScope.ACTIVE:
-                scope = self._obs.active_extractors(source)
+                scope = self.active[source]
             else:
                 scope = self.recall.keys()
             for extractor in scope:
@@ -297,7 +319,7 @@ class _GibbsState:
         for extractor in self.recall:
             extracted_provided = 0
             extracted_unprovided = 0
-            for coord in self._obs.extractor_cells(extractor):
+            for coord in self.extractor_coords[extractor]:
                 if self.c.get(coord, 0) == 1:
                     extracted_provided += 1
                 else:
@@ -307,7 +329,7 @@ class _GibbsState:
                 scope_size = self._scope_size.get(extractor, 0)
                 # Sum provided coords over the extractor's active sources.
                 for source, count in provided_by_source.items():
-                    if extractor in self._obs.active_extractors(source):
+                    if extractor in self.active[source]:
                         provided_in_scope += count
             else:
                 provided_in_scope = provided_total

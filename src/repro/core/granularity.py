@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Protocol, TypeVar
 
+import numpy as np
+
 from repro.core.config import GranularityConfig
 from repro.core.observation import ObservationMatrix
 from repro.core.types import DataItem, ExtractorKey, SourceKey, Value
@@ -147,44 +149,39 @@ class SplitAndMerge:
     # ------------------------------------------------------------------
     def plan_sources(self, observations: ObservationMatrix) -> GranularityPlan:
         """Plan source granularity from the matrix's per-source triples."""
-        groups: dict[SourceKey, list[TripleRef]] = {}
-        for source in observations.sources():
-            groups[source] = [
-                (source, item, value)
-                for item, value in observations.source_claims(source)
-            ]
-        return self.plan(groups)
+        keys = list(observations.sources())
+        refs: list[list[TripleRef]] = [[] for _ in keys]
+        columns = observations.columns()
+        for source, coord in zip(columns.cell_source.tolist(), columns.coords):
+            refs[source].append((keys[source], *coord[1:]))
+        return self.plan(dict(zip(keys, refs)))
 
     def plan_extractors(
         self, observations: ObservationMatrix
     ) -> GranularityPlan:
-        """Plan extractor granularity from per-extractor extraction counts."""
-        groups: dict[ExtractorKey, list[TripleRef]] = {}
-        for extractor in observations.extractors():
-            refs: list[TripleRef] = []
-            seen: set[tuple[DataItem, Value]] = set()
-            for (_source, item, value) in observations.extractor_cells(
-                extractor
-            ):
-                if (item, value) in seen:
-                    continue
-                seen.add((item, value))
-                refs.append((extractor, item, value))
-            groups[extractor] = refs
-        return self.plan(groups)
+        """Plan extractor granularity from per-extractor extraction counts:
+        an extractor's distinct (item, value) pairs, each as its first cell
+        holds it, in cell order."""
+        keys = list(observations.extractors())
+        refs: list[list[TripleRef]] = [[] for _ in keys]
+        columns = observations.columns()
+        values = columns.cell_value
+        span = int(values.max()) + 1 if len(values) else 1
+        triple = (columns.cell_item * span + values)[columns.entry_cell]
+        extractor = columns.entry_extractor
+        span = int(triple.max()) + 1 if len(triple) else 1
+        # Each (extractor, triple)'s first entry, by extractor, then cell.
+        _pairs, first = np.unique(extractor * span + triple, return_index=True)
+        first = first[np.lexsort((first, extractor[first]))]
+        for key, cell in zip(
+            extractor[first].tolist(), columns.entry_cell[first].tolist()
+        ):
+            refs[key].append((keys[key], *columns.coords[cell][1:]))
+        return self.plan(dict(zip(keys, refs)))
 
-    def apply(
-        self,
-        observations: ObservationMatrix,
-        split_sources: bool = True,
-        split_extractors: bool = True,
-    ) -> ObservationMatrix:
+    def apply(self, observations: ObservationMatrix) -> ObservationMatrix:
         """Plan and relabel in one step; returns the regrouped matrix."""
-        source_plan = self.plan_sources(observations) if split_sources else None
-        extractor_plan = (
-            self.plan_extractors(observations) if split_extractors else None
-        )
         return observations.relabel(
-            source_map=source_plan,
-            extractor_map=extractor_plan,
+            source_map=self.plan_sources(observations),
+            extractor_map=self.plan_extractors(observations),
         )

@@ -25,10 +25,13 @@ claims to estimable sources.
 The matrix holds exactly what this module reads — its cells as key
 tables plus integer columns, in first-seen key order
 (:meth:`~repro.core.observation.ObservationMatrix.columns`), and the
-active-extractor incidence — and the compile is array work over them,
-no loop over cells. A corpus that exceeds RAM compiles from a chunked
-record iterator, and ``observations.release()`` afterwards leaves only
-the compiled arrays resident (see ``MultiLayerConfig.spill_dir``).
+active-extractor incidence
+(:meth:`~repro.core.observation.ObservationMatrix.active_pairs`) — and
+the compile is array work over them, no loop over cells. A corpus that
+exceeds RAM compiles from a chunked record iterator, and
+``observations.release()`` afterwards drops the columns and the key
+indexes, leaving only the compiled arrays and the matrix's counters
+resident (see ``MultiLayerConfig.spill_dir``).
 """
 
 from __future__ import annotations

@@ -309,7 +309,7 @@ class FittedKBT:
         if new_obs.num_records == 0:
             return self
 
-        touched = set(new_obs.items())
+        touched = {item for _source, item, _value in new_obs.columns().coords}
         delta_obs = self.observations.restricted_to_items(touched).extended(
             new_obs
         )
@@ -482,12 +482,9 @@ class KBTEstimator:
             observations = ObservationMatrix.from_records(data)
 
         if self._granularity is not None:
-            splitter = SplitAndMerge(self._granularity, seed=self._seed)
-            source_plan = splitter.plan_sources(observations)
-            extractor_plan = splitter.plan_extractors(observations)
-            observations = observations.relabel(
-                source_map=source_plan, extractor_map=extractor_plan
-            )
+            observations = SplitAndMerge(
+                self._granularity, seed=self._seed
+            ).apply(observations)
             if initial_source_accuracy:
                 initial_source_accuracy = _transfer_initialisation(
                     initial_source_accuracy, observations.sources()

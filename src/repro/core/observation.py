@@ -13,17 +13,16 @@ and extractor tables in first-seen order (the order fixes the compiled
 column order) with their support sizes. A restriction also keeps its
 sources' corpus-level active pairs (the ACTIVE absence scope).
 
-Derived from the columns on first read, then kept: the cells as dicts,
-the views by data item, by source and by extractor (granularity
-planning, gold labels, the Gibbs sampler, figures, and the dict oracle
-of ``tests/multi_layer_reference.py``), and the active-extractor sets.
+The columns are the one representation: every reader (the weightings,
+gold labels, the co-claim graph, SPLITANDMERGE planning, the Gibbs
+sampler) groups them itself, and the dict oracles of ``tests/`` convert
+them to ``tests/matrix_reference.py``'s ``ReferenceMatrix``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from repro.core.types import (
     ExtractorKey,
     SourceKey,
     Value,
-    new_record,
 )
 
 #: A (source, item, value) coordinate of the C layer.
@@ -137,10 +135,9 @@ class ObservationMatrix:
         self._num_records = num_records
         self._active = active or []
         self._num_triples: int | None = None
-        # Derived views, None until read. Each is built into a local and
+        # The key indexes, None until read; built into a local and
         # assigned once, so racing readers build equal values: no lock.
-        self._cells = self._by_item = self._by_source = None
-        self._by_extractor = self._active_sets = self._indexes = None
+        self._indexes = None
 
     def _grown(
         self,
@@ -223,9 +220,9 @@ class ObservationMatrix:
         Cell ``k`` is ``coords[k]`` with the next ``lens[k]`` entries of
         ``extractors`` / ``confidences``: distinct coordinates, at least
         one entry per cell, distinct extractors within a cell, no NaN or
-        negative confidence — what :meth:`cells` yields; anything else
+        negative confidence — what :meth:`columns` holds; anything else
         is a ``ValueError``. The result equals :meth:`from_records` over
-        :meth:`iter_records` of that matrix, without building a record.
+        one record per entry of that matrix, without building a record.
 
         ``extractor_order`` restores the source matrix's extractor
         order, which the compiled column order follows; left out,
@@ -268,7 +265,7 @@ class ObservationMatrix:
         return out
 
     def release(self) -> None:
-        """Drop the cells and the derived views, keeping the counters.
+        """Drop the cells and the key indexes, keeping the counters.
 
         Call after :func:`~repro.core.indexing.compile_problem`: the
         compiled arrays carry everything inference needs, and result
@@ -276,9 +273,7 @@ class ObservationMatrix:
         another compile) raises a ``RuntimeError``.
         """
         self._num_triples = self.num_triples
-        self._active_view()  # the active sets outlive the cells
-        self._columns = self._cells = self._by_item = None
-        self._by_source = self._by_extractor = self._indexes = None
+        self._columns = self._indexes = None
 
     def columns(self) -> CellColumns:
         """The cells as columns (what compilation and the artifact
@@ -336,9 +331,6 @@ class ObservationMatrix:
     def extractors(self) -> Iterator[ExtractorKey]:
         return iter(self._extractors)
 
-    def items(self) -> Iterator[DataItem]:
-        return iter(self._item_view())
-
     @property
     def num_sources(self) -> int:
         return len(self._sources)
@@ -346,16 +338,6 @@ class ObservationMatrix:
     @property
     def num_extractors(self) -> int:
         return len(self._extractors)
-
-    @property
-    def num_items(self) -> int:
-        return len(self._item_view())
-
-    def triples(self) -> Iterator[tuple[DataItem, Value]]:
-        """Distinct (data item, value) pairs observed anywhere."""
-        for item, values in self._item_view().items():
-            for value in values:
-                yield (item, value)
 
     @property
     def num_triples(self) -> int:
@@ -369,116 +351,6 @@ class ObservationMatrix:
             )
             self._num_triples = len(triples)
         return self._num_triples
-
-    # ------------------------------------------------------------------
-    # Cell access, and views derived from the cells in cell order
-    # ------------------------------------------------------------------
-    def _cell_view(self) -> dict[Coord, dict[ExtractorKey, float]]:
-        view = self._cells
-        if view is None:
-            columns = self.columns()
-            keys = list(
-                map(
-                    self._extractors.__getitem__,
-                    columns.entry_extractor.tolist(),
-                )
-            )
-            confidences = columns.entry_conf.tolist()
-            starts = np.searchsorted(
-                columns.entry_cell, np.arange(len(columns.coords) + 1)
-            ).tolist()
-            view = {
-                coord: dict(zip(keys[lo:hi], confidences[lo:hi]))
-                for coord, lo, hi in zip(columns.coords, starts, starts[1:])
-            }
-            self._cells = view
-        return view
-
-    def cells(self) -> Iterator[tuple[Coord, dict[ExtractorKey, float]]]:
-        """Iterate (coordinate, {extractor: confidence}) pairs."""
-        return iter(self._cell_view().items())
-
-    def cell(self, coord: Coord) -> dict[ExtractorKey, float]:
-        """The extractions of one coordinate ({} when never extracted)."""
-        return self._cell_view().get(coord, {})
-
-    def _active_view(self) -> dict[SourceKey, set[ExtractorKey]]:
-        view = self._active_sets
-        if view is None:
-            view = {}
-            source, extractor = self.active_pairs()
-            # ``_active`` also names extractors with no cell here.
-            for key, extractor_key in chain(
-                zip(
-                    map(self._sources.__getitem__, source.tolist()),
-                    map(self._extractors.__getitem__, extractor.tolist()),
-                ),
-                self._active,
-            ):
-                view.setdefault(key, set()).add(extractor_key)
-            self._active_sets = view
-        return view
-
-    def active_extractors(self, source: SourceKey) -> set[ExtractorKey]:
-        """Extractors that extracted at least one triple from ``source``."""
-        return self._active_view().get(source, set())
-
-    def _item_view(self) -> dict[DataItem, dict[Value, set[SourceKey]]]:
-        view = self._by_item
-        if view is None:
-            view = {}
-            for source, item, value in self.columns().coords:
-                view.setdefault(item, {}).setdefault(value, set()).add(source)
-            self._by_item = view
-        return view
-
-    def values_for_item(self, item: DataItem) -> dict[Value, set[SourceKey]]:
-        """All observed values for an item with the sources claiming each."""
-        return self._item_view().get(item, {})
-
-    def source_claims(
-        self, source: SourceKey
-    ) -> list[tuple[DataItem, Value]]:
-        """The (item, value) pairs that were extracted from ``source``."""
-        view = self._by_source
-        if view is None:
-            view = {}
-            for claimant, item, value in self.columns().coords:
-                view.setdefault(claimant, []).append((item, value))
-            self._by_source = view
-        return view.get(source, [])
-
-    def extractor_cells(
-        self, extractor: ExtractorKey
-    ) -> dict[Coord, float]:
-        """All coordinates touched by ``extractor`` with confidences.
-
-        Listed in cell order — a function of the cells, so a matrix
-        rebuilt from them (:meth:`from_cells`, an artifact reload) lists
-        them identically and a seeded SPLITANDMERGE splits it alike.
-        """
-        view = self._by_extractor
-        if view is None:
-            view = {}
-            for coord, cell in self._cell_view().items():
-                for key, confidence in cell.items():
-                    view.setdefault(key, {})[coord] = confidence
-            self._by_extractor = view
-        return view.get(extractor, {})
-
-    def iter_records(self) -> Iterator[ExtractionRecord]:
-        """Reconstruct one record per (coordinate, extractor) cell entry.
-
-        Duplicate input records were already collapsed to their maximum
-        confidence, so a rebuilt matrix is cell-identical to this one even
-        though ``num_records`` counts the deduplicated entries.
-        """
-        for (source, item, value), cell in self.cells():
-            for extractor, confidence in cell.items():
-                yield new_record(
-                    ExtractionRecord,
-                    (extractor, source, item, value, confidence),
-                )
 
     def restricted_to_items(
         self, items: set[DataItem]

@@ -39,7 +39,7 @@ def predicate_variety_weights(
     predicate with a uniform spread over many values approaches 1.
     """
     counts: dict[str, dict[object, int]] = {}
-    for (_source, item, value), _cell in observations.cells():
+    for _source, item, value in observations.columns().coords:
         value_counts = counts.setdefault(item.predicate, {})
         value_counts[value] = value_counts.get(value, 0) + 1
     weights = {}
@@ -68,13 +68,13 @@ def idf_weights(observations: ObservationMatrix) -> dict[Coord, float]:
     """
     df: dict[tuple[str, object], int] = {}
     totals: dict[str, int] = {}
-    for (_source, item, value), _cell in observations.cells():
+    for _source, item, value in observations.columns().coords:
         key = (item.predicate, value)
         df[key] = df.get(key, 0) + 1
         totals[item.predicate] = totals.get(item.predicate, 0) + 1
 
     weights: dict[Coord, float] = {}
-    for coord, _cell in observations.cells():
+    for coord in observations.columns().coords:
         _source, item, value = coord
         total = totals[item.predicate]
         idf = math.log(1.0 + total / df[(item.predicate, value)])
@@ -97,7 +97,7 @@ def topic_relevance_weights(
     if not 0.0 <= off_topic_weight <= 1.0:
         raise ValueError("off_topic_weight must be in [0, 1]")
     topic_mass: dict[str, dict[str, int]] = {}
-    for (source, item, _value), _cell in observations.cells():
+    for source, item, _value in observations.columns().coords:
         topics = topic_mass.setdefault(source.website, {})
         topic = topic_of_predicate(item.predicate)
         topics[topic] = topics.get(topic, 0) + 1
@@ -106,7 +106,7 @@ def topic_relevance_weights(
         for website, topics in topic_mass.items()
     }
     weights: dict[Coord, float] = {}
-    for coord, _cell in observations.cells():
+    for coord in observations.columns().coords:
         source, item, _value = coord
         topic = topic_of_predicate(item.predicate)
         on_topic = topic == dominant[source.website]

@@ -14,7 +14,11 @@ violations.
 
 from __future__ import annotations
 
-from repro.core.observation import ObservationMatrix
+from collections.abc import Callable
+
+import numpy as np
+
+from repro.core.observation import CellColumns, Coord, ObservationMatrix
 from repro.core.quality import ExtractorQuality
 from repro.core.types import DataItem, ExtractorKey, SourceKey, Value
 from repro.extraction.schema import Schema
@@ -46,14 +50,16 @@ class GoldStandard:
         """Gold labels (True = correct) for every decidable observed triple.
 
         UNKNOWN triples are omitted — they are removed from the evaluation
-        set, exactly as in the paper.
+        set, exactly as in the paper. Triples are listed by item, items in
+        first-seen order, each item's values in first-seen order.
         """
+        columns = observations.columns()
+        coords = columns.coords
+        verdicts = _per_cell(coords, self.label)
         labels: dict[tuple[DataItem, Value], bool] = {}
-        for item, value in observations.triples():
-            verdict = self.label(item, value)
-            if verdict is Label.UNKNOWN:
-                continue
-            labels[(item, value)] = verdict is Label.TRUE
+        for k in _first_cells(columns):
+            if verdicts[k] is not Label.UNKNOWN:
+                labels[coords[k][1:]] = verdicts[k] is Label.TRUE
         return labels
 
     # ------------------------------------------------------------------
@@ -70,22 +76,22 @@ class GoldStandard:
         Smoothing pulls sources with few labelled triples toward the
         default; sources with no labelled triples keep exactly the default.
         """
-        accuracy: dict[SourceKey, float] = {}
-        for source in observations.sources():
-            true_count = 0
-            labeled = 0
-            for item, value in observations.source_claims(source):
-                verdict = self.label(item, value)
-                if verdict is Label.UNKNOWN:
-                    continue
-                labeled += 1
-                if verdict is Label.TRUE:
-                    true_count += 1
-            accuracy[source] = (
+        columns = observations.columns()
+        verdicts = _per_cell(columns.coords, self.label)
+        known = np.array([v is not Label.UNKNOWN for v in verdicts], bool)
+        true = np.array([v is Label.TRUE for v in verdicts], bool)
+        width = observations.num_sources
+        labeled = np.bincount(columns.cell_source[known], minlength=width)
+        trues = np.bincount(columns.cell_source[true], minlength=width)
+        return {
+            source: (
                 (true_count + prior_weight * default_accuracy)
-                / (labeled + prior_weight)
+                / (labeled_count + prior_weight)
             )
-        return accuracy
+            for source, true_count, labeled_count in zip(
+                observations.sources(), trues.tolist(), labeled.tolist()
+            )
+        }
 
     def initial_extractor_quality(
         self,
@@ -104,21 +110,50 @@ class GoldStandard:
         observed without knowing what pages truly provide, so it stays at
         the default; Q is derived via Eq. 7.
         """
-        quality: dict[ExtractorKey, ExtractorQuality] = {}
-        for extractor in observations.extractors():
-            ok = 0
-            total = 0
-            for (_source, item, value) in observations.extractor_cells(
-                extractor
-            ):
-                total += 1
-                if not self.is_extraction_error(item, value):
-                    ok += 1
-            precision = (
-                (ok + prior_weight * default_precision)
-                / (total + prior_weight)
+        columns = observations.columns()
+        errors = np.array(
+            _per_cell(columns.coords, self.is_extraction_error), dtype=bool
+        )
+        extractor = columns.entry_extractor
+        width = observations.num_extractors
+        totals = np.bincount(extractor, minlength=width).tolist()
+        oks = np.bincount(
+            extractor[~errors[columns.entry_cell]], minlength=width
+        ).tolist()
+        return {
+            key: ExtractorQuality.from_precision_recall(
+                precision=(
+                    (ok + prior_weight * default_precision)
+                    / (total + prior_weight)
+                ),
+                recall=default_recall,
+                gamma=gamma,
             )
-            quality[extractor] = ExtractorQuality.from_precision_recall(
-                precision=precision, recall=default_recall, gamma=gamma
-            )
-        return quality
+            for key, ok, total in zip(observations.extractors(), oks, totals)
+        }
+
+
+def _per_cell(coords: list[Coord], judge: Callable) -> list:
+    """``judge(item, value)`` of each cell, called once per distinct
+    (item, value) and type of value: the matrix holds ``1``, ``True`` and
+    ``1.0`` as one value, the type check tells them apart."""
+    verdicts: dict = {}
+    out = []
+    for _source, item, value in coords:
+        key = (item, value, type(value))
+        if key not in verdicts:
+            verdicts[key] = judge(item, value)
+        out.append(verdicts[key])
+    return out
+
+
+def _first_cells(columns: CellColumns) -> list[int]:
+    """The cell that first holds each distinct (item, value): by item,
+    items in first-seen order, each item's values in first-seen order."""
+    items, values = columns.cell_item, columns.cell_value
+    width = int(values.max()) + 1 if len(values) else 1
+    _triples, first = np.unique(items * width + values, return_index=True)
+    _items, item_first, item_of = np.unique(
+        items, return_index=True, return_inverse=True
+    )
+    return first[np.lexsort((first, item_first[item_of[first]]))].tolist()

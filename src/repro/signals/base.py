@@ -26,6 +26,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterator, Protocol, runtime_checkable
 
+import numpy as np
+
 from repro.core.config import GranularityConfig, MultiLayerConfig
 from repro.core.observation import ObservationMatrix
 from repro.web.graph import WebGraph
@@ -183,10 +185,15 @@ def co_claim_graph(observations: ObservationMatrix) -> WebGraph:
         claim_counts[site] = claim_counts.get(site, 0) + size
     graph = WebGraph(sorted(claim_counts))
     seen_pairs: set[tuple[str, str]] = set()
-    for item in observations.items():
-        sites: set[str] = set()
-        for claiming in observations.values_for_item(item).values():
-            sites.update(source.website for source in claiming)
+    columns = observations.columns()
+    coords = columns.coords
+    # Each item's cells, items in the order their first cell comes.
+    by_item = np.argsort(columns.cell_item, kind="stable")
+    starts = np.flatnonzero(np.diff(columns.cell_item[by_item], prepend=-1))
+    bounds = [*starts.tolist(), len(by_item)]
+    for g in np.argsort(by_item[starts]).tolist():
+        cells = by_item[bounds[g] : bounds[g + 1]].tolist()
+        sites = {coords[k][0].website for k in cells}
         if len(sites) < 2:
             continue
         ordered = sorted(

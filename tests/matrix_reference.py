@@ -1,13 +1,18 @@
 """The dict-backed observation matrix and its compile, as they were
 before the matrix held integer columns: the parity reference of
-``tests/test_matrix_parity.py``.
+``tests/test_matrix_parity.py``, and the matrix the dict oracles walk.
 
 ``ReferenceMatrix`` is the former ``ObservationMatrix`` and
 ``reference_compile_problem`` the former ``compile_problem``, copied
 verbatim but for their names: a matrix holds one dict per cell, built
 by one loop over the records, and the compile walks those cells. The
 library's columnar matrix and array compile must equal them — every
-``CompiledProblem`` array and list, every view and every counter.
+``CompiledProblem`` array and list, every cell and every counter.
+
+``reference_of`` converts a library matrix, which holds columns only,
+into a ``ReferenceMatrix``: the dict views (``cells``, ``triples``,
+``source_claims``, ``active_extractors``, ``iter_records``, ...) that
+the oracles and the tests read live here, not in ``src/``.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import numpy as np
 
 from repro.core.config import FalseValueModel, MultiLayerConfig
 from repro.core.indexing import CompiledProblem
+from repro.core.observation import ObservationMatrix
 from repro.core.types import (
     DataItem,
     ExtractionRecord,
@@ -458,6 +464,30 @@ class ReferenceMatrix:
                     )
 
         return ReferenceMatrix(iter_relabelled())
+
+
+def reference_of(matrix: ObservationMatrix) -> ReferenceMatrix:
+    """``matrix`` as a :class:`ReferenceMatrix`: its cells as
+    ``columns()`` holds them, its extractor order, its ``num_records``,
+    and its ``active_pairs()`` as the active-extractor sets."""
+    columns = matrix.columns()
+    sources = list(matrix.sources())
+    extractors = list(matrix.extractors())
+    out = ReferenceMatrix.from_cells(
+        columns.coords,
+        np.bincount(columns.entry_cell, minlength=len(columns.coords)),
+        [extractors[e] for e in columns.entry_extractor.tolist()],
+        columns.entry_conf.tolist(),
+        extractor_order=extractors,
+    )
+    out._num_records = matrix.num_records
+    out._active_extractors = {}
+    source_ids, extractor_ids = matrix.active_pairs()
+    for source, extractor in zip(source_ids.tolist(), extractor_ids.tolist()):
+        out._active_extractors.setdefault(sources[source], set()).add(
+            extractors[extractor]
+        )
+    return out
 
 
 def reference_compile_problem(

@@ -8,13 +8,15 @@ the scalar C-step algebra it read from ``repro.core.votes``, copied
 verbatim: one dict per scored cell, one loop per equation. The library's
 array engine (``MultiLayerModel.fit``) must match them to <= 1e-9.
 ``fit_python`` takes the arguments ``MultiLayerModel.fit`` passes to
-``fit_numpy``.
+``fit_numpy``, and walks the matrix's dict views through
+``tests/matrix_reference.reference_of``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 
+from matrix_reference import reference_of
 from repro.core.config import AbsenceScope, FalseValueModel, MultiLayerConfig
 from repro.core.engine_numpy import fit_numpy
 from repro.core.observation import ObservationMatrix
@@ -95,6 +97,7 @@ def fit_python(
     frozen_sources: set[SourceKey] | None = None,
 ) -> MultiLayerResult:
     """Algorithm 1 on the reference dict-based state (``engine="python"``)."""
+    observations = reference_of(observations)
     state = _FitState(cfg, observations)
     state.init_qualities(initial_source_accuracy, initial_extractor_quality)
 

@@ -4,13 +4,15 @@ matrix columns: the parity oracle of ``tests/test_single_layer.py``.
 Copied verbatim from the former ``repro.core.single_layer``: provenance
 claims and claimants are built by one loop over ``cells()``, and the E
 step sums each value's votes over a ``set`` of provenances. The library's
-array ``SingleLayerModel`` must match it to <= 1e-12.
+array ``SingleLayerModel`` must match it to <= 1e-12. It walks the
+matrix's cells through ``tests/matrix_reference.reference_of``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 
+from matrix_reference import reference_of
 from repro.core.config import FalseValueModel, SingleLayerConfig
 from repro.core.observation import ObservationMatrix
 from repro.core.results import IterationSnapshot, ProvenanceKey, SingleLayerResult
@@ -59,6 +61,7 @@ class SingleLayerModel:
                 variants) mapping provenance -> initial accuracy.
         """
         cfg = self._config
+        observations = reference_of(observations)
         claims, claimants = self._build_provenance_view(observations)
         participating = {
             prov

@@ -47,7 +47,7 @@ from repro.io.jsonl import read_records
 from repro.signals.base import SignalScores
 
 from test_determinism_ladder import CORPUS, GOLDENS_DIR, result_digest
-from test_observation import snapshot
+from test_observation import cells_of, records_of, snapshot
 
 
 def page_records(website, url, extractor, items, value_fn):
@@ -157,7 +157,7 @@ def narrowest(array) -> np.dtype:
 def entry_order(matrix) -> list:
     """Extractors by first cell entry: the order format 1 / 2 reload."""
     return list(
-        dict.fromkeys(e for _coord, cell in matrix.cells() for e in cell)
+        dict.fromkeys(e for _coord, cell in cells_of(matrix) for e in cell)
     )
 
 
@@ -214,8 +214,8 @@ class TestRoundTrip:
     def test_observations_round_trip(self, fitted, tmp_path):
         path = fitted.save(tmp_path / "model.kbt")
         loaded = FittedKBT.load(path)
-        original = sorted(map(repr, fitted.observations.iter_records()))
-        reloaded = sorted(map(repr, loaded.observations.iter_records()))
+        original = sorted(map(repr, records_of(fitted.observations)))
+        reloaded = sorted(map(repr, records_of(loaded.observations)))
         assert original == reloaded
 
     def test_serving_only_artifact_has_no_observations(
@@ -380,7 +380,7 @@ class TestFormat3:
         for name, array in arrays.items():
             if array.dtype.kind != "f":
                 assert array.dtype == narrowest(array), name
-        cells = list(fitted.observations.cells())
+        cells = cells_of(fitted.observations)
         assert len(arrays["cell_len"]) == len(cells)
         assert arrays["cell_len"].tolist() == [len(c) for _k, c in cells]
 
@@ -531,7 +531,7 @@ def trust_artifacts(draw):
     rng.shuffle(records)
     matrix = ObservationMatrix.from_records(records)
 
-    coords = [coord for coord, _cell in matrix.cells()]
+    coords = list(matrix.columns().coords)
     rng.shuffle(coords)
     posteriors = {coord: rng.random() for coord in coords[1:]}
     priors = {coord: rng.random() for coord in rng.sample(coords, 5)
@@ -613,8 +613,8 @@ class TestRoundTripProperty:
             assert loaded.observations is None
         else:
             assert snapshot(loaded.observations)[:4] == snapshot(matrix)[:4]
-            assert loaded.observations.num_records == sum(
-                len(cell) for _coord, cell in matrix.cells()
+            assert loaded.observations.num_records == len(
+                matrix.columns().entry_cell
             )
         assert loaded.signals == artifact.signals
         for name, scores in artifact.signals.items():
@@ -629,7 +629,7 @@ def test_loaded_coordinates_are_shared(fitted, tmp_path):
     scored = {id(coord) for coord in loaded.result.extraction_posteriors}
     assert scored
     assert all(id(coord) in scored for coord in loaded.result.priors)
-    cells = [coord for coord, _cell in loaded.observations.cells()]
+    cells = loaded.observations.columns().coords
     assert sum(id(coord) in scored for coord in cells) == len(scored)
 
 

@@ -92,9 +92,13 @@ CONFIG_AXES = {
 }
 
 
+def num_items(observations: ObservationMatrix) -> int:
+    return len(set(observations.columns().cell_item.tolist()))
+
+
 def shard_counts(observations: ObservationMatrix) -> list[int]:
     """The satellite's shard-count axis: 1, 2, 7, and one per item."""
-    n_items = max(1, observations.num_items)
+    n_items = max(1, num_items(observations))
     return sorted({1, 2, 7, n_items})
 
 
@@ -159,7 +163,7 @@ def fit_pair(config, observations, backend, num_shards, **fit_kwargs):
 def test_randomized_backend_parity(config, records, shards):
     observations = ObservationMatrix.from_records(records)
     num_shards = (
-        max(1, observations.num_items) if shards == -1 else shards
+        max(1, num_items(observations)) if shards == -1 else shards
     )
     reference, sharded = fit_pair(
         config, observations, "serial", num_shards
@@ -181,7 +185,7 @@ def test_randomized_backend_parity(config, records, shards):
 def test_randomized_threads_parity(config, records, shards):
     observations = ObservationMatrix.from_records(records)
     num_shards = (
-        max(1, observations.num_items) if shards == -1 else shards
+        max(1, num_items(observations)) if shards == -1 else shards
     )
     reference, sharded = fit_pair(
         config, observations, "threads", num_shards
@@ -224,7 +228,7 @@ def test_process_backend_parity_across_axes(config, synthetic_matrix):
 @pytest.mark.parametrize("shards", [1, 2, 7, "n_items", "n_items+5"])
 def test_process_backend_parity_across_shard_counts(shards, synthetic_matrix):
     observations = synthetic_matrix
-    n_items = max(1, observations.num_items)
+    n_items = max(1, num_items(observations))
     num_shards = (
         n_items
         if shards == "n_items"

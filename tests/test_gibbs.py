@@ -6,6 +6,7 @@ from repro.core.config import AbsenceScope, MultiLayerConfig
 from repro.core.gibbs import GibbsConfig, GibbsMultiLayer
 from repro.core.multi_layer import MultiLayerModel
 from repro.core.observation import ObservationMatrix
+from repro.core.types import DataItem, ExtractionRecord, ExtractorKey, SourceKey
 from repro.datasets.motivating import (
     KENYA,
     USA,
@@ -126,3 +127,27 @@ class TestDeterminismAndAgreement:
                 agree += 1
         assert total > 20
         assert agree / total > 0.85
+
+
+class TestRestrictedMatrix:
+    def test_active_scope_on_a_restriction(self):
+        """A restriction keeps each source's corpus-level active pairs;
+        the sampler's ACTIVE scope is those whose extractor has a cell in
+        the slice, as the EM compile's is (``e2`` has none here)."""
+        e1, e2 = ExtractorKey(("e1",)), ExtractorKey(("e2",))
+        w, v = SourceKey(("w",)), SourceKey(("v",))
+        a, b = DataItem("a", "p"), DataItem("b", "p")
+        matrix = ObservationMatrix.from_records(
+            [
+                ExtractionRecord(e1, w, a, "x"),
+                ExtractionRecord(e2, w, b, "y"),
+                ExtractionRecord(e1, v, a, "x"),
+            ]
+        )
+        sub = matrix.restricted_to_items({a})
+        result = GibbsMultiLayer(
+            MultiLayerConfig(absence_scope=AbsenceScope.ACTIVE),
+            GibbsConfig(seed=2, burn_in=2, samples=3),
+        ).fit(sub)
+        assert set(result.extractor_quality) == {e1}
+        assert set(result.source_accuracy) == {w, v}

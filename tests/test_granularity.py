@@ -12,6 +12,8 @@ from repro.core.types import (
     SourceKey,
 )
 
+from test_observation import cells_of, records_of
+
 
 def refs_for(key, count, tag="t"):
     """``count`` distinct triple refs owned by ``key``."""
@@ -148,9 +150,8 @@ class TestMatrixIntegration:
 
     def test_apply_only_sources(self):
         matrix = self.skewed_matrix()
-        out = SplitAndMerge(GranularityConfig(2, 10)).apply(
-            matrix, split_extractors=False
-        )
+        plan = SplitAndMerge(GranularityConfig(2, 10)).plan_sources(matrix)
+        out = matrix.relabel(source_map=plan)
         assert set(out.extractors()) == set(matrix.extractors())
 
     def test_plan_sources_respects_bounds_where_possible(self):
@@ -167,7 +168,7 @@ class TestMatrixIntegration:
     def test_split_is_a_function_of_the_matrix(self, kv_small, tmp_path):
         """The same cells split alike however the matrix came to be.
 
-        ``extractor_cells`` lists coordinates in cell order, so a matrix
+        The planners list each key's triples in cell order, so a matrix
         rebuilt from its own records — which is what an artifact reload
         does — hands the seeded shuffle the same list. (Bucket *sizes*
         are round-robin and equal either way: compare the cells.)
@@ -175,22 +176,18 @@ class TestMatrixIntegration:
         from repro.core.kbt import FittedKBT, KBTEstimator
 
         matrix = ObservationMatrix.from_records(kv_small.campaign.records)
-        for extractor in matrix.extractors():
-            assert list(matrix.extractor_cells(extractor)) == [
-                coord for coord, cell in matrix.cells() if extractor in cell
-            ]
         cfg = GranularityConfig(min_size=5, max_size=20)
         assert max(matrix.extractor_sizes().values()) > cfg.max_size
 
         def relabelled(observations):
             out = SplitAndMerge(cfg, seed=0).apply(observations)
-            return {(coord, frozenset(cell)) for coord, cell in out.cells()}
+            return {(coord, frozenset(cell)) for coord, cell in cells_of(out)}
 
         path = KBTEstimator().fit(matrix).save(
             tmp_path / "model.kbt"
         )
         expected = relabelled(matrix)
         assert expected == relabelled(
-            ObservationMatrix.from_records(matrix.iter_records())
+            ObservationMatrix.from_records(records_of(matrix))
         )
         assert expected == relabelled(FittedKBT.load(path).observations)

@@ -34,8 +34,8 @@ def synthetic_labels(data):
     """Gold labels for every observed triple of a synthetic draw."""
     labels = {}
     obs = ObservationMatrix.from_records(data.records)
-    for item, value in obs.triples():
-        labels[(item, value)] = data.true_values.get(item) == value
+    for _source, item, value in obs.columns().coords:
+        labels.setdefault((item, value), data.true_values.get(item) == value)
     return labels
 
 

@@ -196,7 +196,7 @@ def test_artifact_bytes_equal_for_interned_and_distinct_keys(
 def test_encoder_interns_each_coordinate_once(tmp_path, monkeypatch):
     fitted = fitted_from(list(read_records(CORPUS)))
     result, observations = fitted.result, fitted.observations
-    cells = dict(observations.cells())
+    cells = observations.columns().coords
     coordinates = (
         set(result.extraction_posteriors) | set(result.priors) | set(cells)
     )
@@ -211,7 +211,7 @@ def test_encoder_interns_each_coordinate_once(tmp_path, monkeypatch):
         + sum(len(p) for p in result.value_posteriors.values())
         + len(result.value_posteriors)
         # one extractor per cell entry
-        + sum(len(cell) for cell in cells.values())
+        + len(observations.columns().entry_cell)
         + len(result.source_accuracy)
         + len(result.extractor_quality)
         + len(result.estimable_sources)

@@ -3,10 +3,11 @@ reference (``tests/matrix_reference.py``), and the ``str``-tie orders.
 
 Every construction — ``from_records``, ``from_cells``,
 ``restricted_to_items``, ``extended``, ``relabel`` — is run on both
-sides from the same inputs, and every view, counter and
-``CompiledProblem`` field must be equal, orders and value types
-included (``1``, ``True`` and ``1.0`` share a cell but are not the
-same value). CI runs this file under three hash seeds.
+sides from the same inputs. Every key table, counter and
+``CompiledProblem`` field must be equal, and so must every dict view of
+the columns (``reference_of``) and of the reference, orders and value
+types included (``1``, ``True`` and ``1.0`` share a cell but are not
+the same value). CI runs this file under three hash seeds.
 """
 
 import dataclasses
@@ -19,7 +20,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matrix_reference import ReferenceMatrix, reference_compile_problem
+from matrix_reference import (
+    ReferenceMatrix,
+    reference_compile_problem,
+    reference_of,
+)
 from repro.core.config import (
     AbsenceScope,
     FalseValueModel,
@@ -72,8 +77,24 @@ def record_lists(draw, max_size=40):
     ]
 
 
+def counters(m):
+    """The key tables and counters a matrix holds itself."""
+    return (
+        list(m.sources()),
+        list(m.extractors()),
+        list(m.source_sizes().items()),
+        list(m.extractor_sizes().items()),
+        (
+            m.num_records, m.num_cells, m.num_sources, m.num_extractors,
+            m.num_triples,
+        ),
+    )
+
+
 def views(m):
-    """Every view and counter, orders and value types included."""
+    """Every view and counter of a ``ReferenceMatrix``, orders and value
+    types included. The active sets count the extractors with a cell
+    here: a restriction's reference keeps corpus-level ones besides."""
     cells = list(m.cells())
     coords = [coord for coord, _cell in cells]
     return {
@@ -90,7 +111,10 @@ def views(m):
         ),
         "source_sizes": list(m.source_sizes().items()),
         "extractor_sizes": list(m.extractor_sizes().items()),
-        "active": [typed(m.active_extractors(s)) for s in m.sources()],
+        "active": [
+            typed(m.active_extractors(s) & set(m.extractors()))
+            for s in m.sources()
+        ],
         "values_for_item": [
             typed(m.values_for_item(item)) for item in m.items()
         ],
@@ -146,7 +170,8 @@ def assert_same_problem(m, reference):
 
 
 def assert_parity(m, reference):
-    assert views(m) == views(reference)
+    assert counters(m) == counters(reference)
+    assert views(reference_of(m)) == views(reference)
     assert_same_problem(m, reference)
 
 
@@ -359,17 +384,13 @@ class TestStrTies:
         sub = m.restricted_to_items(set(TIED_ITEMS))
         # Items, values and sources all tie or keep their first-seen
         # order, so the sub-matrix lists the cells as the matrix does.
-        assert [coord for coord, _ in sub.cells()] == [
-            coord for coord, _ in m.cells()
-        ]
+        assert sub.columns().coords == m.columns().coords
         other = DataItem("a", "z")  # sorts after "(a, b, c, d)"
         extra = ExtractionRecord(E1, TIED_SOURCES[0], other, "v")
         m = ObservationMatrix.from_records([extra, *tied_records()])
-        assert [
-            coord for coord, _ in m.restricted_to_items(
-                {other, *TIED_ITEMS}
-            ).cells()
-        ] == [coord for coord, _ in m.cells()][1:] + [
+        assert m.restricted_to_items(
+            {other, *TIED_ITEMS}
+        ).columns().coords == m.columns().coords[1:] + [
             (TIED_SOURCES[0], other, "v")
         ]
 

@@ -1,13 +1,21 @@
-"""Unit tests for the sparse observation matrix and its derived views."""
+"""Unit tests for the sparse observation matrix: its columns, key tables
+and counters.
+
+The matrix holds columns only; the tests read its cells as dicts through
+``tests/matrix_reference.reference_of`` (``cells``, ``cell``,
+``iter_records``, ``active_extractors``), which converts the columns.
+"""
 
 import pickle
 from collections import Counter
 from itertools import chain
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matrix_reference import reference_of
 from repro.core.observation import ObservationMatrix
 from repro.core.types import (
     DataItem,
@@ -45,12 +53,14 @@ class TestConstruction:
         assert m.num_cells == 3
         assert m.num_sources == 2
         assert m.num_extractors == 2
-        assert m.num_items == 2
+        assert m.columns().cell_item.tolist() == [0, 0, 1]  # two items
         assert m.num_triples == 3  # (s1,p,a), (s1,p,b), (s2,p,c)
 
     def test_cell_contents(self):
         m = small_matrix()
-        cell = m.cell((SourceKey(("w1",)), DataItem("s1", "p"), "a"))
+        cell = reference_of(m).cell(
+            (SourceKey(("w1",)), DataItem("s1", "p"), "a")
+        )
         assert cell == {
             ExtractorKey(("e1",)): 1.0,
             ExtractorKey(("e2",)): 0.5,
@@ -58,7 +68,9 @@ class TestConstruction:
 
     def test_missing_cell_is_empty(self):
         m = small_matrix()
-        assert m.cell((SourceKey(("w9",)), DataItem("s1", "p"), "a")) == {}
+        assert (
+            SourceKey(("w9",)), DataItem("s1", "p"), "a"
+        ) not in m.columns().coords
 
     def test_duplicate_keeps_max_confidence(self):
         m = ObservationMatrix.from_records(
@@ -68,8 +80,7 @@ class TestConstruction:
                 record("e1", "w1", "s1", "p", "a", conf=0.5),
             ]
         )
-        cell = m.cell((SourceKey(("w1",)), DataItem("s1", "p"), "a"))
-        assert cell[ExtractorKey(("e1",))] == 0.9
+        assert m.columns().entry_conf.tolist() == [0.9]
         assert m.num_records == 3
         assert m.num_cells == 1
 
@@ -77,38 +88,50 @@ class TestConstruction:
 class TestIndexes:
     def test_values_for_item(self):
         m = small_matrix()
-        values = m.values_for_item(DataItem("s1", "p"))
-        assert set(values) == {"a", "b"}
-        assert values["a"] == {SourceKey(("w1",))}
-        assert values["b"] == {SourceKey(("w2",))}
+        columns = m.columns()
+        item = columns.cell_item == columns.cell_item[0]  # s1
+        assert [columns.coords[k][2] for k in np.flatnonzero(item)] == [
+            "a",
+            "b",
+        ]
+        assert columns.cell_value[item].tolist() == [0, 1]
+        assert columns.cell_source[item].tolist() == [0, 1]  # w1, w2
 
     def test_source_claims(self):
         m = small_matrix()
-        assert m.source_claims(SourceKey(("w2",))) == [
+        columns = m.columns()
+        assert [
+            columns.coords[k][1:] for k in np.flatnonzero(columns.cell_source == 1)
+        ] == [
             (DataItem("s1", "p"), "b"),
             (DataItem("s2", "p"), "c"),
         ]
 
     def test_extractor_cells(self):
         m = small_matrix()
-        cells = m.extractor_cells(ExtractorKey(("e2",)))
-        assert len(cells) == 2
+        columns = m.columns()
+        e2 = list(m.extractors()).index(ExtractorKey(("e2",)))
+        assert columns.entry_cell[columns.entry_extractor == e2].tolist() == [
+            0,
+            2,
+        ]
 
     def test_active_extractors(self):
         m = small_matrix()
-        assert m.active_extractors(SourceKey(("w1",))) == {
-            ExtractorKey(("e1",)),
-            ExtractorKey(("e2",)),
-        }
-        assert m.active_extractors(SourceKey(("w9",))) == set()
+        sources, extractors = m.active_pairs()
+        # w1 and w2 were each processed by e1 and e2.
+        assert sources.tolist() == [0, 0, 1, 1]
+        assert extractors.tolist() == [0, 1, 0, 1]
+        assert reference_of(m).active_extractors(SourceKey(("w9",))) == set()
 
     def test_triples_enumeration(self):
         m = small_matrix()
-        assert set(m.triples()) == {
+        assert {coord[1:] for coord in m.columns().coords} == {
             (DataItem("s1", "p"), "a"),
             (DataItem("s1", "p"), "b"),
             (DataItem("s2", "p"), "c"),
         }
+        assert m.num_triples == 3
 
     def test_sizes(self):
         m = small_matrix()
@@ -124,7 +147,8 @@ class TestRelabel:
         m = small_matrix()
         m2 = m.relabel()
         assert m2.num_cells == m.num_cells
-        assert set(m2.triples()) == set(m.triples())
+        assert m2.columns().coords == m.columns().coords
+        assert m2.num_triples == m.num_triples
 
     def test_source_relabel_merges(self):
         m = small_matrix()
@@ -151,12 +175,14 @@ class TestRelabel:
     def test_relabel_preserves_confidences(self):
         m = small_matrix()
         m2 = m.relabel()
-        cell = m2.cell((SourceKey(("w1",)), DataItem("s1", "p"), "a"))
+        cell = reference_of(m2).cell(
+            (SourceKey(("w1",)), DataItem("s1", "p"), "a")
+        )
         assert cell[ExtractorKey(("e2",))] == 0.5
 
 
 # ----------------------------------------------------------------------
-# The maintained counters and derived views against a specification
+# The maintained counters and the columns against a specification
 # ----------------------------------------------------------------------
 def first_seen(keys):
     return list(dict.fromkeys(keys))
@@ -182,49 +208,53 @@ def record_lists(draw, max_size=40):
     )
 
 
-def assert_views_restate_cells(m):
-    """Every counter and derived view, restated over ``cells()``."""
-    cells = list(m.cells())
-    coords = [coord for coord, _cell in cells]
-    assert m.num_cells == len(cells)
+def cells_of(m):
+    """The cells as (coordinate, {extractor: confidence}), cell order."""
+    return list(reference_of(m).cells())
+
+
+def records_of(m):
+    """One record per cell entry, in cell order."""
+    return list(reference_of(m).iter_records())
+
+
+def active_of(m):
+    return {s: reference_of(m).active_extractors(s) for s in m.sources()}
+
+
+def assert_columns_restate_cells(m):
+    """Every counter and id column, restated over the coordinates and
+    the cells."""
+    columns = m.columns()
+    cells = cells_of(m)
+    coords = columns.coords
+    assert m.num_cells == len(cells) == len(coords)
     assert m.source_sizes() == Counter(s for s, _i, _v in coords)
     assert m.extractor_sizes() == Counter(
         e for _c, cell in cells for e in cell
     )
     assert m.num_sources == len(m.source_sizes())
     assert m.num_extractors == len(m.extractor_sizes())
-    for source in m.sources():
-        claims = [(i, v) for s, i, v in coords if s == source]
-        assert m.source_claims(source) == claims
-        assert m.source_sizes()[source] == len(claims)
-    for extractor in m.extractors():
-        touched = {
-            c: cell[extractor] for c, cell in cells if extractor in cell
-        }
-        assert m.extractor_cells(extractor) == touched
-        assert list(m.extractor_cells(extractor)) == list(touched)
-        assert m.extractor_sizes()[extractor] == len(touched)
-    assert list(m.items()) == first_seen(i for _s, i, _v in coords)
-    assert m.num_items == len(list(m.items()))
-    for item in m.items():
-        values = first_seen(v for _s, i, v in coords if i == item)
-        assert list(m.values_for_item(item)) == values
-        for value in values:
-            assert m.values_for_item(item)[value] == {
-                s for s, i, v in coords if (i, v) == (item, value)
-            }
-    triples = list(m.triples())
-    assert set(triples) == {(i, v) for _s, i, v in coords}
-    assert m.num_triples == len(set(triples)) == len(triples)
+    sources = list(m.sources())
+    assert [sources[s] for s in columns.cell_source.tolist()] == [
+        s for s, _i, _v in coords
+    ]
+    # Equal items (values) share an id, ids in first-seen order.
+    for part, ids in ((1, columns.cell_item), (2, columns.cell_value)):
+        keys = first_seen(coord[part] for coord in coords)
+        assert [keys.index(coord[part]) for coord in coords] == ids.tolist()
+    entries = columns.entry_cell.tolist()
+    assert entries == sorted(entries)
+    assert m.num_triples == len({(i, v) for _s, i, v in coords})
 
 
 def snapshot(m):
     """Everything a compile reads, order included."""
     return (
-        [(coord, list(cell.items())) for coord, cell in m.cells()],
+        [(coord, list(cell.items())) for coord, cell in cells_of(m)],
         list(m.source_sizes().items()),
         list(m.extractor_sizes().items()),
-        {s: m.active_extractors(s) for s in m.sources()},
+        active_of(m),
         m.num_records,
     )
 
@@ -238,18 +268,18 @@ class TestAgainstSpecification:
         for r in records:
             cell = strongest.setdefault((r.source, r.item, r.value), {})
             cell[r.extractor] = max(r.confidence, cell.get(r.extractor, 0.0))
-        assert dict(m.cells()) == strongest
-        assert list(strongest) == [coord for coord, _cell in m.cells()]
+        assert dict(cells_of(m)) == strongest
+        assert list(strongest) == m.columns().coords
         assert m.num_records == len(records)
         assert list(m.sources()) == first_seen(r.source for r in records)
         assert list(m.extractors()) == first_seen(
             r.extractor for r in records
         )
-        for source in m.sources():
-            assert m.active_extractors(source) == {
+        for source, active in active_of(m).items():
+            assert active == {
                 r.extractor for r in records if r.source == source
             }
-        assert_views_restate_cells(m)
+        assert_columns_restate_cells(m)
 
     @given(record_lists(), st.integers(1, 9))
     @settings(max_examples=40, deadline=None)
@@ -261,31 +291,31 @@ class TestAgainstSpecification:
 
     @given(record_lists(), record_lists(max_size=15), st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_extended(self, base_records, delta_records, derive_first):
+    def test_extended(self, base_records, delta_records, restrict_first):
         m = ObservationMatrix.from_records(base_records)
         o = ObservationMatrix.from_records(delta_records)
-        if derive_first:
-            list(m.items())  # by-item is then carried, not re-derived
+        if restrict_first:  # the warm-start update's delta problem
+            m = m.restricted_to_items({DataItem("s0", "p")})
         before = snapshot(m), snapshot(o)
         ext = m.extended(o)
         assert (snapshot(m), snapshot(o)) == before
-        assert ext._by_item is None  # derived on first read, not carried
-        assert_views_restate_cells(ext)
-        assert_views_restate_cells(m)
+        assert_columns_restate_cells(ext)
+        assert_columns_restate_cells(m)
 
         rebuilt = ObservationMatrix.from_records(
-            [*m.iter_records(), *o.iter_records()]
+            [*records_of(m), *records_of(o)]
         )
         cells, source_sizes, extractor_sizes, active, _n = snapshot(ext)
         assert cells == snapshot(rebuilt)[0]
         assert source_sizes == snapshot(rebuilt)[1]
         assert dict(extractor_sizes) == rebuilt.extractor_sizes()
-        assert active == snapshot(rebuilt)[3]
+        if not restrict_first:
+            assert active == snapshot(rebuilt)[3]
         assert ext.num_records == m.num_records + o.num_records
         # Known extractors keep their order; new ones follow in the
         # order the delta's cells list them.
         assert list(ext.extractors()) == first_seen(
-            [*m.extractors(), *(e for _c, cell in o.cells() for e in cell)]
+            [*m.extractors(), *(e for _c, cell in cells_of(o) for e in cell)]
         )
 
     @given(record_lists(), st.sets(st.sampled_from(["s0", "s1", "s2", "s9"])))
@@ -293,21 +323,21 @@ class TestAgainstSpecification:
     def test_restricted_to_items(self, records, subjects):
         m = ObservationMatrix.from_records(records)
         sub = m.restricted_to_items({DataItem(s, "p") for s in subjects})
-        assert dict(sub.cells()) == {
+        assert dict(cells_of(sub)) == {
             coord: cell
-            for coord, cell in m.cells()
+            for coord, cell in cells_of(m)
             if coord[1].subject in subjects
         }
-        assert sub.num_records == sum(len(cell) for _c, cell in sub.cells())
-        for source in sub.sources():
-            assert sub.active_extractors(source) == m.active_extractors(
-                source
-            )
-        assert sub._by_item is None  # derived on first read, not on the way
-        assert_views_restate_cells(sub)
+        assert sub.num_records == len(sub.columns().entry_cell)
+        # A retained source keeps its corpus-level active extractors
+        # that have a cell in the restriction.
+        kept = set(sub.extractors())
+        for source, active in active_of(sub).items():
+            assert active == active_of(m)[source] & kept
+        assert_columns_restate_cells(sub)
         # Sources and extractors are in the order the cells list them.
         assert snapshot(sub)[:3] == snapshot(
-            ObservationMatrix.from_records(sub.iter_records())
+            ObservationMatrix.from_records(records_of(sub))
         )[:3]
 
     @given(record_lists(), record_lists(max_size=15))
@@ -317,7 +347,7 @@ class TestAgainstSpecification:
         m = ObservationMatrix.from_records(base_records).extended(
             ObservationMatrix.from_records(delta_records)
         )
-        cells = list(m.cells())
+        cells = cells_of(m)
         columns = (
             [coord for coord, _cell in cells],
             [len(cell) for _coord, cell in cells],
@@ -326,9 +356,9 @@ class TestAgainstSpecification:
         )
         by_entries = ObservationMatrix.from_cells(*columns)
         assert snapshot(by_entries) == snapshot(
-            ObservationMatrix.from_records(m.iter_records())
+            ObservationMatrix.from_records(records_of(m))
         )
-        assert_views_restate_cells(by_entries)
+        assert_columns_restate_cells(by_entries)
         restored = ObservationMatrix.from_cells(
             *columns, extractor_order=m.extractors()
         )
@@ -337,7 +367,7 @@ class TestAgainstSpecification:
 
     def test_from_cells_rejects_inconsistent_columns(self):
         m = small_matrix()
-        cells = list(m.cells())
+        cells = cells_of(m)
         columns = (
             [coord for coord, _cell in cells],
             [len(cell) for _coord, cell in cells],
@@ -365,20 +395,20 @@ class TestAgainstSpecification:
     def test_relabel_and_pickle(self, records):
         m = ObservationMatrix.from_records(records)
         assert snapshot(m.relabel()) == snapshot(
-            ObservationMatrix.from_records(m.iter_records())
+            ObservationMatrix.from_records(records_of(m))
         )
         merged = m.relabel(
             source_map=lambda w, d, v: SourceKey(("all",)),
             extractor_map=lambda e, d, v: e.child_bucket(len(str(v)) % 2),
         )
         assert merged.num_triples == m.num_triples
-        assert_views_restate_cells(merged)
+        assert_columns_restate_cells(merged)
         for derived in (False, True):
             if derived:
-                assert_views_restate_cells(m)
+                assert_columns_restate_cells(m)
             copy = pickle.loads(pickle.dumps(m))
             assert snapshot(copy) == snapshot(m)
-            assert_views_restate_cells(copy)
+            assert_columns_restate_cells(copy)
 
 
 # ----------------------------------------------------------------------
@@ -423,13 +453,7 @@ class ReferenceFold:
 
 def fold_snapshot(m):
     """``ReferenceFold.snapshot`` of a matrix, orders included."""
-    return (
-        [(coord, list(cell.items())) for coord, cell in m.cells()],
-        list(m.source_sizes().items()),
-        list(m.extractor_sizes().items()),
-        {source: m.active_extractors(source) for source in m.sources()},
-        m.num_records,
-    )
+    return snapshot(m)
 
 
 CONFIDENCES = st.sampled_from([0.25, 0.5, 1.0])
@@ -473,7 +497,7 @@ class TestFoldEquivalence:
     @settings(max_examples=60, deadline=None)
     def test_from_cells_round_trip(self, records):
         m = ObservationMatrix.from_records(records)
-        cells = list(m.cells())
+        cells = cells_of(m)
         columns = (
             [coord for coord, _cell in cells],
             [len(cell) for _coord, cell in cells],
@@ -511,5 +535,5 @@ class TestFoldEquivalence:
         relabelled = m.relabel(source_map=source_map, extractor_map=extractor_map)
         assert fold_snapshot(relabelled) == reference.snapshot()
         assert fold_snapshot(m.relabel()) == fold_snapshot(
-            ObservationMatrix.from_records(m.iter_records())
+            ObservationMatrix.from_records(records_of(m))
         )

@@ -43,6 +43,7 @@ from repro.exec.spill import (
     spill_problem_arrays,
 )
 from tests.test_exec_backends import assert_parity
+from tests.test_observation import cells_of, records_of
 
 SOURCES = [SourceKey((f"w{i}",)) for i in range(5)]
 EXTRACTORS = [ExtractorKey((f"e{i}",)) for i in range(4)]
@@ -103,7 +104,7 @@ class TestChunkFedMatrix:
         return corpus
 
     def test_matches_matrix_on_synthetic(self, synthetic_matrix):
-        records = list(synthetic_matrix.iter_records())
+        records = records_of(synthetic_matrix)
         self.assert_compile_identical(
             records, MultiLayerConfig(engine="numpy")
         )
@@ -158,9 +159,10 @@ class TestChunkFedMatrix:
             records, MultiLayerConfig(engine="numpy"), chunk_size=1
         )
         assert corpus.num_records == 4
-        assert corpus.cell((SOURCES[1], ITEMS[0], "a")) == {
-            EXTRACTORS[1]: 0.9
-        }
+        assert cells_of(corpus) == [
+            ((SOURCES[0], ITEMS[0], "a"), {EXTRACTORS[0]: 0.3}),
+            ((SOURCES[1], ITEMS[0], "a"), {EXTRACTORS[1]: 0.9}),
+        ]
         assert corpus.source_sizes() == {SOURCES[0]: 1, SOURCES[1]: 1}
         assert corpus.extractor_sizes() == {
             EXTRACTORS[0]: 1,
@@ -168,10 +170,10 @@ class TestChunkFedMatrix:
         }
         assert list(corpus.sources()) == SOURCES[:2]
         assert list(corpus.extractors()) == EXTRACTORS[:2]
-        assert corpus.active_extractors(SOURCES[1]) == {EXTRACTORS[1]}
+        assert [a.tolist() for a in corpus.active_pairs()] == [[0, 1], [0, 1]]
 
     def test_release_frees_cells_keeps_stats(self, synthetic_matrix):
-        records = list(synthetic_matrix.iter_records())
+        records = records_of(synthetic_matrix)
         cfg = MultiLayerConfig(engine="numpy")
         corpus = chunk_fed(records, 13)
         problem = compile_problem(corpus, cfg)
@@ -181,9 +183,9 @@ class TestChunkFedMatrix:
         assert corpus.num_records == synthetic_matrix.num_records
         assert list(corpus.sources()) == list(synthetic_matrix.sources())
         with pytest.raises(RuntimeError, match="released"):
-            list(corpus.cells())
+            corpus.columns()
         with pytest.raises(RuntimeError, match="released"):
-            list(corpus.items())
+            corpus.active_pairs()
         with pytest.raises(RuntimeError, match="released"):
             corpus.extended(synthetic_matrix)
 
@@ -217,7 +219,7 @@ class TestChunkFedMatrix:
 
         from multi_layer_reference import fit_python
 
-        records = list(synthetic_matrix.iter_records())
+        records = records_of(synthetic_matrix)
         config = MultiLayerConfig()
         assert (
             fit_python(config, chunk_fed(records, 17)).source_accuracy
@@ -441,7 +443,7 @@ class TestOutOfCoreParity:
         order defines the compiled array order, so the comparison must
         be like for like).
         """
-        records = list(synthetic_matrix.iter_records())
+        records = records_of(synthetic_matrix)
         cfg = dataclasses.replace(
             MultiLayerConfig(engine="numpy"),
             backend="serial",

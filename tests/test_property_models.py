@@ -67,9 +67,9 @@ class TestMultiLayerInvariants:
     @settings(max_examples=20, deadline=None)
     def test_every_scored_coordinate_has_posterior(self, matrix):
         result = MultiLayerModel(MultiLayerConfig()).fit(matrix)
-        assert set(result.extraction_posteriors) == {
-            coord for coord, _cell in matrix.cells()
-        }
+        assert set(result.extraction_posteriors) == set(
+            matrix.columns().coords
+        )
 
     @given(random_matrices())
     @settings(max_examples=20, deadline=None)

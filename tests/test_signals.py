@@ -36,6 +36,7 @@ from repro.signals.providers import (
     SingleLayerSignal,
 )
 from repro.web.graph import WebGraph
+from test_observation import cells_of
 
 
 def page_records(website, url, extractor, items, value_fn):
@@ -443,7 +444,7 @@ class TestArtifactV2:
         v3 = load_artifact(path)
         assert v2.signals == v3.signals == signals
         assert v2.fusion_weights == weights
-        assert dict(v2.observations.cells()) == dict(v3.observations.cells())
+        assert cells_of(v2.observations) == cells_of(v3.observations)
         assert v2.result.source_accuracy == v3.result.source_accuracy
 
     def test_v1_artifact_loads_with_empty_signals(self, saved, tmp_path):

@@ -348,7 +348,8 @@ class TestCachedHash:
 
 _CHILD = """
 import pickle, sys
-from repro.core.types import DataItem, ExtractorKey, SourceKey
+from repro.core.observation import ObservationMatrix
+from repro.core.types import DataItem, ExtractionRecord, ExtractorKey, SourceKey
 
 assert hash("wiki.com") != int(sys.argv[2]), "child shares the parent's salt"
 with open(sys.argv[1], "rb") as handle:
@@ -368,15 +369,17 @@ for sent, fresh in [
     assert {fresh: 1}[sent] == 1
 
 # Their keys in my containers, my keys in theirs.
-assert matrix.source_claims(fresh_source) == [
-    (fresh_item, "USA"), (DataItem("obama", "spouse"), "michelle")
+assert matrix.source_sizes()[fresh_source] == 2
+assert matrix.extractor_sizes()[fresh_extractor] == 1
+assert (fresh_source, fresh_item, "USA") in set(matrix.columns().coords)
+assert matrix.restricted_to_items({fresh_item}).columns().coords == [
+    (fresh_source, fresh_item, "USA")
 ]
-assert matrix.cell((fresh_source, fresh_item, "USA")) == {fresh_extractor: 0.75}
-assert matrix.active_extractors(fresh_source) == {
-    fresh_extractor, ExtractorKey(("sys2",), bucket=1)
-}
+again = ObservationMatrix.from_records(
+    [ExtractionRecord(fresh_extractor, fresh_source, fresh_item, "USA", 0.75)]
+)
+assert matrix.extended(again).num_cells == matrix.num_cells
 assert set(matrix.sources()) == {fresh_source}
-assert set(matrix.items()) <= {fresh_item, DataItem("obama", "spouse")}
 print("ok")
 """
 

@@ -19,6 +19,7 @@ from repro.datasets.motivating import (
     source_key,
 )
 
+from matrix_reference import reference_of
 from multi_layer_reference import VoteTable, extraction_posterior
 
 
@@ -34,7 +35,7 @@ def matrix():
 
 def vcc_for(matrix, table, page, value):
     ex = motivating_example()
-    cell = matrix.cell((source_key(page), ex.item, value))
+    cell = reference_of(matrix).cell((source_key(page), ex.item, value))
     return table.vote_count(cell)
 
 

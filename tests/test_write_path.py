@@ -46,6 +46,7 @@ from serving_reference import ReferenceStore
 from test_artifact import with_json_payload
 from test_determinism_ladder import CORPUS, UPDATES, ladder_config
 from test_ingest import batch_for, corpus as small_corpus
+from test_observation import records_of
 
 
 def sha256(path):
@@ -246,8 +247,8 @@ class TestServingNeverBuildsTheMatrix:
     def test_full_load_is_unchanged(self, saved):
         fitted, path = saved
         loaded = FittedKBT.load(path)
-        assert list(loaded.observations.iter_records()) == list(
-            fitted.observations.iter_records()
+        assert records_of(loaded.observations) == records_of(
+            fitted.observations
         )
         for section in (
             "priors",
