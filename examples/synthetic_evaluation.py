@@ -34,7 +34,7 @@ def single_layer_site_accuracy(result, obs):
         claims.setdefault(source, []).append((item, value))
     estimates = {}
     for source, triples in claims.items():
-        ps = [result.triple_probability(item, value) for item, value in triples]
+        ps = [result.triple_probability(item, v) for item, v in triples]
         ps = [p for p in ps if p is not None]
         if ps:
             estimates[source] = statistics.mean(ps)

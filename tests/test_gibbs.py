@@ -6,7 +6,12 @@ from repro.core.config import AbsenceScope, MultiLayerConfig
 from repro.core.gibbs import GibbsConfig, GibbsMultiLayer
 from repro.core.multi_layer import MultiLayerModel
 from repro.core.observation import ObservationMatrix
-from repro.core.types import DataItem, ExtractionRecord, ExtractorKey, SourceKey
+from repro.core.types import (
+    DataItem,
+    ExtractionRecord,
+    ExtractorKey,
+    SourceKey,
+)
 from repro.datasets.motivating import (
     KENYA,
     USA,

@@ -100,9 +100,8 @@ class TestIndexes:
     def test_source_claims(self):
         m = small_matrix()
         columns = m.columns()
-        assert [
-            columns.coords[k][1:] for k in np.flatnonzero(columns.cell_source == 1)
-        ] == [
+        w2 = np.flatnonzero(columns.cell_source == 1)
+        assert [columns.coords[k][1:] for k in w2] == [
             (DataItem("s1", "p"), "b"),
             (DataItem("s2", "p"), "c"),
         ]

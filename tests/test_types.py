@@ -349,7 +349,9 @@ class TestCachedHash:
 _CHILD = """
 import pickle, sys
 from repro.core.observation import ObservationMatrix
-from repro.core.types import DataItem, ExtractionRecord, ExtractorKey, SourceKey
+from repro.core.types import (
+    DataItem, ExtractionRecord, ExtractorKey, SourceKey,
+)
 
 assert hash("wiki.com") != int(sys.argv[2]), "child shares the parent's salt"
 with open(sys.argv[1], "rb") as handle:
