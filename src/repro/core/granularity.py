@@ -12,25 +12,30 @@ worklist of keys:
   parent can be split again, as in Example 4.2);
 * keys already in ``[m, M]`` are emitted unchanged.
 
-The result is a :class:`GranularityPlan`: a per-triple mapping from original
-keys to final keys that can be fed to ``ObservationMatrix.relabel``.
+The triples are numbered refs and a key owns an array of them: the
+per-key steps run in Python, the per-triple ones are array work. The
+result is a :class:`GranularityPlan`: a final key table and each ref's
+final key id — one per cell for sources, one per entry for extractors —
+which ``ObservationMatrix.relabel`` takes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Protocol, TypeVar
 
 import numpy as np
 
 from repro.core.config import GranularityConfig
 from repro.core.observation import ObservationMatrix
-from repro.core.types import DataItem, ExtractorKey, SourceKey, Value
+from repro.core.types import ExtractorKey, SourceKey
 from repro.util.rng import derive_rng
 
 
 class HierarchicalKey(Protocol):
     """Anything with a parent and split buckets (SourceKey, ExtractorKey)."""
+
+    bucket: int | None
 
     def parent(self) -> "HierarchicalKey | None": ...
 
@@ -39,36 +44,19 @@ class HierarchicalKey(Protocol):
 
 K = TypeVar("K", SourceKey, ExtractorKey)
 
-#: A triple reference: (original finest key, item, value).
-TripleRef = tuple[object, DataItem, Value]
-
 
 @dataclass(frozen=True)
 class GranularityPlan:
-    """Per-triple reassignment of keys produced by SPLITANDMERGE.
+    """Reassignment of keys produced by SPLITANDMERGE.
 
-    ``mapping`` sends (original key, item, value) to the final key. Keys
-    absent from the plan (never observed when planning) map to themselves.
-    ``rounds`` traces the algorithm: the worklist group sizes examined in
-    each merge round (used by the Table 7 cost model to price preparation).
+    Ref ``r`` goes to the final key ``keys[ids[r]]``. ``rounds`` traces
+    the algorithm: the worklist group sizes examined in each merge round
+    (used by the Table 7 cost model to price preparation).
     """
 
-    mapping: dict[tuple[object, DataItem, Value], object]
+    keys: list
+    ids: np.ndarray
     rounds: tuple[tuple[int, ...], ...] = ()
-
-    def __call__(self, key, item: DataItem, value: Value):
-        return self.mapping.get((key, item, value), key)
-
-    def final_sizes(self) -> dict[object, int]:
-        """Number of triples assigned to each final key."""
-        sizes: dict[object, int] = {}
-        for final_key in self.mapping.values():
-            sizes[final_key] = sizes.get(final_key, 0) + 1
-        return sizes
-
-    @property
-    def num_final_keys(self) -> int:
-        return len(set(self.mapping.values()))
 
 
 class SplitAndMerge:
@@ -77,6 +65,10 @@ class SplitAndMerge:
     ``merge_small=False`` gives the split-only variant of Table 7: oversized
     keys are still split, but undersized keys are kept as-is instead of
     being merged into their parents.
+
+    A key that cannot move is kept as it is: an undersized key at the top
+    of its hierarchy (it has no parent), and an oversized key that is
+    already a split bucket (a bucket is not split again).
     """
 
     def __init__(
@@ -96,92 +88,91 @@ class SplitAndMerge:
     # ------------------------------------------------------------------
     # Planning
     # ------------------------------------------------------------------
-    def plan(self, groups: dict[K, list[TripleRef]]) -> GranularityPlan:
-        """Run SPLITANDMERGE over ``groups`` (key -> owned triple refs)."""
+    def plan(self, keys: list[K], group_of: np.ndarray) -> GranularityPlan:
+        """Run SPLITANDMERGE over refs ``0 .. len(group_of) - 1``, ref
+        ``r`` owned by ``keys[group_of[r]]``. Every key enters the first
+        round in table order, owning its refs in ref order (or none)."""
         m = self._config.min_size
         big = self._config.max_size
-        work: dict[K, list[TripleRef]] = {
-            key: list(refs) for key, refs in groups.items()
-        }
-        mapping: dict[tuple[object, DataItem, Value], object] = {}
+        order = np.argsort(group_of, kind="stable")
+        ends = np.cumsum(np.bincount(group_of, minlength=len(keys)))
+        work: dict[K, np.ndarray] = dict(zip(keys, np.split(order, ends[:-1])))
+        ids = np.empty(len(group_of), dtype=np.int64)
+        final: dict[K, int] = {}
         rounds: list[tuple[int, ...]] = []
 
-        def emit(key: K, refs: list[TripleRef]) -> None:
-            for original, item, value in refs:
-                mapping[(original, item, value)] = key
+        def emit(key: K, refs: np.ndarray) -> None:
+            if len(refs):
+                ids[refs] = final.setdefault(key, len(final))
 
         while work:
-            rounds.append(tuple(len(refs) for refs in work.values()))
-            merged: dict[K, list[TripleRef]] = {}
+            rounds.append(tuple(map(len, work.values())))
+            merged: dict[K, list[np.ndarray]] = {}
             for key, refs in work.items():
-                if len(refs) > big:
+                if len(refs) > big and key.bucket is None:
                     for bucket_key, bucket_refs in self._split(key, refs):
                         emit(bucket_key, bucket_refs)
-                elif len(refs) < m and self._merge_small:
-                    parent = key.parent()
-                    if parent is None:
-                        emit(key, refs)  # top of the hierarchy: keep as is
-                    else:
-                        merged.setdefault(parent, []).extend(refs)
+                elif len(refs) < m and self._merge_small and (
+                    parent := key.parent()
+                ) is not None:
+                    merged.setdefault(parent, []).append(refs)
                 else:
                     emit(key, refs)
-            work = merged
-        return GranularityPlan(mapping, rounds=tuple(rounds))
+            work = {
+                key: np.concatenate(parts) for key, parts in merged.items()
+            }
+        return GranularityPlan(list(final), ids, tuple(rounds))
 
     def _split(
-        self, key: K, refs: list[TripleRef]
-    ) -> list[tuple[K, list[TripleRef]]]:
-        """Uniformly distribute ``refs`` into ceil(|refs| / M) buckets."""
+        self, key: K, refs: np.ndarray
+    ) -> list[tuple[K, np.ndarray]]:
+        """Uniformly distribute ``refs`` into ceil(|refs| / M) buckets:
+        a seeded shuffle, then dealt round-robin."""
         num_buckets = -(-len(refs) // self._config.max_size)  # ceil div
-        rng = derive_rng(self._seed, "split", repr(key))
-        shuffled = list(refs)
-        rng.shuffle(shuffled)
-        buckets: list[list[TripleRef]] = [[] for _ in range(num_buckets)]
-        for index, ref in enumerate(shuffled):
-            buckets[index % num_buckets].append(ref)
+        shuffled = list(range(len(refs)))
+        derive_rng(self._seed, "split", repr(key)).shuffle(shuffled)
+        shuffled = refs[shuffled]
         return [
-            (key.child_bucket(bucket_index), bucket_refs)
-            for bucket_index, bucket_refs in enumerate(buckets)
+            (key.child_bucket(bucket), shuffled[bucket::num_buckets])
+            for bucket in range(num_buckets)
         ]
 
     # ------------------------------------------------------------------
     # ObservationMatrix integration
     # ------------------------------------------------------------------
     def plan_sources(self, observations: ObservationMatrix) -> GranularityPlan:
-        """Plan source granularity from the matrix's per-source triples."""
-        keys = list(observations.sources())
-        refs: list[list[TripleRef]] = [[] for _ in keys]
-        columns = observations.columns()
-        for source, coord in zip(columns.cell_source.tolist(), columns.coords):
-            refs[source].append((keys[source], *coord[1:]))
-        return self.plan(dict(zip(keys, refs)))
+        """Plan source granularity from the matrix's per-source triples:
+        the refs are the cells, so the plan has one id per cell."""
+        return self.plan(
+            list(observations.sources()), observations.columns().cell_source
+        )
 
     def plan_extractors(
         self, observations: ObservationMatrix
     ) -> GranularityPlan:
         """Plan extractor granularity from per-extractor extraction counts:
-        an extractor's distinct (item, value) pairs, each as its first cell
-        holds it, in cell order."""
-        keys = list(observations.extractors())
-        refs: list[list[TripleRef]] = [[] for _ in keys]
+        the refs are an extractor's distinct (item, value) pairs, in the
+        order of their first cells. The plan has one id per entry."""
         columns = observations.columns()
         values = columns.cell_value
         span = int(values.max()) + 1 if len(values) else 1
         triple = (columns.cell_item * span + values)[columns.entry_cell]
         extractor = columns.entry_extractor
         span = int(triple.max()) + 1 if len(triple) else 1
-        # Each (extractor, triple)'s first entry, by extractor, then cell.
-        _pairs, first = np.unique(extractor * span + triple, return_index=True)
-        first = first[np.lexsort((first, extractor[first]))]
-        for key, cell in zip(
-            extractor[first].tolist(), columns.entry_cell[first].tolist()
-        ):
-            refs[key].append((keys[key], *columns.coords[cell][1:]))
-        return self.plan(dict(zip(keys, refs)))
+        _pairs, first, pair_of = np.unique(
+            extractor * span + triple, return_index=True, return_inverse=True
+        )
+        # The refs are the (extractor, triple) pairs by first entry.
+        by_entry = np.argsort(first)
+        plan = self.plan(
+            list(observations.extractors()), extractor[first[by_entry]]
+        )
+        # ``argsort`` inverts the permutation: each pair's ref number.
+        return replace(plan, ids=plan.ids[np.argsort(by_entry)[pair_of]])
 
     def apply(self, observations: ObservationMatrix) -> ObservationMatrix:
         """Plan and relabel in one step; returns the regrouped matrix."""
         return observations.relabel(
-            source_map=self.plan_sources(observations),
-            extractor_map=self.plan_extractors(observations),
+            self.plan_sources(observations),
+            self.plan_extractors(observations),
         )

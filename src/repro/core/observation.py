@@ -21,8 +21,9 @@ them to ``tests/matrix_reference.py``'s ``ReferenceMatrix``.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -33,6 +34,9 @@ from repro.core.types import (
     SourceKey,
     Value,
 )
+
+if TYPE_CHECKING:
+    from repro.core.granularity import GranularityPlan
 
 #: A (source, item, value) coordinate of the C layer.
 Coord = tuple[SourceKey, DataItem, Value]
@@ -477,26 +481,19 @@ class ObservationMatrix:
     # ------------------------------------------------------------------
     def relabel(
         self,
-        source_map: Callable[[SourceKey, DataItem, Value], SourceKey] | None = None,
-        extractor_map: Callable[[ExtractorKey, DataItem, Value], ExtractorKey]
-        | None = None,
+        sources: GranularityPlan | None = None,
+        extractors: GranularityPlan | None = None,
     ) -> "ObservationMatrix":
         """Rebuild the matrix under new source / extractor identities.
 
-        The maps receive the coordinate's item and value so that splitting
-        can route triples of one oversized key into uniform buckets.
+        ``sources`` gives each cell a key (``SplitAndMerge.plan_sources``)
+        and ``extractors`` each entry (``plan_extractors``); left out, a
+        cell or entry keeps its key. Cells that become equal are one cell.
         """
         columns = self.columns()
-        coords = [
-            (source_map(*coord) if source_map else coord[0], *coord[1:])
-            for coord in columns.coords
-        ]
-        keys = [self._extractors[e] for e in columns.entry_extractor.tolist()]
-        if extractor_map:
-            keys = [
-                extractor_map(key, *coords[cell][1:])
-                for key, cell in zip(keys, columns.entry_cell.tolist())
-            ]
+        cell_keys = _keys_of(sources, self._sources, columns.cell_source)
+        coords = [(w, d, v) for w, (_, d, v) in zip(cell_keys, columns.coords)]
+        keys = _keys_of(extractors, self._extractors, columns.entry_extractor)
         return ObservationMatrix(())._grown(
             ({}, {}, {}, {}, {}),
             coords,
@@ -521,6 +518,15 @@ def _strongest(
     order = np.argsort(cell[first] * len(cell) + first)
     first = first[order]
     return cell[first], extractor[first], best[order]
+
+
+def _keys_of(
+    plan: GranularityPlan | None, keys: list, ids: np.ndarray
+) -> list:
+    """Each ref's key under ``plan``; without one, ``keys[ids]``."""
+    if plan is not None:
+        keys, ids = plan.keys, plan.ids
+    return list(map(keys.__getitem__, ids.tolist()))
 
 
 def _keys_by_id(coords: list[Coord], part: int, ids: np.ndarray) -> dict:

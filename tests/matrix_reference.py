@@ -12,7 +12,9 @@ library's columnar matrix and array compile must equal them — every
 ``reference_of`` converts a library matrix, which holds columns only,
 into a ``ReferenceMatrix``: the dict views (``cells``, ``triples``,
 ``source_claims``, ``active_extractors``, ``iter_records``, ...) that
-the oracles and the tests read live here, not in ``src/``.
+the oracles and the tests read live here, not in ``src/``. ``plans_of``
+turns the key maps ``ReferenceMatrix.relabel`` takes into the id plans
+the library's ``relabel`` takes.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from collections.abc import Callable, Iterable, Iterator
 import numpy as np
 
 from repro.core.config import FalseValueModel, MultiLayerConfig
+from repro.core.granularity import GranularityPlan
 from repro.core.indexing import CompiledProblem
 from repro.core.observation import ObservationMatrix
 from repro.core.types import (
@@ -488,6 +491,45 @@ def reference_of(matrix: ObservationMatrix) -> ReferenceMatrix:
             extractors[extractor]
         )
     return out
+
+
+def plans_of(
+    matrix: ObservationMatrix,
+    source_map: Callable[..., SourceKey] | None = None,
+    extractor_map: Callable[..., ExtractorKey] | None = None,
+) -> tuple[GranularityPlan | None, GranularityPlan | None]:
+    """The key maps :meth:`ReferenceMatrix.relabel` takes as the plans
+    ``ObservationMatrix.relabel`` takes: the source map's key for each
+    cell and the extractor map's key for each entry (``None`` for a map
+    left out)."""
+    columns = matrix.columns()
+    sources = list(matrix.sources())
+    extractors = list(matrix.extractors())
+    cell_keys = entry_keys = None
+    if source_map:
+        cell_keys = [
+            source_map(sources[source], *coord[1:])
+            for source, coord in zip(
+                columns.cell_source.tolist(), columns.coords
+            )
+        ]
+    if extractor_map:
+        entry_keys = [
+            extractor_map(extractors[extractor], *columns.coords[cell][1:])
+            for extractor, cell in zip(
+                columns.entry_extractor.tolist(), columns.entry_cell.tolist()
+            )
+        ]
+    return plan_of(cell_keys), plan_of(entry_keys)
+
+
+def plan_of(keys: list | None) -> GranularityPlan | None:
+    """One final key per ref as a plan: the distinct keys and their ids."""
+    if keys is None:
+        return None
+    table: dict = {}
+    ids = [table.setdefault(key, len(table)) for key in keys]
+    return GranularityPlan(list(table), np.array(ids, dtype=np.int64))
 
 
 def reference_compile_problem(

@@ -4,28 +4,35 @@ views: the parity references of ``tests/test_reader_parity.py``.
 Copied verbatim from ``repro.core.weighting`` (the three weightings),
 ``repro.kb.gold`` (the ``GoldStandard`` labels and "+" initialisation),
 ``repro.signals.base`` (``co_claim_graph``) and ``repro.core.granularity``
-(``plan_sources`` / ``plan_extractors``); the methods ride on subclasses
+(the per-triple dict ``GranularityPlan``, ``plan``, ``_split``,
+``plan_sources`` / ``plan_extractors``); the methods ride on subclasses
 of the library classes. They read ``cells()``, ``triples()``,
 ``items()``, ``values_for_item``, ``source_claims`` and
 ``extractor_cells``, so they run on a ``tests/matrix_reference.py``
 ``ReferenceMatrix``. The library versions read ``columns()`` and must
-return equal dicts, in equal key order, and equal plans.
+return equal dicts, in equal key order, and plans that send every cell
+and every entry to an equal final key.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
+from dataclasses import dataclass
 
 from matrix_reference import ReferenceMatrix as ObservationMatrix
-from repro.core.granularity import GranularityPlan, SplitAndMerge, TripleRef
+from repro.core.granularity import K, SplitAndMerge
 from repro.core.quality import ExtractorQuality
 from repro.core.results import Coord
 from repro.core.types import DataItem, ExtractorKey, SourceKey, Value
 from repro.kb.gold import GoldStandard
 from repro.kb.lcwa import Label
 from repro.signals.base import _MAX_COCLAIM_SITES
+from repro.util.rng import derive_rng
 from repro.web.graph import WebGraph
+
+#: A triple reference: (original finest key, item, value).
+TripleRef = tuple[object, DataItem, Value]
 
 
 def predicate_variety_weights(
@@ -227,8 +234,85 @@ def co_claim_graph(observations: ObservationMatrix) -> WebGraph:
     return graph
 
 
+@dataclass(frozen=True)
+class GranularityPlan:
+    """Per-triple reassignment of keys produced by SPLITANDMERGE.
+
+    ``mapping`` sends (original key, item, value) to the final key. Keys
+    absent from the plan (never observed when planning) map to themselves.
+    ``rounds`` traces the algorithm: the worklist group sizes examined in
+    each merge round (used by the Table 7 cost model to price preparation).
+    """
+
+    mapping: dict[tuple[object, DataItem, Value], object]
+    rounds: tuple[tuple[int, ...], ...] = ()
+
+    def __call__(self, key, item: DataItem, value: Value):
+        return self.mapping.get((key, item, value), key)
+
+    def final_sizes(self) -> dict[object, int]:
+        """Number of triples assigned to each final key."""
+        sizes: dict[object, int] = {}
+        for final_key in self.mapping.values():
+            sizes[final_key] = sizes.get(final_key, 0) + 1
+        return sizes
+
+    @property
+    def num_final_keys(self) -> int:
+        return len(set(self.mapping.values()))
+
+
 class ReferenceSplitAndMerge(SplitAndMerge):
-    """``SplitAndMerge`` with its two planners as they were."""
+    """``SplitAndMerge`` with its planner and its two matrix planners as
+    they were."""
+
+    def plan(self, groups: dict[K, list[TripleRef]]) -> GranularityPlan:
+        """Run SPLITANDMERGE over ``groups`` (key -> owned triple refs)."""
+        m = self._config.min_size
+        big = self._config.max_size
+        work: dict[K, list[TripleRef]] = {
+            key: list(refs) for key, refs in groups.items()
+        }
+        mapping: dict[tuple[object, DataItem, Value], object] = {}
+        rounds: list[tuple[int, ...]] = []
+
+        def emit(key: K, refs: list[TripleRef]) -> None:
+            for original, item, value in refs:
+                mapping[(original, item, value)] = key
+
+        while work:
+            rounds.append(tuple(len(refs) for refs in work.values()))
+            merged: dict[K, list[TripleRef]] = {}
+            for key, refs in work.items():
+                if len(refs) > big:
+                    for bucket_key, bucket_refs in self._split(key, refs):
+                        emit(bucket_key, bucket_refs)
+                elif len(refs) < m and self._merge_small:
+                    parent = key.parent()
+                    if parent is None:
+                        emit(key, refs)  # top of the hierarchy: keep as is
+                    else:
+                        merged.setdefault(parent, []).extend(refs)
+                else:
+                    emit(key, refs)
+            work = merged
+        return GranularityPlan(mapping, rounds=tuple(rounds))
+
+    def _split(
+        self, key: K, refs: list[TripleRef]
+    ) -> list[tuple[K, list[TripleRef]]]:
+        """Uniformly distribute ``refs`` into ceil(|refs| / M) buckets."""
+        num_buckets = -(-len(refs) // self._config.max_size)  # ceil div
+        rng = derive_rng(self._seed, "split", repr(key))
+        shuffled = list(refs)
+        rng.shuffle(shuffled)
+        buckets: list[list[TripleRef]] = [[] for _ in range(num_buckets)]
+        for index, ref in enumerate(shuffled):
+            buckets[index % num_buckets].append(ref)
+        return [
+            (key.child_bucket(bucket_index), bucket_refs)
+            for bucket_index, bucket_refs in enumerate(buckets)
+        ]
 
     def plan_sources(self, observations: ObservationMatrix) -> GranularityPlan:
         """Plan source granularity from the matrix's per-source triples."""

@@ -1,5 +1,8 @@
 """Unit tests for SPLITANDMERGE (Algorithm 2), including Example 4.2."""
 
+from collections import Counter
+
+import numpy as np
 import pytest
 
 from repro.core.config import GranularityConfig
@@ -12,107 +15,164 @@ from repro.core.types import (
     SourceKey,
 )
 
+from reader_reference import ReferenceSplitAndMerge
 from test_observation import cells_of, records_of
 
 
 def refs_for(key, count, tag="t"):
-    """``count`` distinct triple refs owned by ``key``."""
+    """``count`` distinct triple refs owned by ``key``, as the reference
+    planner takes them."""
     return [
         (key, DataItem(f"{tag}{i}", "p"), f"v{i}") for i in range(count)
     ]
 
 
+def plan_sizes(planner, sizes):
+    """Plan ``sizes`` (key -> number of refs; the refs are numbered key
+    by key): the plan, and each ref's final key."""
+    keys = list(sizes)
+    group_of = np.repeat(np.arange(len(keys)), list(sizes.values()))
+    plan = planner.plan(keys, group_of)
+    return plan, [plan.keys[final] for final in plan.ids.tolist()]
+
+
+def final_sizes(plan):
+    """Number of refs assigned to each final key."""
+    return Counter(plan.keys[final] for final in plan.ids.tolist())
+
+
 class TestPlanBasics:
     def test_in_range_keys_unchanged(self):
         key = SourceKey(("site", "p", "u"))
-        plan = SplitAndMerge(GranularityConfig(2, 10)).plan(
-            {key: refs_for(key, 5)}
+        _plan, finals = plan_sizes(
+            SplitAndMerge(GranularityConfig(2, 10)), {key: 5}
         )
-        assert set(plan.mapping.values()) == {key}
+        assert set(finals) == {key}
 
     def test_oversized_key_split_into_buckets(self):
         key = SourceKey(("site",))
-        plan = SplitAndMerge(GranularityConfig(2, 10)).plan(
-            {key: refs_for(key, 25)}
+        plan, finals = plan_sizes(
+            SplitAndMerge(GranularityConfig(2, 10)), {key: 25}
         )
-        finals = set(plan.mapping.values())
-        assert len(finals) == 3  # ceil(25 / 10)
+        assert len(set(finals)) == 3  # ceil(25 / 10)
         assert all(f.bucket is not None for f in finals)
-        sizes = plan.final_sizes()
-        assert sorted(sizes.values()) == [8, 8, 9]
+        assert sorted(final_sizes(plan).values()) == [8, 8, 9]
 
     def test_split_partitions_all_triples(self):
         key = SourceKey(("site",))
-        refs = refs_for(key, 25)
-        plan = SplitAndMerge(GranularityConfig(2, 10)).plan({key: refs})
-        assert len(plan.mapping) == 25
+        plan, _finals = plan_sizes(
+            SplitAndMerge(GranularityConfig(2, 10)), {key: 25}
+        )
+        assert len(plan.ids) == 25
+        assert sorted(set(plan.ids.tolist())) == list(range(len(plan.keys)))
 
     def test_small_keys_merge_to_parent(self):
         keys = [SourceKey(("site", f"p{i}")) for i in range(3)]
-        groups = {key: refs_for(key, 2, tag=f"k{i}")
-                  for i, key in enumerate(keys)}
-        plan = SplitAndMerge(GranularityConfig(5, 100)).plan(groups)
+        plan, finals = plan_sizes(
+            SplitAndMerge(GranularityConfig(5, 100)), dict.fromkeys(keys, 2)
+        )
         # Example 4.1: three 2-triple sources merge into <site> with 6.
-        assert set(plan.mapping.values()) == {SourceKey(("site",))}
-        assert plan.final_sizes()[SourceKey(("site",))] == 6
+        assert set(finals) == {SourceKey(("site",))}
+        assert final_sizes(plan)[SourceKey(("site",))] == 6
 
     def test_top_level_small_key_kept(self):
         key = SourceKey(("site",))
-        plan = SplitAndMerge(GranularityConfig(5, 100)).plan(
-            {key: refs_for(key, 2)}
+        _plan, finals = plan_sizes(
+            SplitAndMerge(GranularityConfig(5, 100)), {key: 2}
         )
-        assert set(plan.mapping.values()) == {key}
+        assert set(finals) == {key}
 
     def test_merge_small_disabled_keeps_small_keys(self):
         keys = [SourceKey(("site", f"p{i}")) for i in range(3)]
-        groups = {key: refs_for(key, 2, tag=f"k{i}")
-                  for i, key in enumerate(keys)}
-        plan = SplitAndMerge(
-            GranularityConfig(5, 100), merge_small=False
-        ).plan(groups)
-        assert set(plan.mapping.values()) == set(keys)
+        _plan, finals = plan_sizes(
+            SplitAndMerge(GranularityConfig(5, 100), merge_small=False),
+            dict.fromkeys(keys, 2),
+        )
+        assert set(finals) == set(keys)
+
+    @pytest.mark.parametrize("kind", [SourceKey, ExtractorKey])
+    def test_oversized_bucket_kept(self, kind):
+        """A bucket is not split again: an oversized one is kept as it
+        is, like an undersized key at the top of its hierarchy."""
+        key = kind(("site", "p"), bucket=0)
+        plan, finals = plan_sizes(
+            SplitAndMerge(GranularityConfig(1, 2)), {key: 4}
+        )
+        assert finals == [key] * 4
+        assert plan.rounds == ((4,),)
+
+    def test_key_without_refs_enters_the_first_round(self):
+        """Every key of the table is in the worklist, empty or not, as
+        in the per-triple reference planner: an empty key merges into
+        its parent too, and the rounds show it."""
+        keys = [SourceKey(("site", "p")), SourceKey(("site", "q"))]
+        planner = SplitAndMerge(GranularityConfig(5, 100))
+        plan, finals = plan_sizes(planner, {keys[0]: 3, keys[1]: 0})
+        want = ReferenceSplitAndMerge(GranularityConfig(5, 100)).plan(
+            {keys[0]: refs_for(keys[0], 3), keys[1]: []}
+        )
+        assert plan.rounds == want.rounds == ((3, 0), (3,))
+        assert finals == [SourceKey(("site",))] * 3
+        # A key that ends up owning nothing is not a final key.
+        top = [SourceKey(("a",)), SourceKey(("b",))]
+        plan, _finals = plan_sizes(planner, {top[0]: 3, top[1]: 0})
+        assert plan.keys == top[:1]
 
 
 class TestExample42:
     def test_three_stage_cascade(self):
         """1000 sources <W, Pi, URLi> with one triple each, bounds [5, 500]:
         merge to <W, Pi>, merge again to <W>, split into 2x500."""
-        groups = {}
-        for i in range(1000):
-            key = SourceKey(("W", f"p{i}", f"url{i}"))
-            groups[key] = [(key, DataItem(f"s{i}", f"p{i}"), "v")]
-        plan = SplitAndMerge(GranularityConfig(5, 500)).plan(groups)
-        finals = set(plan.mapping.values())
-        assert len(finals) == 2
+        keys = [SourceKey(("W", f"p{i}", f"url{i}")) for i in range(1000)]
+        plan, finals = plan_sizes(
+            SplitAndMerge(GranularityConfig(5, 500)), dict.fromkeys(keys, 1)
+        )
+        assert len(set(finals)) == 2
         assert {f.features for f in finals} == {("W",)}
-        assert sorted(plan.final_sizes().values()) == [500, 500]
+        assert sorted(final_sizes(plan).values()) == [500, 500]
         # Three worklist rounds: finest, <W, Pi>, <W>.
         assert len(plan.rounds) == 3
 
     def test_merge_can_cascade_then_stop_in_range(self):
-        groups = {}
-        for i in range(20):
-            key = SourceKey(("W", f"p{i}", f"url{i}"))
-            groups[key] = [(key, DataItem(f"s{i}", f"p{i}"), "v")]
-        plan = SplitAndMerge(GranularityConfig(5, 500)).plan(groups)
+        keys = [SourceKey(("W", f"p{i}", f"url{i}")) for i in range(20)]
+        _plan, finals = plan_sizes(
+            SplitAndMerge(GranularityConfig(5, 500)), dict.fromkeys(keys, 1)
+        )
         # 20 triples end up in <W>, within [5, 500]: no split needed.
-        assert set(plan.mapping.values()) == {SourceKey(("W",))}
+        assert set(finals) == {SourceKey(("W",))}
 
 
 class TestDeterminism:
     def test_same_seed_same_plan(self):
-        key = SourceKey(("site",))
-        groups = {key: refs_for(key, 50)}
-        p1 = SplitAndMerge(GranularityConfig(2, 10), seed=5).plan(groups)
-        p2 = SplitAndMerge(GranularityConfig(2, 10), seed=5).plan(groups)
-        assert p1.mapping == p2.mapping
+        sizes = {SourceKey(("site",)): 50}
+        _p1, f1 = plan_sizes(
+            SplitAndMerge(GranularityConfig(2, 10), seed=5), sizes
+        )
+        _p2, f2 = plan_sizes(
+            SplitAndMerge(GranularityConfig(2, 10), seed=5), sizes
+        )
+        assert f1 == f2
 
     def test_different_seed_different_split(self):
+        sizes = {SourceKey(("site",)): 50}
+        _p1, f1 = plan_sizes(
+            SplitAndMerge(GranularityConfig(2, 10), seed=1), sizes
+        )
+        _p2, f2 = plan_sizes(
+            SplitAndMerge(GranularityConfig(2, 10), seed=2), sizes
+        )
+        assert f1 != f2
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_split_draws_as_the_per_triple_planner(self, seed):
+        """The seeded shuffle and the round-robin deal send every ref to
+        the bucket the per-triple reference planner sends it to."""
         key = SourceKey(("site",))
-        groups = {key: refs_for(key, 50)}
-        p1 = SplitAndMerge(GranularityConfig(2, 10), seed=1).plan(groups)
-        p2 = SplitAndMerge(GranularityConfig(2, 10), seed=2).plan(groups)
-        assert p1.mapping != p2.mapping
+        config = GranularityConfig(2, 10)
+        _plan, finals = plan_sizes(SplitAndMerge(config, seed=seed), {key: 25})
+        refs = refs_for(key, 25)
+        want = ReferenceSplitAndMerge(config, seed=seed).plan({key: refs})
+        assert finals == [want.mapping[ref] for ref in refs]
 
 
 class TestMatrixIntegration:
@@ -151,19 +211,39 @@ class TestMatrixIntegration:
     def test_apply_only_sources(self):
         matrix = self.skewed_matrix()
         plan = SplitAndMerge(GranularityConfig(2, 10)).plan_sources(matrix)
-        out = matrix.relabel(source_map=plan)
+        out = matrix.relabel(plan)
         assert set(out.extractors()) == set(matrix.extractors())
 
     def test_plan_sources_respects_bounds_where_possible(self):
         matrix = self.skewed_matrix()
         plan = SplitAndMerge(GranularityConfig(2, 10)).plan_sources(matrix)
-        for size in plan.final_sizes().values():
+        assert len(plan.ids) == matrix.num_cells
+        for size in final_sizes(plan).values():
             assert size <= 10
 
     def test_unplanned_keys_map_to_themselves(self):
-        plan = SplitAndMerge(GranularityConfig(2, 10)).plan({})
-        ghost = SourceKey(("ghost",))
-        assert plan(ghost, DataItem("s", "p"), "v") == ghost
+        """A side ``relabel`` gets no plan for keeps every key."""
+        matrix = self.skewed_matrix()
+        planner = SplitAndMerge(GranularityConfig(2, 10))
+        out = matrix.relabel(extractors=planner.plan_extractors(matrix))
+        assert list(out.sources()) == list(matrix.sources())
+        assert out.columns().coords == matrix.columns().coords
+        empty = planner.plan([], np.zeros(0, dtype=np.int64))
+        assert (empty.keys, len(empty.ids), empty.rounds) == ([], 0, ())
+
+    def test_bucketed_matrix_keys_are_kept(self):
+        """A matrix whose keys are already split buckets (records read
+        with ``source_bucket`` / ``extractor_bucket``) plans and applies:
+        the oversized buckets are kept, not split again."""
+        source = SourceKey(("w.example", "pred"), bucket=0)
+        extractor = ExtractorKey(("e", "pat"), bucket=1)
+        matrix = ObservationMatrix.from_records(
+            ExtractionRecord(extractor, source, DataItem(f"s{i}", "p"), "v")
+            for i in range(4)
+        )
+        out = SplitAndMerge(GranularityConfig(1, 2)).apply(matrix)
+        assert out.source_sizes() == {source: 4}
+        assert out.extractor_sizes() == {extractor: 4}
 
     def test_split_is_a_function_of_the_matrix(self, kv_small, tmp_path):
         """The same cells split alike however the matrix came to be.

@@ -219,6 +219,32 @@ class TestCli:
             "--min-size", "3", "--max-size", "500",
         ]) == 0
 
+    def test_split_merge_keeps_an_oversized_bucket(self, tmp_path, capsys):
+        """Records read with a ``source_bucket`` are already split: an
+        oversized bucket is kept as it is, not an error."""
+        path = tmp_path / "bucketed.jsonl"
+        path.write_text(
+            "".join(
+                json.dumps({
+                    "extractor": ["e"],
+                    "source": ["w.example", "pred"],
+                    "source_bucket": 0,
+                    "subject": f"s{i}",
+                    "predicate": "pred",
+                    "value": "v",
+                }) + "\n"
+                for i in range(4)
+            ),
+            encoding="utf-8",
+        )
+        assert main([
+            "fit", str(path), "--split-merge", "--min-size", "1",
+            "--max-size", "2", "--min-triples", "0",
+        ]) == 0
+        captured = capsys.readouterr()
+        assert "w.example" in captured.out
+        assert "error" not in captured.err
+
     def test_estimate_empty_file_fails(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("", encoding="utf-8")

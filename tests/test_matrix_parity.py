@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from matrix_reference import (
     ReferenceMatrix,
+    plans_of,
     reference_compile_problem,
     reference_of,
 )
@@ -263,7 +264,7 @@ class TestParity:
         m = ObservationMatrix.from_records(records)
         reference = ReferenceMatrix.from_records(records)
         assert_parity(
-            m.relabel(source_map=source_map, extractor_map=extractor_map),
+            m.relabel(*plans_of(m, source_map, extractor_map)),
             reference.relabel(
                 source_map=source_map, extractor_map=extractor_map
             ),

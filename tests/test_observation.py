@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matrix_reference import reference_of
+from matrix_reference import plans_of, reference_of
+from repro.core.granularity import GranularityPlan
 from repro.core.observation import ObservationMatrix
 from repro.core.types import (
     DataItem,
@@ -152,15 +153,18 @@ class TestRelabel:
     def test_source_relabel_merges(self):
         m = small_matrix()
         merged_key = SourceKey(("all",))
-        m2 = m.relabel(source_map=lambda w, d, v: merged_key)
+        plan = GranularityPlan([merged_key], np.zeros(3, dtype=np.int64))
+        m2 = m.relabel(plan)
         assert m2.num_sources == 1
         assert m2.source_sizes()[merged_key] == 3
 
     def test_extractor_relabel(self):
         m = small_matrix()
         key = ExtractorKey(("merged",))
-        m2 = m.relabel(extractor_map=lambda e, d, v: key)
+        plan = GranularityPlan([key], np.zeros(4, dtype=np.int64))
+        m2 = m.relabel(extractors=plan)
         assert m2.num_extractors == 1
+        assert m2.num_cells == 3
 
     def test_relabel_can_split_by_value(self):
         m = small_matrix()
@@ -168,7 +172,7 @@ class TestRelabel:
         def by_value(w, d, v):
             return w.child_bucket(0 if v in ("a", "b") else 1)
 
-        m2 = m.relabel(source_map=by_value)
+        m2 = m.relabel(*plans_of(m, source_map=by_value))
         assert m2.num_sources == 3  # w1#0, w2#0, w2#1
 
     def test_relabel_preserves_confidences(self):
@@ -397,8 +401,11 @@ class TestAgainstSpecification:
             ObservationMatrix.from_records(records_of(m))
         )
         merged = m.relabel(
-            source_map=lambda w, d, v: SourceKey(("all",)),
-            extractor_map=lambda e, d, v: e.child_bucket(len(str(v)) % 2),
+            *plans_of(
+                m,
+                source_map=lambda w, d, v: SourceKey(("all",)),
+                extractor_map=lambda e, d, v: e.child_bucket(len(str(v)) % 2),
+            )
         )
         assert merged.num_triples == m.num_triples
         assert_columns_restate_cells(merged)
@@ -531,7 +538,7 @@ class TestFoldEquivalence:
             for coord, cell in ReferenceFold(records).cells.items()
             for e, confidence in cell.items()
         )
-        relabelled = m.relabel(source_map=source_map, extractor_map=extractor_map)
+        relabelled = m.relabel(*plans_of(m, source_map, extractor_map))
         assert fold_snapshot(relabelled) == reference.snapshot()
         assert fold_snapshot(m.relabel()) == fold_snapshot(
             ObservationMatrix.from_records(records_of(m))

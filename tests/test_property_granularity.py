@@ -1,29 +1,26 @@
 """Property-based tests of SPLITANDMERGE invariants."""
 
+from collections import Counter
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import GranularityConfig
 from repro.core.granularity import SplitAndMerge
-from repro.core.types import DataItem, SourceKey
+from repro.core.types import SourceKey
+from test_granularity import final_sizes, plan_sizes
 
 
 @st.composite
 def source_groups(draw):
-    """Random groups of finest-granularity sources with owned triples."""
+    """Random finest-granularity sources with their numbers of triples."""
     num_sites = draw(st.integers(1, 4))
     groups = {}
-    counter = 0
     for s in range(num_sites):
         num_keys = draw(st.integers(1, 6))
         for k in range(num_keys):
             key = SourceKey((f"site{s}", f"p{k % 3}", f"url{k}"))
-            size = draw(st.integers(1, 40))
-            refs = []
-            for _ in range(size):
-                refs.append((key, DataItem(f"s{counter}", "p"), "v"))
-                counter += 1
-            groups[key] = refs
+            groups[key] = draw(st.integers(1, 40))
     return groups
 
 
@@ -38,15 +35,15 @@ class TestPlanInvariants:
     @given(source_groups(), bounds())
     @settings(max_examples=60, deadline=None)
     def test_every_triple_assigned_exactly_once(self, groups, config):
-        plan = SplitAndMerge(config).plan(groups)
-        total = sum(len(refs) for refs in groups.values())
-        assert len(plan.mapping) == total
+        plan, _finals = plan_sizes(SplitAndMerge(config), groups)
+        assert len(plan.ids) == sum(groups.values())
+        assert sorted(set(plan.ids.tolist())) == list(range(len(plan.keys)))
 
     @given(source_groups(), bounds())
     @settings(max_examples=60, deadline=None)
     def test_no_final_key_exceeds_max(self, groups, config):
-        plan = SplitAndMerge(config).plan(groups)
-        for size in plan.final_sizes().values():
+        plan, _finals = plan_sizes(SplitAndMerge(config), groups)
+        for size in final_sizes(plan).values():
             assert size <= config.max_size
 
     @given(source_groups(), bounds())
@@ -57,8 +54,8 @@ class TestPlanInvariants:
         """A final key below min_size must be a website-level key (merging
         exhausted the hierarchy) or a split bucket (splits go straight to
         the output)."""
-        plan = SplitAndMerge(config).plan(groups)
-        for key, size in plan.final_sizes().items():
+        plan, _finals = plan_sizes(SplitAndMerge(config), groups)
+        for key, size in final_sizes(plan).items():
             if size < config.min_size:
                 assert key.level == 1 or key.bucket is not None
 
@@ -67,8 +64,9 @@ class TestPlanInvariants:
     def test_final_keys_are_ancestors_or_buckets(self, groups, config):
         """Every triple's final key must lie on its original key's ancestry
         chain (possibly as a split bucket of an ancestor)."""
-        plan = SplitAndMerge(config).plan(groups)
-        for (original, _item, _value), final in plan.mapping.items():
+        _plan, finals = plan_sizes(SplitAndMerge(config), groups)
+        originals = [key for key, size in groups.items() for _ in range(size)]
+        for original, final in zip(originals, finals):
             ancestors = []
             probe = original
             while probe is not None:
@@ -82,12 +80,8 @@ class TestPlanInvariants:
         """Re-planning the final grouping must not change it further,
         except for splitting freshly merged oversized keys (which the
         first pass already handled) — i.e. a fixed point."""
-        plan = SplitAndMerge(config).plan(groups)
-        regrouped = {}
-        for (original, item, value), final in plan.mapping.items():
-            regrouped.setdefault(final, []).append((final, item, value))
-        second = SplitAndMerge(config).plan(
-            {k: refs for k, refs in regrouped.items() if k.bucket is None}
-        )
-        for size in second.final_sizes().values():
+        _plan, finals = plan_sizes(SplitAndMerge(config), groups)
+        regrouped = Counter(key for key in finals if key.bucket is None)
+        _second, refinals = plan_sizes(SplitAndMerge(config), regrouped)
+        for size in Counter(refinals).values():
             assert size <= config.max_size
