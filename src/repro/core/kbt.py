@@ -14,7 +14,8 @@ The public API follows a fit -> persist -> query lifecycle:
   observation matrix it was fitted on;
 * ``FittedKBT.save`` persists the fit as a versioned on-disk artifact
   (:mod:`repro.io.artifact`) that ``FittedKBT.load`` or a serving
-  ``TrustStore`` (:mod:`repro.serving`) can reopen;
+  ``TrustStore`` (:mod:`repro.serving`) can reopen, and beside it the
+  serving layout (:mod:`repro.io.mmap_layout`) a served store maps;
 * ``FittedKBT.update`` folds new extraction records in *incrementally*:
   extractor qualities are frozen at their converged values and only the
   source/value layers re-run, restricted to the data items the new records
@@ -220,9 +221,20 @@ class FittedKBT:
         scores, and ``fusion_weights`` the calibrated per-signal fusion
         weights, so a serving ``TrustStore`` can answer per-signal and
         fused queries without refitting anything.
+
+        The serving layout is then written from the columns this handle
+        holds, where ``MmapTrustStore.open(path)`` looks for it
+        (:func:`~repro.io.mmap_layout.cache_layout`); if it cannot be,
+        the ``LayoutError`` comes after the artifact is complete.
         """
         from repro.io.artifact import TrustArtifact, save_artifact
+        from repro.io.mmap_layout import (
+            LayoutError,
+            cache_layout,
+            serving_columns,
+        )
 
+        signals, fusion_weights = signals or {}, fusion_weights or {}
         artifact = TrustArtifact(
             result=self.result,
             config=self.config,
@@ -231,10 +243,23 @@ class FittedKBT:
             seed=self.seed,
             observations=self.observations if include_observations else None,
             metadata=metadata or {},
-            signals=signals or {},
-            fusion_weights=fusion_weights or {},
+            signals=signals,
+            fusion_weights=fusion_weights,
         )
-        return save_artifact(artifact, path)
+        path = save_artifact(artifact, path)
+        columns = serving_columns(
+            self.result.source_accuracy, self.report.source_support,
+            self.min_triples, signals, fusion_weights,
+        )
+        try:
+            cache_layout(path, columns)
+        except LayoutError as err:
+            raise LayoutError(
+                f"saved {path}, but not its serving layout: {err} (the "
+                "artifact is complete; opening it later exports the "
+                "layout)"
+            ) from err
+        return path
 
     @classmethod
     def load(cls, path: str | Path) -> "FittedKBT":

@@ -13,15 +13,13 @@ Per batch the :class:`IngestPipeline`:
    (``gen-NNNNNN.kbt``, written via
    :func:`~repro.io.atomic.atomic_write` — never in place, so a
    crashed write can never corrupt a generation that serving might
-   still map);
-4. publishes it — first writing the generation's serving layout from
-   the model it still holds
-   (:func:`~repro.io.mmap_layout.export_columns`, into the cache
-   directory the serving store looks in), then swapping: in-process
-   through a ``StoreManager``, or remotely via the gateway's
-   authenticated ``POST /admin/swap``. Either way the swap only has to
-   hash the artifact, match the layout's ETag and map the columns — it
-   never loads back what this process just saved;
+   still map), with its serving layout: ``FittedKBT.save`` writes it
+   from the model it holds, into the cache directory the serving store
+   looks in;
+4. publishes it: in-process through a ``StoreManager``, or remotely via
+   the gateway's authenticated ``POST /admin/swap``. Either way the
+   swap only has to hash the artifact, match the layout's ETag and map
+   the columns — it never loads back what this process just saved;
 5. garbage-collects old generations beyond the retention cap
    (artifact plus every layout directory cached for it, finished or
    not), never touching the generation currently serving.
@@ -48,13 +46,7 @@ from repro.core.kbt import FittedKBT, KBTEstimator
 from repro.core.types import ExtractionRecord
 from repro.ingest.policy import StalenessPolicy
 from repro.ingest.status import StatusBoard
-from repro.io.mmap_layout import (
-    artifact_etag,
-    cached_layout_dirs,
-    export_columns,
-    layout_cache_dir,
-    serving_columns,
-)
+from repro.io.mmap_layout import cached_layout_dirs
 
 
 class PublishError(RuntimeError):
@@ -238,7 +230,6 @@ class IngestPipeline:
 
         published = None
         if self.publisher is not None:
-            self._export_layout(path)
             published = self.publisher.publish(path)
 
         for alert in alerts:
@@ -295,25 +286,6 @@ class IngestPipeline:
             **self.update_options,
         )
         return estimator.fit(updated.observations)
-
-    def _export_layout(self, path: Path) -> None:
-        """Write the serving layout of the generation just saved at
-        ``path``, from the fitted model (and its cached report) rather
-        than from the file, where the serving store will look for it."""
-        fitted = self.fitted
-        etag = artifact_etag(path)
-        export_columns(
-            serving_columns(
-                fitted.result.source_accuracy,
-                fitted.report.source_support,
-                fitted.min_triples,
-                {},
-                {},
-            ),
-            path,
-            layout_cache_dir(path, etag),
-            etag,
-        )
 
     def _collect_garbage(self) -> None:
         """Drop generations beyond the retention cap.

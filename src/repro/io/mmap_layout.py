@@ -32,9 +32,9 @@ accuracies and their support that returns the arrays a layout stores
 (:class:`ServingColumns`). It has two feeders: :func:`export_layout`
 reads just those sections out of a saved artifact
 (:func:`repro.io.artifact.load_serving_inputs`), and
-:func:`export_columns` takes them from a process that still holds the
-fitted model (the ingest pipeline), so publishing a generation never
-loads back what was just saved. Exporting only saves those arrays.
+``FittedKBT.save`` passes them to :func:`cache_layout` from the model
+it holds, so serving a saved fit never loads back what was just saved.
+Exporting only saves those arrays.
 :class:`~repro.serving.store.TrustStore` reads the columns the same
 way whether they are held in memory (``kbt query``, which writes no
 file) or mapped from a layout (:class:`ServingLayout`, ``kbt serve``).
@@ -328,8 +328,9 @@ def layout_cache_dir(artifact_path: str | Path, etag: str) -> Path:
     """Where the layout of ``artifact_path``'s bytes ``etag`` is cached.
 
     ``MmapTrustStore.open(artifact)`` looks here, so whoever exports to
-    this name first — the store itself, or the ingest pipeline right
-    after saving a generation — saves every later open the export.
+    this name first — ``FittedKBT.save`` right after writing the
+    artifact, or the store for an artifact that arrived without its
+    layout — saves every later open the export.
     """
     return Path(f"{artifact_path}{_CACHE_SUFFIX}-{etag[:_ETAG_PREFIX]}")
 
@@ -410,16 +411,34 @@ def export_layout(
     return _export(Path(artifact_path), Path(directory), etag)
 
 
-def export_columns(
-    columns: ServingColumns,
-    artifact_path: str | Path,
-    directory: str | Path,
-    etag: str | None = None,
-) -> Path:
-    """:func:`export_layout` for a caller that already holds the columns
-    of the model it saved at ``artifact_path``: same writer, same
-    guarantees, no artifact load."""
-    return _export(Path(artifact_path), Path(directory), etag, columns)
+def cache_layout(
+    artifact_path: str | Path, columns: ServingColumns | None = None
+) -> tuple[Path, bool]:
+    """Make the layout cache of ``artifact_path`` hold its current
+    bytes; returns the cache directory and whether this call exported.
+
+    The directory (:func:`layout_cache_dir`) is reused when its manifest
+    speaks for these bytes. Otherwise :func:`export_layout`'s writer
+    exports into it, from ``columns`` (``FittedKBT.save``, which holds
+    the model) or from the file (``MmapTrustStore.open`` of an artifact
+    that arrived without its layout), and every other cache generation
+    is swept.
+    """
+    artifact_path = Path(artifact_path)
+    etag = artifact_etag(artifact_path)
+    directory = layout_cache_dir(artifact_path, etag)
+    if _reusable_manifest(directory, etag) is not None:
+        return directory, False
+    # The ETag-keyed name is ours; not holding these bytes, it is torn or
+    # planted, and no store maps it as theirs: clearing it is safe.
+    shutil.rmtree(directory, ignore_errors=True)
+    _export(artifact_path, directory, etag, columns)
+    # Best-effort: on POSIX, unlinking files a live store still has
+    # mmapped is safe (the inodes outlive the directory entries); where
+    # unlink fails, the stale directory stays.
+    for stale in cached_layout_dirs(artifact_path, keep=directory):
+        shutil.rmtree(stale, ignore_errors=True)
+    return directory, True
 
 
 def _export(
@@ -512,8 +531,8 @@ __all__ = [
     "ServingLayout",
     "StringColumn",
     "artifact_etag",
+    "cache_layout",
     "cached_layout_dirs",
-    "export_columns",
     "export_layout",
     "layout_cache_dir",
     "serving_columns",

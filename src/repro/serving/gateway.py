@@ -86,8 +86,9 @@ around it:
   refcounted :class:`~repro.serving.manager.StoreManager`: in-flight
   requests finish on the store they started with, zero dropped, zero
   torn. The response's ``"layout"`` says whether the serving layout was
-  found ready (``"reused"`` — an ingest pipeline exports it before it
-  publishes) or built by this swap (``"exported"``). A swap has no
+  found ready (``"reused"`` — ``FittedKBT.save`` writes it beside
+  every artifact, ingest generations included) or built by this swap
+  for an artifact that arrived without it (``"exported"``). A swap has no
   deadline. The endpoint is **authenticated**: with ``admin_token`` set,
   the request must carry it in ``X-Admin-Token`` (constant-time
   compare); without a token only loopback clients are accepted — so
@@ -888,7 +889,7 @@ class Gateway:
             "etag": getattr(new_store, "etag", None),
             "generation": self.manager.generation,
             "websites": len(new_store),
-            # "reused": the publisher shipped the layout ready-made;
+            # "reused": the save shipped the layout ready-made;
             # "exported": this swap had to build it from the artifact.
             "layout": getattr(new_store, "layout_state", None),
         }

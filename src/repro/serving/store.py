@@ -207,7 +207,17 @@ class TrustStore:
                 "the artifact"
             )
 
-        # The signal surface is rebuilt on the first signal query.
+        # The signal surface is rebuilt on the first signal query, from
+        # columns mapped now: a swept layout directory then leaves this
+        # store whole, as it does the columns above.
+        self._signal_site = columns.strings("signal_site")
+        self._signal_columns = [
+            [
+                columns.array(f"sig{index}_{part}")
+                for part in ("site", "score", "sup_site", "sup_val")
+            ]
+            for index in range(len(self._signal_entries))
+        ]
         self._surface: SignalSurface | None = None
         self._surface_lock = threading.Lock()
         # Scored site -> the exact bytes of json.dumps(score_json(site),
@@ -385,15 +395,13 @@ class TrustStore:
         return surface
 
     def _build_signal_surface(self) -> SignalSurface:
-        layout = self._layout
-        table = layout.strings("signal_site").decode_all()
+        table = self._signal_site.decode_all()
         signals: dict[str, SignalScores] = {}
-        for index, entry in enumerate(self._signal_entries):
+        for entry, arrays in zip(self._signal_entries, self._signal_columns):
             name = entry["name"]
-            site_idx = layout.array(f"sig{index}_site").tolist()
-            score_val = layout.array(f"sig{index}_score").tolist()
-            sup_idx = layout.array(f"sig{index}_sup_site").tolist()
-            sup_val = layout.array(f"sig{index}_sup_val").tolist()
+            site_idx, score_val, sup_idx, sup_val = (
+                array.tolist() for array in arrays
+            )
             signals[name] = SignalScores(
                 name=name,
                 scores={
@@ -489,6 +497,7 @@ class TrustStore:
         self._ranked = self._page_score = self._page_support = None
         self._contrib_ptr = self._contrib_accuracy = None
         self._contrib_support = self._contrib_meta = None
+        self._signal_site, self._signal_columns = None, []
 
 
 __all__ = ["SignalSurface", "TrustStore"]

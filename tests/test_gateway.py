@@ -285,29 +285,39 @@ class TestMmapParity:
         assert second.etag == artifact_etag(path)
         assert "fresh.com" in second
 
-    def test_inplace_refit_never_touches_live_layout(self, tmp_path):
+    def test_inplace_refit_never_touches_live_layout(
+        self, signal_artifact, tmp_path
+    ):
         """An in-place refit (same path, new bytes) exports into a
         *fresh* directory: the columns the live store has mmapped are
         never truncated or rewritten, so it keeps serving the old
-        generation byte-for-byte."""
+        generation byte-for-byte — signal routes it had not answered
+        yet included."""
         path = tmp_path / "model.kbt"
-        KBTEstimator().fit(corpus()).save(path)
+        path.write_bytes(signal_artifact.read_bytes())
         first = MmapTrustStore.open(path)
         before = render(first, "/top", {"k": ["5"]})
+        signals = ("/signals", {"site": ["good.com"]})
+        legacy = render(ReferenceStore.open(signal_artifact), *signals)
         KBTEstimator().fit(corpus(extra_site="fresh.com")).save(path)
         second = MmapTrustStore.open(path)
         assert second.directory != first.directory
-        # The old store's mmaps are intact (POSIX: even if its cache
-        # directory was garbage-collected, the mapped inodes survive).
+        # The old store's mmaps are intact (POSIX: its cache directory
+        # was garbage-collected, but the mapped inodes survive).
+        assert not first.directory.exists()
         assert render(first, "/top", {"k": ["5"]}) == before
+        assert render(first, *signals) == legacy
         assert "fresh.com" in second and "fresh.com" not in first
 
     def test_legacy_unkeyed_layout_cache_is_swept(self, tmp_path):
         """A pre-existing `<artifact>.layout/` cache (the pre-ETag-keyed
         naming) is not served, even with a matching ETag: the open
         exports under the keyed name and then sweeps the legacy one."""
+        # Saved under another name, then copied: the artifact arrives
+        # without its keyed layout, as one from before the keyed cache.
         path = tmp_path / "model.kbt"
-        KBTEstimator().fit(corpus()).save(path)
+        KBTEstimator().fit(corpus()).save(tmp_path / "fitted.kbt")
+        path.write_bytes((tmp_path / "fitted.kbt").read_bytes())
         legacy_dir = tmp_path / "model.kbt.layout"
         export_layout(path, legacy_dir)
         store = MmapTrustStore.open(path)

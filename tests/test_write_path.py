@@ -3,12 +3,14 @@
 ``serving_columns`` decides what a store serves. It is fed either from
 a saved artifact (``export_layout``, ``TrustStore.open`` — decoding only
 the sections it reads) or from the process that still holds the fitted
-model (``export_columns``, which the ingest pipeline calls before it
-publishes). These tests hold the two feeders to the same bytes, keep the
-serving side off the observation matrix, and keep a published
-generation's swap free of exports and artifact loads.
+model (``FittedKBT.save``, which writes the layout beside every
+artifact it saves). These tests hold the two feeders to the same bytes,
+keep the serving side off the observation matrix, and keep opening a
+saved fit — a published generation's swap included — free of exports
+and artifact loads.
 """
 
+import errno
 import hashlib
 import json
 import urllib.request
@@ -29,8 +31,8 @@ from repro.core.results import ResultColumns
 from repro.ingest import HttpPublisher, IngestPipeline, InProcessPublisher
 from repro.io.jsonl import read_records
 from repro.io.mmap_layout import (
+    LayoutError,
     artifact_etag,
-    export_columns,
     export_layout,
     layout_cache_dir,
     serving_columns,
@@ -44,13 +46,26 @@ from repro.signals import CorpusContext, SignalSuite, fuse
 
 from serving_reference import ReferenceStore
 from test_artifact import with_json_payload
-from test_determinism_ladder import CORPUS, UPDATES, ladder_config
+from test_determinism_ladder import (
+    CORPUS,
+    UPDATES,
+    ladder_config,
+    split_merge_fit,
+)
 from test_ingest import batch_for, corpus as small_corpus
 from test_observation import records_of
 
 
 def sha256(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def arrived_bare(path, name):
+    """``path``'s bytes under a fresh ``name`` beside it: an artifact
+    that arrives without its layout (copied, or the cache deleted)."""
+    copy = Path(path).with_name(name)
+    copy.write_bytes(Path(path).read_bytes())
+    return copy
 
 
 def render(store, path, params):
@@ -84,7 +99,7 @@ def with_two_signals():
 
 
 def columns_of(fitted, signals=None, fusion_weights=None):
-    """What the ingest pipeline passes: the model still in memory."""
+    """What ``FittedKBT.save`` passes: the model still in memory."""
     return serving_columns(
         fitted.result.source_accuracy,
         fitted.report.source_support,
@@ -141,26 +156,36 @@ CASES = {
     "two-signals": with_two_signals,
     # The serving-side reader over a hand-built ``payload.json`` member.
     "json-payload": lambda: (fit_golden(5.0), {}, {}),
+    "split-and-merge": lambda: (split_merge_fit(), {}, {}),
+    # Saved with include_observations=False.
+    "no-observations": lambda: (fit_golden(5.0), {}, {}),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_in_memory_export_equals_from_file_export(case, tmp_path):
+    """The layout ``save`` leaves beside the artifact, written from the
+    model it holds, is the one ``export_layout`` writes from the file:
+    every ``.npy`` and the manifest text, artifact path spelling
+    included."""
     fitted, signals, weights = CASES[case]()
     path = fitted.save(
-        tmp_path / "model.kbt", signals=signals, fusion_weights=weights
+        tmp_path / "model.kbt",
+        include_observations=case != "no-observations",
+        signals=signals,
+        fusion_weights=weights,
     )
+    from_memory = layout_cache_dir(path, sha256(path))
+    source = path
     if case == "json-payload":
-        path = with_json_payload(path, tmp_path / "json.kbt")
-    from_file = export_layout(path, tmp_path / "from-file").parent
-    from_memory = export_columns(
-        columns_of(fitted, signals, weights), path, tmp_path / "from-memory"
-    ).parent
+        source = with_json_payload(path, tmp_path / "json.kbt")
+    from_file = export_layout(source, tmp_path / "from-file").parent
 
     names = sorted(p.name for p in from_file.iterdir())
+    assert "manifest.json" in names
     assert names == sorted(p.name for p in from_memory.iterdir())
     for name in names:
-        if name.endswith(".npy"):
+        if name != "manifest.json" or source == path:
             assert (from_memory / name).read_bytes() == (
                 from_file / name
             ).read_bytes(), name
@@ -168,24 +193,71 @@ def test_in_memory_export_equals_from_file_export(case, tmp_path):
         json.loads((d / "manifest.json").read_text()) for d in
         (from_file, from_memory)
     ]
-    for manifest in manifests:
-        manifest.pop("artifact")
-    assert manifests[0] == manifests[1]
-    assert manifests[0]["etag"] == sha256(path)
+    assert manifests[0]["etag"] == sha256(source)
+    assert manifests[1]["etag"] == sha256(path)
+    if source != path:
+        # Another file: only its name and hash differ.
+        for manifest in manifests:
+            del manifest["etag"], manifest["artifact"]
+        assert manifests[0] == manifests[1]
 
-    reference = ReferenceStore.open(path)
+    reference = ReferenceStore.open(source)
     assert len(reference) > 0
     stores = [
         MmapTrustStore.open(from_file),
         MmapTrustStore.open(from_memory),
         TrustStore(columns_of(fitted, signals, weights)),
-        TrustStore.open(path),
+        TrustStore.open(source),
     ]
     for route, params in requests_for(fitted, reference) + BAD_REQUESTS:
         expected = render(reference, route, params)
         for store in stores:
             assert render(store, route, params) == expected, (route, params)
     for store in stores:
+        store.close()
+
+
+def test_save_fails_on_a_full_disk_and_the_next_open_exports(
+    tmp_path, monkeypatch
+):
+    """A layout write that fills the disk fails the save with the
+    ``LayoutError``; the artifact, written first and atomically, is
+    complete, nothing is left staged, and an open exports the layout."""
+    fitted = KBTEstimator().fit(small_corpus())
+    (tmp_path / "clean").mkdir()
+    clean = fitted.save(tmp_path / "clean" / "model.kbt")
+    path = tmp_path / "model.kbt"
+    save = layout_module.np.save
+    saves = []
+
+    def filling_save(file, values):
+        saves.append(file)
+        if len(saves) == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        save(file, values)
+
+    monkeypatch.setattr(layout_module.np, "save", filling_save)
+    with pytest.raises(LayoutError, match="No space left") as caught:
+        fitted.save(path)
+    monkeypatch.undo()
+    message = str(caught.value)
+    assert str(path) in message
+    assert "choose a writable directory" in message
+    assert "opening it later exports the layout" in message
+
+    assert path.read_bytes() == clean.read_bytes()
+    assert records_of(FittedKBT.load(path).observations) == records_of(
+        fitted.observations
+    )
+    assert not [p for p in tmp_path.iterdir() if p.name.startswith(".")]
+    assert not layout_cache_dir(path, sha256(path)).exists()
+
+    store = MmapTrustStore.open(path)
+    try:
+        assert store.layout_state == "exported"
+        assert store.directory == layout_cache_dir(path, sha256(path))
+        assert store.score("good.com") == fitted.website_scores()["good.com"]
+    finally:
         store.close()
 
 
@@ -228,7 +300,7 @@ class TestServingNeverBuildsTheMatrix:
         store = TrustStore.open(path)
         assert store.score("good.com") == want
         export_layout(path, tmp_path / "layout")
-        mapped = MmapTrustStore.open(path)
+        mapped = MmapTrustStore.open(arrived_bare(path, "bare.kbt"))
         assert mapped.layout_state == "exported"
         assert mapped.score("good.com") == want
 
@@ -243,6 +315,41 @@ class TestServingNeverBuildsTheMatrix:
         assert cli_main(["query", str(path), "--site", "good.com"]) == 0
         assert json.loads(capsys.readouterr().out)["score"] == want.score
         assert cli_main(["query", str(path), "--breakdown", "good.com"]) == 0
+
+    def test_a_saved_fit_opens_without_decoding(
+        self, saved, no_full_decode, tmp_path, monkeypatch
+    ):
+        """``save`` left the layout, so no way of opening the artifact
+        reads it back — not even the serving sections."""
+        fitted, path = saved
+        second = fitted.save(tmp_path / "second.kbt")
+        third = fitted.save(tmp_path / "third.kbt")
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("an open decoded a saved artifact")
+
+        for module in (artifact_module, layout_module, store_module):
+            monkeypatch.setattr(module, "load_serving_inputs", refuse)
+        want = fitted.website_scores()["good.com"]
+
+        store = MmapTrustStore.open(path)
+        assert store.layout_state == "reused"
+        assert store.score("good.com") == want
+        manager = StoreManager(store)
+        try:
+            swapped = manager.swap(second)
+            assert swapped.layout_state == "reused"
+            assert swapped.score("good.com") == want
+            with GatewayThread(manager) as url:
+                answer = HttpPublisher(url).publish(third)
+            assert answer["layout"] == "reused"
+            assert answer["etag"] == sha256(third)
+            with manager.acquire() as served:
+                assert served.directory == layout_cache_dir(
+                    third, sha256(third)
+                )
+        finally:
+            manager.close()
 
     def test_full_load_is_unchanged(self, saved):
         fitted, path = saved
@@ -276,9 +383,15 @@ class _Calls:
     def __init__(self, monkeypatch):
         self.exports = 0
         self.loads = 0
+        cache_layout = mmap_store_module.cache_layout
+
+        def counted_cache_layout(*args, **kwargs):
+            directory, exported = cache_layout(*args, **kwargs)
+            self.exports += exported
+            return directory, exported
+
         monkeypatch.setattr(
-            mmap_store_module, "export_layout", self._counted("exports",
-                                                              export_layout)
+            mmap_store_module, "cache_layout", counted_cache_layout
         )
         for module, name in (
             (artifact_module, "load_artifact"),
@@ -358,23 +471,26 @@ class TestPublishShipsAReadyLayout:
             assert status["served_layout"] == "reused"
             assert status["served_etag"] == sha256(path)
 
-    def test_no_publisher_no_layout(self, artifact, tmp_path):
+    def test_no_publisher_saves_the_layout(self, artifact, tmp_path):
         pipeline = IngestPipeline(
             FittedKBT.load(artifact), tmp_path / "gens"
         )
-        pipeline.process_batch(batch_for("fresh.example", "t0"))
-        assert [p.name for p in (tmp_path / "gens").iterdir()] == [
-            "gen-000001.kbt"
+        path = pipeline.process_batch(batch_for("fresh.example", "t0"))
+        assert sorted(p.name for p in (tmp_path / "gens").iterdir()) == [
+            "gen-000001.kbt",
+            layout_cache_dir(path, sha256(path)).name,
         ]
         assert pipeline.board.snapshot()["served_layout"] is None
 
     def test_kbt_swap_of_a_bare_artifact_exports_once(
         self, artifact, tmp_path, monkeypatch, capsys
     ):
-        bare = tmp_path / "bare.kbt"
-        KBTEstimator().fit(
-            small_corpus() + batch_for("new.com", "t0")
-        ).save(bare)
+        bare = arrived_bare(
+            KBTEstimator()
+            .fit(small_corpus() + batch_for("new.com", "t0"))
+            .save(tmp_path / "fitted.kbt"),
+            "bare.kbt",
+        )
         manager = StoreManager(MmapTrustStore.open(artifact))
         with GatewayThread(manager) as url:
             calls = _Calls(monkeypatch)
@@ -395,6 +511,7 @@ class TestPublishShipsAReadyLayout:
         KBTEstimator().fit(
             small_corpus() + batch_for("new.com", "t0")
         ).save(other)
+        artifact = arrived_bare(artifact, "arrived.kbt")
         # A directory under this artifact's cache name whose manifest
         # speaks for different bytes: tampered with, or stale.
         planted = layout_cache_dir(artifact, artifact_etag(artifact))
@@ -451,8 +568,10 @@ class TestStagingLeak:
             manager.close()
 
     def test_store_gc_sweeps_staging_of_stale_bytes(self, tmp_path):
-        path = tmp_path / "model.kbt"
-        KBTEstimator().fit(small_corpus()).save(path)
+        path = arrived_bare(
+            KBTEstimator().fit(small_corpus()).save(tmp_path / "fitted.kbt"),
+            "model.kbt",
+        )
         stale = self.plant(path)
         in_flight = self.plant(path, etag=sha256(path))
         store = MmapTrustStore.open(path)
@@ -474,9 +593,12 @@ class TestCacheNamesAreLiteral:
         plain = tmp_path / "ma.kbt"
         pattern = tmp_path / "m[ab].kbt"  # a glob that matches "ma.kbt"
         KBTEstimator().fit(small_corpus()).save(plain)
-        KBTEstimator().fit(
-            small_corpus() + batch_for("new.com", "t0")
-        ).save(pattern)
+        arrived_bare(
+            KBTEstimator()
+            .fit(small_corpus() + batch_for("new.com", "t0"))
+            .save(tmp_path / "fitted.kbt"),
+            pattern.name,
+        )
         # An artifact whose name starts with the other's cache name.
         longer = tmp_path / "m[ab].kbt.layout-x.kbt"
         longer.write_bytes(plain.read_bytes())
