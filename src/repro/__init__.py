@@ -32,63 +32,38 @@ Subpackages:
 * :mod:`repro.mapreduce` — FlumeJava-like pipeline + cluster cost model.
 """
 
-from repro.core import (
-    AbsenceScope,
-    ConvergenceConfig,
-    DataItem,
-    ExtractionRecord,
-    ExtractorKey,
-    ExtractorQuality,
-    FalseValueModel,
-    GibbsConfig,
-    GibbsMultiLayer,
-    GranularityConfig,
-    KBTEstimator,
-    KBTReport,
-    KBTScore,
-    MultiLayerConfig,
-    MultiLayerModel,
-    MultiLayerResult,
-    ObservationMatrix,
-    SingleLayerConfig,
-    SingleLayerModel,
-    SingleLayerResult,
-    SourceKey,
-    SplitAndMerge,
-    Triple,
-    page_source,
-    pattern_extractor,
-    website_source,
-)
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "AbsenceScope": "repro.core.config",
+    "ConvergenceConfig": "repro.core.config",
+    "DataItem": "repro.core.types",
+    "ExtractionRecord": "repro.core.types",
+    "ExtractorKey": "repro.core.types",
+    "ExtractorQuality": "repro.core.quality",
+    "FalseValueModel": "repro.core.config",
+    "GibbsConfig": "repro.core.gibbs",
+    "GibbsMultiLayer": "repro.core.gibbs",
+    "GranularityConfig": "repro.core.config",
+    "KBTEstimator": "repro.core.kbt",
+    "KBTReport": "repro.core.kbt",
+    "KBTScore": "repro.core.types",
+    "MultiLayerConfig": "repro.core.config",
+    "MultiLayerModel": "repro.core.multi_layer",
+    "MultiLayerResult": "repro.core.results",
+    "ObservationMatrix": "repro.core.observation",
+    "SingleLayerConfig": "repro.core.config",
+    "SingleLayerModel": "repro.core.single_layer",
+    "SingleLayerResult": "repro.core.results",
+    "SourceKey": "repro.core.types",
+    "SplitAndMerge": "repro.core.granularity",
+    "Triple": "repro.core.types",
+    "page_source": "repro.core.types",
+    "pattern_extractor": "repro.core.types",
+    "website_source": "repro.core.types",
+}
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AbsenceScope",
-    "ConvergenceConfig",
-    "DataItem",
-    "ExtractionRecord",
-    "ExtractorKey",
-    "ExtractorQuality",
-    "FalseValueModel",
-    "GibbsConfig",
-    "GibbsMultiLayer",
-    "GranularityConfig",
-    "KBTEstimator",
-    "KBTReport",
-    "KBTScore",
-    "MultiLayerConfig",
-    "MultiLayerModel",
-    "MultiLayerResult",
-    "ObservationMatrix",
-    "SingleLayerConfig",
-    "SingleLayerModel",
-    "SingleLayerResult",
-    "SourceKey",
-    "SplitAndMerge",
-    "Triple",
-    "__version__",
-    "page_source",
-    "pattern_extractor",
-    "website_source",
-]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)[1:]
+__all__ = sorted([*_EXPORTS, "__version__"])

@@ -69,21 +69,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from repro.core.config import (
-    BACKENDS,
-    EXECUTION_FIELDS,
-    AbsenceScope,
-    GranularityConfig,
-    MultiLayerConfig,
-)
-from repro.core.kbt import FittedKBT, KBTEstimator
-from repro.core.observation import ObservationMatrix
-from repro.exec.backends import ExecError
-from repro.io.artifact import ArtifactError
-from repro.io.jsonl import read_records, write_records
-from repro.io.reports import score_sort_key, write_score_csv
-from repro.signals.base import SignalError
+# Each subcommand imports what it runs, inside its ``run_*``: ``kbt
+# serve`` never loads the model code, and ``kbt --help`` not even numpy.
+from repro.core.config import BACKENDS, EXECUTION_FIELDS
+from repro.exec.supervisor import ExecError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.kbt import FittedKBT, KBTEstimator
+    from repro.core.observation import ObservationMatrix
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -572,6 +567,13 @@ def _add_summary_options(parser: argparse.ArgumentParser) -> None:
 def _build_estimator(args: argparse.Namespace) -> KBTEstimator:
     from dataclasses import replace
 
+    from repro.core.config import (
+        AbsenceScope,
+        GranularityConfig,
+        MultiLayerConfig,
+    )
+    from repro.core.kbt import KBTEstimator
+
     config = MultiLayerConfig(absence_scope=AbsenceScope(args.absence_scope))
     config = replace(
         config,
@@ -597,6 +599,8 @@ def _print_summary(
     fitted: FittedKBT, num_records: int, args: argparse.Namespace
 ) -> bool:
     """Write the CSV + stdout ranking; returns False when nothing scored."""
+    from repro.io.reports import score_sort_key, write_score_csv
+
     scores = fitted.website_scores()
     if not scores:
         print(
@@ -686,6 +690,9 @@ def _fit_signals(
 
 
 def run_fit(args: argparse.Namespace) -> int:
+    from repro.core.observation import ObservationMatrix
+    from repro.io.jsonl import read_records
+
     # Stream straight into the matrix: no intermediate record list.
     observations = ObservationMatrix.from_records(read_records(args.records))
     if observations.num_records == 0:
@@ -880,7 +887,9 @@ def run_swap(args: argparse.Namespace) -> int:
 
 
 def run_update(args: argparse.Namespace) -> int:
+    from repro.core.kbt import FittedKBT
     from repro.io.artifact import load_artifact
+    from repro.io.jsonl import read_records
 
     artifact = load_artifact(args.artifact)
     if artifact.signals:
@@ -916,6 +925,7 @@ def run_ingest(args: argparse.Namespace) -> int:
     import signal as signal_module
     import threading
 
+    from repro.core.kbt import FittedKBT
     from repro.ingest import (
         HttpPublisher,
         IngestPipeline,
@@ -1012,6 +1022,7 @@ def run_worker(args: argparse.Namespace) -> int:
 
 def run_demo(args: argparse.Namespace) -> int:
     from repro.datasets.kv import KVConfig, generate_kv
+    from repro.io.jsonl import write_records
 
     corpus = generate_kv(
         KVConfig(
@@ -1071,12 +1082,13 @@ def main(argv: list[str] | None = None) -> int:
             return run_worker(args)
         if args.command == "demo":
             return run_demo(args)
-    except (ArtifactError, ExecError, SignalError, ValueError) as err:
+    except (ExecError, ValueError) as err:
         # ExecError covers terminal map-step failures (the message names
         # the shard, attempt count, and the underlying cause — for a
         # corrupt spill packet that cause is the one-line SpillError
-        # remedy, not a worker traceback). CheckpointError and SpillError
-        # are ValueErrors, so they land here too.
+        # remedy, not a worker traceback). ArtifactError, LayoutError,
+        # SignalError, CheckpointError and SpillError are ValueErrors,
+        # so they land here too.
         print(f"error: {err}", file=sys.stderr)
         return 1
     except BrokenPipeError:

@@ -11,71 +11,43 @@ the sharded execution driver (``repro.exec``);
 threads / processes / remote, bit-identical to the default single
 serial shard)."""
 
-from repro.core.config import (
-    AbsenceScope,
-    ConvergenceConfig,
-    FalseValueModel,
-    GranularityConfig,
-    MultiLayerConfig,
-    SingleLayerConfig,
-)
-from repro.core.gibbs import GibbsConfig, GibbsMultiLayer
-from repro.core.granularity import GranularityPlan, SplitAndMerge
-from repro.core.kbt import FittedKBT, KBTEstimator, KBTReport, KBTScore
-from repro.core.multi_layer import MultiLayerModel
-from repro.core.observation import ObservationMatrix
-from repro.core.quality import ExtractorQuality, default_precision, derive_q
-from repro.core.results import (
-    IterationSnapshot,
-    MultiLayerResult,
-    SingleLayerResult,
-)
-from repro.core.single_layer import SingleLayerModel, default_provenance
-from repro.core.types import (
-    DataItem,
-    ExtractionRecord,
-    ExtractorKey,
-    SourceKey,
-    Triple,
-    page_source,
-    pattern_extractor,
-    website_source,
-)
-from repro.core.votes import accuracy_vote, value_posteriors
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AbsenceScope",
-    "ConvergenceConfig",
-    "DataItem",
-    "ExtractionRecord",
-    "ExtractorKey",
-    "ExtractorQuality",
-    "FalseValueModel",
-    "FittedKBT",
-    "GibbsConfig",
-    "GibbsMultiLayer",
-    "GranularityConfig",
-    "GranularityPlan",
-    "IterationSnapshot",
-    "KBTEstimator",
-    "KBTReport",
-    "KBTScore",
-    "MultiLayerConfig",
-    "MultiLayerModel",
-    "MultiLayerResult",
-    "ObservationMatrix",
-    "SingleLayerConfig",
-    "SingleLayerModel",
-    "SingleLayerResult",
-    "SourceKey",
-    "SplitAndMerge",
-    "Triple",
-    "accuracy_vote",
-    "default_precision",
-    "default_provenance",
-    "derive_q",
-    "page_source",
-    "pattern_extractor",
-    "value_posteriors",
-    "website_source",
-]
+_EXPORTS = {
+    "AbsenceScope": "repro.core.config",
+    "ConvergenceConfig": "repro.core.config",
+    "DataItem": "repro.core.types",
+    "ExtractionRecord": "repro.core.types",
+    "ExtractorKey": "repro.core.types",
+    "ExtractorQuality": "repro.core.quality",
+    "FalseValueModel": "repro.core.config",
+    "FittedKBT": "repro.core.kbt",
+    "GibbsConfig": "repro.core.gibbs",
+    "GibbsMultiLayer": "repro.core.gibbs",
+    "GranularityConfig": "repro.core.config",
+    "GranularityPlan": "repro.core.granularity",
+    "IterationSnapshot": "repro.core.results",
+    "KBTEstimator": "repro.core.kbt",
+    "KBTReport": "repro.core.kbt",
+    "KBTScore": "repro.core.types",
+    "MultiLayerConfig": "repro.core.config",
+    "MultiLayerModel": "repro.core.multi_layer",
+    "MultiLayerResult": "repro.core.results",
+    "ObservationMatrix": "repro.core.observation",
+    "SingleLayerConfig": "repro.core.config",
+    "SingleLayerModel": "repro.core.single_layer",
+    "SingleLayerResult": "repro.core.results",
+    "SourceKey": "repro.core.types",
+    "SplitAndMerge": "repro.core.granularity",
+    "Triple": "repro.core.types",
+    "accuracy_vote": "repro.core.votes",
+    "default_precision": "repro.core.quality",
+    "default_provenance": "repro.core.single_layer",
+    "derive_q": "repro.core.quality",
+    "page_source": "repro.core.types",
+    "pattern_extractor": "repro.core.types",
+    "value_posteriors": "repro.core.votes",
+    "website_source": "repro.core.types",
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from numbers import Real
 from pathlib import Path
 
@@ -37,21 +37,12 @@ from repro.core.multi_layer import MultiLayerModel
 from repro.core.observation import ObservationMatrix
 from repro.core.quality import ExtractorQuality
 from repro.core.results import MultiLayerResult, merge_columns
-from repro.core.types import ExtractionRecord, ExtractorKey, SourceKey
-
-
-@dataclass(frozen=True, slots=True)
-class KBTScore:
-    """A trustworthiness estimate for one source aggregate.
-
-    ``score`` is the accuracy A (probability a provided fact is correct);
-    ``support`` is the expected number of correctly extracted triples that
-    the estimate rests on.
-    """
-
-    key: object
-    score: float
-    support: float
+from repro.core.types import (
+    ExtractionRecord,
+    ExtractorKey,
+    KBTScore,
+    SourceKey,
+)
 
 
 def check_min_triples(min_triples: float) -> float:

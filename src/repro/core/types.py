@@ -1,4 +1,5 @@
-"""Core value types: data items, triples, source/extractor keys, records.
+"""Core value types: data items, triples, source/extractor keys, records,
+and the KBT score a fit reports and a store serves.
 
 The paper's observation matrix is indexed by four coordinates (Table 1):
 an extractor ``e``, a web source ``w``, a data item ``d`` and a value ``v``.
@@ -149,6 +150,20 @@ class SourceKey(_HashOnce):
         if self.bucket is not None:
             return f"<{body}>#{self.bucket}"
         return f"<{body}>"
+
+
+@dataclass(frozen=True, slots=True)
+class KBTScore:
+    """A trustworthiness estimate for one source aggregate.
+
+    ``score`` is the accuracy A (probability a provided fact is correct);
+    ``support`` is the expected number of correctly extracted triples that
+    the estimate rests on.
+    """
+
+    key: object
+    score: float
+    support: float
 
 
 @dataclass(frozen=True, slots=True, init=False)

@@ -42,53 +42,31 @@ num_shards=8)`` (plus ``spill_dir`` /
 :data:`repro.exec.driver.BACKENDS` maps a backend name to its class.
 """
 
-from repro.exec.backends import (
-    ExecError,
-    ExecutionBackend,
-    ExecutionSession,
-    ProcessBackend,
-    SerialBackend,
-    ShardSource,
-    ThreadBackend,
-)
-from repro.exec.checkpoint import (
-    CheckpointError,
-    FitCheckpoint,
-    load_checkpoint,
-    save_checkpoint,
-)
-from repro.exec.driver import fit_sharded
-from repro.exec.faults import FaultPlan
-from repro.exec.plan import Shard, ShardPlan, StageStats
-from repro.exec.spill import (
-    OutOfCoreShardSource,
-    SpillError,
-    persist_plan,
-    spill_problem_arrays,
-)
-from repro.exec.worker import IterationParams, run_shard_iteration
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CheckpointError",
-    "ExecError",
-    "ExecutionBackend",
-    "ExecutionSession",
-    "FaultPlan",
-    "FitCheckpoint",
-    "IterationParams",
-    "OutOfCoreShardSource",
-    "ProcessBackend",
-    "SerialBackend",
-    "Shard",
-    "ShardPlan",
-    "ShardSource",
-    "SpillError",
-    "StageStats",
-    "ThreadBackend",
-    "fit_sharded",
-    "load_checkpoint",
-    "persist_plan",
-    "run_shard_iteration",
-    "save_checkpoint",
-    "spill_problem_arrays",
-]
+_EXPORTS = {
+    "CheckpointError": "repro.exec.checkpoint",
+    "ExecError": "repro.exec.supervisor",
+    "ExecutionBackend": "repro.exec.backends",
+    "ExecutionSession": "repro.exec.backends",
+    "FaultPlan": "repro.exec.faults",
+    "FitCheckpoint": "repro.exec.checkpoint",
+    "IterationParams": "repro.exec.worker",
+    "OutOfCoreShardSource": "repro.exec.spill",
+    "ProcessBackend": "repro.exec.backends",
+    "SerialBackend": "repro.exec.backends",
+    "Shard": "repro.exec.plan",
+    "ShardPlan": "repro.exec.plan",
+    "ShardSource": "repro.exec.backends",
+    "SpillError": "repro.exec.spill",
+    "StageStats": "repro.exec.plan",
+    "ThreadBackend": "repro.exec.backends",
+    "fit_sharded": "repro.exec.driver",
+    "load_checkpoint": "repro.exec.checkpoint",
+    "persist_plan": "repro.exec.spill",
+    "run_shard_iteration": "repro.exec.worker",
+    "save_checkpoint": "repro.exec.checkpoint",
+    "spill_problem_arrays": "repro.exec.spill",
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

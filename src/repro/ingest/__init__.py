@@ -8,32 +8,21 @@ staleness policy watches drift and schedules cold refits
 ``GET /ingest/status`` (:mod:`repro.ingest.status`).
 """
 
-from repro.ingest.pipeline import (
-    HttpPublisher,
-    IngestPipeline,
-    InProcessPublisher,
-    PublishError,
-)
-from repro.ingest.policy import DriftAlert, DriftStats, StalenessPolicy
-from repro.ingest.status import StatusBoard
-from repro.ingest.stream import (
-    MicroBatcher,
-    QueueRecordSource,
-    RecordSource,
-    SpoolDirectorySource,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DriftAlert",
-    "DriftStats",
-    "HttpPublisher",
-    "IngestPipeline",
-    "InProcessPublisher",
-    "MicroBatcher",
-    "PublishError",
-    "QueueRecordSource",
-    "RecordSource",
-    "SpoolDirectorySource",
-    "StalenessPolicy",
-    "StatusBoard",
-]
+_EXPORTS = {
+    "DriftAlert": "repro.ingest.policy",
+    "DriftStats": "repro.ingest.policy",
+    "HttpPublisher": "repro.ingest.pipeline",
+    "IngestPipeline": "repro.ingest.pipeline",
+    "InProcessPublisher": "repro.ingest.pipeline",
+    "MicroBatcher": "repro.ingest.stream",
+    "PublishError": "repro.ingest.pipeline",
+    "QueueRecordSource": "repro.ingest.stream",
+    "RecordSource": "repro.ingest.stream",
+    "SpoolDirectorySource": "repro.ingest.stream",
+    "StalenessPolicy": "repro.ingest.policy",
+    "StatusBoard": "repro.ingest.status",
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

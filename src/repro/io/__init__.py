@@ -10,34 +10,22 @@
   artifact's sha256 ETag, for the zero-copy serving tier.
 """
 
-from repro.io.artifact import (
-    FORMAT_VERSION,
-    ArtifactError,
-    TrustArtifact,
-    load_artifact,
-    save_artifact,
-)
-from repro.io.jsonl import read_records, record_to_dict, write_records
-from repro.io.mmap_layout import (
-    LayoutError,
-    ServingLayout,
-    artifact_etag,
-    export_layout,
-)
-from repro.io.reports import write_score_csv
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FORMAT_VERSION",
-    "ArtifactError",
-    "LayoutError",
-    "ServingLayout",
-    "TrustArtifact",
-    "artifact_etag",
-    "export_layout",
-    "load_artifact",
-    "read_records",
-    "record_to_dict",
-    "save_artifact",
-    "write_records",
-    "write_score_csv",
-]
+_EXPORTS = {
+    "FORMAT_VERSION": "repro.io.artifact",
+    "ArtifactError": "repro.io.artifact",
+    "LayoutError": "repro.io.mmap_layout",
+    "ServingLayout": "repro.io.mmap_layout",
+    "TrustArtifact": "repro.io.artifact",
+    "artifact_etag": "repro.io.mmap_layout",
+    "export_layout": "repro.io.mmap_layout",
+    "load_artifact": "repro.io.artifact",
+    "read_records": "repro.io.jsonl",
+    "record_to_dict": "repro.io.jsonl",
+    "save_artifact": "repro.io.artifact",
+    "write_records": "repro.io.jsonl",
+    "write_score_csv": "repro.io.reports",
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -39,6 +39,11 @@ Exporting only saves those arrays.
 way whether they are held in memory (``kbt query``, which writes no
 file) or mapped from a layout (:class:`ServingLayout`, ``kbt serve``).
 
+The read side (:class:`ServingLayout`, :func:`cache_layout` of a layout
+already cached) imports nothing of the fit layer: :func:`serving_columns`
+imports the score aggregation, and an export from the file the artifact
+decoder, when they run.
+
 A missing, foreign, or torn layout raises :class:`LayoutError` (a
 ``ValueError``) naming the remedy; because the manifest is written last
 and atomically, a crashed export is detected as "no manifest", never
@@ -59,7 +64,6 @@ until the last mapping goes away).
 
 from __future__ import annotations
 
-import glob
 import hashlib
 import json
 import os
@@ -67,15 +71,15 @@ import shutil
 import tempfile
 from bisect import bisect_right
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.kbt import aggregate_scores, webpage_of, website_of
-from repro.core.types import SourceKey
-from repro.io.artifact import load_serving_inputs
 from repro.io.container import MANIFEST, ColumnFormat
-from repro.io.reports import score_sort_key
-from repro.signals.base import SignalScores
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.types import SourceKey
+    from repro.signals.base import SignalScores
 
 #: Format identifier + version written to (and required from) manifests.
 LAYOUT_FORMAT = "kbt-serving-layout"
@@ -209,6 +213,11 @@ def serving_columns(
     behind its score, largest support first. Signals are stored as the
     artifact holds them, in its order, with their websites interned.
     """
+    # The fit layer is imported here, on the write path, so a process
+    # that only maps a layout never loads it.
+    from repro.core.kbt import aggregate_scores, webpage_of, website_of
+    from repro.io.reports import score_sort_key
+
     sites = aggregate_scores(
         source_accuracy, source_support, min_triples, website_of
     )
@@ -348,22 +357,43 @@ def cached_layout_dirs(
     sweeps. ``keep`` and the staging of exports into it (one may be
     running in another process) are left out."""
     artifact_path = Path(artifact_path)
-    # Only this artifact's cache names: its own name literally (a "[",
-    # "*" or "?" in it is no pattern), then the legacy suffix or one
-    # ETag prefix — never a longer name that merely starts with them,
-    # such as the cache of an artifact named "<artifact>.layout-x.kbt".
-    legacy = glob.escape(artifact_path.name + _CACHE_SUFFIX)
+    legacy = artifact_path.name + _CACHE_SUFFIX
     found = []
-    for exported in (legacy, f"{legacy}-{'?' * _ETAG_PREFIX}"):
-        for pattern in (exported, f".{exported}.tmp-*"):
-            for candidate in artifact_path.parent.glob(pattern):
-                kept = keep is not None and (
+    try:
+        with os.scandir(artifact_path.parent) as entries:
+            for entry in entries:
+                if not (_is_cache_name(entry.name, legacy) and entry.is_dir()):
+                    continue
+                candidate = artifact_path.parent / entry.name
+                if keep is not None and (
                     candidate == keep
-                    or candidate.name.startswith(_staging_prefix(keep))
-                )
-                if candidate.is_dir() and not kept:
-                    found.append(candidate)
+                    or entry.name.startswith(_staging_prefix(keep))
+                ):
+                    continue
+                found.append(candidate)
+    except OSError:
+        pass  # no parent directory, or none we may list: nothing cached
     return found
+
+
+def _is_cache_name(name: str, legacy: str) -> bool:
+    """Whether ``name`` is an export of the cache named ``legacy`` —
+    that name or ``<legacy>-<ETag prefix>`` — or the staging directory
+    ``.<export>.tmp-*`` of one. Plain string comparisons: a "[", "*" or
+    "?" in the artifact's name is no pattern, and a longer name that
+    merely starts with these, such as the cache of an artifact named
+    ``<artifact>.layout-x.kbt``, is not this cache's."""
+    keyed = 1 + _ETAG_PREFIX  # "-" and the ETag prefix
+    if name.startswith(legacy):
+        rest = name[len(legacy):]
+        if rest == "" or (rest.startswith("-") and len(rest) == keyed):
+            return True
+    if name.startswith(f".{legacy}"):
+        rest = name[1 + len(legacy):]
+        if rest.startswith("-"):
+            rest = rest[keyed:]
+        return rest.startswith(".tmp-")
+    return False
 
 
 def _reusable_manifest(directory: Path, etag: str) -> Path | None:
@@ -472,6 +502,8 @@ def _export(
         raise _unwritable(directory, err) from err
     try:
         if columns is None:
+            from repro.io.artifact import load_serving_inputs
+
             columns = serving_columns(*load_serving_inputs(artifact_path))
         _LAYOUT.write(
             staging,

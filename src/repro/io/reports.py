@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 
-from repro.core.kbt import KBTScore
+from repro.core.types import KBTScore
 
 
 def _key_text(key: object) -> str:

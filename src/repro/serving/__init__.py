@@ -21,20 +21,18 @@ is that split:
   behind the gateway's zero-downtime hot artifact swap (``kbt swap``).
 """
 
-from repro.serving.gateway import Gateway, GatewayThread, serve_gateway
-from repro.serving.manager import StoreLease, StoreManager
-from repro.serving.mmap_store import MmapTrustStore
-from repro.serving.routes import CACHEABLE_ROUTES, handle_route
-from repro.serving.store import TrustStore
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CACHEABLE_ROUTES",
-    "Gateway",
-    "GatewayThread",
-    "MmapTrustStore",
-    "StoreLease",
-    "StoreManager",
-    "TrustStore",
-    "handle_route",
-    "serve_gateway",
-]
+_EXPORTS = {
+    "CACHEABLE_ROUTES": "repro.serving.routes",
+    "Gateway": "repro.serving.gateway",
+    "GatewayThread": "repro.serving.gateway",
+    "MmapTrustStore": "repro.serving.mmap_store",
+    "StoreLease": "repro.serving.manager",
+    "StoreManager": "repro.serving.manager",
+    "TrustStore": "repro.serving.store",
+    "handle_route": "repro.serving.routes",
+    "serve_gateway": "repro.serving.gateway",
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

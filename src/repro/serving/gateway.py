@@ -117,8 +117,6 @@ from pathlib import Path
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from repro.ingest.status import StatusBoard
-from repro.io.artifact import ArtifactError
-from repro.io.mmap_layout import LayoutError
 from repro.serving.manager import StoreManager
 from repro.serving.routes import CACHEABLE_ROUTES, lookup_cost, plan_route
 
@@ -879,8 +877,9 @@ class Gateway:
             }
         try:
             new_store = self.manager.swap(Path(artifact))
-        except (ArtifactError, LayoutError, OSError, ValueError) as err:
-            # The swap never flipped: the old store is still serving.
+        except (OSError, ValueError) as err:
+            # ArtifactError and LayoutError are ValueErrors. The swap
+            # never flipped: the old store is still serving.
             return 400, {
                 "error": f"swap rejected: {type(err).__name__}: {err}"
             }

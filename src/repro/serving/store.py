@@ -40,6 +40,13 @@ a single pass at construction, and the per-site body memo
 rendered on first use and kept until ``close()``. The signal surface is
 rebuilt from the signal columns on the first signal query, so KBT-only
 traffic never pays for it.
+
+Nothing of the fit layer is imported with this module: the signal
+frame and fusion load with the first signal surface, and the artifact
+decoder and the column aggregation with the cold paths that build
+columns from an artifact (``TrustStore.open(path)``,
+``TrustStore(artifact)``). A gateway that maps a layout never loads
+them.
 """
 
 from __future__ import annotations
@@ -49,13 +56,14 @@ import threading
 from collections.abc import Iterable, Iterator
 from json.encoder import encode_basestring
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro.core.kbt import KBTScore
-from repro.io.artifact import TrustArtifact, load_serving_inputs
+from repro.core.types import KBTScore
 from repro.io.mmap_layout import LayoutError, ServingColumns, serving_columns
 from repro.signals.base import SignalScores
-from repro.signals.frame import SignalFrame
-from repro.signals.fusion import fuse
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.io.artifact import TrustArtifact
 
 
 def _score_json(score: KBTScore) -> dict:
@@ -81,6 +89,9 @@ class SignalSurface:
         signals: dict[str, SignalScores],
         fusion_weights: dict[str, float],
     ) -> None:
+        from repro.signals.frame import SignalFrame
+        from repro.signals.fusion import fuse
+
         self.frame = SignalFrame(signals.values())
         if self.frame.names:
             self.fusion = fuse(self.frame, weights=fusion_weights or None)
@@ -231,6 +242,8 @@ class TrustStore:
         """Build the store in memory from an artifact on disk, decoding
         only the sections serving reads (never the observation matrix)
         and writing nothing."""
+        from repro.io.artifact import load_serving_inputs
+
         return cls(serving_columns(*load_serving_inputs(path)))
 
     # ------------------------------------------------------------------

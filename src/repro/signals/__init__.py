@@ -19,44 +19,25 @@ Quickstart::
     print(frame.compare("kbt", "pagerank")["correlation"])
 """
 
-from repro.signals.base import (
-    CorpusContext,
-    SignalError,
-    SignalScores,
-    TrustSignal,
-    co_claim_graph,
-)
-from repro.signals.frame import SignalFrame
-from repro.signals.fusion import (
-    FusionResult,
-    calibrate_weights,
-    calibration_deviations,
-    fuse,
-)
-from repro.signals.providers import (
-    CopyAdjustedSignal,
-    KBTSignal,
-    PageRankSignal,
-    SingleLayerSignal,
-    default_providers,
-)
-from repro.signals.suite import SignalSuite
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CopyAdjustedSignal",
-    "CorpusContext",
-    "FusionResult",
-    "KBTSignal",
-    "PageRankSignal",
-    "SignalError",
-    "SignalFrame",
-    "SignalScores",
-    "SignalSuite",
-    "SingleLayerSignal",
-    "TrustSignal",
-    "calibrate_weights",
-    "calibration_deviations",
-    "co_claim_graph",
-    "default_providers",
-    "fuse",
-]
+_EXPORTS = {
+    "CopyAdjustedSignal": "repro.signals.providers",
+    "CorpusContext": "repro.signals.base",
+    "FusionResult": "repro.signals.fusion",
+    "KBTSignal": "repro.signals.providers",
+    "PageRankSignal": "repro.signals.providers",
+    "SignalError": "repro.signals.base",
+    "SignalFrame": "repro.signals.frame",
+    "SignalScores": "repro.signals.base",
+    "SignalSuite": "repro.signals.suite",
+    "SingleLayerSignal": "repro.signals.providers",
+    "TrustSignal": "repro.signals.base",
+    "calibrate_weights": "repro.signals.fusion",
+    "calibration_deviations": "repro.signals.fusion",
+    "co_claim_graph": "repro.signals.base",
+    "default_providers": "repro.signals.providers",
+    "fuse": "repro.signals.fusion",
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

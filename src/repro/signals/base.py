@@ -28,12 +28,13 @@ from typing import TYPE_CHECKING, Any, Iterator, Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.core.config import GranularityConfig, MultiLayerConfig
-from repro.core.observation import ObservationMatrix
-from repro.web.graph import WebGraph
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    # The serving side imports this module for SignalScores and
+    # SignalError; the corpus-side types stay out of its process.
+    from repro.core.config import GranularityConfig, MultiLayerConfig
     from repro.core.kbt import FittedKBT
+    from repro.core.observation import ObservationMatrix
+    from repro.web.graph import WebGraph
 
 
 class SignalError(ValueError):
@@ -179,6 +180,8 @@ _MAX_COCLAIM_SITES = 30
 
 def co_claim_graph(observations: ObservationMatrix) -> WebGraph:
     """Derive the co-claim proxy graph over websites (see ``web_graph``)."""
+    from repro.web.graph import WebGraph
+
     claim_counts: dict[str, int] = {}
     for source, size in observations.source_sizes().items():
         site = source.website

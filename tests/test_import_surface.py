@@ -1,0 +1,210 @@
+"""Each process imports only the layers it runs.
+
+``kbt serve`` maps a layout and answers lookups: its process must never
+load the EM engine, Gibbs, SPLITANDMERGE, PageRank, copy detection,
+evaluation or the ingest HTTP client. Two things keep it so — package
+``__init__``s that resolve their re-exports on first access
+(:mod:`repro._lazy`), and serving modules that import the fit layer only
+on the cold paths that need it. The checks run in fresh interpreters,
+since this test process has long imported everything.
+
+The public API those lazy packages present is pinned here as well:
+``__all__``, ``from pkg import name``, ``from pkg import *``, ``dir``
+and ``from pkg import submodule`` behave as with eager imports.
+"""
+
+from __future__ import annotations
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import FunctionType
+
+import pytest
+
+pytest.importorskip("numpy")
+
+import repro
+from repro.core.kbt import KBTEstimator
+
+from test_ingest import corpus as small_corpus
+
+PACKAGES = [
+    "repro",
+    "repro.core",
+    "repro.io",
+    "repro.serving",
+    "repro.ingest",
+    "repro.signals",
+    "repro.exec",
+]
+
+#: Modules the gateway's process must not hold: the model, the artifact
+#: decoder, the execution backends, the signal providers, the ingest
+#: loop, the web graph, evaluation, copy detection and urllib's client.
+NOT_IN_THE_GATEWAY = [
+    "repro.core.engine_numpy",
+    "repro.core.gibbs",
+    "repro.core.observation",
+    "repro.core.kbt",
+    "repro.io.artifact",
+    "repro.exec.backends",
+    "repro.signals.providers",
+    "repro.ingest.pipeline",
+    "repro.web",
+    "repro.eval",
+    "repro.copydetect",
+    "urllib.request",
+]
+
+# What `kbt serve` imports (the CLI, then run_serve's gateway and
+# store), then one saved fit opened and one /score answered over HTTP.
+SERVE_ONE_SCORE = """
+import http.client, json, sys
+import repro.cli
+from repro.serving.gateway import GatewayThread, ListenError, serve_gateway
+from repro.serving.manager import StoreManager
+from repro.serving.mmap_store import MmapTrustStore
+
+store = MmapTrustStore.open(sys.argv[1])
+with GatewayThread(StoreManager(store)) as url:
+    host, port = url.removeprefix("http://").rsplit(":", 1)
+    connection = http.client.HTTPConnection(host, int(port), timeout=30)
+    connection.request("GET", "/score?site=good.com")
+    response = connection.getresponse()
+    answer = [response.status, json.loads(response.read())]
+    connection.close()
+print(json.dumps(
+    {"layout": store.layout_state, "answer": answer,
+     "modules": sorted(sys.modules)}
+))
+"""
+
+
+def fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a new interpreter over this checkout's ``repro``."""
+    source = str(Path(repro.__file__).resolve().parents[1])
+    paths = [source, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+        check=True,
+    )
+
+
+def test_the_gateway_loads_only_the_serving_layer(tmp_path):
+    fitted = KBTEstimator().fit(small_corpus())
+    path = fitted.save(tmp_path / "model.kbt")
+
+    run = fresh_python("-c", SERVE_ONE_SCORE, str(path))
+    report = json.loads(run.stdout)
+
+    assert report["layout"] == "reused"
+    status, body = report["answer"]
+    want = fitted.website_scores()["good.com"]
+    assert status == 200
+    assert (body["key"], body["score"], body["support"]) == (
+        want.key,
+        want.score,
+        want.support,
+    )
+    loaded = set(report["modules"])
+    assert "repro.serving.gateway" in loaded  # the check ran for real
+    assert [name for name in NOT_IN_THE_GATEWAY if name in loaded] == []
+
+
+def test_help_imports_no_numpy():
+    run = fresh_python("-X", "importtime", "-m", "repro", "--help")
+    assert "usage: kbt" in run.stdout
+    # -X importtime writes "import time: self | cumulative | name".
+    imported = {
+        line.rsplit("|", 1)[1].strip()
+        for line in run.stderr.splitlines()
+        if line.startswith("import time:") and "|" in line
+    }
+    assert "repro.cli" in imported
+    assert "numpy" not in imported
+
+
+# ----------------------------------------------------------------------
+# The public API of the lazy packages
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("name", PACKAGES)
+def test_every_export_is_its_defining_modules_object(name):
+    package = importlib.import_module(name)
+    exports = package._EXPORTS
+    assert set(package.__all__) - {"__version__"} == set(exports)
+    for export in package.__all__:
+        if export == "__version__":
+            continue
+        home = importlib.import_module(exports[export])
+        value = getattr(home, export)
+        assert getattr(package, export) is value, export
+        if isinstance(value, (type, FunctionType)):
+            # The table names where the object is defined, not a module
+            # that re-exports it.
+            assert value.__module__ == home.__name__, export
+
+
+@pytest.mark.parametrize("name", PACKAGES)
+def test_star_import_binds_all_and_dir_lists_it(name):
+    package = importlib.import_module(name)
+    namespace: dict = {}
+    exec(f"from {name} import *", namespace)
+    namespace.pop("__builtins__")
+    assert set(namespace) == set(package.__all__)
+    for export in package.__all__:
+        assert namespace[export] is getattr(package, export)
+    assert set(package.__all__) <= set(dir(package))
+
+
+@pytest.mark.parametrize("name", PACKAGES)
+def test_an_unknown_name_is_an_attribute_error(name):
+    package = importlib.import_module(name)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        package.no_such_name
+    with pytest.raises(ImportError):
+        exec(f"from {name} import no_such_name", {})
+
+
+def test_from_a_package_import_a_submodule():
+    # In a fresh interpreter the package does not yet hold the
+    # submodule, so the name falls through __getattr__ to the import.
+    check = (
+        "import sys\n"
+        "from repro.core import results\n"
+        "from repro import core\n"
+        "assert results is sys.modules['repro.core.results']\n"
+        "assert core is sys.modules['repro.core']\n"
+        "print('ok')\n"
+    )
+    assert fresh_python("-c", check).stdout == "ok\n"
+    from repro.core import results
+
+    assert results is sys.modules["repro.core.results"]
+
+
+def test_the_errors_callers_catch_as_value_errors_are_value_errors():
+    """The gateway's swap handler and the CLI catch ``ValueError`` for
+    these, without importing the modules that define them."""
+    from repro.exec.checkpoint import CheckpointError
+    from repro.exec.spill import SpillError
+    from repro.io.artifact import ArtifactError
+    from repro.io.mmap_layout import LayoutError
+    from repro.signals.base import SignalError
+
+    for error in (
+        ArtifactError,
+        LayoutError,
+        SignalError,
+        CheckpointError,
+        SpillError,
+    ):
+        assert issubclass(error, ValueError), error

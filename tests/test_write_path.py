@@ -11,6 +11,7 @@ and artifact loads.
 """
 
 import errno
+import glob
 import hashlib
 import json
 import urllib.request
@@ -23,7 +24,6 @@ pytest.importorskip("numpy")
 import repro.io.artifact as artifact_module
 import repro.io.mmap_layout as layout_module
 import repro.serving.mmap_store as mmap_store_module
-import repro.serving.store as store_module
 from repro.cli import main as cli_main
 from repro.core.kbt import FittedKBT, KBTEstimator
 from repro.core.observation import ObservationMatrix
@@ -328,8 +328,8 @@ class TestServingNeverBuildsTheMatrix:
         def refuse(*_args, **_kwargs):
             raise AssertionError("an open decoded a saved artifact")
 
-        for module in (artifact_module, layout_module, store_module):
-            monkeypatch.setattr(module, "load_serving_inputs", refuse)
+        # Every caller reads it from its defining module at call time.
+        monkeypatch.setattr(artifact_module, "load_serving_inputs", refuse)
         want = fitted.website_scores()["good.com"]
 
         store = MmapTrustStore.open(path)
@@ -393,14 +393,12 @@ class _Calls:
         monkeypatch.setattr(
             mmap_store_module, "cache_layout", counted_cache_layout
         )
-        for module, name in (
-            (artifact_module, "load_artifact"),
-            (artifact_module, "load_serving_inputs"),
-            (layout_module, "load_serving_inputs"),
-            (store_module, "load_serving_inputs"),
-        ):
+        # Every caller reads these from repro.io.artifact at call time.
+        for name in ("load_artifact", "load_serving_inputs"):
             monkeypatch.setattr(
-                module, name, self._counted("loads", getattr(module, name))
+                artifact_module,
+                name,
+                self._counted("loads", getattr(artifact_module, name)),
             )
 
     def _counted(self, counter, function):
@@ -647,6 +645,121 @@ class TestCacheNamesAreLiteral:
             assert layout_cache_dir(path, sha256(path)).is_dir()
         finally:
             manager.close()
+
+
+def glob_cached_layout_dirs(artifact_path, keep=None):
+    """The reference: ``cached_layout_dirs`` as four ``Path.glob``
+    patterns per artifact name, before it became one ``os.scandir``."""
+    artifact_path = Path(artifact_path)
+    legacy = glob.escape(artifact_path.name + ".layout")
+    found = []
+    for exported in (legacy, f"{legacy}-{'?' * 16}"):
+        for pattern in (exported, f".{exported}.tmp-*"):
+            for candidate in artifact_path.parent.glob(pattern):
+                kept = keep is not None and (
+                    candidate == keep
+                    or candidate.name.startswith(f".{keep.name}.tmp-")
+                )
+                if candidate.is_dir() and not kept:
+                    found.append(candidate)
+    return found
+
+
+ETAG = "0123456789abcdef" * 4
+#: (artifact name, directories, files) per case; ``ETAG`` is the bytes
+#: whose cache is kept when a case keeps one.
+CACHE_LISTINGS = {
+    "pattern characters": (
+        "m[ab]*?.kbt",
+        [
+            "m[ab]*?.kbt.layout",
+            f"m[ab]*?.kbt.layout-{ETAG[:16]}",
+            "m[ab]*?.kbt.layout-fedcba9876543210",
+            ".m[ab]*?.kbt.layout.tmp-k1lled",
+            "ma*?.kbt.layout",  # what the name matches read as a glob
+            "mab?.kbt.layout-fedcba9876543210",
+            "mbXY.kbt.layout",
+            ".ma.kbt.layout.tmp-x",
+        ],
+        [],
+    ),
+    "a longer name sharing the prefix": (
+        "model.kbt",
+        [
+            "model.kbt.layout",
+            "model.kbt.layout-x.kbt.layout-fedcba9876543210",
+            "model.kbt.layout-x.kbt.layout",
+            "model.kbt.layouts",
+            "model.kbt.layout-0123456789abcdef0",  # 17 characters
+            "model.kbt.layout-0123456789abcde",  # 15
+            "model.kbt.layout-",
+            "amodel.kbt.layout",
+            "model.kbt",
+            ".model.kbt.layout-x.kbt.layout.tmp-q",
+        ],
+        ["model.kbt.layout-x.kbt"],
+    ),
+    "legacy and ETag-keyed names": (
+        "model.kbt",
+        [
+            "model.kbt.layout",
+            f"model.kbt.layout-{ETAG[:16]}",
+            "model.kbt.layout-fedcba9876543210",
+            "model.kbt.layout-.tmp-abcdefghij",  # any 16 characters
+        ],
+        ["model.kbt.layout-ffffffffffffffff"],  # a file, not a cache
+    ),
+    "staging directories": (
+        "model.kbt",
+        [
+            ".model.kbt.layout.tmp-k1lled",
+            ".model.kbt.layout.tmp-",
+            f".model.kbt.layout-{ETAG[:16]}.tmp-inflight",
+            ".model.kbt.layout-fedcba9876543210.tmp-k1lled",
+            ".model.kbt.layout-fedcba9876543210.tmp-",
+            ".model.kbt.layout-fedcba987654321.tmp-short",
+            ".model.kbt.layout-fedcba9876543210.tm-x",
+            ".model.kbt.layout.tmp",
+            "model.kbt.layout.tmp-unhidden",
+        ],
+        [".model.kbt.layout.tmp-file"],
+    ),
+    "an artifact named like a staging directory": (
+        ".a.tmp-b.kbt",
+        [
+            ".a.tmp-b.kbt.layout",
+            "..a.tmp-b.kbt.layout.tmp-c",
+            f"..a.tmp-b.kbt.layout-{ETAG[:16]}.tmp-c",
+            ".a.tmp-b.kbt.layout-fedcba9876543210",
+        ],
+        [],
+    ),
+}
+
+
+@pytest.mark.parametrize("keep", [False, True], ids=["all", "keep"])
+@pytest.mark.parametrize("case", sorted(CACHE_LISTINGS))
+def test_cached_layout_dirs_lists_what_the_globs_did(
+    case, keep, tmp_path, monkeypatch
+):
+    name, directories, files = CACHE_LISTINGS[case]
+    for directory in directories:
+        (tmp_path / directory).mkdir()
+    for file in files:
+        (tmp_path / file).write_bytes(b"")
+    (tmp_path / "elsewhere").mkdir()
+    (tmp_path / f"{name}.layout-{'e' * 16}").symlink_to("elsewhere")
+    (tmp_path / f"{name}.layout-{'d' * 16}").symlink_to("dangling")
+    monkeypatch.chdir(tmp_path)
+    for artifact in (tmp_path / name, Path(name)):
+        kept = layout_cache_dir(artifact, ETAG) if keep else None
+        found = layout_module.cached_layout_dirs(artifact, keep=kept)
+        reference = glob_cached_layout_dirs(artifact, keep=kept)
+        assert sorted(found) == sorted(reference)
+        assert len(found) == len(set(found)) >= 2
+    missing = tmp_path / "no-such-directory" / name
+    assert layout_module.cached_layout_dirs(missing) == []
+    assert glob_cached_layout_dirs(missing) == []
 
 
 # ----------------------------------------------------------------------
