@@ -54,7 +54,7 @@ MIN_SPEEDUP = 5.0
 REDUCE_CHUNK = 4_096
 
 #: The documented precision contract (docs/architecture.md): every score
-#: the float32 fused kernels report stays within this absolute deviation
+#: a float32 fit reports stays within this absolute deviation
 #: of the float64 reference. Matches FLOAT32_ENVELOPE in
 #: tests/test_engine_parity.py.
 FLOAT32_ENVELOPE = 1e-3
@@ -109,9 +109,9 @@ def run_engine_scaling() -> tuple[str, dict]:
     )
     streamed_identical = _bit_identical(results["numpy"], streamed_result)
 
-    # Float32 leg: the opt-in fused single-precision shard kernel
-    # (exec.worker._Float32Workspace); the deviation from the float64
-    # reference is gated under the documented envelope.
+    # Float32 leg: the one shard kernel (exec.worker.run_shard_iteration)
+    # run in single precision; the deviation from the float64 reference
+    # is gated under the documented envelope, its wall clock never.
     float32_result, float32_s = timed(
         MultiLayerModel(
             dataclasses.replace(ENGINE_CONFIG, precision="float32")

@@ -447,10 +447,12 @@ def _add_model_options(parser: argparse.ArgumentParser) -> None:
         help=(
             "arithmetic precision of the E steps: float64 "
             "(default, the reference arithmetic every bit-identity "
-            "guarantee is stated against) or float32 (fused "
-            "single-precision kernels on any --backend, faster and half "
-            "the working set; scores stay within the documented "
-            "precision envelope of float64 — see docs/architecture.md)"
+            "guarantee is stated against) or float32 (the same E-step "
+            "kernel run in single precision, on any --backend; no faster "
+            "on a 2-core host: 1.5 ms per EM iteration against float64's "
+            "1.6 ms at 20.6K records, 9.8 against 10.0 ms at 152K; scores "
+            "stay within the documented precision envelope of float64 — "
+            "see docs/architecture.md)"
         ),
     )
     _add_placement_options(parser)

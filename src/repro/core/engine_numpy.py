@@ -118,14 +118,16 @@ def segment_softmax(
     triple_item: np.ndarray,
     num_unobserved: np.ndarray,
 ) -> np.ndarray:
-    """The per-item softmax with floor mass of Eq. 21 / 25 (float64):
-    item ``k`` owns ``votes[starts[k]:starts[k + 1]]`` and adds
-    ``num_unobserved[k]`` terms ``exp(0)`` to its partition function."""
+    """The per-item softmax with floor mass of Eq. 21 / 25, in the dtype
+    of ``votes``: item ``k`` owns ``votes[starts[k]:starts[k + 1]]`` and
+    adds ``num_unobserved[k]`` terms ``exp(0)`` to its partition
+    function."""
     if not len(starts):
-        return np.zeros(0)
+        return np.zeros(0, votes.dtype)
     shift = np.maximum(np.maximum.reduceat(votes, starts), 0.0)
     exp_votes = np.exp(votes - shift[triple_item])
-    z = np.add.reduceat(exp_votes, starts) + num_unobserved * np.exp(-shift)
+    floor_mass = num_unobserved.astype(votes.dtype, copy=False)
+    z = np.add.reduceat(exp_votes, starts) + floor_mass * np.exp(-shift)
     return exp_votes / z[triple_item]
 
 

@@ -59,7 +59,6 @@ _EXPORTS = {
     "ShardPlan": "repro.exec.plan",
     "ShardSource": "repro.exec.backends",
     "SpillError": "repro.exec.spill",
-    "StageStats": "repro.exec.plan",
     "ThreadBackend": "repro.exec.backends",
     "fit_sharded": "repro.exec.driver",
     "load_checkpoint": "repro.exec.checkpoint",

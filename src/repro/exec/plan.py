@@ -43,21 +43,6 @@ from repro.core.indexing import CompiledProblem
 
 
 @dataclass(frozen=True)
-class StageStats:
-    """Record counts + reduce group sizes of one MR job (Table 7).
-
-    ``num_mapped`` is the map-phase input cardinality; ``group_sizes``
-    the reduce-key group sizes. The simulated cluster cost model
-    (:mod:`repro.mapreduce.cluster`) converts these into stage wall
-    clock; they are structural, so they are identical in every EM
-    iteration.
-    """
-
-    num_mapped: int
-    group_sizes: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class Shard:
     """One self-contained slice of the compiled problem.
 
@@ -149,10 +134,6 @@ class ShardPlan:
     num_items: int
     num_sources: int
     num_cols: int
-    #: The four MR jobs of one EM iteration (Table 7), derived from the
-    #: same compiled arrays the shards execute: I ExtCorr, II TriplePr,
-    #: III SrcAccu, IV ExtQuality.
-    stage_stats: dict[str, StageStats]
 
     # ------------------------------------------------------------------
     # The packet-source contract (shared with OutOfCoreShardSource)
@@ -290,7 +271,6 @@ class ShardPlan:
             num_items=n_items,
             num_sources=len(prob.sources),
             num_cols=prob.num_cols,
-            stage_stats=_stage_stats(prob, claims_per_item),
         )
 
 
@@ -317,46 +297,14 @@ def _contiguous_cuts(weight: np.ndarray, num_shards: int) -> np.ndarray:
 
 
 def _claims_per_item(prob: CompiledProblem) -> np.ndarray:
-    """V-step claims per item (shard balancing + stage II group sizes)."""
+    """V-step claims per item (shard balancing, and the Table 7 stage II
+    group sizes of :mod:`repro.mapreduce`)."""
     if not prob.num_items:
         return np.zeros(0, dtype=np.int64)
     return np.add.reduceat(
         np.bincount(prob.claim_triple, minlength=prob.num_triples),
         prob.item_ptr[:-1],
     )
-
-
-def _stage_stats(
-    prob: CompiledProblem, claims_per_item: np.ndarray | None = None
-) -> dict[str, StageStats]:
-    """The Table 7 job statistics of one EM iteration.
-
-    Mirrors the record routing of the paper's dataflow: stage I maps one
-    record per extraction entry and reduces by coordinate; stage II maps
-    the scored coordinates and reduces the estimable-source claims by
-    data item; stage III maps the scored coordinates and reduces by
-    source; stage IV re-reads the extraction entries and reduces by
-    extractor column.
-    """
-    n_entries = len(prob.entry_coord)
-    n_coords = prob.num_coords
-    entries_per_coord = np.bincount(prob.entry_coord, minlength=n_coords)
-    if claims_per_item is None:
-        claims_per_item = _claims_per_item(prob)
-    coords_per_source = np.bincount(
-        prob.coord_source, minlength=len(prob.sources)
-    )
-    entries_per_col = np.bincount(prob.entry_col, minlength=prob.num_cols)
-
-    def sizes(counts: np.ndarray) -> tuple[int, ...]:
-        return tuple(int(c) for c in counts if c > 0)
-
-    return {
-        "ext_corr": StageStats(n_entries, sizes(entries_per_coord)),
-        "triple_pr": StageStats(n_coords, sizes(claims_per_item)),
-        "src_accu": StageStats(n_coords, sizes(coords_per_source)),
-        "ext_quality": StageStats(n_entries, sizes(entries_per_col)),
-    }
 
 
 def resolve_num_shards(

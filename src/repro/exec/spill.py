@@ -8,8 +8,8 @@ equivalent of that property:
 
 * :func:`persist_plan` writes every shard packet of a plan as a column
   directory (:mod:`repro.io.container`: one raw ``.npy`` file per
-  packet array, then a JSON manifest describing the plan dimensions,
-  the Table 7 stage statistics, and each packet's layout);
+  packet array, then a JSON manifest describing the plan dimensions
+  and each packet's layout);
 * :class:`OutOfCoreShardSource` reopens a spill directory and serves
   :class:`~repro.exec.plan.Shard` packets whose arrays are **memory-
   mapped views** of those files — the kernel pages packet data in on
@@ -55,7 +55,7 @@ import numpy as np
 
 from repro.core.engine_numpy import round_invariants
 from repro.core.indexing import CompiledProblem
-from repro.exec.plan import Shard, ShardPlan, StageStats
+from repro.exec.plan import Shard, ShardPlan
 from repro.io.container import ColumnFormat
 
 #: Format identifier + version written to (and required from) manifests.
@@ -135,13 +135,6 @@ def persist_plan(plan: ShardPlan, directory: str | Path) -> Path:
             "num_items": plan.num_items,
             "num_sources": plan.num_sources,
             "num_cols": plan.num_cols,
-            "stage_stats": {
-                job: {
-                    "num_mapped": stats.num_mapped,
-                    "group_sizes": list(stats.group_sizes),
-                }
-                for job, stats in plan.stage_stats.items()
-            },
             "shards": shard_entries,
         },
     )
@@ -355,13 +348,6 @@ class OutOfCoreShardSource:
         self.num_items: int = manifest["num_items"]
         self.num_sources: int = manifest["num_sources"]
         self.num_cols: int = manifest["num_cols"]
-        self.stage_stats: dict[str, StageStats] = {
-            job: StageStats(
-                num_mapped=entry["num_mapped"],
-                group_sizes=tuple(entry["group_sizes"]),
-            )
-            for job, entry in manifest["stage_stats"].items()
-        }
         self._shard_meta = {
             entry["index"]: entry for entry in manifest["shards"]
         }

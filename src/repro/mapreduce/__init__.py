@@ -10,7 +10,8 @@ We reproduce this with
 * :mod:`repro.mapreduce.mr_multilayer` — the multi-layer EM iteration as
   the four MR stages of Table 7 (ExtCorr, TriplePr, SrcAccu, ExtQuality):
   executed through the sharded execution API (:mod:`repro.exec`), with
-  the shard plan's per-job statistics feeding the cost model.
+  the compiled problem's per-job statistics (:class:`StageStats`)
+  feeding the cost model.
 """
 
 from repro.mapreduce.cluster import ClusterCostModel, lpt_makespan
@@ -18,6 +19,7 @@ from repro.mapreduce.mr_multilayer import (
     IterationTiming,
     MRMultiLayerRunner,
     MRRunReport,
+    StageStats,
 )
 
 __all__ = [
@@ -25,5 +27,6 @@ __all__ = [
     "IterationTiming",
     "MRMultiLayerRunner",
     "MRRunReport",
+    "StageStats",
     "lpt_makespan",
 ]

@@ -15,9 +15,10 @@ longer maintains a private dict-based pipeline: the inference itself runs
 through :func:`repro.exec.driver.fit_sharded` over a
 :class:`~repro.exec.plan.ShardPlan` (numerically identical to
 :class:`MultiLayerModel` — the sharded driver is bit-identical to the
-numpy engine), and the *same plan's* per-job record counts and reduce
-group sizes feed the :class:`ClusterCostModel`, which converts them into
-the simulated per-stage wall clock Table 7 reports. The straggler effect
+numpy engine), and the per-job record counts and reduce group sizes of
+the same compiled problem (:class:`StageStats`) feed the
+:class:`ClusterCostModel`, which converts them into the simulated
+per-stage wall clock Table 7 reports. The straggler effect
 the paper observes falls out naturally: without splitting, one mega
 extractor's reduce group dominates stage IV.
 
@@ -31,13 +32,59 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from repro.core.config import FalseValueModel, MultiLayerConfig
-from repro.core.indexing import compile_problem
+from repro.core.indexing import CompiledProblem, compile_problem
 from repro.core.observation import ObservationMatrix
 from repro.core.results import MultiLayerResult
 from repro.exec.driver import fit_sharded
-from repro.exec.plan import ShardPlan, resolve_num_shards
+from repro.exec.plan import ShardPlan, _claims_per_item, resolve_num_shards
 from repro.mapreduce.cluster import ClusterCostModel
+
+
+@dataclass(frozen=True)
+class StageStats:
+    """Record counts + reduce group sizes of one MR job (Table 7).
+
+    ``num_mapped`` is the map-phase input cardinality; ``group_sizes``
+    the reduce-key group sizes. The simulated cluster cost model
+    (:mod:`repro.mapreduce.cluster`) converts these into stage wall
+    clock; they are structural, so they are identical in every EM
+    iteration.
+    """
+
+    num_mapped: int
+    group_sizes: tuple[int, ...]
+
+
+def _stage_stats(prob: CompiledProblem) -> dict[str, StageStats]:
+    """The Table 7 job statistics of one EM iteration.
+
+    Mirrors the record routing of the paper's dataflow: stage I maps one
+    record per extraction entry and reduces by coordinate; stage II maps
+    the scored coordinates and reduces the estimable-source claims by
+    data item; stage III maps the scored coordinates and reduces by
+    source; stage IV re-reads the extraction entries and reduces by
+    extractor column.
+    """
+    n_entries = len(prob.entry_coord)
+    n_coords = prob.num_coords
+    entries_per_coord = np.bincount(prob.entry_coord, minlength=n_coords)
+    coords_per_source = np.bincount(
+        prob.coord_source, minlength=len(prob.sources)
+    )
+    entries_per_col = np.bincount(prob.entry_col, minlength=prob.num_cols)
+
+    def sizes(counts: np.ndarray) -> tuple[int, ...]:
+        return tuple(int(c) for c in counts if c > 0)
+
+    return {
+        "ext_corr": StageStats(n_entries, sizes(entries_per_coord)),
+        "triple_pr": StageStats(n_coords, sizes(_claims_per_item(prob))),
+        "src_accu": StageStats(n_coords, sizes(coords_per_source)),
+        "ext_quality": StageStats(n_entries, sizes(entries_per_col)),
+    }
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,9 +105,9 @@ class IterationTiming:
 class MRRunReport:
     """Result + timing of an MR multi-layer run.
 
-    ``plan`` is the shard plan the run executed over; its
-    ``stage_stats`` carry the per-job record counts and reduce group
-    sizes the timings were derived from.
+    ``plan`` is the shard plan the run executed over; the timings come
+    from the per-job record counts and reduce group sizes of the same
+    compiled problem (:class:`StageStats`).
     """
 
     result: MultiLayerResult
@@ -114,7 +161,7 @@ class MRMultiLayerRunner:
         # The job structure (record counts, reduce group sizes) is fixed
         # by the corpus, not by the parameters, so every iteration costs
         # the same simulated wall clock.
-        stats = plan.stage_stats
+        stats = _stage_stats(prob)
         per_iteration = IterationTiming(
             ext_corr=self._stage_time("ext_corr", stats),
             triple_pr=self._stage_time("triple_pr", stats),

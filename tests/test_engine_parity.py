@@ -371,7 +371,7 @@ def test_reduce_chunk_validation():
 
 
 # ----------------------------------------------------------------------
-# Float32 mode: opt-in fused kernels, bounded deviation from float64
+# Float32 mode: the one kernel in float32, bounded deviation from float64
 # ----------------------------------------------------------------------
 #: The precision contract (docs/architecture.md): every score a float32
 #: fit reports stays within this absolute deviation of the float64
@@ -421,7 +421,7 @@ def max_float32_deviation(config, observations, **placement) -> float:
 
 @pytest.mark.parametrize("config", CONFIG_AXES.values(), ids=CONFIG_AXES)
 def test_float32_envelope_on_config_axes(config, synthetic_matrix):
-    """Every config axis: the float32 fused kernels stay inside the
+    """Every config axis: the E steps run in float32 stay inside the
     documented precision envelope of the float64 reference."""
     config = dataclasses.replace(
         config,
@@ -556,8 +556,8 @@ def test_float32_checkpoint_rejects_cross_precision_resume(
 
 
 def test_kbt_estimator_precision_override():
-    """precision="float32" runs on the one engine, which hosts the
-    fused kernels."""
+    """precision="float32" runs on the one engine, as the dtype of its
+    one E-step kernel."""
     from repro.core.kbt import KBTEstimator
 
     estimator = KBTEstimator(precision="float32")

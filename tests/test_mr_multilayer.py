@@ -8,11 +8,16 @@ from repro.core.config import (
     FalseValueModel,
     MultiLayerConfig,
 )
+from repro.core.indexing import compile_problem
 from repro.core.multi_layer import MultiLayerModel
 from repro.core.observation import ObservationMatrix
 from repro.datasets.motivating import motivating_example
 from repro.mapreduce.cluster import ClusterCostModel
-from repro.mapreduce.mr_multilayer import MRMultiLayerRunner, preparation_time
+from repro.mapreduce.mr_multilayer import (
+    MRMultiLayerRunner,
+    _stage_stats,
+    preparation_time,
+)
 
 
 def exact_config(**kwargs):
@@ -111,6 +116,19 @@ class TestRunnerBehaviour:
         assert avg.total == pytest.approx(
             report.total_iteration_time / len(report.iteration_timings)
         )
+
+
+def test_stage_stats_match_problem_structure(synthetic_matrix):
+    prob = compile_problem(synthetic_matrix, MultiLayerConfig(engine="numpy"))
+    stats = _stage_stats(prob)
+    assert stats["ext_corr"].num_mapped == len(prob.entry_coord)
+    assert sum(stats["ext_corr"].group_sizes) == len(prob.entry_coord)
+    assert stats["triple_pr"].num_mapped == prob.num_coords
+    assert sum(stats["triple_pr"].group_sizes) == len(prob.claim_coord)
+    assert stats["src_accu"].num_mapped == prob.num_coords
+    assert sum(stats["src_accu"].group_sizes) == prob.num_coords
+    assert stats["ext_quality"].num_mapped == len(prob.entry_coord)
+    assert sum(stats["ext_quality"].group_sizes) == len(prob.entry_coord)
 
 
 class TestPreparationTime:
