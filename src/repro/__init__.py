@@ -29,7 +29,8 @@ Subpackages:
 * :mod:`repro.datasets` — the paper's experimental datasets (motivating
   example, Section 5.2 synthetic, Knowledge-Vault-scale synthetic).
 * :mod:`repro.eval` — SqV/SqC/SqA, WDev, AUC-PR, Cov, calibration.
-* :mod:`repro.mapreduce` — FlumeJava-like pipeline + cluster cost model.
+* :mod:`repro.mapreduce` — Table 7's MapReduce jobs priced by a cluster
+  cost model.
 """
 
 from repro._lazy import lazy_exports

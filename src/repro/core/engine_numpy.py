@@ -341,11 +341,18 @@ class ReduceStats:
     recall_denom: np.ndarray | None
 
 
+def map_cutoff(claim_p: np.ndarray, weight=1.0) -> np.ndarray:
+    """The Section 3.3.3 MAP cutoff: ``weight`` where ``p(C|X) >= 0.5``,
+    else 0.0. With the default weight, the float64 MAP indicator in
+    either precision; the E step's MAP V step and the theta_1 weights
+    both go through here."""
+    return np.where(claim_p >= 0.5, weight, 0.0)
+
+
 def _claim_weights(cfg: MultiLayerConfig, claim_p: np.ndarray) -> np.ndarray:
     """theta_1 vote weight per claim, before the posterior factor: the
     MAP-masked ``p(C|X)`` (Eq. 28) or the plain MAP indicator (Eq. 27)."""
-    base_weight = claim_p if cfg.use_weighted_vcv else np.ones_like(claim_p)
-    return np.where(claim_p >= 0.5, base_weight, 0.0)
+    return map_cutoff(claim_p, claim_p if cfg.use_weighted_vcv else 1.0)
 
 
 def iter_chunks(total: int, chunk: int):

@@ -145,6 +145,17 @@ class CompiledProblem:
         return len(self.triple_value)
 
 
+def claims_per_item(prob: CompiledProblem) -> np.ndarray:
+    """V-step claims per item: the shard planner's work estimate and the
+    Table 7 TriplePr reduce-group sizes."""
+    if not prob.num_items:
+        return np.zeros(0, dtype=np.int64)
+    return np.add.reduceat(
+        np.bincount(prob.claim_triple, minlength=prob.num_triples),
+        prob.item_ptr[:-1],
+    )
+
+
 def compile_problem(
     observations: ObservationMatrix, cfg: MultiLayerConfig
 ) -> CompiledProblem:

@@ -84,9 +84,10 @@ def fit_sharded(
     one ``serial`` shard (the default).
 
     ``problem`` / ``plan`` let callers that already compiled the problem
-    (e.g. the MapReduce cost-model runner) reuse their arrays instead of
-    re-compiling; ``observations`` may then already be released (only
-    its ``num_triples`` is read once the problem is compiled).
+    (e.g. a benchmark timing rounds over one prebuilt plan) reuse their
+    arrays instead of re-compiling; ``observations`` may then already be
+    released (only its ``num_triples`` is read once the problem is
+    compiled).
     """
     prob = problem if problem is not None else compile_problem(
         observations, cfg

@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.core.config import MultiLayerConfig
 from repro.core.engine_numpy import _safe_log, num_unobserved
-from repro.core.indexing import CompiledProblem
+from repro.core.indexing import CompiledProblem, claims_per_item
 
 
 @dataclass(frozen=True)
@@ -183,8 +183,8 @@ class ShardPlan:
         coords_per_item = np.bincount(
             prob.coord_item[covered], minlength=n_items
         )
-        claims_per_item = _claims_per_item(prob)
-        weight = (coords_per_item + claims_per_item + 1).astype(np.float64)
+        claims = claims_per_item(prob)
+        weight = (coords_per_item + claims + 1).astype(np.float64)
         cuts = _contiguous_cuts(weight, num_shards)
 
         # --- uncovered coordinates spread round-robin ------------------
@@ -294,17 +294,6 @@ def _contiguous_cuts(weight: np.ndarray, num_shards: int) -> np.ndarray:
     inner = np.searchsorted(cumulative, targets, side="left") + 1
     cuts = np.concatenate(([0], inner, [n_items])).astype(np.int64)
     return np.maximum.accumulate(np.minimum(cuts, n_items))
-
-
-def _claims_per_item(prob: CompiledProblem) -> np.ndarray:
-    """V-step claims per item (shard balancing, and the Table 7 stage II
-    group sizes of :mod:`repro.mapreduce`)."""
-    if not prob.num_items:
-        return np.zeros(0, dtype=np.int64)
-    return np.add.reduceat(
-        np.bincount(prob.claim_triple, minlength=prob.num_triples),
-        prob.item_ptr[:-1],
-    )
 
 
 def resolve_num_shards(

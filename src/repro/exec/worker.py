@@ -43,6 +43,7 @@ from repro.core.engine_numpy import (
     _log_odds,
     _seeded_vcc,
     _sigmoid,
+    map_cutoff,
     segment_softmax,
 )
 from repro.exec.faults import FaultPlan
@@ -126,7 +127,7 @@ def run_shard_iteration(
     if cfg.use_weighted_vcv:
         claim_weight = claim_p
     else:
-        claim_weight = np.where(claim_p >= 0.5, 1.0, 0.0)
+        claim_weight = map_cutoff(claim_p)
     source_vote = params.source_vote.astype(dtype, copy=False)
     if shard.claim_log_pop is None:
         contrib = claim_weight * source_vote[shard.claim_source]

@@ -63,6 +63,12 @@ class StatusBoard:
         alerts = snapshot.get("alerts", None)
         if alerts is not None and not isinstance(alerts, list):
             raise ValueError("status snapshot 'alerts' must be a list")
+        # Convert before taking the lock: a snapshot rejected here (an
+        # alert that is not an object) leaves the board as it was.
+        if alerts is not None:
+            alerts = [
+                dict(alert) for alert in alerts[-self._alerts.maxlen :]
+            ]
         with self._lock:
             self._fields = {
                 key: value
@@ -71,8 +77,7 @@ class StatusBoard:
             }
             if alerts is not None:
                 self._alerts.clear()
-                for alert in alerts[-self._alerts.maxlen :]:
-                    self._alerts.append(dict(alert))
+                self._alerts.extend(alerts)
 
     def snapshot(self) -> dict | None:
         """The current state, or ``None`` if nothing ever reported."""

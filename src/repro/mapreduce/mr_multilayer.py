@@ -1,4 +1,4 @@
-"""The multi-layer EM iteration as a Map-Reduce dataflow (Table 7).
+"""The multi-layer EM iteration priced as Map-Reduce jobs (Table 7).
 
 Each iteration consists of the four jobs the paper times:
 
@@ -10,36 +10,22 @@ Each iteration consists of the four jobs the paper times:
 * **IV. ExtQuality** — extractions keyed by extractor; the reduce computes
   ``(P_e, R_e, Q_e)``.
 
-Since the sharded execution API (:mod:`repro.exec`) landed, this runner no
-longer maintains a private dict-based pipeline: the inference itself runs
-through :func:`repro.exec.driver.fit_sharded` over a
-:class:`~repro.exec.plan.ShardPlan` (numerically identical to
-:class:`MultiLayerModel` — the sharded driver is bit-identical to the
-numpy engine), and the per-job record counts and reduce group sizes of
-the same compiled problem (:class:`StageStats`) feed the
-:class:`ClusterCostModel`, which converts them into the simulated
-per-stage wall clock Table 7 reports. The straggler effect
-the paper observes falls out naturally: without splitting, one mega
+A job's record count and reduce-group sizes (:class:`StageStats`) are
+fixed by the compiled problem, not by the parameters, so every iteration
+costs the same: :func:`iteration_timing` reads them off a
+:class:`~repro.core.indexing.CompiledProblem` and prices them with the
+:class:`ClusterCostModel`. No fit runs here. The straggler effect the
+paper observes falls out of the group sizes: without splitting, one mega
 extractor's reduce group dominates stage IV.
-
-Supported configuration: the ACCU false-value model with any combination of
-weighted/MAP value votes, prior re-estimation, confidence thresholding and
-either absence scope (POPACCU is not supported here, matching Section 5.1.2
-where the reported multi-layer variant is ACCU).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.config import FalseValueModel, MultiLayerConfig
-from repro.core.indexing import CompiledProblem, compile_problem
-from repro.core.observation import ObservationMatrix
-from repro.core.results import MultiLayerResult
-from repro.exec.driver import fit_sharded
-from repro.exec.plan import ShardPlan, _claims_per_item, resolve_num_shards
+from repro.core.indexing import CompiledProblem, claims_per_item
 from repro.mapreduce.cluster import ClusterCostModel
 
 
@@ -81,7 +67,7 @@ def _stage_stats(prob: CompiledProblem) -> dict[str, StageStats]:
 
     return {
         "ext_corr": StageStats(n_entries, sizes(entries_per_coord)),
-        "triple_pr": StageStats(n_coords, sizes(_claims_per_item(prob))),
+        "triple_pr": StageStats(n_coords, sizes(claims_per_item(prob))),
         "src_accu": StageStats(n_coords, sizes(coords_per_source)),
         "ext_quality": StageStats(n_entries, sizes(entries_per_col)),
     }
@@ -101,81 +87,17 @@ class IterationTiming:
         return self.ext_corr + self.triple_pr + self.src_accu + self.ext_quality
 
 
-@dataclass
-class MRRunReport:
-    """Result + timing of an MR multi-layer run.
-
-    ``plan`` is the shard plan the run executed over; the timings come
-    from the per-job record counts and reduce group sizes of the same
-    compiled problem (:class:`StageStats`).
-    """
-
-    result: MultiLayerResult
-    iteration_timings: list[IterationTiming]
-    plan: ShardPlan
-
-    def average_iteration(self) -> IterationTiming:
-        n = len(self.iteration_timings)
-        if n == 0:
-            return IterationTiming(0.0, 0.0, 0.0, 0.0)
-        return IterationTiming(
-            ext_corr=sum(t.ext_corr for t in self.iteration_timings) / n,
-            triple_pr=sum(t.triple_pr for t in self.iteration_timings) / n,
-            src_accu=sum(t.src_accu for t in self.iteration_timings) / n,
-            ext_quality=sum(t.ext_quality for t in self.iteration_timings) / n,
-        )
-
-    @property
-    def total_iteration_time(self) -> float:
-        return sum(t.total for t in self.iteration_timings)
-
-
-class MRMultiLayerRunner:
-    """Runs Algorithm 1 as MR jobs over a simulated cluster."""
-
-    def __init__(
-        self,
-        config: MultiLayerConfig | None = None,
-        cost_model: ClusterCostModel | None = None,
-    ) -> None:
-        self._config = config or MultiLayerConfig()
-        if self._config.false_value_model is not FalseValueModel.ACCU:
-            raise NotImplementedError(
-                "the MR runner supports the ACCU variant only"
-            )
-        self._cost = cost_model or ClusterCostModel()
-
-    def run(self, observations: ObservationMatrix) -> MRRunReport:
-        """Execute the EM loop as MR jobs; returns result + stage timings."""
-        cfg = self._config
-        if cfg.backend is None:
-            # Sharded execution *is* the MR decomposition; default to the
-            # in-process serial backend when the caller did not pick one.
-            cfg = replace(cfg, backend="serial")
-        prob = compile_problem(observations, cfg)
-        plan = ShardPlan.from_problem(
-            prob, cfg, resolve_num_shards(cfg, prob)
-        )
-        result = fit_sharded(cfg, observations, problem=prob, plan=plan)
-
-        # The job structure (record counts, reduce group sizes) is fixed
-        # by the corpus, not by the parameters, so every iteration costs
-        # the same simulated wall clock.
-        stats = _stage_stats(prob)
-        per_iteration = IterationTiming(
-            ext_corr=self._stage_time("ext_corr", stats),
-            triple_pr=self._stage_time("triple_pr", stats),
-            src_accu=self._stage_time("src_accu", stats),
-            ext_quality=self._stage_time("ext_quality", stats),
-        )
-        timings = [per_iteration] * result.iterations_run
-        return MRRunReport(
-            result=result, iteration_timings=timings, plan=plan
-        )
-
-    def _stage_time(self, job: str, stats: dict) -> float:
-        stage = stats[job]
-        return self._cost.stage_time(stage.num_mapped, stage.group_sizes)
+def iteration_timing(
+    prob: CompiledProblem, cost_model: ClusterCostModel
+) -> IterationTiming:
+    """Simulated wall clock of one EM iteration over ``prob``: each
+    job's :class:`StageStats` priced by ``cost_model.stage_time``."""
+    return IterationTiming(
+        **{
+            job: cost_model.stage_time(stage.num_mapped, stage.group_sizes)
+            for job, stage in _stage_stats(prob).items()
+        }
+    )
 
 
 def preparation_time(

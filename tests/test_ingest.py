@@ -638,6 +638,12 @@ class TestStatusBoard:
             board.replace([1, 2])
         with pytest.raises(ValueError, match="alerts"):
             board.replace({"alerts": "nope"})
+        # A snapshot rejected part-way through its alerts changes nothing.
+        board.replace({"generation": 3, "alerts": [{"site": "a"}]})
+        before = board.snapshot()
+        with pytest.raises(TypeError):
+            board.replace({"generation": 99, "alerts": [{"site": "b"}, 1]})
+        assert board.snapshot() == before
 
     def test_remote_status_post(self, artifact):
         manager = StoreManager(MmapTrustStore.open(artifact))
