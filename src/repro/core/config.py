@@ -207,10 +207,11 @@ class MultiLayerConfig:
             backend); None keeps all mapped. ``1`` gives the tightest
             memory ceiling. Requires ``spill_dir``.
         freeze_extractor_quality: skip the theta_2 M step entirely, keeping
-            every extractor at its initial (P, R, Q). Used by warm-start
-            incremental scoring (``FittedKBT.update``): a converged fit's
-            extractor qualities are injected as initial values and held
-            fixed while only the source/value layers re-run on the delta.
+            every extractor at its initial (P, R, Q). Nothing in the
+            library sets it: warm-start incremental scoring
+            (``FittedKBT.update``) pins only the converged extractors,
+            through ``MultiLayerModel.fit(frozen_extractors=...)``, so
+            extractors first seen in the delta still adapt.
         checkpoint_dir: when set, the sharded driver atomically persists
             the full EM state (theta vectors, posteriors, the priors
             the next iteration reads, iteration counter and
@@ -395,6 +396,15 @@ class MultiLayerConfig:
             raise ValueError("need 0 < quality_floor < quality_ceiling < 1")
         if not 0.0 < self.quality_damping <= 1.0:
             raise ValueError("quality_damping must be in (0, 1]")
+        if self.false_value_model is FalseValueModel.POPACCU and (
+            self.use_weighted_vcv
+        ):
+            # Section 5.1.2: the POPACCU variant has no known combination
+            # with the improved (weighted) estimator of Section 3.3.3.
+            raise ValueError(
+                "POPACCU requires use_weighted_vcv=False in the multi-layer "
+                "model (Section 5.1.2)"
+            )
 
     def without_execution(self) -> "MultiLayerConfig":
         """The model alone: every execution field back at its default."""

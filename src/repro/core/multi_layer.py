@@ -31,7 +31,7 @@ keeps the Eq.-by-Eq. dict version they are tested against.
 
 from __future__ import annotations
 
-from repro.core.config import FalseValueModel, MultiLayerConfig
+from repro.core.config import MultiLayerConfig
 from repro.core.engine_numpy import fit_numpy
 from repro.core.observation import ObservationMatrix
 from repro.core.quality import ExtractorQuality
@@ -44,16 +44,6 @@ class MultiLayerModel:
 
     def __init__(self, config: MultiLayerConfig | None = None) -> None:
         self._config = config or MultiLayerConfig()
-        if (
-            self._config.false_value_model is FalseValueModel.POPACCU
-            and self._config.use_weighted_vcv
-        ):
-            # Section 5.1.2: the POPACCU variant has no known combination
-            # with the improved (weighted) estimator of Section 3.3.3.
-            raise ValueError(
-                "POPACCU requires use_weighted_vcv=False in the multi-layer "
-                "model (Section 5.1.2)"
-            )
 
     @property
     def config(self) -> MultiLayerConfig:
@@ -78,9 +68,10 @@ class MultiLayerModel:
                 extractor.
             frozen_extractors: extractors whose quality stays pinned at its
                 initial value (the theta_2 update skips them). Warm-start
-                incremental scoring freezes the converged extractors while
-                letting columns first seen in the delta adapt;
-                ``config.freeze_extractor_quality`` freezes all of them.
+                incremental scoring (``FittedKBT.update``) passes the
+                converged extractors here, so columns first seen in the
+                delta still adapt. ``config.freeze_extractor_quality``
+                freezes all of them; nothing in the library sets it.
             frozen_sources: sources whose accuracy stays pinned at its
                 initial value (the theta_1 update skips them). Incremental
                 scoring pins converged sources — a delta sub-problem only

@@ -1,7 +1,8 @@
 """Triple weighting extensions from the paper's discussion (Section 5.4.2).
 
-The paper identifies failure modes of raw KBT and sketches remedies, which
-we implement as opt-in re-weighting of the KBT average (Eq. 28):
+The paper identifies failure modes of raw KBT and sketches remedies. Two
+of them are implemented here as opt-in re-weighting of the KBT average
+(Eq. 28):
 
 1. **Triviality**: predicates with a very low variety of objects (e.g. a
    Hindi-movie site where every triple says language=Hindi) carry little
@@ -10,19 +11,19 @@ we implement as opt-in re-weighting of the KBT average (Eq. 28):
 2. **IDF**: frequent (predicate, value) combinations are less informative;
    each triple is weighted by its inverse document frequency within its
    predicate, normalised to (0, 1].
-3. **Topic relevance**: triples off the website's main topic should not
-   drive its score. Given a ``topic_of_predicate`` function, the dominant
-   topic of each website is found by claim mass, and off-topic triples are
-   down-weighted.
 
-``reweighted_source_accuracy`` recomputes the KBT average with the product
-of the selected weights, leaving the fitted posteriors untouched.
+The third, topic relevance (triples off the website's main topic should
+not drive its score), is left out: no experiment here measures it.
+
+``reweighted_source_accuracy`` recomputes the KBT average with the
+product of the selected triple and predicate weights, leaving the fitted
+posteriors untouched; ``weighted_support`` is the matching per-source
+mass for website aggregation.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 
 from repro.core.observation import ObservationMatrix
 from repro.core.results import Coord, MultiLayerResult
@@ -81,46 +82,6 @@ def idf_weights(observations: ObservationMatrix) -> dict[Coord, float]:
         peak = math.log(1.0 + total)
         weights[coord] = idf / peak if peak > 0 else 1.0
     return weights
-
-
-def topic_relevance_weights(
-    observations: ObservationMatrix,
-    topic_of_predicate: Callable[[str], str],
-    off_topic_weight: float = 0.0,
-) -> dict[Coord, float]:
-    """Down-weight triples off their website's dominant topic.
-
-    The dominant topic of a website is the topic with the largest claim
-    count among its triples; triples from other topics get
-    ``off_topic_weight``.
-    """
-    if not 0.0 <= off_topic_weight <= 1.0:
-        raise ValueError("off_topic_weight must be in [0, 1]")
-    topic_mass: dict[str, dict[str, int]] = {}
-    for source, item, _value in observations.columns().coords:
-        topics = topic_mass.setdefault(source.website, {})
-        topic = topic_of_predicate(item.predicate)
-        topics[topic] = topics.get(topic, 0) + 1
-    dominant = {
-        website: max(topics.items(), key=lambda kv: kv[1])[0]
-        for website, topics in topic_mass.items()
-    }
-    weights: dict[Coord, float] = {}
-    for coord in observations.columns().coords:
-        source, item, _value = coord
-        topic = topic_of_predicate(item.predicate)
-        on_topic = topic == dominant[source.website]
-        weights[coord] = 1.0 if on_topic else off_topic_weight
-    return weights
-
-
-def combine_weights(*weight_maps: dict[Coord, float]) -> dict[Coord, float]:
-    """Multiply weight maps coordinate-wise (missing entries default to 1)."""
-    combined: dict[Coord, float] = {}
-    for weight_map in weight_maps:
-        for coord, weight in weight_map.items():
-            combined[coord] = combined.get(coord, 1.0) * weight
-    return combined
 
 
 def weighted_support(

@@ -60,9 +60,6 @@ class ExtractorSystem:
                 raise ValueError(f"duplicate pattern {pattern.pattern_id!r}")
             seen.add(pattern.pattern_id)
 
-    def patterns_for(self, predicate: str) -> list[PatternProfile]:
-        return [p for p in self.patterns if p.predicate == predicate]
-
     def run_on_page(
         self, page: WebPage, world: TrueWorld, schema: Schema, rng
     ) -> list[ExtractionOutcome]:

@@ -57,17 +57,6 @@ class WebSite:
     def num_claims(self) -> int:
         return sum(len(page.claims) for page in self.pages)
 
-    def empirical_accuracy(self, world: TrueWorld) -> float:
-        """Fraction of provided claims that match the world's truth."""
-        total = 0
-        correct = 0
-        for page in self.pages:
-            for claim in page.claims:
-                total += 1
-                if world.is_true(claim.item, claim.value):
-                    correct += 1
-        return correct / total if total else 0.0
-
 
 def build_site(
     world: TrueWorld,

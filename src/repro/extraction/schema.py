@@ -8,8 +8,8 @@ type checker (Section 5.3.1) validates extracted triples against exactly
 these declarations: subject==object, type-incompatible objects, and
 out-of-range values are labelled false and counted as extraction errors.
 
-Predicates also carry a ``topic`` so the topic-relevance extension of
-Section 5.4.2 can identify off-topic triples.
+Predicates also carry a ``topic``: the corpus generator gives each
+website a topic and draws its predicates from that topic.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ class PredicateSpec:
         value_range: (low, high) for NUMBER/DATE objects; extractions
             outside this range are type errors (e.g. an athlete weighing
             over 1000 pounds, Section 5.3.1).
-        topic: coarse topic label for the Section 5.4.2 extension.
+        topic: coarse topic label; websites cluster their predicates by it.
     """
 
     name: str
@@ -93,10 +93,6 @@ class Schema:
 
     def predicate_names(self) -> list[str]:
         return list(self._specs)
-
-    def topic_of(self, predicate: str) -> str:
-        """Topic label for the Section 5.4.2 extension."""
-        return self.get(predicate).topic
 
     def __len__(self) -> int:
         return len(self._specs)

@@ -199,10 +199,6 @@ class StalenessPolicy:
         return self._batch_index
 
     @property
-    def batches_since_refit(self) -> int:
-        return self._batches_since_refit
-
-    @property
     def refit_countdown(self) -> int | None:
         """Batches left before the count trigger fires (None = disabled)."""
         if self.refit_after_batches is None:
@@ -210,10 +206,6 @@ class StalenessPolicy:
         return max(
             0, self.refit_after_batches - self._batches_since_refit
         )
-
-    @property
-    def last_stats(self) -> DriftStats | None:
-        return self._last_stats
 
     @property
     def alerts(self) -> list[DriftAlert]:

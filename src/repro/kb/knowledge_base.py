@@ -66,7 +66,3 @@ class KnowledgeBase:
     @property
     def num_items(self) -> int:
         return len(self._facts)
-
-    @property
-    def num_facts(self) -> int:
-        return sum(len(values) for values in self._facts.values())

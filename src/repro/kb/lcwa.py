@@ -38,11 +38,3 @@ class LCWALabeler:
         if self._kb.has_item(item):
             return Label.FALSE
         return Label.UNKNOWN
-
-    def label_many(
-        self, triples: list[tuple[DataItem, Value]]
-    ) -> dict[tuple[DataItem, Value], Label]:
-        """Label a batch; returns a mapping with every input triple."""
-        return {
-            (item, value): self.label(item, value) for item, value in triples
-        }

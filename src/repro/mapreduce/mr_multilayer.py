@@ -63,7 +63,7 @@ def _stage_stats(prob: CompiledProblem) -> dict[str, StageStats]:
     entries_per_col = np.bincount(prob.entry_col, minlength=prob.num_cols)
 
     def sizes(counts: np.ndarray) -> tuple[int, ...]:
-        return tuple(int(c) for c in counts if c > 0)
+        return tuple(counts[counts > 0].tolist())
 
     return {
         "ext_corr": StageStats(n_entries, sizes(entries_per_coord)),

@@ -22,14 +22,14 @@ around it:
   (an origin-form target is split at its first ``?`` and its query read
   in one pass; anything else goes through the stdlib's URL parser),
   lease the store, then :func:`repro.serving.routes.plan_route`: the
-  request's cost and its ``render_route``. A ``/score`` or ``/batch``
+  request's cost and its render. A ``/score`` or ``/batch``
   200 is the store's memoised per-site JSON
   (:meth:`~repro.serving.store.TrustStore.score_body`), joined, never
   re-rendered while one ETag is served; every other answer is
   ``json.dumps`` of the route table's payload.
 * **Bounded lookups on the loop, the rest on a pool** — what a request
   costs is known before any work starts
-  (:func:`repro.serving.routes.route_cost`: the store rows it will
+  (:func:`repro.serving.routes.plan_route`: the store rows it will
   touch). At most :data:`INLINE_ROWS` rows of a store that declares its
   lookups memory-resident — every point route, small ``/batch`` /
   ``/top`` / ``/breakdown`` requests, every 400 and 404 — is answered
@@ -124,7 +124,7 @@ from repro.serving.routes import CACHEABLE_ROUTES, lookup_cost, plan_route
 MAX_BODY_BYTES = 8 << 20
 #: Largest accepted request head (request line + headers).
 MAX_HEAD_BYTES = 64 << 10
-#: A request whose cost (:func:`repro.serving.routes.route_cost`: store
+#: A request whose cost (:func:`repro.serving.routes.plan_route`: store
 #: rows it will touch) is at most this is answered on the event loop;
 #: anything dearer, or of unknown cost, goes to the worker pool under
 #: ``request_timeout``. Chosen by measurement, not tunable: the worst

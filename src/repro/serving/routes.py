@@ -1,7 +1,7 @@
 """The one route table: ``(store, path, params) -> (status, payload)``.
 
 :func:`handle_route` holds all parameter parsing, 400/404 semantics and
-error strings in one place, and :func:`route_cost` beside it says what
+error strings in one place, and :func:`plan_route` beside it says what
 a request will cost before it runs; the gateway
 (:mod:`repro.serving.gateway`) owns only transport concerns (sockets,
 headers, timeouts, caching, and which thread answers). ``handle_route``
@@ -9,14 +9,14 @@ is a plain function of the store, so the parity tests call it directly
 over a store whose columns are held in memory, or mapped from a layout,
 and compare against the bytes the gateway serves.
 
-:func:`render_route` is the encoded form the gateway answers with:
-``(status, body bytes)``. A ``/score`` or ``/batch`` 200 is joined from
-the store's memoised per-site bodies
-(:meth:`~repro.serving.store.TrustStore.score_body`); every other route,
-and every 400 / 404 / 500, is ``json.dumps`` of ``handle_route``'s
-payload — so its bytes are ``handle_route``'s by construction.
 :func:`plan_route` gives the gateway the cost and the render of one
-request from one reading of its parameters.
+request from one reading of its parameters. The render is the encoded
+form the gateway answers with: ``(status, body bytes)``. A ``/score``
+or ``/batch`` 200 is joined from the store's memoised per-site bodies
+(:meth:`~repro.serving.store.TrustStore.score_body`); every other
+route, and every 400 / 404 / 500, is ``json.dumps`` of
+``handle_route``'s payload — so its bytes are ``handle_route``'s by
+construction.
 
 The ``store`` is a :class:`~repro.serving.store.TrustStore`: the one
 implementation of every lookup, whichever residency its columns have.
@@ -166,42 +166,32 @@ def lookup_cost(store, rows: int) -> int | None:
     return max(1, rows)
 
 
-def route_cost(store, path: str, params: dict) -> int | None:
-    """Store rows answering this GET will touch, known *before* the work.
-
-    With :func:`lookup_cost` (which ``POST /batch`` calls with its key
-    count) the only place that says what a request costs: the gateway
-    answers on its event loop exactly the requests whose cost is small
-    (``repro.serving.gateway.INLINE_ROWS``) and sends the rest to its
-    worker pool. ``None`` means unbounded: the signal routes (a lazy
-    surface build, then O(n) scans), and every route of a store without
-    ``resident_lookups``. Otherwise a point lookup, an unknown route
-    and anything :func:`handle_route` will reject with a 400 cost 1;
-    ``/batch`` costs its key count, ``/top`` its ``k``, ``/breakdown``
-    the site's contributor rows (millions of pages at the paper's
-    scale, so not a point lookup).
-    """
-    return plan_route(store, path, params)[0]
-
-
-def render_route(store, path: str, params: dict) -> tuple[int, bytes]:
-    """Answer one GET as ``(status, UTF-8 JSON body)``; never raises.
-
-    The bytes are ``json.dumps(payload, ensure_ascii=False)`` of
-    :func:`handle_route`'s answer. A ``/score`` or ``/batch`` 200 is
-    read from the store's body memo instead of rendered; anything else
-    — including a memo read that fails or finds no score — is rendered
-    from ``handle_route``.
-    """
-    return plan_route(store, path, params)[1](store)
-
-
 def plan_route(
     store, path: str, params: dict
 ) -> tuple[int | None, Callable[[object], tuple[int, bytes]]]:
-    """``(route_cost, render)`` of one GET, reading ``params`` once:
-    ``render(store)`` is :func:`render_route` with the ``site`` or the
-    split ``sites`` it needs already taken out."""
+    """``(cost, render)`` of one GET, reading ``params`` once.
+
+    ``cost`` is the store rows answering it will touch, known *before*
+    the work. With :func:`lookup_cost` (which ``POST /batch`` calls
+    with its key count) this is the only place that says what a request
+    costs: the gateway answers on its event loop exactly the requests
+    whose cost is small (``repro.serving.gateway.INLINE_ROWS``) and
+    sends the rest to its worker pool. ``None`` means unbounded: the
+    signal routes (a lazy surface build, then O(n) scans), and every
+    route of a store without ``resident_lookups``. Otherwise a point
+    lookup, an unknown route and anything :func:`handle_route` will
+    reject with a 400 cost 1; ``/batch`` costs its key count, ``/top``
+    its ``k``, ``/breakdown`` the site's contributor rows (millions of
+    pages at the paper's scale, so not a point lookup).
+
+    ``render(store)`` answers the GET as ``(status, UTF-8 JSON body)``
+    and never raises. The bytes are ``json.dumps(payload,
+    ensure_ascii=False)`` of :func:`handle_route`'s answer. A ``/score``
+    or ``/batch`` 200 is read from the store's body memo instead of
+    rendered, with the ``site`` or the split ``sites`` it needs already
+    taken out; anything else — including a memo read that fails or
+    finds no score — is rendered from ``handle_route``.
+    """
     key = None
     try:
         if path == "/score":
@@ -267,6 +257,4 @@ __all__ = [
     "handle_route",
     "lookup_cost",
     "plan_route",
-    "render_route",
-    "route_cost",
 ]

@@ -9,7 +9,7 @@ residencies, and the store reads both through the same
 
 * **in memory** (:class:`~repro.io.mmap_layout.ServingColumns`) —
   ``TrustStore.open(path)`` (which decodes only the sections serving
-  reads, never the observation matrix), ``TrustStore(artifact)`` and
+  reads, never the observation matrix) and
   ``TrustStore(serving_columns(...))`` build them in this process and
   write no file, so ``kbt query`` / ``signals`` / ``compare`` work on
   an artifact in a read-only directory;
@@ -44,9 +44,8 @@ traffic never pays for it.
 Nothing of the fit layer is imported with this module: the signal
 frame and fusion load with the first signal surface, and the artifact
 decoder and the column aggregation with the cold paths that build
-columns from an artifact (``TrustStore.open(path)``,
-``TrustStore(artifact)``). A gateway that maps a layout never loads
-them.
+columns from an artifact (``TrustStore.open(path)``). A gateway that
+maps a layout never loads them.
 """
 
 from __future__ import annotations
@@ -56,14 +55,9 @@ import threading
 from collections.abc import Iterable, Iterator
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import TYPE_CHECKING
-
 from repro.core.types import KBTScore
 from repro.io.mmap_layout import LayoutError, ServingColumns, serving_columns
 from repro.signals.base import SignalScores
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.io.artifact import TrustArtifact
 
 
 def _score_json(score: KBTScore) -> dict:
@@ -157,28 +151,18 @@ class SignalSurface:
 class TrustStore:
     """One fitted KBT artifact's serving columns, and every lookup on them.
 
-    Built from :class:`~repro.io.mmap_layout.ServingColumns` (held in
-    memory, or a mapped :class:`~repro.io.mmap_layout.ServingLayout`) or
-    from a :class:`~repro.io.artifact.TrustArtifact`, whose columns it
-    aggregates in memory.
+    Built from :class:`~repro.io.mmap_layout.ServingColumns`: held in
+    memory, or a mapped :class:`~repro.io.mmap_layout.ServingLayout`.
     """
 
     #: Every lookup reads a resident ``key -> row`` index, then in-memory
     #: or mapped columns (at worst a page fault on a ~9 bytes/record
     #: layout), so the gateway may answer it on its event loop
-    #: (:func:`repro.serving.routes.route_cost`). A store whose lookups
+    #: (:func:`repro.serving.routes.plan_route`). A store whose lookups
     #: can block would say False and only ever be called on the pool.
     resident_lookups = True
 
-    def __init__(self, columns: ServingColumns | TrustArtifact) -> None:
-        if not isinstance(columns, ServingColumns):
-            columns = serving_columns(
-                columns.result.source_accuracy,
-                columns.result.expected_triples_by_source(),
-                columns.min_triples,
-                columns.signals,
-                columns.fusion_weights,
-            )
+    def __init__(self, columns: ServingColumns) -> None:
         self._layout = columns
         manifest = columns.manifest
         self._etag: str | None = columns.etag
@@ -368,10 +352,6 @@ class TrustStore:
     def signal_names(self) -> list[str]:
         """Names of the signals embedded in the artifact (may be empty)."""
         return [entry["name"] for entry in self._signal_entries]
-
-    @property
-    def has_signals(self) -> bool:
-        return bool(self.signal_names())
 
     @property
     def fusion_weights(self) -> dict[str, float]:

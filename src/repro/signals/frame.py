@@ -2,8 +2,8 @@
 
 A :class:`SignalFrame` holds the outputs of several providers aligned on
 website keys and derives the comparable views fusion and analysis need:
-dense ranks (1 = best), percentile ranks, and z-scores per signal, plus
-the Figure-10-style two-signal comparison (correlation + the two
+dense ranks (1 = best) and percentile ranks per signal, plus the
+Figure-10-style two-signal comparison (correlation + the two
 disagreement quadrants, e.g. "high KBT, low PageRank" tail sites).
 
 Everything is computed lazily and cached; frames are read-only after
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Iterable
-from math import sqrt
 
 from repro.signals.base import SignalError, SignalScores
 from repro.web.analysis import pearson_correlation
@@ -24,11 +23,11 @@ class SignalFrame:
     """Aligned per-website scores across a set of named signals.
 
     The tabular view behind Figure 10: one row per website, one column
-    per signal, with dense ranks, percentiles, z-scores, and the
-    two-signal disagreement quadrants derived on demand. Invariants:
-    signal names are unique, the website universe is the union of every
-    signal's keys (a signal may be sparse), and frames are read-only
-    after construction (all caches are derived, never inputs).
+    per signal, with dense ranks, percentiles and the two-signal
+    disagreement quadrants derived on demand. Invariants: signal names
+    are unique, the website universe is the union of every signal's keys
+    (a signal may be sparse), and frames are read-only after
+    construction (all caches are derived, never inputs).
     """
 
     def __init__(self, signals: Iterable[SignalScores]) -> None:
@@ -43,7 +42,6 @@ class SignalFrame:
         self._websites = sorted(websites)
         self._rank_cache: dict[str, dict[str, int]] = {}
         self._sorted_cache: dict[str, list[float]] = {}
-        self._zscore_cache: dict[str, dict[str, float]] = {}
 
     # ------------------------------------------------------------------
     # Introspection
@@ -125,34 +123,6 @@ class SignalFrame:
             return None
         ordered = self._sorted_scores(name)
         return 100.0 * bisect_right(ordered, score) / len(ordered)
-
-    def zscores(self, name: str) -> dict[str, float]:
-        """Standardised scores per website under one signal.
-
-        A degenerate signal (constant, or a single site) maps to all
-        zeros rather than dividing by a zero deviation.
-        """
-        cached = self._zscore_cache.get(name)
-        if cached is None:
-            scores = self.signal(name).scores
-            n = len(scores)
-            if n == 0:
-                cached = {}
-            else:
-                mean = sum(scores.values()) / n
-                variance = sum(
-                    (value - mean) ** 2 for value in scores.values()
-                ) / n
-                if variance <= 0.0:
-                    cached = {site: 0.0 for site in scores}
-                else:
-                    std = sqrt(variance)
-                    cached = {
-                        site: (value - mean) / std
-                        for site, value in scores.items()
-                    }
-            self._zscore_cache[name] = cached
-        return dict(cached)
 
     # ------------------------------------------------------------------
     # Two-signal comparison (the Figure 10 quadrants, generalised)

@@ -10,7 +10,6 @@ values (0 or 1 probabilities) that would otherwise produce infinities.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 
 #: Probabilities are clamped into [PROB_FLOOR, 1 - PROB_FLOOR] before logs.
 PROB_FLOOR = 1e-9
@@ -58,17 +57,6 @@ def sigmoid(x: float) -> float:
         return 1.0 / (1.0 + math.exp(-x))
     ex = math.exp(x)
     return ex / (1.0 + ex)
-
-
-def logsumexp(values: Iterable[float]) -> float:
-    """Stable log(sum(exp(v))) over an iterable of floats."""
-    vals = list(values)
-    if not vals:
-        raise ValueError("logsumexp of empty sequence")
-    m = max(vals)
-    if math.isinf(m) and m < 0:
-        return m
-    return m + math.log(sum(math.exp(v - m) for v in vals))
 
 
 def softmax_with_floor_mass(

@@ -57,14 +57,6 @@ def pearson_correlation(pairs: list[tuple[float, float]]) -> float:
     return cov / math.sqrt(var_x * var_y)
 
 
-def percentile_rank(values: list[float], value: float) -> float:
-    """Fraction of values strictly below ``value`` (0 = lowest)."""
-    if not values:
-        return 0.0
-    below = sum(1 for v in values if v < value)
-    return below / len(values)
-
-
 @dataclass(frozen=True, slots=True)
 class QuadrantReport:
     """Summary statistics of the Figure 10 scatter."""

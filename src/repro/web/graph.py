@@ -38,9 +38,6 @@ class WebGraph:
     def out_links(self, node: str) -> list[str]:
         return list(self._out[node])
 
-    def out_degree(self, node: str) -> int:
-        return len(self._out[node])
-
     def in_degree(self, node: str) -> int:
         return self._in_degree[node]
 
@@ -51,10 +48,6 @@ class WebGraph:
     @property
     def num_edges(self) -> int:
         return sum(len(targets) for targets in self._out.values())
-
-    def adjacency(self) -> dict[str, list[str]]:
-        """A copy of the adjacency mapping (node -> out-links)."""
-        return {node: list(targets) for node, targets in self._out.items()}
 
 
 def generate_web_graph(

@@ -1,7 +1,7 @@
 """The matrix's side readers as they were when they walked its dict
 views: the parity references of ``tests/test_reader_parity.py``.
 
-Copied verbatim from ``repro.core.weighting`` (the three weightings),
+Copied verbatim from ``repro.core.weighting`` (the two weightings),
 ``repro.kb.gold`` (the ``GoldStandard`` labels and "+" initialisation),
 ``repro.signals.base`` (``co_claim_graph``) and ``repro.core.granularity``
 (the per-triple dict ``GranularityPlan``, ``plan``, ``_split``,
@@ -17,7 +17,6 @@ and every entry to an equal final key.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 from matrix_reference import ReferenceMatrix as ObservationMatrix
@@ -85,37 +84,6 @@ def idf_weights(observations: ObservationMatrix) -> dict[Coord, float]:
         idf = math.log(1.0 + total / df[(item.predicate, value)])
         peak = math.log(1.0 + total)
         weights[coord] = idf / peak if peak > 0 else 1.0
-    return weights
-
-
-def topic_relevance_weights(
-    observations: ObservationMatrix,
-    topic_of_predicate: Callable[[str], str],
-    off_topic_weight: float = 0.0,
-) -> dict[Coord, float]:
-    """Down-weight triples off their website's dominant topic.
-
-    The dominant topic of a website is the topic with the largest claim
-    count among its triples; triples from other topics get
-    ``off_topic_weight``.
-    """
-    if not 0.0 <= off_topic_weight <= 1.0:
-        raise ValueError("off_topic_weight must be in [0, 1]")
-    topic_mass: dict[str, dict[str, int]] = {}
-    for (source, item, _value), _cell in observations.cells():
-        topics = topic_mass.setdefault(source.website, {})
-        topic = topic_of_predicate(item.predicate)
-        topics[topic] = topics.get(topic, 0) + 1
-    dominant = {
-        website: max(topics.items(), key=lambda kv: kv[1])[0]
-        for website, topics in topic_mass.items()
-    }
-    weights: dict[Coord, float] = {}
-    for coord, _cell in observations.cells():
-        source, item, _value = coord
-        topic = topic_of_predicate(item.predicate)
-        on_topic = topic == dominant[source.website]
-        weights[coord] = 1.0 if on_topic else off_topic_weight
     return weights
 
 

@@ -152,7 +152,7 @@ class ReferenceViews:
     #: ``percentile``, ``breakdown``, ``contributor_rows``) read only
     #: this process's memory — a resident index, then in-memory or
     #: mmapped columns? A store that says so may be queried on the
-    #: gateway's event loop (:func:`repro.serving.routes.route_cost`);
+    #: gateway's event loop (:func:`repro.serving.routes.plan_route`);
     #: one whose lookups can block (a remote or disk-seeking backend)
     #: must leave it false and is only ever called on the worker pool.
     resident_lookups = False
@@ -174,10 +174,6 @@ class ReferenceViews:
     # ------------------------------------------------------------------
     # Trust signals (format-2 artifacts; empty set for v1)
     # ------------------------------------------------------------------
-    @property
-    def has_signals(self) -> bool:
-        return bool(self.signal_names())
-
     @property
     def fusion_weights(self) -> dict[str, float]:
         """Per-signal fusion weights (empty without signals)."""

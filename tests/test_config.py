@@ -1,5 +1,7 @@
 """Unit tests for configuration validation."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.config import (
@@ -94,6 +96,18 @@ class TestMultiLayerConfig:
     def test_absence_scope_enum(self):
         cfg = MultiLayerConfig(absence_scope=AbsenceScope.ACTIVE)
         assert cfg.absence_scope is AbsenceScope.ACTIVE
+
+    def test_popaccu_refuses_weighted_vcv(self):
+        """Section 5.1.2: the config itself refuses POPACCU with the
+        weighted V step, so no fit path can be handed the combination,
+        by construction or by ``replace``."""
+        with pytest.raises(ValueError, match="POPACCU"):
+            MultiLayerConfig(false_value_model=FalseValueModel.POPACCU)
+        cfg = MultiLayerConfig(
+            false_value_model=FalseValueModel.POPACCU, use_weighted_vcv=False
+        )
+        with pytest.raises(ValueError, match="POPACCU"):
+            replace(cfg, use_weighted_vcv=True)
 
 
 class TestGranularityConfig:

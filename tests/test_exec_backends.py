@@ -522,7 +522,10 @@ def test_float32_task_runs_the_float64_expressions(
     """``precision`` is the dtype of the one kernel: on the same inputs a
     float32 task returns float32 arrays close to the float64 task's and
     hangs nothing on the packet (weighted VCV, so no vote sits on the
-    ``claim_p >= 0.5`` cutoff)."""
+    ``claim_p >= 0.5`` cutoff). A config refuses POPACCU with weighted
+    VCV, but the task never reads the false-value model: the compile
+    does (POPACCU's per-claim popularity), so the problem is compiled
+    under ``model`` and every round runs weighted."""
     from repro.core.engine_numpy import (
         init_params,
         iteration_inputs,
@@ -531,12 +534,15 @@ def test_float32_task_runs_the_float64_expressions(
     from repro.exec.driver import prior_update, residual_mass
     from repro.exec.worker import IterationParams
 
-    wide = MultiLayerConfig(
-        absence_scope=scope, false_value_model=model, use_weighted_vcv=True
-    )
+    wide = MultiLayerConfig(absence_scope=scope)
     low = dataclasses.replace(wide, precision="float32")
     prob, plan = plan_for(
-        ObservationMatrix.from_records(records), wide, num_shards
+        ObservationMatrix.from_records(records),
+        MultiLayerConfig(
+            absence_scope=scope, false_value_model=model,
+            use_weighted_vcv=False,
+        ),
+        num_shards,
     )
     theta = init_params(wide, prob)
     first = IterationParams(False, None, *iteration_inputs(wide, prob, theta))

@@ -51,12 +51,7 @@ from repro.serving.gateway import (
 )
 from repro.serving.manager import StoreManager
 from repro.serving.mmap_store import MmapTrustStore
-from repro.serving.routes import (
-    handle_route,
-    lookup_cost,
-    render_route,
-    route_cost,
-)
+from repro.serving.routes import handle_route, lookup_cost, plan_route
 from repro.serving.store import TrustStore
 from repro.signals import CorpusContext, SignalSuite, fuse
 
@@ -643,13 +638,13 @@ class TestRouteCost:
             MmapTrustStore.open(wide_artifact),
             TrustStore.open(wide_artifact),
         ):
-            assert route_cost(store, path, params) == rows
+            assert plan_route(store, path, params)[0] == rows
 
     @pytest.mark.parametrize("path,params,_rows", COSTS)
     def test_unmarked_store_is_unbounded(self, path, params, _rows):
         """A duck-typed store says nothing about how long its lookups
         block, so nothing about it is bounded — and nothing is called."""
-        assert route_cost(object(), path, params) is None
+        assert plan_route(object(), path, params)[0] is None
 
     def test_marker_is_declared_by_the_stores(self, wide_artifact):
         store = MmapTrustStore.open(wide_artifact)
@@ -658,7 +653,7 @@ class TestRouteCost:
         assert lookup_cost(store, 300) == 300
         store.resident_lookups = False
         assert lookup_cost(store, 1) is None
-        assert route_cost(store, "/score", {"site": ["good.com"]}) is None
+        assert plan_route(store, "/score", {"site": ["good.com"]})[0] is None
 
     def test_contributor_rows_is_the_breakdown_length(self, wide_artifact):
         stores = (
@@ -986,7 +981,7 @@ class TestBodyMemo:
         reference = ReferenceStore.open(signal_artifact)
         for store in open_stores(signal_artifact):
             for _pass in ("cold", "warm"):
-                assert render_route(store, path, params) == render(
+                assert plan_route(store, path, params)[1](store) == render(
                     reference, path, params
                 )
 

@@ -46,7 +46,8 @@ class TestKnowledgeBase:
         assert 0.25 < fraction < 0.55
 
     def test_from_world_zero_coverage(self, world):
-        assert KnowledgeBase.from_world(world, coverage=0.0).num_facts == 0
+        kb = KnowledgeBase.from_world(world, coverage=0.0)
+        assert sum(len(kb.values(item)) for item in kb.items()) == 0
 
     def test_coverage_validated(self, world):
         with pytest.raises(ValueError):
@@ -69,7 +70,10 @@ class TestLCWA:
     def test_label_many_covers_all_inputs(self):
         kb = KnowledgeBase([Triple("s", "p", "o")])
         triples = [(DataItem("s", "p"), "o"), (DataItem("z", "p"), "o")]
-        labels = LCWALabeler(kb).label_many(triples)
+        labeler = LCWALabeler(kb)
+        labels = {
+            (item, value): labeler.label(item, value) for item, value in triples
+        }
         assert len(labels) == 2
 
 

@@ -1,8 +1,15 @@
 """Unit tests for the KBT estimator facade and its report."""
 
+import random
+
 import pytest
 
-from repro.core.config import GranularityConfig, MultiLayerConfig
+from repro.core.config import (
+    AbsenceScope,
+    ConvergenceConfig,
+    GranularityConfig,
+    MultiLayerConfig,
+)
 from repro.core.kbt import FittedKBT, KBTEstimator, KBTReport
 from repro.core.observation import ObservationMatrix
 from repro.core.results import MultiLayerResult
@@ -13,6 +20,7 @@ from repro.core.types import (
     SourceKey,
     page_source,
 )
+from repro.datasets.kv import KVConfig, iter_kv_record_chunks
 from repro.datasets.motivating import motivating_example, source_key
 
 
@@ -234,3 +242,56 @@ class TestMotivatingExampleThroughFacade:
         assert result.source_accuracy[source_key("W1")] > (
             result.source_accuracy[source_key("W5")]
         )
+
+
+def test_shuffled_record_stream_scores_alike():
+    """A fit reads a set of records, not a stream: at the iteration count
+    the serving path runs (5, tolerance 0), the KV corpus in generator
+    order and in a seeded shuffle gives the same website scores, source
+    accuracies and value posteriors up to float summation order."""
+    corpus = KVConfig(
+        num_websites=60,
+        items_per_predicate=60,
+        num_systems=16,
+        pages_zipf_exponent=0.9,
+        claims_zipf_exponent=0.9,
+        max_pages_per_site=30,
+        max_claims_per_page=250,
+        max_patterns_per_system=80,
+        broad_pattern_fraction=0.2,
+        narrow_affinity_base=0.004,
+        seed=23,
+    )
+    records = [
+        record for chunk in iter_kv_record_chunks(corpus) for record in chunk
+    ]
+    assert len(records) == 9487
+    shuffled = list(records)
+    random.Random(5).shuffle(shuffled)
+    config = MultiLayerConfig(
+        absence_scope=AbsenceScope.ACTIVE,
+        min_extractor_support=3,
+        min_source_support=2,
+        convergence=ConvergenceConfig(tolerance=0.0, max_iterations=5),
+    )
+    ordered = KBTEstimator(config=config).fit(records)
+    mixed = KBTEstimator(config=config).fit(shuffled)
+
+    def gap(a: dict, b: dict) -> float:
+        assert a.keys() == b.keys()
+        return max(abs(a[key] - b[key]) for key in a)
+
+    assert gap(
+        {site: s.score for site, s in ordered.website_scores().items()},
+        {site: s.score for site, s in mixed.website_scores().items()},
+    ) <= 1e-9
+    assert gap(
+        ordered.result.source_accuracy, mixed.result.source_accuracy
+    ) <= 1e-9
+    posteriors = ordered.result.value_posteriors
+    assert posteriors.keys() == mixed.result.value_posteriors.keys()
+    assert max(
+        gap(values, mixed.result.value_posteriors[item])
+        for item, values in posteriors.items()
+        if values
+    ) <= 1e-9

@@ -8,7 +8,6 @@ from repro.util.logmath import (
     clamp,
     clamp_probability,
     log_odds,
-    logsumexp,
     safe_log,
     sigmoid,
     softmax_with_floor_mass,
@@ -74,25 +73,6 @@ class TestSigmoid:
     def test_inverts_log_odds(self):
         for p in (0.1, 0.25, 0.5, 0.9):
             assert sigmoid(log_odds(p)) == pytest.approx(p, abs=1e-9)
-
-
-class TestLogsumexp:
-    def test_single_value(self):
-        assert logsumexp([3.0]) == pytest.approx(3.0)
-
-    def test_matches_direct_computation(self):
-        values = [0.1, 1.2, -0.5]
-        expected = math.log(sum(math.exp(v) for v in values))
-        assert logsumexp(values) == pytest.approx(expected)
-
-    def test_large_values_stable(self):
-        assert logsumexp([1000.0, 1000.0]) == pytest.approx(
-            1000.0 + math.log(2.0)
-        )
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            logsumexp([])
 
 
 class TestSoftmaxWithFloorMass:

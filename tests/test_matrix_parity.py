@@ -127,6 +127,8 @@ def views(m):
     }
 
 
+#: Compile-only configs. The compile does not read ``use_weighted_vcv``;
+#: it is False because a POPACCU config refuses weighted VCV.
 CONFIGS = [
     MultiLayerConfig(
         engine="numpy",
@@ -135,6 +137,7 @@ CONFIGS = [
         min_extractor_support=extractor,
         confidence_threshold=threshold,
         false_value_model=model,
+        use_weighted_vcv=False,
     )
     for source, extractor, threshold, model in [
         (1, 1, None, FalseValueModel.ACCU),

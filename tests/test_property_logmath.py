@@ -9,7 +9,6 @@ from repro.util.logmath import (
     clamp,
     clamp_probability,
     log_odds,
-    logsumexp,
     sigmoid,
     softmax_with_floor_mass,
 )
@@ -55,17 +54,6 @@ class TestClampProperties:
     @given(st.floats(allow_nan=False, allow_infinity=False))
     def test_probability_clamp_valid(self, p):
         assert 0.0 < clamp_probability(p) < 1.0
-
-
-class TestLogsumexpProperties:
-    @given(st.lists(scores, min_size=1, max_size=20))
-    def test_at_least_max(self, values):
-        assert logsumexp(values) >= max(values) - 1e-12
-
-    @given(st.lists(scores, min_size=1, max_size=20), scores)
-    def test_shift_invariance(self, values, shift):
-        shifted = logsumexp([v + shift for v in values])
-        assert abs(shifted - (logsumexp(values) + shift)) < 1e-6
 
 
 class TestSoftmaxProperties:

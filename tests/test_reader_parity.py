@@ -1,7 +1,7 @@
 """The matrix's side readers against their dict-walking references
 (``tests/reader_reference.py``).
 
-Each reader — the three triple weightings, the gold labels and "+"
+Each reader — the two triple weightings, the gold labels and "+"
 initialisation, the co-claim graph and the SPLITANDMERGE planners —
 runs as the library has it on an ``ObservationMatrix`` and as it was on
 a ``ReferenceMatrix`` built from the same records, the same restriction
@@ -28,11 +28,7 @@ from repro.core.types import (
     SourceKey,
     Triple,
 )
-from repro.core.weighting import (
-    idf_weights,
-    predicate_variety_weights,
-    topic_relevance_weights,
-)
+from repro.core.weighting import idf_weights, predicate_variety_weights
 from repro.extraction.schema import ObjectType, PredicateSpec, Schema
 from repro.kb.gold import GoldStandard
 from repro.kb.knowledge_base import KnowledgeBase
@@ -143,10 +139,6 @@ def ordered(mapping):
     return typed(list(mapping.items()))
 
 
-def topic(predicate):
-    return "numbers" if predicate == "num" else "words"
-
-
 class TestWeightings:
     @given(matrix_pairs())
     @settings(max_examples=60, deadline=None)
@@ -156,10 +148,6 @@ class TestWeightings:
             reference.predicate_variety_weights(r)
         )
         assert ordered(idf_weights(m)) == ordered(reference.idf_weights(r))
-        for off_topic in (0.0, 0.5):
-            assert ordered(topic_relevance_weights(m, topic, off_topic)) == (
-                ordered(reference.topic_relevance_weights(r, topic, off_topic))
-            )
 
 
 class TestGoldStandard:

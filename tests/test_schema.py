@@ -59,8 +59,8 @@ class TestSchema:
 
     def test_topic_lookup(self):
         schema = default_schema()
-        assert schema.topic_of("nationality") == "people"
-        assert schema.topic_of("capital") == "geography"
+        assert schema.get("nationality").topic == "people"
+        assert schema.get("capital").topic == "geography"
 
 
 class TestDefaultSchema:

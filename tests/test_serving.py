@@ -13,6 +13,7 @@ from repro.core.types import (
     ExtractorKey,
     page_source,
 )
+from repro.io.mmap_layout import serving_columns
 from repro.serving.gateway import GatewayThread
 from repro.serving.manager import StoreManager
 from repro.serving.store import TrustStore
@@ -44,6 +45,19 @@ def corpus():
                      lambda s: f"false-{s}")
     )
     return records
+
+
+def in_memory_store(fitted):
+    """A store over the fit's serving columns, built without a file."""
+    return TrustStore(
+        serving_columns(
+            fitted.result.source_accuracy,
+            fitted.result.expected_triples_by_source(),
+            fitted.min_triples,
+            {},
+            {},
+        )
+    )
 
 
 @pytest.fixture(scope="module")
@@ -129,7 +143,6 @@ class TestStoreQueries:
         assert len(store) == len(list(store.websites()))
 
     def test_no_signals_without_artifact_signals(self, store):
-        assert not store.has_signals
         assert store.signal_names() == []
         assert store.stats_json()["signals"] == []
         assert store.fused_score("good.com") is None
@@ -145,15 +158,7 @@ class TestStoreEdgeCases:
             page_records("only.com", "only.com/p", "e0",
                          [f"s{i}" for i in range(8)], lambda s: f"v-{s}")
         )
-        from repro.io.artifact import TrustArtifact
-
-        return TrustStore(
-            TrustArtifact(
-                result=fitted.result,
-                config=fitted.config,
-                min_triples=fitted.min_triples,
-            )
-        )
+        return in_memory_store(fitted)
 
     @pytest.fixture(scope="class")
     def tied_store(self):
@@ -165,16 +170,8 @@ class TestStoreEdgeCases:
                              [f"s{i}" for i in range(8)],
                              lambda s: f"true-{s}")
             )
-        from repro.io.artifact import TrustArtifact
-
         fitted = KBTEstimator(min_triples=0.0).fit(records)
-        return TrustStore(
-            TrustArtifact(
-                result=fitted.result,
-                config=fitted.config,
-                min_triples=fitted.min_triples,
-            )
-        )
+        return in_memory_store(fitted)
 
     def test_single_site_percentile_and_top(self, single_site_store):
         store = single_site_store
@@ -210,7 +207,6 @@ class TestStoreEdgeCases:
 
 class TestStoreSignals:
     def test_signal_surface(self, signal_store):
-        assert signal_store.has_signals
         assert signal_store.signal_names() == [
             "kbt", "pagerank", "copydetect"
         ]

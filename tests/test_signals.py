@@ -272,33 +272,23 @@ class TestFrame:
         assert frame.percentile("x", "nosuch") is None
 
     def test_percentile_agrees_with_trust_store(self, frame):
-        from repro.io.artifact import TrustArtifact
+        from repro.io.mmap_layout import serving_columns
         from repro.serving.store import TrustStore
 
         fitted = KBTEstimator().fit(corpus())
         store = TrustStore(
-            TrustArtifact(
-                result=fitted.result,
-                config=fitted.config,
-                min_triples=fitted.min_triples,
-                signals={"kbt": frame.signal("kbt")},
+            serving_columns(
+                fitted.result.source_accuracy,
+                fitted.result.expected_triples_by_source(),
+                fitted.min_triples,
+                {"kbt": frame.signal("kbt")},
+                {},
             )
         )
         for site in store.websites():
             assert store.signal_breakdown(site)["signals"]["kbt"][
                 "percentile"
             ] == pytest.approx(store.percentile(site))
-
-    def test_zscores_standardised(self, frame):
-        z = frame.zscores("kbt")
-        assert abs(sum(z.values())) < 1e-9
-        assert min(z.values()) < 0 < max(z.values())
-
-    def test_zscores_degenerate_signal(self):
-        frame = SignalFrame([
-            SignalScores(name="flat", scores={"a": 0.5, "b": 0.5})
-        ])
-        assert frame.zscores("flat") == {"a": 0.0, "b": 0.0}
 
     def test_unknown_signal_raises(self, frame):
         with pytest.raises(SignalError, match="unknown signal"):
@@ -473,8 +463,7 @@ class TestArtifactV2:
         # and it still serves KBT-only responses
         from repro.serving.store import TrustStore
 
-        store = TrustStore(artifact)
-        assert not store.has_signals
+        store = TrustStore.open(v1_path)
         assert store.signal_names() == []
         assert store.signals_json()["signals"] == []
         assert store.signal_breakdown("good.com") is None

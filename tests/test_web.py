@@ -5,7 +5,6 @@ import pytest
 from repro.web.analysis import (
     join_kbt_pagerank,
     pearson_correlation,
-    percentile_rank,
     quadrant_analysis,
 )
 from repro.web.graph import WebGraph, generate_web_graph
@@ -18,7 +17,7 @@ class TestWebGraph:
         graph.add_edge("a", "b")
         graph.add_edge("a", "b")
         graph.add_edge("b", "c")
-        assert graph.out_degree("a") == 2
+        assert len(graph.out_links("a")) == 2
         assert graph.in_degree("b") == 2
         assert graph.num_edges == 3
 
@@ -129,11 +128,6 @@ class TestAnalysis:
         assert pearson_correlation([]) == 0.0
         assert pearson_correlation([(1.0, 2.0)]) == 0.0
         assert pearson_correlation([(1.0, 5.0), (1.0, 7.0)]) == 0.0
-
-    def test_percentile_rank(self):
-        values = [0.1, 0.2, 0.3, 0.4]
-        assert percentile_rank(values, 0.35) == pytest.approx(0.75)
-        assert percentile_rank([], 1.0) == 0.0
 
     def test_quadrant_analysis_finds_gossip_pattern(self):
         # 10 accurate unpopular sites, 3 gossip sites, some mainstream.

@@ -12,11 +12,9 @@ from repro.core.types import (
     page_source,
 )
 from repro.core.weighting import (
-    combine_weights,
     idf_weights,
     predicate_variety_weights,
     reweighted_source_accuracy,
-    topic_relevance_weights,
 )
 
 
@@ -77,55 +75,6 @@ class TestIdfWeights:
     def test_weights_positive_and_bounded(self):
         for weight in idf_weights(trivial_corpus()).values():
             assert 0.0 < weight <= 1.0
-
-
-class TestTopicRelevance:
-    @staticmethod
-    def topic_of(predicate):
-        return "media" if predicate in ("language", "director") else "geo"
-
-    def test_on_topic_kept_off_topic_dropped(self):
-        records = [
-            record("movies.com", f"film{i}", "director", f"p{i}")
-            for i in range(5)
-        ]
-        records.append(record("movies.com", "country0", "capital", "city0"))
-        obs = ObservationMatrix.from_records(records)
-        weights = topic_relevance_weights(obs, self.topic_of)
-        off_topic = [w for c, w in weights.items()
-                     if c[1].predicate == "capital"]
-        on_topic = [w for c, w in weights.items()
-                    if c[1].predicate == "director"]
-        assert all(w == 0.0 for w in off_topic)
-        assert all(w == 1.0 for w in on_topic)
-
-    def test_off_topic_weight_configurable(self):
-        records = [record("m.com", "f", "director", "p"),
-                   record("m.com", "c", "capital", "x"),
-                   record("m.com", "f2", "director", "p2")]
-        obs = ObservationMatrix.from_records(records)
-        weights = topic_relevance_weights(
-            obs, self.topic_of, off_topic_weight=0.25
-        )
-        assert 0.25 in weights.values()
-
-    def test_invalid_off_topic_weight(self):
-        with pytest.raises(ValueError):
-            topic_relevance_weights(
-                trivial_corpus(), self.topic_of, off_topic_weight=2.0
-            )
-
-
-class TestCombineWeights:
-    def test_multiplies_common_keys(self):
-        a = {("k",): 0.5}
-        b = {("k",): 0.4, ("other",): 0.9}
-        combined = combine_weights(a, b)
-        assert combined[("k",)] == pytest.approx(0.2)
-        assert combined[("other",)] == pytest.approx(0.9)
-
-    def test_empty_input(self):
-        assert combine_weights() == {}
 
 
 class TestReweightedAccuracy:
