@@ -774,7 +774,8 @@ def run_signals(args: argparse.Namespace) -> int:
         if not payload["signals"]:
             print(
                 "no trust signals in this artifact (fitted without "
-                "--signals, or a version-1 artifact)",
+                "--signals, a version-1 artifact, or written by 'kbt "
+                "update', which drops embedded signals)",
                 file=sys.stderr,
             )
             return 1

@@ -43,6 +43,7 @@ from repro.core.types import (
     KBTScore,
     SourceKey,
 )
+from repro.util.heap import paused_gc
 
 
 def check_min_triples(min_triples: float) -> float:
@@ -194,6 +195,7 @@ class FittedKBT:
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
+    @paused_gc()
     def save(
         self,
         path: str | Path,

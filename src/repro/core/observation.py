@@ -34,6 +34,7 @@ from repro.core.types import (
     SourceKey,
     Value,
 )
+from repro.util.heap import paused_gc
 
 if TYPE_CHECKING:
     from repro.core.granularity import GranularityPlan
@@ -66,6 +67,7 @@ class ObservationMatrix:
     cells of another matrix); the constructor is private API.
     """
 
+    @paused_gc()
     def __init__(self, records: Iterable[ExtractionRecord]) -> None:
         # One loop over the records, names bound locally: a record
         # hashes its coordinate once, into its cell id, and a new cell
@@ -143,6 +145,7 @@ class ObservationMatrix:
         # assigned once, so racing readers build equal values: no lock.
         self._indexes = None
 
+    @paused_gc()
     def _grown(
         self,
         indexes: tuple[dict, dict, dict, dict, dict],
@@ -206,7 +209,9 @@ class ObservationMatrix:
 
         A corpus that arrives in chunks is one
         ``itertools.chain.from_iterable(chunks)``: no record outlives
-        its fold into the columns.
+        its fold into the columns. The fold runs with the cyclic
+        collector paused (:func:`repro.util.heap.paused_gc`), drawing
+        the records included, so ``records`` must not fork.
         """
         return cls(records)
 

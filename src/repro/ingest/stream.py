@@ -20,6 +20,7 @@ than the latency bound.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from collections import deque
@@ -93,6 +94,12 @@ class SpoolDirectorySource:
     including one already visited — are picked up on the next poll. New
     files appearing in the directory join the rotation automatically.
 
+    Rotation: an offset belongs to the file (device and inode) it was
+    read from, not to its name. A name that now holds another file (a
+    log rotated by rename and recreate) or a file shorter than its
+    offset (rotated by copy and truncate) is read from its start, and a
+    name that no longer matches the pattern is forgotten.
+
     Tail safety: lines are consumed only once newline-terminated. A
     truncated final line (a writer caught mid-append) stays unconsumed —
     the offset does not advance past it — and is re-read whole on a
@@ -112,7 +119,8 @@ class SpoolDirectorySource:
                 f"spool directory does not exist: {self._directory}"
             )
         self._pattern = pattern
-        self._offsets: dict[Path, int] = {}
+        #: Per name: the (st_dev, st_ino) read and the byte offset in it.
+        self._offsets: dict[Path, tuple[tuple[int, int], int]] = {}
         self._carry: deque[ExtractionRecord] = deque()
 
     @property
@@ -128,7 +136,10 @@ class SpoolDirectorySource:
         # One parser per poll: equal keys are one object across every
         # file the poll reads, and the memo is gone when it returns.
         parser = RecordParser()
-        for path in sorted(self._directory.glob(self._pattern)):
+        paths = sorted(self._directory.glob(self._pattern))
+        for gone in self._offsets.keys() - set(paths):
+            del self._offsets[gone]
+        for path in paths:
             for record in self._tail_file(path, parser):
                 if len(out) < max_records:
                     out.append(record)
@@ -141,16 +152,23 @@ class SpoolDirectorySource:
     def _tail_file(
         self, path: Path, parser: RecordParser
     ) -> list[ExtractionRecord]:
-        offset = self._offsets.get(path, 0)
+        # Binary mode: offsets are byte positions, and a torn multibyte
+        # UTF-8 sequence at the tail must not raise mid-decode. Identity
+        # and size are the open file's: the name may be replaced between
+        # a stat and an open.
         try:
-            size = path.stat().st_size
+            handle = open(path, "rb")
         except FileNotFoundError:
             return []
-        if size <= offset:
-            return []
-        # Binary mode: offsets are byte positions, and a torn multibyte
-        # UTF-8 sequence at the tail must not raise mid-decode.
-        with open(path, "rb") as handle:
+        with handle:
+            stat = os.fstat(handle.fileno())
+            identity = (stat.st_dev, stat.st_ino)
+            known, offset = self._offsets.get(path, (identity, 0))
+            if known != identity or stat.st_size < offset:
+                offset = 0
+            self._offsets[path] = (identity, offset)
+            if stat.st_size <= offset:
+                return []
             handle.seek(offset)
             data = handle.read()
         records: list[ExtractionRecord] = []
@@ -163,7 +181,7 @@ class SpoolDirectorySource:
             consumed += len(raw_line)
             if record is not None:
                 records.append(record)
-        self._offsets[path] = offset + consumed
+        self._offsets[path] = (identity, offset + consumed)
         return records
 
 

@@ -73,6 +73,7 @@ from repro.core.results import (
 )
 from repro.core.types import DataItem, ExtractorKey, SourceKey
 from repro.signals.base import SignalScores
+from repro.util.heap import paused_gc
 
 #: Format identifier stored in (and required from) every artifact header.
 FORMAT_NAME = "kbt-trust-artifact"
@@ -906,6 +907,7 @@ def load_serving_inputs(path: str | Path) -> tuple:
     )
 
 
+@paused_gc()
 def load_artifact(path: str | Path) -> TrustArtifact:
     """Read an artifact written by :func:`save_artifact`.
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable, Iterator
+from itertools import islice
 from pathlib import Path
 
 from repro.core.types import (
@@ -41,6 +42,7 @@ from repro.core.types import (
     SourceKey,
     new_record,
 )
+from repro.util.heap import paused_gc
 
 #: The JSON scalar types: what a feature, a subject, a predicate or a
 #: value may be on the way in, and what an artifact can carry.
@@ -224,18 +226,65 @@ def write_records(
     return count
 
 
+#: Lines a reader parses per pause of the cyclic collector: long enough
+#: that collections stop scanning the records a read keeps, short enough
+#: that a streamed read holds few records ahead of its consumer.
+_RUN_LINES = 8192
+
+
+@paused_gc()
+def _parse_run(
+    parser: RecordParser,
+    handle: Iterator[str],
+    path: str | Path,
+    first: int,
+    count: int,
+    torn_tail_ends: bool,
+) -> tuple[list[ExtractionRecord], int, ValueError | None]:
+    """Parse the next ``count`` lines of ``handle``, the first of them
+    line ``first``, with the cyclic collector paused
+    (:func:`repro.util.heap.paused_gc`): their records, how many lines
+    were read, and the error of the line that stopped them, if one did.
+    With ``torn_tail_ends``, a failing line without its newline (the
+    file's last, still being written) ends them without an error."""
+    records: list[ExtractionRecord] = []
+    read = 0
+    for read, line in enumerate(islice(handle, count), start=1):
+        try:
+            record = parser.parse(line, path, first + read - 1)
+        except ValueError as error:
+            if torn_tail_ends and not line.endswith("\n"):
+                # The file's final bytes are a record still being
+                # written, even if they parse as JSON on their own (the
+                # "1" of an in-flight "12345"): only a newline-terminated
+                # record is trusted to be whole.
+                break
+            return records, read, error
+        if record is not None:
+            records.append(record)
+    return records, read, None
+
+
 def read_records(path: str | Path) -> Iterator[ExtractionRecord]:
     """Stream records from a JSONL file (blank lines are skipped).
 
     Equal keys are the same object across the whole file (see
-    :class:`RecordParser`).
+    :class:`RecordParser`). Lines are parsed a run at a time, and every
+    record before a malformed line is yielded before its ``ValueError``.
     """
     parser = RecordParser()
     with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            record = parser.parse(line, path, line_number)
-            if record is not None:
-                yield record
+        first = 1
+        while True:
+            records, read, error = _parse_run(
+                parser, handle, path, first, _RUN_LINES, False
+            )
+            yield from records
+            if error is not None:
+                raise error
+            if read < _RUN_LINES:
+                return
+            first += read
 
 
 def read_record_chunks(
@@ -262,23 +311,21 @@ def read_record_chunks(
     parser = RecordParser()
     chunk: list[ExtractionRecord] = []
     with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            try:
-                record = parser.parse(line, path, line_number)
-            except ValueError:
-                if not line.endswith("\n"):
-                    # The file's final bytes are a record still being
-                    # written; stop at the last complete one. That holds
-                    # for a torn tail that parses as JSON on its own too
-                    # (the "1" of an in-flight "12345"): only a
-                    # newline-terminated record is trusted to be whole.
-                    break
-                raise
-            if record is None:
-                continue
-            chunk.append(record)
-            if len(chunk) >= chunk_size:
+        first = 1
+        while True:
+            # At most the lines that can fill the chunk: it never overflows.
+            count = min(chunk_size - len(chunk), _RUN_LINES)
+            records, read, error = _parse_run(
+                parser, handle, path, first, count, True
+            )
+            chunk += records
+            if error is not None:
+                raise error
+            if len(chunk) == chunk_size:
                 yield chunk
                 chunk = []
+            if read < count:
+                break
+            first += read
     if chunk:
         yield chunk

@@ -58,6 +58,7 @@ from pathlib import Path
 from repro.core.types import KBTScore
 from repro.io.mmap_layout import LayoutError, ServingColumns, serving_columns
 from repro.signals.base import SignalScores
+from repro.util.heap import paused_gc
 
 
 def _score_json(score: KBTScore) -> dict:
@@ -162,6 +163,7 @@ class TrustStore:
     #: can block would say False and only ever be called on the pool.
     resident_lookups = True
 
+    @paused_gc()
     def __init__(self, columns: ServingColumns) -> None:
         self._layout = columns
         manifest = columns.manifest

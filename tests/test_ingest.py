@@ -142,6 +142,56 @@ class TestSpoolDirectorySource:
         assert source.poll(100) == []
         assert not source.exhausted
 
+    @staticmethod
+    def append(path, records):
+        with open(path, "a", encoding="utf-8") as handle:
+            for record in records:
+                handle.write(json.dumps(record_to_dict(record)) + "\n")
+
+    def test_rename_and_recreate_reads_the_new_file(self, tmp_path):
+        spool = tmp_path / "spool.jsonl"
+        write_records(corpus()[:3], spool)
+        source = SpoolDirectorySource(tmp_path)
+        assert len(source.poll(100)) == 3
+        spool.rename(tmp_path / "spool.jsonl.1")
+        write_records(corpus()[3:5], spool)
+        assert [r.value for r in source.poll(100)] == [
+            r.value for r in corpus()[3:5]
+        ]
+        self.append(spool, corpus()[5:7])
+        assert [r.value for r in source.poll(100)] == [
+            r.value for r in corpus()[5:7]
+        ]
+        assert source.poll(100) == []
+
+    def test_copy_truncate_rereads_from_the_start(self, tmp_path):
+        spool = tmp_path / "spool.jsonl"
+        write_records(corpus()[:3], spool)
+        source = SpoolDirectorySource(tmp_path)
+        assert len(source.poll(100)) == 3
+        (tmp_path / "spool.jsonl.1").write_bytes(spool.read_bytes())
+        with open(spool, "r+b") as handle:
+            handle.truncate(0)
+        self.append(spool, corpus()[3:5])
+        assert [r.value for r in source.poll(100)] == [
+            r.value for r in corpus()[3:5]
+        ]
+        self.append(spool, corpus()[5:7])
+        assert [r.value for r in source.poll(100)] == [
+            r.value for r in corpus()[5:7]
+        ]
+
+    def test_a_vanished_name_is_forgotten(self, tmp_path):
+        spool = tmp_path / "spool.jsonl"
+        write_records(corpus()[:3], spool)
+        source = SpoolDirectorySource(tmp_path)
+        assert len(source.poll(100)) == 3
+        spool.unlink()
+        assert source.poll(100) == []
+        # The same bytes again, maybe on the same inode: a new file.
+        write_records(corpus()[:3], spool)
+        assert len(source.poll(100)) == 3
+
     def test_partial_tail_reread_once_complete(self, tmp_path):
         source = SpoolDirectorySource(tmp_path)
         line = json.dumps(record_to_dict(corpus()[0]))

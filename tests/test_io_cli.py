@@ -534,6 +534,9 @@ class TestSignalsCli:
         from repro.io.artifact import load_artifact
 
         assert load_artifact(str(out)).signals == {}
+        # `kbt signals` names the update among the causes.
+        assert main(["signals", str(out)]) == 1
+        assert "'kbt update'" in capsys.readouterr().err
 
     def test_fit_gold_requires_signals(self, artifact, capsys):
         root, _path = artifact

@@ -16,6 +16,7 @@ import pytest
 from repro.cli import main
 from repro.core.types import DataItem, ExtractorKey, SourceKey
 from repro.ingest.stream import SpoolDirectorySource
+from repro.io import jsonl
 from repro.io.jsonl import (
     RecordParser,
     read_record_chunks,
@@ -157,6 +158,26 @@ def test_invalid_json_is_reported_with_its_place(reader, tmp_path):
         assert message == f"{path}:byte {len(first) + 1}: invalid JSON"
     else:
         assert message == f"{path}:3: invalid JSON"
+
+
+@pytest.mark.parametrize("run_lines", [2, 3, 8192])
+def test_records_before_a_bad_line_come_before_its_error(
+    run_lines, tmp_path, monkeypatch
+):
+    # read_records parses a run of lines at a time; whatever the run,
+    # what precedes the bad line reaches the consumer first, and line
+    # numbers count across runs.
+    monkeypatch.setattr(jsonl, "_RUN_LINES", run_lines)
+    path = tmp_path / "records.jsonl"
+    lines = [json.dumps(good(subject=f"s{k}")) for k in range(4)]
+    lines.insert(3, "{not json}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    seen = []
+    with pytest.raises(ValueError) as caught:
+        for record in read_records(path):
+            seen.append(record.item.subject)
+    assert str(caught.value) == f"{path}:4: invalid JSON"
+    assert seen == ["s0", "s1", "s2"]
 
 
 @READERS
