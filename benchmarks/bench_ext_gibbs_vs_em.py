@@ -9,12 +9,13 @@ wall-clock cost that grows with the sample count.
 """
 
 import statistics
+import sys
 import time
+from pathlib import Path
 
 from conftest import save_result
 
 from repro.core.config import AbsenceScope, MultiLayerConfig
-from repro.core.gibbs import GibbsConfig, GibbsMultiLayer
 from repro.core.multi_layer import MultiLayerModel
 from repro.core.observation import ObservationMatrix
 from repro.datasets.synthetic import SyntheticConfig, generate
@@ -25,6 +26,10 @@ from repro.eval.metrics import (
     triple_predictions,
 )
 from repro.util.tables import format_table
+
+# The sampler is test code: ``tests/`` is not a package on the bench path.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from gibbs_reference import GibbsConfig, GibbsMultiLayer  # noqa: E402
 
 SEEDS = (51, 52, 53)
 

@@ -43,8 +43,6 @@ _EXPORTS = {
     "ExtractorKey": "repro.core.types",
     "ExtractorQuality": "repro.core.quality",
     "FalseValueModel": "repro.core.config",
-    "GibbsConfig": "repro.core.gibbs",
-    "GibbsMultiLayer": "repro.core.gibbs",
     "GranularityConfig": "repro.core.config",
     "KBTEstimator": "repro.core.kbt",
     "KBTReport": "repro.core.kbt",

@@ -2,7 +2,7 @@
 
 Each ``repro`` package ``__init__`` re-exports its submodules' public
 names. Importing them eagerly would make ``import repro.serving.gateway``
-load the EM engine, Gibbs, copy detection and the ingest HTTP client,
+load the EM engine, copy detection and the ingest HTTP client,
 because importing a submodule first runs every package ``__init__`` above
 it. Instead a package hands :func:`lazy_exports` a table of where each
 name is defined, and the returned PEP 562 module ``__getattr__`` imports

@@ -1001,7 +1001,11 @@ def run_ingest(args: argparse.Namespace) -> int:
         + ")",
         flush=True,
     )
-    batches = pipeline.run(batcher.batches(), max_batches=args.max_batches)
+    try:
+        batches = pipeline.run(batcher.batches(), max_batches=args.max_batches)
+    finally:
+        if args.watch is not None:
+            source.close()
     if stdin_error:
         print(f"error: {stdin_error[0]}", file=sys.stderr)
         return 1

@@ -22,8 +22,6 @@ _EXPORTS = {
     "ExtractorQuality": "repro.core.quality",
     "FalseValueModel": "repro.core.config",
     "FittedKBT": "repro.core.kbt",
-    "GibbsConfig": "repro.core.gibbs",
-    "GibbsMultiLayer": "repro.core.gibbs",
     "GranularityConfig": "repro.core.config",
     "GranularityPlan": "repro.core.granularity",
     "IterationSnapshot": "repro.core.results",

@@ -66,7 +66,16 @@ class AbsenceScope(enum.Enum):
 
 @dataclass(frozen=True, slots=True)
 class ConvergenceConfig:
-    """EM loop control shared by both models."""
+    """EM loop control shared by both models.
+
+    A multi-layer fit is defined by its iteration count, not by a fixed
+    point: it stops after ``max_iterations`` rounds, or earlier once no
+    accuracy or quality moves by ``tolerance``. Past a few hundred
+    iterations the set Eq. 28 sums over, ``{p(C|X) >= 0.5}``, flips on
+    some claims and the fit never settles, so its result then depends on
+    the order of the records. At the default 5 iterations (and still at
+    200), a record stream and a shuffle of it score alike.
+    """
 
     max_iterations: int = 5
     tolerance: float = 1e-4

@@ -688,7 +688,7 @@ def assemble_result(
     est_extractor[prob.col_extractor] = True
     # The priors, when reported, sit on the C layer's coordinates.
     prior_rows = slice(None) if priors is not None else slice(0)
-    return MultiLayerResult.from_columns(
+    return MultiLayerResult(
         ResultColumns(
             sources=prob.sources,
             extractors=prob.extractors,

@@ -440,7 +440,7 @@ class FittedKBT:
         coordinates it introduced, plus refreshed value posteriors for the
         touched items.
         """
-        return MultiLayerResult.from_columns(
+        return MultiLayerResult(
             merge_columns(self.result.columns(), delta.columns()),
             combined_obs.num_triples,
             self.result.history + delta.history,

@@ -14,8 +14,8 @@ column order) with their support sizes. A restriction also keeps its
 sources' corpus-level active pairs (the ACTIVE absence scope).
 
 The columns are the one representation: every reader (the weightings,
-gold labels, the co-claim graph, SPLITANDMERGE planning, the Gibbs
-sampler) groups them itself, and the dict oracles of ``tests/`` convert
+gold labels, the co-claim graph, SPLITANDMERGE planning, and the Gibbs
+sampler of ``tests/gibbs_reference.py``) groups them itself, and the dict oracles of ``tests/`` convert
 them to ``tests/matrix_reference.py``'s ``ReferenceMatrix``.
 """
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import chain, compress, islice, repeat
+from itertools import compress, islice
 from operator import itemgetter
-from typing import Any, Hashable
+from typing import Hashable
 
 import numpy as np
 
@@ -415,11 +415,8 @@ class MultiLayerResult(_TripleView):
     disabled or never reached its start iteration).
 
     Its one state is its :class:`ResultColumns` (:meth:`columns`, what
-    the artifact writer reads), built by :meth:`from_columns` (a numpy
-    fit, a loaded artifact, a merged update) or interned once from the
-    views passed in (Gibbs, or the oracle of
-    ``tests/multi_layer_reference.py``), whose dicts then only
-    pre-fill the views decoded from the columns on first read.
+    the artifact writer reads): a numpy fit's, a loaded artifact's or a
+    merged update's. The views are decoded from them on first read.
 
     The views are read-only: assigning one raises ``AttributeError``,
     and their contents are not to be edited: an edited view would not
@@ -428,42 +425,14 @@ class MultiLayerResult(_TripleView):
 
     def __init__(
         self,
-        value_posteriors: dict[DataItem, dict[Value, float]],
-        extraction_posteriors: dict[Coord, float],
-        source_accuracy: dict[SourceKey, float],
-        extractor_quality: dict[ExtractorKey, ExtractorQuality],
-        estimable_sources: set[SourceKey],
-        estimable_extractors: set[ExtractorKey],
-        num_triples_total: int,
-        history: list[IterationSnapshot],
-        priors: dict[Coord, float] | None = None,
-    ) -> None:
-        self._num_triples_total = num_triples_total
-        self.history = history
-        self._views = {
-            "value_posteriors": value_posteriors,
-            "extraction_posteriors": extraction_posteriors,
-            "source_accuracy": source_accuracy,
-            "extractor_quality": extractor_quality,
-            "estimable_sources": estimable_sources,
-            "estimable_extractors": estimable_extractors,
-            "priors": priors or {},
-        }
-        self._columns = _intern(self)
-
-    @classmethod
-    def from_columns(
-        cls,
         columns: ResultColumns,
         num_triples_total: int,
         history: list[IterationSnapshot],
-    ) -> "MultiLayerResult":
-        result = cls.__new__(cls)
-        result._num_triples_total = num_triples_total
-        result.history = history
-        result._columns = columns
-        result._views = {}
-        return result
+    ) -> None:
+        self._num_triples_total = num_triples_total
+        self.history = history
+        self._columns = columns
+        self._views: dict = {}
 
     def columns(self) -> ResultColumns:
         """This result as :class:`ResultColumns`."""
@@ -495,107 +464,3 @@ class MultiLayerResult(_TripleView):
         """
         held = self._columns
         return source_support(held.sources, held.coord_source, held.coord_p)
-
-
-# ----------------------------------------------------------------------
-# Key interning: a dict-built result as columns
-# ----------------------------------------------------------------------
-class _Interner:
-    """Assigns stable indices to keys in first-seen order."""
-
-    def __init__(self) -> None:
-        self.index: dict[Any, int] = {}
-
-    def add(self, key: Any) -> int:
-        return self.index.setdefault(key, len(self.index))
-
-    def ids(self, keys: Iterable) -> np.ndarray:
-        return np.fromiter(map(self.add, keys), dtype=np.intp)
-
-
-def _intern(result: MultiLayerResult) -> ResultColumns:
-    """A dict-built result's columns: its keys interned section by
-    section in the artifact's order, so each table lists them as the
-    sections first name them (:func:`repro.io.artifact.save_artifact`).
-
-    The priors share their coordinate tuples with the C layer (as a
-    fit's and a loaded artifact's do), so they find their C-layer row by
-    object identity, without hashing a key; a prior with no such row has
-    its three keys interned where it stands. Every coordinate looked up
-    is alive in the result for the whole call, so an ``id`` cannot be
-    reused meanwhile.
-    """
-    tables = [_Interner() for _ in range(4)]
-    sources, extractors, items, values = tables
-    acc_source = sources.ids(result.source_accuracy)
-    eq_extractor = extractors.ids(result.extractor_quality)
-    qualities = list(result.extractor_quality.values())
-    # In ``str`` order, as the artifact lists the estimable sets.
-    est_source = sources.ids(sorted(result.estimable_sources, key=str))
-    est_extractor = extractors.ids(
-        sorted(result.estimable_extractors, key=str)
-    )
-
-    scored = list(result.extraction_posteriors)
-    coord_ids = np.array(
-        [
-            table.ids(keys)
-            for table, keys in zip(
-                (sources, items, values), tuple(zip(*scored)) or ((), (), ())
-            )
-        ],
-        dtype=np.intp,
-    ).reshape(3, len(scored))
-    row_of = {id(coord): row for row, coord in enumerate(scored)}
-    priors = list(result.priors)
-    rows = [row_of.get(id(coord), -1) for coord in priors]
-    missing = [k for k, row in enumerate(rows) if row < 0]
-    extra = [
-        [table.add(key) for table, key in zip((sources, items, values), coord)]
-        for coord in map(priors.__getitem__, missing)
-    ]
-    for offset, k in enumerate(missing, start=len(scored)):
-        rows[k] = offset
-    prior_ids = np.concatenate(
-        [coord_ids, np.array(extra, dtype=np.intp).reshape(-1, 3).T], axis=1
-    )[:, rows]
-
-    filled = [(item, p) for item, p in result.value_posteriors.items() if p]
-    vp_item = items.ids(
-        chain.from_iterable(repeat(item, len(p)) for item, p in filled)
-    )
-    vp_values = list(chain.from_iterable(p for _item, p in filled))
-    vp_value = values.ids(vp_values)
-    vp_empty_item = items.ids(
-        item for item, p in result.value_posteriors.items() if not p
-    )
-
-    def floats(column: Iterable[float]) -> np.ndarray:
-        return np.array(list(column), dtype=np.float64)
-
-    return ResultColumns(
-        *(list(table.index) for table in tables),
-        acc_source=acc_source,
-        acc_value=floats(result.source_accuracy.values()),
-        eq_extractor=eq_extractor,
-        eq_precision=floats(q.precision for q in qualities),
-        eq_recall=floats(q.recall for q in qualities),
-        eq_q=floats(q.q for q in qualities),
-        est_source=id_mask(len(sources.index), est_source),
-        est_extractor=id_mask(len(extractors.index), est_extractor),
-        coord_source=coord_ids[0],
-        coord_item=coord_ids[1],
-        coord_value=coord_ids[2],
-        coord_p=floats(result.extraction_posteriors.values()),
-        prior_source=prior_ids[0],
-        prior_item=prior_ids[1],
-        prior_value=prior_ids[2],
-        prior_p=floats(result.priors.values()),
-        vp_item=vp_item,
-        vp_value=vp_value,
-        vp_p=floats(chain.from_iterable(p.values() for _item, p in filled)),
-        vp_empty_item=vp_empty_item,
-        coords=scored,
-        prior_coords=priors,
-        vp_values=vp_values,
-    )

@@ -4,8 +4,8 @@ Each source claiming a value contributes ``log(n A_w / (1 - A_w))``
 (Eq. 19), optionally weighted by its extraction-correctness posterior
 (Eq. 23, Section 3.3.3); a softmax over the item's domain — including
 the unobserved values at ``exp(0)`` each — gives ``p(V_d = v)``
-(Eq. 21 / 25). The scalar forms live here for the worked examples and
-the Gibbs sampler; the fits run them as array passes
+(Eq. 21 / 25). The scalar forms live here for the worked examples; the
+fits run them as array passes
 (:func:`repro.core.engine_numpy.segment_softmax`).
 """
 

@@ -26,7 +26,7 @@ import time
 from collections import deque
 from collections.abc import Iterator
 from pathlib import Path
-from typing import Callable, Protocol, runtime_checkable
+from typing import BinaryIO, Callable, Protocol, runtime_checkable
 
 from repro.core.types import ExtractionRecord
 from repro.io.jsonl import RecordParser
@@ -94,11 +94,14 @@ class SpoolDirectorySource:
     including one already visited — are picked up on the next poll. New
     files appearing in the directory join the rotation automatically.
 
-    Rotation: an offset belongs to the file (device and inode) it was
-    read from, not to its name. A name that now holds another file (a
-    log rotated by rename and recreate) or a file shorter than its
-    offset (rotated by copy and truncate) is read from its start, and a
-    name that no longer matches the pattern is forgotten.
+    Rotation: each file is held open across polls, keyed by its device
+    and inode, not by its name. A name that no longer shows a held file
+    (renamed away, deleted, or now holding another file: a log rotated
+    by rename and recreate) has the held file drained to its last
+    complete line and closed, so records appended between the last poll
+    and the rotation are read too. A file shorter than its offset
+    (rotated by copy and truncate) is read from its start. ``close()``
+    closes every held file.
 
     Tail safety: lines are consumed only once newline-terminated. A
     truncated final line (a writer caught mid-append) stays unconsumed —
@@ -119,13 +122,19 @@ class SpoolDirectorySource:
                 f"spool directory does not exist: {self._directory}"
             )
         self._pattern = pattern
-        #: Per name: the (st_dev, st_ino) read and the byte offset in it.
-        self._offsets: dict[Path, tuple[tuple[int, int], int]] = {}
+        #: Per (st_dev, st_ino): the open file, its last name, its offset.
+        self._files: dict[tuple[int, int], _SpoolFile] = {}
         self._carry: deque[ExtractionRecord] = deque()
 
     @property
     def exhausted(self) -> bool:
         return False
+
+    def close(self) -> None:
+        """Close every held file; a later poll opens them again."""
+        for held in self._files.values():
+            held.handle.close()
+        self._files.clear()
 
     def poll(self, max_records: int) -> list[ExtractionRecord]:
         out: list[ExtractionRecord] = []
@@ -136,11 +145,22 @@ class SpoolDirectorySource:
         # One parser per poll: equal keys are one object across every
         # file the poll reads, and the memo is gone when it returns.
         parser = RecordParser()
-        paths = sorted(self._directory.glob(self._pattern))
-        for gone in self._offsets.keys() - set(paths):
-            del self._offsets[gone]
-        for path in paths:
-            for record in self._tail_file(path, parser):
+        shown = {}
+        for path in sorted(self._directory.glob(self._pattern)):
+            try:
+                shown[path] = os.stat(path)
+            except FileNotFoundError:
+                continue
+        live = {(stat.st_dev, stat.st_ino) for stat in shown.values()}
+        # A held file no name shows any more (renamed away, deleted or
+        # replaced): its complete lines not yet read, then it is closed.
+        gone = [self._files.pop(key) for key in list(self._files)
+                if key not in live]
+        batches = [held.drain(parser) for held in gone]
+        batches += [self._tail_file(path, stat, parser)
+                    for path, stat in shown.items()]
+        for records in batches:
+            for record in records:
                 if len(out) < max_records:
                     out.append(record)
                 else:
@@ -150,39 +170,68 @@ class SpoolDirectorySource:
         return out
 
     def _tail_file(
-        self, path: Path, parser: RecordParser
+        self, path: Path, stat: os.stat_result, parser: RecordParser
     ) -> list[ExtractionRecord]:
-        # Binary mode: offsets are byte positions, and a torn multibyte
-        # UTF-8 sequence at the tail must not raise mid-decode. Identity
-        # and size are the open file's: the name may be replaced between
-        # a stat and an open.
-        try:
-            handle = open(path, "rb")
-        except FileNotFoundError:
-            return []
-        with handle:
+        held = self._files.get((stat.st_dev, stat.st_ino))
+        if held is None:
+            # Binary mode: offsets are byte positions, and a torn
+            # multibyte UTF-8 sequence at the tail must not raise
+            # mid-decode. Identity and size are the open file's: the
+            # name may be replaced between the stat and the open.
+            try:
+                handle = open(path, "rb")
+            except FileNotFoundError:
+                return []
             stat = os.fstat(handle.fileno())
             identity = (stat.st_dev, stat.st_ino)
-            known, offset = self._offsets.get(path, (identity, 0))
-            if known != identity or stat.st_size < offset:
-                offset = 0
-            self._offsets[path] = (identity, offset)
-            if stat.st_size <= offset:
-                return []
-            handle.seek(offset)
-            data = handle.read()
+            held = self._files.get(identity)
+            if held is None:
+                held = self._files[identity] = _SpoolFile(handle, path)
+            else:
+                handle.close()
+        held.path = path
+        if stat.st_size < held.offset:
+            held.offset = 0
+        if stat.st_size <= held.offset:
+            return []
+        return held.read(parser)
+
+
+class _SpoolFile:
+    """One spool file held open: the name it was last seen under and
+    the byte offset of its first line not yet consumed."""
+
+    __slots__ = ("handle", "path", "offset")
+
+    def __init__(self, handle: BinaryIO, path: Path) -> None:
+        self.handle = handle
+        self.path = path
+        self.offset = 0
+
+    def read(self, parser: RecordParser) -> list[ExtractionRecord]:
+        """The records of the complete lines past the offset, which
+        then moves past them."""
+        self.handle.seek(self.offset)
+        data = self.handle.read()
         records: list[ExtractionRecord] = []
         consumed = 0
         for raw_line in data.splitlines(keepends=True):
             if not raw_line.endswith(b"\n"):
                 # Partially written tail: leave it for the next poll.
                 break
-            record = parser.parse(raw_line, path, offset + consumed, "byte ")
+            record = parser.parse(
+                raw_line, self.path, self.offset + consumed, "byte "
+            )
             consumed += len(raw_line)
             if record is not None:
                 records.append(record)
-        self._offsets[path] = (identity, offset + consumed)
+        self.offset += consumed
         return records
+
+    def drain(self, parser: RecordParser) -> list[ExtractionRecord]:
+        """:meth:`read`, then close the file."""
+        with self.handle:
+            return self.read(parser)
 
 
 class MicroBatcher:

@@ -920,7 +920,7 @@ def load_artifact(path: str | Path) -> TrustArtifact:
     header, arrays = _read_members(path)
     cache: dict = {}
     columns = _decode_columns(header, arrays, cache)
-    result = MultiLayerResult.from_columns(
+    result = MultiLayerResult(
         columns,
         header["num_triples_total"],
         [IterationSnapshot(*row) for row in header["history"]],

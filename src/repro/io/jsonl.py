@@ -32,8 +32,10 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable, Iterator
+from contextlib import ExitStack
 from itertools import islice
 from pathlib import Path
+from typing import BinaryIO
 
 from repro.core.types import (
     DataItem,
@@ -235,7 +237,7 @@ _RUN_LINES = 8192
 @paused_gc()
 def _parse_run(
     parser: RecordParser,
-    handle: Iterator[str],
+    handle: Iterator[str] | Iterator[bytes],
     path: str | Path,
     first: int,
     count: int,
@@ -253,7 +255,8 @@ def _parse_run(
         try:
             record = parser.parse(line, path, first + read - 1)
         except ValueError as error:
-            if torn_tail_ends and not line.endswith("\n"):
+            newline = b"\n" if isinstance(line, bytes) else "\n"
+            if torn_tail_ends and not line.endswith(newline):
                 # The file's final bytes are a record still being
                 # written, even if they parse as JSON on their own (the
                 # "1" of an in-flight "12345"): only a newline-terminated
@@ -265,6 +268,21 @@ def _parse_run(
     return records, read, None
 
 
+def _bytes_from(path: str | Path, first: int) -> BinaryIO:
+    """``path`` opened in binary, past its first ``first - 1`` lines.
+
+    A reader's text-mode decoder works a block ahead of the lines it
+    hands out, so a byte that is not UTF-8 fails a run before the line
+    holding it is known. The reader then reads on from the run's first
+    line in bytes, where :meth:`RecordParser.parse` decodes line by line
+    and names the line that fails (``path:line: invalid JSON``).
+    """
+    handle = open(path, "rb")
+    for _line in islice(handle, first - 1):
+        pass
+    return handle
+
+
 def read_records(path: str | Path) -> Iterator[ExtractionRecord]:
     """Stream records from a JSONL file (blank lines are skipped).
 
@@ -273,12 +291,17 @@ def read_records(path: str | Path) -> Iterator[ExtractionRecord]:
     record before a malformed line is yielded before its ``ValueError``.
     """
     parser = RecordParser()
-    with open(path, "r", encoding="utf-8") as handle:
+    with ExitStack() as files:
+        handle = files.enter_context(open(path, "r", encoding="utf-8"))
         first = 1
         while True:
-            records, read, error = _parse_run(
-                parser, handle, path, first, _RUN_LINES, False
-            )
+            try:
+                records, read, error = _parse_run(
+                    parser, handle, path, first, _RUN_LINES, False
+                )
+            except UnicodeDecodeError:
+                handle = files.enter_context(_bytes_from(path, first))
+                continue
             yield from records
             if error is not None:
                 raise error
@@ -310,14 +333,19 @@ def read_record_chunks(
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     parser = RecordParser()
     chunk: list[ExtractionRecord] = []
-    with open(path, "r", encoding="utf-8") as handle:
+    with ExitStack() as files:
+        handle = files.enter_context(open(path, "r", encoding="utf-8"))
         first = 1
         while True:
             # At most the lines that can fill the chunk: it never overflows.
             count = min(chunk_size - len(chunk), _RUN_LINES)
-            records, read, error = _parse_run(
-                parser, handle, path, first, count, True
-            )
+            try:
+                records, read, error = _parse_run(
+                    parser, handle, path, first, count, True
+                )
+            except UnicodeDecodeError:
+                handle = files.enter_context(_bytes_from(path, first))
+                continue
             chunk += records
             if error is not None:
                 raise error

@@ -36,6 +36,7 @@ from repro.core.results import Coord, IterationSnapshot, MultiLayerResult
 from repro.core.types import DataItem, ExtractorKey, SourceKey, Value
 from repro.util.logmath import clamp
 from repro.util.rng import derive_rng
+from result_reference import result_from_views
 
 #: Sentinel for "some unobserved in-domain value" when sampling V_d.
 OTHER = object()
@@ -409,7 +410,7 @@ class _GibbsState:
                     derive_q(precision, recall, gamma), 1e-4, 1 - 1e-4
                 ),
             )
-        return MultiLayerResult(
+        return result_from_views(
             value_posteriors=value_posteriors,
             extraction_posteriors=extraction_posteriors,
             source_accuracy=source_accuracy,

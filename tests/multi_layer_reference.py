@@ -25,6 +25,7 @@ from repro.core.results import Coord, IterationSnapshot, MultiLayerResult
 from repro.core.types import DataItem, ExtractorKey, SourceKey, Value
 from repro.core.votes import value_posteriors
 from repro.util.logmath import clamp, log_odds, safe_log, sigmoid
+from result_reference import result_from_views
 
 
 class VoteTable:
@@ -122,7 +123,7 @@ def fit_python(
         if max(accuracy_delta, extractor_delta) < cfg.convergence.tolerance:
             break
 
-    return MultiLayerResult(
+    return result_from_views(
         value_posteriors=state.posteriors,
         extraction_posteriors=state.p_correct,
         source_accuracy=state.accuracy,
@@ -361,6 +362,18 @@ class _FitState:
         estimate believes the source provides. Eq. 28 additionally weights
         each by p(C|X). Including sub-0.5 coordinates would let dubious
         extractions (mostly extractor noise) swamp the source's accuracy.
+
+        Measured (on the array engine, whose ``_claim_weights`` is this
+        cut): weighting every claim by p(C|X) with no cut fails five
+        recovery bounds of ``tests/test_integration.py`` on the Section
+        5.2 corpus — SqA 0.221 against 0.08 (and the single layer's
+        0.118), SqC 0.543 against 0.2, SqV 0.0219 against the single
+        layer's 0.0103 + 0.01, and ``test_sqa_stable_for_multi_layer``
+        0.438 against 0.222 + 0.05 — and still reaches no fixed point on
+        the smoke KV corpus: one two-claim source slides from accuracy
+        0.605 to 0.334 between iterations 2 000 and 12 000. So the cut
+        stays, and a fit is defined by its iteration count
+        (``ConvergenceConfig``).
         """
         cfg = self._cfg
         max_delta = 0.0

@@ -16,6 +16,13 @@ they call that did not change (the npz writer, the zip member, the
 member reader, the key codecs) are imported from the library; the
 member reader's arrays come as lists through :class:`_Lists`, as the
 former reader gave them.
+
+``result_from_views`` builds a result from its dict views, as the
+former ``MultiLayerResult.__init__`` did: :func:`_intern`, moved here
+verbatim, interns its keys once into the columns the library's one
+constructor takes. The dict oracles, the Gibbs sampler of
+``tests/gibbs_reference.py`` and the tests that hand-build a result go
+through it.
 """
 
 from __future__ import annotations
@@ -23,7 +30,9 @@ from __future__ import annotations
 import json
 import zipfile
 from collections.abc import Iterable
+from itertools import chain, repeat
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Any
 
 import numpy as np
@@ -32,7 +41,12 @@ from repro.core.engine_numpy import ParamState
 from repro.core.indexing import CompiledProblem
 from repro.core.observation import ObservationMatrix
 from repro.core.quality import ExtractorQuality
-from repro.core.results import IterationSnapshot, MultiLayerResult
+from repro.core.results import (
+    IterationSnapshot,
+    MultiLayerResult,
+    ResultColumns,
+    id_mask,
+)
 from repro.core.types import DataItem, ExtractorKey, SourceKey, Value
 from repro.io.artifact import (
     _DEFLATE_LEVEL,
@@ -62,6 +76,9 @@ class _Interner:
 
     def add(self, key: Any) -> int:
         return self.index.setdefault(key, len(self.index))
+
+    def ids(self, keys: Iterable) -> np.ndarray:
+        return np.fromiter(map(self.add, keys), dtype=np.intp)
 
     @property
     def table(self) -> list[Any]:
@@ -408,7 +425,7 @@ def reference_load_result(path: str | Path) -> MultiLayerResult:
     values = header["values"]
 
     coordinates = _CoordinateDecoder(sources, items, values)
-    result = MultiLayerResult(
+    result = result_from_views(
         value_posteriors=_decode_value_posteriors(items, values, arrays),
         extraction_posteriors=dict(
             zip(coordinates.decode(arrays, "coord"), arrays["coord_p"])
@@ -473,7 +490,7 @@ def reference_assemble_result(
         dict(zip(prob.coords, priors.tolist())) if priors is not None else {}
     )
 
-    return MultiLayerResult(
+    return result_from_views(
         value_posteriors=value_posteriors,
         extraction_posteriors=extraction_posteriors,
         source_accuracy=source_accuracy,
@@ -527,7 +544,7 @@ def reference_merge_delta(
     priors = dict(old.priors)
     for coord, prior in delta.priors.items():
         priors.setdefault(coord, prior)
-    return MultiLayerResult(
+    return result_from_views(
         value_posteriors=value_posteriors,
         extraction_posteriors=extraction_posteriors,
         source_accuracy=source_accuracy,
@@ -541,4 +558,109 @@ def reference_merge_delta(
         num_triples_total=combined_obs.num_triples,
         history=old.history + delta.history,
         priors=priors,
+    )
+
+
+# ----------------------------------------------------------------------
+# Key interning: a dict-built result as columns
+# ----------------------------------------------------------------------
+def result_from_views(
+    *,
+    num_triples_total: int,
+    history: list[IterationSnapshot],
+    priors: dict | None = None,
+    **views: Any,
+) -> MultiLayerResult:
+    """A result built from its dict views (the keyword names of
+    :class:`MultiLayerResult`'s views): its keys interned once by
+    :func:`_intern`; its views are then decoded from those columns."""
+    held = SimpleNamespace(priors=priors or {}, **views)
+    return MultiLayerResult(_intern(held), num_triples_total, history)
+
+
+def _intern(result: MultiLayerResult) -> ResultColumns:
+    """A dict-built result's columns: its keys interned section by
+    section in the artifact's order, so each table lists them as the
+    sections first name them (:func:`repro.io.artifact.save_artifact`).
+
+    The priors share their coordinate tuples with the C layer (as a
+    fit's and a loaded artifact's do), so they find their C-layer row by
+    object identity, without hashing a key; a prior with no such row has
+    its three keys interned where it stands. Every coordinate looked up
+    is alive in the result for the whole call, so an ``id`` cannot be
+    reused meanwhile.
+    """
+    tables = [_Interner() for _ in range(4)]
+    sources, extractors, items, values = tables
+    acc_source = sources.ids(result.source_accuracy)
+    eq_extractor = extractors.ids(result.extractor_quality)
+    qualities = list(result.extractor_quality.values())
+    # In ``str`` order, as the artifact lists the estimable sets.
+    est_source = sources.ids(sorted(result.estimable_sources, key=str))
+    est_extractor = extractors.ids(
+        sorted(result.estimable_extractors, key=str)
+    )
+
+    scored = list(result.extraction_posteriors)
+    coord_ids = np.array(
+        [
+            table.ids(keys)
+            for table, keys in zip(
+                (sources, items, values), tuple(zip(*scored)) or ((), (), ())
+            )
+        ],
+        dtype=np.intp,
+    ).reshape(3, len(scored))
+    row_of = {id(coord): row for row, coord in enumerate(scored)}
+    priors = list(result.priors)
+    rows = [row_of.get(id(coord), -1) for coord in priors]
+    missing = [k for k, row in enumerate(rows) if row < 0]
+    extra = [
+        [table.add(key) for table, key in zip((sources, items, values), coord)]
+        for coord in map(priors.__getitem__, missing)
+    ]
+    for offset, k in enumerate(missing, start=len(scored)):
+        rows[k] = offset
+    prior_ids = np.concatenate(
+        [coord_ids, np.array(extra, dtype=np.intp).reshape(-1, 3).T], axis=1
+    )[:, rows]
+
+    filled = [(item, p) for item, p in result.value_posteriors.items() if p]
+    vp_item = items.ids(
+        chain.from_iterable(repeat(item, len(p)) for item, p in filled)
+    )
+    vp_values = list(chain.from_iterable(p for _item, p in filled))
+    vp_value = values.ids(vp_values)
+    vp_empty_item = items.ids(
+        item for item, p in result.value_posteriors.items() if not p
+    )
+
+    def floats(column: Iterable[float]) -> np.ndarray:
+        return np.array(list(column), dtype=np.float64)
+
+    return ResultColumns(
+        *(list(table.index) for table in tables),
+        acc_source=acc_source,
+        acc_value=floats(result.source_accuracy.values()),
+        eq_extractor=eq_extractor,
+        eq_precision=floats(q.precision for q in qualities),
+        eq_recall=floats(q.recall for q in qualities),
+        eq_q=floats(q.q for q in qualities),
+        est_source=id_mask(len(sources.index), est_source),
+        est_extractor=id_mask(len(extractors.index), est_extractor),
+        coord_source=coord_ids[0],
+        coord_item=coord_ids[1],
+        coord_value=coord_ids[2],
+        coord_p=floats(result.extraction_posteriors.values()),
+        prior_source=prior_ids[0],
+        prior_item=prior_ids[1],
+        prior_value=prior_ids[2],
+        prior_p=floats(result.priors.values()),
+        vp_item=vp_item,
+        vp_value=vp_value,
+        vp_p=floats(chain.from_iterable(p.values() for _item, p in filled)),
+        vp_empty_item=vp_empty_item,
+        coords=scored,
+        prior_coords=priors,
+        vp_values=vp_values,
     )

@@ -24,7 +24,7 @@ from repro.core.kbt import FittedKBT, KBTEstimator
 from repro.core.multi_layer import MultiLayerModel
 from repro.core.observation import ObservationMatrix
 from repro.core.quality import ExtractorQuality
-from repro.core.results import IterationSnapshot, MultiLayerResult
+from repro.core.results import IterationSnapshot
 from repro.core.types import (
     DataItem,
     ExtractionRecord,
@@ -48,6 +48,7 @@ from repro.signals.base import SignalScores
 
 from test_determinism_ladder import CORPUS, GOLDENS_DIR, result_digest
 from test_observation import cells_of, records_of, snapshot
+from result_reference import result_from_views
 
 
 def page_records(website, url, extractor, items, value_fn):
@@ -542,7 +543,7 @@ def trust_artifacts(draw):
         value_posteriors.setdefault(item, {})[value] = rng.random()
     # Items left without a posterior entry reload after the others.
     value_posteriors[DataItem("empty", "p")] = {}
-    result = MultiLayerResult(
+    result = result_from_views(
         value_posteriors=value_posteriors,
         extraction_posteriors=posteriors,
         source_accuracy={s: rng.random() for s in sources},

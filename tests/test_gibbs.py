@@ -1,9 +1,13 @@
-"""Unit tests for the Gibbs-sampling inference engine."""
+"""Unit tests for the Gibbs-sampling reference engine
+(``tests/gibbs_reference.py``)."""
 
 import pytest
 
-from repro.core.config import AbsenceScope, MultiLayerConfig
-from repro.core.gibbs import GibbsConfig, GibbsMultiLayer
+from repro.core.config import (
+    AbsenceScope,
+    ConvergenceConfig,
+    MultiLayerConfig,
+)
 from repro.core.multi_layer import MultiLayerModel
 from repro.core.observation import ObservationMatrix
 from repro.core.types import (
@@ -18,7 +22,10 @@ from repro.datasets.motivating import (
     motivating_example,
     source_key,
 )
+from repro.datasets.synthetic import SyntheticConfig, generate
 from repro.eval.metrics import sq_accuracy_loss
+
+from gibbs_reference import GibbsConfig, GibbsMultiLayer
 
 
 class TestGibbsConfig:
@@ -156,3 +163,33 @@ class TestRestrictedMatrix:
         ).fit(sub)
         assert set(result.extractor_quality) == {e1}
         assert set(result.source_accuracy) == {w, v}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 13: converged EM believes every extraction",
+)
+def test_converged_em_tracks_gibbs():
+    """On the Section 5.2 defaults, EM run to convergence keeps SqA
+    within 0.05 of the exact-model sampler's. It does not yet: Gibbs
+    gives SqA 0.013 / 0.019 / 0.019 at seeds 51-53, converged EM
+    0.134 / 0.162 / 0.150 (extractor precision runs to the ceiling, and
+    extraction errors are charged to the sources)."""
+    cfg = MultiLayerConfig(absence_scope=AbsenceScope.ACTIVE)
+    converged = MultiLayerConfig(
+        absence_scope=AbsenceScope.ACTIVE,
+        convergence=ConvergenceConfig(max_iterations=200, tolerance=0.0),
+    )
+    losses = {}
+    for seed in (51, 52, 53):
+        data = generate(SyntheticConfig(seed=seed, num_extractors=5))
+        obs = ObservationMatrix.from_records(data.records)
+        gibbs = GibbsMultiLayer(
+            cfg, GibbsConfig(seed=1, burn_in=30, samples=70)
+        ).fit(obs)
+        em = MultiLayerModel(converged).fit(obs)
+        losses[seed] = tuple(
+            sq_accuracy_loss(result.source_accuracy, data.true_accuracy)
+            for result in (em, gibbs)
+        )
+    assert all(em <= gibbs + 0.05 for em, gibbs in losses.values()), losses

@@ -1,7 +1,7 @@
 """Each process imports only the layers it runs.
 
 ``kbt serve`` maps a layout and answers lookups: its process must never
-load the EM engine, Gibbs, SPLITANDMERGE, PageRank, copy detection,
+load the EM engine, SPLITANDMERGE, PageRank, copy detection,
 evaluation or the ingest HTTP client. Two things keep it so — package
 ``__init__``s that resolve their re-exports on first access
 (:mod:`repro._lazy`), and serving modules that import the fit layer only
@@ -47,7 +47,6 @@ PACKAGES = [
 #: loop, the web graph, evaluation, copy detection and urllib's client.
 NOT_IN_THE_GATEWAY = [
     "repro.core.engine_numpy",
-    "repro.core.gibbs",
     "repro.core.observation",
     "repro.core.kbt",
     "repro.io.artifact",

@@ -164,6 +164,44 @@ class TestSpoolDirectorySource:
         ]
         assert source.poll(100) == []
 
+    def test_rotation_drains_the_tail_appended_before_it(self, tmp_path):
+        # A record appended after the last poll and before a rename
+        # rotation is read from the held file, before the new file's.
+        spool = tmp_path / "spool.jsonl"
+        write_records(corpus()[:3], spool)
+        source = SpoolDirectorySource(tmp_path)
+        assert len(source.poll(100)) == 3
+        self.append(spool, corpus()[3:4])
+        spool.rename(tmp_path / "spool.jsonl.1")
+        write_records(corpus()[4:6], spool)
+        assert [r.value for r in source.poll(100)] == [
+            r.value for r in corpus()[3:6]
+        ]
+        assert source.poll(100) == []
+        source.close()
+
+    def test_a_deleted_file_is_drained_and_closed(self, tmp_path):
+        spool = tmp_path / "spool.jsonl"
+        write_records(corpus()[:3], spool)
+        source = SpoolDirectorySource(tmp_path)
+        assert len(source.poll(100)) == 3
+        self.append(spool, corpus()[3:5])
+        spool.unlink()
+        assert [r.value for r in source.poll(100)] == [
+            r.value for r in corpus()[3:5]
+        ]
+        assert source._files == {}
+
+    def test_close_closes_every_held_file(self, tmp_path):
+        write_records(corpus()[:2], tmp_path / "a.jsonl")
+        write_records(corpus()[2:4], tmp_path / "b.jsonl")
+        source = SpoolDirectorySource(tmp_path)
+        assert len(source.poll(100)) == 4
+        handles = [held.handle for held in source._files.values()]
+        assert len(handles) == 2 and not any(h.closed for h in handles)
+        source.close()
+        assert all(h.closed for h in handles)
+
     def test_copy_truncate_rereads_from_the_start(self, tmp_path):
         spool = tmp_path / "spool.jsonl"
         write_records(corpus()[:3], spool)

@@ -12,7 +12,6 @@ from repro.core.config import (
 )
 from repro.core.kbt import FittedKBT, KBTEstimator, KBTReport
 from repro.core.observation import ObservationMatrix
-from repro.core.results import MultiLayerResult
 from repro.core.types import (
     DataItem,
     ExtractionRecord,
@@ -22,6 +21,7 @@ from repro.core.types import (
 )
 from repro.datasets.kv import KVConfig, iter_kv_record_chunks
 from repro.datasets.motivating import motivating_example, source_key
+from result_reference import result_from_views
 
 
 def page_records(website, url, extractor, items, value_fn):
@@ -110,7 +110,7 @@ def build_result(entries):
         for claim, p in enumerate(p_corrects):
             item = DataItem(f"s{index}_{claim}", "p")
             extraction_posteriors[(source, item, f"v{index}_{claim}")] = p
-    return MultiLayerResult(
+    return result_from_views(
         value_posteriors={},
         extraction_posteriors=extraction_posteriors,
         source_accuracy=source_accuracy,
@@ -244,11 +244,30 @@ class TestMotivatingExampleThroughFacade:
         )
 
 
-def test_shuffled_record_stream_scores_alike():
+@pytest.mark.parametrize(
+    "iterations",
+    [
+        5,
+        200,
+        pytest.param(
+            2000,
+            marks=pytest.mark.xfail(
+                strict=True, reason="ROADMAP item 1: the Ĉ=1 set flips"
+            ),
+        ),
+    ],
+)
+def test_shuffled_record_stream_scores_alike(iterations):
     """A fit reads a set of records, not a stream: at the iteration count
-    the serving path runs (5, tolerance 0), the KV corpus in generator
-    order and in a seeded shuffle gives the same website scores, source
-    accuracies and value posteriors up to float summation order."""
+    the serving path runs (5, tolerance 0), and still at 200, the KV
+    corpus in generator order and in a seeded shuffle gives the same
+    website scores, source accuracies and value posteriors up to float
+    summation order (gaps of about 2e-14 at 5 iterations, 1e-10 at 200).
+
+    The contract is a fixed iteration count (``ConvergenceConfig``): by
+    2 000 iterations the set ``{p(C|X) >= 0.5}`` that Eq. 28 sums over
+    has flipped on some claims, and the two orders differ by about 0.1.
+    """
     corpus = KVConfig(
         num_websites=60,
         items_per_predicate=60,
@@ -272,7 +291,9 @@ def test_shuffled_record_stream_scores_alike():
         absence_scope=AbsenceScope.ACTIVE,
         min_extractor_support=3,
         min_source_support=2,
-        convergence=ConvergenceConfig(tolerance=0.0, max_iterations=5),
+        convergence=ConvergenceConfig(
+            tolerance=0.0, max_iterations=iterations
+        ),
     )
     ordered = KBTEstimator(config=config).fit(records)
     mixed = KBTEstimator(config=config).fit(shuffled)

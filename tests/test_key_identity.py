@@ -26,10 +26,10 @@ pytest.importorskip("numpy")
 
 from repro.core.config import ConvergenceConfig, MultiLayerConfig
 from repro.core.kbt import FittedKBT, KBTEstimator
-from repro.core import results as results_module
 from repro.core.observation import ObservationMatrix
-from repro.core.results import MultiLayerResult
 from repro.ingest.stream import SpoolDirectorySource
+import result_reference
+from result_reference import result_from_views
 from repro.io.jsonl import (
     read_record_chunks,
     read_records,
@@ -219,14 +219,14 @@ def test_encoder_interns_each_coordinate_once(tmp_path, monkeypatch):
     )
 
     calls = 0
-    add = results_module._Interner.add
+    add = result_reference._Interner.add
 
     def counting_add(self, key):
         nonlocal calls
         calls += 1
         return add(self, key)
 
-    monkeypatch.setattr(results_module._Interner, "add", counting_add)
+    monkeypatch.setattr(result_reference._Interner, "add", counting_add)
     fitted.save(tmp_path / "columns.kbt")
     assert calls == 0
     # The same result built from its dicts interns its keys.
@@ -235,7 +235,7 @@ def test_encoder_interns_each_coordinate_once(tmp_path, monkeypatch):
         "extractor_quality", "estimable_sources", "estimable_extractors",
         "priors",
     )
-    from_dicts = MultiLayerResult(
+    from_dicts = result_from_views(
         **{name: getattr(result, name) for name in views},
         num_triples_total=result.num_triples_total,
         history=result.history,

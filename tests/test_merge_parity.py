@@ -31,7 +31,6 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import results as results_module
 from repro.core.kbt import FittedKBT, KBTEstimator
 from repro.core.observation import ObservationMatrix
 from repro.core.quality import ExtractorQuality
@@ -44,11 +43,13 @@ from repro.core.types import (
     page_source,
 )
 from repro.io.artifact import TrustArtifact, load_artifact, save_artifact
+import result_reference
 from result_reference import (
     reference_expected_triples_by_source,
     reference_load_result,
     reference_merge_delta,
     reference_save_artifact,
+    result_from_views,
 )
 from test_result_parity import (
     VALUES,
@@ -280,7 +281,7 @@ def dict_results(draw) -> MultiLayerResult:
         )
     }
     extra = set(draw(st.lists(st.sampled_from(UNSCORED), unique=True)))
-    return MultiLayerResult(
+    return result_from_views(
         value_posteriors={**filled, **empty},
         extraction_posteriors=scored,
         source_accuracy=accuracy,
@@ -315,7 +316,7 @@ class TestDictBuiltMerge:
                 for item, posterior in value_posteriors.items()
                 for value in posterior
             }
-            return MultiLayerResult(
+            return result_from_views(
                 value_posteriors=value_posteriors,
                 extraction_posteriors=scored,
                 source_accuracy={s: 0.9},
@@ -347,7 +348,7 @@ class TestDictBuiltMerge:
         z, y = UNSCORED
 
         def result(estimable):
-            return MultiLayerResult(
+            return result_from_views(
                 value_posteriors={},
                 extraction_posteriors={},
                 source_accuracy={SOURCES[2]: 0.5},
@@ -414,13 +415,13 @@ def test_an_updated_model_holds_columns_and_its_save_interns_nothing(
     assert not set(PER_COORDINATE) & set(updated.result._views)
 
     calls = 0
-    add = results_module._Interner.add
+    add = result_reference._Interner.add
 
     def counting_add(self, key):
         nonlocal calls
         calls += 1
         return add(self, key)
 
-    monkeypatch.setattr(results_module._Interner, "add", counting_add)
+    monkeypatch.setattr(result_reference._Interner, "add", counting_add)
     updated.save(tmp_path / "updated.kbt")
     assert calls == 0

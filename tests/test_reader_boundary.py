@@ -202,6 +202,52 @@ def test_undecodable_bytes_in_the_spool_are_invalid_json(tmp_path):
         SpoolDirectorySource(tmp_path).poll(10)
 
 
+@pytest.mark.parametrize("run_lines", [2, 3, 8192])
+@pytest.mark.parametrize("reader", [read_whole, read_chunked],
+                         ids=lambda f: f.__name__)
+def test_undecodable_bytes_in_a_file_name_their_line(
+    reader, run_lines, tmp_path, monkeypatch
+):
+    # The text-mode decoder fails a block ahead of the lines it hands
+    # out; the error still names the line, and what precedes it is read.
+    monkeypatch.setattr(jsonl, "_RUN_LINES", run_lines)
+    path = tmp_path / "records.jsonl"
+    lines = [json.dumps(good(subject=f"s{k}")).encode() for k in range(6)]
+    lines.insert(4, b'{"subject": "\xff"}')
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    seen = []
+    with pytest.raises(ValueError) as caught:
+        if reader is read_whole:
+            for record in read_records(path):
+                seen.append(record.item.subject)
+        else:
+            reader(path)
+    assert str(caught.value) == f"{path}:5: invalid JSON"
+    if reader is read_whole:
+        assert seen == ["s0", "s1", "s2", "s3"]
+
+
+def test_a_torn_multibyte_tail_is_left_for_the_next_read(tmp_path):
+    path = tmp_path / "records.jsonl"
+    line = json.dumps(good(value="café"), ensure_ascii=False).encode()
+    torn = line[: line.index("é".encode()) + 1]  # cut inside the "é"
+    path.write_bytes(line + b"\n" + torn)
+    assert read_chunked(path) == [record_from_dict(good(value="café"))]
+    with pytest.raises(ValueError, match=r"records\.jsonl:2: invalid JSON"):
+        read_whole(path)
+
+
+def test_kbt_fit_on_undecodable_bytes_is_one_error_line(tmp_path, capsys):
+    # The parent printed "error: 'utf-8' codec can't decode byte 0xff in
+    # position 8: invalid start byte", with no file and no line.
+    path = file_of(tmp_path, *[good(subject=f"s{i}") for i in range(5)])
+    lines = path.read_bytes().split(b"\n")
+    lines[1] = b"\xff"
+    path.write_bytes(b"\n".join(lines))
+    assert main(["fit", str(path), "--output", str(tmp_path / "s.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {path}:2: invalid JSON\n"
+
+
 #: Confidences float() accepts but the contract ("a number in (0, 1]")
 #: does not: the parent built records from all of these.
 NON_NUMBER_CONFIDENCES = {

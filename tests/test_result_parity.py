@@ -10,7 +10,7 @@ on the same final arrays, and checks that:
   ``True`` and ``1.0`` are equal but not the same value) and float bits
   included, and so does every view of a loaded artifact;
 * three saves write the same bytes: the column-backed result, the same
-  result rebuilt from its dicts (``MultiLayerResult(**views)``, which
+  result rebuilt from its dicts (``result_from_views(**views)``, which
   interns its keys), and the reference writer on the reference result;
 * every key table, of a fit, of an interned result and of a loaded
   one, starts with the keys its id columns name, in the order they
@@ -65,6 +65,7 @@ from result_reference import (
     reference_expected_triples_by_source,
     reference_load_result,
     reference_save_artifact,
+    result_from_views,
 )
 
 VALUES = ["a", "b", 1, True, 1.0, None, 0, 2.5]
@@ -131,7 +132,7 @@ def assert_first_seen(columns: ResultColumns):
 
 def rebuilt(result: MultiLayerResult) -> MultiLayerResult:
     """The same result built from its dict views."""
-    return MultiLayerResult(
+    return result_from_views(
         **{name: getattr(result, name) for name in VIEWS},
         num_triples_total=result.num_triples_total,
         history=result.history,
@@ -266,7 +267,7 @@ def three_saves(
         path = directory / f"{name}.kbt"
         save(artifact, path)
         written.append(path.read_bytes())
-    assert written[0] == written[1], "columns vs MultiLayerResult(**dicts)"
+    assert written[0] == written[1], "columns vs result_from_views(**dicts)"
     assert written[0] == written[2], "columns vs the reference writer"
 
 
@@ -415,7 +416,7 @@ class TestSourceSupport:
     @settings(max_examples=200, deadline=None)
     def test_bincount_is_the_dict_loop_bit_for_bit(self, rows):
         sources = [page_source(f"w{k}.com", "p", "x") for k in range(6)]
-        result = MultiLayerResult(
+        result = result_from_views(
             value_posteriors={},
             extraction_posteriors={
                 (sources[s], DataItem(f"s{row}", "p"), "v"): p

@@ -9,6 +9,7 @@ from repro.core.results import (
     SingleLayerResult,
 )
 from repro.core.types import DataItem, ExtractorKey, SourceKey
+from result_reference import result_from_views
 
 
 def item(name):
@@ -37,7 +38,7 @@ def multi_result(**overrides):
         history=[IterationSnapshot(1, 0.1, 0.2)],
     )
     defaults.update(overrides)
-    return MultiLayerResult(**defaults)
+    return result_from_views(**defaults)
 
 
 class TestIterationSnapshot:
