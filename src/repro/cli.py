@@ -13,6 +13,7 @@ The subcommands mirror the fit -> persist -> query lifecycle:
       kbt fit demo.jsonl --artifact model.kbt --backend processes --shards 8
       kbt fit demo.jsonl --artifact model.kbt --spill-dir /tmp/spill \\
           --shards 32 --max-resident-shards 1   # out-of-core streaming
+      kbt fit demo.jsonl --artifact model.kbt --trace trace.jsonl
 
 * ``query`` — answer score lookups from an artifact without refitting::
 
@@ -122,6 +123,14 @@ def build_parser() -> argparse.ArgumentParser:
             "website gold labels (JSONL: {\"website\": ..., \"accurate\": "
             "...}) used to calibrate the signal-fusion weights; without "
             "them fusion weights are uniform"
+        ),
+    )
+    fit.add_argument(
+        "--trace", default=None, metavar="FILE",
+        help=(
+            "write the run's timings as JSON lines: one per span (read, "
+            "build, compile, each EM stage, assemble, save, layout), one "
+            "per EM iteration, and a closing Table 7 line"
         ),
     )
     _add_model_options(fit)
@@ -601,7 +610,8 @@ def _print_summary(
     fitted: FittedKBT, num_records: int, args: argparse.Namespace
 ) -> bool:
     """Write the CSV + stdout ranking; returns False when nothing scored."""
-    from repro.io.reports import score_sort_key, write_score_csv
+    from repro.core.kbt import score_sort_key
+    from repro.io.reports import write_score_csv
 
     scores = fitted.website_scores()
     if not scores:
@@ -691,7 +701,36 @@ def _fit_signals(
     return signals, fusion.weights
 
 
+def _check_output_dirs(**outputs: str | None) -> None:
+    """Refuse an output whose directory does not exist, before any
+    record is read: the alternative is a whole fit, then a traceback."""
+    from pathlib import Path
+
+    for what, path in outputs.items():
+        if path is not None and not Path(path).parent.is_dir():
+            raise ValueError(
+                f"cannot write {what} {path}: no directory "
+                f"{Path(path).parent}"
+            )
+
+
 def run_fit(args: argparse.Namespace) -> int:
+    _check_output_dirs(
+        artifact=args.artifact, output=args.output, trace=args.trace
+    )
+    if args.trace is None:
+        return _fit(args)
+    from repro import obs
+
+    recorder = obs.Recorder()
+    try:
+        with obs.installed(recorder):
+            return _fit(args)
+    finally:
+        recorder.write(args.trace)
+
+
+def _fit(args: argparse.Namespace) -> int:
     from repro.core.observation import ObservationMatrix
     from repro.io.jsonl import read_records
 
@@ -894,6 +933,8 @@ def run_update(args: argparse.Namespace) -> int:
     from repro.io.artifact import load_artifact
     from repro.io.jsonl import read_records
 
+    out_path = args.artifact_out or args.artifact
+    _check_output_dirs(artifact=out_path, output=args.output)
     artifact = load_artifact(args.artifact)
     if artifact.signals:
         print(
@@ -909,7 +950,6 @@ def run_update(args: argparse.Namespace) -> int:
         sweeps=args.sweeps,
         **_execution_from_args(args),
     )
-    out_path = args.artifact_out or args.artifact
     updated.save(out_path)
     print(f"saved updated trust artifact to {out_path}")
     new_sites = sorted(set(updated.website_scores()) - before)

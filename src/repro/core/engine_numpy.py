@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import obs
 from repro.core.config import AbsenceScope, MultiLayerConfig
 from repro.core.indexing import CompiledProblem
 from repro.core.observation import ObservationMatrix
@@ -432,59 +433,63 @@ def reduce_statistics(
                     release(array, lo, hi)
 
     # --- claims: theta_1 vote sums ------------------------------------
-    acc_numer = acc_denom = None
-    for lo, hi in windows(
-        prob.claim_coord, prob.claim_triple, invariants.claim_source
-    ):
-        claim_coord = prob.claim_coord[lo:hi]
-        claim_source = invariants.claim_source[lo:hi]
-        masked_weight = _claim_weights(cfg, p_correct[claim_coord])
-        acc_numer = _scatter_add(
-            acc_numer,
-            claim_source,
-            masked_weight * posterior[prob.claim_triple[lo:hi]],
-            n_sources,
-        )
-        acc_denom = _scatter_add(
-            acc_denom, claim_source, masked_weight, n_sources
-        )
+    with obs.span("em.srcaccu"):
+        acc_numer = acc_denom = None
+        for lo, hi in windows(
+            prob.claim_coord, prob.claim_triple, invariants.claim_source
+        ):
+            claim_coord = prob.claim_coord[lo:hi]
+            claim_source = invariants.claim_source[lo:hi]
+            masked_weight = _claim_weights(cfg, p_correct[claim_coord])
+            acc_numer = _scatter_add(
+                acc_numer,
+                claim_source,
+                masked_weight * posterior[prob.claim_triple[lo:hi]],
+                n_sources,
+            )
+            acc_denom = _scatter_add(
+                acc_denom, claim_source, masked_weight, n_sources
+            )
 
     if cfg.freeze_extractor_quality:
         return ReduceStats(acc_numer, acc_denom, None, None, None)
 
     # --- extraction entries: theta_2 numerators -----------------------
-    ext_numer = None
-    for lo, hi in windows(prob.entry_coord, prob.entry_col, prob.entry_conf):
-        ext_numer = _scatter_add(
-            ext_numer,
-            prob.entry_col[lo:hi],
-            prob.entry_conf[lo:hi] * p_correct[prob.entry_coord[lo:hi]],
-            n_cols,
-        )
-
-    # --- recall denominator (Eq. 33) ----------------------------------
-    if cfg.absence_scope is AbsenceScope.ACTIVE:
-        p_by_source = None
-        for lo, hi in windows(prob.coord_source):
-            p_by_source = _scatter_add(
-                p_by_source,
-                prob.coord_source[lo:hi],
-                p_correct[lo:hi],
-                n_sources,
-            )
-        recall_denom = None
-        for lo, hi in windows(prob.active_src, prob.active_col):
-            recall_denom = _scatter_add(
-                recall_denom,
-                prob.active_col[lo:hi],
-                p_by_source[prob.active_src[lo:hi]],
+    with obs.span("em.extquality"):
+        ext_numer = None
+        for lo, hi in windows(
+            prob.entry_coord, prob.entry_col, prob.entry_conf
+        ):
+            ext_numer = _scatter_add(
+                ext_numer,
+                prob.entry_col[lo:hi],
+                prob.entry_conf[lo:hi] * p_correct[prob.entry_coord[lo:hi]],
                 n_cols,
             )
-    else:
-        # p_correct is a driver-resident anonymous array; its pairwise
-        # whole-array sum is kept as-is (chunked partial sums would
-        # change the association order and break bit-identity).
-        recall_denom = np.full(n_cols, float(p_correct.sum()))
+
+        # --- recall denominator (Eq. 33) ------------------------------
+        if cfg.absence_scope is AbsenceScope.ACTIVE:
+            p_by_source = None
+            for lo, hi in windows(prob.coord_source):
+                p_by_source = _scatter_add(
+                    p_by_source,
+                    prob.coord_source[lo:hi],
+                    p_correct[lo:hi],
+                    n_sources,
+                )
+            recall_denom = None
+            for lo, hi in windows(prob.active_src, prob.active_col):
+                recall_denom = _scatter_add(
+                    recall_denom,
+                    prob.active_col[lo:hi],
+                    p_by_source[prob.active_src[lo:hi]],
+                    n_cols,
+                )
+        else:
+            # p_correct is a driver-resident anonymous array; its pairwise
+            # whole-array sum is kept as-is (chunked partial sums would
+            # change the association order and break bit-identity).
+            recall_denom = np.full(n_cols, float(p_correct.sum()))
     return ReduceStats(
         acc_numer, acc_denom, ext_numer, invariants.conf_total, recall_denom
     )
@@ -508,81 +513,85 @@ def _apply_parameter_updates(
     acc_numer, acc_denom = stats.acc_numer, stats.acc_denom
 
     # --- theta_1 (Eq. 27/28): masked segment means per source -----------
-    acc_rows = np.flatnonzero(
-        params.estimable_src_mask
-        & (acc_denom > 0.0)
-        & params.unfrozen_src_mask
-    )
-    accuracy_delta = 0.0
-    if acc_rows.size:
-        new_accuracy = np.clip(
-            acc_numer[acc_rows] / acc_denom[acc_rows],
-            cfg.quality_floor,
-            cfg.quality_ceiling,
+    with obs.span("em.srcaccu"):
+        acc_rows = np.flatnonzero(
+            params.estimable_src_mask
+            & (acc_denom > 0.0)
+            & params.unfrozen_src_mask
         )
-        accuracy_delta = float(
-            np.abs(new_accuracy - accuracy[acc_rows]).max()
-        )
-        accuracy[acc_rows] = new_accuracy
+        accuracy_delta = 0.0
+        if acc_rows.size:
+            new_accuracy = np.clip(
+                acc_numer[acc_rows] / acc_denom[acc_rows],
+                cfg.quality_floor,
+                cfg.quality_ceiling,
+            )
+            accuracy_delta = float(
+                np.abs(new_accuracy - accuracy[acc_rows]).max()
+            )
+            accuracy[acc_rows] = new_accuracy
 
     # --- theta_2 (Eq. 29-33 + Eq. 7): segment sums per column -----------
-    precision_floor = max(cfg.quality_floor, cfg.gamma)
-    extractor_delta = 0.0
-    if stats.ext_numer is None:
-        ext_rows = np.zeros(0, dtype=np.intp)
-    else:
-        ext_numer = stats.ext_numer
-        conf_total = stats.conf_total
-        recall_denom = stats.recall_denom
-        ext_rows = np.flatnonzero(
-            (conf_total > 0.0)
-            & (recall_denom > 0.0)
-            & params.unfrozen_col_mask
-        )
-    if ext_rows.size:
-        numer = ext_numer[ext_rows]
-        new_precision = np.clip(
-            numer / conf_total[ext_rows],
-            precision_floor,
-            cfg.quality_ceiling,
-        )
-        new_recall = np.clip(
-            numer / recall_denom[ext_rows],
-            cfg.quality_floor,
-            cfg.quality_ceiling,
-        )
-        old_precision = precision[ext_rows]
-        old_recall = recall[ext_rows]
-        if cfg.quality_damping < 1.0:
-            damping = cfg.quality_damping
-            new_precision = (
-                (1.0 - damping) * old_precision + damping * new_precision
+    with obs.span("em.extquality"):
+        precision_floor = max(cfg.quality_floor, cfg.gamma)
+        extractor_delta = 0.0
+        if stats.ext_numer is None:
+            ext_rows = np.zeros(0, dtype=np.intp)
+        else:
+            ext_numer = stats.ext_numer
+            conf_total = stats.conf_total
+            recall_denom = stats.recall_denom
+            ext_rows = np.flatnonzero(
+                (conf_total > 0.0)
+                & (recall_denom > 0.0)
+                & params.unfrozen_col_mask
             )
-            new_recall = (1.0 - damping) * old_recall + damping * new_recall
-        clamped_p = np.clip(
-            new_precision, cfg.quality_floor, cfg.quality_ceiling
-        )
-        clamped_r = np.clip(
-            new_recall, cfg.quality_floor, cfg.quality_ceiling
-        )
-        new_q = np.clip(
-            cfg.gamma
-            / (1.0 - cfg.gamma)
-            * (1.0 - clamped_p)
-            / clamped_p
-            * clamped_r,
-            cfg.quality_floor,
-            cfg.quality_ceiling,
-        )
-        extractor_delta = float(
-            np.maximum(
-                np.abs(new_precision - old_precision),
-                np.abs(new_recall - old_recall),
-            ).max()
-        )
-        precision[ext_rows] = new_precision
-        recall[ext_rows] = new_recall
-        q_vec[ext_rows] = new_q
+        if ext_rows.size:
+            numer = ext_numer[ext_rows]
+            new_precision = np.clip(
+                numer / conf_total[ext_rows],
+                precision_floor,
+                cfg.quality_ceiling,
+            )
+            new_recall = np.clip(
+                numer / recall_denom[ext_rows],
+                cfg.quality_floor,
+                cfg.quality_ceiling,
+            )
+            old_precision = precision[ext_rows]
+            old_recall = recall[ext_rows]
+            if cfg.quality_damping < 1.0:
+                damping = cfg.quality_damping
+                new_precision = (
+                    (1.0 - damping) * old_precision + damping * new_precision
+                )
+                new_recall = (
+                    (1.0 - damping) * old_recall + damping * new_recall
+                )
+            clamped_p = np.clip(
+                new_precision, cfg.quality_floor, cfg.quality_ceiling
+            )
+            clamped_r = np.clip(
+                new_recall, cfg.quality_floor, cfg.quality_ceiling
+            )
+            new_q = np.clip(
+                cfg.gamma
+                / (1.0 - cfg.gamma)
+                * (1.0 - clamped_p)
+                / clamped_p
+                * clamped_r,
+                cfg.quality_floor,
+                cfg.quality_ceiling,
+            )
+            extractor_delta = float(
+                np.maximum(
+                    np.abs(new_precision - old_precision),
+                    np.abs(new_recall - old_recall),
+                ).max()
+            )
+            precision[ext_rows] = new_precision
+            recall[ext_rows] = new_recall
+            q_vec[ext_rows] = new_q
 
     return accuracy_delta, extractor_delta
 

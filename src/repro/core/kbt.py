@@ -27,10 +27,14 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from itertools import compress
 from numbers import Real
 from pathlib import Path
 
+import numpy as np
+
+from repro import obs
 from repro.core.config import GranularityConfig, MultiLayerConfig
 from repro.core.granularity import SplitAndMerge
 from repro.core.multi_layer import MultiLayerModel
@@ -71,83 +75,167 @@ class KBTReport:
     ) -> None:
         self.result = result
         self.min_triples = check_min_triples(min_triples)
-        self._support = result.expected_triples_by_source()
+        self._support: dict[SourceKey, float] | None = None
+        self._scores: ScoreAggregate | None = None
 
     @property
     def source_support(self) -> dict[SourceKey, float]:
         """Expected correctly-extracted triples per model source."""
+        if self._support is None:
+            self._support = self.result.expected_triples_by_source()
         return self._support
 
     def source_scores(self) -> dict[SourceKey, KBTScore]:
         """KBT per model source (whatever granularity the model ran at)."""
         scores = {}
         for source, accuracy in self.result.source_accuracy.items():
-            support = self._support.get(source, 0.0)
+            support = self.source_support.get(source, 0.0)
             if support < self.min_triples:
                 continue
             scores[source] = KBTScore(source, accuracy, support)
         return scores
 
-    def _aggregate(self, group_of) -> dict[object, KBTScore]:
-        return aggregate_scores(
-            self.result.source_accuracy,
-            self._support,
-            self.min_triples,
-            group_of,
-        )
+    @property
+    def _aggregate(self) -> "ScoreAggregate":
+        """The website and webpage scores (:func:`aggregate_scores`),
+        computed once."""
+        if self._scores is None:
+            self._scores = aggregate_scores(
+                self.result.columns(), self.min_triples
+            )
+        return self._scores
 
     def webpage_scores(self) -> dict[tuple[str, str], KBTScore]:
         """KBT per (website, webpage), from sources carrying a webpage."""
-        return self._aggregate(webpage_of)
+        return self._aggregate.webpages.scores()
 
     def website_scores(self) -> dict[str, KBTScore]:
         """KBT per website (the Figure 7 / Figure 10 unit)."""
-        return self._aggregate(website_of)
+        return self._aggregate.websites.scores()
 
 
-def website_of(source: SourceKey) -> str:
-    """The website a model source aggregates into."""
-    return source.website
+def key_text(key: object) -> str:
+    """The rendered form of a score key (tuples join with '|')."""
+    if isinstance(key, tuple):
+        return "|".join(str(part) for part in key)
+    return str(key)
 
 
-def webpage_of(source: SourceKey) -> tuple[str, str] | None:
-    """The (website, webpage) of a source that carries one, else None."""
-    if source.level >= 3:
-        return (source.features[0], source.features[2])
-    return None
+def score_sort_key(score: KBTScore) -> tuple[float, str]:
+    """Descending score, ties broken on the rendered key.
 
-
-def aggregate_scores(
-    source_accuracy: dict[SourceKey, float],
-    source_support: dict[SourceKey, float],
-    min_triples: float,
-    group_of,
-) -> dict[object, KBTScore]:
-    """Support-weighted average of source accuracies per group.
-
-    The one aggregation behind :class:`KBTReport` and the serving
-    columns (:func:`repro.io.mmap_layout.serving_columns`): sources
-    ``group_of`` maps to None, or with no support, contribute nothing,
-    and a group is reported only when its support reaches
-    ``min_triples`` (Section 5.4). Groups keep first-seen order.
+    The one ranking rule shared by the CSV writer, the CLI summary, and
+    the serving columns, so equal fits rank identically everywhere.
     """
-    numer: dict[object, float] = {}
-    denom: dict[object, float] = {}
-    for source, accuracy in source_accuracy.items():
-        group = group_of(source)
-        if group is None:
-            continue
-        support = source_support.get(source, 0.0)
-        if support <= 0.0:
-            continue
-        numer[group] = numer.get(group, 0.0) + support * accuracy
-        denom[group] = denom.get(group, 0.0) + support
-    scores = {}
-    for group, weight in denom.items():
-        if weight < min_triples:
-            continue
-        scores[group] = KBTScore(group, numer[group] / weight, weight)
-    return scores
+    return (-score.score, key_text(score.key))
+
+
+@dataclass(frozen=True)
+class Groups:
+    """One aggregation level's reported groups, in first-seen order."""
+
+    keys: list
+    score: np.ndarray
+    support: np.ndarray
+
+    def scores(self) -> dict:
+        """The groups as :class:`KBTScore` by key."""
+        return dict(
+            zip(
+                self.keys,
+                map(
+                    KBTScore,
+                    self.keys,
+                    self.score.tolist(),
+                    self.support.tolist(),
+                ),
+            )
+        )
+
+
+@dataclass(frozen=True)
+class ScoreAggregate:
+    """What :func:`aggregate_scores` returns.
+
+    ``sources`` are the sources with support, in accuracy-row order,
+    with their ``accuracy`` and ``support``; ``site_row`` is the row of
+    each one's website in ``websites``, or -1 where that website is not
+    reported.
+    """
+
+    sources: list
+    accuracy: np.ndarray
+    support: np.ndarray
+    site_row: np.ndarray
+    websites: Groups
+    webpages: Groups
+
+
+def aggregate_scores(result, min_triples: float) -> ScoreAggregate:
+    """Support-weighted average of source accuracies per website and
+    per webpage (Section 5.4), from the result's columns.
+
+    ``result`` is a :class:`~repro.core.results.ResultColumns` (or any
+    object with its ``sources``, ``acc_source`` / ``acc_value`` and
+    ``coord_source`` / ``coord_p``). A source's support is its C-layer
+    ``p`` summed; a source with no support contributes nothing, a
+    source without a webpage no webpage score, and a group is reported
+    only when its support reaches ``min_triples``. Groups keep the order
+    their first source has in the accuracy rows.
+
+    The sums are ``np.bincount``s over the accuracy rows: each adds its
+    weights one by one, in row order, from 0.0 — the additions a loop
+    over ``source_accuracy`` makes, so the scores are that loop's to the
+    bit.
+    """
+    sources = result.sources
+    rows = np.asarray(result.acc_source, dtype=np.intp)
+    totals = np.bincount(
+        np.asarray(result.coord_source, dtype=np.intp),
+        weights=np.asarray(result.coord_p, dtype=np.float64),
+        minlength=len(sources),
+    )
+    live = np.flatnonzero(~(totals[rows] <= 0.0))
+    keys = list(map(sources.__getitem__, rows[live].tolist()))
+    accuracy = np.asarray(result.acc_value, dtype=np.float64)[live]
+    support = totals[rows[live]]
+    weighted = support * accuracy
+
+    def groups(of: list, where: np.ndarray) -> tuple[Groups, np.ndarray]:
+        """The groups ``of`` names for the live rows ``where``, and each
+        row's reported group (-1: not reported)."""
+        index: dict = {}
+        ids = np.fromiter(
+            (index.setdefault(group, len(index)) for group in of),
+            dtype=np.intp,
+            count=len(of),
+        )
+        size = len(index)
+        numer = np.bincount(ids, weights=weighted[where], minlength=size)
+        denom = np.bincount(ids, weights=support[where], minlength=size)
+        reported = ~(denom < min_triples)
+        row = np.full(size, -1, dtype=np.intp)
+        row[reported] = np.arange(np.count_nonzero(reported))
+        return (
+            Groups(
+                list(compress(index, reported.tolist())),
+                numer[reported] / denom[reported],
+                denom[reported],
+            ),
+            row[ids],
+        )
+
+    websites, site_row = groups(
+        [key.features[0] for key in keys], np.arange(len(keys))
+    )
+    paged = [row for row, key in enumerate(keys) if key.level >= 3]
+    webpages, _ = groups(
+        [(keys[row].features[0], keys[row].features[2]) for row in paged],
+        np.array(paged, dtype=np.intp),
+    )
+    return ScoreAggregate(
+        keys, accuracy, support, site_row, websites, webpages
+    )
 
 
 class FittedKBT:
@@ -239,19 +327,20 @@ class FittedKBT:
             signals=signals,
             fusion_weights=fusion_weights,
         )
-        path = save_artifact(artifact, path)
-        columns = serving_columns(
-            self.result.source_accuracy, self.report.source_support,
-            self.min_triples, signals, fusion_weights,
-        )
-        try:
-            cache_layout(path, columns)
-        except LayoutError as err:
-            raise LayoutError(
-                f"saved {path}, but not its serving layout: {err} (the "
-                "artifact is complete; opening it later exports the "
-                "layout)"
-            ) from err
+        with obs.span("core.kbt.save"):
+            path = save_artifact(artifact, path)
+            columns = serving_columns(
+                self.result.columns(), self.min_triples, signals,
+                fusion_weights,
+            )
+            try:
+                cache_layout(path, columns)
+            except LayoutError as err:
+                raise LayoutError(
+                    f"saved {path}, but not its serving layout: {err} (the "
+                    "artifact is complete; opening it later exports the "
+                    "layout)"
+                ) from err
         return path
 
     @classmethod
@@ -494,6 +583,14 @@ class KBTEstimator:
         provided, initial accuracies transfer to relabelled keys by applying
         the same plan to the initialisation mapping (unsplit keys only).
         """
+        with obs.span("core.kbt.fit"):
+            return self._fit(
+                data, initial_source_accuracy, initial_extractor_quality
+            )
+
+    def _fit(
+        self, data, initial_source_accuracy, initial_extractor_quality
+    ) -> FittedKBT:
         if isinstance(data, ObservationMatrix):
             observations = data
         else:

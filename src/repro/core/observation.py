@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro import obs
 from repro.core.types import (
     DataItem,
     ExtractionRecord,
@@ -213,7 +214,8 @@ class ObservationMatrix:
         collector paused (:func:`repro.util.heap.paused_gc`), drawing
         the records included, so ``records`` must not fork.
         """
-        return cls(records)
+        with obs.span("core.observation.build"):
+            return cls(records)
 
     @classmethod
     def from_cells(

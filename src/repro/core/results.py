@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import compress, islice
-from operator import itemgetter
+from operator import is_, itemgetter
 from typing import Hashable
 
 import numpy as np
@@ -272,7 +272,12 @@ def id_mask(size: int, *columns: np.ndarray) -> np.ndarray:
 
 def join_keys(table: list, keys: Iterable) -> np.ndarray:
     """The ids of ``keys`` in ``table``, each looked up once; a key not
-    there joins it at its end (``1``, ``True``, ``1.0`` are one key)."""
+    there joins it at its end (``1``, ``True``, ``1.0`` are one key).
+    Keys that are the table's own first objects, in its order (a fit's
+    matrix and result share them), are found without hashing."""
+    keys = list(keys)
+    if len(keys) <= len(table) and all(map(is_, keys, table)):
+        return np.arange(len(keys), dtype=np.intp)
     index = dict(zip(table, range(len(table))))
     ids = [index.setdefault(key, len(index)) for key in keys]
     table.extend(islice(index, len(table), None))

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import obs
 from repro.core.config import MultiLayerConfig
 from repro.core.engine_numpy import (
     assemble_result,
@@ -89,9 +90,10 @@ def fit_sharded(
     released (only its ``num_triples`` is read once the problem is
     compiled).
     """
-    prob = problem if problem is not None else compile_problem(
-        observations, cfg
-    )
+    prob = problem
+    if prob is None:
+        with obs.span("core.indexing.compile"):
+            prob = compile_problem(observations, cfg)
 
     checkpointing = cfg.checkpoint_dir is not None
     expected_problem = expected_config = None
@@ -119,9 +121,10 @@ def fit_sharded(
             )
 
     if plan is None:
-        plan = ShardPlan.from_problem(
-            prob, cfg, resolve_num_shards(cfg, prob)
-        )
+        with obs.span("exec.plan.build"):
+            plan = ShardPlan.from_problem(
+                prob, cfg, resolve_num_shards(cfg, prob)
+            )
 
     out_of_core = cfg.spill_dir is not None
     release_window = None
@@ -177,6 +180,15 @@ def fit_sharded(
         if already_converged
         else range(start_iteration, cfg.convergence.max_iterations + 1)
     )
+    # Traced fits count the claims whose p(C|X) crossed 0.5 (the MAP cut
+    # of Eq. 28) each iteration; the first compares with the prior.
+    side = None
+    if obs.recording():
+        side = (
+            p_correct[prob.claim_coord] >= 0.5
+            if ckpt is not None
+            else np.full(len(prob.claim_coord), cfg.alpha >= 0.5)
+        )
     with BACKENDS[cfg.backend or "serial"]().open(source, cfg) as session:
         for iteration in iterations:
             last_iteration = iteration
@@ -187,7 +199,8 @@ def fit_sharded(
                 priors if _prior_update_due(cfg, iteration - 1) else None,
                 *iteration_inputs(cfg, prob, params),
             )
-            session.run_iteration(it_params, p_correct, posterior)
+            with obs.span("em.map"):
+                session.run_iteration(it_params, p_correct, posterior)
 
             # The reduce: one window per array family, or windows of
             # cfg.reduce_chunk elements (bit-identical); out-of-core
@@ -205,16 +218,26 @@ def fit_sharded(
             history.append(
                 IterationSnapshot(iteration, accuracy_delta, extractor_delta)
             )
+            if side is not None:
+                now = p_correct[prob.claim_coord] >= 0.5
+                obs.event(
+                    iteration=iteration,
+                    accuracy_delta=accuracy_delta,
+                    extractor_delta=extractor_delta,
+                    crossed=int(np.count_nonzero(now != side)),
+                )
+                side = now
             if _prior_update_due(cfg, iteration):
                 # Eq. 26 closes the iteration, from its posteriors and
                 # the accuracies its M step just produced.
-                priors = prior_update(
-                    cfg,
-                    prob,
-                    posterior,
-                    residual_mass(cfg, prob, posterior),
-                    params.accuracy,
-                )
+                with obs.span("em.prior"):
+                    priors = prior_update(
+                        cfg,
+                        prob,
+                        posterior,
+                        residual_mass(cfg, prob, posterior),
+                        params.accuracy,
+                    )
             if out_of_core:
                 # The reduce and Eq. 26 just scanned the memory-mapped
                 # global arrays; release their pages so the resident
@@ -244,17 +267,18 @@ def fit_sharded(
             if hit_tolerance:
                 break
 
-    return assemble_result(
-        prob,
-        observations,
-        p_correct,
-        posterior,
-        params,
-        # Reported iff the fit re-estimated priors at all (the
-        # due-condition is monotone in the iteration).
-        priors if _prior_update_due(cfg, last_iteration) else None,
-        history,
-    )
+    with obs.span("core.engine_numpy.assemble"):
+        return assemble_result(
+            prob,
+            observations,
+            p_correct,
+            posterior,
+            params,
+            # Reported iff the fit re-estimated priors at all (the
+            # due-condition is monotone in the iteration).
+            priors if _prior_update_due(cfg, last_iteration) else None,
+            history,
+        )
 
 
 def residual_mass(

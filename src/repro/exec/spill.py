@@ -60,7 +60,7 @@ from repro.io.container import ColumnFormat
 
 #: Format identifier + version written to (and required from) manifests.
 SPILL_FORMAT = "kbt-shard-spill"
-SPILL_VERSION = 1
+SPILL_VERSION = 2
 
 #: The CompiledProblem fields holding numpy arrays: everything the
 #: per-iteration driver reduce scans. Python-object tables (key lists,

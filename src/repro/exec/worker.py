@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import obs
 from repro.core.config import AbsenceScope, MultiLayerConfig
 from repro.core.engine_numpy import (
     _log_odds,
@@ -108,39 +109,42 @@ def run_shard_iteration(
         np.array([cfg.alpha]) if priors is None else priors
     ).astype(dtype, copy=False)
 
-    # --- C step (Section 3.3.1) ---------------------------------------
-    if cfg.absence_scope is AbsenceScope.ACTIVE:
-        base = params.base_absence[shard.coord_source]
-    else:
-        base = params.base_absence
-    vcc = _seeded_vcc(
-        base,
-        shard.entry_coord,
-        shard.entry_conf
-        * (params.pre_vote - params.abs_vote)[shard.entry_col],
-        shard.num_coords,
-    ).astype(dtype, copy=False)
-    p_correct = _sigmoid(vcc + prior_log_odds)
+    # --- C step (Section 3.3.1; Table 7's stage I) ---------------------
+    with obs.span("em.extcorr"):
+        if cfg.absence_scope is AbsenceScope.ACTIVE:
+            base = params.base_absence[shard.coord_source]
+        else:
+            base = params.base_absence
+        vcc = _seeded_vcc(
+            base,
+            shard.entry_coord,
+            shard.entry_conf
+            * (params.pre_vote - params.abs_vote)[shard.entry_col],
+            shard.num_coords,
+        ).astype(dtype, copy=False)
+        p_correct = _sigmoid(vcc + prior_log_odds)
 
-    # --- V step (Sections 3.3.2-3.3.3) --------------------------------
-    claim_p = p_correct[shard.claim_coord]
-    if cfg.use_weighted_vcv:
-        claim_weight = claim_p
-    else:
-        claim_weight = map_cutoff(claim_p)
-    source_vote = params.source_vote.astype(dtype, copy=False)
-    if shard.claim_log_pop is None:
-        contrib = claim_weight * source_vote[shard.claim_source]
-    else:
-        contrib = claim_weight * (
-            source_vote[shard.claim_source] - shard.claim_log_pop
+    # --- V step (Sections 3.3.2-3.3.3; Table 7's stage II) -------------
+    with obs.span("em.triplepr"):
+        claim_p = p_correct[shard.claim_coord]
+        if cfg.use_weighted_vcv:
+            claim_weight = claim_p
+        else:
+            claim_weight = map_cutoff(claim_p)
+        source_vote = params.source_vote.astype(dtype, copy=False)
+        if shard.claim_log_pop is None:
+            contrib = claim_weight * source_vote[shard.claim_source]
+        else:
+            contrib = claim_weight * (
+                source_vote[shard.claim_source] - shard.claim_log_pop
+            )
+        votes = np.bincount(
+            shard.claim_triple, weights=contrib, minlength=shard.num_triples
+        ).astype(dtype, copy=False)
+        posterior = segment_softmax(
+            votes, shard.item_ptr[:-1], shard.triple_item,
+            shard.num_unobserved,
         )
-    votes = np.bincount(
-        shard.claim_triple, weights=contrib, minlength=shard.num_triples
-    ).astype(dtype, copy=False)
-    posterior = segment_softmax(
-        votes, shard.item_ptr[:-1], shard.triple_item, shard.num_unobserved
-    )
     return p_correct, posterior
 
 

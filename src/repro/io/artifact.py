@@ -1,23 +1,38 @@
 """Versioned on-disk trust artifacts: the *persist* stage of the lifecycle.
 
 A trust artifact is one zip file holding everything a fitted KBT model
-needs to be served or warm-started later:
+needs to be served or warm-started later. Format 4, what
+:func:`save_artifact` writes, is a header and flat columns:
 
 * ``header.json`` — format name + ``FORMAT_VERSION``, the serialised
   :class:`~repro.core.config.MultiLayerConfig` (and granularity config),
-  the reporting threshold, interning tables for every source / extractor /
-  item / value key (and, since format 2, website strings), the
-  convergence history, named trust-signal descriptors with their fusion
-  weights, and arbitrary metadata;
-* one payload member with the numeric state of the fitted
-  :class:`~repro.core.results.MultiLayerResult` — and the per-website
-  score/support arrays of every embedded trust signal
-  (:mod:`repro.signals`) — as flat arrays, ``payload.npz``: floats as
-  ``float64``, key-id and count columns at the narrowest unsigned dtype
-  that holds them. Loading also accepts a ``payload.json`` member (the
-  same arrays as plain lists), which builds before this one could write.
+  the reporting threshold, the seed, metadata, the value table (JSON
+  scalars), the convergence history, the triple count, the website
+  table and the descriptors of the embedded trust signals, and their
+  fusion weights. No key table: those are columns.
+* one ``<name>.npy`` member per column. The key tables: one string
+  pool (``pool.blob`` + ``pool.off``, the serving layout's string
+  encoding) holding each distinct feature, subject and predicate once,
+  in first-seen order; ``src_feat`` (n x 3) and ``ext_feat`` (n x 4),
+  pool ids with 0 for an absent feature; ``src_bucket`` /
+  ``ext_bucket`` (bucket + 1, 0 for none) only where a key carries a
+  split bucket; ``item_subj`` / ``item_pred``. Then the numeric state
+  of the fitted :class:`~repro.core.results.MultiLayerResult` — the
+  re-estimated priors as ``prior_row``, the C-layer rows they sit on,
+  and ``prior_p`` — the observation cells when embedded, and the
+  per-website arrays of every trust signal (:mod:`repro.signals`).
+  Floats are ``float64``; id and count columns are at the narrowest
+  unsigned dtype that holds them. ``obs_conf``, ``coord_p`` and
+  ``vp_p`` are STORED: level-1 deflate leaves them at 88-94 % of their
+  size for most of the write's deflate time. Every other member is
+  deflated at level 1. The choice is by name, so the bytes stay a pure
+  function of the fit.
 
-Floats survive the payload bit-for-bit and every dict is rebuilt in its
+Versions 1-3 keep their readers: their key tables are JSON in the
+header, and their arrays one ``payload.npz`` member (or
+``payload.json``, the same arrays as plain lists).
+
+Floats survive the columns bit-for-bit and every dict is rebuilt in its
 original insertion order, so re-aggregating scores from a loaded
 artifact reproduces the original ``website_scores()`` to the last bit.
 An embedded observation matrix reloads with its own extractor order
@@ -31,7 +46,9 @@ their extractors by first cell entry (they never stored the order).
 
 Values are restricted to the JSON scalar types (str / int / float / bool /
 None) — exactly what :mod:`repro.io.jsonl` can produce. Composite values
-raise :class:`ArtifactError` at save time.
+raise :class:`ArtifactError` at save time, as does a write the file
+system refuses (a missing directory, a full disk): the target keeps its
+previous bytes.
 """
 
 from __future__ import annotations
@@ -49,8 +66,10 @@ from typing import Any
 
 import numpy as np
 
+from repro import obs
 from repro.io.atomic import atomic_write
 from repro.io.jsonl import SCALAR_TYPES
+from repro.io.mmap_layout import ScoredSources, StringColumn, _encode_strings
 
 from repro.core.config import (
     AbsenceScope,
@@ -69,7 +88,6 @@ from repro.core.results import (
     id_mask,
     join_keys,
     keyed,
-    source_support,
 )
 from repro.core.types import DataItem, ExtractorKey, SourceKey
 from repro.signals.base import SignalScores
@@ -78,19 +96,25 @@ from repro.util.heap import paused_gc
 #: Format identifier stored in (and required from) every artifact header.
 FORMAT_NAME = "kbt-trust-artifact"
 
-#: Bump on any incompatible change to the header or payload layout.
+#: Bump on any incompatible change to the header or the members.
 #: Version history: 1 = KBT-only artifacts; 2 = adds embedded trust
 #: signals (per-website score/support arrays + fusion weights); 3 =
 #: integer columns at their narrowest dtype, observations one row per
-#: cell plus the matrix's extractor order, members deflated at level 1.
-FORMAT_VERSION = 3
+#: cell plus the matrix's extractor order, members deflated at level 1;
+#: 4 = one member per column, the key tables as pool-id columns, the
+#: priors as C-layer rows, three float columns STORED.
+FORMAT_VERSION = 4
 
 #: Versions this build can read (older versions load compatibly).
-SUPPORTED_VERSIONS = frozenset({1, 2, FORMAT_VERSION})
+SUPPORTED_VERSIONS = frozenset({1, 2, 3, FORMAT_VERSION})
 
 _HEADER_MEMBER = "header.json"
+#: The one array member of versions 1-3 (``payload_kind`` npz / json).
 _NPZ_MEMBER = "payload.npz"
 _JSON_MEMBER = "payload.json"
+
+#: The float columns written STORED: deflate barely shrinks them.
+_STORED = frozenset({"obs_conf", "coord_p", "vp_p"})
 
 
 class ArtifactError(ValueError):
@@ -167,10 +191,11 @@ def config_from_dict(data: dict) -> MultiLayerConfig:
 
 
 # ----------------------------------------------------------------------
-# The result's payload columns
+# The result's columns
 # ----------------------------------------------------------------------
-#: Section by section, in payload order: each column of the result and
-#: the key table its ids index (None: a float column).
+#: Section by section, in member order: each column of the result and
+#: the table its ids index (None: a float column; "coords": the C
+#: layer's rows).
 _RESULT_SECTIONS = {
     "source accuracy": {"acc_source": "sources", "acc_value": None},
     "extractor quality": {
@@ -181,49 +206,61 @@ _RESULT_SECTIONS = {
     },
     "estimable sources": {"est_sources": "sources"},
     "estimable extractors": {"est_extractors": "extractors"},
-    **{
-        section: {
-            f"{prefix}_source": "sources",
-            f"{prefix}_item": "items",
-            f"{prefix}_value": "values",
-            f"{prefix}_p": None,
-        }
-        for section, prefix in (("C layer", "coord"), ("priors", "prior"))
+    "C layer": {
+        "coord_source": "sources",
+        "coord_item": "items",
+        "coord_value": "values",
+        "coord_p": None,
     },
+    "priors": {"prior_row": "coords", "prior_p": None},
     "value posteriors": {
         "vp_item": "items", "vp_value": "values", "vp_p": None
     },
     "empty items": {"vp_empty_item": "items"},
 }
 
+#: The same sections as versions 1-3 store them: the priors by key ids.
+_V3_SECTIONS = {
+    **_RESULT_SECTIONS,
+    "priors": {
+        "prior_source": "sources",
+        "prior_item": "items",
+        "prior_value": "values",
+        "prior_p": None,
+    },
+}
 
-def _estimable_ids(mask: np.ndarray, keys: list, scored: int) -> np.ndarray:
-    """The ids of an estimable set, sorted by ``str``, ties by id among
-    the first ``scored`` keys, the others before them.
+_AXES = ("source", "item", "value")
 
-    These are the only *sets* serialized, and raw set order varies with
-    string hash randomization — which would make artifact bytes differ
-    between processes for the same fit, breaking determinism-ladder
-    entry 6 (replay produces byte-identical artifacts). Distinct keys
-    can share a ``str``. They decode back into sets, so order is free.
+
+def _prior_rows(columns: ResultColumns) -> np.ndarray:
+    """The C-layer row of each prior, in the priors' order; empty when
+    they are the first ``len(prior_p)`` rows, in order.
+
+    A fit reports priors on every C-layer row, in its order, and an
+    update merged into it keeps them on the older side's rows, which
+    come first: both write no row at all. An update whose delta
+    re-estimated priors its base did not have lists its rows. A prior
+    on no C-layer coordinate has no row and is an :class:`ArtifactError`.
     """
-    ids = np.flatnonzero(mask).tolist()
-    ids.sort(key=lambda k: (str(keys[k]), k if k < scored else -1))
-    return np.array(ids, dtype=np.intp)
+    n = len(columns.prior_p)
+    coord = [getattr(columns, f"coord_{axis}") for axis in _AXES]
+    prior = [getattr(columns, f"prior_{axis}") for axis in _AXES]
+    if all(np.array_equal(a, b[:n]) for a, b in zip(prior, coord)):
+        return np.zeros(0, dtype=np.intp)
+    rows = {key: row for row, key in enumerate(_triples(coord))}
+    try:
+        return np.array([rows[key] for key in _triples(prior)], dtype=np.intp)
+    except KeyError as err:
+        raise ArtifactError(
+            "a re-estimated prior sits on no C-layer coordinate; format "
+            f"{FORMAT_VERSION} stores priors by C-layer row"
+        ) from err
 
 
-def _encode_key(key: SourceKey | ExtractorKey) -> list:
-    return [list(key.features), key.bucket]
-
-
-def _decode_source(entry: list) -> SourceKey:
-    features, bucket = entry
-    return SourceKey(tuple(features), bucket=bucket)
-
-
-def _decode_extractor(entry: list) -> ExtractorKey:
-    features, bucket = entry
-    return ExtractorKey(tuple(features), bucket=bucket)
+def _triples(columns: list[np.ndarray]) -> Iterable[tuple]:
+    """The ``(source, item, value)`` id rows of three id columns."""
+    return zip(*(ids.tolist() for ids in columns))
 
 
 def _check_value(value: Any) -> Any:
@@ -235,9 +272,58 @@ def _check_value(value: Any) -> Any:
     return value
 
 
+def _key_columns(tables: dict[str, list]) -> dict[str, np.ndarray]:
+    """The source, extractor and item tables as pool-id columns.
+
+    Each distinct string gets id ``1 + its place`` in the pool, in the
+    order the sources, then the extractors, then the items first name
+    it, so the sources' strings are the pool's first ones. A key's
+    features fill its row from the left; the rest of the row is 0.
+    """
+    pool: dict[str, int] = {}
+
+    def ids(strings: Iterable[str]) -> list[int]:
+        return [pool.setdefault(s, len(pool) + 1) for s in strings]
+
+    out: dict[str, np.ndarray] = {}
+    for prefix, table, width in (
+        ("src", "sources", 3), ("ext", "extractors", 4)
+    ):
+        keys = tables[table]
+        features = [key.features for key in keys]
+        lens = np.fromiter(map(len, features), dtype=np.intp, count=len(keys))
+        feat = np.zeros((len(keys), width), dtype=np.intp)
+        feat[np.arange(width) < lens[:, None]] = ids(
+            chain.from_iterable(features)
+        )
+        out[f"{prefix}_feat"] = feat
+        buckets = [key.bucket for key in keys]
+        if any(bucket is not None for bucket in buckets):
+            out[f"{prefix}_bucket"] = [
+                0 if bucket is None else _bucket(bucket) + 1
+                for bucket in buckets
+            ]
+    items = tables["items"]
+    out["item_subj"] = ids([item.subject for item in items])
+    out["item_pred"] = ids([item.predicate for item in items])
+    if not set(map(type, pool)) <= {str}:
+        raise ArtifactError("artifact key features must be strings")
+    blob, offsets = _encode_strings(list(pool))
+    return {"pool.blob": blob, "pool.off": offsets, **out}
+
+
+def _bucket(bucket: Any) -> int:
+    if type(bucket) is not int or bucket < 0:
+        raise ArtifactError(
+            f"a split bucket must be an int >= 0, got {bucket!r}"
+        )
+    return bucket
+
+
 # ----------------------------------------------------------------------
 # Save
 # ----------------------------------------------------------------------
+@obs.spanned("io.artifact.save")
 def save_artifact(artifact: TrustArtifact, path: str | Path) -> Path:
     """Write ``artifact`` to ``path``; returns the path written.
 
@@ -247,138 +333,164 @@ def save_artifact(artifact: TrustArtifact, path: str | Path) -> Path:
     the order the artifact lists them in. Each table is cut to those
     keys; then the embedded matrix's keys join it, each looked up once,
     in the order its cells first name them.
+
+    The file is replaced atomically (:func:`repro.io.atomic.atomic_write`);
+    a write the file system refuses is an :class:`ArtifactError` naming
+    ``path``, and leaves its previous bytes in place.
     """
-    result = artifact.result
-    columns = result.columns()
-    arrays: dict[str, Any] = {}  # name -> list or ndarray
-    named = dict.fromkeys(("sources", "extractors", "items", "values"), 0)
-    for section in _RESULT_SECTIONS.values():
-        for column, table in section.items():
-            if column.startswith("est_"):
-                # The section before names the table's first keys.
-                arrays[column] = _estimable_ids(
-                    getattr(columns, column[:-1]),
-                    getattr(columns, table),
-                    named[table],
-                )
-            else:
-                arrays[column] = getattr(columns, column)
-            if table is not None and len(arrays[column]):
-                named[table] = max(named[table], int(arrays[column].max()) + 1)
-    tables = {name: getattr(columns, name)[:n] for name, n in named.items()}
-
-    # --- raw observation cells (optional, enables warm-start) ---------
-    # One row per cell (its coordinate and entry count), then one row
-    # per (cell, extractor) entry, cell by cell; then the matrix's own
-    # first-seen extractor order, which the compiled column order of a
-    # refit follows.
-    has_observations = artifact.observations is not None
-    if has_observations:
-        matrix = artifact.observations
-        cells = matrix.columns()
-        # Each distinct key looked up once, as its first cell has it; new
-        # keys join in the order the cells first name them.
-        for part, axis in enumerate(("source", "item", "value")):
-            keys, ids = first_seen_keys(
-                cells.coords, part, getattr(cells, f"cell_{axis}")
-            )
-            table = tables[f"{axis}s"]
-            arrays[f"cell_{axis}"] = _narrow(join_keys(table, keys)[ids])
-        arrays["cell_len"] = np.bincount(
-            cells.entry_cell, minlength=len(cells.coords)
-        )
-        order = join_keys(tables["extractors"], matrix.extractors())
-        arrays["obs_extractor"] = order[cells.entry_extractor]
-        arrays["obs_conf"] = cells.entry_conf
-        arrays["obs_extractor_order"] = order
-    for value in tables["values"]:
-        _check_value(value)
-
-    # --- trust-signal payloads (format >= 2) --------------------------
-    websites = {}
-    signal_entries = []
-    for index, (name, scores) in enumerate(artifact.signals.items()):
-        if name != scores.name:
-            raise ArtifactError(
-                f"signal registered as {name!r} but named {scores.name!r}"
-            )
-        arrays[f"sig{index}_site"] = [
-            websites.setdefault(site, len(websites)) for site in scores.scores
-        ]
-        arrays[f"sig{index}_score"] = list(scores.scores.values())
-        arrays[f"sig{index}_sup_site"] = [
-            websites.setdefault(site, len(websites))
-            for site in scores.support
-        ]
-        arrays[f"sig{index}_sup_val"] = list(scores.support.values())
-        signal_entries.append(
-            {
-                "name": name,
-                "metadata": {
-                    key: _check_value(value)
-                    for key, value in scores.metadata.items()
-                },
-            }
-        )
-
-    header = {
-        "format": FORMAT_NAME,
-        "format_version": FORMAT_VERSION,
-        "payload_kind": "npz",
-        "config": config_to_dict(artifact.config),
-        "granularity": (
-            {
-                "min_size": artifact.granularity.min_size,
-                "max_size": artifact.granularity.max_size,
-            }
-            if artifact.granularity is not None
-            else None
-        ),
-        "min_triples": artifact.min_triples,
-        "seed": artifact.seed,
-        "metadata": artifact.metadata,
-        "sources": [_encode_key(s) for s in tables["sources"]],
-        "extractors": [_encode_key(e) for e in tables["extractors"]],
-        "items": [[i.subject, i.predicate] for i in tables["items"]],
-        "values": tables["values"],
-        "history": [
-            [h.iteration, h.max_accuracy_delta, h.max_extractor_delta]
-            for h in result.history
-        ],
-        "num_triples_total": result.num_triples_total,
-        "has_observations": has_observations,
-        "websites": list(websites),
-        "signals": signal_entries,
-        "fusion_weights": {
-            name: float(weight)
-            for name, weight in artifact.fusion_weights.items()
-        },
-    }
-
     path = Path(path)
-    # Atomic write-then-rename: `kbt update` overwrites its input
-    # artifact in place by default, so a half-written zip must never
-    # land on the target path (disk full, Ctrl-C, power loss ...).
-    # The level goes to each writestr: ZipFile(compresslevel=) does not
-    # reach members written from a ZipInfo.
-    with atomic_write(path, "wb") as handle:
-        with zipfile.ZipFile(handle, "w", zipfile.ZIP_DEFLATED) as archive:
-            archive.writestr(
-                _zip_member(_HEADER_MEMBER),
-                json.dumps(header, ensure_ascii=False),
-                compresslevel=_DEFLATE_LEVEL,
+    with obs.span("io.artifact.save.columns"):
+        result = artifact.result
+        columns = result.columns()
+        arrays: dict[str, Any] = {}  # name -> list or ndarray
+        named = dict.fromkeys(("sources", "extractors", "items", "values"), 0)
+        for section in _RESULT_SECTIONS.values():
+            for column, table in section.items():
+                if column.startswith("est_"):
+                    # A mask over a deterministic table: its ids in table
+                    # order are as deterministic, and decode into a set.
+                    arrays[column] = np.flatnonzero(
+                        getattr(columns, column[:-1])
+                    )
+                elif column == "prior_row":
+                    arrays[column] = _prior_rows(columns)
+                else:
+                    arrays[column] = getattr(columns, column)
+                if table in named and len(arrays[column]):
+                    named[table] = max(
+                        named[table], int(arrays[column].max()) + 1
+                    )
+        tables = {
+            name: getattr(columns, name)[:n] for name, n in named.items()
+        }
+
+        # --- raw observation cells (optional, enables warm-start) -----
+        # One row per cell (its coordinate and entry count), then one row
+        # per (cell, extractor) entry, cell by cell; then the matrix's own
+        # first-seen extractor order, which the compiled column order of a
+        # refit follows.
+        has_observations = artifact.observations is not None
+        if has_observations:
+            matrix = artifact.observations
+            cells = matrix.columns()
+            # Each distinct key looked up once, as its first cell has it;
+            # new keys join in the order the cells first name them.
+            for part, axis in enumerate(_AXES):
+                keys, ids = first_seen_keys(
+                    cells.coords, part, getattr(cells, f"cell_{axis}")
+                )
+                table = tables[f"{axis}s"]
+                arrays[f"cell_{axis}"] = join_keys(table, keys)[ids]
+            arrays["cell_len"] = np.bincount(
+                cells.entry_cell, minlength=len(cells.coords)
             )
-            archive.writestr(
-                _zip_member(_NPZ_MEMBER),
-                _deterministic_npz(arrays),
-                compresslevel=_DEFLATE_LEVEL,
+            order = join_keys(tables["extractors"], matrix.extractors())
+            arrays["obs_extractor"] = order[cells.entry_extractor]
+            arrays["obs_conf"] = cells.entry_conf
+            arrays["obs_extractor_order"] = order
+        for value in tables["values"]:
+            _check_value(value)
+
+        # --- trust-signal payloads (format >= 2) ----------------------
+        websites = {}
+        signal_entries = []
+        for index, (name, scores) in enumerate(artifact.signals.items()):
+            if name != scores.name:
+                raise ArtifactError(
+                    f"signal registered as {name!r} but named {scores.name!r}"
+                )
+            arrays[f"sig{index}_site"] = [
+                websites.setdefault(site, len(websites))
+                for site in scores.scores
+            ]
+            arrays[f"sig{index}_score"] = list(scores.scores.values())
+            arrays[f"sig{index}_sup_site"] = [
+                websites.setdefault(site, len(websites))
+                for site in scores.support
+            ]
+            arrays[f"sig{index}_sup_val"] = list(scores.support.values())
+            signal_entries.append(
+                {
+                    "name": name,
+                    "metadata": {
+                        key: _check_value(value)
+                        for key, value in scores.metadata.items()
+                    },
+                }
             )
+
+        header = {
+            "format": FORMAT_NAME,
+            "format_version": FORMAT_VERSION,
+            "config": config_to_dict(artifact.config),
+            "granularity": (
+                {
+                    "min_size": artifact.granularity.min_size,
+                    "max_size": artifact.granularity.max_size,
+                }
+                if artifact.granularity is not None
+                else None
+            ),
+            "min_triples": artifact.min_triples,
+            "seed": artifact.seed,
+            "metadata": artifact.metadata,
+            "values": tables["values"],
+            "history": [
+                [h.iteration, h.max_accuracy_delta, h.max_extractor_delta]
+                for h in result.history
+            ],
+            "num_triples_total": result.num_triples_total,
+            "has_observations": has_observations,
+            "websites": list(websites),
+            "signals": signal_entries,
+            "fusion_weights": {
+                name: float(weight)
+                for name, weight in artifact.fusion_weights.items()
+            },
+        }
+
+    with obs.span("io.artifact.save.keys"):
+        keys = _key_columns(tables)
+    with obs.span("io.artifact.save.members"):
+        _write(path, header, keys | arrays)
     return path
 
 
-#: zlib level of both members. With the narrow columns below, level 1
-#: deflates in about a third of level 6's time for a few percent more
-#: bytes; on ``int64`` columns it would cost far more.
+def _write(path: Path, header: dict, arrays: dict[str, Any]) -> None:
+    """The zip: the header, then one ``.npy`` member per column.
+
+    Atomic write-then-rename: ``kbt update`` overwrites its input
+    artifact in place by default, so a half-written zip must never land
+    on the target path (disk full, Ctrl-C, power loss ...). The level
+    goes to each writestr: ZipFile(compresslevel=) does not reach
+    members written from a ZipInfo.
+    """
+    try:
+        with atomic_write(path, "wb") as handle:
+            with zipfile.ZipFile(handle, "w") as archive:
+                archive.writestr(
+                    _zip_member(_HEADER_MEMBER),
+                    json.dumps(header, ensure_ascii=False),
+                    compresslevel=_DEFLATE_LEVEL,
+                )
+                for name, data in arrays.items():
+                    member = io.BytesIO()
+                    np.lib.format.write_array(
+                        member, _column(name, data), allow_pickle=False
+                    )
+                    stored = name in _STORED
+                    archive.writestr(
+                        _zip_member(f"{name}.npy", stored),
+                        member.getvalue(),
+                        compresslevel=None if stored else _DEFLATE_LEVEL,
+                    )
+    except OSError as err:
+        raise ArtifactError(f"cannot write artifact {path}: {err}") from err
+
+
+#: zlib level of the deflated members. With the narrow columns below,
+#: level 1 deflates in about a third of level 6's time for a few percent
+#: more bytes; on ``int64`` columns it would cost far more.
 _DEFLATE_LEVEL = 1
 
 
@@ -390,35 +502,11 @@ _DEFLATE_LEVEL = 1
 _ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
 
 
-def _zip_member(name: str) -> zipfile.ZipInfo:
+def _zip_member(name: str, stored: bool = False) -> zipfile.ZipInfo:
     info = zipfile.ZipInfo(name, date_time=_ZIP_EPOCH)
-    info.compress_type = zipfile.ZIP_DEFLATED
+    info.compress_type = zipfile.ZIP_STORED if stored else zipfile.ZIP_DEFLATED
     info.external_attr = 0o644 << 16
     return info
-
-
-def _deterministic_npz(arrays: dict[str, Any]) -> bytes:
-    """The ``payload.npz`` bytes, independent of the wall clock.
-
-    ``np.savez`` stamps each member with the current time, which would
-    make byte-level artifact comparisons (the replay-identity guarantee
-    of :mod:`repro.ingest`) time-dependent. This builds the same
-    uncompressed npz container — ``np.load`` reads it like any other —
-    with the member timestamps pinned to the zip epoch.
-    """
-    buffer = io.BytesIO()
-    with zipfile.ZipFile(buffer, "w", zipfile.ZIP_STORED) as inner:
-        for name, data in arrays.items():
-            if _is_float(name):
-                array = np.asarray(data, dtype=np.float64)
-            else:
-                array = _narrow(np.asarray(data, dtype=np.int64))
-            member = io.BytesIO()
-            np.lib.format.write_array(member, array)
-            info = zipfile.ZipInfo(f"{name}.npy", date_time=_ZIP_EPOCH)
-            info.external_attr = 0o644 << 16
-            inner.writestr(info, member.getvalue())
-    return buffer.getvalue()
 
 
 _FLOAT_SUFFIXES = (
@@ -427,8 +515,18 @@ _FLOAT_SUFFIXES = (
 
 
 def _is_float(name: str) -> bool:
-    """Whether a payload array holds floats (else integers), by name."""
+    """Whether a column holds floats (else integers), by name."""
     return name.endswith(_FLOAT_SUFFIXES) or name == "acc_value"
+
+
+def _column(name: str, data) -> np.ndarray:
+    """A column as it is stored: ``float64``, or integers narrowed."""
+    if _is_float(name):
+        return np.asarray(data, dtype=np.float64)
+    array = np.asarray(data)
+    if array.dtype.kind not in "iu":
+        array = array.astype(np.int64)  # an empty list
+    return _narrow(array)
 
 
 def _narrow(array: np.ndarray) -> np.ndarray:
@@ -437,29 +535,30 @@ def _narrow(array: np.ndarray) -> np.ndarray:
     Unsigned 8 / 16 / 32 bits by the column's maximum, ``int64`` if any
     value is negative: a function of the values alone, so equal fits
     still write equal bytes. Readers see the values only through
-    ``.tolist()``, never as unsigned arithmetic.
+    ``.tolist()`` or as indices, never as unsigned arithmetic.
     """
     if array.size == 0:
         return array.astype(np.uint8)
     if array.min() < 0:
-        return array
+        return array.astype(np.int64, copy=False)
     top = array.max()
     for dtype in (np.uint8, np.uint16, np.uint32):
         if top <= np.iinfo(dtype).max:
-            return array.astype(dtype)
-    return array
+            return array.astype(dtype, copy=False)
+    return array.astype(np.int64, copy=False)
 
 
 # ----------------------------------------------------------------------
 # Load: read the members once, decode a section only when it is asked for
 # ----------------------------------------------------------------------
 class _Payload:
-    """The payload arrays by name; an npz member is decoded on access.
+    """The arrays by name; a member is decoded on access.
 
-    Wraps ``payload.npz`` or the dict a ``payload.json`` parses into, so
-    the section readers below read either kind, and a caller that wants
-    two sections never pays for the other ten. A member that cannot be
-    read is an :class:`ArtifactError` naming the file.
+    Wraps the column members of a version-4 zip (:class:`_Members`),
+    ``payload.npz`` or the dict a ``payload.json`` parses into, so the
+    section readers below read any of them, and a caller that wants two
+    sections never pays for the other ten. A member that cannot be read
+    is an :class:`ArtifactError` naming the file.
     """
 
     def __init__(self, members, path: Path) -> None:
@@ -479,8 +578,8 @@ class _Payload:
         return name in self._members
 
     def array(self, name: str) -> np.ndarray:
-        """One payload array: ``float64``, or integers at the width they
-        were stored at (narrow, so a loaded result stays small)."""
+        """One array: ``float64``, or integers at the width they were
+        stored at (narrow, so a loaded result stays small)."""
         try:
             array = np.asarray(self._member(name))
             if _is_float(name):
@@ -495,6 +594,21 @@ class _Payload:
                 f"corrupt artifact {self._path}: payload array {name!r} "
                 f"is not numeric ({err})"
             ) from err
+
+
+class _Members:
+    """A version-4 artifact's column members, each parsed when read."""
+
+    def __init__(self, archive: zipfile.ZipFile) -> None:
+        self._archive = archive
+        self._names = set(archive.namelist())
+
+    def __contains__(self, name: str) -> bool:
+        return f"{name}.npy" in self._names
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        raw = self._archive.read(f"{name}.npy")
+        return np.lib.format.read_array(io.BytesIO(raw), allow_pickle=False)
 
 
 #: What reading or parsing a damaged member raises: a failed CRC or a
@@ -512,7 +626,7 @@ _READ_ERRORS = (
 
 
 def _read_members(path: str | Path) -> tuple[dict, _Payload]:
-    """The validated header and the payload arrays.
+    """The validated header and the arrays.
 
     Raises :class:`ArtifactError` for non-artifact files, for any
     ``format_version`` this build cannot read, and for a member that
@@ -520,8 +634,9 @@ def _read_members(path: str | Path) -> tuple[dict, _Payload]:
     """
     path = Path(path)
     try:
-        archive = zipfile.ZipFile(path)
-    except (zipfile.BadZipFile, FileNotFoundError, IsADirectoryError) as err:
+        # In memory, so the lazy member reads outlive the file handle.
+        archive = zipfile.ZipFile(io.BytesIO(path.read_bytes()))
+    except (zipfile.BadZipFile, OSError) as err:
         raise ArtifactError(f"not a trust artifact: {path} ({err})") from err
 
     def parse(name: str, decode):
@@ -536,31 +651,31 @@ def _read_members(path: str | Path) -> tuple[dict, _Payload]:
                 f"corrupt artifact {path}: {name} unreadable ({err!r})"
             ) from err
 
-    with archive:
-        header = parse(_HEADER_MEMBER, json.loads)
-        if not isinstance(header, dict):
-            header = {"format": header}
-        if header.get("format") != FORMAT_NAME:
-            raise ArtifactError(
-                f"not a trust artifact: {path} "
-                f"(format={header.get('format')!r})"
-            )
-        version = header.get("format_version")
-        if version not in SUPPORTED_VERSIONS:
-            raise ArtifactError(
-                f"unsupported artifact format version {version!r}; this "
-                f"build reads versions {sorted(SUPPORTED_VERSIONS)}. Re-fit "
-                "and re-save the artifact with a matching build."
-            )
-        _check_header(header, path)
-        kind = header.get("payload_kind")
-        if kind == "npz":
-            # In memory, so the lazy member reads outlive the archive.
-            members = parse(_NPZ_MEMBER, lambda raw: np.load(io.BytesIO(raw)))
-        elif kind == "json":
-            members = parse(_JSON_MEMBER, json.loads)
-        else:
-            raise ArtifactError(f"unknown payload kind in artifact: {kind!r}")
+    header = parse(_HEADER_MEMBER, json.loads)
+    if not isinstance(header, dict):
+        header = {"format": header}
+    if header.get("format") != FORMAT_NAME:
+        raise ArtifactError(
+            f"not a trust artifact: {path} "
+            f"(format={header.get('format')!r})"
+        )
+    version = header.get("format_version")
+    if version not in SUPPORTED_VERSIONS:
+        raise ArtifactError(
+            f"unsupported artifact format version {version!r}; this "
+            f"build reads versions {sorted(SUPPORTED_VERSIONS)}. Re-fit "
+            "and re-save the artifact with a matching build."
+        )
+    _check_header(header, path)
+    if version >= 4:
+        return header, _Payload(_Members(archive), path)
+    kind = header.get("payload_kind")
+    if kind == "npz":
+        members = parse(_NPZ_MEMBER, lambda raw: np.load(io.BytesIO(raw)))
+    elif kind == "json":
+        members = parse(_JSON_MEMBER, json.loads)
+    else:
+        raise ArtifactError(f"unknown payload kind in artifact: {kind!r}")
     return header, _Payload(members, path)
 
 
@@ -594,6 +709,9 @@ def _key_table(size: int):
 
     return check
 
+
+#: The JSON key tables of versions 1-3; version 4 stores them as columns.
+_JSON_KEY_TABLES = ("sources", "extractors", "items")
 
 #: Each header field the loaders read (but ``min_triples``, checked by
 #: :func:`~repro.core.kbt.check_min_triples`): whether every artifact
@@ -656,7 +774,10 @@ def _check_header(header: dict, path: Path) -> None:
         raise ArtifactError(
             f"corrupt artifact {path}: header field 'min_triples': {err}"
         ) from err
+    columns = header["format_version"] >= 4
     for name, (required, check) in _HEADER_FIELDS.items():
+        if columns and name in _JSON_KEY_TABLES:
+            continue
         if name not in header:
             if required:
                 raise ArtifactError(
@@ -697,8 +818,124 @@ def _section(arrays: _Payload, section: str, **sizes) -> dict:
     return columns
 
 
-def _decode_sources(header: dict) -> list[SourceKey]:
-    return [_decode_source(entry) for entry in header["sources"]]
+# --- the key tables ---------------------------------------------------
+def _pool(arrays: _Payload, count: int) -> list:
+    """The first ``count`` strings of the pool, after a None at id 0."""
+    blob = arrays.array("pool.blob")
+    offsets = arrays.array("pool.off")
+    if not (
+        blob.ndim == offsets.ndim == 1
+        and blob.dtype == np.uint8
+        and 0 <= count < len(offsets)
+        and offsets[0] == 0
+        and offsets[-1] == len(blob)
+        and (np.diff(offsets.astype(np.int64)) >= 0).all()
+    ):
+        raise ArtifactError(
+            f"corrupt artifact {arrays._path}: the string pool is "
+            f"malformed, or shorter than the {count} strings its keys name"
+        )
+    try:
+        return [None, *StringColumn(blob, offsets[: count + 1]).decode_all()]
+    except UnicodeDecodeError as err:
+        raise ArtifactError(
+            f"corrupt artifact {arrays._path}: the string pool is not "
+            f"UTF-8 ({err})"
+        ) from err
+
+
+def _feature_ids(arrays: _Payload, prefix: str, width: int) -> np.ndarray:
+    """A ``<prefix>_feat`` column, checked: ``width`` ids a row, the
+    nonzero ones a prefix of it, at least one."""
+    feat = arrays.array(f"{prefix}_feat")
+    if feat.ndim == 2 and feat.shape[1] == width:
+        lens = np.count_nonzero(feat, axis=1)
+        if (lens > 0).all() and (
+            (feat != 0) == (np.arange(width) < lens[:, None])
+        ).all():
+            return feat
+    raise ArtifactError(
+        f"corrupt artifact {arrays._path}: {prefix}_feat is not one row "
+        f"of 1 to {width} feature ids per key"
+    )
+
+
+def _keys(cls, arrays: _Payload, prefix: str, feat, strings) -> list:
+    """The keys of one ``<prefix>_feat`` column over the pool."""
+    get = strings.__getitem__
+    keys = [
+        tuple(map(get, row[:n]))
+        for row, n in zip(
+            feat.tolist(), np.count_nonzero(feat, axis=1).tolist()
+        )
+    ]
+    name = f"{prefix}_bucket"
+    if name not in arrays:
+        return list(map(cls, keys))
+    buckets = arrays.array(name).tolist()
+    if len(buckets) != len(keys):
+        raise ArtifactError(
+            f"corrupt artifact {arrays._path}: {name} has "
+            f"{len(buckets)} rows for {len(keys)} keys"
+        )
+    return [
+        cls(key, bucket - 1 if bucket else None)
+        for key, bucket in zip(keys, buckets)
+    ]
+
+
+def _max_id(*columns: np.ndarray) -> int:
+    return max((int(ids.max()) for ids in columns if ids.size), default=0)
+
+
+def _decode_sources(header: dict, arrays: _Payload) -> list[SourceKey]:
+    if header["format_version"] < 4:
+        return [
+            SourceKey(tuple(features), bucket=bucket)
+            for features, bucket in header["sources"]
+        ]
+    feat = _feature_ids(arrays, "src", 3)
+    # The sources name the pool's first strings: decode only those.
+    return _keys(SourceKey, arrays, "src", feat, _pool(arrays, _max_id(feat)))
+
+
+def _decode_tables(header: dict, arrays: _Payload) -> dict[str, list]:
+    """The four key tables of any format version."""
+    if header["format_version"] < 4:
+        return {
+            "sources": _decode_sources(header, arrays),
+            "extractors": [
+                ExtractorKey(tuple(features), bucket=bucket)
+                for features, bucket in header["extractors"]
+            ],
+            "items": [
+                DataItem(subject, predicate)
+                for subject, predicate in header["items"]
+            ],
+            "values": header["values"],
+        }
+    src = _feature_ids(arrays, "src", 3)
+    ext = _feature_ids(arrays, "ext", 4)
+    items = _section(arrays, "item", item_subj=None, item_pred=None)
+    subjects, predicates = items["item_subj"], items["item_pred"]
+    if subjects.size and min(subjects.min(), predicates.min()) < 1:
+        raise ArtifactError(
+            f"corrupt artifact {arrays._path}: an item names no string"
+        )
+    strings = _pool(arrays, _max_id(src, ext, subjects, predicates))
+    get = strings.__getitem__
+    return {
+        "sources": _keys(SourceKey, arrays, "src", src, strings),
+        "extractors": _keys(ExtractorKey, arrays, "ext", ext, strings),
+        "items": list(
+            map(
+                DataItem,
+                map(get, subjects.tolist()),
+                map(get, predicates.tolist()),
+            )
+        ),
+        "values": header["values"],
+    }
 
 
 def _decode_coords(cache: dict, tables, ids) -> list[tuple]:
@@ -716,25 +953,43 @@ def _decode_coords(cache: dict, tables, ids) -> list[tuple]:
     return out
 
 
+def _prior_section(arrays: _Payload, n_coords: int) -> dict:
+    """A version-4 priors section, its rows spelled out (no rows: the
+    first ``len(prior_p)`` C-layer rows)."""
+    rows = arrays.array("prior_row")
+    if not len(rows):
+        n = len(arrays.array("prior_p"))
+        if n > n_coords:
+            raise ArtifactError(
+                f"corrupt artifact {arrays._path}: {n} priors on a C layer "
+                f"of {n_coords} rows"
+            )
+        return {"prior_row": np.arange(n), "prior_p": arrays.array("prior_p")}
+    return _section(arrays, "priors", prior_row=n_coords, prior_p=None)
+
+
+def _id_rows(columns: dict, prefix: str):
+    return _triples([columns[f"{prefix}_{axis}"] for axis in _AXES])
+
+
 def _decode_columns(
     header: dict, arrays: _Payload, cache: dict
 ) -> ResultColumns:
-    """The result's columns over the header's key tables, each section
-    checked (:func:`_section`); coordinates through ``cache``
+    """The result's columns over the key tables, each section checked
+    (:func:`_section`); coordinates through ``cache``
     (:func:`_decode_coords`)."""
-    tables = {
-        "sources": _decode_sources(header),
-        "extractors": [_decode_extractor(e) for e in header["extractors"]],
-        "items": [DataItem(subject, predicate)
-                  for subject, predicate in header["items"]],
-        "values": header["values"],
-    }
+    tables = _decode_tables(header, arrays)
     sizes = {name: len(keys) for name, keys in tables.items()}
+    columns_v4 = header["format_version"] >= 4
     # Artifacts written before covered items could lack a posterior
     # entry have no ``vp_empty_item``.
     columns = {"vp_empty_item": np.zeros(0, dtype=np.intp)}
-    for section, spec in _RESULT_SECTIONS.items():
-        if section != "empty items" or "vp_empty_item" in arrays:
+    for section, spec in (
+        _RESULT_SECTIONS if columns_v4 else _V3_SECTIONS
+    ).items():
+        if columns_v4 and section == "priors":
+            columns.update(_prior_section(arrays, len(columns["coord_p"])))
+        elif section != "empty items" or "vp_empty_item" in arrays:
             columns.update(
                 _section(
                     arrays,
@@ -742,19 +997,20 @@ def _decode_columns(
                     **{name: sizes.get(table) for name, table in spec.items()},
                 )
             )
-    coords = {
-        prefix: _decode_coords(
-            cache,
-            (tables["sources"], tables["items"], tables["values"]),
-            zip(
-                *(
-                    columns[f"{prefix}_{axis}"].tolist()
-                    for axis in ("source", "item", "value")
-                )
-            ),
+    triples = (tables["sources"], tables["items"], tables["values"])
+    coords = _decode_coords(cache, triples, _id_rows(columns, "coord"))
+    if columns_v4:
+        rows = columns.pop("prior_row")
+        for axis in _AXES:
+            columns[f"prior_{axis}"] = columns[f"coord_{axis}"][rows]
+        if len(rows) == len(coords) and (rows == np.arange(len(rows))).all():
+            prior_coords = coords  # shared, as a fit's are
+        else:
+            prior_coords = list(map(coords.__getitem__, rows.tolist()))
+    else:
+        prior_coords = _decode_coords(
+            cache, triples, _id_rows(columns, "prior")
         )
-        for prefix in ("coord", "prior")
-    }
     return ResultColumns(
         **tables,
         est_source=id_mask(sizes["sources"], columns.pop("est_sources")),
@@ -762,8 +1018,8 @@ def _decode_columns(
             sizes["extractors"], columns.pop("est_extractors")
         ),
         **columns,
-        coords=coords["coord"],
-        prior_coords=coords["prior"],
+        coords=coords,
+        prior_coords=prior_coords,
         vp_values=list(
             map(tables["values"].__getitem__, columns["vp_value"].tolist())
         ),
@@ -775,13 +1031,13 @@ def _decode_observations(
 ) -> ObservationMatrix:
     """The observation matrix, cell by cell, for every format version.
 
-    Version 3 stores one row per cell and the matrix's extractor order.
-    Versions 1 and 2 store the coordinate on every entry; a cell's
-    entries are contiguous, so each run of one coordinate is a cell.
-    They carry no extractor order, so their matrices rank extractors by
-    first entry, as those versions always loaded them. Coordinates come
-    through ``cache`` (:func:`_decode_coords`), so the cells share their
-    tuples with the result's C layer and priors.
+    Versions 3 and 4 store one row per cell and the matrix's extractor
+    order. Versions 1 and 2 store the coordinate on every entry; a
+    cell's entries are contiguous, so each run of one coordinate is a
+    cell. They carry no extractor order, so their matrices rank
+    extractors by first entry, as those versions always loaded them.
+    Coordinates come through ``cache`` (:func:`_decode_coords`), so the
+    cells share their tuples with the result's C layer and priors.
     """
     tables = (columns.sources, columns.items, columns.values)
     n_sources, n_extractors = len(columns.sources), len(columns.extractors)
@@ -803,15 +1059,7 @@ def _decode_observations(
             cell_value=n_values,
             cell_len=None,
         )
-        coords = _decode_coords(
-            cache,
-            tables,
-            zip(
-                cells["cell_source"].tolist(),
-                cells["cell_item"].tolist(),
-                cells["cell_value"].tolist(),
-            )
-        )
+        coords = _decode_coords(cache, tables, _id_rows(cells, "cell"))
         lens = cells["cell_len"]
         extractor_order = [
             extractors[e]
@@ -831,13 +1079,7 @@ def _decode_observations(
         )
         runs = [
             (cell_id, sum(1 for _ in run))
-            for cell_id, run in groupby(
-                zip(
-                    entries["obs_source"].tolist(),
-                    entries["obs_item"].tolist(),
-                    entries["obs_value"].tolist(),
-                )
-            )
+            for cell_id, run in groupby(_id_rows(entries, "obs"))
         ]
         coords = _decode_coords(
             cache, tables, (cell_id for cell_id, _ in runs)
@@ -883,15 +1125,16 @@ def _decode_signals(
 def load_serving_inputs(path: str | Path) -> tuple:
     """What serving reads of an artifact, and nothing else.
 
-    Returns ``(source_accuracy, source_support, min_triples, signals,
-    fusion_weights)`` — the arguments of
-    :func:`repro.io.mmap_layout.serving_columns`, in its order. Only
-    those sections are decoded: the observation matrix, the priors, the
-    value posteriors and the extractor qualities (most of an artifact,
-    and most of :func:`load_artifact`'s time) are never touched.
+    Returns ``(scored, min_triples, signals, fusion_weights)`` — the
+    arguments of :func:`repro.io.mmap_layout.serving_columns`, in its
+    order; ``scored`` is a :class:`~repro.io.mmap_layout.ScoredSources`.
+    Only those sections are decoded (of a version-4 string pool, the
+    sources' strings): the observation matrix, the priors, the value
+    posteriors and the extractor qualities (most of an artifact, and
+    most of :func:`load_artifact`'s time) are never touched.
     """
     header, arrays = _read_members(path)
-    sources = _decode_sources(header)
+    sources = _decode_sources(header, arrays)
     accuracy = _section(
         arrays, "source accuracy", acc_source=len(sources), acc_value=None
     )
@@ -899,8 +1142,7 @@ def load_serving_inputs(path: str | Path) -> tuple:
         arrays, "C layer", coord_source=len(sources), coord_p=None
     )
     return (
-        keyed(sources, accuracy["acc_source"], accuracy["acc_value"].tolist()),
-        source_support(sources, scored["coord_source"], scored["coord_p"]),
+        ScoredSources(sources, **accuracy, **scored),
         header["min_triples"],
         _decode_signals(header, arrays),
         header.get("fusion_weights") or {},
@@ -909,7 +1151,8 @@ def load_serving_inputs(path: str | Path) -> tuple:
 
 @paused_gc()
 def load_artifact(path: str | Path) -> TrustArtifact:
-    """Read an artifact written by :func:`save_artifact`.
+    """Read an artifact written by :func:`save_artifact`, or by a build
+    of format 1-3.
 
     Raises :class:`ArtifactError` for non-artifact files, for any
     ``format_version`` this build cannot read, and for damaged members

@@ -3,16 +3,21 @@
 The out-of-core shard spill (:mod:`repro.exec.spill`) and the serving
 layout (:mod:`repro.io.mmap_layout`) are this container. A column is
 one ``<name>.npy`` file (a ``/`` in a name is a subdirectory), mapped
-back read-only. The manifest, ``{"format", "version", **fields}``, goes
-last through :func:`repro.io.atomic.atomic_write`, after the stale one
-is unlinked, so an interrupted write reads as "no manifest", never as
-half a directory. A :class:`ColumnFormat` is one format: every failure
-raises its error class, naming the path and its remedy.
+back read-only. The manifest, ``{"format", "version", **fields,
+"columns"}``, goes last through :func:`repro.io.atomic.atomic_write`,
+after the stale one is unlinked, so an interrupted write reads as "no
+manifest", never as half a directory. ``columns`` records each column's
+dtype, shape and data offset, so a reader that has the manifest maps a
+column without parsing its ``.npy`` header. A :class:`ColumnFormat` is
+one format: every failure raises its error class, naming the path and
+its remedy.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import mmap
 from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
@@ -52,26 +57,34 @@ class ColumnFormat:
             directory.mkdir(parents=True, exist_ok=True)
             # A stale manifest must not survive a partial rewrite.
             manifest.unlink(missing_ok=True)
-            for name, values in columns.items():
-                self.save(directory, name, values)
+            table = {
+                name: self.save(directory, name, values)
+                for name, values in columns.items()
+            }
             document = {"format": self.format, "version": self.version}
+            document |= fields | {"columns": table}
             with atomic_write(manifest, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(document | fields, indent=1) + "\n")
+                handle.write(json.dumps(document, indent=1) + "\n")
         except OSError as err:
             raise self._unwritable(directory, err) from err
         return manifest
 
-    def save(self, directory: str | Path, name: str, values) -> None:
-        """Save one column as ``directory/<name>.npy``."""
+    def save(self, directory: str | Path, name: str, values) -> list:
+        """Save one column as ``directory/<name>.npy``; returns its
+        ``[dtype, shape, data offset]``, what :meth:`map` takes."""
         path = Path(directory) / f"{name}.npy"
+        array = np.ascontiguousarray(values)
         try:
             # A stat, not a mkdir: an existing directory would cost a
             # raised and caught FileExistsError per column.
             if not path.parent.is_dir():
                 path.parent.mkdir(parents=True, exist_ok=True)
-            np.save(path, np.ascontiguousarray(values))
+            with open(path, "wb") as handle:
+                np.save(handle, array)
+                end = handle.tell()
         except OSError as err:
             raise self._unwritable(path, err) from err
+        return [array.dtype.str, list(array.shape), end - array.nbytes]
 
     def read_manifest(self, directory: str | Path) -> dict:
         """The manifest under ``directory``, checked against this format."""
@@ -102,12 +115,29 @@ class ColumnFormat:
             )
         return manifest
 
-    def map(self, directory: str | Path, name: str) -> np.memmap:
-        """Map ``directory/<name>.npy`` read-only."""
+    def map(
+        self, directory: str | Path, name: str, column: list | None = None
+    ) -> np.ndarray:
+        """Map ``directory/<name>.npy`` read-only.
+
+        With ``column``, the ``[dtype, shape, offset]`` the manifest
+        recorded for it: one ``mmap`` and an ``np.frombuffer`` over it.
+        Without, ``np.load`` reads the ``.npy`` header (an ``np.memmap``,
+        whose pages :func:`repro.exec.spill.advise_dontneed` can drop).
+        """
         path = Path(directory) / f"{name}.npy"
         try:
-            return np.load(path, mmap_mode="r")
-        except (OSError, ValueError) as err:
+            if column is None:
+                return np.load(path, mmap_mode="r")
+            dtype, shape, offset = column
+            with open(path, "rb") as handle:
+                mapping = mmap.mmap(
+                    handle.fileno(), 0, access=mmap.ACCESS_READ
+                )
+            return np.frombuffer(
+                mapping, np.dtype(dtype), math.prod(shape), offset
+            ).reshape(shape)
+        except (OSError, ValueError, TypeError) as err:
             raise self.error(
                 f"{self.what} column {path} is missing or torn ({err}); "
                 f"{self.remedy}"

@@ -37,6 +37,7 @@ from itertools import islice
 from pathlib import Path
 from typing import BinaryIO
 
+from repro import obs
 from repro.core.types import (
     DataItem,
     ExtractionRecord,
@@ -296,9 +297,10 @@ def read_records(path: str | Path) -> Iterator[ExtractionRecord]:
         first = 1
         while True:
             try:
-                records, read, error = _parse_run(
-                    parser, handle, path, first, _RUN_LINES, False
-                )
+                with obs.span("io.jsonl.read"):
+                    records, read, error = _parse_run(
+                        parser, handle, path, first, _RUN_LINES, False
+                    )
             except UnicodeDecodeError:
                 handle = files.enter_context(_bytes_from(path, first))
                 continue

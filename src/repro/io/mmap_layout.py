@@ -24,15 +24,20 @@ the read side —
 
 The manifest carries the layout format/version, the source artifact's
 sha256 (the serving **ETag** — the gateway's cache validator and the
-``/readyz`` version handle), and every scalar the serving surface needs.
+``/readyz`` version handle), every scalar the serving surface needs,
+and each column's dtype, shape and data offset, so opening a layout is
+one ``mmap`` plus ``np.frombuffer`` per column, with no ``.npy`` header
+parsed (layout version 2; a cache of version 1 is re-exported on open).
 
 What the columns hold, and how they are encoded, is decided once, by
-:func:`serving_columns` — a pure function of the fitted source
-accuracies and their support that returns the arrays a layout stores
-(:class:`ServingColumns`). It has two feeders: :func:`export_layout`
-reads just those sections out of a saved artifact
+:func:`serving_columns` — a pure function of the result's columns (the
+sources, their accuracies and the C layer's ``p`` by source) that
+returns the arrays a layout stores (:class:`ServingColumns`). Its
+scores are :func:`repro.core.kbt.aggregate_scores`, the one aggregation
+``KBTReport`` reads too. It has two feeders: :func:`export_layout`
+reads just those columns out of a saved artifact
 (:func:`repro.io.artifact.load_serving_inputs`), and
-``FittedKBT.save`` passes them to :func:`cache_layout` from the model
+``FittedKBT.save`` passes :func:`cache_layout` the columns of the result
 it holds, so serving a saved fit never loads back what was just saved.
 Exporting only saves those arrays.
 :class:`~repro.serving.store.TrustStore` reads the columns the same
@@ -69,21 +74,20 @@ import json
 import os
 import shutil
 import tempfile
-from bisect import bisect_right
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
+from repro import obs
 from repro.io.container import MANIFEST, ColumnFormat
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.types import SourceKey
     from repro.signals.base import SignalScores
 
 #: Format identifier + version written to (and required from) manifests.
 LAYOUT_FORMAT = "kbt-serving-layout"
-LAYOUT_VERSION = 1
+LAYOUT_VERSION = 2
 
 
 class LayoutError(ValueError):
@@ -197,126 +201,131 @@ class ServingColumns:
         )
 
 
+class ScoredSources(NamedTuple):
+    """What the aggregation reads of a result: the source table, the
+    accuracy section (``acc_source`` ids, ``acc_value``) and the C
+    layer's ``coord_source`` / ``coord_p``, whose sums by source are the
+    support. A :class:`~repro.core.results.ResultColumns` has the same
+    fields; :func:`repro.io.artifact.load_serving_inputs` decodes just
+    these."""
+
+    sources: list
+    acc_source: np.ndarray
+    acc_value: np.ndarray
+    coord_source: np.ndarray
+    coord_p: np.ndarray
+
+
 def serving_columns(
-    source_accuracy: dict[SourceKey, float],
-    source_support: dict[SourceKey, float],
+    result: ScoredSources,
     min_triples: float,
     signals: dict[str, SignalScores],
     fusion_weights: dict[str, float],
 ) -> ServingColumns:
     """Aggregate fitted source accuracies into the serving columns.
 
-    Per-website and per-webpage scores (the support-weighted averages of
-    :func:`repro.core.kbt.aggregate_scores`, so they equal
-    ``KBTReport``'s to the bit), the ranking (descending score, ties on
-    the key), score percentiles, and for every website the model sources
-    behind its score, largest support first. Signals are stored as the
-    artifact holds them, in its order, with their websites interned.
+    ``result`` is the result's columns (a ``ResultColumns`` or a
+    :class:`ScoredSources`). Per-website and per-webpage scores are
+    :func:`repro.core.kbt.aggregate_scores`' (what ``KBTReport``
+    reports, to the bit); the ranking is descending score, ties on the
+    key text; percentiles are the share of sites scoring at or below;
+    and every website lists the model sources behind its score, largest
+    support first (ties in accuracy-row order), each with its metadata
+    rendered as one JSON row. Signals are stored as the artifact holds
+    them, in its order, with their websites interned.
     """
     # The fit layer is imported here, on the write path, so a process
     # that only maps a layout never loads it.
-    from repro.core.kbt import aggregate_scores, webpage_of, website_of
-    from repro.io.reports import score_sort_key
+    from repro.core.kbt import aggregate_scores, key_text
 
-    sites = aggregate_scores(
-        source_accuracy, source_support, min_triples, website_of
-    )
-    pages = aggregate_scores(
-        source_accuracy, source_support, min_triples, webpage_of
-    )
-    site_key = list(sites)
-    site_row = {site: row for row, site in enumerate(site_key)}
-    site_score = [score.score for score in sites.values()]
-    ascending = sorted(site_score)
-    ranked = sorted(sites.values(), key=score_sort_key)
+    with obs.span("io.mmap_layout.serving_columns"):
+        scores = aggregate_scores(result, min_triples)
+        sites, pages = scores.websites, scores.webpages
+        site_score = sites.score
+        n_sites = len(sites.keys)
+        score = site_score.tolist()
+        order = sorted(
+            range(n_sites),
+            key=lambda row: (-score[row], key_text(sites.keys[row])),
+        )
+        # /breakdown provenance, CSR over the site rows: each reported
+        # site's live sources, largest support first.
+        site_row = scores.site_row
+        live = np.flatnonzero(site_row >= 0)
+        live = live[np.lexsort((-scores.support[live], site_row[live]))]
+        contrib_ptr = np.zeros(n_sites + 1, dtype=np.int64)
+        np.cumsum(
+            np.bincount(site_row[live], minlength=n_sites),
+            out=contrib_ptr[1:],
+        )
+        render = json.JSONEncoder(
+            ensure_ascii=False, separators=(",", ":")
+        ).encode
+        sources = scores.sources
+        contrib_meta = [
+            render([str(source), list(source.features), source.level])
+            for source in map(sources.__getitem__, live.tolist())
+        ]
 
-    contributors: dict[str, list[tuple]] = {}
-    for source, accuracy in source_accuracy.items():
-        support = source_support.get(source, 0.0)
-        if support > 0.0:
-            contributors.setdefault(source.website, []).append(
-                (source, accuracy, support)
+        arrays: dict[str, np.ndarray] = {}
+
+        def put_strings(name: str, strings: list[str]) -> None:
+            arrays[f"{name}.blob"], arrays[f"{name}.off"] = _encode_strings(
+                strings
             )
-    contrib_ptr = [0]
-    contrib: list[tuple] = []
-    for site in site_key:
-        contrib.extend(
-            sorted(contributors.get(site, ()), key=lambda entry: -entry[2])
+
+        put_strings("site_key", sites.keys)
+        arrays["site_score"] = site_score
+        arrays["site_support"] = sites.support
+        arrays["site_percentile"] = (
+            100.0
+            * np.searchsorted(np.sort(site_score), site_score, side="right")
+            / max(n_sites, 1)
         )
-        contrib_ptr.append(len(contrib))
+        arrays["ranked_idx"] = np.array(order, dtype=np.int64)
 
-    arrays: dict[str, np.ndarray] = {}
+        put_strings("page_site", [site for site, _ in pages.keys])
+        put_strings("page_url", [url for _, url in pages.keys])
+        arrays["page_score"] = pages.score
+        arrays["page_support"] = pages.support
 
-    def put(name: str, values: list, dtype) -> None:
-        arrays[name] = np.asarray(values, dtype=dtype)
+        arrays["contrib_ptr"] = contrib_ptr
+        arrays["contrib_accuracy"] = scores.accuracy[live]
+        arrays["contrib_support"] = scores.support[live]
+        put_strings("contrib_meta", contrib_meta)
 
-    def put_strings(name: str, strings: list[str]) -> None:
-        arrays[f"{name}.blob"], arrays[f"{name}.off"] = _encode_strings(
-            strings
-        )
+        # Trust signals: artifact order, website-interned.
+        website_index: dict[str, int] = {}
 
-    put_strings("site_key", site_key)
-    put("site_score", site_score, np.float64)
-    put("site_support", [s.support for s in sites.values()], np.float64)
-    put(
-        "site_percentile",
-        [
-            100.0 * bisect_right(ascending, score) / len(ascending)
-            for score in site_score
-        ],
-        np.float64,
-    )
-    put("ranked_idx", [site_row[score.key] for score in ranked], np.int64)
-
-    put_strings("page_site", [site for site, _ in pages])
-    put_strings("page_url", [url for _, url in pages])
-    put("page_score", [s.score for s in pages.values()], np.float64)
-    put("page_support", [s.support for s in pages.values()], np.float64)
-
-    # /breakdown provenance, CSR over the site rows.
-    put("contrib_ptr", contrib_ptr, np.int64)
-    put("contrib_accuracy", [acc for _, acc, _ in contrib], np.float64)
-    put("contrib_support", [sup for _, _, sup in contrib], np.float64)
-    put_strings(
-        "contrib_meta",
-        [
-            json.dumps(
-                [str(source), list(source.features), source.level],
-                ensure_ascii=False,
-                separators=(",", ":"),
+        def intern(sites) -> np.ndarray:
+            return np.array(
+                [website_index.setdefault(s, len(website_index))
+                 for s in sites],
+                dtype=np.int64,
             )
-            for source, _, _ in contrib
-        ],
-    )
 
-    # Trust signals: artifact order, website-interned.
-    website_index: dict[str, int] = {}
-
-    def intern(site: str) -> int:
-        return website_index.setdefault(site, len(website_index))
-
-    signal_entries = []
-    for index, (name, scores) in enumerate(signals.items()):
-        put(f"sig{index}_site", [intern(s) for s in scores.scores], np.int64)
-        put(f"sig{index}_score", list(scores.scores.values()), np.float64)
-        put(
-            f"sig{index}_sup_site",
-            [intern(s) for s in scores.support],
-            np.int64,
-        )
-        put(
-            f"sig{index}_sup_val", list(scores.support.values()), np.float64
-        )
-        signal_entries.append({"name": name, "metadata": scores.metadata})
-    put_strings("signal_site", list(website_index))
+        signal_entries = []
+        for index, (name, signal) in enumerate(signals.items()):
+            arrays[f"sig{index}_site"] = intern(signal.scores)
+            arrays[f"sig{index}_score"] = np.array(
+                list(signal.scores.values()), dtype=np.float64
+            )
+            arrays[f"sig{index}_sup_site"] = intern(signal.support)
+            arrays[f"sig{index}_sup_val"] = np.array(
+                list(signal.support.values()), dtype=np.float64
+            )
+            signal_entries.append(
+                {"name": name, "metadata": signal.metadata}
+            )
+        put_strings("signal_site", list(website_index))
 
     return ServingColumns(
         arrays,
         {
             "min_triples": min_triples,
-            "num_sites": len(site_key),
-            "num_pages": len(pages),
-            "num_contributors": len(contrib),
+            "num_sites": n_sites,
+            "num_pages": len(pages.keys),
+            "num_contributors": len(contrib_meta),
             "signals": signal_entries,
             "fusion_weights": {
                 name: float(weight) for name, weight in fusion_weights.items()
@@ -455,7 +464,8 @@ def cache_layout(
     is swept.
     """
     artifact_path = Path(artifact_path)
-    etag = artifact_etag(artifact_path)
+    with obs.span("io.mmap_layout.etag"):
+        etag = artifact_etag(artifact_path)
     directory = layout_cache_dir(artifact_path, etag)
     if _reusable_manifest(directory, etag) is not None:
         return directory, False
@@ -505,11 +515,13 @@ def _export(
             from repro.io.artifact import load_serving_inputs
 
             columns = serving_columns(*load_serving_inputs(artifact_path))
-        _LAYOUT.write(
-            staging,
-            columns.arrays,
-            {"etag": etag, "artifact": str(artifact_path)} | columns.manifest,
-        )
+        with obs.span("io.mmap_layout.write"):
+            _LAYOUT.write(
+                staging,
+                columns.arrays,
+                {"etag": etag, "artifact": str(artifact_path)}
+                | columns.manifest,
+            )
         try:
             os.rename(staging, directory)
         except OSError as err:
@@ -549,16 +561,23 @@ class ServingLayout(ServingColumns):
         self.manifest = _LAYOUT.read_manifest(self.directory)
 
     def array(self, name: str) -> np.ndarray:
-        # A plain view of the map: ``np.memmap``'s Python-level
-        # ``__getitem__`` / ``__array_finalize__`` cost more than the
-        # reads they wrap. The view's base keeps the map alive.
-        return _LAYOUT.map(self.directory, name).view(np.ndarray)
+        # One mmap and a frombuffer, at the dtype, shape and offset the
+        # manifest recorded: no .npy header is parsed. The array's base
+        # keeps the map alive.
+        column = self.manifest.get("columns", {}).get(name)
+        if column is None:
+            raise LayoutError(
+                f"serving-layout column {name!r} is not in the manifest "
+                f"of {self.directory}; {_LAYOUT.remedy}"
+            )
+        return _LAYOUT.map(self.directory, name, column)
 
 
 __all__ = [
     "LAYOUT_FORMAT",
     "LAYOUT_VERSION",
     "LayoutError",
+    "ScoredSources",
     "ServingColumns",
     "ServingLayout",
     "StringColumn",

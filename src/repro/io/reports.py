@@ -5,23 +5,8 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 
+from repro.core.kbt import key_text, score_sort_key
 from repro.core.types import KBTScore
-
-
-def _key_text(key: object) -> str:
-    """The rendered form of a score key (tuples join with '|')."""
-    if isinstance(key, tuple):
-        return "|".join(str(part) for part in key)
-    return str(key)
-
-
-def score_sort_key(score: KBTScore) -> tuple[float, str]:
-    """Descending score, ties broken on the rendered key.
-
-    The one ranking rule shared by the CSV writer, the CLI summary, and
-    the serving store, so equal fits rank identically everywhere.
-    """
-    return (-score.score, _key_text(score.key))
 
 
 def write_score_csv(
@@ -37,6 +22,6 @@ def write_score_csv(
         writer = csv.writer(handle)
         writer.writerow(["key", "kbt", "support"])
         for score in ordered:
-            writer.writerow([_key_text(score.key), f"{score.score:.6f}",
+            writer.writerow([key_text(score.key), f"{score.score:.6f}",
                              f"{score.support:.2f}"])
     return len(ordered)

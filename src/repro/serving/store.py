@@ -55,6 +55,8 @@ import threading
 from collections.abc import Iterable, Iterator
 from json.encoder import encode_basestring
 from pathlib import Path
+
+from repro import obs
 from repro.core.types import KBTScore
 from repro.io.mmap_layout import LayoutError, ServingColumns, serving_columns
 from repro.signals.base import SignalScores
@@ -165,6 +167,10 @@ class TrustStore:
 
     @paused_gc()
     def __init__(self, columns: ServingColumns) -> None:
+        with obs.span("serving.store.open"):
+            self._open(columns)
+
+    def _open(self, columns: ServingColumns) -> None:
         self._layout = columns
         manifest = columns.manifest
         self._etag: str | None = columns.etag

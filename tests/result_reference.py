@@ -49,23 +49,17 @@ from repro.core.results import (
 )
 from repro.core.types import DataItem, ExtractorKey, SourceKey, Value
 from repro.io.artifact import (
-    _DEFLATE_LEVEL,
-    _HEADER_MEMBER,
-    _NPZ_MEMBER,
     FORMAT_NAME,
     FORMAT_VERSION,
     ArtifactError,
     TrustArtifact,
     _check_value,
-    _decode_extractor,
-    _decode_sources,
-    _deterministic_npz,
-    _encode_key,
+    _decode_tables,
+    _key_columns,
     _read_members,
-    _zip_member,
+    _write,
     config_to_dict,
 )
-from repro.io.atomic import atomic_write
 
 
 class _Interner:
@@ -118,6 +112,14 @@ class _CoordinateIds:
             id(coord): row for row, coord in enumerate(scored)
         }
 
+    def rows(self, coords: Iterable[tuple]) -> list[int]:
+        """The C-layer row of each coordinate: its own row, or the row
+        whose ids its keys intern to."""
+        ids = self.columns(coords).T.tolist()
+        scored = self.scored.T.tolist()
+        rows = {tuple(key): row for row, key in enumerate(scored)}
+        return [rows[tuple(key)] for key in ids]
+
     def columns(self, coords: Iterable[tuple]) -> np.ndarray:
         """The (3, n) source, item and value ids of ``coords``."""
         coords = list(coords)
@@ -139,12 +141,13 @@ class _CoordinateIds:
 
 
 def _sorted_ids(keys: Iterable, table: _Interner) -> list[int]:
-    """The table ids of a set of keys, by ``(str(key), table id)``."""
+    """The table ids of a set of keys, ascending; a key the table lacks
+    joins it in ``(str(key), table id)`` order."""
     index = table.index
-    return [
+    return sorted(
         table.add(key)
         for key in sorted(keys, key=lambda k: (str(k), index.get(k, -1)))
-    ]
+    )
 
 
 
@@ -195,10 +198,9 @@ def reference_save_artifact(artifact: TrustArtifact, path: str | Path) -> Path:
     ) = coordinates.scored
     arrays["coord_p"] = list(result.extraction_posteriors.values())
 
-    # --- re-estimated priors ------------------------------------------
-    (
-        arrays["prior_source"], arrays["prior_item"], arrays["prior_value"]
-    ) = coordinates.columns(result.priors)
+    # --- re-estimated priors, by C-layer row (none: the first rows) ---
+    rows = coordinates.rows(result.priors)
+    arrays["prior_row"] = [] if rows == list(range(len(rows))) else rows
     arrays["prior_p"] = list(result.priors.values())
 
     # --- value posteriors (V layer) -----------------------------------
@@ -277,7 +279,6 @@ def reference_save_artifact(artifact: TrustArtifact, path: str | Path) -> Path:
     header = {
         "format": FORMAT_NAME,
         "format_version": FORMAT_VERSION,
-        "payload_kind": "npz",
         "config": config_to_dict(artifact.config),
         "granularity": (
             {
@@ -290,9 +291,6 @@ def reference_save_artifact(artifact: TrustArtifact, path: str | Path) -> Path:
         "min_triples": artifact.min_triples,
         "seed": artifact.seed,
         "metadata": artifact.metadata,
-        "sources": [_encode_key(s) for s in sources.table],
-        "extractors": [_encode_key(e) for e in extractors.table],
-        "items": [[i.subject, i.predicate] for i in items.table],
         "values": values.table,
         "history": [
             [h.iteration, h.max_accuracy_delta, h.max_extractor_delta]
@@ -308,24 +306,15 @@ def reference_save_artifact(artifact: TrustArtifact, path: str | Path) -> Path:
         },
     }
 
+    # The key tables become the library's pool-id columns, and the
+    # members its zip: what is checked here is every column above.
     path = Path(path)
-    # Atomic write-then-rename: `kbt update` overwrites its input
-    # artifact in place by default, so a half-written zip must never
-    # land on the target path (disk full, Ctrl-C, power loss ...).
-    # The level goes to each writestr: ZipFile(compresslevel=) does not
-    # reach members written from a ZipInfo.
-    with atomic_write(path, "wb") as handle:
-        with zipfile.ZipFile(handle, "w", zipfile.ZIP_DEFLATED) as archive:
-            archive.writestr(
-                _zip_member(_HEADER_MEMBER),
-                json.dumps(header, ensure_ascii=False),
-                compresslevel=_DEFLATE_LEVEL,
-            )
-            archive.writestr(
-                _zip_member(_NPZ_MEMBER),
-                _deterministic_npz(arrays),
-                compresslevel=_DEFLATE_LEVEL,
-            )
+    tables = {
+        "sources": sources.table,
+        "extractors": extractors.table,
+        "items": items.table,
+    }
+    _write(path, header, _key_columns(tables) | arrays)
     return path
 
 
@@ -418,18 +407,22 @@ def reference_load_result(path: str | Path) -> MultiLayerResult:
     """The result half of ``load_artifact``."""
     header, payload = _read_members(path)
     arrays = _Lists(payload)
-    sources = _decode_sources(header)
-    extractors = [_decode_extractor(entry) for entry in header["extractors"]]
-    items = [DataItem(subject, predicate)
-             for subject, predicate in header["items"]]
-    values = header["values"]
+    # The key tables through the library's decoder (format 4 stores them
+    # as pool-id columns); every array section below is read here.
+    tables = _decode_tables(header, payload)
+    sources, extractors = tables["sources"], tables["extractors"]
+    items, values = tables["items"], tables["values"]
 
     coordinates = _CoordinateDecoder(sources, items, values)
+    scored = coordinates.decode(arrays, "coord")
+    if "prior_row" in payload:
+        rows = arrays["prior_row"] or range(len(arrays["prior_p"]))
+        prior_coords = [scored[row] for row in rows]
+    else:
+        prior_coords = coordinates.decode(arrays, "prior")
     result = result_from_views(
         value_posteriors=_decode_value_posteriors(items, values, arrays),
-        extraction_posteriors=dict(
-            zip(coordinates.decode(arrays, "coord"), arrays["coord_p"])
-        ),
+        extraction_posteriors=dict(zip(scored, arrays["coord_p"])),
         source_accuracy=_decode_source_accuracy(sources, arrays),
         extractor_quality=_decode_extractor_quality(extractors, arrays),
         estimable_sources={sources[s] for s in arrays["est_sources"]},
@@ -441,9 +434,7 @@ def reference_load_result(path: str | Path) -> MultiLayerResult:
             IterationSnapshot(iteration, acc_delta, ext_delta)
             for iteration, acc_delta, ext_delta in header["history"]
         ],
-        priors=dict(
-            zip(coordinates.decode(arrays, "prior"), arrays["prior_p"])
-        ),
+        priors=dict(zip(prior_coords, arrays["prior_p"])),
     )
     return result
 

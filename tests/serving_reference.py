@@ -7,7 +7,9 @@ encoded columns. Only the names changed (``Reference*``). It shares no
 lookup, encoding or index code with :mod:`repro.serving.store` or
 :mod:`repro.io.mmap_layout`, so a route rendered from it and from a
 ``TrustStore`` / ``MmapTrustStore`` over the same artifact agreeing to
-the byte is evidence, not a tautology. The signal views run through
+the byte is evidence, not a tautology. Its aggregation is the dict
+loop the library replaced with one over columns
+(:func:`repro.core.kbt.aggregate_scores`). The signal views run through
 the library's :class:`~repro.serving.store.SignalSurface`, built here
 eagerly from the artifact's payloads, as the deleted store did; the
 stores under test rebuild it from their encoded signal columns.
@@ -22,10 +24,10 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring
 from pathlib import Path
 
-from repro.core.kbt import KBTScore, aggregate_scores, webpage_of, website_of
+from repro.core.kbt import KBTScore, score_sort_key
+from repro.core.results import keyed, source_support
 from repro.core.types import SourceKey
 from repro.io.artifact import TrustArtifact, load_serving_inputs
-from repro.io.reports import score_sort_key
 from repro.serving.store import SignalSurface
 from repro.signals.base import SignalScores
 
@@ -57,6 +59,49 @@ class ReferenceColumns:
     fusion_weights: dict[str, float]
 
 
+def website_of(source: SourceKey) -> str:
+    """The website a model source aggregates into."""
+    return source.website
+
+
+def webpage_of(source: SourceKey) -> tuple[str, str] | None:
+    """The (website, webpage) of a source that carries one, else None."""
+    if source.level >= 3:
+        return (source.features[0], source.features[2])
+    return None
+
+
+def aggregate_scores(
+    source_accuracy: dict[SourceKey, float],
+    source_support: dict[SourceKey, float],
+    min_triples: float,
+    group_of,
+) -> dict[object, KBTScore]:
+    """Support-weighted average of source accuracies per group.
+
+    Sources ``group_of`` maps to None, or with no support, contribute
+    nothing, and a group is reported only when its support reaches
+    ``min_triples`` (Section 5.4). Groups keep first-seen order.
+    """
+    numer: dict[object, float] = {}
+    denom: dict[object, float] = {}
+    for source, accuracy in source_accuracy.items():
+        group = group_of(source)
+        if group is None:
+            continue
+        support = source_support.get(source, 0.0)
+        if support <= 0.0:
+            continue
+        numer[group] = numer.get(group, 0.0) + support * accuracy
+        denom[group] = denom.get(group, 0.0) + support
+    scores = {}
+    for group, weight in denom.items():
+        if weight < min_triples:
+            continue
+        scores[group] = KBTScore(group, numer[group] / weight, weight)
+    return scores
+
+
 def reference_columns(
     source_accuracy: dict[SourceKey, float],
     source_support: dict[SourceKey, float],
@@ -67,8 +112,8 @@ def reference_columns(
     """Aggregate fitted source accuracies into the serving columns.
 
     Per-website and per-webpage scores (the support-weighted averages of
-    :func:`repro.core.kbt.aggregate_scores`, so they equal
-    ``KBTReport``'s to the bit), the ranking (descending score, ties on
+    :func:`aggregate_scores`, which ``KBTReport``'s must equal to the
+    bit), the ranking (descending score, ties on
     the key), score percentiles, and for every website the model sources
     behind its score, largest support first. Signals pass through.
     """
@@ -313,7 +358,17 @@ class ReferenceStore(ReferenceViews):
     def open(cls, path: str | Path) -> "ReferenceStore":
         """Build the store from an artifact on disk, decoding only the
         sections serving reads (never the observation matrix)."""
-        return cls(reference_columns(*load_serving_inputs(path)))
+        scored, min_triples, signals, weights = load_serving_inputs(path)
+        sources = scored.sources
+        return cls(
+            reference_columns(
+                keyed(sources, scored.acc_source, scored.acc_value.tolist()),
+                source_support(sources, scored.coord_source, scored.coord_p),
+                min_triples,
+                signals,
+                weights,
+            )
+        )
 
     # ------------------------------------------------------------------
     # Introspection

@@ -1,5 +1,6 @@
 """Unit tests for the versioned trust-artifact round trip."""
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from repro.core.config import (
     AbsenceScope,
     ConvergenceConfig,
+    FalseValueModel,
     GranularityConfig,
     MultiLayerConfig,
 )
@@ -24,7 +26,11 @@ from repro.core.kbt import FittedKBT, KBTEstimator
 from repro.core.multi_layer import MultiLayerModel
 from repro.core.observation import ObservationMatrix
 from repro.core.quality import ExtractorQuality
-from repro.core.results import IterationSnapshot
+from repro.core.results import (
+    IterationSnapshot,
+    MultiLayerResult,
+    source_support,
+)
 from repro.core.types import (
     DataItem,
     ExtractionRecord,
@@ -96,14 +102,81 @@ def rewrite_header(path, out_path, **overrides):
     return out_path
 
 
-def with_json_payload(path, out_path):
-    """Copy an artifact with its arrays as a hand-built ``payload.json``
-    member: nothing writes that form any more, files on disk have it."""
+def member_arrays(path) -> dict:
+    """A format-4 artifact's column members, by column name."""
+    with zipfile.ZipFile(path) as archive:
+        return {
+            name[: -len(".npy")]: np.load(io.BytesIO(archive.read(name)))
+            for name in archive.namelist()
+            if name.endswith(".npy")
+        }
+
+
+def v3_parts(path) -> tuple[dict, dict]:
+    """The header and payload arrays of an artifact in the format-3
+    layout: a format-4 artifact's key columns become the header's JSON
+    tables, and its prior rows the priors' key ids."""
     with zipfile.ZipFile(path) as archive:
         header = json.loads(archive.read("header.json"))
-        npz = np.load(io.BytesIO(archive.read("payload.npz")))
+        if header["format_version"] < 4:
+            npz = np.load(io.BytesIO(archive.read("payload.npz")))
+            return header, {name: npz[name] for name in npz.files}
+    arrays = member_arrays(path)
+    blob, offsets = arrays.pop("pool.blob"), arrays.pop("pool.off").tolist()
+    strings = [None] + [
+        blob[lo:hi].tobytes().decode("utf-8")
+        for lo, hi in zip(offsets, offsets[1:])
+    ]
+    for prefix, table in (("src", "sources"), ("ext", "extractors")):
+        feat = arrays.pop(f"{prefix}_feat").tolist()
+        buckets = arrays.pop(f"{prefix}_bucket", np.zeros(len(feat)))
+        header[table] = [
+            [[strings[i] for i in row if i], int(b) - 1 if b else None]
+            for row, b in zip(feat, buckets.tolist())
+        ]
+    header["items"] = [
+        [strings[subject], strings[predicate]]
+        for subject, predicate in zip(
+            arrays.pop("item_subj").tolist(), arrays.pop("item_pred").tolist()
+        )
+    ]
+    rows = arrays.pop("prior_row")
+    if not len(rows):  # the first len(prior_p) C-layer rows
+        rows = np.arange(len(arrays["prior_p"]))
+    out = {}
+    for name, array in arrays.items():
+        if name == "prior_p":
+            for axis in ("source", "item", "value"):
+                out[f"prior_{axis}"] = arrays[f"coord_{axis}"][rows]
+        out[name] = array
+    header["format_version"] = 3
+    header["payload_kind"] = "npz"
+    return header, out
+
+
+def write_v3(header, arrays, out_path):
+    payload = io.BytesIO()
+    np.savez(payload, **arrays)
+    with zipfile.ZipFile(out_path, "w", zipfile.ZIP_DEFLATED) as archive:
+        archive.writestr("header.json", json.dumps(header))
+        archive.writestr("payload.npz", payload.getvalue())
+    return out_path
+
+
+def as_v3(path, out_path):
+    """Copy an artifact in the format-3 layout (:func:`v3_parts`): what
+    the last format-3 build would have written for the same fit, up to
+    the zip's own bytes."""
+    return write_v3(*v3_parts(path), out_path)
+
+
+def with_json_payload(path, out_path):
+    """Copy an artifact in the format-3 layout with its arrays as a
+    hand-built ``payload.json`` member: nothing writes that form any
+    more, files on disk have it."""
+    header, arrays = v3_parts(path)
     header["payload_kind"] = "json"
-    arrays = {name: npz[name].tolist() for name in npz.files}
+    arrays = {name: array.tolist() for name, array in arrays.items()}
     with zipfile.ZipFile(out_path, "w") as archive:
         archive.writestr("header.json", json.dumps(header))
         archive.writestr("payload.json", json.dumps(arrays))
@@ -111,41 +184,34 @@ def with_json_payload(path, out_path):
 
 
 def as_v2(path, out_path):
-    """Copy a format-3 artifact in the format-2 layout: ``int64`` key
-    columns, the coordinate on every observation entry, no extractor
-    order."""
-    with zipfile.ZipFile(path) as archive:
-        header = json.loads(archive.read("header.json"))
-        npz = np.load(io.BytesIO(archive.read("payload.npz")))
-        arrays = {name: npz[name] for name in npz.files}
+    """Copy an artifact in the format-2 layout: ``int64`` key columns,
+    the coordinate on every observation entry, no extractor order."""
+    header, arrays = v3_parts(path)
     header["format_version"] = 2
     if header["has_observations"]:
         lens = arrays.pop("cell_len")
         for axis in ("source", "item", "value"):
             arrays[f"obs_{axis}"] = np.repeat(arrays.pop(f"cell_{axis}"), lens)
         del arrays["obs_extractor_order"]
-    payload = io.BytesIO()
-    np.savez(
-        payload,
-        **{
+    return write_v3(
+        header,
+        {
             name: array if array.dtype.kind == "f" else array.astype(np.int64)
             for name, array in arrays.items()
         },
+        out_path,
     )
-    with zipfile.ZipFile(out_path, "w", zipfile.ZIP_DEFLATED) as archive:
-        archive.writestr("header.json", json.dumps(header))
-        archive.writestr("payload.npz", payload.getvalue())
-    return out_path
 
 
 def payload_arrays(path) -> dict:
+    """The arrays of a format-1 to -3 artifact's ``payload.npz``."""
     with zipfile.ZipFile(path) as archive:
         npz = np.load(io.BytesIO(archive.read("payload.npz")))
         return {name: npz[name] for name in npz.files}
 
 
 def narrowest(array) -> np.dtype:
-    """The dtype format 3 stores an integer column at."""
+    """The dtype formats 3 and 4 store an integer column at."""
     if array.size and array.min() < 0:
         return np.dtype(np.int64)
     top = array.max() if array.size else 0
@@ -275,10 +341,10 @@ class TestRejection:
         with pytest.raises(ArtifactError, match="format version"):
             load_artifact(future)
 
-    def test_version_4_rejected(self, fitted, tmp_path):
+    def test_version_5_rejected(self, fitted, tmp_path):
         path = fitted.save(tmp_path / "model.kbt")
-        future = rewrite_header(path, tmp_path / "v4.kbt", format_version=4)
-        with pytest.raises(ArtifactError, match="format version 4"):
+        future = rewrite_header(path, tmp_path / "v5.kbt", format_version=5)
+        with pytest.raises(ArtifactError, match="format version 5"):
             load_artifact(future)
 
     def test_foreign_format_name(self, fitted, tmp_path):
@@ -367,23 +433,86 @@ class TestConfigSerde:
 
 
 # ----------------------------------------------------------------------
-# Format 3: narrow columns, one row per cell, the extractor order
+# Format 4: one member per column, key tables as pool ids, prior rows
 # ----------------------------------------------------------------------
-class TestFormat3:
+class TestFormat4:
     def test_columns(self, fitted, tmp_path):
         path = fitted.save(tmp_path / "model.kbt")
-        arrays = payload_arrays(path)
-        assert {"cell_source", "cell_item", "cell_value", "cell_len",
+        arrays = member_arrays(path)
+        assert {"pool.blob", "pool.off", "src_feat", "ext_feat",
+                "item_subj", "item_pred", "prior_row", "prior_p",
+                "cell_source", "cell_item", "cell_value", "cell_len",
                 "obs_extractor", "obs_conf", "obs_extractor_order"} <= set(
             arrays
         )
-        assert not {"obs_source", "obs_item", "obs_value"} & set(arrays)
+        # No bucket column without a bucket; no key ids for the priors.
+        assert not {"src_bucket", "ext_bucket", "prior_source",
+                    "prior_item", "prior_value", "obs_source"} & set(arrays)
         for name, array in arrays.items():
             if array.dtype.kind != "f":
                 assert array.dtype == narrowest(array), name
         cells = cells_of(fitted.observations)
         assert len(arrays["cell_len"]) == len(cells)
         assert arrays["cell_len"].tolist() == [len(c) for _k, c in cells]
+        # A fit's priors sit on every C-layer row, in its order: no
+        # row is written.
+        assert len(arrays["prior_p"]) == len(arrays["coord_p"])
+        assert arrays["prior_row"].tolist() == []
+        with zipfile.ZipFile(path) as archive:
+            header = json.loads(archive.read("header.json"))
+            stored = {
+                info.filename
+                for info in archive.infolist()
+                if info.compress_type == zipfile.ZIP_STORED
+            }
+        assert header["format_version"] == FORMAT_VERSION == 4
+        assert not {"sources", "extractors", "items", "payload_kind"} & set(
+            header
+        )
+        assert stored == {"coord_p.npy", "vp_p.npy", "obs_conf.npy"}
+
+    def test_pool_holds_each_string_once(self, fitted, tmp_path):
+        arrays = member_arrays(fitted.save(tmp_path / "model.kbt"))
+        offsets = arrays["pool.off"].tolist()
+        blob = arrays["pool.blob"].tobytes()
+        pool = [blob[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
+        assert len(set(pool)) == len(pool)
+        # The sources' strings come first: their ids are 1 .. k.
+        src = arrays["src_feat"]
+        assert set(src[src > 0].tolist()) == set(range(1, src.max() + 1))
+
+    def test_buckets_only_where_a_key_has_one(self, tmp_path):
+        fitted = KBTEstimator(
+            granularity=GranularityConfig(min_size=3, max_size=4), seed=5
+        ).fit(corpus())
+        assert any(
+            key.bucket is not None for key in fitted.observations.sources()
+        )
+        path = fitted.save(tmp_path / "model.kbt")
+        arrays = member_arrays(path)
+        assert "src_bucket" in arrays
+        loaded = FittedKBT.load(path)
+        assert list(loaded.result.source_accuracy) == list(
+            fitted.result.source_accuracy
+        )
+        assert loaded.save(tmp_path / "again.kbt").read_bytes() == (
+            path.read_bytes()
+        )
+
+    def test_prior_off_the_c_layer_is_refused(self, fitted, tmp_path):
+        columns = fitted.result.columns()
+        moved = dataclasses.replace(
+            columns, prior_value=np.roll(columns.prior_value, 1)
+        )
+        assert not np.array_equal(moved.prior_value, columns.coord_value)
+        artifact = TrustArtifact(
+            result=MultiLayerResult(moved, 1, []),
+            config=MultiLayerConfig(),
+            min_triples=1.0,
+        )
+        with pytest.raises(ArtifactError, match="C-layer"):
+            save_artifact(artifact, tmp_path / "model.kbt")
+        assert not (tmp_path / "model.kbt").exists()
 
 
 #: Digests of the fit in ``tests/goldens/artifact_v2.kbt`` (the ladder
@@ -424,12 +553,82 @@ class TestV2Fixture:
         # Format 2 never stored the extractor order.
         assert list(observations.extractors()) == entry_order(corpus)
 
-    def test_resaves_as_format_3(self, tmp_path):
+    def test_resaves_as_format_4(self, tmp_path):
         loaded = FittedKBT.load(V2_FIXTURE)
-        again = FittedKBT.load(loaded.save(tmp_path / "v3.kbt"))
+        again = FittedKBT.load(loaded.save(tmp_path / "v4.kbt"))
         assert result_digest(again.result) == V2_RESULT_SHA256
         assert scores_digest(again.website_scores()) == V2_SCORES_SHA256
         assert snapshot(again.observations) == snapshot(loaded.observations)
+
+
+#: ``tests/goldens/artifact_v3.kbt``: the same fit, with a ``kbt``
+#: signal, written by the last format-3 build. Its result digests are
+#: the format-2 fixture's, and its warm-start update over
+#: ``tests/goldens/updates.jsonl`` is the ladder's ``update_float64``.
+V3_FIXTURE = GOLDENS_DIR / "artifact_v3.kbt"
+V3_FILE_SHA256 = (
+    "f9d6a7dc98fd44975bd363e2f833d7844e65fbcf27901ac6cd3a6b2c7fbab377"
+)
+
+
+class TestV3Fixture:
+    """A format-3 artifact written by the last format-3 build loads."""
+
+    def test_is_version_3(self):
+        assert hashlib.sha256(V3_FIXTURE.read_bytes()).hexdigest() == (
+            V3_FILE_SHA256
+        )
+        with zipfile.ZipFile(V3_FIXTURE) as archive:
+            header = json.loads(archive.read("header.json"))
+        assert header["format_version"] == 3
+        assert "prior_source" in payload_arrays(V3_FIXTURE)
+
+    def test_result_scores_and_signals(self):
+        loaded = load_artifact(V3_FIXTURE)
+        assert result_digest(loaded.result) == V2_RESULT_SHA256
+        fitted = FittedKBT.from_artifact(loaded)
+        assert scores_digest(fitted.website_scores()) == V2_SCORES_SHA256
+        assert list(loaded.signals) == ["kbt"]
+
+    def test_serving_inputs(self, tmp_path):
+        """Opened for serving, the fixture answers as its loaded fit."""
+        from repro.serving.mmap_store import MmapTrustStore
+
+        want = FittedKBT.load(V3_FIXTURE).website_scores()
+        copy = tmp_path / "v3.kbt"
+        copy.write_bytes(V3_FIXTURE.read_bytes())
+        store = MmapTrustStore.open(copy)
+        try:
+            assert store.layout_state == "exported"
+            assert {site: store.score(site) for site in store.websites()} == (
+                want
+            )
+        finally:
+            store.close()
+
+    def test_update_writes_format_4_with_the_same_floats(self, tmp_path):
+        from repro.cli import main as cli_main
+
+        goldens = json.loads(
+            (GOLDENS_DIR / "ladder_digests.json").read_text("utf-8")
+        )
+        updated = FittedKBT.load(V3_FIXTURE).update(
+            read_records(GOLDENS_DIR / "updates.jsonl"), sweeps=2
+        )
+        assert result_digest(updated.result) == goldens["update_float64"]
+        out = tmp_path / "updated.kbt"
+        assert cli_main([
+            "update", str(V3_FIXTURE), str(GOLDENS_DIR / "updates.jsonl"),
+            "--artifact-out", str(out),
+        ]) == 0
+        with zipfile.ZipFile(out) as archive:
+            header = json.loads(archive.read("header.json"))
+        assert header["format_version"] == 4
+        again = FittedKBT.load(out)
+        assert result_digest(again.result) == goldens["update_float64"]
+        assert again.save(tmp_path / "again.kbt").read_bytes() == (
+            out.read_bytes()
+        )
 
 
 def e2e_model_config() -> MultiLayerConfig:
@@ -535,9 +734,9 @@ def trust_artifacts(draw):
     coords = list(matrix.columns().coords)
     rng.shuffle(coords)
     posteriors = {coord: rng.random() for coord in coords[1:]}
-    priors = {coord: rng.random() for coord in rng.sample(coords, 5)
-              if len(coords) >= 5}
-    priors[(sources[0], DataItem("prior-only", "p"), "prior-only")] = 0.5
+    # Priors sit on C-layer coordinates (format 4 stores their rows),
+    # here on a few of them, in another order.
+    priors = {coord: rng.random() for coord in rng.sample(coords[1:], 5)}
     value_posteriors = {}
     for _source, item, value in coords:
         value_posteriors.setdefault(item, {})[value] = rng.random()
@@ -584,20 +783,22 @@ class TestRoundTripProperty:
         artifact, json_payload = drawn
         with tempfile.TemporaryDirectory() as tmp:
             path = save_artifact(artifact, Path(tmp) / "model.kbt")
-            for name, array in payload_arrays(path).items():
+            for name, array in member_arrays(path).items():
                 if array.dtype.kind != "f":
                     assert array.dtype == narrowest(array), name
             if json_payload:
                 path = with_json_payload(path, Path(tmp) / "json.kbt")
             loaded = load_artifact(path)
-            support = load_serving_inputs(path)[1]
+            scored = load_serving_inputs(path)[0]
 
         got, want = loaded.result, artifact.result
-        # The serving path sums the C-layer columns with bincount; the
-        # result's own loop is the reference, sum for sum and in order.
-        assert list(support.items()) == list(
-            want.expected_triples_by_source().items()
-        )
+        # The serving path reads the accuracy and C-layer columns; summed
+        # by source, they are the result's support, sum for sum.
+        assert list(
+            source_support(
+                scored.sources, scored.coord_source, scored.coord_p
+            ).items()
+        ) == list(want.expected_triples_by_source().items())
         for name in ("extraction_posteriors", "source_accuracy",
                      "extractor_quality", "priors", "value_posteriors"):
             assert getattr(got, name) == getattr(want, name), name
@@ -621,6 +822,96 @@ class TestRoundTripProperty:
         for name, scores in artifact.signals.items():
             assert list(loaded.signals[name].scores) == list(scores.scores)
         assert loaded.fusion_weights == artifact.fusion_weights
+
+
+@st.composite
+def fitted_models(draw):
+    """A fit of a small random corpus: ACCU or POPACCU, with or without
+    SPLITANDMERGE buckets, maybe merged with an update whose one sweep
+    ends before the prior update starts (so its priors cover part of
+    the C layer); saved with or without its cells and a signal."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def records(tag: str) -> list:
+        out = []
+        for k in range(rng.randint(2, 5)):
+            site = f"{tag}{k}.com"
+            for page in range(rng.randint(3, 7)):
+                item = DataItem(f"s{rng.randint(0, 9)}", "p")
+                value = rng.choice(["a", "b", 1, True, 2.5])
+                for extractor in rng.sample(["e0", "e1", "e2"], 2):
+                    out.append(
+                        ExtractionRecord(
+                            ExtractorKey((extractor, "pat")),
+                            page_source(site, "p", f"{site}/{page % 2}"),
+                            item,
+                            value,
+                            rng.uniform(0.1, 1.0),
+                        )
+                    )
+        return out
+
+    popaccu = draw(st.booleans())
+    config = MultiLayerConfig(
+        absence_scope=AbsenceScope.ACTIVE,
+        false_value_model=FalseValueModel.POPACCU
+        if popaccu
+        else FalseValueModel.ACCU,
+        use_weighted_vcv=not popaccu,
+        min_source_support=1,
+        min_extractor_support=1,
+        prior_update_start_iteration=3,
+        convergence=ConvergenceConfig(max_iterations=3, tolerance=0.0),
+    )
+    granularity = (
+        GranularityConfig(min_size=2, max_size=4)
+        if draw(st.booleans())
+        else None
+    )
+    fitted = KBTEstimator(
+        config, granularity=granularity, min_triples=0.0, seed=3
+    ).fit(records("w"))
+    if draw(st.booleans()):
+        fitted = fitted.update(records("new"), sweeps=1)
+    return fitted, draw(st.booleans()), draw(st.booleans())
+
+
+class TestFittedRoundTrip:
+    @given(fitted_models())
+    @settings(max_examples=20, deadline=None)
+    def test_views_and_bytes(self, drawn):
+        fitted, include_observations, with_signal = drawn
+        result = fitted.result
+        signals = {}
+        if with_signal:
+            sites = sorted(fitted.website_scores())
+            signals["kbt"] = SignalScores(
+                name="kbt",
+                scores={site: 0.5 for site in sites},
+                support={site: 1.0 for site in sites[::2]},
+            )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = fitted.save(
+                Path(tmp) / "model.kbt",
+                include_observations=include_observations,
+                signals=signals,
+                fusion_weights={"kbt": 1.0} if signals else {},
+            )
+            loaded = load_artifact(path)
+            again = save_artifact(loaded, Path(tmp) / "again.kbt")
+            assert again.read_bytes() == path.read_bytes()
+        got = loaded.result
+        for name in ("extraction_posteriors", "source_accuracy",
+                     "extractor_quality", "priors", "value_posteriors",
+                     "estimable_sources", "estimable_extractors"):
+            assert getattr(got, name) == getattr(result, name), name
+            assert list(getattr(got, name)) == list(getattr(result, name))
+        assert got.history == result.history
+        assert FittedKBT.from_artifact(loaded).website_scores() == (
+            fitted.website_scores()
+        )
+        assert loaded.signals == signals
+        assert (loaded.observations is None) == (not include_observations)
 
 
 def test_loaded_coordinates_are_shared(fitted, tmp_path):
@@ -684,28 +975,33 @@ LOADERS = {
 }
 
 
+#: Column members every loader reads: one deflated, one STORED.
+DEFLATED_MEMBER = "src_feat.npy"
+STORED_MEMBER = "coord_p.npy"
+
+
 def damaged_artifacts(fitted, directory):
     """One damaged copy per way a member can fail to read or parse."""
     path = fitted.save(directory / "model.kbt")
     with zipfile.ZipFile(path) as archive:
         header = archive.read("header.json")
-        payload = archive.read("payload.npz")
+        column = archive.read(STORED_MEMBER)
     stored = rewrite_members(
         path, directory / "stored.kbt", compress=zipfile.ZIP_STORED
     )
     return {
-        # The reproduction: one byte of the deflated payload flipped.
+        # The reproduction: one byte of a deflated column flipped.
         "payload-byte": flip_member_byte(
-            path, directory / "byte.kbt", "payload.npz"
+            path, directory / "byte.kbt", DEFLATED_MEMBER
         ),
         "payload-crc": flip_member_byte(
-            stored, directory / "crc.kbt", "payload.npz"
+            stored, directory / "crc.kbt", STORED_MEMBER
         ),
         "payload-inflate": flip_member_byte(
-            path, directory / "inflate.kbt", "payload.npz", fill=0xFF
+            path, directory / "inflate.kbt", DEFLATED_MEMBER, fill=0xFF
         ),
         "payload-not-npz": rewrite_members(
-            path, directory / "npz.kbt", {"payload.npz": payload[:1000]}
+            path, directory / "npz.kbt", {STORED_MEMBER: column[:100]}
         ),
         "header-truncated": rewrite_members(
             path,
@@ -766,6 +1062,7 @@ HEADER_DAMAGE = {
     "min_triples-nan": (
         "min_triples", lambda h: h.update(min_triples=float("nan"))
     ),
+    # Format 3's JSON key table (a format-4 header has none).
     "source-entry": (
         "sources", lambda h: h["sources"].__setitem__(0, [1, 2, 3])
     ),
@@ -783,9 +1080,10 @@ class TestMalformedHeader:
     @pytest.mark.parametrize("damage", sorted(HEADER_DAMAGE))
     def test_is_an_artifact_error(self, fitted, tmp_path, damage, loader):
         field, edit = HEADER_DAMAGE[damage]
-        path = edited_header(
-            fitted.save(tmp_path / "model.kbt"), tmp_path / "bad.kbt", edit
-        )
+        path = fitted.save(tmp_path / "model.kbt")
+        if field == "sources":
+            path = as_v3(path, tmp_path / "v3.kbt")
+        path = edited_header(path, tmp_path / "bad.kbt", edit)
         match = f"header field '{field}'"
         with pytest.raises(ArtifactError, match=match) as info:
             LOADERS[loader](path)
@@ -796,15 +1094,15 @@ class TestMalformedHeader:
 # Columns that disagree with each other or with their tables
 # ----------------------------------------------------------------------
 def with_arrays(path, out_path, **edits):
-    """Copy an artifact with payload arrays edited (``name=function``)."""
-    arrays = payload_arrays(path)
+    """Copy a format-4 artifact with column members edited
+    (``name=function``)."""
+    arrays = member_arrays(path)
+    replace = {}
     for name, edit in edits.items():
-        arrays[name] = edit(arrays[name])
-    payload = io.BytesIO()
-    np.savez(payload, **arrays)
-    return rewrite_members(
-        path, out_path, {"payload.npz": payload.getvalue()}
-    )
+        member = io.BytesIO()
+        np.save(member, edit(arrays[name]))
+        replace[f"{name}.npy"] = member.getvalue()
+    return rewrite_members(path, out_path, replace)
 
 
 class TestInconsistentColumns:
@@ -832,15 +1130,34 @@ class TestInconsistentColumns:
 
     def test_sources_table_one_key_short(self, fitted, tmp_path):
         path = fitted.save(tmp_path / "model.kbt")
-        with zipfile.ZipFile(path) as archive:
-            sources = json.loads(archive.read("header.json"))["sources"]
-        short = rewrite_header(
-            path, tmp_path / "short.kbt", sources=sources[:-1]
+        short = with_arrays(
+            path, tmp_path / "short.kbt", src_feat=lambda feat: feat[:-1]
         )
         for loader in (load_artifact, load_serving_inputs):
             with pytest.raises(ArtifactError, match="outside its") as err:
                 loader(short)
             assert str(short) in str(err.value)
+
+    @pytest.mark.parametrize(
+        "edit, message, loaders",
+        [
+            ({"pool.off": lambda off: off[:-1]}, "string pool",
+             (load_artifact, load_serving_inputs)),
+            ({"src_feat": lambda feat: feat * (np.arange(3) > 0)},
+             "src_feat", (load_artifact, load_serving_inputs)),
+            ({"item_subj": lambda ids: ids * 0}, "names no string",
+             (load_artifact,)),
+        ],
+        ids=["pool-short", "feature-gap", "item-no-string"],
+    )
+    def test_key_columns(self, fitted, tmp_path, edit, message, loaders):
+        path = with_arrays(
+            fitted.save(tmp_path / "model.kbt"), tmp_path / "bad.kbt", **edit
+        )
+        for loader in loaders:
+            with pytest.raises(ArtifactError, match=message) as err:
+                loader(path)
+            assert str(path) in str(err.value)
 
     @pytest.fixture(scope="class")
     def with_signal(self, fitted, tmp_path_factory):

@@ -59,14 +59,23 @@ def written(fmt, directory):
 # ----------------------------------------------------------------------
 def test_manifest_text_and_columns(fmt, tmp_path):
     directory = written(fmt, tmp_path / "d")
+    table = {"col": ["<i8", [64], 128], "sub/col": ["<f8", [3], 128]}
     assert (directory / MANIFEST).read_text("utf-8") == json.dumps(
-        {"format": fmt.format, "version": fmt.version, "n": 1}, indent=1
+        {"format": fmt.format, "version": fmt.version, "n": 1,
+         "columns": table},
+        indent=1,
     ) + "\n"
     assert fmt.read_manifest(directory)["n"] == 1
     column = fmt.map(directory, "col")
     assert isinstance(column, np.memmap) and not column.flags.writeable
     assert np.array_equal(column, np.arange(64))
     assert np.array_equal(fmt.map(directory, "sub/col"), np.ones(3))
+    # Through the manifest's entry: no header parsed, the same values.
+    for name, want in (("col", np.arange(64)), ("sub/col", np.ones(3))):
+        mapped = fmt.map(directory, name, table[name])
+        assert not mapped.flags.writeable
+        assert mapped.dtype == want.dtype
+        assert np.array_equal(mapped, want)
 
 
 def test_failed_rewrite_leaves_no_manifest(fmt, tmp_path, monkeypatch):
@@ -126,6 +135,11 @@ def _read_column(fmt, directory):
     return fmt.map(directory, "col")
 
 
+def _map_column(fmt, directory):
+    """The column through its manifest entry, as a layout maps it."""
+    return fmt.map(directory, "col", ["<i8", [64], 128])
+
+
 #: name -> (damage(directory, fmt), read(fmt, directory), message pattern)
 DAMAGE = {
     "no manifest": (
@@ -152,6 +166,14 @@ DAMAGE = {
         _read_manifest,
         "unsupported .* version",
     ),
+    # A manifest of version 1 records no column table.
+    "previous version": (
+        lambda d, fmt: _rewrite_manifest(
+            d, json.dumps({"format": fmt.format, "version": fmt.version - 1})
+        ),
+        _read_manifest,
+        "unsupported .* version",
+    ),
     "deleted column": (
         lambda d, fmt: (d / "col.npy").unlink(),
         _read_column,
@@ -160,6 +182,16 @@ DAMAGE = {
     "truncated column": (
         lambda d, fmt: _truncate(d / "col.npy"),
         _read_column,
+        "missing or torn",
+    ),
+    "deleted mapped column": (
+        lambda d, fmt: (d / "col.npy").unlink(),
+        _map_column,
+        "missing or torn",
+    ),
+    "truncated mapped column": (
+        lambda d, fmt: _truncate(d / "col.npy"),
+        _map_column,
         "missing or torn",
     ),
 }
@@ -176,6 +208,34 @@ def test_damaged_directory_is_the_callers_error(fmt, case, tmp_path):
     assert str(directory) in message
     assert fmt.remedy in message
     assert isinstance(caught.value, ValueError)
+
+
+def test_a_version_1_layout_cache_is_exported_again(tmp_path):
+    """An artifact's cached layout from before the column table is not
+    reused: opening the artifact exports it again, under the same name."""
+    from repro.core.kbt import KBTEstimator
+    from repro.io.mmap_layout import (
+        LAYOUT_VERSION,
+        artifact_etag,
+        layout_cache_dir,
+    )
+    from repro.serving.mmap_store import MmapTrustStore
+
+    from test_artifact import corpus
+
+    path = KBTEstimator().fit(corpus()).save(tmp_path / "model.kbt")
+    directory = layout_cache_dir(path, artifact_etag(path))
+    manifest = json.loads((directory / MANIFEST).read_text("utf-8"))
+    del manifest["columns"]
+    manifest["version"] = 1
+    _rewrite_manifest(directory, json.dumps(manifest))
+    store = MmapTrustStore.open(path)
+    try:
+        assert store.layout_state == "exported"
+        assert store.directory == directory
+        assert _LAYOUT.read_manifest(directory)["version"] == LAYOUT_VERSION
+    finally:
+        store.close()
 
 
 # ----------------------------------------------------------------------

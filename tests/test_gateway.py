@@ -1792,10 +1792,10 @@ class TestHotSwap:
     def test_damaged_payload_swap_rejected_old_store_serves(
         self, artifact, tmp_path
     ):
-        """One flipped byte inside the payload member is a 400, not a
-        500: the artifact reader reports it as an ArtifactError."""
+        """One flipped byte inside a column member is a 400, not a 500:
+        the artifact reader reports it as an ArtifactError."""
         damaged = flip_member_byte(
-            artifact, tmp_path / "damaged.kbt", "payload.npz"
+            artifact, tmp_path / "damaged.kbt", "coord_p.npy"
         )
         manager = StoreManager(MmapTrustStore.open(artifact))
         gateway = GatewayThread(manager).start()

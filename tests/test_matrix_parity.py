@@ -12,8 +12,6 @@ the same value). CI runs this file under three hash seeds.
 
 import dataclasses
 import io
-import json
-import zipfile
 
 import numpy as np
 import pytest
@@ -41,6 +39,8 @@ from repro.core.types import (
     SourceKey,
 )
 from repro.io.artifact import ArtifactError, load_artifact
+
+from test_artifact import member_arrays, rewrite_members, v3_parts
 
 VALUES = ["a", "b", 1, True, 1.0, None, 0]
 
@@ -333,16 +333,14 @@ class TestMalformedCells:
         path = KBTEstimator().fit(records).save(
             tmp_path / "model.kbt"
         )
-        with zipfile.ZipFile(path) as archive:
-            header = archive.read("header.json")
-            npz = np.load(io.BytesIO(archive.read("payload.npz")))
-            arrays = {name: npz[name].copy() for name in npz.files}
+        arrays = member_arrays(path)
         corrupt(arrays)
-        payload = io.BytesIO()
-        np.savez(payload, **arrays)
-        with zipfile.ZipFile(path, "w") as archive:
-            archive.writestr("header.json", header)
-            archive.writestr("payload.npz", payload.getvalue())
+        members = {}
+        for name, array in arrays.items():
+            member = io.BytesIO()
+            np.save(member, array)
+            members[f"{name}.npy"] = member.getvalue()
+        rewrite_members(path, path, members)
         with pytest.raises(ArtifactError, match=message) as raised:
             load_artifact(path)
         assert str(path) in str(raised.value)
@@ -410,11 +408,9 @@ class TestStrTies:
             min_triples=0.0,
         ).fit(records)
         path = fitted.save(tmp_path / "tied.kbt")
-        with zipfile.ZipFile(path) as archive:
-            header = json.loads(archive.read("header.json"))
-            payload = np.load(io.BytesIO(archive.read("payload.npz")))
-            sources = payload["est_sources"].tolist()
-            extractors = payload["est_extractors"].tolist()
+        header, payload = v3_parts(path)
+        sources = payload["est_sources"].tolist()
+        extractors = payload["est_extractors"].tolist()
         # Every key ties on str, so the estimable sets list table ids.
         assert sources == list(range(len(TIED_SOURCES)))
         assert extractors == list(range(len(TIED_EXTRACTORS)))

@@ -42,24 +42,29 @@ from repro.core.config import (
 )
 from repro.core.engine_numpy import assemble_result
 from repro.core.indexing import compile_problem
-from repro.core.kbt import FittedKBT, KBTEstimator
+from repro.core.kbt import FittedKBT, KBTEstimator, aggregate_scores
 from repro.core.observation import ObservationMatrix
 from repro.core.quality import ExtractorQuality
 from repro.core.results import (
     MultiLayerResult,
     ResultColumns,
     first_seen,
+    keyed,
     source_support,
 )
 from repro.core.types import (
     DataItem,
     ExtractionRecord,
     ExtractorKey,
+    SourceKey,
     page_source,
 )
 from repro.exec.driver import fit_sharded
 from repro.io.artifact import TrustArtifact, load_artifact, save_artifact
+from repro.io.mmap_layout import ScoredSources
 from repro.signals.base import SignalScores
+from serving_reference import aggregate_scores as dict_aggregate
+from serving_reference import webpage_of, website_of
 from result_reference import (
     reference_assemble_result,
     reference_expected_triples_by_source,
@@ -438,6 +443,62 @@ class TestSourceSupport:
                 np.array([p for _s, p in rows], dtype=np.float64),
             )
         ) == exact(want)
+
+
+
+#: Sources at every level, two sharing a website and one a webpage.
+AGGREGATED = [
+    SourceKey(("w0.com",)),
+    SourceKey(("w0.com", "p")),
+    page_source("w0.com", "p", "w0.com/a"),
+    page_source("w1.com", "p", "w1.com/a"),
+    page_source("w1.com", "q", "w1.com/a"),
+    SourceKey(("w1.com", "p", "w1.com/b"), bucket=1),
+    page_source("w2.com", "p", "w2.com/a"),
+]
+
+
+class TestAggregation:
+    """``aggregate_scores`` sums over columns; the dict loop it replaced
+    (``tests/serving_reference.py``) is the reference, bit for bit and
+    in order."""
+
+    @given(
+        st.permutations(range(len(AGGREGATED))),
+        st.lists(st.floats(0.0, 1.0), min_size=len(AGGREGATED),
+                 max_size=len(AGGREGATED)),
+        st.lists(
+            st.tuples(
+                st.integers(0, len(AGGREGATED) - 1),
+                st.floats(0.0, 1.0, allow_subnormal=True),
+            ),
+            max_size=40,
+        ),
+        st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_columns_are_the_dict_loop_bit_for_bit(
+        self, order, accuracy, coords, min_triples
+    ):
+        scored = ScoredSources(
+            AGGREGATED,
+            np.array(order, dtype=np.intp),
+            np.array(accuracy, dtype=np.float64),
+            np.array([s for s, _p in coords], dtype=np.intp),
+            np.array([p for _s, p in coords], dtype=np.float64),
+        )
+        got = aggregate_scores(scored, min_triples)
+        source_accuracy = keyed(AGGREGATED, scored.acc_source, accuracy)
+        support = source_support(
+            AGGREGATED, scored.coord_source, scored.coord_p
+        )
+        for groups, group_of in (
+            (got.websites, website_of), (got.webpages, webpage_of)
+        ):
+            want = dict_aggregate(
+                source_accuracy, support, min_triples, group_of
+            )
+            assert exact(groups.scores()) == exact(want)
 
 
 def small_fit() -> FittedKBT:

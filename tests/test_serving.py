@@ -50,13 +50,7 @@ def corpus():
 def in_memory_store(fitted):
     """A store over the fit's serving columns, built without a file."""
     return TrustStore(
-        serving_columns(
-            fitted.result.source_accuracy,
-            fitted.result.expected_triples_by_source(),
-            fitted.min_triples,
-            {},
-            {},
-        )
+        serving_columns(fitted.result.columns(), fitted.min_triples, {}, {})
     )
 
 

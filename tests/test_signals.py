@@ -278,8 +278,7 @@ class TestFrame:
         fitted = KBTEstimator().fit(corpus())
         store = TrustStore(
             serving_columns(
-                fitted.result.source_accuracy,
-                fitted.result.expected_triples_by_source(),
+                fitted.result.columns(),
                 fitted.min_triples,
                 {"kbt": frame.signal("kbt")},
                 {},
@@ -417,11 +416,11 @@ class TestArtifactV2:
             assert reloaded.metadata == scores.metadata
         assert loaded.fusion_weights == weights
 
-    def test_header_declares_version_3(self, saved):
+    def test_header_declares_version_4(self, saved):
         path, _signals, _weights = saved
         with zipfile.ZipFile(path) as archive:
             header = json.loads(archive.read("header.json"))
-        assert header["format_version"] == FORMAT_VERSION == 3
+        assert header["format_version"] == FORMAT_VERSION == 4
         assert [s["name"] for s in header["signals"]] == [
             "kbt", "pagerank", "copydetect"
         ]

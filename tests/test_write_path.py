@@ -21,6 +21,8 @@ import pytest
 
 pytest.importorskip("numpy")
 
+import numpy as np
+
 import repro.io.artifact as artifact_module
 import repro.io.mmap_layout as layout_module
 import repro.serving.mmap_store as mmap_store_module
@@ -101,8 +103,7 @@ def with_two_signals():
 def columns_of(fitted, signals=None, fusion_weights=None):
     """What ``FittedKBT.save`` passes: the model still in memory."""
     return serving_columns(
-        fitted.result.source_accuracy,
-        fitted.report.source_support,
+        fitted.result.columns(),
         fitted.min_triples,
         signals or {},
         fusion_weights or {},
@@ -369,9 +370,11 @@ class TestServingNeverBuildsTheMatrix:
             ), section
         # The support serving reads off two columns is the support the
         # full result computes, sum for sum.
-        inputs = artifact_module.load_serving_inputs(path)
-        assert inputs[0] == fitted.result.source_accuracy
-        assert inputs[1] == fitted.result.expected_triples_by_source()
+        scored = artifact_module.load_serving_inputs(path)[0]
+        held = fitted.result.columns()
+        assert scored.sources == held.sources
+        for name in ("acc_source", "acc_value", "coord_source", "coord_p"):
+            assert np.array_equal(getattr(scored, name), getattr(held, name))
 
 
 # ----------------------------------------------------------------------
