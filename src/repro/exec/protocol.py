@@ -101,7 +101,9 @@ def decode_message(payload: bytes) -> tuple[str, dict, dict[str, np.ndarray]]:
     """Inverse of :func:`encode_message`: ``(kind, meta, arrays)``.
 
     Verifies the blob digest before decoding any array; a mismatch (or
-    any structural defect) raises :class:`ProtocolError`.
+    any structural defect: a header that is not a JSON object with a
+    ``str`` kind, a list of segments and a ``str`` digest) raises
+    :class:`ProtocolError`, and nothing else does.
     """
     if len(payload) < _HEADER_PREFIX.size:
         raise ProtocolError(
@@ -119,8 +121,14 @@ def decode_message(payload: bytes) -> tuple[str, dict, dict[str, np.ndarray]]:
         kind = header.pop("kind")
         segments = header.pop("segments")
         expected_digest = header.pop("blob_sha256")
-    except (json.JSONDecodeError, UnicodeDecodeError, KeyError) as err:
-        raise ProtocolError(f"malformed protocol header: {err}") from err
+        if (type(kind), type(segments), type(expected_digest)) != (
+            str, list, str
+        ):
+            raise TypeError("a kind, segments or digest of the wrong type")
+    except (
+        ValueError, RecursionError, KeyError, TypeError, AttributeError
+    ) as err:  # bad JSON or UTF-8, deep nesting, not a well-formed object
+        raise ProtocolError(f"malformed protocol header: {err!r}") from err
     blob = payload[header_end:]
     actual_digest = hashlib.sha256(blob).hexdigest()
     if actual_digest != expected_digest:
@@ -135,7 +143,7 @@ def decode_message(payload: bytes) -> tuple[str, dict, dict[str, np.ndarray]]:
             chunk = blob[
                 segment["offset"] : segment["offset"] + segment["length"]
             ]
-            arrays[segment["name"]] = np.load(
+            arrays[segment["name"]] = np.lib.format.read_array(
                 io.BytesIO(chunk), allow_pickle=False
             )
     except (ValueError, KeyError, TypeError, OSError) as err:

@@ -28,9 +28,10 @@ needs to be served or warm-started later. Format 4, what
   deflated at level 1. The choice is by name, so the bytes stay a pure
   function of the fit.
 
-Versions 1-3 keep their readers: their key tables are JSON in the
-header, and their arrays one ``payload.npz`` member (or
-``payload.json``, the same arrays as plain lists).
+Versions 1-3 hold their key tables as JSON in the header and their
+arrays in one ``payload.npz`` member (or ``payload.json``, the same
+arrays as plain lists). They load by upgrading those members to format
+4's (:func:`_upgrade`), so the decoders read format 4 only.
 
 Floats survive the columns bit-for-bit and every dict is rebuilt in its
 original insertion order, so re-aggregating scores from a loaded
@@ -58,9 +59,11 @@ import io
 import json
 import zipfile
 import zlib
+from collections import ChainMap
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import chain, groupby
+from functools import partial
+from itertools import chain
 from pathlib import Path
 from typing import Any
 
@@ -69,7 +72,13 @@ import numpy as np
 from repro import obs
 from repro.io.atomic import atomic_write
 from repro.io.jsonl import SCALAR_TYPES
-from repro.io.mmap_layout import ScoredSources, StringColumn, _encode_strings
+from repro.io.mmap_layout import (
+    ScoredSources,
+    StringColumn,
+    _encode_strings,
+    signal_columns,
+    signal_scores,
+)
 
 from repro.core.config import (
     AbsenceScope,
@@ -87,7 +96,6 @@ from repro.core.results import (
     first_seen_keys,
     id_mask,
     join_keys,
-    keyed,
 )
 from repro.core.types import DataItem, ExtractorKey, SourceKey
 from repro.signals.base import SignalScores
@@ -105,13 +113,16 @@ FORMAT_NAME = "kbt-trust-artifact"
 #: priors as C-layer rows, three float columns STORED.
 FORMAT_VERSION = 4
 
-#: Versions this build can read (older versions load compatibly).
-SUPPORTED_VERSIONS = frozenset({1, 2, 3, FORMAT_VERSION})
+#: Versions this build can read (a tuple: an unhashable header value is
+#: not in it, where a set would raise ``TypeError``).
+SUPPORTED_VERSIONS = (1, 2, 3, FORMAT_VERSION)
 
 _HEADER_MEMBER = "header.json"
-#: The one array member of versions 1-3 (``payload_kind`` npz / json).
-_NPZ_MEMBER = "payload.npz"
-_JSON_MEMBER = "payload.json"
+#: How versions 1-3 decode their one array member, ``payload.<kind>``.
+_PAYLOADS = {
+    "npz": lambda raw: np.load(io.BytesIO(raw)),
+    "json": json.loads,
+}
 
 #: The float columns written STORED: deflate barely shrinks them.
 _STORED = frozenset({"obs_conf", "coord_p", "vp_p"})
@@ -219,23 +230,12 @@ _RESULT_SECTIONS = {
     "empty items": {"vp_empty_item": "items"},
 }
 
-#: The same sections as versions 1-3 store them: the priors by key ids.
-_V3_SECTIONS = {
-    **_RESULT_SECTIONS,
-    "priors": {
-        "prior_source": "sources",
-        "prior_item": "items",
-        "prior_value": "values",
-        "prior_p": None,
-    },
-}
-
 _AXES = ("source", "item", "value")
 
 
-def _prior_rows(columns: ResultColumns) -> np.ndarray:
-    """The C-layer row of each prior, in the priors' order; empty when
-    they are the first ``len(prior_p)`` rows, in order.
+def _prior_rows(coord: list, prior: list) -> np.ndarray:
+    """The C-layer row of each prior, by the id columns (:data:`_AXES`)
+    of both; empty when they are the first rows, in order.
 
     A fit reports priors on every C-layer row, in its order, and an
     update merged into it keeps them on the older side's rows, which
@@ -243,9 +243,7 @@ def _prior_rows(columns: ResultColumns) -> np.ndarray:
     re-estimated priors its base did not have lists its rows. A prior
     on no C-layer coordinate has no row and is an :class:`ArtifactError`.
     """
-    n = len(columns.prior_p)
-    coord = [getattr(columns, f"coord_{axis}") for axis in _AXES]
-    prior = [getattr(columns, f"prior_{axis}") for axis in _AXES]
+    n = len(prior[0])
     if all(np.array_equal(a, b[:n]) for a, b in zip(prior, coord)):
         return np.zeros(0, dtype=np.intp)
     rows = {key: row for row, key in enumerate(_triples(coord))}
@@ -261,6 +259,11 @@ def _prior_rows(columns: ResultColumns) -> np.ndarray:
 def _triples(columns: list[np.ndarray]) -> Iterable[tuple]:
     """The ``(source, item, value)`` id rows of three id columns."""
     return zip(*(ids.tolist() for ids in columns))
+
+
+def _axes(columns: dict, prefix: str) -> list[np.ndarray]:
+    """A section's ``<prefix>_source`` / ``_item`` / ``_value`` ids."""
+    return [columns[f"{prefix}_{axis}"] for axis in _AXES]
 
 
 def _check_value(value: Any) -> Any:
@@ -300,8 +303,7 @@ def _key_columns(tables: dict[str, list]) -> dict[str, np.ndarray]:
         buckets = [key.bucket for key in keys]
         if any(bucket is not None for bucket in buckets):
             out[f"{prefix}_bucket"] = [
-                0 if bucket is None else _bucket(bucket) + 1
-                for bucket in buckets
+                0 if bucket is None else _bucket(bucket) for bucket in buckets
             ]
     items = tables["items"]
     out["item_subj"] = ids([item.subject for item in items])
@@ -313,11 +315,11 @@ def _key_columns(tables: dict[str, list]) -> dict[str, np.ndarray]:
 
 
 def _bucket(bucket: Any) -> int:
-    if type(bucket) is not int or bucket < 0:
-        raise ArtifactError(
-            f"a split bucket must be an int >= 0, got {bucket!r}"
-        )
-    return bucket
+    """A split bucket as its column holds it: ``bucket + 1`` (0 is no
+    bucket), or a negative bucket as itself."""
+    if type(bucket) is not int:
+        raise ArtifactError(f"a split bucket must be an int, got {bucket!r}")
+    return bucket + 1 if bucket >= 0 else bucket
 
 
 # ----------------------------------------------------------------------
@@ -353,7 +355,10 @@ def save_artifact(artifact: TrustArtifact, path: str | Path) -> Path:
                         getattr(columns, column[:-1])
                     )
                 elif column == "prior_row":
-                    arrays[column] = _prior_rows(columns)
+                    arrays[column] = _prior_rows(
+                        [getattr(columns, f"coord_{a}") for a in _AXES],
+                        [getattr(columns, f"prior_{a}") for a in _AXES],
+                    )
                 else:
                     arrays[column] = getattr(columns, column)
                 if table in named and len(arrays[column]):
@@ -391,33 +396,18 @@ def save_artifact(artifact: TrustArtifact, path: str | Path) -> Path:
         for value in tables["values"]:
             _check_value(value)
 
-        # --- trust-signal payloads (format >= 2) ----------------------
-        websites = {}
-        signal_entries = []
-        for index, (name, scores) in enumerate(artifact.signals.items()):
+        # --- trust-signal payloads ------------------------------------
+        for name, scores in artifact.signals.items():
             if name != scores.name:
                 raise ArtifactError(
                     f"signal registered as {name!r} but named {scores.name!r}"
                 )
-            arrays[f"sig{index}_site"] = [
-                websites.setdefault(site, len(websites))
-                for site in scores.scores
-            ]
-            arrays[f"sig{index}_score"] = list(scores.scores.values())
-            arrays[f"sig{index}_sup_site"] = [
-                websites.setdefault(site, len(websites))
-                for site in scores.support
-            ]
-            arrays[f"sig{index}_sup_val"] = list(scores.support.values())
-            signal_entries.append(
-                {
-                    "name": name,
-                    "metadata": {
-                        key: _check_value(value)
-                        for key, value in scores.metadata.items()
-                    },
-                }
-            )
+            for value in scores.metadata.values():
+                _check_value(value)
+        signal_arrays, websites, signal_entries = signal_columns(
+            artifact.signals
+        )
+        arrays |= signal_arrays
 
         header = {
             "format": FORMAT_NAME,
@@ -441,7 +431,7 @@ def save_artifact(artifact: TrustArtifact, path: str | Path) -> Path:
             ],
             "num_triples_total": result.num_triples_total,
             "has_observations": has_observations,
-            "websites": list(websites),
+            "websites": websites,
             "signals": signal_entries,
             "fusion_weights": {
                 name: float(weight)
@@ -451,6 +441,13 @@ def save_artifact(artifact: TrustArtifact, path: str | Path) -> Path:
 
     with obs.span("io.artifact.save.keys"):
         keys = _key_columns(tables)
+    # A JSONL record can name a negative bucket, and versions 1-3 hold
+    # one, but the first format-4 reader decodes it as the bucket below.
+    buckets = chain(keys.get("src_bucket", []), keys.get("ext_bucket", []))
+    if (negative := next((b for b in buckets if b < 0), None)) is not None:
+        raise ArtifactError(
+            f"a split bucket must be an int >= 0, got {negative}"
+        )
     with obs.span("io.artifact.save.members"):
         _write(path, header, keys | arrays)
     return path
@@ -552,22 +549,27 @@ def _narrow(array: np.ndarray) -> np.ndarray:
 # Load: read the members once, decode a section only when it is asked for
 # ----------------------------------------------------------------------
 class _Payload:
-    """The arrays by name; a member is decoded on access.
-
-    Wraps the column members of a version-4 zip (:class:`_Members`),
-    ``payload.npz`` or the dict a ``payload.json`` parses into, so the
-    section readers below read any of them, and a caller that wants two
-    sections never pays for the other ten. A member that cannot be read
-    is an :class:`ArtifactError` naming the file.
+    """The arrays by name: a format-4 zip's ``<name>.npy`` members, each
+    parsed when read (a caller that wants two sections never pays for
+    the other ten), or an older artifact's upgraded ``columns`` (None
+    for format 4). A member that cannot be read is an
+    :class:`ArtifactError` naming the file.
     """
 
-    def __init__(self, members, path: Path) -> None:
-        self._members = members
+    def __init__(self, archive: zipfile.ZipFile, path: Path, columns) -> None:
+        self._archive = archive
+        self._names = set(archive.namelist())
         self._path = path
+        self._columns = columns
 
     def _member(self, name: str):
         try:
-            return self._members[name]
+            if self._columns is not None:
+                return self._columns[name]
+            raw = self._archive.read(f"{name}.npy")
+            return np.lib.format.read_array(
+                io.BytesIO(raw), allow_pickle=False
+            )
         except _READ_ERRORS as err:
             raise ArtifactError(
                 f"corrupt artifact {self._path}: payload array {name!r} "
@@ -575,7 +577,9 @@ class _Payload:
             ) from err
 
     def __contains__(self, name: str) -> bool:
-        return name in self._members
+        if self._columns is not None:
+            return name in self._columns
+        return f"{name}.npy" in self._names
 
     def array(self, name: str) -> np.ndarray:
         """One array: ``float64``, or integers at the width they were
@@ -596,21 +600,6 @@ class _Payload:
             ) from err
 
 
-class _Members:
-    """A version-4 artifact's column members, each parsed when read."""
-
-    def __init__(self, archive: zipfile.ZipFile) -> None:
-        self._archive = archive
-        self._names = set(archive.namelist())
-
-    def __contains__(self, name: str) -> bool:
-        return f"{name}.npy" in self._names
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        raw = self._archive.read(f"{name}.npy")
-        return np.lib.format.read_array(io.BytesIO(raw), allow_pickle=False)
-
-
 #: What reading or parsing a damaged member raises: a failed CRC or a
 #: bad zip structure, a broken deflate stream, a short read, malformed
 #: JSON / npy bytes (``ValueError`` covers JSON and Unicode errors), a
@@ -626,7 +615,7 @@ _READ_ERRORS = (
 
 
 def _read_members(path: str | Path) -> tuple[dict, _Payload]:
-    """The validated header and the arrays.
+    """The validated header and the arrays, as format 4 stores them.
 
     Raises :class:`ArtifactError` for non-artifact files, for any
     ``format_version`` this build cannot read, and for a member that
@@ -638,20 +627,7 @@ def _read_members(path: str | Path) -> tuple[dict, _Payload]:
         archive = zipfile.ZipFile(io.BytesIO(path.read_bytes()))
     except (zipfile.BadZipFile, OSError) as err:
         raise ArtifactError(f"not a trust artifact: {path} ({err})") from err
-
-    def parse(name: str, decode):
-        try:
-            return decode(archive.read(name))
-        except KeyError as err:
-            raise ArtifactError(
-                f"not a trust artifact: {path} (no {name})"
-            ) from err
-        except _READ_ERRORS as err:
-            raise ArtifactError(
-                f"corrupt artifact {path}: {name} unreadable ({err!r})"
-            ) from err
-
-    header = parse(_HEADER_MEMBER, json.loads)
+    header = _parse(archive, _HEADER_MEMBER, json.loads, path)
     if not isinstance(header, dict):
         header = {"format": header}
     if header.get("format") != FORMAT_NAME:
@@ -666,17 +642,81 @@ def _read_members(path: str | Path) -> tuple[dict, _Payload]:
             f"build reads versions {sorted(SUPPORTED_VERSIONS)}. Re-fit "
             "and re-save the artifact with a matching build."
         )
-    _check_header(header, path)
-    if version >= 4:
-        return header, _Payload(_Members(archive), path)
+    _check_header(header, _HEADER_FIELDS, path)
+    return header, _Payload(archive, path, _upgrade(header, archive, path))
+
+
+def _parse(archive: zipfile.ZipFile, name: str, decode, path: Path):
+    """Member ``name``, decoded; an :class:`ArtifactError` naming
+    ``path`` when it is missing or cannot be read."""
+    try:
+        return decode(archive.read(name))
+    except KeyError as err:
+        raise ArtifactError(
+            f"not a trust artifact: {path} (no {name})"
+        ) from err
+    except _READ_ERRORS as err:
+        raise ArtifactError(
+            f"corrupt artifact {path}: {name} unreadable ({err!r})"
+        ) from err
+
+
+def _upgrade(header: dict, archive: zipfile.ZipFile, path: Path):
+    """An older artifact's arrays as the columns format 4 stores (None
+    for format 4), each section checked (:func:`_section`): the key
+    tables through the writer's :func:`_key_columns`, the priors' key
+    ids through its :func:`_prior_rows`. Versions 1 and 2 store the
+    coordinate on every observation entry; a cell's entries are
+    contiguous, so each run of one coordinate is a cell. No extractor
+    order is written, so the matrix ranks extractors by first entry.
+    """
+    version = header["format_version"]
+    if version == FORMAT_VERSION:
+        return None
+    _check_header(header, _KEY_TABLES, path)
     kind = header.get("payload_kind")
-    if kind == "npz":
-        members = parse(_NPZ_MEMBER, lambda raw: np.load(io.BytesIO(raw)))
-    elif kind == "json":
-        members = parse(_JSON_MEMBER, json.loads)
-    else:
+    if kind not in ("npz", "json"):
         raise ArtifactError(f"unknown payload kind in artifact: {kind!r}")
-    return header, _Payload(members, path)
+    members = _parse(archive, f"payload.{kind}", _PAYLOADS[kind], path)
+    old = _Payload(archive, path, members)
+    tables = {
+        name: [cls(tuple(features), bucket) for features, bucket in keys]
+        for name, cls, keys in (
+            ("sources", SourceKey, header["sources"]),
+            ("extractors", ExtractorKey, header["extractors"]),
+        )
+    }
+    tables["items"] = [DataItem(*item) for item in header["items"]]
+
+    def ids(section: str, prefix: str, **more) -> dict:
+        sizes = {f"{prefix}_{axis}": len(header[f"{axis}s"]) for axis in _AXES}
+        return _section(old, section, **sizes, **more)
+
+    upgraded = _key_columns(tables)
+    prior = ids("priors", "prior", prior_p=None)
+    try:
+        upgraded["prior_row"] = _prior_rows(
+            _axes(ids("C layer", "coord"), "coord"), _axes(prior, "prior")
+        )
+    except ArtifactError as err:
+        raise ArtifactError(f"corrupt artifact {path}: {err}") from err
+    if "vp_empty_item" not in old:  # covered items all had a posterior
+        upgraded["vp_empty_item"] = np.zeros(0, dtype=np.intp)
+    if version < 3 and header.get("has_observations"):
+        entries = ids(
+            "observation entries",
+            "obs",
+            obs_extractor=len(tables["extractors"]),
+            obs_conf=None,
+        )
+        coords = np.stack(_axes(entries, "obs"))
+        new = np.ones(coords.shape[1], dtype=bool)
+        new[1:] = (coords[:, 1:] != coords[:, :-1]).any(axis=0)
+        starts = np.flatnonzero(new)
+        for axis, cells in zip(_AXES, coords[:, starts]):
+            upgraded[f"cell_{axis}"] = cells
+        upgraded["cell_len"] = np.diff(np.append(starts, len(new)))
+    return ChainMap(upgraded, members)
 
 
 def _types(values: Iterable) -> set:
@@ -710,14 +750,9 @@ def _key_table(size: int):
     return check
 
 
-#: The JSON key tables of versions 1-3; version 4 stores them as columns.
-_JSON_KEY_TABLES = ("sources", "extractors", "items")
-
-#: Each header field the loaders read (but ``min_triples``, checked by
-#: :func:`~repro.core.kbt.check_min_triples`): whether every artifact
-#: has it, and the shape they read it in. Set comparisons over the
-#: entries' types keep it a small share of a load.
-_HEADER_FIELDS = {
+#: The JSON key tables of versions 1-3, checked like
+#: :data:`_HEADER_FIELDS` by the upgrade that reads them.
+_KEY_TABLES = {
     "sources": (True, _key_table(3)),
     "extractors": (True, _key_table(4)),
     "items": (
@@ -725,6 +760,15 @@ _HEADER_FIELDS = {
         lambda rows: _rows(rows, 2)
         and _types(chain.from_iterable(rows)) <= {str},
     ),
+}
+
+#: Each header field the loaders read: whether every artifact has it,
+#: and the shape they read it in (``min_triples`` through
+#: :func:`~repro.core.kbt.check_min_triples`, which names what is
+#: wrong). Set comparisons over the entries' types keep it a small
+#: share of a load.
+_HEADER_FIELDS = {
+    "min_triples": (True, lambda n: check_min_triples(n) == n),
     "values": (
         True,
         lambda values: type(values) is list
@@ -763,21 +807,13 @@ _HEADER_FIELDS = {
 }
 
 
-def _check_header(header: dict, path: Path) -> None:
-    """Every field the loaders read, in the shape they read it in: a
-    damaged header is an :class:`ArtifactError` naming the file and the
-    field, never a ``KeyError`` / ``TypeError`` / ``ValueError`` from a
-    decoder (which ``POST /admin/swap`` would answer with a 500)."""
-    try:
-        check_min_triples(header.get("min_triples"))
-    except ValueError as err:
-        raise ArtifactError(
-            f"corrupt artifact {path}: header field 'min_triples': {err}"
-        ) from err
-    columns = header["format_version"] >= 4
-    for name, (required, check) in _HEADER_FIELDS.items():
-        if columns and name in _JSON_KEY_TABLES:
-            continue
+def _check_header(header: dict, fields: dict, path: Path) -> None:
+    """Each of ``fields`` present if required, in the shape the loaders
+    read it in: a damaged header is an :class:`ArtifactError` naming the
+    file and the field, never a ``KeyError`` / ``TypeError`` /
+    ``ValueError`` from a decoder (which ``POST /admin/swap`` would
+    answer with a 500)."""
+    for name, (required, check) in fields.items():
         if name not in header:
             if required:
                 raise ArtifactError(
@@ -788,6 +824,10 @@ def _check_header(header: dict, path: Path) -> None:
                 well_formed = check(header[name])
             except TypeError:  # an entry with no len()
                 well_formed = False
+            except ValueError as err:
+                raise ArtifactError(
+                    f"corrupt artifact {path}: header field {name!r}: {err}"
+                ) from err
             if not well_formed:
                 raise ArtifactError(
                     f"corrupt artifact {path}: header field {name!r} "
@@ -879,7 +919,7 @@ def _keys(cls, arrays: _Payload, prefix: str, feat, strings) -> list:
             f"{len(buckets)} rows for {len(keys)} keys"
         )
     return [
-        cls(key, bucket - 1 if bucket else None)
+        cls(key, bucket - 1 if bucket > 0 else bucket or None)
         for key, bucket in zip(keys, buckets)
     ]
 
@@ -888,32 +928,14 @@ def _max_id(*columns: np.ndarray) -> int:
     return max((int(ids.max()) for ids in columns if ids.size), default=0)
 
 
-def _decode_sources(header: dict, arrays: _Payload) -> list[SourceKey]:
-    if header["format_version"] < 4:
-        return [
-            SourceKey(tuple(features), bucket=bucket)
-            for features, bucket in header["sources"]
-        ]
+def _decode_sources(arrays: _Payload) -> list[SourceKey]:
     feat = _feature_ids(arrays, "src", 3)
     # The sources name the pool's first strings: decode only those.
     return _keys(SourceKey, arrays, "src", feat, _pool(arrays, _max_id(feat)))
 
 
 def _decode_tables(header: dict, arrays: _Payload) -> dict[str, list]:
-    """The four key tables of any format version."""
-    if header["format_version"] < 4:
-        return {
-            "sources": _decode_sources(header, arrays),
-            "extractors": [
-                ExtractorKey(tuple(features), bucket=bucket)
-                for features, bucket in header["extractors"]
-            ],
-            "items": [
-                DataItem(subject, predicate)
-                for subject, predicate in header["items"]
-            ],
-            "values": header["values"],
-        }
+    """The four key tables."""
     src = _feature_ids(arrays, "src", 3)
     ext = _feature_ids(arrays, "ext", 4)
     items = _section(arrays, "item", item_subj=None, item_pred=None)
@@ -954,7 +976,7 @@ def _decode_coords(cache: dict, tables, ids) -> list[tuple]:
 
 
 def _prior_section(arrays: _Payload, n_coords: int) -> dict:
-    """A version-4 priors section, its rows spelled out (no rows: the
+    """The priors section, its rows spelled out (no rows: the
     first ``len(prior_p)`` C-layer rows)."""
     rows = arrays.array("prior_row")
     if not len(rows):
@@ -968,10 +990,6 @@ def _prior_section(arrays: _Payload, n_coords: int) -> dict:
     return _section(arrays, "priors", prior_row=n_coords, prior_p=None)
 
 
-def _id_rows(columns: dict, prefix: str):
-    return _triples([columns[f"{prefix}_{axis}"] for axis in _AXES])
-
-
 def _decode_columns(
     header: dict, arrays: _Payload, cache: dict
 ) -> ResultColumns:
@@ -980,16 +998,11 @@ def _decode_columns(
     (:func:`_decode_coords`)."""
     tables = _decode_tables(header, arrays)
     sizes = {name: len(keys) for name, keys in tables.items()}
-    columns_v4 = header["format_version"] >= 4
-    # Artifacts written before covered items could lack a posterior
-    # entry have no ``vp_empty_item``.
-    columns = {"vp_empty_item": np.zeros(0, dtype=np.intp)}
-    for section, spec in (
-        _RESULT_SECTIONS if columns_v4 else _V3_SECTIONS
-    ).items():
-        if columns_v4 and section == "priors":
+    columns = {}
+    for section, spec in _RESULT_SECTIONS.items():
+        if section == "priors":
             columns.update(_prior_section(arrays, len(columns["coord_p"])))
-        elif section != "empty items" or "vp_empty_item" in arrays:
+        else:
             columns.update(
                 _section(
                     arrays,
@@ -998,19 +1011,14 @@ def _decode_columns(
                 )
             )
     triples = (tables["sources"], tables["items"], tables["values"])
-    coords = _decode_coords(cache, triples, _id_rows(columns, "coord"))
-    if columns_v4:
-        rows = columns.pop("prior_row")
-        for axis in _AXES:
-            columns[f"prior_{axis}"] = columns[f"coord_{axis}"][rows]
-        if len(rows) == len(coords) and (rows == np.arange(len(rows))).all():
-            prior_coords = coords  # shared, as a fit's are
-        else:
-            prior_coords = list(map(coords.__getitem__, rows.tolist()))
+    coords = _decode_coords(cache, triples, _triples(_axes(columns, "coord")))
+    rows = columns.pop("prior_row")
+    for axis in _AXES:
+        columns[f"prior_{axis}"] = columns[f"coord_{axis}"][rows]
+    if len(rows) == len(coords) and (rows == np.arange(len(rows))).all():
+        prior_coords = coords  # shared, as a fit's are
     else:
-        prior_coords = _decode_coords(
-            cache, triples, _id_rows(columns, "prior")
-        )
+        prior_coords = list(map(coords.__getitem__, rows.tolist()))
     return ResultColumns(
         **tables,
         est_source=id_mask(sizes["sources"], columns.pop("est_sources")),
@@ -1027,99 +1035,54 @@ def _decode_columns(
 
 
 def _decode_observations(
-    version: int, columns: ResultColumns, arrays: _Payload, cache: dict
+    columns: ResultColumns, arrays: _Payload, cache: dict
 ) -> ObservationMatrix:
-    """The observation matrix, cell by cell, for every format version.
-
-    Versions 3 and 4 store one row per cell and the matrix's extractor
-    order. Versions 1 and 2 store the coordinate on every entry; a
-    cell's entries are contiguous, so each run of one coordinate is a
-    cell. They carry no extractor order, so their matrices rank
-    extractors by first entry, as those versions always loaded them.
-    Coordinates come through ``cache`` (:func:`_decode_coords`), so the
-    cells share their tuples with the result's C layer and priors.
+    """The observation matrix: one row per cell, one per (cell,
+    extractor) entry, and the extractor order, if stored (else the
+    matrix ranks extractors by first entry). Coordinates come through
+    ``cache`` (:func:`_decode_coords`), so the cells share their tuples
+    with the result's C layer and priors.
     """
     tables = (columns.sources, columns.items, columns.values)
-    n_sources, n_extractors = len(columns.sources), len(columns.extractors)
-    n_items, n_values = len(columns.items), len(columns.values)
     extractors = columns.extractors
+    entries = _section(
+        arrays,
+        "observation entries",
+        obs_extractor=len(extractors),
+        obs_conf=None,
+    )
+    cells = _section(
+        arrays,
+        "observation cells",
+        cell_source=len(columns.sources),
+        cell_item=len(columns.items),
+        cell_value=len(columns.values),
+        cell_len=None,
+    )
     extractor_order = None
-    if version >= 3:
-        entries = _section(
-            arrays,
-            "observation entries",
-            obs_extractor=n_extractors,
-            obs_conf=None,
-        )
-        cells = _section(
-            arrays,
-            "observation cells",
-            cell_source=n_sources,
-            cell_item=n_items,
-            cell_value=n_values,
-            cell_len=None,
-        )
-        coords = _decode_coords(cache, tables, _id_rows(cells, "cell"))
-        lens = cells["cell_len"]
+    if "obs_extractor_order" in arrays:
         extractor_order = [
             extractors[e]
             for e in _section(
-                arrays, "extractor order", obs_extractor_order=n_extractors
+                arrays, "extractor order", obs_extractor_order=len(extractors)
             )["obs_extractor_order"].tolist()
         ]
-    else:
-        entries = _section(
-            arrays,
-            "observation entries",
-            obs_source=n_sources,
-            obs_item=n_items,
-            obs_value=n_values,
-            obs_extractor=n_extractors,
-            obs_conf=None,
-        )
-        runs = [
-            (cell_id, sum(1 for _ in run))
-            for cell_id, run in groupby(_id_rows(entries, "obs"))
-        ]
-        coords = _decode_coords(
-            cache, tables, (cell_id for cell_id, _ in runs)
-        )
-        lens = [length for _, length in runs]
     return ObservationMatrix.from_cells(
-        coords,
-        lens,
+        _decode_coords(cache, tables, _triples(_axes(cells, "cell"))),
+        cells["cell_len"],
         [extractors[e] for e in entries["obs_extractor"].tolist()],
         entries["obs_conf"],
         extractor_order,
     )
 
 
-def _decode_signals(
-    header: dict, arrays: _Payload
-) -> dict[str, SignalScores]:
-    """Trust-signal payloads (absent from version-1 artifacts), each
-    section checked (:func:`_section`) against the website table."""
-    websites = header.get("websites", [])
-    signals: dict[str, SignalScores] = {}
-    for index, entry in enumerate(header.get("signals", [])):
-        name = entry["name"]
-        maps = {}
-        for part, site, data in (
-            ("scores", "site", "score"), ("support", "sup_site", "sup_val")
-        ):
-            site, data = f"sig{index}_{site}", f"sig{index}_{data}"
-            columns = _section(
-                arrays,
-                f"signal {name!r} {part}",
-                **{site: len(websites), data: None},
-            )
-            maps[part] = keyed(
-                websites, columns[site], columns[data].tolist()
-            )
-        signals[name] = SignalScores(
-            name=name, **maps, metadata=entry.get("metadata", {})
-        )
-    return signals
+def _decode_signals(header: dict, arrays: _Payload) -> dict:
+    """The signals (none in version 1), checked by :func:`_section`."""
+    return signal_scores(
+        header.get("signals", []),
+        header.get("websites", []),
+        partial(_section, arrays),
+    )
 
 
 def load_serving_inputs(path: str | Path) -> tuple:
@@ -1128,13 +1091,13 @@ def load_serving_inputs(path: str | Path) -> tuple:
     Returns ``(scored, min_triples, signals, fusion_weights)`` — the
     arguments of :func:`repro.io.mmap_layout.serving_columns`, in its
     order; ``scored`` is a :class:`~repro.io.mmap_layout.ScoredSources`.
-    Only those sections are decoded (of a version-4 string pool, the
+    Only those sections are decoded (of the string pool, the
     sources' strings): the observation matrix, the priors, the value
     posteriors and the extractor qualities (most of an artifact, and
     most of :func:`load_artifact`'s time) are never touched.
     """
     header, arrays = _read_members(path)
-    sources = _decode_sources(header, arrays)
+    sources = _decode_sources(arrays)
     accuracy = _section(
         arrays, "source accuracy", acc_source=len(sources), acc_value=None
     )
@@ -1172,9 +1135,7 @@ def load_artifact(path: str | Path) -> TrustArtifact:
     observations = None
     if header.get("has_observations"):
         try:
-            observations = _decode_observations(
-                header["format_version"], columns, arrays, cache
-            )
+            observations = _decode_observations(columns, arrays, cache)
         except ArtifactError:
             raise
         except ValueError as err:

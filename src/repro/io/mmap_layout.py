@@ -16,9 +16,10 @@ the read side —
 * per-webpage score/support columns for ``/page``;
 * the ``/breakdown`` provenance in CSR form (``contrib_ptr`` +
   accuracy/support columns + a JSON-per-row metadata string column);
-* the embedded trust signals exactly as the artifact stores them
-  (website-interned index/score columns per signal), so the signal
-  routes reconstruct byte-identical payloads;
+* the embedded trust signals exactly as the artifact stores them:
+  :func:`signal_columns` writes both (four columns per signal over one
+  website table) and :func:`signal_scores` reads both back, so the
+  signal routes reconstruct byte-identical payloads;
 * string keys as *string columns*: one UTF-8 blob ``.npy`` plus an
   int64 offset ``.npy``, both mmapped, decoded row-by-row on demand.
 
@@ -75,15 +76,13 @@ import os
 import shutil
 import tempfile
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from repro import obs
 from repro.io.container import MANIFEST, ColumnFormat
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.signals.base import SignalScores
+from repro.signals.base import SignalScores
 
 #: Format identifier + version written to (and required from) manifests.
 LAYOUT_FORMAT = "kbt-serving-layout"
@@ -159,6 +158,64 @@ class StringColumn:
             data[lo:hi].decode("utf-8")
             for lo, hi in zip(offsets, offsets[1:])
         ]
+
+
+# ----------------------------------------------------------------------
+# Trust signals: four columns each, over one website table
+# ----------------------------------------------------------------------
+def signal_columns(
+    signals: dict[str, SignalScores],
+) -> tuple[dict[str, np.ndarray], list[str], list[dict]]:
+    """The columns, the website table and the ``{"name", "metadata"}``
+    entries the artifact and the layout store for ``signals``. Signal
+    ``i`` is ``sig{i}_site`` / ``sig{i}_score`` (its scores) and
+    ``sig{i}_sup_site`` / ``sig{i}_sup_val`` (its support): int64 rows
+    of the website table, interned signal by signal, scores first, and
+    float64 values."""
+    websites: dict[str, int] = {}
+
+    def intern(sites) -> np.ndarray:
+        return np.array(
+            [websites.setdefault(site, len(websites)) for site in sites],
+            dtype=np.int64,
+        )
+
+    def floats(scores: dict) -> np.ndarray:
+        return np.array(list(scores.values()), dtype=np.float64)
+
+    arrays: dict[str, np.ndarray] = {}
+    for index, signal in enumerate(signals.values()):
+        arrays[f"sig{index}_site"] = intern(signal.scores)
+        arrays[f"sig{index}_score"] = floats(signal.scores)
+        arrays[f"sig{index}_sup_site"] = intern(signal.support)
+        arrays[f"sig{index}_sup_val"] = floats(signal.support)
+    entries = [{"name": n, "metadata": s.metadata} for n, s in signals.items()]
+    return arrays, list(websites), entries
+
+
+def signal_scores(
+    entries: list[dict], websites: list[str], section
+) -> dict[str, SignalScores]:
+    """The signals :func:`signal_columns` stored. ``section(label,
+    **sizes)`` reads a pair of columns by name, ``sizes`` giving the
+    row column the website table's size and the value column None;
+    ``label`` names the pair in its errors."""
+    signals = {}
+    for index, entry in enumerate(entries):
+        name, maps = entry["name"], {}
+        for part, site, data in (
+            ("scores", "site", "score"), ("support", "sup_site", "sup_val")
+        ):
+            site, data = f"sig{index}_{site}", f"sig{index}_{data}"
+            pair = section(
+                f"signal {name!r} {part}", **{site: len(websites), data: None}
+            )
+            sites = map(websites.__getitem__, pair[site].tolist())
+            maps[part] = dict(zip(sites, pair[data].tolist()))
+        signals[name] = SignalScores(
+            name=name, **maps, metadata=entry.get("metadata", {})
+        )
+    return signals
 
 
 # ----------------------------------------------------------------------
@@ -294,30 +351,9 @@ def serving_columns(
         arrays["contrib_support"] = scores.support[live]
         put_strings("contrib_meta", contrib_meta)
 
-        # Trust signals: artifact order, website-interned.
-        website_index: dict[str, int] = {}
-
-        def intern(sites) -> np.ndarray:
-            return np.array(
-                [website_index.setdefault(s, len(website_index))
-                 for s in sites],
-                dtype=np.int64,
-            )
-
-        signal_entries = []
-        for index, (name, signal) in enumerate(signals.items()):
-            arrays[f"sig{index}_site"] = intern(signal.scores)
-            arrays[f"sig{index}_score"] = np.array(
-                list(signal.scores.values()), dtype=np.float64
-            )
-            arrays[f"sig{index}_sup_site"] = intern(signal.support)
-            arrays[f"sig{index}_sup_val"] = np.array(
-                list(signal.support.values()), dtype=np.float64
-            )
-            signal_entries.append(
-                {"name": name, "metadata": signal.metadata}
-            )
-        put_strings("signal_site", list(website_index))
+        signal_arrays, websites, signal_entries = signal_columns(signals)
+        arrays |= signal_arrays
+        put_strings("signal_site", websites)
 
     return ServingColumns(
         arrays,
@@ -587,4 +623,6 @@ __all__ = [
     "export_layout",
     "layout_cache_dir",
     "serving_columns",
+    "signal_columns",
+    "signal_scores",
 ]

@@ -58,7 +58,12 @@ from pathlib import Path
 
 from repro import obs
 from repro.core.types import KBTScore
-from repro.io.mmap_layout import LayoutError, ServingColumns, serving_columns
+from repro.io.mmap_layout import (
+    LayoutError,
+    ServingColumns,
+    serving_columns,
+    signal_scores,
+)
 from repro.signals.base import SignalScores
 from repro.util.heap import paused_gc
 
@@ -214,13 +219,11 @@ class TrustStore:
         # columns mapped now: a swept layout directory then leaves this
         # store whole, as it does the columns above.
         self._signal_site = columns.strings("signal_site")
-        self._signal_columns = [
-            [
-                columns.array(f"sig{index}_{part}")
-                for part in ("site", "score", "sup_site", "sup_val")
-            ]
+        self._signal_columns = {
+            f"sig{index}_{part}": columns.array(f"sig{index}_{part}")
             for index in range(len(self._signal_entries))
-        ]
+            for part in ("site", "score", "sup_site", "sup_val")
+        }
         self._surface: SignalSurface | None = None
         self._surface_lock = threading.Lock()
         # Scored site -> the exact bytes of json.dumps(score_json(site),
@@ -391,29 +394,15 @@ class TrustStore:
             with self._surface_lock:
                 surface = self._surface
                 if surface is None:
-                    surface = self._build_signal_surface()
+                    columns = self._signal_columns
+                    signals = signal_scores(
+                        self._signal_entries,
+                        self._signal_site.decode_all(),
+                        lambda _label, **names: {n: columns[n] for n in names},
+                    )
+                    surface = SignalSurface(signals, self._fusion_weights)
                     self._surface = surface
         return surface
-
-    def _build_signal_surface(self) -> SignalSurface:
-        table = self._signal_site.decode_all()
-        signals: dict[str, SignalScores] = {}
-        for entry, arrays in zip(self._signal_entries, self._signal_columns):
-            name = entry["name"]
-            site_idx, score_val, sup_idx, sup_val = (
-                array.tolist() for array in arrays
-            )
-            signals[name] = SignalScores(
-                name=name,
-                scores={
-                    table[i]: value for i, value in zip(site_idx, score_val)
-                },
-                support={
-                    table[i]: value for i, value in zip(sup_idx, sup_val)
-                },
-                metadata=entry.get("metadata", {}),
-            )
-        return SignalSurface(signals, self._fusion_weights)
 
     # ------------------------------------------------------------------
     # JSON views (the routes and ``kbt query``)
@@ -498,7 +487,7 @@ class TrustStore:
         self._ranked = self._page_score = self._page_support = None
         self._contrib_ptr = self._contrib_accuracy = None
         self._contrib_support = self._contrib_meta = None
-        self._signal_site, self._signal_columns = None, []
+        self._signal_site, self._signal_columns = None, {}
 
 
 __all__ = ["SignalSurface", "TrustStore"]

@@ -347,6 +347,18 @@ class TestRejection:
         with pytest.raises(ArtifactError, match="format version 5"):
             load_artifact(future)
 
+    @pytest.mark.parametrize("version", [[4], {"v": 4}])
+    def test_version_of_another_type_rejected(
+        self, fitted, tmp_path, version
+    ):
+        path = rewrite_header(
+            fitted.save(tmp_path / "model.kbt"),
+            tmp_path / "odd.kbt",
+            format_version=version,
+        )
+        with pytest.raises(ArtifactError, match="format version"):
+            load_artifact(path)
+
     def test_foreign_format_name(self, fitted, tmp_path):
         path = fitted.save(tmp_path / "model.kbt")
         foreign = rewrite_header(
@@ -631,6 +643,59 @@ class TestV3Fixture:
         )
 
 
+class TestUpgradeEdges:
+    """Version 1-3 inputs at the edges of what format 4 stores."""
+
+    def test_negative_bucket_loads(self, fitted, tmp_path):
+        """A JSONL record can name a negative bucket, and the last
+        format-3 build wrote it into the header's key table as is: the
+        upgrade keeps loading it, and format 4 is not written with it."""
+        header, arrays = v3_parts(fitted.save(tmp_path / "model.kbt"))
+        header["sources"][0][1] = -1
+        header["extractors"][0][1] = -2
+        path = write_v3(header, arrays, tmp_path / "negative.kbt")
+        loaded = load_artifact(path)
+        sources = list(loaded.result.source_accuracy)
+        extractors = list(loaded.result.extractor_quality)
+        assert sources[0].bucket == -1 and extractors[0].bucket == -2
+        assert [s.bucket for s in sources[1:]] == [None] * (len(sources) - 1)
+        assert load_serving_inputs(path)[0].sources == sources
+        with pytest.raises(ArtifactError, match="bucket must be an int >= 0"):
+            save_artifact(loaded, tmp_path / "again.kbt")
+
+    def test_prior_off_the_c_layer_is_refused(self, fitted, tmp_path):
+        """No format-3 producer put a prior on a coordinate its C layer
+        lacks (a fit's priors are its C layer, an update's merge keeps
+        both sides' C rows); format 4 has no row for one."""
+        header, arrays = v3_parts(fitted.save(tmp_path / "model.kbt"))
+        arrays["prior_value"] = np.roll(arrays["prior_value"], 1)
+        coords = set(zip(*(arrays[f"coord_{a}"].tolist() for a in AXES)))
+        priors = zip(*(arrays[f"prior_{a}"].tolist() for a in AXES))
+        assert not set(priors) <= coords
+        path = write_v3(header, arrays, tmp_path / "off.kbt")
+        for loader in (load_artifact, load_serving_inputs):
+            with pytest.raises(ArtifactError, match="C-layer") as err:
+                loader(path)
+            assert str(path) in str(err.value)
+
+    def test_short_prior_column_is_refused_when_serving(
+        self, fitted, tmp_path
+    ):
+        """The upgrade reads the priors, so an old artifact whose prior
+        columns disagree fails the serving load too, not only the full
+        one."""
+        header, arrays = v3_parts(fitted.save(tmp_path / "model.kbt"))
+        arrays["prior_p"] = arrays["prior_p"][:-1]
+        path = write_v3(header, arrays, tmp_path / "short.kbt")
+        for loader in (load_artifact, load_serving_inputs):
+            with pytest.raises(ArtifactError, match="priors") as err:
+                loader(path)
+            assert str(path) in str(err.value)
+
+
+AXES = ("source", "item", "value")
+
+
 def e2e_model_config() -> MultiLayerConfig:
     """The benchmark's model: ACTIVE scope, supports 3 / 2, 5 rounds."""
     return MultiLayerConfig(
@@ -773,21 +838,31 @@ def trust_artifacts(draw):
         signals=signals,
         fusion_weights={"kbt": 1.0} if signals else {},
     )
-    return artifact, draw(st.booleans())
+    return artifact, draw(st.sampled_from(sorted(FORMS)))
+
+
+#: The older forms a format-4 artifact is copied into, each loaded
+#: through the upgrade of its members.
+FORMS = {
+    "v4": None,
+    "v3-json": with_json_payload,
+    "v3": as_v3,
+    "v2": as_v2,
+}
 
 
 class TestRoundTripProperty:
     @given(trust_artifacts())
     @settings(max_examples=25, deadline=None)
     def test_round_trip(self, drawn):
-        artifact, json_payload = drawn
+        artifact, form = drawn
         with tempfile.TemporaryDirectory() as tmp:
             path = save_artifact(artifact, Path(tmp) / "model.kbt")
             for name, array in member_arrays(path).items():
                 if array.dtype.kind != "f":
                     assert array.dtype == narrowest(array), name
-            if json_payload:
-                path = with_json_payload(path, Path(tmp) / "json.kbt")
+            if FORMS[form] is not None:
+                path = FORMS[form](path, Path(tmp) / f"{form}.kbt")
             loaded = load_artifact(path)
             scored = load_serving_inputs(path)[0]
 
@@ -813,6 +888,13 @@ class TestRoundTripProperty:
         matrix = artifact.observations
         if matrix is None:
             assert loaded.observations is None
+        elif form == "v2":
+            # Format 2 never stored the extractor order.
+            observations = loaded.observations
+            assert snapshot(observations)[:2] == snapshot(matrix)[:2]
+            assert snapshot(observations)[3] == snapshot(matrix)[3]
+            assert observations.extractor_sizes() == matrix.extractor_sizes()
+            assert list(observations.extractors()) == entry_order(matrix)
         else:
             assert snapshot(loaded.observations)[:4] == snapshot(matrix)[:4]
             assert loaded.observations.num_records == len(

@@ -22,6 +22,8 @@ other round.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 import os
 import socket
 import subprocess
@@ -30,6 +32,8 @@ import threading
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 pytest.importorskip("numpy")
 
@@ -188,6 +192,105 @@ def test_protocol_rejects_implausible_length():
     finally:
         left.close()
         right.close()
+
+
+#: A task payload with two arrays: what the fuzz tests below damage.
+PAYLOAD = encode_message(
+    "task",
+    {"round": 3, "shard": 1},
+    {"a": np.arange(6.0), "b": np.array([[1, 2]], dtype=np.int32)},
+)
+_HEADER_END = 4 + int.from_bytes(PAYLOAD[:4], "big")
+BLOB = PAYLOAD[_HEADER_END:]
+BLOB_SHA256 = hashlib.sha256(BLOB).hexdigest()
+
+
+def with_header(header) -> bytes:
+    """``PAYLOAD`` with its JSON header replaced by ``header``."""
+    raw = json.dumps(header).encode("utf-8")
+    return len(raw).to_bytes(4, "big") + raw + BLOB
+
+
+#: Headers the wire can carry that are not a JSON object with a str
+#: kind, a list of segments and a str digest. Each used to escape
+#: decode_message as a TypeError / AttributeError (which the
+#: coordinator's accept loop did not catch) or to decode.
+BAD_HEADERS = {
+    "list": [],
+    "string": "x",
+    "null": None,
+    "number": 7,
+    "kind-not-str": {"kind": 5, "segments": [], "blob_sha256": BLOB_SHA256},
+    "segments-not-list": {
+        "kind": "task", "segments": {}, "blob_sha256": BLOB_SHA256
+    },
+    "digest-not-str": {"kind": "task", "segments": [], "blob_sha256": 5},
+}
+
+
+@pytest.mark.parametrize("shape", sorted(BAD_HEADERS))
+def test_protocol_header_of_the_wrong_shape(shape):
+    with pytest.raises(ProtocolError, match="malformed protocol header"):
+        decode_message(with_header(BAD_HEADERS[shape]))
+
+
+def json_values():
+    scalars = (
+        st.none()
+        | st.booleans()
+        | st.integers()
+        | st.floats(allow_nan=False, allow_infinity=False)
+        | st.text(max_size=8)
+    )
+    return st.recursive(
+        scalars,
+        lambda children: st.lists(children, max_size=4)
+        | st.dictionaries(st.text(max_size=8), children, max_size=4),
+        max_leaves=12,
+    )
+
+
+#: Well-formed headers whose segments point anywhere, under the blob's
+#: own digest, so the segment reads run.
+SEGMENT_HEADERS = st.fixed_dictionaries(
+    {
+        "kind": st.text(max_size=8),
+        "segments": st.lists(
+            st.fixed_dictionaries(
+                {
+                    "name": json_values(),
+                    "offset": st.integers(-8, len(BLOB) + 8) | json_values(),
+                    "length": st.integers(-8, len(BLOB) + 8) | json_values(),
+                }
+            ),
+            max_size=3,
+        ),
+        "blob_sha256": st.just(BLOB_SHA256),
+    }
+)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_protocol_fuzzed_payloads(data):
+    """A payload cut at any length, with any one byte flipped, or with
+    any JSON value for its header decodes to a triple or raises
+    ProtocolError, and nothing else."""
+    damage = data.draw(st.sampled_from(["truncate", "flip", "header"]))
+    if damage == "truncate":
+        payload = PAYLOAD[: data.draw(st.integers(0, len(PAYLOAD)))]
+    elif damage == "flip":
+        at = data.draw(st.integers(0, len(PAYLOAD) - 1))
+        flipped = PAYLOAD[at] ^ data.draw(st.integers(1, 255))
+        payload = PAYLOAD[:at] + bytes([flipped]) + PAYLOAD[at + 1 :]
+    else:
+        payload = with_header(data.draw(json_values() | SEGMENT_HEADERS))
+    try:
+        kind, meta, arrays = decode_message(payload)
+    except ProtocolError:
+        return
+    assert type(kind) is str and type(meta) is dict
+    assert all(type(array) is np.ndarray for array in arrays.values())
 
 
 # ----------------------------------------------------------------------
