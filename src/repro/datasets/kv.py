@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from repro.core.observation import ObservationMatrix
 from repro.extraction.campaign import CampaignResult, run_campaign
 from repro.extraction.entities import EntityCatalog
-from repro.extraction.extractors import ExtractorSystem
+from repro.extraction.extractors import ExtractionMemo, ExtractorSystem
 from repro.extraction.pages import WebSite, build_site
 from repro.extraction.patterns import PatternProfile
 from repro.extraction.schema import Schema, default_schema
@@ -171,6 +171,12 @@ def iter_kv_record_chunks(config: KVConfig | None = None):
     (site-major here, system-major there). Fit equivalence is therefore
     up to first-seen key order: compare like with like (both paths fed
     from this stream, or both from the campaign).
+
+    Each website gets one :class:`ExtractionMemo`, dropped with its
+    chunk: every key holds its website, so the records of one call
+    share one object per distinct extractor and source key, and no
+    key object is shared with another call. The records, and every
+    draw behind them, are the ones a memo-less run makes.
     """
     cfg = config or KVConfig()
     schema = default_schema()
@@ -181,6 +187,7 @@ def iter_kv_record_chunks(config: KVConfig | None = None):
     )
     systems = _build_systems(cfg, schema)
     for site in _iter_sites(cfg, world):
+        memo = ExtractionMemo()
         records = []
         for system in systems:
             for page in site.pages:
@@ -190,7 +197,7 @@ def iter_kv_record_chunks(config: KVConfig | None = None):
                 records.extend(
                     outcome.record
                     for outcome in system.run_on_page(
-                        page, world, schema, rng
+                        page, world, schema, rng, memo
                     )
                 )
         yield records

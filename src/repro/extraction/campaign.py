@@ -16,8 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.observation import ObservationMatrix
-from repro.core.types import DataItem, ExtractionRecord, SourceKey, Value, page_source
-from repro.extraction.extractors import ExtractionOutcome, ExtractorSystem
+from repro.core.types import DataItem, ExtractionRecord, SourceKey, Value
+from repro.extraction.extractors import (
+    ExtractionMemo,
+    ExtractionOutcome,
+    ExtractorSystem,
+)
 from repro.extraction.pages import WebSite
 from repro.extraction.schema import Schema
 from repro.extraction.world import TrueWorld
@@ -60,25 +64,28 @@ def run_campaign(
     schema: Schema,
     seed: int = 0,
 ) -> CampaignResult:
-    """Run every system over every site's pages (subject to coverage)."""
+    """Run every system over every site's pages (subject to coverage).
+
+    One :class:`ExtractionMemo` serves the whole call, so each page's
+    claims are grouped, and each source and extractor key built, once:
+    the records share their key objects, and the ``provided``
+    coordinates use the same source keys and items.
+    """
+    memo = ExtractionMemo()
     provided: set[Coord] = set()
     correct_claims: dict[str, int] = {}
     total_claims: dict[str, int] = {}
     for site in sites:
-        correct_claims[site.name] = 0
-        total_claims[site.name] = 0
+        correct = total = 0
         for page in site.pages:
-            for claim in page.claims:
-                provided.add(
-                    (
-                        page_source(site.name, claim.predicate, page.url),
-                        claim.item,
-                        claim.value,
-                    )
-                )
-                total_claims[site.name] += 1
-                if world.is_true(claim.item, claim.value):
-                    correct_claims[site.name] += 1
+            for source, claims in memo.claims(page).values():
+                for item, value in claims:
+                    provided.add((source, item, value))
+                    total += 1
+                    if world.is_true(item, value):
+                        correct += 1
+        correct_claims[site.name] = correct
+        total_claims[site.name] = total
 
     outcomes: list[ExtractionOutcome] = []
     for system in systems:
@@ -88,7 +95,7 @@ def run_campaign(
                 if rng.random() >= system.page_coverage:
                     continue
                 outcomes.extend(
-                    system.run_on_page(page, world, schema, rng)
+                    system.run_on_page(page, world, schema, rng, memo)
                 )
 
     type_errors = {

@@ -23,7 +23,10 @@ from dataclasses import dataclass
 from repro.core.types import (
     DataItem,
     ExtractionRecord,
+    ExtractorKey,
+    SourceKey,
     Value,
+    new_record,
     page_source,
     pattern_extractor,
 )
@@ -61,30 +64,43 @@ class ExtractorSystem:
             seen.add(pattern.pattern_id)
 
     def run_on_page(
-        self, page: WebPage, world: TrueWorld, schema: Schema, rng
+        self,
+        page: WebPage,
+        world: TrueWorld,
+        schema: Schema,
+        rng,
+        memo: ExtractionMemo | None = None,
     ) -> list[ExtractionOutcome]:
-        """Process one page (coverage already decided by the caller)."""
-        outcomes: list[ExtractionOutcome] = []
-        claims_by_predicate: dict[str, list] = {}
-        for claim in page.claims:
-            claims_by_predicate.setdefault(claim.predicate, []).append(claim)
+        """Process one page (coverage already decided by the caller).
 
-        for pattern in self.patterns:
-            if not pattern.applies_to(page.website):
+        ``memo`` carries what the calls of one corpus share (see
+        :class:`ExtractionMemo`); without one, the call builds its own.
+        Either way the page's draws from ``rng`` are the same.
+        """
+        if memo is None:
+            memo = ExtractionMemo()
+        claims_by_predicate = memo.claims(page)
+        extractors = memo.extractors(self, page.website)
+        outcomes: list[ExtractionOutcome] = []
+        for index, pattern in enumerate(self.patterns):
+            group = claims_by_predicate.get(pattern.predicate)
+            if group is None:
                 continue
-            claims = claims_by_predicate.get(pattern.predicate, [])
-            for claim in claims:
+            extractor = extractors[index]
+            if extractor is None:
+                continue
+            keys = (extractor, group[0])
+            for item, value in group[1]:
                 if rng.random() >= pattern.recall:
                     continue
                 outcomes.append(
                     self._emit(
-                        page, pattern, claim.item, claim.value,
-                        world, schema, rng,
+                        page, pattern, keys, item, value, world, schema, rng
                     )
                 )
-            if claims and rng.random() < pattern.spurious_rate:
+            if rng.random() < pattern.spurious_rate:
                 outcomes.append(
-                    self._emit_spurious(page, pattern, world, rng)
+                    _emit_spurious(page, pattern, keys, world, rng)
                 )
         return outcomes
 
@@ -93,6 +109,7 @@ class ExtractorSystem:
         self,
         page: WebPage,
         pattern: PatternProfile,
+        keys: tuple[ExtractorKey, SourceKey],
         item: DataItem,
         value: Value,
         world: TrueWorld,
@@ -111,44 +128,123 @@ class ExtractorSystem:
                 pattern, out_item, item, value, world, schema, rng
             )
         provided = (out_item, out_value) in page.provided
-        record = self._record(page, pattern, out_item, out_value,
-                              provided, rng)
+        record = _record(pattern, keys, out_item, out_value, provided, rng)
         return ExtractionOutcome(record, provided, type_error)
 
-    def _emit_spurious(
-        self,
-        page: WebPage,
-        pattern: PatternProfile,
-        world: TrueWorld,
-        rng,
-    ) -> ExtractionOutcome:
-        """Hallucinate a triple the page does not provide."""
-        items = world.items_for_predicate(pattern.predicate)
-        item = rng.choice(items)
-        value = rng.choice(world.domain(item))
-        provided = (item, value) in page.provided
-        record = self._record(page, pattern, item, value, provided, rng)
-        return ExtractionOutcome(record, provided, type_error=False)
 
-    def _record(
-        self,
-        page: WebPage,
-        pattern: PatternProfile,
-        item: DataItem,
-        value: Value,
-        correct: bool,
-        rng,
-    ) -> ExtractionRecord:
-        confidence = _draw_confidence(pattern, correct, rng)
-        return ExtractionRecord(
-            extractor=pattern_extractor(
-                self.name, pattern.pattern_id, pattern.predicate, page.website
-            ),
-            source=page_source(page.website, pattern.predicate, page.url),
-            item=item,
-            value=value,
-            confidence=confidence,
+class ExtractionMemo:
+    """What the extraction runs over one corpus build once, not per page.
+
+    A generator passes one memo to every
+    :meth:`ExtractorSystem.run_on_page` of its call (a streamed one, one
+    per website) and drops it when the call ends; nothing is shared
+    between calls. It holds:
+
+    * per page, its claims grouped by predicate, each claim's
+      :class:`DataItem` built once, beside the page's
+      :class:`SourceKey` for that predicate — every system that visits
+      the page reads them;
+    * per (system, website), each pattern's :class:`ExtractorKey` on the
+      site, or ``None`` where the pattern does not match it — decided
+      (:meth:`PatternProfile.applies_to`, a SHA-256 per narrow pattern)
+      the first time a page of the site holds a claim of the pattern's
+      predicate, and never again.
+
+    So the records of one call share one key object per distinct key,
+    as records read through :class:`repro.io.jsonl.RecordParser` do.
+    Entries are keyed by the identity of their page or system and keep
+    it alive, so no id is reused while the memo lives.
+    """
+
+    __slots__ = ("_claims", "_extractors")
+
+    def __init__(self) -> None:
+        self._claims: dict[int, tuple[WebPage, dict]] = {}
+        self._extractors: dict[tuple[int, str], _SiteExtractors] = {}
+
+    def claims(
+        self, page: WebPage
+    ) -> dict[str, tuple[SourceKey, list[tuple[DataItem, Value]]]]:
+        """Predicate -> (the page's source key, its (item, value) claims)."""
+        entry = self._claims.get(id(page))
+        if entry is None:
+            grouped: dict = {}
+            for claim in page.claims:
+                group = grouped.get(claim.predicate)
+                if group is None:
+                    group = grouped[claim.predicate] = (
+                        page_source(page.website, claim.predicate, page.url),
+                        [],
+                    )
+                group[1].append(
+                    (DataItem(claim.subject, claim.predicate), claim.value)
+                )
+            entry = self._claims[id(page)] = (page, grouped)
+        return entry[1]
+
+    def extractors(
+        self, system: ExtractorSystem, website: str
+    ) -> _SiteExtractors:
+        """Pattern index -> its extractor key on ``website``, or None."""
+        entry = self._extractors.get((id(system), website))
+        if entry is None:
+            entry = self._extractors[id(system), website] = _SiteExtractors(
+                system, website
+            )
+        return entry
+
+
+class _SiteExtractors(dict):
+    """One system's patterns on one website, decided on first lookup."""
+
+    __slots__ = ("system", "website")
+
+    def __init__(self, system: ExtractorSystem, website: str) -> None:
+        super().__init__()
+        self.system = system
+        self.website = website
+
+    def __missing__(self, index: int) -> ExtractorKey | None:
+        pattern = self.system.patterns[index]
+        key = self[index] = (
+            pattern_extractor(
+                self.system.name,
+                pattern.pattern_id,
+                pattern.predicate,
+                self.website,
+            )
+            if pattern.applies_to(self.website)
+            else None
         )
+        return key
+
+
+def _emit_spurious(
+    page: WebPage,
+    pattern: PatternProfile,
+    keys: tuple[ExtractorKey, SourceKey],
+    world: TrueWorld,
+    rng,
+) -> ExtractionOutcome:
+    """Hallucinate a triple the page does not provide."""
+    items = world.items_for_predicate(pattern.predicate)
+    item = rng.choice(items)
+    value = rng.choice(world.domain(item))
+    provided = (item, value) in page.provided
+    record = _record(pattern, keys, item, value, provided, rng)
+    return ExtractionOutcome(record, provided, type_error=False)
+
+
+def _record(
+    pattern: PatternProfile,
+    keys: tuple[ExtractorKey, SourceKey],
+    item: DataItem,
+    value: Value,
+    correct: bool,
+    rng,
+) -> ExtractionRecord:
+    confidence = _draw_confidence(pattern, correct, rng)
+    return new_record(ExtractionRecord, (*keys, item, value, confidence))
 
 
 def _corrupt_object(

@@ -10,7 +10,8 @@ One record per line::
 Accepted shapes. ``extractor`` / ``source`` are the hierarchical feature
 vectors (any prefix of their hierarchies): JSON *arrays of scalars*, each
 feature stringified — a bare string is rejected, not read character by
-character. An optional integer ``*_bucket`` restores split keys.
+character. An optional integer ``*_bucket`` (``>= 0``) restores split
+keys.
 ``subject``, ``predicate`` and ``value`` are JSON *scalars* (string,
 number, boolean, null); subject and predicate are stringified, the value
 is kept as it is — the same scalar rule
@@ -189,8 +190,10 @@ def _intern_key(memo: dict, kind, features, bucket):
     """The one ``kind`` key for a feature array (+ bucket) within ``memo``."""
     if type(features) is not list:
         raise TypeError("features must be an array")
-    if bucket is not None and type(bucket) is not int:
-        raise TypeError("a bucket must be an integer")
+    if bucket is not None and (type(bucket) is not int or bucket < 0):
+        # A split bucket is an index: the artifact writer refuses a
+        # negative one, so the reader does, naming the line.
+        raise TypeError("a bucket must be an integer >= 0")
     name = (tuple(features), bucket)
     key = memo.get(name)
     if key is None:
@@ -219,14 +222,109 @@ def record_from_dict(data: dict) -> ExtractionRecord:
 def write_records(
     records: Iterable[ExtractionRecord], path: str | Path
 ) -> int:
-    """Write records as JSONL; returns the number written."""
+    """Write records as JSONL; returns the number written.
+
+    Each line is, byte for byte, what ``json.dumps`` writes for the
+    record's :func:`record_to_dict`, and a newline. The JSON of each key
+    object — an extractor's or a source's feature array and bucket, an
+    item's subject and predicate — is encoded once per call: keys are
+    remembered by identity and held while remembered, so equal but
+    distinct key objects are each encoded, never confused. A value or a
+    confidence is encoded on every line (see :func:`_scalar_json`), so
+    ``1``, ``1.0`` and ``True`` stay apart. The memos live and die with
+    the call and start over past ``_MEMO_KEYS`` entries. Lines reach the
+    file ``_WRITE_LINES`` at a time; a record that fails to encode
+    raises after the lines before it are written.
+    """
+    extractors: dict[int, tuple] = {}
+    sources: dict[int, tuple] = {}
+    items: dict[int, tuple] = {}
+    lines: list[str] = []
     count = 0
     with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record_to_dict(record)))
-            handle.write("\n")
-            count += 1
+        try:
+            for extractor, source, item, value, confidence in records:
+                if len(lines) == _WRITE_LINES:
+                    block = "".join(lines)
+                    lines.clear()
+                    handle.write(block)
+                    for memo in (extractors, sources, items):
+                        if len(memo) > _MEMO_KEYS:
+                            memo.clear()
+                head = extractors.get(id(extractor))
+                if head is None:
+                    head = extractors[id(extractor)] = _key_json(
+                        extractor, '{"extractor": ', "extractor"
+                    )
+                body = sources.get(id(source))
+                if body is None:
+                    body = sources[id(source)] = _key_json(
+                        source, ', "source": ', "source"
+                    )
+                names = items.get(id(item))
+                if names is None:
+                    names = items[id(item)] = (
+                        item,
+                        f', "subject": {_str_json(item.subject)}'
+                        f', "predicate": {_str_json(item.predicate)}'
+                        ', "value": ',
+                    )
+                lines.append(
+                    f"{head[1]}{body[1]}{names[1]}{_scalar_json(value)}"
+                    f', "confidence": {_scalar_json(confidence)}'
+                    f"{head[2]}{body[2]}}}\n"
+                )
+                count += 1
+        finally:
+            handle.write("".join(lines))
     return count
+
+
+#: Lines :func:`write_records` joins into one write, and the keys a memo
+#: of it holds before it is emptied (a streamed write of a huge corpus
+#: must not keep every key it has seen alive).
+_WRITE_LINES = 1024
+_MEMO_KEYS = 1 << 16
+
+_dumps = json.dumps
+#: What ``json.dumps`` writes for a ``str``, at any depth.
+_encode_str = json.encoder.encode_basestring_ascii
+_float_repr = float.__repr__
+_INFINITY = float("inf")
+
+
+def _str_json(text) -> str:
+    """``json.dumps(text)``, straight from the string encoder it uses."""
+    try:
+        return _encode_str(text)
+    except TypeError:  # not a string
+        return _dumps(text)
+
+
+def _key_json(key, opening: str, field: str) -> tuple:
+    """``(key, opening + its feature array, its bucket member or "")``:
+    the key is held so that its id is not reused while remembered."""
+    try:
+        array = f"[{', '.join(map(_encode_str, key.features))}]"
+    except TypeError:  # a feature that is not a string
+        array = _dumps(list(key.features))
+    bucket = (
+        "" if key.bucket is None
+        else f', "{field}_bucket": {_dumps(key.bucket)}'
+    )
+    return (key, opening + array, bucket)
+
+
+def _scalar_json(scalar) -> str:
+    """``json.dumps(scalar)``: a ``str`` through the string encoder, a
+    finite ``float`` as its ``repr`` (what the encoder writes, and
+    ``-0.0`` stays ``-0.0``), anything else through ``json.dumps``."""
+    kind = scalar.__class__
+    if kind is str:
+        return _encode_str(scalar)
+    if kind is float and -_INFINITY < scalar < _INFINITY:
+        return _float_repr(scalar)
+    return _dumps(scalar)
 
 
 #: Lines a reader parses per pause of the cyclic collector: long enough

@@ -1,9 +1,12 @@
 """Unit tests for the three dataset generators."""
 
+import hashlib
+from itertools import chain
+
 import pytest
 
 from repro.core.observation import ObservationMatrix
-from repro.datasets.kv import KVConfig, generate_kv
+from repro.datasets.kv import KVConfig, generate_kv, iter_kv_record_chunks
 from repro.datasets.motivating import (
     EXTRACTIONS,
     KENYA,
@@ -12,6 +15,7 @@ from repro.datasets.motivating import (
     motivating_example,
 )
 from repro.datasets.synthetic import SyntheticConfig, generate
+from repro.io.jsonl import write_records
 
 
 class TestMotivating:
@@ -170,3 +174,73 @@ class TestKV:
         b = generate_kv(cfg)
         assert a.campaign.num_records == b.campaign.num_records
         assert a.true_site_accuracy == b.true_site_accuracy
+
+
+# ----------------------------------------------------------------------
+# Generator bytes
+# ----------------------------------------------------------------------
+#: A small corpus of the e2e benchmark's KV family, with narrow patterns
+#: common enough that many fire on some sites and skip others.
+PINNED_KV = KVConfig(
+    num_websites=60,
+    items_per_predicate=30,
+    num_systems=16,
+    pages_zipf_exponent=0.9,
+    claims_zipf_exponent=0.9,
+    max_pages_per_site=12,
+    max_claims_per_page=120,
+    max_patterns_per_system=40,
+    broad_pattern_fraction=0.2,
+    narrow_affinity_base=0.05,
+    seed=13,
+)
+
+
+def digest_lines(lines) -> str:
+    digest = hashlib.sha256()
+    for line in lines:
+        digest.update(line.encode("utf-8"))
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
+class TestGeneratorBytes:
+    """Every draw of the generators, in order, pinned by a digest: a
+    change that reorders an RNG call or builds a different record moves
+    one of these."""
+
+    def test_streamed_kv_jsonl(self, tmp_path):
+        path = tmp_path / "kv.jsonl"
+        count = write_records(
+            chain.from_iterable(iter_kv_record_chunks(PINNED_KV)), path
+        )
+        assert count == 4793
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "9bf58c2d1278f4713f2121fcc35672de3a1283937b5fcec044988fcb43489adf"
+        )
+
+    def test_kv_campaign_records_and_site_accuracy(self):
+        dataset = generate_kv(PINNED_KV)
+        lines = [repr(record) for record in dataset.campaign.records]
+        lines += [
+            f"{site} {accuracy!r}"
+            for site, accuracy in dataset.true_site_accuracy.items()
+        ]
+        assert len(dataset.campaign.records) == 4793
+        assert digest_lines(lines) == (
+            "4ab5525adf0c1b2e55b42271516626d44b943d63f3272c8e439478239c61dccf"
+        )
+
+    def test_synthetic_claims_and_records(self):
+        data = generate(SyntheticConfig(seed=5))
+        claims = [
+            f"{source!r} {item!r} {value!r}"
+            for source, pairs in data.claims.items()
+            for item, value in pairs
+        ]
+        assert digest_lines(claims) == (
+            "5fde52debfa6a48e9a047c7e51ec5527a80c5a51ac84c0181171c02211bef74e"
+        )
+        assert digest_lines(repr(record) for record in data.records) == (
+            "20154b6a69027fc1f1dedaf11a2ee0bdd8ab96e912119a30b0b8362dc505ec8e"
+        )

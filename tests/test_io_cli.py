@@ -286,6 +286,36 @@ class TestCli:
         assert f"error: {path}:3: invalid JSON" in captured.err
         assert "KBT for" not in captured.out
 
+    def test_fit_refuses_a_negative_bucket_before_fitting(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """A negative split bucket is refused where it is read, with its
+        line: the artifact writer cannot save one, so no fit may run
+        before that is known."""
+        from pathlib import Path
+
+        from repro.core.kbt import KBTEstimator
+
+        golden = Path(__file__).parent / "goldens" / "corpus.jsonl"
+        lines = golden.read_text(encoding="utf-8").splitlines()[:36]
+        bad = json.loads(lines[16])
+        bad["source_bucket"] = -1
+        lines[16] = json.dumps(bad)
+        path = tmp_path / "negative.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the fit ran")
+
+        monkeypatch.setattr(KBTEstimator, "fit", no_fit)
+        artifact = tmp_path / "model.kbt"
+        argv = ["fit", str(path), "--artifact", str(artifact)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:17: malformed record")
+        assert "Traceback" not in err
+        assert not artifact.exists()
+
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])

@@ -5,7 +5,8 @@ Three properties, each pinned without a wall clock:
 * the readers return what a memo-less parse returns, record for record,
   and within one read equal keys are the *same object* — across chunk
   boundaries and across the files of one spool poll, but never across
-  two reads (the memo is scoped to the call);
+  two reads (the memo is scoped to the call). The KV generators keep
+  the same rule for the records they build;
 * identity is only ever a shortcut: ``save_artifact`` writes the same
   bytes for a matrix built from interned records and for one built from
   hand-constructed equal-but-distinct keys;
@@ -27,6 +28,7 @@ pytest.importorskip("numpy")
 from repro.core.config import ConvergenceConfig, MultiLayerConfig
 from repro.core.kbt import FittedKBT, KBTEstimator
 from repro.core.observation import ObservationMatrix
+from repro.datasets.kv import KVConfig, generate_kv, iter_kv_record_chunks
 from repro.ingest.stream import SpoolDirectorySource
 import result_reference
 from result_reference import result_from_views
@@ -114,6 +116,56 @@ def test_distinct_records_really_are_distinct():
     records = distinct_records(CORPUS)
     for keys in key_sets(records).values():
         assert len({id(key) for key in keys}) == len(keys)
+
+
+# ----------------------------------------------------------------------
+# The generators
+# ----------------------------------------------------------------------
+GENERATED = KVConfig(
+    num_websites=20,
+    items_per_predicate=20,
+    num_systems=6,
+    max_pages_per_site=8,
+    max_claims_per_page=60,
+    narrow_affinity_base=0.2,
+    seed=3,
+)
+
+
+def streamed_records() -> list:
+    return [
+        record
+        for chunk in iter_kv_record_chunks(GENERATED)
+        for record in chunk
+    ]
+
+
+def campaign_records() -> list:
+    return generate_kv(GENERATED).campaign.records
+
+
+@pytest.mark.parametrize(
+    "generate", [streamed_records, campaign_records],
+    ids=["iter_kv_record_chunks", "generate_kv"],
+)
+class TestGenerators:
+    def test_equal_keys_are_one_object(self, generate):
+        records = generate()
+        for kind in ("sources", "extractors"):
+            keys = key_sets(records)[kind]
+            assert len({id(key) for key in keys}) == len(set(keys)), kind
+            assert len(set(keys)) < len(keys), f"{kind}: no repeats"
+
+    def test_no_key_outlives_its_call(self, generate):
+        first = generate()
+        second = generate()
+        assert first == second
+        for ours, theirs in zip(
+            key_sets(first).values(), key_sets(second).values()
+        ):
+            assert not {id(key) for key in ours} & {
+                id(key) for key in theirs
+            }
 
 
 # ----------------------------------------------------------------------

@@ -73,6 +73,8 @@ MALFORMED = {
     "array-subject": good(subject=["france"]),
     "boolean-bucket": good(source_bucket=True),
     "string-bucket": good(extractor_bucket="1"),
+    "negative-source-bucket": good(source_bucket=-1),
+    "negative-extractor-bucket": good(extractor_bucket=-3),
     "missing-field": {"subject": "x"},
     "not-an-object": [1, 2, 3],
     "bare-number": 7,
@@ -128,7 +130,10 @@ def test_equal_raw_values_that_stringify_differently_stay_apart():
 
 
 @READERS
-@pytest.mark.parametrize("case", ["array-value", "string-for-source-features"])
+@pytest.mark.parametrize(
+    "case",
+    ["array-value", "string-for-source-features", "negative-source-bucket"],
+)
 def test_wrong_shape_is_reported_with_its_place(reader, case, tmp_path):
     # The parent located invalid JSON but not a malformed record.
     path = file_of(tmp_path, good(), good(value="rome"), MALFORMED[case])
