@@ -102,6 +102,8 @@ class ObservationMatrix:
             add_cell(cell)
             add_extractor(extractor_id)
             add_conf(confidence)
+        _check_buckets(sources)
+        _check_buckets(extractors)
         self._hold(
             CellColumns(
                 list(cells),
@@ -509,6 +511,18 @@ class ObservationMatrix:
             columns.entry_conf,
             len(keys),
         )
+
+
+def _check_buckets(keys: Iterable[SourceKey | ExtractorKey]) -> None:
+    """Refuse a key whose split bucket is not an index (an int >= 0),
+    which no artifact can hold, before a fit or update runs on it."""
+    for key in keys:
+        bucket = key.bucket
+        if bucket is not None and (type(bucket) is not int or bucket < 0):
+            raise ValueError(
+                f"a split bucket must be an int >= 0, got {bucket!r} "
+                f"in {type(key).__name__} {key}"
+            )
 
 
 def _strongest(

@@ -253,17 +253,18 @@ def fit_sharded(
                 or hit_tolerance
                 or iteration == cfg.convergence.max_iterations
             ):
-                save_checkpoint(
-                    cfg.checkpoint_dir,
-                    iteration=iteration,
-                    params=params,
-                    p_correct=p_correct,
-                    posterior=posterior,
-                    priors=priors,
-                    history=history,
-                    problem_digest=expected_problem,
-                    config_digest=expected_config,
-                )
+                with obs.span("exec.checkpoint.save"):
+                    save_checkpoint(
+                        cfg.checkpoint_dir,
+                        iteration=iteration,
+                        params=params,
+                        p_correct=p_correct,
+                        posterior=posterior,
+                        priors=priors,
+                        history=history,
+                        problem_digest=expected_problem,
+                        config_digest=expected_config,
+                    )
             if hit_tolerance:
                 break
 

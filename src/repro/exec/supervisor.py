@@ -32,7 +32,6 @@ speculation), ``KBT_STRAGGLER_MIN_S``, ``KBT_WORKER_GRACE_S``.
 from __future__ import annotations
 
 import os
-import statistics
 import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -322,6 +321,10 @@ class _SupervisedSession:
         pending = [task for task in tasks.values() if not task.done]
         if not pending:
             return
+        # Imported here: statistics loads fractions and decimal, which
+        # the gateway (importing this module for ExecError) never needs.
+        import statistics
+
         deadline = max(
             statistics.median(durations) * self._sup.straggler_factor,
             self._sup.straggler_min_s,

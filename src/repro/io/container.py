@@ -8,25 +8,35 @@ back read-only. The manifest, ``{"format", "version", **fields,
 after the stale one is unlinked, so an interrupted write reads as "no
 manifest", never as half a directory. ``columns`` records each column's
 dtype, shape and data offset, so a reader that has the manifest maps a
-column without parsing its ``.npy`` header. A :class:`ColumnFormat` is
-one format: every failure raises its error class, naming the path and
-its remedy.
+column without parsing its ``.npy`` header: as a read-only typed
+``memoryview`` over its ``mmap``, with no numpy in the process. numpy
+loads only where a column is written, or mapped by its header (the
+spill's ``np.memmap``). A :class:`ColumnFormat` is one format: every
+failure raises its error class, naming the path and its remedy.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import mmap
+import struct
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.io.atomic import atomic_write
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+
 MANIFEST = "manifest.json"
+
+_NATIVE = "<" if sys.byteorder == "little" else ">"
+#: The ``memoryview`` format of each dtype a column maps to through its
+#: manifest entry: float64 and int64 in this host's byte order, bytes.
+VIEW_FORMATS = {f"{_NATIVE}f8": "d", f"{_NATIVE}i8": "q", "|u1": "B"}
 
 
 @dataclass(frozen=True)
@@ -72,6 +82,8 @@ class ColumnFormat:
     def save(self, directory: str | Path, name: str, values) -> list:
         """Save one column as ``directory/<name>.npy``; returns its
         ``[dtype, shape, data offset]``, what :meth:`map` takes."""
+        import numpy as np
+
         path = Path(directory) / f"{name}.npy"
         array = np.ascontiguousarray(values)
         try:
@@ -117,26 +129,43 @@ class ColumnFormat:
 
     def map(
         self, directory: str | Path, name: str, column: list | None = None
-    ) -> np.ndarray:
+    ) -> memoryview | np.ndarray:
         """Map ``directory/<name>.npy`` read-only.
 
         With ``column``, the ``[dtype, shape, offset]`` the manifest
-        recorded for it: one ``mmap`` and an ``np.frombuffer`` over it.
-        Without, ``np.load`` reads the ``.npy`` header (an ``np.memmap``,
-        whose pages :func:`repro.exec.spill.advise_dontneed` can drop).
+        recorded for it: one ``mmap`` and a typed ``memoryview`` of its
+        data, for a 1-D column of a dtype in :data:`VIEW_FORMATS`; a file
+        too short for it is torn. Without, ``np.load`` reads the ``.npy``
+        header (an ``np.memmap``, whose pages
+        :func:`repro.exec.spill.advise_dontneed` can drop).
         """
         path = Path(directory) / f"{name}.npy"
+        if column is not None:
+            try:
+                dtype, (length,), offset = column
+                code = VIEW_FORMATS[dtype]
+            except (KeyError, TypeError, ValueError):
+                raise self.error(
+                    f"{self.what} column {path} is recorded as {column!r}, "
+                    f"not a 1-D column of a dtype this build maps "
+                    f"({', '.join(VIEW_FORMATS)}); {self.remedy}"
+                ) from None
         try:
             if column is None:
+                import numpy as np
+
                 return np.load(path, mmap_mode="r")
-            dtype, shape, offset = column
             with open(path, "rb") as handle:
                 mapping = mmap.mmap(
                     handle.fileno(), 0, access=mmap.ACCESS_READ
                 )
-            return np.frombuffer(
-                mapping, np.dtype(dtype), math.prod(shape), offset
-            ).reshape(shape)
+            end = offset + length * struct.calcsize(code)
+            if not 0 <= offset <= end <= len(mapping):
+                raise ValueError(
+                    f"its data ends at byte {end}, the file at "
+                    f"{len(mapping)}"
+                )
+            return memoryview(mapping)[offset:end].cast(code)
         except (OSError, ValueError, TypeError) as err:
             raise self.error(
                 f"{self.what} column {path} is missing or torn ({err}); "
@@ -150,4 +179,4 @@ class ColumnFormat:
         )
 
 
-__all__ = ["ColumnFormat", "MANIFEST"]
+__all__ = ["ColumnFormat", "MANIFEST", "VIEW_FORMATS"]

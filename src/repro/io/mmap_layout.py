@@ -27,8 +27,9 @@ The manifest carries the layout format/version, the source artifact's
 sha256 (the serving **ETag** — the gateway's cache validator and the
 ``/readyz`` version handle), every scalar the serving surface needs,
 and each column's dtype, shape and data offset, so opening a layout is
-one ``mmap`` plus ``np.frombuffer`` per column, with no ``.npy`` header
-parsed (layout version 2; a cache of version 1 is re-exported on open).
+one ``mmap`` plus a typed ``memoryview`` per column, with no ``.npy``
+header parsed (layout version 2; a cache of version 1 is re-exported on
+open).
 
 What the columns hold, and how they are encoded, is decided once, by
 :func:`serving_columns` — a pure function of the result's columns (the
@@ -46,9 +47,9 @@ way whether they are held in memory (``kbt query``, which writes no
 file) or mapped from a layout (:class:`ServingLayout`, ``kbt serve``).
 
 The read side (:class:`ServingLayout`, :func:`cache_layout` of a layout
-already cached) imports nothing of the fit layer: :func:`serving_columns`
-imports the score aggregation, and an export from the file the artifact
-decoder, when they run.
+already cached) imports nothing of the fit layer, and not numpy:
+:func:`serving_columns` imports numpy and the score aggregation, and an
+export from the file the artifact decoder, when they run.
 
 A missing, foreign, or torn layout raises :class:`LayoutError` (a
 ``ValueError``) naming the remedy; because the manifest is written last
@@ -61,7 +62,7 @@ the whole layout in a hidden temp sibling and renames it into place in
 one atomic step, and :func:`export_layout` *refuses* to write into a
 directory that already exists (unless it already holds this exact
 export, which is simply reused). Rewriting in place would truncate
-``.npy`` files under any live ``np.memmap`` view of them — a reader
+``.npy`` files under any live mapping of them — a reader
 would see torn data or die with SIGBUS — so a stale layout is replaced
 by exporting to a *new* directory, never by overwriting the old one
 (deleting the old directory is safe on POSIX: unlinked inodes survive
@@ -76,13 +77,14 @@ import os
 import shutil
 import tempfile
 from pathlib import Path
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro import obs
 from repro.io.container import MANIFEST, ColumnFormat
 from repro.signals.base import SignalScores
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 #: Format identifier + version written to (and required from) manifests.
 LAYOUT_FORMAT = "kbt-serving-layout"
@@ -124,6 +126,8 @@ def artifact_etag(path: str | Path) -> str:
 # ----------------------------------------------------------------------
 def _encode_strings(strings: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """One string column's ``(blob, offsets)`` arrays."""
+    import numpy as np
+
     encoded = [s.encode("utf-8") for s in strings]
     offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
     if encoded:
@@ -139,7 +143,9 @@ class StringColumn:
     key -> index lookup at store open).
     """
 
-    def __init__(self, blob: np.ndarray, offsets: np.ndarray) -> None:
+    def __init__(
+        self, blob: memoryview | np.ndarray, offsets: memoryview | np.ndarray
+    ) -> None:
         self._blob = blob
         self._offsets = offsets
 
@@ -172,6 +178,8 @@ def signal_columns(
     ``sig{i}_sup_site`` / ``sig{i}_sup_val`` (its support): int64 rows
     of the website table, interned signal by signal, scores first, and
     float64 values."""
+    import numpy as np
+
     websites: dict[str, int] = {}
 
     def intern(sites) -> np.ndarray:
@@ -291,8 +299,10 @@ def serving_columns(
     rendered as one JSON row. Signals are stored as the artifact holds
     them, in its order, with their websites interned.
     """
-    # The fit layer is imported here, on the write path, so a process
-    # that only maps a layout never loads it.
+    # numpy and the fit layer are imported here, on the write path, so
+    # a process that only maps a layout never loads them.
+    import numpy as np
+
     from repro.core.kbt import aggregate_scores, key_text
 
     with obs.span("io.mmap_layout.serving_columns"):
@@ -586,20 +596,24 @@ class ServingLayout(ServingColumns):
     """The serving columns mapped from an exported layout directory.
 
     The manifest is read at open; ``array(name)`` returns a read-only
-    array over the ``np.memmap`` of one column, ``strings(name)`` a
-    lazily-decoding :class:`StringColumn`. Both raise
-    :class:`LayoutError` with the regenerate remedy when a file is
-    missing or torn.
+    typed ``memoryview`` over the ``mmap`` of one column (float64 ``d``,
+    int64 ``q`` or byte ``B``), ``strings(name)`` a lazily-decoding
+    :class:`StringColumn` over two of them. A store reads both kinds of
+    column, these and the in-memory arrays, by index, slice, ``len``,
+    ``tolist()`` and ``tobytes()`` only. Both raise :class:`LayoutError`
+    with the regenerate remedy when a file is missing or torn, or the
+    manifest records a dtype no view maps (such as a foreign byte
+    order).
     """
 
     def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
         self.manifest = _LAYOUT.read_manifest(self.directory)
 
-    def array(self, name: str) -> np.ndarray:
-        # One mmap and a frombuffer, at the dtype, shape and offset the
-        # manifest recorded: no .npy header is parsed. The array's base
-        # keeps the map alive.
+    def array(self, name: str) -> memoryview:
+        # One mmap and a typed memoryview, at the dtype, shape and offset
+        # the manifest recorded: no .npy header is parsed, no numpy is
+        # imported. The view keeps the map alive.
         column = self.manifest.get("columns", {}).get(name)
         if column is None:
             raise LayoutError(

@@ -17,7 +17,8 @@ from inside ``src/`` and keeps its meaning when code moves:
 * ``core.engine_numpy.assemble``, ``core.kbt.save`` and inside it
   ``io.artifact.save`` (``.columns``, ``.keys``, ``.members``),
   ``io.mmap_layout.serving_columns``, ``io.mmap_layout.etag`` and
-  ``io.mmap_layout.write``; ``serving.store.open``.
+  ``io.mmap_layout.write``; ``serving.store.open``; with a checkpoint
+  directory, ``exec.checkpoint.save`` around each checkpoint written.
 
 The driver adds one :func:`event` per EM iteration (the deltas and the
 claims whose ``p(C|X)`` crossed 0.5), and :meth:`Recorder.write` closes

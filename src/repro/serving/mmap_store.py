@@ -4,9 +4,10 @@ a layout directory mapped from disk — the store ``kbt serve`` runs.
 Every lookup is :class:`~repro.serving.store.TrustStore`'s; this class
 only decides which columns it reads. It opens a *serving layout*
 (:mod:`repro.io.mmap_layout`): the score / support / percentile / rank
-columns are read-only ``np.memmap`` views the kernel pages in on
-access, string keys decode lazily from mmapped blob columns, and the
-posterior mass never enters the process at all. What stays resident is
+columns are read-only typed memoryviews over mmaps the kernel
+pages in on access, string keys decode lazily from mmapped blob
+columns, and neither numpy nor the posterior mass ever enters the
+process. What stays resident is
 what any ``TrustStore`` keeps: the ``key -> row`` indexes and the body
 memo.
 
@@ -27,7 +28,7 @@ best-effort after an export — safe on POSIX, where unlinked files
 survive until the last mapping drops.
 
 ``close()`` drops the mmap references (the OS unmaps once the last
-array view dies). A :class:`~repro.serving.manager.StoreManager` only
+view of a map dies). A :class:`~repro.serving.manager.StoreManager` only
 closes a store after the last in-flight request releases it, so
 requests never observe a half-closed store.
 """

@@ -3,9 +3,11 @@
 Every lookup the route table (:mod:`repro.serving.routes`) and ``kbt
 query`` answer is written once, here, over the serving columns as
 :func:`repro.io.mmap_layout.serving_columns` encodes them: float64 /
-int64 arrays and UTF-8 string columns. Those columns have two
+int64 columns and UTF-8 string columns. Those columns have two
 residencies, and the store reads both through the same
-``array`` / ``strings`` calls:
+``array`` / ``strings`` calls, using only what numpy arrays and typed
+memoryviews both have: int index, slice, ``len``, ``tolist()`` and
+``tobytes()``:
 
 * **in memory** (:class:`~repro.io.mmap_layout.ServingColumns`) —
   ``TrustStore.open(path)`` (which decodes only the sections serving
@@ -14,10 +16,11 @@ residencies, and the store reads both through the same
   write no file, so ``kbt query`` / ``signals`` / ``compare`` work on
   an artifact in a read-only directory;
 * **mapped** (:class:`~repro.io.mmap_layout.ServingLayout`) — the
-  read-only ``np.memmap`` columns of an exported layout directory,
-  which :class:`~repro.serving.mmap_store.MmapTrustStore` (the store
-  ``kbt serve`` runs) opens, exporting and caching it first when given
-  an artifact.
+  columns of an exported layout directory as read-only typed
+  memoryviews over their mmaps, which
+  :class:`~repro.serving.mmap_store.MmapTrustStore` (the store ``kbt
+  serve`` runs) opens, exporting and caching it first when given an
+  artifact.
 
 Float64 values survive the ``.npy`` round trip bit for bit and
 ``json.dumps`` renders floats by ``repr``, so both residencies answer
@@ -41,11 +44,12 @@ rendered on first use and kept until ``close()``. The signal surface is
 rebuilt from the signal columns on the first signal query, so KBT-only
 traffic never pays for it.
 
-Nothing of the fit layer is imported with this module: the signal
-frame and fusion load with the first signal surface, and the artifact
-decoder and the column aggregation with the cold paths that build
-columns from an artifact (``TrustStore.open(path)``). A gateway that
-maps a layout never loads them.
+Nothing of the fit layer, and not numpy, is imported with this module:
+the signal frame and fusion (and numpy) load with the first signal
+surface, and the artifact decoder and the column aggregation with the
+cold paths that build columns from an artifact
+(``TrustStore.open(path)``). A gateway that maps a layout and answers
+no signal route never loads them.
 """
 
 from __future__ import annotations
@@ -183,7 +187,8 @@ class TrustStore:
         self._signal_entries: list[dict] = manifest["signals"]
         self._fusion_weights: dict[str, float] = manifest["fusion_weights"]
 
-        # The numeric columns (mapped: read-only views of the files).
+        # The numeric columns (mapped: read-only memoryviews of the
+        # files).
         self._score = columns.array("site_score")
         self._support = columns.array("site_support")
         self._percentile = columns.array("site_percentile")

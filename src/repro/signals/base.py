@@ -26,8 +26,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterator, Protocol, runtime_checkable
 
-import numpy as np
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     # The serving side imports this module for SignalScores and
     # SignalError; the corpus-side types stay out of its process.
@@ -180,6 +178,8 @@ _MAX_COCLAIM_SITES = 30
 
 def co_claim_graph(observations: ObservationMatrix) -> WebGraph:
     """Derive the co-claim proxy graph over websites (see ``web_graph``)."""
+    import numpy as np
+
     from repro.web.graph import WebGraph
 
     claim_counts: dict[str, int] = {}

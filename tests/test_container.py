@@ -26,7 +26,6 @@ from repro.exec import remote
 from repro.exec.plan import Shard, ShardPlan
 from repro.exec.protocol import decode_message, encode_message
 from repro.exec.spill import _SPILL, OutOfCoreShardSource, SpillError
-from repro.io import container
 from repro.io.container import MANIFEST
 from repro.io.mmap_layout import _LAYOUT, LayoutError
 
@@ -70,12 +69,13 @@ def test_manifest_text_and_columns(fmt, tmp_path):
     assert isinstance(column, np.memmap) and not column.flags.writeable
     assert np.array_equal(column, np.arange(64))
     assert np.array_equal(fmt.map(directory, "sub/col"), np.ones(3))
-    # Through the manifest's entry: no header parsed, the same values.
+    # Through the manifest's entry: no header parsed, a read-only typed
+    # memoryview of the same values.
     for name, want in (("col", np.arange(64)), ("sub/col", np.ones(3))):
         mapped = fmt.map(directory, name, table[name])
-        assert not mapped.flags.writeable
-        assert mapped.dtype == want.dtype
-        assert np.array_equal(mapped, want)
+        assert isinstance(mapped, memoryview) and mapped.readonly
+        assert mapped.format == {"int64": "q", "float64": "d"}[want.dtype.name]
+        assert mapped.tolist() == want.tolist()
 
 
 def test_failed_rewrite_leaves_no_manifest(fmt, tmp_path, monkeypatch):
@@ -92,7 +92,7 @@ def test_failed_rewrite_leaves_no_manifest(fmt, tmp_path, monkeypatch):
             raise OSError(errno.ENOSPC, "No space left on device")
         save(path, values)
 
-    monkeypatch.setattr(container.np, "save", filling_save)
+    monkeypatch.setattr(np, "save", filling_save)
     with pytest.raises(fmt.error, match="No space left") as caught:
         written(fmt, directory)
     assert str(directory) in str(caught.value)
@@ -138,6 +138,11 @@ def _read_column(fmt, directory):
 def _map_column(fmt, directory):
     """The column through its manifest entry, as a layout maps it."""
     return fmt.map(directory, "col", ["<i8", [64], 128])
+
+
+def _map_big_endian_column(fmt, directory):
+    """The column through an entry whose dtype no typed view maps."""
+    return fmt.map(directory, "col", [">i8", [64], 128])
 
 
 #: name -> (damage(directory, fmt), read(fmt, directory), message pattern)
@@ -194,6 +199,11 @@ DAMAGE = {
         _map_column,
         "missing or torn",
     ),
+    "unmapped dtype": (
+        lambda d, fmt: None,
+        _map_big_endian_column,
+        "not a 1-D column of a dtype this build maps",
+    ),
 }
 
 
@@ -236,6 +246,42 @@ def test_a_version_1_layout_cache_is_exported_again(tmp_path):
         assert _LAYOUT.read_manifest(directory)["version"] == LAYOUT_VERSION
     finally:
         store.close()
+
+
+def _big_endian_scores(directory):
+    manifest = json.loads((directory / MANIFEST).read_text("utf-8"))
+    manifest["columns"]["site_score"][0] = ">f8"
+    _rewrite_manifest(directory, json.dumps(manifest))
+
+
+@pytest.mark.parametrize(
+    "damage, pattern",
+    [
+        # Eight bytes short: a whole float64 row, so the view would
+        # still cast; only the length check tells the file is torn.
+        (lambda d: _truncate(d / "site_score.npy"), "missing or torn"),
+        (_big_endian_scores, "not a 1-D column of a dtype this build maps"),
+    ],
+    ids=["truncated column", "unmapped dtype"],
+)
+def test_a_damaged_layout_does_not_open(damage, pattern, tmp_path):
+    """A store over a layout whose column file is short, or whose
+    manifest records a dtype no typed view maps, is a LayoutError
+    naming the remedy, never a short or misread column."""
+    from repro.core.kbt import KBTEstimator
+    from repro.io.mmap_layout import artifact_etag, layout_cache_dir
+    from repro.serving.mmap_store import MmapTrustStore
+
+    from test_artifact import corpus
+
+    path = KBTEstimator().fit(corpus()).save(tmp_path / "model.kbt")
+    directory = layout_cache_dir(path, artifact_etag(path))
+    MmapTrustStore.open(directory).close()
+    damage(directory)
+    with pytest.raises(LayoutError, match=pattern) as caught:
+        MmapTrustStore.open(directory)
+    assert "site_score" in str(caught.value)
+    assert _LAYOUT.remedy in str(caught.value)
 
 
 # ----------------------------------------------------------------------

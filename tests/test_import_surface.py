@@ -22,6 +22,7 @@ import subprocess
 import sys
 from pathlib import Path
 from types import FunctionType
+from urllib.parse import parse_qs
 
 import pytest
 
@@ -29,8 +30,11 @@ pytest.importorskip("numpy")
 
 import repro
 from repro.core.kbt import KBTEstimator
+from repro.io.mmap_layout import artifact_etag
+from repro.serving.routes import handle_route
+from repro.serving.store import TrustStore
 
-from test_ingest import corpus as small_corpus
+from test_ingest import batch_for, corpus as small_corpus
 
 PACKAGES = [
     "repro",
@@ -44,7 +48,9 @@ PACKAGES = [
 
 #: Modules the gateway's process must not hold: the model, the artifact
 #: decoder, the execution backends, the signal providers, the ingest
-#: loop, the web graph, evaluation, copy detection and urllib's client.
+#: loop, the web graph, evaluation, copy detection, urllib's client,
+#: numpy (a mapped layout is read through typed memoryviews) and
+#: statistics (with its fractions and decimal).
 NOT_IN_THE_GATEWAY = [
     "repro.core.engine_numpy",
     "repro.core.observation",
@@ -57,11 +63,15 @@ NOT_IN_THE_GATEWAY = [
     "repro.eval",
     "repro.copydetect",
     "urllib.request",
+    "numpy",
+    "statistics",
 ]
 
 # What `kbt serve` imports (the CLI, then run_serve's gateway and
-# store), then one saved fit opened and one /score answered over HTTP.
-SERVE_ONE_SCORE = """
+# store), then one saved fit opened and the requests in argv[2] answered
+# over HTTP, each as [status, body]: every route but the two signal
+# routes, which load the signal frame and numpy on first use.
+SERVE_REQUESTS = """
 import http.client, json, sys
 import repro.cli
 from repro.serving.gateway import GatewayThread, ListenError, serve_gateway
@@ -69,15 +79,17 @@ from repro.serving.manager import StoreManager
 from repro.serving.mmap_store import MmapTrustStore
 
 store = MmapTrustStore.open(sys.argv[1])
+answers = []
 with GatewayThread(StoreManager(store)) as url:
     host, port = url.removeprefix("http://").rsplit(":", 1)
     connection = http.client.HTTPConnection(host, int(port), timeout=30)
-    connection.request("GET", "/score?site=good.com")
-    response = connection.getresponse()
-    answer = [response.status, json.loads(response.read())]
+    for method, target, headers, body in json.loads(sys.argv[2]):
+        connection.request(method, target, body=body, headers=headers)
+        response = connection.getresponse()
+        answers.append([response.status, response.read().decode("utf-8")])
     connection.close()
 print(json.dumps(
-    {"layout": store.layout_state, "answer": answer,
+    {"layout": store.layout_state, "answers": answers,
      "modules": sorted(sys.modules)}
 ))
 """
@@ -98,22 +110,66 @@ def fresh_python(*args: str) -> subprocess.CompletedProcess:
     )
 
 
+def routed(store, target: str) -> list:
+    """``[status, body]`` of the route table's answer to a GET of
+    ``target``."""
+    path, _, query = target.partition("?")
+    status, payload = handle_route(store, path, parse_qs(query))
+    return [status, json.dumps(payload, ensure_ascii=False)]
+
+
 def test_the_gateway_loads_only_the_serving_layer(tmp_path):
     fitted = KBTEstimator().fit(small_corpus())
     path = fitted.save(tmp_path / "model.kbt")
+    (tmp_path / "next").mkdir()
+    swapped = KBTEstimator().fit(
+        small_corpus() + batch_for("a.com", "more")
+    ).save(tmp_path / "next" / "model.kbt")
+    etag = artifact_etag(path)
+    sites = ["good.com", "bad.com", "nosuch.com", "good.com"]
+    reads = [
+        "/score?site=good.com",
+        "/page?site=good.com&page=good.com/p",
+        f"/batch?sites={','.join(sites)}",
+        "/top?k=3",
+        "/percentile?site=good.com",
+        "/breakdown?site=good.com",
+        "/healthz",
+        "/score?site=nosuch.com",
+    ]
+    requests = [
+        *(["GET", target, {}, None] for target in reads),
+        ["POST", "/batch", {}, json.dumps({"sites": sites})],
+        ["GET", "/readyz", {}, None],
+        ["GET", "/score?site=good.com", {"If-None-Match": f'"{etag}"'}, None],
+        ["POST", "/admin/swap", {}, json.dumps({"artifact": str(swapped)})],
+        ["GET", "/breakdown?site=a.com", {}, None],
+    ]
 
-    run = fresh_python("-c", SERVE_ONE_SCORE, str(path))
+    run = fresh_python("-c", SERVE_REQUESTS, str(path), json.dumps(requests))
     report = json.loads(run.stdout)
 
     assert report["layout"] == "reused"
-    status, body = report["answer"]
+    answers = report["answers"]
+    before, after = TrustStore.open(path), TrustStore.open(swapped)
+    assert answers[: len(reads)] == [routed(before, t) for t in reads]
+    assert answers[len(reads) - 1][0] == 404
+    body = json.loads(answers[0][1])
     want = fitted.website_scores()["good.com"]
-    assert status == 200
     assert (body["key"], body["score"], body["support"]) == (
         want.key,
         want.score,
         want.support,
     )
+    assert answers[len(reads)] == routed(before, reads[2])
+    ready, not_modified, swap, new_breakdown = answers[len(reads) + 1 :]
+    assert ready[0] == 200 and json.loads(ready[1])["etag"] == etag
+    assert not_modified == [304, ""]
+    assert swap[0] == 200
+    assert json.loads(swap[1])["etag"] == artifact_etag(swapped)
+    assert json.loads(swap[1])["layout"] == "reused"
+    assert new_breakdown == routed(after, "/breakdown?site=a.com")
+
     loaded = set(report["modules"])
     assert "repro.serving.gateway" in loaded  # the check ran for real
     assert [name for name in NOT_IN_THE_GATEWAY if name in loaded] == []

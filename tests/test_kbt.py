@@ -1,6 +1,7 @@
 """Unit tests for the KBT estimator facade and its report."""
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -147,6 +148,40 @@ class TestValidation:
     def test_zero_min_triples_accepted(self):
         result = build_result([(SourceKey(("a.com",)), 0.9, [1.0])])
         assert KBTReport(result, min_triples=0.0).website_scores()
+
+    @pytest.mark.parametrize("part", ["source", "extractor"])
+    def test_negative_bucket_refused_before_the_fit(self, part, monkeypatch):
+        """No artifact can hold a negative split bucket, so a fit or an
+        update over a record keyed with one stops while the matrix is
+        built, naming the key, and never reaches the EM loop."""
+        from repro.exec import driver
+        from repro.io.jsonl import read_records
+
+        golden = Path(__file__).parent / "goldens" / "corpus.jsonl"
+        records = list(read_records(golden))
+        fitted = KBTEstimator().fit(records[:60])
+        r = records[16]
+        fields = dict(
+            extractor=r.extractor,
+            source=r.source,
+            item=r.item,
+            value=r.value,
+            confidence=r.confidence,
+        )
+        key = fields[part]
+        fields[part] = type(key)(key.features, -1)
+        bad = records[16] = ExtractionRecord(**fields)
+
+        def no_loop(*args, **kwargs):
+            raise AssertionError("the EM loop ran")
+
+        monkeypatch.setattr(driver, "fit_sharded", no_loop)
+        message = "split bucket must be an int >= 0, got -1 in "
+        message += type(key).__name__
+        with pytest.raises(ValueError, match=message):
+            KBTEstimator().fit(records)
+        with pytest.raises(ValueError, match=message):
+            fitted.update([bad])
 
 
 class TestAggregationEdgeCases:

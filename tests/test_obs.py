@@ -113,3 +113,26 @@ def test_processes_map_is_one_driver_span(tmp_path):
     assert not {"em.extcorr", "em.triplepr"} & names
     seconds = recorder.table7()["seconds_per_iteration"]
     assert seconds["I ExtCorr"] is None and seconds["map round"] > 0
+
+
+def test_each_checkpoint_is_one_span(tmp_path):
+    """A fit with a checkpoint directory records one
+    ``exec.checkpoint.save`` per checkpoint it writes (every iteration
+    here), and tracing changes no byte of its artifact."""
+    iterations = 3
+    cfg = MultiLayerConfig(
+        convergence=ConvergenceConfig(max_iterations=iterations, tolerance=0.0)
+    )
+
+    def fit(name: str) -> bytes:
+        fitted = KBTEstimator(
+            cfg, checkpoint_dir=str(tmp_path / name), checkpoint_every=1
+        ).fit(corpus())
+        return fitted.save(tmp_path / f"{name}.kbt").read_bytes()
+
+    recorder = obs.Recorder()
+    with obs.installed(recorder):
+        traced = fit("traced")
+    names = [name for name, *_rest in recorder.spans]
+    assert names.count("exec.checkpoint.save") == iterations
+    assert traced == fit("plain")

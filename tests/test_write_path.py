@@ -228,7 +228,7 @@ def test_save_fails_on_a_full_disk_and_the_next_open_exports(
     (tmp_path / "clean").mkdir()
     clean = fitted.save(tmp_path / "clean" / "model.kbt")
     path = tmp_path / "model.kbt"
-    save = layout_module.np.save
+    save = np.save
     saves = []
 
     def filling_save(file, values):
@@ -237,7 +237,7 @@ def test_save_fails_on_a_full_disk_and_the_next_open_exports(
             raise OSError(errno.ENOSPC, "No space left on device")
         save(file, values)
 
-    monkeypatch.setattr(layout_module.np, "save", filling_save)
+    monkeypatch.setattr(np, "save", filling_save)
     with pytest.raises(LayoutError, match="No space left") as caught:
         fitted.save(path)
     monkeypatch.undo()
