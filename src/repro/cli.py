@@ -37,11 +37,12 @@ The subcommands mirror the fit -> persist -> query lifecycle:
       kbt serve model.kbt --port 8080
       kbt serve model.kbt --max-connections 256 --request-timeout 30
 
-* ``swap`` — point a running gateway at a freshly fitted artifact,
-  without dropping a single in-flight request. The gateway's admin
-  endpoint accepts loopback clients by default; a shared secret
-  (``kbt serve --admin-token`` / ``kbt swap --token``, or
-  ``KBT_ADMIN_TOKEN`` for both) is required to swap from anywhere
+* ``swap`` — point a running gateway at a freshly fitted artifact
+  (saved with its serving layout, as ``fit``, ``update`` and ``ingest``
+  save each one), without dropping a single in-flight request. The
+  gateway's admin endpoint accepts loopback clients by default; a
+  shared secret (``kbt serve --admin-token`` / ``kbt swap --token``,
+  or ``KBT_ADMIN_TOKEN`` for both) is required to swap from anywhere
   else::
 
       kbt swap model_v2.kbt --server 127.0.0.1:8080
@@ -197,7 +198,14 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve", help="serve JSON score lookups over HTTP"
     )
-    serve.add_argument("artifact", help="trust artifact written by 'fit'")
+    serve.add_argument(
+        "artifact",
+        help=(
+            "trust artifact written by 'fit' (its serving layout is "
+            "exported beside it first if missing: a hot swap only maps "
+            "a saved layout), or a layout directory"
+        ),
+    )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080)
     # Accepted and ignored: the gateway is the only frontend, but
@@ -872,13 +880,23 @@ def run_compare(args: argparse.Namespace) -> int:
 
 def run_serve(args: argparse.Namespace) -> int:
     import os
+    from pathlib import Path
 
+    from repro.io.mmap_layout import cache_layout
     from repro.serving.gateway import ListenError, serve_gateway
     from repro.serving.mmap_store import MmapTrustStore
 
+    path = Path(args.artifact)
+    if not path.is_dir():
+        # The layout a save wrote beside the artifact is reused after one
+        # hash; an artifact without one (copied, format 1-3, or its cache
+        # deleted) has it exported here, once, before the event loop
+        # starts. The gateway itself never exports: a hot swap maps a
+        # saved layout or refuses.
+        path = cache_layout(path)[0]
     try:
         serve_gateway(
-            MmapTrustStore.open(args.artifact),
+            MmapTrustStore.open(path),
             host=args.host,
             port=args.port,
             max_connections=args.max_connections,
@@ -922,8 +940,7 @@ def run_swap(args: argparse.Namespace) -> int:
         return 1
     print(
         f"swapped: generation {payload['generation']}, "
-        f"{payload['websites']} websites, etag {payload['etag']}, "
-        f"layout {payload.get('layout')}"
+        f"{payload['websites']} websites, etag {payload['etag']}"
     )
     return 0
 

@@ -338,7 +338,7 @@ class FittedKBT:
             except LayoutError as err:
                 raise LayoutError(
                     f"saved {path}, but not its serving layout: {err} (the "
-                    "artifact is complete; opening it later exports the "
+                    "artifact is complete; 'kbt serve' of it exports the "
                     "layout)"
                 ) from err
         return path

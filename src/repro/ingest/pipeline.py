@@ -73,7 +73,6 @@ class InProcessPublisher:
             "etag": status["etag"],
             "generation": status["generation"],
             "websites": len(store),
-            "layout": getattr(store, "layout_state", None),
         }
 
     def push_status(self, snapshot: dict) -> None:
@@ -194,7 +193,6 @@ class IngestPipeline:
             last_refit_reason=None,
             served_etag=None,
             served_generation=None,
-            served_layout=None,
         )
 
     # ------------------------------------------------------------------
@@ -244,7 +242,6 @@ class IngestPipeline:
             last_refit_reason=reason,
             served_etag=(published or {}).get("etag"),
             served_generation=(published or {}).get("generation"),
-            served_layout=(published or {}).get("layout"),
             artifact=str(path),
         )
         if self.publisher is not None:

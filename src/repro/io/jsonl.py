@@ -77,10 +77,10 @@ _decode_json = json.JSONDecoder().raw_decode
 class RecordParser:
     """The one line -> record step, and the one place keys get an identity.
 
-    Every reader — :func:`read_records`, :func:`read_record_chunks`, the
-    spool tailer's poll (:mod:`repro.ingest.stream`), ``kbt ingest
-    --stdin`` — owns a parser for the length of one read and pushes
-    every line through :meth:`parse`. The parser remembers the keys it
+    Every reader — :func:`read_records`, the spool tailer's poll
+    (:mod:`repro.ingest.stream`), ``kbt ingest --stdin`` — owns a
+    parser for the length of one read and pushes every line through
+    :meth:`parse`. The parser remembers the keys it
     has built: a feature vector (+ bucket) or a ``(subject, predicate)``
     seen before returns the *same* validated
     :class:`~repro.core.types.ExtractorKey` /
@@ -340,27 +340,17 @@ def _parse_run(
     path: str | Path,
     first: int,
     count: int,
-    torn_tail_ends: bool,
 ) -> tuple[list[ExtractionRecord], int, ValueError | None]:
     """Parse the next ``count`` lines of ``handle``, the first of them
     line ``first``, with the cyclic collector paused
     (:func:`repro.util.heap.paused_gc`): their records, how many lines
-    were read, and the error of the line that stopped them, if one did.
-    With ``torn_tail_ends``, a failing line without its newline (the
-    file's last, still being written) ends them without an error."""
+    were read, and the error of the line that stopped them, if one did."""
     records: list[ExtractionRecord] = []
     read = 0
     for read, line in enumerate(islice(handle, count), start=1):
         try:
             record = parser.parse(line, path, first + read - 1)
         except ValueError as error:
-            newline = b"\n" if isinstance(line, bytes) else "\n"
-            if torn_tail_ends and not line.endswith(newline):
-                # The file's final bytes are a record still being
-                # written, even if they parse as JSON on their own (the
-                # "1" of an in-flight "12345"): only a newline-terminated
-                # record is trusted to be whole.
-                break
             return records, read, error
         if record is not None:
             records.append(record)
@@ -397,7 +387,7 @@ def read_records(path: str | Path) -> Iterator[ExtractionRecord]:
             try:
                 with obs.span("io.jsonl.read"):
                     records, read, error = _parse_run(
-                        parser, handle, path, first, _RUN_LINES, False
+                        parser, handle, path, first, _RUN_LINES
                     )
             except UnicodeDecodeError:
                 handle = files.enter_context(_bytes_from(path, first))
@@ -408,52 +398,3 @@ def read_records(path: str | Path) -> Iterator[ExtractionRecord]:
             if read < _RUN_LINES:
                 return
             first += read
-
-
-def read_record_chunks(
-    path: str | Path, chunk_size: int = 50_000
-) -> Iterator[list[ExtractionRecord]]:
-    """Stream a JSONL file as bounded record chunks.
-
-    The reader for tailers of a file that is still being appended to:
-    concatenating the chunks reproduces :func:`read_records` exactly —
-    key identity included, one parser serves every chunk — but no more
-    than ``chunk_size`` parsed records exist at once.
-
-    Unlike :func:`read_records` (the strict reader every batch ``kbt
-    fit`` goes through), a *partially written trailing line* —
-    truncated JSON at EOF with no terminating newline, as produced by a
-    writer appending to the file concurrently (a live spool) — is not
-    an error: the chunks up to the last complete record are returned
-    cleanly and a tailer can resume from there. A malformed
-    line *inside* the file (newline-terminated garbage) still raises,
-    since no further append can ever complete it.
-    """
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    parser = RecordParser()
-    chunk: list[ExtractionRecord] = []
-    with ExitStack() as files:
-        handle = files.enter_context(open(path, "r", encoding="utf-8"))
-        first = 1
-        while True:
-            # At most the lines that can fill the chunk: it never overflows.
-            count = min(chunk_size - len(chunk), _RUN_LINES)
-            try:
-                records, read, error = _parse_run(
-                    parser, handle, path, first, count, True
-                )
-            except UnicodeDecodeError:
-                handle = files.enter_context(_bytes_from(path, first))
-                continue
-            chunk += records
-            if error is not None:
-                raise error
-            if len(chunk) == chunk_size:
-                yield chunk
-                chunk = []
-            if read < count:
-                break
-            first += read
-    if chunk:
-        yield chunk

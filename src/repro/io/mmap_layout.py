@@ -28,8 +28,8 @@ sha256 (the serving **ETag** — the gateway's cache validator and the
 ``/readyz`` version handle), every scalar the serving surface needs,
 and each column's dtype, shape and data offset, so opening a layout is
 one ``mmap`` plus a typed ``memoryview`` per column, with no ``.npy``
-header parsed (layout version 2; a cache of version 1 is re-exported on
-open).
+header parsed (layout version 2; a cache of version 1 is refused on
+open, and re-exported by :func:`cache_layout`).
 
 What the columns hold, and how they are encoded, is decided once, by
 :func:`serving_columns` — a pure function of the result's columns (the
@@ -46,10 +46,12 @@ Exporting only saves those arrays.
 way whether they are held in memory (``kbt query``, which writes no
 file) or mapped from a layout (:class:`ServingLayout`, ``kbt serve``).
 
-The read side (:class:`ServingLayout`, :func:`cache_layout` of a layout
-already cached) imports nothing of the fit layer, and not numpy:
-:func:`serving_columns` imports numpy and the score aggregation, and an
-export from the file the artifact decoder, when they run.
+The read side (:class:`ServingLayout`, :func:`artifact_etag`,
+:func:`layout_cache_dir`) imports nothing of the fit layer, and not
+numpy, and writes nothing: :func:`serving_columns` imports numpy and the
+score aggregation, and an export from the file the artifact decoder,
+when they run — in a writer (``FittedKBT.save``, ``kbt serve`` before
+it serves), never in a hot swap.
 
 A missing, foreign, or torn layout raises :class:`LayoutError` (a
 ``ValueError``) naming the remedy; because the manifest is written last
@@ -100,8 +102,9 @@ _LAYOUT = ColumnFormat(
     LAYOUT_VERSION,
     "serving-layout",
     LayoutError,
-    "re-export the layout from the artifact (export_layout, or serve "
-    "the artifact path and the gateway re-exports automatically)",
+    "re-export the layout from the artifact (delete a torn layout "
+    "directory; 'kbt serve ARTIFACT' exports a missing one before it "
+    "serves, and FittedKBT.save and export_layout write one)",
 )
 
 
@@ -112,12 +115,13 @@ def artifact_etag(path: str | Path) -> str:
     byte-identical artifacts share an ETag, any refit changes it.
     """
     digest = hashlib.sha256()
-    try:
-        with open(path, "rb") as handle:
-            for chunk in iter(lambda: handle.read(1 << 20), b""):
-                digest.update(chunk)
-    except OSError as err:
-        raise LayoutError(f"cannot hash artifact {path}: {err}") from err
+    with obs.span("io.mmap_layout.etag"):
+        try:
+            with open(path, "rb") as handle:
+                for chunk in iter(lambda: handle.read(1 << 20), b""):
+                    digest.update(chunk)
+        except OSError as err:
+            raise LayoutError(f"cannot hash artifact {path}: {err}") from err
     return digest.hexdigest()
 
 
@@ -391,10 +395,10 @@ _ETAG_PREFIX = 16
 def layout_cache_dir(artifact_path: str | Path, etag: str) -> Path:
     """Where the layout of ``artifact_path``'s bytes ``etag`` is cached.
 
-    ``MmapTrustStore.open(artifact)`` looks here, so whoever exports to
-    this name first — ``FittedKBT.save`` right after writing the
-    artifact, or the store for an artifact that arrived without its
-    layout — saves every later open the export.
+    ``MmapTrustStore.open(artifact)`` maps what it finds here and
+    exports nothing, so :func:`cache_layout` writes it:
+    ``FittedKBT.save`` right after writing the artifact, and ``kbt
+    serve`` for an artifact that arrived without its layout.
     """
     return Path(f"{artifact_path}{_CACHE_SUFFIX}-{etag[:_ETAG_PREFIX]}")
 
@@ -505,13 +509,13 @@ def cache_layout(
     The directory (:func:`layout_cache_dir`) is reused when its manifest
     speaks for these bytes. Otherwise :func:`export_layout`'s writer
     exports into it, from ``columns`` (``FittedKBT.save``, which holds
-    the model) or from the file (``MmapTrustStore.open`` of an artifact
-    that arrived without its layout), and every other cache generation
-    is swept.
+    the model) or from the file (``kbt serve`` of an artifact that
+    arrived without its layout, before it starts serving), and every
+    other cache generation is swept. The read side never calls it:
+    ``MmapTrustStore.open`` maps the cache or refuses.
     """
     artifact_path = Path(artifact_path)
-    with obs.span("io.mmap_layout.etag"):
-        etag = artifact_etag(artifact_path)
+    etag = artifact_etag(artifact_path)
     directory = layout_cache_dir(artifact_path, etag)
     if _reusable_manifest(directory, etag) is not None:
         return directory, False

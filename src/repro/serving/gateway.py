@@ -81,19 +81,19 @@ around it:
   ``store.batch_body(sites)``, so byte-identical with ``GET /batch``
   over the same keys.
 * **Hot swap** — ``POST /admin/swap {"artifact": PATH}`` builds the new
-  store first (rejecting corrupt or version-mismatched artifacts with a
-  400 while the old store keeps serving) and flips atomically via the
-  refcounted :class:`~repro.serving.manager.StoreManager`: in-flight
-  requests finish on the store they started with, zero dropped, zero
-  torn. The response's ``"layout"`` says whether the serving layout was
-  found ready (``"reused"`` — ``FittedKBT.save`` writes it beside
-  every artifact, ingest generations included) or built by this swap
-  for an artifact that arrived without it (``"exported"``). A swap has no
-  deadline. The endpoint is **authenticated**: with ``admin_token`` set,
-  the request must carry it in ``X-Admin-Token`` (constant-time
-  compare); without a token only loopback clients are accepted — so
-  binding ``0.0.0.0`` never exposes an open swap endpoint that could
-  repoint the gateway at arbitrary server-side paths.
+  store first and flips atomically via the refcounted
+  :class:`~repro.serving.manager.StoreManager`: in-flight requests
+  finish on the store they started with, zero dropped, zero torn. The
+  new store maps the serving layout ``FittedKBT.save`` wrote beside the
+  artifact (ingest generations included); an artifact without one —
+  copied, older, corrupt, or not an artifact at all — is rejected with a
+  400 naming the missing layout, writing nothing, while the old store
+  keeps serving. A swap has no deadline. The endpoint is
+  **authenticated**: with ``admin_token`` set, the request must carry
+  it in ``X-Admin-Token`` (constant-time compare); without a token
+  only loopback clients are accepted — so binding ``0.0.0.0`` never
+  exposes an open swap endpoint that could repoint the gateway at
+  arbitrary server-side paths.
 * **/healthz vs /readyz** — ``/healthz`` is liveness (the store's
   stats, never cached); ``/readyz`` is readiness: 200 with the current
   ETag and swap generation, 503 once draining.
@@ -888,9 +888,6 @@ class Gateway:
             "etag": getattr(new_store, "etag", None),
             "generation": self.manager.generation,
             "websites": len(new_store),
-            # "reused": the save shipped the layout ready-made;
-            # "exported": this swap had to build it from the artifact.
-            "layout": getattr(new_store, "layout_state", None),
         }
 
 

@@ -10,10 +10,10 @@ a hope:
   rendered — the store a request starts with is the store it finishes
   with, even if a swap lands mid-request;
 * :meth:`swap` builds the *new* store first (the expensive part: hashing
-  the artifact, re-exporting the layout if stale). Only after the new
-  store opens successfully does the manager retire the old one — a
-  corrupt or version-mismatched artifact raises out of ``swap`` and the
-  old store keeps serving, untouched;
+  the artifact and mapping its layout). Only after the new store opens
+  successfully does the manager retire the old one — an artifact
+  without its layout (corrupt, copied, older) raises out of ``swap``
+  and the old store keeps serving, untouched;
 * a retired store is closed exactly when its lease count reaches zero,
   so mmap-backed stores never unmap under a reader.
 
@@ -134,14 +134,15 @@ class StoreManager:
         """Replace the current store with one opened from ``artifact_path``.
 
         Build-then-flip: the new store is fully opened (artifact hashed,
-        layout exported or revalidated, columns mapped) *before* the flip,
-        so a bad artifact — corrupt zip, future format version, torn
-        layout — raises here and leaves the old store serving. The old
+        its saved layout's manifest read, columns mapped) *before* the
+        flip, so an artifact without a layout of its bytes — corrupt,
+        copied, older, or with a torn layout — raises here and leaves
+        the old store serving; nothing is exported on this path. The old
         generation closes when its last in-flight lease releases.
 
         A swap against a *closed* manager (the gateway already drained)
         raises instead of flipping: the built store would have no owner
-        left to ever close it, stranding its mmaps and layout directory.
+        left to ever close it, stranding its mmaps.
         The closed check runs again under the lock after the build, so
         a close racing the (slow) build also lands on this path — the
         freshly built store is closed before raising.

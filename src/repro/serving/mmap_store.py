@@ -15,17 +15,16 @@ Opening an *artifact path* serves the layout cache next to it,
 **keyed by the artifact's sha256** (the serving ETag):
 ``<artifact>.layout-<etag prefix>/``. ``FittedKBT.save`` writes it
 there from the model it holds, so opening a saved fit only hashes the
-file, matches the manifest and maps the columns
-(:attr:`MmapTrustStore.layout_state` is ``"reused"``). An artifact that
-arrives without its layout — copied, older, or with the cache deleted —
-is exported from the file on first open (``"exported"``), by the same
-:func:`~repro.io.mmap_layout.cache_layout` that ``save`` calls. A refit
-— even in place, same path, new bytes — lands in a *fresh* directory
-and never touches the columns a live store has mmapped (rewriting them
-would tear or SIGBUS concurrent readers; see
-:mod:`repro.io.mmap_layout`), and stale cache generations are swept
-best-effort after an export — safe on POSIX, where unlinked files
-survive until the last mapping drops.
+file, reads the manifest and maps the columns. Opening only reads: an
+artifact that arrived without its layout — copied, older, or with the
+cache deleted — is refused with a
+:class:`~repro.io.mmap_layout.LayoutError` naming the remedy, and no
+directory is created, renamed or deleted. ``kbt serve`` exports such a
+layout once, before its event loop starts; a hot swap never does. A
+refit — even in place, same path, new bytes — has a *fresh* cache
+directory and never touches the columns a live store has mmapped
+(rewriting them would tear or SIGBUS concurrent readers; see
+:mod:`repro.io.mmap_layout`).
 
 ``close()`` drops the mmap references (the OS unmaps once the last
 view of a map dies). A :class:`~repro.serving.manager.StoreManager` only
@@ -37,16 +36,17 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.io.mmap_layout import ServingLayout, cache_layout
+from repro.io.mmap_layout import (
+    LayoutError,
+    ServingLayout,
+    artifact_etag,
+    layout_cache_dir,
+)
 from repro.serving.store import TrustStore
 
 
 class MmapTrustStore(TrustStore):
     """The store over one exported artifact layout, mapped read-only."""
-
-    #: ``"reused"`` when the columns were already on disk at open,
-    #: ``"exported"`` when this open had to build them from the artifact.
-    layout_state = "reused"
 
     # ------------------------------------------------------------------
     # Opening
@@ -55,22 +55,26 @@ class MmapTrustStore(TrustStore):
     def open(cls, path: str | Path) -> "MmapTrustStore":
         """Open a layout directory, or an artifact via its layout cache.
 
-        For an artifact path, the layout lives at
-        ``<artifact>.layout-<etag prefix>/`` and is exported exactly
-        when that directory does not cache the artifact's current
-        bytes (:func:`~repro.io.mmap_layout.cache_layout`). Because the
-        cache key is the ETag, an in-place refit lands in a *new*
-        directory — the columns a live store of the previous
-        generation has mmapped are never rewritten.
+        For an artifact path: hash the file, map the layout at
+        ``<artifact>.layout-<etag prefix>/``, or raise
+        :class:`~repro.io.mmap_layout.LayoutError` when that directory
+        does not hold a layout of these bytes. Because the cache key is
+        the ETag, an in-place refit has a *new* directory — the columns
+        a live store of the previous generation has mmapped are never
+        rewritten.
         """
         path = Path(path)
         if path.is_dir():
             return cls(ServingLayout(path))
-        directory, exported = cache_layout(path)
-        store = cls(ServingLayout(directory))
-        if exported:
-            store.layout_state = "exported"
-        return store
+        etag = artifact_etag(path)
+        layout = ServingLayout(layout_cache_dir(path, etag))
+        if layout.etag != etag:
+            raise LayoutError(
+                f"the serving layout {layout.directory} is not the layout "
+                f"of {path} (ETag {layout.etag}, the artifact's {etag}); "
+                f"'kbt serve {path}' exports over it before it serves"
+            )
+        return cls(layout)
 
     @property
     def directory(self) -> Path:

@@ -603,15 +603,20 @@ class TestV3Fixture:
         assert list(loaded.signals) == ["kbt"]
 
     def test_serving_inputs(self, tmp_path):
-        """Opened for serving, the fixture answers as its loaded fit."""
+        """Opened for serving, the fixture answers as its loaded fit:
+        refused by the read side, which exports nothing, and served
+        once ``kbt serve`` has exported its layout."""
+        from repro.io.mmap_layout import LayoutError
         from repro.serving.mmap_store import MmapTrustStore
 
         want = FittedKBT.load(V3_FIXTURE).website_scores()
         copy = tmp_path / "v3.kbt"
         copy.write_bytes(V3_FIXTURE.read_bytes())
-        store = MmapTrustStore.open(copy)
+        with pytest.raises(LayoutError, match="kbt serve"):
+            MmapTrustStore.open(copy)
+        assert sorted(tmp_path.iterdir()) == [copy]
+        store = serving_open(copy)
         try:
-            assert store.layout_state == "exported"
             assert {site: store.score(site) for site in store.websites()} == (
                 want
             )
@@ -1045,9 +1050,12 @@ def flip_member_byte(path, out_path, name: str, fill: int | None = None):
 
 
 def serving_open(path):
+    """``MmapTrustStore.open`` as ``kbt serve`` reaches it for an
+    artifact without its layout: export the layout, then map it."""
+    from repro.io.mmap_layout import cache_layout
     from repro.serving.mmap_store import MmapTrustStore
 
-    return MmapTrustStore.open(path)
+    return MmapTrustStore.open(cache_layout(path)[0])
 
 
 LOADERS = {

@@ -222,16 +222,18 @@ def test_damaged_directory_is_the_callers_error(fmt, case, tmp_path):
 
 def test_a_version_1_layout_cache_is_exported_again(tmp_path):
     """An artifact's cached layout from before the column table is not
-    reused: opening the artifact exports it again, under the same name."""
+    reused: the read side refuses it, writing nothing, and ``kbt serve``
+    exports it again, under the same name."""
     from repro.core.kbt import KBTEstimator
     from repro.io.mmap_layout import (
         LAYOUT_VERSION,
+        LayoutError,
         artifact_etag,
         layout_cache_dir,
     )
     from repro.serving.mmap_store import MmapTrustStore
 
-    from test_artifact import corpus
+    from test_artifact import corpus, serving_open
 
     path = KBTEstimator().fit(corpus()).save(tmp_path / "model.kbt")
     directory = layout_cache_dir(path, artifact_etag(path))
@@ -239,9 +241,11 @@ def test_a_version_1_layout_cache_is_exported_again(tmp_path):
     del manifest["columns"]
     manifest["version"] = 1
     _rewrite_manifest(directory, json.dumps(manifest))
-    store = MmapTrustStore.open(path)
+    with pytest.raises(LayoutError, match="serving-layout version 1 "):
+        MmapTrustStore.open(path)
+    assert json.loads((directory / MANIFEST).read_text("utf-8")) == manifest
+    store = serving_open(path)
     try:
-        assert store.layout_state == "exported"
         assert store.directory == directory
         assert _LAYOUT.read_manifest(directory)["version"] == LAYOUT_VERSION
     finally:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import importlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -30,10 +31,11 @@ pytest.importorskip("numpy")
 
 import repro
 from repro.core.kbt import KBTEstimator
-from repro.io.mmap_layout import artifact_etag
+from repro.io.mmap_layout import artifact_etag, cached_layout_dirs
 from repro.serving.routes import handle_route
 from repro.serving.store import TrustStore
 
+from test_gateway import finish, http_get, spawn_serve
 from test_ingest import batch_for, corpus as small_corpus
 
 PACKAGES = [
@@ -70,7 +72,8 @@ NOT_IN_THE_GATEWAY = [
 # What `kbt serve` imports (the CLI, then run_serve's gateway and
 # store), then one saved fit opened and the requests in argv[2] answered
 # over HTTP, each as [status, body]: every route but the two signal
-# routes, which load the signal frame and numpy on first use.
+# routes, which load the signal frame and numpy on first use, and swaps,
+# refused ones included.
 SERVE_REQUESTS = """
 import http.client, json, sys
 import repro.cli
@@ -88,10 +91,7 @@ with GatewayThread(StoreManager(store)) as url:
         response = connection.getresponse()
         answers.append([response.status, response.read().decode("utf-8")])
     connection.close()
-print(json.dumps(
-    {"layout": store.layout_state, "answers": answers,
-     "modules": sorted(sys.modules)}
-))
+print(json.dumps({"answers": answers, "modules": sorted(sys.modules)}))
 """
 
 
@@ -118,6 +118,15 @@ def routed(store, target: str) -> list:
     return [status, json.dumps(payload, ensure_ascii=False)]
 
 
+def saved_without_layout(fitted, path):
+    """``fitted`` saved at ``path``, its layout then deleted: an
+    artifact that arrives without one."""
+    fitted.save(path)
+    for layout in cached_layout_dirs(path):
+        shutil.rmtree(layout)
+    return path
+
+
 def test_the_gateway_loads_only_the_serving_layer(tmp_path):
     fitted = KBTEstimator().fit(small_corpus())
     path = fitted.save(tmp_path / "model.kbt")
@@ -125,6 +134,17 @@ def test_the_gateway_loads_only_the_serving_layer(tmp_path):
     swapped = KBTEstimator().fit(
         small_corpus() + batch_for("a.com", "more")
     ).save(tmp_path / "next" / "model.kbt")
+    # Two swaps the gateway refuses, writing nothing: a file that is not
+    # an artifact, and an artifact whose saved layout is gone.
+    refused = tmp_path / "refused"
+    refused.mkdir()
+    garbage = refused / "garbage.kbt"
+    garbage.write_bytes(b"this is not an artifact\n")
+    bare = saved_without_layout(
+        KBTEstimator().fit(small_corpus() + batch_for("b.com", "bare")),
+        refused / "bare.kbt",
+    )
+    listing = sorted(os.listdir(refused))
     etag = artifact_etag(path)
     sites = ["good.com", "bad.com", "nosuch.com", "good.com"]
     reads = [
@@ -142,6 +162,10 @@ def test_the_gateway_loads_only_the_serving_layer(tmp_path):
         ["POST", "/batch", {}, json.dumps({"sites": sites})],
         ["GET", "/readyz", {}, None],
         ["GET", "/score?site=good.com", {"If-None-Match": f'"{etag}"'}, None],
+        ["POST", "/admin/swap", {}, json.dumps({"artifact": str(garbage)})],
+        ["GET", "/readyz", {}, None],
+        ["POST", "/admin/swap", {}, json.dumps({"artifact": str(bare)})],
+        ["GET", "/readyz", {}, None],
         ["POST", "/admin/swap", {}, json.dumps({"artifact": str(swapped)})],
         ["GET", "/breakdown?site=a.com", {}, None],
     ]
@@ -149,7 +173,6 @@ def test_the_gateway_loads_only_the_serving_layer(tmp_path):
     run = fresh_python("-c", SERVE_REQUESTS, str(path), json.dumps(requests))
     report = json.loads(run.stdout)
 
-    assert report["layout"] == "reused"
     answers = report["answers"]
     before, after = TrustStore.open(path), TrustStore.open(swapped)
     assert answers[: len(reads)] == [routed(before, t) for t in reads]
@@ -162,17 +185,51 @@ def test_the_gateway_loads_only_the_serving_layer(tmp_path):
         want.support,
     )
     assert answers[len(reads)] == routed(before, reads[2])
-    ready, not_modified, swap, new_breakdown = answers[len(reads) + 1 :]
+    ready, not_modified, *refusals, swap, new_breakdown = answers[
+        len(reads) + 1 :
+    ]
     assert ready[0] == 200 and json.loads(ready[1])["etag"] == etag
     assert not_modified == [304, ""]
+    for refusal, still_ready in zip(refusals[::2], refusals[1::2]):
+        assert refusal[0] == 400
+        assert json.loads(refusal[1])["error"].startswith(
+            "swap rejected: LayoutError: no serving-layout manifest"
+        )
+        assert still_ready == ready
+    assert len(refusals) == 4
+    assert sorted(os.listdir(refused)) == listing
     assert swap[0] == 200
-    assert json.loads(swap[1])["etag"] == artifact_etag(swapped)
-    assert json.loads(swap[1])["layout"] == "reused"
+    assert json.loads(swap[1]) == {
+        "status": "swapped",
+        "etag": artifact_etag(swapped),
+        "generation": 1,
+        "websites": len(after),
+    }
     assert new_breakdown == routed(after, "/breakdown?site=a.com")
 
     loaded = set(report["modules"])
     assert "repro.serving.gateway" in loaded  # the check ran for real
     assert [name for name in NOT_IN_THE_GATEWAY if name in loaded] == []
+
+
+def test_kbt_serve_exports_a_missing_layout_before_it_serves(tmp_path):
+    """What a swap refuses, ``kbt serve`` serves: it exports the layout
+    once, before its event loop, and answers byte for byte as the store
+    over the artifact's columns."""
+    fitted = KBTEstimator().fit(small_corpus())
+    bare = saved_without_layout(fitted, tmp_path / "bare.kbt")
+    proc, _line, address = spawn_serve(bare, "--port", 0)
+    try:
+        ready = http_get(address, "/readyz")
+        scored = http_get(address, "/score?site=good.com")
+    finally:
+        assert finish(proc) == (0, "")
+    assert json.loads(ready[1])["etag"] == artifact_etag(bare)
+    status, body = routed(TrustStore.open(bare), "/score?site=good.com")
+    assert scored[:2] == (status, body.encode("utf-8"))
+    assert [p.name for p in cached_layout_dirs(bare)] == [
+        f"bare.kbt.layout-{artifact_etag(bare)[:16]}"
+    ]
 
 
 def test_help_imports_no_numpy():

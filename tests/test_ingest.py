@@ -27,11 +27,7 @@ from repro.ingest import (
     StalenessPolicy,
     StatusBoard,
 )
-from repro.io.jsonl import (
-    read_record_chunks,
-    record_to_dict,
-    write_records,
-)
+from repro.io.jsonl import record_to_dict, write_records
 from repro.serving.gateway import GatewayThread
 from repro.serving.manager import StoreManager
 from repro.serving.mmap_store import MmapTrustStore
@@ -90,17 +86,17 @@ def sha256(path):
 
 
 # ---------------------------------------------------------------------------
-# Satellite regression: tail-safe chunked JSONL reads
+# Satellite regression: tail-safe reads of a spool still being appended to
 # ---------------------------------------------------------------------------
 class TestTailSafeChunks:
     def test_truncated_trailing_line_returns_cleanly(self, tmp_path):
         records = corpus()[:7]
-        path = tmp_path / "spool.jsonl"
-        write_records(records, path)
-        with open(path, "a", encoding="utf-8") as handle:
+        write_records(records, tmp_path / "spool.jsonl")
+        with open(tmp_path / "spool.jsonl", "a", encoding="utf-8") as handle:
             handle.write('{"extractor": ["e0"], "sou')  # torn mid-append
-        chunks = list(read_record_chunks(path, chunk_size=3))
-        assert sum(len(c) for c in chunks) == 7
+        source = SpoolDirectorySource(tmp_path)
+        chunks = [source.poll(3) for _ in range(4)]
+        assert [len(c) for c in chunks] == [3, 3, 1, 0]
         assert [r.value for c in chunks for r in c] == [
             r.value for r in records
         ]
@@ -112,16 +108,21 @@ class TestTailSafeChunks:
         write_records(corpus()[:2], path)
         with open(path, "a", encoding="utf-8") as handle:
             handle.write("1")
-        chunks = list(read_record_chunks(path))
-        assert sum(len(c) for c in chunks) == 2
+        source = SpoolDirectorySource(tmp_path)
+        assert len(source.poll(100)) == 2
+        assert source.poll(100) == []
+        # Left unread, the "1" is judged whole once its newline lands.
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write("2345\n")
+        with pytest.raises(ValueError, match="malformed record"):
+            source.poll(100)
 
     def test_interior_garbage_still_raises(self, tmp_path):
-        path = tmp_path / "spool.jsonl"
-        with open(path, "w", encoding="utf-8") as handle:
+        with open(tmp_path / "spool.jsonl", "w", encoding="utf-8") as handle:
             handle.write("not json\n")
             handle.write(json.dumps(record_to_dict(corpus()[0])) + "\n")
         with pytest.raises(ValueError, match="invalid JSON"):
-            list(read_record_chunks(path))
+            SpoolDirectorySource(tmp_path).poll(100)
 
 
 # ---------------------------------------------------------------------------
@@ -231,17 +232,34 @@ class TestSpoolDirectorySource:
         assert len(source.poll(100)) == 3
 
     def test_partial_tail_reread_once_complete(self, tmp_path):
-        source = SpoolDirectorySource(tmp_path)
-        line = json.dumps(record_to_dict(corpus()[0]))
-        path = tmp_path / "a.jsonl"
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(line[:10])  # writer caught mid-append
-        assert source.poll(100) == []
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write(line[10:] + "\n")
-        got = source.poll(100)
-        assert len(got) == 1
-        assert got[0].value == corpus()[0].value
+        # Only a newline-terminated line is trusted to be whole: a tail
+        # cut mid-append waits for its newline — as the first line,
+        # after complete records, and even when it parses as JSON on its
+        # own (the whole record, its newline still to come).
+        records = corpus()
+        for name, before, cut in [
+            ("first-line", 0, 10),
+            ("after-records", 7, 26),
+            ("parses-on-its-own", 2, None),
+        ]:
+            spool = tmp_path / name
+            spool.mkdir()
+            source = SpoolDirectorySource(spool)
+            line = json.dumps(record_to_dict(records[before]))
+            cut = len(line) if cut is None else cut
+            path = spool / "a.jsonl"
+            write_records(records[:before], path)
+            with open(path, "a", encoding="utf-8") as handle:
+                handle.write(line[:cut])  # writer caught mid-append
+            got = source.poll(100)
+            assert [r.value for r in got] == [
+                r.value for r in records[:before]
+            ], name
+            assert source.poll(100) == [], name
+            with open(path, "a", encoding="utf-8") as handle:
+                handle.write(line[cut:] + "\n")
+            got = source.poll(100)
+            assert [r.value for r in got] == [records[before].value], name
 
     def test_poll_cap_carries_overflow(self, tmp_path):
         write_records(corpus()[:5], tmp_path / "a.jsonl")

@@ -649,11 +649,8 @@ class TestChunkedReaders:
             assert len({record.source.website for record in chunk}) <= 1
 
     def test_jsonl_chunked_reader_matches_flat(self, tmp_path):
-        from repro.io.jsonl import (
-            read_record_chunks,
-            read_records,
-            write_records,
-        )
+        from repro.ingest.stream import SpoolDirectorySource
+        from repro.io.jsonl import read_records, write_records
 
         records = [
             ExtractionRecord(
@@ -667,12 +664,13 @@ class TestChunkedReaders:
         ]
         path = tmp_path / "records.jsonl"
         write_records(records, path)
-        chunks = list(read_record_chunks(path, chunk_size=10))
+        # The spool tailer, capped at 10 records a poll, hands the file
+        # out in chunks whose concatenation is the strict reader's.
+        source = SpoolDirectorySource(tmp_path)
+        chunks = list(iter(lambda: source.poll(10), []))
         assert [len(chunk) for chunk in chunks] == [10, 10, 3]
         flat = [record for chunk in chunks for record in chunk]
         assert flat == list(read_records(path))
-        with pytest.raises(ValueError, match="chunk_size"):
-            list(read_record_chunks(path, chunk_size=0))
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """The JSONL readers' boundary: what they accept, and how they refuse.
 
-Every reader — ``read_records``, ``read_record_chunks``, the spool
-tailer — parses through one ``RecordParser``, so each rule below is
-checked against all three: feature vectors are arrays of scalars,
-values are scalars, and a bad line is reported with its place whether
-it is bad JSON or a well-formed JSON value of the wrong shape.
+Every reader — ``read_records`` and the spool tailer — parses through
+one ``RecordParser``, so each rule below is checked against both, the
+tailer reading a whole file and a file as it arrives: feature vectors
+are arrays of scalars, values are scalars, and a bad line is reported
+with its place (a line number, or the tailer's byte offset) whether it
+is bad JSON or a well-formed JSON value of the wrong shape.
 """
 
 from __future__ import annotations
@@ -17,12 +18,7 @@ from repro.cli import main
 from repro.core.types import DataItem, ExtractorKey, SourceKey
 from repro.ingest.stream import SpoolDirectorySource
 from repro.io import jsonl
-from repro.io.jsonl import (
-    RecordParser,
-    read_record_chunks,
-    read_records,
-    record_from_dict,
-)
+from repro.io.jsonl import RecordParser, read_records, record_from_dict
 
 
 def good(**changes) -> dict:
@@ -52,12 +48,26 @@ def read_whole(path):
 
 
 def read_chunked(path):
-    return [record for chunk in read_record_chunks(path, 2) for record in chunk]
+    """The spool tailer reading ``path`` as a writer appends it, seven
+    bytes at a time with a poll after each: every line is torn, often
+    inside a character, before its newline lands."""
+    data = path.read_bytes()
+    with open(path, "wb") as handle:
+        source = SpoolDirectorySource(path.parent)
+        records = []
+        for start in range(0, len(data), 7):
+            handle.write(data[start:start + 7])
+            handle.flush()
+            records += source.poll(10**6)
+    return records
 
 
 def poll_spool(path):
     return SpoolDirectorySource(path.parent).poll(10**6)
 
+
+#: The readers that place a bad line by its byte offset.
+TAILERS = (read_chunked, poll_spool)
 
 READERS = pytest.mark.parametrize(
     "reader", [read_whole, read_chunked, poll_spool], ids=lambda f: f.__name__
@@ -141,7 +151,7 @@ def test_wrong_shape_is_reported_with_its_place(reader, case, tmp_path):
         reader(path)
     message = str(caught.value)
     assert "malformed record" in message
-    if reader is poll_spool:
+    if reader in TAILERS:
         offset = sum(
             len(json.dumps(record)) + 1
             for record in (good(), good(value="rome"))
@@ -159,7 +169,7 @@ def test_invalid_json_is_reported_with_its_place(reader, tmp_path):
     with pytest.raises(ValueError) as caught:
         reader(path)
     message = str(caught.value)
-    if reader is poll_spool:
+    if reader in TAILERS:
         assert message == f"{path}:byte {len(first) + 1}: invalid JSON"
     else:
         assert message == f"{path}:3: invalid JSON"
@@ -214,7 +224,8 @@ def test_undecodable_bytes_in_a_file_name_their_line(
     reader, run_lines, tmp_path, monkeypatch
 ):
     # The text-mode decoder fails a block ahead of the lines it hands
-    # out; the error still names the line, and what precedes it is read.
+    # out; the error still names the line (the tailer, reading bytes,
+    # its offset), and what precedes it is read.
     monkeypatch.setattr(jsonl, "_RUN_LINES", run_lines)
     path = tmp_path / "records.jsonl"
     lines = [json.dumps(good(subject=f"s{k}")).encode() for k in range(6)]
@@ -227,7 +238,11 @@ def test_undecodable_bytes_in_a_file_name_their_line(
                 seen.append(record.item.subject)
         else:
             reader(path)
-    assert str(caught.value) == f"{path}:5: invalid JSON"
+    where = (
+        f"byte {sum(len(line) + 1 for line in lines[:4])}"
+        if reader in TAILERS else 5
+    )
+    assert str(caught.value) == f"{path}:{where}: invalid JSON"
     if reader is read_whole:
         assert seen == ["s0", "s1", "s2", "s3"]
 
@@ -280,7 +295,7 @@ def test_non_number_confidence_is_reported_with_its_place(
     path = file_of(tmp_path, good(), good(confidence=NON_NUMBER_CONFIDENCES[case]))
     with pytest.raises(ValueError) as caught:
         reader(path)
-    where = f"byte {len(json.dumps(good())) + 1}" if reader is poll_spool else 2
+    where = f"byte {len(json.dumps(good())) + 1}" if reader in TAILERS else 2
     assert str(caught.value).startswith(f"{path}:{where}: malformed record")
 
 
@@ -305,7 +320,7 @@ def test_out_of_range_confidence_is_reported_with_its_place(
     path.write_text(line + "\n", encoding="utf-8")
     with pytest.raises(ValueError) as caught:
         reader(path)
-    where = "byte 0" if reader is poll_spool else 1
+    where = "byte 0" if reader in TAILERS else 1
     assert str(caught.value).startswith(
         f"{path}:{where}: confidence must be in (0, 1]"
     )

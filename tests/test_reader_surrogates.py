@@ -17,7 +17,7 @@ from repro.cli import main
 from repro.core.kbt import KBTEstimator
 from repro.io.jsonl import RecordParser, record_from_dict
 
-from test_reader_boundary import READERS, file_of, good, poll_spool
+from test_reader_boundary import READERS, TAILERS, file_of, good
 
 HIGH, LOW = "\ud800", "\udfff"
 
@@ -56,7 +56,7 @@ def test_lone_surrogate_is_reported_with_its_place(reader, case, tmp_path):
     assert text.isascii() and "\\ud" in text  # escapes, not raw bytes
     with pytest.raises(ValueError) as caught:
         reader(path)
-    where = f"byte {len(json.dumps(good())) + 1}" if reader is poll_spool else 2
+    where = f"byte {len(json.dumps(good())) + 1}" if reader in TAILERS else 2
     assert str(caught.value).startswith(f"{path}:{where}: malformed record")
 
 

@@ -109,7 +109,9 @@ def test_failed_overwrite_keeps_the_old_artifact(tmp_path, monkeypatch, fault):
     assert FittedKBT.load(path).website_scores() == old.website_scores()
     store = MmapTrustStore.open(path)
     try:
-        assert store.layout_state == "reused"
+        # The old bytes' layout, still on disk, is what is mapped.
+        assert [store.directory] == layouts
+        assert store.etag == sha256(path)
     finally:
         store.close()
 

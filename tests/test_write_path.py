@@ -5,9 +5,10 @@ a saved artifact (``export_layout``, ``TrustStore.open`` — decoding only
 the sections it reads) or from the process that still holds the fitted
 model (``FittedKBT.save``, which writes the layout beside every
 artifact it saves). These tests hold the two feeders to the same bytes,
-keep the serving side off the observation matrix, and keep opening a
-saved fit — a published generation's swap included — free of exports
-and artifact loads.
+keep the serving side off the observation matrix, keep opening a saved
+fit — a published generation's swap included — free of exports and
+artifact loads, and keep a swap of an artifact without its layout a
+refusal that writes nothing (only ``kbt serve`` exports one).
 """
 
 import errno
@@ -25,7 +26,6 @@ import numpy as np
 
 import repro.io.artifact as artifact_module
 import repro.io.mmap_layout as layout_module
-import repro.serving.mmap_store as mmap_store_module
 from repro.cli import main as cli_main
 from repro.core.kbt import FittedKBT, KBTEstimator
 from repro.core.observation import ObservationMatrix
@@ -47,7 +47,7 @@ from repro.serving.store import TrustStore
 from repro.signals import CorpusContext, SignalSuite, fuse
 
 from serving_reference import ReferenceStore
-from test_artifact import with_json_payload
+from test_artifact import serving_open, with_json_payload
 from test_determinism_ladder import (
     CORPUS,
     UPDATES,
@@ -223,7 +223,8 @@ def test_save_fails_on_a_full_disk_and_the_next_open_exports(
 ):
     """A layout write that fills the disk fails the save with the
     ``LayoutError``; the artifact, written first and atomically, is
-    complete, nothing is left staged, and an open exports the layout."""
+    complete, nothing is left staged, a swap of it is refused, and
+    ``kbt serve``'s open exports the layout."""
     fitted = KBTEstimator().fit(small_corpus())
     (tmp_path / "clean").mkdir()
     clean = fitted.save(tmp_path / "clean" / "model.kbt")
@@ -244,7 +245,7 @@ def test_save_fails_on_a_full_disk_and_the_next_open_exports(
     message = str(caught.value)
     assert str(path) in message
     assert "choose a writable directory" in message
-    assert "opening it later exports the layout" in message
+    assert "'kbt serve' of it exports the layout" in message
 
     assert path.read_bytes() == clean.read_bytes()
     assert records_of(FittedKBT.load(path).observations) == records_of(
@@ -253,9 +254,13 @@ def test_save_fails_on_a_full_disk_and_the_next_open_exports(
     assert not [p for p in tmp_path.iterdir() if p.name.startswith(".")]
     assert not layout_cache_dir(path, sha256(path)).exists()
 
-    store = MmapTrustStore.open(path)
+    listing = sorted(tmp_path.iterdir())
+    with pytest.raises(LayoutError, match="kbt serve"):
+        StoreManager(TrustStore(columns_of(fitted))).swap(path)
+    assert sorted(tmp_path.iterdir()) == listing
+
+    store = serving_open(path)
     try:
-        assert store.layout_state == "exported"
         assert store.directory == layout_cache_dir(path, sha256(path))
         assert store.score("good.com") == fitted.website_scores()["good.com"]
     finally:
@@ -301,15 +306,16 @@ class TestServingNeverBuildsTheMatrix:
         store = TrustStore.open(path)
         assert store.score("good.com") == want
         export_layout(path, tmp_path / "layout")
-        mapped = MmapTrustStore.open(arrived_bare(path, "bare.kbt"))
-        assert mapped.layout_state == "exported"
+        mapped = serving_open(arrived_bare(path, "bare.kbt"))
         assert mapped.score("good.com") == want
 
-        second = tmp_path / "second.kbt"
-        second.write_bytes(path.read_bytes())
+        second = arrived_bare(path, "second.kbt")
         manager = StoreManager(mapped)
         try:
-            assert manager.swap(second).score("good.com") == want
+            with pytest.raises(LayoutError, match="no serving-layout"):
+                manager.swap(second)
+            with manager.acquire() as served:
+                assert served.score("good.com") == want
         finally:
             manager.close()
 
@@ -334,16 +340,13 @@ class TestServingNeverBuildsTheMatrix:
         want = fitted.website_scores()["good.com"]
 
         store = MmapTrustStore.open(path)
-        assert store.layout_state == "reused"
         assert store.score("good.com") == want
         manager = StoreManager(store)
         try:
             swapped = manager.swap(second)
-            assert swapped.layout_state == "reused"
             assert swapped.score("good.com") == want
             with GatewayThread(manager) as url:
                 answer = HttpPublisher(url).publish(third)
-            assert answer["layout"] == "reused"
             assert answer["etag"] == sha256(third)
             with manager.acquire() as served:
                 assert served.directory == layout_cache_dir(
@@ -386,16 +389,16 @@ class _Calls:
     def __init__(self, monkeypatch):
         self.exports = 0
         self.loads = 0
-        cache_layout = mmap_store_module.cache_layout
+        export = layout_module._export
 
-        def counted_cache_layout(*args, **kwargs):
-            directory, exported = cache_layout(*args, **kwargs)
-            self.exports += exported
-            return directory, exported
+        def counted_export(artifact_path, directory, etag, columns=None):
+            # An export from the file: the columns are not at hand.
+            self.exports += columns is None
+            return export(artifact_path, directory, etag, columns)
 
-        monkeypatch.setattr(
-            mmap_store_module, "cache_layout", counted_cache_layout
-        )
+        # Every export goes through the one writer, which its callers
+        # read from its module at call time.
+        monkeypatch.setattr(layout_module, "_export", counted_export)
         # Every caller reads these from repro.io.artifact at call time.
         for name in ("load_artifact", "load_serving_inputs"):
             monkeypatch.setattr(
@@ -437,7 +440,7 @@ class TestPublishShipsAReadyLayout:
                 assert manager.etag == sha256(path)
                 status = pipeline.board.snapshot()
                 assert status["served_etag"] == sha256(path)
-                assert status["served_layout"] == "reused"
+                assert status["served_generation"] == number
             assert (calls.exports, calls.loads) == (0, 0)
             with manager.acquire() as store:
                 reference = ReferenceStore.open(path)
@@ -464,12 +467,13 @@ class TestPublishShipsAReadyLayout:
             path = pipeline.process_batch(batch_for("fresh.example", "t0"))
             assert (calls.exports, calls.loads) == (0, 0)
             assert manager.etag == sha256(path)
-            # A second POST of the same generation says so itself.
-            assert publisher.publish(path)["layout"] == "reused"
+            # A second POST of the same generation maps the same layout.
+            assert publisher.publish(path)["etag"] == sha256(path)
+            assert (calls.exports, calls.loads) == (0, 0)
             status = json.loads(
                 urllib.request.urlopen(f"{url}/ingest/status").read()
             )
-            assert status["served_layout"] == "reused"
+            assert status["served_generation"] == 1
             assert status["served_etag"] == sha256(path)
 
     def test_no_publisher_saves_the_layout(self, artifact, tmp_path):
@@ -481,9 +485,9 @@ class TestPublishShipsAReadyLayout:
             "gen-000001.kbt",
             layout_cache_dir(path, sha256(path)).name,
         ]
-        assert pipeline.board.snapshot()["served_layout"] is None
+        assert pipeline.board.snapshot()["served_generation"] is None
 
-    def test_kbt_swap_of_a_bare_artifact_exports_once(
+    def test_kbt_swap_of_a_bare_artifact_is_refused(
         self, artifact, tmp_path, monkeypatch, capsys
     ):
         bare = arrived_bare(
@@ -496,14 +500,26 @@ class TestPublishShipsAReadyLayout:
         with GatewayThread(manager) as url:
             calls = _Calls(monkeypatch)
             server = url.removeprefix("http://")
+            listing = sorted(tmp_path.iterdir())
+            assert cli_main(["swap", str(bare), "--server", server]) == 1
+            error = capsys.readouterr().err
+            assert "swap failed (400)" in error
+            assert "no serving-layout manifest" in error
+            assert "kbt serve" in error
+            assert (calls.exports, calls.loads) == (0, 0)
+            assert manager.etag == sha256(artifact)
+            assert sorted(tmp_path.iterdir()) == listing
+            # What ``kbt serve`` does before it serves: export, once.
+            serving_open(bare).close()
+            serving_open(bare).close()
+            assert (calls.exports, calls.loads) == (1, 1)
+            # The cache it left makes a swap of these bytes free.
             assert cli_main(["swap", str(bare), "--server", server]) == 0
-            assert "layout exported" in capsys.readouterr().out
+            out = capsys.readouterr().out
+            assert out.startswith("swapped: generation 1, ")
+            assert out.rstrip().endswith(f"etag {sha256(bare)}")
             assert (calls.exports, calls.loads) == (1, 1)
             assert manager.etag == sha256(bare)
-            # The cache it left makes the next swap of these bytes free.
-            assert cli_main(["swap", str(bare), "--server", server]) == 0
-            assert "layout reused" in capsys.readouterr().out
-            assert (calls.exports, calls.loads) == (1, 1)
 
     def test_layout_with_a_foreign_etag_is_re_exported(
         self, artifact, tmp_path
@@ -521,8 +537,13 @@ class TestPublishShipsAReadyLayout:
         assert foreign.score("new.com") is not None
         foreign.close()
 
-        store = MmapTrustStore.open(artifact)
-        assert store.layout_state == "exported"
+        # The read side refuses the foreign ETag and leaves it be ...
+        with pytest.raises(LayoutError, match="is not the layout of"):
+            MmapTrustStore.open(artifact)
+        manifest = json.loads((planted / "manifest.json").read_text())
+        assert manifest["etag"] == sha256(other)
+        # ... and ``kbt serve`` exports over it.
+        store = serving_open(artifact)
         assert store.etag == sha256(artifact)
         assert store.directory == planted
         assert store.score("new.com") is None
@@ -575,9 +596,13 @@ class TestStagingLeak:
         )
         stale = self.plant(path)
         in_flight = self.plant(path, etag=sha256(path))
-        store = MmapTrustStore.open(path)
+        # A refused open sweeps nothing; the export ``kbt serve`` makes
+        # sweeps the stale bytes' staging.
+        with pytest.raises(LayoutError):
+            MmapTrustStore.open(path)
+        assert stale.exists()
+        store = serving_open(path)
         try:
-            assert store.layout_state == "exported"
             assert not stale.exists()
             # An export of the *same* bytes may be running in another
             # process: its staging directory is not ours to delete.
@@ -604,7 +629,7 @@ class TestCacheNamesAreLiteral:
         longer = tmp_path / "m[ab].kbt.layout-x.kbt"
         longer.write_bytes(plain.read_bytes())
         for path in (plain, longer):
-            MmapTrustStore.open(path).close()
+            serving_open(path).close()
         kept = layout_cache_dir(plain, sha256(plain))
         also_kept = layout_cache_dir(longer, sha256(longer))
         stale = layout_cache_dir(pattern, "0" * 64)
@@ -612,9 +637,8 @@ class TestCacheNamesAreLiteral:
         staging = stale.with_name(f".{stale.name}.tmp-k1lled")
         staging.mkdir()
 
-        store = MmapTrustStore.open(pattern)
+        store = serving_open(pattern)
         try:
-            assert store.layout_state == "exported"
             assert kept.is_dir()  # the parent deleted it
             assert also_kept.is_dir()
             assert not stale.exists() and not staging.exists()
@@ -639,7 +663,7 @@ class TestCacheNamesAreLiteral:
         # generation's, with a layout of its own.
         stray = generations / "gen-*.kbt"
         stray.write_bytes(artifact.read_bytes())
-        stray_store = MmapTrustStore.open(stray)
+        stray_store = serving_open(stray)
         stray_layout = stray_store.directory
         stray_store.close()
         try:
