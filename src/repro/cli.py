@@ -878,24 +878,49 @@ def run_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+def import_gateway():
+    """Import :mod:`repro.serving.gateway`, and asyncio with it, without
+    ssl; returns the module.
+
+    The gateway speaks plain HTTP, and every ``import ssl`` in asyncio
+    is guarded, yet asyncio loads ssl where it can, which maps OpenSSL's
+    libssl and libcrypto into the process for good. So the import runs
+    with ssl marked unavailable — ``sys.modules["ssl"] = None``, the
+    import system's rule for a module that cannot be imported — and the
+    marker is removed afterwards. A process that has already loaded
+    asyncio or ssl (a test runner calling :func:`main`) is left as it is.
+    """
+    blocked = "asyncio" not in sys.modules and "ssl" not in sys.modules
+    if blocked:
+        sys.modules["ssl"] = None
+    try:
+        import repro.serving.gateway as gateway
+    finally:
+        if blocked:
+            del sys.modules["ssl"]
+    return gateway
+
+
 def run_serve(args: argparse.Namespace) -> int:
     import os
     from pathlib import Path
 
     from repro.io.mmap_layout import cache_layout
-    from repro.serving.gateway import ListenError, serve_gateway
+
+    gateway = import_gateway()
     from repro.serving.mmap_store import MmapTrustStore
 
     path = Path(args.artifact)
     if not path.is_dir():
-        # The layout a save wrote beside the artifact is reused after one
-        # hash; an artifact without one (copied, format 1-3, or its cache
-        # deleted) has it exported here, once, before the event loop
-        # starts. The gateway itself never exports: a hot swap maps a
-        # saved layout or refuses.
+        # The layout a save wrote beside the artifact is found by the
+        # file's stamp, without reading the file; an artifact without
+        # one (copied, format 1-3, or its cache deleted) is hashed and
+        # has it exported here, once, before the event loop starts. The
+        # gateway itself never exports: a hot swap maps a saved layout
+        # or refuses.
         path = cache_layout(path)[0]
     try:
-        serve_gateway(
+        gateway.serve_gateway(
             MmapTrustStore.open(path),
             host=args.host,
             port=args.port,
@@ -906,7 +931,7 @@ def run_serve(args: argparse.Namespace) -> int:
                 args.admin_token or os.environ.get("KBT_ADMIN_TOKEN")
             ),
         )
-    except ListenError as err:
+    except gateway.ListenError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     return 0
@@ -1009,7 +1034,8 @@ def run_ingest(args: argparse.Namespace) -> int:
             # keys of the model this process keeps fitted anyway.
             parser = RecordParser()
             try:
-                for line_number, line in enumerate(sys.stdin, start=1):
+                # Bytes, split at "\n" only, as every JSONL reader does.
+                for line_number, line in enumerate(sys.stdin.buffer, 1):
                     record = parser.parse(line, "<stdin>", line_number)
                     if record is not None:
                         source.push(record)

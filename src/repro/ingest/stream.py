@@ -212,20 +212,20 @@ class _SpoolFile:
         """The records of the complete lines past the offset, which
         then moves past them."""
         self.handle.seek(self.offset)
-        data = self.handle.read()
+        lines = self.handle.read().split(b"\n")
+        # Lines end at "\n" only, as in JSON Lines: a CR is whitespace
+        # inside one (and the parser strips a "\r\n" ending). The last
+        # piece is a partially written tail, or empty: it waits for the
+        # next poll.
+        lines.pop()
         records: list[ExtractionRecord] = []
-        consumed = 0
-        for raw_line in data.splitlines(keepends=True):
-            if not raw_line.endswith(b"\n"):
-                # Partially written tail: leave it for the next poll.
-                break
-            record = parser.parse(
-                raw_line, self.path, self.offset + consumed, "byte "
-            )
-            consumed += len(raw_line)
+        position = self.offset
+        for raw_line in lines:
+            record = parser.parse(raw_line, self.path, position, "byte ")
+            position += len(raw_line) + 1
             if record is not None:
                 records.append(record)
-        self.offset += consumed
+        self.offset = position
         return records
 
     def drain(self, parser: RecordParser) -> list[ExtractionRecord]:

@@ -376,12 +376,16 @@ def read_records(path: str | Path) -> Iterator[ExtractionRecord]:
     """Stream records from a JSONL file (blank lines are skipped).
 
     Equal keys are the same object across the whole file (see
-    :class:`RecordParser`). Lines are parsed a run at a time, and every
+    :class:`RecordParser`). Lines end at ``"\n"`` only, as in JSON
+    Lines: a CR is whitespace inside a line, and a ``"\r\n"`` ending is
+    stripped with the rest. Lines are parsed a run at a time, and every
     record before a malformed line is yielded before its ``ValueError``.
     """
     parser = RecordParser()
     with ExitStack() as files:
-        handle = files.enter_context(open(path, "r", encoding="utf-8"))
+        handle = files.enter_context(
+            open(path, "r", encoding="utf-8", newline="\n")
+        )
         first = 1
         while True:
             try:

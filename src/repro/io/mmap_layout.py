@@ -25,7 +25,10 @@ the read side —
 
 The manifest carries the layout format/version, the source artifact's
 sha256 (the serving **ETag** — the gateway's cache validator and the
-``/readyz`` version handle), every scalar the serving surface needs,
+``/readyz`` version handle), the artifact file's stamp (device, inode,
+size, mtime, ctime; :func:`artifact_stamp`), by which an open finds the
+layout of a saved fit without reading the file (:func:`stamped_layout`),
+every scalar the serving surface needs,
 and each column's dtype, shape and data offset, so opening a layout is
 one ``mmap`` plus a typed ``memoryview`` per column, with no ``.npy``
 header parsed (layout version 2; a cache of version 1 is refused on
@@ -46,9 +49,9 @@ Exporting only saves those arrays.
 way whether they are held in memory (``kbt query``, which writes no
 file) or mapped from a layout (:class:`ServingLayout`, ``kbt serve``).
 
-The read side (:class:`ServingLayout`, :func:`artifact_etag`,
-:func:`layout_cache_dir`) imports nothing of the fit layer, and not
-numpy, and writes nothing: :func:`serving_columns` imports numpy and the
+The read side (:class:`ServingLayout`, :func:`stamped_layout`,
+:func:`artifact_etag`, :func:`layout_cache_dir`) imports nothing of the
+fit layer, and neither numpy nor hashlib, and writes nothing: :func:`serving_columns` imports numpy and the
 score aggregation, and an export from the file the artifact decoder,
 when they run — in a writer (``FittedKBT.save``, ``kbt serve`` before
 it serves), never in a hot swap.
@@ -73,11 +76,13 @@ until the last mapping goes away).
 
 from __future__ import annotations
 
-import hashlib
+import importlib
 import json
 import os
 import shutil
+import sys
 import tempfile
+import time
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -112,9 +117,12 @@ def artifact_etag(path: str | Path) -> str:
     """The sha256 of the artifact file: the serving-tier version handle.
 
     Streaming, so multi-GB artifacts hash without being resident; two
-    byte-identical artifacts share an ETag, any refit changes it.
+    byte-identical artifacts share an ETag, any refit changes it. A
+    saved fit is hashed once, by the save (:func:`cache_layout`); its
+    opens find the layout by the file's stamp (:func:`stamped_layout`)
+    and hash nothing.
     """
-    digest = hashlib.sha256()
+    digest = _sha256()
     with obs.span("io.mmap_layout.etag"):
         try:
             with open(path, "rb") as handle:
@@ -123,6 +131,34 @@ def artifact_etag(path: str | Path) -> str:
         except OSError as err:
             raise LayoutError(f"cannot hash artifact {path}: {err}") from err
     return digest.hexdigest()
+
+
+def _sha256():
+    """A sha256 object: hashlib's (OpenSSL's) in a process that has
+    loaded it, as every writer has, and CPython's built-in one
+    otherwise. Both give the same digest; the built-in one keeps
+    libcrypto out of a gateway that hashes an artifact it then refuses."""
+    if "_hashlib" not in sys.modules:
+        for builtin in ("_sha2", "_sha256"):  # CPython >= 3.12, <= 3.11
+            try:
+                return importlib.import_module(builtin).sha256()
+            except ImportError:
+                pass
+    import hashlib
+
+    return hashlib.sha256()
+
+
+def artifact_stamp(path: str | Path) -> list[int] | None:
+    """``[st_dev, st_ino, st_size, st_mtime_ns, st_ctime_ns]`` of the
+    artifact file, or ``None`` if it cannot be stat'ed: what a layout's
+    manifest records of the bytes it was exported from. Rewriting the
+    file, in place or by rename, or touching it, changes the stamp."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return [st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns]
 
 
 # ----------------------------------------------------------------------
@@ -403,6 +439,61 @@ def layout_cache_dir(artifact_path: str | Path, etag: str) -> Path:
     return Path(f"{artifact_path}{_CACHE_SUFFIX}-{etag[:_ETAG_PREFIX]}")
 
 
+def stamped_layout(artifact_path: str | Path) -> ServingLayout | None:
+    """The cached layout of ``artifact_path`` whose manifest records the
+    file's current :func:`artifact_stamp`, or ``None``; no byte of the
+    artifact is read.
+
+    A recorded stamp counts only if the manifest was last modified
+    after the change the stamp records (the file system's clock on
+    both sides, as git's racy-index rule has it): a file rewritten
+    within one timestamp tick of that change keeps its stamp, and
+    must not be served from it. A stamp that matches no manifest —
+    the file was copied, touched or rewritten, or its layout predates
+    stamps — is the caller's cue to hash.
+    """
+    artifact_path = Path(artifact_path)
+    stamp = artifact_stamp(artifact_path)
+    if stamp is None:
+        return None
+    for directory in cached_layout_dirs(artifact_path):
+        try:
+            written = os.stat(directory / MANIFEST).st_mtime_ns
+            layout = ServingLayout(directory)
+        except (OSError, LayoutError):
+            continue
+        etag = layout.etag
+        if (
+            layout.manifest.get("stamp") == stamp
+            and stamp[4] < written
+            and isinstance(etag, str)
+            and directory.name == layout_cache_dir(artifact_path, etag).name
+        ):
+            return layout
+    return None
+
+
+#: How long a writer waits for the file system's clock to pass the
+#: artifact's last change, so that the stamp it records counts.
+_SETTLE_S = 0.1
+
+
+def _settle(manifest: Path, changed_ns: int) -> None:
+    """Best effort: make ``manifest``'s mtime later than ``changed_ns``
+    (the recorded stamp's ctime), touching it as the clock moves on.
+    Past :data:`_SETTLE_S` the stamp is left as it is; it does not
+    count, and opens of the artifact hash it."""
+    deadline = time.monotonic() + _SETTLE_S
+    try:
+        while os.stat(manifest).st_mtime_ns <= changed_ns:
+            if time.monotonic() > deadline:
+                return
+            time.sleep(0.001)
+            os.utime(manifest)
+    except OSError:
+        pass
+
+
 def _staging_prefix(directory: Path) -> str:
     return f".{directory.name}.tmp-"
 
@@ -496,6 +587,9 @@ def export_layout(
     other; anything else raises :class:`LayoutError` naming the remedy
     (export to a fresh directory, or delete the stale one first) — as
     does a parent directory the export cannot write to.
+
+    Without ``etag``, the file is stamped (:func:`artifact_stamp`) and
+    then hashed, and the manifest records both.
     """
     return _export(Path(artifact_path), Path(directory), etag)
 
@@ -506,15 +600,26 @@ def cache_layout(
     """Make the layout cache of ``artifact_path`` hold its current
     bytes; returns the cache directory and whether this call exported.
 
-    The directory (:func:`layout_cache_dir`) is reused when its manifest
-    speaks for these bytes. Otherwise :func:`export_layout`'s writer
-    exports into it, from ``columns`` (``FittedKBT.save``, which holds
-    the model) or from the file (``kbt serve`` of an artifact that
-    arrived without its layout, before it starts serving), and every
-    other cache generation is swept. The read side never calls it:
-    ``MmapTrustStore.open`` maps the cache or refuses.
+    A layout whose manifest records the file's stamp
+    (:func:`stamped_layout`) is reused without reading the file. Failing
+    that, the file is hashed, and the directory of its ETag
+    (:func:`layout_cache_dir`) is reused when its manifest speaks for
+    these bytes. Otherwise :func:`export_layout`'s writer exports into
+    it, from ``columns`` (``FittedKBT.save``, which holds the model) or
+    from the file (``kbt serve`` of an artifact that arrived without its
+    layout, before it starts serving), with the stamp taken before the
+    hash in its manifest, and every other cache generation is swept. A
+    reused directory keeps the stamp it was exported with. The read
+    side never calls this: ``MmapTrustStore.open`` maps the cache or
+    refuses.
     """
     artifact_path = Path(artifact_path)
+    stamped = stamped_layout(artifact_path)
+    if stamped is not None:
+        return stamped.directory, False
+    # Stamped before the hash: a change after it changes the stamp, so
+    # the stamp never names bytes newer than the ETag's.
+    stamp = artifact_stamp(artifact_path)
     etag = artifact_etag(artifact_path)
     directory = layout_cache_dir(artifact_path, etag)
     if _reusable_manifest(directory, etag) is not None:
@@ -522,7 +627,9 @@ def cache_layout(
     # The ETag-keyed name is ours; not holding these bytes, it is torn or
     # planted, and no store maps it as theirs: clearing it is safe.
     shutil.rmtree(directory, ignore_errors=True)
-    _export(artifact_path, directory, etag, columns)
+    manifest = _export(artifact_path, directory, etag, columns, stamp)
+    if stamp is not None:
+        _settle(manifest, stamp[4])
     # Best-effort: on POSIX, unlinking files a live store still has
     # mmapped is safe (the inodes outlive the directory entries); where
     # unlink fails, the stale directory stays.
@@ -536,8 +643,10 @@ def _export(
     directory: Path,
     etag: str | None,
     columns: ServingColumns | None = None,
+    stamp: list[int] | None = None,
 ) -> Path:
     if etag is None:
+        stamp = artifact_stamp(artifact_path)
         etag = artifact_etag(artifact_path)
 
     existing = _reusable_manifest(directory, etag)
@@ -570,6 +679,7 @@ def _export(
                 staging,
                 columns.arrays,
                 {"etag": etag, "artifact": str(artifact_path)}
+                | ({"stamp": stamp} if stamp is not None else {})
                 | columns.manifest,
             )
         try:
@@ -636,6 +746,7 @@ __all__ = [
     "ServingLayout",
     "StringColumn",
     "artifact_etag",
+    "artifact_stamp",
     "cache_layout",
     "cached_layout_dirs",
     "export_layout",
@@ -643,4 +754,5 @@ __all__ = [
     "serving_columns",
     "signal_columns",
     "signal_scores",
+    "stamped_layout",
 ]

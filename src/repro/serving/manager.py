@@ -9,8 +9,9 @@ a hope:
   touching it and releases the lease when its response bytes are
   rendered — the store a request starts with is the store it finishes
   with, even if a swap lands mid-request;
-* :meth:`swap` builds the *new* store first (the expensive part: hashing
-  the artifact and mapping its layout). Only after the new store opens
+* :meth:`swap` builds the *new* store first (mapping the layout a save
+  stamped with the artifact's file stamp, or hashing the artifact when
+  no layout records that stamp). Only after the new store opens
   successfully does the manager retire the old one — an artifact
   without its layout (corrupt, copied, older) raises out of ``swap``
   and the old store keeps serving, untouched;

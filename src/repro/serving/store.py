@@ -19,8 +19,8 @@ memoryviews both have: int index, slice, ``len``, ``tolist()`` and
   columns of an exported layout directory as read-only typed
   memoryviews over their mmaps, which
   :class:`~repro.serving.mmap_store.MmapTrustStore` (the store ``kbt
-  serve`` runs) opens, exporting and caching it first when given an
-  artifact.
+  serve`` runs) opens; given an artifact, it maps the layout a save
+  wrote beside it, and refuses one that has none.
 
 Float64 values survive the ``.npy`` round trip bit for bit and
 ``json.dumps`` renders floats by ``repr``, so both residencies answer

@@ -2,31 +2,26 @@
 
 These helpers are deliberately dependency-free (standard library only) so the
 core inference code stays portable; the heavier scientific stack is only used
-by tests and benchmarks.
+by tests and benchmarks. The names are re-exported lazily
+(:mod:`repro._lazy`): the serving process imports :mod:`repro.util.heap`,
+and must not load :mod:`repro.util.rng`'s ``hashlib`` with it.
 """
 
-from repro.util.logmath import (
-    clamp,
-    clamp_probability,
-    log_odds,
-    safe_log,
-    sigmoid,
-    softmax_with_floor_mass,
-)
-from repro.util.rng import derive_rng, pareto_int, weighted_choice, zipf_sizes
-from repro.util.tables import format_histogram, format_table
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "clamp",
-    "clamp_probability",
-    "derive_rng",
-    "format_histogram",
-    "format_table",
-    "log_odds",
-    "pareto_int",
-    "safe_log",
-    "sigmoid",
-    "softmax_with_floor_mass",
-    "weighted_choice",
-    "zipf_sizes",
-]
+_EXPORTS = {
+    "clamp": "repro.util.logmath",
+    "clamp_probability": "repro.util.logmath",
+    "derive_rng": "repro.util.rng",
+    "format_histogram": "repro.util.tables",
+    "format_table": "repro.util.tables",
+    "log_odds": "repro.util.logmath",
+    "pareto_int": "repro.util.rng",
+    "safe_log": "repro.util.logmath",
+    "sigmoid": "repro.util.logmath",
+    "softmax_with_floor_mass": "repro.util.logmath",
+    "weighted_choice": "repro.util.rng",
+    "zipf_sizes": "repro.util.rng",
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

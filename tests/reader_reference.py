@@ -12,10 +12,15 @@ of the library classes. They read ``cells()``, ``triples()``,
 ``ReferenceMatrix``. The library versions read ``columns()`` and must
 return equal dicts, in equal key order, and plans that send every cell
 and every entry to an equal final key.
+
+:func:`jsonl_records` is the records of a whole JSONL file, read the
+plainest way, for the readers of ``repro.io.jsonl`` and the spool
+tailer to match.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -24,11 +29,23 @@ from repro.core.granularity import K, SplitAndMerge
 from repro.core.quality import ExtractorQuality
 from repro.core.results import Coord
 from repro.core.types import DataItem, ExtractorKey, SourceKey, Value
+from repro.io.jsonl import record_from_dict
 from repro.kb.gold import GoldStandard
 from repro.kb.lcwa import Label
 from repro.signals.base import _MAX_COCLAIM_SITES
 from repro.util.rng import derive_rng
 from repro.web.graph import WebGraph
+
+def jsonl_records(data: bytes) -> list:
+    """The records of a JSONL file's bytes: lines end at ``"\\n"``,
+    surrounding whitespace (CRs included) is stripped, and blank lines
+    are skipped."""
+    return [
+        record_from_dict(json.loads(line))
+        for line in data.decode("utf-8").split("\n")
+        if line.strip()
+    ]
+
 
 #: A triple reference: (original finest key, item, value).
 TripleRef = tuple[object, DataItem, Value]

@@ -46,13 +46,16 @@ PACKAGES = [
     "repro.ingest",
     "repro.signals",
     "repro.exec",
+    "repro.util",
 ]
 
 #: Modules the gateway's process must not hold: the model, the artifact
 #: decoder, the execution backends, the signal providers, the ingest
 #: loop, the web graph, evaluation, copy detection, urllib's client,
-#: numpy (a mapped layout is read through typed memoryviews) and
-#: statistics (with its fractions and decimal).
+#: numpy (a mapped layout is read through typed memoryviews),
+#: statistics (with its fractions and decimal), and OpenSSL's two
+#: bindings with what loads them (the gateway speaks plain HTTP, and a
+#: saved fit opens by its file stamp, unhashed).
 NOT_IN_THE_GATEWAY = [
     "repro.core.engine_numpy",
     "repro.core.observation",
@@ -67,30 +70,48 @@ NOT_IN_THE_GATEWAY = [
     "urllib.request",
     "numpy",
     "statistics",
+    "ssl",
+    "_ssl",
+    "_hashlib",
+    "hashlib",
+    "hmac",
 ]
 
-# What `kbt serve` imports (the CLI, then run_serve's gateway and
-# store), then one saved fit opened and the requests in argv[2] answered
-# over HTTP, each as [status, body]: every route but the two signal
-# routes, which load the signal frame and numpy on first use, and swaps,
-# refused ones included.
+# What `kbt serve` imports (the CLI, then the gateway through
+# run_serve's own import step, and the store), then one saved fit opened
+# and the requests in argv[2] answered over HTTP, each as [status,
+# body]: every route but the two signal routes, which load the signal
+# frame and numpy on first use, and swaps, refused ones included. The
+# client is a raw socket, since http.client imports ssl.
 SERVE_REQUESTS = """
-import http.client, json, sys
+import json, socket, sys
 import repro.cli
-from repro.serving.gateway import GatewayThread, ListenError, serve_gateway
+gateway = repro.cli.import_gateway()
 from repro.serving.manager import StoreManager
 from repro.serving.mmap_store import MmapTrustStore
 
+def exchange(stream, method, target, headers, body):
+    data = (body or "").encode("utf-8")
+    head = [f"{method} {target} HTTP/1.1", f"Content-Length: {len(data)}"]
+    head += [f"{name}: {value}" for name, value in headers.items()]
+    stream.write("\\r\\n".join(head + ["", ""]).encode("latin-1") + data)
+    stream.flush()
+    status, length = int(stream.readline().split()[1]), 0
+    while (line := stream.readline()) not in (b"\\r\\n", b""):
+        name, _, value = line.decode("latin-1").partition(":")
+        if name.lower() == "content-length":
+            length = int(value)
+    return [status, stream.read(length).decode("utf-8")]
+
 store = MmapTrustStore.open(sys.argv[1])
-answers = []
-with GatewayThread(StoreManager(store)) as url:
+with gateway.GatewayThread(StoreManager(store)) as url:
     host, port = url.removeprefix("http://").rsplit(":", 1)
-    connection = http.client.HTTPConnection(host, int(port), timeout=30)
-    for method, target, headers, body in json.loads(sys.argv[2]):
-        connection.request(method, target, body=body, headers=headers)
-        response = connection.getresponse()
-        answers.append([response.status, response.read().decode("utf-8")])
-    connection.close()
+    with socket.create_connection((host, int(port)), timeout=30) as sock:
+        with sock.makefile("rwb") as stream:
+            answers = [
+                exchange(stream, *request)
+                for request in json.loads(sys.argv[2])
+            ]
 print(json.dumps({"answers": answers, "modules": sorted(sys.modules)}))
 """
 

@@ -1,20 +1,32 @@
 """The JSONL readers' boundary: what they accept, and how they refuse.
 
-Every reader — ``read_records`` and the spool tailer — parses through
-one ``RecordParser``, so each rule below is checked against both, the
-tailer reading a whole file and a file as it arrives: feature vectors
-are arrays of scalars, values are scalars, and a bad line is reported
-with its place (a line number, or the tailer's byte offset) whether it
-is bad JSON or a well-formed JSON value of the wrong shape.
+Every reader — ``read_records``, the spool tailer and ``kbt ingest
+--stdin`` — parses through one ``RecordParser``, so each rule below is
+checked against them, the tailer reading a whole file and a file as it
+arrives: feature vectors are arrays of scalars, values are scalars, a
+line ends at ``"\n"`` only (a CR is whitespace inside it), and a bad
+line is reported with its place (a line number, or the tailer's byte
+offset) whether it is bad JSON or a well-formed JSON value of the
+wrong shape.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import re
+import sys
+import tempfile
+import threading
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reader_reference import jsonl_records
 from repro.cli import main
+from repro.core.kbt import KBTEstimator
 from repro.core.types import DataItem, ExtractorKey, SourceKey
 from repro.ingest.stream import SpoolDirectorySource
 from repro.io import jsonl
@@ -335,3 +347,126 @@ def test_kbt_fit_on_a_composite_value_is_one_error_line(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {path}:6: malformed record")
     assert "Traceback" not in captured.err
+
+
+# ----------------------------------------------------------------------
+# Line ends: "\n" only, as JSON Lines has it
+# ----------------------------------------------------------------------
+def ingest_stdin(tmp_path, data: bytes, capsys) -> tuple[int, str, str]:
+    """``kbt ingest --stdin`` over ``data``: its exit code, stdout and
+    stderr. It runs on a thread of its own, so it installs no signal
+    handler in this process."""
+    model = tmp_path / "model.kbt"
+    KBTEstimator().fit(
+        [record_from_dict(good(subject=f"s{i}")) for i in range(4)]
+    ).save(model)
+    args = [
+        "ingest", str(model), "--stdin", "--batch-seconds", "0.05",
+        "--generations-dir", str(tmp_path / "generations"),
+    ]
+    stdin, sys.stdin = sys.stdin, io.TextIOWrapper(io.BytesIO(data))
+    code = []
+    try:
+        runner = threading.Thread(target=lambda: code.append(main(args)))
+        runner.start()
+        runner.join(60)
+    finally:
+        sys.stdin = stdin
+    captured = capsys.readouterr()
+    return code[0], captured.out, captured.err
+
+
+def ingested(out: str) -> int:
+    return int(re.search(r"drained: \d+ batches, (\d+) records", out)[1])
+
+
+#: One record with a CR between two of its tokens, as JSON allows.
+CR_BETWEEN_TOKENS = json.dumps(good()).replace(', "source"', ',\r"source"')
+
+
+@READERS
+def test_a_cr_between_tokens_is_whitespace(reader, tmp_path):
+    # A reader that splits at the CR refuses the line ("FILE:1:
+    # invalid JSON"), or, tailing, stalls on it for good and returns
+    # nothing on every poll.
+    path = tmp_path / "records.jsonl"
+    second = json.dumps(good(value="rome"))
+    path.write_bytes(f"{CR_BETWEEN_TOKENS}\n{second}\r\n".encode())
+    assert reader(path) == [
+        record_from_dict(good()), record_from_dict(good(value="rome"))
+    ]
+
+
+def test_kbt_ingest_stdin_reads_a_cr_between_tokens(tmp_path, capsys):
+    data = f"{CR_BETWEEN_TOKENS}\n{json.dumps(good(value='rome'))}\n"
+    code, out, err = ingest_stdin(tmp_path, data.encode(), capsys)
+    assert (code, err) == (0, "")
+    assert ingested(out) == 2
+
+
+@READERS
+def test_a_lone_cr_line_end_is_one_invalid_json_error(reader, tmp_path):
+    # No reader splits at the CR: the two records are one line, which
+    # is refused where it starts, and the tailer does not stall on it.
+    path = tmp_path / "records.jsonl"
+    record = json.dumps(good())
+    path.write_bytes(f"{record}\r{record}\n".encode())
+    where = "byte 0" if reader in TAILERS else 1
+    with pytest.raises(ValueError) as caught:
+        reader(path)
+    assert str(caught.value) == f"{path}:{where}: invalid JSON"
+
+
+def test_kbt_ingest_stdin_refuses_a_lone_cr_line_end(tmp_path, capsys):
+    record = json.dumps(good())
+    data = f"{record}\n{record}\r{record}\n".encode()
+    code, _out, err = ingest_stdin(tmp_path, data, capsys)
+    assert code == 1
+    assert err == "error: bad record on stdin: <stdin>:2: invalid JSON\n"
+
+
+GOLDEN_LINES = (
+    Path(__file__).parent / "goldens" / "corpus.jsonl"
+).read_text(encoding="utf-8").splitlines()[:60]
+
+
+@st.composite
+def spool_lines(draw) -> bytes:
+    """Golden-corpus lines with "\n" or "\r\n" endings, blank lines
+    between them and CRs between their tokens."""
+    pieces = []
+    for line in draw(st.lists(st.sampled_from(GOLDEN_LINES), max_size=12)):
+        if draw(st.booleans()):
+            pieces.append(draw(st.sampled_from(["\n", "\r\n", " \t\n"])))
+        separators = [m.end() for m in re.finditer(r"[,:] ", line)]
+        for cut in sorted(
+            draw(st.sets(st.sampled_from(separators), max_size=3)),
+            reverse=True,
+        ):
+            line = line[:cut] + "\r" + line[cut:]
+        pieces.append(line + draw(st.sampled_from(["\n", "\r\n"])))
+    return "".join(pieces).encode("utf-8")
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=spool_lines(), cuts=st.lists(st.integers(0, 4096), max_size=8))
+def test_the_tailer_reads_a_file_appended_in_any_chunks(data, cuts):
+    """Appended in arbitrary byte chunks with a poll after each, the
+    spool reads what the whole file holds, and its offset always stands
+    just past the last complete line: it never stalls on one."""
+    bounds = sorted({cut % (len(data) + 1) for cut in cuts} | {len(data)})
+    with tempfile.TemporaryDirectory() as spool:
+        path = Path(spool) / "records.jsonl"
+        path.write_bytes(b"")
+        source = SpoolDirectorySource(spool)
+        records, start = source.poll(10**6), 0
+        with open(path, "ab") as handle:
+            for end in bounds:
+                handle.write(data[start:end])
+                handle.flush()
+                records += source.poll(10**6)
+                [held] = source._files.values()
+                assert held.offset == data.rfind(b"\n", 0, end) + 1
+                start = end
+        source.close()
+    assert records == jsonl_records(data)

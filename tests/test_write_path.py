@@ -197,9 +197,9 @@ def test_in_memory_export_equals_from_file_export(case, tmp_path):
     assert manifests[0]["etag"] == sha256(source)
     assert manifests[1]["etag"] == sha256(path)
     if source != path:
-        # Another file: only its name and hash differ.
+        # Another file: only its name, hash and file stamp differ.
         for manifest in manifests:
-            del manifest["etag"], manifest["artifact"]
+            del manifest["etag"], manifest["artifact"], manifest["stamp"]
         assert manifests[0] == manifests[1]
 
     reference = ReferenceStore.open(source)
@@ -391,10 +391,12 @@ class _Calls:
         self.loads = 0
         export = layout_module._export
 
-        def counted_export(artifact_path, directory, etag, columns=None):
+        def counted_export(
+            artifact_path, directory, etag, columns=None, stamp=None
+        ):
             # An export from the file: the columns are not at hand.
             self.exports += columns is None
-            return export(artifact_path, directory, etag, columns)
+            return export(artifact_path, directory, etag, columns, stamp)
 
         # Every export goes through the one writer, which its callers
         # read from its module at call time.
