@@ -81,6 +81,7 @@ from repro.exec.supervisor import ExecError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.kbt import FittedKBT, KBTEstimator
     from repro.core.observation import ObservationMatrix
+    from repro.ingest import QueueRecordSource
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1019,7 +1020,6 @@ def run_ingest(args: argparse.Namespace) -> int:
         SpoolDirectorySource,
         StalenessPolicy,
     )
-    from repro.io.jsonl import RecordParser
 
     fitted = FittedKBT.load(args.artifact)
 
@@ -1028,23 +1028,9 @@ def run_ingest(args: argparse.Namespace) -> int:
         source = SpoolDirectorySource(args.watch)
     else:
         source = QueueRecordSource()
-
-        def _read_stdin() -> None:
-            # One parser for the stream: its key memo is bounded by the
-            # keys of the model this process keeps fitted anyway.
-            parser = RecordParser()
-            try:
-                # Bytes, split at "\n" only, as every JSONL reader does.
-                for line_number, line in enumerate(sys.stdin.buffer, 1):
-                    record = parser.parse(line, "<stdin>", line_number)
-                    if record is not None:
-                        source.push(record)
-            except ValueError as err:
-                stdin_error.append(f"bad record on stdin: {err}")
-            finally:
-                source.close()
-
-        threading.Thread(target=_read_stdin, daemon=True).start()
+        threading.Thread(
+            target=_push_stdin, args=(source, stdin_error), daemon=True
+        ).start()
 
     batcher = MicroBatcher(
         source,
@@ -1098,6 +1084,23 @@ def run_ingest(args: argparse.Namespace) -> int:
         flush=True,
     )
     return 0
+
+
+def _push_stdin(source: QueueRecordSource, errors: list[str]) -> None:
+    """``kbt ingest --stdin``'s reader: stdin's records into ``source``
+    as they arrive, then close it; a bad line's error goes to ``errors``."""
+    from repro.io.jsonl import JsonlLines, RecordParser
+
+    # One parser: its key memo is bounded by the model's keys. read1:
+    # what the pipe holds now, not a whole block.
+    lines = JsonlLines("<stdin>", RecordParser())
+    try:
+        for records in lines.blocks(sys.stdin.buffer.read1):
+            source.push(records)
+    except ValueError as err:
+        errors.append(f"bad record on stdin: {err}")
+    finally:
+        source.close()
 
 
 def run_worker(args: argparse.Namespace) -> int:

@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import BinaryIO, Callable, Protocol, runtime_checkable
 
 from repro.core.types import ExtractionRecord
-from repro.io.jsonl import RecordParser
+from repro.io.jsonl import JsonlLines, RecordParser
 
 
 @runtime_checkable
@@ -103,12 +103,13 @@ class SpoolDirectorySource:
     (rotated by copy and truncate) is read from its start. ``close()``
     closes every held file.
 
-    Tail safety: lines are consumed only once newline-terminated. A
-    truncated final line (a writer caught mid-append) stays unconsumed —
-    the offset does not advance past it — and is re-read whole on a
-    later poll. A newline-*terminated* line that fails to parse raises
-    :class:`ValueError` immediately, since no further append can ever
-    repair it.
+    Tail safety: :class:`~repro.io.jsonl.JsonlLines` frames what lies
+    past the offset, a block at a time, as it does for every JSONL
+    reader. A truncated final line (a writer caught mid-append) stays
+    unconsumed — the offset does not advance past it — and is re-read
+    whole on a later poll. A newline-*terminated* line that fails to
+    parse raises ``ValueError("FILE:byte N: ...")`` immediately, since
+    no further append can ever repair it.
 
     The source is never ``exhausted``: a spool directory is by
     definition open-ended. ``kbt ingest --watch`` stops on signal, and
@@ -212,20 +213,10 @@ class _SpoolFile:
         """The records of the complete lines past the offset, which
         then moves past them."""
         self.handle.seek(self.offset)
-        lines = self.handle.read().split(b"\n")
-        # Lines end at "\n" only, as in JSON Lines: a CR is whitespace
-        # inside one (and the parser strips a "\r\n" ending). The last
-        # piece is a partially written tail, or empty: it waits for the
-        # next poll.
-        lines.pop()
-        records: list[ExtractionRecord] = []
-        position = self.offset
-        for raw_line in lines:
-            record = parser.parse(raw_line, self.path, position, "byte ")
-            position += len(raw_line) + 1
-            if record is not None:
-                records.append(record)
-        self.offset = position
+        lines = JsonlLines(self.path, parser, self.offset)
+        blocks = lines.blocks(self.handle.read)
+        records = [record for block in blocks for record in block]
+        self.offset = lines.offset
         return records
 
     def drain(self, parser: RecordParser) -> list[ExtractionRecord]:

@@ -79,6 +79,15 @@ class ColumnFormat:
             raise self._unwritable(directory, err) from err
         return manifest
 
+    def update_manifest(self, directory: str | Path, fields: dict) -> Path:
+        """Set ``fields`` in the manifest under ``directory``, replaced
+        atomically; no column is touched (a reader may map them)."""
+        manifest = Path(directory) / MANIFEST
+        document = self.read_manifest(directory) | fields
+        with atomic_write(manifest, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(document, indent=1) + "\n")
+        return manifest
+
     def save(self, directory: str | Path, name: str, values) -> list:
         """Save one column as ``directory/<name>.npy``; returns its
         ``[dtype, shape, data offset]``, what :meth:`map` takes."""

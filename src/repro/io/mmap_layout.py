@@ -83,6 +83,7 @@ import shutil
 import sys
 import tempfile
 import time
+from contextlib import suppress
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -609,9 +610,8 @@ def cache_layout(
     from the file (``kbt serve`` of an artifact that arrived without its
     layout, before it starts serving), with the stamp taken before the
     hash in its manifest, and every other cache generation is swept. A
-    reused directory keeps the stamp it was exported with. The read
-    side never calls this: ``MmapTrustStore.open`` maps the cache or
-    refuses.
+    reused directory takes the file's stamp. The read side never calls
+    this: ``MmapTrustStore.open`` maps the cache or refuses.
     """
     artifact_path = Path(artifact_path)
     stamped = stamped_layout(artifact_path)
@@ -623,6 +623,12 @@ def cache_layout(
     etag = artifact_etag(artifact_path)
     directory = layout_cache_dir(artifact_path, etag)
     if _reusable_manifest(directory, etag) is not None:
+        if stamp is not None:
+            # These bytes under a new file (a re-save): record its stamp,
+            # or, where that fails, let its opens hash.
+            with suppress(LayoutError, OSError):
+                manifest = _LAYOUT.update_manifest(directory, {"stamp": stamp})
+                _settle(manifest, stamp[4])
         return directory, False
     # The ETag-keyed name is ours; not holding these bytes, it is torn or
     # planted, and no store maps it as theirs: clearing it is safe.

@@ -6,7 +6,7 @@ object: a module-global check, no clock read, nothing allocated. The
 layers call it around their own work, so a per-layer number is read
 from inside ``src/`` and keeps its meaning when code moves:
 
-* ``io.jsonl.read`` (each run of lines parsed), ``core.observation.build``
+* ``io.jsonl.read`` (each block read and parsed), ``core.observation.build``
   (the matrix fold, reading included), ``core.kbt.fit``,
   ``core.indexing.compile``, ``exec.plan.build``;
 * per EM iteration, ``em.map`` (the map round as the driver sees it),

@@ -156,9 +156,11 @@ def test_save_and_load_run_no_collector_pass(corpus, tmp_path):
 
 
 def test_read_records_collects_per_run_not_per_record(corpus, monkeypatch):
-    monkeypatch.setattr(jsonl, "_RUN_LINES", 100)
-    runs = 6  # 600 lines
-    with passes(jsonl._parse_run) as counts:
+    runs = 6  # blocks of about 100 of the 600 lines
+    monkeypatch.setattr(
+        jsonl, "_BLOCK_BYTES", -(-corpus.stat().st_size // runs)
+    )
+    with passes(jsonl.JsonlLines.blocks) as counts:
         records = list(read_records(corpus))
     assert len(records) == 600
     assert counts[1] == 0, counts

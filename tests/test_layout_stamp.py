@@ -206,3 +206,36 @@ def test_a_stamp_in_a_directory_of_another_etag_does_not_count(
     with pytest.raises(LayoutError, match="no serving-layout manifest"):
         MmapTrustStore.open(saved)
     assert calls == [saved]
+
+
+def test_an_identical_re_save_is_opened_by_its_new_stamp(
+    fitted, saved, tmp_path, monkeypatch
+):
+    # A second save of the same fit (what `kbt update` with nothing new
+    # does in place) is a new file of the same bytes: its ETag's layout
+    # is reused, and its manifest records the new file's stamp.
+    directory = manifest_of(saved).parent
+    columns = {
+        path: (path.stat().st_ino, path.stat().st_mtime_ns)
+        for path in directory.rglob("*.npy")
+    }
+    first = artifact_stamp(saved)
+    etag = sha256(saved)
+    fitted.save(saved)
+    assert artifact_stamp(saved) != first and sha256(saved) == etag
+    assert cached_layout_dirs(saved) == [directory]
+    assert json.loads(manifest_of(saved).read_text())["stamp"] == (
+        artifact_stamp(saved)
+    )
+    # The columns a live store may have mapped are left as they were.
+    assert {
+        path: (path.stat().st_ino, path.stat().st_mtime_ns)
+        for path in directory.rglob("*.npy")
+    } == columns
+
+    hashing(monkeypatch, refuse=True)
+    store = MmapTrustStore.open(saved)
+    assert store.etag == etag
+    manager = StoreManager(store)
+    assert manager.swap(saved).etag == etag
+    manager.close()

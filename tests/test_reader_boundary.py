@@ -18,17 +18,20 @@ import re
 import sys
 import tempfile
 import threading
+from collections import deque
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reader_reference import jsonl_records
+from repro import cli
 from repro.cli import main
 from repro.core.kbt import KBTEstimator
 from repro.core.types import DataItem, ExtractorKey, SourceKey
-from repro.ingest.stream import SpoolDirectorySource
+from repro.ingest.stream import QueueRecordSource, SpoolDirectorySource
 from repro.io import jsonl
 from repro.io.jsonl import RecordParser, read_records, record_from_dict
 
@@ -187,14 +190,14 @@ def test_invalid_json_is_reported_with_its_place(reader, tmp_path):
         assert message == f"{path}:3: invalid JSON"
 
 
-@pytest.mark.parametrize("run_lines", [2, 3, 8192])
+@pytest.mark.parametrize("block_bytes", [2, 3, 8192])
 def test_records_before_a_bad_line_come_before_its_error(
-    run_lines, tmp_path, monkeypatch
+    block_bytes, tmp_path, monkeypatch
 ):
-    # read_records parses a run of lines at a time; whatever the run,
-    # what precedes the bad line reaches the consumer first, and line
-    # numbers count across runs.
-    monkeypatch.setattr(jsonl, "_RUN_LINES", run_lines)
+    # read_records parses a block of bytes at a time; whatever the
+    # block, what precedes the bad line reaches the consumer first, and
+    # line numbers count across blocks.
+    monkeypatch.setattr(jsonl, "_BLOCK_BYTES", block_bytes)
     path = tmp_path / "records.jsonl"
     lines = [json.dumps(good(subject=f"s{k}")) for k in range(4)]
     lines.insert(3, "{not json}")
@@ -229,16 +232,16 @@ def test_undecodable_bytes_in_the_spool_are_invalid_json(tmp_path):
         SpoolDirectorySource(tmp_path).poll(10)
 
 
-@pytest.mark.parametrize("run_lines", [2, 3, 8192])
+@pytest.mark.parametrize("block_bytes", [2, 3, 8192])
 @pytest.mark.parametrize("reader", [read_whole, read_chunked],
                          ids=lambda f: f.__name__)
 def test_undecodable_bytes_in_a_file_name_their_line(
-    reader, run_lines, tmp_path, monkeypatch
+    reader, block_bytes, tmp_path, monkeypatch
 ):
-    # The text-mode decoder fails a block ahead of the lines it hands
-    # out; the error still names the line (the tailer, reading bytes,
-    # its offset), and what precedes it is read.
-    monkeypatch.setattr(jsonl, "_RUN_LINES", run_lines)
+    # Lines are decoded one by one, whatever block holds them: the
+    # error names the line (the tailer its offset), and what precedes
+    # it is read.
+    monkeypatch.setattr(jsonl, "_BLOCK_BYTES", block_bytes)
     path = tmp_path / "records.jsonl"
     lines = [json.dumps(good(subject=f"s{k}")).encode() for k in range(6)]
     lines.insert(4, b'{"subject": "\xff"}')
@@ -429,15 +432,22 @@ GOLDEN_LINES = (
     Path(__file__).parent / "goldens" / "corpus.jsonl"
 ).read_text(encoding="utf-8").splitlines()[:60]
 
+#: Multibyte UTF-8 a fuzzed line may carry in its value: two, three and
+#: four bytes a character.
+WIDE = "é€😀"
+
 
 @st.composite
 def spool_lines(draw) -> bytes:
-    """Golden-corpus lines with "\n" or "\r\n" endings, blank lines
-    between them and CRs between their tokens."""
+    """Golden-corpus lines with "\n" or "\r\n" endings (the last one
+    perhaps with none), blank lines between them, CRs between their
+    tokens and multibyte characters in their values."""
     pieces = []
     for line in draw(st.lists(st.sampled_from(GOLDEN_LINES), max_size=12)):
         if draw(st.booleans()):
             pieces.append(draw(st.sampled_from(["\n", "\r\n", " \t\n"])))
+        if draw(st.booleans()):
+            line = line.replace('"value": "', f'"value": "{WIDE}', 1)
         separators = [m.end() for m in re.finditer(r"[,:] ", line)]
         for cut in sorted(
             draw(st.sets(st.sampled_from(separators), max_size=3)),
@@ -445,28 +455,128 @@ def spool_lines(draw) -> bytes:
         ):
             line = line[:cut] + "\r" + line[cut:]
         pieces.append(line + draw(st.sampled_from(["\n", "\r\n"])))
+    if pieces and draw(st.booleans()):
+        pieces[-1] = pieces[-1].rstrip("\r\n")  # an unterminated last line
     return "".join(pieces).encode("utf-8")
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=spool_lines(), cuts=st.lists(st.integers(0, 4096), max_size=8))
-def test_the_tailer_reads_a_file_appended_in_any_chunks(data, cuts):
-    """Appended in arbitrary byte chunks with a poll after each, the
-    spool reads what the whole file holds, and its offset always stands
-    just past the last complete line: it never stalls on one."""
-    bounds = sorted({cut % (len(data) + 1) for cut in cuts} | {len(data)})
-    with tempfile.TemporaryDirectory() as spool:
-        path = Path(spool) / "records.jsonl"
-        path.write_bytes(b"")
-        source = SpoolDirectorySource(spool)
-        records, start = source.poll(10**6), 0
-        with open(path, "ab") as handle:
-            for end in bounds:
-                handle.write(data[start:end])
-                handle.flush()
+#: A line no reader can decode, and a good line after it.
+SPOILED = b'{"subject": "\xff"}\n' + GOLDEN_LINES[0].encode() + b"\n"
+
+#: A line with a wide character, and the block size that ends the first
+#: block inside that character.
+CAFE = (json.dumps(good(value="café"), ensure_ascii=False) + "\n").encode()
+CAFE_CUT = CAFE.index("é".encode()) + 1
+
+
+class Pipe:
+    """``sys.stdin`` fed by a writer that sent ``chunks``: ``read1``
+    returns at most the size asked for, from one chunk."""
+
+    def __init__(self, chunks) -> None:
+        self.buffer = self
+        self._chunks = deque(chunk for chunk in chunks if chunk)
+
+    def read1(self, size: int) -> bytes:
+        if not self._chunks:
+            return b""
+        chunk = self._chunks.popleft()
+        if len(chunk) > size:
+            self._chunks.appendleft(chunk[size:])
+        return chunk[:size]
+
+
+def tail_in_chunks(spool: Path, data: bytes, bounds: list[int]):
+    """The spool tailer polled after each chunk of ``data`` is appended:
+    its records and the error that stopped it, if one did."""
+    path = spool / "records.jsonl"
+    path.write_bytes(b"")
+    source = SpoolDirectorySource(spool)
+    records, start, failure = source.poll(10**6), 0, None
+    with open(path, "ab") as handle:
+        for end in bounds:
+            handle.write(data[start:end])
+            handle.flush()
+            try:
                 records += source.poll(10**6)
-                [held] = source._files.values()
-                assert held.offset == data.rfind(b"\n", 0, end) + 1
-                start = end
-        source.close()
-    assert records == jsonl_records(data)
+            except ValueError as error:
+                failure = str(error)
+                break
+            # Its offset stands just past the last complete line: it
+            # never stalls on one.
+            [held] = source._files.values()
+            assert held.offset == data.rfind(b"\n", 0, end) + 1
+            start = end
+    source.close()
+    return records, failure
+
+
+def read_file(path: Path, data: bytes):
+    """``read_records`` of ``data``: what it yields, and its error."""
+    path.write_bytes(data)
+    records = []
+    try:
+        for record in read_records(path):
+            records.append(record)
+    except ValueError as error:
+        return records, str(error)
+    return records, None
+
+
+def ingest_from_pipe(data: bytes, bounds: list[int]):
+    """What ``kbt ingest --stdin``'s reader pushes from a pipe the
+    chunks of ``data`` arrive on, and the error it reports."""
+    source, errors = QueueRecordSource(), []
+    chunks = [data[start:end] for start, end in zip([0, *bounds], bounds)]
+    with mock.patch.object(sys, "stdin", Pipe(chunks)):
+        cli._push_stdin(source, errors)
+    return source.poll(10**6), (errors or [None])[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=spool_lines(),
+    cuts=st.lists(st.integers(0, 4096), max_size=8),
+    block=st.integers(1, 64),
+    spoiled=st.booleans(),
+)
+@example(data=CAFE * 2, cuts=[], block=CAFE_CUT, spoiled=False)
+@example(data=CAFE * 2, cuts=[5], block=8, spoiled=True)
+def test_the_tailer_reads_a_file_appended_in_any_chunks(
+    data, cuts, block, spoiled
+):
+    """Every reader reads what the whole file holds, equal to the plain
+    reference, through blocks of ``block`` bytes that cut lines and
+    characters: the spool tailer, polled as the file is appended in
+    arbitrary byte chunks (a torn last line waits); ``read_records``;
+    and ``kbt ingest --stdin``, fed the same chunks. A spoiled file adds
+    an undecodable line: each reader names its place, after every record
+    before it."""
+    clean = data
+    if spoiled:
+        if not clean.endswith(b"\n"):
+            clean += b"\n"
+        data = clean + SPOILED
+    bounds = sorted({cut % (len(data) + 1) for cut in cuts} | {len(data)})
+    expected = jsonl_records(clean)
+    with mock.patch.object(jsonl, "_BLOCK_BYTES", block), \
+            tempfile.TemporaryDirectory() as spool:
+        tailed, tail_error = tail_in_chunks(Path(spool), data, bounds)
+        path = Path(spool) / "whole.jsonl"
+        whole, whole_error = read_file(path, data)
+        piped, pipe_error = ingest_from_pipe(data, bounds)
+    assert whole == piped == expected
+    if not spoiled:
+        # A torn last line waits for the rest; the other readers end it.
+        assert tailed == jsonl_records(data[: data.rfind(b"\n") + 1])
+        assert whole_error is tail_error is pipe_error is None
+        return
+    line = clean.count(b"\n") + 1
+    assert whole_error == f"{path}:{line}: invalid JSON"
+    assert pipe_error == f"bad record on stdin: <stdin>:{line}: invalid JSON"
+    assert tail_error == (
+        f"{Path(spool) / 'records.jsonl'}:byte {len(clean)}: invalid JSON"
+    )
+    # The poll that meets the bad line returns nothing; what the polls
+    # before it returned is a prefix of the file's records.
+    assert tailed == expected[: len(tailed)]
